@@ -15,18 +15,60 @@ pub struct ChunkId(u64);
 impl ChunkId {
     /// Addresses a chunk by its logical name and size in MiB.
     pub fn of(name: &str, size_mb: u32) -> Self {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in name.as_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash ^= u64::from(size_mb).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ChunkId(hash)
+        ChunkName::new().str(name).id(size_mb)
     }
 
     /// Raw digest value.
     pub fn value(self) -> u64 {
         self.0
+    }
+}
+
+/// FNV-1a state over a chunk's logical name, fed piece by piece: the
+/// digest of `"dataset:imagenet:17"` is reached by streaming the parts,
+/// so addressing a chunk never builds its name, and the shards of one
+/// dataset share the state of their common prefix.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChunkName(u64);
+
+impl ChunkName {
+    /// The state of the empty name.
+    pub(crate) fn new() -> Self {
+        ChunkName(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// The name extended by `part`.
+    pub(crate) fn str(self, part: &str) -> Self {
+        self.bytes(part.as_bytes())
+    }
+
+    /// The name extended by the decimal digits of `n`.
+    pub(crate) fn index(self, mut n: u32) -> Self {
+        let mut digits = [0u8; 10]; // u32::MAX has ten
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.bytes(&digits[at..])
+    }
+
+    fn bytes(self, part: &[u8]) -> Self {
+        let mut hash = self.0;
+        for &b in part {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        ChunkName(hash)
+    }
+
+    /// The address of the chunk with this name and `size_mb` MiB.
+    pub(crate) fn id(self, size_mb: u32) -> ChunkId {
+        ChunkId(self.0 ^ u64::from(size_mb).wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 }
 
@@ -185,6 +227,62 @@ mod tests {
         assert_eq!(a, ChunkId::of("torch", 800));
         assert_ne!(a, ChunkId::of("torch", 801));
         assert_ne!(a, ChunkId::of("torchvision", 800));
+        // The published FNV-1a test vector: ids are stable across releases.
+        assert_eq!(ChunkId::of("a", 0).value(), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    /// Streaming a name part by part must address the same chunk as
+    /// hashing the concatenated name, wherever the parts are cut and
+    /// however many digits the shard index has.
+    #[test]
+    fn streamed_address_equals_address_of_concatenated_name() {
+        // Deterministic xorshift64* — same names every run.
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        const ALPHABET: [char; 12] = [
+            'a', 'Z', '0', '-', ':', ' ', 'é', 'ß', '数', '据', '🦀', '\u{7f}',
+        ];
+        // Both sides of every digit-count boundary of a u32.
+        let mut indices = vec![0, u32::MAX];
+        for digits in 1..10 {
+            indices.extend([10u32.pow(digits) - 1, 10u32.pow(digits)]);
+        }
+        for round in 0..500 {
+            let name: String = (0..rng() % 24)
+                .map(|_| ALPHABET[(rng() % ALPHABET.len() as u64) as usize])
+                .collect();
+            let index = if round < indices.len() {
+                indices[round]
+            } else {
+                (rng() >> (rng() % 64)) as u32
+            };
+            let size_mb = rng() as u32;
+            let parts = ["dataset:", name.as_str(), ":", &index.to_string()];
+            let streamed = ChunkName::new()
+                .str("dataset:")
+                .str(&name)
+                .str(":")
+                .index(index)
+                .id(size_mb);
+            assert_eq!(streamed, ChunkId::of(&parts.concat(), size_mb), "{parts:?}");
+            // The one-part case, cut at an arbitrary character boundary.
+            let cut = name
+                .char_indices()
+                .map(|(at, _)| at)
+                .nth((rng() % 24) as usize)
+                .unwrap_or(name.len());
+            let (head, tail) = name.split_at(cut);
+            assert_eq!(
+                ChunkName::new().str(head).str(tail).id(size_mb),
+                ChunkId::of(&name, size_mb),
+                "{head:?} + {tail:?}"
+            );
+        }
     }
 
     #[test]

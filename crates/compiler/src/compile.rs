@@ -5,7 +5,7 @@ use std::fmt;
 use tacc_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use tacc_workload::{RuntimePreference, TaskSchema};
 
-use crate::cache::{ChunkCache, ChunkId};
+use crate::cache::{ChunkCache, ChunkId, ChunkName};
 use crate::instruction::{CompiledTask, ExecutionInstruction, InstructionKind, Provisioning};
 
 /// Errors from the compiler layer.
@@ -165,9 +165,9 @@ impl Compiler {
         let mut misses: u32 = 0;
         let mut transferred_mb: f64 = 0.0;
         let mut total_mb: f64 = 0.0;
-        let mut pull = |cache: &mut ChunkCache, name: &str, size_mb: u32| {
+        let mut pull = |cache: &mut ChunkCache, chunk: ChunkId, size_mb: u32| {
             total_mb += f64::from(size_mb);
-            if cache.fetch(ChunkId::of(name, size_mb), size_mb) {
+            if cache.fetch(chunk, size_mb) {
                 hits += 1;
             } else {
                 misses += 1;
@@ -175,27 +175,28 @@ impl Compiler {
             }
         };
 
+        // Chunk names ("image:<image>", "dep:<dep>", "dataset:<name>:<i>")
+        // are streamed into the address, never built.
         if kind == InstructionKind::ContainerImage {
-            let img_mb = image_size_mb(&schema.env.image);
-            pull(
-                &mut self.cache,
-                &format!("image:{}", schema.env.image),
-                img_mb,
-            );
+            let image = &schema.env.image;
+            let img_mb = image_size_mb(image);
+            let chunk = ChunkName::new().str("image:").str(image).id(img_mb);
+            pull(&mut self.cache, chunk, img_mb);
         }
         for (dep, size) in &schema.env.dependencies {
-            pull(&mut self.cache, &format!("dep:{dep}"), *size);
+            let chunk = ChunkName::new().str("dep:").str(dep).id(*size);
+            pull(&mut self.cache, chunk, *size);
         }
         if let Some((dataset, size)) = &schema.env.dataset {
             // Shard the dataset so partial overlap across jobs still hits.
             let shard = self.config.dataset_shard_mb;
-            let full_shards = size / shard;
-            for i in 0..full_shards {
-                pull(&mut self.cache, &format!("dataset:{dataset}:{i}"), shard);
+            let shards = ChunkName::new().str("dataset:").str(dataset).str(":");
+            for i in 0..size / shard {
+                pull(&mut self.cache, shards.index(i).id(shard), shard);
             }
             let tail = size % shard;
             if tail > 0 {
-                pull(&mut self.cache, &format!("dataset:{dataset}:tail"), tail);
+                pull(&mut self.cache, shards.str("tail").id(tail), tail);
             }
         }
         // User code is unique per submission: always transferred, never cached.
@@ -215,7 +216,6 @@ impl Compiler {
         }
 
         Ok(CompiledTask {
-            schema: schema.clone(),
             instruction: ExecutionInstruction {
                 kind,
                 runtime,
@@ -353,7 +353,8 @@ mod tests {
         let s = schema();
         let json = serde_json::to_string(&s).expect("serializes");
         let out = c.compile_json(&json).expect("compiles");
-        assert_eq!(out.schema, s);
+        let direct = Compiler::new(CompilerConfig::default()).compile(&s);
+        assert_eq!(Ok(out), direct);
         assert!(c.compile_json("{not json").is_err());
     }
 

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use tacc_workload::{RuntimePreference, TaskSchema};
+use tacc_workload::RuntimePreference;
 
 /// The form an execution instruction takes.
 ///
@@ -71,13 +71,10 @@ pub struct ExecutionInstruction {
     pub payload_mb: f64,
 }
 
-/// A compiled task: the original schema, its instruction, and what the
-/// compilation cost.
+/// A compiled task: its instruction and what the compilation cost. The
+/// schema it was compiled from stays with the caller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledTask {
-    /// The schema this task was compiled from (kept so the instruction is
-    /// self-contained).
-    pub schema: TaskSchema,
     /// The executable instruction.
     pub instruction: ExecutionInstruction,
     /// Provisioning cost of this compilation.

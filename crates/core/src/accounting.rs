@@ -5,15 +5,18 @@
 //! ([`crate::lifecycle`]) already validated — no `Job` state is written
 //! in this module.
 
+use std::collections::VecDeque;
+
 use tacc_obs::{Counter, Gauge, Histogram, MetricsRegistry, PlatformEvent};
 
 use crate::platform::{ActiveRun, Platform};
 
-/// One job's bounded platform-side log: rendered event lines plus a
-/// count of lines evicted once the ring filled.
+/// One job's bounded platform-side log: the typed events (rendered to
+/// lines only when read, see [`Platform::job_log`]) plus a count of
+/// events evicted once the ring filled.
 #[derive(Debug, Default)]
 pub(crate) struct JobLog {
-    pub(crate) lines: Vec<(f64, String)>,
+    pub(crate) events: VecDeque<(f64, PlatformEvent)>,
     pub(crate) dropped: u64,
 }
 
@@ -106,25 +109,23 @@ impl Platform {
         self.group_last_update = now;
     }
 
-    /// Records `event` on the bus and renders it into the job's bounded
-    /// log ring — the single source of truth for `tcloud logs` lines.
+    /// Records `event` on the bus and keeps a copy in the job's bounded
+    /// log ring — the single source of truth for `tcloud logs` lines. A
+    /// ring of capacity zero keeps (and copies) nothing.
     pub(crate) fn emit(&mut self, at: f64, event: PlatformEvent) {
-        let job = event.job();
-        let line = event.to_string();
+        // Events always name a tracked job; tolerate a stranger anyway.
+        if let Some(slot) = self.jobs.get_mut(event.job()) {
+            let capacity = self.config.log_lines_per_job;
+            let log = &mut slot.log;
+            if log.events.len() >= capacity {
+                log.events.pop_front();
+                log.dropped += 1;
+            }
+            if capacity > 0 {
+                log.events.push_back((at, event.clone()));
+            }
+        }
         self.bus.record(at, event);
-        let Some(slot) = self.jobs.get_mut(job) else {
-            return; // events always name a tracked job; tolerate anyway
-        };
-        let log = &mut slot.log;
-        if self.config.log_lines_per_job == 0 {
-            log.dropped += 1;
-            return;
-        }
-        if log.lines.len() >= self.config.log_lines_per_job {
-            log.lines.remove(0);
-            log.dropped += 1;
-        }
-        log.lines.push((at, line));
     }
 
     /// Refreshes the `tacc_cluster_*` gauges from current cluster state.

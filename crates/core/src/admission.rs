@@ -7,20 +7,23 @@
 use tacc_obs::{PlatformEvent, RejectReason};
 use tacc_sched::TaskRequest;
 use tacc_sim::{SimDuration, SimTime};
-use tacc_workload::{Job, JobEvent, JobId, TaskSchema};
+use tacc_workload::{Job, JobEvent, JobId, TaskSchema, TraceRecord};
 
 use crate::platform::{Event, Platform};
 
 impl Platform {
-    /// Admits a pending trace record: creates the job, compiles its
-    /// schema, and schedules queue entry after the provisioning latency.
-    pub(crate) fn do_submit(&mut self, record_idx: usize) -> JobId {
+    /// Admits a submission: its record becomes the job (the schema moves,
+    /// it is not copied), the compiler reads the schema where the job
+    /// keeps it, and queue entry is scheduled after the provisioning
+    /// latency.
+    pub(crate) fn do_submit(&mut self, record: TraceRecord) -> JobId {
         let now = self.clock.now().as_secs();
-        let record = self.pending_records[record_idx].clone();
         let id = JobId::from_value(self.next_job);
         self.next_job += 1;
-        let job = Job::new(id, record.schema.clone(), now, record.service_secs);
-        self.jobs.push(job);
+        let group = record.schema.group;
+        let name = record.schema.name.clone();
+        self.jobs
+            .push(Job::new(id, record.schema, now, record.service_secs));
         // Anchor the job's transition timeline at its submission: a
         // recorded self-loop on `Submitted`, so span reconstruction from
         // the exported stream alone knows when provisioning began.
@@ -30,19 +33,20 @@ impl Platform {
             now,
             PlatformEvent::Submitted {
                 job: id,
-                group: record.schema.group,
-                name: record.schema.name.clone(),
+                group,
+                name,
             },
         );
 
         // Layer 2: compile. Provisioning latency delays queue entry.
+        let Some(slot) = self.jobs.get_mut(id) else {
+            return id; // pushed above
+        };
         let compiled = self
             .compiler
-            .compile(&record.schema)
+            .compile(slot.job.schema())
             .expect("trace schemas are pre-validated");
-        if let Some(slot) = self.jobs.get_mut(id) {
-            slot.runtime = compiled.instruction.runtime;
-        }
+        slot.runtime = compiled.instruction.runtime;
         self.provisioning_latency_total += compiled.provisioning.latency_secs;
         self.emit(
             now,

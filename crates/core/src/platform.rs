@@ -89,7 +89,9 @@ pub struct Platform {
     pub(crate) injector: Option<FailureInjector>,
     pub(crate) store: Option<SharedStore>,
 
-    pub(crate) pending_records: Vec<TraceRecord>,
+    /// Loaded trace records awaiting their `Submit` event; a slot is
+    /// emptied when its record moves into the job it becomes.
+    pub(crate) pending_records: Vec<Option<TraceRecord>>,
     /// Dense per-job state: job, runtime, active run, last nodes, run
     /// token, log — one slot per minted id (see [`crate::arena`]).
     pub(crate) jobs: JobArena,
@@ -242,6 +244,11 @@ impl Platform {
         self.jobs.get(id).map(|slot| &slot.job)
     }
 
+    /// Number of jobs ever submitted.
+    pub fn job_count(&self) -> usize {
+        self.jobs.len()
+    }
+
     /// All job ids ever submitted, in submission order.
     pub fn job_ids(&self) -> Vec<JobId> {
         self.jobs.iter().map(|(id, _)| id).collect()
@@ -276,7 +283,7 @@ impl Platform {
     pub fn load_trace(&mut self, trace: &Trace) {
         for record in trace.records() {
             let idx = self.pending_records.len();
-            self.pending_records.push(record.clone());
+            self.pending_records.push(Some(record.clone()));
             self.events.schedule(
                 SimTime::from_secs(record.submit_secs),
                 Event::Submit { record: idx },
@@ -295,9 +302,7 @@ impl Platform {
             service_secs,
             cancel_after_secs: None,
         };
-        let idx = self.pending_records.len();
-        self.pending_records.push(record);
-        let id = self.do_submit(idx);
+        let id = self.do_submit(record);
         self.run_round();
         id
     }
@@ -390,7 +395,9 @@ impl Platform {
     fn handle(&mut self, event: Event) {
         match event {
             Event::Submit { record } => {
-                self.do_submit(record);
+                if let Some(record) = self.pending_records.get_mut(record).and_then(Option::take) {
+                    self.do_submit(record);
+                }
             }
             Event::CompileDone { job } => self.on_compile_done(job),
             Event::Finish { job, token } => self.on_finish(job, token),

@@ -4,6 +4,7 @@
 //! platform state.
 
 use tacc_cluster::NodeId;
+use tacc_obs::PlatformEvent;
 use tacc_workload::{JobId, JobState};
 
 use crate::platform::Platform;
@@ -124,15 +125,17 @@ impl Platform {
             .map(|s| (s.total_staged_mb(), s.cache_hits()))
     }
 
-    /// The platform-side log of a job (what `tcloud logs` aggregates).
-    /// Bounded: once a job accumulates more than
+    /// The platform-side log of a job (what `tcloud logs` aggregates),
+    /// rendered from the job's retained events. Bounded: once a job
+    /// accumulates more than
     /// [`crate::PlatformConfig::log_lines_per_job`] lines, the oldest are
     /// evicted ([`Self::job_log_dropped`] counts them).
-    pub fn job_log(&self, id: JobId) -> &[(f64, String)] {
+    pub fn job_log(&self, id: JobId) -> Vec<(f64, String)> {
+        let rendered = |(at, event): &(f64, PlatformEvent)| (*at, event.to_string());
         self.jobs
             .get(id)
-            .map(|slot| slot.log.lines.as_slice())
-            .unwrap_or(&[])
+            .map(|slot| slot.log.events.iter().map(rendered).collect())
+            .unwrap_or_default()
     }
 
     /// Lines evicted from the job's bounded log ring.

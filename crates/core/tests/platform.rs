@@ -348,6 +348,49 @@ fn job_log_is_bounded_and_counts_drops() {
     assert!(p.job_events(id).len() >= 5);
 }
 
+/// Job logs keep typed events and render them when read: with a ring
+/// that drops nothing a job's lines are `Display` of its bus events in
+/// order; a ring of two keeps the newest two; a ring of zero keeps
+/// nothing and counts every event as dropped.
+#[test]
+fn job_logs_are_the_bus_events_rendered_on_read() {
+    let trace = TraceGenerator::new(
+        GenParams {
+            roster: tacc_workload::GroupRoster::campus_default(16),
+            peak_jobs_per_hour: 6.0,
+            ..GenParams::default()
+        },
+        11,
+    )
+    .generate_days(0.5);
+    let replay = |log_lines_per_job: usize| {
+        let mut p = Platform::new(PlatformConfig {
+            log_lines_per_job,
+            ..tiny_config()
+        });
+        p.run_trace(&trace);
+        p
+    };
+    let (full, two, none) = (replay(256), replay(2), replay(0));
+    assert_eq!(full.events().dropped(), 0);
+    assert_eq!(full.job_count(), trace.len());
+    for id in full.job_ids() {
+        let events: Vec<(f64, String)> = full
+            .job_events(id)
+            .iter()
+            .map(|r| (r.at_secs, r.event.to_string()))
+            .collect();
+        assert!(events.len() >= 2, "{id}: submitted and compiled at least");
+        assert_eq!(full.job_log(id), events, "{id}");
+        assert_eq!(full.job_log_dropped(id), 0, "{id}");
+        let evicted = events.len() - 2;
+        assert_eq!(two.job_log(id), events[evicted..], "{id}");
+        assert_eq!(two.job_log_dropped(id), evicted as u64, "{id}");
+        assert!(none.job_log(id).is_empty(), "{id}");
+        assert_eq!(none.job_log_dropped(id), events.len() as u64, "{id}");
+    }
+}
+
 #[test]
 fn why_explains_a_stuck_job() {
     let mut p = Platform::new(tiny_config());

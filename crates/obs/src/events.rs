@@ -5,7 +5,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use tacc_workload::{GroupId, JobId};
 
 /// Why the platform refused a job at admission time.
@@ -257,7 +257,7 @@ pub(crate) fn push_json_str(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -273,7 +273,7 @@ pub(crate) fn push_json_str(out: &mut String, s: &str) {
 /// no platform event may carry one (matching `serde_json`'s refusal).
 pub(crate) fn push_json_f64(out: &mut String, v: f64) {
     assert!(v.is_finite(), "non-finite float in platform event: {v}");
-    out.push_str(&format!("{v}"));
+    let _ = write!(out, "{v}");
 }
 
 impl EventRecord {
@@ -281,7 +281,7 @@ impl EventRecord {
     /// shape the serde derive produces structurally:
     /// `{"seq":N,"at_secs":T,"event":{"Variant":{...}}}`.
     fn write_json(&self, out: &mut String) {
-        out.push_str(&format!("{{\"seq\":{},\"at_secs\":", self.seq));
+        let _ = write!(out, "{{\"seq\":{},\"at_secs\":", self.seq);
         push_json_f64(out, self.at_secs);
         out.push_str(",\"event\":");
         self.event.write_json(out);
@@ -294,11 +294,12 @@ impl PlatformEvent {
     fn write_json(&self, out: &mut String) {
         match self {
             PlatformEvent::Submitted { job, group, name } => {
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "{{\"Submitted\":{{\"job\":{},\"group\":{},\"name\":",
                     job.value(),
                     group.index()
-                ));
+                );
                 push_json_str(out, name);
                 out.push_str("}}");
             }
@@ -311,18 +312,20 @@ impl PlatformEvent {
                 chunk_misses,
                 provisioning_secs,
             } => {
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "{{\"Compiled\":{{\"job\":{},\"instruction\":",
                     job.value()
-                ));
+                );
                 push_json_str(out, instruction);
                 out.push_str(",\"payload_mb\":");
                 push_json_f64(out, *payload_mb);
                 out.push_str(",\"transferred_mb\":");
                 push_json_f64(out, *transferred_mb);
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     ",\"chunk_hits\":{chunk_hits},\"chunk_misses\":{chunk_misses},\"provisioning_secs\":"
-                ));
+                );
                 push_json_f64(out, *provisioning_secs);
                 out.push_str("}}");
             }
@@ -331,13 +334,14 @@ impl PlatformEvent {
                     RejectReason::GangNeverFits => "GangNeverFits",
                     RejectReason::ExceedsGroupQuota => "ExceedsGroupQuota",
                 };
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "{{\"Rejected\":{{\"job\":{},\"reason\":\"{tag}\"}}}}",
                     job.value()
-                ));
+                );
             }
             PlatformEvent::Queued { job } => {
-                out.push_str(&format!("{{\"Queued\":{{\"job\":{}}}}}", job.value()));
+                let _ = write!(out, "{{\"Queued\":{{\"job\":{}}}}}", job.value());
             }
             PlatformEvent::Placed {
                 job,
@@ -348,29 +352,33 @@ impl PlatformEvent {
                 requested_workers,
                 backfilled,
             } => {
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "{{\"Placed\":{{\"job\":{},\"nodes\":{nodes},\"runtime\":",
                     job.value()
-                ));
+                );
                 push_json_str(out, runtime);
                 out.push_str(",\"slowdown\":");
                 push_json_f64(out, *slowdown);
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     ",\"granted_workers\":{granted_workers},\"requested_workers\":{requested_workers},\"backfilled\":{backfilled}}}}}"
-                ));
+                );
             }
             PlatformEvent::Preempted { job, reclaimed_for } => {
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "{{\"Preempted\":{{\"job\":{},\"reclaimed_for\":{}}}}}",
                     job.value(),
                     reclaimed_for.index()
-                ));
+                );
             }
             PlatformEvent::Completed { job, jct_secs } => {
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "{{\"Completed\":{{\"job\":{},\"jct_secs\":",
                     job.value()
-                ));
+                );
                 push_json_f64(out, *jct_secs);
                 out.push_str("}}");
             }
@@ -379,28 +387,26 @@ impl PlatformEvent {
                 node,
                 fallback,
             } => {
-                out.push_str(&format!(
-                    "{{\"FailedOver\":{{\"job\":{},\"node\":",
-                    job.value()
-                ));
+                let _ = write!(out, "{{\"FailedOver\":{{\"job\":{},\"node\":", job.value());
                 push_json_str(out, node);
                 out.push_str(",\"fallback\":");
                 push_json_str(out, fallback);
                 out.push_str("}}");
             }
             PlatformEvent::Failed { job, node } => {
-                out.push_str(&format!("{{\"Failed\":{{\"job\":{},\"node\":", job.value()));
+                let _ = write!(out, "{{\"Failed\":{{\"job\":{},\"node\":", job.value());
                 push_json_str(out, node);
                 out.push_str("}}");
             }
             PlatformEvent::Cancelled { job } => {
-                out.push_str(&format!("{{\"Cancelled\":{{\"job\":{}}}}}", job.value()));
+                let _ = write!(out, "{{\"Cancelled\":{{\"job\":{}}}}}", job.value());
             }
             PlatformEvent::IllegalTransition { job, from, event } => {
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "{{\"IllegalTransition\":{{\"job\":{},\"from\":",
                     job.value()
-                ));
+                );
                 push_json_str(out, from);
                 out.push_str(",\"event\":");
                 push_json_str(out, event);

@@ -299,7 +299,7 @@ impl Engine {
         for msg in batch {
             match msg {
                 Msg::Mutate { command, reply } => {
-                    let outcome = self.apply_mutate(&command);
+                    let outcome = self.apply_mutate(command);
                     replies.push((reply, outcome));
                 }
                 Msg::Query { query, reply } => {
@@ -336,12 +336,12 @@ impl Engine {
     }
 
     /// Stamps, applies and journals one command.
-    fn apply_mutate(&mut self, command: &Command) -> Reply {
+    fn apply_mutate(&mut self, command: Command) -> Reply {
         let at_secs = self.stamp();
         let record = CommandRecord {
             seq: self.next_seq,
             at_secs,
-            command: command.clone(),
+            command,
         };
         match self.platform.apply_record(&record) {
             Ok(outcome) => {
@@ -434,7 +434,7 @@ impl Engine {
                     ("now_secs", Json::Num(self.platform.now().as_secs())),
                     ("nodes", Json::Num(cluster.node_count() as f64)),
                     ("total_gpus", Json::Num(f64::from(cluster.total_gpus()))),
-                    ("jobs", Json::Num(self.platform.job_ids().len() as f64)),
+                    ("jobs", Json::Num(self.platform.job_count() as f64)),
                     ("journal_seq", Json::Num(self.next_seq as f64)),
                 ]))
             }
@@ -643,14 +643,23 @@ mod tests {
                 job: tacc_workload::JobId::from_value(999),
             },
         );
-        let Reply::Err { kind, .. } = reply else {
+        let Reply::Err { kind, message } = reply else {
             panic!("expected error");
         };
+        // The command moves into the record before it is applied: a
+        // refusal must still be answered with the command's typed error.
         assert_eq!(kind, "unknown-job");
+        assert!(message.contains("999"), "{message}");
         let Reply::Ok(stats) = query(&tx, Query::JournalStats) else {
             panic!("stats query failed");
         };
         assert_eq!(stats.get("appended").and_then(Json::as_u64), Some(0));
+        assert_eq!(stats.get("next_seq").and_then(Json::as_u64), Some(0));
+        // ...and leaves no hole in the sequence.
+        let Reply::Ok(accepted) = mutate(&tx, submit_command()) else {
+            panic!("submit after a refusal failed");
+        };
+        assert_eq!(accepted.get("seq").and_then(Json::as_u64), Some(0));
         tx.send(Msg::Stop).expect("send stop");
         handle.join().expect("engine exits");
         std::fs::remove_file(&path).ok();

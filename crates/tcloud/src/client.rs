@@ -164,7 +164,7 @@ impl TcloudClient {
             return Err(TcloudError::UnknownJob(job.value()));
         }
         Ok(p.job_log(job)
-            .iter()
+            .into_iter()
             .map(|(t, msg)| format!("[t={t:.1}s] {msg}"))
             .collect())
     }
