@@ -37,9 +37,9 @@ use std::process::ExitCode;
 
 use tacc_bench::determinism::{campus_determinism_run, DEFAULT_DETERMINISM_DAYS};
 use tacc_bench::gha;
-use tacc_bench::json::Json;
 use tacc_bench::par;
 use tacc_bench::registry::{self, ExperimentSpec, RunOutcome, Tier};
+use tacc_json::{obj, Json};
 
 /// Golden snapshots live next to the crate so `--bless` output is a normal
 /// reviewable diff.
@@ -221,25 +221,27 @@ fn write_sweep(path: &str, outcomes: &[RunOutcome], wall_secs: f64, jobs: usize)
     let per_exp = outcomes
         .iter()
         .map(|o| {
-            Json::obj()
-                .set("id", o.spec.id.into())
-                .set("span_secs", o.wall_secs.into())
+            obj(vec![
+                ("id", o.spec.id.into()),
+                ("span_secs", o.wall_secs.into()),
+            ])
         })
         .collect();
-    let doc = Json::obj()
-        .set("suite", "tacc-bench experiments".into())
-        .set("jobs", jobs.into())
-        .set("experiments", Json::Arr(per_exp))
-        .set("serial_sum_secs", serial_sum.into())
-        .set("wall_secs", wall_secs.into())
-        .set(
+    let doc = obj(vec![
+        ("suite", "tacc-bench experiments".into()),
+        ("jobs", jobs.into()),
+        ("experiments", Json::Arr(per_exp)),
+        ("serial_sum_secs", serial_sum.into()),
+        ("wall_secs", wall_secs.into()),
+        (
             "speedup_vs_serial",
             if wall_secs > 0.0 {
                 (serial_sum / wall_secs).into()
             } else {
                 Json::Null
             },
-        );
+        ),
+    ]);
     if let Err(e) = std::fs::write(path, doc.to_pretty()) {
         eprintln!("warning: could not write sweep summary {path}: {e}");
     } else {

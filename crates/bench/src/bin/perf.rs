@@ -34,7 +34,6 @@ use std::process::ExitCode;
 
 use tacc_bench::gha;
 use tacc_bench::hotpath::{self, Scenario, ScenarioOutcome, NIGHTLY_SCENARIOS, SCENARIOS};
-use tacc_bench::json::Json;
 
 #[derive(Debug)]
 struct Options {
@@ -139,7 +138,7 @@ fn check_expected(path: &str, outcomes: &[ScenarioOutcome]) -> Result<(), String
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("could not read expected report {path}: {e}"))?;
     let expected =
-        Json::parse(&text).map_err(|e| format!("malformed expected report {path}: {e}"))?;
+        tacc_json::parse(&text).map_err(|e| format!("malformed expected report {path}: {e}"))?;
     hotpath::compare_with_report(&expected, outcomes).map_err(|(_, detail)| detail)
 }
 
@@ -195,8 +194,8 @@ fn main() -> ExitCode {
         let second: Vec<ScenarioOutcome> =
             selected.iter().map(|s| hotpath::run_scenario(s)).collect();
         for (a, b) in outcomes.iter().zip(second.iter()) {
-            let first = hotpath::counters_json(a).to_compact();
-            let repeat = hotpath::counters_json(b).to_compact();
+            let first = hotpath::counters_json(a).to_string();
+            let repeat = hotpath::counters_json(b).to_string();
             if first == repeat {
                 println!("ok   {:<22} counters reproduced exactly", a.id);
             } else {

@@ -9,9 +9,9 @@
 //! fingerprint, so both the event sequencing and the aggregate math are
 //! pinned.
 
-use crate::json::Json;
 use crate::{campus_config, standard_trace};
 use tacc_core::{Platform, SimulationReport};
+use tacc_json::{obj, Json};
 use tacc_metrics::Summary;
 use tacc_obs::SpanBook;
 use tacc_sched::QuotaMode;
@@ -63,7 +63,7 @@ pub fn campus_determinism_run(days: f64) -> DeterminismRun {
     let mut platform = Platform::new(config);
     let report = platform.run_trace(&trace);
     let mut events = platform.events().to_jsonl();
-    events.push_str(&report_fingerprint(&report).to_compact());
+    events.push_str(&report_fingerprint(&report).to_string());
     events.push('\n');
     let transitions = platform.transitions_jsonl();
     let timelines = platform.timelines_jsonl();
@@ -92,15 +92,16 @@ pub fn campus_determinism_export(days: f64) -> String {
 }
 
 fn summary_json(s: &Summary) -> Json {
-    Json::obj()
-        .set("count", s.count().into())
-        .set("mean", s.mean().into())
-        .set("min", s.min().into())
-        .set("max", s.max().into())
-        .set("p50", s.p50().into())
-        .set("p90", s.p90().into())
-        .set("p95", s.p95().into())
-        .set("p99", s.p99().into())
+    obj(vec![
+        ("count", s.count().into()),
+        ("mean", s.mean().into()),
+        ("min", s.min().into()),
+        ("max", s.max().into()),
+        ("p50", s.p50().into()),
+        ("p90", s.p90().into()),
+        ("p95", s.p95().into()),
+        ("p99", s.p99().into()),
+    ])
 }
 
 /// Serializes every deterministic field of a report (the wall-clock
@@ -111,60 +112,62 @@ pub fn report_fingerprint(report: &SimulationReport) -> Json {
         .groups
         .iter()
         .map(|g| {
-            Json::obj()
-                .set("group", g.group.index().into())
-                .set("completed", g.completed.into())
-                .set("mean_queue_delay_secs", g.mean_queue_delay_secs.into())
-                .set("p95_queue_delay_secs", g.p95_queue_delay_secs.into())
-                .set("gpu_hours", g.gpu_hours.into())
+            obj(vec![
+                ("group", g.group.index().into()),
+                ("completed", g.completed.into()),
+                ("mean_queue_delay_secs", g.mean_queue_delay_secs.into()),
+                ("p95_queue_delay_secs", g.p95_queue_delay_secs.into()),
+                ("gpu_hours", g.gpu_hours.into()),
+            ])
         })
         .collect();
-    Json::obj()
-        .set("submitted", report.submitted.into())
-        .set("completed", report.completed.into())
-        .set("failed", report.failed.into())
-        .set("rejected", report.rejected.into())
-        .set("cancelled", report.cancelled.into())
-        .set("mean_staging_secs", report.mean_staging_secs.into())
-        .set("stagings", report.stagings.into())
-        .set("faults", report.faults.into())
-        .set("failovers", report.failovers.into())
-        .set("preemptions", report.preemptions.into())
-        .set("backfill_starts", report.backfill_starts.into())
-        .set("jct", summary_json(&report.jct))
-        .set("queue_delay", summary_json(&report.queue_delay))
-        .set("slowdown", summary_json(&report.slowdown))
-        .set("mean_utilization", report.mean_utilization.into())
-        .set("useful_gpu_hours", report.useful_gpu_hours.into())
-        .set("wasted_gpu_hours", report.wasted_gpu_hours.into())
-        .set("goodput", report.goodput.into())
-        .set("goodput_ratio", report.goodput_decomposition.goodput.into())
-        .set(
+    obj(vec![
+        ("submitted", report.submitted.into()),
+        ("completed", report.completed.into()),
+        ("failed", report.failed.into()),
+        ("rejected", report.rejected.into()),
+        ("cancelled", report.cancelled.into()),
+        ("mean_staging_secs", report.mean_staging_secs.into()),
+        ("stagings", report.stagings.into()),
+        ("faults", report.faults.into()),
+        ("failovers", report.failovers.into()),
+        ("preemptions", report.preemptions.into()),
+        ("backfill_starts", report.backfill_starts.into()),
+        ("jct", summary_json(&report.jct)),
+        ("queue_delay", summary_json(&report.queue_delay)),
+        ("slowdown", summary_json(&report.slowdown)),
+        ("mean_utilization", report.mean_utilization.into()),
+        ("useful_gpu_hours", report.useful_gpu_hours.into()),
+        ("wasted_gpu_hours", report.wasted_gpu_hours.into()),
+        ("goodput", report.goodput.into()),
+        ("goodput_ratio", report.goodput_decomposition.goodput.into()),
+        (
             "goodput_availability",
             report.goodput_decomposition.availability.into(),
-        )
-        .set(
+        ),
+        (
             "goodput_efficiency",
             report.goodput_decomposition.throughput_efficiency.into(),
-        )
-        .set(
+        ),
+        (
             "goodput_badput_fraction",
             report.goodput_decomposition.badput_fraction.into(),
-        )
-        .set("groups", Json::Arr(groups))
-        .set("fairness", report.fairness.into())
-        .set("cache_hits", report.cache_hits.into())
-        .set("cache_misses", report.cache_misses.into())
-        .set("cache_byte_hit_rate", report.cache_byte_hit_rate.into())
-        .set(
+        ),
+        ("groups", Json::Arr(groups)),
+        ("fairness", report.fairness.into()),
+        ("cache_hits", report.cache_hits.into()),
+        ("cache_misses", report.cache_misses.into()),
+        ("cache_byte_hit_rate", report.cache_byte_hit_rate.into()),
+        (
             "mean_provisioning_secs",
             report.mean_provisioning_secs.into(),
-        )
-        .set("rounds", report.rounds.into())
-        .set("round_latency_count", report.round_latency.count.into())
-        .set("events_recorded", report.events_recorded.into())
-        .set("events_dropped", report.events_dropped.into())
-        .set("jobs", report.jobs.len().into())
+        ),
+        ("rounds", report.rounds.into()),
+        ("round_latency_count", report.round_latency.count.into()),
+        ("events_recorded", report.events_recorded.into()),
+        ("events_dropped", report.events_dropped.into()),
+        ("jobs", report.jobs.len().into()),
+    ])
 }
 
 #[cfg(test)]

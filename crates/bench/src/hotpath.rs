@@ -30,9 +30,9 @@
 
 use std::time::Instant;
 
-use crate::json::Json;
 use crate::{campus_config, standard_trace};
 use tacc_core::{Platform, PlatformConfig};
+use tacc_json::{obj, Json};
 use tacc_sched::{BackfillMode, CapacityWindow, PolicyKind, QuotaMode, WorkCounters};
 
 /// One hot-path scenario: a named platform configuration replayed over a
@@ -185,29 +185,34 @@ pub fn run_all() -> Vec<ScenarioOutcome> {
 /// The deterministic portion of an outcome as JSON — exactly the bytes the
 /// CI gate compares across runs (no wall time).
 pub fn counters_json(outcome: &ScenarioOutcome) -> Json {
+    obj(counter_fields(outcome))
+}
+
+fn counter_fields(outcome: &ScenarioOutcome) -> Vec<(&'static str, Json)> {
     let c = &outcome.counters;
-    Json::obj()
-        .set("id", outcome.id.into())
-        .set("jobs", c_num(outcome.jobs))
-        .set("rounds", c_num(outcome.rounds))
-        .set("empty_rounds", c_num(c.empty_rounds))
-        .set("queue_sorts", c_num(c.queue_sorts))
-        .set("queue_sorts_skipped", c_num(c.queue_sorts_skipped))
-        .set("snapshot_elements", c_num(c.snapshot_elements))
-        .set("skip_records", c_num(c.skip_records))
-        .set("skip_suppressions", c_num(c.skip_suppressions))
-        .set("placement_attempts", c_num(c.plan.attempts))
-        .set("node_scans", c_num(c.plan.nodes_scanned))
-        .set("fastpath_rejects", c_num(c.plan.fastpath_rejects))
-        .set("slot_splits", c_num(c.slots.splits))
-        .set("slot_intersections", c_num(c.slots.intersections))
-        .set("slot_rebuilds", c_num(c.slots.rebuilds))
-        .set("arena_alloc", c_num(c.arena_alloc))
-        .set("arena_reuse", c_num(c.arena_reuse))
-        .set("free_index_updates", c_num(c.free_index_updates))
-        .set("free_index_probes", c_num(c.plan.free_index_probes))
-        .set("wheel_insert", c_num(c.wheel_insert))
-        .set("wheel_cascade", c_num(c.wheel_cascade))
+    vec![
+        ("id", outcome.id.into()),
+        ("jobs", c_num(outcome.jobs)),
+        ("rounds", c_num(outcome.rounds)),
+        ("empty_rounds", c_num(c.empty_rounds)),
+        ("queue_sorts", c_num(c.queue_sorts)),
+        ("queue_sorts_skipped", c_num(c.queue_sorts_skipped)),
+        ("snapshot_elements", c_num(c.snapshot_elements)),
+        ("skip_records", c_num(c.skip_records)),
+        ("skip_suppressions", c_num(c.skip_suppressions)),
+        ("placement_attempts", c_num(c.plan.attempts)),
+        ("node_scans", c_num(c.plan.nodes_scanned)),
+        ("fastpath_rejects", c_num(c.plan.fastpath_rejects)),
+        ("slot_splits", c_num(c.slots.splits)),
+        ("slot_intersections", c_num(c.slots.intersections)),
+        ("slot_rebuilds", c_num(c.slots.rebuilds)),
+        ("arena_alloc", c_num(c.arena_alloc)),
+        ("arena_reuse", c_num(c.arena_reuse)),
+        ("free_index_updates", c_num(c.free_index_updates)),
+        ("free_index_probes", c_num(c.plan.free_index_probes)),
+        ("wheel_insert", c_num(c.wheel_insert)),
+        ("wheel_cascade", c_num(c.wheel_cascade)),
+    ]
 }
 
 /// Full report document for `BENCH_hotpath.json`: per-scenario counters
@@ -216,30 +221,37 @@ pub fn counters_json(outcome: &ScenarioOutcome) -> Json {
 pub fn report_json(outcomes: &[ScenarioOutcome], suite: Option<(f64, f64)>) -> Json {
     let scenarios = outcomes
         .iter()
-        .map(|o| counters_json(o).set("wall_secs_informational", Json::num(o.wall_secs)))
+        .map(|o| {
+            let mut fields = counter_fields(o);
+            fields.push(("wall_secs_informational", Json::num(o.wall_secs)));
+            obj(fields)
+        })
         .collect();
-    let mut doc = Json::obj()
-        .set("note", Json::Str(
-            "counters are deterministic and CI-gated on exact equality; wall times are informational".to_owned(),
-        ))
-        .set("scenarios", Json::Arr(scenarios));
+    let mut doc = vec![
+        (
+            "note",
+            Json::Str(
+                "counters are deterministic and CI-gated on exact equality; wall times are informational".to_owned(),
+            ),
+        ),
+        ("scenarios", Json::Arr(scenarios)),
+    ];
     if let Some((before, after)) = suite {
-        doc = doc.set(
+        let speedup = if after > 0.0 {
+            Json::num(before / after)
+        } else {
+            Json::Null
+        };
+        doc.push((
             "full_suite_serial",
-            Json::obj()
-                .set("baseline_secs", Json::num(before))
-                .set("optimized_secs", Json::num(after))
-                .set(
-                    "speedup",
-                    if after > 0.0 {
-                        Json::num(before / after)
-                    } else {
-                        Json::Null
-                    },
-                ),
-        );
+            obj(vec![
+                ("baseline_secs", Json::num(before)),
+                ("optimized_secs", Json::num(after)),
+                ("speedup", speedup),
+            ]),
+        ));
     }
-    doc
+    obj(doc)
 }
 
 /// Compares fresh scenario counters against a committed report document
@@ -253,7 +265,7 @@ pub fn compare_with_report(
 ) -> Result<(), (String, String)> {
     let committed = expected
         .get("scenarios")
-        .and_then(Json::items)
+        .and_then(Json::as_arr)
         .ok_or_else(|| {
             (
                 String::new(),
@@ -279,8 +291,8 @@ pub fn compare_with_report(
             continue;
         };
         for (key, value) in pairs {
-            let got = value.to_compact();
-            let want = entry.get(key).map(Json::to_compact);
+            let got = value.to_string();
+            let want = entry.get(key).map(Json::to_string);
             if want.as_deref() != Some(got.as_str()) {
                 return Err((
                     outcome.id.to_owned(),
@@ -327,10 +339,7 @@ mod tests {
         };
         let a = run_scenario(&short);
         let b = run_scenario(&short);
-        assert_eq!(
-            counters_json(&a).to_compact(),
-            counters_json(&b).to_compact()
-        );
+        assert_eq!(counters_json(&a).to_string(), counters_json(&b).to_string());
         assert!(
             a.counters.plan.attempts > 0,
             "scenario exercised the planner"
@@ -350,8 +359,8 @@ mod tests {
             counters: WorkCounters::default(),
             wall_secs: 0.1,
         };
-        let mut committed = crate::json::Json::parse(&report_json(&[outcome], None).to_compact())
-            .expect("report parses");
+        let mut committed =
+            tacc_json::parse(&report_json(&[outcome], None).to_string()).expect("report parses");
         // Green on the unmodified report…
         let fresh = ScenarioOutcome {
             id: "fixture",
@@ -362,22 +371,22 @@ mod tests {
         };
         assert_eq!(compare_with_report(&committed, &[fresh]), Ok(()));
         // …red once one counter drifts by one.
-        let crate::json::Json::Obj(doc) = &mut committed else {
+        let Json::Obj(doc) = &mut committed else {
             panic!("report is an object");
         };
-        let Some(crate::json::Json::Arr(scenarios)) = doc
+        let Some(Json::Arr(scenarios)) = doc
             .iter_mut()
             .find(|(k, _)| k == "scenarios")
             .map(|(_, v)| v)
         else {
             panic!("report has scenarios");
         };
-        let crate::json::Json::Obj(entry) = &mut scenarios[0] else {
+        let Json::Obj(entry) = &mut scenarios[0] else {
             panic!("scenario is an object");
         };
         for (k, v) in entry.iter_mut() {
             if k == "slot_splits" {
-                *v = crate::json::Json::num(1.0);
+                *v = Json::num(1.0);
             }
         }
         let fresh = ScenarioOutcome {
@@ -406,7 +415,7 @@ mod tests {
             wall_secs: 0.5,
         };
         let doc = report_json(&[outcome], Some((70.0, 35.0)));
-        let text = doc.to_compact();
+        let text = doc.to_string();
         assert!(text.contains("\"baseline_secs\":70"));
         assert!(text.contains("\"speedup\":2"));
     }

@@ -1,7 +1,6 @@
 //! # tacc-bench
 //!
-//! Experiment-regeneration harnesses and Criterion micro-benchmarks for the
-//! `tacc-rs` reproduction.
+//! Experiment-regeneration harnesses for the `tacc-rs` reproduction.
 //!
 //! Every table and figure in EXPERIMENTS.md has a binary here that
 //! regenerates it:
@@ -24,7 +23,6 @@
 //! | `exp_f10` | F10 — capacity planning curve |
 //! | `exp_t6` | T6 — heterogeneous GPU pools |
 //! | `exp_t7` | T7 — ML Productivity Goodput decomposition |
-//! | `cargo bench` | T4 — scheduler/allocator/cache/comm/engine latency |
 //! | `service` | Service mode — durable-admission throughput/latency against a live `taccd` (BENCH_service.json) |
 //!
 //! The `exp_*` binaries are thin shims over the [`registry`]: each
@@ -37,7 +35,6 @@
 //! ```sh
 //! cargo run --release -p tacc-bench --bin experiments -- --check   # regression gate
 //! cargo run --release -p tacc-bench --bin experiments -- --bless   # update goldens
-//! cargo bench -p tacc-bench                                        # T4
 //! ```
 //!
 //! This library holds the shared setup (canonical cluster and trace
@@ -51,7 +48,6 @@ pub mod determinism;
 pub mod experiments;
 pub mod gha;
 pub mod hotpath;
-pub mod json;
 pub mod registry;
 pub mod report;
 pub mod service;

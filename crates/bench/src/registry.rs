@@ -7,9 +7,9 @@
 //! parallel `experiments` runner, and the golden-snapshot check.
 
 use crate::experiments;
-use crate::json::Json;
 use crate::report::{ExperimentResult, PrintReporter, RecordingReporter, Reporter};
 use std::time::Instant;
+use tacc_json::Json;
 
 /// How expensive an experiment is, used to pick CI subsets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,20 +181,16 @@ pub fn run_recorded(spec: &'static ExperimentSpec) -> RunOutcome {
     let result = (spec.run)(&mut reporter);
     let wall_secs = start.elapsed().as_secs_f64();
     let text = reporter.text().to_owned();
-    let json = Json::obj()
-        .set("id", spec.id.into())
-        .set("title", spec.title.into())
-        .set("headline", result.headline.into());
-    let json = match reporter.into_json() {
-        Json::Obj(pairs) => {
-            let mut merged = json;
-            for (k, v) in pairs {
-                merged = merged.set(&k, v);
-            }
-            merged
-        }
-        other => json.set("output", other),
-    };
+    let mut fields = vec![
+        ("id".to_owned(), spec.id.into()),
+        ("title".to_owned(), spec.title.into()),
+        ("headline".to_owned(), result.headline.into()),
+    ];
+    match reporter.into_json() {
+        Json::Obj(pairs) => fields.extend(pairs),
+        other => fields.push(("output".to_owned(), other)),
+    }
+    let json = Json::Obj(fields);
     RunOutcome {
         spec,
         text,

@@ -5,7 +5,7 @@
 //! shims), or record text *and* a machine-readable JSON document (the
 //! `experiments` runner's golden snapshots).
 
-use crate::json::Json;
+use tacc_json::{obj, Json};
 use tacc_metrics::{Cell, Table};
 
 /// What an experiment returns besides its reported output.
@@ -66,12 +66,13 @@ impl RecordingReporter {
     /// Consumes the recorder into the experiment's golden JSON payload:
     /// `{"lines": [...], "tables": [...]}`.
     pub fn into_json(self) -> Json {
-        Json::obj()
-            .set(
+        obj(vec![
+            (
                 "lines",
                 Json::Arr(self.lines.into_iter().map(Json::Str).collect()),
-            )
-            .set("tables", Json::Arr(self.tables))
+            ),
+            ("tables", Json::Arr(self.tables)),
+        ])
     }
 }
 
@@ -100,10 +101,11 @@ pub fn table_json(table: &Table) -> Json {
         .iter()
         .map(|row| Json::Arr(row.iter().map(cell_json).collect()))
         .collect();
-    Json::obj()
-        .set("title", table.title().into())
-        .set("header", Json::Arr(header))
-        .set("rows", Json::Arr(rows))
+    obj(vec![
+        ("title", table.title().into()),
+        ("header", Json::Arr(header)),
+        ("rows", Json::Arr(rows)),
+    ])
 }
 
 fn cell_json(cell: &Cell) -> Json {
@@ -131,7 +133,7 @@ mod tests {
         // println!("hello\n") emits "hello\n\n"; println!("{t}") appends a
         // blank line after the table's own trailing newline.
         assert_eq!(r.text(), format!("hello\n\n{t}\n"));
-        let json = r.into_json().to_compact();
+        let json = r.into_json().to_string();
         assert!(json.contains(r#""lines":["hello\n"]"#));
         // 1.25 renders as "1.2" at precision 1 (banker's-free Rust rounding),
         // and the JSON carries the rendered value, not the raw one.

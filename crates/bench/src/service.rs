@@ -20,7 +20,7 @@ use tacc_core::Command;
 use tacc_tcloud::{DaemonClient, RetryPolicy};
 use tacc_workload::{GroupId, TaskSchema};
 
-use crate::json::Json;
+use tacc_json::{obj, Json};
 
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
@@ -169,29 +169,33 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 
 /// The `BENCH_service.json` document.
 pub fn report_json(result: &ServiceBenchResult) -> Json {
-    Json::obj()
-        .set("schema_version", 1u64.into())
-        .set("benchmark", "service".into())
-        .set(
+    obj(vec![
+        ("schema_version", 1u64.into()),
+        ("benchmark", "service".into()),
+        (
             "workload",
-            Json::obj()
-                .set("clients", result.clients.into())
-                .set("acknowledged", result.acknowledged.into())
-                .set("errors", result.errors.into()),
-        )
-        .set(
+            obj(vec![
+                ("clients", result.clients.into()),
+                ("acknowledged", result.acknowledged.into()),
+                ("errors", result.errors.into()),
+            ]),
+        ),
+        (
             "throughput",
-            Json::obj()
-                .set("wall_secs", result.wall_secs.into())
-                .set("submissions_per_sec", result.submissions_per_sec.into()),
-        )
-        .set(
+            obj(vec![
+                ("wall_secs", result.wall_secs.into()),
+                ("submissions_per_sec", result.submissions_per_sec.into()),
+            ]),
+        ),
+        (
             "admission_latency_ms",
-            Json::obj()
-                .set("p50", result.p50_ms.into())
-                .set("p99", result.p99_ms.into())
-                .set("max", result.max_ms.into()),
-        )
+            obj(vec![
+                ("p50", result.p50_ms.into()),
+                ("p99", result.p99_ms.into()),
+                ("max", result.max_ms.into()),
+            ]),
+        ),
+    ])
 }
 
 #[cfg(test)]

@@ -3,8 +3,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::gpu::GpuModel;
 use crate::node::{Node, NodeId};
 use crate::resources::ResourceVec;
@@ -16,7 +14,7 @@ use crate::topology::{LinkSpeeds, RackId, Topology};
 /// low 32 bits are the slot, the high 32 bits the slot's generation at
 /// grant time. A released slot bumps its generation, so a stale id can
 /// never resolve to a lease that reused the slot (classic ABA protection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LeaseId(u64);
 
 impl LeaseId {
@@ -51,7 +49,7 @@ impl fmt::Display for LeaseId {
 }
 
 /// A granted multi-node allocation: which nodes hold how much, for whom.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lease {
     id: LeaseId,
     owner: u64,
@@ -131,13 +129,13 @@ impl std::error::Error for ClusterError {}
 ///     .build();
 /// assert_eq!(spec.total_nodes(), 16);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     pools: Vec<PoolSpec>,
     speeds: LinkSpeeds,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct PoolSpec {
     model: GpuModel,
     racks: u32,

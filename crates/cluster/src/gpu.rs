@@ -1,6 +1,5 @@
 //! Heterogeneous GPU models and their specifications.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The accelerator families present in the modelled campus cluster.
@@ -9,7 +8,7 @@ use std::fmt;
 /// actually deploy: datacenter parts (V100/A100) alongside consumer cards
 /// (RTX 3090) contributed by individual groups, plus a small new-generation
 /// pool (H100) for the heterogeneity experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum GpuModel {
     /// NVIDIA V100 16 GB (SXM2): the legacy datacenter pool.
@@ -88,7 +87,7 @@ impl fmt::Display for GpuModel {
 }
 
 /// Static capability description of a GPU family.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Which family this spec describes.
     pub model: GpuModel,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::allocator::LeaseId;
 use crate::gpu::GpuModel;
 use crate::resources::ResourceVec;
@@ -11,7 +9,7 @@ use crate::topology::RackId;
 
 /// Identifier of a node within a [`crate::Cluster`]. Dense, assigned at
 /// cluster construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -42,7 +40,7 @@ impl fmt::Display for NodeId {
 /// nodes hold at most a handful of leases, binary search beats pointer
 /// chasing at that size, and — crucially for the hot path — cloning a
 /// node is a flat memcpy-style `Vec` clone instead of a tree rebuild.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     id: NodeId,
     rack: RackId,

@@ -1,6 +1,5 @@
 //! Multi-dimensional resource vectors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -21,9 +20,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// let free = node - job;
 /// assert_eq!(free.gpus, 4);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct ResourceVec {
     /// Number of GPUs.
     pub gpus: u32,

@@ -5,13 +5,12 @@
 //! racks. Distributed-training time (experiment F6) and topology-aware
 //! placement (T2) both read bandwidth from this model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::node::NodeId;
 
 /// Identifier of a rack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RackId(pub(crate) u32);
 
 impl RackId {
@@ -29,7 +28,7 @@ impl fmt::Display for RackId {
 
 /// The locality tier of a communicating GPU pair, ordered from fastest to
 /// slowest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BandwidthTier {
     /// Same node, NVLink-connected GPUs.
     IntraNodeNvlink,
@@ -45,7 +44,7 @@ pub enum BandwidthTier {
 ///
 /// Defaults model a 100 Gbps RoCE fabric with a 3:1 oversubscribed spine —
 /// typical for campus deployments that grew rack by rack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpeeds {
     /// NVLink bandwidth within a node (Gbit/s per direction).
     pub nvlink_gbps: f64,
@@ -92,7 +91,7 @@ impl LinkSpeeds {
 }
 
 /// The static rack layout of a cluster plus its link speeds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// rack assignment per node, indexed by `NodeId::index()`.
     node_racks: Vec<RackId>,

@@ -14,15 +14,12 @@ use crate::instruction::{CompiledTask, ExecutionInstruction, InstructionKind, Pr
 pub enum CompileError {
     /// The schema failed validation; the message explains why.
     InvalidSchema(String),
-    /// The schema JSON could not be parsed.
-    Parse(String),
 }
 
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CompileError::InvalidSchema(msg) => write!(f, "invalid task schema: {msg}"),
-            CompileError::Parse(msg) => write!(f, "cannot parse task schema: {msg}"),
         }
     }
 }
@@ -132,18 +129,6 @@ impl Compiler {
     /// Number of compilations performed.
     pub fn compilations(&self) -> u64 {
         self.compilations
-    }
-
-    /// Parses a JSON task description and compiles it.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::Parse`] for malformed JSON, plus anything
-    /// [`Compiler::compile`] returns.
-    pub fn compile_json(&mut self, json: &str) -> Result<CompiledTask, CompileError> {
-        let schema: TaskSchema =
-            serde_json::from_str(json).map_err(|e| CompileError::Parse(e.to_string()))?;
-        self.compile(&schema)
     }
 
     /// Compiles a schema into an execution instruction, charging the delta
@@ -342,20 +327,6 @@ mod tests {
             .expect("valid");
         let out = c.compile(&explicit).expect("compiles");
         assert_eq!(out.instruction.runtime, RuntimePreference::ParameterServer);
-    }
-
-    #[test]
-    fn compile_json_round_trip() {
-        if !tacc_workload::serde_json_functional() {
-            return; // typecheck-only serde_json stub: nothing to round-trip
-        }
-        let mut c = Compiler::new(CompilerConfig::default());
-        let s = schema();
-        let json = serde_json::to_string(&s).expect("serializes");
-        let out = c.compile_json(&json).expect("compiles");
-        let direct = Compiler::new(CompilerConfig::default()).compile(&s);
-        assert_eq!(Ok(out), direct);
-        assert!(c.compile_json("{not json").is_err());
     }
 
     #[test]

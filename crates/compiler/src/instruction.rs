@@ -1,7 +1,5 @@
 //! Execution instructions: the compiler layer's self-contained output.
 
-use serde::{Deserialize, Serialize};
-
 use tacc_workload::RuntimePreference;
 
 /// The form an execution instruction takes.
@@ -10,7 +8,7 @@ use tacc_workload::RuntimePreference;
 /// few lines of shell commands, or as complicated as a Docker image." Small
 /// CPU tasks compile to shell commands; anything with a GPU environment or
 /// large dependency closure becomes a container image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstructionKind {
     /// A short shell script executed directly on the node.
     ShellCommands,
@@ -28,7 +26,7 @@ impl std::fmt::Display for InstructionKind {
 }
 
 /// What provisioning this compilation actually cost, under delta caching.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Provisioning {
     /// MiB that had to be transferred (cache misses + per-job code).
     pub transferred_mb: f64,
@@ -58,7 +56,7 @@ impl Provisioning {
 /// Everything the execution layer needs is resolved here: the instruction
 /// form, the runtime system to use (resolved from the schema's preference
 /// and static characteristics, per the paper's Table 1), and the gang shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionInstruction {
     /// Instruction form.
     pub kind: InstructionKind,
@@ -73,7 +71,7 @@ pub struct ExecutionInstruction {
 
 /// A compiled task: its instruction and what the compilation cost. The
 /// schema it was compiled from stays with the caller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledTask {
     /// The executable instruction.
     pub instruction: ExecutionInstruction,

@@ -16,9 +16,7 @@
 use tacc_cluster::NodeId;
 use tacc_sched::CapacityWindow;
 use tacc_sim::SimTime;
-use tacc_workload::{
-    GroupId, JobId, ModelProfile, QosClass, RuntimeEnv, RuntimePreference, TaskKind, TaskSchema,
-};
+use tacc_workload::{JobId, TaskSchema};
 
 use std::fmt;
 
@@ -355,7 +353,7 @@ impl Platform {
 }
 
 // --------------------------------------------------------------------
-// JSON codec (hand-rolled; see crate::wire for why serde is not used)
+// JSON codec: the wire/journal shape of commands and records
 // --------------------------------------------------------------------
 
 impl Command {
@@ -368,7 +366,7 @@ impl Command {
             } => obj(vec![
                 ("kind", Json::Str("submit".to_owned())),
                 ("service_secs", Json::Num(*service_secs)),
-                ("schema", schema_to_json(schema)),
+                ("schema", schema.to_json()),
             ]),
             Command::Cancel { job } => obj(vec![
                 ("kind", Json::Str("cancel".to_owned())),
@@ -415,33 +413,34 @@ impl Command {
             .ok_or("command missing string field 'kind'")?;
         match kind {
             "submit" => {
-                let service_secs = req_f64(value, "service_secs")?;
-                let schema =
-                    schema_from_json(value.get("schema").ok_or("submit missing field 'schema'")?)?;
+                let service_secs = value.req_f64("service_secs")?;
+                let schema = TaskSchema::from_json(
+                    value.get("schema").ok_or("submit missing field 'schema'")?,
+                )?;
                 Ok(Command::Submit {
                     schema,
                     service_secs,
                 })
             }
             "cancel" => Ok(Command::Cancel {
-                job: JobId::from_value(req_u64(value, "job")?),
+                job: JobId::from_value(value.req_u64("job")?),
             }),
             "reserve" => Ok(Command::Reserve {
-                gpus: req_u32(value, "gpus")?,
-                from_secs: req_f64(value, "from_secs")?,
-                until_secs: req_f64(value, "until_secs")?,
+                gpus: value.req_u32("gpus")?,
+                from_secs: value.req_f64("from_secs")?,
+                until_secs: value.req_f64("until_secs")?,
             }),
             "fault-node" => Ok(Command::FaultNode {
-                node: req_u32(value, "node")?,
+                node: value.req_u32("node")?,
             }),
             "drain" => Ok(Command::Drain {
-                node: req_u32(value, "node")?,
+                node: value.req_u32("node")?,
             }),
             "undrain" => Ok(Command::Undrain {
-                node: req_u32(value, "node")?,
+                node: value.req_u32("node")?,
             }),
             "advance" => Ok(Command::Advance {
-                secs: req_f64(value, "secs")?,
+                secs: value.req_f64("secs")?,
             }),
             other => Err(format!("unknown command kind '{other}'")),
         }
@@ -465,8 +464,8 @@ impl CommandRecord {
     /// A human-readable description of the first malformed field.
     pub fn from_json(value: &Json) -> Result<CommandRecord, String> {
         Ok(CommandRecord {
-            seq: req_u64(value, "seq")?,
-            at_secs: req_f64(value, "at_secs")?,
+            seq: value.req_u64("seq")?,
+            at_secs: value.req_f64("at_secs")?,
             command: Command::from_json(
                 value
                     .get("command")
@@ -476,186 +475,12 @@ impl CommandRecord {
     }
 }
 
-fn req_f64(value: &Json, key: &str) -> Result<f64, String> {
-    value
-        .get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
-}
-
-fn req_u64(value: &Json, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-fn req_u32(value: &Json, key: &str) -> Result<u32, String> {
-    u32::try_from(req_u64(value, key)?).map_err(|_| format!("field '{key}' exceeds u32"))
-}
-
-fn req_str(value: &Json, key: &str) -> Result<String, String> {
-    value
-        .get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-/// Serializes a [`TaskSchema`] to the wire JSON shape.
-fn schema_to_json(schema: &TaskSchema) -> Json {
-    let deps = schema
-        .env
-        .dependencies
-        .iter()
-        .map(|(name, mb)| Json::Arr(vec![Json::Str(name.clone()), Json::Num(f64::from(*mb))]))
-        .collect();
-    let dataset = match &schema.env.dataset {
-        Some((name, mb)) => Json::Arr(vec![Json::Str(name.clone()), Json::Num(f64::from(*mb))]),
-        None => Json::Null,
-    };
-    let model = match &schema.model {
-        Some(m) => obj(vec![
-            ("param_mb", Json::Num(m.param_mb)),
-            ("compute_secs_per_iter", Json::Num(m.compute_secs_per_iter)),
-        ]),
-        None => Json::Null,
-    };
-    obj(vec![
-        ("name", Json::Str(schema.name.clone())),
-        ("group", Json::Num(schema.group.index() as f64)),
-        ("workers", Json::Num(f64::from(schema.workers))),
-        (
-            "resources",
-            obj(vec![
-                ("gpus", Json::Num(f64::from(schema.resources.gpus))),
-                (
-                    "cpu_cores",
-                    Json::Num(f64::from(schema.resources.cpu_cores)),
-                ),
-                ("mem_gb", Json::Num(f64::from(schema.resources.mem_gb))),
-            ]),
-        ),
-        ("qos", Json::Str(schema.qos.to_string())),
-        ("task_kind", Json::Str(schema.kind.to_string())),
-        ("runtime", Json::Str(runtime_tag(schema.runtime).to_owned())),
-        (
-            "env",
-            obj(vec![
-                ("image", Json::Str(schema.env.image.clone())),
-                ("dependencies", Json::Arr(deps)),
-                ("dataset", dataset),
-                ("code_mb", Json::Num(f64::from(schema.env.code_mb))),
-            ]),
-        ),
-        ("est_duration_secs", Json::Num(schema.est_duration_secs)),
-        ("model", model),
-        ("elastic", Json::Bool(schema.elastic)),
-    ])
-}
-
-fn runtime_tag(runtime: RuntimePreference) -> &'static str {
-    match runtime {
-        RuntimePreference::Auto => "auto",
-        RuntimePreference::AllReduce => "all-reduce",
-        RuntimePreference::ParameterServer => "parameter-server",
-        RuntimePreference::InNetworkAggregation => "in-network-aggregation",
-        RuntimePreference::SingleProcess => "single-process",
-    }
-}
-
-/// Parses a [`TaskSchema`] from the wire JSON shape.
-fn schema_from_json(value: &Json) -> Result<TaskSchema, String> {
-    let qos = match req_str(value, "qos")?.as_str() {
-        "guaranteed" => QosClass::Guaranteed,
-        "best-effort" => QosClass::BestEffort,
-        other => return Err(format!("unknown qos '{other}'")),
-    };
-    let kind = match req_str(value, "task_kind")?.as_str() {
-        "training" => TaskKind::Training,
-        "interactive" => TaskKind::Interactive,
-        "inference" => TaskKind::Inference,
-        "cpu-batch" => TaskKind::CpuBatch,
-        other => return Err(format!("unknown task kind '{other}'")),
-    };
-    let runtime = match req_str(value, "runtime")?.as_str() {
-        "auto" => RuntimePreference::Auto,
-        "all-reduce" => RuntimePreference::AllReduce,
-        "parameter-server" => RuntimePreference::ParameterServer,
-        "in-network-aggregation" => RuntimePreference::InNetworkAggregation,
-        "single-process" => RuntimePreference::SingleProcess,
-        other => return Err(format!("unknown runtime '{other}'")),
-    };
-    let res = value
-        .get("resources")
-        .ok_or("schema missing field 'resources'")?;
-    let resources = tacc_cluster::ResourceVec {
-        gpus: req_u32(res, "gpus")?,
-        cpu_cores: req_u32(res, "cpu_cores")?,
-        mem_gb: req_u32(res, "mem_gb")?,
-    };
-    let env_v = value.get("env").ok_or("schema missing field 'env'")?;
-    let mut dependencies = Vec::new();
-    for dep in env_v
-        .get("dependencies")
-        .and_then(Json::as_arr)
-        .ok_or("env missing array field 'dependencies'")?
-    {
-        dependencies.push(pair_from_json(dep).ok_or("malformed dependency entry")?);
-    }
-    let dataset = match env_v.get("dataset") {
-        Some(Json::Null) | None => None,
-        Some(v) => Some(pair_from_json(v).ok_or("malformed dataset entry")?),
-    };
-    let env = RuntimeEnv {
-        image: req_str(env_v, "image")?,
-        dependencies,
-        dataset,
-        code_mb: req_u32(env_v, "code_mb")?,
-    };
-    let model = match value.get("model") {
-        Some(Json::Null) | None => None,
-        Some(m) => Some(ModelProfile {
-            param_mb: req_f64(m, "param_mb")?,
-            compute_secs_per_iter: req_f64(m, "compute_secs_per_iter")?,
-        }),
-    };
-    Ok(TaskSchema {
-        name: req_str(value, "name")?,
-        group: GroupId::from_index(
-            usize::try_from(req_u64(value, "group")?).map_err(|_| "group index overflow")?,
-        ),
-        workers: req_u32(value, "workers")?,
-        resources,
-        qos,
-        kind,
-        runtime,
-        env,
-        est_duration_secs: req_f64(value, "est_duration_secs")?,
-        model,
-        elastic: value
-            .get("elastic")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
-    })
-}
-
-fn pair_from_json(value: &Json) -> Option<(String, u32)> {
-    let arr = value.as_arr()?;
-    if arr.len() != 2 {
-        return None;
-    }
-    let name = arr[0].as_str()?.to_owned();
-    let mb = u32::try_from(arr[1].as_u64()?).ok()?;
-    Some((name, mb))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire;
     use crate::PlatformConfig;
-    use tacc_workload::TaskSchema;
+    use tacc_workload::{GroupId, ModelProfile, QosClass, RuntimeEnv};
 
     fn schema() -> TaskSchema {
         TaskSchema::builder("cmd-unit", GroupId::from_index(0))
@@ -711,6 +536,46 @@ mod tests {
         assert_eq!(record, back);
         // Byte-stable re-encode — the journal invariant.
         assert_eq!(back.to_json().to_string(), text);
+    }
+
+    /// The journal encoding, pinned by a literal: this text was captured
+    /// from the encoder before the schema codec moved into
+    /// `tacc-workload`, and a journal any earlier build wrote must keep
+    /// decoding to the same record.
+    #[test]
+    fn submit_record_encoding_is_pinned() {
+        const TEXT: &str = r#"{"seq":42,"at_secs":1234.0625,"command":{"kind":"submit","service_secs":0.1,"schema":{"name":"pin \"quoted\" é","group":3,"workers":4,"resources":{"gpus":8,"cpu_cores":64,"mem_gb":512},"qos":"best-effort","task_kind":"training","runtime":"all-reduce","env":{"image":"pytorch-2.1-cuda12","dependencies":[["torch",800]],"dataset":["imagenet",5000],"code_mb":7},"est_duration_secs":5400.5,"model":{"param_mb":1500,"compute_secs_per_iter":1.2},"elastic":true}}}"#;
+        let schema = TaskSchema::builder("pin \"quoted\" é", GroupId::from_index(3))
+            .workers(4)
+            .resources(tacc_cluster::ResourceVec {
+                gpus: 8,
+                cpu_cores: 64,
+                mem_gb: 512,
+            })
+            .qos(QosClass::BestEffort)
+            .runtime(tacc_workload::RuntimePreference::AllReduce)
+            .model(ModelProfile::gpt2_like())
+            .env(RuntimeEnv {
+                image: "pytorch-2.1-cuda12".to_owned(),
+                dependencies: vec![("torch".to_owned(), 800)],
+                dataset: Some(("imagenet".to_owned(), 5000)),
+                code_mb: 7,
+            })
+            .est_duration_secs(5400.5)
+            .elastic(true)
+            .build()
+            .expect("valid schema");
+        let record = CommandRecord {
+            seq: 42,
+            at_secs: 1234.0625,
+            command: Command::Submit {
+                schema,
+                service_secs: 0.1,
+            },
+        };
+        assert_eq!(record.to_json().to_string(), TEXT);
+        let back = CommandRecord::from_json(&wire::parse(TEXT).expect("parses"));
+        assert_eq!(back, Ok(record));
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Simulation reports: the numbers every experiment reads.
 
-use serde::{Deserialize, Serialize};
-
 use tacc_compiler::CacheStats;
 use tacc_metrics::{jain_index, Summary, UtilizationTracker};
 use tacc_obs::{GoodputReport, HistogramSnapshot};
 use tacc_workload::{GroupId, JobId, TaskKind};
 
 /// Per-job completion record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompletedJob {
     /// The job.
     pub id: JobId,
@@ -35,7 +33,7 @@ pub struct CompletedJob {
 }
 
 /// Per-group aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupReport {
     /// The group.
     pub group: GroupId,
@@ -55,7 +53,7 @@ pub struct GroupReport {
 /// wall-clock-measured parts of [`round_latency`](Self::round_latency),
 /// so the determinism guarantee ("same config + trace ⇒ equal reports")
 /// keeps holding even though host timing varies between runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulationReport {
     /// Jobs submitted.
     pub submitted: usize,

@@ -1,13 +1,9 @@
-//! The service-mode wire layer: a dependency-free JSON value model, a
-//! CRC-32 checksum, and the length-prefixed checksummed frame format
-//! shared by the `taccd` write-ahead journal, the daemon's socket
-//! protocol, and the `tcloud` client transport.
-//!
-//! Everything here is hand-rolled on purpose. The container's
-//! `serde_json` may be a typecheck-only stub (see
-//! `tacc_workload::serde_json_functional`), and the journal is a
-//! durability surface: its bytes must be producible and re-parsable with
-//! zero optional dependencies, byte-identically, forever.
+//! The service-mode wire layer: a CRC-32 checksum and the
+//! length-prefixed checksummed frame format shared by the `taccd`
+//! write-ahead journal, the daemon's socket protocol, and the `tcloud`
+//! client transport. A frame's payload is one compact JSON line; the
+//! JSON names are re-exported from [`tacc_json`] so the service crates
+//! take framing and payload syntax from one place.
 //!
 //! ## Frame format
 //!
@@ -24,6 +20,8 @@
 //! and truncate the rest — loudly.
 
 use std::fmt;
+
+pub use tacc_json::{obj, parse, Json, JsonError};
 
 /// Hard ceiling on one frame's payload, applied on both encode and
 /// decode. Large enough for any task schema, small enough that a
@@ -163,439 +161,6 @@ pub fn decode_frame(buf: &[u8]) -> Result<(&[u8], usize), FrameError> {
     Ok((payload, 8 + len))
 }
 
-// --------------------------------------------------------------------
-// JSON value model
-// --------------------------------------------------------------------
-
-/// A parsed JSON value. Objects keep their key order, so a value built
-/// and re-serialized in tree order is byte-stable.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`; integers up to 2^53 survive).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a finite-or-not number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as an unsigned integer (rejects fractions and negatives).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => write_f64(*n, out),
-            Json::Str(s) => write_json_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_string(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// `Display` (and thus `.to_string()`) is the byte-stable journal/wire
-/// encoding: compact (no whitespace), object keys in insertion order.
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
-    }
-}
-
-/// Shortest-round-trip float syntax: Rust's `Display` for `f64` prints
-/// the shortest decimal string that parses back to the same bits, so the
-/// journal round-trips timestamps exactly. Non-finite values use the
-/// JSON-compatible string spellings `"inf"`/`"-inf"`/`"nan"` — they only
-/// appear in open-ended reservation windows.
-fn write_f64(n: f64, out: &mut String) {
-    use fmt::Write as _;
-    if n.is_nan() {
-        out.push_str("\"nan\"");
-    } else if n.is_infinite() {
-        out.push_str(if n > 0.0 { "\"inf\"" } else { "\"-inf\"" });
-    } else {
-        let _ = write!(out, "{n}");
-    }
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    use fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Where and why parsing a JSON text failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the failure.
-    pub at: usize,
-    /// What the parser expected.
-    pub message: &'static str,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.at, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Parses one JSON value from `text` (trailing whitespace allowed,
-/// trailing garbage rejected).
-///
-/// # Errors
-///
-/// [`JsonError`] with the byte offset of the first problem.
-pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(JsonError {
-            at: pos,
-            message: "trailing characters after the value",
-        });
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    skip_ws(bytes, pos);
-    let Some(&b) = bytes.get(*pos) else {
-        return Err(JsonError {
-            at: *pos,
-            message: "unexpected end of input",
-        });
-    };
-    match b {
-        b'n' => parse_lit(bytes, pos, "null", Json::Null),
-        b't' => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        b'f' => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        b'"' => parse_string(bytes, pos).map(|s| match s.as_str() {
-            // The three non-finite spellings `write_f64` emits.
-            "inf" => Json::Num(f64::INFINITY),
-            "-inf" => Json::Num(f64::NEG_INFINITY),
-            "nan" => Json::Num(f64::NAN),
-            _ => Json::Str(s),
-        }),
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => {
-                        return Err(JsonError {
-                            at: *pos,
-                            message: "expected ',' or ']' in array",
-                        })
-                    }
-                }
-            }
-        }
-        b'{' => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b'"') {
-                    return Err(JsonError {
-                        at: *pos,
-                        message: "expected a string key",
-                    });
-                }
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(JsonError {
-                        at: *pos,
-                        message: "expected ':' after object key",
-                    });
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => {
-                        return Err(JsonError {
-                            at: *pos,
-                            message: "expected ',' or '}' in object",
-                        })
-                    }
-                }
-            }
-        }
-        b'-' | b'0'..=b'9' => parse_number(bytes, pos),
-        _ => Err(JsonError {
-            at: *pos,
-            message: "unexpected character",
-        }),
-    }
-}
-
-fn parse_lit(
-    bytes: &[u8],
-    pos: &mut usize,
-    lit: &'static str,
-    value: Json,
-) -> Result<Json, JsonError> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(JsonError {
-            at: *pos,
-            message: "invalid literal",
-        })
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-        *pos += 1;
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-            *pos += 1;
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e') | Some(b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+') | Some(b'-')) {
-            *pos += 1;
-        }
-        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-            *pos += 1;
-        }
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| JsonError {
-        at: start,
-        message: "invalid number bytes",
-    })?;
-    text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
-        at: start,
-        message: "invalid number",
-    })
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    // Caller checked the opening quote.
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err(JsonError {
-                at: *pos,
-                message: "unterminated string",
-            });
-        };
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err(JsonError {
-                        at: *pos,
-                        message: "unterminated escape",
-                    });
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = bytes.get(*pos..*pos + 4).ok_or(JsonError {
-                            at: *pos,
-                            message: "short \\u escape",
-                        })?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| JsonError {
-                            at: *pos,
-                            message: "invalid \\u escape",
-                        })?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| JsonError {
-                            at: *pos,
-                            message: "invalid \\u escape",
-                        })?;
-                        *pos += 4;
-                        // Surrogate pairs are not produced by our writer;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
-                    _ => {
-                        return Err(JsonError {
-                            at: *pos,
-                            message: "unknown escape",
-                        })
-                    }
-                }
-            }
-            _ => {
-                // Multi-byte UTF-8 sequences pass through verbatim.
-                let s = &bytes[*pos..];
-                let ch_len = utf8_len(s[0]);
-                let chunk = s.get(..ch_len).ok_or(JsonError {
-                    at: *pos,
-                    message: "invalid UTF-8",
-                })?;
-                let text = std::str::from_utf8(chunk).map_err(|_| JsonError {
-                    at: *pos,
-                    message: "invalid UTF-8",
-                })?;
-                out.push_str(text);
-                *pos += ch_len;
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
-/// Convenience: builds an object from key/value pairs in order.
-pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,71 +208,5 @@ mod tests {
             decode_frame(&huge),
             Err(FrameError::TooLarge { .. })
         ));
-    }
-
-    #[test]
-    fn json_round_trips_structures() {
-        let v = obj(vec![
-            ("name", Json::Str("job \"zero\"\n".to_owned())),
-            ("n", Json::Num(42.0)),
-            ("pi", Json::Num(3.5)),
-            ("neg", Json::Num(-0.125)),
-            ("big", Json::Num(1e6)),
-            ("ok", Json::Bool(true)),
-            ("none", Json::Null),
-            (
-                "list",
-                Json::Arr(vec![Json::Num(1.0), Json::Str("two".to_owned())]),
-            ),
-        ]);
-        let text = v.to_string();
-        let back = parse(&text).expect("parses");
-        assert_eq!(v, back);
-        // Byte-stable: serialize → parse → serialize is the identity.
-        assert_eq!(back.to_string(), text);
-    }
-
-    #[test]
-    fn json_nonfinite_floats_round_trip() {
-        for n in [f64::INFINITY, f64::NEG_INFINITY] {
-            let text = Json::Num(n).to_string();
-            let back = parse(&text).expect("parses");
-            assert_eq!(back.as_f64(), Some(n));
-        }
-        let nan = parse(&Json::Num(f64::NAN).to_string()).expect("parses");
-        assert!(nan.as_f64().expect("num").is_nan());
-    }
-
-    #[test]
-    fn json_float_precision_is_exact() {
-        for n in [0.1, 1.0 / 3.0, 123456789.123456, 5e-324, f64::MAX] {
-            let text = Json::Num(n).to_string();
-            let back = parse(&text).expect("parses").as_f64().expect("num");
-            assert_eq!(back.to_bits(), n.to_bits(), "{n} mangled via {text}");
-        }
-    }
-
-    #[test]
-    fn json_rejects_garbage() {
-        assert!(parse("{bad").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{}trailing").is_err());
-        assert!(parse("\"unterminated").is_err());
-        assert!(parse("nul").is_err());
-        assert!(parse("").is_err());
-    }
-
-    #[test]
-    fn json_accessors() {
-        let v = parse("{\"a\":3,\"b\":\"x\",\"c\":[true,null]}").expect("parses");
-        assert_eq!(v.get("a").and_then(Json::as_u64), Some(3));
-        assert_eq!(v.get("b").and_then(Json::as_str), Some("x"));
-        let arr = v.get("c").and_then(Json::as_arr).expect("arr");
-        assert_eq!(arr[0].as_bool(), Some(true));
-        assert_eq!(arr[1], Json::Null);
-        assert_eq!(v.get("missing"), None);
-        // Fractions are not integers.
-        assert_eq!(Json::Num(1.5).as_u64(), None);
-        assert_eq!(Json::Num(-2.0).as_u64(), None);
     }
 }

@@ -325,11 +325,9 @@ fn event_bus_satisfies_conservation() {
     assert_eq!(check.completed as usize, report.completed);
     assert_eq!(report.events_recorded as usize, records.len());
     assert_eq!(report.events_dropped, 0);
-    if tacc_workload::serde_json_functional() {
-        // The JSONL export round-trips losslessly.
-        let parsed = tacc_obs::EventBus::parse_jsonl(&p.events().to_jsonl()).expect("valid JSONL");
-        assert_eq!(parsed, records);
-    }
+    // The JSONL export round-trips losslessly.
+    let parsed = tacc_obs::EventBus::parse_jsonl(&p.events().to_jsonl()).expect("valid JSONL");
+    assert_eq!(parsed, records);
 }
 
 #[test]

@@ -1,7 +1,5 @@
 //! Periodic checkpointing: the price of preemptibility (experiment F5).
 
-use serde::{Deserialize, Serialize};
-
 /// A periodic checkpointing policy.
 ///
 /// While a job runs, a checkpoint is written every `interval_secs`, costing
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `CheckpointPolicy::disabled()` models jobs that never checkpoint: zero
 /// overhead, but an interruption loses everything since the last start.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointPolicy {
     interval_secs: Option<f64>,
     write_secs: f64,

@@ -1,14 +1,12 @@
 //! Failure injection and fail-safe runtime switching (experiment F7).
 
-use serde::{Deserialize, Serialize};
-
 use tacc_cluster::NodeId;
 use tacc_sim::dist;
 use tacc_sim::SeedStream;
 use tacc_workload::RuntimePreference;
 
 /// A fault in the underlying runtime system during execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeFault {
     /// Seconds into the run at which the fault strikes.
     pub at_secs: f64,
@@ -21,7 +19,7 @@ pub struct RuntimeFault {
 /// The paper's Table 1 lists "fail-safe switching" as the execution-layer
 /// factor: with more than one runtime system live, a fault in one can be
 /// absorbed by restarting the task on another instead of failing it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FailoverPolicy {
     /// The fault kills the job (no switching).
     FailJob,

@@ -1,14 +1,12 @@
 //! The execution model: placement + instruction → slowdown.
 
-use serde::{Deserialize, Serialize};
-
 use tacc_cluster::{Cluster, GpuModel, NodeId};
 use tacc_workload::{ModelProfile, RuntimePreference};
 
 use crate::comm;
 
 /// Configuration of the execution layer's cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
     /// Fixed per-iteration overhead (kernel launch, data loading overlap
     /// slack, collective latency terms), seconds.
@@ -35,7 +33,7 @@ impl Default for ExecConfig {
 }
 
 /// What the execution layer decided for a placed task, and what it costs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutionPlan {
     /// The runtime system actually used (never `Auto`).
     pub runtime: RuntimePreference,
@@ -56,7 +54,7 @@ pub struct ExecutionPlan {
 /// same gang on reference hardware (A100) with zero communication cost.
 /// A job's recorded service time is its runtime under ideal execution, so
 /// `actual_runtime = service_secs × slowdown`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecModel {
     config: ExecConfig,
 }

@@ -19,9 +19,8 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::render::json_str;
+use tacc_json::{obj, Json};
 
 /// Per-file panic-site budgets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -32,153 +31,37 @@ pub struct Baseline {
 
 /// Renders a baseline byte-stably (sorted keys, trailing newline).
 pub fn render(counts: &BTreeMap<String, u64>) -> String {
-    let mut out = String::from("{\n  \"panic-surface\": {");
-    let mut first = true;
-    for (file, count) in counts {
-        if *count == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    {}: {count}", json_str(file));
-    }
-    if !first {
-        out.push_str("\n  ");
-    }
-    out.push_str("}\n}\n");
-    out
+    let table = counts
+        .iter()
+        .filter(|(_, count)| **count > 0)
+        .map(|(file, count)| (file.clone(), Json::from(*count)))
+        .collect();
+    obj(vec![("panic-surface", Json::Obj(table))]).to_pretty()
 }
 
-/// Parses a baseline document. Strict about shape, lenient about
-/// whitespace; errors carry enough context to fix the file by hand.
+/// Parses a baseline document. Strict about shape; errors carry enough
+/// context to fix the file by hand.
 pub fn parse(text: &str) -> Result<Baseline, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
+    let doc = tacc_json::parse(text).map_err(|e| format!("lint-baseline.json: {e}"))?;
+    let Json::Obj(sections) = doc else {
+        return Err("lint-baseline.json is not a JSON object".to_owned());
     };
     let mut baseline = Baseline::default();
-    p.expect(b'{')?;
-    if p.peek_is(b'}') {
-        p.expect(b'}')?;
-        return Ok(baseline);
-    }
-    loop {
-        let section = p.string()?;
-        p.expect(b':')?;
-        let table = p.count_table()?;
-        if section == "panic-surface" {
-            baseline.panic_surface = table;
-        } else {
+    for (section, table) in sections {
+        if section != "panic-surface" {
             return Err(format!("unknown baseline section \"{section}\""));
         }
-        if !p.peek_is(b',') {
-            break;
+        let Json::Obj(table) = table else {
+            return Err(format!("baseline section \"{section}\" is not an object"));
+        };
+        for (file, count) in table {
+            let count = count
+                .as_u64()
+                .ok_or_else(|| format!("budget of \"{file}\" is not a count"))?;
+            baseline.panic_surface.insert(file, count);
         }
-        p.expect(b',')?;
     }
-    p.expect(b'}')?;
     Ok(baseline)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek_is(&mut self, c: u8) -> bool {
-        self.skip_ws();
-        self.bytes.get(self.pos) == Some(&c)
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected `{}` at byte {} of lint-baseline.json",
-                c as char, self.pos
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    let escaped = self.bytes.get(self.pos + 1).copied().unwrap_or(b'"');
-                    out.push(match escaped {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        other => other as char,
-                    });
-                    self.pos += 2;
-                }
-                other => {
-                    out.push(other as char);
-                    self.pos += 1;
-                }
-            }
-        }
-        Err("unterminated string in lint-baseline.json".to_owned())
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected a count at byte {start}"));
-        }
-        let mut value: u64 = 0;
-        for &b in &self.bytes[start..self.pos] {
-            value = value.saturating_mul(10).saturating_add(u64::from(b - b'0'));
-        }
-        Ok(value)
-    }
-
-    fn count_table(&mut self) -> Result<BTreeMap<String, u64>, String> {
-        let mut table = BTreeMap::new();
-        self.expect(b'{')?;
-        if self.peek_is(b'}') {
-            self.expect(b'}')?;
-            return Ok(table);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.number()?;
-            table.insert(key, value);
-            if !self.peek_is(b',') {
-                break;
-            }
-            self.expect(b',')?;
-        }
-        self.expect(b'}')?;
-        Ok(table)
-    }
 }
 
 #[cfg(test)]
@@ -214,5 +97,15 @@ mod tests {
     fn rejects_unknown_sections() {
         assert!(parse("{\"other\": {}}").is_err());
         assert!(parse("{\"panic-surface\": {\"f\": }}").is_err());
+        assert!(parse("{\"panic-surface\": {\"f\": -1}}").is_err());
+        assert!(parse("[]").is_err());
+    }
+
+    #[test]
+    fn multi_byte_paths_survive() {
+        let mut counts = BTreeMap::new();
+        counts.insert("crates/é/src/字.rs".to_owned(), 2);
+        let parsed = parse(&render(&counts)).expect("round trip");
+        assert_eq!(parsed.panic_surface, counts);
     }
 }

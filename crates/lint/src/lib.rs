@@ -16,7 +16,7 @@
 //! | `hash-iter` | `HashMap`/`HashSet`/`RandomState` in sim-path crates |
 //! | `wall-clock` | `Instant::now` / `SystemTime` outside annotated sites |
 //! | `ambient-rng` | `thread_rng` / `rand::random` bypassing `DetRng` |
-//! | `layer-dag` | dependency edges violating the documented layer DAG |
+//! | `layer-dag` | dependency edges violating the documented layer DAG, or leaving the workspace |
 //! | `panic-surface` | reachable `unwrap`/`expect`/`panic!`/`todo!` growth vs baseline |
 //! | `metric-name` | registry literals not shaped `tacc_<layer>_<name>` |
 //! | `single-writer` | owned mutations performed outside the owning module |
@@ -100,37 +100,18 @@ pub fn run(root: &Path, opts: &Options) -> Result<Report, String> {
     let mut jobs: Vec<FileJob> = Vec::new();
 
     for crate_dir in sorted_dirs(&crates_dir)? {
-        let manifest_path = crate_dir.join("Cargo.toml");
-        let Ok(manifest_text) = fs::read_to_string(&manifest_path) else {
+        let Some(manifest) = scan_manifest(root, &crate_dir.join("Cargo.toml"), &mut report) else {
             continue; // not a crate (stray directory)
         };
-        let manifest = manifest::parse(&manifest_text);
-        if manifest.package.is_empty() {
-            continue;
-        }
-        let rel_manifest = rel(root, &manifest_path);
-
-        // L4 over the declared dependency edges.
-        for (dep, line) in &manifest.deps {
-            if !manifest::edge_allowed(&manifest.package, dep) {
-                report.findings.push(Finding {
-                    file: rel_manifest.clone(),
-                    line: *line,
-                    lint: Lint::LayerDag.name(),
-                    message: format!(
-                        "`{}` must not depend on `tacc-{dep}`: the edge violates the \
-                         documented layer DAG (see DESIGN.md)",
-                        manifest.package
-                    ),
-                });
-            }
-        }
-
         let src_dir = crate_dir.join("src");
         if src_dir.is_dir() {
             collect_rs_files(root, &manifest.package, &src_dir, &mut jobs)?;
         }
     }
+    // The workspace table and the integration-test package name
+    // dependencies too.
+    scan_manifest(root, &root.join("Cargo.toml"), &mut report);
+    scan_manifest(root, &root.join("tests").join("Cargo.toml"), &mut report);
 
     report.files_scanned = jobs.len();
 
@@ -250,6 +231,40 @@ pub fn run(root: &Path, opts: &Options) -> Result<Report, String> {
     report.suppressed.sort();
     report.baseline_shrunk.sort();
     Ok(report)
+}
+
+/// L4 over one manifest: its declared `tacc-*` edges against the layer
+/// DAG, and every dependency entry that leaves the workspace. `None`
+/// when there is no readable package manifest at `path`.
+fn scan_manifest(root: &Path, path: &Path, report: &mut Report) -> Option<manifest::Manifest> {
+    let manifest = manifest::parse(&fs::read_to_string(path).ok()?);
+    let file = rel(root, path);
+    for (dep, line) in &manifest.deps {
+        if !manifest::edge_allowed(&manifest.package, dep) {
+            report.findings.push(Finding {
+                file: file.clone(),
+                line: *line,
+                lint: Lint::LayerDag.name(),
+                message: format!(
+                    "`{}` must not depend on `tacc-{dep}`: the edge violates the \
+                     documented layer DAG (see DESIGN.md)",
+                    manifest.package
+                ),
+            });
+        }
+    }
+    for (name, line) in &manifest.foreign {
+        report.findings.push(Finding {
+            file: file.clone(),
+            line: *line,
+            lint: Lint::LayerDag.name(),
+            message: format!(
+                "`{name}` is not a `tacc-*` path crate: the workspace builds from its \
+                 own sources and the standard library only (see DESIGN.md)"
+            ),
+        });
+    }
+    (!manifest.package.is_empty()).then_some(manifest)
 }
 
 /// Loads `lint-owners.toml` from the workspace root. A missing file is

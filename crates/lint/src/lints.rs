@@ -15,7 +15,8 @@ pub enum Lint {
     WallClock,
     /// L3: ambient randomness (`thread_rng`, `rand::random`).
     AmbientRng,
-    /// L4: a dependency edge that violates the layer DAG.
+    /// L4: a dependency edge that violates the layer DAG or leaves the
+    /// workspace.
     LayerDag,
     /// L5: `unwrap`/`expect`/`panic!`/`todo!` in non-test library code,
     /// budgeted against `lint-baseline.json`.

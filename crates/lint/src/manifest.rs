@@ -4,7 +4,7 @@
 //! The DAG, bottom-up:
 //!
 //! ```text
-//! {par, metrics} → sim → cluster → {storage, workload} → obs
+//! {json, par, metrics} → sim → cluster → {storage, workload} → obs
 //!   → {compiler, exec, sched} → core → {tcloud, taccd} → {bench, lint}
 //!   → tests
 //! ```
@@ -12,31 +12,60 @@
 //! A crate may depend only on crates at strictly lower layers; same-layer
 //! edges (e.g. `compiler` → `sched`) are violations. `lint` is special:
 //! although it sits at tooling level, it is kept dependency-light by
-//! construction and may reach only `par`.
+//! construction and may reach only `par` and `json`.
+//!
+//! Nothing outside the DAG may be named at all: the workspace builds
+//! from its own sources, so every dependency entry that is not a `tacc-*`
+//! path crate is reported in [`Manifest::foreign`].
 
-/// One parsed crate manifest: the package's short name and its `tacc-*`
-/// `[dependencies]` edges with their line numbers.
+/// One parsed manifest: the package's short name, its `tacc-*`
+/// `[dependencies]` edges, and every dependency entry that leaves the
+/// workspace, each with its line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Short crate name (`core` for `tacc-core`).
+    /// Short crate name (`core` for `tacc-core`); empty for the
+    /// workspace root manifest.
     pub package: String,
     /// `(short dep name, 1-based manifest line)` for each `tacc-*`
     /// dependency. Dev-dependencies are exempt: test-only edges (e.g.
     /// `core`'s tests driving `tcloud`) do not ship in the library graph.
     pub deps: Vec<(String, u32)>,
+    /// `(entry name, 1-based manifest line)` for each `[dependencies]`,
+    /// `[dev-dependencies]`, `[build-dependencies]` or
+    /// `[workspace.dependencies]` entry that is not a `tacc-*` crate
+    /// taken by path or from the workspace table.
+    pub foreign: Vec<(String, u32)>,
 }
 
-/// Parses the `[package] name` and `[dependencies] tacc-*` entries out of
-/// a manifest. Line-based on purpose: workspace manifests are simple, and
-/// a TOML parser would break the no-new-deps constraint.
+/// The dependency tables a manifest may carry.
+const DEP_SECTIONS: [&str; 4] = [
+    "dependencies",
+    "dev-dependencies",
+    "build-dependencies",
+    "workspace.dependencies",
+];
+
+/// Parses the `[package] name`, the `[dependencies] tacc-*` edges and the
+/// foreign dependency entries out of a manifest. Line-based on purpose:
+/// workspace manifests are simple, and a TOML parser would be a
+/// dependency.
 pub fn parse(text: &str) -> Manifest {
     let mut package = String::new();
     let mut deps = Vec::new();
+    let mut foreign = Vec::new();
     let mut section = String::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
+        let line_no = idx as u32 + 1;
         if let Some(rest) = line.strip_prefix('[') {
             section = rest.trim_end_matches(']').to_owned();
+            // `[dependencies.serde]` spells an entry as a table header.
+            let table_entry = DEP_SECTIONS
+                .iter()
+                .find_map(|s| section.strip_prefix(s)?.strip_prefix('.'));
+            if let Some(name) = table_entry {
+                foreign.push((name.to_owned(), line_no));
+            }
             continue;
         }
         if section == "package" && package.is_empty() {
@@ -45,21 +74,33 @@ pub fn parse(text: &str) -> Manifest {
                 package = value.trim_matches('"').to_owned();
             }
         }
-        if section == "dependencies" {
-            if let Some(rest) = line.strip_prefix("tacc-") {
+        if !DEP_SECTIONS.contains(&section.as_str()) || line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let in_workspace = line.contains("workspace = true") || line.contains("path =");
+        match line.strip_prefix("tacc-") {
+            Some(rest) if in_workspace => {
                 let short: String = rest
                     .chars()
                     .take_while(|c| c.is_ascii_lowercase() || *c == '-')
                     .collect();
-                if !short.is_empty() {
-                    deps.push((short, idx as u32 + 1));
+                if section == "dependencies" && !short.is_empty() {
+                    deps.push((short, line_no));
                 }
+            }
+            _ => {
+                let name: String = line
+                    .chars()
+                    .take_while(|c| !matches!(c, '.' | '=' | ' '))
+                    .collect();
+                foreign.push((name, line_no));
             }
         }
     }
     Manifest {
         package: package.strip_prefix("tacc-").unwrap_or(&package).to_owned(),
         deps,
+        foreign,
     }
 }
 
@@ -67,7 +108,7 @@ pub fn parse(text: &str) -> Manifest {
 /// for names outside the workspace.
 pub fn rank(short: &str) -> Option<u32> {
     Some(match short {
-        "par" | "metrics" => 0,
+        "json" | "par" | "metrics" => 0,
         "sim" => 1,
         "cluster" => 2,
         "storage" | "workload" => 3,
@@ -92,7 +133,7 @@ pub fn edge_allowed(from: &str, to: &str) -> bool {
     if from == "lint" {
         // The lint pass must stay dependency-light: it scans the
         // simulator, it must never link it.
-        return to == "par";
+        return to == "par" || to == "json";
     }
     match (rank(from), rank(to)) {
         (Some(f), Some(t)) => t < f,
@@ -107,7 +148,7 @@ mod tests {
     #[test]
     fn parses_name_and_tacc_deps_with_lines() {
         let toml = "[package]\nname = \"tacc-sched\"\n\n[dependencies]\n\
-                    serde.workspace = true\ntacc-cluster.workspace = true\n\
+                    # a comment\ntacc-cluster.workspace = true\n\
                     tacc-workload = { workspace = true }\n\n[dev-dependencies]\n\
                     tacc-core.workspace = true\n";
         let m = parse(toml);
@@ -115,6 +156,30 @@ mod tests {
         assert_eq!(
             m.deps,
             vec![("cluster".to_owned(), 6), ("workload".to_owned(), 7)]
+        );
+        assert_eq!(m.foreign, vec![]);
+    }
+
+    #[test]
+    fn every_entry_that_leaves_the_workspace_is_foreign() {
+        let toml = "[workspace.dependencies]\ntacc-par = { path = \"crates/par\" }\n\
+                    serde = { version = \"1\", features = [\"derive\"] }\ntacc-evil = \"1\"\n\n\
+                    [dependencies]\nrand.workspace = true\n\n[dev-dependencies]\nproptest = \"1\"\n\n\
+                    [build-dependencies]\ncc = \"1\"\n\n[dependencies.bytes]\nversion = \"1\"\n\n\
+                    [profile.release]\ncodegen-units = 1\n";
+        let names: Vec<(String, u32)> = parse(toml).foreign;
+        let expect = [
+            ("serde", 3),
+            ("tacc-evil", 4),
+            ("rand", 7),
+            ("proptest", 10),
+            ("cc", 13),
+            ("bytes", 15),
+        ];
+        assert_eq!(
+            names,
+            expect.map(|(n, l)| (n.to_owned(), l)).to_vec(),
+            "only tacc-* crates by path or workspace table may be named"
         );
     }
 
@@ -138,8 +203,11 @@ mod tests {
     }
 
     #[test]
-    fn lint_may_only_reach_par() {
+    fn lint_may_only_reach_par_and_json() {
         assert!(edge_allowed("lint", "par"));
+        assert!(edge_allowed("lint", "json"));
+        assert!(edge_allowed("workload", "json"));
+        assert!(!edge_allowed("json", "par"));
         assert!(!edge_allowed("lint", "metrics"));
         assert!(!edge_allowed("lint", "core"));
         assert!(!edge_allowed("lint", "bench"));

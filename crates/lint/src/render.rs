@@ -7,6 +7,8 @@
 
 use std::fmt::Write as _;
 
+use tacc_json::Json;
+
 /// One lint finding at a source location.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
@@ -170,7 +172,7 @@ impl Report {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\n            {{\"id\": {}}}", json_str(lint.name()));
+            let _ = write!(out, "\n            {{\"id\": {}}}", Json::from(lint.name()));
         }
         out.push_str("\n          ]\n        }\n      },\n");
         out.push_str("      \"results\": [");
@@ -186,19 +188,19 @@ impl Report {
             }
             first = false;
             out.push_str("\n        {\n");
-            let _ = writeln!(out, "          \"ruleId\": {},", json_str(f.lint));
+            let _ = writeln!(out, "          \"ruleId\": {},", Json::from(f.lint));
             let _ = writeln!(out, "          \"level\": \"error\",");
             let _ = writeln!(
                 out,
                 "          \"message\": {{\"text\": {}}},",
-                json_str(&f.message)
+                Json::from(f.message.as_str())
             );
             if let Some(reason) = reason {
                 let _ = writeln!(
                     out,
                     "          \"suppressions\": [{{\"kind\": \"inSource\", \
                      \"justification\": {}}}],",
-                    json_str(reason)
+                    Json::from(reason.as_str())
                 );
             }
             let _ = write!(
@@ -206,7 +208,7 @@ impl Report {
                 "          \"locations\": [{{\"physicalLocation\": {{\
                  \"artifactLocation\": {{\"uri\": {}}}, \
                  \"region\": {{\"startLine\": {}}}}}}}]\n        }}",
-                json_str(&f.file),
+                Json::from(f.file.as_str()),
                 f.line
             );
         }
@@ -331,13 +333,13 @@ fn write_findings<'a>(
         let _ = write!(
             out,
             "\"lint\": {}, \"file\": {}, \"line\": {}, \"message\": {}",
-            json_str(f.lint),
-            json_str(&f.file),
+            Json::from(f.lint),
+            Json::from(f.file.as_str()),
             f.line,
-            json_str(&f.message)
+            Json::from(f.message.as_str())
         );
         if let Some(reason) = reason {
-            let _ = write!(out, ", \"reason\": {}", json_str(reason));
+            let _ = write!(out, ", \"reason\": {}", Json::from(reason));
         }
         out.push('}');
         if it.peek().is_some() {
@@ -347,28 +349,6 @@ fn write_findings<'a>(
     if any {
         out.push_str("\n  ");
     }
-}
-
-/// Escapes a string as a JSON literal (same escape set as the bench
-/// golden serializer).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -423,11 +403,6 @@ mod tests {
         let text = sample().to_text();
         assert!(text.contains("crates/core/src/lib.rs:7: [hash-iter]"));
         assert!(text.contains("2 file(s) scanned, 1 finding(s), 1 suppression(s)"));
-    }
-
-    #[test]
-    fn string_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

@@ -34,10 +34,11 @@ fn run_lint(root: &Path, json: &Path) -> std::process::ExitStatus {
 fn one_violation_of_each_family_flips_check_red() {
     let root = scratch("red");
     // `tacc-core` must not depend upward on `tacc-tcloud` (layer-dag,
-    // manifest line 5).
+    // manifest line 5), and nothing may name a registry crate (line 6).
     write(
         &root.join("crates/alpha/Cargo.toml"),
-        "[package]\nname = \"tacc-core\"\n\n[dependencies]\ntacc-tcloud.workspace = true\n",
+        "[package]\nname = \"tacc-core\"\n\n[dependencies]\ntacc-tcloud.workspace = true\n\
+         serde = \"1\"\n",
     );
     // One violation per family, one per line, lines 1-8 (metric-name is
     // seeded twice: the call-literal form and the const-declaration form).
@@ -73,6 +74,7 @@ fn one_violation_of_each_family_flips_check_red() {
         ("concurrency", "crates/alpha/src/lib.rs", 7),
         ("match-wildcard", "crates/alpha/src/lib.rs", 8),
         ("layer-dag", "crates/alpha/Cargo.toml", 5),
+        ("layer-dag", "crates/alpha/Cargo.toml", 6),
     ];
     for (lint, file, line) in expected {
         let needle = format!("{{\"lint\": \"{lint}\", \"file\": \"{file}\", \"line\": {line},");

@@ -1,7 +1,5 @@
 //! Empirical CDFs and histograms for trace characterization (experiment F1).
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical cumulative distribution function over f64 samples.
 ///
 /// Built once, then queried for `F(x)` or for quantiles; also renders the
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cdf.fraction_at_or_below(2.0), 0.75);
 /// assert_eq!(cdf.quantile(1.0), 4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -87,7 +85,7 @@ impl Cdf {
 }
 
 /// One bucket of a [`Histogram`]: the half-open range `[lo, hi)` and its count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramBucket {
     /// Inclusive lower bound of the bucket.
     pub lo: f64,
@@ -101,7 +99,7 @@ pub struct HistogramBucket {
 ///
 /// Logarithmic bucketing is what trace-characterization figures use for
 /// heavy-tailed job durations (seconds → days on one axis).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     edges: Vec<f64>,
     counts: Vec<u64>,

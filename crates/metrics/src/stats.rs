@@ -1,7 +1,5 @@
 //! Summary statistics over f64 samples.
 
-use serde::{Deserialize, Serialize};
-
 /// Linear-interpolated percentile of a sample, `p` in `[0, 100]`.
 ///
 /// Uses the standard "linear interpolation between closest ranks" definition
@@ -50,7 +48,7 @@ pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 ///
 /// Built once from a sample with [`Summary::from_samples`]; all accessors are
 /// O(1) afterwards.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     count: usize,
     mean: f64,
@@ -163,7 +161,7 @@ impl Summary {
 /// assert_eq!(s.count(), 3);
 /// assert!((s.mean() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

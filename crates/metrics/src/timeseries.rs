@@ -1,7 +1,5 @@
 //! Time-weighted series for utilization accounting (experiments F2, F4, T1).
 
-use serde::{Deserialize, Serialize};
-
 /// A right-continuous step function of time: the value set at time `t`
 /// holds until the next sample.
 ///
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// // 4.0 for 10s then 8.0 for 10s => mean 6.0 over [0, 20).
 /// assert!((s.time_weighted_mean(0.0, 20.0) - 6.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StepSeries {
     /// (time, value) change-points, strictly increasing in time.
     points: Vec<(f64, f64)>,
@@ -141,7 +139,7 @@ impl StepSeries {
 /// // Busy 5/10 for 50s then idle for 50s => 25% over [0, 100).
 /// assert!((u.mean_utilization(0.0, 100.0) - 0.25).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationTracker {
     capacity: f64,
     in_use: f64,

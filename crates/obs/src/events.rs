@@ -3,13 +3,13 @@
 //! (via `Display`), so the log strings and the structured record can
 //! never drift apart.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Write as _};
+use tacc_json::{write_escaped, Json};
 use tacc_workload::{GroupId, JobId};
 
 /// Why the platform refused a job at admission time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The gang shape can never fit the cluster, even when empty.
     GangNeverFits,
@@ -31,7 +31,7 @@ impl fmt::Display for RejectReason {
 ///
 /// `Display` renders the exact human-readable line that appears in the
 /// per-job log (`tcloud logs`), so events are the one source of truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlatformEvent {
     /// Job accepted by the front door; compilation begins.
     Submitted {
@@ -235,7 +235,7 @@ impl fmt::Display for PlatformEvent {
 
 /// A [`PlatformEvent`] as recorded on the bus: stamped with a sequence
 /// number and the simulated time of the transition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// Monotonically increasing sequence number (never reused, even
     /// after old records are dropped from the ring).
@@ -246,39 +246,19 @@ pub struct EventRecord {
     pub event: PlatformEvent,
 }
 
-/// Appends a JSON string literal (with escaping) to `out`.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Appends a finite `f64` in shortest round-trip form.
 ///
 /// # Panics
 ///
 /// Panics on non-finite values — JSON has no representation for them and
-/// no platform event may carry one (matching `serde_json`'s refusal).
+/// no platform event may carry one.
 pub(crate) fn push_json_f64(out: &mut String, v: f64) {
     assert!(v.is_finite(), "non-finite float in platform event: {v}");
     let _ = write!(out, "{v}");
 }
 
 impl EventRecord {
-    /// Appends this record as one compact JSON object, in the exact
-    /// shape the serde derive produces structurally:
+    /// Appends this record as one compact JSON object:
     /// `{"seq":N,"at_secs":T,"event":{"Variant":{...}}}`.
     fn write_json(&self, out: &mut String) {
         let _ = write!(out, "{{\"seq\":{},\"at_secs\":", self.seq);
@@ -300,7 +280,7 @@ impl PlatformEvent {
                     job.value(),
                     group.index()
                 );
-                push_json_str(out, name);
+                write_escaped(name, out);
                 out.push_str("}}");
             }
             PlatformEvent::Compiled {
@@ -317,7 +297,7 @@ impl PlatformEvent {
                     "{{\"Compiled\":{{\"job\":{},\"instruction\":",
                     job.value()
                 );
-                push_json_str(out, instruction);
+                write_escaped(instruction, out);
                 out.push_str(",\"payload_mb\":");
                 push_json_f64(out, *payload_mb);
                 out.push_str(",\"transferred_mb\":");
@@ -357,7 +337,7 @@ impl PlatformEvent {
                     "{{\"Placed\":{{\"job\":{},\"nodes\":{nodes},\"runtime\":",
                     job.value()
                 );
-                push_json_str(out, runtime);
+                write_escaped(runtime, out);
                 out.push_str(",\"slowdown\":");
                 push_json_f64(out, *slowdown);
                 let _ = write!(
@@ -388,14 +368,14 @@ impl PlatformEvent {
                 fallback,
             } => {
                 let _ = write!(out, "{{\"FailedOver\":{{\"job\":{},\"node\":", job.value());
-                push_json_str(out, node);
+                write_escaped(node, out);
                 out.push_str(",\"fallback\":");
-                push_json_str(out, fallback);
+                write_escaped(fallback, out);
                 out.push_str("}}");
             }
             PlatformEvent::Failed { job, node } => {
                 let _ = write!(out, "{{\"Failed\":{{\"job\":{},\"node\":", job.value());
-                push_json_str(out, node);
+                write_escaped(node, out);
                 out.push_str("}}");
             }
             PlatformEvent::Cancelled { job } => {
@@ -407,12 +387,101 @@ impl PlatformEvent {
                     "{{\"IllegalTransition\":{{\"job\":{},\"from\":",
                     job.value()
                 );
-                push_json_str(out, from);
+                write_escaped(from, out);
                 out.push_str(",\"event\":");
-                push_json_str(out, event);
+                write_escaped(event, out);
                 out.push_str("}}");
             }
         }
+    }
+}
+
+impl EventRecord {
+    /// Reads back what [`EventRecord::write_json`] wrote.
+    fn from_json(value: &Json) -> Result<EventRecord, String> {
+        Ok(EventRecord {
+            seq: value.req_u64("seq")?,
+            at_secs: value.req_f64("at_secs")?,
+            event: PlatformEvent::from_json(value.get("event").ok_or("missing field 'event'")?)?,
+        })
+    }
+}
+
+impl PlatformEvent {
+    /// Reads back the externally-tagged encoding `write_json` emits.
+    fn from_json(value: &Json) -> Result<PlatformEvent, String> {
+        let (tag, body) = match value {
+            Json::Obj(fields) if fields.len() == 1 => (fields[0].0.as_str(), &fields[0].1),
+            _ => return Err("event is not a single-variant object".to_owned()),
+        };
+        let job = JobId::from_value(body.req_u64("job")?);
+        let group = |key| -> Result<GroupId, String> {
+            usize::try_from(body.req_u64(key)?)
+                .map(GroupId::from_index)
+                .map_err(|_| format!("field '{key}' exceeds usize"))
+        };
+        let string = |key| body.req_str(key).map(str::to_owned);
+        Ok(match tag {
+            "Submitted" => PlatformEvent::Submitted {
+                job,
+                group: group("group")?,
+                name: string("name")?,
+            },
+            "Compiled" => PlatformEvent::Compiled {
+                job,
+                instruction: string("instruction")?,
+                payload_mb: body.req_f64("payload_mb")?,
+                transferred_mb: body.req_f64("transferred_mb")?,
+                chunk_hits: body.req_u64("chunk_hits")?,
+                chunk_misses: body.req_u64("chunk_misses")?,
+                provisioning_secs: body.req_f64("provisioning_secs")?,
+            },
+            "Rejected" => PlatformEvent::Rejected {
+                job,
+                reason: match body.req_str("reason")? {
+                    "GangNeverFits" => RejectReason::GangNeverFits,
+                    "ExceedsGroupQuota" => RejectReason::ExceedsGroupQuota,
+                    other => return Err(format!("unknown reject reason '{other}'")),
+                },
+            },
+            "Queued" => PlatformEvent::Queued { job },
+            "Placed" => PlatformEvent::Placed {
+                job,
+                nodes: body.req_u64("nodes")?,
+                runtime: string("runtime")?,
+                slowdown: body.req_f64("slowdown")?,
+                granted_workers: body.req_u64("granted_workers")?,
+                requested_workers: body.req_u64("requested_workers")?,
+                backfilled: body
+                    .get("backfilled")
+                    .and_then(Json::as_bool)
+                    .ok_or("missing or non-boolean field 'backfilled'")?,
+            },
+            "Preempted" => PlatformEvent::Preempted {
+                job,
+                reclaimed_for: group("reclaimed_for")?,
+            },
+            "Completed" => PlatformEvent::Completed {
+                job,
+                jct_secs: body.req_f64("jct_secs")?,
+            },
+            "FailedOver" => PlatformEvent::FailedOver {
+                job,
+                node: string("node")?,
+                fallback: string("fallback")?,
+            },
+            "Failed" => PlatformEvent::Failed {
+                job,
+                node: string("node")?,
+            },
+            "Cancelled" => PlatformEvent::Cancelled { job },
+            "IllegalTransition" => PlatformEvent::IllegalTransition {
+                job,
+                from: string("from")?,
+                event: string("event")?,
+            },
+            other => return Err(format!("unknown event variant '{other}'")),
+        })
     }
 }
 
@@ -508,11 +577,9 @@ impl EventBus {
     /// Serializes the retained records as JSON Lines (one record per
     /// line, oldest first).
     ///
-    /// The writer is hand-rolled (field-for-field compatible with the
-    /// serde derives [`parse_jsonl`](Self::parse_jsonl) reads back), so
-    /// exporting is dependency-free and byte-deterministic: the same bus
-    /// contents always produce the same bytes. Floats print in Rust's
-    /// shortest round-trip form.
+    /// The writer streams straight into the output buffer and is
+    /// byte-deterministic: the same bus contents always produce the same
+    /// bytes. Floats print in Rust's shortest round-trip form.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for r in &self.buf {
@@ -523,17 +590,28 @@ impl EventBus {
     }
 
     /// Parses a JSONL export back into records (blank lines skipped).
-    pub fn parse_jsonl(text: &str) -> Result<Vec<EventRecord>, serde_json::Error> {
+    ///
+    /// # Errors
+    ///
+    /// The 1-based number of the first malformed line and what is wrong
+    /// with it.
+    pub fn parse_jsonl(text: &str) -> Result<Vec<EventRecord>, String> {
         text.lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(serde_json::from_str)
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty())
+            .map(|(i, l)| {
+                tacc_json::parse(l)
+                    .map_err(|e| e.to_string())
+                    .and_then(|v| EventRecord::from_json(&v))
+                    .map_err(|e| format!("event line {}: {e}", i + 1))
+            })
             .collect()
     }
 }
 
 /// Lifecycle conservation tally recounted purely from events: every
 /// submitted job must end in exactly one terminal state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConservationCheck {
     /// Jobs submitted.
     pub submitted: u64,
@@ -763,9 +841,6 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips() {
-        if !tacc_workload::serde_json_functional() {
-            return; // typecheck-only serde_json stub: parse_jsonl unavailable
-        }
         let mut bus = EventBus::new(8);
         bus.record(
             0.5,
@@ -787,5 +862,7 @@ mod tests {
         let parsed = EventBus::parse_jsonl(&text).expect("parses");
         let original: Vec<EventRecord> = bus.records().cloned().collect();
         assert_eq!(parsed, original);
+        let err = EventBus::parse_jsonl("\n{\"seq\":0}\n").expect_err("no timestamp");
+        assert!(err.starts_with("event line 2:"), "{err}");
     }
 }

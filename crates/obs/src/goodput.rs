@@ -35,7 +35,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use tacc_workload::JobId;
 
 use crate::events::push_json_f64;
@@ -131,7 +130,7 @@ pub struct JobGoodputInput {
 }
 
 /// GPU-seconds of badput by cause.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BadputBreakdown {
     /// GPU-seconds queued waiting for resources.
     pub queue_wait_gpu_secs: f64,
@@ -191,7 +190,7 @@ impl BadputBreakdown {
 
 /// The ML Productivity Goodput decomposition of one platform run.
 /// Derived entirely from sim-time quantities; equality is strict.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoodputReport {
     /// Horizon the open spans were closed at, sim seconds.
     pub horizon_secs: f64,

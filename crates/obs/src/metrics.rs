@@ -7,7 +7,6 @@
 //! `tacc_<layer>_<name>` convention enforced (in debug builds) at
 //! registration time.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -160,7 +159,7 @@ impl Histogram {
 
 /// One histogram bucket: number of samples `<= le` (non-cumulative count
 /// for this bucket alone; exposition accumulates).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BucketCount {
     /// Upper bound of the bucket (seconds).
     pub le: f64,
@@ -169,7 +168,7 @@ pub struct BucketCount {
 }
 
 /// Serializable view of a [`Histogram`] at a point in time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramSnapshot {
     /// Total recorded samples.
     pub count: u64,
@@ -402,7 +401,7 @@ impl MetricsRegistry {
 }
 
 /// Scraped value of one counter series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScrapedCounter {
     /// Metric name.
     pub name: String,
@@ -413,7 +412,7 @@ pub struct ScrapedCounter {
 }
 
 /// Scraped value of one gauge series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScrapedGauge {
     /// Metric name.
     pub name: String,
@@ -424,7 +423,7 @@ pub struct ScrapedGauge {
 }
 
 /// Scraped distribution of one histogram series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScrapedHistogram {
     /// Metric name.
     pub name: String,
@@ -435,7 +434,7 @@ pub struct ScrapedHistogram {
 }
 
 /// Point-in-time view of a whole [`MetricsRegistry`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// All counters, sorted by name then labels.
     pub counters: Vec<ScrapedCounter>,

@@ -39,6 +39,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use tacc_json::Json;
 use tacc_workload::{JobEventKind, JobId, JobState, TRANSITION_MATRIX};
 
 use crate::events::push_json_f64;
@@ -490,9 +491,8 @@ impl SpanBook {
     /// Reconstructs a book from a transition stream exported by the core
     /// engine's `transitions_jsonl` (one
     /// `{"at_secs":T,"job":N,"from":"State","to":"State","event":"kind"}`
-    /// object per line). Dependency-free hand-rolled parse, the inverse
-    /// of the hand-rolled writer. Blank lines are skipped; a malformed
-    /// line is an error naming its 1-based number.
+    /// object per line). Blank lines are skipped; a malformed line is an
+    /// error naming its 1-based number.
     pub fn from_transitions_jsonl(text: &str, config: SpanConfig) -> Result<SpanBook, String> {
         let mut book = SpanBook::new(config);
         for (i, line) in text.lines().enumerate() {
@@ -507,38 +507,19 @@ impl SpanBook {
     }
 }
 
-/// Extracts the raw text of `"key":<value>` from a single-line JSON
-/// object: quoted values are returned unquoted, scalars up to the next
-/// `,` or `}`. Sufficient for the transition stream, whose strings are
-/// state/event names with no escapes.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    if let Some(quoted) = rest.strip_prefix('"') {
-        let end = quoted.find('"')?;
-        Some(&quoted[..end])
-    } else {
-        let end = rest.find([',', '}'])?;
-        Some(rest[..end].trim())
-    }
-}
-
 fn parse_transition_line(line: &str) -> Option<TransitionEvent> {
-    let at_secs: f64 = json_field(line, "at_secs")?.parse().ok()?;
+    let value = tacc_json::parse(line).ok()?;
+    let name = |key| value.get(key).and_then(Json::as_str);
+    let at_secs = value.get("at_secs")?.as_f64()?;
     if !at_secs.is_finite() {
         return None;
     }
-    let job: u64 = json_field(line, "job")?.parse().ok()?;
-    let from = JobState::parse_name(json_field(line, "from")?)?;
-    let to = JobState::parse_name(json_field(line, "to")?)?;
-    let event = JobEventKind::parse_name(json_field(line, "event")?)?;
     Some(TransitionEvent {
         at_secs,
-        job: JobId::from_value(job),
-        from,
-        to,
-        event,
+        job: JobId::from_value(value.get("job")?.as_u64()?),
+        from: JobState::parse_name(name("from")?)?,
+        to: JobState::parse_name(name("to")?)?,
+        event: JobEventKind::parse_name(name("event")?)?,
     })
 }
 

@@ -3,13 +3,12 @@
 //! wall-clock latency of the round. This is the substrate behind
 //! `tcloud why <job>`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use tacc_workload::{GroupId, JobId};
 
 /// Why the scheduler passed over a queued job in one round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SkipReason {
     /// The owning group's quota (plus any borrowable headroom) cannot
     /// cover the request right now.
@@ -91,7 +90,7 @@ impl fmt::Display for SkipReason {
 }
 
 /// One skipped job in a round, with the reason.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSkip {
     /// The skipped job.
     pub job: JobId,
@@ -100,7 +99,7 @@ pub struct JobSkip {
 }
 
 /// Everything one scheduling round decided.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundTrace {
     /// Scheduler round counter at the time of the trace.
     pub round: u64,

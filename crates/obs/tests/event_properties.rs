@@ -1,110 +1,172 @@
-//! Property tests for the event bus: timestamps are monotone
+//! Seeded property sweeps for the event bus: timestamps are monotone
 //! non-decreasing in simulated time regardless of input, the ring
-//! respects its capacity, and JSONL export round-trips via serde.
+//! respects its capacity, and the JSONL export reads back exactly.
+//!
+//! Every case draws from a `DetRng` seeded with the case number, and
+//! every assertion names that seed: a failing seed is the reproducer.
 
-use proptest::prelude::*;
 use tacc_obs::{EventBus, EventRecord, PlatformEvent, RejectReason};
+use tacc_sim::{dist, DetRng};
 use tacc_workload::{GroupId, JobId};
 
-/// Deterministically maps a small discriminant + job number to an event,
-/// covering every variant of [`PlatformEvent`].
-fn mk_event(kind: u8, j: u64) -> PlatformEvent {
-    let job = JobId::from_value(j);
-    let group = GroupId::from_index((j % 7) as usize);
-    match kind % 10 {
-        0 => PlatformEvent::Submitted {
-            job,
-            group,
-            name: format!("job-{j}"),
-        },
-        1 => PlatformEvent::Compiled {
-            job,
-            instruction: "Training".to_string(),
-            payload_mb: j as f64 * 0.5,
-            transferred_mb: j as f64 * 0.25,
-            chunk_hits: j % 5,
-            chunk_misses: j % 3,
-            provisioning_secs: j as f64 * 0.125,
-        },
-        2 => PlatformEvent::Rejected {
-            job,
-            reason: if j.is_multiple_of(2) {
-                RejectReason::GangNeverFits
-            } else {
-                RejectReason::ExceedsGroupQuota
-            },
-        },
-        3 => PlatformEvent::Queued { job },
-        4 => PlatformEvent::Placed {
-            job,
-            nodes: 1 + j % 4,
-            runtime: "SingleProcess".to_string(),
-            slowdown: 1.0 + (j % 10) as f64 * 0.125,
-            granted_workers: 1 + j % 2,
-            requested_workers: 2,
-            backfilled: j.is_multiple_of(2),
-        },
-        5 => PlatformEvent::Preempted {
-            job,
-            reclaimed_for: group,
-        },
-        6 => PlatformEvent::Completed {
-            job,
-            jct_secs: j as f64 * 2.0,
-        },
-        7 => PlatformEvent::FailedOver {
-            job,
-            node: format!("node{}", j % 8),
-            fallback: "SingleProcess".to_string(),
-        },
-        8 => PlatformEvent::Failed {
-            job,
-            node: format!("node{}", j % 8),
-        },
-        _ => PlatformEvent::Cancelled { job },
-    }
+/// Names that exercise the string escaper: a quote, a backslash, control
+/// bytes, and multi-byte characters up to the astral plane.
+const NAMES: [&str; 5] = [
+    "job",
+    "q\"uote",
+    "back\\slash",
+    "ctl\u{1}\n\t",
+    "múlti-字-😀",
+];
+
+fn below(rng: &mut DetRng, n: u64) -> u64 {
+    rng.next_u64() % n
 }
 
-proptest! {
-    #[test]
-    fn timestamps_monotone_and_ring_bounded(
-        raw in proptest::collection::vec((any::<f64>(), 0u8..10, 0u64..100), 0..128),
-        cap in 1usize..64,
-    ) {
+/// One event of every [`PlatformEvent`] variant, built from `j` and
+/// `text`. Each arm names the next variant and there is no wildcard arm,
+/// so a new variant does not compile until it joins the sweep.
+fn every_variant(j: u64, text: &str) -> Vec<PlatformEvent> {
+    let job = JobId::from_value(j);
+    let group = GroupId::from_index((j % 7) as usize);
+    let text = || text.to_owned();
+    let mut out = Vec::new();
+    let mut next = Some(PlatformEvent::Submitted {
+        job,
+        group,
+        name: text(),
+    });
+    while let Some(event) = next {
+        next = match &event {
+            PlatformEvent::Submitted { .. } => Some(PlatformEvent::Compiled {
+                job,
+                instruction: text(),
+                payload_mb: j as f64 * 0.5,
+                transferred_mb: j as f64 * 0.25,
+                chunk_hits: j % 5,
+                chunk_misses: j % 3,
+                provisioning_secs: j as f64 * 0.125,
+            }),
+            PlatformEvent::Compiled { .. } => Some(PlatformEvent::Rejected {
+                job,
+                reason: if j.is_multiple_of(2) {
+                    RejectReason::GangNeverFits
+                } else {
+                    RejectReason::ExceedsGroupQuota
+                },
+            }),
+            PlatformEvent::Rejected { .. } => Some(PlatformEvent::Queued { job }),
+            PlatformEvent::Queued { .. } => Some(PlatformEvent::Placed {
+                job,
+                nodes: 1 + j % 4,
+                runtime: text(),
+                slowdown: 1.0 + (j % 10) as f64 * 0.125,
+                granted_workers: 1 + j % 2,
+                requested_workers: 2,
+                backfilled: j.is_multiple_of(2),
+            }),
+            PlatformEvent::Placed { .. } => Some(PlatformEvent::Preempted {
+                job,
+                reclaimed_for: group,
+            }),
+            PlatformEvent::Preempted { .. } => Some(PlatformEvent::Completed {
+                job,
+                jct_secs: j as f64 * 2.0,
+            }),
+            PlatformEvent::Completed { .. } => Some(PlatformEvent::FailedOver {
+                job,
+                node: format!("node{}", j % 8),
+                fallback: text(),
+            }),
+            PlatformEvent::FailedOver { .. } => Some(PlatformEvent::Failed { job, node: text() }),
+            PlatformEvent::Failed { .. } => Some(PlatformEvent::Cancelled { job }),
+            PlatformEvent::Cancelled { .. } => Some(PlatformEvent::IllegalTransition {
+                job,
+                from: text(),
+                event: text(),
+            }),
+            PlatformEvent::IllegalTransition { .. } => None,
+        };
+        out.push(event);
+    }
+    out
+}
+
+fn random_event(rng: &mut DetRng) -> PlatformEvent {
+    let name = NAMES[below(rng, NAMES.len() as u64) as usize];
+    let mut variants = every_variant(below(rng, 100), name);
+    variants.swap_remove(below(rng, variants.len() as u64) as usize)
+}
+
+#[test]
+fn the_sweep_draws_from_all_eleven_variants() {
+    let mut kinds: Vec<&str> = every_variant(3, "x").iter().map(|e| e.kind()).collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    assert_eq!(kinds.len(), 11);
+}
+
+#[test]
+fn timestamps_monotone_and_ring_bounded() {
+    for seed in 0..256 {
+        let rng = &mut DetRng::seed_from_u64(seed);
+        let cap = 1 + below(rng, 63) as usize;
+        let len = below(rng, 128);
         let mut bus = EventBus::new(cap);
-        for &(at, kind, j) in &raw {
-            bus.record(at, mk_event(kind, j));
+        for _ in 0..len {
+            // Any bit pattern: NaNs, infinities, negatives, subnormals.
+            let at = f64::from_bits(rng.next_u64());
+            bus.record(at, random_event(rng));
         }
         let recs: Vec<EventRecord> = bus.records().cloned().collect();
         for w in recs.windows(2) {
             assert!(
                 w[0].at_secs <= w[1].at_secs,
-                "timestamps regressed: {} then {}",
+                "seed {seed}: timestamps regressed: {} then {}",
                 w[0].at_secs,
                 w[1].at_secs
             );
-            assert!(w[0].seq < w[1].seq, "sequence numbers not increasing");
+            assert!(w[0].seq < w[1].seq, "seed {seed}: sequence not increasing");
         }
         for r in &recs {
-            assert!(r.at_secs.is_finite(), "recorded timestamp must be finite");
+            assert!(r.at_secs.is_finite(), "seed {seed}: non-finite timestamp");
         }
-        assert!(bus.len() <= cap);
-        assert_eq!(bus.recorded(), raw.len() as u64);
-        assert_eq!(bus.dropped() as usize, raw.len().saturating_sub(bus.len()));
+        assert!(bus.len() <= cap, "seed {seed}");
+        assert_eq!(bus.recorded(), len, "seed {seed}");
+        assert_eq!(bus.dropped(), len - bus.len() as u64, "seed {seed}");
     }
+}
 
-    #[test]
-    fn jsonl_round_trips(
-        raw in proptest::collection::vec((0.0f64..1e9, 0u8..10, 0u64..100), 0..64),
-    ) {
+#[test]
+fn jsonl_round_trips() {
+    for seed in 0..256 {
+        let rng = &mut DetRng::seed_from_u64(seed);
         let mut bus = EventBus::new(1024);
-        for &(at, kind, j) in &raw {
-            bus.record(at, mk_event(kind, j));
+        for _ in 0..below(rng, 64) {
+            let at = dist::uniform(rng, 0.0, 1e9);
+            bus.record(at, random_event(rng));
         }
         let text = bus.to_jsonl();
-        assert_eq!(text.lines().count(), bus.len());
-        let parsed = EventBus::parse_jsonl(&text).expect("JSONL export parses back");
+        assert_eq!(text.lines().count(), bus.len(), "seed {seed}");
+        let parsed = EventBus::parse_jsonl(&text)
+            .unwrap_or_else(|e| panic!("seed {seed}: export does not parse back: {e}"));
         let original: Vec<EventRecord> = bus.records().cloned().collect();
-        assert_eq!(parsed, original);
+        assert_eq!(parsed, original, "seed {seed}");
     }
+}
+
+/// Every variant with every awkward name, not just the ones a seed
+/// happens to draw.
+#[test]
+fn jsonl_round_trips_every_variant_with_every_awkward_name() {
+    let mut bus = EventBus::new(1024);
+    for (j, name) in NAMES.iter().enumerate() {
+        for event in every_variant(j as u64, name) {
+            bus.record(j as f64 + 0.1, event);
+        }
+    }
+    assert_eq!(bus.len(), 11 * NAMES.len());
+    let parsed = EventBus::parse_jsonl(&bus.to_jsonl()).expect("export parses back");
+    let original: Vec<EventRecord> = bus.records().cloned().collect();
+    assert_eq!(parsed, original);
 }

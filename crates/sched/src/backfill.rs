@@ -18,12 +18,10 @@
 //! subject to a real placement check), a standard simplification also made
 //! by Slurm's own backfill estimator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::slotset::CapacityWindow;
 
 /// The backfill variant in force.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackfillMode {
     /// No backfill: a blocked head stalls everything behind it.
     None,

@@ -7,12 +7,10 @@
 //! forecast start still funnels through a [`Planner`] call against the
 //! real cluster before any job launches.
 
-use serde::{Deserialize, Serialize};
-
 use tacc_cluster::{Cluster, NodeId, ResourceVec};
 
 /// How the scheduler maps a gang's workers onto nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PlacementStrategy {
     /// Best-fit packing: prefer the fullest nodes that still fit, keeping
     /// large contiguous blocks free (low fragmentation).

@@ -1,14 +1,12 @@
 //! Queue-ordering policies.
 
-use serde::{Deserialize, Serialize};
-
 use tacc_cluster::ResourceVec;
 use tacc_workload::GroupId;
 
 use crate::request::TaskRequest;
 
 /// The queue-ordering policy in force.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PolicyKind {
     /// First-in-first-out by submission time.
     #[default]

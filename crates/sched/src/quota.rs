@@ -1,13 +1,11 @@
 //! Per-group quota management with borrowing and reclaim (experiments F2/F5).
 
-use serde::{Deserialize, Serialize};
-
 use tacc_workload::{GroupId, GroupRoster, QosClass};
 
 use crate::request::TaskRequest;
 
 /// How group quotas are enforced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QuotaMode {
     /// No quotas: the whole cluster is one pool (pure policy ordering).
     #[default]
@@ -37,7 +35,7 @@ impl std::fmt::Display for QuotaMode {
 /// Usage is split by QoS class: guaranteed usage is charged against the
 /// group's quota; best-effort usage is tracked separately as borrowed
 /// capacity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuotaTable {
     quotas: Vec<u32>,
     guaranteed_used: Vec<u32>,

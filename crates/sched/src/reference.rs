@@ -17,7 +17,7 @@
 //! The reference intentionally skips everything that is *not* a decision:
 //! no metrics, no decision tracing, no work counters. It is test
 //! infrastructure, kept in the library (rather than `tests/`) so the
-//! proptest harness and any future bench can share it.
+//! differential suite and any future bench can share it.
 
 use std::collections::BTreeMap;
 

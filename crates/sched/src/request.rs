@@ -1,7 +1,5 @@
 //! Scheduler-facing task descriptions and scheduling outcomes.
 
-use serde::{Deserialize, Serialize};
-
 use tacc_cluster::{Lease, LeaseId, NodeId, ResourceVec};
 use tacc_workload::{GroupId, JobId, QosClass};
 
@@ -10,7 +8,7 @@ use tacc_workload::{GroupId, JobId, QosClass};
 /// Deliberately *not* the full [`tacc_workload::TaskSchema`]: the scheduler
 /// sees the user's estimate, never the oracle service time — exactly the
 /// information asymmetry real schedulers operate under.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskRequest {
     /// Job identifier (also used as the cluster lease owner tag).
     pub id: JobId,
@@ -47,7 +45,7 @@ impl TaskRequest {
 }
 
 /// Scheduler-side record of a running task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunningTask {
     /// The request **as granted** (elastic tasks may run with fewer
     /// workers than submitted).

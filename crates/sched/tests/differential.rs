@@ -9,12 +9,8 @@
 //! `Debug`-formatted decision streams to match byte for byte, round by
 //! round.
 //!
-//! Two harness forms cover the same property:
-//!
-//! * plain `#[test]` seed sweeps over a deterministic xorshift generator
-//!   (always run, everywhere);
-//! * a `proptest!` version with shrinking, for richer exploration where
-//!   the real proptest crate is available.
+//! The scripts come from plain `#[test]` seed sweeps over a deterministic
+//! xorshift generator: a failing seed is the reproducer.
 //!
 //! A red-flip test proves the harness has teeth: two schedulers that
 //! genuinely differ (backfill on vs off) must produce diverging streams
@@ -413,21 +409,4 @@ fn red_flip_slot_boundary_bug_diverges_from_reference() {
     // narrow job, the honest reference blocked it.
     assert_eq!(a.starts().count(), 1);
     assert_eq!(b.starts().count(), 0);
-}
-
-// The proptest form: identical property, with shrinking. The build
-// environment may provide a typecheck-only proptest stub; the plain seed
-// sweeps above carry the coverage there, while environments with the real
-// crate get shrinking on top.
-mod with_proptest {
-    use super::assert_identical;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn decision_streams_match(seed in 1u64..1_000_000, steps in 50usize..300) {
-            assert_identical(seed, steps);
-        }
-    }
 }

@@ -7,9 +7,8 @@
 //! earlier slot's free ids reappear in every later slot); and the head
 //! slot must hold exactly the currently free capacity.
 //!
-//! Mirrors the differential suite's two harness forms: a plain seeded
-//! sweep that always runs, plus a `proptest!` version for shrinking where
-//! the real crate is available.
+//! Like the differential suite, a plain seeded sweep: a failing seed is
+//! the reproducer.
 
 use tacc_sched::{CapacityWindow, SlotSet, SlotStats};
 use tacc_workload::JobId;
@@ -156,20 +155,4 @@ fn seeded_walks_preserve_slot_invariants() {
 #[test]
 fn deep_walk_preserves_slot_invariants() {
     random_walk(99_991, 1_500);
-}
-
-// The proptest form: identical property, with shrinking. The build
-// environment may provide a typecheck-only proptest stub; the seeded
-// sweeps above carry the coverage there.
-mod with_proptest {
-    use super::random_walk;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn slot_invariants_hold(seed in 1u64..1_000_000, steps in 20usize..250) {
-            random_walk(seed, steps);
-        }
-    }
 }

@@ -3,14 +3,12 @@
 //! Shared GPU-cluster traces have well-documented shapes: Poisson-ish
 //! arrivals modulated by a diurnal cycle, heavy-tailed (log-normal /
 //! Pareto-like) job durations, and power-of-two GPU demands. This module
-//! implements exactly the samplers those shapes need, from first principles,
-//! so the workspace does not depend on `rand_distr`.
+//! implements exactly the samplers those shapes need, from first principles.
 //!
-//! All samplers take `&mut impl RngCore` so they compose with the labelled
-//! streams from [`crate::SeedStream`].
+//! All samplers draw from a [`DetRng`], which is what the labelled streams
+//! of [`crate::SeedStream`] hand out.
 
-use rand::RngCore;
-
+use crate::prng::DetRng;
 use crate::rng::unit_uniform;
 
 /// Samples `Exp(rate)` (mean `1/rate`) by inverse transform.
@@ -18,7 +16,7 @@ use crate::rng::unit_uniform;
 /// # Panics
 ///
 /// Panics if `rate` is not strictly positive.
-pub fn exponential<R: RngCore + ?Sized>(rng: &mut R, rate: f64) -> f64 {
+pub fn exponential(rng: &mut DetRng, rate: f64) -> f64 {
     assert!(rate > 0.0, "exponential rate must be positive");
     let u = unit_uniform(rng);
     // u in [0,1); 1-u in (0,1] so ln is finite.
@@ -26,7 +24,7 @@ pub fn exponential<R: RngCore + ?Sized>(rng: &mut R, rate: f64) -> f64 {
 }
 
 /// Samples a standard normal via Box–Muller.
-pub fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+pub fn standard_normal(rng: &mut DetRng) -> f64 {
     // Draw u1 in (0,1] to keep ln finite.
     let u1 = 1.0 - unit_uniform(rng);
     let u2 = unit_uniform(rng);
@@ -38,7 +36,7 @@ pub fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
 /// # Panics
 ///
 /// Panics if `std_dev` is negative.
-pub fn normal<R: RngCore + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
+pub fn normal(rng: &mut DetRng, mean: f64, std_dev: f64) -> f64 {
     assert!(std_dev >= 0.0, "std_dev must be nonnegative");
     mean + std_dev * standard_normal(rng)
 }
@@ -51,7 +49,7 @@ pub fn normal<R: RngCore + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 
 /// # Panics
 ///
 /// Panics if `sigma` is negative.
-pub fn log_normal<R: RngCore + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
+pub fn log_normal(rng: &mut DetRng, mu: f64, sigma: f64) -> f64 {
     normal(rng, mu, sigma).exp()
 }
 
@@ -61,7 +59,7 @@ pub fn log_normal<R: RngCore + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 
 /// # Panics
 ///
 /// Panics unless `0 < lo < hi` and `alpha > 0`.
-pub fn bounded_pareto<R: RngCore + ?Sized>(rng: &mut R, alpha: f64, lo: f64, hi: f64) -> f64 {
+pub fn bounded_pareto(rng: &mut DetRng, alpha: f64, lo: f64, hi: f64) -> f64 {
     assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
     assert!(alpha > 0.0, "alpha must be positive");
     let u = unit_uniform(rng);
@@ -77,7 +75,7 @@ pub fn bounded_pareto<R: RngCore + ?Sized>(rng: &mut R, alpha: f64, lo: f64, hi:
 /// # Panics
 ///
 /// Panics if `lo >= hi`.
-pub fn uniform<R: RngCore + ?Sized>(rng: &mut R, lo: f64, hi: f64) -> f64 {
+pub fn uniform(rng: &mut DetRng, lo: f64, hi: f64) -> f64 {
     assert!(lo < hi, "empty uniform range");
     lo + (hi - lo) * unit_uniform(rng)
 }
@@ -88,7 +86,7 @@ pub fn uniform<R: RngCore + ?Sized>(rng: &mut R, lo: f64, hi: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `weights` is empty, contains a negative value, or sums to zero.
-pub fn weighted_index<R: RngCore + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
+pub fn weighted_index(rng: &mut DetRng, weights: &[f64]) -> usize {
     assert!(!weights.is_empty(), "weighted_index needs weights");
     assert!(
         weights.iter().all(|&w| w >= 0.0),
@@ -111,7 +109,7 @@ pub fn weighted_index<R: RngCore + ?Sized>(rng: &mut R, weights: &[f64]) -> usiz
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 1]`.
-pub fn coin<R: RngCore + ?Sized>(rng: &mut R, p: f64) -> bool {
+pub fn coin(rng: &mut DetRng, p: f64) -> bool {
     assert!((0.0..=1.0).contains(&p), "probability {p} out of [0,1]");
     unit_uniform(rng) < p
 }

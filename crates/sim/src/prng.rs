@@ -1,24 +1,16 @@
 //! A small, fully safe, deterministic PRNG.
 //!
-//! The workspace originally used `rand_chacha` for its seeded streams, but
-//! its SIMD backend (`ppv-lite86`) showed stack-clobbering behaviour in
-//! release builds on some toolchains, and simulation experiments do not
-//! need cryptographic strength anyway. `DetRng` is **xoshiro256++**
-//! (Blackman & Vigna), seeded through SplitMix64 exactly as the authors
-//! recommend — ~20 lines of pure integer arithmetic, no `unsafe`, and
-//! bit-for-bit reproducible on every platform and compiler.
+//! Simulation experiments do not need cryptographic strength. `DetRng` is
+//! **xoshiro256++** (Blackman & Vigna), seeded through SplitMix64 exactly
+//! as the authors recommend — ~20 lines of pure integer arithmetic, no
+//! `unsafe`, and bit-for-bit reproducible on every platform and compiler.
 
-use rand::RngCore;
-
-/// Deterministic xoshiro256++ generator.
-///
-/// Implements [`rand::RngCore`], so it composes with everything in the
-/// [`crate::dist`] module and the wider `rand` ecosystem.
+/// Deterministic xoshiro256++ generator, the randomness behind every
+/// sampler in [`crate::dist`].
 ///
 /// # Example
 ///
 /// ```
-/// use rand::RngCore;
 /// let mut a = tacc_sim::DetRng::seed_from_u64(7);
 /// let mut b = tacc_sim::DetRng::seed_from_u64(7);
 /// assert_eq!(a.next_u64(), b.next_u64());
@@ -48,8 +40,9 @@ impl DetRng {
         DetRng { s }
     }
 
+    /// The next 64 uniformly random bits.
     #[inline]
-    fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -60,28 +53,6 @@ impl DetRng {
         s[2] ^= t;
         s[3] = s[3].rotate_left(45);
         result
-    }
-}
-
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
     }
 }
 
@@ -110,17 +81,6 @@ mod tests {
         }
         let mean = ones as f64 / n as f64;
         assert!((mean - 32.0).abs() < 0.5, "bit bias: {mean}");
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = DetRng::seed_from_u64(9);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-        let mut buf2 = [0u8; 13];
-        DetRng::seed_from_u64(9).fill_bytes(&mut buf2);
-        assert_eq!(buf, buf2);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Reproducible random streams.
 
-use rand::RngCore;
-
 use crate::prng::DetRng;
 
 /// A factory for independent, labelled random streams derived from one
@@ -21,7 +19,6 @@ use crate::prng::DetRng;
 ///
 /// ```
 /// use tacc_sim::SeedStream;
-/// use rand::RngCore;
 ///
 /// let seeds = SeedStream::new(42);
 /// let mut a1 = seeds.stream("arrivals");
@@ -69,8 +66,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Convenience: draw a uniform f64 in `[0, 1)` from any `RngCore`.
-pub(crate) fn unit_uniform<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+/// Convenience: draw a uniform f64 in `[0, 1)`.
+pub(crate) fn unit_uniform(rng: &mut DetRng) -> f64 {
     // 53 random mantissa bits, the standard "u64 >> 11" construction.
     (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }

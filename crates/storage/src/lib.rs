@@ -43,11 +43,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use tacc_cluster::NodeId;
 
 /// Configuration of the shared filesystem and the node-local caches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageConfig {
     /// Per-client read bandwidth in MiB/s (NIC / NFS client cap).
     pub per_client_mbps: f64,

@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tacc_core::wire::{obj, Json};
+use tacc_core::wire::Json;
 use tacc_core::Command;
 use tacc_tcloud::{DaemonClient, RetryPolicy, TransportError};
 
@@ -161,18 +161,9 @@ fn mutate_and_print(client: &mut DaemonClient, command: &Command) -> Result<(), 
 
 fn submit(client: &mut DaemonClient, json: &str, secs: &str) -> Result<(), VerbError> {
     let service_secs = secs.parse::<f64>().map_err(|_| Usage)?;
-    let schema = tacc_core::wire::parse(json)
-        .map_err(|e| Transport(TransportError::MalformedFrame(format!("schema json: {e}"))))?;
-    // Assemble the wire-shaped command, then round-trip it through the
-    // typed parser so malformed schemas fail here, not at the daemon.
-    let command_json = obj(vec![
-        ("kind", Json::Str("submit".to_owned())),
-        ("service_secs", Json::Num(service_secs)),
-        ("schema", schema),
-    ]);
-    let command = Command::from_json(&command_json)
-        .map_err(|e| Transport(TransportError::MalformedFrame(format!("schema json: {e}"))))?;
-    mutate_and_print(client, &command)
+    let outcome = client.submit_json(json, service_secs)?;
+    println!("{outcome}");
+    Ok(())
 }
 
 fn reserve(

@@ -143,18 +143,14 @@ impl TcloudClient {
                 ))
             }
         };
-        let service_secs = match service {
-            Some(s) => s
-                .parse::<f64>()
-                .map_err(|_| TcloudError::Usage("--service expects seconds".to_owned()))?,
-            None => {
-                // Without an oracle the platform uses the user's estimate.
-                let schema: tacc_workload::TaskSchema = serde_json::from_str(json)
-                    .map_err(|e| TcloudError::InvalidTask(e.to_string()))?;
-                schema.est_duration_secs
-            }
-        };
-        let job = self.submit_json(json, service_secs)?;
+        let service = service
+            .map(|s| s.parse::<f64>())
+            .transpose()
+            .map_err(|_| TcloudError::Usage("--service expects seconds".to_owned()))?;
+        let schema = crate::client::schema_from_text(json).map_err(TcloudError::InvalidTask)?;
+        // Without an oracle the platform uses the user's estimate.
+        let service_secs = service.unwrap_or(schema.est_duration_secs);
+        let job = self.submit(schema, service_secs)?;
         Ok(CommandOutput::one(format!("submitted job {}", job.value())))
     }
 
@@ -333,14 +329,11 @@ mod tests {
             .est_duration_secs(120.0)
             .build()
             .expect("valid");
-        serde_json::to_string(&schema).expect("serializes")
+        schema.to_json().to_string()
     }
 
     #[test]
     fn submit_ps_wait_logs_kill_flow() {
-        if !tacc_workload::serde_json_functional() {
-            return; // typecheck-only serde_json stub: cannot build the JSON
-        }
         let mut c = client();
         let json = schema_json();
         let out = c
@@ -363,9 +356,6 @@ mod tests {
 
     #[test]
     fn submit_defaults_service_to_estimate() {
-        if !tacc_workload::serde_json_functional() {
-            return; // typecheck-only serde_json stub: cannot build the JSON
-        }
         let mut c = client();
         let json = schema_json();
         c.run_command(&["submit", &json]).expect("estimate default");
@@ -400,9 +390,6 @@ mod tests {
 
     #[test]
     fn quota_and_top_snapshots() {
-        if !tacc_workload::serde_json_functional() {
-            return; // typecheck-only serde_json stub: cannot build the JSON
-        }
         let mut c = client();
         let json = schema_json();
         c.run_command(&["submit", &json, "--service", "100000"])
@@ -418,9 +405,6 @@ mod tests {
 
     #[test]
     fn get_retrieves_artifacts_from_all_nodes() {
-        if !tacc_workload::serde_json_functional() {
-            return; // typecheck-only serde_json stub: cannot build the JSON
-        }
         let mut c = client();
         let schema = TaskSchema::builder("dist-get", GroupId::from_index(0))
             .workers(2)
@@ -428,7 +412,7 @@ mod tests {
             .est_duration_secs(300.0)
             .build()
             .expect("valid");
-        let json = serde_json::to_string(&schema).expect("serializes");
+        let json = schema.to_json().to_string();
         c.run_command(&["submit", &json, "--service", "300"])
             .expect("submits");
         // Before it runs: nothing to fetch.
@@ -456,9 +440,6 @@ mod tests {
 
     #[test]
     fn events_why_and_metrics_commands() {
-        if !tacc_workload::serde_json_functional() {
-            return; // typecheck-only serde_json stub: cannot build the JSON
-        }
         let mut c = client();
         // Saturate the 16-GPU cluster, then queue a 1-GPU job behind it.
         let filler = TaskSchema::builder("filler", GroupId::from_index(0))
@@ -467,7 +448,7 @@ mod tests {
             .est_duration_secs(1e6)
             .build()
             .expect("valid");
-        let fj = serde_json::to_string(&filler).expect("serializes");
+        let fj = filler.to_json().to_string();
         c.run_command(&["submit", &fj, "--service", "1000000"])
             .expect("submits");
         c.advance(1000.0);
@@ -476,7 +457,7 @@ mod tests {
             .est_duration_secs(120.0)
             .build()
             .expect("valid");
-        let bj = serde_json::to_string(&blocked).expect("serializes");
+        let bj = blocked.to_json().to_string();
         c.run_command(&["submit", &bj, "--service", "120"])
             .expect("submits");
         c.advance(1000.0);
@@ -507,9 +488,6 @@ mod tests {
 
     #[test]
     fn timeline_and_goodput_commands() {
-        if !tacc_workload::serde_json_functional() {
-            return; // typecheck-only serde_json stub: cannot build the JSON
-        }
         let mut c = client();
         let json = schema_json();
         c.run_command(&["submit", &json, "--service", "120"])

@@ -43,6 +43,13 @@ impl From<crate::transport::TransportError> for TcloudError {
     }
 }
 
+/// Reads a task schema from its JSON text — the one shape the in-process
+/// client and the daemon transport both take.
+pub(crate) fn schema_from_text(json: &str) -> Result<TaskSchema, String> {
+    let value = tacc_core::wire::parse(json).map_err(|e| e.to_string())?;
+    TaskSchema::from_json(&value)
+}
+
 /// The `tcloud` client: a registry of cluster profiles and a connection to
 /// the active one.
 ///
@@ -125,8 +132,7 @@ impl TcloudClient {
     ///
     /// [`TcloudError::InvalidTask`] for malformed JSON or invalid schemas.
     pub fn submit_json(&mut self, json: &str, service_secs: f64) -> Result<JobId, TcloudError> {
-        let schema: TaskSchema =
-            serde_json::from_str(json).map_err(|e| TcloudError::InvalidTask(e.to_string()))?;
+        let schema = schema_from_text(json).map_err(TcloudError::InvalidTask)?;
         self.submit(schema, service_secs)
     }
 
@@ -372,11 +378,8 @@ mod tests {
 
     #[test]
     fn submit_json_validates() {
-        if !tacc_workload::serde_json_functional() {
-            return; // typecheck-only serde_json stub: cannot build the JSON
-        }
         let mut c = TcloudClient::with_profile("campus", config());
-        let json = serde_json::to_string(&schema()).expect("serializes");
+        let json = schema().to_json().to_string();
         assert!(c.submit_json(&json, 300.0).is_ok());
         assert!(matches!(
             c.submit_json("{bad", 300.0),

@@ -392,7 +392,6 @@ impl TraceGenerator {
 mod tests {
     use super::*;
     use crate::schema::TaskKind;
-    use rand::RngCore;
 
     /// Draws `n` u64s from an rng — helper for determinism tests.
     fn drain(rng: &mut DetRng, n: usize) -> Vec<u64> {

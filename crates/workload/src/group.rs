@@ -1,10 +1,9 @@
 //! Research groups: the tenants sharing the campus cluster.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a research group (tenant). Dense, assigned by the roster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(u32);
 
 impl GroupId {
@@ -32,7 +31,7 @@ impl fmt::Display for GroupId {
 /// guarantees; activity weights drive how much load the trace generator
 /// attributes to each group (campus usage is heavily skewed: a few labs
 /// generate most jobs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupRoster {
     names: Vec<String>,
     quotas: Vec<u32>,

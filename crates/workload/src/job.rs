@@ -7,13 +7,12 @@
 //! The platform layer routes all calls through `core::lifecycle`, so the
 //! whole system has exactly one state-write site.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::schema::TaskSchema;
 
 /// Identifier of a submitted job. Dense per platform instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(u64);
 
 impl JobId {
@@ -55,7 +54,7 @@ impl fmt::Display for JobId {
 ///
 /// `Completed`, `Failed`, and `Cancelled` are terminal and absorbing: no
 /// event leaves them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobState {
     /// Submitted; the compiler layer is preparing the task instruction.
     Submitted,
@@ -397,7 +396,7 @@ impl std::error::Error for IllegalTransition {}
 /// execution layer stretches it by a slowdown factor reflecting placement
 /// and hardware. The scheduler never reads the true service time — only the
 /// user's (noisy) estimate in the schema — mirroring reality.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     id: JobId,
     schema: TaskSchema,

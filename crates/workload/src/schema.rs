@@ -1,9 +1,9 @@
 //! The self-contained task schema (paper §3.1, Task Schema Layer).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use tacc_cluster::ResourceVec;
+use tacc_json::{obj, Json};
 
 use crate::group::GroupId;
 
@@ -13,9 +13,7 @@ use crate::group::GroupId;
 /// preempted; `BestEffort` tasks may use idle capacity borrowed from other
 /// groups and can be preempted when the owner reclaims it. This is the
 /// mechanism behind the quota-borrowing experiments (F2/F5).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum QosClass {
     /// Runs within the group quota; not preemptible.
     #[default]
@@ -42,7 +40,7 @@ impl fmt::Display for QosClass {
 
 /// What kind of application a task is; drives duration/demand shape in the
 /// generator and runtime selection in the execution layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Batch DNN training (the dominant class).
     Training,
@@ -78,7 +76,7 @@ impl fmt::Display for TaskKind {
 /// Per the paper, the choice "could be either indicated in the user's task
 /// description or dynamically determined by the other layers" — `Auto`
 /// defers to the execution layer's selection logic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RuntimePreference {
     /// Let the platform choose (the default and common case).
     #[default]
@@ -96,10 +94,23 @@ pub enum RuntimePreference {
     SingleProcess,
 }
 
+impl RuntimePreference {
+    /// The preference's name in a schema file.
+    fn tag(self) -> &'static str {
+        match self {
+            RuntimePreference::Auto => "auto",
+            RuntimePreference::AllReduce => "all-reduce",
+            RuntimePreference::ParameterServer => "parameter-server",
+            RuntimePreference::InNetworkAggregation => "in-network-aggregation",
+            RuntimePreference::SingleProcess => "single-process",
+        }
+    }
+}
+
 /// The runtime environment a task needs: container image, dependencies and
 /// dataset. Sizes are carried so the compiler layer can model provisioning
 /// cost and delta caching (experiment T3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeEnv {
     /// Base image name (e.g. `pytorch-2.1-cuda12`).
     pub image: String,
@@ -139,7 +150,7 @@ impl RuntimeEnv {
 /// The execution layer's iteration-time model (experiment F6) needs the
 /// parameter size (bytes moved per all-reduce round) and the per-GPU compute
 /// time per iteration on the reference GPU (V100).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelProfile {
     /// Model parameters in MiB (gradient volume per synchronization round).
     pub param_mb: f64,
@@ -210,7 +221,7 @@ impl ModelProfile {
 /// configuration.
 ///
 /// Construct with [`TaskSchema::builder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSchema {
     /// Human-readable task name.
     pub name: String,
@@ -237,7 +248,6 @@ pub struct TaskSchema {
     /// Whether the scheduler may start this task with fewer workers than
     /// requested (Pollux-style elastic admission): a shrunken gang runs
     /// proportionally longer. Only meaningful for data-parallel training.
-    #[serde(default)]
     pub elastic: bool,
 }
 
@@ -308,6 +318,147 @@ impl TaskSchema {
         }
         Ok(())
     }
+
+    /// The schema as its one JSON shape — what `tcloud submit` reads, the
+    /// `taccd` journal stores and a trace file carries.
+    pub fn to_json(&self) -> Json {
+        let pair = |(name, mb): &(String, u32)| {
+            Json::Arr(vec![Json::Str(name.clone()), Json::Num(f64::from(*mb))])
+        };
+        let model = match &self.model {
+            Some(m) => obj(vec![
+                ("param_mb", Json::Num(m.param_mb)),
+                ("compute_secs_per_iter", Json::Num(m.compute_secs_per_iter)),
+            ]),
+            None => Json::Null,
+        };
+        obj(vec![
+            ("name", Json::Str(self.name.clone())),
+            ("group", Json::Num(self.group.index() as f64)),
+            ("workers", Json::Num(f64::from(self.workers))),
+            (
+                "resources",
+                obj(vec![
+                    ("gpus", Json::Num(f64::from(self.resources.gpus))),
+                    ("cpu_cores", Json::Num(f64::from(self.resources.cpu_cores))),
+                    ("mem_gb", Json::Num(f64::from(self.resources.mem_gb))),
+                ]),
+            ),
+            ("qos", Json::Str(self.qos.to_string())),
+            ("task_kind", Json::Str(self.kind.to_string())),
+            ("runtime", Json::Str(self.runtime.tag().to_owned())),
+            (
+                "env",
+                obj(vec![
+                    ("image", Json::Str(self.env.image.clone())),
+                    (
+                        "dependencies",
+                        Json::Arr(self.env.dependencies.iter().map(pair).collect()),
+                    ),
+                    (
+                        "dataset",
+                        self.env.dataset.as_ref().map_or(Json::Null, pair),
+                    ),
+                    ("code_mb", Json::Num(f64::from(self.env.code_mb))),
+                ]),
+            ),
+            ("est_duration_secs", Json::Num(self.est_duration_secs)),
+            ("model", model),
+            ("elastic", Json::Bool(self.elastic)),
+        ])
+    }
+
+    /// Reads a schema back from [`TaskSchema::to_json`]'s shape. `model`,
+    /// `dataset` and `elastic` may be absent; the result is not yet
+    /// [validated](TaskSchema::validate).
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first malformed field.
+    pub fn from_json(value: &Json) -> Result<TaskSchema, String> {
+        let qos = match value.req_str("qos")? {
+            "guaranteed" => QosClass::Guaranteed,
+            "best-effort" => QosClass::BestEffort,
+            other => return Err(format!("unknown qos '{other}'")),
+        };
+        let kind = match value.req_str("task_kind")? {
+            "training" => TaskKind::Training,
+            "interactive" => TaskKind::Interactive,
+            "inference" => TaskKind::Inference,
+            "cpu-batch" => TaskKind::CpuBatch,
+            other => return Err(format!("unknown task kind '{other}'")),
+        };
+        let runtime = match value.req_str("runtime")? {
+            "auto" => RuntimePreference::Auto,
+            "all-reduce" => RuntimePreference::AllReduce,
+            "parameter-server" => RuntimePreference::ParameterServer,
+            "in-network-aggregation" => RuntimePreference::InNetworkAggregation,
+            "single-process" => RuntimePreference::SingleProcess,
+            other => return Err(format!("unknown runtime '{other}'")),
+        };
+        let res = value
+            .get("resources")
+            .ok_or("schema missing field 'resources'")?;
+        let resources = ResourceVec {
+            gpus: res.req_u32("gpus")?,
+            cpu_cores: res.req_u32("cpu_cores")?,
+            mem_gb: res.req_u32("mem_gb")?,
+        };
+        let env_v = value.get("env").ok_or("schema missing field 'env'")?;
+        let mut dependencies = Vec::new();
+        for dep in env_v
+            .get("dependencies")
+            .and_then(Json::as_arr)
+            .ok_or("env missing array field 'dependencies'")?
+        {
+            dependencies.push(pair_from_json(dep).ok_or("malformed dependency entry")?);
+        }
+        let dataset = match env_v.get("dataset") {
+            Some(Json::Null) | None => None,
+            Some(v) => Some(pair_from_json(v).ok_or("malformed dataset entry")?),
+        };
+        let env = RuntimeEnv {
+            image: env_v.req_str("image")?.to_owned(),
+            dependencies,
+            dataset,
+            code_mb: env_v.req_u32("code_mb")?,
+        };
+        let model = match value.get("model") {
+            Some(Json::Null) | None => None,
+            Some(m) => Some(ModelProfile {
+                param_mb: m.req_f64("param_mb")?,
+                compute_secs_per_iter: m.req_f64("compute_secs_per_iter")?,
+            }),
+        };
+        Ok(TaskSchema {
+            name: value.req_str("name")?.to_owned(),
+            group: GroupId::from_index(
+                usize::try_from(value.req_u64("group")?).map_err(|_| "group index overflow")?,
+            ),
+            workers: value.req_u32("workers")?,
+            resources,
+            qos,
+            kind,
+            runtime,
+            env,
+            est_duration_secs: value.req_f64("est_duration_secs")?,
+            model,
+            elastic: value
+                .get("elastic")
+                .and_then(Json::as_bool)
+                .unwrap_or(false),
+        })
+    }
+}
+
+fn pair_from_json(value: &Json) -> Option<(String, u32)> {
+    let arr = value.as_arr()?;
+    if arr.len() != 2 {
+        return None;
+    }
+    let name = arr[0].as_str()?.to_owned();
+    let mb = u32::try_from(arr[1].as_u64()?).ok()?;
+    Some((name, mb))
 }
 
 /// Builder for [`TaskSchema`] (see [C-BUILDER]).
@@ -456,18 +607,54 @@ mod tests {
     }
 
     #[test]
-    fn schema_serde_round_trip() {
-        if !crate::serde_json_functional() {
-            return; // typecheck-only serde_json stub: nothing to round-trip
-        }
+    fn schema_json_round_trip() {
         let s = base()
             .workers(2)
             .qos(QosClass::BestEffort)
             .model(ModelProfile::gpt2_like())
             .build()
             .expect("valid");
-        let json = serde_json::to_string(&s).expect("serializes");
-        let back: TaskSchema = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(s, back);
+        let json = s.to_json().to_string();
+        let back = TaskSchema::from_json(&tacc_json::parse(&json).expect("parses"));
+        assert_eq!(back, Ok(s));
+    }
+
+    #[test]
+    fn schema_json_covers_every_enum_value_and_optional_field() {
+        let kinds = [
+            TaskKind::Training,
+            TaskKind::Interactive,
+            TaskKind::Inference,
+            TaskKind::CpuBatch,
+        ];
+        let runtimes = [
+            RuntimePreference::Auto,
+            RuntimePreference::AllReduce,
+            RuntimePreference::ParameterServer,
+            RuntimePreference::InNetworkAggregation,
+            RuntimePreference::SingleProcess,
+        ];
+        for (i, runtime) in runtimes.into_iter().enumerate() {
+            let mut s = base()
+                .kind(kinds[i % kinds.len()])
+                .runtime(runtime)
+                .elastic(i % 2 == 0)
+                .build()
+                .expect("valid");
+            if i % 2 == 1 {
+                s.env.dataset = Some(("inf".to_owned(), 5000));
+                s.env.dependencies = vec![("nan".to_owned(), 1), ("torch".to_owned(), 800)];
+            }
+            let back = TaskSchema::from_json(&tacc_json::parse(&s.to_json().to_string()).unwrap());
+            assert_eq!(back, Ok(s));
+        }
+        // `model`, `dataset` and `elastic` may be left out of a hand-written file.
+        let Json::Obj(mut fields) = base().build().expect("valid").to_json() else {
+            panic!("a schema is an object");
+        };
+        fields.retain(|(k, _)| k != "model" && k != "elastic");
+        let sparse = TaskSchema::from_json(&Json::Obj(fields)).expect("reads");
+        assert_eq!((sparse.model, sparse.elastic), (None, false));
+        assert!(TaskSchema::from_json(&obj(vec![("name", "x".into())])).is_err());
     }
 }

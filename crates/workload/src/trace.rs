@@ -1,7 +1,6 @@
 //! Trace files: the serializable record of a workload.
 
-use serde::{Deserialize, Serialize};
-
+use tacc_json::{obj, Json};
 use tacc_metrics::{Cdf, Summary};
 
 use crate::schema::TaskSchema;
@@ -10,7 +9,7 @@ use crate::schema::TaskSchema;
 ///
 /// `service_secs` is the oracle service requirement used by the execution
 /// model; schedulers only ever see `schema.est_duration_secs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
     /// Submission time in seconds from trace start.
     pub submit_secs: f64,
@@ -20,7 +19,6 @@ pub struct TraceRecord {
     pub service_secs: f64,
     /// If set, the user kills this job this many seconds after submitting
     /// it (campus traces show a sizeable cancelled fraction).
-    #[serde(default)]
     pub cancel_after_secs: Option<f64>,
 }
 
@@ -34,13 +32,11 @@ pub struct TraceRecord {
 /// ```
 /// use tacc_workload::{GenParams, TraceGenerator};
 /// let trace = TraceGenerator::new(GenParams::default(), 7).generate_days(0.5);
-/// if tacc_workload::serde_json_functional() {
-///     let json = trace.to_json().expect("serializes");
-///     let back = tacc_workload::Trace::from_json(&json).expect("parses");
-///     assert_eq!(trace.len(), back.len());
-/// }
+/// let file = trace.to_json().to_pretty();
+/// let back = tacc_workload::Trace::from_json(&tacc_json::parse(&file).expect("is JSON"));
+/// assert_eq!(back, Ok(trace));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     records: Vec<TraceRecord>,
 }
@@ -76,24 +72,59 @@ impl Trace {
         self.records.last().map(|r| r.submit_secs).unwrap_or(0.0)
     }
 
-    /// Serializes to pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization failures (effectively unreachable for
-    /// well-formed traces).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
+    /// The trace as a JSON value: `{"records": [...]}`, each record its
+    /// times beside the task's [`TaskSchema::to_json`].
+    pub fn to_json(&self) -> Json {
+        let records = self
+            .records
+            .iter()
+            .map(|r| {
+                obj(vec![
+                    ("submit_secs", Json::Num(r.submit_secs)),
+                    ("schema", r.schema.to_json()),
+                    ("service_secs", Json::Num(r.service_secs)),
+                    (
+                        "cancel_after_secs",
+                        r.cancel_after_secs.map_or(Json::Null, Json::Num),
+                    ),
+                ])
+            })
+            .collect();
+        obj(vec![("records", Json::Arr(records))])
     }
 
-    /// Parses a trace from JSON produced by [`Trace::to_json`].
+    /// Reads a trace back from [`Trace::to_json`]'s shape (records are
+    /// re-sorted by submission time; `cancel_after_secs` may be absent).
     ///
     /// # Errors
     ///
-    /// Returns the underlying `serde_json` error for malformed input.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let t: Trace = serde_json::from_str(json)?;
-        Ok(Trace::new(t.records))
+    /// A description of the first malformed record, by index.
+    pub fn from_json(value: &Json) -> Result<Trace, String> {
+        let records = value
+            .get("records")
+            .and_then(Json::as_arr)
+            .ok_or("trace missing array field 'records'")?;
+        let read = |r: &Json| -> Result<TraceRecord, String> {
+            let submit_secs = r.req_f64("submit_secs")?;
+            if !submit_secs.is_finite() {
+                return Err("field 'submit_secs' is not finite".to_owned());
+            }
+            Ok(TraceRecord {
+                submit_secs,
+                schema: TaskSchema::from_json(r.get("schema").ok_or("missing field 'schema'")?)?,
+                service_secs: r.req_f64("service_secs")?,
+                cancel_after_secs: match r.get("cancel_after_secs") {
+                    Some(Json::Null) | None => None,
+                    Some(_) => Some(r.req_f64("cancel_after_secs")?),
+                },
+            })
+        };
+        records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| read(r).map_err(|e| format!("record {i}: {e}")))
+            .collect::<Result<Vec<_>, _>>()
+            .map(Trace::new)
     }
 
     /// Scales all submission times by `factor` (>1 spreads load out, <1
@@ -141,7 +172,7 @@ impl Trace {
 }
 
 /// Aggregate characterization of a trace (experiment F1's data).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Number of submissions.
     pub submissions: usize,
@@ -186,13 +217,27 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        if !crate::serde_json_functional() {
-            return; // typecheck-only serde_json stub: nothing to round-trip
-        }
-        let t = Trace::new(vec![record(1.0, 60.0), record(2.0, 120.0)]);
-        let json = t.to_json().expect("serializes");
-        let back = Trace::from_json(&json).expect("parses");
-        assert_eq!(t, back);
+        let mut cancelled = record(2.0, 120.0);
+        cancelled.cancel_after_secs = Some(0.1);
+        let t = Trace::new(vec![record(1.0, 60.0), cancelled]);
+        let text = t.to_json().to_pretty();
+        let back = Trace::from_json(&tacc_json::parse(&text).expect("parses"));
+        assert_eq!(back, Ok(t));
+    }
+
+    #[test]
+    fn from_json_names_the_malformed_record() {
+        let mut doc = Trace::new(vec![record(1.0, 60.0), record(2.0, 60.0)]).to_json();
+        let Json::Obj(fields) = &mut doc else {
+            panic!("a trace is an object");
+        };
+        let Json::Arr(records) = &mut fields[0].1 else {
+            panic!("records is an array");
+        };
+        records[1] = obj(vec![("submit_secs", Json::Num(f64::NAN))]);
+        let err = Trace::from_json(&doc).expect_err("NaN submit time");
+        assert!(err.starts_with("record 1:"), "{err}");
+        assert!(Trace::from_json(&Json::Null).is_err());
     }
 
     #[test]

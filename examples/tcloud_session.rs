@@ -48,14 +48,14 @@ fn main() {
         .est_duration_secs(1800.0)
         .build()
         .expect("valid schema");
-    let training_json = serde_json::to_string(&training).expect("serializes");
+    let training_json = training.to_json().to_string();
 
     let runaway = TaskSchema::builder("runaway-sweep", GroupId::from_index(1))
         .resources(ResourceVec::gpus_only(4))
         .est_duration_secs(20.0 * 3600.0)
         .build()
         .expect("valid schema");
-    let runaway_json = serde_json::to_string(&runaway).expect("serializes");
+    let runaway_json = runaway.to_json().to_string();
 
     run(&mut client, &["info"]);
     run(

@@ -11,7 +11,7 @@
 // Examples narrate to stdout by design.
 #![allow(clippy::print_stdout)]
 
-use tacc_core::{Platform, PlatformConfig};
+use tacc_core::{wire, Platform, PlatformConfig};
 use tacc_workload::{GenParams, Trace, TraceGenerator};
 
 fn main() {
@@ -27,11 +27,11 @@ fn main() {
     );
 
     // 2. Serialize — this is the artifact you would commit or share.
-    let json = trace.to_json().expect("traces always serialize");
+    let json = trace.to_json().to_pretty();
     println!("serialized to {} KiB of JSON", json.len() / 1024);
 
     // 3. A colleague reloads it and replays on their own machine.
-    let reloaded = Trace::from_json(&json).expect("round-trips");
+    let reloaded = Trace::from_json(&wire::parse(&json).expect("is JSON")).expect("round-trips");
     assert_eq!(reloaded, trace, "byte-exact trace round-trip");
 
     let report_a = Platform::new(PlatformConfig::default()).run_trace(&reloaded);

@@ -6,7 +6,15 @@
 #![forbid(unsafe_code)]
 
 use tacc_core::PlatformConfig;
+use tacc_sim::DetRng;
 use tacc_workload::{GenParams, Trace, TraceGenerator};
+
+/// A uniform draw from `0..n`, for the seeded property sweeps: each case
+/// draws everything from a `DetRng` seeded with the case number, which
+/// every assertion names — a failing case number is the reproducer.
+pub fn below(rng: &mut DetRng, n: u64) -> u64 {
+    rng.next_u64() % n
+}
 
 /// A small, fast canonical trace for integration tests.
 pub fn small_trace(seed: u64, days: f64, load: f64) -> Trace {

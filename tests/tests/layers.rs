@@ -14,16 +14,13 @@ use tacc_workload::{GroupId, ModelProfile, RuntimePreference, TaskSchema};
 /// another — the paper's reproducibility story.
 #[test]
 fn schema_json_round_trips_through_tcloud() {
-    if !tacc_workload::serde_json_functional() {
-        return; // typecheck-only serde_json stub: JSON round-trip needs the real crate
-    }
     let schema = TaskSchema::builder("portable", GroupId::from_index(2))
         .workers(2)
         .resources(tacc_cluster::ResourceVec::gpus_only(8))
         .est_duration_secs(900.0)
         .build()
         .expect("valid");
-    let json = serde_json::to_string(&schema).expect("serializes");
+    let json = schema.to_json().to_string();
 
     let mut client = TcloudClient::with_profile("a", PlatformConfig::default());
     client.add_profile("b", PlatformConfig::default());

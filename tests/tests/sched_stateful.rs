@@ -1,60 +1,20 @@
-//! Stateful property test: the scheduler + cluster pair under arbitrary
-//! interleavings of submissions, completions, rotations and reclaims must
-//! never corrupt accounting.
-
-use proptest::prelude::*;
+//! Stateful seeded property sweep: the scheduler + cluster pair under
+//! arbitrary interleavings of submissions, completions, rotations and
+//! reclaims must never corrupt accounting.
 
 use tacc_cluster::{Cluster, ClusterSpec, GpuModel, ResourceVec};
 use tacc_sched::{BackfillMode, PolicyKind, QuotaMode, Scheduler, SchedulerConfig, TaskRequest};
+use tacc_sim::{dist, DetRng};
+use tacc_tests::below;
 use tacc_workload::{GroupId, JobId, QosClass};
 
-#[derive(Debug, Clone)]
-enum Action {
-    /// Submit a job with the given shape.
-    Submit {
-        group: usize,
-        workers: u32,
-        gpus: u32,
-        qos_best_effort: bool,
-        elastic: bool,
-        est: f64,
-    },
-    /// Finish the k-th currently running job (mod running count).
-    Finish { k: usize },
-    /// Run a scheduling round.
-    Round,
-    /// Attempt a time-slice rotation.
-    Rotate,
-}
-
-fn action_strategy() -> impl Strategy<Value = Action> {
-    prop_oneof![
-        3 => (0usize..4, 1u32..=4, 1u32..=8, any::<bool>(), any::<bool>(), 60.0f64..7200.0)
-            .prop_map(|(group, workers, gpus, qos_best_effort, elastic, est)| Action::Submit {
-                group,
-                workers,
-                gpus,
-                qos_best_effort,
-                elastic,
-                est,
-            }),
-        3 => (0usize..64).prop_map(|k| Action::Finish { k }),
-        2 => Just(Action::Round),
-        1 => Just(Action::Rotate),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn scheduler_never_corrupts_accounting(
-        actions in prop::collection::vec(action_strategy(), 1..120),
-        quota_mode in prop_oneof![
-            Just(QuotaMode::Disabled),
-            Just(QuotaMode::Static),
-            Just(QuotaMode::Borrowing),
-        ],
-    ) {
+#[test]
+fn scheduler_never_corrupts_accounting() {
+    for case in 0..64 {
+        let rng = &mut DetRng::seed_from_u64(case);
+        let quota_mode =
+            [QuotaMode::Disabled, QuotaMode::Static, QuotaMode::Borrowing][below(rng, 3) as usize];
+        let steps = 1 + below(rng, 119);
         let mut cluster = Cluster::new(ClusterSpec::uniform(2, 4, GpuModel::A100, 8));
         let total = cluster.total_gpus();
         let mut sched = Scheduler::new(SchedulerConfig {
@@ -71,52 +31,57 @@ proptest! {
         let mut submitted = 0usize;
         let mut finished = 0usize;
 
-        for action in actions {
+        for _ in 0..steps {
             now += 1.0;
-            match action {
-                Action::Submit { group, workers, gpus, qos_best_effort, elastic, est } => {
+            // Submit : finish : round : rotate = 3 : 3 : 2 : 1.
+            match below(rng, 9) {
+                0..=2 => {
                     // Keep requests physically feasible so they are not a
                     // quota/fit dead letter for the whole run.
                     let request = TaskRequest {
                         id: JobId::from_value(next_id),
-                        group: GroupId::from_index(group),
-                        qos: if qos_best_effort { QosClass::BestEffort } else { QosClass::Guaranteed },
-                        workers,
-                        per_worker: ResourceVec::gpus_only(gpus),
-                        est_secs: est,
+                        group: GroupId::from_index(below(rng, 4) as usize),
+                        qos: if dist::coin(rng, 0.5) {
+                            QosClass::BestEffort
+                        } else {
+                            QosClass::Guaranteed
+                        },
+                        workers: 1 + below(rng, 4) as u32,
+                        per_worker: ResourceVec::gpus_only(1 + below(rng, 8) as u32),
+                        est_secs: dist::uniform(rng, 60.0, 7200.0),
                         submit_secs: now,
-                        elastic,
+                        elastic: dist::coin(rng, 0.5),
                     };
                     next_id += 1;
                     submitted += 1;
                     sched.submit(request);
                 }
-                Action::Finish { k } => {
-                    let running: Vec<JobId> =
-                        sched.running().map(|t| t.request.id).collect();
+                3..=5 => {
+                    // Finish a random running job.
+                    let running: Vec<JobId> = sched.running().map(|t| t.request.id).collect();
                     if !running.is_empty() {
-                        let victim = running[k % running.len()];
+                        let victim = running[below(rng, running.len() as u64) as usize];
                         let done = sched.task_finished(victim, &mut cluster);
-                        prop_assert!(done.is_some());
+                        assert!(done.is_some(), "case {case}");
                         finished += 1;
                     }
                 }
-                Action::Round => {
+                6..=7 => {
                     let _ = sched.schedule(now, &mut cluster);
                 }
-                Action::Rotate => {
+                _ => {
                     let _ = sched.rotate(now, &mut cluster);
                 }
             }
             // Invariants after every step.
-            prop_assert!(cluster.check_invariants());
-            prop_assert!(cluster.free_gpus() <= total);
-            prop_assert_eq!(cluster.lease_count(), sched.running_len());
+            assert!(cluster.check_invariants(), "case {case}");
+            assert!(cluster.free_gpus() <= total, "case {case}");
+            assert_eq!(cluster.lease_count(), sched.running_len(), "case {case}");
             // Quota usage never exceeds physically allocated GPUs.
             let quota_used: u32 = (0..4)
                 .map(|g| sched.quota_table().total_used(GroupId::from_index(g)))
                 .sum();
-            prop_assert_eq!(quota_used, total - cluster.free_gpus());
+            assert_eq!(quota_used, total - cluster.free_gpus(), "case {case}");
         }
 
         // Drain: finish everything that runs, then rounds start the rest
@@ -131,13 +96,14 @@ proptest! {
             now += 1.0;
             let _ = sched.schedule(now, &mut cluster);
         }
-        prop_assert!(cluster.check_invariants());
-        prop_assert!(finished <= submitted);
-        prop_assert_eq!(cluster.lease_count(), sched.running_len());
+        assert!(cluster.check_invariants(), "case {case}");
+        assert!(finished <= submitted, "case {case}");
+        assert_eq!(cluster.lease_count(), sched.running_len(), "case {case}");
         // Everything still in the system is queued or running, not lost.
-        prop_assert_eq!(
+        assert_eq!(
             sched.queue_len() + sched.running_len() + finished,
-            submitted
+            submitted,
+            "case {case}"
         );
     }
 }
