@@ -13,8 +13,7 @@
 //!   --jobs N            max concurrently-computing sweep cells (default: all cores)
 //!   --serial            shorthand for --jobs 1
 //!   --quiet             suppress per-experiment text output
-//!   --sweep-out PATH    where to write the aggregate timing JSON
-//!                       (default: BENCH_sweep.json; "none" disables)
+//!   --sweep-out PATH    also write the aggregate timing JSON to PATH
 //!   --determinism [DAYS]  run the canonical simulation twice and compare the
 //!                       exported event streams byte-for-byte (default 30 days)
 //!   --export PATH       with --determinism: also write the export stream to PATH
@@ -215,22 +214,13 @@ fn check_outcome(outcome: &RunOutcome) -> Result<(), String> {
 fn write_sweep(path: &str, outcomes: &[RunOutcome], wall_secs: f64, jobs: usize) {
     // `busy_secs` counts only slot-held computation (parents waiting on
     // nested sweeps donate their slot), so it is the honest serial-sum
-    // estimate; per-experiment `wall_secs` are concurrent spans and
-    // overlap each other.
+    // estimate.
     let serial_sum = par::busy_secs();
-    let per_exp = outcomes
-        .iter()
-        .map(|o| {
-            obj(vec![
-                ("id", o.spec.id.into()),
-                ("span_secs", o.wall_secs.into()),
-            ])
-        })
-        .collect();
+    let ids = outcomes.iter().map(|o| o.spec.id.into()).collect();
     let doc = obj(vec![
         ("suite", "tacc-bench experiments".into()),
         ("jobs", jobs.into()),
-        ("experiments", Json::Arr(per_exp)),
+        ("experiments", Json::Arr(ids)),
         ("serial_sum_secs", serial_sum.into()),
         ("wall_secs", wall_secs.into()),
         (
@@ -414,10 +404,8 @@ fn main() -> ExitCode {
         }
     }
 
-    match opts.sweep_out.as_deref() {
-        Some("none") => {}
-        Some(path) => write_sweep(path, &outcomes, wall_secs, par::parallelism()),
-        None => write_sweep("BENCH_sweep.json", &outcomes, wall_secs, par::parallelism()),
+    if let Some(path) = opts.sweep_out.as_deref() {
+        write_sweep(path, &outcomes, wall_secs, par::parallelism());
     }
 
     if failures > 0 {

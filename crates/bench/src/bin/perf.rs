@@ -13,10 +13,7 @@
 //!                         replay) in the run set
 //!   --only ID             run just this scenario (repeatable; fast or
 //!                         nightly tier)
-//!   --out PATH            write the report JSON (default: BENCH_hotpath.json;
-//!                         "none" disables)
-//!   --baseline-secs X     record X as the pre-change full-suite serial wall
-//!   --optimized-secs Y    record Y as the post-change full-suite serial wall
+//!   --out PATH            also write the report JSON to PATH
 //!   --quiet               suppress the per-scenario table
 //! ```
 //!
@@ -43,8 +40,6 @@ struct Options {
     nightly: bool,
     only: Vec<String>,
     out: Option<String>,
-    baseline_secs: Option<f64>,
-    optimized_secs: Option<f64>,
     quiet: bool,
 }
 
@@ -56,8 +51,6 @@ fn parse_args() -> Result<Options, String> {
         nightly: false,
         only: Vec::new(),
         out: None,
-        baseline_secs: None,
-        optimized_secs: None,
         quiet: false,
     };
     let mut args = std::env::args().skip(1);
@@ -72,20 +65,6 @@ fn parse_args() -> Result<Options, String> {
                 .push(args.next().ok_or("--only needs a scenario id")?),
             "--expect" => opts.expect = Some(args.next().ok_or("--expect needs a path")?),
             "--out" => opts.out = Some(args.next().ok_or("--out needs a path")?),
-            "--baseline-secs" => {
-                let v = args.next().ok_or("--baseline-secs needs a value")?;
-                opts.baseline_secs = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --baseline-secs `{v}`"))?,
-                );
-            }
-            "--optimized-secs" => {
-                let v = args.next().ok_or("--optimized-secs needs a value")?;
-                opts.optimized_secs = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --optimized-secs `{v}`"))?,
-                );
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -228,21 +207,12 @@ fn main() -> ExitCode {
         }
     }
 
-    let suite = match (opts.baseline_secs, opts.optimized_secs) {
-        (Some(b), Some(o)) => Some((b, o)),
-        _ => None,
-    };
-    match opts.out.as_deref() {
-        Some("none") => {}
-        out => {
-            let path = out.unwrap_or("BENCH_hotpath.json");
-            let doc = hotpath::report_json(&outcomes, suite);
-            match std::fs::write(path, doc.to_pretty()) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => {
-                    eprintln!("error: could not write {path}: {e}");
-                    failures += 1;
-                }
+    if let Some(path) = opts.out.as_deref() {
+        match std::fs::write(path, hotpath::report_json(&outcomes).to_pretty()) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => {
+                eprintln!("error: could not write {path}: {e}");
+                failures += 1;
             }
         }
     }

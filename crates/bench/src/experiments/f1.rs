@@ -9,7 +9,7 @@ use crate::standard_trace;
 use tacc_metrics::{Histogram, Table};
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let days = 30.0;
     let trace = standard_trace(days, 1.0);
     let stats = trace.stats();

@@ -14,7 +14,7 @@ use tacc_metrics::Table;
 use tacc_workload::GroupRoster;
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let trace = standard_trace(7.0, 3.0);
     let headline = format!(
         "F10: capacity sweep for a fixed demand ({} submissions, 7 days)",

@@ -16,7 +16,7 @@ use tacc_metrics::{Cell, Table};
 use tacc_sched::QuotaMode;
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let trace = standard_trace(7.0, 3.0);
     let headline = format!(
         "F2: {} submissions over 7 days, 256 GPUs, load 3",

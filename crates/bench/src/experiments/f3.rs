@@ -38,7 +38,7 @@ fn worst_p95_wait(report: &SimulationReport) -> f64 {
 }
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let roster = GroupRoster::campus_default(256);
     let headline = "F3: fairness vs load, 7-day traces, 256 GPUs".to_owned();
     r.line(&format!("{headline}\n"));

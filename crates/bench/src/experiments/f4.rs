@@ -12,7 +12,7 @@ use tacc_metrics::Table;
 use tacc_sched::BackfillMode;
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let headline = "F4: backfill vs multi-node job fraction, 7-day traces, load 1.5".to_owned();
     r.line(&format!("{headline}\n"));
 

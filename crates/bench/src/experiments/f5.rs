@@ -15,7 +15,7 @@ use tacc_metrics::{Summary, Table};
 use tacc_sched::QuotaMode;
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let trace = standard_trace(7.0, 5.0); // heavy contention => many reclaims
     let headline = format!(
         "F5: checkpoint ablation under reclaim preemption ({} submissions, load 5)",

@@ -28,7 +28,7 @@ fn nodes_for(gpus: u32) -> Vec<NodeId> {
 }
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let profile = ModelProfile::gpt2_like();
     let headline = format!(
         "F6: GPT-2-like model ({} MiB gradients, {:.2}s compute/iter on A100)",

@@ -12,7 +12,7 @@ use tacc_exec::FailoverPolicy;
 use tacc_metrics::Table;
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let trace = standard_trace(7.0, 2.0);
     let headline = format!(
         "F7: node-failure sweep ({} submissions, 7 days, 32 nodes)",

@@ -14,7 +14,7 @@ use tacc_metrics::Table;
 use tacc_storage::StorageConfig;
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let trace = standard_trace(7.0, 2.0);
     let headline = format!(
         "F8: dataset staging over {} submissions (7 days, load 2)",

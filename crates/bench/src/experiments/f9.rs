@@ -14,7 +14,7 @@ use tacc_core::Platform;
 use tacc_metrics::{Summary, Table};
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let trace = standard_trace(7.0, 3.0);
     let headline = format!(
         "F9: time-slicing quantum sweep ({} submissions, load 3)",

@@ -1,7 +1,6 @@
-//! The experiment bodies behind both the `exp_*` shims and the parallel
-//! `experiments` runner.
+//! The experiment bodies behind the `experiments` runner.
 //!
-//! Each submodule exposes one `run(&mut dyn Reporter) -> ExperimentResult`
+//! Each submodule exposes one `run(&mut Reporter) -> ExperimentResult`
 //! that regenerates one EXPERIMENTS.md section. Bodies are pure functions
 //! of the canonical trace definitions in the crate root; independent sweep
 //! cells inside a body fan out with [`crate::par::par_map`], which keeps

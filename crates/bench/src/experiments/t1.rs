@@ -12,7 +12,7 @@ use tacc_metrics::Table;
 use tacc_sched::PolicyKind;
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let trace = standard_trace(7.0, 4.0);
     let headline = format!(
         "T1: {} submissions over 7 days, 256 GPUs, load factor 4",

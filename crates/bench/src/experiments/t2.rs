@@ -13,7 +13,7 @@ use tacc_metrics::{Cell, Summary, Table};
 use tacc_sched::PlacementStrategy;
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let trace = multinode_trace(7.0, 1.2, 0.25);
     let headline = format!(
         "T2: placement comparison ({} submissions, 25% multi-node, load 1.2)",

@@ -12,7 +12,7 @@ use tacc_compiler::{Compiler, CompilerConfig};
 use tacc_metrics::{Summary, Table};
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let trace = standard_trace(7.0, 1.0);
     let schemas: Vec<_> = trace
         .records()

@@ -15,7 +15,7 @@ use tacc_metrics::{Summary, Table};
 use tacc_workload::{GenParams, TraceGenerator};
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let headline = "T5: rigid vs elastic gang admission".to_owned();
     let mut table = Table::new(
         "T5: rigid vs elastic gang admission",

@@ -42,7 +42,7 @@ fn replay(label: &str, spec: ClusterSpec) -> Vec<Cell> {
 }
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let headline = "T6: heterogeneous pools under the same demand (7 days, load 2)".to_owned();
     r.line(&format!("{headline}\n"));
     let mut table = Table::new(

@@ -17,7 +17,7 @@ use tacc_sched::PolicyKind;
 const SECS_PER_HOUR: f64 = 3600.0;
 
 /// Runs the experiment against `r`.
-pub fn run(r: &mut dyn Reporter) -> ExperimentResult {
+pub fn run(r: &mut Reporter) -> ExperimentResult {
     let trace = standard_trace(7.0, 4.0);
     let headline = format!(
         "T7: goodput decomposition of {} submissions over 7 days, faults on",

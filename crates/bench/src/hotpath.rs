@@ -2,11 +2,11 @@
 //!
 //! Wall-clock benchmarks do not regress-gate well on shared CI runners, so
 //! this harness leans on the scheduler's deterministic [`WorkCounters`]:
-//! counts of algorithmic work (queue sorts performed and skipped, snapshot
-//! elements copied, placement attempts, node scans, O(1) fast-path rejects)
-//! that are byte-identical across runs of the same scenario. CI runs every
-//! scenario twice and gates on exact counter equality; wall time is
-//! recorded alongside as informational context only.
+//! counts of algorithmic work (queue sorts performed and skipped,
+//! placement attempts, node scans, O(1) fast-path rejects) that are
+//! byte-identical across runs of the same scenario. CI runs every scenario
+//! twice and gates on exact counter equality; wall time is recorded
+//! alongside as informational context only.
 //!
 //! Each scenario replays a canonical trace through a full [`Platform`]
 //! configured to stress one hot-path regime:
@@ -24,9 +24,7 @@
 //!
 //! The temporal-planner counters (`slot_splits`, `slot_intersections`,
 //! `slot_rebuilds`) count slot boundary creations, per-slot interval
-//! operations, and full timeline rebuilds; `snapshot_elements` collapsed
-//! to zero when the round walk stopped copying the queue and is kept for
-//! history comparability.
+//! operations, and full timeline rebuilds.
 
 use std::time::Instant;
 
@@ -177,11 +175,6 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
     }
 }
 
-/// Runs every scenario in order.
-pub fn run_all() -> Vec<ScenarioOutcome> {
-    SCENARIOS.iter().map(run_scenario).collect()
-}
-
 /// The deterministic portion of an outcome as JSON — exactly the bytes the
 /// CI gate compares across runs (no wall time).
 pub fn counters_json(outcome: &ScenarioOutcome) -> Json {
@@ -197,7 +190,6 @@ fn counter_fields(outcome: &ScenarioOutcome) -> Vec<(&'static str, Json)> {
         ("empty_rounds", c_num(c.empty_rounds)),
         ("queue_sorts", c_num(c.queue_sorts)),
         ("queue_sorts_skipped", c_num(c.queue_sorts_skipped)),
-        ("snapshot_elements", c_num(c.snapshot_elements)),
         ("skip_records", c_num(c.skip_records)),
         ("skip_suppressions", c_num(c.skip_suppressions)),
         ("placement_attempts", c_num(c.plan.attempts)),
@@ -216,9 +208,8 @@ fn counter_fields(outcome: &ScenarioOutcome) -> Vec<(&'static str, Json)> {
 }
 
 /// Full report document for `BENCH_hotpath.json`: per-scenario counters
-/// and wall times, plus (when provided) the measured full-suite serial
-/// wall times before and after the hot-path work.
-pub fn report_json(outcomes: &[ScenarioOutcome], suite: Option<(f64, f64)>) -> Json {
+/// and wall times.
+pub fn report_json(outcomes: &[ScenarioOutcome]) -> Json {
     let scenarios = outcomes
         .iter()
         .map(|o| {
@@ -227,7 +218,7 @@ pub fn report_json(outcomes: &[ScenarioOutcome], suite: Option<(f64, f64)>) -> J
             obj(fields)
         })
         .collect();
-    let mut doc = vec![
+    obj(vec![
         (
             "note",
             Json::Str(
@@ -235,23 +226,7 @@ pub fn report_json(outcomes: &[ScenarioOutcome], suite: Option<(f64, f64)>) -> J
             ),
         ),
         ("scenarios", Json::Arr(scenarios)),
-    ];
-    if let Some((before, after)) = suite {
-        let speedup = if after > 0.0 {
-            Json::num(before / after)
-        } else {
-            Json::Null
-        };
-        doc.push((
-            "full_suite_serial",
-            obj(vec![
-                ("baseline_secs", Json::num(before)),
-                ("optimized_secs", Json::num(after)),
-                ("speedup", speedup),
-            ]),
-        ));
-    }
-    obj(doc)
+    ])
 }
 
 /// Compares fresh scenario counters against a committed report document
@@ -360,7 +335,7 @@ mod tests {
             wall_secs: 0.1,
         };
         let mut committed =
-            tacc_json::parse(&report_json(&[outcome], None).to_string()).expect("report parses");
+            tacc_json::parse(&report_json(&[outcome]).to_string()).expect("report parses");
         // Green on the unmodified report…
         let fresh = ScenarioOutcome {
             id: "fixture",
@@ -403,20 +378,5 @@ mod tests {
             crate::gha::format_error("BENCH_hotpath.json", "planner counter drift", &detail);
         assert!(annotation.starts_with("::error file=BENCH_hotpath.json,"));
         assert!(annotation.contains("slot_splits"));
-    }
-
-    #[test]
-    fn report_embeds_suite_timings() {
-        let outcome = ScenarioOutcome {
-            id: "x",
-            jobs: 0,
-            rounds: 1,
-            counters: WorkCounters::default(),
-            wall_secs: 0.5,
-        };
-        let doc = report_json(&[outcome], Some((70.0, 35.0)));
-        let text = doc.to_string();
-        assert!(text.contains("\"baseline_secs\":70"));
-        assert!(text.contains("\"speedup\":2"));
     }
 }

@@ -2,40 +2,20 @@
 //!
 //! Experiment-regeneration harnesses for the `tacc-rs` reproduction.
 //!
-//! Every table and figure in EXPERIMENTS.md has a binary here that
-//! regenerates it:
+//! Two binaries:
 //!
-//! | Target | Experiment |
+//! | Target | What it does |
 //! |---|---|
-//! | `exp_f1` | F1 — trace characterization |
-//! | `exp_t1` | T1 — scheduling policy comparison |
-//! | `exp_f2` | F2 — utilization: static partition vs borrowing |
-//! | `exp_f3` | F3 — fairness under load sweep |
-//! | `exp_f4` | F4 — backfill effectiveness |
-//! | `exp_f5` | F5 — preemption & checkpoint-interval ablation |
-//! | `exp_t2` | T2 — placement strategy comparison |
-//! | `exp_t3` | T3 — compiler delta cache |
-//! | `exp_f6` | F6 — distributed-training scaling |
-//! | `exp_f7` | F7 — failure injection & fail-safe switching |
-//! | `exp_f8` | F8 — dataset staging from the shared filesystem |
-//! | `exp_f9` | F9 — gang time-slicing |
-//! | `exp_t5` | T5 — elastic (Pollux-style) admission |
-//! | `exp_f10` | F10 — capacity planning curve |
-//! | `exp_t6` | T6 — heterogeneous GPU pools |
-//! | `exp_t7` | T7 — ML Productivity Goodput decomposition |
-//! | `service` | Service mode — durable-admission throughput/latency against a live `taccd` (BENCH_service.json) |
-//!
-//! The `exp_*` binaries are thin shims over the [`registry`]: each
-//! experiment body lives in [`experiments`] as a pure
-//! `fn(&mut dyn Reporter) -> ExperimentResult`. The preferred entry point
-//! is the unified runner, which fans experiments and their sweep cells out
-//! across threads and gates results against golden JSON snapshots in
-//! `crates/bench/golden/`:
+//! | `experiments` | regenerates any EXPERIMENTS.md table or figure by id (`experiments f3 t1`), fans experiments and their sweep cells out across threads, and gates results against the golden JSON snapshots in `crates/bench/golden/`; also hosts the `--determinism` double replay |
+//! | `perf` | the scheduler hot-path harness: exact work counters per scenario, gated against `BENCH_hotpath.json` |
 //!
 //! ```sh
 //! cargo run --release -p tacc-bench --bin experiments -- --check   # regression gate
 //! cargo run --release -p tacc-bench --bin experiments -- --bless   # update goldens
 //! ```
+//!
+//! Each experiment body lives in [`experiments`] as a pure
+//! `fn(&mut Reporter) -> ExperimentResult`, listed in the [`registry`].
 //!
 //! This library holds the shared setup (canonical cluster and trace
 //! definitions), the experiment registry, and the runner's supporting
@@ -50,7 +30,6 @@ pub mod gha;
 pub mod hotpath;
 pub mod registry;
 pub mod report;
-pub mod service;
 
 pub use tacc_par as par;
 

@@ -1,13 +1,12 @@
 //! The experiment registry: every EXPERIMENTS.md table/figure as a named,
 //! runnable entry.
 //!
-//! Each experiment is a pure `fn(&mut dyn Reporter) -> ExperimentResult`
-//! over the canonical trace definitions in the crate root, so the same
-//! function backs the legacy `exp_*` binary (streaming to stdout), the
-//! parallel `experiments` runner, and the golden-snapshot check.
+//! Each experiment is a pure `fn(&mut Reporter) -> ExperimentResult` over
+//! the canonical trace definitions in the crate root; the `experiments`
+//! runner prints its text and gates its JSON against the golden snapshot.
 
 use crate::experiments;
-use crate::report::{ExperimentResult, PrintReporter, RecordingReporter, Reporter};
+use crate::report::{ExperimentResult, Reporter};
 use std::time::Instant;
 use tacc_json::Json;
 
@@ -39,7 +38,7 @@ pub struct ExperimentSpec {
     /// Cost class for CI tiering.
     pub tier: Tier,
     /// The experiment body.
-    pub run: fn(&mut dyn Reporter) -> ExperimentResult,
+    pub run: fn(&mut Reporter) -> ExperimentResult,
 }
 
 /// Every experiment, in EXPERIMENTS.md presentation order.
@@ -148,23 +147,12 @@ pub fn find(id: &str) -> Option<&'static ExperimentSpec> {
     ALL.iter().find(|e| e.id == id)
 }
 
-/// Entry point for the thin `exp_*` shims: stream one experiment to stdout.
-///
-/// # Panics
-///
-/// Panics if `id` is not a registered experiment (a shim/registry mismatch
-/// is a bug, not a user error).
-pub fn run_binary(id: &str) {
-    let spec = find(id).unwrap_or_else(|| panic!("experiment `{id}` is not registered"));
-    (spec.run)(&mut PrintReporter);
-}
-
 /// One recorded run: everything the runner needs for printing, golden
 /// comparison, and the sweep summary.
 pub struct RunOutcome {
     /// The experiment that ran.
     pub spec: &'static ExperimentSpec,
-    /// Human-readable text, byte-identical to the shim's stdout.
+    /// Human-readable text: what `experiments <id>` prints.
     pub text: String,
     /// Golden JSON document (excludes wall-clock, which is not
     /// reproducible).
@@ -173,11 +161,11 @@ pub struct RunOutcome {
     pub wall_secs: f64,
 }
 
-/// Runs one experiment with a recording reporter.
+/// Runs one experiment, recording its output.
 pub fn run_recorded(spec: &'static ExperimentSpec) -> RunOutcome {
-    // tacc-lint: allow(wall-clock, reason = "per-experiment wall time for the sweep summary; excluded from golden JSON and never compared")
+    // tacc-lint: allow(wall-clock, reason = "per-experiment wall time for the --check progress lines; excluded from golden JSON and never compared")
     let start = Instant::now();
-    let mut reporter = RecordingReporter::new();
+    let mut reporter = Reporter::new();
     let result = (spec.run)(&mut reporter);
     let wall_secs = start.elapsed().as_secs_f64();
     let text = reporter.text().to_owned();

@@ -1,9 +1,8 @@
-//! Experiment output capture: one [`Reporter`] sink per run.
+//! Experiment output capture: one [`Reporter`] per run.
 //!
-//! Experiments write their output through a `Reporter` instead of printing
-//! directly, so the same function can stream to stdout (the thin `exp_*`
-//! shims), or record text *and* a machine-readable JSON document (the
-//! `experiments` runner's golden snapshots).
+//! Experiments write their output through a `Reporter` instead of
+//! printing, so one run yields both the text `experiments <id>` prints and
+//! the machine-readable JSON document the golden snapshots compare.
 
 use tacc_json::{obj, Json};
 use tacc_metrics::{Cell, Table};
@@ -15,50 +14,25 @@ pub struct ExperimentResult {
     pub headline: String,
 }
 
-/// Sink for experiment output.
+/// Captures experiment output as text plus a deterministic JSON document.
 ///
 /// `line` carries prose and commentary (a trailing `\n` inside the string
-/// reproduces the blank separator lines of the original binaries);
-/// `table` carries structured figure/table data.
-pub trait Reporter {
-    /// Reports one line of prose (without its terminating newline).
-    fn line(&mut self, text: &str);
-    /// Reports a rendered table.
-    fn table(&mut self, table: &Table);
-}
-
-/// Streams output to stdout exactly as the original `exp_*` binaries did.
+/// leaves a blank separator line); `table` carries structured figure/table
+/// data.
 #[derive(Debug, Default)]
-pub struct PrintReporter;
-
-// The one sanctioned stdout sink: every experiment binary prints through
-// this impl, which is what lets `print_stdout` stay denied everywhere else.
-#[allow(clippy::print_stdout)]
-impl Reporter for PrintReporter {
-    fn line(&mut self, text: &str) {
-        println!("{text}");
-    }
-
-    fn table(&mut self, table: &Table) {
-        println!("{table}");
-    }
-}
-
-/// Captures output as text plus a deterministic JSON document.
-#[derive(Debug, Default)]
-pub struct RecordingReporter {
+pub struct Reporter {
     text: String,
     lines: Vec<String>,
     tables: Vec<Json>,
 }
 
-impl RecordingReporter {
+impl Reporter {
     /// A fresh, empty recorder.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The accumulated human-readable text (what the shim would print).
+    /// The accumulated human-readable text.
     pub fn text(&self) -> &str {
         &self.text
     }
@@ -74,16 +48,16 @@ impl RecordingReporter {
             ("tables", Json::Arr(self.tables)),
         ])
     }
-}
 
-impl Reporter for RecordingReporter {
-    fn line(&mut self, text: &str) {
+    /// Reports one line of prose (without its terminating newline).
+    pub fn line(&mut self, text: &str) {
         self.text.push_str(text);
         self.text.push('\n');
         self.lines.push(text.to_owned());
     }
 
-    fn table(&mut self, table: &Table) {
+    /// Reports a rendered table.
+    pub fn table(&mut self, table: &Table) {
         self.text.push_str(&table.to_string());
         self.text.push('\n');
         self.tables.push(table_json(table));
@@ -127,7 +101,7 @@ mod tests {
     fn recorder_matches_print_format() {
         let mut t = Table::new("demo", &["a"]);
         t.row(vec![Cell::Num(1.25, 1)]);
-        let mut r = RecordingReporter::new();
+        let mut r = Reporter::new();
         r.line("hello\n");
         r.table(&t);
         // println!("hello\n") emits "hello\n\n"; println!("{t}") appends a

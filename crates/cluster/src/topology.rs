@@ -152,12 +152,6 @@ impl Topology {
         }
     }
 
-    /// Bandwidth in Gbit/s between two nodes (intra-node bandwidth when
-    /// `a == b`).
-    pub fn bandwidth_between_gbps(&self, a: NodeId, b: NodeId) -> f64 {
-        self.speeds.bandwidth_gbps(self.tier_between(a, b))
-    }
-
     /// The narrowest link tier among a set of nodes — the bandwidth a
     /// ring collective over those nodes is bottlenecked by.
     ///

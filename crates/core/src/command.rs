@@ -16,7 +16,7 @@
 use tacc_cluster::NodeId;
 use tacc_sched::CapacityWindow;
 use tacc_sim::SimTime;
-use tacc_workload::{JobId, TaskSchema};
+use tacc_workload::{JobId, TaskSchema, TraceRecord};
 
 use std::fmt;
 
@@ -214,10 +214,11 @@ impl std::error::Error for CommandError {}
 impl Platform {
     /// Applies one command at the current platform time.
     ///
-    /// This is the single external-ingestion entry point: the DES-driven
-    /// harnesses, the `taccd` daemon and journal replay all funnel
-    /// through here, so live operation and crash recovery take literally
-    /// the same code path.
+    /// This is the single external-ingestion entry point: the library
+    /// `tcloud` client, the `taccd` daemon and journal replay all funnel
+    /// through here, so a client session, live operation and crash
+    /// recovery take literally the same code path. (Trace arrivals are
+    /// DES events, not requests: see [`Platform::load_trace`].)
     ///
     /// # Errors
     ///
@@ -242,7 +243,13 @@ impl Platform {
                         "service time {service_secs}s must be positive and finite"
                     )));
                 }
-                let job = self.submit_schema(schema.clone(), *service_secs);
+                let job = self.do_submit(TraceRecord {
+                    submit_secs: self.clock.now().as_secs(),
+                    schema: schema.clone(),
+                    service_secs: *service_secs,
+                    cancel_after_secs: None,
+                });
+                self.run_round();
                 Ok(CommandOutcome::Submitted { job })
             }
             Command::Cancel { job } => {
@@ -298,7 +305,7 @@ impl Platform {
                     return Err(CommandError::UnknownNode(*node));
                 }
                 let node = NodeId::from_index(*node as usize);
-                self.drain_node(node);
+                self.cluster.drain(node);
                 Ok(CommandOutcome::Drained { node })
             }
             Command::Undrain { node } => {
@@ -306,7 +313,8 @@ impl Platform {
                     return Err(CommandError::UnknownNode(*node));
                 }
                 let node = NodeId::from_index(*node as usize);
-                self.undrain_node(node);
+                self.cluster.undrain(node);
+                self.run_round();
                 Ok(CommandOutcome::Undrained { node })
             }
             Command::Advance { secs } => {

@@ -56,7 +56,6 @@ pub(crate) struct TransitionLog {
     capacity: usize,
     buf: VecDeque<TransitionRecord>,
     dropped: u64,
-    total: u64,
     illegal: u64,
 }
 
@@ -66,13 +65,11 @@ impl TransitionLog {
             capacity: capacity.max(1),
             buf: VecDeque::new(),
             dropped: 0,
-            total: 0,
             illegal: 0,
         }
     }
 
     fn record(&mut self, rec: TransitionRecord) {
-        self.total += 1;
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -224,11 +221,6 @@ impl Platform {
             .collect()
     }
 
-    /// Total lifecycle transitions ever applied (survives ring eviction).
-    pub fn transitions_recorded(&self) -> u64 {
-        self.transitions.total
-    }
-
     /// Transition records evicted from the bounded ring.
     pub fn transitions_dropped(&self) -> u64 {
         self.transitions.dropped
@@ -262,7 +254,7 @@ impl Platform {
     /// Cancels a job (user kill). Queued jobs are dequeued; running jobs
     /// are stopped and their resources freed. Returns `false` if the job
     /// does not exist or is already terminal.
-    pub fn cancel_job(&mut self, id: JobId) -> bool {
+    pub(crate) fn cancel_job(&mut self, id: JobId) -> bool {
         let now = self.clock.now().as_secs();
         let Some(slot) = self.jobs.get(id) else {
             return false;

@@ -25,7 +25,7 @@ use tacc_obs::{EventBus, EventRecord, MetricsRegistry, MetricsSnapshot, SpanBook
 use tacc_sched::Scheduler;
 use tacc_sim::{Clock, EventQueue, SimDuration, SimTime};
 use tacc_storage::{SharedStore, Staging};
-use tacc_workload::{Job, JobId, RuntimePreference, TaskSchema, Trace, TraceRecord};
+use tacc_workload::{Job, JobId, RuntimePreference, Trace, TraceRecord};
 
 use crate::accounting::CoreMetrics;
 use crate::arena::JobArena;
@@ -224,21 +224,6 @@ impl Platform {
         c
     }
 
-    /// Drains a node for maintenance: running leases finish normally but
-    /// nothing new is placed there. Returns `false` for unknown nodes.
-    pub fn drain_node(&mut self, node: NodeId) -> bool {
-        self.cluster.drain(node)
-    }
-
-    /// Returns a drained node to service and immediately reschedules.
-    pub fn undrain_node(&mut self, node: NodeId) -> bool {
-        let ok = self.cluster.undrain(node);
-        if ok {
-            self.run_round();
-        }
-        ok
-    }
-
     /// Looks up a job.
     pub fn job(&self, id: JobId) -> Option<&Job> {
         self.jobs.get(id).map(|slot| &slot.job)
@@ -289,22 +274,6 @@ impl Platform {
                 Event::Submit { record: idx },
             );
         }
-    }
-
-    /// Submits a task interactively at the current simulation time.
-    ///
-    /// `service_secs` is the oracle service requirement (what the task
-    /// would need under ideal execution).
-    pub fn submit_schema(&mut self, schema: TaskSchema, service_secs: f64) -> JobId {
-        let record = TraceRecord {
-            submit_secs: self.clock.now().as_secs(),
-            schema,
-            service_secs,
-            cancel_after_secs: None,
-        };
-        let id = self.do_submit(record);
-        self.run_round();
-        id
     }
 
     /// Schedules the user-cancellation event for a submitted record.

@@ -10,8 +10,8 @@
 //! and hands the raw event straight to the engine.
 
 use tacc_cluster::{ClusterSpec, GpuModel, ResourceVec};
-use tacc_core::{LifecycleError, Platform, PlatformConfig};
-use tacc_workload::{GroupId, JobEvent, JobEventKind, JobState, TaskSchema};
+use tacc_core::{Command, CommandOutcome, LifecycleError, Platform, PlatformConfig};
+use tacc_workload::{GroupId, JobEvent, JobEventKind, JobId, JobState, TaskSchema};
 
 fn tiny_config() -> PlatformConfig {
     PlatformConfig {
@@ -29,13 +29,25 @@ fn one_gpu_schema() -> TaskSchema {
         .expect("valid")
 }
 
+/// Submits through the command path and returns the minted id.
+fn submit(p: &mut Platform, schema: TaskSchema, service_secs: f64) -> JobId {
+    let command = Command::Submit {
+        schema,
+        service_secs,
+    };
+    match p.apply_command(&command) {
+        Ok(CommandOutcome::Submitted { job }) => job,
+        other => panic!("submit answered {other:?}"),
+    }
+}
+
 /// A stale node fault delivered after completion must bounce off the
 /// transition matrix as a typed [`IllegalTransition`], not corrupt the
 /// terminal state.
 #[test]
 fn stale_fault_after_completion_is_rejected_typed() {
     let mut p = Platform::new(tiny_config());
-    let id = p.submit_schema(one_gpu_schema(), 600.0);
+    let id = submit(&mut p, one_gpu_schema(), 600.0);
     p.run_until_idle();
     assert_eq!(p.job(id).expect("exists").state(), JobState::Completed);
     let transitions_before = p.transitions(id).len();
@@ -110,7 +122,7 @@ fn unknown_job_is_a_typed_error_not_a_panic() {
 #[test]
 fn transition_log_survives_rejection_unchanged() {
     let mut p = Platform::new(tiny_config());
-    let id = p.submit_schema(one_gpu_schema(), 600.0);
+    let id = submit(&mut p, one_gpu_schema(), 600.0);
     p.run_until_idle();
 
     let log = p.transitions(id);
@@ -139,7 +151,7 @@ fn transition_log_survives_rejection_unchanged() {
 #[test]
 fn every_stale_event_kind_is_rejected_on_terminal_job() {
     let mut p = Platform::new(tiny_config());
-    let id = p.submit_schema(one_gpu_schema(), 600.0);
+    let id = submit(&mut p, one_gpu_schema(), 600.0);
     p.run_until_idle();
 
     let stale = [

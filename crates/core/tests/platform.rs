@@ -4,7 +4,7 @@
 //! modules; they exercise only the public API.
 
 use tacc_cluster::{ClusterSpec, GpuModel, ResourceVec};
-use tacc_core::{Platform, PlatformConfig};
+use tacc_core::{Command, CommandOutcome, Platform, PlatformConfig};
 use tacc_exec::FailoverPolicy;
 use tacc_sched::QuotaMode;
 use tacc_sim::SimTime;
@@ -26,10 +26,31 @@ fn one_gpu_schema(group: usize) -> TaskSchema {
         .expect("valid")
 }
 
+/// Submits through the command path and returns the minted id.
+fn submit(p: &mut Platform, schema: TaskSchema, service_secs: f64) -> JobId {
+    let command = Command::Submit {
+        schema,
+        service_secs,
+    };
+    match p.apply_command(&command) {
+        Ok(CommandOutcome::Submitted { job }) => job,
+        other => panic!("submit answered {other:?}"),
+    }
+}
+
+/// Cancels through the command path; `false` when the job was already
+/// terminal.
+fn cancel(p: &mut Platform, job: JobId) -> bool {
+    match p.apply_command(&Command::Cancel { job }) {
+        Ok(CommandOutcome::Cancelled { applied, .. }) => applied,
+        other => panic!("cancel answered {other:?}"),
+    }
+}
+
 #[test]
 fn single_job_full_lifecycle() {
     let mut p = Platform::new(tiny_config());
-    let id = p.submit_schema(one_gpu_schema(0), 600.0);
+    let id = submit(&mut p, one_gpu_schema(0), 600.0);
     p.run_until_idle();
     let job = p.job(id).expect("exists");
     assert_eq!(job.state(), JobState::Completed);
@@ -78,7 +99,8 @@ fn determinism_across_runs() {
 #[test]
 fn infeasible_gang_rejected_at_admission() {
     let mut p = Platform::new(tiny_config()); // 2 nodes x 8 GPUs
-    let id = p.submit_schema(
+    let id = submit(
+        &mut p,
         TaskSchema::builder("too-big", GroupId::from_index(0))
             .workers(4)
             .resources(ResourceVec::gpus_only(8))
@@ -105,14 +127,14 @@ fn cancel_queued_job() {
         .est_duration_secs(1e6)
         .build()
         .expect("valid");
-    p.submit_schema(filler, 1e6);
+    submit(&mut p, filler, 1e6);
     p.run_until(SimTime::from_secs(1000.0)); // filler is now running
-    let id = p.submit_schema(one_gpu_schema(0), 600.0);
+    let id = submit(&mut p, one_gpu_schema(0), 600.0);
     p.run_until(SimTime::from_secs(3600.0));
     assert_eq!(p.job(id).expect("exists").state(), JobState::Queued);
-    assert!(p.cancel_job(id));
+    assert!(cancel(&mut p, id));
     assert_eq!(p.job(id).expect("exists").state(), JobState::Cancelled);
-    assert!(!p.cancel_job(id));
+    assert!(!cancel(&mut p, id));
 }
 
 #[test]
@@ -121,7 +143,7 @@ fn over_quota_request_rejected_at_admission() {
     cfg.scheduler.quota = QuotaMode::Static;
     cfg.scheduler.quotas = vec![0; 8]; // no group may run anything
     let mut p = Platform::new(cfg);
-    let id = p.submit_schema(one_gpu_schema(0), 600.0);
+    let id = submit(&mut p, one_gpu_schema(0), 600.0);
     p.run_until_idle();
     assert_eq!(p.job(id).expect("exists").state(), JobState::Failed);
     assert_eq!(p.report().rejected, 1);
@@ -130,11 +152,11 @@ fn over_quota_request_rejected_at_admission() {
 #[test]
 fn cancel_running_job_frees_gpus() {
     let mut p = Platform::new(tiny_config());
-    let id = p.submit_schema(one_gpu_schema(0), 1e6);
+    let id = submit(&mut p, one_gpu_schema(0), 1e6);
     p.run_until(SimTime::from_secs(7200.0));
     assert_eq!(p.job(id).expect("exists").state(), JobState::Running);
     assert_eq!(p.cluster().free_gpus(), 15);
-    assert!(p.cancel_job(id));
+    assert!(cancel(&mut p, id));
     assert_eq!(p.cluster().free_gpus(), 16);
     assert!(p.cluster().check_invariants());
 }
@@ -147,7 +169,8 @@ fn preemption_round_trips_through_requeue() {
     cfg.scheduler.group_count = 8;
     let mut p = Platform::new(cfg);
     // Borrower occupies everything.
-    let borrower = p.submit_schema(
+    let borrower = submit(
+        &mut p,
         TaskSchema::builder("borrower", GroupId::from_index(0))
             .workers(2)
             .resources(ResourceVec::gpus_only(8))
@@ -160,7 +183,8 @@ fn preemption_round_trips_through_requeue() {
     p.run_until(SimTime::from_secs(3600.0));
     assert_eq!(p.job(borrower).expect("exists").state(), JobState::Running);
     // Owner reclaims.
-    let owner = p.submit_schema(
+    let owner = submit(
+        &mut p,
         TaskSchema::builder("owner", GroupId::from_index(1))
             .resources(ResourceVec::gpus_only(8))
             .est_duration_secs(600.0)
@@ -182,18 +206,20 @@ fn preemption_round_trips_through_requeue() {
 fn drained_node_empties_then_rejoins() {
     let mut p = Platform::new(tiny_config()); // 2 nodes x 8
     let drained = tacc_cluster::NodeId::from_index(0);
-    assert!(p.drain_node(drained));
+    p.apply_command(&Command::Drain { node: 0 })
+        .expect("node exists");
     // A full-cluster-sized stream of 1-GPU jobs lands only on node 1.
     for i in 0..8 {
-        p.submit_schema(one_gpu_schema(i % 8), 600.0);
+        submit(&mut p, one_gpu_schema(i % 8), 600.0);
     }
     p.run_until(SimTime::from_secs(300.0));
     let n0 = p.cluster().node(drained).expect("exists");
     assert_eq!(n0.used().gpus, 0, "drained node must stay empty");
     assert!(!n0.is_schedulable());
     // Undraining lets queued/new work use it again.
-    assert!(p.undrain_node(drained));
-    let id = p.submit_schema(one_gpu_schema(0), 600.0);
+    p.apply_command(&Command::Undrain { node: 0 })
+        .expect("node exists");
+    let id = submit(&mut p, one_gpu_schema(0), 600.0);
     p.run_until_idle();
     assert_eq!(p.job(id).expect("exists").state(), JobState::Completed);
     assert!(p.cluster().check_invariants());
@@ -205,7 +231,8 @@ fn time_slicing_rotates_best_effort_monopolist() {
     cfg.scheduler.time_slice_secs = Some(1800.0);
     let mut p = Platform::new(cfg);
     // A best-effort gang takes the whole 16-GPU cluster for a long run.
-    let hog = p.submit_schema(
+    let hog = submit(
+        &mut p,
         TaskSchema::builder("hog", GroupId::from_index(0))
             .workers(2)
             .resources(ResourceVec::gpus_only(8))
@@ -217,7 +244,8 @@ fn time_slicing_rotates_best_effort_monopolist() {
     );
     p.run_until(SimTime::from_secs(600.0));
     // A short guaranteed job arrives and must not wait 11 hours.
-    let quick = p.submit_schema(
+    let quick = submit(
+        &mut p,
         TaskSchema::builder("quick", GroupId::from_index(1))
             .resources(ResourceVec::gpus_only(8))
             .est_duration_secs(900.0)
@@ -243,7 +271,8 @@ fn time_slicing_rotates_best_effort_monopolist() {
 fn elastic_job_starts_shrunk_and_runs_longer() {
     let mut p = Platform::new(tiny_config()); // 2 nodes x 8
                                               // Occupy one node for a long time.
-    p.submit_schema(
+    submit(
+        &mut p,
         TaskSchema::builder("filler", GroupId::from_index(0))
             .resources(ResourceVec::gpus_only(8))
             .est_duration_secs(1e6)
@@ -254,7 +283,8 @@ fn elastic_job_starts_shrunk_and_runs_longer() {
     p.run_until(SimTime::from_secs(500.0));
     // An elastic 2x8 gang only finds one node: granted 1 worker and
     // stretched ~2x.
-    let id = p.submit_schema(
+    let id = submit(
+        &mut p,
         TaskSchema::builder("elastic", GroupId::from_index(1))
             .workers(2)
             .resources(ResourceVec::gpus_only(8))
@@ -287,7 +317,8 @@ fn failure_injection_with_failover_still_completes() {
     cfg.node_mtbf_secs = Some(4000.0); // aggressive faults
     cfg.failover = FailoverPolicy::SwitchRuntime;
     let mut p = Platform::new(cfg);
-    let id = p.submit_schema(
+    let id = submit(
+        &mut p,
         TaskSchema::builder("long", GroupId::from_index(0))
             .workers(2)
             .resources(ResourceVec::gpus_only(8))
@@ -335,7 +366,7 @@ fn job_log_is_bounded_and_counts_drops() {
     let mut cfg = tiny_config();
     cfg.log_lines_per_job = 2;
     let mut p = Platform::new(cfg);
-    let id = p.submit_schema(one_gpu_schema(0), 600.0);
+    let id = submit(&mut p, one_gpu_schema(0), 600.0);
     p.run_until_idle();
     // The lifecycle emits at least submitted/compiled/queued/started/
     // completed; only the newest two lines survive.
@@ -398,9 +429,9 @@ fn why_explains_a_stuck_job() {
         .est_duration_secs(1e6)
         .build()
         .expect("valid");
-    p.submit_schema(filler, 1e6);
+    submit(&mut p, filler, 1e6);
     p.run_until(SimTime::from_secs(1000.0));
-    let id = p.submit_schema(one_gpu_schema(1), 600.0);
+    let id = submit(&mut p, one_gpu_schema(1), 600.0);
     p.run_until(SimTime::from_secs(2000.0));
     assert_eq!(p.job(id).expect("exists").state(), JobState::Queued);
     let why = p.why(id).expect("known job");
@@ -414,7 +445,7 @@ fn why_explains_a_stuck_job() {
 #[test]
 fn metrics_span_all_layers() {
     let mut p = Platform::new(tiny_config());
-    p.submit_schema(one_gpu_schema(0), 600.0);
+    submit(&mut p, one_gpu_schema(0), 600.0);
     p.run_until_idle();
     let snap = p.metrics();
     assert_eq!(snap.counter("tacc_core_jobs_submitted_total"), Some(1));
@@ -443,7 +474,8 @@ fn failure_injection_without_failover_fails_jobs() {
     cfg.node_mtbf_secs = Some(2000.0);
     cfg.failover = FailoverPolicy::FailJob;
     let mut p = Platform::new(cfg);
-    let id = p.submit_schema(
+    let id = submit(
+        &mut p,
         TaskSchema::builder("doomed", GroupId::from_index(0))
             .workers(2)
             .resources(ResourceVec::gpus_only(8))

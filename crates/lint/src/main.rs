@@ -5,7 +5,6 @@
 //! cargo run -p tacc-lint --release -- --json report.json   # artifact
 //! cargo run -p tacc-lint --release -- --sarif lint.sarif   # code scanning
 //! cargo run -p tacc-lint --release -- --bless-baseline     # ratchet L5
-//! cargo run -p tacc-lint --release -- --bench BENCH_hotpath.json
 //! ```
 
 // The lint binary is a CLI: its report goes to stdout by design.
@@ -22,7 +21,6 @@ struct Cli {
     quiet: bool,
     json_path: Option<PathBuf>,
     sarif_path: Option<PathBuf>,
-    bench_path: Option<PathBuf>,
     options: Options,
 }
 
@@ -33,7 +31,6 @@ fn parse_args() -> Result<Cli, String> {
         quiet: false,
         json_path: None,
         sarif_path: None,
-        bench_path: None,
         options: Options::default(),
     };
     let mut args = std::env::args().skip(1);
@@ -47,9 +44,6 @@ fn parse_args() -> Result<Cli, String> {
             }
             "--sarif" => {
                 cli.sarif_path = Some(PathBuf::from(args.next().ok_or("--sarif needs a path")?));
-            }
-            "--bench" => {
-                cli.bench_path = Some(PathBuf::from(args.next().ok_or("--bench needs a path")?));
             }
             "--jobs" => {
                 let n: usize = args
@@ -66,12 +60,11 @@ fn parse_args() -> Result<Cli, String> {
                 println!(
                     "lint: tacc-rs workspace determinism & architecture checks\n\n\
                      usage: lint [--root PATH] [--check] [--json PATH] [--sarif PATH]\n\
-                     \x20      [--bench PATH] [--jobs N] [--bless-baseline] [--quiet]\n\n\
+                     \x20      [--jobs N] [--bless-baseline] [--quiet]\n\n\
                      --root PATH        workspace root (default: .)\n\
                      --check            exit nonzero when findings exist (CI gate)\n\
                      --json PATH        also write the byte-stable JSON report\n\
                      --sarif PATH       also write a SARIF 2.1.0 report (code scanning)\n\
-                     --bench PATH       splice analyzer cost into the given BENCH json\n\
                      --jobs N           bound the scan parallelism\n\
                      --bless-baseline   rewrite lint-baseline.json from the current tree\n\
                      --quiet            suppress the text report"
@@ -92,10 +85,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Analyzer cost for the --bench section: wall time is informational
-    // only (never compared by the perf gate), measured at the CLI edge.
-    // tacc-lint: allow(wall-clock, reason = "measurement-only analyzer cost for BENCH json")
-    let started = std::time::Instant::now();
     let report = match run(&cli.root, &cli.options) {
         Ok(report) => report,
         Err(err) => {
@@ -103,7 +92,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let wall_secs = started.elapsed().as_secs_f64();
     if !cli.quiet {
         print!("{}", report.to_text());
     }
@@ -117,31 +105,6 @@ fn main() -> ExitCode {
         if let Err(err) = std::fs::write(path, report.to_sarif()) {
             eprintln!("lint: writing {}: {err}", path.display());
             return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = &cli.bench_path {
-        let doc = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_owned());
-        let section = format!(
-            "{{\n    \"files_scanned\": {},\n    \"fns\": {},\n    \"call_edges\": {},\n    \
-             \"reachable_fns\": {},\n    \"panic_sites_skipped\": {},\n    \
-             \"findings\": {},\n    \"suppressions\": {},\n    \
-             \"wall_secs_informational\": {:.3}\n  }}",
-            report.files_scanned,
-            report.symbols.fns,
-            report.symbols.call_edges,
-            report.symbols.reachable_fns,
-            report.symbols.panic_sites_skipped,
-            report.findings.len(),
-            report.suppressed.len(),
-            wall_secs
-        );
-        let spliced = tacc_lint::render::splice_top_level(&doc, "lint", &section);
-        if let Err(err) = std::fs::write(path, spliced) {
-            eprintln!("lint: writing {}: {err}", path.display());
-            return ExitCode::from(2);
-        }
-        if !cli.quiet {
-            println!("lint: refreshed the lint section of {}", path.display());
         }
     }
     if let Some(content) = &report.blessed_baseline {

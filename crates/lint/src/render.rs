@@ -220,107 +220,6 @@ impl Report {
     }
 }
 
-/// Splices `value` (a rendered JSON value) in as the `key` member of the
-/// top-level object in `doc`, replacing an existing member or appending
-/// a new one. String- and depth-aware but otherwise format-preserving,
-/// so the perf harness's committed `BENCH_hotpath.json` keeps its
-/// scenario bytes untouched when the lint section is refreshed.
-pub fn splice_top_level(doc: &str, key: &str, value: &str) -> String {
-    let bytes = doc.as_bytes();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut escape = false;
-    let mut i = 0usize;
-    let needle = format!("\"{key}\"");
-
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if in_str {
-            if escape {
-                escape = false;
-            } else if c == '\\' {
-                escape = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            i += 1;
-            continue;
-        }
-        match c {
-            '"' => {
-                if depth == 1 && doc[i..].starts_with(&needle) {
-                    // Member found: replace its value span.
-                    let mut j = i + needle.len();
-                    while j < bytes.len() && (bytes[j] as char).is_whitespace() {
-                        j += 1;
-                    }
-                    if j < bytes.len() && bytes[j] == b':' {
-                        j += 1;
-                        while j < bytes.len() && (bytes[j] as char).is_whitespace() {
-                            j += 1;
-                        }
-                        let end = value_end(doc, j);
-                        return format!("{}{}{}", &doc[..j], value, &doc[end..]);
-                    }
-                }
-                in_str = true;
-            }
-            '{' | '[' => depth += 1,
-            '}' | ']' => depth -= 1,
-            _ => {}
-        }
-        i += 1;
-    }
-
-    // No existing member: insert before the final `}`.
-    let Some(close) = doc.rfind('}') else {
-        return format!("{{\n  \"{key}\": {value}\n}}\n");
-    };
-    let body = doc[..close].trim_end();
-    let empty = body.trim_start().len() <= 1; // just `{`
-    let sep = if empty { "" } else { "," };
-    format!("{body}{sep}\n  \"{key}\": {value}\n{}", &doc[close..])
-}
-
-/// Index one past the end of the JSON value starting at `start`.
-fn value_end(doc: &str, start: usize) -> usize {
-    let bytes = doc.as_bytes();
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut escape = false;
-    let mut i = start;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if in_str {
-            if escape {
-                escape = false;
-            } else if c == '\\' {
-                escape = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-        } else {
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => {
-                    if depth == 0 {
-                        return i; // scalar value ran into the container close
-                    }
-                    depth -= 1;
-                    if depth == 0 {
-                        return i + 1;
-                    }
-                }
-                ',' if depth == 0 => return i,
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    i
-}
-
 fn write_findings<'a>(
     out: &mut String,
     items: impl Iterator<Item = (&'a Finding, Option<&'a str>)>,
@@ -432,31 +331,5 @@ mod tests {
     fn sarif_with_no_results_is_an_empty_array() {
         let r = Report::default();
         assert!(r.to_sarif().contains("\"results\": []"));
-    }
-
-    #[test]
-    fn splice_appends_a_missing_section() {
-        let doc = "{\n  \"scenarios\": [\n    {\"name\": \"a\"}\n  ]\n}\n";
-        let out = splice_top_level(doc, "lint", "{\"files_scanned\": 3}");
-        assert!(out.contains("\"scenarios\""));
-        assert!(out.contains(",\n  \"lint\": {\"files_scanned\": 3}\n}"));
-    }
-
-    #[test]
-    fn splice_replaces_an_existing_section_preserving_the_rest() {
-        let doc = "{\n  \"lint\": {\"files_scanned\": 1},\n  \"scenarios\": [{\"k\": \"}\"}]\n}\n";
-        let out = splice_top_level(doc, "lint", "{\"files_scanned\": 9}");
-        assert!(out.contains("\"lint\": {\"files_scanned\": 9}"));
-        assert!(!out.contains("\"files_scanned\": 1"));
-        // The brace inside the string literal did not confuse the walk.
-        assert!(out.contains("[{\"k\": \"}\"}]"));
-    }
-
-    #[test]
-    fn splice_into_an_empty_document() {
-        let out = splice_top_level("{}\n", "lint", "{\"files_scanned\": 0}");
-        assert!(out.contains("\"lint\": {\"files_scanned\": 0}"));
-        let out2 = splice_top_level("", "lint", "1");
-        assert!(out2.contains("\"lint\": 1"));
     }
 }

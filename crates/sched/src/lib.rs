@@ -57,7 +57,6 @@
 mod backfill;
 mod placement;
 mod policy;
-mod procset;
 mod quota;
 pub mod reference;
 mod request;
@@ -67,7 +66,6 @@ mod slotset;
 pub use backfill::BackfillMode;
 pub use placement::{PlacementStrategy, PlanStats, Planner};
 pub use policy::PolicyKind;
-pub use procset::ProcSet;
 pub use quota::{QuotaMode, QuotaTable};
 pub use request::{Decision, RunningTask, SchedOutcome, StartedTask, TaskRequest};
 pub use scheduler::{Scheduler, SchedulerConfig, WorkCounters};

@@ -148,10 +148,10 @@ pub struct Scheduler {
     /// consecutive blocked guaranteed jobs within a round share one clone.
     reclaim_cache: Option<(u64, Cluster)>,
     /// The slot-set temporal planner: the future availability profile as
-    /// time slots over [`ProcSet`](crate::ProcSet)s, maintained
-    /// incrementally (split on placement, merge on release) and keyed by
-    /// the [`Cluster::version`] it mirrors. A probe against any other
-    /// version rebuilds it from the running set first.
+    /// time slots of free-GPU counts, maintained incrementally (split on
+    /// placement, merge on release) and keyed by the [`Cluster::version`]
+    /// it mirrors. A probe against any other version rebuilds it from the
+    /// running set first.
     timeline: SlotSet,
     /// The cluster mutation version `timeline` reflects (`None` forces a
     /// rebuild on the next reservation probe).
@@ -196,11 +196,6 @@ pub struct WorkCounters {
     /// Rounds that proved the previous order still valid and skipped the
     /// sort (clean queue, and — for usage-keyed policies — unchanged usage).
     pub queue_sorts_skipped: u64,
-    /// Queue elements copied into per-round snapshot buffers. Zero since
-    /// the in-place cursor walk removed the snapshot copy entirely; the
-    /// counter stays so `BENCH_hotpath.json` history remains comparable
-    /// across that change.
-    pub snapshot_elements: u64,
     /// Skip verdicts recorded into the decision trace — a job's first
     /// evaluation, or one whose blocking reason changed.
     pub skip_records: u64,
@@ -263,7 +258,6 @@ struct SchedMetrics {
     empty_rounds: Counter,
     queue_sorts: Counter,
     queue_sorts_skipped: Counter,
-    snapshot_elements: Counter,
     skip_records: Counter,
     skip_suppressions: Counter,
     placement_attempts: Counter,
@@ -333,7 +327,6 @@ impl Scheduler {
             empty_rounds: registry.counter("tacc_sched_empty_rounds_total", &[]),
             queue_sorts: registry.counter("tacc_sched_queue_sorts_total", &[]),
             queue_sorts_skipped: registry.counter("tacc_sched_queue_sorts_skipped_total", &[]),
-            snapshot_elements: registry.counter("tacc_sched_snapshot_elements_total", &[]),
             skip_records: registry.counter("tacc_sched_skip_records_total", &[]),
             skip_suppressions: registry.counter("tacc_sched_skip_suppressions_total", &[]),
             placement_attempts: registry.counter("tacc_sched_placement_attempts_total", &[]),
@@ -381,8 +374,6 @@ impl Scheduler {
         m.queue_sorts.inc_by(cur.queue_sorts - prev.queue_sorts);
         m.queue_sorts_skipped
             .inc_by(cur.queue_sorts_skipped - prev.queue_sorts_skipped);
-        m.snapshot_elements
-            .inc_by(cur.snapshot_elements - prev.snapshot_elements);
         m.skip_records.inc_by(cur.skip_records - prev.skip_records);
         m.skip_suppressions
             .inc_by(cur.skip_suppressions - prev.skip_suppressions);

@@ -126,8 +126,8 @@ impl Scheduler {
         self.scratch_verdicts_next.clear();
 
         // Walk the live queue in place instead of copying it into a
-        // per-round snapshot (`snapshot_elements` used to be the largest
-        // work counter on the hot path). Placement commits remove the
+        // per-round snapshot (the copy used to be the largest work
+        // counter on the hot path). Placement commits remove the
         // examined entry order-preservingly, and reclaim may re-queue
         // victims mid-walk; `queue_push`/`queue_remove_request` compensate
         // the cursor so the walk visits exactly the entries the snapshot

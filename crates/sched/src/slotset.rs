@@ -11,16 +11,12 @@
 //! intersection — instead of a collect-and-sort over the whole running
 //! set each round.
 //!
-//! Slots once carried full [`ProcSet`] id intervals (OAR's resource
-//! representation). Probing, placement and the rebuild fingerprint only
-//! ever consume *counts* — the subset-chain invariant guarantees a
-//! claim's ids are present in every slot it touches, so subtracting a
-//! contained id block changes a slot's cardinality by exactly the block
-//! size — and the id-level merges dominated the hot-path profile (union/
-//! subtract were over half the contended-borrowing wall). The planner
-//! therefore stores the cardinalities directly; [`SlotSet::proc_view`]
-//! still exposes each slot as a canonical `[0, free)` [`ProcSet`] so the
-//! property suites keep checking the (count-level) subset chain.
+//! OAR's slots carry resource-id intervals. Probing, placement and the
+//! rebuild fingerprint only ever consume *counts* — the subset-chain
+//! invariant guarantees a claim's ids are present in every slot it
+//! touches, so subtracting a contained id block changes a slot's
+//! cardinality by exactly the block size — so the planner stores the
+//! cardinalities and nothing else.
 //!
 //! Planned capacity changes ride along as OAR's `available_upto`
 //! pseudo-job trick: a [`CapacityWindow`] pins boundaries at its edges and
@@ -52,7 +48,6 @@ use std::collections::BTreeMap;
 use tacc_workload::JobId;
 
 use crate::backfill::Reservation;
-use crate::procset::ProcSet;
 
 /// A planned capacity change: `gpus` unavailable over
 /// `[from_secs, until_secs)`. An infinite `until_secs` models a permanent
@@ -395,17 +390,6 @@ impl SlotSet {
                     .map_or(f64::INFINITY, |n| n.begin_secs);
                 (s.begin_secs, end, s.free.saturating_sub(s.dropped_gpus))
             })
-            .collect()
-    }
-
-    /// The free capacity of each slot as a canonical `[0, free)`
-    /// [`ProcSet`], in time order. The property suites check the subset
-    /// chain on these: with canonical sets, containment is exactly the
-    /// monotone-free-count invariant.
-    pub fn proc_view(&self) -> Vec<ProcSet> {
-        self.slots
-            .iter()
-            .map(|s| ProcSet::from_range(0, s.free))
             .collect()
     }
 

@@ -1,5 +1,6 @@
 //! The CLI command surface of `tcloud`.
 
+use tacc_core::Command;
 use tacc_workload::JobId;
 
 use crate::client::{TcloudClient, TcloudError};
@@ -108,19 +109,15 @@ impl TcloudClient {
             ["reserve", gpus, start, duration] => self.cmd_reserve(gpus, start, duration),
             ["drain", node] => {
                 let node = parse_node(node)?;
-                if self.platform_mut().drain_node(node) {
-                    Ok(CommandOutput::one(format!("{node} drained for maintenance")))
-                } else {
-                    Err(TcloudError::Usage(format!("no such node: {node}")))
-                }
+                self.apply(Command::Drain { node })?;
+                Ok(CommandOutput::one(format!(
+                    "node{node} drained for maintenance"
+                )))
             }
             ["undrain", node] => {
                 let node = parse_node(node)?;
-                if self.platform_mut().undrain_node(node) {
-                    Ok(CommandOutput::one(format!("{node} back in service")))
-                } else {
-                    Err(TcloudError::Usage(format!("no such node: {node}")))
-                }
+                self.apply(Command::Undrain { node })?;
+                Ok(CommandOutput::one(format!("node{node} back in service")))
             }
             ["use", profile] => {
                 self.use_profile(profile)?;
@@ -156,8 +153,6 @@ impl TcloudClient {
 
     /// `tcloud reserve`: carve a maintenance/teaching capacity window out
     /// of the cluster (paper §5: reserved slots for course deadlines).
-    /// Routed through [`tacc_core::Command::Reserve`] so the same verb
-    /// works locally and against a live daemon.
     fn cmd_reserve(
         &mut self,
         gpus: &str,
@@ -169,18 +164,15 @@ impl TcloudClient {
         let gpus: u32 = gpus.parse().map_err(|_| usage())?;
         let start: f64 = start.parse().map_err(|_| usage())?;
         let duration: f64 = duration.parse().map_err(|_| usage())?;
-        let command = tacc_core::Command::Reserve {
+        self.apply(Command::Reserve {
             gpus,
             from_secs: start,
             until_secs: start + duration,
-        };
-        match self.platform_mut().apply_command(&command) {
-            Ok(_) => Ok(CommandOutput::one(format!(
-                "reserved {gpus} GPUs from {start}s to {}s",
-                start + duration
-            ))),
-            Err(e) => Err(TcloudError::Usage(e.to_string())),
-        }
+        })?;
+        Ok(CommandOutput::one(format!(
+            "reserved {gpus} GPUs from {start}s to {}s",
+            start + duration
+        )))
     }
 
     fn cmd_ps(&self) -> CommandOutput {
@@ -285,10 +277,9 @@ impl TcloudClient {
     }
 }
 
-fn parse_node(s: &str) -> Result<tacc_cluster::NodeId, TcloudError> {
+fn parse_node(s: &str) -> Result<u32, TcloudError> {
     s.trim_start_matches("node")
-        .parse::<usize>()
-        .map(tacc_cluster::NodeId::from_index)
+        .parse::<u32>()
         .map_err(|_| TcloudError::Usage("expected a node index (e.g. 3 or node3)".to_owned()))
 }
 
@@ -394,7 +385,7 @@ mod tests {
         let json = schema_json();
         c.run_command(&["submit", &json, "--service", "100000"])
             .expect("submits");
-        c.advance(3600.0); // job is now running
+        c.advance(3600.0).expect("advances"); // job is now running
         let top = c.run_command(&["top"]).expect("top works");
         assert!(top.text().contains("node0"));
         assert!(top.text().contains("1/16 GPUs busy") || top.text().contains("GPUs busy"));
@@ -451,7 +442,7 @@ mod tests {
         let fj = filler.to_json().to_string();
         c.run_command(&["submit", &fj, "--service", "1000000"])
             .expect("submits");
-        c.advance(1000.0);
+        c.advance(1000.0).expect("advances");
         let blocked = TaskSchema::builder("blocked", GroupId::from_index(1))
             .resources(tacc_cluster::ResourceVec::gpus_only(1))
             .est_duration_secs(120.0)
@@ -460,7 +451,7 @@ mod tests {
         let bj = blocked.to_json().to_string();
         c.run_command(&["submit", &bj, "--service", "120"])
             .expect("submits");
-        c.advance(1000.0);
+        c.advance(1000.0).expect("advances");
 
         // `why` names the concrete skip reason the scheduler recorded.
         let why = c.run_command(&["why", "1"]).expect("why works");

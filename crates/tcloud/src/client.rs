@@ -3,8 +3,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use tacc_core::{JobStatus, Platform, PlatformConfig};
-use tacc_sim::SimDuration;
+use tacc_core::{
+    Command, CommandError, CommandOutcome, CommandRecord, JobStatus, Platform, PlatformConfig,
+};
 use tacc_workload::{JobId, JobState, TaskSchema};
 
 /// Errors the client surfaces to users.
@@ -17,10 +18,9 @@ pub enum TcloudError {
     UnknownJob(u64),
     /// The submitted task description was rejected.
     InvalidTask(String),
-    /// A CLI command could not be parsed; the message explains usage.
+    /// A CLI command could not be parsed, or the platform refused its
+    /// arguments; the message explains.
     Usage(String),
-    /// Talking to a remote daemon failed (socket transport).
-    Transport(crate::transport::TransportError),
 }
 
 impl fmt::Display for TcloudError {
@@ -30,16 +30,19 @@ impl fmt::Display for TcloudError {
             TcloudError::UnknownJob(id) => write!(f, "no such job {id}"),
             TcloudError::InvalidTask(msg) => write!(f, "invalid task: {msg}"),
             TcloudError::Usage(msg) => write!(f, "usage: {msg}"),
-            TcloudError::Transport(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for TcloudError {}
 
-impl From<crate::transport::TransportError> for TcloudError {
-    fn from(e: crate::transport::TransportError) -> Self {
-        TcloudError::Transport(e)
+impl From<CommandError> for TcloudError {
+    fn from(e: CommandError) -> Self {
+        match e {
+            CommandError::InvalidTask(why) => TcloudError::InvalidTask(why),
+            CommandError::UnknownJob(job) => TcloudError::UnknownJob(job.value()),
+            other => TcloudError::Usage(other.to_string()),
+        }
     }
 }
 
@@ -92,11 +95,6 @@ impl TcloudClient {
         Ok(())
     }
 
-    /// The active profile's name.
-    pub fn active_profile(&self) -> &str {
-        &self.active
-    }
-
     /// Names of all configured profiles.
     pub fn profile_names(&self) -> Vec<&str> {
         self.profiles.keys().map(String::as_str).collect()
@@ -116,14 +114,35 @@ impl TcloudClient {
             .expect("active profile exists")
     }
 
+    /// The one way this client mutates its platform: the command is
+    /// stamped with the platform's current time and applied as the record
+    /// `taccd` would journal for it, so a session replayed through
+    /// [`Platform::apply_record`] reproduces the platform exactly.
+    pub(crate) fn apply(&mut self, command: Command) -> Result<CommandOutcome, TcloudError> {
+        let platform = self.platform_mut();
+        let record = CommandRecord {
+            seq: 0, // orders journal frames; nothing is journalled here
+            at_secs: platform.now().as_secs(),
+            command,
+        };
+        Ok(platform.apply_record(&record)?)
+    }
+
     /// Submits a task to the active cluster.
     ///
     /// # Errors
     ///
-    /// [`TcloudError::InvalidTask`] if the schema fails validation.
+    /// [`TcloudError::InvalidTask`] if the schema fails validation, names
+    /// a group outside the roster, or the service time is not a positive
+    /// finite number.
     pub fn submit(&mut self, schema: TaskSchema, service_secs: f64) -> Result<JobId, TcloudError> {
-        schema.validate().map_err(TcloudError::InvalidTask)?;
-        Ok(self.platform_mut().submit_schema(schema, service_secs))
+        match self.apply(Command::Submit {
+            schema,
+            service_secs,
+        })? {
+            CommandOutcome::Submitted { job } => Ok(job),
+            other => unreachable!("submit answered {other:?}"),
+        }
     }
 
     /// Submits a task described as JSON (the on-disk task schema format).
@@ -293,18 +312,20 @@ impl TcloudClient {
     /// [`TcloudError::UnknownJob`] if the job does not exist or is already
     /// terminal.
     pub fn kill(&mut self, job: JobId) -> Result<(), TcloudError> {
-        if self.platform_mut().cancel_job(job) {
-            Ok(())
-        } else {
-            Err(TcloudError::UnknownJob(job.value()))
+        match self.apply(Command::Cancel { job })? {
+            CommandOutcome::Cancelled { applied: true, .. } => Ok(()),
+            _ => Err(TcloudError::UnknownJob(job.value())),
         }
     }
 
     /// Lets the active cluster advance `secs` of simulated time (the
     /// client-side analogue of "come back later and check").
-    pub fn advance(&mut self, secs: f64) {
-        let until = self.platform().now() + SimDuration::from_secs(secs);
-        self.platform_mut().run_until(until);
+    ///
+    /// # Errors
+    ///
+    /// [`TcloudError::Usage`] if `secs` is negative or not finite.
+    pub fn advance(&mut self, secs: f64) -> Result<(), TcloudError> {
+        self.apply(Command::Advance { secs }).map(|_| ())
     }
 
     /// Blocks until `job` reaches a terminal state (or the cluster goes
@@ -391,12 +412,75 @@ mod tests {
     fn kill_running_job() {
         let mut c = TcloudClient::with_profile("campus", config());
         let job = c.submit(schema(), 1e6).expect("valid");
-        c.advance(3600.0);
+        c.advance(3600.0).expect("advances");
         assert_eq!(c.status(job).expect("exists").state, JobState::Running);
         c.kill(job).expect("running job killable");
         assert_eq!(c.status(job).expect("exists").state, JobState::Cancelled);
         // Killing again errors.
         assert!(c.kill(job).is_err());
+    }
+
+    /// Inputs the platform refuses come back as typed errors — through the
+    /// same validation `taccd` applies — and leave the client usable.
+    #[test]
+    fn refused_inputs_are_errors_not_panics() {
+        type Case = fn(&mut TcloudClient) -> Result<(), TcloudError>;
+        // The third field is the refused advance, where there is one; the
+        // other four are invalid tasks.
+        let cases: [(&str, Case, Option<f64>); 6] = [
+            (
+                "group outside the roster",
+                |c| {
+                    let mut foreign = schema();
+                    foreign.group = GroupId::from_index(4096);
+                    let job = c.submit(foreign, 300.0)?;
+                    c.wait(job).map(|_| ())
+                },
+                None,
+            ),
+            (
+                "NaN service time",
+                |c| c.submit(schema(), f64::NAN).map(|_| ()),
+                None,
+            ),
+            (
+                "negative service time",
+                |c| c.submit(schema(), -5.0).map(|_| ()),
+                None,
+            ),
+            (
+                "--service nan",
+                |c| {
+                    let json = schema().to_json().to_string();
+                    c.run_command(&["submit", &json, "--service", "nan"])
+                        .map(|_| ())
+                },
+                None,
+            ),
+            ("advance NaN", |c| c.advance(f64::NAN), Some(f64::NAN)),
+            (
+                "advance backwards",
+                |c| {
+                    c.advance(100.0)?;
+                    c.advance(-50.0)
+                },
+                Some(-50.0),
+            ),
+        ];
+        for (name, case, advance) in cases {
+            let mut c = TcloudClient::with_profile("campus", config());
+            let err = case(&mut c).expect_err(name);
+            match advance {
+                Some(secs) => {
+                    let text = CommandError::InvalidAdvance(secs).to_string();
+                    assert_eq!(err, TcloudError::Usage(text), "{name}");
+                }
+                None => assert!(matches!(err, TcloudError::InvalidTask(_)), "{name}: {err}"),
+            }
+            assert!(c.list_jobs().is_empty(), "{name}: a job was minted");
+            let job = c.submit(schema(), 300.0).expect("valid");
+            assert_eq!(c.wait(job), Ok(JobState::Completed), "{name}");
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn main() {
         .build()
         .expect("valid");
     let hog_id = client.submit(hog, 40_000.0).expect("submits");
-    client.advance(600.0);
+    client.advance(600.0).expect("advances");
 
     // ...then asks for more: this job queues behind the quota.
     let starved = TaskSchema::builder("starved", GroupId::from_index(0))
@@ -57,7 +57,7 @@ fn main() {
         .build()
         .expect("valid");
     client.submit(neighbour, 3_600.0).expect("submits");
-    client.advance(7_200.0);
+    client.advance(7_200.0).expect("advances");
 
     println!("== tcloud why: the scheduler explains a waiting job ==\n");
     for id in [hog_id, starved_id] {

@@ -8,8 +8,21 @@
 #![allow(clippy::print_stdout)]
 
 use tacc_cluster::{ClusterSpec, GpuModel, ResourceVec};
-use tacc_core::{Platform, PlatformConfig};
-use tacc_workload::{GroupId, GroupRoster, ModelProfile, QosClass, TaskSchema};
+use tacc_core::{Command, CommandOutcome, Platform, PlatformConfig};
+use tacc_workload::{GroupId, GroupRoster, JobId, ModelProfile, QosClass, TaskSchema};
+
+/// Every request to a platform is a [`Command`]; a submission answers
+/// with the id of the job it minted.
+fn submit(platform: &mut Platform, schema: TaskSchema, service_secs: f64) -> JobId {
+    let command = Command::Submit {
+        schema,
+        service_secs,
+    };
+    match platform.apply_command(&command) {
+        Ok(CommandOutcome::Submitted { job }) => job,
+        other => panic!("submit answered {other:?}"),
+    }
+}
 
 fn main() {
     // A small shared cluster: 2 racks x 4 nodes x 8 A100s, 4 groups.
@@ -32,7 +45,7 @@ fn main() {
         .model(ModelProfile::resnet50_like())
         .build()
         .expect("valid schema");
-    let j1 = platform.submit_schema(fine_tune, 2.0 * 3600.0);
+    let j1 = submit(&mut platform, fine_tune, 2.0 * 3600.0);
 
     // 2. A 16-GPU distributed training gang (2 nodes x 8 GPUs).
     let pretrain = TaskSchema::builder("gpt2-pretrain", GroupId::from_index(0))
@@ -42,7 +55,7 @@ fn main() {
         .model(ModelProfile::gpt2_like())
         .build()
         .expect("valid schema");
-    let j2 = platform.submit_schema(pretrain, 6.0 * 3600.0);
+    let j2 = submit(&mut platform, pretrain, 6.0 * 3600.0);
 
     // 3. A best-effort hyperparameter sweep that borrows idle capacity.
     let sweep = TaskSchema::builder("hparam-sweep", GroupId::from_index(2))
@@ -51,7 +64,7 @@ fn main() {
         .est_duration_secs(3600.0)
         .build()
         .expect("valid schema");
-    let j3 = platform.submit_schema(sweep, 3600.0);
+    let j3 = submit(&mut platform, sweep, 3600.0);
 
     platform.run_until_idle();
 

@@ -69,7 +69,7 @@ fn main() {
     run(&mut client, &["ps"]);
 
     // Let the cluster work for an hour, then look again.
-    client.advance(3600.0);
+    client.advance(3600.0).expect("advances");
     run(&mut client, &["ps"]);
 
     // The distributed job's logs, aggregated across its nodes.

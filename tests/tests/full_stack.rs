@@ -1,10 +1,13 @@
 //! End-to-end integration tests: trace → compile → schedule → execute →
 //! report, across all four layers.
 
-use tacc_core::Platform;
+use tacc_cluster::ResourceVec;
+use tacc_core::{Command, CommandOutcome, CommandRecord, Platform};
 use tacc_sched::QuotaMode;
-use tacc_tests::{config_with, small_trace};
-use tacc_workload::JobState;
+use tacc_sim::DetRng;
+use tacc_tcloud::TcloudClient;
+use tacc_tests::{below, config_with, small_trace};
+use tacc_workload::{GroupId, JobId, JobState, TaskSchema};
 
 /// Every submission must end in exactly one terminal state, the cluster
 /// must drain completely, and per-node accounting must balance.
@@ -149,8 +152,10 @@ fn maintenance_drain_mid_trace() {
     platform.load_trace(&trace);
     platform.run_until(tacc_sim::SimTime::from_hours(4.0));
     // Drain a whole rack (nodes 0..8).
-    for i in 0..8 {
-        assert!(platform.drain_node(tacc_cluster::NodeId::from_index(i)));
+    for node in 0..8 {
+        platform
+            .apply_command(&Command::Drain { node })
+            .expect("node exists");
     }
     platform.run_until(tacc_sim::SimTime::from_hours(12.0));
     for i in 0..8 {
@@ -160,8 +165,10 @@ fn maintenance_drain_mid_trace() {
             .expect("exists");
         assert!(!node.is_schedulable());
     }
-    for i in 0..8 {
-        assert!(platform.undrain_node(tacc_cluster::NodeId::from_index(i)));
+    for node in 0..8 {
+        platform
+            .apply_command(&Command::Undrain { node })
+            .expect("node exists");
     }
     platform.run_until_idle();
     let report = platform.report();
@@ -180,14 +187,17 @@ fn interactive_submission_over_live_cluster() {
     let mut platform = Platform::new(config_with(|_| {}));
     platform.load_trace(&trace);
     platform.run_until(tacc_sim::SimTime::from_hours(6.0));
-    let schema = tacc_workload::TaskSchema::builder(
-        "interactive-probe",
-        tacc_workload::GroupId::from_index(3),
-    )
-    .est_duration_secs(1200.0)
-    .build()
-    .expect("valid");
-    let id = platform.submit_schema(schema, 1200.0);
+    let schema = TaskSchema::builder("interactive-probe", GroupId::from_index(3))
+        .est_duration_secs(1200.0)
+        .build()
+        .expect("valid");
+    let submitted = platform.apply_command(&Command::Submit {
+        schema,
+        service_secs: 1200.0,
+    });
+    let Ok(CommandOutcome::Submitted { job: id }) = submitted else {
+        panic!("submit answered {submitted:?}");
+    };
     platform.run_until_idle();
     assert_eq!(
         platform.job(id).expect("submitted").state(),
@@ -196,4 +206,114 @@ fn interactive_submission_over_live_cluster() {
     // The interleaved job is included in the final report.
     let report = platform.report();
     assert_eq!(report.submitted, trace.len() + 1);
+}
+
+/// One way in: whatever a library-client session does to its platform, the
+/// commands its verbs stand for — each stamped with the time it was issued
+/// — do to a fresh platform through `apply_record`, byte for byte. Zero
+/// provisioning latency is the sharp case: a compile completion is then
+/// pending at `now` when the next verb arrives, and a journal replay
+/// settles it before applying the command.
+#[test]
+fn client_session_is_its_command_stream() {
+    const VERBS: u64 = 64;
+    let default_latency = config_with(|_| {}).compiler.base_latency_secs;
+    for base_latency_secs in [default_latency, 0.0] {
+        let config = || config_with(|c| c.compiler.base_latency_secs = base_latency_secs);
+        let mut client = TcloudClient::with_profile("campus", config());
+        let rng = &mut DetRng::seed_from_u64(18);
+        let mut records = Vec::new();
+        let mut jobs: Vec<JobId> = Vec::new();
+        for seq in 0..VERBS {
+            let command = match below(rng, 12) {
+                0..=3 => {
+                    let mut schema = TaskSchema::builder(
+                        &format!("session-{seq}"),
+                        GroupId::from_index(below(rng, 8) as usize),
+                    )
+                    .workers(1 + below(rng, 4) as u32)
+                    .resources(ResourceVec::gpus_only(8))
+                    .est_duration_secs(3600.0)
+                    .build()
+                    .expect("valid");
+                    // Nothing to transfer once the image is cached, so the
+                    // zero-latency pass really provisions in zero time.
+                    schema.env.code_mb = 0;
+                    Command::Submit {
+                        schema,
+                        service_secs: 600.0 + below(rng, 7200) as f64,
+                    }
+                }
+                4..=6 => Command::Advance {
+                    secs: below(rng, 1800) as f64,
+                },
+                // One past the newest id: an unknown job now and then.
+                7..=8 => Command::Cancel {
+                    job: JobId::from_value(below(rng, jobs.len() as u64 + 1)),
+                },
+                9 => {
+                    let from_secs = client.platform().now().as_secs() + below(rng, 3600) as f64;
+                    Command::Reserve {
+                        gpus: 8 * (1 + below(rng, 8) as u32),
+                        from_secs,
+                        until_secs: from_secs + 600.0 + below(rng, 3600) as f64,
+                    }
+                }
+                10 => Command::Drain {
+                    node: below(rng, 34) as u32,
+                },
+                _ => Command::Undrain {
+                    node: below(rng, 34) as u32,
+                },
+            };
+            records.push(CommandRecord {
+                seq,
+                at_secs: client.platform().now().as_secs(),
+                command: command.clone(),
+            });
+            // A refused verb (terminal or unknown job, node 32 or 33 of
+            // 32) is refused on replay too; the logs are the check.
+            let _ = match command {
+                Command::Submit {
+                    schema,
+                    service_secs,
+                } => client
+                    .submit(schema, service_secs)
+                    .map(|job| jobs.push(job)),
+                Command::Advance { secs } => client.advance(secs),
+                Command::Cancel { job } => client.kill(job),
+                Command::Reserve {
+                    gpus,
+                    from_secs,
+                    until_secs,
+                } => client
+                    .run_command(&[
+                        "reserve",
+                        &gpus.to_string(),
+                        &from_secs.to_string(),
+                        &(until_secs - from_secs).to_string(),
+                    ])
+                    .map(|_| ()),
+                Command::Drain { node } => client
+                    .run_command(&["drain", &node.to_string()])
+                    .map(|_| ()),
+                Command::Undrain { node } => client
+                    .run_command(&["undrain", &node.to_string()])
+                    .map(|_| ()),
+                Command::FaultNode { .. } => unreachable!("the client has no fault verb"),
+            };
+        }
+        let mut replayed = Platform::new(config());
+        for record in &records {
+            let _ = replayed.apply_record(record);
+        }
+        let log = client.platform().transition_log_jsonl();
+        assert!(jobs.len() >= 10, "session too thin: {} jobs", jobs.len());
+        assert!(log.contains("\"to\":\"cancelled\""), "no kill landed");
+        assert_eq!(
+            replayed.transition_log_jsonl(),
+            log,
+            "replay diverged at base latency {base_latency_secs}s"
+        );
+    }
 }

@@ -118,14 +118,14 @@ fn tcloud_why_names_the_quota() {
         .build()
         .expect("valid");
     client.submit(hog, 1e6).expect("submits");
-    client.advance(2000.0);
+    client.advance(2000.0).expect("advances");
     let over = tacc_workload::TaskSchema::builder("over", tacc_workload::GroupId::from_index(0))
         .resources(tacc_cluster::ResourceVec::gpus_only(8))
         .est_duration_secs(600.0)
         .build()
         .expect("valid");
     let id = client.submit(over, 600.0).expect("submits");
-    client.advance(2000.0);
+    client.advance(2000.0).expect("advances");
     let why = client.why(id).expect("known job");
     assert!(why.contains("quota exhausted"), "why: {why}");
     assert!(why.contains("32/32"), "why: {why}");
