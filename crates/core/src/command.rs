@@ -21,7 +21,7 @@ use tacc_workload::{JobId, TaskSchema, TraceRecord};
 use std::fmt;
 
 use crate::platform::Platform;
-use crate::wire::{obj, Json};
+use crate::wire::{obj, write_num, Json, TextSink};
 
 /// An external request to mutate the platform, in serializable form.
 ///
@@ -409,6 +409,49 @@ impl Command {
         }
     }
 
+    /// Streams the text [`Command::to_json`] prints, with no tree in
+    /// between (see [`CommandRecord::write_json`]).
+    pub fn write_json<W: TextSink + ?Sized>(&self, out: &mut W) {
+        out.push_str("{\"kind\":\"");
+        out.push_str(self.kind());
+        match self {
+            Command::Submit {
+                schema,
+                service_secs,
+            } => {
+                out.push_str("\",\"service_secs\":");
+                write_num(*service_secs, out);
+                out.push_str(",\"schema\":");
+                schema.write_json(out);
+            }
+            Command::Cancel { job } => {
+                out.push_str("\",\"job\":");
+                write_num(job.value() as f64, out);
+            }
+            Command::Reserve {
+                gpus,
+                from_secs,
+                until_secs,
+            } => {
+                out.push_str("\",\"gpus\":");
+                write_num(f64::from(*gpus), out);
+                out.push_str(",\"from_secs\":");
+                write_num(*from_secs, out);
+                out.push_str(",\"until_secs\":");
+                write_num(*until_secs, out);
+            }
+            Command::FaultNode { node } | Command::Drain { node } | Command::Undrain { node } => {
+                out.push_str("\",\"node\":");
+                write_num(f64::from(*node), out);
+            }
+            Command::Advance { secs } => {
+                out.push_str("\",\"secs\":");
+                write_num(*secs, out);
+            }
+        }
+        out.push_str("}");
+    }
+
     /// Parses a command from its wire/journal JSON value.
     ///
     /// # Errors
@@ -463,6 +506,23 @@ impl CommandRecord {
             ("at_secs", Json::Num(self.at_secs)),
             ("command", self.command.to_json()),
         ])
+    }
+
+    /// Streams the record's journal text — byte for byte what
+    /// `to_json().to_string()` prints — straight into `out`, with no
+    /// tree and no intermediate string: the `taccd` journal's encoder.
+    /// [`CommandRecord::to_json`] stays for the callers that need a
+    /// value (a schema inside a pretty-printed trace); one shape is
+    /// spelled twice, and `streamed_records_equal_the_tree_writers`
+    /// holds the two together.
+    pub fn write_json<W: TextSink + ?Sized>(&self, out: &mut W) {
+        out.push_str("{\"seq\":");
+        write_num(self.seq as f64, out);
+        out.push_str(",\"at_secs\":");
+        write_num(self.at_secs, out);
+        out.push_str(",\"command\":");
+        self.command.write_json(out);
+        out.push_str("}");
     }
 
     /// Parses a record from its journal JSON value.
@@ -582,8 +642,126 @@ mod tests {
             },
         };
         assert_eq!(record.to_json().to_string(), TEXT);
+        let mut streamed = String::new();
+        record.write_json(&mut streamed);
+        assert_eq!(streamed, TEXT);
         let back = CommandRecord::from_json(&wire::parse(TEXT).expect("parses"));
         assert_eq!(back, Ok(record));
+    }
+
+    /// The journal's streaming encoder and the tree writer spell one
+    /// shape: every command kind, under names and numbers chosen to be
+    /// awkward for an escaper and a number printer.
+    #[test]
+    fn streamed_records_equal_the_tree_writers() {
+        const NAMES: &[&str] = &[
+            "plain",
+            "",
+            "qu\"ote",
+            "back\\slash",
+            "trailing\\",
+            "ctl\u{0}\u{1}\n\r\t\u{1f}",
+            "é→\u{1f600}",
+            "inf",
+            "-inf",
+            "nan",
+        ];
+        const FLOATS: &[f64] = &[
+            0.0,
+            -0.0,
+            0.1,
+            -1234.0625,
+            600.0,
+            1e21,
+            9_007_199_254_740_992.0,
+            9_007_199_254_740_994.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        fn draw(rng: &mut tacc_sim::DetRng, n: usize) -> usize {
+            (rng.next_u64() % n as u64) as usize
+        }
+        let rng = &mut tacc_sim::DetRng::seed_from_u64(0x5712_EA4D);
+        for case in 0..2_100 {
+            let name = format!(
+                "{}{}",
+                NAMES[draw(rng, NAMES.len())],
+                NAMES[draw(rng, NAMES.len())]
+            );
+            let pair = (name.clone(), draw(rng, 1 << 20) as u32);
+            let command = match case % 7 {
+                0 => Command::Submit {
+                    schema: TaskSchema {
+                        name,
+                        group: GroupId::from_index(draw(rng, 4096)),
+                        workers: draw(rng, 512) as u32,
+                        resources: tacc_cluster::ResourceVec {
+                            gpus: draw(rng, 9) as u32,
+                            cpu_cores: draw(rng, 256) as u32,
+                            mem_gb: draw(rng, 4096) as u32,
+                        },
+                        qos: [QosClass::Guaranteed, QosClass::BestEffort][draw(rng, 2)],
+                        kind: [
+                            tacc_workload::TaskKind::Training,
+                            tacc_workload::TaskKind::Interactive,
+                            tacc_workload::TaskKind::Inference,
+                            tacc_workload::TaskKind::CpuBatch,
+                        ][draw(rng, 4)],
+                        runtime: [
+                            tacc_workload::RuntimePreference::Auto,
+                            tacc_workload::RuntimePreference::AllReduce,
+                            tacc_workload::RuntimePreference::ParameterServer,
+                            tacc_workload::RuntimePreference::InNetworkAggregation,
+                            tacc_workload::RuntimePreference::SingleProcess,
+                        ][draw(rng, 5)],
+                        env: RuntimeEnv {
+                            image: NAMES[draw(rng, NAMES.len())].to_owned(),
+                            dependencies: vec![pair.clone(); draw(rng, 3)],
+                            dataset: (draw(rng, 2) == 0).then_some(pair),
+                            code_mb: draw(rng, 64) as u32,
+                        },
+                        est_duration_secs: FLOATS[draw(rng, FLOATS.len())],
+                        model: (draw(rng, 3) > 0).then(|| ModelProfile {
+                            param_mb: FLOATS[draw(rng, FLOATS.len())],
+                            compute_secs_per_iter: FLOATS[draw(rng, FLOATS.len())],
+                        }),
+                        elastic: draw(rng, 2) == 0,
+                    },
+                    service_secs: FLOATS[draw(rng, FLOATS.len())],
+                },
+                1 => Command::Cancel {
+                    job: JobId::from_value(rng.next_u64() >> (case % 64)),
+                },
+                2 => Command::Reserve {
+                    gpus: draw(rng, 1 << 16) as u32,
+                    from_secs: FLOATS[draw(rng, FLOATS.len())],
+                    until_secs: FLOATS[draw(rng, FLOATS.len())],
+                },
+                3 => Command::FaultNode {
+                    node: draw(rng, 1 << 16) as u32,
+                },
+                4 => Command::Drain { node: u32::MAX },
+                5 => Command::Undrain { node: 0 },
+                _ => Command::Advance {
+                    secs: FLOATS[draw(rng, FLOATS.len())],
+                },
+            };
+            let record = CommandRecord {
+                seq: rng.next_u64() >> (case % 64),
+                at_secs: FLOATS[draw(rng, FLOATS.len())],
+                command,
+            };
+            let mut streamed = String::new();
+            record.write_json(&mut streamed);
+            assert_eq!(streamed, record.to_json().to_string(), "case {case}");
+            let mut framed = Vec::new();
+            record.write_json(&mut framed);
+            assert_eq!(framed, streamed.as_bytes(), "case {case}: byte sink");
+        }
     }
 
     #[test]

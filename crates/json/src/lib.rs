@@ -2,8 +2,10 @@
 //!
 //! The workspace's one JSON implementation: one value type ([`Json`]),
 //! one parser ([`parse`]), one compact printer (`Display`), one pretty
-//! printer ([`Json::to_pretty`]) and one string escaper ([`write_escaped`]).
-//! Standard library only.
+//! printer ([`Json::to_pretty`]), and the string escaper
+//! ([`write_escaped`]) and number printer ([`write_num`]) both are built
+//! on, open to writers that stream a record into a [`TextSink`] without
+//! building a tree. Standard library only.
 //!
 //! Two byte formats are contracts. The compact form is the `taccd`
 //! journal and socket encoding: a journal written today must re-parse
@@ -139,34 +141,34 @@ impl Json {
             .ok_or_else(|| format!("missing or non-string field '{key}'"))
     }
 
-    fn write(&self, out: &mut String) {
+    fn write<W: TextSink + ?Sized>(&self, out: &mut W) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => write_f64(*n, out),
+            Json::Num(n) => write_num(*n, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.push_str("[");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(",");
                     }
                     item.write(out);
                 }
-                out.push(']');
+                out.push_str("]");
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.push_str("{");
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(",");
                     }
                     write_escaped(k, out);
-                    out.push(':');
+                    out.push_str(":");
                     v.write(out);
                 }
-                out.push('}');
+                out.push_str("}");
             }
         }
     }
@@ -228,48 +230,123 @@ impl Json {
 /// encoding: compact (no whitespace), object keys in insertion order.
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
+        let mut out = Formatted { f, result: Ok(()) };
         self.write(&mut out);
-        f.write_str(&out)
+        out.result
     }
 }
 
-/// Shortest-round-trip float syntax: Rust's `Display` for `f64` prints
-/// the shortest decimal string that parses back to the same bits, so the
-/// journal round-trips timestamps exactly. Non-finite values use the
-/// JSON-compatible string spellings `"inf"`/`"-inf"`/`"nan"` — they only
-/// appear in open-ended reservation windows.
-fn write_f64(n: f64, out: &mut String) {
+/// Where the printers put JSON text: a `String`, or a byte buffer that
+/// already holds something else ahead of it (a frame header, say).
+pub trait TextSink {
+    /// Appends `text`.
+    fn push_str(&mut self, text: &str);
+}
+
+impl TextSink for String {
+    fn push_str(&mut self, text: &str) {
+        String::push_str(self, text);
+    }
+}
+
+impl TextSink for Vec<u8> {
+    fn push_str(&mut self, text: &str) {
+        self.extend_from_slice(text.as_bytes());
+    }
+}
+
+/// A formatter as a sink: the first error stops the writing and is what
+/// `Display::fmt` returns.
+struct Formatted<'a, 'b> {
+    f: &'a mut fmt::Formatter<'b>,
+    result: fmt::Result,
+}
+
+impl TextSink for Formatted<'_, '_> {
+    fn push_str(&mut self, text: &str) {
+        if self.result.is_ok() {
+            self.result = self.f.write_str(text);
+        }
+    }
+}
+
+/// A sink as a `fmt::Write`, for the values `std` formats.
+struct Std<'a, W: ?Sized>(&'a mut W);
+
+impl<W: TextSink + ?Sized> fmt::Write for Std<'_, W> {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.0.push_str(text);
+        Ok(())
+    }
+}
+
+/// Appends `n` in the crate's one number syntax. A finite value prints
+/// as Rust's `Display` for `f64` does: the shortest decimal string that
+/// parses back to the same bits, so the journal round-trips timestamps
+/// exactly. Non-finite values use the JSON-compatible string spellings
+/// `"inf"`/`"-inf"`/`"nan"` — they only appear in open-ended reservation
+/// windows.
+pub fn write_num<W: TextSink + ?Sized>(n: f64, out: &mut W) {
     use fmt::Write as _;
-    if n.is_nan() {
+    // Ids, counts and sizes are integral; up to 2^53 an `i64` prints the
+    // same digits without the float formatter. `-0.0` prints as `-0`,
+    // which no integer does.
+    let int = n as i64;
+    if int as f64 == n && int.unsigned_abs() <= 1 << 53 && (int != 0 || n.is_sign_positive()) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = int.unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        if int < 0 {
+            at -= 1;
+            digits[at] = b'-';
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
+    } else if n.is_nan() {
         out.push_str("\"nan\"");
     } else if n.is_infinite() {
         out.push_str(if n > 0.0 { "\"inf\"" } else { "\"-inf\"" });
     } else {
-        let _ = write!(out, "{n}");
+        let _ = write!(Std(out), "{n}");
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal, quoted and escaped —
-/// for writers that stream records into a buffer without building a
-/// [`Json`] tree first.
-pub fn write_escaped(s: &str, out: &mut String) {
-    use fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// How each control byte is spelled inside a string literal.
+#[rustfmt::skip]
+const CONTROL_ESCAPES: [&str; 0x20] = [
+    "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+    "\\u0008", "\\t", "\\n", "\\u000b", "\\u000c", "\\r", "\\u000e", "\\u000f",
+    "\\u0010", "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017",
+    "\\u0018", "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+];
+
+/// Appends `s` to `out` as a JSON string literal, quoted and escaped.
+/// Runs of characters that need no escape are copied whole.
+pub fn write_escaped<W: TextSink + ?Sized>(s: &str, out: &mut W) {
+    out.push_str("\"");
+    // Every escaped byte is ASCII, so `run` and `i` are character
+    // boundaries of `s`.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            0x20.. => continue,
+            _ => CONTROL_ESCAPES[usize::from(b)],
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        run = i + 1;
     }
-    out.push('"');
+    out.push_str(&s[run..]);
+    out.push_str("\"");
 }
 
 /// Where and why parsing a JSON text failed.
@@ -296,11 +373,10 @@ impl std::error::Error for JsonError {}
 ///
 /// [`JsonError`] with the byte offset of the first problem.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(JsonError {
             at: pos,
             message: "trailing characters after the value",
@@ -320,7 +396,8 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 /// would otherwise overflow the stack.
 const MAX_DEPTH: usize = 128;
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     if depth > MAX_DEPTH {
         return Err(JsonError {
             at: *pos,
@@ -338,7 +415,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
         b'n' => parse_lit(bytes, pos, "null", Json::Null),
         b't' => parse_lit(bytes, pos, "true", Json::Bool(true)),
         b'f' => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        b'"' => parse_string(bytes, pos).map(Json::Str),
+        b'"' => parse_string(text, pos).map(Json::Str),
         b'[' => {
             *pos += 1;
             let mut items = Vec::new();
@@ -348,7 +425,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -381,7 +458,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                         message: "expected a string key",
                     });
                 }
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(JsonError {
@@ -390,7 +467,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                     });
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -466,84 +543,71 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     })
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     // Caller checked the opening quote.
     *pos += 1;
     let mut out = String::new();
     loop {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err(JsonError {
-                at: *pos,
-                message: "unterminated string",
-            });
-        };
-        match b {
-            b'"' => {
+        // Everything up to the next quote or backslash is copied at
+        // once; both are ASCII, so the run ends on a character boundary.
+        let run = *pos;
+        while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+            *pos += 1;
+        }
+        out.push_str(&text[run..*pos]);
+        match bytes.get(*pos) {
+            None => {
+                return Err(JsonError {
+                    at: *pos,
+                    message: "unterminated string",
+                })
+            }
+            Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            b'\\' => {
-                *pos += 1;
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err(JsonError {
-                        at: *pos,
-                        message: "unterminated escape",
-                    });
+            Some(_) => *pos += 1, // the backslash
+        }
+        let Some(&esc) = bytes.get(*pos) else {
+            return Err(JsonError {
+                at: *pos,
+                message: "unterminated escape",
+            });
+        };
+        *pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                let hi = parse_hex4(bytes, pos)?;
+                // A surrogate pair encodes one astral-plane
+                // character; a lone surrogate is no character.
+                let code = if (0xD800..0xDC00).contains(&hi) && bytes[*pos..].starts_with(b"\\u") {
+                    *pos += 2;
+                    match parse_hex4(bytes, pos)? {
+                        lo @ 0xDC00..=0xDFFF => 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00),
+                        _ => hi, // still lone: rejected below
+                    }
+                } else {
+                    hi
                 };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hi = parse_hex4(bytes, pos)?;
-                        // A surrogate pair encodes one astral-plane
-                        // character; a lone surrogate is no character.
-                        let code = if (0xD800..0xDC00).contains(&hi)
-                            && bytes[*pos..].starts_with(b"\\u")
-                        {
-                            *pos += 2;
-                            match parse_hex4(bytes, pos)? {
-                                lo @ 0xDC00..=0xDFFF => {
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                }
-                                _ => hi, // still lone: rejected below
-                            }
-                        } else {
-                            hi
-                        };
-                        out.push(char::from_u32(code).ok_or(JsonError {
-                            at: *pos,
-                            message: "unpaired surrogate in \\u escape",
-                        })?);
-                    }
-                    _ => {
-                        return Err(JsonError {
-                            at: *pos,
-                            message: "unknown escape",
-                        })
-                    }
-                }
+                out.push(char::from_u32(code).ok_or(JsonError {
+                    at: *pos,
+                    message: "unpaired surrogate in \\u escape",
+                })?);
             }
             _ => {
-                // Multi-byte UTF-8 sequences pass through verbatim.
-                let s = &bytes[*pos..];
-                let ch_len = utf8_len(s[0]);
-                let chunk = s.get(..ch_len).ok_or(JsonError {
+                return Err(JsonError {
                     at: *pos,
-                    message: "invalid UTF-8",
-                })?;
-                let text = std::str::from_utf8(chunk).map_err(|_| JsonError {
-                    at: *pos,
-                    message: "invalid UTF-8",
-                })?;
-                out.push_str(text);
-                *pos += ch_len;
+                    message: "unknown escape",
+                })
             }
         }
     }
@@ -564,15 +628,6 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
     })?;
     *pos += 4;
     Ok(code)
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
 }
 
 /// Convenience: builds an object from key/value pairs in order.
@@ -738,6 +793,256 @@ mod tests {
             let text = Json::Num(n).to_string();
             let back = parse(&text).expect("parses").as_f64().expect("number");
             assert_eq!(back.to_bits(), n.to_bits(), "{n} mangled via {text}");
+        }
+    }
+
+    // ----------------------------------------------------------------
+    // The character-at-a-time routines the run-copying ones replaced,
+    // kept as oracles for the sweeps below.
+    // ----------------------------------------------------------------
+
+    fn write_escaped_charwise(s: &str, out: &mut String) {
+        use fmt::Write as _;
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn parse_string_charwise(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+        let fail = |at: usize, message: &'static str| Err(JsonError { at, message });
+        *pos += 1;
+        let mut out = String::new();
+        loop {
+            let Some(&b) = bytes.get(*pos) else {
+                return fail(*pos, "unterminated string");
+            };
+            match b {
+                b'"' => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                b'\\' => {
+                    *pos += 1;
+                    let Some(&esc) = bytes.get(*pos) else {
+                        return fail(*pos, "unterminated escape");
+                    };
+                    *pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'u' => {
+                            let hi = parse_hex4(bytes, pos)?;
+                            let code = if (0xD800..0xDC00).contains(&hi)
+                                && bytes[*pos..].starts_with(b"\\u")
+                            {
+                                *pos += 2;
+                                match parse_hex4(bytes, pos)? {
+                                    lo @ 0xDC00..=0xDFFF => {
+                                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                                    }
+                                    _ => hi,
+                                }
+                            } else {
+                                hi
+                            };
+                            let Some(c) = char::from_u32(code) else {
+                                return fail(*pos, "unpaired surrogate in \\u escape");
+                            };
+                            out.push(c);
+                        }
+                        _ => return fail(*pos, "unknown escape"),
+                    }
+                }
+                first => {
+                    let ch_len = match first {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let chunk = bytes.get(*pos..*pos + ch_len);
+                    let Some(Ok(ch)) = chunk.map(std::str::from_utf8) else {
+                        return fail(*pos, "invalid UTF-8");
+                    };
+                    out.push_str(ch);
+                    *pos += ch_len;
+                }
+            }
+        }
+    }
+
+    /// xorshift64: this crate sits below `tacc-sim`, so the sweeps seed
+    /// themselves; a failure prints its case number.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[(self.next() % from.len() as u64) as usize]
+        }
+    }
+
+    #[test]
+    fn escaper_matches_the_charwise_oracle_on_hostile_strings() {
+        const PIECES: &[&str] = &[
+            "a",
+            "Zz",
+            " ",
+            "\"",
+            "\\",
+            "\n",
+            "\r",
+            "\t",
+            "\u{0}",
+            "\u{1}",
+            "\u{1f}",
+            "\u{7f}",
+            "é",
+            "→",
+            "\u{1f600}",
+            "/",
+            "inf",
+            "nan",
+        ];
+        let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
+        for case in 0..4_000 {
+            let s: String = (0..rng.next() % 12).map(|_| rng.pick(PIECES)).collect();
+            let mut slow = String::new();
+            write_escaped_charwise(&s, &mut slow);
+            let mut text = String::new();
+            write_escaped(&s, &mut text);
+            assert_eq!(text, slow, "case {case}: {s:?}");
+            let mut bytes = Vec::new();
+            write_escaped(&s, &mut bytes);
+            assert_eq!(bytes, slow.as_bytes(), "case {case}: {s:?} into bytes");
+            assert_eq!(Json::Str(s.clone()).to_string(), slow, "case {case}: {s:?}");
+            assert_eq!(parse(&slow), Ok(Json::Str(s)), "case {case}");
+        }
+    }
+
+    #[test]
+    fn string_parser_matches_the_charwise_oracle_on_hostile_literals() {
+        // Raw text between the quotes: escapes of every kind, legal and
+        // not, beside bytes that pass through verbatim.
+        const PIECES: &[&str] = &[
+            "a",
+            "Zz",
+            " ",
+            "\\\"",
+            "\\\\",
+            "\\/",
+            "\\n",
+            "\\r",
+            "\\t",
+            "\\b",
+            "\\f",
+            "\\u00e9",
+            "\\u0041",
+            "\\ud83d\\ude00",
+            "\\ud800",
+            "\\udc00",
+            "\\ud83dx",
+            "\\q",
+            "\\u12",
+            "\\uzzzz",
+            "\u{1}",
+            "\n",
+            "\u{7f}",
+            "é",
+            "→",
+            "\u{1f600}",
+        ];
+        let mut rng = XorShift(0xD1B5_4A32_D192_ED03);
+        for case in 0..2_000 {
+            let mut literal = String::from("\"");
+            for _ in 0..rng.next() % 10 {
+                literal.push_str(rng.pick(PIECES));
+            }
+            literal.push('"');
+            // Every prefix too: an unterminated string, a trailing
+            // backslash, a \\u escape cut short.
+            for cut in (1..=literal.len()).filter(|&cut| literal.is_char_boundary(cut)) {
+                let text = &literal[..cut];
+                let (mut fast_at, mut slow_at) = (0, 0);
+                let fast = parse_string(text, &mut fast_at);
+                let slow = parse_string_charwise(text.as_bytes(), &mut slow_at);
+                assert_eq!(fast, slow, "case {case}: {text:?}");
+                if fast.is_ok() {
+                    assert_eq!(fast_at, slow_at, "case {case}: {text:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn number_printer_matches_display_at_every_boundary() {
+        let two53 = 9_007_199_254_740_992.0_f64;
+        let mut cases = vec![
+            0.0,
+            0.5,
+            1.0,
+            9.0,
+            10.0,
+            1e15,
+            1e16,
+            1e21,
+            1e22,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            4_503_599_627_370_496.5,
+            i64::MAX as f64,
+            u64::MAX as f64,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            5e-324,
+            1.0 / 3.0,
+            1234.0625,
+        ];
+        // Both neighbours of every boundary, then both signs of it all.
+        for n in cases.clone() {
+            cases.push(f64::from_bits(n.to_bits() + 1));
+            cases.push(f64::from_bits(n.to_bits().saturating_sub(1)));
+        }
+        for n in cases.clone() {
+            cases.push(-n);
+        }
+        let mut rng = XorShift(0x2545_F491_4F6C_DD1D);
+        for _ in 0..4_000 {
+            let bits = rng.next();
+            cases.push(f64::from_bits(bits));
+            cases.push((bits >> (bits % 64)) as f64);
+            cases.push(-((bits >> (bits % 64)) as f64) / 8.0);
+        }
+        for n in cases.into_iter().filter(|n| n.is_finite()) {
+            let mut text = String::new();
+            write_num(n, &mut text);
+            assert_eq!(text, format!("{n}"), "bits {:#018x}", n.to_bits());
         }
     }
 

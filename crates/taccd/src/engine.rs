@@ -1,18 +1,47 @@
-//! The single-writer engine: one thread owning the deterministic
-//! [`Platform`] and the write-ahead [`Journal`], draining a channel of
-//! client messages in arrival order with group-committed durability.
+//! The single-writer engine: the deterministic [`Platform`] and the
+//! write-ahead [`Journal`], fed by a channel of client messages taken in
+//! arrival order, with pipelined group-committed durability.
 //!
-//! ## Batch protocol
+//! ## Two stages
 //!
-//! The engine blocks on the channel, then drains up to
-//! [`MAX_BATCH`] queued messages and processes them **in arrival
-//! order**: a mutate is stamped, applied to the platform and (on
-//! success) appended to the journal; a query is answered against the
-//! state as of its position in the stream. After the batch, one
-//! [`Journal::sync`] makes every accepted command durable, and only
-//! then are the buffered replies released — no client sees an
-//! acknowledgment for a command that could be lost by a crash, and
-//! one `fsync` is amortized over the whole batch.
+//! [`Engine::run`] is two stages joined by a bounded channel.
+//!
+//! The **apply stage** is the thread `run` is called on, and the only
+//! owner of the platform. It blocks on the inbox, drains up to
+//! [`MAX_BATCH`] queued messages and takes them in arrival order: a
+//! mutate is stamped, applied and (on success) encoded into the
+//! journal's pending batch buffer; a query is answered against the state
+//! as of its position in the stream. No reply is sent from here. The
+//! batch — its encoded frames and its replies — goes to the commit
+//! stage, and the apply stage turns to the next one.
+//!
+//! The **commit stage** is one scoped thread, spawned and joined inside
+//! `run`, and the only writer of the journal file while it lives. Per
+//! batch it makes one `write_all` and one `sync_data` — none when the
+//! batch carries no frame — and only then releases the batch's replies.
+//! So batch N+1 is applied while batch N is on its way to disk, and the
+//! apply stage is never more than [`PIPELINE_DEPTH`] + 1 batches ahead of
+//! the one being committed.
+//!
+//! ## Invariants
+//!
+//! * **I1 — durable before answered.** No reply — ack, refusal or query
+//!   answer — leaves the engine before every frame appended ahead of it
+//!   is durable. A query may see state a crash would lose; its answer
+//!   cannot be received until that state is on disk.
+//! * **I2 — arrival order.** Replies leave in the order their messages
+//!   arrived: one thread releases them, batch by batch.
+//! * **I3 — journal bytes.** The file is the genesis frame followed by
+//!   `encode_frame(record.to_json().to_string())` for each accepted
+//!   record, in `seq` order — whatever the batching.
+//! * **I4 — fail-stop.** After the first failed write or sync the engine
+//!   never sends another [`Reply::Ok`]. The commit stage answers the
+//!   failed batch and everything after it `journal-io`; once the apply
+//!   stage sees the journal [closed](Journal::failed) it refuses
+//!   mutations without applying them, and queries too, because the state
+//!   they would describe is ahead of the journal. The journal then holds
+//!   exactly the acknowledged prefix (plus, at most, a torn tail that
+//!   recovery truncates); restarting the daemon recovers it.
 //!
 //! ## Clock modes
 //!
@@ -25,17 +54,26 @@
 //!   byte-reproduces, because replay uses the *recorded* stamps.
 
 use std::path::PathBuf;
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 use std::time::Instant;
 
 use tacc_core::wire::{obj, Json};
 use tacc_core::{Command, CommandOutcome, CommandRecord, Platform, PlatformConfig};
 use tacc_obs::{Counter, MetricsRegistry};
 
-use crate::journal::{Journal, JournalError, RecoveryReport};
+use crate::journal::{Detached, Frames, Journal, JournalError, JournalFile, RecoveryReport};
 
 /// Upper bound on messages drained into one group-commit batch.
 pub const MAX_BATCH: usize = 64;
+
+/// Batches that may wait between the stages. One is enough for the apply
+/// stage never to idle while the disk keeps up, and it bounds what a
+/// crash can lose un-acknowledged to three batches: one being committed,
+/// one waiting, one being applied. A constant, not a setting: a deeper
+/// queue buys no throughput (the slower stage sets the rate) and only
+/// lengthens every reply's wait (DESIGN.md, "Journal format and
+/// durability protocol").
+pub const PIPELINE_DEPTH: usize = 1;
 
 /// How command timestamps are assigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -121,8 +159,6 @@ pub enum Reply {
 }
 
 struct EngineMetrics {
-    fsyncs: Counter,
-    frames: Counter,
     recoveries: Counter,
     torn: Counter,
     commands: Counter,
@@ -133,8 +169,6 @@ struct EngineMetrics {
 impl EngineMetrics {
     fn new(registry: &MetricsRegistry) -> Self {
         EngineMetrics {
-            fsyncs: registry.counter("tacc_taccd_journal_fsyncs_total", &[]),
-            frames: registry.counter("tacc_taccd_journal_frames_total", &[]),
             recoveries: registry.counter("tacc_taccd_recoveries_total", &[]),
             torn: registry.counter("tacc_taccd_torn_frames_total", &[]),
             commands: registry.counter("tacc_taccd_commands_applied_total", &[]),
@@ -181,24 +215,48 @@ impl From<JournalError> for EngineInitError {
 
 /// The single-writer service engine.
 pub struct Engine {
+    apply: ApplyStage,
+    commit: CommitStage,
+}
+
+/// What the apply stage owns: the platform, and the append half of the
+/// journal.
+struct ApplyStage {
     platform: Platform,
-    journal: Journal,
+    journal: Journal<Detached>,
     registry: MetricsRegistry,
     metrics: EngineMetrics,
     clock: ClockMode,
     next_seq: u64,
     last_stamp: f64,
     started: Instant,
-    /// Synced journal counters the metrics were last reconciled to.
-    flushed: (u64, u64),
+}
+
+/// What the commit stage owns: the journal file, and the two series
+/// that count what reached it.
+struct CommitStage {
+    file: JournalFile,
+    frames: Counter,
+    fsyncs: Counter,
+}
+
+/// One batch on its way from the apply stage to the commit stage. The
+/// commit stage hands it back emptied, so in the steady state the same
+/// few buffers go round and a batch allocates nothing.
+#[derive(Default)]
+struct Batch {
+    /// The accepted commands' frames.
+    frames: Frames,
+    /// One reply per message, in arrival order, each with its way back.
+    replies: Vec<(Sender<Reply>, Reply)>,
 }
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("journal", &self.journal.path())
-            .field("clock", &self.clock)
-            .field("next_seq", &self.next_seq)
+            .field("journal", &self.apply.journal.path())
+            .field("clock", &self.apply.clock)
+            .field("next_seq", &self.apply.next_seq)
             .finish_non_exhaustive()
     }
 }
@@ -245,98 +303,146 @@ impl Engine {
         };
         let next_seq = report.as_ref().map(|r| r.frames).unwrap_or(0);
         let last_stamp = platform.now().as_secs();
-        Ok((
-            Engine {
-                platform,
-                journal,
-                registry,
-                metrics,
-                clock: config.clock,
-                next_seq,
-                last_stamp,
-                // tacc-lint: allow(wall-clock, reason = "daemon start anchor for ClockMode::Wall stamps; replay uses the recorded stamps, so determinism is unaffected")
-                started: Instant::now(),
-                flushed: (0, 0),
-            },
-            report,
-        ))
+        let fsyncs = registry.counter("tacc_taccd_journal_fsyncs_total", &[]);
+        fsyncs.inc_by(journal.stats().syncs); // a new journal's genesis sync
+        let (journal, file) = journal.split();
+        let commit = CommitStage {
+            file,
+            frames: registry.counter("tacc_taccd_journal_frames_total", &[]),
+            fsyncs,
+        };
+        let apply = ApplyStage {
+            platform,
+            journal,
+            registry,
+            metrics,
+            clock: config.clock,
+            next_seq,
+            last_stamp,
+            // tacc-lint: allow(wall-clock, reason = "daemon start anchor for ClockMode::Wall stamps; replay uses the recorded stamps, so determinism is unaffected")
+            started: Instant::now(),
+        };
+        Ok((Engine { apply, commit }, report))
     }
 
     /// The engine-side metrics registry (`tacc_taccd_*` series). The
     /// daemon clones gauge handles out of it (e.g. connected clients).
     pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+        &self.apply.registry
     }
 
-    /// Runs the engine loop until the channel closes or a [`Msg::Stop`]
-    /// arrives. This consumes the thread; spawn it.
+    /// Runs the engine until the channel closes or a [`Msg::Stop`]
+    /// arrives: the apply stage on this thread, the commit stage on a
+    /// thread of its own that is joined before this returns, after it
+    /// has committed and answered every batch handed to it. This
+    /// consumes the thread; spawn it.
     pub fn run(mut self, rx: &Receiver<Msg>) {
-        loop {
+        self.serve(rx);
+    }
+
+    /// [`Engine::run`], leaving the engine behind for a test to inspect.
+    fn serve(&mut self, rx: &Receiver<Msg>) {
+        let Engine { apply, commit } = self;
+        let (to_commit, batches) = mpsc::sync_channel(PIPELINE_DEPTH);
+        // Room for every batch in existence, so handing one back never
+        // blocks the commit stage.
+        let (recycle, spares) = mpsc::sync_channel(PIPELINE_DEPTH + 2);
+        std::thread::scope(|scope| {
+            scope.spawn(move || commit.run(&batches, &recycle));
+            // `to_commit` moves in and drops on return, which is what
+            // ends the commit stage.
+            apply.run(rx, to_commit, &spares);
+        });
+    }
+}
+
+impl CommitStage {
+    /// Makes each batch durable, then — and only then — releases its
+    /// replies (I1), in the order they were pushed (I2). After the first
+    /// failure nothing is written and every reply is `journal-io` (I4).
+    fn run(&mut self, batches: &Receiver<Batch>, recycle: &SyncSender<Batch>) {
+        let mut failure: Option<String> = None;
+        for mut batch in batches {
+            if failure.is_none() {
+                match self.file.commit(&batch.frames) {
+                    Ok(()) if batch.frames.count() > 0 => {
+                        self.frames.inc_by(batch.frames.count());
+                        self.fsyncs.inc();
+                    }
+                    Ok(()) => {}
+                    Err(e) => failure = Some(e.to_string()),
+                }
+            }
+            for (tx, reply) in batch.replies.drain(..) {
+                let reply = match &failure {
+                    None => reply,
+                    Some(message) => journal_io(message),
+                };
+                let _ = tx.send(reply); // a vanished client is not an engine error
+            }
+            batch.frames.clear();
+            let _ = recycle.try_send(batch);
+        }
+    }
+}
+
+/// What the apply stage says once it has seen the journal closed. The
+/// commit stage puts the first failure's own text in its place.
+const JOURNAL_CLOSED: &str = "the journal failed; restart the daemon to recover from it";
+
+/// The refusal every message gets once the journal has failed.
+fn journal_io(message: &str) -> Reply {
+    Reply::Err {
+        kind: "journal-io".to_owned(),
+        message: message.to_owned(),
+    }
+}
+
+impl ApplyStage {
+    /// Drains the inbox batch by batch until it closes or a `Stop`
+    /// arrives; the batch holding the `Stop` is still handed on whole.
+    fn run(&mut self, rx: &Receiver<Msg>, to_commit: SyncSender<Batch>, spares: &Receiver<Batch>) {
+        let mut inbox = Vec::with_capacity(MAX_BATCH);
+        let mut keep_running = true;
+        while keep_running {
             let Ok(first) = rx.recv() else {
                 break; // all senders gone
             };
-            let mut batch = Vec::with_capacity(8);
-            batch.push(first);
-            while batch.len() < MAX_BATCH {
+            inbox.push(first);
+            while inbox.len() < MAX_BATCH {
                 match rx.try_recv() {
-                    Ok(msg) => batch.push(msg),
+                    Ok(msg) => inbox.push(msg),
                     Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
                 }
             }
-            if !self.process_batch(batch) {
-                break;
-            }
-        }
-        // Final durability point before the thread exits.
-        let _ = self.journal.sync();
-        self.reconcile_metrics();
-    }
-
-    /// Processes one batch; returns `false` when a `Stop` was seen.
-    fn process_batch(&mut self, batch: Vec<Msg>) -> bool {
-        let mut replies: Vec<(Sender<Reply>, Reply)> = Vec::with_capacity(batch.len());
-        let mut keep_running = true;
-        for msg in batch {
-            match msg {
-                Msg::Mutate { command, reply } => {
-                    let outcome = self.apply_mutate(command);
-                    replies.push((reply, outcome));
-                }
-                Msg::Query { query, reply } => {
-                    self.metrics.queries.inc();
-                    let answer = self.answer_query(&query);
-                    replies.push((reply, answer));
-                }
-                Msg::Stop => keep_running = false,
-            }
-        }
-        // Group commit: everything accepted above becomes durable in one
-        // fsync; only then do acknowledgments leave the engine.
-        if let Err(e) = self.journal.sync() {
-            // Durability failed: every accepted mutate in this batch must
-            // be refused, not acknowledged. The platform state is ahead
-            // of the journal now; the daemon restarts from the journal,
-            // so refusing is the honest answer.
-            let kind = "journal-io".to_owned();
-            let message = e.to_string();
-            for (_, r) in replies.iter_mut() {
-                if matches!(r, Reply::Ok(_)) {
-                    *r = Reply::Err {
-                        kind: kind.clone(),
-                        message: message.clone(),
-                    };
+            let mut batch = spares.try_recv().unwrap_or_default();
+            for msg in inbox.drain(..) {
+                match msg {
+                    Msg::Mutate { command, reply } => {
+                        let outcome = self.apply_mutate(command);
+                        batch.replies.push((reply, outcome));
+                    }
+                    Msg::Query { query, reply } => {
+                        self.metrics.queries.inc();
+                        let answer = self.answer_query(&query);
+                        batch.replies.push((reply, answer));
+                    }
+                    Msg::Stop => keep_running = false,
                 }
             }
+            batch.frames = self.journal.take_pending(batch.frames);
+            if to_commit.send(batch).is_err() {
+                break; // the commit stage is gone: nothing can be answered
+            }
         }
-        self.reconcile_metrics();
-        for (tx, reply) in replies {
-            let _ = tx.send(reply); // a vanished client is not an engine error
-        }
-        keep_running
     }
 
     /// Stamps, applies and journals one command.
     fn apply_mutate(&mut self, command: Command) -> Reply {
+        if self.journal.failed() {
+            self.metrics.rejects.inc();
+            return journal_io(JOURNAL_CLOSED);
+        }
         let at_secs = self.stamp();
         let record = CommandRecord {
             seq: self.next_seq,
@@ -346,13 +452,12 @@ impl Engine {
         match self.platform.apply_record(&record) {
             Ok(outcome) => {
                 if let Err(e) = self.journal.append_frame(&record) {
-                    // Could not journal an applied command: refuse it (the
-                    // client will retry against recovered state).
+                    // The journal failed between the check above and
+                    // here. The command is applied and unjournalled, but
+                    // the engine has stopped: this batch and every later
+                    // one is answered `journal-io` by the commit stage.
                     self.metrics.rejects.inc();
-                    return Reply::Err {
-                        kind: "journal-io".to_owned(),
-                        message: e.to_string(),
-                    };
+                    return journal_io(&e.to_string());
                 }
                 self.next_seq += 1;
                 self.last_stamp = at_secs;
@@ -381,6 +486,9 @@ impl Engine {
     }
 
     fn answer_query(&self, query: &Query) -> Reply {
+        if self.journal.failed() {
+            return journal_io(JOURNAL_CLOSED);
+        }
         match query {
             Query::Status { job } => {
                 let id = tacc_workload::JobId::from_value(*job);
@@ -454,19 +562,6 @@ impl Engine {
                 ]))
             }
         }
-    }
-
-    /// Mirrors journal counter deltas into the monotone metrics.
-    fn reconcile_metrics(&mut self) {
-        let stats = self.journal.stats();
-        let (frames, fsyncs) = self.flushed;
-        if stats.appended > frames {
-            self.metrics.frames.inc_by(stats.appended - frames);
-        }
-        if stats.syncs > fsyncs {
-            self.metrics.fsyncs.inc_by(stats.syncs - fsyncs);
-        }
-        self.flushed = (stats.appended, stats.syncs);
     }
 }
 
@@ -574,13 +669,18 @@ mod tests {
         rrx.recv().expect("reply")
     }
 
-    fn spawn(journal: PathBuf) -> (mpsc::Sender<Msg>, std::thread::JoinHandle<()>) {
-        let (engine, _) = Engine::open(EngineConfig {
-            journal,
+    fn open(journal: &std::path::Path) -> Engine {
+        Engine::open(EngineConfig {
+            journal: journal.to_owned(),
             platform: PlatformConfig::default(),
             clock: ClockMode::Logical,
         })
-        .expect("opens");
+        .expect("opens")
+        .0
+    }
+
+    fn spawn(journal: PathBuf) -> (mpsc::Sender<Msg>, std::thread::JoinHandle<()>) {
+        let engine = open(&journal);
         let (tx, rx) = mpsc::channel();
         let handle = std::thread::spawn(move || engine.run(&rx));
         (tx, handle)
@@ -703,5 +803,333 @@ mod tests {
         tx.send(Msg::Stop).expect("send stop");
         handle.join().expect("engine exits");
         std::fs::remove_file(&path).ok();
+    }
+    // ----------------------------------------------------------------
+    // The pipeline's invariants, under a seeded script and a fake disk
+    // ----------------------------------------------------------------
+
+    use crate::journal::JournalSink;
+    use std::io;
+
+    /// xorshift64*, as in `tests/tests/service_recovery.rs`.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: u64) -> u64 {
+            let mut x = self.0;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.0 = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        }
+    }
+
+    /// A seeded stream of messages: mutations of every kind, some of them
+    /// refused (unknown jobs, nodes past the cluster's 32), and a query
+    /// (`None`) now and then.
+    fn script(seed: u64, len: usize) -> Vec<Option<Command>> {
+        let mut rng = XorShift(seed | 1);
+        (0..len)
+            .map(|i| {
+                Some(match rng.below(11) {
+                    0..=3 => Command::Submit {
+                        schema: TaskSchema::builder(
+                            &format!("pipe-{i}-\"{:x}\"", rng.below(0xFFFF)),
+                            GroupId::from_index(rng.below(8) as usize),
+                        )
+                        .build()
+                        .expect("valid schema"),
+                        service_secs: 30.0 + rng.below(900) as f64,
+                    },
+                    4..=5 => Command::Advance {
+                        secs: 1.0 + rng.below(120) as f64,
+                    },
+                    6 => Command::Cancel {
+                        job: tacc_workload::JobId::from_value(rng.below(len as u64)),
+                    },
+                    7 => Command::Reserve {
+                        gpus: 1 + rng.below(64) as u32,
+                        from_secs: 1e6 + rng.below(5_000) as f64,
+                        until_secs: f64::INFINITY,
+                    },
+                    8 => Command::Drain {
+                        node: rng.below(40) as u32,
+                    },
+                    9 => Command::Undrain {
+                        node: rng.below(40) as u32,
+                    },
+                    _ => return None,
+                })
+            })
+            .collect()
+    }
+
+    /// Queues the whole script, one shared reply channel behind it, so
+    /// an engine started afterwards drains it in batches of exactly
+    /// `MAX_BATCH` and its replies can be read back in release order.
+    fn enqueue(script: &[Option<Command>], tx: &mpsc::Sender<Msg>) -> mpsc::Receiver<Reply> {
+        let (reply, replies) = mpsc::channel();
+        for step in script {
+            let reply = reply.clone();
+            tx.send(match step {
+                Some(command) => Msg::Mutate {
+                    command: command.clone(),
+                    reply,
+                },
+                None => Msg::Query {
+                    query: Query::Info,
+                    reply,
+                },
+            })
+            .expect("queued");
+        }
+        replies
+    }
+
+    /// The acknowledged mutations of a run, as the records the journal
+    /// must hold: `seq` and `at_secs` from each ack, the command from
+    /// the script.
+    fn acked_records(script: &[Option<Command>], replies: &[Reply]) -> Vec<CommandRecord> {
+        script
+            .iter()
+            .zip(replies)
+            .filter_map(|(step, reply)| match (step, reply) {
+                (Some(command), Reply::Ok(ack)) => Some(CommandRecord {
+                    seq: ack.get("seq").and_then(Json::as_u64).expect("ack has seq"),
+                    at_secs: ack.req_f64("at_secs").expect("ack has at_secs"),
+                    command: command.clone(),
+                }),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A disk that fails its `fail_at`-th commit — at the write, or at
+    /// the sync — and, like a disk, keeps only what was synced.
+    #[derive(Debug)]
+    struct FailingDisk {
+        disk: Box<dyn JournalSink>,
+        unsynced: Vec<u8>,
+        commits: usize,
+        fail_at: usize,
+        fail_the_sync: bool,
+    }
+
+    impl JournalSink for FailingDisk {
+        fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
+            assert!(self.commits <= self.fail_at, "written to after it failed");
+            if self.commits == self.fail_at && !self.fail_the_sync {
+                self.commits += 1;
+                return Err(io::Error::other("injected write failure"));
+            }
+            self.unsynced.extend_from_slice(bytes);
+            Ok(())
+        }
+
+        fn sync_data(&mut self) -> io::Result<()> {
+            assert!(self.commits <= self.fail_at, "synced after it failed");
+            self.commits += 1;
+            if self.commits > self.fail_at {
+                return Err(io::Error::other("injected sync failure"));
+            }
+            self.disk.write_all(&std::mem::take(&mut self.unsynced))?;
+            self.disk.sync_data()
+        }
+    }
+
+    /// I4, and I1 under failure: whichever batch's write or sync fails,
+    /// nothing from that batch on is acknowledged, the journal holds
+    /// exactly the acknowledged prefix, and a restart reproduces exactly
+    /// that prefix's state.
+    #[test]
+    fn a_journal_failure_stops_the_engine_at_the_acknowledged_prefix() {
+        const BATCHES: usize = 8;
+        let script = script(0xFA11_5709, BATCHES * MAX_BATCH);
+        let jobs_in_batch = |replies: &[Reply], batch: usize| {
+            replies[batch * MAX_BATCH..(batch + 1) * MAX_BATCH]
+                .iter()
+                .filter(|reply| matches!(reply, Reply::Ok(ack) if ack.get("outcome").and_then(Json::as_str) == Some("submitted")))
+                .count()
+        };
+        // A fault-free run says what each batch would have applied.
+        let path = temp_journal("failstop-reference");
+        std::fs::remove_file(&path).ok();
+        let (tx, rx) = mpsc::channel();
+        let replies = enqueue(&script, &tx);
+        tx.send(Msg::Stop).expect("queued");
+        open(&path).run(&rx);
+        let reference: Vec<Reply> = replies.try_iter().collect();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(reference.len(), script.len());
+        for batch in 0..BATCHES {
+            assert!(jobs_in_batch(&reference, batch) > 0, "batch {batch}");
+        }
+
+        for (fail_at, fail_the_sync) in (0..BATCHES).flat_map(|k| [(k, false), (k, true)]) {
+            let case = format!("batch {fail_at}, sync {fail_the_sync}");
+            let path = temp_journal(&format!("failstop-{fail_at}-{fail_the_sync}"));
+            std::fs::remove_file(&path).ok();
+            let mut engine = open(&path);
+            engine.commit.file = engine.commit.file.wrap_sink(|disk| {
+                Box::new(FailingDisk {
+                    disk,
+                    unsynced: Vec::new(),
+                    commits: 0,
+                    fail_at,
+                    fail_the_sync,
+                })
+            });
+            let (tx, rx) = mpsc::channel();
+            let replies = enqueue(&script, &tx);
+            tx.send(Msg::Stop).expect("queued");
+            engine.serve(&rx);
+            let replies: Vec<Reply> = replies.try_iter().collect();
+            assert_eq!(replies.len(), script.len(), "{case}: one reply each");
+
+            // Before the failed batch, the fault-free answers; from it
+            // on, `journal-io` for everything, queries included.
+            let survived = fail_at * MAX_BATCH;
+            assert_eq!(replies[..survived], reference[..survived], "{case}");
+            for (i, reply) in replies.iter().enumerate().skip(survived) {
+                assert!(
+                    matches!(reply, Reply::Err { kind, .. } if kind == "journal-io"),
+                    "{case}: message {i} answered {reply:?}"
+                );
+            }
+            // The apply stage ran ahead by no more than the pipeline
+            // holds, then stopped applying.
+            let ahead = (0..BATCHES.min(fail_at + PIPELINE_DEPTH + 2))
+                .map(|batch| jobs_in_batch(&reference, batch))
+                .sum::<usize>();
+            let jobs = engine.apply.platform.job_count();
+            assert!(
+                jobs <= ahead,
+                "{case}: {jobs} jobs applied, at most {ahead}"
+            );
+
+            // The journal is the acknowledged prefix, no more, no tear.
+            let acked = acked_records(&script, &replies);
+            let seed = PlatformConfig::default().seed;
+            let (_, records, report) = Journal::recover(&path, seed).expect("recovers");
+            assert_eq!(report.torn_bytes, 0, "{case}");
+            assert_eq!(records, acked, "{case}");
+            // And a restart reproduces that prefix's state.
+            let mut fresh = Platform::new(PlatformConfig::default());
+            for record in &acked {
+                fresh.apply_record(record).expect("the prefix re-applies");
+            }
+            assert_eq!(
+                open(&path).apply.platform.transition_log_jsonl(),
+                fresh.transition_log_jsonl(),
+                "{case}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// A disk whose first sync waits at a gate the test holds.
+    #[derive(Debug)]
+    struct GatedDisk {
+        disk: Box<dyn JournalSink>,
+        /// Taken by the first sync: where it reports in, and what it
+        /// then waits on.
+        gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+    }
+
+    impl JournalSink for GatedDisk {
+        fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.disk.write_all(bytes)
+        }
+
+        fn sync_data(&mut self) -> io::Result<()> {
+            if let Some((arrived, open)) = self.gate.take() {
+                arrived.send(()).expect("the test is waiting");
+                open.recv().expect("the test opens the gate");
+            }
+            self.disk.sync_data()
+        }
+    }
+
+    /// I1 and I2: while batch 0 sits in its fsync the apply stage goes
+    /// on to apply the batches behind it, and not one reply — of that
+    /// batch or a later one — can be received; once the sync returns,
+    /// every reply leaves in arrival order.
+    #[test]
+    fn no_reply_leaves_before_its_batch_is_durable() {
+        const BATCHES: usize = PIPELINE_DEPTH + 2;
+        let path = temp_journal("gated");
+        std::fs::remove_file(&path).ok();
+        let mut engine = open(&path);
+        let (arrived, at_gate) = mpsc::channel();
+        let (open_gate, gate) = mpsc::channel();
+        engine.commit.file = engine.commit.file.wrap_sink(|disk| {
+            Box::new(GatedDisk {
+                disk,
+                gate: Some((arrived, gate)),
+            })
+        });
+        let applied = engine
+            .registry()
+            .counter("tacc_taccd_commands_applied_total", &[]);
+        let submits = vec![Some(submit_command()); BATCHES * MAX_BATCH];
+        let (tx, rx) = mpsc::channel();
+        let replies = enqueue(&submits, &tx);
+        let handle = std::thread::spawn(move || engine.run(&rx));
+
+        at_gate.recv().expect("batch 0 reaches its sync");
+        // The apply stage needs nothing from the gate to get through
+        // every queued batch: one is in the commit stage, one waits in
+        // the channel, one is applied and waits to be sent.
+        let deadline = Instant::now() + std::time::Duration::from_secs(60);
+        while applied.get() < submits.len() as u64 {
+            assert!(Instant::now() < deadline, "the apply stage stalled");
+            std::thread::yield_now();
+        }
+        assert!(
+            matches!(replies.try_recv(), Err(mpsc::TryRecvError::Empty)),
+            "a reply left while its batch was not durable"
+        );
+
+        open_gate.send(()).expect("the sync is waiting");
+        for seq in 0..submits.len() as u64 {
+            let Reply::Ok(ack) = replies.recv().expect("a reply per message") else {
+                panic!("submit {seq} refused");
+            };
+            assert_eq!(ack.get("seq").and_then(Json::as_u64), Some(seq));
+        }
+        tx.send(Msg::Stop).expect("send stop");
+        handle.join().expect("engine exits");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// I3: however a live engine batched them, the journal's bytes are
+    /// the genesis frame and then each accepted record's tree-printed
+    /// text, framed — the format every earlier build wrote.
+    #[test]
+    fn journal_bytes_are_the_framed_tree_text_of_each_record() {
+        let path = temp_journal("bytes");
+        std::fs::remove_file(&path).ok();
+        let script = script(0xB17E_5EED, 2_000);
+        let (tx, handle) = spawn(path.clone());
+        let replies = enqueue(&script, &tx);
+        let replies: Vec<Reply> = replies.iter().take(script.len()).collect();
+        tx.send(Msg::Stop).expect("send stop");
+        handle.join().expect("engine exits");
+
+        let seed = PlatformConfig::default().seed;
+        let genesis_path = temp_journal("bytes-genesis");
+        drop(Journal::create(&genesis_path, seed).expect("creates"));
+        let mut expected = std::fs::read(&genesis_path).expect("reads");
+        let (_, records, _) = Journal::recover(&path, seed).expect("recovers");
+        assert_eq!(records, acked_records(&script, &replies));
+        assert!(records.len() > 1_000, "most of the script is accepted");
+        for record in &records {
+            let text = record.to_json().to_string();
+            expected.extend(tacc_core::wire::encode_frame(text.as_bytes()));
+        }
+        assert_eq!(std::fs::read(&path).expect("reads"), expected);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&genesis_path).ok();
     }
 }

@@ -3,10 +3,22 @@
 //! One file, a sequence of checksummed frames ([`tacc_core::wire`]):
 //! a genesis frame carrying the protocol version and platform seed,
 //! then one frame per accepted [`CommandRecord`], each a single JSON
-//! line. Appends are buffered and durability is batched: the engine
-//! appends every valid command of a batch, then calls [`Journal::sync`]
-//! once (group commit) before acknowledging any of them — one `fsync`
-//! amortized over the whole batch.
+//! line.
+//!
+//! A journal has two halves. The *append* half ([`Journal`]) encodes a
+//! record straight into the pending batch buffer — in memory, no
+//! syscall. The *commit* half ([`JournalFile`]) puts a batch on disk
+//! with one `write_all` and one `sync_data` ([`JournalFile::commit`],
+//! the one routine that touches the file after the genesis frame). Used
+//! whole, [`Journal::sync`] commits the pending batch on the caller's
+//! thread. The engine instead [splits](Journal::split) the journal: its
+//! apply stage keeps appending to a `Journal<Detached>` — which has no
+//! `sync`, so nothing can flush on that thread — while its commit stage
+//! owns the file.
+//!
+//! A journal whose write or sync failed is closed for good
+//! ([`Journal::failed`]): the file may end mid-frame, so nothing more is
+//! written behind it and recovery truncates the tear.
 //!
 //! Recovery reads frames until the first torn or corrupt one, keeps the
 //! longest valid prefix, reports what it dropped (loudly — torn tails
@@ -15,8 +27,10 @@
 //! boundary.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::Arc;
 
 use tacc_core::wire::{self, Json};
 use tacc_core::CommandRecord;
@@ -78,20 +92,147 @@ impl RecoveryReport {
     }
 }
 
-/// The write-ahead journal: an append-only file of checksummed frames,
-/// owned by exactly one engine thread (single writer by construction —
-/// and by the `single-writer` lint rule on [`Journal::append_frame`]).
+/// The two calls that put a batch on disk. `File` is the implementation
+/// that ships; the trait exists so a test can put a failing or a gated
+/// disk in its place ([`JournalFile::wrap_sink`]).
+pub trait JournalSink: Send + std::fmt::Debug {
+    /// Writes all of `bytes` at the end of the journal.
+    ///
+    /// # Errors
+    ///
+    /// The underlying I/O error; some of `bytes` may have been written.
+    fn write_all(&mut self, bytes: &[u8]) -> io::Result<()>;
+
+    /// Forces everything written so far to stable storage.
+    ///
+    /// # Errors
+    ///
+    /// The underlying I/O error; nothing written since the last
+    /// successful call may be assumed durable.
+    fn sync_data(&mut self) -> io::Result<()>;
+}
+
+impl JournalSink for File {
+    fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
+        io::Write::write_all(self, bytes)
+    }
+
+    fn sync_data(&mut self) -> io::Result<()> {
+        File::sync_data(self)
+    }
+}
+
+/// A batch of encoded frames, back to back, and how many they are: what
+/// the append half fills and the commit half writes.
+#[derive(Debug, Default)]
+pub struct Frames {
+    bytes: Vec<u8>,
+    count: u64,
+}
+
+impl Frames {
+    /// How many frames the batch holds.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Empties the batch, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.count = 0;
+    }
+}
+
+/// What the commit half has done, as the append half reads it: one side
+/// only ever stores, the other only ever loads.
+#[derive(Debug, Default)]
+struct Progress {
+    /// Command frames made durable since open.
+    durable: AtomicU64,
+    /// Successful `sync_data` calls since open.
+    syncs: AtomicU64,
+    /// Set by the first failed write or sync, never cleared.
+    failed: AtomicBool,
+}
+
+/// The commit half of a journal: the file, and the only code that
+/// writes to it once the genesis frame is down.
 #[derive(Debug)]
-pub struct Journal {
-    file: File,
+pub struct JournalFile {
+    sink: Box<dyn JournalSink>,
+    progress: Arc<Progress>,
+}
+
+impl JournalFile {
+    /// Makes one batch of frames durable: one `write_all`, one
+    /// `sync_data`. A batch without frames touches nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] when the write or the sync fails — and from
+    /// then on for every batch, without touching the file again: it may
+    /// end mid-frame, and frames written behind a tear would be lost to
+    /// recovery after they were acknowledged.
+    pub fn commit(&mut self, batch: &Frames) -> Result<(), JournalError> {
+        if batch.count == 0 {
+            return Ok(());
+        }
+        if self.progress.failed.load(SeqCst) {
+            return Err(closed());
+        }
+        let written = self
+            .sink
+            .write_all(&batch.bytes)
+            .and_then(|()| self.sink.sync_data());
+        if let Err(e) = written {
+            self.progress.failed.store(true, SeqCst);
+            return Err(JournalError::Io(e));
+        }
+        self.progress.durable.fetch_add(batch.count, SeqCst);
+        self.progress.syncs.fetch_add(1, SeqCst);
+        Ok(())
+    }
+
+    /// Puts `wrap(the sink)` in the sink's place — how a test gets a
+    /// failing or a gated disk under a journal that `create` or
+    /// `recover` opened.
+    pub fn wrap_sink(
+        mut self,
+        wrap: impl FnOnce(Box<dyn JournalSink>) -> Box<dyn JournalSink>,
+    ) -> JournalFile {
+        self.sink = wrap(self.sink);
+        self
+    }
+}
+
+/// What a journal answers once a write or a sync has failed.
+fn closed() -> JournalError {
+    JournalError::Io(io::Error::other(
+        "the journal is closed after an earlier I/O error",
+    ))
+}
+
+/// In place of the [`JournalFile`] in a journal that was
+/// [split](Journal::split): the file is with a commit stage.
+#[derive(Debug)]
+pub struct Detached;
+
+/// The write-ahead journal: an append-only file of checksummed frames
+/// with exactly one appender (by construction — and by the
+/// `single-writer` lint rule on [`Journal::append_frame`]).
+///
+/// `F` says where the file half is: [`JournalFile`] in a whole journal,
+/// which can [`sync`](Journal::sync) itself; [`Detached`] in the append
+/// half the engine's apply stage keeps.
+#[derive(Debug)]
+pub struct Journal<F = JournalFile> {
+    file: F,
     path: PathBuf,
-    /// Frames appended since open (journal side of the fsync-batching
-    /// policy; the engine reads these through [`Journal::stats`]).
+    /// The pending batch: frames appended and not yet handed to a commit.
+    pending: Frames,
+    /// Frames appended since open.
     appended: u64,
-    /// `fsync` calls issued.
-    syncs: u64,
-    /// Appended-but-not-yet-synced frame count.
-    dirty: u64,
+    progress: Arc<Progress>,
 }
 
 /// Counters the engine exports as `tacc_taccd_journal_*` metrics.
@@ -101,7 +242,8 @@ pub struct JournalStats {
     pub appended: u64,
     /// `fsync` calls issued since open.
     pub syncs: u64,
-    /// Frames appended but not yet covered by an `fsync`.
+    /// Frames appended but not yet covered by an `fsync`: pending, or on
+    /// their way through a commit stage.
     pub dirty: u64,
 }
 
@@ -127,20 +269,28 @@ impl Journal {
             .create(true)
             .truncate(true)
             .open(path)?;
-        let mut journal = Journal {
-            file,
-            path: path.to_owned(),
-            appended: 0,
-            syncs: 0,
-            dirty: 0,
-        };
+        let mut journal = Journal::over(file, path);
         let genesis = genesis_payload(seed);
-        journal
-            .file
-            .write_all(&wire::encode_frame(genesis.as_bytes()))?;
-        journal.file.sync_data()?;
-        journal.syncs += 1;
+        let sink = &mut journal.file.sink;
+        sink.write_all(&wire::encode_frame(genesis.as_bytes()))?;
+        sink.sync_data()?;
+        journal.progress.syncs.store(1, SeqCst);
         Ok(journal)
+    }
+
+    /// A journal appending at `file`'s cursor, nothing pending.
+    fn over(file: File, path: &Path) -> Journal {
+        let progress = Arc::new(Progress::default());
+        Journal {
+            file: JournalFile {
+                sink: Box::new(file),
+                progress: Arc::clone(&progress),
+            },
+            path: path.to_owned(),
+            pending: Frames::default(),
+            appended: 0,
+            progress,
+        }
     }
 
     /// Opens an existing journal, validates the genesis frame, recovers
@@ -234,57 +384,83 @@ impl Journal {
         }
         file.seek(SeekFrom::Start(offset as u64))?;
 
-        Ok((
-            Journal {
-                file,
-                path: path.to_owned(),
-                appended: 0,
-                syncs: 0,
-                dirty: 0,
-            },
-            records,
-            report,
-        ))
-    }
-
-    /// Appends one command record as a checksummed frame. **Not**
-    /// durable until the next [`Journal::sync`] — the engine batches
-    /// appends and syncs once per batch before acknowledging.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] on filesystem failure.
-    pub fn append_frame(&mut self, record: &CommandRecord) -> Result<(), JournalError> {
-        let payload = record.to_json().to_string();
-        self.file
-            .write_all(&wire::encode_frame(payload.as_bytes()))?;
-        self.appended += 1;
-        self.dirty += 1;
-        Ok(())
+        Ok((Journal::over(file, path), records, report))
     }
 
     /// Forces everything appended so far to stable storage (the group
-    /// commit point).
+    /// commit point): [`JournalFile::commit`] over the pending batch.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] on filesystem failure.
+    /// [`JournalError::Io`] on filesystem failure; the journal is then
+    /// closed ([`Journal::failed`]).
     pub fn sync(&mut self) -> Result<(), JournalError> {
-        if self.dirty == 0 {
-            return Ok(());
-        }
-        self.file.sync_data()?;
-        self.syncs += 1;
-        self.dirty = 0;
+        self.file.commit(&self.pending)?;
+        self.pending.clear();
         Ok(())
+    }
+
+    /// Splits the journal into its append half and its commit half, for
+    /// an engine that runs the two on different threads.
+    pub fn split(self) -> (Journal<Detached>, JournalFile) {
+        let Journal {
+            file,
+            path,
+            pending,
+            appended,
+            progress,
+        } = self;
+        let appender = Journal {
+            file: Detached,
+            path,
+            pending,
+            appended,
+            progress,
+        };
+        (appender, file)
+    }
+}
+
+impl<F> Journal<F> {
+    /// Appends one command record as a checksummed frame, encoded
+    /// straight into the pending batch buffer: no syscall, and **not**
+    /// durable until a commit covers it — the engine commits once per
+    /// batch before acknowledging.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] once the journal has [failed](Journal::failed).
+    pub fn append_frame(&mut self, record: &CommandRecord) -> Result<(), JournalError> {
+        if self.failed() {
+            return Err(closed());
+        }
+        wire::frame_into(&mut self.pending.bytes, |payload| {
+            record.write_json(payload)
+        });
+        self.pending.count += 1;
+        self.appended += 1;
+        Ok(())
+    }
+
+    /// Takes the pending batch for a commit stage, leaving the empty
+    /// `spare` to fill next.
+    pub fn take_pending(&mut self, spare: Frames) -> Frames {
+        debug_assert_eq!(spare.count, 0, "the spare batch still holds frames");
+        std::mem::replace(&mut self.pending, spare)
+    }
+
+    /// True once a write or a sync of this journal's file has failed.
+    /// Nothing is appended or committed afterwards.
+    pub fn failed(&self) -> bool {
+        self.progress.failed.load(SeqCst)
     }
 
     /// Append/sync counters for the `tacc_taccd_journal_*` metrics.
     pub fn stats(&self) -> JournalStats {
         JournalStats {
             appended: self.appended,
-            syncs: self.syncs,
-            dirty: self.dirty,
+            syncs: self.progress.syncs.load(SeqCst),
+            dirty: self.appended - self.progress.durable.load(SeqCst),
         }
     }
 

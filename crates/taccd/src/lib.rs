@@ -8,13 +8,14 @@
 //! Three pieces, strictly layered:
 //!
 //! * [`journal`] — the single-writer write-ahead journal: checksummed
-//!   frames of [`tacc_core::CommandRecord`]s, group-committed with
-//!   batched `fsync`, recovered to the longest valid prefix after a
-//!   crash;
-//! * [`engine`] — one thread owning the [`tacc_core::Platform`] and
-//!   the journal, draining client messages in arrival order (journal →
-//!   fsync → acknowledge), so the core below stays single-threaded and
-//!   replayable;
+//!   frames of [`tacc_core::CommandRecord`]s, encoded into a batch
+//!   buffer and committed with one write and one `fsync` per batch,
+//!   recovered to the longest valid prefix after a crash;
+//! * [`engine`] — two stages: one thread owning the
+//!   [`tacc_core::Platform`] takes client messages in arrival order and
+//!   applies them, a second makes each batch's frames durable and only
+//!   then releases its replies (apply → journal → fsync → acknowledge),
+//!   so the core below stays single-threaded and replayable;
 //! * [`daemon`] — the Unix-socket edge: an accept loop and
 //!   per-connection threads speaking checksummed JSON frames, the one
 //!   place in the workspace where threads and channels are load-bearing

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use tacc_cluster::ResourceVec;
-use tacc_json::{obj, Json};
+use tacc_json::{obj, write_escaped, write_num, Json, TextSink};
 
 use crate::group::GroupId;
 
@@ -29,12 +29,19 @@ impl QosClass {
     }
 }
 
+impl QosClass {
+    /// The class's name in a schema file.
+    fn tag(self) -> &'static str {
+        match self {
+            QosClass::Guaranteed => "guaranteed",
+            QosClass::BestEffort => "best-effort",
+        }
+    }
+}
+
 impl fmt::Display for QosClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QosClass::Guaranteed => f.write_str("guaranteed"),
-            QosClass::BestEffort => f.write_str("best-effort"),
-        }
+        f.write_str(self.tag())
     }
 }
 
@@ -59,15 +66,21 @@ impl TaskKind {
     }
 }
 
-impl fmt::Display for TaskKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl TaskKind {
+    /// The kind's name in a schema file.
+    fn tag(self) -> &'static str {
+        match self {
             TaskKind::Training => "training",
             TaskKind::Interactive => "interactive",
             TaskKind::Inference => "inference",
             TaskKind::CpuBatch => "cpu-batch",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for TaskKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.tag())
     }
 }
 
@@ -344,8 +357,8 @@ impl TaskSchema {
                     ("mem_gb", Json::Num(f64::from(self.resources.mem_gb))),
                 ]),
             ),
-            ("qos", Json::Str(self.qos.to_string())),
-            ("task_kind", Json::Str(self.kind.to_string())),
+            ("qos", Json::Str(self.qos.tag().to_owned())),
+            ("task_kind", Json::Str(self.kind.tag().to_owned())),
             ("runtime", Json::Str(self.runtime.tag().to_owned())),
             (
                 "env",
@@ -366,6 +379,72 @@ impl TaskSchema {
             ("model", model),
             ("elastic", Json::Bool(self.elastic)),
         ])
+    }
+
+    /// Streams the text [`TaskSchema::to_json`] prints, with no tree in
+    /// between: the `taccd` journal encodes every submission through
+    /// this. The two writers spell one shape; `core`'s
+    /// `streamed_records_equal_the_tree_writers` holds them together.
+    pub fn write_json<W: TextSink + ?Sized>(&self, out: &mut W) {
+        fn pair<W: TextSink + ?Sized>((name, mb): &(String, u32), out: &mut W) {
+            out.push_str("[");
+            write_escaped(name, out);
+            out.push_str(",");
+            write_num(f64::from(*mb), out);
+            out.push_str("]");
+        }
+        out.push_str("{\"name\":");
+        write_escaped(&self.name, out);
+        out.push_str(",\"group\":");
+        write_num(self.group.index() as f64, out);
+        out.push_str(",\"workers\":");
+        write_num(f64::from(self.workers), out);
+        out.push_str(",\"resources\":{\"gpus\":");
+        write_num(f64::from(self.resources.gpus), out);
+        out.push_str(",\"cpu_cores\":");
+        write_num(f64::from(self.resources.cpu_cores), out);
+        out.push_str(",\"mem_gb\":");
+        write_num(f64::from(self.resources.mem_gb), out);
+        out.push_str("},\"qos\":");
+        write_escaped(self.qos.tag(), out);
+        out.push_str(",\"task_kind\":");
+        write_escaped(self.kind.tag(), out);
+        out.push_str(",\"runtime\":");
+        write_escaped(self.runtime.tag(), out);
+        out.push_str(",\"env\":{\"image\":");
+        write_escaped(&self.env.image, out);
+        out.push_str(",\"dependencies\":[");
+        for (i, dep) in self.env.dependencies.iter().enumerate() {
+            if i > 0 {
+                out.push_str(",");
+            }
+            pair(dep, out);
+        }
+        out.push_str("],\"dataset\":");
+        match &self.env.dataset {
+            Some(dataset) => pair(dataset, out),
+            None => out.push_str("null"),
+        }
+        out.push_str(",\"code_mb\":");
+        write_num(f64::from(self.env.code_mb), out);
+        out.push_str("},\"est_duration_secs\":");
+        write_num(self.est_duration_secs, out);
+        out.push_str(",\"model\":");
+        match &self.model {
+            Some(m) => {
+                out.push_str("{\"param_mb\":");
+                write_num(m.param_mb, out);
+                out.push_str(",\"compute_secs_per_iter\":");
+                write_num(m.compute_secs_per_iter, out);
+                out.push_str("}");
+            }
+            None => out.push_str("null"),
+        }
+        out.push_str(if self.elastic {
+            ",\"elastic\":true}"
+        } else {
+            ",\"elastic\":false}"
+        });
     }
 
     /// Reads a schema back from [`TaskSchema::to_json`]'s shape. `model`,
