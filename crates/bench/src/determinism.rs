@@ -65,7 +65,7 @@ pub fn campus_determinism_run(days: f64) -> DeterminismRun {
     let mut events = platform.events().to_jsonl();
     events.push_str(&report_fingerprint(&report).to_string());
     events.push('\n');
-    let transitions = platform.transitions_jsonl();
+    let transitions = platform.transition_log_jsonl();
     let timelines = platform.timelines_jsonl();
     // Replay check input: refold the span book from the exported text,
     // exactly as an offline consumer would.
@@ -81,7 +81,7 @@ pub fn campus_determinism_run(days: f64) -> DeterminismRun {
         transitions,
         timelines,
         reconstructed_timelines,
-        goodput: report.goodput_decomposition.to_json(),
+        goodput: report.goodput_decomposition.to_json().to_string(),
     }
 }
 

@@ -147,6 +147,38 @@ pub enum CommandOutcome {
     },
 }
 
+impl CommandOutcome {
+    /// The acknowledgement a client receives: the record's sequence
+    /// number and stamp, then what applying it did.
+    pub fn to_json(&self, seq: u64, at_secs: f64) -> Json {
+        let node = |node: &NodeId| ("node", Json::from(node.index()));
+        let (outcome, rest) = match self {
+            CommandOutcome::Submitted { job } => ("submitted", vec![("job", job.value().into())]),
+            CommandOutcome::Cancelled { job, applied } => (
+                "cancelled",
+                vec![("job", job.value().into()), ("applied", (*applied).into())],
+            ),
+            CommandOutcome::Reserved => ("reserved", vec![]),
+            CommandOutcome::NodeFaulted { node: at, jobs } => {
+                let jobs = jobs.iter().map(|j| j.value().into()).collect();
+                ("node-faulted", vec![node(at), ("jobs", Json::Arr(jobs))])
+            }
+            CommandOutcome::Drained { node: at } => ("drained", vec![node(at)]),
+            CommandOutcome::Undrained { node: at } => ("undrained", vec![node(at)]),
+            CommandOutcome::Advanced { now_secs } => {
+                ("advanced", vec![("now_secs", Json::Num(*now_secs))])
+            }
+        };
+        let mut fields = vec![
+            ("seq", seq.into()),
+            ("at_secs", Json::Num(at_secs)),
+            ("outcome", outcome.into()),
+        ];
+        fields.extend(rest);
+        obj(fields)
+    }
+}
+
 /// Why a command was rejected. Every variant is a client error: the
 /// platform state is unchanged and the command must not be journalled.
 #[derive(Debug, Clone, PartialEq)]
@@ -350,13 +382,6 @@ impl Platform {
         }
         self.run_until(SimTime::from_secs(record.at_secs));
         self.apply_command(&record.command)
-    }
-
-    /// The full transition log as JSONL — the byte-reproduction target
-    /// for journal replay (see DESIGN.md, "Service mode & write-ahead
-    /// journal").
-    pub fn transition_log_jsonl(&self) -> String {
-        self.transitions_jsonl()
     }
 }
 
@@ -802,6 +827,49 @@ mod tests {
             })
             .expect_err("unknown job");
         assert_eq!(err.kind(), "unknown-job");
+    }
+
+    /// The acknowledgements, as the parent's engine wrote them.
+    #[test]
+    fn acknowledgements_are_pinned() {
+        let (job, node) = (JobId::from_value(4), NodeId::from_index(2));
+        let acks = [
+            (
+                CommandOutcome::Submitted { job },
+                r#""outcome":"submitted","job":4}"#,
+            ),
+            (
+                CommandOutcome::Cancelled {
+                    job,
+                    applied: false,
+                },
+                r#""outcome":"cancelled","job":4,"applied":false}"#,
+            ),
+            (CommandOutcome::Reserved, r#""outcome":"reserved"}"#),
+            (
+                CommandOutcome::NodeFaulted {
+                    node,
+                    jobs: vec![job],
+                },
+                r#""outcome":"node-faulted","node":2,"jobs":[4]}"#,
+            ),
+            (
+                CommandOutcome::Drained { node },
+                r#""outcome":"drained","node":2}"#,
+            ),
+            (
+                CommandOutcome::Undrained { node },
+                r#""outcome":"undrained","node":2}"#,
+            ),
+            (
+                CommandOutcome::Advanced { now_secs: 90.5 },
+                r#""outcome":"advanced","now_secs":90.5}"#,
+            ),
+        ];
+        for (outcome, rest) in acks {
+            let text = outcome.to_json(9, 1.5).to_string();
+            assert_eq!(text, format!(r#"{{"seq":9,"at_secs":1.5,{rest}"#));
+        }
     }
 
     #[test]

@@ -51,10 +51,10 @@ pub mod wire;
 
 pub use command::{Command, CommandError, CommandOutcome, CommandRecord};
 pub use config::PlatformConfig;
-pub use lifecycle::{LifecycleError, TransitionRecord};
+pub use lifecycle::LifecycleError;
 pub use platform::Platform;
 pub use report::{GroupReport, SimulationReport};
-pub use status::JobStatus;
+pub use status::{JobStatus, Query, QueryError};
 
 // The parallel experiment runner (tacc-bench) replays platforms on worker
 // threads; these guards fail the build if simulation state ever stops

@@ -20,32 +20,17 @@
 //! since those are exactly the places transitions happen.
 
 use std::collections::VecDeque;
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 use tacc_cluster::{GpuModel, NodeId};
 use tacc_obs::{PlatformEvent, TransitionEvent};
 use tacc_sim::{SimDuration, SimTime};
 use tacc_workload::{
-    IllegalTransition, Job, JobEvent, JobEventKind, JobId, JobState, RuntimePreference, TaskKind,
+    IllegalTransition, Job, JobEvent, JobId, JobState, RuntimePreference, TaskKind,
 };
 
 use crate::platform::{ActiveRun, Event, Platform};
 use crate::report::CompletedJob;
-
-/// One applied lifecycle transition, as recorded by the engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransitionRecord {
-    /// Simulated time of the transition, seconds.
-    pub at_secs: f64,
-    /// The job that transitioned.
-    pub job: JobId,
-    /// State before the event.
-    pub from: JobState,
-    /// State after the event.
-    pub to: JobState,
-    /// The event kind that drove the transition.
-    pub event: JobEventKind,
-}
 
 /// Bounded ring of applied transitions plus lifetime counters. Mirrors
 /// the event bus's eviction discipline: recording never fails, the
@@ -54,7 +39,7 @@ pub struct TransitionRecord {
 #[derive(Debug)]
 pub(crate) struct TransitionLog {
     capacity: usize,
-    buf: VecDeque<TransitionRecord>,
+    buf: VecDeque<TransitionEvent>,
     dropped: u64,
     illegal: u64,
 }
@@ -69,7 +54,7 @@ impl TransitionLog {
         }
     }
 
-    fn record(&mut self, rec: TransitionRecord) {
+    fn record(&mut self, rec: TransitionEvent) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -81,7 +66,7 @@ impl TransitionLog {
         self.illegal += 1;
     }
 
-    fn iter(&self) -> impl Iterator<Item = &TransitionRecord> {
+    fn iter(&self) -> impl Iterator<Item = &TransitionEvent> {
         self.buf.iter()
     }
 }
@@ -162,23 +147,18 @@ impl Platform {
                 if to == JobState::Running || from == JobState::Running {
                     self.bump_token(id);
                 }
-                self.transitions.record(TransitionRecord {
+                let record = TransitionEvent {
                     at_secs: now,
                     job: id,
                     from,
                     to,
                     event: event.kind(),
-                });
+                };
+                self.transitions.record(record);
                 // The span book folds the same stream the log records, so
                 // live timelines and timelines replayed from the exported
                 // JSONL are the same pure function of the same input.
-                self.spans.observe(TransitionEvent {
-                    at_secs: now,
-                    job: id,
-                    from,
-                    to,
-                    event: event.kind(),
-                });
+                self.spans.observe(record);
                 Ok(to)
             }
             Err(err) => {
@@ -213,7 +193,7 @@ impl Platform {
 
     /// Applied transitions concerning `job`, oldest first (bounded by
     /// the transition-log ring).
-    pub fn transitions(&self, job: JobId) -> Vec<TransitionRecord> {
+    pub fn transitions(&self, job: JobId) -> Vec<TransitionEvent> {
         self.transitions
             .iter()
             .filter(|r| r.job == job)
@@ -231,21 +211,13 @@ impl Platform {
         self.transitions.illegal
     }
 
-    /// Serializes the retained transition log as JSON Lines (oldest
-    /// first). Hand-rolled like the event bus export: dependency-free
-    /// and byte-deterministic.
-    pub fn transitions_jsonl(&self) -> String {
+    /// The retained transition log as JSON Lines, oldest first — the
+    /// byte-reproduction target for journal replay (see DESIGN.md,
+    /// "Service mode & write-ahead journal").
+    pub fn transition_log_jsonl(&self) -> String {
         let mut out = String::new();
         for r in self.transitions.iter() {
-            let _ = write!(
-                out,
-                "{{\"at_secs\":{},\"job\":{},\"from\":\"{}\",\"to\":\"{}\",\"event\":\"{}\"}}",
-                r.at_secs,
-                r.job.value(),
-                r.from,
-                r.to,
-                r.event
-            );
+            r.write_json(&mut out);
             out.push('\n');
         }
         out

@@ -5,7 +5,7 @@
 //! Everything here is a read model over sim-time data the engine
 //! already recorded, so timelines and goodput reports are deterministic
 //! and replayable: reconstructing the span book from an exported
-//! transition JSONL (`Platform::transitions_jsonl`) yields byte-for-byte
+//! transition JSONL (`Platform::transition_log_jsonl`) yields byte-for-byte
 //! the same [`Platform::timelines_jsonl`] output — provided the bounded
 //! transition ring never dropped a record
 //! (`Platform::transitions_dropped`).

@@ -299,6 +299,13 @@ impl Platform {
         Some(at)
     }
 
+    /// When the next pending event is due; `None` when the queue is
+    /// empty. A record stamped with this time and carrying
+    /// `Advance { secs: 0.0 }` settles exactly the events due then.
+    pub fn next_event_at(&self) -> Option<SimTime> {
+        self.events.peek_time()
+    }
+
     /// Runs until no events remain.
     pub fn run_until_idle(&mut self) {
         while self.step().is_some() {}

@@ -1,13 +1,17 @@
-//! Read-only status surface: everything `tcloud` asks the platform
-//! about a job — status snapshots, `why` explanations, artifacts,
-//! storage stats, and the bounded per-job logs. Nothing here mutates
+//! The read model: everything `tcloud` asks the platform — status
+//! snapshots, `why` explanations, artifacts, storage stats, the bounded
+//! per-job logs — and the one function that answers a serializable
+//! [`Query`] from them, [`Platform::answer`]. Nothing here mutates
 //! platform state.
+
+use std::fmt;
 
 use tacc_cluster::NodeId;
 use tacc_obs::PlatformEvent;
-use tacc_workload::{JobId, JobState};
+use tacc_workload::{GroupId, JobId, JobState};
 
 use crate::platform::Platform;
+use crate::wire::{obj, Json};
 
 /// A snapshot of one job's lifecycle, as reported to clients.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,7 +32,273 @@ pub struct JobStatus {
     pub preemptions: u32,
 }
 
+impl JobStatus {
+    /// The snapshot's wire value. `state` is the stable lower-case name
+    /// [`JobState::parse_name`] reads back.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("job", self.id.value().into()),
+            ("state", self.state.to_string().into()),
+            ("name", self.name.as_str().into()),
+            (
+                "nodes",
+                Json::Arr(self.nodes.iter().map(|n| n.index().into()).collect()),
+            ),
+            ("submit_secs", Json::Num(self.submit_secs)),
+            ("remaining_secs", Json::Num(self.remaining_secs)),
+            ("preemptions", u64::from(self.preemptions).into()),
+        ])
+    }
+}
+
+/// An array of objects, one per item.
+fn rows<T>(
+    items: impl IntoIterator<Item = T>,
+    fields: impl Fn(T) -> Vec<(&'static str, Json)>,
+) -> Json {
+    Json::Arr(items.into_iter().map(|item| obj(fields(item))).collect())
+}
+
+/// A read-only question about the platform, in serializable form — the
+/// read-side sibling of [`crate::Command`]. What a `tcloud` verb sends,
+/// what the `taccd` socket carries, and what [`Platform::answer`] takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Query {
+    /// One job's status snapshot.
+    Status(JobId),
+    /// Status snapshots for every job, in id order.
+    List,
+    /// The event-bus records for one job.
+    Events(JobId),
+    /// Cluster overview.
+    Info,
+    /// Prometheus text exposition.
+    Metrics,
+    /// The full transition log as JSONL (the replay-equivalence probe).
+    Transitions,
+    /// Journal counters. Answered by what holds a journal — the `taccd`
+    /// engine; a bare platform has none.
+    JournalStats,
+    /// One job's log, aggregated across its nodes.
+    Logs(JobId),
+    /// One job's span timeline.
+    Timeline(JobId),
+    /// Why a job is where it is (for a waiting job, the scheduler's most
+    /// recent skip reason).
+    Why(JobId),
+    /// The output files a job left on its nodes.
+    Artifacts(JobId),
+    /// The cluster-wide goodput decomposition.
+    Goodput,
+    /// Per-group quota and current usage.
+    Quota,
+    /// Per-node occupancy.
+    Top,
+}
+
+impl Query {
+    /// Stable wire tag for this query kind.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Query::Status(_) => "status",
+            Query::List => "list",
+            Query::Events(_) => "events",
+            Query::Info => "info",
+            Query::Metrics => "metrics",
+            Query::Transitions => "transitions",
+            Query::JournalStats => "journal",
+            Query::Logs(_) => "logs",
+            Query::Timeline(_) => "timeline",
+            Query::Why(_) => "why",
+            Query::Artifacts(_) => "artifacts",
+            Query::Goodput => "goodput",
+            Query::Quota => "quota",
+            Query::Top => "top",
+        }
+    }
+
+    /// The job a per-job query asks about.
+    pub fn job(&self) -> Option<JobId> {
+        match *self {
+            Query::Status(job)
+            | Query::Events(job)
+            | Query::Logs(job)
+            | Query::Timeline(job)
+            | Query::Why(job)
+            | Query::Artifacts(job) => Some(job),
+            _ => None,
+        }
+    }
+
+    /// Parses a query from its wire value, `{"kind":…}` plus `"job":N`
+    /// for the per-job kinds.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first malformed field.
+    pub fn from_json(value: &Json) -> Result<Query, String> {
+        let job = || value.req_u64("job").map(JobId::from_value);
+        Ok(match value.req_str("kind")? {
+            "status" => Query::Status(job()?),
+            "list" => Query::List,
+            "events" => Query::Events(job()?),
+            "info" => Query::Info,
+            "metrics" => Query::Metrics,
+            "transitions" => Query::Transitions,
+            "journal" => Query::JournalStats,
+            "logs" => Query::Logs(job()?),
+            "timeline" => Query::Timeline(job()?),
+            "why" => Query::Why(job()?),
+            "artifacts" => Query::Artifacts(job()?),
+            "goodput" => Query::Goodput,
+            "quota" => Query::Quota,
+            "top" => Query::Top,
+            other => return Err(format!("unknown query kind '{other}'")),
+        })
+    }
+}
+
+/// Why a query has no answer here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum QueryError {
+    /// The job id names no job this platform ever minted.
+    UnknownJob(JobId),
+    /// [`Query::JournalStats`] was put to a platform with no journal
+    /// behind it.
+    NoJournal,
+}
+
+impl QueryError {
+    /// Stable wire tag for this error kind.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            QueryError::UnknownJob(_) => "unknown-job",
+            QueryError::NoJournal => "no-journal",
+        }
+    }
+}
+
+impl fmt::Display for QueryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            QueryError::UnknownJob(id) => write!(f, "unknown job {}", id.value()),
+            QueryError::NoJournal => f.write_str("this platform is not behind a journal"),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
+
 impl Platform {
+    /// Answers one query from the typed accessors below: the reply
+    /// payload every `tcloud` verb renders, whichever endpoint carried
+    /// the question.
+    ///
+    /// # Errors
+    ///
+    /// [`QueryError::UnknownJob`] for a per-job query about a job never
+    /// minted; [`QueryError::NoJournal`] for [`Query::JournalStats`].
+    pub fn answer(&self, query: &Query) -> Result<Json, QueryError> {
+        if let Some(job) = query.job() {
+            self.jobs.get(job).ok_or(QueryError::UnknownJob(job))?;
+        }
+        Ok(match *query {
+            Query::Status(job) => self
+                .job_status(job)
+                .ok_or(QueryError::UnknownJob(job))?
+                .to_json(),
+            Query::List => Json::Arr(
+                self.job_ids()
+                    .into_iter()
+                    .filter_map(|id| self.job_status(id))
+                    .map(|status| status.to_json())
+                    .collect(),
+            ),
+            Query::Events(job) => obj(vec![
+                // The bus is a bounded ring: once it has overflowed the
+                // stream is incomplete, and the reader must be told.
+                ("dropped", self.bus.dropped().into()),
+                (
+                    "events",
+                    rows(self.job_events(job), |rec| {
+                        vec![
+                            ("seq", rec.seq.into()),
+                            ("at_secs", Json::Num(rec.at_secs)),
+                            ("kind", rec.event.kind().into()),
+                            ("event", rec.event.to_string().into()),
+                        ]
+                    }),
+                ),
+            ]),
+            Query::Info => obj(self.cluster_totals()),
+            Query::Metrics => self.metrics_text().into(),
+            Query::Transitions => self.transition_log_jsonl().into(),
+            Query::JournalStats => return Err(QueryError::NoJournal),
+            Query::Logs(job) => rows(self.job_log(job), |(at, line)| {
+                vec![("at_secs", Json::Num(at)), ("line", line.into())]
+            }),
+            Query::Timeline(job) => rows(self.timeline(job), |span| {
+                vec![
+                    ("phase", span.phase.to_string().into()),
+                    ("start_secs", Json::Num(span.start_secs)),
+                    ("end_secs", Json::Num(span.end_secs)),
+                    ("cause", span.cause.to_string().into()),
+                    ("attribution", span.attribution().into()),
+                ]
+            }),
+            Query::Why(job) => self.why(job).ok_or(QueryError::UnknownJob(job))?.into(),
+            Query::Artifacts(job) => rows(self.job_artifacts(job), |(node, file, mb)| {
+                vec![
+                    ("node", node.index().into()),
+                    ("file", file.into()),
+                    ("mb", u64::from(mb).into()),
+                ]
+            }),
+            Query::Goodput => self.goodput().to_json(),
+            Query::Quota => {
+                let table = self.scheduler.quota_table();
+                rows(0..table.group_count(), |gi| {
+                    let g = GroupId::from_index(gi);
+                    vec![
+                        ("group", gi.into()),
+                        ("quota", u64::from(table.quota(g)).into()),
+                        ("guaranteed", u64::from(table.guaranteed_used(g)).into()),
+                        ("borrowed", u64::from(table.borrowed(g)).into()),
+                    ]
+                })
+            }
+            Query::Top => {
+                let per_node = rows(self.cluster.nodes(), |node| {
+                    vec![
+                        ("node", node.id().index().into()),
+                        ("rack", node.rack().index().into()),
+                        ("gpu", node.gpu_model().to_string().into()),
+                        ("used", u64::from(node.used().gpus).into()),
+                        ("total", u64::from(node.capacity().gpus).into()),
+                        ("leases", node.lease_count().into()),
+                    ]
+                });
+                let mut top = self.cluster_totals();
+                top.push(("per_node", per_node));
+                obj(top)
+            }
+        })
+    }
+
+    /// What `info` reports, and `top` under its per-node rows.
+    fn cluster_totals(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("now_secs", Json::Num(self.now().as_secs())),
+            ("nodes", self.cluster.node_count().into()),
+            ("total_gpus", u64::from(self.cluster.total_gpus()).into()),
+            ("free_gpus", u64::from(self.cluster.free_gpus()).into()),
+            ("queued", self.scheduler.queue_len().into()),
+            ("running", self.scheduler.running_len().into()),
+            ("jobs", self.job_count().into()),
+        ]
+    }
+
     /// Client-facing status snapshot of a job.
     pub fn job_status(&self, id: JobId) -> Option<JobStatus> {
         let slot = self.jobs.get(id)?;
@@ -80,7 +350,7 @@ impl Platform {
                     )),
                     None => match self.bus.for_job(id).last() {
                         Some(rec) => Some(format!("t={:.0}s: {}", rec.at_secs, rec.event)),
-                        None => Some(format!("{:?}", job.state())),
+                        None => Some(job.state().to_string()),
                     },
                 }
             }

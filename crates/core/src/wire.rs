@@ -1,9 +1,10 @@
-//! The service-mode wire layer: a CRC-32 checksum and the
-//! length-prefixed checksummed frame format shared by the `taccd`
-//! write-ahead journal, the daemon's socket protocol, and the `tcloud`
-//! client transport. A frame's payload is one compact JSON line; the
-//! JSON names are re-exported from [`tacc_json`] so the service crates
-//! take framing and payload syntax from one place.
+//! The service-mode wire layer: a CRC-32 checksum, the length-prefixed
+//! checksummed frame format shared by the `taccd` write-ahead journal
+//! and the socket, and the client–daemon conversation carried in those
+//! frames — each request and response shape with its writer and its
+//! reader side by side, so the daemon and the `tcloud` transport (sibling
+//! crates) take both ends from here. A frame's payload is one compact
+//! JSON line; the JSON names are re-exported from [`tacc_json`].
 //!
 //! ## Frame format
 //!
@@ -18,10 +19,33 @@
 //! checksum does not match is *torn*: decoding stops there and reports
 //! the byte offset, so journal recovery can keep the longest valid prefix
 //! and truncate the rest — loudly.
+//!
+//! ## Conversation
+//!
+//! One JSON object per frame, a response for every request:
+//!
+//! ```text
+//! → {"v":1,"hello":true}
+//! ← {"ok":{"protocol":1,"server":"taccd"}}
+//! → {"v":1,"mutate":{"kind":"submit","service_secs":...,"schema":{...}}}
+//! ← {"ok":{"seq":0,"at_secs":0,"outcome":"submitted","job":0}}
+//! → {"v":1,"query":{"kind":"status","job":0}}
+//! ← {"ok":{"job":0,"state":"running",...}}  |  {"err":{"kind":"...","message":"..."}}
+//! ```
+//!
+//! A `mutate` carries [`Command::to_json`], a `query` the `kind` of a
+//! [`Query`] plus `job` for the per-job kinds; an `ok` payload is
+//! [`crate::CommandOutcome::to_json`] or [`crate::Platform::answer`]'s
+//! value. An `err` kind is one of the five protocol-level kinds below,
+//! a [`crate::CommandError::kind`], a [`crate::QueryError::kind`], or the
+//! engine's own `journal-io`.
 
 use std::fmt;
+use std::io::{self, ErrorKind, Read};
 
 pub use tacc_json::{obj, parse, write_escaped, write_num, Json, JsonError, TextSink};
+
+use crate::{Command, Query};
 
 /// Hard ceiling on one frame's payload, applied on both encode and
 /// decode. Large enough for any task schema, small enough that a
@@ -170,6 +194,25 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Splits a frame header into payload length and checksum, refusing a
+/// length over the cap before anything is sized by it.
+fn split_header(header: [u8; 8]) -> Result<(usize, u32), FrameError> {
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(FrameError::TooLarge { len });
+    }
+    Ok((len, u32::from_le_bytes([c0, c1, c2, c3])))
+}
+
+fn verify(payload: &[u8], expected: u32) -> Result<(), FrameError> {
+    let actual = crc32(payload);
+    if actual != expected {
+        return Err(FrameError::Checksum { expected, actual });
+    }
+    Ok(())
+}
+
 /// Attempts to decode the frame at the start of `buf`.
 ///
 /// Returns the payload slice and the total bytes consumed.
@@ -177,26 +220,186 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// # Errors
 ///
 /// [`FrameError`] when the bytes at the head of `buf` are not one intact
-/// frame; `Incomplete` distinguishes "wait for more bytes" (sockets) or
-/// "torn tail" (journals) from the always-fatal `TooLarge`/`Checksum`.
+/// frame; `Incomplete` distinguishes a torn journal tail from the
+/// always-fatal `TooLarge`/`Checksum`.
 pub fn decode_frame(buf: &[u8]) -> Result<(&[u8], usize), FrameError> {
-    if buf.len() < 8 {
+    let Some(header) = buf.first_chunk::<8>() else {
         return Err(FrameError::Incomplete { needed: 8 });
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::TooLarge { len });
-    }
-    let expected = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    if buf.len() < 8 + len {
+    };
+    let (len, expected) = split_header(*header)?;
+    let Some(payload) = buf.get(8..8 + len) else {
         return Err(FrameError::Incomplete { needed: 8 + len });
-    }
-    let payload = &buf[8..8 + len];
-    let actual = crc32(payload);
-    if actual != expected {
-        return Err(FrameError::Checksum { expected, actual });
-    }
+    };
+    verify(payload, expected)?;
     Ok((payload, 8 + len))
+}
+
+/// Reads one frame's payload from a stream: [`decode_frame`] for a
+/// socket, under the same header, length-cap and checksum checks, and
+/// the one frame reader of both socket sides. `Ok(None)` is the stream
+/// ending before a header.
+///
+/// # Errors
+///
+/// The stream's own error, or `InvalidData` carrying the [`FrameError`].
+/// After either the stream cannot be resynchronized.
+pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Option<Vec<u8>>> {
+    let mut header = [0u8; 8];
+    match stream.read_exact(&mut header) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(e),
+    }
+    let invalid = |e: FrameError| io::Error::new(ErrorKind::InvalidData, e);
+    let (len, expected) = split_header(header).map_err(invalid)?;
+    let mut payload = vec![0u8; len];
+    stream.read_exact(&mut payload)?;
+    verify(&payload, expected).map_err(invalid)?;
+    Ok(Some(payload))
+}
+
+// --------------------------------------------------------------------
+// The conversation: requests, responses, protocol-level error kinds
+// --------------------------------------------------------------------
+
+/// The frame's payload is not UTF-8 JSON, or names no request.
+pub const MALFORMED_FRAME: &str = "malformed-frame";
+/// The request's `v` is not [`PROTOCOL_VERSION`]. The connection stays
+/// usable.
+pub const VERSION_MISMATCH: &str = "version-mismatch";
+/// The `mutate` member is not a [`Command`].
+pub const MALFORMED_COMMAND: &str = "malformed-command";
+/// The `query` member is not a [`Query`].
+pub const MALFORMED_QUERY: &str = "malformed-query";
+/// The daemon is shutting down and will not answer.
+pub const DAEMON_STOPPING: &str = "daemon-stopping";
+
+/// One client request, as the daemon reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// The handshake.
+    Hello,
+    /// Apply a command.
+    Mutate(Command),
+    /// Answer a query.
+    Query(Query),
+}
+
+fn envelope(member: &str, value: Json) -> Json {
+    obj(vec![
+        ("v", Json::Num(PROTOCOL_VERSION as f64)),
+        (member, value),
+    ])
+}
+
+fn parse_payload(payload: &[u8]) -> Result<Json, String> {
+    let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_owned())?;
+    parse(text).map_err(|e| e.to_string())
+}
+
+impl Request {
+    /// Writes the handshake request.
+    pub fn hello() -> Json {
+        envelope("hello", Json::Bool(true))
+    }
+
+    /// Writes the request that applies `command`.
+    pub fn mutate(command: &Command) -> Json {
+        envelope("mutate", command.to_json())
+    }
+
+    /// Writes a query request from a [`Query::kind`] and, for the
+    /// per-job kinds, the job id.
+    pub fn query(kind: &str, job: Option<u64>) -> Json {
+        let mut query = vec![("kind", Json::from(kind))];
+        query.extend(job.map(|job| ("job", job.into())));
+        envelope("query", obj(query))
+    }
+
+    /// Reads a request back from a frame payload.
+    ///
+    /// # Errors
+    ///
+    /// The refusal to answer with, its kind one of [`MALFORMED_FRAME`],
+    /// [`VERSION_MISMATCH`], [`MALFORMED_COMMAND`], [`MALFORMED_QUERY`].
+    pub fn read(payload: &[u8]) -> Result<Request, Reply> {
+        let value = parse_payload(payload).map_err(|e| Reply::refuse(MALFORMED_FRAME, e))?;
+        let Some(v) = value.get("v").and_then(Json::as_u64) else {
+            return Err(Reply::refuse(MALFORMED_FRAME, "missing 'v' field"));
+        };
+        if v != PROTOCOL_VERSION {
+            let message = format!("client speaks protocol v{v}, daemon speaks v{PROTOCOL_VERSION}");
+            return Err(Reply::refuse(VERSION_MISMATCH, message));
+        }
+        if value.get("hello").is_some() {
+            Ok(Request::Hello)
+        } else if let Some(command) = value.get("mutate") {
+            let command = Command::from_json(command).map(Request::Mutate);
+            command.map_err(|e| Reply::refuse(MALFORMED_COMMAND, e))
+        } else if let Some(query) = value.get("query") {
+            let query = Query::from_json(query).map(Request::Query);
+            query.map_err(|e| Reply::refuse(MALFORMED_QUERY, e))
+        } else {
+            let message = "request has none of 'hello', 'mutate', 'query'";
+            Err(Reply::refuse(MALFORMED_FRAME, message))
+        }
+    }
+}
+
+/// One response: the `ok` payload, or a typed refusal. What the `taccd`
+/// engine answers, the daemon frames, and the client transport reads
+/// back.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply {
+    /// Success; the JSON payload for the `ok` response member.
+    Ok(Json),
+    /// Failure; the `err` response member.
+    Err {
+        /// Stable kind tag (e.g. `unknown-job`).
+        kind: String,
+        /// Human-readable description.
+        message: String,
+    },
+}
+
+impl Reply {
+    /// A refusal of the given kind.
+    pub fn refuse(kind: &str, message: impl fmt::Display) -> Reply {
+        Reply::Err {
+            kind: kind.to_owned(),
+            message: message.to_string(),
+        }
+    }
+
+    /// Writes the response.
+    pub fn into_json(self) -> Json {
+        match self {
+            Reply::Ok(payload) => obj(vec![("ok", payload)]),
+            Reply::Err { kind, message } => obj(vec![(
+                "err",
+                obj(vec![("kind", kind.into()), ("message", message.into())]),
+            )]),
+        }
+    }
+
+    /// Reads a response back from a frame payload.
+    ///
+    /// # Errors
+    ///
+    /// What is wrong with a payload that is not a response.
+    pub fn read(payload: &[u8]) -> Result<Reply, String> {
+        let Json::Obj(members) = parse_payload(payload)? else {
+            return Err("response is not an object".to_owned());
+        };
+        match members.into_iter().next() {
+            Some((member, payload)) if member == "ok" => Ok(Reply::Ok(payload)),
+            Some((member, err)) if member == "err" => {
+                let text = |key| err.get(key).and_then(Json::as_str).unwrap_or("");
+                Ok(Reply::refuse(text("kind"), text("message")))
+            }
+            _ => Err("response has neither 'ok' nor 'err'".to_owned()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -245,6 +448,119 @@ mod tests {
         let (third, used3) = decode_frame(&buf[used + used2..]).expect("intact");
         assert_eq!(third, b"third payload");
         assert_eq!(used + used2 + used3, buf.len());
+    }
+
+    #[test]
+    fn a_stream_reads_as_decode_frame_reads_a_buffer() {
+        let mut stream = Vec::new();
+        for payload in [&b"first"[..], b"", b"third payload"] {
+            frame_into(&mut stream, |b| b.extend_from_slice(payload));
+        }
+        let mut reader = &stream[..];
+        for payload in [&b"first"[..], b"", b"third payload"] {
+            let read = read_frame(&mut reader).expect("intact");
+            assert_eq!(read.as_deref(), Some(payload));
+        }
+        assert_eq!(read_frame(&mut reader).expect("clean end"), None);
+
+        // The same refusals `decode_frame` makes, and for the same bytes.
+        let frame = encode_frame(b"payload bytes");
+        let mut corrupt = frame.clone();
+        *corrupt.last_mut().expect("nonempty") ^= 0x40;
+        let mut huge = frame.clone();
+        huge[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        for bad in [corrupt, huge] {
+            let err = read_frame(&mut &bad[..]).expect_err("refused");
+            assert_eq!(err.kind(), ErrorKind::InvalidData);
+            let expected = decode_frame(&bad).expect_err("refused").to_string();
+            assert_eq!(err.to_string(), expected);
+        }
+        // A stream that ends inside a payload is the stream's error.
+        let err = read_frame(&mut &frame[..frame.len() - 1]).expect_err("short");
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn every_request_reads_back_and_the_parents_bytes_are_pinned() {
+        use tacc_workload::JobId;
+        let job = JobId::from_value(7);
+        let queries = [
+            (
+                Query::Status(job),
+                r#"{"v":1,"query":{"kind":"status","job":7}}"#,
+            ),
+            (Query::List, r#"{"v":1,"query":{"kind":"list"}}"#),
+            (
+                Query::Events(job),
+                r#"{"v":1,"query":{"kind":"events","job":7}}"#,
+            ),
+            (Query::Info, r#"{"v":1,"query":{"kind":"info"}}"#),
+            (Query::Metrics, r#"{"v":1,"query":{"kind":"metrics"}}"#),
+            (
+                Query::Transitions,
+                r#"{"v":1,"query":{"kind":"transitions"}}"#,
+            ),
+            (Query::JournalStats, r#"{"v":1,"query":{"kind":"journal"}}"#),
+            (
+                Query::Logs(job),
+                r#"{"v":1,"query":{"kind":"logs","job":7}}"#,
+            ),
+            (
+                Query::Timeline(job),
+                r#"{"v":1,"query":{"kind":"timeline","job":7}}"#,
+            ),
+            (Query::Why(job), r#"{"v":1,"query":{"kind":"why","job":7}}"#),
+            (
+                Query::Artifacts(job),
+                r#"{"v":1,"query":{"kind":"artifacts","job":7}}"#,
+            ),
+            (Query::Goodput, r#"{"v":1,"query":{"kind":"goodput"}}"#),
+            (Query::Quota, r#"{"v":1,"query":{"kind":"quota"}}"#),
+            (Query::Top, r#"{"v":1,"query":{"kind":"top"}}"#),
+        ];
+        for (query, text) in queries {
+            let written = Request::query(query.kind(), query.job().map(JobId::value));
+            assert_eq!(written.to_string(), text);
+            assert_eq!(Request::read(text.as_bytes()), Ok(Request::Query(query)));
+        }
+        let cancel = Command::Cancel { job };
+        let text = r#"{"v":1,"mutate":{"kind":"cancel","job":7}}"#;
+        assert_eq!(Request::mutate(&cancel).to_string(), text);
+        assert_eq!(Request::read(text.as_bytes()), Ok(Request::Mutate(cancel)));
+        let text = r#"{"v":1,"hello":true}"#;
+        assert_eq!(Request::hello().to_string(), text);
+        assert_eq!(Request::read(text.as_bytes()), Ok(Request::Hello));
+
+        let refused = |text: &str| match Request::read(text.as_bytes()) {
+            Err(Reply::Err { kind, .. }) => kind,
+            other => panic!("{text} read as {other:?}"),
+        };
+        assert_eq!(refused(r#"{"v":2,"hello":true}"#), VERSION_MISMATCH);
+        assert_eq!(refused(r#"{"hello":true}"#), MALFORMED_FRAME);
+        assert_eq!(refused(r#"{"v":1}"#), MALFORMED_FRAME);
+        assert_eq!(
+            refused(r#"{"v":1,"mutate":{"kind":"x"}}"#),
+            MALFORMED_COMMAND
+        );
+        assert_eq!(refused(r#"{"v":1,"query":{"kind":"x"}}"#), MALFORMED_QUERY);
+    }
+
+    #[test]
+    fn replies_read_back() {
+        let ok = Reply::Ok(obj(vec![("job", 7u64.into())]));
+        let refusal = Reply::refuse("unknown-job", "unknown job 7");
+        for reply in [ok, refusal] {
+            let text = reply.clone().into_json().to_string();
+            assert_eq!(Reply::read(text.as_bytes()), Ok(reply));
+        }
+        let text = Reply::refuse("unknown-job", "unknown job 7").into_json();
+        assert_eq!(
+            text.to_string(),
+            r#"{"err":{"kind":"unknown-job","message":"unknown job 7"}}"#
+        );
+        assert!(Reply::read(b"{}").is_err());
+        assert!(Reply::read(b"[1]").is_err());
+        assert!(Reply::read(&[0xFF]).is_err());
     }
 
     #[test]

@@ -57,8 +57,9 @@ fn timelines_replay_byte_identically_from_exported_transitions() {
     assert!(live.contains("\"phase\":\"Running\""));
     assert!(live.contains("\"phase\":\"Queued\""));
 
-    let rebuilt = SpanBook::from_transitions_jsonl(&p.transitions_jsonl(), p.span_book().config())
-        .expect("exported stream parses back");
+    let rebuilt =
+        SpanBook::from_transitions_jsonl(&p.transition_log_jsonl(), p.span_book().config())
+            .expect("exported stream parses back");
     assert_eq!(rebuilt.ignored(), 0, "the engine only exports legal edges");
     assert_eq!(rebuilt.observed(), p.span_book().observed());
     assert_eq!(

@@ -35,9 +35,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use tacc_json::{obj, Json};
 use tacc_workload::JobId;
 
-use crate::events::push_json_f64;
 use crate::span::{SpanBook, SpanPhase};
 
 /// Gauge: composite goodput ratio in `[0, 1]`.
@@ -307,49 +307,29 @@ impl GoodputReport {
         }
     }
 
-    /// Byte-deterministic compact JSON: fixed key order, shortest
-    /// round-trip floats, dependency-free.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let field = |out: &mut String, key: &str, v: f64| {
-            out.push('"');
-            out.push_str(key);
-            out.push_str("\":");
-            push_json_f64(out, v);
-        };
-        out.push('{');
-        field(&mut out, "horizon_secs", self.horizon_secs);
-        out.push(',');
-        field(&mut out, "total_gpus", self.total_gpus);
-        out.push(',');
-        field(&mut out, "capacity_gpu_secs", self.capacity_gpu_secs);
-        out.push(',');
-        field(&mut out, "allocated_gpu_secs", self.allocated_gpu_secs);
-        out.push(',');
-        field(&mut out, "running_gpu_secs", self.running_gpu_secs);
-        out.push(',');
-        field(&mut out, "productive_gpu_secs", self.productive_gpu_secs);
-        out.push(',');
-        field(&mut out, "availability", self.availability);
-        out.push(',');
-        field(
-            &mut out,
-            "throughput_efficiency",
-            self.throughput_efficiency,
-        );
-        out.push(',');
-        field(&mut out, "badput_fraction", self.badput_fraction);
-        out.push(',');
-        field(&mut out, "goodput", self.goodput);
-        out.push_str(",\"badput_gpu_secs\":{");
-        for (i, (cause, v)) in self.badput.items().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            field(&mut out, cause.name(), *v);
-        }
-        out.push_str("}}");
-        out
+    /// The report as a JSON value: fixed key order, and printed compactly
+    /// (`to_string`) byte-deterministic with shortest round-trip floats.
+    pub fn to_json(&self) -> Json {
+        let by_cause = self.badput.items().into_iter();
+        obj(vec![
+            ("horizon_secs", Json::Num(self.horizon_secs)),
+            ("total_gpus", Json::Num(self.total_gpus)),
+            ("capacity_gpu_secs", Json::Num(self.capacity_gpu_secs)),
+            ("allocated_gpu_secs", Json::Num(self.allocated_gpu_secs)),
+            ("running_gpu_secs", Json::Num(self.running_gpu_secs)),
+            ("productive_gpu_secs", Json::Num(self.productive_gpu_secs)),
+            ("availability", Json::Num(self.availability)),
+            (
+                "throughput_efficiency",
+                Json::Num(self.throughput_efficiency),
+            ),
+            ("badput_fraction", Json::Num(self.badput_fraction)),
+            ("goodput", Json::Num(self.goodput)),
+            (
+                "badput_gpu_secs",
+                obj(by_cause.map(|(c, v)| (c.name(), Json::Num(v))).collect()),
+            ),
+        ])
     }
 }
 
@@ -608,8 +588,8 @@ mod tests {
                 useful_secs: 240.0,
             },
         );
-        let a = GoodputReport::compute(&book, 500.0, 16.0, &inputs).to_json();
-        let b = GoodputReport::compute(&book, 500.0, 16.0, &inputs).to_json();
+        let json = || GoodputReport::compute(&book, 500.0, 16.0, &inputs).to_json();
+        let (a, b) = (json().to_string(), json().to_string());
         assert_eq!(a, b);
         assert!(a.starts_with("{\"horizon_secs\":500,"), "{a}");
         let keys = [

@@ -37,7 +37,7 @@
 //! and the `Dyadic` arithmetic in the goodput module.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use tacc_json::Json;
 use tacc_workload::{JobEventKind, JobId, JobState, TRANSITION_MATRIX};
@@ -155,9 +155,9 @@ impl Span {
     }
 }
 
-/// One applied lifecycle transition, as the span fold consumes it. The
-/// core engine feeds these from its transition log; the JSONL parser
-/// reconstructs them from an exported stream.
+/// One applied lifecycle transition: what the core engine's transition
+/// log stores, its JSONL export writes ([`TransitionEvent::write_json`])
+/// and the span fold consumes, live or parsed back from that export.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransitionEvent {
     /// Simulated time of the transition, seconds.
@@ -180,6 +180,21 @@ impl TransitionEvent {
         TRANSITION_MATRIX
             .iter()
             .any(|&(f, k, t)| f == self.from && k == self.event && t == self.to)
+    }
+
+    /// Appends the record as one compact JSON object — a line of the
+    /// transition log export, which `parse_transition_line` reads back:
+    /// `{"at_secs":T,"job":N,"from":"state","to":"state","event":"kind"}`.
+    pub fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"at_secs\":{},\"job\":{},\"from\":\"{}\",\"to\":\"{}\",\"event\":\"{}\"}}",
+            self.at_secs,
+            self.job.value(),
+            self.from,
+            self.to,
+            self.event
+        );
     }
 }
 
@@ -489,8 +504,7 @@ impl SpanBook {
     }
 
     /// Reconstructs a book from a transition stream exported by the core
-    /// engine's `transitions_jsonl` (one
-    /// `{"at_secs":T,"job":N,"from":"State","to":"State","event":"kind"}`
+    /// engine's `transition_log_jsonl` (one [`TransitionEvent::write_json`]
     /// object per line). Blank lines are skipped; a malformed line is an
     /// error naming its 1-based number.
     pub fn from_transitions_jsonl(text: &str, config: SpanConfig) -> Result<SpanBook, String> {

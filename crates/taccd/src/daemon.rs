@@ -7,24 +7,14 @@
 //!
 //! ## Socket protocol
 //!
-//! Requests and responses are wire frames ([`tacc_core::wire`]), one
-//! JSON object per frame:
-//!
-//! ```text
-//! → {"v":1,"hello":true}
-//! ← {"ok":{"protocol":1,"server":"taccd"}}
-//! → {"v":1,"mutate":{"kind":"submit","service_secs":...,"schema":{...}}}
-//! ← {"ok":{"seq":0,"at_secs":0,"outcome":"submitted","job":0}}
-//! → {"v":1,"query":{"kind":"status","job":0}}
-//! ← {"ok":{"job":0,"state":"Running",...}}  |  {"err":{"kind":"...","message":"..."}}
-//! ```
-//!
-//! A request naming any other protocol version is answered with
+//! Requests and responses are wire frames, one JSON object each; their
+//! shapes, writers and readers are [`tacc_core::wire`]'s ("Conversation"
+//! there). A request naming any other protocol version is answered
 //! `version-mismatch` and the connection stays usable; a frame that
 //! fails its checksum cannot be resynchronized, so the connection is
-//! answered with `malformed-frame` and closed.
+//! answered `malformed-frame` and closed.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,10 +22,9 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use tacc_core::wire::{self, obj, Json};
-use tacc_core::Command;
+use tacc_core::wire::{self, obj, Request};
 
-use crate::engine::{Engine, EngineConfig, EngineInitError, Msg, Query, Reply};
+use crate::engine::{Engine, EngineConfig, EngineInitError, Msg, Reply};
 use crate::journal::RecoveryReport;
 
 /// Daemon configuration: where to listen plus the engine beneath.
@@ -181,182 +170,47 @@ impl Drop for Daemon {
     }
 }
 
-/// Reads one frame from the stream. `Ok(None)` on clean EOF before a
-/// header; any mid-frame failure is an error string (the connection
-/// cannot be resynchronized after one).
-fn read_frame(stream: &mut UnixStream) -> Result<Option<Vec<u8>>, String> {
-    let mut header = [0u8; 8];
-    match stream.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(format!("read error: {e}")),
-    }
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    if len > wire::MAX_FRAME_LEN {
-        return Err(format!("frame length {len} exceeds cap"));
-    }
-    let expected = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    let mut payload = vec![0u8; len];
-    stream
-        .read_exact(&mut payload)
-        .map_err(|e| format!("short frame payload: {e}"))?;
-    let actual = wire::crc32(&payload);
-    if actual != expected {
-        return Err(format!(
-            "frame checksum mismatch: header {expected:#010x}, payload {actual:#010x}"
-        ));
-    }
-    Ok(Some(payload))
-}
-
-fn write_response(stream: &mut UnixStream, response: &Json) -> bool {
-    let payload = response.to_string();
+fn write_response(stream: &mut UnixStream, response: Reply) -> bool {
+    let payload = response.into_json().to_string();
     stream
         .write_all(&wire::encode_frame(payload.as_bytes()))
         .is_ok()
 }
 
-fn err_json(kind: &str, message: &str) -> Json {
-    obj(vec![(
-        "err",
-        obj(vec![
-            ("kind", Json::Str(kind.to_owned())),
-            ("message", Json::Str(message.to_owned())),
-        ]),
-    )])
-}
-
-fn ok_json(payload: Json) -> Json {
-    obj(vec![("ok", payload)])
-}
-
-/// One parsed client request.
-enum Request {
-    Hello,
-    Mutate(Command),
-    Query(Query),
-}
-
-fn parse_request(payload: &[u8]) -> Result<Request, (String, String)> {
-    let text = std::str::from_utf8(payload).map_err(|_| {
-        (
-            "malformed-frame".to_owned(),
-            "payload is not UTF-8".to_owned(),
-        )
-    })?;
-    let value = wire::parse(text).map_err(|e| ("malformed-frame".to_owned(), e.to_string()))?;
-    let v = value
-        .get("v")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ("malformed-frame".to_owned(), "missing 'v' field".to_owned()))?;
-    if v != wire::PROTOCOL_VERSION {
-        return Err((
-            "version-mismatch".to_owned(),
-            format!(
-                "client speaks protocol v{v}, daemon speaks v{}",
-                wire::PROTOCOL_VERSION
-            ),
-        ));
+/// Hands the engine one message — built around the way back for its
+/// reply — and waits for that reply.
+fn ask(engine: &Sender<Msg>, msg: impl FnOnce(Sender<Reply>) -> Msg) -> Reply {
+    let (reply, answer) = mpsc::channel();
+    if engine.send(msg(reply)).is_err() {
+        return Reply::refuse(wire::DAEMON_STOPPING, "engine is shutting down");
     }
-    if value.get("hello").is_some() {
-        return Ok(Request::Hello);
-    }
-    if let Some(cmd) = value.get("mutate") {
-        let command = Command::from_json(cmd).map_err(|e| ("malformed-command".to_owned(), e))?;
-        return Ok(Request::Mutate(command));
-    }
-    if let Some(q) = value.get("query") {
-        return parse_query(q).map(Request::Query);
-    }
-    Err((
-        "malformed-frame".to_owned(),
-        "request has none of 'hello', 'mutate', 'query'".to_owned(),
-    ))
-}
-
-fn parse_query(q: &Json) -> Result<Query, (String, String)> {
-    let kind = q
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ("malformed-query".to_owned(), "missing 'kind'".to_owned()))?;
-    let job = || {
-        q.get("job")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ("malformed-query".to_owned(), "missing 'job'".to_owned()))
-    };
-    Ok(match kind {
-        "status" => Query::Status { job: job()? },
-        "list" => Query::List,
-        "events" => Query::Events { job: job()? },
-        "info" => Query::Info,
-        "metrics" => Query::Metrics,
-        "transitions" => Query::Transitions,
-        "journal" => Query::JournalStats,
-        other => {
-            return Err((
-                "malformed-query".to_owned(),
-                format!("unknown query kind '{other}'"),
-            ))
-        }
-    })
+    let dropped = |_| Reply::refuse(wire::DAEMON_STOPPING, "engine dropped the request");
+    answer.recv().unwrap_or_else(dropped)
 }
 
 /// Serves one connection until EOF or an unrecoverable framing error.
 fn serve_connection(mut stream: UnixStream, engine: &Sender<Msg>) {
     loop {
-        let payload = match read_frame(&mut stream) {
+        let payload = match wire::read_frame(&mut stream) {
             Ok(Some(p)) => p,
             Ok(None) => return, // clean EOF
             Err(why) => {
                 // Framing broke: answer once, then drop the connection.
-                let _ = write_response(&mut stream, &err_json("malformed-frame", &why));
+                let _ = write_response(&mut stream, Reply::refuse(wire::MALFORMED_FRAME, why));
                 return;
             }
         };
-        let response = match parse_request(&payload) {
-            Err((kind, message)) => err_json(&kind, &message),
-            Ok(Request::Hello) => ok_json(obj(vec![
-                ("protocol", Json::Num(wire::PROTOCOL_VERSION as f64)),
-                ("server", Json::Str("taccd".to_owned())),
+        let response = match Request::read(&payload) {
+            Err(refusal) => refusal,
+            Ok(Request::Hello) => Reply::Ok(obj(vec![
+                ("protocol", wire::PROTOCOL_VERSION.into()),
+                ("server", "taccd".into()),
             ])),
-            Ok(Request::Mutate(command)) => {
-                let (rtx, rrx) = mpsc::channel();
-                if engine
-                    .send(Msg::Mutate {
-                        command,
-                        reply: rtx,
-                    })
-                    .is_err()
-                {
-                    err_json("daemon-stopping", "engine is shutting down")
-                } else {
-                    match rrx.recv() {
-                        Ok(reply) => reply_json(reply),
-                        Err(_) => err_json("daemon-stopping", "engine dropped the request"),
-                    }
-                }
-            }
-            Ok(Request::Query(query)) => {
-                let (rtx, rrx) = mpsc::channel();
-                if engine.send(Msg::Query { query, reply: rtx }).is_err() {
-                    err_json("daemon-stopping", "engine is shutting down")
-                } else {
-                    match rrx.recv() {
-                        Ok(reply) => reply_json(reply),
-                        Err(_) => err_json("daemon-stopping", "engine dropped the request"),
-                    }
-                }
-            }
+            Ok(Request::Mutate(command)) => ask(engine, |reply| Msg::Mutate { command, reply }),
+            Ok(Request::Query(query)) => ask(engine, |reply| Msg::Query { query, reply }),
         };
-        if !write_response(&mut stream, &response) {
+        if !write_response(&mut stream, response) {
             return; // client went away mid-reply
         }
-    }
-}
-
-fn reply_json(reply: Reply) -> Json {
-    match reply {
-        Reply::Ok(payload) => ok_json(payload),
-        Reply::Err { kind, message } => err_json(&kind, &message),
     }
 }

@@ -57,8 +57,10 @@ use std::path::PathBuf;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 use std::time::Instant;
 
-use tacc_core::wire::{obj, Json};
-use tacc_core::{Command, CommandOutcome, CommandRecord, Platform, PlatformConfig};
+pub use tacc_core::wire::Reply;
+use tacc_core::wire::{obj, Json, PROTOCOL_VERSION};
+pub use tacc_core::Query;
+use tacc_core::{Command, CommandRecord, Platform, PlatformConfig};
 use tacc_obs::{Counter, MetricsRegistry};
 
 use crate::journal::{Detached, Frames, Journal, JournalError, JournalFile, RecoveryReport};
@@ -98,31 +100,6 @@ pub struct EngineConfig {
     pub clock: ClockMode,
 }
 
-/// A read-only question answered from engine state.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Query {
-    /// One job's status snapshot.
-    Status {
-        /// Job id value.
-        job: u64,
-    },
-    /// Status snapshots for every job, in id order.
-    List,
-    /// The event-bus records for one job.
-    Events {
-        /// Job id value.
-        job: u64,
-    },
-    /// Daemon + cluster overview.
-    Info,
-    /// Prometheus text exposition (platform + daemon series).
-    Metrics,
-    /// The full transition log as JSONL (the replay-equivalence probe).
-    Transitions,
-    /// Journal counters.
-    JournalStats,
-}
-
 /// A message from a connection thread to the engine.
 #[derive(Debug)]
 pub enum Msg {
@@ -142,20 +119,6 @@ pub enum Msg {
     },
     /// Shut the engine down after the current batch.
     Stop,
-}
-
-/// The engine's answer: the `ok` payload or a typed error.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Reply {
-    /// Success; the JSON payload for the `ok` response field.
-    Ok(Json),
-    /// Failure; a stable error kind tag plus a human-readable message.
-    Err {
-        /// Stable kind tag (e.g. `unknown-job`).
-        kind: String,
-        /// Human-readable description.
-        message: String,
-    },
 }
 
 struct EngineMetrics {
@@ -392,10 +355,7 @@ const JOURNAL_CLOSED: &str = "the journal failed; restart the daemon to recover 
 
 /// The refusal every message gets once the journal has failed.
 fn journal_io(message: &str) -> Reply {
-    Reply::Err {
-        kind: "journal-io".to_owned(),
-        message: message.to_owned(),
-    }
+    Reply::refuse("journal-io", message)
 }
 
 impl ApplyStage {
@@ -424,7 +384,7 @@ impl ApplyStage {
                     }
                     Msg::Query { query, reply } => {
                         self.metrics.queries.inc();
-                        let answer = self.answer_query(&query);
+                        let answer = self.answer(&query);
                         batch.replies.push((reply, answer));
                     }
                     Msg::Stop => keep_running = false,
@@ -462,14 +422,11 @@ impl ApplyStage {
                 self.next_seq += 1;
                 self.last_stamp = at_secs;
                 self.metrics.commands.inc();
-                Reply::Ok(outcome_json(record.seq, at_secs, &outcome))
+                Reply::Ok(outcome.to_json(record.seq, at_secs))
             }
             Err(e) => {
                 self.metrics.rejects.inc();
-                Reply::Err {
-                    kind: e.kind().to_owned(),
-                    message: e.to_string(),
-                }
+                Reply::refuse(e.kind(), e)
             }
         }
     }
@@ -485,147 +442,35 @@ impl ApplyStage {
         }
     }
 
-    fn answer_query(&self, query: &Query) -> Reply {
+    /// [`Platform::answer`], plus what only the engine knows: the journal
+    /// counters, the journal position and protocol in `info`, and its
+    /// own `tacc_taccd_*` series after the platform's.
+    fn answer(&self, query: &Query) -> Reply {
         if self.journal.failed() {
             return journal_io(JOURNAL_CLOSED);
         }
-        match query {
-            Query::Status { job } => {
-                let id = tacc_workload::JobId::from_value(*job);
-                match self.platform.job_status(id) {
-                    Some(status) => Reply::Ok(status_json(&status)),
-                    None => Reply::Err {
-                        kind: "unknown-job".to_owned(),
-                        message: format!("unknown job {job}"),
-                    },
-                }
+        if *query == Query::JournalStats {
+            let stats = self.journal.stats();
+            return Reply::Ok(obj(vec![
+                ("appended", stats.appended.into()),
+                ("syncs", stats.syncs.into()),
+                ("dirty", stats.dirty.into()),
+                ("next_seq", self.next_seq.into()),
+            ]));
+        }
+        match (query, self.platform.answer(query)) {
+            (Query::Info, Ok(Json::Obj(mut fields))) => {
+                fields.push(("protocol".to_owned(), PROTOCOL_VERSION.into()));
+                fields.push(("journal_seq".to_owned(), self.next_seq.into()));
+                Reply::Ok(Json::Obj(fields))
             }
-            Query::List => {
-                let statuses = self
-                    .platform
-                    .job_ids()
-                    .into_iter()
-                    .filter_map(|id| self.platform.job_status(id))
-                    .map(|s| status_json(&s))
-                    .collect();
-                Reply::Ok(Json::Arr(statuses))
+            (Query::Metrics, Ok(Json::Str(text))) => {
+                Reply::Ok(Json::Str(text + &self.registry.expose()))
             }
-            Query::Events { job } => {
-                let id = tacc_workload::JobId::from_value(*job);
-                if self.platform.job(id).is_none() {
-                    return Reply::Err {
-                        kind: "unknown-job".to_owned(),
-                        message: format!("unknown job {job}"),
-                    };
-                }
-                let events = self
-                    .platform
-                    .job_events(id)
-                    .into_iter()
-                    .map(|rec| {
-                        obj(vec![
-                            ("seq", Json::Num(rec.seq as f64)),
-                            ("at_secs", Json::Num(rec.at_secs)),
-                            ("event", Json::Str(rec.event.to_string())),
-                        ])
-                    })
-                    .collect();
-                Reply::Ok(Json::Arr(events))
-            }
-            Query::Info => {
-                let cluster = self.platform.cluster();
-                Reply::Ok(obj(vec![
-                    (
-                        "protocol",
-                        Json::Num(tacc_core::wire::PROTOCOL_VERSION as f64),
-                    ),
-                    ("now_secs", Json::Num(self.platform.now().as_secs())),
-                    ("nodes", Json::Num(cluster.node_count() as f64)),
-                    ("total_gpus", Json::Num(f64::from(cluster.total_gpus()))),
-                    ("jobs", Json::Num(self.platform.job_count() as f64)),
-                    ("journal_seq", Json::Num(self.next_seq as f64)),
-                ]))
-            }
-            Query::Metrics => {
-                let mut text = self.platform.metrics_text();
-                text.push_str(&self.registry.expose());
-                Reply::Ok(Json::Str(text))
-            }
-            Query::Transitions => Reply::Ok(Json::Str(self.platform.transition_log_jsonl())),
-            Query::JournalStats => {
-                let stats = self.journal.stats();
-                Reply::Ok(obj(vec![
-                    ("appended", Json::Num(stats.appended as f64)),
-                    ("syncs", Json::Num(stats.syncs as f64)),
-                    ("dirty", Json::Num(stats.dirty as f64)),
-                    ("next_seq", Json::Num(self.next_seq as f64)),
-                ]))
-            }
+            (_, Ok(payload)) => Reply::Ok(payload),
+            (_, Err(e)) => Reply::refuse(e.kind(), e),
         }
     }
-}
-
-fn outcome_json(seq: u64, at_secs: f64, outcome: &CommandOutcome) -> Json {
-    let mut fields = vec![
-        ("seq", Json::Num(seq as f64)),
-        ("at_secs", Json::Num(at_secs)),
-    ];
-    match outcome {
-        CommandOutcome::Submitted { job } => {
-            fields.push(("outcome", Json::Str("submitted".to_owned())));
-            fields.push(("job", Json::Num(job.value() as f64)));
-        }
-        CommandOutcome::Cancelled { job, applied } => {
-            fields.push(("outcome", Json::Str("cancelled".to_owned())));
-            fields.push(("job", Json::Num(job.value() as f64)));
-            fields.push(("applied", Json::Bool(*applied)));
-        }
-        CommandOutcome::Reserved => {
-            fields.push(("outcome", Json::Str("reserved".to_owned())));
-        }
-        CommandOutcome::NodeFaulted { node, jobs } => {
-            fields.push(("outcome", Json::Str("node-faulted".to_owned())));
-            fields.push(("node", Json::Num(node.index() as f64)));
-            fields.push((
-                "jobs",
-                Json::Arr(jobs.iter().map(|j| Json::Num(j.value() as f64)).collect()),
-            ));
-        }
-        CommandOutcome::Drained { node } => {
-            fields.push(("outcome", Json::Str("drained".to_owned())));
-            fields.push(("node", Json::Num(node.index() as f64)));
-        }
-        CommandOutcome::Undrained { node } => {
-            fields.push(("outcome", Json::Str("undrained".to_owned())));
-            fields.push(("node", Json::Num(node.index() as f64)));
-        }
-        CommandOutcome::Advanced { now_secs } => {
-            fields.push(("outcome", Json::Str("advanced".to_owned())));
-            fields.push(("now_secs", Json::Num(*now_secs)));
-        }
-    }
-    obj(fields)
-}
-
-fn status_json(status: &tacc_core::JobStatus) -> Json {
-    obj(vec![
-        ("job", Json::Num(status.id.value() as f64)),
-        ("state", Json::Str(format!("{:?}", status.state))),
-        ("name", Json::Str(status.name.clone())),
-        (
-            "nodes",
-            Json::Arr(
-                status
-                    .nodes
-                    .iter()
-                    .map(|n| Json::Num(n.index() as f64))
-                    .collect(),
-            ),
-        ),
-        ("submit_secs", Json::Num(status.submit_secs)),
-        ("remaining_secs", Json::Num(status.remaining_secs)),
-        ("preemptions", Json::Num(f64::from(status.preemptions))),
-    ])
 }
 
 #[cfg(test)]
@@ -775,10 +620,17 @@ mod tests {
             panic!("submit failed");
         };
         let job = v.get("job").and_then(Json::as_u64).expect("job id");
-        let Reply::Ok(status) = query(&tx, Query::Status { job }) else {
+        let status = Query::Status(tacc_workload::JobId::from_value(job));
+        let Reply::Ok(status) = query(&tx, status) else {
             panic!("status should see the job submitted before it");
         };
         assert_eq!(status.get("job").and_then(Json::as_u64), Some(job));
+        // The stable lower-case name `JobState::parse_name` reads back,
+        // not the `Debug` spelling.
+        assert_eq!(
+            status.get("state").and_then(Json::as_str),
+            Some("submitted")
+        );
         let Reply::Ok(info) = query(&tx, Query::Info) else {
             panic!("info failed");
         };

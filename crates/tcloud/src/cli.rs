@@ -1,9 +1,27 @@
-//! The CLI command surface of `tcloud`.
+//! The `tcloud` command surface: one verb table, one endpoint interface,
+//! one renderer. [`run`] parses a verb into a [`Command`] or a [`Query`],
+//! sends it to an [`Endpoint`] — the in-process [`TcloudClient`] or a live
+//! daemon's [`crate::DaemonClient`] — and renders the reply, so every verb
+//! prints the same lines whichever cluster is behind it.
 
-use tacc_core::Command;
+use tacc_core::wire::Json;
+use tacc_core::{Command, CommandError, Query};
 use tacc_workload::JobId;
 
-use crate::client::{TcloudClient, TcloudError};
+use crate::client::{schema_from_text, TcloudClient, TcloudError};
+
+/// Every verb, as `tcloud` with no arguments prints it.
+pub const USAGE: &str = "tcloud --socket PATH <verb> [...]
+  submit <schema-json> [--service <secs>]
+  cancel <job-id>
+  reserve <gpus> <start-secs> <duration-secs>
+  advance <secs>
+  fault <node> | drain <node> | undrain <node>
+  status <job-id> | ps | info | top | quota | goodput
+  logs <job-id> | events <job-id> | timeline <job-id> | why <job-id>
+  get <job-id>
+  metrics | transitions | journal
+  use <profile> | wait <job-id>    (in-process sessions only)";
 
 /// The rendered result of one CLI command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -13,287 +31,412 @@ pub struct CommandOutput {
 }
 
 impl CommandOutput {
-    fn one(line: String) -> Self {
-        CommandOutput { lines: vec![line] }
-    }
-
     /// All lines joined with newlines.
     pub fn text(&self) -> String {
         self.lines.join("\n")
     }
 }
 
-impl TcloudClient {
-    /// Parses and executes one CLI command.
-    ///
-    /// Supported commands (mirroring the real tool's verbs):
-    ///
-    /// ```text
-    /// tcloud submit <schema-json> [--service <secs>]
-    /// tcloud ps
-    /// tcloud logs <job-id>
-    /// tcloud events <job-id>
-    /// tcloud timeline <job-id>
-    /// tcloud goodput
-    /// tcloud why <job-id>
-    /// tcloud metrics
-    /// tcloud kill <job-id>
-    /// tcloud wait <job-id>
-    /// tcloud info
-    /// tcloud quota
-    /// tcloud top
-    /// tcloud get <job-id>
-    /// tcloud reserve <gpus> <start-secs> <duration-secs>
-    /// tcloud drain <node-index>
-    /// tcloud undrain <node-index>
-    /// tcloud use <profile>
-    /// ```
+/// What a verb is sent to: something that applies a [`Command`] and
+/// answers a [`Query`], each reply the `ok` payload of the wire protocol
+/// (`CommandOutcome::to_json`, `Platform::answer`). The in-process
+/// [`TcloudClient`] and the socket's [`crate::DaemonClient`] implement it.
+pub trait Endpoint {
+    /// Applies one command and returns its acknowledgement.
     ///
     /// # Errors
     ///
-    /// [`TcloudError::Usage`] for unknown verbs or malformed arguments,
-    /// plus whatever the underlying operation returns.
-    pub fn run_command(&mut self, argv: &[&str]) -> Result<CommandOutput, TcloudError> {
-        match argv {
-            ["submit", rest @ ..] => self.cmd_submit(rest),
-            ["ps"] => Ok(self.cmd_ps()),
-            ["logs", id] => {
-                let job = parse_job(id)?;
-                Ok(CommandOutput {
-                    lines: self.logs(job)?,
-                })
-            }
-            ["events", id] => {
-                let job = parse_job(id)?;
-                Ok(CommandOutput {
-                    lines: self.events(job)?,
-                })
-            }
-            ["timeline", id] => {
-                let job = parse_job(id)?;
-                Ok(CommandOutput {
-                    lines: self.timeline(job)?,
-                })
-            }
-            ["goodput"] => Ok(CommandOutput {
-                lines: self.goodput_lines(),
-            }),
-            ["why", id] => {
-                let job = parse_job(id)?;
-                let reason = self.why(job)?;
-                Ok(CommandOutput::one(format!("job {}: {reason}", job.value())))
-            }
-            ["metrics"] => Ok(CommandOutput {
-                lines: self.metrics_text().lines().map(str::to_owned).collect(),
-            }),
-            ["kill", id] => {
-                let job = parse_job(id)?;
-                self.kill(job)?;
-                Ok(CommandOutput::one(format!("killed job {}", job.value())))
-            }
-            ["wait", id] => {
-                let job = parse_job(id)?;
-                let state = self.wait(job)?;
-                Ok(CommandOutput::one(format!(
-                    "job {} finished: {state}",
-                    job.value()
-                )))
-            }
-            ["info"] => Ok(CommandOutput::one(self.cluster_info())),
-            ["quota"] => Ok(self.cmd_quota()),
-            ["top"] => Ok(self.cmd_top()),
-            ["get", id] => {
-                let job = parse_job(id)?;
-                Ok(self.cmd_get(job)?)
-            }
-            ["reserve", gpus, start, duration] => self.cmd_reserve(gpus, start, duration),
-            ["drain", node] => {
-                let node = parse_node(node)?;
-                self.apply(Command::Drain { node })?;
-                Ok(CommandOutput::one(format!(
-                    "node{node} drained for maintenance"
-                )))
-            }
-            ["undrain", node] => {
-                let node = parse_node(node)?;
-                self.apply(Command::Undrain { node })?;
-                Ok(CommandOutput::one(format!("node{node} back in service")))
-            }
-            ["use", profile] => {
-                self.use_profile(profile)?;
-                Ok(CommandOutput::one(format!("switched to profile '{profile}'")))
-            }
-            _ => Err(TcloudError::Usage(
-                "tcloud submit|ps|logs|events|timeline|goodput|why|metrics|kill|wait|info|quota|top|get|reserve|drain|undrain|use"
-                    .to_owned(),
-            )),
+    /// [`TcloudError::Refused`] when the platform rejects the command;
+    /// [`TcloudError::Transport`] when the way there broke.
+    fn mutate(&mut self, command: &Command) -> Result<Json, TcloudError>;
+
+    /// Answers one query.
+    ///
+    /// # Errors
+    ///
+    /// [`TcloudError::Refused`] for an unknown job or a question the
+    /// endpoint cannot answer; [`TcloudError::Transport`] as above.
+    fn query(&mut self, query: &Query) -> Result<Json, TcloudError>;
+}
+
+/// One parsed command line.
+enum Verb {
+    Mutate(Command),
+    Query(Query),
+    /// Session verbs: they act on a [`TcloudClient`]'s own profiles and
+    /// simulation clock, not on an endpoint.
+    Use(String),
+    Wait(JobId),
+}
+
+fn usage(message: &str) -> TcloudError {
+    TcloudError::Usage(message.to_owned())
+}
+
+/// The verb table.
+fn parse(argv: &[&str]) -> Result<Verb, TcloudError> {
+    let job = |s: &str| {
+        let id = s.parse().map_err(|_| usage("expected a numeric job id"));
+        id.map(JobId::from_value)
+    };
+    let node = |s: &str| {
+        let index = s.trim_start_matches("node").parse::<u32>();
+        index.map_err(|_| usage("expected a node index (e.g. 3 or node3)"))
+    };
+    let secs = |s: &str| s.parse::<f64>().map_err(|_| usage("expected seconds"));
+    Ok(match *argv {
+        ["submit", json] | ["submit", json, "--service", _] => {
+            let schema = schema_from_text(json).map_err(CommandError::InvalidTask)?;
+            // Without an oracle the platform uses the user's estimate.
+            let service_secs = match argv.get(3) {
+                Some(given) => secs(given)?,
+                None => schema.est_duration_secs,
+            };
+            Verb::Mutate(Command::Submit {
+                schema,
+                service_secs,
+            })
         }
-    }
-
-    fn cmd_submit(&mut self, rest: &[&str]) -> Result<CommandOutput, TcloudError> {
-        let (json, service) = match rest {
-            [json] => (*json, None),
-            [json, "--service", secs] => (*json, Some(*secs)),
-            _ => {
-                return Err(TcloudError::Usage(
-                    "tcloud submit <schema-json> [--service <secs>]".to_owned(),
-                ))
-            }
-        };
-        let service = service
-            .map(|s| s.parse::<f64>())
-            .transpose()
-            .map_err(|_| TcloudError::Usage("--service expects seconds".to_owned()))?;
-        let schema = crate::client::schema_from_text(json).map_err(TcloudError::InvalidTask)?;
-        // Without an oracle the platform uses the user's estimate.
-        let service_secs = service.unwrap_or(schema.est_duration_secs);
-        let job = self.submit(schema, service_secs)?;
-        Ok(CommandOutput::one(format!("submitted job {}", job.value())))
-    }
-
-    /// `tcloud reserve`: carve a maintenance/teaching capacity window out
-    /// of the cluster (paper §5: reserved slots for course deadlines).
-    fn cmd_reserve(
-        &mut self,
-        gpus: &str,
-        start: &str,
-        duration: &str,
-    ) -> Result<CommandOutput, TcloudError> {
-        let usage =
-            || TcloudError::Usage("tcloud reserve <gpus> <start-secs> <duration-secs>".to_owned());
-        let gpus: u32 = gpus.parse().map_err(|_| usage())?;
-        let start: f64 = start.parse().map_err(|_| usage())?;
-        let duration: f64 = duration.parse().map_err(|_| usage())?;
-        self.apply(Command::Reserve {
-            gpus,
-            from_secs: start,
-            until_secs: start + duration,
-        })?;
-        Ok(CommandOutput::one(format!(
-            "reserved {gpus} GPUs from {start}s to {}s",
-            start + duration
-        )))
-    }
-
-    fn cmd_ps(&self) -> CommandOutput {
-        let mut lines = vec![format!(
-            "{:<8} {:<12} {:<20} {:<8} {}",
-            "JOB", "STATE", "NAME", "PREEMPT", "NODES"
-        )];
-        for status in self.list_jobs() {
-            let nodes = status
-                .nodes
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            lines.push(format!(
-                "{:<8} {:<12} {:<20} {:<8} {}",
-                status.id.value(),
-                status.state.to_string(),
-                truncate(&status.name, 20),
-                status.preemptions,
-                nodes
-            ));
+        ["cancel", id] => Verb::Mutate(Command::Cancel { job: job(id)? }),
+        // Carve a maintenance/teaching capacity window out of the cluster
+        // (paper §5: reserved slots for course deadlines).
+        ["reserve", gpus, start, duration] => {
+            let gpus = gpus.parse().map_err(|_| usage("expected a GPU count"))?;
+            let from_secs = secs(start)?;
+            Verb::Mutate(Command::Reserve {
+                gpus,
+                from_secs,
+                until_secs: from_secs + secs(duration)?,
+            })
         }
-        CommandOutput { lines }
-    }
+        ["advance", by] => Verb::Mutate(Command::Advance { secs: secs(by)? }),
+        ["fault", n] => Verb::Mutate(Command::FaultNode { node: node(n)? }),
+        ["drain", n] => Verb::Mutate(Command::Drain { node: node(n)? }),
+        ["undrain", n] => Verb::Mutate(Command::Undrain { node: node(n)? }),
+        ["status", id] => Verb::Query(Query::Status(job(id)?)),
+        ["ps"] => Verb::Query(Query::List),
+        ["events", id] => Verb::Query(Query::Events(job(id)?)),
+        ["info"] => Verb::Query(Query::Info),
+        ["metrics"] => Verb::Query(Query::Metrics),
+        ["transitions"] => Verb::Query(Query::Transitions),
+        ["journal"] => Verb::Query(Query::JournalStats),
+        ["logs", id] => Verb::Query(Query::Logs(job(id)?)),
+        ["timeline", id] => Verb::Query(Query::Timeline(job(id)?)),
+        ["why", id] => Verb::Query(Query::Why(job(id)?)),
+        ["get", id] => Verb::Query(Query::Artifacts(job(id)?)),
+        ["goodput"] => Verb::Query(Query::Goodput),
+        ["quota"] => Verb::Query(Query::Quota),
+        ["top"] => Verb::Query(Query::Top),
+        ["use", profile] => Verb::Use(profile.to_owned()),
+        ["wait", id] => Verb::Wait(job(id)?),
+        _ => return Err(usage(USAGE)),
+    })
+}
+
+/// Parses one command line, sends it to `endpoint` and renders the reply.
+///
+/// # Errors
+///
+/// [`TcloudError::Usage`] for an unknown verb or malformed arguments
+/// (and for the two session verbs, which no endpoint takes), plus
+/// whatever the endpoint returns.
+pub fn run(endpoint: &mut dyn Endpoint, argv: &[&str]) -> Result<CommandOutput, TcloudError> {
+    execute(endpoint, parse(argv)?)
+}
+
+fn execute(endpoint: &mut dyn Endpoint, verb: Verb) -> Result<CommandOutput, TcloudError> {
+    let lines = match verb {
+        Verb::Mutate(command) => render_ack(&command, &endpoint.mutate(&command)?),
+        Verb::Query(query) => render_answer(&query, &endpoint.query(&query)?),
+        Verb::Use(_) | Verb::Wait(_) => {
+            return Err(usage("`use` and `wait` need an in-process session"))
+        }
+    };
+    Ok(CommandOutput { lines })
 }
 
 impl TcloudClient {
-    /// `tcloud get`: retrieve a job's output files from every node it ran
-    /// on (the paper: "tcloud can also retrieve files ... simultaneously
-    /// on multiple nodes").
-    fn cmd_get(&self, job: tacc_workload::JobId) -> Result<CommandOutput, TcloudError> {
-        if self.platform().job(job).is_none() {
-            return Err(TcloudError::UnknownJob(job.value()));
-        }
-        let artifacts = self.platform().job_artifacts(job);
-        if artifacts.is_empty() {
-            return Ok(CommandOutput::one(format!(
-                "job {} has not run yet; nothing to fetch",
-                job.value()
-            )));
-        }
-        let mut lines: Vec<String> = artifacts
-            .iter()
-            .map(|(node, file, mb)| format!("fetched {file} from {node} ({mb} MiB)"))
-            .collect();
-        let total: u32 = artifacts.iter().map(|&(_, _, mb)| mb).sum();
-        lines.push(format!(
-            "retrieved {} file(s), {} MiB total",
-            artifacts.len(),
-            total
-        ));
-        Ok(CommandOutput { lines })
-    }
-
-    /// `tcloud quota`: per-group quota and current usage.
-    fn cmd_quota(&self) -> CommandOutput {
-        let table = self.platform().scheduler().quota_table();
-        let mut lines = vec![format!(
-            "{:<8} {:>6} {:>11} {:>9}",
-            "GROUP", "QUOTA", "GUARANTEED", "BORROWED"
-        )];
-        for gi in 0..table.group_count() {
-            let g = tacc_workload::GroupId::from_index(gi);
-            lines.push(format!(
-                "{:<8} {:>6} {:>11} {:>9}",
-                g.to_string(),
-                table.quota(g),
-                table.guaranteed_used(g),
-                table.borrowed(g)
-            ));
-        }
-        CommandOutput { lines }
-    }
-
-    /// `tcloud top`: per-node occupancy snapshot.
-    fn cmd_top(&self) -> CommandOutput {
-        let p = self.platform();
-        let mut lines = vec![format!(
-            "{:<8} {:<7} {:<9} {:>10} {:>7}",
-            "NODE", "RACK", "GPU", "USED/TOTAL", "LEASES"
-        )];
-        for node in p.cluster().nodes() {
-            lines.push(format!(
-                "{:<8} {:<7} {:<9} {:>7}/{:<3} {:>6}",
-                node.id().to_string(),
-                node.rack().to_string(),
-                node.gpu_model().to_string(),
-                node.used().gpus,
-                node.capacity().gpus,
-                node.lease_count()
-            ));
-        }
-        lines.push(format!(
-            "total: {}/{} GPUs busy, {} running, {} queued",
-            p.cluster().total_gpus() - p.cluster().free_gpus(),
-            p.cluster().total_gpus(),
-            p.scheduler().running_len(),
-            p.scheduler().queue_len()
-        ));
-        CommandOutput { lines }
+    /// [`run`] against this client's active platform, plus the two
+    /// session verbs: `use <profile>` and `wait <job-id>`.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`], and [`TcloudError::UnknownProfile`] from `use`.
+    pub fn run_command(&mut self, argv: &[&str]) -> Result<CommandOutput, TcloudError> {
+        let line = match parse(argv)? {
+            Verb::Use(profile) => {
+                self.use_profile(&profile)?;
+                format!("switched to profile '{profile}'")
+            }
+            Verb::Wait(job) => format!("job {} finished: {}", job.value(), self.wait(job)?),
+            verb => return execute(self, verb),
+        };
+        Ok(CommandOutput { lines: vec![line] })
     }
 }
 
-fn parse_node(s: &str) -> Result<u32, TcloudError> {
-    s.trim_start_matches("node")
-        .parse::<u32>()
-        .map_err(|_| TcloudError::Usage("expected a node index (e.g. 3 or node3)".to_owned()))
+// --------------------------------------------------------------------
+// The renderer: reply payloads to lines
+// --------------------------------------------------------------------
+
+fn num(v: &Json, key: &str) -> f64 {
+    v.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN)
 }
 
-fn parse_job(s: &str) -> Result<JobId, TcloudError> {
-    s.parse::<u64>()
-        .map(JobId::from_value)
-        .map_err(|_| TcloudError::Usage("expected a numeric job id".to_owned()))
+fn int(v: &Json, key: &str) -> u64 {
+    v.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
+fn text<'a>(v: &'a Json, key: &str) -> &'a str {
+    v.get(key).and_then(Json::as_str).unwrap_or("?")
+}
+
+fn rows(v: &Json) -> &[Json] {
+    v.as_arr().unwrap_or(&[])
+}
+
+fn text_lines(v: &Json) -> Vec<String> {
+    let text = v.as_str().unwrap_or("");
+    text.lines().map(str::to_owned).collect()
+}
+
+/// The numbers of array `key`, each behind `prefix`, comma-separated.
+fn ids(v: &Json, key: &str, prefix: &str) -> String {
+    let ids = v.get(key).map(rows).unwrap_or(&[]).iter();
+    let ids: Vec<String> = ids
+        .filter_map(Json::as_u64)
+        .map(|n| format!("{prefix}{n}"))
+        .collect();
+    ids.join(",")
+}
+
+/// `s` cut to at most `max` characters, the last an ellipsis when
+/// anything was cut.
 fn truncate(s: &str, max: usize) -> String {
-    if s.len() <= max {
-        s.to_owned()
-    } else {
-        format!("{}…", &s[..max.saturating_sub(1)])
+    if s.chars().count() <= max {
+        return s.to_owned();
+    }
+    let kept = s.chars().take(max.saturating_sub(1));
+    kept.chain(['…']).collect()
+}
+
+fn render_ack(command: &Command, ack: &Json) -> Vec<String> {
+    vec![match command {
+        Command::Submit { .. } => format!("submitted job {}", int(ack, "job")),
+        Command::Cancel { job } => match ack.get("applied") {
+            Some(Json::Bool(false)) => format!("job {} had already finished", job.value()),
+            _ => format!("cancelled job {}", job.value()),
+        },
+        Command::Reserve {
+            gpus,
+            from_secs,
+            until_secs,
+        } => format!("reserved {gpus} GPUs from {from_secs}s to {until_secs}s"),
+        Command::FaultNode { node } => {
+            format!("node{node} faulted, hitting [{}]", ids(ack, "jobs", "job "))
+        }
+        Command::Drain { node } => format!("node{node} drained for maintenance"),
+        Command::Undrain { node } => format!("node{node} back in service"),
+        Command::Advance { .. } => format!("advanced to t={:.1}s", num(ack, "now_secs")),
+    }]
+}
+
+fn render_answer(query: &Query, a: &Json) -> Vec<String> {
+    match query {
+        Query::Status(_) => vec![format!(
+            "job {}: {} '{}' on [{}] (submitted t={:.1}s, {:.1}s remaining, {} preemption(s))",
+            int(a, "job"),
+            text(a, "state"),
+            text(a, "name"),
+            ids(a, "nodes", "node"),
+            num(a, "submit_secs"),
+            num(a, "remaining_secs"),
+            int(a, "preemptions"),
+        )],
+        Query::List => {
+            let head = format!(
+                "{:<8} {:<12} {:<20} {:<8} NODES",
+                "JOB", "STATE", "NAME", "PREEMPT"
+            );
+            let jobs = rows(a).iter().map(|job| {
+                format!(
+                    "{:<8} {:<12} {:<20} {:<8} {}",
+                    int(job, "job"),
+                    text(job, "state"),
+                    truncate(text(job, "name"), 20),
+                    int(job, "preemptions"),
+                    ids(job, "nodes", "node"),
+                )
+            });
+            std::iter::once(head).chain(jobs).collect()
+        }
+        Query::Events(_) => {
+            // The bus is a bounded ring: if it ever overflowed, the stream
+            // below is incomplete and the user must know before reading it.
+            let warning = (int(a, "dropped") > 0).then(|| {
+                format!(
+                    "warning: {} event(s) dropped from the bounded ring; this stream is \
+                     incomplete (see tacc_obs_dropped_events_total)",
+                    int(a, "dropped")
+                )
+            });
+            let events = a.get("events").map(rows).unwrap_or(&[]).iter().map(|e| {
+                format!(
+                    "[t={:.1}s] #{} {}: {}",
+                    num(e, "at_secs"),
+                    int(e, "seq"),
+                    text(e, "kind"),
+                    text(e, "event")
+                )
+            });
+            warning.into_iter().chain(events).collect()
+        }
+        Query::Info => {
+            let cluster = format!(
+                "{} nodes / {} GPUs, {} free, {} queued, {} running, {} jobs, t={:.3}s",
+                int(a, "nodes"),
+                int(a, "total_gpus"),
+                int(a, "free_gpus"),
+                int(a, "queued"),
+                int(a, "running"),
+                int(a, "jobs"),
+                num(a, "now_secs"),
+            );
+            // Only an endpoint with a journal behind it says where it is.
+            let journal = a.get("journal_seq").map(|_| {
+                format!(
+                    "journal at seq {}, protocol v{}",
+                    int(a, "journal_seq"),
+                    int(a, "protocol")
+                )
+            });
+            std::iter::once(cluster).chain(journal).collect()
+        }
+        Query::Metrics | Query::Transitions => text_lines(a),
+        Query::JournalStats => vec![format!(
+            "journal: {} appended, {} synced, {} dirty, next_seq {}",
+            int(a, "appended"),
+            int(a, "syncs"),
+            int(a, "dirty"),
+            int(a, "next_seq")
+        )],
+        Query::Logs(_) => {
+            let line = |l| format!("[t={:.1}s] {}", num(l, "at_secs"), text(l, "line"));
+            rows(a).iter().map(line).collect()
+        }
+        Query::Timeline(_) => {
+            let span = |s| {
+                let (start, end) = (num(s, "start_secs"), num(s, "end_secs"));
+                format!(
+                    "[{start:>10.1}s → {end:>10.1}s] {:<13} {:>10.1}s  cause={:<9} {}",
+                    text(s, "phase"),
+                    end - start,
+                    text(s, "cause"),
+                    text(s, "attribution")
+                )
+            };
+            rows(a).iter().map(span).collect()
+        }
+        Query::Why(job) => vec![format!(
+            "job {}: {}",
+            job.value(),
+            a.as_str().unwrap_or("?")
+        )],
+        // Retrieve a job's output files from every node it ran on (the
+        // paper: "tcloud can also retrieve files ... simultaneously on
+        // multiple nodes").
+        Query::Artifacts(job) if rows(a).is_empty() => vec![format!(
+            "job {} has not run yet; nothing to fetch",
+            job.value()
+        )],
+        Query::Artifacts(_) => {
+            let fetched = rows(a).iter().map(|f| {
+                format!(
+                    "fetched {} from node{} ({} MiB)",
+                    text(f, "file"),
+                    int(f, "node"),
+                    int(f, "mb")
+                )
+            });
+            let total: u64 = rows(a).iter().map(|f| int(f, "mb")).sum();
+            let summary = format!("retrieved {} file(s), {total} MiB total", rows(a).len());
+            fetched.chain([summary]).collect()
+        }
+        Query::Goodput => {
+            let causes: &[(String, Json)] = match a.get("badput_gpu_secs") {
+                Some(Json::Obj(causes)) => causes,
+                _ => &[],
+            };
+            let amount = |v: &Json| v.as_f64().unwrap_or(f64::NAN);
+            let total = causes.iter().fold(0.0, |sum, (_, v)| sum + amount(v));
+            let mut lines = vec![
+                format!(
+                    "goodput over {:.1}s on {} GPUs ({:.1} GPU-seconds of capacity)",
+                    num(a, "horizon_secs"),
+                    num(a, "total_gpus"),
+                    num(a, "capacity_gpu_secs")
+                ),
+                format!(
+                    "  goodput      = {:.4}  (availability {:.4} x efficiency {:.4} x (1 - badput {:.4}))",
+                    num(a, "goodput"),
+                    num(a, "availability"),
+                    num(a, "throughput_efficiency"),
+                    num(a, "badput_fraction")
+                ),
+                format!(
+                    "  allocated    = {:.1} GPU-s, running = {:.1} GPU-s, productive = {:.1} GPU-s",
+                    num(a, "allocated_gpu_secs"),
+                    num(a, "running_gpu_secs"),
+                    num(a, "productive_gpu_secs")
+                ),
+                format!("  badput total = {total:.1} GPU-s, by cause:"),
+            ];
+            let by_cause =
+                |(cause, v): &(String, Json)| format!("    {cause:<20} {:>12.1} GPU-s", amount(v));
+            lines.extend(causes.iter().map(by_cause));
+            lines
+        }
+        Query::Quota => {
+            let head = format!(
+                "{:<8} {:>6} {:>11} {:>9}",
+                "GROUP", "QUOTA", "GUARANTEED", "BORROWED"
+            );
+            let groups = rows(a).iter().map(|g| {
+                format!(
+                    "{:<8} {:>6} {:>11} {:>9}",
+                    format!("group{}", int(g, "group")),
+                    int(g, "quota"),
+                    int(g, "guaranteed"),
+                    int(g, "borrowed")
+                )
+            });
+            std::iter::once(head).chain(groups).collect()
+        }
+        Query::Top => {
+            let head = format!(
+                "{:<8} {:<7} {:<9} {:>10} {:>7}",
+                "NODE", "RACK", "GPU", "USED/TOTAL", "LEASES"
+            );
+            let nodes = a.get("per_node").map(rows).unwrap_or(&[]).iter().map(|n| {
+                format!(
+                    "{:<8} {:<7} {:<9} {:>7}/{:<3} {:>6}",
+                    format!("node{}", int(n, "node")),
+                    format!("rack{}", int(n, "rack")),
+                    text(n, "gpu"),
+                    int(n, "used"),
+                    int(n, "total"),
+                    int(n, "leases")
+                )
+            });
+            let total = format!(
+                "total: {}/{} GPUs busy, {} running, {} queued",
+                int(a, "total_gpus").saturating_sub(int(a, "free_gpus")),
+                int(a, "total_gpus"),
+                int(a, "running"),
+                int(a, "queued")
+            );
+            std::iter::once(head).chain(nodes).chain([total]).collect()
+        }
     }
 }
 
@@ -341,8 +484,10 @@ mod tests {
         let logs = c.run_command(&["logs", "0"]).expect("logs work");
         assert!(logs.lines.iter().any(|l| l.contains("completed")));
 
-        // Terminal job can't be killed.
-        assert!(c.run_command(&["kill", "0"]).is_err());
+        // A terminal job is past cancelling, and the ack says so.
+        let late = c.run_command(&["cancel", "0"]).expect("cancel works");
+        assert_eq!(late.text(), "job 0 had already finished");
+        assert!(c.run_command(&["kill", "0"]).is_err(), "one name per verb");
     }
 
     #[test]
@@ -368,6 +513,47 @@ mod tests {
         assert!(matches!(
             c.run_command(&["submit"]),
             Err(TcloudError::Usage(_))
+        ));
+        // The session verbs are the client's own; an endpoint has none.
+        assert!(matches!(
+            run(&mut c, &["wait", "0"]),
+            Err(TcloudError::Usage(_))
+        ));
+    }
+
+    /// The verbs that used to reach only a live daemon work in process.
+    #[test]
+    fn the_daemon_only_verbs_run_in_process() {
+        let mut c = client();
+        let json = schema_json();
+        c.run_command(&["submit", &json, "--service", "1000000"])
+            .expect("submits");
+        let advanced = c.run_command(&["advance", "3600"]).expect("advances");
+        assert_eq!(advanced.text(), "advanced to t=3600.0s");
+        let status = c.run_command(&["status", "0"]).expect("status works");
+        assert!(
+            status
+                .text()
+                .starts_with("job 0: running 'cli-job' on [node"),
+            "{}",
+            status.text()
+        );
+        let fault = c.run_command(&["fault", "node0"]).expect("fault works");
+        assert!(
+            fault.text().starts_with("node0 faulted"),
+            "{}",
+            fault.text()
+        );
+        let log = c.run_command(&["transitions"]).expect("transitions work");
+        assert_eq!(log.text() + "\n", c.platform().transition_log_jsonl());
+        assert_eq!(
+            c.run_command(&["cancel", "0"]).expect("cancels").text(),
+            "cancelled job 0"
+        );
+        // No journal behind a bare platform: a typed refusal, not a usage error.
+        assert!(matches!(
+            c.run_command(&["journal"]),
+            Err(TcloudError::Refused { kind, .. }) if kind == "no-journal"
         ));
     }
 
@@ -524,5 +710,8 @@ mod tests {
         let long = truncate("a-very-long-task-name-indeed", 10);
         assert!(long.chars().count() <= 10);
         assert!(long.ends_with('…'));
+        // Cut between characters, never inside one.
+        assert_eq!(truncate(&"é".repeat(11), 20), "é".repeat(11));
+        assert_eq!(truncate(&"計".repeat(30), 20), "計".repeat(19) + "…");
     }
 }

@@ -1,47 +1,77 @@
-//! The tcloud client: profiles, submission, monitoring, kill.
+//! The in-process tcloud client: cluster profiles, the typed mutations
+//! (submit, kill, advance, wait) and the in-process [`Endpoint`].
 
 use std::collections::BTreeMap;
 use std::fmt;
 
+use tacc_core::wire::Json;
 use tacc_core::{
-    Command, CommandError, CommandOutcome, CommandRecord, JobStatus, Platform, PlatformConfig,
+    Command, CommandError, CommandOutcome, CommandRecord, Platform, PlatformConfig, Query,
+    QueryError,
 };
 use tacc_workload::{JobId, JobState, TaskSchema};
 
-/// Errors the client surfaces to users.
+use crate::cli::Endpoint;
+use crate::transport::TransportError;
+
+/// Why a verb failed — the same on either endpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TcloudError {
     /// No profile with that name is configured.
     UnknownProfile(String),
-    /// The job id does not exist on the active cluster.
-    UnknownJob(u64),
-    /// The submitted task description was rejected.
-    InvalidTask(String),
-    /// A CLI command could not be parsed, or the platform refused its
-    /// arguments; the message explains.
+    /// A CLI command could not be parsed; the message explains.
     Usage(String),
+    /// The endpoint refused the request: the task was invalid, the job
+    /// or node unknown, the arguments out of range.
+    Refused {
+        /// Machine-readable kind: a `CommandError::kind`, a
+        /// `QueryError::kind`, or one of the daemon's own.
+        kind: String,
+        /// Human-readable explanation.
+        message: String,
+    },
+    /// The conversation with the daemon itself broke.
+    Transport(TransportError),
 }
 
 impl fmt::Display for TcloudError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TcloudError::UnknownProfile(p) => write!(f, "unknown cluster profile '{p}'"),
-            TcloudError::UnknownJob(id) => write!(f, "no such job {id}"),
-            TcloudError::InvalidTask(msg) => write!(f, "invalid task: {msg}"),
             TcloudError::Usage(msg) => write!(f, "usage: {msg}"),
+            TcloudError::Refused { kind, message } => write!(f, "{kind}: {message}"),
+            TcloudError::Transport(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for TcloudError {}
 
+fn refused(kind: &str, message: impl fmt::Display) -> TcloudError {
+    TcloudError::Refused {
+        kind: kind.to_owned(),
+        message: message.to_string(),
+    }
+}
+
 impl From<CommandError> for TcloudError {
     fn from(e: CommandError) -> Self {
+        refused(e.kind(), e)
+    }
+}
+
+impl From<QueryError> for TcloudError {
+    fn from(e: QueryError) -> Self {
+        refused(e.kind(), e)
+    }
+}
+
+impl From<TransportError> for TcloudError {
+    fn from(e: TransportError) -> Self {
         match e {
-            CommandError::InvalidTask(why) => TcloudError::InvalidTask(why),
-            CommandError::UnknownJob(job) => TcloudError::UnknownJob(job.value()),
-            other => TcloudError::Usage(other.to_string()),
+            TransportError::Daemon { kind, message } => TcloudError::Refused { kind, message },
+            broken => TcloudError::Transport(broken),
         }
     }
 }
@@ -57,28 +87,34 @@ pub(crate) fn schema_from_text(json: &str) -> Result<TaskSchema, String> {
 /// the active one.
 ///
 /// In the real system each profile is an SSH endpoint; here each profile
-/// owns a simulated [`Platform`]. Everything the client does goes through
-/// the same platform API a remote endpoint would expose.
+/// owns a simulated [`Platform`], and the client is the in-process
+/// [`Endpoint`]: a verb reaches it as the same `Command` or `Query` a
+/// live daemon would be sent.
 #[derive(Debug)]
 pub struct TcloudClient {
-    profiles: BTreeMap<String, Platform>,
-    active: String,
+    name: String,
+    active: Platform,
+    /// Every profile but the active one.
+    parked: BTreeMap<String, Platform>,
 }
 
 impl TcloudClient {
     /// Creates a client with a single named profile.
     pub fn with_profile(name: &str, config: PlatformConfig) -> Self {
-        let mut profiles = BTreeMap::new();
-        profiles.insert(name.to_owned(), Platform::new(config));
         TcloudClient {
-            profiles,
-            active: name.to_owned(),
+            name: name.to_owned(),
+            active: Platform::new(config),
+            parked: BTreeMap::new(),
         }
     }
 
-    /// Registers another cluster profile.
+    /// Registers another cluster profile (replacing one of that name).
     pub fn add_profile(&mut self, name: &str, config: PlatformConfig) {
-        self.profiles.insert(name.to_owned(), Platform::new(config));
+        if name == self.name {
+            self.active = Platform::new(config);
+        } else {
+            self.parked.insert(name.to_owned(), Platform::new(config));
+        }
     }
 
     /// Switches the active cluster — the paper's "changing a line of
@@ -88,53 +124,57 @@ impl TcloudClient {
     ///
     /// [`TcloudError::UnknownProfile`] if no such profile exists.
     pub fn use_profile(&mut self, name: &str) -> Result<(), TcloudError> {
-        if !self.profiles.contains_key(name) {
-            return Err(TcloudError::UnknownProfile(name.to_owned()));
+        if name == self.name {
+            return Ok(());
         }
-        self.active = name.to_owned();
+        let Some(next) = self.parked.remove(name) else {
+            return Err(TcloudError::UnknownProfile(name.to_owned()));
+        };
+        let left = std::mem::replace(&mut self.active, next);
+        let left_name = std::mem::replace(&mut self.name, name.to_owned());
+        self.parked.insert(left_name, left);
         Ok(())
     }
 
-    /// Names of all configured profiles.
+    /// Names of all configured profiles, sorted.
     pub fn profile_names(&self) -> Vec<&str> {
-        self.profiles.keys().map(String::as_str).collect()
+        let parked = self.parked.keys().map(String::as_str);
+        let mut names: Vec<&str> = parked.chain([self.name.as_str()]).collect();
+        names.sort_unstable();
+        names
     }
 
-    /// The active platform (read-only; used by experiment harnesses).
+    /// The active platform, read-only: where a caller that wants typed
+    /// data rather than a verb's lines reads it.
     pub fn platform(&self) -> &Platform {
-        self.profiles
-            .get(&self.active)
-            .expect("active profile exists")
-    }
-
-    /// Mutable access to the active platform.
-    pub fn platform_mut(&mut self) -> &mut Platform {
-        self.profiles
-            .get_mut(&self.active)
-            .expect("active profile exists")
+        &self.active
     }
 
     /// The one way this client mutates its platform: the command is
-    /// stamped with the platform's current time and applied as the record
-    /// `taccd` would journal for it, so a session replayed through
-    /// [`Platform::apply_record`] reproduces the platform exactly.
-    pub(crate) fn apply(&mut self, command: Command) -> Result<CommandOutcome, TcloudError> {
-        let platform = self.platform_mut();
+    /// applied as the record `taccd` would journal for it, so a session
+    /// replayed through [`Platform::apply_record`] reproduces the
+    /// platform exactly.
+    fn apply_at(&mut self, at_secs: f64, command: Command) -> Result<CommandOutcome, TcloudError> {
         let record = CommandRecord {
             seq: 0, // orders journal frames; nothing is journalled here
-            at_secs: platform.now().as_secs(),
+            at_secs,
             command,
         };
-        Ok(platform.apply_record(&record)?)
+        Ok(self.active.apply_record(&record)?)
+    }
+
+    /// [`Self::apply_at`] the platform's current time.
+    fn apply(&mut self, command: Command) -> Result<CommandOutcome, TcloudError> {
+        self.apply_at(self.active.now().as_secs(), command)
     }
 
     /// Submits a task to the active cluster.
     ///
     /// # Errors
     ///
-    /// [`TcloudError::InvalidTask`] if the schema fails validation, names
-    /// a group outside the roster, or the service time is not a positive
-    /// finite number.
+    /// [`TcloudError::Refused`] (`invalid-task`) if the schema fails
+    /// validation, names a group outside the roster, or the service time
+    /// is not a positive finite number.
     pub fn submit(&mut self, schema: TaskSchema, service_secs: f64) -> Result<JobId, TcloudError> {
         match self.apply(Command::Submit {
             schema,
@@ -149,173 +189,25 @@ impl TcloudClient {
     ///
     /// # Errors
     ///
-    /// [`TcloudError::InvalidTask`] for malformed JSON or invalid schemas.
+    /// [`TcloudError::Refused`] (`invalid-task`) for malformed JSON or
+    /// invalid schemas.
     pub fn submit_json(&mut self, json: &str, service_secs: f64) -> Result<JobId, TcloudError> {
-        let schema = schema_from_text(json).map_err(TcloudError::InvalidTask)?;
+        let schema = schema_from_text(json).map_err(CommandError::InvalidTask)?;
         self.submit(schema, service_secs)
     }
 
-    /// Status of one job.
+    /// Kills a job on every node it occupies. `Ok(false)` when the job
+    /// had already finished and there was nothing to kill.
     ///
     /// # Errors
     ///
-    /// [`TcloudError::UnknownJob`] if the job does not exist here.
-    pub fn status(&self, job: JobId) -> Result<JobStatus, TcloudError> {
-        self.platform()
-            .job_status(job)
-            .ok_or(TcloudError::UnknownJob(job.value()))
-    }
-
-    /// Status of every job on the active cluster (submission order).
-    pub fn list_jobs(&self) -> Vec<JobStatus> {
-        let p = self.platform();
-        p.job_ids()
-            .into_iter()
-            .filter_map(|id| p.job_status(id))
-            .collect()
-    }
-
-    /// Aggregated, time-ordered log of a job across all of its nodes.
-    ///
-    /// Each line is `[t=..s] message`, matching what the real tool prints
-    /// after collecting per-node files.
-    ///
-    /// # Errors
-    ///
-    /// [`TcloudError::UnknownJob`] if the job does not exist here.
-    pub fn logs(&self, job: JobId) -> Result<Vec<String>, TcloudError> {
-        let p = self.platform();
-        if p.job(job).is_none() {
-            return Err(TcloudError::UnknownJob(job.value()));
-        }
-        Ok(p.job_log(job)
-            .into_iter()
-            .map(|(t, msg)| format!("[t={t:.1}s] {msg}"))
-            .collect())
-    }
-
-    /// Time-ordered platform events for a job, rendered one per line —
-    /// what `tcloud events` prints. Unlike [`Self::logs`] this is the
-    /// typed event stream: each line carries the bus sequence number and
-    /// machine-readable kind tag.
-    ///
-    /// # Errors
-    ///
-    /// [`TcloudError::UnknownJob`] if the job does not exist here.
-    pub fn events(&self, job: JobId) -> Result<Vec<String>, TcloudError> {
-        let p = self.platform();
-        if p.job(job).is_none() {
-            return Err(TcloudError::UnknownJob(job.value()));
-        }
-        let mut lines = Vec::new();
-        // The bus is a bounded ring: if it ever overflowed, the stream
-        // below is incomplete and the user must know before reading it.
-        let dropped = p.events().dropped();
-        if dropped > 0 {
-            lines.push(format!(
-                "warning: {dropped} event(s) dropped from the bounded ring; \
-                 this stream is incomplete (see tacc_obs_dropped_events_total)"
-            ));
-        }
-        lines.extend(p.job_events(job).iter().map(|r| {
-            format!(
-                "[t={:.1}s] #{} {}: {}",
-                r.at_secs,
-                r.seq,
-                r.event.kind(),
-                r.event
-            )
-        }));
-        Ok(lines)
-    }
-
-    /// A job's span timeline, one rendered line per span in time order —
-    /// what `tcloud timeline <job>` prints. Spans are folded by
-    /// `tacc-obs` from the lifecycle engine's transition stream, so the
-    /// output is a pure function of sim time.
-    ///
-    /// # Errors
-    ///
-    /// [`TcloudError::UnknownJob`] if the job does not exist here.
-    pub fn timeline(&self, job: JobId) -> Result<Vec<String>, TcloudError> {
-        let p = self.platform();
-        if p.job(job).is_none() {
-            return Err(TcloudError::UnknownJob(job.value()));
-        }
-        Ok(p.timeline(job)
-            .iter()
-            .map(|s| {
-                format!(
-                    "[{:>10.1}s → {:>10.1}s] {:<13} {:>10.1}s  cause={:<9} {}",
-                    s.start_secs,
-                    s.end_secs,
-                    s.phase.to_string(),
-                    s.duration_secs(),
-                    s.cause.to_string(),
-                    s.attribution()
-                )
-            })
-            .collect())
-    }
-
-    /// The cluster-wide ML Productivity Goodput decomposition, rendered
-    /// as a small report — what `tcloud goodput` prints.
-    pub fn goodput_lines(&self) -> Vec<String> {
-        let r = self.platform().goodput();
-        let mut lines = vec![
-            format!(
-                "goodput over {:.1}s on {} GPUs ({:.1} GPU-seconds of capacity)",
-                r.horizon_secs, r.total_gpus, r.capacity_gpu_secs
-            ),
-            format!(
-                "  goodput      = {:.4}  (availability {:.4} x efficiency {:.4} x (1 - badput {:.4}))",
-                r.goodput, r.availability, r.throughput_efficiency, r.badput_fraction
-            ),
-            format!(
-                "  allocated    = {:.1} GPU-s, running = {:.1} GPU-s, productive = {:.1} GPU-s",
-                r.allocated_gpu_secs, r.running_gpu_secs, r.productive_gpu_secs
-            ),
-            format!("  badput total = {:.1} GPU-s, by cause:", r.badput.total_gpu_secs()),
-        ];
-        for (cause, gpu_secs) in r.badput.items() {
-            lines.push(format!(
-                "    {:<20} {:>12.1} GPU-s",
-                cause.to_string(),
-                gpu_secs
-            ));
-        }
-        lines
-    }
-
-    /// Explains a job's current situation — for a waiting job, the
-    /// scheduler's most recent skip reason (what `tcloud why` prints).
-    ///
-    /// # Errors
-    ///
-    /// [`TcloudError::UnknownJob`] if the job does not exist here.
-    pub fn why(&self, job: JobId) -> Result<String, TcloudError> {
-        self.platform()
-            .why(job)
-            .ok_or(TcloudError::UnknownJob(job.value()))
-    }
-
-    /// Prometheus text exposition of every operational metric on the
-    /// active cluster (what `tcloud metrics` prints).
-    pub fn metrics_text(&self) -> String {
-        self.platform().metrics_text()
-    }
-
-    /// Kills a job on every node it occupies.
-    ///
-    /// # Errors
-    ///
-    /// [`TcloudError::UnknownJob`] if the job does not exist or is already
-    /// terminal.
-    pub fn kill(&mut self, job: JobId) -> Result<(), TcloudError> {
-        match self.apply(Command::Cancel { job })? {
-            CommandOutcome::Cancelled { applied: true, .. } => Ok(()),
-            _ => Err(TcloudError::UnknownJob(job.value())),
-        }
+    /// [`TcloudError::Refused`] (`unknown-job`) if the job does not exist.
+    pub fn kill(&mut self, job: JobId) -> Result<bool, TcloudError> {
+        let outcome = self.apply(Command::Cancel { job })?;
+        Ok(matches!(
+            outcome,
+            CommandOutcome::Cancelled { applied: true, .. }
+        ))
     }
 
     /// Lets the active cluster advance `secs` of simulated time (the
@@ -323,45 +215,48 @@ impl TcloudClient {
     ///
     /// # Errors
     ///
-    /// [`TcloudError::Usage`] if `secs` is negative or not finite.
+    /// [`TcloudError::Refused`] (`invalid-advance`) if `secs` is negative
+    /// or not finite.
     pub fn advance(&mut self, secs: f64) -> Result<(), TcloudError> {
         self.apply(Command::Advance { secs }).map(|_| ())
     }
 
     /// Blocks until `job` reaches a terminal state (or the cluster goes
-    /// idle, whichever is first).
+    /// idle, whichever is first): a zero-second advance stamped with the
+    /// next pending event's time, again and again — each one settles
+    /// exactly the events due then, and the session stays its command
+    /// stream.
     ///
     /// # Errors
     ///
-    /// [`TcloudError::UnknownJob`] if the job does not exist here.
+    /// [`TcloudError::Refused`] (`unknown-job`) if the job does not exist
+    /// here.
     pub fn wait(&mut self, job: JobId) -> Result<JobState, TcloudError> {
-        if self.platform().job(job).is_none() {
-            return Err(TcloudError::UnknownJob(job.value()));
-        }
         loop {
-            let state = self.platform().job(job).expect("checked above").state();
-            if state.is_terminal() {
-                return Ok(state);
-            }
-            if self.platform_mut().step().is_none() {
-                return Ok(self.platform().job(job).expect("checked above").state());
+            let Some(state) = self.active.job(job).map(|j| j.state()) else {
+                return Err(QueryError::UnknownJob(job).into());
+            };
+            match self.active.next_event_at() {
+                Some(at) if !state.is_terminal() => {
+                    self.apply_at(at.as_secs(), Command::Advance { secs: 0.0 })?;
+                }
+                _ => return Ok(state),
             }
         }
     }
+}
 
-    /// One-line description of the active cluster.
-    pub fn cluster_info(&self) -> String {
-        let p = self.platform();
-        format!(
-            "profile '{}': {} nodes / {} GPUs, {} free, {} queued, {} running, {}",
-            self.active,
-            p.cluster().node_count(),
-            p.cluster().total_gpus(),
-            p.cluster().free_gpus(),
-            p.scheduler().queue_len(),
-            p.scheduler().running_len(),
-            p.now(),
-        )
+/// The in-process endpoint: what the `taccd` engine does with a request,
+/// minus the journal.
+impl Endpoint for TcloudClient {
+    fn mutate(&mut self, command: &Command) -> Result<Json, TcloudError> {
+        let at_secs = self.active.now().as_secs();
+        let outcome = self.apply_at(at_secs, command.clone())?;
+        Ok(outcome.to_json(0, at_secs))
+    }
+
+    fn query(&mut self, query: &Query) -> Result<Json, TcloudError> {
+        Ok(self.active.answer(query)?)
     }
 }
 
@@ -386,13 +281,22 @@ mod tests {
             .expect("valid")
     }
 
+    /// What a verb prints.
+    fn lines(c: &mut TcloudClient, argv: &[&str]) -> Vec<String> {
+        c.run_command(argv).expect("verb works").lines
+    }
+
+    fn refused(result: Result<impl fmt::Debug, TcloudError>, kind: &str) -> bool {
+        matches!(result, Err(TcloudError::Refused { kind: k, .. }) if k == kind)
+    }
+
     #[test]
     fn submit_wait_logs_round_trip() {
         let mut c = TcloudClient::with_profile("campus", config());
         let job = c.submit(schema(), 300.0).expect("valid");
         let state = c.wait(job).expect("exists");
         assert_eq!(state, JobState::Completed);
-        let logs = c.logs(job).expect("exists");
+        let logs = lines(&mut c, &["logs", "0"]);
         assert!(logs.first().expect("nonempty").contains("submitted"));
         assert!(logs.last().expect("nonempty").contains("completed"));
     }
@@ -402,10 +306,7 @@ mod tests {
         let mut c = TcloudClient::with_profile("campus", config());
         let json = schema().to_json().to_string();
         assert!(c.submit_json(&json, 300.0).is_ok());
-        assert!(matches!(
-            c.submit_json("{bad", 300.0),
-            Err(TcloudError::InvalidTask(_))
-        ));
+        assert!(refused(c.submit_json("{bad", 300.0), "invalid-task"));
     }
 
     #[test]
@@ -413,11 +314,13 @@ mod tests {
         let mut c = TcloudClient::with_profile("campus", config());
         let job = c.submit(schema(), 1e6).expect("valid");
         c.advance(3600.0).expect("advances");
-        assert_eq!(c.status(job).expect("exists").state, JobState::Running);
-        c.kill(job).expect("running job killable");
-        assert_eq!(c.status(job).expect("exists").state, JobState::Cancelled);
-        // Killing again errors.
-        assert!(c.kill(job).is_err());
+        let state = |c: &TcloudClient| c.platform().job(job).expect("exists").state();
+        assert_eq!(state(&c), JobState::Running);
+        assert_eq!(c.kill(job), Ok(true), "running job killable");
+        assert_eq!(state(&c), JobState::Cancelled);
+        // Killing again finds nothing left to kill.
+        assert_eq!(c.kill(job), Ok(false));
+        assert!(refused(c.kill(JobId::from_value(7)), "unknown-job"));
     }
 
     /// Inputs the platform refuses come back as typed errors — through the
@@ -425,9 +328,7 @@ mod tests {
     #[test]
     fn refused_inputs_are_errors_not_panics() {
         type Case = fn(&mut TcloudClient) -> Result<(), TcloudError>;
-        // The third field is the refused advance, where there is one; the
-        // other four are invalid tasks.
-        let cases: [(&str, Case, Option<f64>); 6] = [
+        let cases: [(&str, Case, &str); 6] = [
             (
                 "group outside the roster",
                 |c| {
@@ -436,17 +337,17 @@ mod tests {
                     let job = c.submit(foreign, 300.0)?;
                     c.wait(job).map(|_| ())
                 },
-                None,
+                "invalid-task",
             ),
             (
                 "NaN service time",
                 |c| c.submit(schema(), f64::NAN).map(|_| ()),
-                None,
+                "invalid-task",
             ),
             (
                 "negative service time",
                 |c| c.submit(schema(), -5.0).map(|_| ()),
-                None,
+                "invalid-task",
             ),
             (
                 "--service nan",
@@ -455,29 +356,23 @@ mod tests {
                     c.run_command(&["submit", &json, "--service", "nan"])
                         .map(|_| ())
                 },
-                None,
+                "invalid-task",
             ),
-            ("advance NaN", |c| c.advance(f64::NAN), Some(f64::NAN)),
+            ("advance NaN", |c| c.advance(f64::NAN), "invalid-advance"),
             (
                 "advance backwards",
                 |c| {
                     c.advance(100.0)?;
                     c.advance(-50.0)
                 },
-                Some(-50.0),
+                "invalid-advance",
             ),
         ];
-        for (name, case, advance) in cases {
+        for (name, case, kind) in cases {
             let mut c = TcloudClient::with_profile("campus", config());
             let err = case(&mut c).expect_err(name);
-            match advance {
-                Some(secs) => {
-                    let text = CommandError::InvalidAdvance(secs).to_string();
-                    assert_eq!(err, TcloudError::Usage(text), "{name}");
-                }
-                None => assert!(matches!(err, TcloudError::InvalidTask(_)), "{name}: {err}"),
-            }
-            assert!(c.list_jobs().is_empty(), "{name}: a job was minted");
+            assert!(refused(Err::<(), _>(err.clone()), kind), "{name}: {err}");
+            assert_eq!(c.platform().job_count(), 0, "{name}: a job was minted");
             let job = c.submit(schema(), 300.0).expect("valid");
             assert_eq!(c.wait(job), Ok(JobState::Completed), "{name}");
         }
@@ -487,13 +382,13 @@ mod tests {
     fn multi_cluster_profiles() {
         let mut c = TcloudClient::with_profile("campus", config());
         c.add_profile("lab", config());
-        let j1 = c.submit(schema(), 300.0).expect("valid");
+        c.submit(schema(), 300.0).expect("valid");
         c.use_profile("lab").expect("exists");
         // The lab cluster has no jobs; the campus job is invisible here.
-        assert!(c.status(j1).is_err());
-        assert_eq!(c.list_jobs().len(), 0);
+        assert!(refused(c.run_command(&["status", "0"]), "unknown-job"));
+        assert_eq!(c.platform().job_count(), 0);
         c.use_profile("campus").expect("exists");
-        assert_eq!(c.list_jobs().len(), 1);
+        assert_eq!(c.platform().job_count(), 1);
         assert!(matches!(
             c.use_profile("nope"),
             Err(TcloudError::UnknownProfile(_))
@@ -503,18 +398,27 @@ mod tests {
 
     #[test]
     fn cluster_info_summarizes() {
-        let c = TcloudClient::with_profile("campus", config());
-        let info = c.cluster_info();
-        assert!(info.contains("2 nodes / 16 GPUs"));
-        assert!(info.contains("campus"));
+        let mut c = TcloudClient::with_profile("campus", config());
+        let info = lines(&mut c, &["info"]);
+        assert!(
+            info[0].starts_with("2 nodes / 16 GPUs, 16 free"),
+            "{info:?}"
+        );
+        assert_eq!(info.len(), 1, "no journal behind an in-process platform");
     }
 
     #[test]
     fn unknown_job_errors() {
-        let c = TcloudClient::with_profile("campus", config());
-        assert!(c.status(JobId::from_value(7)).is_err());
-        assert!(c.logs(JobId::from_value(7)).is_err());
-        assert!(c.timeline(JobId::from_value(7)).is_err());
+        let mut c = TcloudClient::with_profile("campus", config());
+        for verb in [
+            "status", "logs", "events", "timeline", "why", "get", "cancel",
+        ] {
+            assert!(
+                refused(c.run_command(&[verb, "7"]), "unknown-job"),
+                "{verb}"
+            );
+        }
+        assert!(refused(c.wait(JobId::from_value(7)), "unknown-job"));
     }
 
     #[test]
@@ -522,7 +426,7 @@ mod tests {
         let mut c = TcloudClient::with_profile("campus", config());
         let job = c.submit(schema(), 300.0).expect("valid");
         c.wait(job).expect("exists");
-        let lines = c.timeline(job).expect("exists");
+        let lines = lines(&mut c, &["timeline", "0"]);
         assert!(lines.len() >= 3, "{lines:?}");
         assert!(lines.iter().any(|l| l.contains("Queued")));
         assert!(lines
@@ -535,7 +439,7 @@ mod tests {
         let mut c = TcloudClient::with_profile("campus", config());
         let job = c.submit(schema(), 300.0).expect("valid");
         c.wait(job).expect("exists");
-        let lines = c.goodput_lines();
+        let lines = lines(&mut c, &["goodput"]);
         assert!(lines[0].contains("16 GPUs"), "{lines:?}");
         assert!(lines.iter().any(|l| l.contains("availability")));
         // Every itemized badput cause is listed below the summary.
@@ -557,16 +461,16 @@ mod tests {
         );
         let job = c.submit(schema(), 300.0).expect("valid");
         c.wait(job).expect("exists");
-        let lines = c.events(job).expect("exists");
-        let first = lines.first().expect("nonempty");
-        assert!(first.contains("warning:"), "{lines:?}");
+        let events = lines(&mut c, &["events", "0"]);
+        let first = events.first().expect("nonempty");
+        assert!(first.contains("warning:"), "{events:?}");
         assert!(first.contains("dropped"));
 
         // A roomy ring stays warning-free.
         let mut calm = TcloudClient::with_profile("campus", config());
         let job = calm.submit(schema(), 300.0).expect("valid");
         calm.wait(job).expect("exists");
-        let lines = calm.events(job).expect("exists");
-        assert!(!lines.iter().any(|l| l.contains("warning:")), "{lines:?}");
+        let events = lines(&mut calm, &["events", "0"]);
+        assert!(!events.iter().any(|l| l.contains("warning:")), "{events:?}");
     }
 }

@@ -9,24 +9,22 @@
 //!   maintain experiment environments: [`TcloudClient::submit`] takes a
 //!   self-contained [`TaskSchema`] and returns a job handle immediately.
 //! * **Distributed monitoring** — `tcloud` "can aggregate program status
-//!   and output log files from all running nodes": [`TcloudClient::logs`]
-//!   merges the per-node event streams of a job into one ordered view, and
-//!   [`TcloudClient::kill`] stops a job across every node it runs on.
+//!   and output log files from all running nodes": `logs` merges the
+//!   per-node event streams of a job into one ordered view, `get`
+//!   retrieves its files from every node at once, and `cancel` stops it
+//!   across every node it runs on.
 //! * **Cross-platform portability / multi-cluster** — "a user can submit
 //!   their tasks to different cluster instances of TACC by simply changing
 //!   a line of configuration": clients hold a registry of named cluster
 //!   profiles and switch with [`TcloudClient::use_profile`].
 //!
-//! A small CLI-style command surface ([`TcloudClient::run_command`]) parses
-//! `submit` / `ps` / `logs` / `events` / `why` / `metrics` / `get` / `kill`
-//! / `wait` / `info` / `quota` / `top` / `drain` / `undrain` / `use`
-//! commands, so examples read like real terminal sessions — including the
-//! paper's "retrieve files ... simultaneously on multiple nodes" (`get`),
-//! the operator's maintenance workflow (`drain`), and the observability
-//! surface: `events` prints a job's typed event stream, `why` explains why
-//! a job is waiting (quota exhausted, no feasible placement, blocked
-//! backfill window), and `metrics` dumps the Prometheus text exposition of
-//! every operational metric.
+//! There is one verb table ([`cli::USAGE`] lists it) and two endpoints:
+//! [`cli::run`] parses a verb into a `Command` or a `Query`, sends it to
+//! an [`Endpoint`] — the in-process [`TcloudClient`]
+//! ([`TcloudClient::run_command`]) or a live `taccd` behind a
+//! [`DaemonClient`] (the `tcloud` binary) — and renders the reply, so
+//! `ps`, `why`, `timeline`, `goodput` and the rest print the same lines
+//! wherever the cluster runs.
 //!
 //! ## Example
 //!
@@ -40,18 +38,18 @@
 //!     .build().expect("valid");
 //! let job = client.submit(schema, 600.0).expect("submits");
 //! client.wait(job).expect("job exists");
-//! let logs = client.logs(job).expect("job exists");
-//! assert!(logs.iter().any(|l| l.contains("completed")));
+//! let logs = client.run_command(&["logs", "0"]).expect("job exists");
+//! assert!(logs.lines.iter().any(|l| l.contains("completed")));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cli;
+pub mod cli;
 mod client;
 pub mod transport;
 
-pub use cli::CommandOutput;
+pub use cli::{CommandOutput, Endpoint};
 pub use client::{TcloudClient, TcloudError};
 pub use transport::{DaemonClient, RetryPolicy, TransportError};
 

@@ -2,24 +2,27 @@
 //!
 //! The local [`crate::TcloudClient`] owns an in-process platform; this
 //! module is the remote counterpart — a [`DaemonClient`] speaking the
-//! daemon's framed JSON protocol over a Unix socket. The frame format
-//! and the JSON value model both come from [`tacc_core::wire`], so the
-//! client has no dependency on the daemon crate itself (the layer DAG
-//! keeps `tcloud` and `taccd` siblings; the shared protocol lives one
-//! layer down, in core).
+//! daemon's framed JSON protocol over a Unix socket. Frames, request
+//! and response shapes and their readers all come from
+//! [`tacc_core::wire`], so the client has no dependency on the daemon
+//! crate itself (the layer DAG keeps `tcloud` and `taccd` siblings; the
+//! shared protocol lives one layer down, in core).
 //!
 //! Every failure mode is a typed [`TransportError`] — this module has a
 //! **zero panic budget** in `lint-baseline.json`: a daemon that
 //! disappears, speaks a different protocol version, or corrupts a frame
 //! must surface as an error value, never a panic.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use tacc_core::wire::{self, obj, Json};
-use tacc_core::Command;
+use tacc_core::wire::{self, Json, Reply, Request};
+use tacc_core::{Command, Query};
+
+use crate::cli::Endpoint;
+use crate::client::TcloudError;
 
 /// Why a daemon conversation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,11 +172,7 @@ impl DaemonClient {
 
     /// The hello handshake: verifies the daemon speaks our protocol.
     fn hello(&mut self) -> Result<(), TransportError> {
-        let req = obj(vec![
-            ("v", Json::Num(wire::PROTOCOL_VERSION as f64)),
-            ("hello", Json::Bool(true)),
-        ]);
-        let ok = self.round_trip(&req)?;
+        let ok = self.round_trip(&Request::hello())?;
         let server = ok.get("protocol").and_then(Json::as_u64).unwrap_or(0);
         if server != wire::PROTOCOL_VERSION {
             return Err(TransportError::VersionMismatch {
@@ -193,11 +192,7 @@ impl DaemonClient {
     /// [`TransportError::Daemon`] when the daemon rejects the command;
     /// transport variants when the conversation itself breaks.
     pub fn mutate(&mut self, command: &Command) -> Result<Json, TransportError> {
-        let req = obj(vec![
-            ("v", Json::Num(wire::PROTOCOL_VERSION as f64)),
-            ("mutate", command.to_json()),
-        ]);
-        self.round_trip(&req)
+        self.round_trip(&Request::mutate(command))
     }
 
     /// Submits the task described by `json` — the same schema text
@@ -218,23 +213,14 @@ impl DaemonClient {
     }
 
     /// Runs a read-only query against the daemon's live platform state.
-    /// `kind` is one of `status`, `list`, `events`, `info`, `metrics`,
-    /// `transitions`, `journal`; `job` accompanies the per-job kinds.
+    /// `kind` is a [`Query::kind`]; `job` accompanies the per-job kinds.
     ///
     /// # Errors
     ///
     /// [`TransportError::Daemon`] for unknown jobs or query kinds;
     /// transport variants when the conversation itself breaks.
     pub fn query(&mut self, kind: &str, job: Option<u64>) -> Result<Json, TransportError> {
-        let mut q = vec![("kind", Json::Str(kind.to_owned()))];
-        if let Some(job) = job {
-            q.push(("job", Json::Num(job as f64)));
-        }
-        let req = obj(vec![
-            ("v", Json::Num(wire::PROTOCOL_VERSION as f64)),
-            ("query", obj(q)),
-        ]);
-        self.round_trip(&req)
+        self.round_trip(&Request::query(kind, job))
     }
 
     /// One framed request/response exchange.
@@ -243,68 +229,43 @@ impl DaemonClient {
         self.stream
             .write_all(&wire::encode_frame(payload.as_bytes()))
             .map_err(|e| TransportError::Io(e.to_string()))?;
-        let response = self.read_frame()?;
-        let text = std::str::from_utf8(&response)
-            .map_err(|_| TransportError::MalformedFrame("response is not UTF-8".to_owned()))?;
-        let value = wire::parse(text).map_err(|e| TransportError::MalformedFrame(e.to_string()))?;
-        if let Some(err) = value.get("err") {
-            let kind = err
-                .get("kind")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown")
-                .to_owned();
-            let message = err
-                .get("message")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_owned();
+        let response = match wire::read_frame(&mut self.stream) {
+            Ok(Some(payload)) => payload,
+            Ok(None) => {
+                return Err(TransportError::Io(
+                    "daemon closed the connection".to_owned(),
+                ))
+            }
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                return Err(TransportError::MalformedFrame(e.to_string()))
+            }
+            Err(e) => return Err(TransportError::Io(e.to_string())),
+        };
+        match Reply::read(&response).map_err(TransportError::MalformedFrame)? {
+            Reply::Ok(payload) => Ok(payload),
             // The daemon's own version check surfaces as a typed variant,
             // not a generic daemon error.
-            if kind == "version-mismatch" {
-                return Err(TransportError::VersionMismatch {
+            Reply::Err { kind, .. } if kind == wire::VERSION_MISMATCH => {
+                Err(TransportError::VersionMismatch {
                     client: wire::PROTOCOL_VERSION,
                     server: 0,
-                });
+                })
             }
-            return Err(TransportError::Daemon { kind, message });
-        }
-        match value.get("ok") {
-            Some(ok) => Ok(ok.clone()),
-            None => Err(TransportError::MalformedFrame(
-                "response has neither 'ok' nor 'err'".to_owned(),
-            )),
+            Reply::Err { kind, message } => Err(TransportError::Daemon { kind, message }),
         }
     }
+}
 
-    /// Reads one response frame, verifying length cap and checksum.
-    fn read_frame(&mut self) -> Result<Vec<u8>, TransportError> {
-        let mut header = [0u8; 8];
-        self.stream.read_exact(&mut header).map_err(|e| {
-            if e.kind() == ErrorKind::UnexpectedEof {
-                TransportError::Io("daemon closed the connection".to_owned())
-            } else {
-                TransportError::Io(e.to_string())
-            }
-        })?;
-        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-        if len > wire::MAX_FRAME_LEN {
-            return Err(TransportError::MalformedFrame(format!(
-                "frame length {len} exceeds cap {}",
-                wire::MAX_FRAME_LEN
-            )));
-        }
-        let expected = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-        let mut payload = vec![0u8; len];
-        self.stream
-            .read_exact(&mut payload)
-            .map_err(|e| TransportError::Io(format!("short frame payload: {e}")))?;
-        let actual = wire::crc32(&payload);
-        if actual != expected {
-            return Err(TransportError::MalformedFrame(format!(
-                "checksum mismatch: header {expected:#010x}, payload {actual:#010x}"
-            )));
-        }
-        Ok(payload)
+/// The live-daemon endpoint: the request goes over the socket, and the
+/// reply is the `ok` payload the engine built.
+impl Endpoint for DaemonClient {
+    fn mutate(&mut self, command: &Command) -> Result<Json, TcloudError> {
+        Ok(DaemonClient::mutate(self, command)?)
+    }
+
+    fn query(&mut self, query: &Query) -> Result<Json, TcloudError> {
+        let job = query.job().map(|job| job.value());
+        Ok(DaemonClient::query(self, query.kind(), job)?)
     }
 }
 

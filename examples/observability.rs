@@ -74,7 +74,9 @@ fn main() {
     println!("$ tcloud events {}\n{}\n", starved_id.value(), out.text());
 
     // Let everything drain, then inspect the telemetry.
-    while client.platform_mut().step().is_some() {}
+    for id in [hog_id, starved_id] {
+        client.wait(id).expect("job exists");
+    }
 
     println!("== decision trace: the last scheduling rounds ==\n");
     let platform = client.platform();
@@ -94,8 +96,8 @@ fn main() {
     }
 
     println!("\n== tcloud metrics: Prometheus exposition (excerpt) ==\n");
-    let text = client.metrics_text();
-    for line in text.lines().filter(|l| {
+    let metrics = client.run_command(&["metrics"]).expect("metrics work");
+    for line in metrics.lines.iter().filter(|l| {
         l.starts_with("# TYPE")
             || l.starts_with("tacc_core_jobs")
             || l.starts_with("tacc_sched_rounds")

@@ -87,8 +87,8 @@ fn main() {
     run(&mut client, &["drain", "2"]);
     run(&mut client, &["undrain", "2"]);
 
-    // That sweep is a mistake — kill it everywhere at once.
-    run(&mut client, &["kill", "1"]);
+    // That sweep is a mistake — cancel it everywhere at once.
+    run(&mut client, &["cancel", "1"]);
     run(&mut client, &["ps"]);
 
     // Same workflow, different cluster: one line of configuration.

@@ -1,13 +1,12 @@
 //! End-to-end integration tests: trace → compile → schedule → execute →
 //! report, across all four layers.
 
-use tacc_cluster::ResourceVec;
 use tacc_core::{Command, CommandOutcome, CommandRecord, Platform};
 use tacc_sched::QuotaMode;
 use tacc_sim::DetRng;
 use tacc_tcloud::TcloudClient;
-use tacc_tests::{below, config_with, small_trace};
-use tacc_workload::{GroupId, JobId, JobState, TaskSchema};
+use tacc_tests::{config_with, session_argv, session_step, small_trace, SessionStep};
+use tacc_workload::{GroupId, JobState, TaskSchema};
 
 /// Every submission must end in exactly one terminal state, the cluster
 /// must drain completely, and per-node accounting must balance.
@@ -208,12 +207,23 @@ fn interactive_submission_over_live_cluster() {
     assert_eq!(report.submitted, trace.len() + 1);
 }
 
+fn replay(platform: &mut Platform, seq: u64, at_secs: f64, command: Command) {
+    let record = CommandRecord {
+        seq,
+        at_secs,
+        command,
+    };
+    let _ = platform.apply_record(&record);
+}
+
 /// One way in: whatever a library-client session does to its platform, the
 /// commands its verbs stand for — each stamped with the time it was issued
 /// — do to a fresh platform through `apply_record`, byte for byte. Zero
 /// provisioning latency is the sharp case: a compile completion is then
 /// pending at `now` when the next verb arrives, and a journal replay
-/// settles it before applying the command.
+/// settles it before applying the command. `wait` stands for a run of
+/// records: a zero-second advance at each pending event's time, until
+/// the job is terminal or nothing is pending.
 #[test]
 fn client_session_is_its_command_stream() {
     const VERBS: u64 = 64;
@@ -221,95 +231,54 @@ fn client_session_is_its_command_stream() {
     for base_latency_secs in [default_latency, 0.0] {
         let config = || config_with(|c| c.compiler.base_latency_secs = base_latency_secs);
         let mut client = TcloudClient::with_profile("campus", config());
-        let rng = &mut DetRng::seed_from_u64(18);
-        let mut records = Vec::new();
-        let mut jobs: Vec<JobId> = Vec::new();
+        let mut replayed = Platform::new(config());
+        let rng = &mut DetRng::seed_from_u64(22);
+        let mut waited = 0;
         for seq in 0..VERBS {
-            let command = match below(rng, 12) {
-                0..=3 => {
-                    let mut schema = TaskSchema::builder(
-                        &format!("session-{seq}"),
-                        GroupId::from_index(below(rng, 8) as usize),
-                    )
-                    .workers(1 + below(rng, 4) as u32)
-                    .resources(ResourceVec::gpus_only(8))
-                    .est_duration_secs(3600.0)
-                    .build()
-                    .expect("valid");
-                    // Nothing to transfer once the image is cached, so the
-                    // zero-latency pass really provisions in zero time.
-                    schema.env.code_mb = 0;
-                    Command::Submit {
-                        schema,
-                        service_secs: 600.0 + below(rng, 7200) as f64,
-                    }
-                }
-                4..=6 => Command::Advance {
-                    secs: below(rng, 1800) as f64,
-                },
-                // One past the newest id: an unknown job now and then.
-                7..=8 => Command::Cancel {
-                    job: JobId::from_value(below(rng, jobs.len() as u64 + 1)),
-                },
-                9 => {
-                    let from_secs = client.platform().now().as_secs() + below(rng, 3600) as f64;
-                    Command::Reserve {
-                        gpus: 8 * (1 + below(rng, 8) as u32),
-                        from_secs,
-                        until_secs: from_secs + 600.0 + below(rng, 3600) as f64,
-                    }
-                }
-                10 => Command::Drain {
-                    node: below(rng, 34) as u32,
-                },
-                _ => Command::Undrain {
-                    node: below(rng, 34) as u32,
-                },
-            };
-            records.push(CommandRecord {
-                seq,
-                at_secs: client.platform().now().as_secs(),
-                command: command.clone(),
-            });
+            let jobs = client.platform().job_count() as u64;
+            let now_secs = client.platform().now().as_secs();
+            let step = session_step(rng, seq, jobs, now_secs);
             // A refused verb (terminal or unknown job, node 32 or 33 of
             // 32) is refused on replay too; the logs are the check.
-            let _ = match command {
-                Command::Submit {
-                    schema,
-                    service_secs,
-                } => client
-                    .submit(schema, service_secs)
-                    .map(|job| jobs.push(job)),
-                Command::Advance { secs } => client.advance(secs),
-                Command::Cancel { job } => client.kill(job),
-                Command::Reserve {
-                    gpus,
-                    from_secs,
-                    until_secs,
-                } => client
-                    .run_command(&[
-                        "reserve",
-                        &gpus.to_string(),
-                        &from_secs.to_string(),
-                        &(until_secs - from_secs).to_string(),
-                    ])
-                    .map(|_| ()),
-                Command::Drain { node } => client
-                    .run_command(&["drain", &node.to_string()])
-                    .map(|_| ()),
-                Command::Undrain { node } => client
-                    .run_command(&["undrain", &node.to_string()])
-                    .map(|_| ()),
-                Command::FaultNode { .. } => unreachable!("the client has no fault verb"),
-            };
-        }
-        let mut replayed = Platform::new(config());
-        for record in &records {
-            let _ = replayed.apply_record(record);
+            let argv = session_argv(&step);
+            let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+            let _ = client.run_command(&argv);
+            match step {
+                SessionStep::Apply(command) => replay(&mut replayed, seq, now_secs, command),
+                SessionStep::Wait(job) => {
+                    while let Some(at) = replayed.next_event_at() {
+                        if replayed.job(job).is_none_or(|j| j.state().is_terminal()) {
+                            break;
+                        }
+                        replay(
+                            &mut replayed,
+                            seq,
+                            at.as_secs(),
+                            Command::Advance { secs: 0.0 },
+                        );
+                        waited += 1;
+                    }
+                }
+            }
+            // The log cannot tell when the clock moved, only what was
+            // stamped when: hold the clocks and what is pending together.
+            let at = (replayed.now(), replayed.next_event_at());
+            let client_at = (client.platform().now(), client.platform().next_event_at());
+            assert_eq!(
+                at, client_at,
+                "verb {seq} ({}) left the clocks apart",
+                argv[0]
+            );
         }
         let log = client.platform().transition_log_jsonl();
-        assert!(jobs.len() >= 10, "session too thin: {} jobs", jobs.len());
-        assert!(log.contains("\"to\":\"cancelled\""), "no kill landed");
+        let jobs = client.platform().job_count();
+        assert!(jobs >= 10, "session too thin: {jobs} jobs");
+        assert!(
+            waited >= 10,
+            "session too thin: {waited} records from `wait`"
+        );
+        assert!(log.contains("\"to\":\"cancelled\""), "no cancel landed");
+        assert!(log.contains("\"event\":\"interrupt\""), "no fault landed");
         assert_eq!(
             replayed.transition_log_jsonl(),
             log,

@@ -163,7 +163,7 @@ fn tcloud_aggregates_distributed_logs() {
         .expect("valid");
     let job = client.submit(schema, 600.0).expect("valid");
     client.wait(job).expect("exists");
-    let logs = client.logs(job).expect("exists");
+    let logs = client.run_command(&["logs", "0"]).expect("exists").lines;
     assert!(logs.iter().any(|l| l.contains("4 node(s)")));
     // Timestamps are non-decreasing (merged view is ordered).
     let times: Vec<f64> = logs

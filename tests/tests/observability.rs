@@ -126,7 +126,10 @@ fn tcloud_why_names_the_quota() {
         .expect("valid");
     let id = client.submit(over, 600.0).expect("submits");
     client.advance(2000.0).expect("advances");
-    let why = client.why(id).expect("known job");
+    let why = client
+        .run_command(&["why", &id.value().to_string()])
+        .expect("known job")
+        .text();
     assert!(why.contains("quota exhausted"), "why: {why}");
     assert!(why.contains("32/32"), "why: {why}");
 }

@@ -10,17 +10,22 @@
 //!   taking the daemon down from any client socket.
 //! * One schema text must work for the in-process `tcloud` and against a
 //!   live daemon alike.
+//! * A query names its job with a non-negative integer or not at all;
+//!   anything else is `malformed-query`, and whatever a request text is
+//!   mangled into, the one request reader answers with a typed refusal.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::mpsc;
 
-use tacc_core::wire::{self, Json};
+use tacc_core::wire::{self, Json, Request};
 use tacc_core::{Command, PlatformConfig};
+use tacc_sim::DetRng;
 use tacc_taccd::{ClockMode, Daemon, DaemonConfig, Engine, EngineConfig, Msg, Query, Reply};
 use tacc_tcloud::{DaemonClient, RetryPolicy, TcloudClient, TransportError};
-use tacc_workload::{GroupId, TaskSchema};
+use tacc_tests::below;
+use tacc_workload::{GroupId, JobId, TaskSchema};
 
 fn temp(tag: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("tacc-hostile-{tag}-{}", std::process::id()));
@@ -167,7 +172,8 @@ fn one_schema_text_submits_in_process_and_against_a_live_daemon() {
         .run_command(&["submit", text, "--service", "900"])
         .expect("in-process submit");
     assert_eq!(out.text(), "submitted job 0");
-    assert_eq!(local.list_jobs()[0].name, "portable");
+    let ps = local.run_command(&["ps"]).expect("ps works");
+    assert!(ps.lines[1].contains("portable"), "{ps:?}");
 
     let (daemon, socket, journal) = start_daemon("schema");
     let mut conn = DaemonClient::connect(&socket, RetryPolicy::default()).expect("connects");
@@ -185,4 +191,153 @@ fn one_schema_text_submits_in_process_and_against_a_live_daemon() {
     drop(conn);
     daemon.stop();
     std::fs::remove_file(&journal).ok();
+}
+
+/// One raw request text over `conn`, and the response's `err.kind`
+/// (`None` for an `ok`).
+fn raw_request(conn: &mut UnixStream, text: &str) -> Option<String> {
+    conn.write_all(&wire::encode_frame(text.as_bytes()))
+        .expect("frame sent");
+    let payload = wire::read_frame(conn).expect("intact frame");
+    match Reply::read(&payload.expect("a response")).expect("a response object") {
+        Reply::Ok(_) => None,
+        Reply::Err { kind, .. } => Some(kind),
+    }
+}
+
+#[test]
+fn hostile_queries_are_answered_malformed_query_and_the_connection_lives() {
+    let (daemon, socket, journal) = start_daemon("queries");
+    let mut conn = UnixStream::connect(&socket).expect("raw connection");
+    let mut hostile = vec![
+        r#"{"v":1,"query":{"kind":"frobnicate"}}"#.to_owned(),
+        r#"{"v":1,"query":{"job":0}}"#.to_owned(),
+        r#"{"v":1,"query":["status",0]}"#.to_owned(),
+    ];
+    for kind in ["status", "events", "logs", "timeline", "why", "artifacts"] {
+        for job in ["-1", "1.5", "1e30", "\"0\"", "null", "[0]"] {
+            hostile.push(format!(
+                r#"{{"v":1,"query":{{"kind":"{kind}","job":{job}}}}}"#
+            ));
+        }
+        hostile.push(format!(r#"{{"v":1,"query":{{"kind":"{kind}"}}}}"#));
+    }
+    for text in &hostile {
+        let kind = raw_request(&mut conn, text);
+        assert_eq!(kind.as_deref(), Some("malformed-query"), "{text}");
+        // The same connection still answers a well-formed request.
+        assert_eq!(raw_request(&mut conn, r#"{"v":1,"hello":true}"#), None);
+    }
+    let unknown = raw_request(&mut conn, r#"{"v":1,"query":{"kind":"why","job":0}}"#);
+    assert_eq!(
+        unknown.as_deref(),
+        Some("unknown-job"),
+        "well-formed reaches the engine"
+    );
+    drop(conn);
+    let mut conn = DaemonClient::connect(&socket, RetryPolicy::none()).expect("daemon alive");
+    conn.query("info", None).expect("daemon still serves");
+    drop(conn);
+    daemon.stop();
+    std::fs::remove_file(&journal).ok();
+}
+
+/// Every node of a JSON tree, as the child indices that lead to it.
+fn paths(value: &Json, here: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    out.push(here.clone());
+    let children: Vec<&Json> = match value {
+        Json::Arr(items) => items.iter().collect(),
+        Json::Obj(fields) => fields.iter().map(|(_, v)| v).collect(),
+        _ => Vec::new(),
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        here.push(i);
+        paths(child, here, out);
+        here.pop();
+    }
+}
+
+fn node_at<'a>(value: &'a mut Json, path: &[usize]) -> &'a mut Json {
+    let Some((&first, rest)) = path.split_first() else {
+        return value;
+    };
+    match value {
+        Json::Arr(items) => node_at(&mut items[first], rest),
+        Json::Obj(fields) => node_at(&mut fields[first].1, rest),
+        _ => unreachable!("paths end at leaves"),
+    }
+}
+
+/// The request-parsing slice of an in-tree fuzz: valid `hello`, `mutate`
+/// and `query` texts with a field dropped, a type swapped, a value
+/// nested 10,000 deep or the text cut short go through the one request
+/// reader, which must return a request or one of its four refusals.
+#[test]
+fn mangled_requests_get_a_request_or_a_typed_refusal() {
+    let cancel = Command::Cancel {
+        job: JobId::from_value(3),
+    };
+    let valid = [
+        Request::hello(),
+        Request::mutate(&submit("mangled")),
+        Request::mutate(&cancel),
+        Request::query("status", Some(3)),
+        Request::query("list", None),
+    ];
+    let swaps = [
+        Json::Null,
+        Json::Bool(true),
+        Json::Num(-1.0),
+        Json::Num(1.5),
+        Json::Num(1e30),
+        Json::Str("x".to_owned()),
+        Json::Arr(Vec::new()),
+        Json::Obj(Vec::new()),
+    ];
+    let (mut requests, mut refusals) = (0, 0);
+    for case in 0..2_000u64 {
+        let rng = &mut DetRng::seed_from_u64(case);
+        let mut request = valid[below(rng, valid.len() as u64) as usize].clone();
+        let mut all = Vec::new();
+        paths(&request, &mut Vec::new(), &mut all);
+        let node = node_at(&mut request, &all[below(rng, all.len() as u64) as usize]);
+        let mut cut = None;
+        match (below(rng, 4), node) {
+            (0, Json::Arr(items)) if !items.is_empty() => {
+                items.remove(below(rng, items.len() as u64) as usize);
+            }
+            (0, Json::Obj(fields)) if !fields.is_empty() => {
+                fields.remove(below(rng, fields.len() as u64) as usize);
+            }
+            (0 | 1, node) => *node = swaps[below(rng, swaps.len() as u64) as usize].clone(),
+            (2, node) => *node = Json::Str("@deep".to_owned()),
+            (_, _) => cut = Some(below(rng, 1 << 16)),
+        }
+        let mut text = request.to_string();
+        text = text.replace("\"@deep\"", &("[".repeat(10_000) + &"]".repeat(10_000)));
+        if let Some(cut) = cut {
+            let at = cut as usize % text.len();
+            text.truncate(
+                (0..=at)
+                    .rev()
+                    .find(|&i| text.is_char_boundary(i))
+                    .unwrap_or(0),
+            );
+        }
+        match Request::read(text.as_bytes()) {
+            Ok(_) => requests += 1,
+            Err(Reply::Err { kind, .. }) => {
+                let typed = [
+                    wire::MALFORMED_FRAME,
+                    wire::VERSION_MISMATCH,
+                    wire::MALFORMED_COMMAND,
+                    wire::MALFORMED_QUERY,
+                ];
+                assert!(typed.contains(&kind.as_str()), "case {case}: {kind}");
+                refusals += 1;
+            }
+            Err(Reply::Ok(_)) => panic!("case {case}: a refusal that is an `ok`"),
+        }
+    }
+    assert!(requests > 50 && refusals > 1_000, "{requests} / {refusals}");
 }
