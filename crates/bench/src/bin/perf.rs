@@ -18,7 +18,8 @@
 //! ```
 //!
 //! Counters count *algorithmic work* (sorts, slot splits/intersections,
-//! placement attempts, node scans, fast-path rejects), never time, so
+//! placement attempts, node scans, fast-path rejects, walk resumptions,
+//! reclaim-view rebuilds), never time, so
 //! `--check` and `--expect` are tolerance-free gates that hold on any
 //! machine, however noisy. Wall times ride along in the report for human
 //! context only. On a GitHub Actions runner the first mismatch is also
@@ -73,7 +74,7 @@ fn parse_args() -> Result<Options, String> {
 
 fn print_outcomes(outcomes: &[ScenarioOutcome]) {
     println!(
-        "{:<22} {:>9} {:>9} {:>7} {:>9} {:>10} {:>11} {:>10} {:>9} {:>9} {:>8}",
+        "{:<22} {:>9} {:>9} {:>7} {:>9} {:>10} {:>11} {:>10} {:>9} {:>9} {:>8} {:>10} {:>9} {:>8}",
         "scenario",
         "jobs",
         "rounds",
@@ -84,11 +85,14 @@ fn print_outcomes(outcomes: &[ScenarioOutcome]) {
         "attempts",
         "splits",
         "isects",
+        "resumes",
+        "resumed",
+        "viewrbld",
         "wall(s)"
     );
     for o in outcomes {
         println!(
-            "{:<22} {:>9} {:>9} {:>7} {:>9} {:>10} {:>11} {:>10} {:>9} {:>9} {:>8.2}",
+            "{:<22} {:>9} {:>9} {:>7} {:>9} {:>10} {:>11} {:>10} {:>9} {:>9} {:>8} {:>10} {:>9} {:>8.2}",
             o.id,
             o.jobs,
             o.rounds,
@@ -99,6 +103,9 @@ fn print_outcomes(outcomes: &[ScenarioOutcome]) {
             o.counters.plan.attempts,
             o.counters.slots.splits,
             o.counters.slots.intersections,
+            o.counters.walk_resumes,
+            o.counters.walk_resumed_entries,
+            o.counters.reclaim_view_rebuilds,
             o.wall_secs,
         );
     }

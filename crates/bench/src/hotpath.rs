@@ -24,7 +24,12 @@
 //!
 //! The temporal-planner counters (`slot_splits`, `slot_intersections`,
 //! `slot_rebuilds`) count slot boundary creations, per-slot interval
-//! operations, and full timeline rebuilds.
+//! operations, and full timeline rebuilds. `walk_resumes`,
+//! `walk_resumed_entries` and `reclaim_view_rebuilds` count the rounds
+//! that entered the walk behind a proven prefix, the entries those rounds
+//! did not re-examine, and the clone-and-release constructions of the
+//! reclaim view: pinned exactly, so neither fast path can stop firing
+//! without the gate turning red.
 
 use std::time::Instant;
 
@@ -204,6 +209,9 @@ fn counter_fields(outcome: &ScenarioOutcome) -> Vec<(&'static str, Json)> {
         ("free_index_probes", c_num(c.plan.free_index_probes)),
         ("wheel_insert", c_num(c.wheel_insert)),
         ("wheel_cascade", c_num(c.wheel_cascade)),
+        ("walk_resumes", c_num(c.walk_resumes)),
+        ("walk_resumed_entries", c_num(c.walk_resumed_entries)),
+        ("reclaim_view_rebuilds", c_num(c.reclaim_view_rebuilds)),
     ]
 }
 

@@ -54,9 +54,10 @@ impl Counter {
     }
 }
 
-/// Instantaneous value that may go up or down.
+/// Instantaneous value that may go up or down: the `f64`'s bits in an
+/// atomic word, so the once-a-round `set` is a plain store.
 #[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<Mutex<f64>>);
+pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
     /// New free-standing gauge at zero.
@@ -66,17 +67,22 @@ impl Gauge {
 
     /// Sets the gauge to `v`.
     pub fn set(&self, v: f64) {
-        *self.0.lock().expect("gauge lock") = v;
+        self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Adds `delta` (may be negative).
     pub fn add(&self, delta: f64) {
-        *self.0.lock().expect("gauge lock") += delta;
+        // The closure always returns `Some`, so the update cannot fail.
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + delta).to_bits())
+            });
     }
 
     /// Current value.
     pub fn get(&self) -> f64 {
-        *self.0.lock().expect("gauge lock")
+        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 

@@ -13,7 +13,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use tacc_cluster::{Cluster, ResourceVec};
+use tacc_cluster::{Cluster, LeaseId, ResourceVec};
 use tacc_obs::{Counter, DecisionTraceLog, Gauge, Histogram, JobSkip, MetricsRegistry};
 use tacc_workload::{GroupRoster, JobId, QosClass};
 
@@ -141,12 +141,17 @@ pub struct Scheduler {
     scratch_started: Vec<JobId>,
     scratch_preempted: Vec<JobId>,
     pub(crate) scratch_reservations: Vec<crate::backfill::Reservation>,
-    /// The reclaim pre-check's hypothetical cluster (all borrowers evicted),
-    /// cached with the [`Cluster::version`] it was derived from. Valid for
-    /// as long as the scheduler keeps seeing that same cluster unmutated —
-    /// every placement, preemption, finish or drain bumps the version — so
-    /// consecutive blocked guaranteed jobs within a round share one clone.
-    reclaim_cache: Option<(u64, Cluster)>,
+    /// What the last walk proved, when it proved anything (see
+    /// [`WalkProof`]). `schedule` takes it; only a finished walk sets it.
+    walk_proof: Option<WalkProof>,
+    /// The reclaim pre-check's hypothetical cluster (all borrowers
+    /// evicted), kept in step with the real one the way `timeline` is:
+    /// placements and finishes carry it forward, any other mutation
+    /// leaves it behind and the next use rebuilds it.
+    reclaim_view: Option<ReclaimView>,
+    /// Running best-effort tasks (the reclaim path's "no borrower" test),
+    /// maintained where `running` is mutated.
+    running_best_effort: usize,
     /// The slot-set temporal planner: the future availability profile as
     /// time slots of free-GPU counts, maintained incrementally (split on
     /// placement, merge on release) and keyed by the [`Cluster::version`]
@@ -158,6 +163,8 @@ pub struct Scheduler {
     timeline_version: Option<u64>,
     /// Test-only claim-boundary skew (see [`Scheduler::debug_set_boundary_skew`]).
     boundary_skew_secs: f64,
+    /// Test-only switch (see [`Scheduler::debug_set_round_hook`]).
+    debug_hook: Option<DebugRoundHook>,
     /// In-place round-walk state: `schedule` walks the live queue by
     /// cursor instead of copying a snapshot. Mid-walk mutations
     /// compensate the cursor so the examined sequence is exactly the
@@ -221,6 +228,89 @@ pub struct WorkCounters {
     /// Events migrated from the wheel's overflow heap into buckets when
     /// the cursor advanced past its window. Platform-filled.
     pub wheel_cascade: u64,
+    /// Rounds that entered the walk behind what the previous walk proved
+    /// instead of at the head of the queue.
+    pub walk_resumes: u64,
+    /// Queue entries those rounds did not re-examine (each is also one of
+    /// `skip_suppressions`, exactly as if it had been).
+    pub walk_resumed_entries: u64,
+    /// Clone-and-release constructions of the reclaim view (a use against
+    /// a cluster version the incremental maintenance did not track).
+    pub reclaim_view_rebuilds: u64,
+}
+
+/// What a walk that decided nothing proved about the queue it examined:
+/// every entry was judged against one unchanged state, so while that
+/// state stands — same cluster version, same usage epoch, same queue
+/// prefix — each verdict is a function of the clock alone, and only
+/// through the backfill gate's time clause. Recorded under
+/// [`BackfillMode::Easy`] only (one reservation gates everything; `None`
+/// stops at the first block and `Conservative` probes once per blocked
+/// entry, so neither has a prefix worth skipping).
+#[derive(Debug, Clone, Copy)]
+struct WalkProof {
+    /// [`Cluster::version`] the walk ran against.
+    version: u64,
+    /// `usage_epoch` the walk ran against.
+    usage_epoch: u64,
+    /// Entries examined — the length of the proven queue prefix.
+    examined: usize,
+    /// The capacity-blocked head whose reservation gated every later
+    /// entry, with that reservation's `extra_gpus`; `None` when nothing
+    /// got past the quota gate.
+    head: Option<(TaskRequest, u32)>,
+    /// The two estimates that bound the time clause's say (see
+    /// [`GateBounds`]).
+    gate: GateBounds,
+}
+
+/// The extreme estimates among the entries whose backfill-gate outcome
+/// the time clause alone decided (`gpus > extra_gpus`). Float addition
+/// is monotone, so at any other `now` the gate still permits every such
+/// permitted entry iff it permits the longest, and still denies every
+/// denied entry iff it denies the shortest — two exact comparisons stand
+/// in for the whole prefix.
+#[derive(Debug, Clone, Copy)]
+struct GateBounds {
+    /// Largest `est_secs` the time clause let through.
+    max_permitted_est: f64,
+    /// Smallest `est_secs` the gate denied.
+    min_denied_est: f64,
+}
+
+impl GateBounds {
+    /// No entry has met the gate yet.
+    const NONE: GateBounds = GateBounds {
+        max_permitted_est: f64::NEG_INFINITY,
+        min_denied_est: f64::INFINITY,
+    };
+}
+
+/// The reclaim pre-check's hypothetical: the real cluster with every
+/// best-effort lease released, as of `version`.
+#[derive(Debug)]
+struct ReclaimView {
+    /// The real cluster's [`Cluster::version`] this mirrors.
+    version: u64,
+    cluster: Cluster,
+    /// The view's own lease for each guaranteed task placed since the
+    /// last rebuild (the view allocates from its own arena, so those ids
+    /// differ from the real cluster's; older tasks share theirs).
+    leases: BTreeMap<JobId, LeaseId>,
+}
+
+/// Test-only switches for the differential suite (see
+/// [`Scheduler::debug_set_round_hook`]).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DebugRoundHook {
+    /// Every round walks from the head of the queue.
+    NoResume,
+    /// Fault: a resumed round does not re-check the entries the time
+    /// clause let through.
+    SkipPermittedRecheck,
+    /// Fault: a guaranteed finish is not mirrored into the reclaim view.
+    SkipViewRelease,
 }
 
 /// Compact fingerprint of one walk outcome for a queued job, compared
@@ -266,6 +356,9 @@ struct SchedMetrics {
     slot_splits: Counter,
     slot_intersections: Counter,
     slot_rebuilds: Counter,
+    walk_resumes: Counter,
+    walk_resumed_entries: Counter,
+    reclaim_view_rebuilds: Counter,
 }
 
 impl Scheduler {
@@ -294,10 +387,13 @@ impl Scheduler {
             scratch_started: Vec::new(),
             scratch_preempted: Vec::new(),
             scratch_reservations: Vec::new(),
-            reclaim_cache: None,
+            walk_proof: None,
+            reclaim_view: None,
+            running_best_effort: 0,
             timeline: SlotSet::new(),
             timeline_version: None,
             boundary_skew_secs: 0.0,
+            debug_hook: None,
             walk_active: false,
             walk_cursor: 0,
             walk_removed_current: false,
@@ -335,6 +431,9 @@ impl Scheduler {
             slot_splits: registry.counter("tacc_sched_slot_splits_total", &[]),
             slot_intersections: registry.counter("tacc_sched_slot_intersections_total", &[]),
             slot_rebuilds: registry.counter("tacc_sched_slot_rebuilds_total", &[]),
+            walk_resumes: registry.counter("tacc_sched_walk_resumes_total", &[]),
+            walk_resumed_entries: registry.counter("tacc_sched_walk_resumed_entries_total", &[]),
+            reclaim_view_rebuilds: registry.counter("tacc_sched_reclaim_view_rebuilds_total", &[]),
         });
     }
 
@@ -354,6 +453,7 @@ impl Scheduler {
     pub fn reserve_capacity(&mut self, window: CapacityWindow) {
         self.config.capacity_windows.push(window);
         self.timeline_version = None;
+        self.walk_proof = None;
     }
 
     /// The capacity windows currently shaping the availability profile
@@ -370,6 +470,9 @@ impl Scheduler {
         };
         let cur = self.counters;
         let prev = self.flushed_counters;
+        if cur == prev {
+            return;
+        }
         m.empty_rounds.inc_by(cur.empty_rounds - prev.empty_rounds);
         m.queue_sorts.inc_by(cur.queue_sorts - prev.queue_sorts);
         m.queue_sorts_skipped
@@ -388,6 +491,11 @@ impl Scheduler {
             .inc_by(cur.slots.intersections - prev.slots.intersections);
         m.slot_rebuilds
             .inc_by(cur.slots.rebuilds - prev.slots.rebuilds);
+        m.walk_resumes.inc_by(cur.walk_resumes - prev.walk_resumes);
+        m.walk_resumed_entries
+            .inc_by(cur.walk_resumed_entries - prev.walk_resumed_entries);
+        m.reclaim_view_rebuilds
+            .inc_by(cur.reclaim_view_rebuilds - prev.reclaim_view_rebuilds);
         self.flushed_counters = cur;
     }
 
@@ -435,6 +543,10 @@ impl Scheduler {
             self.queue_dirty = true;
             self.queue.len() - 1
         };
+        // Only an append leaves the proven prefix as the walk left it.
+        if pos + 1 != self.queue.len() {
+            self.walk_proof = None;
+        }
         if self.walk_active {
             // A mid-walk insertion (a re-queued reclaim victim): invisible
             // to the current walk, exactly as it was absent from the old
@@ -455,6 +567,7 @@ impl Scheduler {
         if !self.queue_members.remove(&id) {
             return false;
         }
+        self.walk_proof = None;
         if let Some(pos) = self.queue.iter().position(|r| r.id == id) {
             self.queue.remove(pos);
         }
@@ -470,6 +583,7 @@ impl Scheduler {
         if !self.queue_members.remove(&request.id) {
             return;
         }
+        self.walk_proof = None;
         let mut removed = None;
         if self.queue_order_valid() {
             self.quota.usage_by_group_into(&mut self.scratch_usage);
@@ -633,6 +747,21 @@ impl Scheduler {
                 None
             };
         }
+        // Likewise the reclaim view: a borrower was never in it, a
+        // guaranteed task's lease is released in it too.
+        match task.request.qos {
+            QosClass::BestEffort => {
+                self.running_best_effort -= 1;
+                self.carry_reclaim_view(pre_version, cluster, |_| true);
+            }
+            QosClass::Guaranteed => {
+                let skip = self.debug_hook == Some(DebugRoundHook::SkipViewRelease);
+                self.carry_reclaim_view(pre_version, cluster, |view| {
+                    let lease = view.leases.remove(&id).unwrap_or(task.lease_id);
+                    skip || view.cluster.release(lease).is_ok()
+                });
+            }
+        }
         self.quota.release(&task.request);
         self.group_usage_vec[task.request.group.index()] -= task.request.total_resources();
         self.usage_epoch += 1;
@@ -651,5 +780,43 @@ impl Scheduler {
         self.boundary_skew_secs = skew_secs;
         // Force the next probe to rebuild under the new (skewed) geometry.
         self.timeline_version = None;
+        self.walk_proof = None;
+    }
+
+    /// Test-only switch for the differential suite: turns walk resumption
+    /// off (the comparison subject for round-by-round skip lists), or
+    /// injects one of two faults the suite must catch — a resumed round
+    /// that trusts the time-permitted entries without re-checking them,
+    /// or a reclaim view that misses a guaranteed finish. The debug
+    /// oracles stand down while a hook is set, so an injected fault
+    /// surfaces as a diverging decision stream, not as an assertion.
+    #[doc(hidden)]
+    pub fn debug_set_round_hook(&mut self, hook: DebugRoundHook) {
+        self.debug_hook = Some(hook);
+        self.walk_proof = None;
+    }
+
+    /// Carries the reclaim view from the cluster state it mirrored
+    /// (`pre_version`) to the current one by applying `mirror`, the
+    /// view's half of the mutation just made. A view that mirrored some
+    /// other version is left stale for the next use to rebuild; one whose
+    /// half fails is dropped.
+    fn carry_reclaim_view(
+        &mut self,
+        pre_version: u64,
+        cluster: &Cluster,
+        mirror: impl FnOnce(&mut ReclaimView) -> bool,
+    ) {
+        let Some(view) = self.reclaim_view.as_mut() else {
+            return;
+        };
+        if view.version != pre_version {
+            return;
+        }
+        if mirror(view) {
+            view.version = cluster.version();
+        } else {
+            self.reclaim_view = None;
+        }
     }
 }

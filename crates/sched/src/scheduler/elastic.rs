@@ -2,13 +2,15 @@
 //! youngest-first borrower eviction, and the lease/quota bookkeeping of
 //! an accepted start.
 
+use std::collections::BTreeMap;
+
 use tacc_cluster::Cluster;
 use tacc_workload::{JobId, QosClass};
 
 use crate::placement::Planner;
 use crate::quota::QuotaMode;
 use crate::request::{Decision, RunningTask, SchedOutcome, StartedTask, TaskRequest};
-use crate::scheduler::Scheduler;
+use crate::scheduler::{ReclaimView, Scheduler};
 
 impl Scheduler {
     /// Attempts to place `request`, preempting borrowers if the request is
@@ -42,45 +44,30 @@ impl Scheduler {
             self.counters.plan.fastpath_rejects += 1;
             return None;
         }
-        let mut victims: Vec<(f64, JobId)> = self
-            .running
-            .values()
-            .filter(|t| t.request.qos == QosClass::BestEffort)
-            .map(|t| (t.start_secs, t.request.id))
-            .collect();
-        if victims.is_empty() {
+        if self.running_best_effort == 0 {
             return None;
         }
         // Pre-check on a hypothetical cluster with every borrower gone:
         // evicting is only justified if the reclaim can actually succeed.
         // (Evicting and then failing to place would destroy borrower
         // progress for nothing — and could deadlock an otherwise idle
-        // cluster.) The snapshot is cached keyed by the cluster's mutation
-        // version: consecutive blocked guaranteed jobs in one round see an
-        // unchanged cluster and running set, so one clone serves them all.
-        let version = cluster.version();
-        if !matches!(&self.reclaim_cache, Some((v, _)) if *v == version) {
-            let mut hypothetical = cluster.clone();
-            for t in self.running.values() {
-                if t.request.qos == QosClass::BestEffort {
-                    hypothetical
-                        .release(t.lease_id)
-                        .expect("running borrower holds a valid lease");
-                }
-            }
-            self.reclaim_cache = Some((version, hypothetical));
-        }
-        {
-            // Freshly written above when absent; kept panic-free.
-            let (_, hypothetical) = self.reclaim_cache.as_ref()?;
-            self.planner.plan_counted(
-                hypothetical,
-                request.workers,
-                request.per_worker,
-                &mut self.counters.plan,
-            )?;
-        }
+        // cluster.)
+        self.sync_reclaim_view(cluster);
+        self.planner.plan_counted(
+            &self.reclaim_view.as_ref()?.cluster,
+            request.workers,
+            request.per_worker,
+            &mut self.counters.plan,
+        )?;
 
+        // Eviction is certain from here; only now is the victim list worth
+        // building.
+        let mut victims: Vec<(f64, JobId)> = self
+            .running
+            .values()
+            .filter(|t| t.request.qos == QosClass::BestEffort)
+            .map(|t| (t.start_secs, t.request.id))
+            .collect();
         // Youngest first: least sunk work destroyed.
         victims.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         for (_, victim_id) in victims {
@@ -106,6 +93,64 @@ impl Scheduler {
             }
         }
         unreachable!("pre-checked reclaim must place once all borrowers are evicted")
+    }
+
+    /// `cluster` with every running borrower's lease released — the one
+    /// definition of what the reclaim view is. The view is rebuilt through
+    /// it and, in debug builds, sampled against it.
+    pub(super) fn borrowers_evicted(&self, cluster: &Cluster) -> Cluster {
+        let mut hypothetical = cluster.clone();
+        for t in self.running.values() {
+            if t.request.qos == QosClass::BestEffort {
+                hypothetical
+                    .release(t.lease_id)
+                    .expect("running borrower holds a valid lease");
+            }
+        }
+        hypothetical
+    }
+
+    /// Makes `reclaim_view` mirror `cluster` as it stands: a no-op when
+    /// placements and finishes carried it here, a rebuild when a version
+    /// it did not see went by (drain, undrain, fault, first use).
+    fn sync_reclaim_view(&mut self, cluster: &Cluster) {
+        let version = cluster.version();
+        if !matches!(&self.reclaim_view, Some(view) if view.version == version) {
+            self.reclaim_view = Some(ReclaimView {
+                version,
+                cluster: self.borrowers_evicted(cluster),
+                leases: BTreeMap::new(),
+            });
+            self.counters.reclaim_view_rebuilds += 1;
+        }
+        // Sampled oracle, as for the timeline: the carried view must be
+        // the one a rebuild would produce.
+        debug_assert!(
+            !self.rounds.is_multiple_of(61)
+                || self.debug_hook.is_some()
+                || self.debug_reclaim_view_in_step(cluster) == Some(true),
+            "carried reclaim view diverged from a fresh rebuild"
+        );
+    }
+
+    /// Test-only probe: whether the reclaim view, when it claims to mirror
+    /// `cluster` as it stands, places exactly like a fresh rebuild — the
+    /// same free vector and drain flag on every node (lease ids may
+    /// differ; no plan reads them). `None` when there is no view or it
+    /// mirrors another version (the next use rebuilds it).
+    #[doc(hidden)]
+    pub fn debug_reclaim_view_in_step(&self, cluster: &Cluster) -> Option<bool> {
+        let view = self.reclaim_view.as_ref()?;
+        if view.version != cluster.version() {
+            return None;
+        }
+        let fresh = self.borrowers_evicted(cluster);
+        Some(
+            view.cluster
+                .nodes()
+                .map(|n| (n.free(), n.is_schedulable()))
+                .eq(fresh.nodes().map(|n| (n.free(), n.is_schedulable()))),
+        )
     }
 
     /// Plans and commits a placement, charging quota and recording the
@@ -162,6 +207,22 @@ impl Scheduler {
                 &mut self.counters.slots,
             );
             self.timeline_version = Some(cluster.version());
+        }
+        // Likewise the reclaim view: a guaranteed task occupies the same
+        // shares there, a borrower none.
+        match request.qos {
+            QosClass::BestEffort => {
+                self.running_best_effort += 1;
+                self.carry_reclaim_view(pre_version, cluster, |_| true);
+            }
+            QosClass::Guaranteed => {
+                self.carry_reclaim_view(pre_version, cluster, |view| {
+                    match view.cluster.allocate(request.id.value(), &shares) {
+                        Ok(lease) => view.leases.insert(request.id, lease.id()).is_none(),
+                        Err(_) => false,
+                    }
+                });
+            }
         }
         self.running.insert(
             request.id,

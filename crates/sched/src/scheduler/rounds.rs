@@ -11,7 +11,7 @@ use tacc_workload::JobId;
 use crate::backfill::{may_backfill, BackfillMode, Reservation};
 use crate::policy::{order_queue, PolicyContext, PolicyKind};
 use crate::request::{Decision, SchedOutcome, StartedTask, TaskRequest};
-use crate::scheduler::{Scheduler, SkipVerdict};
+use crate::scheduler::{DebugRoundHook, GateBounds, Scheduler, SkipVerdict, WalkProof};
 
 impl Scheduler {
     /// Runs one scheduling round at time `now_secs`: orders the queue,
@@ -24,6 +24,9 @@ impl Scheduler {
         self.rounds += 1;
         let queue_len_at_start = self.queue.len() as u64;
         let mut outcome = SchedOutcome::default();
+        // Whatever the last walk proved is spent here; only this round's
+        // walk, if it finishes and decides nothing, leaves a new proof.
+        let proof = self.walk_proof.take();
 
         // Empty queue: nothing can start or preempt, so the sort, snapshot
         // and usage work below is skipped entirely. The `rounds` counter,
@@ -134,10 +137,21 @@ impl Scheduler {
         // held, in the same order. `examined` numbers them with their
         // round-start positions, keeping the positional skip dedup
         // byte-identical.
+        //
+        // The walk starts at the head of the queue — or, when nothing the
+        // previous walk's verdicts depend on has moved, behind the prefix
+        // that walk proved, with its ledger copied and its head's
+        // reservation re-probed. Either way the loop below is the walk.
+        let resumed = proof
+            .filter(|_| !sort_needed)
+            .and_then(|proof| self.resume_walk(now_secs, cluster, proof, &mut reservations));
+        let (mut examined, mut head, mut gate) = match resumed {
+            Some(proof) => (proof.examined, proof.head, proof.gate),
+            None => (0, None, GateBounds::NONE),
+        };
         self.walk_active = true;
-        self.walk_cursor = 0;
+        self.walk_cursor = examined;
         self.walk_inserted.clear();
-        let mut examined: usize = 0;
         while self.walk_cursor < self.queue.len() {
             let request = self.queue[self.walk_cursor];
             // Mid-walk insertions were invisible to the old snapshot.
@@ -180,7 +194,14 @@ impl Scheduler {
                 let permitted = match self.config.backfill {
                     BackfillMode::None => false,
                     BackfillMode::Easy => {
-                        may_backfill(est_end, request.total_gpus(), &reservations[0])
+                        let permitted =
+                            may_backfill(est_end, request.total_gpus(), &reservations[0]);
+                        if !permitted {
+                            gate.min_denied_est = gate.min_denied_est.min(request.est_secs);
+                        } else if request.total_gpus() > reservations[0].extra_gpus {
+                            gate.max_permitted_est = gate.max_permitted_est.max(request.est_secs);
+                        }
+                        permitted
                     }
                     BackfillMode::Conservative => reservations
                         .iter()
@@ -257,6 +278,7 @@ impl Scheduler {
                                     cluster,
                                     &mut reservations,
                                 );
+                                head = Some((*request, reservations[0].extra_gpus));
                             }
                         }
                         BackfillMode::Conservative => {
@@ -270,6 +292,17 @@ impl Scheduler {
         self.walk_active = false;
         self.walk_inserted.clear();
         self.scratch_reservations = reservations;
+        // A walk that decided nothing judged every entry against the state
+        // it ends in: that is a proof the next round can stand on.
+        if self.config.backfill == BackfillMode::Easy && outcome.is_empty() {
+            self.walk_proof = Some(WalkProof {
+                version: cluster.version(),
+                usage_epoch: self.usage_epoch,
+                examined,
+                head,
+                gate,
+            });
+        }
 
         // The walk examined exactly the round-start queue and pushed one
         // ledger entry per examined position; the ledger becomes the
@@ -322,6 +355,148 @@ impl Scheduler {
         }
 
         outcome
+    }
+
+    /// Tries to enter this round's walk behind the prefix `proof` covers,
+    /// and hands the proof back when it may. The caller has established
+    /// that the queue needs no sort; the proof's own existence that the
+    /// prefix is as the proving walk left it. What remains is that nothing
+    /// a verdict reads has moved: the cluster version and usage epoch
+    /// (quota and placement verdicts), and — the clock being the one input
+    /// that always moves — that the head's reservation, re-probed at
+    /// `now_secs` with the single probe the full walk would make, still
+    /// sorts every time-clause entry onto the side of the backfill gate it
+    /// was on. On success `reservations` holds that probe, the ledger
+    /// prefix is copied and counted as the suppressions it would have
+    /// been; on any failure nothing is left changed and the walk starts
+    /// at 0.
+    fn resume_walk(
+        &mut self,
+        now_secs: f64,
+        cluster: &Cluster,
+        proof: WalkProof,
+        reservations: &mut Vec<Reservation>,
+    ) -> Option<WalkProof> {
+        if self.debug_hook == Some(DebugRoundHook::NoResume)
+            || proof.version != cluster.version()
+            || proof.usage_epoch != self.usage_epoch
+            || proof.examined != self.scratch_verdicts.len()
+        {
+            return None;
+        }
+        if let Some((head, extra_gpus)) = &proof.head {
+            // A stale timeline means a rebuild, which is the full walk's
+            // to pay for and count.
+            if self.timeline_version != Some(proof.version) {
+                return None;
+            }
+            let slots = self.counters.slots;
+            self.push_reservation(now_secs, head, cluster, reservations);
+            let probed = reservations[0];
+            let recheck = self.debug_hook != Some(DebugRoundHook::SkipPermittedRecheck);
+            let holds = probed.extra_gpus == *extra_gpus
+                && now_secs + proof.gate.min_denied_est > probed.shadow_secs
+                && (!recheck || now_secs + proof.gate.max_permitted_est <= probed.shadow_secs);
+            if !holds {
+                self.counters.slots = slots;
+                reservations.clear();
+                return None;
+            }
+        }
+        self.scratch_verdicts_next
+            .extend_from_slice(&self.scratch_verdicts);
+        let entries = proof.examined as u64;
+        self.counters.skip_suppressions += entries;
+        self.counters.walk_resumes += 1;
+        self.counters.walk_resumed_entries += entries;
+        #[cfg(debug_assertions)]
+        self.debug_check_resumed(now_secs, cluster, &proof, reservations.first());
+        Some(proof)
+    }
+
+    /// Debug oracle for a resumed round: re-derives, read-only, the
+    /// verdict of every entry the round did not examine — the quota gate,
+    /// the backfill gate against the re-probed reservation, and for an
+    /// entry past both a non-committing placement — and asserts that each
+    /// equals the ledger's and that none would have started.
+    #[cfg(debug_assertions)]
+    fn debug_check_resumed(
+        &self,
+        now_secs: f64,
+        cluster: &Cluster,
+        proof: &WalkProof,
+        probed: Option<&Reservation>,
+    ) {
+        if self.debug_hook.is_some() {
+            return;
+        }
+        let mut hypothetical = None;
+        let mut head = None;
+        for (request, ledger) in self.queue.iter().zip(&self.scratch_verdicts) {
+            let verdict = if !self.quota.admits(self.config.quota, request) {
+                SkipVerdict::Quota
+            } else if head.is_some()
+                && !probed.is_some_and(|r| {
+                    may_backfill(now_secs + request.est_secs, request.total_gpus(), r)
+                })
+            {
+                SkipVerdict::Backfill
+            } else {
+                debug_assert!(
+                    !self.would_start(request, cluster, &mut hypothetical),
+                    "resumed walk skipped {}, which would have started",
+                    request.id
+                );
+                head = head.or(Some(request.id));
+                SkipVerdict::NoPlacement
+            };
+            debug_assert_eq!(
+                *ledger,
+                (request.id, verdict),
+                "resumed walk copied a verdict the full walk would not have reached"
+            );
+        }
+        debug_assert_eq!(head, proof.head.map(|(request, _)| request.id));
+    }
+
+    /// Whether `try_place` would start `request` right now, decided
+    /// without committing or counting anything: the elastic halvings
+    /// against `cluster`, then the reclaim pre-check against a
+    /// borrowers-evicted copy built at most once per caller.
+    #[cfg(debug_assertions)]
+    fn would_start(
+        &self,
+        request: &TaskRequest,
+        cluster: &Cluster,
+        hypothetical: &mut Option<Cluster>,
+    ) -> bool {
+        use crate::quota::QuotaMode;
+        use tacc_workload::QosClass;
+        let mut granted = request.workers;
+        loop {
+            if self
+                .planner
+                .plan(cluster, granted, request.per_worker)
+                .is_some()
+            {
+                return true;
+            }
+            if !request.elastic || granted <= 1 {
+                break;
+            }
+            granted = (granted / 2).max(1);
+        }
+        self.config.quota == QuotaMode::Borrowing
+            && request.qos == QosClass::Guaranteed
+            && self.running_best_effort > 0
+            && self
+                .planner
+                .plan(
+                    hypothetical.get_or_insert_with(|| self.borrowers_evicted(cluster)),
+                    request.workers,
+                    request.per_worker,
+                )
+                .is_some()
     }
 
     /// Computes and appends the capacity reservation for a blocked request

@@ -80,6 +80,8 @@ pub struct WheelStats {
 const BUCKETS: usize = 4096;
 const MASK: u64 = (BUCKETS - 1) as u64;
 const WIDTH_SECS: f64 = 1.0;
+/// Words in the bucket-occupancy bitmap (one bit per bucket).
+const WORDS: usize = BUCKETS / 64;
 
 /// A priority queue of timestamped events with deterministic ordering.
 ///
@@ -110,6 +112,10 @@ pub struct EventQueue<E> {
     /// `abs_bucket(at) ∈ [cursor, cursor + BUCKETS)`, so each bucket holds
     /// at most one "lap" and position order from the cursor is time order.
     buckets: Vec<Vec<Entry<E>>>,
+    /// Bit `p` is set iff `buckets[p]` is non-empty, so the next occupied
+    /// bucket is a few `trailing_zeros` away instead of a walk over empty
+    /// `Vec` headers.
+    occupied: [u64; WORDS],
     /// Absolute (un-wrapped) bucket index of the wheel's current position.
     cursor: u64,
     /// Entries currently in buckets (the rest are in `overflow`).
@@ -138,6 +144,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
+            occupied: [0; WORDS],
             cursor: 0,
             in_buckets: 0,
             overflow: BinaryHeap::new(),
@@ -162,8 +169,7 @@ impl<E> EventQueue<E> {
         self.len += 1;
         if abs < self.cursor + BUCKETS as u64 {
             self.stats.inserts += 1;
-            self.in_buckets += 1;
-            self.buckets[(abs & MASK) as usize].push(entry);
+            self.push_bucket(abs, entry);
         } else {
             self.overflow.push(entry);
         }
@@ -198,6 +204,9 @@ impl<E> EventQueue<E> {
         self.cursor = abs_bucket(self.buckets[pos][idx].at);
         self.in_buckets -= 1;
         let e = self.buckets[pos].swap_remove(idx);
+        if self.buckets[pos].is_empty() {
+            self.occupied[pos / 64] &= !(1 << (pos % 64));
+        }
         Some((e.at, e.payload))
     }
 
@@ -235,28 +244,40 @@ impl<E> EventQueue<E> {
         self.stats
     }
 
-    /// Finds the earliest bucketed entry: first non-empty bucket position
-    /// at or after the cursor (single-lap invariant makes position order
-    /// time order), then the min `(at, seq)` within it. Read-only; `pop`
+    /// Finds the earliest bucketed entry: first occupied bucket position
+    /// at or after the cursor, wrapping (single-lap invariant makes
+    /// position order time order), then the min `(at, seq)` within it. Read-only; `pop`
     /// advances the cursor afterwards so repeated scans stay amortized
     /// O(1) per event.
     fn scan_buckets(&self) -> Option<(usize, usize)> {
         if self.in_buckets == 0 {
             return None;
         }
-        for step in 0..BUCKETS as u64 {
-            let pos = ((self.cursor + step) & MASK) as usize;
-            let bucket = &self.buckets[pos];
-            if bucket.is_empty() {
+        // From the cursor's bit to the end of its word, then the following
+        // words all the way round, and last the bits of the cursor's own
+        // word that sit behind it (a full lap away).
+        let start = (self.cursor & MASK) as usize;
+        let (word, bit) = (start / 64, start % 64);
+        let ahead = u64::MAX << bit;
+        for step in 0..=WORDS {
+            let w = (word + step) % WORDS;
+            let mask = match step {
+                0 => ahead,
+                WORDS => !ahead,
+                _ => u64::MAX,
+            };
+            let bits = self.occupied[w] & mask;
+            if bits == 0 {
                 continue;
             }
-            let idx = bucket
+            let pos = w * 64 + bits.trailing_zeros() as usize;
+            let idx = self.buckets[pos]
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.key())
                 .map(|(i, _)| i)
-                // tacc-lint: allow(panic-surface, reason = "minimum over a bucket checked non-empty two lines up")
-                .expect("bucket is non-empty");
+                // tacc-lint: allow(panic-surface, reason = "the occupancy bit is set only while the bucket holds an entry")
+                .expect("occupied bucket is non-empty");
             return Some((pos, idx));
         }
         unreachable!("in_buckets > 0 but all buckets empty");
@@ -280,9 +301,16 @@ impl<E> EventQueue<E> {
             // tacc-lint: allow(panic-surface, reason = "pop follows a successful peek of the same heap; the candidate cannot vanish in between")
             let entry = self.overflow.pop().expect("peeked entry present");
             self.stats.cascades += 1;
-            self.in_buckets += 1;
-            self.buckets[(abs & MASK) as usize].push(entry);
+            self.push_bucket(abs, entry);
         }
+    }
+
+    /// Files `entry` under absolute bucket `abs` (inside the window).
+    fn push_bucket(&mut self, abs: u64, entry: Entry<E>) {
+        let pos = (abs & MASK) as usize;
+        self.in_buckets += 1;
+        self.occupied[pos / 64] |= 1 << (pos % 64);
+        self.buckets[pos].push(entry);
     }
 
     /// Cursor rewind for past-scheduling: dump all bucketed entries into
@@ -295,6 +323,7 @@ impl<E> EventQueue<E> {
                     self.overflow.push(entry);
                 }
             }
+            self.occupied = [0; WORDS];
             self.in_buckets = 0;
         }
         self.cursor = abs;

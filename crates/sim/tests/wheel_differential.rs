@@ -134,3 +134,32 @@ fn wheel_handles_all_same_instant_burst() {
         assert_eq!(wheel.pop(), oracle.pop());
     }
 }
+
+#[test]
+fn wheel_finds_a_lone_bucket_behind_the_cursor_in_its_own_word() {
+    // The occupancy scan's last step: the cursor sits mid-word and the
+    // only occupied bucket is almost a full lap ahead — the same 64-bucket
+    // word, a lower bit. Seeded over cursor positions and distances.
+    let mut rng = XorShift::new(0xB17_5EED);
+    for case in 0..200 {
+        let mut wheel = EventQueue::new();
+        let mut oracle = HeapEventQueue::new();
+        let bit = 1 + rng.below(63);
+        let cursor = 64 * rng.below(1_000) + bit;
+        let behind = 1 + rng.below(bit);
+        let lone = cursor + WHEEL_WINDOW_SECS as u64 - behind;
+        for (at, payload) in [(cursor, 0u8), (lone, 1)] {
+            let at = SimTime::from_secs(at as f64 + 0.5);
+            let bucketed = wheel.wheel_stats().inserts;
+            wheel.schedule(at, payload);
+            oracle.schedule(at, payload);
+            if payload == 1 {
+                let now = wheel.wheel_stats().inserts;
+                assert_eq!(now, bucketed + 1, "lone event bucketed [case {case}]");
+            }
+            assert_eq!(wheel.peek_time(), oracle.peek_time(), "peek [case {case}]");
+            assert_eq!(wheel.pop(), oracle.pop(), "pop [case {case}]");
+        }
+        assert!(wheel.is_empty());
+    }
+}
