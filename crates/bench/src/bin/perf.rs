@@ -32,6 +32,7 @@ use std::process::ExitCode;
 
 use tacc_bench::gha;
 use tacc_bench::hotpath::{self, Scenario, ScenarioOutcome, NIGHTLY_SCENARIOS, SCENARIOS};
+use tacc_json::Json;
 
 #[derive(Debug)]
 struct Options {
@@ -72,43 +73,28 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// One column per scenario, one row per field of the report
+/// (`hotpath::counters_json`: id, size, every work counter), then wall time.
 fn print_outcomes(outcomes: &[ScenarioOutcome]) {
-    println!(
-        "{:<22} {:>9} {:>9} {:>7} {:>9} {:>10} {:>11} {:>10} {:>9} {:>9} {:>8} {:>10} {:>9} {:>8}",
-        "scenario",
-        "jobs",
-        "rounds",
-        "sorts",
-        "skipped",
-        "skiprec",
-        "skipsupp",
-        "attempts",
-        "splits",
-        "isects",
-        "resumes",
-        "resumed",
-        "viewrbld",
-        "wall(s)"
-    );
-    for o in outcomes {
-        println!(
-            "{:<22} {:>9} {:>9} {:>7} {:>9} {:>10} {:>11} {:>10} {:>9} {:>9} {:>8} {:>10} {:>9} {:>8.2}",
-            o.id,
-            o.jobs,
-            o.rounds,
-            o.counters.queue_sorts,
-            o.counters.queue_sorts_skipped,
-            o.counters.skip_records,
-            o.counters.skip_suppressions,
-            o.counters.plan.attempts,
-            o.counters.slots.splits,
-            o.counters.slots.intersections,
-            o.counters.walk_resumes,
-            o.counters.walk_resumed_entries,
-            o.counters.reclaim_view_rebuilds,
-            o.wall_secs,
-        );
+    let columns: Vec<Json> = outcomes.iter().map(hotpath::counters_json).collect();
+    let Some(Json::Obj(fields)) = columns.first() else {
+        return;
+    };
+    for (key, _) in fields {
+        print!("{key:<22}");
+        for cell in columns.iter().filter_map(|column| column.get(key)) {
+            print!(
+                " {:>22}",
+                cell.as_str().map_or(cell.to_string(), str::to_owned)
+            );
+        }
+        println!();
     }
+    print!("{:<22}", "wall(s)");
+    for o in outcomes {
+        print!(" {:>22.2}", o.wall_secs);
+    }
+    println!();
 }
 
 /// Prints a file-scoped `::error` annotation when a GitHub Actions runner

@@ -187,32 +187,17 @@ pub fn counters_json(outcome: &ScenarioOutcome) -> Json {
 }
 
 fn counter_fields(outcome: &ScenarioOutcome) -> Vec<(&'static str, Json)> {
-    let c = &outcome.counters;
-    vec![
+    let mut fields = vec![
         ("id", outcome.id.into()),
         ("jobs", c_num(outcome.jobs)),
         ("rounds", c_num(outcome.rounds)),
-        ("empty_rounds", c_num(c.empty_rounds)),
-        ("queue_sorts", c_num(c.queue_sorts)),
-        ("queue_sorts_skipped", c_num(c.queue_sorts_skipped)),
-        ("skip_records", c_num(c.skip_records)),
-        ("skip_suppressions", c_num(c.skip_suppressions)),
-        ("placement_attempts", c_num(c.plan.attempts)),
-        ("node_scans", c_num(c.plan.nodes_scanned)),
-        ("fastpath_rejects", c_num(c.plan.fastpath_rejects)),
-        ("slot_splits", c_num(c.slots.splits)),
-        ("slot_intersections", c_num(c.slots.intersections)),
-        ("slot_rebuilds", c_num(c.slots.rebuilds)),
-        ("arena_alloc", c_num(c.arena_alloc)),
-        ("arena_reuse", c_num(c.arena_reuse)),
-        ("free_index_updates", c_num(c.free_index_updates)),
-        ("free_index_probes", c_num(c.plan.free_index_probes)),
-        ("wheel_insert", c_num(c.wheel_insert)),
-        ("wheel_cascade", c_num(c.wheel_cascade)),
-        ("walk_resumes", c_num(c.walk_resumes)),
-        ("walk_resumed_entries", c_num(c.walk_resumed_entries)),
-        ("reclaim_view_rebuilds", c_num(c.reclaim_view_rebuilds)),
-    ]
+    ];
+    fields.extend(
+        WorkCounters::TABLE
+            .iter()
+            .map(|row| (row.key, c_num((row.get)(&outcome.counters)))),
+    );
+    fields
 }
 
 /// Full report document for `BENCH_hotpath.json`: per-scenario counters

@@ -262,7 +262,13 @@ impl Platform {
                 schema,
                 service_secs,
             } => {
-                schema.validate().map_err(CommandError::InvalidTask)?;
+                let record = TraceRecord {
+                    submit_secs: self.clock.now().as_secs(),
+                    schema: schema.clone(),
+                    service_secs: *service_secs,
+                    cancel_after_secs: None,
+                };
+                record.validate().map_err(CommandError::InvalidTask)?;
                 if schema.group.index() >= self.config.roster.len() {
                     return Err(CommandError::InvalidTask(format!(
                         "group {} is outside the {}-group roster",
@@ -270,17 +276,7 @@ impl Platform {
                         self.config.roster.len()
                     )));
                 }
-                if !(*service_secs > 0.0 && service_secs.is_finite()) {
-                    return Err(CommandError::InvalidTask(format!(
-                        "service time {service_secs}s must be positive and finite"
-                    )));
-                }
-                let job = self.do_submit(TraceRecord {
-                    submit_secs: self.clock.now().as_secs(),
-                    schema: schema.clone(),
-                    service_secs: *service_secs,
-                    cancel_after_secs: None,
-                });
+                let job = self.do_submit(record);
                 self.run_round();
                 Ok(CommandOutcome::Submitted { job })
             }

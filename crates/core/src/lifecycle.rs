@@ -377,10 +377,11 @@ impl Platform {
         let wall = remaining * stretch + resume_penalty + staging_secs;
         // The `Start` transition above minted this run's token.
         let token = self.current_token(id);
+        let mut distinct = worker_nodes.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let distinct_nodes = distinct.len();
         if let Some(slot) = self.jobs.get_mut(id) {
-            let mut distinct = worker_nodes.to_vec();
-            distinct.sort_unstable();
-            distinct.dedup();
             slot.last_nodes = distinct;
             slot.active = Some(ActiveRun {
                 start_secs: now,
@@ -422,12 +423,6 @@ impl Platform {
         self.accrue_group_time(now);
         self.util.acquire(now, gpus);
         self.group_busy[group.index()] += gpus;
-        let distinct_nodes = {
-            let mut n = worker_nodes.to_vec();
-            n.sort_unstable();
-            n.dedup();
-            n.len()
-        };
         self.exec_telemetry.note_plan(&plan);
         self.emit(
             now,

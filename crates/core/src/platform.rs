@@ -36,8 +36,9 @@ use crate::report::{CompletedJob, ReportInputs, SimulationReport};
 /// Events the platform processes.
 #[derive(Debug)]
 pub(crate) enum Event {
-    /// A trace submission becomes visible to the platform.
-    Submit { record: usize },
+    /// A trace submission becomes visible to the platform (boxed: a
+    /// record is several times the size of every other event).
+    Submit { record: Box<TraceRecord> },
     /// The compiler layer finished provisioning a task.
     CompileDone { job: JobId },
     /// A running job's execution plan predicts completion now.
@@ -89,9 +90,6 @@ pub struct Platform {
     pub(crate) injector: Option<FailureInjector>,
     pub(crate) store: Option<SharedStore>,
 
-    /// Loaded trace records awaiting their `Submit` event; a slot is
-    /// emptied when its record moves into the job it becomes.
-    pub(crate) pending_records: Vec<Option<TraceRecord>>,
     /// Dense per-job state: job, runtime, active run, last nodes, run
     /// token, log — one slot per minted id (see [`crate::arena`]).
     pub(crate) jobs: JobArena,
@@ -158,7 +156,6 @@ impl Platform {
             cluster,
             clock: Clock::new(),
             events: EventQueue::new(),
-            pending_records: Vec::new(),
             jobs: JobArena::new(),
             next_job: 0,
             bus,
@@ -267,11 +264,11 @@ impl Platform {
     /// Schedules every record of `trace` for submission.
     pub fn load_trace(&mut self, trace: &Trace) {
         for record in trace.records() {
-            let idx = self.pending_records.len();
-            self.pending_records.push(Some(record.clone()));
             self.events.schedule(
                 SimTime::from_secs(record.submit_secs),
-                Event::Submit { record: idx },
+                Event::Submit {
+                    record: Box::new(record.clone()),
+                },
             );
         }
     }
@@ -371,9 +368,7 @@ impl Platform {
     fn handle(&mut self, event: Event) {
         match event {
             Event::Submit { record } => {
-                if let Some(record) = self.pending_records.get_mut(record).and_then(Option::take) {
-                    self.do_submit(record);
-                }
+                self.do_submit(*record);
             }
             Event::CompileDone { job } => self.on_compile_done(job),
             Event::Finish { job, token } => self.on_finish(job, token),

@@ -216,6 +216,86 @@ fn rogue_arena_mutations_flip_red() {
     fs::remove_dir_all(&root).expect("cleanup");
 }
 
+/// The `sched-queue` rule: the pending queue's three editors are called
+/// from `scheduler.rs` (and `gang.rs`, whose rotation re-queues between
+/// rounds). The walk's own files record edits instead — a placement
+/// commit that removes its request from the queue directly, the very
+/// call the round used to make mid-walk, flips red at its line.
+#[test]
+fn queue_edit_from_inside_the_walk_flips_red() {
+    let root = scratch("sw-queue");
+    write(
+        &root.join("lint-owners.toml"),
+        "[[owner]]\n\
+         name = \"sched-queue\"\n\
+         methods = [\"queue_push\", \"queue_remove\", \"queue_remove_request\"]\n\
+         writers = [\"crates/sched/src/scheduler.rs\", \"crates/sched/src/scheduler/gang.rs\"]\n\
+         why = \"a walk reads the queue it started with and records its edits\"\n",
+    );
+    write(
+        &root.join("crates/sched/Cargo.toml"),
+        "[package]\nname = \"tacc-sched\"\n",
+    );
+    // The owner: defines the editors and replays recorded edits.
+    write(
+        &root.join("crates/sched/src/scheduler.rs"),
+        "impl Scheduler {\n\
+         \x20   fn queue_push(&mut self, request: TaskRequest) {}\n\
+         \x20   fn queue_remove_request(&mut self, request: &TaskRequest) {}\n\
+         \x20   fn apply_queue_edits(&mut self, edits: &[QueueEdit]) {\n\
+         \x20       self.queue_remove_request(&edits[0].request);\n\
+         \x20       self.queue_push(edits[1].request);\n\
+         \x20   }\n\
+         }\n",
+    );
+    write(
+        &root.join("crates/sched/src/scheduler/gang.rs"),
+        "impl Scheduler {\n\
+         \x20   pub fn rotate(&mut self, victim: TaskRequest) {\n\
+         \x20       self.queue_push(victim);\n\
+         \x20   }\n\
+         }\n",
+    );
+    // The walk's side: records, and asks the owner to apply.
+    write(
+        &root.join("crates/sched/src/scheduler/elastic.rs"),
+        "impl Scheduler {\n\
+         \x20   fn commit_placement(&mut self, request: &TaskRequest, edits: &mut Vec<QueueEdit>) {\n\
+         \x20       edits.push(QueueEdit::Remove(*request));\n\
+         \x20   }\n\
+         }\n",
+    );
+    let json_path = root.join("report.json");
+    assert!(
+        run_lint(&root, &json_path).success(),
+        "recorded edits applied by the owner must pass --check"
+    );
+
+    write(
+        &root.join("crates/sched/src/scheduler/elastic.rs"),
+        "impl Scheduler {\n\
+         \x20   fn commit_placement(&mut self, request: &TaskRequest) {\n\
+         \x20       self.queue_remove_request(request);\n\
+         \x20   }\n\
+         }\n",
+    );
+    assert!(
+        !run_lint(&root, &json_path).success(),
+        "a queue edit from inside the walk must fail --check"
+    );
+    let json = fs::read_to_string(&json_path).expect("JSON report written");
+    assert!(
+        json.contains(
+            "{\"lint\": \"single-writer\", \"file\": \"crates/sched/src/scheduler/elastic.rs\", \"line\": 3,"
+        ),
+        "single-writer must locate the in-walk edit at elastic.rs:3\n{json}"
+    );
+    assert!(!json.contains("\"file\": \"crates/sched/src/scheduler.rs\""));
+    assert!(!json.contains("\"file\": \"crates/sched/src/scheduler/gang.rs\""));
+
+    fs::remove_dir_all(&root).expect("cleanup");
+}
+
 /// A reasoned inline allow suppresses a single rogue site — visible in
 /// the report's suppression list, not fatal.
 #[test]

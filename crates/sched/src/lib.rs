@@ -68,7 +68,7 @@ pub use placement::{PlacementStrategy, PlanStats, Planner};
 pub use policy::PolicyKind;
 pub use quota::{QuotaMode, QuotaTable};
 pub use request::{Decision, RunningTask, SchedOutcome, StartedTask, TaskRequest};
-pub use scheduler::{DebugRoundHook, Scheduler, SchedulerConfig, WorkCounters};
+pub use scheduler::{DebugRoundHook, Scheduler, SchedulerConfig, WorkCounterRow, WorkCounters};
 pub use slotset::{CapacityWindow, SlotSet, SlotStats};
 // Decision-tracing vocabulary, re-exported so scheduler callers need not
 // depend on `tacc-obs` directly.

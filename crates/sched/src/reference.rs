@@ -64,6 +64,11 @@ impl ReferenceScheduler {
         self.queue.len()
     }
 
+    /// Iterates over waiting tasks, in the queue's physical order.
+    pub fn queued(&self) -> impl Iterator<Item = &TaskRequest> {
+        self.queue.iter()
+    }
+
     /// Tasks currently running.
     pub fn running_len(&self) -> usize {
         self.running.len()

@@ -1,5 +1,5 @@
-//! The scheduling-layer facade: configuration, queue membership and
-//! ordering invariants, and the submit/cancel/finished entry points.
+//! The scheduling-layer facade: configuration, the pending queue and its
+//! ordering invariant, and the submit/cancel/finished entry points.
 //!
 //! The round machinery lives in focused submodules, each an
 //! `impl Scheduler` block:
@@ -11,13 +11,13 @@
 //! * [`elastic`](self) — placement commitment: elastic gang shrinking
 //!   and quota reclaim with borrower eviction.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use tacc_cluster::{Cluster, LeaseId, ResourceVec};
 use tacc_obs::{Counter, DecisionTraceLog, Gauge, Histogram, JobSkip, MetricsRegistry};
 use tacc_workload::{GroupRoster, JobId, QosClass};
 
-use crate::backfill::BackfillMode;
+use crate::backfill::{BackfillMode, Reservation};
 use crate::placement::{PlacementStrategy, PlanStats, Planner};
 use crate::policy::{compare, PolicyContext, PolicyKind};
 use crate::quota::{QuotaMode, QuotaTable};
@@ -103,11 +103,10 @@ pub struct Scheduler {
     /// The pending queue. Kept *sorted* under the policy comparator
     /// whenever that order is provable (`queue_dirty == false`):
     /// `queue_push` binary-inserts and `queue_remove_request` removes in
-    /// place, so steady-state rounds never re-sort at all.
+    /// place, so steady-state rounds never re-sort at all. Those two and
+    /// `queue_remove` are its only editors; none runs during a walk (see
+    /// [`QueueEdit`]).
     queue: Vec<TaskRequest>,
-    /// Ids currently queued (duplicate-submission guard and O(log n)
-    /// membership for removals).
-    queue_members: BTreeSet<JobId>,
     /// Set when the queue's physical order stopped being the sorted
     /// permutation (an append under an invalid comparator context, or a
     /// swap-remove on the fallback path); policies with
@@ -137,10 +136,16 @@ pub struct Scheduler {
     /// Reusable round buffers (capacity survives across rounds, so the
     /// steady-state hot path allocates nothing per round).
     scratch_usage: Vec<u32>,
+    /// The current round's skip records (moved into its `RoundTrace`).
     scratch_skips: Vec<JobSkip>,
     scratch_started: Vec<JobId>,
     scratch_preempted: Vec<JobId>,
-    pub(crate) scratch_reservations: Vec<crate::backfill::Reservation>,
+    /// The current round's capacity reservations, in the order their
+    /// blocked requests were met.
+    scratch_reservations: Vec<Reservation>,
+    /// What the current round's walk decided about the queue, in decision
+    /// order; empty between rounds.
+    scratch_edits: Vec<QueueEdit>,
     /// What the last walk proved, when it proved anything (see
     /// [`WalkProof`]). `schedule` takes it; only a finished walk sets it.
     walk_proof: Option<WalkProof>,
@@ -165,18 +170,6 @@ pub struct Scheduler {
     boundary_skew_secs: f64,
     /// Test-only switch (see [`Scheduler::debug_set_round_hook`]).
     debug_hook: Option<DebugRoundHook>,
-    /// In-place round-walk state: `schedule` walks the live queue by
-    /// cursor instead of copying a snapshot. Mid-walk mutations
-    /// compensate the cursor so the examined sequence is exactly the
-    /// queue as it stood when the walk began.
-    walk_active: bool,
-    walk_cursor: usize,
-    /// Set when the currently examined entry was removed (its placement
-    /// committed); the walk then re-reads the cursor instead of advancing.
-    walk_removed_current: bool,
-    /// Ids inserted mid-walk (re-queued reclaim victims) — skipped by the
-    /// walk, exactly as they were absent from the old per-round snapshot.
-    walk_inserted: Vec<JobId>,
     running: BTreeMap<JobId, RunningTask>,
     backfill_starts: u64,
     preemptions: u64,
@@ -237,6 +230,73 @@ pub struct WorkCounters {
     /// Clone-and-release constructions of the reclaim view (a use against
     /// a cluster version the incremental maintenance did not track).
     pub reclaim_view_rebuilds: u64,
+}
+
+/// One row of [`WorkCounters::TABLE`]: everything that is said about a
+/// counter besides its field.
+#[derive(Debug)]
+pub struct WorkCounterRow {
+    /// The key `BENCH_hotpath.json` reports the counter under.
+    pub key: &'static str,
+    /// The `tacc_sched_*` series an attached registry mirrors it into;
+    /// `None` for the counters that have no series (the platform fills
+    /// most of those in when merging).
+    pub series: Option<&'static str>,
+    /// Reads the counter.
+    pub get: fn(&WorkCounters) -> u64,
+}
+
+/// Marks a row's series name: a call named `counter` is where
+/// `tacc-lint`'s `metric-name` family reads one.
+const fn counter(series: &'static str) -> Option<&'static str> {
+    Some(series)
+}
+
+/// `key, series => field.path;` per row.
+macro_rules! work_counter_rows {
+    ($($key:literal, $series:expr => $($field:ident).+;)*) => {
+        &[$(WorkCounterRow { key: $key, series: $series, get: |c| c.$($field).+ }),*]
+    };
+}
+
+impl WorkCounters {
+    /// Every counter, in report order — the one table behind metric
+    /// registration, the per-round delta flush and the perf harness's
+    /// report, so a counter is spelled twice: its field and its row.
+    pub const TABLE: &'static [WorkCounterRow] = work_counter_rows! {
+        "empty_rounds", counter("tacc_sched_empty_rounds_total") => empty_rounds;
+        "queue_sorts", counter("tacc_sched_queue_sorts_total") => queue_sorts;
+        "queue_sorts_skipped", counter("tacc_sched_queue_sorts_skipped_total") => queue_sorts_skipped;
+        "skip_records", counter("tacc_sched_skip_records_total") => skip_records;
+        "skip_suppressions", counter("tacc_sched_skip_suppressions_total") => skip_suppressions;
+        "placement_attempts", counter("tacc_sched_placement_attempts_total") => plan.attempts;
+        "node_scans", counter("tacc_sched_node_scans_total") => plan.nodes_scanned;
+        "fastpath_rejects", counter("tacc_sched_placement_fastpath_rejects_total") => plan.fastpath_rejects;
+        "slot_splits", counter("tacc_sched_slot_splits_total") => slots.splits;
+        "slot_intersections", counter("tacc_sched_slot_intersections_total") => slots.intersections;
+        "slot_rebuilds", counter("tacc_sched_slot_rebuilds_total") => slots.rebuilds;
+        "arena_alloc", None => arena_alloc;
+        "arena_reuse", None => arena_reuse;
+        "free_index_updates", None => free_index_updates;
+        "free_index_probes", None => plan.free_index_probes;
+        "wheel_insert", None => wheel_insert;
+        "wheel_cascade", None => wheel_cascade;
+        "walk_resumes", counter("tacc_sched_walk_resumes_total") => walk_resumes;
+        "walk_resumed_entries", counter("tacc_sched_walk_resumed_entries_total") => walk_resumed_entries;
+        "reclaim_view_rebuilds", counter("tacc_sched_reclaim_view_rebuilds_total") => reclaim_view_rebuilds;
+    };
+}
+
+/// One edit of the pending queue, recorded by a walk (in `scratch_edits`,
+/// in decision order) and replayed by [`Scheduler::apply_queue_edits`]
+/// once it is over. A list, not two sets: a borrower started and then evicted in one round is a `Remove`
+/// followed by a `Push` of the same job, and ends it queued exactly once.
+#[derive(Debug, Clone, Copy)]
+enum QueueEdit {
+    /// A placement committed: the started request leaves the queue.
+    Remove(TaskRequest),
+    /// A reclaim evicted a running borrower: it re-enters the queue.
+    Push(TaskRequest),
 }
 
 /// What a walk that decided nothing proved about the queue it examined:
@@ -345,20 +405,8 @@ struct SchedMetrics {
     running_tasks: Gauge,
     preemptions: Counter,
     backfill_starts: Counter,
-    empty_rounds: Counter,
-    queue_sorts: Counter,
-    queue_sorts_skipped: Counter,
-    skip_records: Counter,
-    skip_suppressions: Counter,
-    placement_attempts: Counter,
-    node_scans: Counter,
-    fastpath_rejects: Counter,
-    slot_splits: Counter,
-    slot_intersections: Counter,
-    slot_rebuilds: Counter,
-    walk_resumes: Counter,
-    walk_resumed_entries: Counter,
-    reclaim_view_rebuilds: Counter,
+    /// One handle per [`WorkCounters::TABLE`] row that has a series.
+    work: Vec<(Counter, &'static WorkCounterRow)>,
 }
 
 impl Scheduler {
@@ -375,7 +423,6 @@ impl Scheduler {
             group_usage_vec: vec![ResourceVec::ZERO; config.group_count],
             config,
             queue: Vec::new(),
-            queue_members: BTreeSet::new(),
             queue_dirty: true,
             usage_epoch: 0,
             sorted_usage_epoch: 0,
@@ -387,6 +434,7 @@ impl Scheduler {
             scratch_started: Vec::new(),
             scratch_preempted: Vec::new(),
             scratch_reservations: Vec::new(),
+            scratch_edits: Vec::new(),
             walk_proof: None,
             reclaim_view: None,
             running_best_effort: 0,
@@ -394,10 +442,6 @@ impl Scheduler {
             timeline_version: None,
             boundary_skew_secs: 0.0,
             debug_hook: None,
-            walk_active: false,
-            walk_cursor: 0,
-            walk_removed_current: false,
-            walk_inserted: Vec::new(),
             running: BTreeMap::new(),
             backfill_starts: 0,
             preemptions: 0,
@@ -420,20 +464,10 @@ impl Scheduler {
             running_tasks: registry.gauge("tacc_sched_running_tasks", &[]),
             preemptions: registry.counter("tacc_sched_preemptions_total", &[]),
             backfill_starts: registry.counter("tacc_sched_backfill_starts_total", &[]),
-            empty_rounds: registry.counter("tacc_sched_empty_rounds_total", &[]),
-            queue_sorts: registry.counter("tacc_sched_queue_sorts_total", &[]),
-            queue_sorts_skipped: registry.counter("tacc_sched_queue_sorts_skipped_total", &[]),
-            skip_records: registry.counter("tacc_sched_skip_records_total", &[]),
-            skip_suppressions: registry.counter("tacc_sched_skip_suppressions_total", &[]),
-            placement_attempts: registry.counter("tacc_sched_placement_attempts_total", &[]),
-            node_scans: registry.counter("tacc_sched_node_scans_total", &[]),
-            fastpath_rejects: registry.counter("tacc_sched_placement_fastpath_rejects_total", &[]),
-            slot_splits: registry.counter("tacc_sched_slot_splits_total", &[]),
-            slot_intersections: registry.counter("tacc_sched_slot_intersections_total", &[]),
-            slot_rebuilds: registry.counter("tacc_sched_slot_rebuilds_total", &[]),
-            walk_resumes: registry.counter("tacc_sched_walk_resumes_total", &[]),
-            walk_resumed_entries: registry.counter("tacc_sched_walk_resumed_entries_total", &[]),
-            reclaim_view_rebuilds: registry.counter("tacc_sched_reclaim_view_rebuilds_total", &[]),
+            work: WorkCounters::TABLE
+                .iter()
+                .filter_map(|row| Some((registry.counter(row.series?, &[]), row)))
+                .collect(),
         });
     }
 
@@ -473,29 +507,13 @@ impl Scheduler {
         if cur == prev {
             return;
         }
-        m.empty_rounds.inc_by(cur.empty_rounds - prev.empty_rounds);
-        m.queue_sorts.inc_by(cur.queue_sorts - prev.queue_sorts);
-        m.queue_sorts_skipped
-            .inc_by(cur.queue_sorts_skipped - prev.queue_sorts_skipped);
-        m.skip_records.inc_by(cur.skip_records - prev.skip_records);
-        m.skip_suppressions
-            .inc_by(cur.skip_suppressions - prev.skip_suppressions);
-        m.placement_attempts
-            .inc_by(cur.plan.attempts - prev.plan.attempts);
-        m.node_scans
-            .inc_by(cur.plan.nodes_scanned - prev.plan.nodes_scanned);
-        m.fastpath_rejects
-            .inc_by(cur.plan.fastpath_rejects - prev.plan.fastpath_rejects);
-        m.slot_splits.inc_by(cur.slots.splits - prev.slots.splits);
-        m.slot_intersections
-            .inc_by(cur.slots.intersections - prev.slots.intersections);
-        m.slot_rebuilds
-            .inc_by(cur.slots.rebuilds - prev.slots.rebuilds);
-        m.walk_resumes.inc_by(cur.walk_resumes - prev.walk_resumes);
-        m.walk_resumed_entries
-            .inc_by(cur.walk_resumed_entries - prev.walk_resumed_entries);
-        m.reclaim_view_rebuilds
-            .inc_by(cur.reclaim_view_rebuilds - prev.reclaim_view_rebuilds);
+        for (series, row) in &m.work {
+            // Most rounds move two or three of these.
+            let delta = (row.get)(&cur) - (row.get)(&prev);
+            if delta > 0 {
+                series.inc_by(delta);
+            }
+        }
         self.flushed_counters = cur;
     }
 
@@ -505,9 +523,11 @@ impl Scheduler {
     fn queue_order_valid(&self) -> bool {
         !self.queue_dirty
             && match self.config.policy {
+                // Static per-request keys: only membership can unsort.
                 PolicyKind::Fifo | PolicyKind::Sjf => true,
-                // Usage-keyed policies: valid only while usage (and, for
-                // DRF, capacity) has not moved since the last sort.
+                // Usage-keyed policies: valid only while usage has not
+                // moved since the last sort (and, for DRF, capacity —
+                // which the round's order step checks against the cluster).
                 PolicyKind::FairShare | PolicyKind::Drf => {
                     self.usage_epoch == self.sorted_usage_epoch
                 }
@@ -516,46 +536,49 @@ impl Scheduler {
             }
     }
 
+    /// The comparator's view of the scheduler: group usage as of the last
+    /// `usage_by_group_into(&mut self.scratch_usage)`, capacity as of the
+    /// last sort.
+    fn policy_context(&self) -> PolicyContext<'_> {
+        PolicyContext {
+            group_gpu_usage: &self.scratch_usage,
+            group_usage_vec: &self.group_usage_vec,
+            group_quota: self.quota.quotas(),
+            capacity: self.sorted_capacity,
+        }
+    }
+
+    /// Where `request` sits — or would be inserted — in the sorted queue.
+    /// Meaningful only while [`Scheduler::queue_order_valid`]; the
+    /// comparator is a total order, so the sorted permutation is unique.
+    fn sorted_position(&mut self, request: &TaskRequest) -> usize {
+        self.quota.usage_by_group_into(&mut self.scratch_usage);
+        let (policy, ctx) = (self.config.policy, self.policy_context());
+        // `now`/`queue_len` feed only MultiFactor scores, whose order is
+        // never valid.
+        self.queue
+            .partition_point(|e| compare(policy, 0.0, 0, e, request, &ctx).is_lt())
+    }
+
     /// Adds to the queue. When the current order is provably sorted the
     /// request is binary-inserted at the position a full re-sort would
-    /// give it (the comparator is a total order, so the sorted permutation
-    /// is unique); otherwise it is appended and the next round sorts.
+    /// give it; otherwise it is appended and the next round sorts.
     fn queue_push(&mut self, request: TaskRequest) {
-        self.queue_members.insert(request.id);
-        let pos = if self.queue_order_valid() {
-            self.quota.usage_by_group_into(&mut self.scratch_usage);
-            let ctx = PolicyContext {
-                group_gpu_usage: &self.scratch_usage,
-                group_usage_vec: &self.group_usage_vec,
-                group_quota: self.quota.quotas(),
-                capacity: self.sorted_capacity,
-            };
-            let policy = self.config.policy;
-            // `now`/`queue_len` feed only MultiFactor scores, which never
-            // take this path.
-            let pos = self
-                .queue
-                .partition_point(|e| compare(policy, 0.0, 0, e, &request, &ctx).is_lt());
+        debug_assert!(
+            !self.queue.iter().any(|r| r.id == request.id),
+            "duplicate submission of {}",
+            request.id
+        );
+        if self.queue_order_valid() {
+            let pos = self.sorted_position(&request);
+            // Only an append leaves the proven prefix as the walk left it.
+            if pos != self.queue.len() {
+                self.walk_proof = None;
+            }
             self.queue.insert(pos, request);
-            pos
         } else {
             self.queue.push(request);
             self.queue_dirty = true;
-            self.queue.len() - 1
-        };
-        // Only an append leaves the proven prefix as the walk left it.
-        if pos + 1 != self.queue.len() {
-            self.walk_proof = None;
-        }
-        if self.walk_active {
-            // A mid-walk insertion (a re-queued reclaim victim): invisible
-            // to the current walk, exactly as it was absent from the old
-            // per-round snapshot. Landing at or before the cursor shifts
-            // the unexamined region right by one.
-            if pos <= self.walk_cursor {
-                self.walk_cursor += 1;
-            }
-            self.walk_inserted.push(request.id);
         }
     }
 
@@ -563,65 +586,47 @@ impl Scheduler {
     /// against, so this scans). An in-place removal preserves whatever
     /// order the queue had. Returns `false` if the id is not queued.
     fn queue_remove(&mut self, id: JobId) -> bool {
-        debug_assert!(!self.walk_active, "cancel during a scheduling round");
-        if !self.queue_members.remove(&id) {
+        let Some(pos) = self.queue.iter().position(|r| r.id == id) else {
             return false;
-        }
+        };
         self.walk_proof = None;
-        if let Some(pos) = self.queue.iter().position(|r| r.id == id) {
-            self.queue.remove(pos);
-        }
+        self.queue.remove(pos);
         true
     }
 
-    /// Removes a task we hold the full request for (a placement commit).
-    /// While the sorted order is provable the position comes from a binary
-    /// search; otherwise from a scan. Both paths remove in place — the
-    /// in-place round walk depends on the relative order of the remaining
-    /// entries surviving a removal.
+    /// Removes a task we hold the full request for (a started one). While
+    /// the sorted order is provable the position comes from a binary
+    /// search; otherwise from a scan. Both remove in place, so the
+    /// relative order of the remaining entries survives.
     fn queue_remove_request(&mut self, request: &TaskRequest) {
-        if !self.queue_members.remove(&request.id) {
-            return;
-        }
         self.walk_proof = None;
-        let mut removed = None;
         if self.queue_order_valid() {
-            self.quota.usage_by_group_into(&mut self.scratch_usage);
-            let ctx = PolicyContext {
-                group_gpu_usage: &self.scratch_usage,
-                group_usage_vec: &self.group_usage_vec,
-                group_quota: self.quota.quotas(),
-                capacity: self.sorted_capacity,
-            };
-            let policy = self.config.policy;
-            let pos = self
-                .queue
-                .partition_point(|e| compare(policy, 0.0, 0, e, request, &ctx).is_lt());
+            let pos = self.sorted_position(request);
             if self.queue.get(pos).map(|r| r.id) == Some(request.id) {
                 self.queue.remove(pos);
-                removed = Some(pos);
-            } else {
-                // The comparator did not land on the entry — the sorted-
-                // order invariant must have been broken. Recover below.
-                debug_assert!(false, "binary removal missed {}", request.id);
+                return;
+            }
+            // The comparator did not land on the entry — the sorted-order
+            // invariant must have been broken. Recover below.
+            debug_assert!(false, "binary removal missed {}", request.id);
+        }
+        if let Some(pos) = self.queue.iter().position(|r| r.id == request.id) {
+            self.queue.remove(pos);
+            self.queue_dirty = true;
+        }
+    }
+
+    /// The round's *apply* step: replays what a finished walk recorded,
+    /// in decision order, through the plain queue operations.
+    fn apply_queue_edits(&mut self) {
+        let mut edits = std::mem::take(&mut self.scratch_edits);
+        for edit in edits.drain(..) {
+            match edit {
+                QueueEdit::Remove(request) => self.queue_remove_request(&request),
+                QueueEdit::Push(request) => self.queue_push(request),
             }
         }
-        if removed.is_none() {
-            if let Some(pos) = self.queue.iter().position(|r| r.id == request.id) {
-                self.queue.remove(pos);
-                self.queue_dirty = true;
-                removed = Some(pos);
-            }
-        }
-        if self.walk_active {
-            if let Some(pos) = removed {
-                match pos.cmp(&self.walk_cursor) {
-                    std::cmp::Ordering::Less => self.walk_cursor -= 1,
-                    std::cmp::Ordering::Equal => self.walk_removed_current = true,
-                    std::cmp::Ordering::Greater => {}
-                }
-            }
-        }
+        self.scratch_edits = edits;
     }
 
     /// The decision trace: recent [`RoundTrace`](tacc_obs::RoundTrace)s plus the latest skip
@@ -638,6 +643,12 @@ impl Scheduler {
     /// Tasks currently waiting.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Iterates over waiting tasks, in the queue's physical order (the
+    /// policy order whenever that is provable, see `queue_dirty`).
+    pub fn queued(&self) -> impl Iterator<Item = &TaskRequest> {
+        self.queue.iter()
     }
 
     /// Tasks currently running.
@@ -695,7 +706,8 @@ impl Scheduler {
     /// # Panics
     ///
     /// Panics if the task's group is outside the configured `group_count`,
-    /// or a task with the same id is already queued or running.
+    /// or a task with the same id is already running (or, in debug builds,
+    /// queued: the platform mints ids, so that check is a debug scan).
     pub fn submit(&mut self, request: TaskRequest) {
         assert!(
             request.group.index() < self.config.group_count,
@@ -704,7 +716,7 @@ impl Scheduler {
             self.config.group_count
         );
         assert!(
-            !self.running.contains_key(&request.id) && !self.queue_members.contains(&request.id),
+            !self.running.contains_key(&request.id),
             "duplicate submission of {}",
             request.id
         );
@@ -818,5 +830,52 @@ impl Scheduler {
         } else {
             self.reclaim_view = None;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tacc_workload::GroupId;
+
+    /// Red-flip for `tests/scheduler.rs`'s
+    /// `borrower_started_and_evicted_in_one_round_ends_it_queued_once`:
+    /// that round records `[Remove(B), Push(B), Remove(G)]`. Replayed
+    /// push-before-remove, B is pushed while its round-start entry is
+    /// still queued — two entries for one job, which the queue's
+    /// duplicate guard refuses.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate submission of job1")]
+    fn edits_applied_push_before_remove_trip_the_duplicate_guard() {
+        let request = |id: u64, submit_secs: f64| TaskRequest {
+            id: JobId::from_value(id),
+            group: GroupId::from_index(0),
+            qos: QosClass::BestEffort,
+            workers: 1,
+            per_worker: ResourceVec::gpus_only(8),
+            est_secs: 60.0,
+            submit_secs,
+            elastic: false,
+        };
+        let (b, g) = (request(1, 0.0), request(2, 1.0));
+        let mut sched = Scheduler::new(SchedulerConfig::default());
+        sched.submit(b);
+        sched.submit(g);
+        // In decision order the same edits leave exactly [B].
+        sched.scratch_edits = vec![
+            QueueEdit::Remove(b),
+            QueueEdit::Push(b),
+            QueueEdit::Remove(g),
+        ];
+        sched.apply_queue_edits();
+        assert_eq!(sched.queued().map(|r| r.id).collect::<Vec<_>>(), [b.id]);
+        sched.submit(g);
+        sched.scratch_edits = vec![
+            QueueEdit::Push(b),
+            QueueEdit::Remove(b),
+            QueueEdit::Remove(g),
+        ];
+        sched.apply_queue_edits();
     }
 }

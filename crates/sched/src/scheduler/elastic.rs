@@ -10,11 +10,13 @@ use tacc_workload::{JobId, QosClass};
 use crate::placement::Planner;
 use crate::quota::QuotaMode;
 use crate::request::{Decision, RunningTask, SchedOutcome, StartedTask, TaskRequest};
-use crate::scheduler::{ReclaimView, Scheduler};
+use crate::scheduler::{QueueEdit, ReclaimView, Scheduler};
 
 impl Scheduler {
     /// Attempts to place `request`, preempting borrowers if the request is
-    /// guaranteed, quota-admitted, and the mode allows reclaim.
+    /// guaranteed, quota-admitted, and the mode allows reclaim. Runs inside
+    /// a walk, so it never touches the pending queue: what the evictions
+    /// and the start mean for it is recorded for the round's apply step.
     pub(super) fn try_place(
         &mut self,
         now_secs: f64,
@@ -84,10 +86,10 @@ impl Scheduler {
             });
             // Re-queue the victim with its original submission time and
             // its originally requested gang size.
-            self.queue_push(TaskRequest {
+            self.scratch_edits.push(QueueEdit::Push(TaskRequest {
                 workers: task.requested_workers,
                 ..task.request
-            });
+            }));
             if let Some(start) = self.commit_placement(now_secs, request, cluster) {
                 return Some(start);
             }
@@ -154,9 +156,9 @@ impl Scheduler {
     }
 
     /// Plans and commits a placement, charging quota and recording the
-    /// task. On success the request is removed from the queue immediately —
-    /// a later reclaim in the same round may re-queue this very job, and
-    /// that re-queued entry must survive the round.
+    /// task. On success the request's removal from the queue is recorded
+    /// at this point of `scratch_edits` — a later reclaim in the same round
+    /// may re-queue this very job, and that later entry must survive it.
     fn commit_placement(
         &mut self,
         now_secs: f64,
@@ -180,7 +182,7 @@ impl Scheduler {
             }
             granted = (granted / 2).max(1);
         };
-        self.queue_remove_request(request);
+        self.scratch_edits.push(QueueEdit::Remove(*request));
         let shares = Planner::shares_for(&assignment, request.per_worker);
         let pre_version = cluster.version();
         let lease = cluster

@@ -1,13 +1,11 @@
 //! Gang time-slicing: rotating expired best-effort gangs out so queued
 //! work gets a turn (Slurm's "gang scheduling (time-slicing jobs)").
 
-use std::time::Instant;
-
 use tacc_cluster::Cluster;
-use tacc_obs::RoundTrace;
 use tacc_workload::{JobId, QosClass};
 
 use crate::request::{Decision, SchedOutcome, TaskRequest};
+use crate::scheduler::rounds::round_clock;
 use crate::scheduler::Scheduler;
 
 impl Scheduler {
@@ -20,8 +18,7 @@ impl Scheduler {
     /// Returns an empty outcome when time-slicing is disabled, nothing has
     /// expired, or no eviction would help.
     pub fn rotate(&mut self, now_secs: f64, cluster: &mut Cluster) -> SchedOutcome {
-        // tacc-lint: allow(wall-clock, reason = "measures host-side rotation latency for the T4 round-latency histogram; reported, never fed back into decisions")
-        let rotate_start = Instant::now();
+        let rotate_start = round_clock();
         let Some(quantum) = self.config.time_slice_secs else {
             return SchedOutcome::default();
         };
@@ -86,15 +83,8 @@ impl Scheduler {
         }
         // Trace the rotation decision itself; the follow-up schedule call
         // records its own round (placements and skip reasons).
-        self.trace.push(RoundTrace {
-            round: self.rounds,
-            at_secs: now_secs,
-            wall_micros: rotate_start.elapsed().as_micros() as u64,
-            queue_len: self.queue.len() as u64,
-            started: Vec::new(),
-            preempted: outcome.preemptions().map(|(id, _)| id).collect(),
-            skips: Vec::new(),
-        });
+        let (wall, queue_len) = (rotate_start.elapsed(), self.queue.len());
+        self.trace_round(now_secs, wall, queue_len, &outcome, Vec::new());
         let follow_up = self.schedule(now_secs, cluster);
         outcome.decisions.extend(follow_up.decisions);
         outcome

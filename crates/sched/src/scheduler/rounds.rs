@@ -1,50 +1,70 @@
-//! The scheduling round: queue ordering, the quota/backfill/placement
-//! walk over the live queue, skip tracing with positional dedup, and
-//! temporal-planner-backed reservations.
+//! The scheduling round — order, walk, apply: queue ordering, the
+//! quota/backfill/placement walk over the round-start queue, skip tracing
+//! with positional dedup, and temporal-planner-backed reservations.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tacc_cluster::{Cluster, ResourceVec};
 use tacc_obs::{JobSkip, RoundTrace, SkipReason};
 use tacc_workload::JobId;
 
-use crate::backfill::{may_backfill, BackfillMode, Reservation};
-use crate::policy::{order_queue, PolicyContext, PolicyKind};
+use crate::backfill::{may_backfill, BackfillMode};
+use crate::policy::{compare, order_queue, PolicyKind};
 use crate::request::{Decision, SchedOutcome, StartedTask, TaskRequest};
 use crate::scheduler::{DebugRoundHook, GateBounds, Scheduler, SkipVerdict, WalkProof};
+
+/// The crate's one wall-clock read: a round or a rotation starts timing.
+pub(super) fn round_clock() -> Instant {
+    // tacc-lint: allow(wall-clock, reason = "measures host-side scheduling-round and rotation latency for the T4 round-latency histogram and the trace's wall_micros; reported, never fed back into decisions")
+    Instant::now()
+}
 
 impl Scheduler {
     /// Runs one scheduling round at time `now_secs`: orders the queue,
     /// starts everything that fits (subject to quota, gang placement and
     /// backfill rules), and preempts borrowers when guaranteed demand
-    /// reclaims quota.
+    /// reclaims quota. Three steps: **order** the queue, **walk** it as
+    /// it stood at round start, **apply** the edits the walk recorded.
     pub fn schedule(&mut self, now_secs: f64, cluster: &mut Cluster) -> SchedOutcome {
-        // tacc-lint: allow(wall-clock, reason = "measures host-side scheduling-round latency for the T4 round-latency histogram; reported, never fed back into decisions")
-        let round_start = Instant::now();
+        let round_start = round_clock();
         self.rounds += 1;
-        let queue_len_at_start = self.queue.len() as u64;
+        let queue_len_at_start = self.queue.len();
         let mut outcome = SchedOutcome::default();
         // Whatever the last walk proved is spent here; only this round's
-        // walk, if it finishes and decides nothing, leaves a new proof.
+        // walk, if it decides nothing, leaves a new proof.
         let proof = self.walk_proof.take();
-
-        // Empty queue: nothing can start or preempt, so the sort, snapshot
-        // and usage work below is skipped entirely. The `rounds` counter,
-        // gauges and the round-latency observation behave exactly as the
-        // full path would, and an idle round was never traced anyway.
+        // An empty queue can start or preempt nothing: only the epilogue
+        // runs, and the skip ledger stays as the last walk left it.
         if self.queue.is_empty() {
             self.counters.empty_rounds += 1;
-            let wall = round_start.elapsed();
-            if let Some(m) = &self.metrics {
-                m.rounds.inc();
-                m.round_latency.observe(wall.as_secs_f64());
-                m.queue_depth.set(0.0);
-                m.running_tasks.set(self.running.len() as f64);
-            }
-            self.flush_work_metrics();
-            return outcome;
+        } else {
+            let sorted = self.order(now_secs, cluster);
+            let resumed = proof
+                .as_ref()
+                .filter(|proof| !sorted && self.resume_walk(now_secs, cluster, proof));
+            let queue = std::mem::take(&mut self.queue);
+            self.walk(now_secs, cluster, &queue, resumed, &mut outcome);
+            self.queue = queue;
+            self.apply_queue_edits();
+            // The ledger the walk built becomes the baseline the next
+            // round's walk dedups against.
+            std::mem::swap(&mut self.scratch_verdicts, &mut self.scratch_verdicts_next);
         }
+        self.finish_round(now_secs, round_start, queue_len_at_start, &outcome);
+        outcome
+    }
 
+    /// The round's *order* step: sorts the queue under the configured
+    /// policy — but only when the previous order can no longer be proven
+    /// valid, which is what it returns — and resets the per-round buffers.
+    /// Behind an order that stood, the last walk's proof may still hold
+    /// (`resume_walk`).
+    ///
+    /// Every comparator ends in an id tiebreak (a total order), so a
+    /// sorted queue is the *unique* sorted permutation: while the keys
+    /// stand (`queue_order_valid`, per policy), the existing order is
+    /// byte-identical to what a re-sort would produce.
+    fn order(&mut self, now_secs: f64, cluster: &Cluster) -> bool {
         // The incremental usage vectors must always equal a recount over
         // the running set; any drift is an accounting bug.
         debug_assert_eq!(
@@ -52,122 +72,71 @@ impl Scheduler {
             self.group_usage_vectors_recomputed(),
             "incremental group usage diverged from recomputation"
         );
-
-        // Order the queue under the configured policy — but only when the
-        // previous order can no longer be proven valid. Every comparator
-        // ends in an id tiebreak (a total order), so a sorted queue is the
-        // *unique* sorted permutation: if the keys did not change, the
-        // existing order is byte-identical to what a re-sort would produce.
-        //   - FIFO/SJF keys are static per request → re-sort only when
-        //     membership changed.
-        //   - FairShare/DRF keys also read group usage → re-sort when usage
-        //     moved since the last sort.
-        //   - MultiFactor scores depend on `now_secs` and the queue length
-        //     → always re-sort.
-        let sort_needed = match self.config.policy {
-            PolicyKind::Fifo | PolicyKind::Sjf => self.queue_dirty,
-            PolicyKind::FairShare | PolicyKind::Drf => {
-                self.queue_dirty
-                    || self.sorted_usage_epoch != self.usage_epoch
-                    || self.sorted_capacity != cluster.total_capacity()
-            }
-            PolicyKind::MultiFactor => true,
-        };
-        if sort_needed {
+        // DRF keys also divide by capacity, which `queue_order_valid` —
+        // asked between rounds, with no cluster at hand — cannot see.
+        let sort_needed = !self.queue_order_valid()
+            || (matches!(self.config.policy, PolicyKind::FairShare | PolicyKind::Drf)
+                && self.sorted_capacity != cluster.total_capacity());
+        // Read by the sort, or by the debug check that stands in for it.
+        if sort_needed || cfg!(debug_assertions) {
             self.quota.usage_by_group_into(&mut self.scratch_usage);
-            let ctx = PolicyContext {
-                group_gpu_usage: &self.scratch_usage,
-                group_usage_vec: &self.group_usage_vec,
-                group_quota: self.quota.quotas(),
-                capacity: cluster.total_capacity(),
-            };
-            order_queue(self.config.policy, now_secs, &mut self.queue, &ctx);
+        }
+        if sort_needed {
+            self.sorted_capacity = cluster.total_capacity();
+            let mut queue = std::mem::take(&mut self.queue);
+            let (policy, ctx) = (self.config.policy, self.policy_context());
+            order_queue(policy, now_secs, &mut queue, &ctx);
+            self.queue = queue;
             self.queue_dirty = false;
             self.sorted_usage_epoch = self.usage_epoch;
-            self.sorted_capacity = cluster.total_capacity();
             self.counters.queue_sorts += 1;
         } else {
             self.counters.queue_sorts_skipped += 1;
             // When the sort is skipped the queue must already be the unique
             // sorted permutation — binary inserts and in-place removals are
             // claimed to preserve it exactly.
-            #[cfg(debug_assertions)]
-            {
-                self.quota.usage_by_group_into(&mut self.scratch_usage);
-                let ctx = PolicyContext {
-                    group_gpu_usage: &self.scratch_usage,
-                    group_usage_vec: &self.group_usage_vec,
-                    group_quota: self.quota.quotas(),
-                    capacity: self.sorted_capacity,
-                };
-                let policy = self.config.policy;
-                let queue_len = self.queue.len();
-                debug_assert!(
-                    self.queue.windows(2).all(|w| {
-                        crate::policy::compare(policy, now_secs, queue_len, &w[0], &w[1], &ctx)
-                            .is_lt()
-                    }),
-                    "sort-skip invariant violated: queue is not in sorted order"
-                );
-            }
+            debug_assert!(
+                self.queue.windows(2).all(|w| {
+                    let (policy, len) = (self.config.policy, self.queue.len());
+                    compare(policy, now_secs, len, &w[0], &w[1], &self.policy_context()).is_lt()
+                }),
+                "sort-skip invariant violated: queue is not in sorted order"
+            );
         }
-        debug_assert!(
-            self.queue.len() == self.queue_members.len()
-                && self
-                    .queue
-                    .iter()
-                    .all(|r| self.queue_members.contains(&r.id)),
-            "queue membership set diverged from the queue"
-        );
-
-        let mut reservations: Vec<Reservation> = std::mem::take(&mut self.scratch_reservations);
-        reservations.clear();
-        // Skip records accumulate into a recycled buffer (handed back by
-        // the trace ring at push time once it is warm).
-        let mut skips = std::mem::take(&mut self.scratch_skips);
-        skips.clear();
+        self.scratch_reservations.clear();
+        self.scratch_skips.clear();
         self.scratch_verdicts_next.clear();
+        sort_needed
+    }
 
-        // Walk the live queue in place instead of copying it into a
-        // per-round snapshot (the copy used to be the largest work
-        // counter on the hot path). Placement commits remove the
-        // examined entry order-preservingly, and reclaim may re-queue
-        // victims mid-walk; `queue_push`/`queue_remove_request` compensate
-        // the cursor so the walk visits exactly the entries the snapshot
-        // held, in the same order. `examined` numbers them with their
-        // round-start positions, keeping the positional skip dedup
-        // byte-identical.
-        //
-        // The walk starts at the head of the queue — or, when nothing the
-        // previous walk's verdicts depend on has moved, behind the prefix
-        // that walk proved, with its ledger copied and its head's
-        // reservation re-probed. Either way the loop below is the walk.
-        let resumed = proof
-            .filter(|_| !sort_needed)
-            .and_then(|proof| self.resume_walk(now_secs, cluster, proof, &mut reservations));
-        let (mut examined, mut head, mut gate) = match resumed {
+    /// The round's *walk* step: examines `queue` — the pending queue as it
+    /// stood at round start, which nothing edits while this runs — entry
+    /// by entry against the live cluster: quota gate, backfill gate,
+    /// placement. A start or an eviction changes the cluster, the quota
+    /// table and the running set at once; what it means for the queue is
+    /// recorded in `scratch_edits`. An entry's index is its round-start
+    /// position, which is what the positional skip dedup keys on.
+    ///
+    /// The one loop starts at the head of the queue — or, given `resumed`,
+    /// behind the prefix the previous walk proved. A walk that decides
+    /// nothing leaves the proof the next round can stand on.
+    fn walk(
+        &mut self,
+        now_secs: f64,
+        cluster: &mut Cluster,
+        queue: &[TaskRequest],
+        resumed: Option<&WalkProof>,
+        outcome: &mut SchedOutcome,
+    ) {
+        let (start, mut head, mut gate) = match resumed {
             Some(proof) => (proof.examined, proof.head, proof.gate),
             None => (0, None, GateBounds::NONE),
         };
-        self.walk_active = true;
-        self.walk_cursor = examined;
-        self.walk_inserted.clear();
-        while self.walk_cursor < self.queue.len() {
-            let request = self.queue[self.walk_cursor];
-            // Mid-walk insertions were invisible to the old snapshot.
-            if self.walk_inserted.contains(&request.id) {
-                self.walk_cursor += 1;
-                continue;
-            }
-            let pos = examined;
-            examined += 1;
-            self.walk_removed_current = false;
-            let request = &request;
-
+        for (pos, request) in queue.iter().enumerate().skip(start) {
             // 1. Quota gate.
             if !self.quota.admits(self.config.quota, request) {
                 if self.skip_should_record(pos, request.id, SkipVerdict::Quota) {
-                    skips.push(JobSkip {
+                    self.scratch_skips.push(JobSkip {
                         job: request.id,
                         reason: SkipReason::QuotaExhausted {
                             group: request.group,
@@ -181,15 +150,16 @@ impl Scheduler {
                 // reservation. Under no-backfill the queue is strictly
                 // ordered, so later jobs stall behind it anyway.
                 if self.config.backfill == BackfillMode::None {
-                    self.skip_tail_live(&mut skips, &mut examined, request.id);
+                    self.skip_tail(queue, pos + 1, request.id);
                     break;
                 }
-                self.walk_cursor += 1;
                 continue;
             }
 
             // 2. Backfill gate (someone ahead is capacity-blocked).
-            if !reservations.is_empty() {
+            let backfilled = !self.scratch_reservations.is_empty();
+            if backfilled {
+                let reservations = &self.scratch_reservations;
                 let est_end = now_secs + request.est_secs;
                 let permitted = match self.config.backfill {
                     BackfillMode::None => false,
@@ -209,11 +179,12 @@ impl Scheduler {
                 };
                 if !permitted {
                     if self.skip_should_record(pos, request.id, SkipVerdict::Backfill) {
+                        let reservations = &self.scratch_reservations;
                         let blocking = reservations
                             .iter()
                             .find(|r| !may_backfill(est_end, request.total_gpus(), r))
                             .unwrap_or(&reservations[0]);
-                        skips.push(JobSkip {
+                        self.scratch_skips.push(JobSkip {
                             job: request.id,
                             reason: SkipReason::BackfillBlocked {
                                 est_end_secs: est_end,
@@ -222,16 +193,14 @@ impl Scheduler {
                         });
                     }
                     if self.config.backfill == BackfillMode::Conservative {
-                        self.push_reservation(now_secs, request, cluster, &mut reservations);
+                        self.push_reservation(now_secs, request, cluster);
                     }
-                    self.walk_cursor += 1;
                     continue;
                 }
             }
 
             // 3. Placement (with quota reclaim if allowed).
-            let backfilled = !reservations.is_empty();
-            match self.try_place(now_secs, request, cluster, &mut outcome) {
+            match self.try_place(now_secs, request, cluster, outcome) {
                 Some(start) => {
                     self.scratch_verdicts_next
                         .push((request.id, SkipVerdict::Started));
@@ -245,17 +214,11 @@ impl Scheduler {
                         backfilled,
                         ..start
                     }));
-                    // The commit removed the examined entry in place; the
-                    // cursor already points at its successor.
-                    debug_assert!(self.walk_removed_current, "started job still queued");
-                    if !self.walk_removed_current {
-                        self.walk_cursor += 1;
-                    }
                 }
                 None => {
                     // Capacity-blocked.
                     if self.skip_should_record(pos, request.id, SkipVerdict::NoPlacement) {
-                        skips.push(JobSkip {
+                        self.scratch_skips.push(JobSkip {
                             job: request.id,
                             reason: SkipReason::NoFeasiblePlacement {
                                 workers: request.workers,
@@ -267,56 +230,51 @@ impl Scheduler {
                     }
                     match self.config.backfill {
                         BackfillMode::None => {
-                            self.skip_tail_live(&mut skips, &mut examined, request.id);
+                            self.skip_tail(queue, pos + 1, request.id);
                             break;
                         }
                         BackfillMode::Easy => {
-                            if reservations.is_empty() {
-                                self.push_reservation(
-                                    now_secs,
-                                    request,
-                                    cluster,
-                                    &mut reservations,
-                                );
-                                head = Some((*request, reservations[0].extra_gpus));
+                            if !backfilled {
+                                self.push_reservation(now_secs, request, cluster);
+                                head = Some((*request, self.scratch_reservations[0].extra_gpus));
                             }
                         }
                         BackfillMode::Conservative => {
-                            self.push_reservation(now_secs, request, cluster, &mut reservations);
+                            self.push_reservation(now_secs, request, cluster);
                         }
                     }
-                    self.walk_cursor += 1;
                 }
             }
         }
-        self.walk_active = false;
-        self.walk_inserted.clear();
-        self.scratch_reservations = reservations;
+        // One ledger entry per position of the round-start queue.
+        debug_assert_eq!(
+            self.scratch_verdicts_next.len(),
+            queue.len(),
+            "walk ledger out of step with the round-start queue"
+        );
         // A walk that decided nothing judged every entry against the state
         // it ends in: that is a proof the next round can stand on.
         if self.config.backfill == BackfillMode::Easy && outcome.is_empty() {
             self.walk_proof = Some(WalkProof {
                 version: cluster.version(),
                 usage_epoch: self.usage_epoch,
-                examined,
+                examined: queue.len(),
                 head,
                 gate,
             });
         }
+    }
 
-        // The walk examined exactly the round-start queue and pushed one
-        // ledger entry per examined position; the ledger becomes the
-        // baseline the next round's walk dedups against.
-        debug_assert_eq!(
-            examined as u64, queue_len_at_start,
-            "walk out of step with the round-start queue"
-        );
-        debug_assert_eq!(
-            self.scratch_verdicts_next.len(),
-            examined,
-            "walk ledger out of step with the walk"
-        );
-        std::mem::swap(&mut self.scratch_verdicts, &mut self.scratch_verdicts_next);
+    /// The epilogue every round shares, walked or not: the round-latency
+    /// observation, the gauges, the work-counter flush and — unless the
+    /// round was idle — its `RoundTrace`.
+    fn finish_round(
+        &mut self,
+        now_secs: f64,
+        round_start: Instant,
+        queue_len_at_start: usize,
+        outcome: &SchedOutcome,
+    ) {
         let wall = round_start.elapsed();
         if let Some(m) = &self.metrics {
             m.rounds.inc();
@@ -325,82 +283,86 @@ impl Scheduler {
             m.running_tasks.set(self.running.len() as f64);
         }
         self.flush_work_metrics();
-        // Idle rounds (nothing queued, nothing decided) are not traced:
+        // Idle rounds (nothing queued, so nothing decided) are not traced:
         // the platform's fixpoint loop would otherwise flood the ring.
-        if queue_len_at_start > 0 || !outcome.is_empty() {
-            let mut started = std::mem::take(&mut self.scratch_started);
-            started.clear();
-            started.extend(outcome.starts().map(|t| t.request.id));
-            let mut preempted = std::mem::take(&mut self.scratch_preempted);
-            preempted.clear();
-            preempted.extend(outcome.preemptions().map(|(id, _)| id));
-            let evicted = self.trace.push(RoundTrace {
-                round: self.rounds,
-                at_secs: now_secs,
-                wall_micros: wall.as_micros() as u64,
-                queue_len: queue_len_at_start,
-                started,
-                preempted,
-                skips,
-            });
-            // Once the ring is warm every push evicts a round; its vectors
-            // become the next round's buffers, closing the allocation loop.
-            if let Some(old) = evicted {
-                self.scratch_started = old.started;
-                self.scratch_preempted = old.preempted;
-                self.scratch_skips = old.skips;
-            }
-        } else {
-            self.scratch_skips = skips;
+        if queue_len_at_start > 0 {
+            let skips = std::mem::take(&mut self.scratch_skips);
+            self.trace_round(now_secs, wall, queue_len_at_start, outcome, skips);
         }
-
-        outcome
     }
 
-    /// Tries to enter this round's walk behind the prefix `proof` covers,
-    /// and hands the proof back when it may. The caller has established
-    /// that the queue needs no sort; the proof's own existence that the
-    /// prefix is as the proving walk left it. What remains is that nothing
+    /// Pushes the `RoundTrace` of a round — or of a rotation, which decides
+    /// outside one and skips nobody.
+    pub(super) fn trace_round(
+        &mut self,
+        now_secs: f64,
+        wall: Duration,
+        queue_len: usize,
+        outcome: &SchedOutcome,
+        skips: Vec<JobSkip>,
+    ) {
+        let mut started = std::mem::take(&mut self.scratch_started);
+        started.clear();
+        started.extend(outcome.starts().map(|t| t.request.id));
+        let mut preempted = std::mem::take(&mut self.scratch_preempted);
+        preempted.clear();
+        preempted.extend(outcome.preemptions().map(|(id, _)| id));
+        let evicted = self.trace.push(RoundTrace {
+            round: self.rounds,
+            at_secs: now_secs,
+            wall_micros: wall.as_micros() as u64,
+            queue_len: queue_len as u64,
+            started,
+            preempted,
+            skips,
+        });
+        // Once the ring is warm every push evicts a round; its vectors
+        // become the next round's buffers, closing the allocation loop.
+        if let Some(old) = evicted {
+            self.scratch_started = old.started;
+            self.scratch_preempted = old.preempted;
+            self.scratch_skips = old.skips;
+        }
+    }
+
+    /// Whether this round's walk may start behind the prefix `proof`
+    /// covers. The caller has established that the queue needs no sort;
+    /// the proof's own existence that the prefix is as the proving walk
+    /// left it. What remains is that nothing
     /// a verdict reads has moved: the cluster version and usage epoch
     /// (quota and placement verdicts), and — the clock being the one input
     /// that always moves — that the head's reservation, re-probed at
     /// `now_secs` with the single probe the full walk would make, still
     /// sorts every time-clause entry onto the side of the backfill gate it
-    /// was on. On success `reservations` holds that probe, the ledger
-    /// prefix is copied and counted as the suppressions it would have
-    /// been; on any failure nothing is left changed and the walk starts
-    /// at 0.
-    fn resume_walk(
-        &mut self,
-        now_secs: f64,
-        cluster: &Cluster,
-        proof: WalkProof,
-        reservations: &mut Vec<Reservation>,
-    ) -> Option<WalkProof> {
+    /// was on. On success the round's reservations hold that probe, the
+    /// ledger prefix is copied and counted as the suppressions it would
+    /// have been; on any failure nothing is left changed and the walk
+    /// starts at 0.
+    fn resume_walk(&mut self, now_secs: f64, cluster: &Cluster, proof: &WalkProof) -> bool {
         if self.debug_hook == Some(DebugRoundHook::NoResume)
             || proof.version != cluster.version()
             || proof.usage_epoch != self.usage_epoch
             || proof.examined != self.scratch_verdicts.len()
         {
-            return None;
+            return false;
         }
         if let Some((head, extra_gpus)) = &proof.head {
             // A stale timeline means a rebuild, which is the full walk's
             // to pay for and count.
             if self.timeline_version != Some(proof.version) {
-                return None;
+                return false;
             }
             let slots = self.counters.slots;
-            self.push_reservation(now_secs, head, cluster, reservations);
-            let probed = reservations[0];
+            self.push_reservation(now_secs, head, cluster);
+            let probed = self.scratch_reservations[0];
             let recheck = self.debug_hook != Some(DebugRoundHook::SkipPermittedRecheck);
             let holds = probed.extra_gpus == *extra_gpus
                 && now_secs + proof.gate.min_denied_est > probed.shadow_secs
                 && (!recheck || now_secs + proof.gate.max_permitted_est <= probed.shadow_secs);
             if !holds {
                 self.counters.slots = slots;
-                reservations.clear();
-                return None;
+                self.scratch_reservations.clear();
+                return false;
             }
         }
         self.scratch_verdicts_next
@@ -410,8 +372,8 @@ impl Scheduler {
         self.counters.walk_resumes += 1;
         self.counters.walk_resumed_entries += entries;
         #[cfg(debug_assertions)]
-        self.debug_check_resumed(now_secs, cluster, &proof, reservations.first());
-        Some(proof)
+        self.debug_check_resumed(now_secs, cluster, proof);
+        true
     }
 
     /// Debug oracle for a resumed round: re-derives, read-only, the
@@ -420,16 +382,11 @@ impl Scheduler {
     /// entry past both a non-committing placement — and asserts that each
     /// equals the ledger's and that none would have started.
     #[cfg(debug_assertions)]
-    fn debug_check_resumed(
-        &self,
-        now_secs: f64,
-        cluster: &Cluster,
-        proof: &WalkProof,
-        probed: Option<&Reservation>,
-    ) {
+    fn debug_check_resumed(&self, now_secs: f64, cluster: &Cluster, proof: &WalkProof) {
         if self.debug_hook.is_some() {
             return;
         }
+        let probed = self.scratch_reservations.first();
         let mut hypothetical = None;
         let mut head = None;
         for (request, ledger) in self.queue.iter().zip(&self.scratch_verdicts) {
@@ -499,8 +456,8 @@ impl Scheduler {
                 .is_some()
     }
 
-    /// Computes and appends the capacity reservation for a blocked request
-    /// by probing the temporal planner.
+    /// Computes the capacity reservation for a blocked request by probing
+    /// the temporal planner, and appends it to the round's reservations.
     ///
     /// The planner timeline depends only on the running set and the
     /// configured capacity windows, and every change to the running set
@@ -511,13 +468,7 @@ impl Scheduler {
     /// rebuilt from the running set in one pass. Conservative backfill
     /// asks for one reservation per blocked job per round, and all of
     /// those probes share the same slots.
-    fn push_reservation(
-        &mut self,
-        now_secs: f64,
-        request: &TaskRequest,
-        cluster: &Cluster,
-        reservations: &mut Vec<Reservation>,
-    ) {
+    fn push_reservation(&mut self, now_secs: f64, request: &TaskRequest, cluster: &Cluster) {
         let version = cluster.version();
         if self.timeline_version != Some(version) {
             let skew = self.boundary_skew_secs;
@@ -556,12 +507,13 @@ impl Scheduler {
                 "incremental timeline diverged from a fresh rebuild"
             );
         }
-        reservations.push(self.timeline.probe(
+        let reservation = self.timeline.probe(
             now_secs,
             request.total_gpus(),
             cluster.free_gpus(),
             &mut self.counters.slots,
-        ));
+        );
+        self.scratch_reservations.push(reservation);
     }
 
     /// Decides whether this position's skip goes into the round's skip
@@ -590,23 +542,14 @@ impl Scheduler {
         }
     }
 
-    /// Records a head-of-line skip for every not-yet-examined live-queue
-    /// entry (round-start positions `examined..`): under strict FIFO (no
-    /// backfill) a blocked job stalls everything behind it. Mid-walk
-    /// insertions are passed over — they were not part of the round-start
-    /// queue.
-    fn skip_tail_live(&mut self, skips: &mut Vec<JobSkip>, examined: &mut usize, behind: JobId) {
-        let mut i = self.walk_cursor + 1;
-        while i < self.queue.len() {
-            let job = self.queue[i].id;
-            i += 1;
-            if self.walk_inserted.contains(&job) {
-                continue;
-            }
-            let pos = *examined;
-            *examined += 1;
+    /// Records a head-of-line skip for every not-yet-examined entry of the
+    /// round-start queue (positions `from..`): under strict FIFO (no
+    /// backfill) a blocked job stalls everything behind it.
+    fn skip_tail(&mut self, queue: &[TaskRequest], from: usize, behind: JobId) {
+        for (pos, request) in queue.iter().enumerate().skip(from) {
+            let job = request.id;
             if self.skip_should_record(pos, job, SkipVerdict::HeadOfLine { behind }) {
-                skips.push(JobSkip {
+                self.scratch_skips.push(JobSkip {
                     job,
                     reason: SkipReason::HeadOfLineBlocked { behind },
                 });

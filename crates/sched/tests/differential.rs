@@ -139,11 +139,20 @@ fn random_request(rng: &mut XorShift, id: u64, now: f64) -> TaskRequest {
     }
 }
 
+/// The waiting requests, id-ordered: the two schedulers keep the same
+/// queue in different physical orders (the subject binary-inserts where
+/// the reference appends and re-sorts).
+fn queue_contents<'a>(queued: impl Iterator<Item = &'a TaskRequest>) -> String {
+    let mut queued: Vec<&TaskRequest> = queued.collect();
+    queued.sort_by_key(|r| r.id);
+    format!("{queued:?}")
+}
+
 /// Drives both schedulers through one identical randomized script and
 /// returns (optimized stream, reference stream). Streams include every
-/// round's `Debug`-formatted decisions plus queue/running census lines.
-fn run_script(seed: u64, steps: usize) -> (String, String) {
-    let cfg = config(seed);
+/// round's `Debug`-formatted decisions plus a census line after every
+/// step, the queue's contents among it.
+fn run_script(cfg: SchedulerConfig, seed: u64, steps: usize) -> (String, String) {
     let mut opt = Scheduler::new(cfg.clone());
     let mut reference = ReferenceScheduler::new(cfg);
     let mut opt_cluster = cluster();
@@ -211,16 +220,18 @@ fn run_script(seed: u64, steps: usize) -> (String, String) {
             }
         }
         opt_stream.push_str(&format!(
-            "census q={} r={} free={}\n",
+            "census q={} r={} free={} queued={}\n",
             opt.queue_len(),
             opt.running_len(),
-            opt_cluster.free_gpus()
+            opt_cluster.free_gpus(),
+            queue_contents(opt.queued())
         ));
         ref_stream.push_str(&format!(
-            "census q={} r={} free={}\n",
+            "census q={} r={} free={} queued={}\n",
             reference.queue_len(),
             reference.running_len(),
-            ref_cluster.free_gpus()
+            ref_cluster.free_gpus(),
+            queue_contents(reference.queued())
         ));
     }
     // Drain: keep scheduling with everything finishing so end states meet.
@@ -232,7 +243,11 @@ fn run_script(seed: u64, steps: usize) -> (String, String) {
 }
 
 fn assert_identical(seed: u64, steps: usize) {
-    let (opt, reference) = run_script(seed, steps);
+    assert_identical_under(config(seed), seed, steps);
+}
+
+fn assert_identical_under(cfg: SchedulerConfig, seed: u64, steps: usize) {
+    let (opt, reference) = run_script(cfg, seed, steps);
     if opt != reference {
         let diff = opt
             .lines()
@@ -267,6 +282,31 @@ fn seed_sweep_long_scripts() {
     // build, borrowers to accumulate, and reclaims/rotations to trigger.
     for seed in 1..=8 {
         assert_identical(seed * 7919, 900);
+    }
+}
+
+#[test]
+fn seed_sweep_under_each_order_validity_at_apply_time() {
+    // A round's queue edits are applied after its walk, through the same
+    // operations a submit or a cancel uses — binary when the order is
+    // provable, scan-and-mark-dirty when it is not. The three cases:
+    // FIFO's order is still valid when the edits land; FairShare's was
+    // valid when the walk began and is not by then (the first start moved
+    // the usage its keys read); MultiFactor's never is. Borrowing, so
+    // that rounds re-queue victims as well as remove starts.
+    for policy in [
+        PolicyKind::Fifo,
+        PolicyKind::FairShare,
+        PolicyKind::MultiFactor,
+    ] {
+        for seed in 1..=24 {
+            let cfg = SchedulerConfig {
+                policy,
+                quota: QuotaMode::Borrowing,
+                ..config(seed)
+            };
+            assert_identical_under(cfg, seed, 250);
+        }
     }
 }
 

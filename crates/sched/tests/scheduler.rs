@@ -5,7 +5,8 @@
 
 use tacc_cluster::{Cluster, ClusterSpec, GpuModel, ResourceVec};
 use tacc_sched::{
-    BackfillMode, PolicyKind, QuotaMode, Scheduler, SchedulerConfig, SkipReason, TaskRequest,
+    BackfillMode, Decision, PolicyKind, QuotaMode, Scheduler, SchedulerConfig, SkipReason,
+    TaskRequest,
 };
 use tacc_workload::{GroupId, JobId, QosClass};
 
@@ -253,6 +254,59 @@ fn reclaim_preempts_youngest_borrower() {
 }
 
 #[test]
+fn borrower_started_and_evicted_in_one_round_ends_it_queued_once() {
+    // One round, queue [B, G]: the borrower B takes the whole idle
+    // cluster, then the guaranteed G — examined later in the same walk —
+    // reclaims a node from it. The walk records B's removal, B's re-queue
+    // and G's removal in that order, and the round ends with B queued
+    // exactly once. (Red-flip: `scheduler.rs`'s
+    // `edits_applied_push_before_remove_trip_the_duplicate_guard`.)
+    let mut c = cluster(); // 32 GPUs
+    let mut s = sched(SchedulerConfig {
+        quota: QuotaMode::Borrowing,
+        quotas: vec![32, 0],
+        group_count: 2,
+        ..SchedulerConfig::default()
+    });
+    let b = TaskRequest {
+        qos: QosClass::BestEffort,
+        ..gang_request(1, 1, 4, 8, 1000.0, 0.0)
+    };
+    s.submit(b);
+    s.submit(simple_request(2, 0, 8, 500.0, 1.0));
+    let out = s.schedule(2.0, &mut c);
+    let decisions: Vec<String> = out
+        .decisions
+        .iter()
+        .map(|d| match d {
+            Decision::Start(t) => format!("start {}", t.request.id),
+            Decision::Preempt { id, .. } => format!("preempt {id}"),
+            other => format!("{other:?}"),
+        })
+        .collect();
+    assert_eq!(decisions, ["start job1", "preempt job1", "start job2"]);
+    assert_eq!(s.queued().copied().collect::<Vec<_>>(), [b]);
+    assert_eq!(s.running_len(), 1);
+    assert!(c.check_invariants());
+    // B's ledger entry says it started, so the next round traces it afresh.
+    s.schedule(3.0, &mut c);
+    let next = s.decision_trace().recent(1)[0];
+    assert_eq!(next.queue_len, 1);
+    assert!(
+        matches!(
+            next.skips[..],
+            [tacc_sched::JobSkip {
+                job,
+                reason: SkipReason::NoFeasiblePlacement { free_gpus: 24, .. }
+            }] if job == b.id
+        ),
+        "unexpected: {:?}",
+        next.skips
+    );
+    assert_eq!(s.queue_len(), 1);
+}
+
+#[test]
 fn guaranteed_never_preempted() {
     let mut c = cluster();
     let mut s = sched(SchedulerConfig {
@@ -448,6 +502,7 @@ fn preempted_elastic_task_requeues_full_size() {
 }
 
 #[test]
+#[cfg(debug_assertions)] // the queued-duplicate guard is a debug-build scan
 #[should_panic(expected = "duplicate")]
 fn duplicate_submission_panics() {
     let mut s = sched(SchedulerConfig::default());
@@ -512,6 +567,51 @@ fn trace_records_placement_and_head_of_line_skips() {
         matches!(tail, SkipReason::HeadOfLineBlocked { behind } if behind.value() == 2),
         "unexpected: {tail:?}"
     );
+}
+
+#[test]
+fn no_backfill_start_then_block_stalls_exactly_the_unexamined_tail() {
+    // One round, queue [1, 2, 3, 4] under no-backfill: 1 starts, 2 is
+    // capacity-blocked, so 3 and 4 — and only they — stall behind it. The
+    // walk reads the queue as it stood at round start, where the started
+    // entry still holds position 0.
+    let mut c = cluster(); // 32 GPUs
+    let mut s = sched(SchedulerConfig {
+        backfill: BackfillMode::None,
+        ..SchedulerConfig::default()
+    });
+    s.submit(simple_request(1, 0, 8, 100.0, 0.0));
+    s.submit(gang_request(2, 0, 4, 8, 1000.0, 1.0));
+    s.submit(simple_request(3, 0, 1, 10.0, 2.0));
+    s.submit(simple_request(4, 0, 1, 10.0, 3.0));
+    let out = s.schedule(5.0, &mut c);
+    assert_eq!(
+        out.starts()
+            .map(|t| t.request.id.value())
+            .collect::<Vec<_>>(),
+        [1]
+    );
+    let round = s.decision_trace().recent(1)[0];
+    assert_eq!(round.queue_len, 4);
+    let skips: Vec<String> = round
+        .skips
+        .iter()
+        .map(|skip| match skip.reason {
+            SkipReason::NoFeasiblePlacement { .. } => format!("{} no-placement", skip.job),
+            SkipReason::HeadOfLineBlocked { behind } => format!("{} behind {behind}", skip.job),
+            ref other => format!("{} {other:?}", skip.job),
+        })
+        .collect();
+    assert_eq!(
+        skips,
+        ["job2 no-placement", "job3 behind job2", "job4 behind job2"]
+    );
+    assert_eq!(
+        s.queued().map(|r| r.id.value()).collect::<Vec<_>>(),
+        [2, 3, 4]
+    );
+    let counters = s.work_counters();
+    assert_eq!((counters.skip_records, counters.skip_suppressions), (3, 0));
 }
 
 #[test]

@@ -22,6 +22,33 @@ pub struct TraceRecord {
     pub cancel_after_secs: Option<f64>,
 }
 
+impl TraceRecord {
+    /// Checks what the platform requires of a submission before it mints
+    /// a job for it: a valid schema, a positive finite service time and a
+    /// finite non-negative cancellation delay. The one definition both
+    /// ways in share — a trace file read by [`Trace::from_json`] and a
+    /// `submit` command.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first problem found.
+    pub fn validate(&self) -> Result<(), String> {
+        self.schema.validate()?;
+        if !(self.service_secs > 0.0 && self.service_secs.is_finite()) {
+            return Err(format!(
+                "service time {}s must be positive and finite",
+                self.service_secs
+            ));
+        }
+        match self.cancel_after_secs {
+            Some(after) if !(after >= 0.0 && after.is_finite()) => Err(format!(
+                "cancellation delay {after}s must be finite and non-negative"
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// A workload trace: submissions ordered by time.
 ///
 /// Serializable to JSON so traces can be saved, shared and replayed — the
@@ -95,10 +122,12 @@ impl Trace {
 
     /// Reads a trace back from [`Trace::to_json`]'s shape (records are
     /// re-sorted by submission time; `cancel_after_secs` may be absent).
+    /// Every record is [`TraceRecord::validate`]d, so a trace that parses
+    /// is one the platform can replay.
     ///
     /// # Errors
     ///
-    /// A description of the first malformed record, by index.
+    /// A description of the first malformed or invalid record, by index.
     pub fn from_json(value: &Json) -> Result<Trace, String> {
         let records = value
             .get("records")
@@ -109,7 +138,7 @@ impl Trace {
             if !submit_secs.is_finite() {
                 return Err("field 'submit_secs' is not finite".to_owned());
             }
-            Ok(TraceRecord {
+            let record = TraceRecord {
                 submit_secs,
                 schema: TaskSchema::from_json(r.get("schema").ok_or("missing field 'schema'")?)?,
                 service_secs: r.req_f64("service_secs")?,
@@ -117,7 +146,9 @@ impl Trace {
                     Some(Json::Null) | None => None,
                     Some(_) => Some(r.req_f64("cancel_after_secs")?),
                 },
-            })
+            };
+            record.validate()?;
+            Ok(record)
         };
         records
             .iter()
@@ -238,6 +269,30 @@ mod tests {
         let err = Trace::from_json(&doc).expect_err("NaN submit time");
         assert!(err.starts_with("record 1:"), "{err}");
         assert!(Trace::from_json(&Json::Null).is_err());
+    }
+
+    #[test]
+    fn from_json_refuses_a_record_the_platform_would_panic_on() {
+        // The mutated file of the bug report: `"workers":0` used to parse
+        // `Ok` and panic in `Job::new` at replay time.
+        let text = Trace::new(vec![record(1.0, 60.0), record(2.0, 60.0)])
+            .to_json()
+            .to_string();
+        let parse = |text: &str| Trace::from_json(&tacc_json::parse(text).expect("is JSON"));
+        assert!(parse(&text).is_ok());
+        let mutated = text.replacen("\"workers\":1", "\"workers\":0", 1);
+        assert_ne!(mutated, text, "the fixture names its workers");
+        let err = parse(&mutated).expect_err("zero workers");
+        assert_eq!(err, "record 0: task must have at least one worker");
+        // The times `Job::new` and the cancel timer would choke on.
+        for (field, bad) in [
+            ("\"service_secs\":60", "\"service_secs\":0"),
+            ("\"service_secs\":60", "\"service_secs\":-5"),
+            ("\"cancel_after_secs\":null", "\"cancel_after_secs\":-1"),
+        ] {
+            let err = parse(&text.replacen(field, bad, 1)).expect_err(bad);
+            assert!(err.starts_with("record 0: "), "{bad}: {err}");
+        }
     }
 
     #[test]
