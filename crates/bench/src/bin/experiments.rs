@@ -14,7 +14,8 @@
 //!   --serial            shorthand for --jobs 1
 //!   --quiet             suppress per-experiment text output
 //!   --sweep-out PATH    also write the aggregate timing JSON to PATH
-//!   --determinism [DAYS]  run the canonical simulation twice and compare the
+//!   --determinism [DAYS]  run the canonical simulation twice — once from the
+//!                       trace, once from its command stream — and compare the
 //!                       exported event streams byte-for-byte (default 30 days)
 //!   --export PATH       with --determinism: also write the export stream to PATH
 //!   --export-transitions PATH  with --determinism: also write the lifecycle
@@ -34,7 +35,7 @@
 
 use std::process::ExitCode;
 
-use tacc_bench::determinism::{campus_determinism_run, DEFAULT_DETERMINISM_DAYS};
+use tacc_bench::determinism::{campus_determinism_run, Feed, DEFAULT_DETERMINISM_DAYS};
 use tacc_bench::gha;
 use tacc_bench::par;
 use tacc_bench::registry::{self, ExperimentSpec, RunOutcome, Tier};
@@ -254,8 +255,13 @@ fn export_stream(path: Option<&str>, what: &str, bytes: &str) -> Result<(), Exit
 }
 
 fn run_determinism(days: f64, opts: &Options) -> ExitCode {
-    println!("determinism: canonical {days}-day simulation, two fresh replays");
-    let runs = par::par_map(vec![(), ()], |()| campus_determinism_run(days));
+    println!(
+        "determinism: canonical {days}-day simulation, two fresh replays \
+         (the trace, then its command stream)"
+    );
+    let runs = par::par_map(vec![Feed::Trace, Feed::Commands], |feed| {
+        campus_determinism_run(days, feed)
+    });
     let (a, b) = (&runs[0], &runs[1]);
     for (path, what, bytes) in [
         (opts.export.as_deref(), "event-stream", &a.events),
@@ -314,7 +320,10 @@ fn run_determinism(days: f64, opts: &Options) -> ExitCode {
             .position(|(p, q)| p != q)
             .unwrap_or(x.len().min(y.len()));
         eprintln!(
-            "determinism: FAILED — {stream} diverges at byte {pos} (lengths {} vs {})",
+            "determinism: FAILED — the command-fed replay's {stream} diverges from the \
+             trace-fed one's at byte {pos} (lengths {} vs {}): either a trace is no longer \
+             its command stream or the platform is nondeterministic — `cmp` two `--export`s \
+             (both trace-fed) to tell which",
             x.len(),
             y.len()
         );

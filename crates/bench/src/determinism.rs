@@ -4,13 +4,15 @@
 //! The simulator's contract is "same config + same trace ⇒ same bytes".
 //! CI enforces it by running [`campus_determinism_export`] twice (in
 //! separate processes) and `cmp`-ing the outputs; `experiments
-//! --determinism` does the same in-process. The export is the full
+//! --determinism` does the same in-process, and feeds its second replay
+//! the trace's command stream ([`Feed::Commands`]) so the comparison also
+//! holds "a trace is its command stream". The export is the full
 //! event-bus JSONL stream followed by one line with the report
 //! fingerprint, so both the event sequencing and the aggregate math are
 //! pinned.
 
 use crate::{campus_config, standard_trace};
-use tacc_core::{Platform, SimulationReport};
+use tacc_core::{command_stream, Platform, SimulationReport};
 use tacc_json::{obj, Json};
 use tacc_metrics::Summary;
 use tacc_obs::SpanBook;
@@ -41,6 +43,16 @@ pub struct DeterminismRun {
     pub goodput: String,
 }
 
+/// How the canonical run's trace reaches the platform.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Feed {
+    /// `Platform::run_trace`: arrivals pulled from the loaded trace.
+    Trace,
+    /// The trace's [`command_stream`] through `Platform::apply_record` —
+    /// the journalled path `tcloud`, `taccd` and recovery take.
+    Commands,
+}
+
 /// Runs the canonical determinism simulation and returns its export
 /// streams: event-bus JSONL plus report fingerprint, and the lifecycle
 /// transition log.
@@ -49,7 +61,9 @@ pub struct DeterminismRun {
 /// quota borrowing (preemption/reclaim), fault injection, and dataset
 /// staging — so nondeterminism anywhere in the platform shows up as a
 /// byte difference.
-pub fn campus_determinism_run(days: f64) -> DeterminismRun {
+///
+/// Both [`Feed`]s must export the same bytes.
+pub fn campus_determinism_run(days: f64, feed: Feed) -> DeterminismRun {
     let trace = standard_trace(days, 2.0);
     let config = campus_config(|c| {
         c.scheduler.quota = QuotaMode::Borrowing;
@@ -61,8 +75,23 @@ pub fn campus_determinism_run(days: f64) -> DeterminismRun {
         c.event_buffer_capacity = 1 << 22;
     });
     let mut platform = Platform::new(config);
-    let report = platform.run_trace(&trace);
+    // A refused command lands in the export, where the comparison with
+    // the trace-fed run trips over it.
+    let mut refusals = String::new();
+    let report = match feed {
+        Feed::Trace => platform.run_trace(&trace),
+        Feed::Commands => {
+            for record in command_stream(&trace) {
+                if let Err(refusal) = platform.apply_record(&record) {
+                    refusals.push_str(&format!("record {} refused: {refusal}\n", record.seq));
+                }
+            }
+            platform.run_until_idle();
+            platform.report()
+        }
+    };
     let mut events = platform.events().to_jsonl();
+    events.push_str(&refusals);
     events.push_str(&report_fingerprint(&report).to_string());
     events.push('\n');
     let transitions = platform.transition_log_jsonl();
@@ -88,7 +117,7 @@ pub fn campus_determinism_run(days: f64) -> DeterminismRun {
 /// The event-stream half of [`campus_determinism_run`] (kept as the
 /// stable surface the in-process reproducibility test pins).
 pub fn campus_determinism_export(days: f64) -> String {
-    campus_determinism_run(days).events
+    campus_determinism_run(days, Feed::Trace).events
 }
 
 fn summary_json(s: &Summary) -> Json {
@@ -176,8 +205,8 @@ mod tests {
 
     #[test]
     fn short_export_is_reproducible() {
-        let a = campus_determinism_run(0.25);
-        let b = campus_determinism_run(0.25);
+        let a = campus_determinism_run(0.25, Feed::Trace);
+        let b = campus_determinism_run(0.25, Feed::Commands);
         assert!(!a.events.is_empty());
         assert_eq!(a, b);
         // Last line is the fingerprint object.

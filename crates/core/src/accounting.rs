@@ -8,6 +8,7 @@
 use std::collections::VecDeque;
 
 use tacc_obs::{Counter, Gauge, Histogram, MetricsRegistry, PlatformEvent};
+use tacc_workload::JobEventKind;
 
 use crate::platform::{ActiveRun, Platform};
 
@@ -29,6 +30,7 @@ pub(crate) struct CoreMetrics {
     pub(crate) jobs_failed: Counter,
     pub(crate) jobs_rejected: Counter,
     pub(crate) jobs_cancelled: Counter,
+    pub(crate) submissions_refused: Counter,
     pub(crate) illegal_transitions: Counter,
     pub(crate) queue_delay: Histogram,
     pub(crate) free_gpus: Gauge,
@@ -51,6 +53,7 @@ impl CoreMetrics {
             jobs_failed: registry.counter("tacc_core_jobs_failed_total", &[]),
             jobs_rejected: registry.counter("tacc_core_jobs_rejected_total", &[]),
             jobs_cancelled: registry.counter("tacc_core_jobs_cancelled_total", &[]),
+            submissions_refused: registry.counter("tacc_core_submissions_refused_total", &[]),
             illegal_transitions: registry.counter("tacc_core_illegal_transitions_total", &[]),
             queue_delay: registry.histogram("tacc_core_queue_delay_seconds", &[]),
             free_gpus: registry.gauge("tacc_cluster_free_gpus", &[]),
@@ -65,6 +68,24 @@ impl CoreMetrics {
             goodput_availability: registry.gauge(tacc_obs::GOODPUT_AVAILABILITY_METRIC, &[]),
             goodput_efficiency: registry.gauge(tacc_obs::GOODPUT_EFFICIENCY_METRIC, &[]),
             goodput_badput: registry.gauge(tacc_obs::GOODPUT_BADPUT_METRIC, &[]),
+        }
+    }
+
+    /// Counts an applied lifecycle event in the job tally it moves. The
+    /// lifecycle engine calls this where it records the transition, so
+    /// each `tacc_core_jobs_*_total` is written in one place and the
+    /// report reads the tallies back from here.
+    pub(crate) fn tally(&self, event: JobEventKind) {
+        match event {
+            JobEventKind::Submit => self.jobs_submitted.inc(),
+            JobEventKind::Complete => self.jobs_completed.inc(),
+            JobEventKind::Fail => self.jobs_failed.inc(),
+            JobEventKind::Reject => self.jobs_rejected.inc(),
+            JobEventKind::Cancel => self.jobs_cancelled.inc(),
+            JobEventKind::Enqueue
+            | JobEventKind::Start
+            | JobEventKind::Preempt
+            | JobEventKind::Interrupt => {}
         }
     }
 }

@@ -1,34 +1,81 @@
-//! Admission: the platform front door. Accepts trace/interactive
-//! submissions, runs them through the compiler layer, and applies
-//! admission control — a gang the hardware can never hold, or a
-//! guaranteed request larger than its group's entire quota, is rejected
-//! outright (`Submitted → Failed`) instead of queueing forever.
+//! Admission: the platform's one front door. Every submission — a trace
+//! arrival or a `Command::Submit` — enters through [`Platform::admit`],
+//! which refuses what the platform cannot run as a typed error, runs the
+//! rest through the compiler layer, and schedules queue entry. Admission
+//! control then rejects outright (`Submitted → Failed`) a gang the
+//! hardware can never hold, or a guaranteed request larger than its
+//! group's entire quota, instead of queueing it forever.
 
+use tacc_compiler::CompiledTask;
 use tacc_obs::{PlatformEvent, RejectReason};
 use tacc_sched::TaskRequest;
 use tacc_sim::{SimDuration, SimTime};
 use tacc_workload::{Job, JobEvent, JobId, TaskSchema, TraceRecord};
 
+use crate::command::CommandError;
 use crate::platform::{Event, Platform};
 
+/// When a submission stamped `submit_secs` is due on a clock reading
+/// `now`: at its stamp, or `None` when that is behind the clock or not a
+/// time at all — [`Platform::admit`] refuses those.
+pub(crate) fn due_secs(submit_secs: f64, now: f64) -> Option<f64> {
+    (now..f64::INFINITY)
+        .contains(&submit_secs)
+        .then_some(submit_secs)
+}
+
+/// What the scheduling layer is told about `job`: the user's estimate,
+/// never the oracle service time.
+pub(crate) fn task_request(job: &Job) -> TaskRequest {
+    let schema = job.schema();
+    TaskRequest {
+        id: job.id(),
+        group: schema.group,
+        qos: schema.qos,
+        workers: schema.workers,
+        per_worker: schema.resources,
+        est_secs: schema.est_duration_secs,
+        submit_secs: job.submit_secs(),
+        elastic: schema.elastic,
+    }
+}
+
 impl Platform {
-    /// Admits a submission: its record becomes the job (the schema moves,
-    /// it is not copied), the compiler reads the schema where the job
-    /// keeps it, and queue entry is scheduled after the provisioning
-    /// latency.
-    pub(crate) fn do_submit(&mut self, record: TraceRecord) -> JobId {
+    /// Admits a submission at the current platform time: its record
+    /// becomes the job (the schema moves, it is not copied) and queue
+    /// entry is scheduled after the provisioning latency. No scheduling
+    /// round runs here — the job is still compiling, so nothing a round
+    /// reads has been written; the round is `on_compile_done`'s.
+    ///
+    /// # Errors
+    ///
+    /// [`CommandError::InvalidTask`] for a record that fails
+    /// [`TraceRecord::validate`], names a group outside the roster or
+    /// does not compile; [`CommandError::TimeRegression`] for one stamped
+    /// behind the clock. A refusal mints no job and is counted in
+    /// `tacc_core_submissions_refused_total`.
+    pub(crate) fn admit(&mut self, record: TraceRecord) -> Result<JobId, CommandError> {
         let now = self.clock.now().as_secs();
+        let compiled = match self.vet(&record, now) {
+            Ok(compiled) => compiled,
+            Err(refusal) => {
+                self.metrics.submissions_refused.inc();
+                return Err(refusal);
+            }
+        };
         let id = JobId::from_value(self.next_job);
         self.next_job += 1;
         let group = record.schema.group;
         let name = record.schema.name.clone();
         self.jobs
             .push(Job::new(id, record.schema, now, record.service_secs));
+        if let Some(slot) = self.jobs.get_mut(id) {
+            slot.runtime = compiled.instruction.runtime;
+        }
         // Anchor the job's transition timeline at its submission: a
         // recorded self-loop on `Submitted`, so span reconstruction from
         // the exported stream alone knows when provisioning began.
         let _ = self.apply_lifecycle_event(id, JobEvent::Submit { at_secs: now });
-        self.metrics.jobs_submitted.inc();
         self.emit(
             now,
             PlatformEvent::Submitted {
@@ -37,16 +84,7 @@ impl Platform {
                 name,
             },
         );
-
-        // Layer 2: compile. Provisioning latency delays queue entry.
-        let Some(slot) = self.jobs.get_mut(id) else {
-            return id; // pushed above
-        };
-        let compiled = self
-            .compiler
-            .compile(slot.job.schema())
-            .expect("trace schemas are pre-validated");
-        slot.runtime = compiled.instruction.runtime;
+        // Provisioning latency delays queue entry.
         self.provisioning_latency_total += compiled.provisioning.latency_secs;
         self.emit(
             now,
@@ -60,14 +98,40 @@ impl Platform {
                 provisioning_secs: compiled.provisioning.latency_secs,
             },
         );
+        let at = SimTime::from_secs(now);
         self.events.schedule(
-            SimTime::from_secs(now) + SimDuration::from_secs(compiled.provisioning.latency_secs),
+            at + SimDuration::from_secs(compiled.provisioning.latency_secs),
             Event::CompileDone { job: id },
         );
         if let Some(after) = record.cancel_after_secs {
-            self.schedule_cancel(id, now, after);
+            self.events.schedule(
+                at + SimDuration::from_secs(after),
+                Event::Cancel { job: id },
+            );
         }
-        id
+        Ok(id)
+    }
+
+    /// Checks `record` against the platform at `now` and compiles it
+    /// (layer 2); `Err` is the refusal.
+    fn vet(&mut self, record: &TraceRecord, now: f64) -> Result<CompiledTask, CommandError> {
+        record.validate().map_err(CommandError::InvalidTask)?;
+        let roster = self.config.roster.len();
+        if record.schema.group.index() >= roster {
+            return Err(CommandError::InvalidTask(format!(
+                "group {} is outside the {roster}-group roster",
+                record.schema.group
+            )));
+        }
+        if due_secs(record.submit_secs, now).is_none() {
+            return Err(CommandError::TimeRegression {
+                now_secs: now,
+                at_secs: record.submit_secs,
+            });
+        }
+        self.compiler
+            .compile(&record.schema)
+            .map_err(|err| CommandError::InvalidTask(err.to_string()))
     }
 
     /// Compilation finished: run admission control, then either reject
@@ -82,16 +146,7 @@ impl Platform {
             return; // cancelled during provisioning
         }
         let schema = job.schema();
-        let request = TaskRequest {
-            id,
-            group: schema.group,
-            qos: schema.qos,
-            workers: schema.workers,
-            per_worker: schema.resources,
-            est_secs: schema.est_duration_secs,
-            submit_secs: job.submit_secs(),
-            elastic: schema.elastic,
-        };
+        let request = task_request(job);
         // Admission control: reject outright anything that could never run
         // here — a gang the hardware cannot hold, or a guaranteed request
         // larger than its group's entire quota — instead of queueing it
@@ -104,8 +159,6 @@ impl Platform {
             None
         };
         if let Some(reason) = verdict {
-            self.rejected += 1;
-            self.metrics.jobs_rejected.inc();
             self.emit(now, PlatformEvent::Rejected { job: id, reason });
             let _ = self.apply_lifecycle_event(id, JobEvent::Reject { at_secs: now });
             return;

@@ -10,13 +10,15 @@
 //! `apply_record` path. Because the platform is deterministic, a replay
 //! of the journalled command stream byte-reproduces the lifecycle
 //! engine's transition log. Internal DES events
-//! ([`crate::platform::Event`]) are unchanged — commands are the
-//! *external* ingestion surface layered on top of them.
+//! ([`crate::platform::Event`]) are what the platform schedules for
+//! itself — commands are the *external* ingestion surface layered on top
+//! of them, and a trace is a command stream read ahead of time
+//! ([`command_stream`]).
 
 use tacc_cluster::NodeId;
 use tacc_sched::CapacityWindow;
 use tacc_sim::SimTime;
-use tacc_workload::{JobId, TaskSchema, TraceRecord};
+use tacc_workload::{JobId, TaskSchema, Trace, TraceRecord};
 
 use std::fmt;
 
@@ -243,14 +245,54 @@ impl fmt::Display for CommandError {
 
 impl std::error::Error for CommandError {}
 
+/// `trace` as the command stream that replays it: a `Submit` stamped at
+/// each record's `submit_secs` and, for a record the user kills, a
+/// `Cancel` stamped `cancel_after_secs` later — in time order, a submit
+/// ahead of a cancel stamped the same instant, `seq` dense from 0.
+///
+/// A `Cancel` names its job by the record's position in the trace, so
+/// the stream is valid on a platform that has minted no job and admits
+/// every record. There, feeding it through [`Platform::apply_record`]
+/// and running to idle is [`Platform::run_trace`]: same rounds, same
+/// transition log, same event stream, same report.
+pub fn command_stream(trace: &Trace) -> Vec<CommandRecord> {
+    let mut stamped: Vec<(f64, Command)> = Vec::with_capacity(trace.len());
+    for (position, record) in trace.records().iter().enumerate() {
+        stamped.push((
+            record.submit_secs,
+            Command::Submit {
+                schema: record.schema.clone(),
+                service_secs: record.service_secs,
+            },
+        ));
+        if let Some(after) = record.cancel_after_secs {
+            let job = JobId::from_value(position as u64);
+            stamped.push((record.submit_secs + after, Command::Cancel { job }));
+        }
+    }
+    // Stable, so equal stamps keep trace order within a kind.
+    stamped.sort_by(|(a, x), (b, y)| {
+        let cancel = |c: &Command| matches!(c, Command::Cancel { .. });
+        a.total_cmp(b).then(cancel(x).cmp(&cancel(y)))
+    });
+    stamped
+        .into_iter()
+        .zip(0..)
+        .map(|((at_secs, command), seq)| CommandRecord {
+            seq,
+            at_secs,
+            command,
+        })
+        .collect()
+}
+
 impl Platform {
     /// Applies one command at the current platform time.
     ///
     /// This is the single external-ingestion entry point: the library
     /// `tcloud` client, the `taccd` daemon and journal replay all funnel
     /// through here, so a client session, live operation and crash
-    /// recovery take literally the same code path. (Trace arrivals are
-    /// DES events, not requests: see [`Platform::load_trace`].)
+    /// recovery take literally the same code path.
     ///
     /// # Errors
     ///
@@ -268,16 +310,7 @@ impl Platform {
                     service_secs: *service_secs,
                     cancel_after_secs: None,
                 };
-                record.validate().map_err(CommandError::InvalidTask)?;
-                if schema.group.index() >= self.config.roster.len() {
-                    return Err(CommandError::InvalidTask(format!(
-                        "group {} is outside the {}-group roster",
-                        schema.group,
-                        self.config.roster.len()
-                    )));
-                }
-                let job = self.do_submit(record);
-                self.run_round();
+                let job = self.admit(record)?;
                 Ok(CommandOutcome::Submitted { job })
             }
             Command::Cancel { job } => {

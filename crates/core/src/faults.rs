@@ -8,9 +8,9 @@
 
 use tacc_cluster::NodeId;
 use tacc_obs::PlatformEvent;
-use tacc_sched::TaskRequest;
 use tacc_workload::{JobEvent, JobId};
 
+use crate::admission::task_request;
 use crate::platform::Platform;
 
 impl Platform {
@@ -21,12 +21,10 @@ impl Platform {
     /// and the failure injector share the same per-run handler below.
     pub(crate) fn fault_node(&mut self, node: NodeId) -> Vec<JobId> {
         let targets: Vec<(JobId, u64)> = self
-            .jobs
-            .iter()
-            .filter_map(|(id, slot)| {
-                let run = slot.active.as_ref()?;
-                run.worker_nodes.contains(&node).then_some((id, slot.token))
-            })
+            .scheduler
+            .running()
+            .filter(|task| task.worker_nodes.contains(&node))
+            .map(|task| (task.request.id, self.current_token(task.request.id)))
             .collect();
         for &(id, token) in &targets {
             self.on_fault(id, token, node);
@@ -39,14 +37,12 @@ impl Platform {
             return; // the run this fault targeted is already over
         }
         let now = self.clock.now().as_secs();
-        self.faults += 1;
         self.exec_telemetry.note_fault();
         let run = self.release_run(id, now);
         self.scheduler.task_finished(id, &mut self.cluster);
         let (progress, lost) = self.interruption_amounts(&run, now);
         match self.failover.fallback_for(run.runtime) {
             Some(fallback) => {
-                self.failovers += 1;
                 self.exec_telemetry.note_failover();
                 if let Some(slot) = self.jobs.get_mut(id) {
                     slot.runtime = fallback;
@@ -60,19 +56,7 @@ impl Platform {
                     },
                 );
                 let _ = self.apply_lifecycle_event(id, JobEvent::Enqueue);
-                let Some(request) = self.job_ref(id).map(|job| {
-                    let schema = job.schema();
-                    TaskRequest {
-                        id,
-                        group: schema.group,
-                        qos: schema.qos,
-                        workers: schema.workers,
-                        per_worker: schema.resources,
-                        est_secs: schema.est_duration_secs,
-                        submit_secs: job.submit_secs(),
-                        elastic: schema.elastic,
-                    }
-                }) else {
+                let Some(request) = self.job_ref(id).map(task_request) else {
                     return;
                 };
                 self.scheduler.submit(request);
@@ -86,8 +70,6 @@ impl Platform {
                 );
             }
             None => {
-                self.failed += 1;
-                self.metrics.jobs_failed.inc();
                 let _ = self.apply_lifecycle_event(
                     id,
                     JobEvent::Fail {

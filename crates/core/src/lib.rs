@@ -49,7 +49,7 @@ mod report;
 mod status;
 pub mod wire;
 
-pub use command::{Command, CommandError, CommandOutcome, CommandRecord};
+pub use command::{command_stream, Command, CommandError, CommandOutcome, CommandRecord};
 pub use config::PlatformConfig;
 pub use lifecycle::LifecycleError;
 pub use platform::Platform;

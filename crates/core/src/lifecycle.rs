@@ -159,6 +159,7 @@ impl Platform {
                 // live timelines and timelines replayed from the exported
                 // JSONL are the same pure function of the same input.
                 self.spans.observe(record);
+                self.metrics.tally(record.event);
                 Ok(to)
             }
             Err(err) => {
@@ -241,8 +242,6 @@ impl Platform {
             self.scheduler.cancel(id);
         }
         let _ = self.apply_lifecycle_event(id, JobEvent::Cancel { at_secs: now });
-        self.cancelled += 1;
-        self.metrics.jobs_cancelled.inc();
         self.emit(now, PlatformEvent::Cancelled { job: id });
         self.run_round();
         true
@@ -488,7 +487,6 @@ impl Platform {
             )
         };
         self.completed.push(record);
-        self.metrics.jobs_completed.inc();
         self.metrics.queue_delay.observe(queue_delay_secs);
         self.emit(now, PlatformEvent::Completed { job: id, jct_secs });
         self.run_round();

@@ -23,22 +23,23 @@ use tacc_exec::{CheckpointPolicy, ExecModel, ExecTelemetry, FailoverPolicy, Fail
 use tacc_metrics::UtilizationTracker;
 use tacc_obs::{EventBus, EventRecord, MetricsRegistry, MetricsSnapshot, SpanBook, SpanConfig};
 use tacc_sched::Scheduler;
-use tacc_sim::{Clock, EventQueue, SimDuration, SimTime};
+use tacc_sim::{Clock, EventQueue, SimTime};
 use tacc_storage::{SharedStore, Staging};
-use tacc_workload::{Job, JobId, RuntimePreference, Trace, TraceRecord};
+use tacc_workload::{Job, JobId, RuntimePreference, Trace};
 
 use crate::accounting::CoreMetrics;
+use crate::admission::due_secs;
 use crate::arena::JobArena;
 use crate::config::PlatformConfig;
 use crate::lifecycle::TransitionLog;
 use crate::report::{CompletedJob, ReportInputs, SimulationReport};
 
-/// Events the platform processes.
+/// Events the platform schedules for itself. A submission is not one of
+/// them: arrivals are pulled from the loaded traces (see
+/// [`Platform::load_trace`]) or pushed by `Command::Submit`, and both
+/// enter through `Platform::admit`.
 #[derive(Debug)]
 pub(crate) enum Event {
-    /// A trace submission becomes visible to the platform (boxed: a
-    /// record is several times the size of every other event).
-    Submit { record: Box<TraceRecord> },
     /// The compiler layer finished provisioning a task.
     CompileDone { job: JobId },
     /// A running job's execution plan predicts completion now.
@@ -55,6 +56,15 @@ pub(crate) enum Event {
     RotateCheck,
     /// A dataset staging finished; release its shared-store readers.
     StagingDone { staging: Staging },
+}
+
+/// Which of the platform's two pending sources is due next.
+#[derive(Debug, Clone, Copy)]
+enum Due {
+    /// The next record of the loaded trace at this index of the cursor.
+    Arrival(usize),
+    /// The head of the event queue.
+    Event,
 }
 
 /// Per-run state of a currently executing job.
@@ -81,6 +91,9 @@ pub struct Platform {
     pub(crate) config: PlatformConfig,
     pub(crate) clock: Clock,
     pub(crate) events: EventQueue<Event>,
+    /// The arrival cursor: each loaded trace that still has records to
+    /// deliver, with the position of its next one, in load order.
+    pub(crate) arrivals: Vec<(Trace, usize)>,
     pub(crate) cluster: Cluster,
     pub(crate) compiler: Compiler,
     pub(crate) scheduler: Scheduler,
@@ -108,14 +121,9 @@ pub struct Platform {
     pub(crate) group_gpu_secs: Vec<f64>,
     pub(crate) group_last_update: f64,
     pub(crate) completed: Vec<CompletedJob>,
-    pub(crate) failed: u64,
     pub(crate) failed_waste_gpu_secs: f64,
-    pub(crate) rejected: u64,
-    pub(crate) cancelled: u64,
     pub(crate) staging_secs_total: f64,
     pub(crate) stagings: u64,
-    pub(crate) faults: u64,
-    pub(crate) failovers: u64,
     pub(crate) provisioning_latency_total: f64,
     pub(crate) events_processed: u64,
 }
@@ -156,6 +164,7 @@ impl Platform {
             cluster,
             clock: Clock::new(),
             events: EventQueue::new(),
+            arrivals: Vec::new(),
             jobs: JobArena::new(),
             next_job: 0,
             bus,
@@ -170,14 +179,9 @@ impl Platform {
             group_gpu_secs: vec![0.0; groups],
             group_last_update: 0.0,
             completed: Vec::new(),
-            failed: 0,
             failed_waste_gpu_secs: 0.0,
-            rejected: 0,
-            cancelled: 0,
             staging_secs_total: 0.0,
             stagings: 0,
-            faults: 0,
-            failovers: 0,
             provisioning_latency_total: 0.0,
             config,
             events_processed: 0,
@@ -261,30 +265,46 @@ impl Platform {
         self.registry.expose()
     }
 
-    /// Schedules every record of `trace` for submission.
+    /// Loads `trace` for replay: the platform keeps a shared handle and a
+    /// position, and each record is copied out and admitted when the
+    /// clock reaches its `submit_secs` — through the same door, with the
+    /// same refusals, as a `Command::Submit` stamped then. A record
+    /// behind the clock is due at once, and refused.
+    ///
+    /// Loading mid-run merges by time. Of an arrival and a scheduled
+    /// event due at the same instant the arrival goes first; of two
+    /// arrivals, the earlier-loaded trace's.
     pub fn load_trace(&mut self, trace: &Trace) {
-        for record in trace.records() {
-            self.events.schedule(
-                SimTime::from_secs(record.submit_secs),
-                Event::Submit {
-                    record: Box::new(record.clone()),
-                },
-            );
+        if !trace.is_empty() {
+            self.arrivals.push((trace.clone(), 0));
         }
     }
 
-    /// Schedules the user-cancellation event for a submitted record.
-    pub(crate) fn schedule_cancel(&mut self, id: JobId, now: f64, after_secs: f64) {
-        self.events.schedule(
-            SimTime::from_secs(now) + SimDuration::from_secs(after_secs),
-            Event::Cancel { job: id },
-        );
+    /// What is due next and when: the arrival cursor's head — of the
+    /// loaded traces' next records the earliest, load order breaking ties
+    /// — unless a scheduled event is due strictly before it.
+    fn next_due(&self) -> Option<(SimTime, Due)> {
+        let now = self.clock.now();
+        let mut head: Option<(SimTime, Due)> = None;
+        for (slot, (trace, position)) in self.arrivals.iter().enumerate() {
+            let Some(record) = trace.records().get(*position) else {
+                continue; // exhausted traces are dropped in `arrive`
+            };
+            let at = due_secs(record.submit_secs, now.as_secs()).map_or(now, SimTime::from_secs);
+            if head.is_none_or(|(earliest, _)| at < earliest) {
+                head = Some((at, Due::Arrival(slot)));
+            }
+        }
+        match (head, self.events.peek_time()) {
+            (Some((at, _)), Some(queued)) if queued < at => Some((queued, Due::Event)),
+            (None, Some(queued)) => Some((queued, Due::Event)),
+            (head, _) => head,
+        }
     }
 
-    /// Processes a single event; returns its timestamp, or `None` when the
-    /// event queue is empty.
-    pub fn step(&mut self) -> Option<SimTime> {
-        let (at, event) = self.events.pop()?;
+    /// Advances the clock to `at` and processes what [`Self::next_due`]
+    /// found there.
+    fn settle(&mut self, at: SimTime, due: Due) {
         self.clock.advance_to(at);
         self.events_processed += 1;
         assert!(
@@ -292,29 +312,59 @@ impl Platform {
             "event budget exhausted ({}); runaway simulation?",
             self.config.max_events
         );
-        self.handle(event);
+        match due {
+            Due::Arrival(slot) => self.arrive(slot),
+            Due::Event => {
+                if let Some((_, event)) = self.events.pop() {
+                    self.handle(event);
+                }
+            }
+        }
+    }
+
+    /// Delivers the next record of loaded trace `slot` to the front door.
+    fn arrive(&mut self, slot: usize) {
+        let Some((trace, position)) = self.arrivals.get_mut(slot) else {
+            return;
+        };
+        let Some(record) = trace.records().get(*position).cloned() else {
+            return;
+        };
+        *position += 1;
+        if *position == trace.len() {
+            self.arrivals.remove(slot);
+        }
+        // A refusal is counted where it is decided; the replay moves on.
+        let _ = self.admit(record);
+    }
+
+    /// Processes the next arrival or scheduled event, whichever is due
+    /// first; returns its timestamp, or `None` when nothing is pending.
+    pub fn step(&mut self) -> Option<SimTime> {
+        let (at, due) = self.next_due()?;
+        self.settle(at, due);
         Some(at)
     }
 
-    /// When the next pending event is due; `None` when the queue is
-    /// empty. A record stamped with this time and carrying
-    /// `Advance { secs: 0.0 }` settles exactly the events due then.
+    /// When the next arrival or scheduled event is due; `None` when
+    /// nothing is pending. A record stamped with this time and carrying
+    /// `Advance { secs: 0.0 }` settles exactly what is due then.
     pub fn next_event_at(&self) -> Option<SimTime> {
-        self.events.peek_time()
+        self.next_due().map(|(at, _)| at)
     }
 
-    /// Runs until no events remain.
+    /// Runs until neither an arrival nor an event remains.
     pub fn run_until_idle(&mut self) {
         while self.step().is_some() {}
     }
 
-    /// Runs events up to and including time `until`.
+    /// Runs arrivals and events up to and including time `until`.
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some(at) = self.events.peek_time() {
+        while let Some((at, due)) = self.next_due() {
             if at > until {
                 break;
             }
-            self.step();
+            self.settle(at, due);
         }
         if self.clock.now() < until {
             self.clock.advance_to(until);
@@ -339,14 +389,14 @@ impl Platform {
         SimulationReport::build(ReportInputs {
             completed: &self.completed,
             submitted: self.jobs.len(),
-            failed: self.failed,
+            failed: self.metrics.jobs_failed.get(),
             failed_waste_gpu_hours: self.failed_waste_gpu_secs / 3600.0,
-            rejected: self.rejected,
-            cancelled: self.cancelled,
+            rejected: self.metrics.jobs_rejected.get(),
+            cancelled: self.metrics.jobs_cancelled.get(),
             staging_secs_total: self.staging_secs_total,
             stagings: self.stagings,
-            faults: self.faults,
-            failovers: self.failovers,
+            faults: self.exec_telemetry.faults(),
+            failovers: self.exec_telemetry.failovers(),
             preemptions: self.scheduler.preemption_count(),
             backfill_starts: self.scheduler.backfill_starts(),
             util: &self.util,
@@ -367,9 +417,6 @@ impl Platform {
     /// Dispatches one simulation event to the owning module's handler.
     fn handle(&mut self, event: Event) {
         match event {
-            Event::Submit { record } => {
-                self.do_submit(*record);
-            }
             Event::CompileDone { job } => self.on_compile_done(job),
             Event::Finish { job, token } => self.on_finish(job, token),
             Event::Fault { job, token, node } => self.on_fault(job, token, node),

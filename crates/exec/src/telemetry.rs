@@ -48,6 +48,16 @@ impl ExecTelemetry {
     pub fn note_failover(&self) {
         self.failovers.inc();
     }
+
+    /// Node faults that hit a running job so far.
+    pub fn faults(&self) -> u64 {
+        self.faults.get()
+    }
+
+    /// Faults survived by a runtime switch so far.
+    pub fn failovers(&self) -> u64 {
+        self.failovers.get()
+    }
 }
 
 #[cfg(test)]
@@ -69,6 +79,7 @@ mod tests {
         t.note_fault();
         t.note_fault();
         t.note_failover();
+        assert_eq!((t.faults(), t.failovers()), (2, 1));
         let snap = registry.snapshot();
         assert_eq!(snap.counter("tacc_exec_plans_total"), Some(1));
         assert_eq!(snap.counter("tacc_exec_faults_total"), Some(2));

@@ -12,10 +12,11 @@ const COMMITTED: &str = include_str!("../../../lint-baseline.json");
 const PRE_REFACTOR_CORE_BUDGET: u64 = 8;
 
 /// Ceiling after the tacc-lint v2 typed-error conversion: the lifecycle
-/// engine reports `LifecycleError::UnknownJob` instead of panicking, so
-/// the whole core crate is down to two invariant `expect`s (accounting
-/// and admission), and re-blessing upward fails here.
-const POST_TYPED_ERROR_CORE_BUDGET: u64 = 2;
+/// engine reports `LifecycleError::UnknownJob` instead of panicking, and
+/// the front door maps a compile error to a typed refusal, so the whole
+/// core crate is down to one invariant `expect` (accounting's "job was
+/// running"), and re-blessing upward fails here.
+const POST_TYPED_ERROR_CORE_BUDGET: u64 = 1;
 
 #[test]
 fn core_panic_budget_shrank_with_the_lifecycle_split() {

@@ -296,6 +296,81 @@ fn queue_edit_from_inside_the_walk_flips_red() {
     fs::remove_dir_all(&root).expect("cleanup");
 }
 
+/// The `front-door` rule: `Platform::admit` is called by the arrival
+/// cursor (`platform.rs`) and by `Command::Submit` (`command.rs`). A third
+/// way in — a fault handler resubmitting a job itself — flips red at its
+/// line; the definition in `admission.rs` is not a call.
+#[test]
+fn a_third_admission_path_flips_red() {
+    let root = scratch("sw-door");
+    write(
+        &root.join("lint-owners.toml"),
+        "[[owner]]\n\
+         name = \"front-door\"\n\
+         methods = [\"admit\"]\n\
+         writers = [\"crates/core/src/command.rs\", \"crates/core/src/platform.rs\"]\n\
+         why = \"a submission enters through Platform::admit from the cursor and Command::Submit only\"\n",
+    );
+    write(
+        &root.join("crates/core/Cargo.toml"),
+        "[package]\nname = \"tacc-core\"\n",
+    );
+    write(
+        &root.join("crates/core/src/admission.rs"),
+        "impl Platform {\n\
+         \x20   pub(crate) fn admit(&mut self, record: TraceRecord) -> Result<JobId, CommandError> {\n\
+         \x20       Ok(self.mint(record))\n\
+         \x20   }\n\
+         }\n",
+    );
+    write(
+        &root.join("crates/core/src/platform.rs"),
+        "impl Platform {\n\
+         \x20   fn arrive(&mut self, record: TraceRecord) {\n\
+         \x20       let _ = self.admit(record);\n\
+         \x20   }\n\
+         }\n",
+    );
+    write(
+        &root.join("crates/core/src/command.rs"),
+        "impl Platform {\n\
+         \x20   pub fn apply_command(&mut self, record: TraceRecord) -> Result<JobId, CommandError> {\n\
+         \x20       self.admit(record)\n\
+         \x20   }\n\
+         }\n",
+    );
+    let json_path = root.join("report.json");
+    assert!(
+        run_lint(&root, &json_path).success(),
+        "the two doors must pass --check"
+    );
+
+    write(
+        &root.join("crates/core/src/faults.rs"),
+        "impl Platform {\n\
+         \x20   fn resubmit(&mut self, record: TraceRecord) {\n\
+         \x20       let _ = self.admit(record);\n\
+         \x20   }\n\
+         }\n",
+    );
+    assert!(
+        !run_lint(&root, &json_path).success(),
+        "a third caller of admit must fail --check"
+    );
+    let json = fs::read_to_string(&json_path).expect("JSON report written");
+    assert!(
+        json.contains(
+            "{\"lint\": \"single-writer\", \"file\": \"crates/core/src/faults.rs\", \"line\": 3,"
+        ),
+        "single-writer must locate the third door at faults.rs:3\n{json}"
+    );
+    for owner in ["admission", "platform", "command"] {
+        assert!(!json.contains(&format!("\"file\": \"crates/core/src/{owner}.rs\"")));
+    }
+
+    fs::remove_dir_all(&root).expect("cleanup");
+}
+
 /// A reasoned inline allow suppresses a single rogue site — visible in
 /// the report's suppression list, not fatal.
 #[test]

@@ -1,5 +1,7 @@
 //! Trace files: the serializable record of a workload.
 
+use std::sync::Arc;
+
 use tacc_json::{obj, Json};
 use tacc_metrics::{Cdf, Summary};
 
@@ -63,9 +65,13 @@ impl TraceRecord {
 /// let back = tacc_workload::Trace::from_json(&tacc_json::parse(&file).expect("is JSON"));
 /// assert_eq!(back, Ok(trace));
 /// ```
+///
+/// The records are immutable once sorted and sit behind a shared handle,
+/// so a clone is a reference count: the platform keeps one per loaded
+/// trace and copies a record out only when it arrives.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
-    records: Vec<TraceRecord>,
+    records: Arc<Vec<TraceRecord>>,
 }
 
 impl Trace {
@@ -76,7 +82,9 @@ impl Trace {
                 .partial_cmp(&b.submit_secs)
                 .expect("finite submit times")
         });
-        Trace { records }
+        Trace {
+            records: Arc::new(records),
+        }
     }
 
     /// The records in submission order.
