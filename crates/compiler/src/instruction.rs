@@ -2,28 +2,10 @@
 
 use tacc_workload::RuntimePreference;
 
-/// The form an execution instruction takes.
-///
-/// The paper: "the output of this compiler layer could be as simple as a
-/// few lines of shell commands, or as complicated as a Docker image." Small
-/// CPU tasks compile to shell commands; anything with a GPU environment or
-/// large dependency closure becomes a container image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InstructionKind {
-    /// A short shell script executed directly on the node.
-    ShellCommands,
-    /// A container image materialized from cached layers.
-    ContainerImage,
-}
-
-impl std::fmt::Display for InstructionKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InstructionKind::ShellCommands => f.write_str("shell"),
-            InstructionKind::ContainerImage => f.write_str("container"),
-        }
-    }
-}
+// The instruction forms are spelled where the event stream that reports
+// them can name the type (`tacc-obs` sits below this crate); they are
+// this layer's vocabulary and are re-exported as such.
+pub use tacc_obs::InstructionKind;
 
 /// What provisioning this compilation actually cost, under delta caching.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -132,7 +132,10 @@ impl Platform {
 
     /// Records `event` on the bus and keeps a copy in the job's bounded
     /// log ring — the single source of truth for `tcloud logs` lines. A
-    /// ring of capacity zero keeps (and copies) nothing.
+    /// ring of capacity zero keeps (and copies) nothing. The terminal
+    /// event is the last the ring will take, so it is then cut to what it
+    /// holds — on the *event*, not the terminal transition, which comes
+    /// first and would only have the ring grow back for this entry.
     pub(crate) fn emit(&mut self, at: f64, event: PlatformEvent) {
         // Events always name a tracked job; tolerate a stranger anyway.
         if let Some(slot) = self.jobs.get_mut(event.job()) {
@@ -144,6 +147,9 @@ impl Platform {
             }
             if capacity > 0 {
                 log.events.push_back((at, event.clone()));
+            }
+            if event.is_terminal() {
+                log.events.shrink_to_fit();
             }
         }
         self.bus.record(at, event);

@@ -42,8 +42,8 @@ pub(crate) fn task_request(job: &Job) -> TaskRequest {
 
 impl Platform {
     /// Admits a submission at the current platform time: its record
-    /// becomes the job (the schema moves, it is not copied) and queue
-    /// entry is scheduled after the provisioning latency. No scheduling
+    /// becomes the job (the shared schema moves in, it is not copied) and
+    /// queue entry is scheduled after the provisioning latency. No scheduling
     /// round runs here — the job is still compiling, so nothing a round
     /// reads has been written; the round is `on_compile_done`'s.
     ///
@@ -90,7 +90,7 @@ impl Platform {
             now,
             PlatformEvent::Compiled {
                 job: id,
-                instruction: compiled.instruction.kind.to_string(),
+                instruction: compiled.instruction.kind,
                 payload_mb: compiled.provisioning.total_mb,
                 transferred_mb: compiled.provisioning.transferred_mb,
                 chunk_hits: u64::from(compiled.provisioning.chunk_hits),

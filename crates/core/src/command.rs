@@ -21,6 +21,7 @@ use tacc_sim::SimTime;
 use tacc_workload::{JobId, TaskSchema, Trace, TraceRecord};
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::platform::Platform;
 use crate::wire::{obj, write_num, Json, TextSink};
@@ -35,8 +36,8 @@ use crate::wire::{obj, write_num, Json, TextSink};
 pub enum Command {
     /// Submit a task at the current platform time.
     Submit {
-        /// The task schema.
-        schema: TaskSchema,
+        /// The task schema, shared with the job it becomes.
+        schema: Arc<TaskSchema>,
         /// Oracle service requirement in seconds (ideal-execution time).
         service_secs: f64,
     },
@@ -261,7 +262,7 @@ pub fn command_stream(trace: &Trace) -> Vec<CommandRecord> {
         stamped.push((
             record.submit_secs,
             Command::Submit {
-                schema: record.schema.clone(),
+                schema: Arc::clone(&record.schema),
                 service_secs: record.service_secs,
             },
         ));
@@ -306,7 +307,7 @@ impl Platform {
             } => {
                 let record = TraceRecord {
                     submit_secs: self.clock.now().as_secs(),
-                    schema: schema.clone(),
+                    schema: Arc::clone(schema),
                     service_secs: *service_secs,
                     cancel_after_secs: None,
                 };
@@ -523,7 +524,7 @@ impl Command {
                     value.get("schema").ok_or("submit missing field 'schema'")?,
                 )?;
                 Ok(Command::Submit {
-                    schema,
+                    schema: Arc::new(schema),
                     service_secs,
                 })
             }
@@ -623,7 +624,7 @@ mod tests {
     fn command_json_round_trips() {
         let commands = vec![
             Command::Submit {
-                schema: schema(),
+                schema: schema().into(),
                 service_secs: 1234.5,
             },
             Command::Cancel {
@@ -691,7 +692,7 @@ mod tests {
             seq: 42,
             at_secs: 1234.0625,
             command: Command::Submit {
-                schema,
+                schema: schema.into(),
                 service_secs: 0.1,
             },
         };
@@ -784,7 +785,8 @@ mod tests {
                             compute_secs_per_iter: FLOATS[draw(rng, FLOATS.len())],
                         }),
                         elastic: draw(rng, 2) == 0,
-                    },
+                    }
+                    .into(),
                     service_secs: FLOATS[draw(rng, FLOATS.len())],
                 },
                 1 => Command::Cancel {
@@ -838,7 +840,7 @@ mod tests {
         let mut p = Platform::new(PlatformConfig::default());
         let out = p
             .apply_command(&Command::Submit {
-                schema: schema(),
+                schema: schema().into(),
                 service_secs: 600.0,
             })
             .expect("submits");
@@ -908,7 +910,7 @@ mod tests {
         bad.workers = 0;
         assert_eq!(
             p.apply_command(&Command::Submit {
-                schema: bad,
+                schema: bad.into(),
                 service_secs: 10.0
             })
             .expect_err("invalid")
@@ -919,7 +921,7 @@ mod tests {
         foreign.group = GroupId::from_index(4096);
         assert_eq!(
             p.apply_command(&Command::Submit {
-                schema: foreign,
+                schema: foreign.into(),
                 service_secs: 10.0
             })
             .expect_err("bad group")
@@ -957,7 +959,7 @@ mod tests {
                 seq: 0,
                 at_secs: 0.0,
                 command: Command::Submit {
-                    schema: schema(),
+                    schema: schema().into(),
                     service_secs: 120.0,
                 },
             },
@@ -965,7 +967,7 @@ mod tests {
                 seq: 1,
                 at_secs: 5.0,
                 command: Command::Submit {
-                    schema: schema(),
+                    schema: schema().into(),
                     service_secs: 240.0,
                 },
             },
@@ -1014,7 +1016,7 @@ mod tests {
         let mut p = Platform::new(PlatformConfig::default());
         let out = p
             .apply_command(&Command::Submit {
-                schema: schema(),
+                schema: schema().into(),
                 service_secs: 3600.0,
             })
             .expect("submits");

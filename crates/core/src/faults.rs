@@ -65,7 +65,7 @@ impl Platform {
                     PlatformEvent::FailedOver {
                         job: id,
                         node: node.to_string(),
-                        fallback: format!("{fallback:?}"),
+                        fallback,
                     },
                 );
             }

@@ -169,8 +169,8 @@ impl Platform {
                     now,
                     PlatformEvent::IllegalTransition {
                         job: id,
-                        from: err.from.to_string(),
-                        event: err.event.to_string(),
+                        from: err.from,
+                        event: err.event,
                     },
                 );
                 Err(LifecycleError::Illegal(err))
@@ -215,8 +215,12 @@ impl Platform {
     /// The retained transition log as JSON Lines, oldest first — the
     /// byte-reproduction target for journal replay (see DESIGN.md,
     /// "Service mode & write-ahead journal").
+    ///
+    /// Reserved once, at [`TransitionEvent::LINE_BOUND`] per record: the
+    /// export is one allocation however long the log.
     pub fn transition_log_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out =
+            String::with_capacity(self.transitions.buf.len() * TransitionEvent::LINE_BOUND);
         for r in self.transitions.iter() {
             r.write_json(&mut out);
             out.push('\n');
@@ -428,7 +432,7 @@ impl Platform {
             PlatformEvent::Placed {
                 job: id,
                 nodes: distinct_nodes as u64,
-                runtime: format!("{:?}", plan.runtime),
+                runtime: plan.runtime,
                 slowdown: plan.slowdown,
                 granted_workers: u64::from(granted_workers),
                 requested_workers: u64::from(requested_workers),

@@ -10,8 +10,6 @@
 //! transition ring never dropped a record
 //! (`Platform::transitions_dropped`).
 
-use std::collections::BTreeMap;
-
 use tacc_obs::{GoodputReport, JobGoodputInput, Span, SpanBook};
 use tacc_workload::JobId;
 
@@ -44,25 +42,17 @@ impl Platform {
         self.spans.to_jsonl(self.span_horizon())
     }
 
-    /// Per-job GPU weights and accumulated useful service seconds — the
-    /// two quantities the span stream cannot carry. Weights are the
+    /// A job's GPU weight and accumulated useful service seconds — the
+    /// two quantities the span stream cannot carry. The weight is the
     /// *requested* gang size (elastic gangs running shrunken are charged
     /// at full weight; documented approximation), so CPU-only tasks
     /// weigh zero GPU-seconds.
-    pub(crate) fn goodput_inputs(&self) -> BTreeMap<JobId, JobGoodputInput> {
-        self.jobs
-            .iter()
-            .map(|(id, slot)| {
-                let job = &slot.job;
-                (
-                    id,
-                    JobGoodputInput {
-                        gpus: f64::from(job.schema().total_gpus()),
-                        useful_secs: (job.service_secs() - job.remaining_secs()).max(0.0),
-                    },
-                )
-            })
-            .collect()
+    fn goodput_input(&self, id: JobId) -> Option<JobGoodputInput> {
+        let job = self.job_ref(id)?;
+        Some(JobGoodputInput {
+            gpus: f64::from(job.schema().total_gpus()),
+            useful_secs: (job.service_secs() - job.remaining_secs()).max(0.0),
+        })
     }
 
     /// The ML Productivity Goodput decomposition as of the current sim
@@ -70,11 +60,11 @@ impl Platform {
     /// badput itemized by cause. Also refreshes the `tacc_obs_goodput_*`
     /// gauges.
     pub fn goodput(&self) -> GoodputReport {
-        let report = GoodputReport::compute(
+        let report = GoodputReport::compute_with(
             &self.spans,
             self.span_horizon(),
             f64::from(self.cluster.total_gpus()),
-            &self.goodput_inputs(),
+            |job| self.goodput_input(job),
         );
         self.metrics.goodput_ratio.set(report.goodput);
         self.metrics.goodput_availability.set(report.availability);

@@ -11,7 +11,8 @@ fn record(name: &str, group: usize, submit_secs: f64) -> TraceRecord {
         submit_secs,
         schema: TaskSchema::builder(name, GroupId::from_index(group))
             .build()
-            .expect("valid"),
+            .expect("valid")
+            .into(),
         service_secs: 600.0,
         cancel_after_secs: None,
     }

@@ -32,7 +32,7 @@ fn one_gpu_schema() -> TaskSchema {
 /// Submits through the command path and returns the minted id.
 fn submit(p: &mut Platform, schema: TaskSchema, service_secs: f64) -> JobId {
     let command = Command::Submit {
-        schema,
+        schema: schema.into(),
         service_secs,
     };
     match p.apply_command(&command) {

@@ -29,7 +29,7 @@ fn one_gpu_schema(group: usize) -> TaskSchema {
 /// Submits through the command path and returns the minted id.
 fn submit(p: &mut Platform, schema: TaskSchema, service_secs: f64) -> JobId {
     let command = Command::Submit {
-        schema,
+        schema: schema.into(),
         service_secs,
     };
     match p.apply_command(&command) {
@@ -417,6 +417,47 @@ fn job_logs_are_the_bus_events_rendered_on_read() {
         assert_eq!(two.job_log_dropped(id), evicted as u64, "{id}");
         assert!(none.job_log(id).is_empty(), "{id}");
         assert_eq!(none.job_log_dropped(id), events.len() as u64, "{id}");
+    }
+}
+
+/// Two best-effort gangs that each want the whole cluster rotate each
+/// other out every quantum, hundreds of times: the log ring evicts at
+/// its capacity all the way to the terminal entry — cutting it to size
+/// is the terminal event's business, never an earlier one's.
+#[test]
+fn a_job_preempted_hundreds_of_times_still_evicts_at_the_ring_capacity() {
+    let mut cfg = tiny_config();
+    cfg.scheduler.time_slice_secs = Some(900.0);
+    let capacity = cfg.log_lines_per_job;
+    let mut p = Platform::new(cfg);
+    let hogs = ["hog-a", "hog-b"].map(|name| {
+        let schema = TaskSchema::builder(name, GroupId::from_index(0))
+            .workers(2)
+            .resources(ResourceVec::gpus_only(8))
+            .qos(QosClass::BestEffort)
+            .est_duration_secs(6e5)
+            .build()
+            .expect("valid");
+        submit(&mut p, schema, 6e5)
+    });
+    p.run_until_idle();
+    assert_eq!(p.events().dropped(), 0);
+    for id in hogs {
+        let job = p.job(id).expect("exists");
+        assert_eq!(job.state(), JobState::Completed);
+        assert!(job.preemptions() >= 300, "{} rotations", job.preemptions());
+        let events: Vec<(f64, String)> = p
+            .job_events(id)
+            .iter()
+            .map(|r| (r.at_secs, r.event.to_string()))
+            .collect();
+        let evicted = events.len() - capacity;
+        assert_eq!(p.job_log(id), events[evicted..], "{id}");
+        assert_eq!(p.job_log_dropped(id), evicted as u64, "{id}");
+        assert_eq!(
+            events.last().map(|(_, line)| line.as_str()),
+            Some("completed")
+        );
     }
 }
 

@@ -371,6 +371,65 @@ fn a_third_admission_path_flips_red() {
     fs::remove_dir_all(&root).expect("cleanup");
 }
 
+/// The `shared-schema` rule: a schema behind an `Arc` is reachable from a
+/// trace record, a journalled submit and a job at once, so nobody edits
+/// one in place. A lifecycle handler "fixing up" a job's schema through
+/// `Arc::make_mut` flips red at its line; cloning the handle does not.
+#[test]
+fn editing_a_shared_schema_in_place_flips_red() {
+    let root = scratch("sw-schema");
+    write(
+        &root.join("lint-owners.toml"),
+        "[[owner]]\n\
+         name = \"shared-schema\"\n\
+         path_calls = [\"Arc::make_mut\", \"Arc::get_mut\", \"Arc::try_unwrap\"]\n\
+         writers = [\"crates/workload/src/trace.rs\"]\n\
+         why = \"a schema is immutable after admission, therefore shared\"\n",
+    );
+    write(
+        &root.join("crates/core/Cargo.toml"),
+        "[package]\nname = \"tacc-core\"\n",
+    );
+    write(
+        &root.join("crates/core/src/command.rs"),
+        "pub fn submit(schema: &Arc<TaskSchema>) -> Command {\n\
+         \x20   Command::Submit { schema: Arc::clone(schema) }\n\
+         }\n",
+    );
+    let json_path = root.join("report.json");
+    assert!(
+        run_lint(&root, &json_path).success(),
+        "sharing the handle must pass --check"
+    );
+
+    write(
+        &root.join("crates/core/src/lifecycle.rs"),
+        "pub fn shrink(job: &mut Job) {\n\
+         \x20   let schema = Arc::make_mut(&mut job.schema);\n\
+         \x20   schema.workers = 1;\n\
+         }\n\
+         pub fn reclaim(schema: Arc<TaskSchema>) -> Option<TaskSchema> {\n\
+         \x20   Arc::try_unwrap(schema).ok()\n\
+         }\n",
+    );
+    assert!(
+        !run_lint(&root, &json_path).success(),
+        "an in-place edit of a shared schema must fail --check"
+    );
+    let json = fs::read_to_string(&json_path).expect("JSON report written");
+    for line in [2, 6] {
+        assert!(
+            json.contains(&format!(
+                "{{\"lint\": \"single-writer\", \"file\": \"crates/core/src/lifecycle.rs\", \"line\": {line},"
+            )),
+            "single-writer must locate the edit at lifecycle.rs:{line}\n{json}"
+        );
+    }
+    assert!(!json.contains("\"file\": \"crates/core/src/command.rs\""));
+
+    fs::remove_dir_all(&root).expect("cleanup");
+}
+
 /// A reasoned inline allow suppresses a single rogue site — visible in
 /// the report's suppression list, not fatal.
 #[test]

@@ -3,10 +3,10 @@
 //! (via `Display`), so the log strings and the structured record can
 //! never drift apart.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 use tacc_json::{write_escaped, Json};
-use tacc_workload::{GroupId, JobId};
+use tacc_workload::{GroupId, JobEventKind, JobId, JobState, RuntimePreference};
 
 /// Why the platform refused a job at admission time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,10 +27,47 @@ impl fmt::Display for RejectReason {
     }
 }
 
+/// The form an execution instruction takes — the compiler layer's
+/// vocabulary (`tacc_compiler` re-exports it), defined here because the
+/// `Compiled` event carries it and this crate sits below the compiler.
+///
+/// The paper: "the output of this compiler layer could be as simple as a
+/// few lines of shell commands, or as complicated as a Docker image." Small
+/// CPU tasks compile to shell commands; anything with a GPU environment or
+/// large dependency closure becomes a container image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum InstructionKind {
+    /// A short shell script executed directly on the node.
+    ShellCommands,
+    /// A container image materialized from cached layers.
+    ContainerImage,
+}
+
+impl InstructionKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [InstructionKind; 2] = [
+        InstructionKind::ShellCommands,
+        InstructionKind::ContainerImage,
+    ];
+}
+
+impl fmt::Display for InstructionKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InstructionKind::ShellCommands => f.write_str("shell"),
+            InstructionKind::ContainerImage => f.write_str("container"),
+        }
+    }
+}
+
 /// One lifecycle transition somewhere in the platform stack.
 ///
 /// `Display` renders the exact human-readable line that appears in the
 /// per-job log (`tcloud logs`), so events are the one source of truth.
+///
+/// Plain data: a field drawn from a closed set carries the typed value,
+/// not its rendering, so the only heap memory an event owns is free text
+/// — a job's `name`, a faulted `node`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlatformEvent {
     /// Job accepted by the front door; compilation begins.
@@ -46,8 +83,8 @@ pub enum PlatformEvent {
     Compiled {
         /// The job.
         job: JobId,
-        /// Instruction kind chosen by the compiler (e.g. `Training`).
-        instruction: String,
+        /// Instruction form chosen by the compiler (rendered by `Display`).
+        instruction: InstructionKind,
         /// Total payload size in MiB.
         payload_mb: f64,
         /// Bytes actually moved (cache misses) in MiB.
@@ -77,8 +114,8 @@ pub enum PlatformEvent {
         job: JobId,
         /// Number of nodes in the placement.
         nodes: u64,
-        /// Runtime the executor chose (debug rendering).
-        runtime: String,
+        /// Runtime the executor chose (rendered by `Debug`).
+        runtime: RuntimePreference,
         /// Executor slowdown factor versus ideal.
         slowdown: f64,
         /// Workers actually granted (elastic shrink may reduce this).
@@ -108,8 +145,8 @@ pub enum PlatformEvent {
         job: JobId,
         /// Faulted node (display form).
         node: String,
-        /// Fallback runtime chosen (debug rendering).
-        fallback: String,
+        /// Fallback runtime chosen (rendered by `Debug`).
+        fallback: RuntimePreference,
     },
     /// A node fault killed the job for good.
     Failed {
@@ -131,9 +168,9 @@ pub enum PlatformEvent {
         job: JobId,
         /// The state the job was in — and, the event being rejected,
         /// stays in.
-        from: String,
+        from: JobState,
         /// The rejected lifecycle event kind.
-        event: String,
+        event: JobEventKind,
     },
 }
 
@@ -158,21 +195,67 @@ impl PlatformEvent {
     /// Stable machine-readable kind tag (used for per-kind counts and
     /// the conservation check).
     pub fn kind(&self) -> &'static str {
+        KINDS[self.ordinal()]
+    }
+
+    /// The variant's position in declaration order: the index of its tag
+    /// in [`KINDS`] and of its tally on the bus.
+    fn ordinal(&self) -> usize {
         match self {
-            PlatformEvent::Submitted { .. } => "submitted",
-            PlatformEvent::Compiled { .. } => "compiled",
-            PlatformEvent::Rejected { .. } => "rejected",
-            PlatformEvent::Queued { .. } => "queued",
-            PlatformEvent::Placed { .. } => "placed",
-            PlatformEvent::Preempted { .. } => "preempted",
-            PlatformEvent::Completed { .. } => "completed",
-            PlatformEvent::FailedOver { .. } => "failed_over",
-            PlatformEvent::Failed { .. } => "failed",
-            PlatformEvent::Cancelled { .. } => "cancelled",
-            PlatformEvent::IllegalTransition { .. } => "illegal_transition",
+            PlatformEvent::Submitted { .. } => 0,
+            PlatformEvent::Compiled { .. } => 1,
+            PlatformEvent::Rejected { .. } => 2,
+            PlatformEvent::Queued { .. } => 3,
+            PlatformEvent::Placed { .. } => 4,
+            PlatformEvent::Preempted { .. } => 5,
+            PlatformEvent::Completed { .. } => 6,
+            PlatformEvent::FailedOver { .. } => 7,
+            PlatformEvent::Failed { .. } => 8,
+            PlatformEvent::Cancelled { .. } => 9,
+            PlatformEvent::IllegalTransition { .. } => 10,
+        }
+    }
+
+    /// True for the event that ends a job's story (`Rejected`,
+    /// `Completed`, `Failed`, `Cancelled`): the last entry its log will
+    /// hold, bar a stray illegal-transition report.
+    pub fn is_terminal(&self) -> bool {
+        matches!(
+            self,
+            PlatformEvent::Rejected { .. }
+                | PlatformEvent::Completed { .. }
+                | PlatformEvent::Failed { .. }
+                | PlatformEvent::Cancelled { .. }
+        )
+    }
+
+    /// Bytes of free text the event carries (`name`, `node`); zero for
+    /// every other variant, whose JSON line has a fixed upper bound.
+    fn text_len(&self) -> usize {
+        match self {
+            PlatformEvent::Submitted { name, .. } => name.len(),
+            PlatformEvent::FailedOver { node, .. } | PlatformEvent::Failed { node, .. } => {
+                node.len()
+            }
+            _ => 0,
         }
     }
 }
+
+/// The kind tags, indexed by [`PlatformEvent::ordinal`].
+const KINDS: [&str; 11] = [
+    "submitted",
+    "compiled",
+    "rejected",
+    "queued",
+    "placed",
+    "preempted",
+    "completed",
+    "failed_over",
+    "failed",
+    "cancelled",
+    "illegal_transition",
+];
 
 impl fmt::Display for PlatformEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -201,7 +284,7 @@ impl fmt::Display for PlatformEvent {
             } => {
                 write!(
                     f,
-                    "started on {nodes} node(s) via {runtime} runtime (slowdown {slowdown:.2})"
+                    "started on {nodes} node(s) via {runtime:?} runtime (slowdown {slowdown:.2})"
                 )?;
                 if granted_workers < requested_workers {
                     write!(
@@ -220,7 +303,7 @@ impl fmt::Display for PlatformEvent {
             PlatformEvent::Completed { .. } => f.write_str("completed"),
             PlatformEvent::FailedOver { node, fallback, .. } => write!(
                 f,
-                "node {node} faulted; switching runtime to {fallback} and requeueing"
+                "node {node} faulted; switching runtime to {fallback:?} and requeueing"
             ),
             PlatformEvent::Failed { node, .. } => {
                 write!(f, "node {node} faulted; job failed")
@@ -294,11 +377,9 @@ impl PlatformEvent {
             } => {
                 let _ = write!(
                     out,
-                    "{{\"Compiled\":{{\"job\":{},\"instruction\":",
+                    "{{\"Compiled\":{{\"job\":{},\"instruction\":\"{instruction}\",\"payload_mb\":",
                     job.value()
                 );
-                write_escaped(instruction, out);
-                out.push_str(",\"payload_mb\":");
                 push_json_f64(out, *payload_mb);
                 out.push_str(",\"transferred_mb\":");
                 push_json_f64(out, *transferred_mb);
@@ -334,11 +415,9 @@ impl PlatformEvent {
             } => {
                 let _ = write!(
                     out,
-                    "{{\"Placed\":{{\"job\":{},\"nodes\":{nodes},\"runtime\":",
+                    "{{\"Placed\":{{\"job\":{},\"nodes\":{nodes},\"runtime\":\"{runtime:?}\",\"slowdown\":",
                     job.value()
                 );
-                write_escaped(runtime, out);
-                out.push_str(",\"slowdown\":");
                 push_json_f64(out, *slowdown);
                 let _ = write!(
                     out,
@@ -369,9 +448,7 @@ impl PlatformEvent {
             } => {
                 let _ = write!(out, "{{\"FailedOver\":{{\"job\":{},\"node\":", job.value());
                 write_escaped(node, out);
-                out.push_str(",\"fallback\":");
-                write_escaped(fallback, out);
-                out.push_str("}}");
+                let _ = write!(out, ",\"fallback\":\"{fallback:?}\"}}}}");
             }
             PlatformEvent::Failed { job, node } => {
                 let _ = write!(out, "{{\"Failed\":{{\"job\":{},\"node\":", job.value());
@@ -384,13 +461,9 @@ impl PlatformEvent {
             PlatformEvent::IllegalTransition { job, from, event } => {
                 let _ = write!(
                     out,
-                    "{{\"IllegalTransition\":{{\"job\":{},\"from\":",
+                    "{{\"IllegalTransition\":{{\"job\":{},\"from\":\"{from}\",\"event\":\"{event}\"}}}}",
                     job.value()
                 );
-                write_escaped(from, out);
-                out.push_str(",\"event\":");
-                write_escaped(event, out);
-                out.push_str("}}");
             }
         }
     }
@@ -407,8 +480,17 @@ impl EventRecord {
     }
 }
 
+/// Reads a closed-set field of `body` back through `parse`, its set's
+/// name-to-member function. An unknown name is an error — the read-back
+/// never invents a value the writer could not have held.
+fn member<T>(body: &Json, key: &str, parse: impl Fn(&str) -> Option<T>) -> Result<T, String> {
+    let name = body.req_str(key)?;
+    parse(name).ok_or_else(|| format!("unknown {key} '{name}'"))
+}
+
 impl PlatformEvent {
-    /// Reads back the externally-tagged encoding `write_json` emits.
+    /// Reads back the externally-tagged encoding `write_json` emits:
+    /// total over everything it can emit, closed over the typed fields.
     fn from_json(value: &Json) -> Result<PlatformEvent, String> {
         let (tag, body) = match value {
             Json::Obj(fields) if fields.len() == 1 => (fields[0].0.as_str(), &fields[0].1),
@@ -421,6 +503,14 @@ impl PlatformEvent {
                 .map_err(|_| format!("field '{key}' exceeds usize"))
         };
         let string = |key| body.req_str(key).map(str::to_owned);
+        let runtime = |key| {
+            let named = |name: &str| {
+                RuntimePreference::ALL
+                    .into_iter()
+                    .find(|r| format!("{r:?}") == name)
+            };
+            member(body, key, named)
+        };
         Ok(match tag {
             "Submitted" => PlatformEvent::Submitted {
                 job,
@@ -429,7 +519,11 @@ impl PlatformEvent {
             },
             "Compiled" => PlatformEvent::Compiled {
                 job,
-                instruction: string("instruction")?,
+                instruction: member(body, "instruction", |name| {
+                    InstructionKind::ALL
+                        .into_iter()
+                        .find(|k| k.to_string() == name)
+                })?,
                 payload_mb: body.req_f64("payload_mb")?,
                 transferred_mb: body.req_f64("transferred_mb")?,
                 chunk_hits: body.req_u64("chunk_hits")?,
@@ -448,7 +542,7 @@ impl PlatformEvent {
             "Placed" => PlatformEvent::Placed {
                 job,
                 nodes: body.req_u64("nodes")?,
-                runtime: string("runtime")?,
+                runtime: runtime("runtime")?,
                 slowdown: body.req_f64("slowdown")?,
                 granted_workers: body.req_u64("granted_workers")?,
                 requested_workers: body.req_u64("requested_workers")?,
@@ -468,7 +562,7 @@ impl PlatformEvent {
             "FailedOver" => PlatformEvent::FailedOver {
                 job,
                 node: string("node")?,
-                fallback: string("fallback")?,
+                fallback: runtime("fallback")?,
             },
             "Failed" => PlatformEvent::Failed {
                 job,
@@ -477,13 +571,27 @@ impl PlatformEvent {
             "Cancelled" => PlatformEvent::Cancelled { job },
             "IllegalTransition" => PlatformEvent::IllegalTransition {
                 job,
-                from: string("from")?,
-                event: string("event")?,
+                from: member(body, "from", JobState::parse_name)?,
+                event: member(body, "event", JobEventKind::parse_name)?,
             },
             other => return Err(format!("unknown event variant '{other}'")),
         })
     }
 }
+
+/// Upper bound, in bytes, on one line of [`EventBus::to_jsonl`] not
+/// counting its free text (`name`, `node`). The longest variant is
+/// `Compiled`: 335 bytes with every id at `u64::MAX` and every float 24
+/// bytes wide — 17 significant digits behind `0.00000`, the widest a
+/// simulated time or size prints without leaving the range the platform
+/// works in. (A float beyond that prints longer and the export grows
+/// instead of fitting its reserve: slower, not wrong.)
+/// `a_line_never_outgrows_its_bound` holds every variant to it.
+const EVENT_LINE_BOUND: usize = 352;
+
+/// `write_escaped`'s worst case per input byte: a control byte becomes
+/// `\u00XX`.
+const ESCAPED_BYTE_BOUND: usize = 6;
 
 /// Bounded ring of [`EventRecord`]s with JSONL export.
 ///
@@ -498,7 +606,8 @@ pub struct EventBus {
     next_seq: u64,
     last_at: f64,
     dropped: u64,
-    kind_counts: BTreeMap<&'static str, u64>,
+    /// Lifetime tally per variant, indexed by `PlatformEvent::ordinal`.
+    kind_counts: [u64; KINDS.len()],
 }
 
 impl EventBus {
@@ -510,7 +619,7 @@ impl EventBus {
             next_seq: 0,
             last_at: 0.0,
             dropped: 0,
-            kind_counts: BTreeMap::new(),
+            kind_counts: [0; KINDS.len()],
         }
     }
 
@@ -522,7 +631,7 @@ impl EventBus {
         self.last_at = at;
         let seq = self.next_seq;
         self.next_seq += 1;
-        *self.kind_counts.entry(event.kind()).or_insert(0) += 1;
+        self.kind_counts[event.ordinal()] += 1;
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -571,7 +680,8 @@ impl EventBus {
 
     /// Lifetime count of events of `kind` (survives ring eviction).
     pub fn kind_count(&self, kind: &str) -> u64 {
-        self.kind_counts.get(kind).copied().unwrap_or(0)
+        let ordinal = KINDS.iter().position(|k| *k == kind);
+        ordinal.map_or(0, |i| self.kind_counts[i])
     }
 
     /// Serializes the retained records as JSON Lines (one record per
@@ -580,8 +690,15 @@ impl EventBus {
     /// The writer streams straight into the output buffer and is
     /// byte-deterministic: the same bus contents always produce the same
     /// bytes. Floats print in Rust's shortest round-trip form.
+    ///
+    /// Reserved once: `EVENT_LINE_BOUND` per record plus its free text
+    /// at the escaper's worst case, so the buffer never grows by doubling
+    /// (capacity the lines do not reach is never touched, hence never
+    /// resident).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let text: usize = self.buf.iter().map(|r| r.event.text_len()).sum();
+        let mut out =
+            String::with_capacity(self.buf.len() * EVENT_LINE_BOUND + text * ESCAPED_BYTE_BOUND);
         for r in &self.buf {
             r.write_json(&mut out);
             out.push('\n');
@@ -708,7 +825,7 @@ mod tests {
     fn display_matches_legacy_log_lines() {
         let e = PlatformEvent::Compiled {
             job: job(1),
-            instruction: "Training".into(),
+            instruction: InstructionKind::ContainerImage,
             payload_mb: 512.0,
             transferred_mb: 128.4,
             chunk_hits: 3,
@@ -717,12 +834,12 @@ mod tests {
         };
         assert_eq!(
             e.to_string(),
-            "compiled: Training instruction, 512 MiB payload, 128 MiB transferred"
+            "compiled: container instruction, 512 MiB payload, 128 MiB transferred"
         );
         let e = PlatformEvent::Placed {
             job: job(1),
             nodes: 2,
-            runtime: "MultiProcess".into(),
+            runtime: RuntimePreference::AllReduce,
             slowdown: 1.07,
             granted_workers: 1,
             requested_workers: 2,
@@ -730,7 +847,7 @@ mod tests {
         };
         assert_eq!(
             e.to_string(),
-            "started on 2 node(s) via MultiProcess runtime (slowdown 1.07) \
+            "started on 2 node(s) via AllReduce runtime (slowdown 1.07) \
              (elastic: 1/2 workers)"
         );
         let e = PlatformEvent::Rejected {
@@ -745,8 +862,8 @@ mod tests {
         assert_eq!(e.to_string(), "node node3 faulted; job failed");
         let e = PlatformEvent::IllegalTransition {
             job: job(1),
-            from: "completed".into(),
-            event: "fail".into(),
+            from: JobState::Completed,
+            event: JobEventKind::Fail,
         };
         assert_eq!(
             e.to_string(),
@@ -761,8 +878,8 @@ mod tests {
             3.0,
             PlatformEvent::IllegalTransition {
                 job: job(9),
-                from: "completed".into(),
-                event: "fail".into(),
+                from: JobState::Completed,
+                event: JobEventKind::Fail,
             },
         );
         assert_eq!(
@@ -864,5 +981,89 @@ mod tests {
         assert_eq!(parsed, original);
         let err = EventBus::parse_jsonl("\n{\"seq\":0}\n").expect_err("no timestamp");
         assert!(err.starts_with("event line 2:"), "{err}");
+    }
+
+    /// The widest of everything: ids at `u64::MAX`, the longest member of
+    /// each closed set, floats at 24 bytes, hostile free text.
+    #[test]
+    fn a_line_never_outgrows_its_bound() {
+        let wide = 1.2345678901234567e-6;
+        assert_eq!(wide.to_string().len(), 24);
+        let job = job(u64::MAX);
+        let group = GroupId::from_index(u32::MAX as usize);
+        let hostile = "\u{1}\"\\".repeat(40);
+        let every_variant = [
+            PlatformEvent::Submitted {
+                job,
+                group,
+                name: hostile.clone(),
+            },
+            PlatformEvent::Compiled {
+                job,
+                instruction: InstructionKind::ContainerImage,
+                payload_mb: wide,
+                transferred_mb: wide,
+                chunk_hits: u64::MAX,
+                chunk_misses: u64::MAX,
+                provisioning_secs: wide,
+            },
+            PlatformEvent::Rejected {
+                job,
+                reason: RejectReason::ExceedsGroupQuota,
+            },
+            PlatformEvent::Queued { job },
+            PlatformEvent::Placed {
+                job,
+                nodes: u64::MAX,
+                runtime: RuntimePreference::InNetworkAggregation,
+                slowdown: wide,
+                granted_workers: u64::MAX,
+                requested_workers: u64::MAX,
+                backfilled: false,
+            },
+            PlatformEvent::Preempted {
+                job,
+                reclaimed_for: group,
+            },
+            PlatformEvent::Completed {
+                job,
+                jct_secs: wide,
+            },
+            PlatformEvent::FailedOver {
+                job,
+                node: hostile.clone(),
+                fallback: RuntimePreference::InNetworkAggregation,
+            },
+            PlatformEvent::Failed { job, node: hostile },
+            PlatformEvent::Cancelled { job },
+            PlatformEvent::IllegalTransition {
+                job,
+                from: JobState::Submitted,
+                event: JobEventKind::Interrupt,
+            },
+        ];
+        let mut widest_fixed = 0;
+        for (ordinal, event) in every_variant.into_iter().enumerate() {
+            assert_eq!(event.ordinal(), ordinal, "one of each, in order");
+            let text = event.text_len();
+            let allowance = EVENT_LINE_BOUND + text * ESCAPED_BYTE_BOUND;
+            let mut line = String::new();
+            EventRecord {
+                seq: u64::MAX,
+                at_secs: wide,
+                event,
+            }
+            .write_json(&mut line);
+            line.push('\n');
+            assert!(
+                line.len() <= allowance,
+                "{} > {allowance}: {line}",
+                line.len()
+            );
+            if text == 0 {
+                widest_fixed = widest_fixed.max(line.len());
+            }
+        }
+        assert_eq!(widest_fixed, 335);
     }
 }

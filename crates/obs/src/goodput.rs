@@ -238,6 +238,24 @@ impl GoodputReport {
         total_gpus: f64,
         inputs: &BTreeMap<JobId, JobGoodputInput>,
     ) -> GoodputReport {
+        Self::compute_with(book, horizon_secs, total_gpus, |job| {
+            inputs.get(&job).copied()
+        })
+    }
+
+    /// [`GoodputReport::compute`] reading each job's input through
+    /// `input_of` — for a caller that already holds the inputs by job
+    /// and need not build a map of them per report.
+    ///
+    /// # Panics
+    ///
+    /// As [`GoodputReport::compute`].
+    pub fn compute_with(
+        book: &SpanBook,
+        horizon_secs: f64,
+        total_gpus: f64,
+        input_of: impl Fn(JobId) -> Option<JobGoodputInput>,
+    ) -> GoodputReport {
         assert!(
             horizon_secs.is_finite() && horizon_secs >= 0.0,
             "horizon must be finite and nonnegative"
@@ -251,13 +269,13 @@ impl GoodputReport {
         let mut running_gpu_secs = 0.0;
         let mut productive_gpu_secs = 0.0;
         let mut on_node_overhead_gpu_secs = 0.0;
-        for (job, spans) in book.timelines(horizon_secs) {
-            let input = inputs.get(&job).copied().unwrap_or(JobGoodputInput {
+        for (job, spans) in book.iter_timelines(horizon_secs) {
+            let input = input_of(job).unwrap_or(JobGoodputInput {
                 gpus: 1.0,
                 useful_secs: 0.0,
             });
             productive_gpu_secs += input.gpus * input.useful_secs;
-            for span in spans {
+            for span in spans.iter() {
                 let gpu_secs = input.gpus * span.duration_secs();
                 match badput_cause_of(span.phase) {
                     None => running_gpu_secs += gpu_secs,
@@ -347,10 +365,10 @@ pub fn goodput_conservation(
     let mut buckets: BTreeMap<&'static str, Dyadic> = BTreeMap::new();
     let mut running = Dyadic::ZERO;
     let mut total = Dyadic::ZERO;
-    for (job, spans) in book.timelines(horizon_secs) {
+    for (job, spans) in book.iter_timelines(horizon_secs) {
         let gpus = inputs.get(&job).map(|i| i.gpus).unwrap_or(1.0);
         let weight = Dyadic::from_f64(gpus);
-        for span in spans {
+        for span in spans.iter() {
             let d = Dyadic::from_f64(span.end_secs) - Dyadic::from_f64(span.start_secs);
             let gpu_secs = weight * d;
             total = total + gpu_secs;

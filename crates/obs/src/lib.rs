@@ -60,7 +60,8 @@ mod span;
 mod trace;
 
 pub use events::{
-    conservation, ConservationCheck, EventBus, EventRecord, PlatformEvent, RejectReason,
+    conservation, ConservationCheck, EventBus, EventRecord, InstructionKind, PlatformEvent,
+    RejectReason,
 };
 pub use goodput::{
     badput_cause_of, goodput_conservation, BadputBreakdown, BadputCause, Dyadic, GoodputReport,

@@ -36,6 +36,7 @@
 //! partition the job's makespan *exactly* — see [`span_conservation`]
 //! and the `Dyadic` arithmetic in the goodput module.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
@@ -140,18 +141,28 @@ impl Span {
         self.phase.attribution()
     }
 
+    /// Upper bound, in bytes, on one line of [`SpanBook::to_jsonl`]: 201
+    /// with the job id at `u64::MAX`, the longest phase, cause and
+    /// attribution, and both floats 24 bytes wide (see the event bus's
+    /// line bound for why 24); `a_line_never_outgrows_its_bound`.
+    const LINE_BOUND: usize = 208;
+
     fn write_json(&self, out: &mut String, job: JobId) {
-        out.push_str(&format!("{{\"job\":{},\"phase\":\"", job.value()));
-        out.push_str(self.phase.name());
-        out.push_str("\",\"start_secs\":");
+        let _ = write!(
+            out,
+            "{{\"job\":{},\"phase\":\"{}\",\"start_secs\":",
+            job.value(),
+            self.phase.name()
+        );
         push_json_f64(out, self.start_secs);
         out.push_str(",\"end_secs\":");
         push_json_f64(out, self.end_secs);
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             ",\"cause\":\"{}\",\"attribution\":\"{}\"}}",
             self.cause,
             self.attribution()
-        ));
+        );
     }
 }
 
@@ -181,6 +192,12 @@ impl TransitionEvent {
             .iter()
             .any(|&(f, k, t)| f == self.from && k == self.event && t == self.to)
     }
+
+    /// Upper bound, in bytes, on one line of the transition log export:
+    /// 120 with the job id at `u64::MAX`, the longest state and event
+    /// names and the time 24 bytes wide (see the event bus's line bound
+    /// for why 24); `a_line_never_outgrows_its_bound`.
+    pub const LINE_BOUND: usize = 128;
 
     /// Appends the record as one compact JSON object — a line of the
     /// transition log export, which `parse_transition_line` reads back:
@@ -382,19 +399,29 @@ impl JobTimeline {
             | JobEventKind::Fail
             | JobEventKind::Cancel => {
                 self.close_open(at, config);
+                // Terminal states absorb: the timeline has its last span,
+                // so hold it in exactly the room it needs.
+                self.spans.shrink_to_fit();
             }
         }
+    }
+
+    /// [`JobTimeline::spans_at`], lending a timeline with nothing open
+    /// instead of copying it.
+    fn finalized(&self, horizon_secs: f64, config: &SpanConfig) -> Cow<'_, [Span]> {
+        let Some(open) = self.open else {
+            return Cow::Borrowed(&self.spans);
+        };
+        let mut snap = self.clone();
+        snap.close_open(horizon_secs.max(open.start_secs()), config);
+        Cow::Owned(snap.spans)
     }
 
     /// The finalized spans as of `horizon_secs`: closed spans plus the
     /// open one virtually closed at `max(horizon, its start)`. Pure —
     /// calling twice with the same horizon yields identical spans.
     pub fn spans_at(&self, horizon_secs: f64, config: &SpanConfig) -> Vec<Span> {
-        let mut snap = self.clone();
-        if let Some(open) = snap.open {
-            snap.close_open(horizon_secs.max(open.start_secs()), config);
-        }
-        snap.spans
+        self.finalized(horizon_secs, config).into_owned()
     }
 
     /// Interruptions (preemptions + faults) observed so far.
@@ -483,19 +510,39 @@ impl SpanBook {
 
     /// All finalized timelines as of `horizon_secs`, ascending by job id.
     pub fn timelines(&self, horizon_secs: f64) -> Vec<(JobId, Vec<Span>)> {
+        self.iter_timelines(horizon_secs)
+            .map(|(id, spans)| (id, spans.into_owned()))
+            .collect()
+    }
+
+    /// [`SpanBook::timelines`] without the copies: each job's finalized
+    /// spans in turn, borrowed from the book unless the job has an open
+    /// span to close at the horizon. What a fold over the whole book
+    /// reads.
+    pub fn iter_timelines(
+        &self,
+        horizon_secs: f64,
+    ) -> impl Iterator<Item = (JobId, Cow<'_, [Span]>)> {
         self.jobs
             .iter()
-            .map(|(&id, t)| (id, t.spans_at(horizon_secs, &self.config)))
-            .collect()
+            .map(move |(&id, t)| (id, t.finalized(horizon_secs, &self.config)))
     }
 
     /// Byte-deterministic JSONL export of every finalized span, jobs
     /// ascending, spans in fold order:
     /// `{"job":N,"phase":"...","start_secs":T,"end_secs":T,"cause":"...","attribution":"..."}`.
+    ///
+    /// Reserved once, at `Span::LINE_BOUND` per span (an open span
+    /// closes into at most three).
     pub fn to_jsonl(&self, horizon_secs: f64) -> String {
-        let mut out = String::new();
-        for (id, spans) in self.timelines(horizon_secs) {
-            for span in spans {
+        let lines: usize = self
+            .jobs
+            .values()
+            .map(|t| t.spans.len() + if t.open.is_some() { 3 } else { 0 })
+            .sum();
+        let mut out = String::with_capacity(lines * Span::LINE_BOUND);
+        for (id, spans) in self.iter_timelines(horizon_secs) {
+            for span in spans.iter() {
                 span.write_json(&mut out, id);
                 out.push('\n');
             }
@@ -543,7 +590,7 @@ fn parse_transition_line(line: &str) -> Option<TransitionEvent> {
 /// nonnegative, and their sum partitions the job's makespan **exactly**
 /// under dyadic-rational arithmetic (no float drift tolerated).
 pub fn span_conservation(book: &SpanBook, horizon_secs: f64) -> Result<(), String> {
-    for (id, spans) in book.timelines(horizon_secs) {
+    for (id, spans) in book.iter_timelines(horizon_secs) {
         let Some(first) = spans.first() else {
             continue;
         };
@@ -808,5 +855,62 @@ mod tests {
         // as folded even when the horizon precedes them.
         let spans = book.timeline(JobId::from_value(1), 0.0);
         assert_eq!(spans.last().unwrap().end_secs, 500.0);
+    }
+
+    /// The widest line each writer can produce: ids at `u64::MAX`, the
+    /// longest names, floats 24 bytes wide.
+    #[test]
+    fn a_line_never_outgrows_its_bound() {
+        let wide = 1.2345678901234567e-6;
+        assert_eq!(wide.to_string().len(), 24);
+        let mut widest = 0;
+        for from in S::ALL {
+            for event in K::ALL {
+                let mut line = String::new();
+                ev(wide, u64::MAX, from, from, event).write_json(&mut line);
+                line.push('\n');
+                assert!(line.len() <= TransitionEvent::LINE_BOUND, "{line}");
+                widest = widest.max(line.len());
+            }
+        }
+        assert_eq!(widest, 120);
+        let mut widest = 0;
+        for phase in SpanPhase::ALL {
+            for cause in K::ALL {
+                let span = Span {
+                    phase,
+                    start_secs: wide,
+                    end_secs: wide,
+                    cause,
+                };
+                let mut line = String::new();
+                span.write_json(&mut line, JobId::from_value(u64::MAX));
+                line.push('\n');
+                assert!(line.len() <= Span::LINE_BOUND, "{line}");
+                widest = widest.max(line.len());
+            }
+        }
+        assert_eq!(widest, 201);
+    }
+
+    #[test]
+    fn a_settled_timeline_is_lent_and_held_exactly() {
+        let mut book = SpanBook::new(SpanConfig::plain());
+        feed(&mut book, &happy_path(1));
+        feed(&mut book, &happy_path(2)[..3]);
+        let lent: Vec<bool> = book
+            .iter_timelines(600.0)
+            .map(|(_, spans)| matches!(spans, Cow::Borrowed(_)))
+            .collect();
+        // Job 1 is terminal: nothing open, nothing copied. Job 2 is still
+        // running: its open interval is closed into a copy.
+        assert_eq!(lent, vec![true, false]);
+        let owned: Vec<_> = book
+            .iter_timelines(600.0)
+            .map(|(id, s)| (id, s.into_owned()))
+            .collect();
+        assert_eq!(book.timelines(600.0), owned);
+        let done = &book.jobs[&JobId::from_value(1)];
+        assert_eq!(done.spans.capacity(), done.spans.len());
     }
 }

@@ -5,9 +5,9 @@
 //! Every case draws from a `DetRng` seeded with the case number, and
 //! every assertion names that seed: a failing seed is the reproducer.
 
-use tacc_obs::{EventBus, EventRecord, PlatformEvent, RejectReason};
+use tacc_obs::{EventBus, EventRecord, InstructionKind, PlatformEvent, RejectReason};
 use tacc_sim::{dist, DetRng};
-use tacc_workload::{GroupId, JobId};
+use tacc_workload::{GroupId, JobEventKind, JobId, JobState, RuntimePreference};
 
 /// Names that exercise the string escaper: a quote, a backslash, control
 /// bytes, and multi-byte characters up to the astral plane.
@@ -24,12 +24,15 @@ fn below(rng: &mut DetRng, n: u64) -> u64 {
 }
 
 /// One event of every [`PlatformEvent`] variant, built from `j` and
-/// `text`. Each arm names the next variant and there is no wildcard arm,
-/// so a new variant does not compile until it joins the sweep.
+/// `text`: the free-text fields (`name`, `node`) carry `text`, a field
+/// drawn from a closed set carries the member `j` picks. Each arm names
+/// the next variant and there is no wildcard arm, so a new variant does
+/// not compile until it joins the sweep.
 fn every_variant(j: u64, text: &str) -> Vec<PlatformEvent> {
     let job = JobId::from_value(j);
     let group = GroupId::from_index((j % 7) as usize);
     let text = || text.to_owned();
+    let runtime = RuntimePreference::ALL[(j % 5) as usize];
     let mut out = Vec::new();
     let mut next = Some(PlatformEvent::Submitted {
         job,
@@ -40,7 +43,7 @@ fn every_variant(j: u64, text: &str) -> Vec<PlatformEvent> {
         next = match &event {
             PlatformEvent::Submitted { .. } => Some(PlatformEvent::Compiled {
                 job,
-                instruction: text(),
+                instruction: InstructionKind::ALL[(j % 2) as usize],
                 payload_mb: j as f64 * 0.5,
                 transferred_mb: j as f64 * 0.25,
                 chunk_hits: j % 5,
@@ -59,7 +62,7 @@ fn every_variant(j: u64, text: &str) -> Vec<PlatformEvent> {
             PlatformEvent::Queued { .. } => Some(PlatformEvent::Placed {
                 job,
                 nodes: 1 + j % 4,
-                runtime: text(),
+                runtime,
                 slowdown: 1.0 + (j % 10) as f64 * 0.125,
                 granted_workers: 1 + j % 2,
                 requested_workers: 2,
@@ -75,15 +78,15 @@ fn every_variant(j: u64, text: &str) -> Vec<PlatformEvent> {
             }),
             PlatformEvent::Completed { .. } => Some(PlatformEvent::FailedOver {
                 job,
-                node: format!("node{}", j % 8),
-                fallback: text(),
+                node: text(),
+                fallback: runtime,
             }),
             PlatformEvent::FailedOver { .. } => Some(PlatformEvent::Failed { job, node: text() }),
             PlatformEvent::Failed { .. } => Some(PlatformEvent::Cancelled { job }),
             PlatformEvent::Cancelled { .. } => Some(PlatformEvent::IllegalTransition {
                 job,
-                from: text(),
-                event: text(),
+                from: JobState::ALL[(j % 7) as usize],
+                event: JobEventKind::ALL[(j % 9) as usize],
             }),
             PlatformEvent::IllegalTransition { .. } => None,
         };
@@ -169,4 +172,49 @@ fn jsonl_round_trips_every_variant_with_every_awkward_name() {
     let parsed = EventBus::parse_jsonl(&bus.to_jsonl()).expect("export parses back");
     let original: Vec<EventRecord> = bus.records().cloned().collect();
     assert_eq!(parsed, original);
+}
+
+/// Read-back is closed-world: a name no member of the field's set
+/// renders as is refused, never turned into a value the writer could not
+/// have held.
+#[test]
+fn read_back_refuses_a_name_outside_its_closed_set() {
+    let mut bus = EventBus::new(16);
+    for event in every_variant(4, "x") {
+        bus.record(1.0, event);
+    }
+    let text = bus.to_jsonl();
+    assert!(EventBus::parse_jsonl(&text).is_ok());
+    for (written, forged, complaint) in [
+        (
+            "\"shell\"",
+            "\"Training\"",
+            "unknown instruction 'Training'",
+        ),
+        (
+            "\"runtime\":\"SingleProcess\"",
+            "\"runtime\":\"MultiProcess\"",
+            "unknown runtime 'MultiProcess'",
+        ),
+        (
+            "\"fallback\":\"SingleProcess\"",
+            "\"fallback\":\"single-process\"",
+            "unknown fallback 'single-process'",
+        ),
+        (
+            "\"from\":\"completed\"",
+            "\"from\":\"Completed\"",
+            "unknown from 'Completed'",
+        ),
+        (
+            "\"event\":\"interrupt\"",
+            "\"event\":\"explode\"",
+            "unknown event 'explode'",
+        ),
+    ] {
+        let forgery = text.replacen(written, forged, 1);
+        assert_ne!(forgery, text, "the export names {written}");
+        let err = EventBus::parse_jsonl(&forgery).expect_err("a name the writer cannot emit");
+        assert!(err.ends_with(complaint), "{err}");
+    }
 }

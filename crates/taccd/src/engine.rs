@@ -242,7 +242,9 @@ impl Engine {
         let mut platform = Platform::new(config.platform.clone());
         let (journal, report) = if config.journal.exists() {
             let (journal, records, report) = Journal::recover(&config.journal, seed)?;
-            for (i, record) in records.iter().enumerate() {
+            // By value: each decoded record is released as it is applied
+            // (a submit's schema lives on in its job, by reference count).
+            for (i, record) in records.into_iter().enumerate() {
                 if record.seq != i as u64 {
                     return Err(EngineInitError::Replay {
                         seq: record.seq,
@@ -250,7 +252,7 @@ impl Engine {
                     });
                 }
                 platform
-                    .apply_record(record)
+                    .apply_record(&record)
                     .map_err(|e| EngineInitError::Replay {
                         seq: record.seq,
                         message: e.to_string(),
@@ -489,7 +491,8 @@ mod tests {
         Command::Submit {
             schema: TaskSchema::builder("engine-unit", GroupId::from_index(0))
                 .build()
-                .expect("valid schema"),
+                .expect("valid schema")
+                .into(),
             service_secs: 120.0,
         }
     }
@@ -691,7 +694,8 @@ mod tests {
                             GroupId::from_index(rng.below(8) as usize),
                         )
                         .build()
-                        .expect("valid schema"),
+                        .expect("valid schema")
+                        .into(),
                         service_secs: 30.0 + rng.below(900) as f64,
                     },
                     4..=5 => Command::Advance {

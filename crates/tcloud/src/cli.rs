@@ -93,7 +93,7 @@ fn parse(argv: &[&str]) -> Result<Verb, TcloudError> {
                 None => schema.est_duration_secs,
             };
             Verb::Mutate(Command::Submit {
-                schema,
+                schema: schema.into(),
                 service_secs,
             })
         }

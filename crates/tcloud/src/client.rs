@@ -177,7 +177,7 @@ impl TcloudClient {
     /// is not a positive finite number.
     pub fn submit(&mut self, schema: TaskSchema, service_secs: f64) -> Result<JobId, TcloudError> {
         match self.apply(Command::Submit {
-            schema,
+            schema: schema.into(),
             service_secs,
         })? {
             CommandOutcome::Submitted { job } => Ok(job),

@@ -207,7 +207,7 @@ impl DaemonClient {
         let schema = crate::client::schema_from_text(json)
             .map_err(|e| TransportError::MalformedFrame(format!("schema json: {e}")))?;
         self.mutate(&Command::Submit {
-            schema,
+            schema: schema.into(),
             service_secs,
         })
     }

@@ -381,7 +381,7 @@ impl TraceGenerator {
         };
         TraceRecord {
             submit_secs: t,
-            schema,
+            schema: schema.into(),
             service_secs: service,
             cancel_after_secs,
         }

@@ -8,6 +8,7 @@
 //! whole system has exactly one state-write site.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::schema::TaskSchema;
 
@@ -399,7 +400,7 @@ impl std::error::Error for IllegalTransition {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     id: JobId,
-    schema: TaskSchema,
+    schema: Arc<TaskSchema>,
     submit_secs: f64,
     service_secs: f64,
     state: JobState,
@@ -413,13 +414,21 @@ pub struct Job {
 }
 
 impl Job {
-    /// Creates a job in the `Submitted` state.
+    /// Creates a job in the `Submitted` state. A schema that is already
+    /// shared (a trace record's, a `submit` command's) is held by
+    /// reference count, not copied.
     ///
     /// # Panics
     ///
     /// Panics if `service_secs` is not positive and finite, or the schema
     /// fails validation.
-    pub fn new(id: JobId, schema: TaskSchema, submit_secs: f64, service_secs: f64) -> Self {
+    pub fn new(
+        id: JobId,
+        schema: impl Into<Arc<TaskSchema>>,
+        submit_secs: f64,
+        service_secs: f64,
+    ) -> Self {
+        let schema = schema.into();
         assert!(
             service_secs > 0.0 && service_secs.is_finite(),
             "service time must be positive"

@@ -108,6 +108,16 @@ pub enum RuntimePreference {
 }
 
 impl RuntimePreference {
+    /// Every preference, in declaration order (the closed set the event
+    /// stream's read-back accepts).
+    pub const ALL: [RuntimePreference; 5] = [
+        RuntimePreference::Auto,
+        RuntimePreference::AllReduce,
+        RuntimePreference::ParameterServer,
+        RuntimePreference::InNetworkAggregation,
+        RuntimePreference::SingleProcess,
+    ];
+
     /// The preference's name in a schema file.
     fn tag(self) -> &'static str {
         match self {

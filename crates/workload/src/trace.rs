@@ -15,8 +15,10 @@ use crate::schema::TaskSchema;
 pub struct TraceRecord {
     /// Submission time in seconds from trace start.
     pub submit_secs: f64,
-    /// The full, self-contained task schema.
-    pub schema: TaskSchema,
+    /// The full, self-contained task schema. Immutable once submitted,
+    /// therefore shared: the record, the `submit` command that carries it
+    /// and the job it becomes all hold this one allocation.
+    pub schema: Arc<TaskSchema>,
     /// True service requirement in seconds.
     pub service_secs: f64,
     /// If set, the user kills this job this many seconds after submitting
@@ -148,7 +150,8 @@ impl Trace {
             }
             let record = TraceRecord {
                 submit_secs,
-                schema: TaskSchema::from_json(r.get("schema").ok_or("missing field 'schema'")?)?,
+                schema: TaskSchema::from_json(r.get("schema").ok_or("missing field 'schema'")?)?
+                    .into(),
                 service_secs: r.req_f64("service_secs")?,
                 cancel_after_secs: match r.get("cancel_after_secs") {
                     Some(Json::Null) | None => None,
@@ -179,7 +182,7 @@ impl Trace {
             .iter()
             .map(|r| TraceRecord {
                 submit_secs: r.submit_secs * factor,
-                schema: r.schema.clone(),
+                schema: Arc::clone(&r.schema),
                 service_secs: r.service_secs,
                 cancel_after_secs: r.cancel_after_secs,
             })
@@ -236,7 +239,8 @@ mod tests {
             submit_secs: t,
             schema: TaskSchema::builder("x", GroupId::from_index(0))
                 .build()
-                .expect("valid"),
+                .expect("valid")
+                .into(),
             service_secs: service,
             cancel_after_secs: None,
         }

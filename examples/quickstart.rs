@@ -15,7 +15,7 @@ use tacc_workload::{GroupId, GroupRoster, JobId, ModelProfile, QosClass, TaskSch
 /// with the id of the job it minted.
 fn submit(platform: &mut Platform, schema: TaskSchema, service_secs: f64) -> JobId {
     let command = Command::Submit {
-        schema,
+        schema: schema.into(),
         service_secs,
     };
     match platform.apply_command(&command) {

@@ -57,7 +57,7 @@ pub fn session_step(rng: &mut DetRng, seq: u64, jobs: u64, now_secs: f64) -> Ses
             // zero-latency compiler really provisions in zero time.
             schema.env.code_mb = 0;
             Command::Submit {
-                schema,
+                schema: schema.into(),
                 service_secs: 600.0 + below(rng, 7200) as f64,
             }
         }

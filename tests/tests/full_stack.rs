@@ -191,7 +191,7 @@ fn interactive_submission_over_live_cluster() {
         .build()
         .expect("valid");
     let submitted = platform.apply_command(&Command::Submit {
-        schema,
+        schema: schema.into(),
         service_secs: 1200.0,
     });
     let Ok(CommandOutcome::Submitted { job: id }) = submitted else {

@@ -51,7 +51,7 @@ fn submit(name: &str) -> Command {
     schema.env.dependencies = vec![(name.to_owned(), 1)];
     schema.env.dataset = Some((name.to_owned(), 1));
     Command::Submit {
-        schema,
+        schema: schema.into(),
         service_secs: 90.0,
     }
 }

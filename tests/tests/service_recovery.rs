@@ -73,7 +73,8 @@ fn script(rng: &mut XorShift, len: usize) -> Vec<Command> {
                 )
                 .est_duration_secs(60.0 + rng.below(600) as f64)
                 .build()
-                .expect("generated schema is valid"),
+                .expect("generated schema is valid")
+                .into(),
                 service_secs: 30.0 + rng.below(900) as f64,
             },
             4..=5 => Command::Advance {
@@ -275,7 +276,8 @@ fn live_submit(client: usize, request: usize) -> Command {
         )
         .est_duration_secs(120.0)
         .build()
-        .expect("valid schema"),
+        .expect("valid schema")
+        .into(),
         service_secs: 90.0,
     }
 }
