@@ -128,11 +128,6 @@ pub static NIGHTLY_SCENARIOS: &[Scenario] = &[Scenario {
     load: 2.0,
     configure: || {
         campus_config(|c| {
-            // Per-job logs retain typed events, rendered only on read; a
-            // million rings of them is memory nothing here reads, so turn
-            // retention off: events become drop counts, and no scheduling
-            // decision reads logs.
-            c.log_lines_per_job = 0;
             // ~1M jobs emit a handful of events each; raise the runaway
             // valve well clear of the legitimate total.
             c.max_events = 100_000_000;

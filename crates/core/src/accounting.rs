@@ -1,25 +1,14 @@
 //! Accounting: group GPU-time accrual, utilization, interruption
-//! amounts, core metric handles, bounded job logs, and cluster gauges.
+//! amounts, core metric handles, event emission, and cluster gauges.
 //!
 //! Everything here is arithmetic over state the lifecycle engine
 //! ([`crate::lifecycle`]) already validated — no `Job` state is written
 //! in this module.
 
-use std::collections::VecDeque;
-
 use tacc_obs::{Counter, Gauge, Histogram, MetricsRegistry, PlatformEvent};
 use tacc_workload::JobEventKind;
 
 use crate::platform::{ActiveRun, Platform};
-
-/// One job's bounded platform-side log: the typed events (rendered to
-/// lines only when read, see [`Platform::job_log`]) plus a count of
-/// events evicted once the ring filled.
-#[derive(Debug, Default)]
-pub(crate) struct JobLog {
-    pub(crate) events: VecDeque<(f64, PlatformEvent)>,
-    pub(crate) dropped: u64,
-}
 
 /// Handles for the `tacc_core_*` and `tacc_cluster_*` metric series the
 /// platform maintains itself (the other layers register their own).
@@ -130,28 +119,9 @@ impl Platform {
         self.group_last_update = now;
     }
 
-    /// Records `event` on the bus and keeps a copy in the job's bounded
-    /// log ring — the single source of truth for `tcloud logs` lines. A
-    /// ring of capacity zero keeps (and copies) nothing. The terminal
-    /// event is the last the ring will take, so it is then cut to what it
-    /// holds — on the *event*, not the terminal transition, which comes
-    /// first and would only have the ring grow back for this entry.
+    /// Records `event` on the bus — the one store of a job's history,
+    /// which `tcloud logs` and `tcloud events` both read.
     pub(crate) fn emit(&mut self, at: f64, event: PlatformEvent) {
-        // Events always name a tracked job; tolerate a stranger anyway.
-        if let Some(slot) = self.jobs.get_mut(event.job()) {
-            let capacity = self.config.log_lines_per_job;
-            let log = &mut slot.log;
-            if log.events.len() >= capacity {
-                log.events.pop_front();
-                log.dropped += 1;
-            }
-            if capacity > 0 {
-                log.events.push_back((at, event.clone()));
-            }
-            if event.is_terminal() {
-                log.events.shrink_to_fit();
-            }
-        }
         self.bus.record(at, event);
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Job ids are minted by the platform from a monotone counter and jobs
 //! are never removed (terminal jobs stay queryable for `tcloud`), so the
-//! id value *is* a dense index. That turns the six per-job `BTreeMap`
+//! id value *is* a dense index. That turns the per-job `BTreeMap`
 //! tables the platform used to keep — job, runtime preference, active
-//! run, last nodes, run token, log — into one `Vec` of [`JobSlot`]s:
+//! run, last nodes, run token — into one `Vec` of [`JobSlot`]s:
 //! every lookup on the hot path becomes a bounds-checked index instead
 //! of a tree walk, and iteration in id order (which the goodput fold and
 //! `job_ids()` rely on) is just slot order.
@@ -12,7 +12,6 @@
 use tacc_cluster::NodeId;
 use tacc_workload::{Job, JobId, RuntimePreference};
 
-use crate::accounting::JobLog;
 use crate::platform::ActiveRun;
 
 /// Everything the platform tracks about one job, colocated in one slot.
@@ -23,14 +22,12 @@ pub(crate) struct JobSlot {
     pub(crate) runtime: RuntimePreference,
     /// The current run, if the job is executing right now.
     pub(crate) active: Option<ActiveRun>,
-    /// Last distinct nodes the job ran on (survives completion, for
-    /// `tcloud get`).
+    /// Distinct nodes of the job's current run, or its last one once it
+    /// stopped (sorted; survives completion, for `tcloud get`).
     pub(crate) last_nodes: Vec<NodeId>,
     /// Run token; bumped on every enter/leave of `Running` to invalidate
     /// in-flight `Finish`/`Fault` events aimed at a previous run.
     pub(crate) token: u64,
-    /// Bounded platform-side log ring.
-    pub(crate) log: JobLog,
 }
 
 /// The dense job arena. Slots are indexed by `JobId::value()`; ids are
@@ -66,7 +63,6 @@ impl JobArena {
             active: None,
             last_nodes: Vec::new(),
             token: 0,
-            log: JobLog::default(),
         });
     }
 

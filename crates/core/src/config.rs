@@ -41,12 +41,10 @@ pub struct PlatformConfig {
     pub seed: u64,
     /// Safety valve: abort a run after this many processed events.
     pub max_events: u64,
-    /// Capacity of the platform event bus ring. Oldest events are
-    /// dropped past this bound; lifetime per-kind counts stay exact.
+    /// Capacity of the platform event bus ring — the one store of every
+    /// job's history, `tcloud logs` included. Oldest events are dropped
+    /// past this bound; lifetime per-kind counts stay exact.
     pub event_buffer_capacity: usize,
-    /// Per-job log ring capacity. Oldest lines are dropped past this
-    /// bound; [`crate::Platform::job_log_dropped`] reports how many.
-    pub log_lines_per_job: usize,
 }
 
 impl Default for PlatformConfig {
@@ -64,7 +62,6 @@ impl Default for PlatformConfig {
             seed: 42,
             max_events: 50_000_000,
             event_buffer_capacity: 262_144,
-            log_lines_per_job: 256,
         }
     }
 }

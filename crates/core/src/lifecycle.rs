@@ -393,7 +393,6 @@ impl Platform {
                 // Both restore and staging are dead wall time before useful
                 // progress; interruption accounting subtracts them.
                 resume_penalty: resume_penalty + staging_secs,
-                worker_nodes: worker_nodes.to_vec(),
                 runtime: plan.runtime,
             });
         }

@@ -10,7 +10,7 @@
 //!   that mutates [`Job`] state (via `JobState::transition`), plus the
 //!   scheduling-round glue and the transition log;
 //! * [`crate::accounting`] — group GPU-time accrual, interruption
-//!   amounts, metrics handles, job logs, and cluster gauges;
+//!   amounts, metrics handles, event emission, and cluster gauges;
 //! * [`crate::faults`] — fault delivery, failover, checkpoint-restart;
 //! * [`crate::observability`] — span timelines and the goodput
 //!   decomposition folded from the transition stream;
@@ -78,7 +78,6 @@ pub(crate) struct ActiveRun {
     pub(crate) gpus: f64,
     /// Wall-clock restore penalty paid at the start of this run.
     pub(crate) resume_penalty: f64,
-    pub(crate) worker_nodes: Vec<NodeId>,
     pub(crate) runtime: RuntimePreference,
 }
 
@@ -104,7 +103,7 @@ pub struct Platform {
     pub(crate) store: Option<SharedStore>,
 
     /// Dense per-job state: job, runtime, active run, last nodes, run
-    /// token, log — one slot per minted id (see [`crate::arena`]).
+    /// token — one slot per minted id (see [`crate::arena`]).
     pub(crate) jobs: JobArena,
     pub(crate) next_job: u64,
 

@@ -1,13 +1,12 @@
 //! The read model: everything `tcloud` asks the platform — status
-//! snapshots, `why` explanations, artifacts, storage stats, the bounded
-//! per-job logs — and the one function that answers a serializable
+//! snapshots, `why` explanations, artifacts, storage stats, per-job
+//! logs — and the one function that answers a serializable
 //! [`Query`] from them, [`Platform::answer`]. Nothing here mutates
 //! platform state.
 
 use std::fmt;
 
 use tacc_cluster::NodeId;
-use tacc_obs::PlatformEvent;
 use tacc_workload::{GroupId, JobId, JobState};
 
 use crate::platform::Platform;
@@ -79,7 +78,8 @@ pub enum Query {
     /// Journal counters. Answered by what holds a journal — the `taccd`
     /// engine; a bare platform has none.
     JournalStats,
-    /// One job's log, aggregated across its nodes.
+    /// One job's log, aggregated across its nodes: its event-bus
+    /// records, rendered.
     Logs(JobId),
     /// One job's span timeline.
     Timeline(JobId),
@@ -235,9 +235,17 @@ impl Platform {
             Query::Metrics => self.metrics_text().into(),
             Query::Transitions => self.transition_log_jsonl().into(),
             Query::JournalStats => return Err(QueryError::NoJournal),
-            Query::Logs(job) => rows(self.job_log(job), |(at, line)| {
-                vec![("at_secs", Json::Num(at)), ("line", line.into())]
-            }),
+            Query::Logs(job) => obj(vec![
+                // Read from the same bounded ring as `Events`, with the
+                // same warning owed.
+                ("dropped", self.bus.dropped().into()),
+                (
+                    "lines",
+                    rows(self.job_log(job), |(at, line)| {
+                        vec![("at_secs", Json::Num(at)), ("line", line.into())]
+                    }),
+                ),
+            ]),
             Query::Timeline(job) => rows(self.timeline(job), |span| {
                 vec![
                     ("phase", span.phase.to_string().into()),
@@ -303,16 +311,11 @@ impl Platform {
     pub fn job_status(&self, id: JobId) -> Option<JobStatus> {
         let slot = self.jobs.get(id)?;
         let job = &slot.job;
-        let nodes = slot
-            .active
-            .as_ref()
-            .map(|r| {
-                let mut n = r.worker_nodes.clone();
-                n.sort_unstable();
-                n.dedup();
-                n
-            })
-            .unwrap_or_default();
+        // While a job runs, `last_nodes` is its current run's nodes.
+        let nodes = match slot.active {
+            Some(_) => slot.last_nodes.clone(),
+            None => Vec::new(),
+        };
         Some(JobStatus {
             id,
             state: job.state(),
@@ -395,21 +398,10 @@ impl Platform {
             .map(|s| (s.total_staged_mb(), s.cache_hits()))
     }
 
-    /// The platform-side log of a job (what `tcloud logs` aggregates),
-    /// rendered from the job's retained events. Bounded: once a job
-    /// accumulates more than
-    /// [`crate::PlatformConfig::log_lines_per_job`] lines, the oldest are
-    /// evicted ([`Self::job_log_dropped`] counts them).
+    /// The platform-side log of a job (what `tcloud logs` aggregates):
+    /// its retained bus events, rendered through `Display`.
     pub fn job_log(&self, id: JobId) -> Vec<(f64, String)> {
-        let rendered = |(at, event): &(f64, PlatformEvent)| (*at, event.to_string());
-        self.jobs
-            .get(id)
-            .map(|slot| slot.log.events.iter().map(rendered).collect())
-            .unwrap_or_default()
-    }
-
-    /// Lines evicted from the job's bounded log ring.
-    pub fn job_log_dropped(&self, id: JobId) -> u64 {
-        self.jobs.get(id).map(|slot| slot.log.dropped).unwrap_or(0)
+        let events = self.job_events(id).into_iter();
+        events.map(|r| (r.at_secs, r.event.to_string())).collect()
     }
 }

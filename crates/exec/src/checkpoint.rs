@@ -52,13 +52,8 @@ impl CheckpointPolicy {
     }
 
     /// Whether this policy ever checkpoints.
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.interval_secs.is_some()
-    }
-
-    /// The checkpoint interval, if enabled.
-    pub fn interval_secs(&self) -> Option<f64> {
-        self.interval_secs
     }
 
     /// Multiplicative runtime overhead while running: writing checkpoints
@@ -76,7 +71,7 @@ impl CheckpointPolicy {
     /// # Panics
     ///
     /// Panics if `progress_secs` is negative.
-    pub fn lost_on_interrupt(&self, progress_secs: f64) -> f64 {
+    fn lost_on_interrupt(&self, progress_secs: f64) -> f64 {
         assert!(progress_secs >= 0.0, "negative progress");
         match self.interval_secs {
             Some(interval) => progress_secs % interval,
@@ -94,7 +89,7 @@ impl CheckpointPolicy {
     /// # Panics
     ///
     /// Panics if the effective wall progress is negative (see
-    /// [`lost_on_interrupt`](Self::lost_on_interrupt)).
+    /// `lost_on_interrupt`).
     pub fn interruption_amounts(
         &self,
         elapsed_secs: f64,

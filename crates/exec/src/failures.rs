@@ -70,15 +70,10 @@ impl FailureInjector {
         }
     }
 
-    /// The configured MTBF.
-    pub fn mtbf_secs(&self) -> f64 {
-        self.mtbf_secs
-    }
-
     /// Samples the time (seconds from `epoch_secs`) until `node` next
     /// fails. The `epoch` parameter makes successive draws for the same
     /// node independent (pass the current simulation time).
-    pub fn next_failure_after(&self, node: NodeId, epoch_secs: f64) -> f64 {
+    fn next_failure_after(&self, node: NodeId, epoch_secs: f64) -> f64 {
         let mut rng = self.node_rng(node, epoch_secs);
         dist::exponential(&mut rng, 1.0 / self.mtbf_secs)
     }

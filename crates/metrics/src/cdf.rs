@@ -2,8 +2,7 @@
 
 /// An empirical cumulative distribution function over f64 samples.
 ///
-/// Built once, then queried for `F(x)` or for quantiles; also renders the
-/// `(x, F(x))` point series experiments plot.
+/// Built once, then queried for `F(x)` or for quantiles.
 ///
 /// # Example
 ///
@@ -59,28 +58,6 @@ impl Cdf {
         assert!(!self.sorted.is_empty(), "quantile of empty CDF");
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of [0,1]");
         crate::stats::percentile_of_sorted(&self.sorted, q * 100.0)
-    }
-
-    /// Evenly spaced `(value, cumulative_fraction)` points for plotting.
-    ///
-    /// Returns at most `points` entries, always ending at the maximum sample
-    /// with fraction 1.0. Empty when the CDF is empty.
-    pub fn plot_points(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let n = self.sorted.len();
-        let step = (n.max(points) / points).max(1);
-        let mut out = Vec::with_capacity(points + 1);
-        let mut i = step - 1;
-        while i < n {
-            out.push((self.sorted[i], (i + 1) as f64 / n as f64));
-            i += step;
-        }
-        if out.last().map(|&(_, f)| f < 1.0).unwrap_or(true) {
-            out.push((self.sorted[n - 1], 1.0));
-        }
-        out
     }
 }
 
@@ -209,22 +186,6 @@ mod tests {
         let cdf = Cdf::from_samples(&[]);
         assert!(cdf.is_empty());
         assert_eq!(cdf.fraction_at_or_below(1.0), 0.0);
-        assert!(cdf.plot_points(10).is_empty());
-    }
-
-    #[test]
-    fn cdf_plot_points_end_at_one() {
-        let samples: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        let pts = Cdf::from_samples(&samples).plot_points(20);
-        assert!(pts.len() <= 21);
-        let (x, f) = *pts.last().expect("nonempty");
-        assert_eq!(x, 999.0);
-        assert_eq!(f, 1.0);
-        // Monotone in both coordinates.
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
     }
 
     #[test]

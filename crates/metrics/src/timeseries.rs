@@ -65,7 +65,7 @@ impl StepSeries {
     }
 
     /// The value in effect at time `t` (`None` before the first change-point).
-    pub fn value_at(&self, t: f64) -> Option<f64> {
+    fn value_at(&self, t: f64) -> Option<f64> {
         let idx = self.points.partition_point(|&(pt, _)| pt <= t);
         if idx == 0 {
             None
@@ -97,24 +97,6 @@ impl StepSeries {
         }
         acc += current * (to - cursor);
         acc / (to - from)
-    }
-
-    /// Samples the series at `n` evenly spaced instants across `[from, to]`
-    /// (inclusive of both endpoints), for plotting.
-    pub fn sample_points(&self, from: f64, to: f64, n: usize) -> Vec<(f64, f64)> {
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 {
-            return vec![(from, self.value_at(from).unwrap_or(0.0))];
-        }
-        let step = (to - from) / (n - 1) as f64;
-        (0..n)
-            .map(|i| {
-                let t = from + step * i as f64;
-                (t, self.value_at(t).unwrap_or(0.0))
-            })
-            .collect()
     }
 
     /// Iterates over the raw `(time, value)` change-points.
@@ -166,11 +148,6 @@ impl UtilizationTracker {
         self.capacity
     }
 
-    /// Amount currently in use.
-    pub fn in_use(&self) -> f64 {
-        self.in_use
-    }
-
     /// Marks `amount` additional units busy at time `t`.
     ///
     /// # Panics
@@ -209,15 +186,6 @@ impl UtilizationTracker {
     /// Mean busy fraction (0..=1) over `[from, to)`.
     pub fn mean_utilization(&self, from: f64, to: f64) -> f64 {
         self.series.time_weighted_mean(from, to) / self.capacity
-    }
-
-    /// The busy-fraction series sampled for plotting.
-    pub fn utilization_points(&self, from: f64, to: f64, n: usize) -> Vec<(f64, f64)> {
-        self.series
-            .sample_points(from, to, n)
-            .into_iter()
-            .map(|(t, v)| (t, v / self.capacity))
-            .collect()
     }
 }
 
@@ -282,7 +250,6 @@ mod tests {
         u.release(75.0, 4.0);
         // 8 busy for 25s, 4 busy for 50s, 0 for 25s => (200+200)/8/100 = 0.5
         assert!((u.mean_utilization(0.0, 100.0) - 0.5).abs() < 1e-12);
-        assert_eq!(u.in_use(), 0.0);
     }
 
     #[test]
@@ -290,16 +257,5 @@ mod tests {
     fn tracker_rejects_overcommit() {
         let mut u = UtilizationTracker::new(2.0);
         u.acquire(0.0, 3.0);
-    }
-
-    #[test]
-    fn tracker_plot_points_normalized() {
-        let mut u = UtilizationTracker::new(4.0);
-        u.acquire(0.0, 2.0);
-        let pts = u.utilization_points(0.0, 10.0, 3);
-        assert_eq!(pts.len(), 3);
-        for &(_, f) in &pts {
-            assert!((f - 0.5).abs() < 1e-12);
-        }
     }
 }

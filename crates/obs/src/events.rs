@@ -216,19 +216,6 @@ impl PlatformEvent {
         }
     }
 
-    /// True for the event that ends a job's story (`Rejected`,
-    /// `Completed`, `Failed`, `Cancelled`): the last entry its log will
-    /// hold, bar a stray illegal-transition report.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            PlatformEvent::Rejected { .. }
-                | PlatformEvent::Completed { .. }
-                | PlatformEvent::Failed { .. }
-                | PlatformEvent::Cancelled { .. }
-        )
-    }
-
     /// Bytes of free text the event carries (`name`, `node`); zero for
     /// every other variant, whose JSON line has a fixed upper bound.
     fn text_len(&self) -> usize {

@@ -130,6 +130,10 @@ pub struct DecisionTraceLog {
 }
 
 impl DecisionTraceLog {
+    /// How many round traces the scheduler's log retains. The latest
+    /// per-job skip reason survives ring eviction regardless.
+    pub const CAPACITY: usize = 2048;
+
     /// New log retaining at most `capacity` round traces (minimum 1).
     pub fn new(capacity: usize) -> Self {
         DecisionTraceLog {

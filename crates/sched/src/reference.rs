@@ -110,7 +110,7 @@ impl ReferenceScheduler {
         let mut expired: Vec<(f64, JobId)> = self
             .running
             .values()
-            .filter(|t| t.request.qos == QosClass::BestEffort && now_secs - t.start_secs >= quantum)
+            .filter(|t| t.request.qos == QosClass::BestEffort && t.start_secs + quantum <= now_secs)
             .map(|t| (t.start_secs, t.request.id))
             .collect();
         if expired.is_empty() {

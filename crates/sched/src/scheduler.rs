@@ -49,9 +49,6 @@ pub struct SchedulerConfig {
     /// can be rotated out in favour of queued work via
     /// [`Scheduler::rotate`]. `None` disables rotation.
     pub time_slice_secs: Option<f64>,
-    /// How many [`RoundTrace`](tacc_obs::RoundTrace)s the decision trace ring retains. The
-    /// latest per-job skip reason survives ring eviction regardless.
-    pub decision_trace_capacity: usize,
     /// Planned capacity changes (drain/maintenance windows, permanent
     /// reductions) applied to the temporal planner's availability profile
     /// — OAR's `available_upto` pseudo-job trick. Windows shape backfill
@@ -69,7 +66,6 @@ impl Default for SchedulerConfig {
             quotas: Vec::new(),
             group_count: 8,
             time_slice_secs: None,
-            decision_trace_capacity: 2048,
             capacity_windows: Vec::new(),
         }
     }
@@ -419,7 +415,7 @@ impl Scheduler {
         Scheduler {
             planner: Planner::new(config.placement),
             quota: QuotaTable::from_quotas(quotas),
-            trace: DecisionTraceLog::new(config.decision_trace_capacity),
+            trace: DecisionTraceLog::new(DecisionTraceLog::CAPACITY),
             group_usage_vec: vec![ResourceVec::ZERO; config.group_count],
             config,
             queue: Vec::new(),

@@ -25,10 +25,13 @@ impl Scheduler {
         if self.queue.is_empty() {
             return SchedOutcome::default();
         }
+        // Expiry is the very sum the run's `RotateCheck` was scheduled at,
+        // so that check always finds its run: `now − start ≥ quantum`
+        // rounds differently once `start + quantum` crosses a power of two.
         let mut expired: Vec<(f64, JobId)> = self
             .running
             .values()
-            .filter(|t| t.request.qos == QosClass::BestEffort && now_secs - t.start_secs >= quantum)
+            .filter(|t| t.request.qos == QosClass::BestEffort && t.start_secs + quantum <= now_secs)
             .map(|t| (t.start_secs, t.request.id))
             .collect();
         if expired.is_empty() {

@@ -109,7 +109,6 @@ fn config(seed: u64) -> SchedulerConfig {
         group_count: GROUPS,
         time_slice_secs,
         capacity_windows,
-        ..SchedulerConfig::default()
     }
 }
 
@@ -489,7 +488,6 @@ fn contended_config(seed: u64) -> SchedulerConfig {
         group_count: GROUPS,
         time_slice_secs: None,
         capacity_windows,
-        ..SchedulerConfig::default()
     }
 }
 

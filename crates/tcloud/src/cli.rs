@@ -241,6 +241,19 @@ fn render_ack(command: &Command, ack: &Json) -> Vec<String> {
     }]
 }
 
+/// The line `events` and `logs` open with once the bus — a bounded ring
+/// both read — has overflowed: the stream below is incomplete, and the
+/// user must know before reading it.
+fn dropped_warning(a: &Json) -> Option<String> {
+    let dropped = int(a, "dropped");
+    (dropped > 0).then(|| {
+        format!(
+            "warning: {dropped} event(s) dropped from the bounded ring; this stream is \
+             incomplete (see tacc_obs_dropped_events_total)"
+        )
+    })
+}
+
 fn render_answer(query: &Query, a: &Json) -> Vec<String> {
     match query {
         Query::Status(_) => vec![format!(
@@ -271,15 +284,6 @@ fn render_answer(query: &Query, a: &Json) -> Vec<String> {
             std::iter::once(head).chain(jobs).collect()
         }
         Query::Events(_) => {
-            // The bus is a bounded ring: if it ever overflowed, the stream
-            // below is incomplete and the user must know before reading it.
-            let warning = (int(a, "dropped") > 0).then(|| {
-                format!(
-                    "warning: {} event(s) dropped from the bounded ring; this stream is \
-                     incomplete (see tacc_obs_dropped_events_total)",
-                    int(a, "dropped")
-                )
-            });
             let events = a.get("events").map(rows).unwrap_or(&[]).iter().map(|e| {
                 format!(
                     "[t={:.1}s] #{} {}: {}",
@@ -289,7 +293,7 @@ fn render_answer(query: &Query, a: &Json) -> Vec<String> {
                     text(e, "event")
                 )
             });
-            warning.into_iter().chain(events).collect()
+            dropped_warning(a).into_iter().chain(events).collect()
         }
         Query::Info => {
             let cluster = format!(
@@ -322,7 +326,8 @@ fn render_answer(query: &Query, a: &Json) -> Vec<String> {
         )],
         Query::Logs(_) => {
             let line = |l| format!("[t={:.1}s] {}", num(l, "at_secs"), text(l, "line"));
-            rows(a).iter().map(line).collect()
+            let lines = a.get("lines").map(rows).unwrap_or(&[]).iter().map(line);
+            dropped_warning(a).into_iter().chain(lines).collect()
         }
         Query::Timeline(_) => {
             let span = |s| {

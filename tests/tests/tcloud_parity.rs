@@ -5,11 +5,11 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use tacc_core::PlatformConfig;
+use tacc_core::{Command, PlatformConfig};
 use tacc_sim::DetRng;
 use tacc_taccd::{ClockMode, Daemon, DaemonConfig, EngineConfig};
 use tacc_tcloud::{cli, DaemonClient, Endpoint, RetryPolicy, TcloudClient, TcloudError};
-use tacc_tests::{session_argv, session_step, SessionStep};
+use tacc_tests::{config_with, session_argv, session_step, small_trace, SessionStep};
 use tacc_workload::{GroupId, TaskSchema};
 
 /// The two endpoints over one `PlatformConfig`, and what to clean up.
@@ -21,7 +21,7 @@ struct Pair {
 }
 
 impl Pair {
-    fn start(tag: &str) -> Pair {
+    fn start(tag: &str, platform: PlatformConfig) -> Pair {
         let temp = |kind: &str| {
             let name = format!("tacc-parity-{tag}-{kind}-{}", std::process::id());
             let path = std::env::temp_dir().join(name);
@@ -33,13 +33,13 @@ impl Pair {
             socket: socket.clone(),
             engine: EngineConfig {
                 journal: journal.clone(),
-                platform: PlatformConfig::default(),
+                platform: platform.clone(),
                 clock: ClockMode::Logical,
             },
         })
         .expect("daemon starts");
         Pair {
-            local: TcloudClient::with_profile("campus", PlatformConfig::default()),
+            local: TcloudClient::with_profile("campus", platform),
             remote: DaemonClient::connect(&socket, RetryPolicy::default()).expect("connects"),
             daemon,
             journal,
@@ -78,7 +78,7 @@ fn series(lines: &[String]) -> BTreeSet<&str> {
 #[test]
 fn every_verb_prints_the_same_lines_on_both_endpoints() {
     const COMMANDS: u64 = 60;
-    let mut pair = Pair::start("session");
+    let mut pair = Pair::start("session", PlatformConfig::default());
     let rng = &mut DetRng::seed_from_u64(22);
     let (mut issued, mut refused) = (0, 0);
     let mut seq = 0;
@@ -133,6 +133,69 @@ fn every_verb_prints_the_same_lines_on_both_endpoints() {
     pair.stop();
 }
 
+/// A job's log is its bus events: for every job of a seeded replay,
+/// `logs` prints what `events` prints without the sequence number and
+/// kind, on both endpoints — with a bus that drops nothing, and with one
+/// small enough to evict, where both open with the same warning.
+#[test]
+fn logs_are_the_events_rendered_on_both_endpoints() {
+    let trace = small_trace(11, 0.25, 1.0);
+    for (tag, capacity) in [("roomy", 262_144), ("evicting", 256)] {
+        let config = config_with(|c| c.event_buffer_capacity = capacity);
+        let mut pair = Pair::start(tag, config);
+        let apply = |pair: &mut Pair, command| {
+            let argv = session_argv(&SessionStep::Apply(command));
+            let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+            pair.both(&argv).expect("applies");
+        };
+        for record in trace.records() {
+            let now_secs = pair.local.platform().now().as_secs();
+            let secs = (record.submit_secs - now_secs).max(0.0);
+            apply(&mut pair, Command::Advance { secs });
+            let submit = Command::Submit {
+                schema: record.schema.clone(),
+                service_secs: record.service_secs,
+            };
+            apply(&mut pair, submit);
+        }
+        apply(&mut pair, Command::Advance { secs: 86_400.0 });
+
+        let dropped = pair.local.platform().events().dropped();
+        assert_eq!(dropped > 0, tag == "evicting", "{tag}: {dropped} dropped");
+        let jobs = pair.local.platform().job_count();
+        assert_eq!(jobs, trace.len(), "{tag}");
+        let mut with_history = 0;
+        for job in 0..jobs {
+            let job = job.to_string();
+            let logs = pair.both(&["logs", &job]).expect("logs");
+            let events = pair.both(&["events", &job]).expect("events");
+            // `[t=…s] #seq kind: event` is `[t=…s] event` in a log; the
+            // warning, if any, is the same line in both.
+            let rendered: Vec<String> = events
+                .iter()
+                .map(|line| match line.split_once("] #") {
+                    Some((stamp, rest)) => {
+                        let (_, event) = rest.split_once(": ").expect("kind: event");
+                        format!("{stamp}] {event}")
+                    }
+                    None => line.clone(),
+                })
+                .collect();
+            assert_eq!(logs, rendered, "{tag}: job {job}");
+            let warning = format!("warning: {dropped} event(s) dropped");
+            assert_eq!(
+                logs.first().is_some_and(|l| l.starts_with(&warning)),
+                dropped > 0,
+                "{tag}: job {job}: {logs:?}"
+            );
+            with_history += usize::from(logs.len() > usize::from(dropped > 0));
+        }
+        // The evicting bus still holds the newest jobs' histories.
+        assert!(with_history > 0, "{tag}: no job has a line to compare");
+        pair.stop();
+    }
+}
+
 /// `ps` used to cut a name at byte 19: a panic in process when that is
 /// inside a character, and no cut at all against a daemon.
 #[test]
@@ -142,7 +205,7 @@ fn multi_byte_names_fill_the_name_column_on_both_endpoints() {
         "計算機科学".repeat(6),            // 30 characters: must be cut
         "abcdefghijklmnopqrst".to_owned(), // exactly 20 bytes: fits whole
     ];
-    let mut pair = Pair::start("names");
+    let mut pair = Pair::start("names", PlatformConfig::default());
     for name in &names {
         let schema = TaskSchema::builder(name, GroupId::from_index(0))
             .build()
