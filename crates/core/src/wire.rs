@@ -241,8 +241,10 @@ pub fn decode_frame(buf: &[u8]) -> Result<(&[u8], usize), FrameError> {
 ///
 /// # Errors
 ///
-/// The stream's own error, or `InvalidData` carrying the [`FrameError`].
-/// After either the stream cannot be resynchronized.
+/// The stream's own error, `InvalidData` carrying the [`FrameError`], or
+/// `UnexpectedEof` carrying [`FrameError::Incomplete`] when the stream
+/// ends inside the payload. After any of them the stream cannot be
+/// resynchronized.
 pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; 8];
     match stream.read_exact(&mut header) {
@@ -253,7 +255,14 @@ pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Option<Vec<u8>>> {
     let invalid = |e: FrameError| io::Error::new(ErrorKind::InvalidData, e);
     let (len, expected) = split_header(header).map_err(invalid)?;
     let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
+    stream
+        .read_exact(&mut payload)
+        .map_err(|e| match e.kind() {
+            ErrorKind::UnexpectedEof => {
+                io::Error::new(e.kind(), FrameError::Incomplete { needed: 8 + len })
+            }
+            _ => e,
+        })?;
     verify(&payload, expected).map_err(invalid)?;
     Ok(Some(payload))
 }
@@ -475,9 +484,13 @@ mod tests {
             let expected = decode_frame(&bad).expect_err("refused").to_string();
             assert_eq!(err.to_string(), expected);
         }
-        // A stream that ends inside a payload is the stream's error.
-        let err = read_frame(&mut &frame[..frame.len() - 1]).expect_err("short");
+        // A stream that ends inside a payload is an early end, said the
+        // way `decode_frame` says it.
+        let short = &frame[..frame.len() - 1];
+        let err = read_frame(&mut &short[..]).expect_err("short");
         assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+        let expected = decode_frame(short).expect_err("refused").to_string();
+        assert_eq!(err.to_string(), expected);
     }
 
     #[test]

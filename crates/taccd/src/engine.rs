@@ -23,6 +23,11 @@
 //! apply stage is never more than [`PIPELINE_DEPTH`] + 1 batches ahead of
 //! the one being committed.
 //!
+//! [`Engine::open`] has the same shape in the other direction: recovery
+//! ([`Journal::replay`]) decodes the journal on a scoped thread, in
+//! batches of the same size through a channel of the same depth, while
+//! `open` applies each batch to the platform on the caller's thread.
+//!
 //! ## Invariants
 //!
 //! * **I1 — durable before answered.** No reply — ack, refusal or query
@@ -226,38 +231,39 @@ impl std::fmt::Debug for Engine {
 
 impl Engine {
     /// Opens (or creates) the journal and builds the engine. An existing
-    /// journal is recovered: its longest valid prefix is replayed into a
-    /// fresh platform, byte-reproducing the pre-crash state, and any
-    /// torn tail is truncated. Returns the recovery report (`None` for a
-    /// freshly created journal).
+    /// journal is recovered ([`Journal::replay`]): its longest valid
+    /// prefix is replayed into a fresh platform as it decodes,
+    /// byte-reproducing the pre-crash state, and then any torn tail is
+    /// truncated. Returns the recovery report (`None` for a freshly
+    /// created journal).
     ///
     /// # Errors
     ///
     /// [`EngineInitError`] when the journal cannot be opened or a
-    /// recovered record fails to replay.
+    /// recovered record fails to replay; the file is then left as it was.
     pub fn open(config: EngineConfig) -> Result<(Engine, Option<RecoveryReport>), EngineInitError> {
         let registry = MetricsRegistry::new();
         let metrics = EngineMetrics::new(&registry);
         let seed = config.platform.seed;
         let mut platform = Platform::new(config.platform.clone());
         let (journal, report) = if config.journal.exists() {
-            let (journal, records, report) = Journal::recover(&config.journal, seed)?;
+            let mut expected = 0;
             // By value: each decoded record is released as it is applied
             // (a submit's schema lives on in its job, by reference count).
-            for (i, record) in records.into_iter().enumerate() {
-                if record.seq != i as u64 {
-                    return Err(EngineInitError::Replay {
-                        seq: record.seq,
-                        message: format!("expected dense sequence {i}"),
-                    });
+            let (journal, report) = Journal::replay(&config.journal, seed, |record| {
+                let replay_error = |message| EngineInitError::Replay {
+                    seq: record.seq,
+                    message,
+                };
+                if record.seq != expected {
+                    return Err(replay_error(format!("expected dense sequence {expected}")));
                 }
                 platform
                     .apply_record(&record)
-                    .map_err(|e| EngineInitError::Replay {
-                        seq: record.seq,
-                        message: e.to_string(),
-                    })?;
-            }
+                    .map_err(|e| replay_error(e.to_string()))?;
+                expected += 1;
+                Ok(())
+            })?;
             metrics.recoveries.inc();
             if report.torn() {
                 metrics.torn.inc();

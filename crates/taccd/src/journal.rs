@@ -20,20 +20,29 @@
 //! ([`Journal::failed`]): the file may end mid-frame, so nothing more is
 //! written behind it and recovery truncates the tear.
 //!
-//! Recovery reads frames until the first torn or corrupt one, keeps the
-//! longest valid prefix, reports what it dropped (loudly — torn tails
-//! are counted, logged and surfaced in `tacc_taccd_torn_frames_total`),
-//! and truncates the file so the next append continues from a clean
-//! boundary.
+//! Recovery ([`Journal::replay`]) reads frames until the first torn or
+//! corrupt one and keeps the longest valid prefix. It is two stages, the
+//! shape of the engine's: a scoped *decode* thread reads the file through
+//! one buffered reader and decodes records in order, handing them over
+//! in batches of [`MAX_BATCH`] through a channel [`PIPELINE_DEPTH`]
+//! deep; the caller's thread applies each batch while the next one
+//! decodes. Only once the whole prefix has applied does recovery report
+//! what it dropped (loudly — torn tails are counted, logged and surfaced
+//! in `tacc_taccd_torn_frames_total`) and truncate the file, so the next
+//! append continues from a clean boundary; a prefix that fails to apply
+//! leaves the file as it was found.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io::{self, BufReader, ErrorKind, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 
-use tacc_core::wire::{self, Json};
+use tacc_core::wire::{self, FrameError, Json};
 use tacc_core::CommandRecord;
+
+use crate::engine::{MAX_BATCH, PIPELINE_DEPTH};
 
 /// Why the journal could not be opened, recovered or appended to.
 #[derive(Debug)]
@@ -255,6 +264,117 @@ fn genesis_payload(seed: u64) -> String {
     .to_string()
 }
 
+/// The genesis frame's payload names this protocol and, when it names
+/// one, `expected_seed`.
+fn check_genesis(payload: &[u8], expected_seed: u64) -> Result<(), JournalError> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|_| JournalError::BadGenesis("genesis is not UTF-8".to_owned()))?;
+    let genesis = wire::parse(text).map_err(|e| JournalError::BadGenesis(e.to_string()))?;
+    let found = genesis
+        .get("genesis")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| JournalError::BadGenesis("missing 'genesis' version".to_owned()))?;
+    if found != wire::PROTOCOL_VERSION {
+        return Err(JournalError::ProtocolMismatch {
+            found,
+            expected: wire::PROTOCOL_VERSION,
+        });
+    }
+    if let Some(seed) = genesis.get("seed").and_then(Json::as_u64) {
+        if seed != expected_seed {
+            return Err(JournalError::BadGenesis(format!(
+                "journal was written for platform seed {seed}, daemon configured with {expected_seed}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// What the bytes at a journal's read cursor hold.
+enum Next {
+    /// One intact frame's payload.
+    Frame(Vec<u8>),
+    /// Nothing: the cursor is at the end of the file.
+    End,
+    /// Bytes that are not one intact frame, and why.
+    Torn(String),
+}
+
+/// Reads the frame at the cursor, `remaining` bytes before the end of
+/// the file, with the one stream frame reader ([`wire::read_frame`]).
+fn next_frame(reader: &mut impl Read, remaining: u64) -> io::Result<Next> {
+    match wire::read_frame(reader) {
+        Ok(Some(payload)) => Ok(Next::Frame(payload)),
+        Ok(None) if remaining == 0 => Ok(Next::End),
+        // Fewer than a header's 8 bytes are left.
+        Ok(None) => Ok(Next::Torn(FrameError::Incomplete { needed: 8 }.to_string())),
+        Err(e) if matches!(e.kind(), ErrorKind::InvalidData | ErrorKind::UnexpectedEof) => {
+            Ok(Next::Torn(e.to_string()))
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// A command frame's payload as a record. A frame that decodes but does
+/// not parse as one is corruption past the checksum.
+fn parse_record(payload: &[u8]) -> Result<CommandRecord, String> {
+    let text = std::str::from_utf8(payload).map_err(|_| "frame payload is not UTF-8".to_owned())?;
+    let value = wire::parse(text).map_err(|e| e.to_string())?;
+    CommandRecord::from_json(&value)
+}
+
+/// Where the decode stage stopped.
+struct Tail {
+    /// Records handed over.
+    frames: u64,
+    /// Bytes of the longest valid prefix, genesis frame included.
+    valid_bytes: u64,
+    /// Why it stopped before the end of the file, if it did.
+    torn_reason: Option<String>,
+}
+
+/// Recovery's decode stage: reads the command frames from `reader`,
+/// `offset` bytes into a `len`-byte file, and hands their records over
+/// in frame order, [`MAX_BATCH`] at a time, until the end of the file or
+/// the first frame that is torn or is not a record — or until the apply
+/// stage hangs up. Touches bytes and records only.
+fn decode(
+    mut reader: impl Read,
+    mut offset: u64,
+    len: u64,
+    to_apply: &SyncSender<Vec<CommandRecord>>,
+) -> io::Result<Tail> {
+    let mut frames = 0;
+    let mut batch = Vec::with_capacity(MAX_BATCH);
+    let torn_reason = loop {
+        let payload = match next_frame(&mut reader, len.saturating_sub(offset))? {
+            Next::Frame(payload) => payload,
+            Next::End => break None,
+            Next::Torn(why) => break Some(format!("torn frame at byte {offset}: {why}")),
+        };
+        match parse_record(&payload) {
+            Ok(record) => batch.push(record),
+            Err(why) => break Some(format!("unparseable frame at byte {offset}: {why}")),
+        }
+        frames += 1;
+        offset += 8 + payload.len() as u64;
+        if batch.len() == MAX_BATCH {
+            let full = std::mem::replace(&mut batch, Vec::with_capacity(MAX_BATCH));
+            if to_apply.send(full).is_err() {
+                break None; // the apply stage failed; nothing more is wanted
+            }
+        }
+    };
+    if !batch.is_empty() {
+        let _ = to_apply.send(batch); // a hang-up here is the apply stage's error
+    }
+    Ok(Tail {
+        frames,
+        valid_bytes: offset,
+        torn_reason,
+    })
+}
+
 impl Journal {
     /// Creates a fresh journal at `path` (truncating any existing file)
     /// and writes the genesis frame.
@@ -295,96 +415,93 @@ impl Journal {
 
     /// Opens an existing journal, validates the genesis frame, recovers
     /// the longest valid prefix of command frames, truncates any torn
-    /// tail, and returns the recovered records alongside a report.
+    /// tail, and returns the recovered records alongside a report:
+    /// [`Journal::replay`], collecting what it decodes.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] on filesystem failure, `ProtocolMismatch` /
-    /// `BadGenesis` when the genesis frame is intact but wrong. A torn
-    /// or missing genesis frame is `BadGenesis` too: there is no valid
-    /// prefix to keep.
+    /// As [`Journal::replay`].
     pub fn recover(
         path: &Path,
         expected_seed: u64,
     ) -> Result<(Journal, Vec<CommandRecord>, RecoveryReport), JournalError> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-
-        // Genesis frame first.
-        let (genesis, genesis_len) =
-            wire::decode_frame(&bytes).map_err(|e| JournalError::BadGenesis(e.to_string()))?;
-        let genesis_text = std::str::from_utf8(genesis)
-            .map_err(|_| JournalError::BadGenesis("genesis is not UTF-8".to_owned()))?;
-        let genesis_json =
-            wire::parse(genesis_text).map_err(|e| JournalError::BadGenesis(e.to_string()))?;
-        let found = genesis_json
-            .get("genesis")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| JournalError::BadGenesis("missing 'genesis' version".to_owned()))?;
-        if found != wire::PROTOCOL_VERSION {
-            return Err(JournalError::ProtocolMismatch {
-                found,
-                expected: wire::PROTOCOL_VERSION,
-            });
-        }
-        if let Some(seed) = genesis_json.get("seed").and_then(Json::as_u64) {
-            if seed != expected_seed {
-                return Err(JournalError::BadGenesis(format!(
-                    "journal was written for platform seed {seed}, daemon configured with {expected_seed}"
-                )));
-            }
-        }
-
-        // Command frames: longest valid prefix.
         let mut records = Vec::new();
-        let mut offset = genesis_len;
-        let mut report = RecoveryReport::default();
-        loop {
-            if offset == bytes.len() {
-                break; // clean end
-            }
-            match wire::decode_frame(&bytes[offset..]) {
-                Ok((payload, used)) => {
-                    // A frame that decodes but does not parse as a record
-                    // is corruption past the checksum — stop here too.
-                    let parsed = std::str::from_utf8(payload)
-                        .map_err(|_| "frame payload is not UTF-8".to_owned())
-                        .and_then(|text| {
-                            wire::parse(text)
-                                .map_err(|e| e.to_string())
-                                .and_then(|v| CommandRecord::from_json(&v))
-                        });
-                    match parsed {
-                        Ok(record) => {
-                            records.push(record);
-                            offset += used;
-                        }
-                        Err(why) => {
-                            report.torn_reason =
-                                Some(format!("unparseable frame at byte {offset}: {why}"));
-                            break;
-                        }
-                    }
-                }
-                Err(e) => {
-                    report.torn_reason = Some(format!("torn frame at byte {offset}: {e}"));
-                    break;
-                }
-            }
-        }
-        report.frames = records.len() as u64;
-        report.valid_bytes = offset as u64;
-        report.torn_bytes = (bytes.len() - offset) as u64;
+        let (journal, report) = Journal::replay(path, expected_seed, |record| {
+            records.push(record);
+            Ok::<_, JournalError>(())
+        })?;
+        Ok((journal, records, report))
+    }
 
+    /// Opens an existing journal, validates the genesis frame and feeds
+    /// each record of the longest valid prefix of command frames, in
+    /// frame order, to `apply` on this thread while a decode stage reads
+    /// ahead on another. Once every record has applied it truncates any
+    /// torn tail and returns the journal, positioned to append, with a
+    /// report of what was kept and dropped.
+    ///
+    /// At most [`PIPELINE_DEPTH`] + 2 batches of [`MAX_BATCH`] decoded
+    /// records exist at a time: one being applied, the ones waiting, one
+    /// being decoded. The file itself is never held whole.
+    ///
+    /// # Errors
+    ///
+    /// The first error `apply` returns, which stops recovery and leaves
+    /// the file as it was found. Otherwise [`JournalError::Io`] on
+    /// filesystem failure, `ProtocolMismatch` / `BadGenesis` when the
+    /// genesis frame is intact but wrong. A torn or missing genesis frame
+    /// is `BadGenesis` too: there is no valid prefix to keep.
+    pub fn replay<E: From<JournalError>>(
+        path: &Path,
+        expected_seed: u64,
+        mut apply: impl FnMut(CommandRecord) -> Result<(), E>,
+    ) -> Result<(Journal, RecoveryReport), E> {
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)
+            .map_err(JournalError::Io)?;
+        let len = file.metadata().map_err(JournalError::Io)?.len();
+        let mut reader = BufReader::new(&file);
+        let genesis = match next_frame(&mut reader, len).map_err(JournalError::Io)? {
+            Next::Frame(payload) => payload,
+            Next::End => {
+                let why = FrameError::Incomplete { needed: 8 }.to_string();
+                return Err(JournalError::BadGenesis(why).into());
+            }
+            Next::Torn(why) => return Err(JournalError::BadGenesis(why).into()),
+        };
+        check_genesis(&genesis, expected_seed)?;
+
+        let start = 8 + genesis.len() as u64;
+        let (to_apply, decoded) = mpsc::sync_channel(PIPELINE_DEPTH);
+        let (applied, tail) = std::thread::scope(|scope| {
+            let decoder = scope.spawn(move || decode(reader, start, len, &to_apply));
+            // The apply stage: this thread, frame order.
+            let applied = decoded.iter().flatten().try_for_each(&mut apply);
+            // A decoder waiting on a full channel sees the hang-up and stops.
+            drop(decoded);
+            (applied, decoder.join())
+        });
+        applied?;
+        let tail = tail
+            .unwrap_or_else(|_| Err(io::Error::other("the journal decode stage panicked")))
+            .map_err(JournalError::Io)?;
+
+        let report = RecoveryReport {
+            frames: tail.frames,
+            valid_bytes: tail.valid_bytes,
+            torn_bytes: len.saturating_sub(tail.valid_bytes),
+            torn_reason: tail.torn_reason,
+        };
         // Truncate the torn tail so appends restart from a clean frame
-        // boundary.
-        if report.torn_bytes > 0 {
-            file.set_len(offset as u64)?;
+        // boundary — now, with the whole prefix applied, and not before.
+        if report.torn() {
+            file.set_len(report.valid_bytes).map_err(JournalError::Io)?;
         }
-        file.seek(SeekFrom::Start(offset as u64))?;
-
-        Ok((Journal::over(file, path), records, report))
+        file.seek(SeekFrom::Start(report.valid_bytes))
+            .map_err(JournalError::Io)?;
+        Ok((Journal::over(file, path), report))
     }
 
     /// Forces everything appended so far to stable storage (the group

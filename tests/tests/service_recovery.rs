@@ -11,22 +11,26 @@
 //! Two layers are exercised:
 //!
 //! * engine + journal — xorshift-driven command scripts are applied
-//!   through a live [`Engine`], then the finished journal is truncated
-//!   at random byte offsets and recovered; every cut must yield the
-//!   longest valid prefix, flag any torn tail loudly, and replay to
+//!   through a live [`Engine`], then the finished journal is cut at
+//!   random byte offsets and at recovery's decode batch edges, or
+//!   mutated, and recovered both by `Journal::recover` and by
+//!   `Engine::open` straight on the damaged file; every copy must yield
+//!   the longest valid prefix, flag any torn tail loudly, and replay to
 //!   the exact transition log the pristine run had at that prefix;
 //! * daemon + socket — concurrent [`DaemonClient`]s drive a live
 //!   [`Daemon`], which is then stopped and restarted on the same
 //!   journal; the `transitions` query must return byte-identical text
 //!   before and after, and the sequence numbering must continue.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
 use tacc_core::wire::{self, Json};
-use tacc_core::{Command, PlatformConfig};
+use tacc_core::{Command, CommandRecord, PlatformConfig};
+use tacc_taccd::engine::MAX_BATCH;
 use tacc_taccd::{
-    ClockMode, Daemon, DaemonConfig, Engine, EngineConfig, Journal, JournalError, Msg, Query, Reply,
+    ClockMode, Daemon, DaemonConfig, Engine, EngineConfig, EngineInitError, Journal, JournalError,
+    Msg, Query, RecoveryReport, Reply,
 };
 use tacc_tcloud::{DaemonClient, RetryPolicy};
 use tacc_workload::{GroupId, JobId, TaskSchema};
@@ -110,13 +114,16 @@ fn temp(tag: &str, unique: &str) -> PathBuf {
     p
 }
 
-fn spawn_engine(journal: PathBuf) -> (mpsc::Sender<Msg>, std::thread::JoinHandle<()>) {
-    let (engine, _) = Engine::open(EngineConfig {
-        journal,
+fn engine_config(journal: &Path) -> EngineConfig {
+    EngineConfig {
+        journal: journal.to_owned(),
         platform: PlatformConfig::default(),
         clock: ClockMode::Logical,
-    })
-    .expect("engine opens");
+    }
+}
+
+fn spawn_engine(journal: &Path) -> (mpsc::Sender<Msg>, std::thread::JoinHandle<()>) {
+    let (engine, _) = Engine::open(engine_config(journal)).expect("engine opens");
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || engine.run(&rx));
     (tx, handle)
@@ -150,25 +157,66 @@ fn stop_engine(tx: mpsc::Sender<Msg>, handle: std::thread::JoinHandle<()>) {
     handle.join().expect("engine thread exits");
 }
 
+/// What an opened engine holds: its transition log and its next `seq`,
+/// then — one by one — the `seq` it acknowledges each of `commands`
+/// with. Runs the engine on this thread until it has answered them.
+fn serve(engine: Engine, commands: &[Command]) -> (String, u64, Vec<u64>) {
+    let (tx, rx) = mpsc::channel();
+    let (reply, replies) = mpsc::channel();
+    for query in [Query::Transitions, Query::JournalStats] {
+        let reply = reply.clone();
+        tx.send(Msg::Query { query, reply }).expect("queued");
+    }
+    for command in commands {
+        let (command, reply) = (command.clone(), reply.clone());
+        tx.send(Msg::Mutate { command, reply }).expect("queued");
+    }
+    tx.send(Msg::Stop).expect("queued");
+    engine.run(&rx);
+    let mut replies = replies.try_iter().map(|reply| match reply {
+        Reply::Ok(payload) => payload,
+        other => panic!("the recovered engine refused: {other:?}"),
+    });
+    let Some(Json::Str(log)) = replies.next() else {
+        panic!("transitions answered without a log");
+    };
+    let field = |payload: Option<Json>, key| {
+        payload
+            .and_then(|payload| payload.get(key).and_then(Json::as_u64))
+            .expect("a numeric field")
+    };
+    let next_seq = field(replies.next(), "next_seq");
+    let acks = commands
+        .iter()
+        .map(|_| field(replies.next(), "seq"))
+        .collect();
+    (log, next_seq, acks)
+}
+
 // ---------------------------------------------------------------------
-// The crash-recovery property
+// A pristine history, and what recovering any copy of it must give
 // ---------------------------------------------------------------------
 
-#[test]
-fn torn_journals_recover_the_longest_valid_prefix_and_byte_reproduce() {
-    let platform_seed = PlatformConfig::default().seed;
-    for seed in [11u64, 29, 4242, 0x00C0_FFEE] {
-        let mut rng = XorShift::new(seed);
-        let pristine = temp("recovery-pristine", &format!("{seed}"));
-        std::fs::remove_file(&pristine).ok();
+/// A journal a live engine wrote from a `len`-command script, with
+/// everything a recovery of any prefix of it is checked against.
+struct Pristine {
+    bytes: Vec<u8>,
+    /// `boundaries[r]` is the byte length of a journal holding exactly r
+    /// command frames; `boundaries[0]` ends the genesis frame.
+    boundaries: Vec<usize>,
+    /// `reference[r]` is the exact transition log a daemon must
+    /// reproduce when its journal recovers r command frames.
+    reference: Vec<String>,
+}
 
-        // Pristine run: apply the script through a live engine,
-        // snapshotting the transition log after every *accepted*
-        // command. `reference[r]` is the exact log a daemon must
-        // reproduce when its journal recovers r command frames.
-        let script_len = 24 + rng.below(16) as usize;
-        let commands = script(&mut rng, script_len);
-        let (tx, handle) = spawn_engine(pristine.clone());
+impl Pristine {
+    /// Applies the script through a live engine, snapshotting the
+    /// transition log after every *accepted* command.
+    fn record(rng: &mut XorShift, tag: &str, len: usize) -> Pristine {
+        let commands = script(rng, len);
+        let path = temp("recovery-pristine", tag);
+        std::fs::remove_file(&path).ok();
+        let (tx, handle) = spawn_engine(&path);
         let mut reference = vec![transitions(&tx)];
         for command in &commands {
             if matches!(mutate(&tx, command.clone()), Reply::Ok(_)) {
@@ -176,15 +224,9 @@ fn torn_journals_recover_the_longest_valid_prefix_and_byte_reproduce() {
             }
         }
         stop_engine(tx, handle);
-        let accepted = reference.len() - 1;
-        assert!(
-            accepted >= 4,
-            "seed {seed}: script too timid, only {accepted} commands accepted"
-        );
+        let bytes = std::fs::read(&path).expect("journal bytes");
+        std::fs::remove_file(&path).ok();
 
-        // Frame boundaries of the finished journal: `boundaries[r]` is
-        // the byte length of a journal holding exactly r command frames.
-        let bytes = std::fs::read(&pristine).expect("journal bytes");
         let (_, genesis_len) = wire::decode_frame(&bytes).expect("genesis frame decodes");
         let mut boundaries = vec![genesis_len];
         while *boundaries.last().expect("nonempty") < bytes.len() {
@@ -193,75 +235,304 @@ fn torn_journals_recover_the_longest_valid_prefix_and_byte_reproduce() {
             boundaries.push(offset + used);
         }
         assert_eq!(
-            boundaries.len() - 1,
-            accepted,
-            "seed {seed}: exactly one frame per accepted command"
+            boundaries.len(),
+            reference.len(),
+            "{tag}: exactly one frame per accepted command"
+        );
+        Pristine {
+            bytes,
+            boundaries,
+            reference,
+        }
+    }
+}
+
+/// What recovering `bytes` must keep, found the plain way: whole-buffer
+/// `wire::decode_frame` and `CommandRecord::from_json` from the genesis
+/// frame on, stopping at the first failure. The records and the bytes
+/// they end at; `None` when the genesis frame is not this daemon's.
+fn scan(bytes: &[u8]) -> Option<(Vec<CommandRecord>, usize)> {
+    let parse = |payload: &[u8]| wire::parse(std::str::from_utf8(payload).ok()?).ok();
+    let (genesis, mut offset) = wire::decode_frame(bytes).ok()?;
+    let genesis = parse(genesis)?;
+    let field = |key| genesis.get(key).and_then(Json::as_u64);
+    let seed = PlatformConfig::default().seed;
+    if field("genesis")? != wire::PROTOCOL_VERSION || field("seed").is_some_and(|s| s != seed) {
+        return None;
+    }
+    let mut records = Vec::new();
+    while let Ok((payload, used)) = wire::decode_frame(&bytes[offset..]) {
+        let Some(record) = parse(payload).and_then(|v| CommandRecord::from_json(&v).ok()) else {
+            break;
+        };
+        records.push(record);
+        offset += used;
+    }
+    Some((records, offset))
+}
+
+/// Recovers `bytes` both ways — `Journal::recover` on one copy, and
+/// `Engine::open` straight on another, torn tail and all — and holds
+/// both to [`scan`]: the same records and report, the tail truncated only
+/// by a recovery that succeeds, and (where the records' `seq` is dense)
+/// an engine whose log is `reference`'s at that prefix, numbering on
+/// from there. A non-dense `seq` is a typed `Replay` refusal that leaves
+/// the file as it was found. Returns the recovery report, `None` where
+/// the genesis frame is refused.
+fn recover_both_ways(
+    case: &str,
+    bytes: &[u8],
+    reference: &[String],
+    then: &[Command],
+) -> Option<RecoveryReport> {
+    let expected = scan(bytes);
+    let recovered_copy = temp("recovered", case);
+    let opened_copy = temp("opened", case);
+    std::fs::write(&recovered_copy, bytes).expect("copy written");
+    std::fs::write(&opened_copy, bytes).expect("copy written");
+    let recovered = Journal::recover(&recovered_copy, PlatformConfig::default().seed);
+    let opened = Engine::open(engine_config(&opened_copy));
+    let after_recover = std::fs::read(&recovered_copy).expect("copy read");
+    let after_open = std::fs::read(&opened_copy).expect("copy read");
+    std::fs::remove_file(&recovered_copy).ok();
+
+    let Some((records, valid)) = expected else {
+        assert!(
+            matches!(
+                recovered,
+                Err(JournalError::BadGenesis(_) | JournalError::ProtocolMismatch { .. })
+            ),
+            "{case}: expected a genesis refusal, got {recovered:?}"
+        );
+        assert!(
+            matches!(opened, Err(EngineInitError::Journal(_))),
+            "{case}: expected a genesis refusal, got {opened:?}"
+        );
+        assert!(after_recover == bytes && after_open == bytes, "{case}");
+        std::fs::remove_file(&opened_copy).ok();
+        return None;
+    };
+    let (journal, recovered_records, report) = recovered.expect("recovery succeeds past genesis");
+    drop(journal);
+    assert_eq!(recovered_records, records, "{case}: recovered records");
+    assert_eq!(report.frames, records.len() as u64, "{case}");
+    assert_eq!(report.valid_bytes, valid as u64, "{case}");
+    assert_eq!(report.torn_bytes, (bytes.len() - valid) as u64, "{case}");
+    assert_eq!(
+        report.torn_reason.is_some(),
+        report.torn(),
+        "{case}: torn tails, and only they, carry a reason"
+    );
+    assert!(
+        after_recover == bytes[..valid],
+        "{case}: the torn tail must be truncated away"
+    );
+
+    let gap = records
+        .iter()
+        .enumerate()
+        .find(|(i, record)| record.seq != *i as u64);
+    match (gap, opened) {
+        (Some((_, record)), Err(EngineInitError::Replay { seq, .. })) => {
+            assert_eq!(seq, record.seq, "{case}: the refusal names the record");
+            assert!(
+                after_open == bytes,
+                "{case}: a refused journal is left as found"
+            );
+        }
+        (None, Ok((engine, opened_report))) => {
+            assert_eq!(
+                opened_report.as_ref(),
+                Some(&report),
+                "{case}: open's report"
+            );
+            assert!(
+                after_open == bytes[..valid],
+                "{case}: open truncates the torn tail"
+            );
+            let (log, next_seq, acks) = serve(engine, then);
+            assert_eq!(
+                log,
+                reference[records.len()],
+                "{case}: replayed transition log diverged"
+            );
+            let full = records.len() as u64;
+            assert_eq!(next_seq, full, "{case}: next seq");
+            assert!(
+                acks.iter().copied().eq(full..full + then.len() as u64),
+                "{case}"
+            );
+        }
+        (gap, opened) => panic!("{case}: gap {gap:?} opened as {opened:?}"),
+    }
+    std::fs::remove_file(&opened_copy).ok();
+    Some(report)
+}
+
+// ---------------------------------------------------------------------
+// The crash-recovery property
+// ---------------------------------------------------------------------
+
+#[test]
+fn torn_journals_recover_the_longest_valid_prefix_and_byte_reproduce() {
+    // The last script runs long enough that recovery hands its records
+    // over in more than three decode batches.
+    const LONG: u64 = 0x00BA_7C4E;
+    for seed in [11u64, 29, 4242, 0x00C0_FFEE, LONG] {
+        let mut rng = XorShift::new(seed);
+        let script_len = match seed {
+            LONG => 8 * MAX_BATCH,
+            _ => 24 + rng.below(16) as usize,
+        };
+        let Pristine {
+            bytes,
+            boundaries,
+            reference,
+        } = Pristine::record(&mut rng, &format!("{seed}"), script_len);
+        let accepted = reference.len() - 1;
+        assert!(
+            accepted >= 4,
+            "seed {seed}: script too timid, only {accepted} commands accepted"
         );
 
-        for trial in 0..10u64 {
-            let cut = rng.below(bytes.len() as u64 + 1) as usize;
-            let copy = temp("recovery-cut", &format!("{seed}-{trial}"));
-            std::fs::write(&copy, &bytes[..cut]).expect("truncated copy written");
-
-            if cut < genesis_len {
+        let mut cuts: Vec<usize> = (0..10)
+            .map(|_| rng.below(bytes.len() as u64 + 1) as usize)
+            .collect();
+        if seed == LONG {
+            assert!(accepted > 3 * MAX_BATCH + 1, "seed {seed}: {accepted}");
+            // Exactly at, one short of and one past each of the first
+            // three batch edges, and inside the next frame's header and
+            // payload.
+            for frames in
+                (1..=3).flat_map(|k| [k * MAX_BATCH - 1, k * MAX_BATCH, k * MAX_BATCH + 1])
+            {
+                let (at, next) = (boundaries[frames], boundaries[frames + 1]);
+                cuts.extend([at, at + 5, (at + next) / 2]);
+            }
+        }
+        for cut in cuts {
+            let case = format!("seed {seed} cut {cut}");
+            let then = [Command::Advance { secs: 1.0 }];
+            let report = recover_both_ways(&case, &bytes[..cut], &reference, &then);
+            if cut < boundaries[0] {
                 // The genesis frame itself is torn: there is no valid
                 // prefix to keep, and recovery must refuse loudly
                 // rather than improvise an empty journal.
-                match Journal::recover(&copy, platform_seed) {
-                    Err(JournalError::BadGenesis(_)) => {}
-                    other => panic!("seed {seed} cut {cut}: expected BadGenesis, got {other:?}"),
-                }
-                std::fs::remove_file(&copy).ok();
+                assert_eq!(report, None, "{case}: expected BadGenesis");
                 continue;
             }
 
             // Longest valid prefix: every whole frame before the cut.
             let full = boundaries.iter().filter(|b| **b <= cut).count() - 1;
-            let (journal, records, report) =
-                Journal::recover(&copy, platform_seed).expect("recovery succeeds past genesis");
-            drop(journal);
-            assert_eq!(
-                records.len(),
-                full,
-                "seed {seed} cut {cut}: recovered record count"
-            );
-            assert_eq!(report.frames, full as u64);
-            assert_eq!(report.valid_bytes, boundaries[full] as u64);
-            assert_eq!(report.torn_bytes, (cut - boundaries[full]) as u64);
+            let report = report.expect("recovery succeeds past genesis");
+            assert_eq!(report.frames, full as u64, "{case}: recovered frames");
+            assert_eq!(report.valid_bytes, boundaries[full] as u64, "{case}");
+            assert_eq!(report.torn_bytes, (cut - boundaries[full]) as u64, "{case}");
             assert_eq!(
                 report.torn(),
                 cut != boundaries[full],
-                "seed {seed} cut {cut}: a mid-frame cut must be reported torn"
+                "{case}: a mid-frame cut must be reported torn"
             );
-            if report.torn() {
-                assert!(
-                    report.torn_reason.is_some(),
-                    "seed {seed} cut {cut}: torn tails must carry a reason"
-                );
-            }
-            assert_eq!(
-                std::fs::metadata(&copy).expect("metadata").len(),
-                boundaries[full] as u64,
-                "seed {seed} cut {cut}: the torn tail must be truncated away"
-            );
-
-            // Replay byte-reproduces the pristine run at that prefix,
-            // and the recovered engine keeps numbering where it left off.
-            let (tx, handle) = spawn_engine(copy.clone());
-            assert_eq!(
-                transitions(&tx),
-                reference[full],
-                "seed {seed} cut {cut}: replayed transition log diverged"
-            );
-            let Reply::Ok(ack) = mutate(&tx, Command::Advance { secs: 1.0 }) else {
-                panic!("seed {seed} cut {cut}: recovered engine refused new work");
-            };
-            assert_eq!(ack.get("seq").and_then(Json::as_u64), Some(full as u64));
-            stop_engine(tx, handle);
-            std::fs::remove_file(&copy).ok();
         }
-        std::fs::remove_file(&pristine).ok();
     }
+}
+
+/// A journal whose records do not replay — here a `seq` that skips one,
+/// past the first decode batch, ahead of a torn tail — is refused with
+/// the record's `seq` and left byte for byte as it was found: the torn
+/// tail is truncated only once the whole prefix has applied.
+#[test]
+fn a_journal_that_fails_to_replay_is_left_as_it_was_found() {
+    let path = temp("replay-refused", "a");
+    drop(Journal::create(&path, PlatformConfig::default().seed).expect("creates"));
+    let mut bytes = std::fs::read(&path).expect("genesis bytes");
+    let gap = MAX_BATCH as u64 + 5;
+    for seq in (0..gap).chain(gap + 1..gap + 8) {
+        let record = CommandRecord {
+            seq,
+            at_secs: seq as f64,
+            command: Command::Advance { secs: 1.0 },
+        };
+        bytes.extend(wire::encode_frame(record.to_json().to_string().as_bytes()));
+    }
+    let torn = wire::encode_frame(b"{\"seq\":");
+    bytes.extend(&torn[..torn.len() - 2]);
+    std::fs::write(&path, &bytes).expect("journal written");
+
+    match Engine::open(engine_config(&path)) {
+        Err(EngineInitError::Replay { seq, message }) => {
+            assert_eq!(seq, gap + 1, "{message}");
+        }
+        other => panic!("expected a replay refusal, got {other:?}"),
+    }
+    assert!(
+        std::fs::read(&path).expect("journal read") == bytes,
+        "a refused journal was rewritten"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// The journal reader under hostile bytes: a seeded mutation of a real
+/// journal — a bit flipped in a header or a payload, a length field set
+/// to 0, just past the end of the file, `MAX_FRAME_LEN` or one more, a
+/// payload swapped for JSON that is not a record, a frame duplicated —
+/// goes through `Journal::recover` and `Engine::open`. Neither panics,
+/// both keep exactly what a plain scan keeps, and a duplicate that
+/// breaks the `seq` is a typed refusal ([`recover_both_ways`]).
+#[test]
+fn mutated_journals_recover_what_a_plain_scan_keeps() {
+    const CASES: usize = 240;
+    let mut rng = XorShift::new(0x0F02_2ED5);
+    let Pristine {
+        bytes,
+        boundaries,
+        reference,
+    } = Pristine::record(&mut rng, "fuzz", 40);
+    let not_records = [
+        "{}",
+        "[1,2]",
+        "\"seq\"",
+        "{\"seq\":1}",
+        "{\"genesis\":1,\"seed\":0}",
+        "{\"seq\":0,\"at_secs\":0,\"command\":{\"kind\":\"nope\"}}",
+    ];
+    let mut kinds = [0usize; 8];
+    for case in 0..CASES {
+        let frame = rng.below(boundaries.len() as u64) as usize;
+        let start = frame.checked_sub(1).map_or(0, |f| boundaries[f]);
+        let end = boundaries[frame];
+        let mut mutated = bytes.clone();
+        let set_len = |mutated: &mut Vec<u8>, len: usize| {
+            mutated[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        };
+        let kind = rng.below(kinds.len() as u64) as usize;
+        kinds[kind] += 1;
+        match kind {
+            0 => mutated[start + rng.below(8) as usize] ^= 1 << rng.below(8),
+            1 => {
+                let at = start + 8 + rng.below((end - start - 8) as u64) as usize;
+                mutated[at] ^= 1 << rng.below(8);
+            }
+            2 => set_len(&mut mutated, 0),
+            3 => set_len(&mut mutated, bytes.len() - start - 8 + 1),
+            4 => set_len(&mut mutated, wire::MAX_FRAME_LEN),
+            5 => set_len(&mut mutated, wire::MAX_FRAME_LEN + 1),
+            6 => {
+                let text = not_records[rng.below(not_records.len() as u64) as usize];
+                let frame = wire::encode_frame(text.as_bytes());
+                mutated.splice(start..end, frame);
+            }
+            _ => {
+                let copy = bytes[start..end].to_vec();
+                mutated.splice(end..end, copy);
+            }
+        }
+        recover_both_ways(&format!("fuzz case {case}"), &mutated, &reference, &[]);
+    }
+    assert!(
+        kinds.iter().all(|&n| n > 0),
+        "every mutation drawn: {kinds:?}"
+    );
 }
 
 // ---------------------------------------------------------------------
