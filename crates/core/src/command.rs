@@ -24,7 +24,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::platform::Platform;
-use crate::wire::{obj, write_num, Json, TextSink};
+use crate::wire::{self, obj, write_num, Cursor, Json, TextSink};
 
 /// An external request to mutate the platform, in serializable form.
 ///
@@ -507,6 +507,45 @@ impl Command {
         out.push_str("}");
     }
 
+    /// Reads back the text [`Command::write_json`] prints (see
+    /// [`CommandRecord::from_text`]).
+    fn read_json(r: &mut Cursor<'_>) -> Option<Command> {
+        r.lit("{\"kind\":\"")?;
+        let command = if r.eat("submit\",\"service_secs\":") {
+            let service_secs = r.num()?;
+            r.lit(",\"schema\":")?;
+            Command::Submit {
+                schema: Arc::new(TaskSchema::read_json(r)?),
+                service_secs,
+            }
+        } else if r.eat("cancel\",\"job\":") {
+            Command::Cancel {
+                job: JobId::from_value(r.u64()?),
+            }
+        } else if r.eat("reserve\",\"gpus\":") {
+            let gpus = r.u32()?;
+            r.lit(",\"from_secs\":")?;
+            let from_secs = r.num()?;
+            r.lit(",\"until_secs\":")?;
+            Command::Reserve {
+                gpus,
+                from_secs,
+                until_secs: r.num()?,
+            }
+        } else if r.eat("fault-node\",\"node\":") {
+            Command::FaultNode { node: r.u32()? }
+        } else if r.eat("drain\",\"node\":") {
+            Command::Drain { node: r.u32()? }
+        } else if r.eat("undrain\",\"node\":") {
+            Command::Undrain { node: r.u32()? }
+        } else {
+            r.lit("advance\",\"secs\":")?;
+            Command::Advance { secs: r.num()? }
+        };
+        r.lit("}")?;
+        Some(command)
+    }
+
     /// Parses a command from its wire/journal JSON value.
     ///
     /// # Errors
@@ -594,6 +633,38 @@ impl CommandRecord {
                     .get("command")
                     .ok_or("record missing field 'command'")?,
             )?,
+        })
+    }
+
+    /// Parses a record from its journal text: the `taccd` journal's
+    /// decoder. The spelling [`CommandRecord::write_json`] prints is read
+    /// straight into the record, with no tree; any other spelling goes
+    /// through [`wire::parse`] and [`CommandRecord::from_json`]. Either
+    /// way the result is what those two make of `text`.
+    ///
+    /// # Errors
+    ///
+    /// The parse error, or the first malformed field.
+    pub fn from_text(text: &str) -> Result<CommandRecord, String> {
+        let mut cursor = Cursor::new(text);
+        match CommandRecord::read_json(&mut cursor) {
+            Some(record) if cursor.at_end() => Ok(record),
+            _ => CommandRecord::from_json(&wire::parse(text).map_err(|e| e.to_string())?),
+        }
+    }
+
+    fn read_json(r: &mut Cursor<'_>) -> Option<CommandRecord> {
+        r.lit("{\"seq\":")?;
+        let seq = r.u64()?;
+        r.lit(",\"at_secs\":")?;
+        let at_secs = r.num()?;
+        r.lit(",\"command\":")?;
+        let command = Command::read_json(r)?;
+        r.lit("}")?;
+        Some(CommandRecord {
+            seq,
+            at_secs,
+            command,
         })
     }
 }
@@ -706,7 +777,10 @@ mod tests {
 
     /// The journal's streaming encoder and the tree writer spell one
     /// shape: every command kind, under names and numbers chosen to be
-    /// awkward for an escaper and a number printer.
+    /// awkward for an escaper and a number printer. The journal's decoder
+    /// ([`CommandRecord::from_text`]) reads that text — and copies of it
+    /// cut short, with a byte dropped or with a byte swapped for one that
+    /// means something in JSON — exactly as the tree reader does.
     #[test]
     fn streamed_records_equal_the_tree_writers() {
         const NAMES: &[&str] = &[
@@ -741,6 +815,7 @@ mod tests {
             (rng.next_u64() % n as u64) as usize
         }
         let rng = &mut tacc_sim::DetRng::seed_from_u64(0x5712_EA4D);
+        let mut read_straight = 0;
         for case in 0..2_100 {
             let name = format!(
                 "{}{}",
@@ -817,7 +892,32 @@ mod tests {
             let mut framed = Vec::new();
             record.write_json(&mut framed);
             assert_eq!(framed, streamed.as_bytes(), "case {case}: byte sink");
+
+            // Debug text, so that a NaN reads back equal to itself.
+            let tree = |text: &str| {
+                let value = wire::parse(text).map_err(|e| e.to_string());
+                format!("{:?}", value.and_then(|v| CommandRecord::from_json(&v)))
+            };
+            let read = |text: &str| format!("{:?}", CommandRecord::from_text(text));
+            let mut cursor = Cursor::new(&streamed);
+            if CommandRecord::read_json(&mut cursor).is_some() && cursor.at_end() {
+                read_straight += 1;
+            }
+            const SWAPS: &[u8] = b"0123456789.-+eE\"\\,:{}[] ntfalsu";
+            let at = draw(rng, framed.len());
+            let mut swapped = framed.clone();
+            swapped[at] = SWAPS[draw(rng, SWAPS.len())];
+            let mut dropped = framed.clone();
+            dropped.remove(at);
+            for damaged in [&framed[..], &framed[..at], &swapped, &dropped] {
+                if let Ok(text) = std::str::from_utf8(damaged) {
+                    assert_eq!(read(text), tree(text), "case {case}: {text}");
+                }
+            }
         }
+        // Names with escapes, ids past 2^53 and the like go the tree's
+        // way; the rest must not.
+        assert!(read_straight > 1_000, "{read_straight} read without a tree");
     }
 
     #[test]

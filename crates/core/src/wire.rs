@@ -43,7 +43,7 @@
 use std::fmt;
 use std::io::{self, ErrorKind, Read};
 
-pub use tacc_json::{obj, parse, write_escaped, write_num, Json, JsonError, TextSink};
+pub use tacc_json::{obj, parse, write_escaped, write_num, Cursor, Json, JsonError, TextSink};
 
 use crate::{Command, Query};
 

@@ -5,7 +5,8 @@
 //! printer ([`Json::to_pretty`]), and the string escaper
 //! ([`write_escaped`]) and number printer ([`write_num`]) both are built
 //! on, open to writers that stream a record into a [`TextSink`] without
-//! building a tree. Standard library only.
+//! building a tree. A [`Cursor`] reads such a record back the same way.
+//! Standard library only.
 //!
 //! Two byte formats are contracts. The compact form is the `taccd`
 //! journal and socket encoding: a journal written today must re-parse
@@ -630,6 +631,91 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
     Ok(code)
 }
 
+/// Reads JSON text back in the one spelling a streaming writer put into
+/// a [`TextSink`], with no tree in between: the mirror of those
+/// writers, for the readers that must be fast (journal recovery).
+///
+/// Each step consumes exactly what it names or answers `None`. Whatever
+/// a step reads, [`parse`] and the [`Json`] accessors read as the same
+/// value, because the steps are built on them; a caller that gets
+/// `None` falls back to [`parse`], which reads every spelling.
+#[derive(Debug)]
+pub struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `text`.
+    pub fn new(text: &'a str) -> Cursor<'a> {
+        Cursor { text, pos: 0 }
+    }
+
+    /// Consumes `lit` if the text goes on with it; says whether it did.
+    pub fn eat(&mut self, lit: &str) -> bool {
+        let found = self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes());
+        if found {
+            self.pos += lit.len();
+        }
+        found
+    }
+
+    /// Consumes `lit`, which the text must go on with.
+    pub fn lit(&mut self, lit: &str) -> Option<()> {
+        self.eat(lit).then_some(())
+    }
+
+    /// A number as [`write_num`] spells it — a number token, or one of
+    /// the three non-finite strings — read as [`Json::as_f64`] reads it.
+    pub fn num(&mut self) -> Option<f64> {
+        match self.text.as_bytes().get(self.pos) {
+            Some(b'"') => Json::Str(self.str()?.to_owned()).as_f64(),
+            _ => self.token()?.as_f64(),
+        }
+    }
+
+    /// A number token read as [`Json::as_u64`] reads it.
+    pub fn u64(&mut self) -> Option<u64> {
+        self.token()?.as_u64()
+    }
+
+    /// [`Cursor::u64`], narrowed to `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        u32::try_from(self.u64()?).ok()
+    }
+
+    /// A string literal without escapes, borrowed from the text.
+    pub fn str(&mut self) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        if bytes.get(self.pos) != Some(&b'"') {
+            return None;
+        }
+        let start = self.pos + 1;
+        let end = start
+            + bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')?;
+        if bytes[end] != b'"' {
+            return None;
+        }
+        self.pos = end + 1;
+        // Both quotes are ASCII, so the slice ends on character boundaries.
+        Some(&self.text[start..end])
+    }
+
+    /// True once the whole text is consumed.
+    pub fn at_end(&self) -> bool {
+        self.pos == self.text.len()
+    }
+
+    fn token(&mut self) -> Option<Json> {
+        match self.text.as_bytes().get(self.pos) {
+            Some(b'-' | b'0'..=b'9') => parse_number(self.text.as_bytes(), &mut self.pos).ok(),
+            _ => None,
+        }
+    }
+}
+
 /// Convenience: builds an object from key/value pairs in order.
 pub fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
@@ -1044,6 +1130,75 @@ mod tests {
             write_num(n, &mut text);
             assert_eq!(text, format!("{n}"), "bits {:#018x}", n.to_bits());
         }
+    }
+
+    #[test]
+    fn cursor_steps_read_what_parse_and_the_accessors_read() {
+        /// One step over the whole of `text`.
+        fn whole<'a, T>(
+            text: &'a str,
+            step: impl FnOnce(&mut Cursor<'a>) -> Option<T>,
+        ) -> Option<T> {
+            let mut cursor = Cursor::new(text);
+            step(&mut cursor).filter(|_| cursor.at_end())
+        }
+        // A step may leave a text to `parse`; what it does read, `parse`
+        // and the accessor read the same.
+        for text in [
+            "0",
+            "-0",
+            "007",
+            "1.",
+            "1e2",
+            "-",
+            "0.1",
+            "1e400",
+            "9007199254740993",
+            "-1",
+            "4294967296",
+            "\"inf\"",
+            "\"-inf\"",
+            "\"nan\"",
+            "\"in\\u0066\"",
+            "\"x\"",
+            "null",
+        ] {
+            let tree = parse(text).ok();
+            let tree = tree.as_ref();
+            let num = whole(text, Cursor::num);
+            let tree_num = tree.and_then(Json::as_f64);
+            assert!(
+                num.is_none() || format!("{num:?}") == format!("{tree_num:?}"),
+                "{text}"
+            );
+            let n = whole(text, Cursor::u64);
+            assert!(
+                n.is_none() || n == tree.and_then(Json::as_u64),
+                "u64: {text}"
+            );
+            let n = whole(text, Cursor::u32).map(u64::from);
+            assert!(
+                n.is_none() || n == tree.and_then(Json::as_u64),
+                "u32: {text}"
+            );
+            let s = whole(text, Cursor::str);
+            assert!(
+                s.is_none() || s == tree.and_then(Json::as_str),
+                "str: {text}"
+            );
+        }
+        // The spellings the journal writes are read, not left to `parse`.
+        assert_eq!(whole("\"-inf\"", Cursor::num), Some(f64::NEG_INFINITY));
+        assert_eq!(whole("0.1", Cursor::num), Some(0.1));
+        assert_eq!(whole("4294967295", Cursor::u32), Some(u32::MAX));
+        assert_eq!(whole("4294967296", Cursor::u32), None);
+        assert_eq!(whole("\"x\"", Cursor::str), Some("x"));
+        assert_eq!(whole("\"in\\u0066\"", Cursor::str), None);
+        let mut cursor = Cursor::new("{\"a\":1}");
+        assert!(!cursor.eat("{\"b\""));
+        assert_eq!(cursor.lit("{\"a\":"), Some(()));
+        assert_eq!(cursor.u64(), Some(1));
+        assert!(cursor.eat("}") && cursor.at_end());
     }
 
     #[test]

@@ -23,10 +23,9 @@
 //! apply stage is never more than [`PIPELINE_DEPTH`] + 1 batches ahead of
 //! the one being committed.
 //!
-//! [`Engine::open`] has the same shape in the other direction: recovery
-//! ([`Journal::replay`]) decodes the journal on a scoped thread, in
-//! batches of the same size through a channel of the same depth, while
-//! `open` applies each batch to the platform on the caller's thread.
+//! [`Engine::open`] runs the other direction on the caller's thread
+//! alone: recovery ([`Journal::replay`]) streams the journal, and `open`
+//! applies each record to the platform as it decodes.
 //!
 //! ## Invariants
 //!

@@ -21,14 +21,13 @@
 //! written behind it and recovery truncates the tear.
 //!
 //! Recovery ([`Journal::replay`]) reads frames until the first torn or
-//! corrupt one and keeps the longest valid prefix. It is two stages, the
-//! shape of the engine's: a scoped *decode* thread reads the file through
-//! one buffered reader and decodes records in order, handing them over
-//! in batches of [`MAX_BATCH`] through a channel [`PIPELINE_DEPTH`]
-//! deep; the caller's thread applies each batch while the next one
-//! decodes. Only once the whole prefix has applied does recovery report
-//! what it dropped (loudly — torn tails are counted, logged and surfaced
-//! in `tacc_taccd_torn_frames_total`) and truncate the file, so the next
+//! corrupt one and keeps the longest valid prefix. It streams: one
+//! buffered reader yields a frame at a time ([`wire::read_frame`]), the
+//! frame decodes straight into a record ([`CommandRecord::from_text`])
+//! and the caller applies it before the next frame is read. Only once
+//! the whole prefix has applied does recovery report what it dropped
+//! (loudly — torn tails are counted, logged and surfaced in
+//! `tacc_taccd_torn_frames_total`) and truncate the file, so the next
 //! append continues from a clean boundary; a prefix that fails to apply
 //! leaves the file as it was found.
 
@@ -36,13 +35,10 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, ErrorKind, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
-use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 
 use tacc_core::wire::{self, FrameError, Json};
 use tacc_core::CommandRecord;
-
-use crate::engine::{MAX_BATCH, PIPELINE_DEPTH};
 
 /// Why the journal could not be opened, recovered or appended to.
 #[derive(Debug)]
@@ -319,60 +315,7 @@ fn next_frame(reader: &mut impl Read, remaining: u64) -> io::Result<Next> {
 /// not parse as one is corruption past the checksum.
 fn parse_record(payload: &[u8]) -> Result<CommandRecord, String> {
     let text = std::str::from_utf8(payload).map_err(|_| "frame payload is not UTF-8".to_owned())?;
-    let value = wire::parse(text).map_err(|e| e.to_string())?;
-    CommandRecord::from_json(&value)
-}
-
-/// Where the decode stage stopped.
-struct Tail {
-    /// Records handed over.
-    frames: u64,
-    /// Bytes of the longest valid prefix, genesis frame included.
-    valid_bytes: u64,
-    /// Why it stopped before the end of the file, if it did.
-    torn_reason: Option<String>,
-}
-
-/// Recovery's decode stage: reads the command frames from `reader`,
-/// `offset` bytes into a `len`-byte file, and hands their records over
-/// in frame order, [`MAX_BATCH`] at a time, until the end of the file or
-/// the first frame that is torn or is not a record — or until the apply
-/// stage hangs up. Touches bytes and records only.
-fn decode(
-    mut reader: impl Read,
-    mut offset: u64,
-    len: u64,
-    to_apply: &SyncSender<Vec<CommandRecord>>,
-) -> io::Result<Tail> {
-    let mut frames = 0;
-    let mut batch = Vec::with_capacity(MAX_BATCH);
-    let torn_reason = loop {
-        let payload = match next_frame(&mut reader, len.saturating_sub(offset))? {
-            Next::Frame(payload) => payload,
-            Next::End => break None,
-            Next::Torn(why) => break Some(format!("torn frame at byte {offset}: {why}")),
-        };
-        match parse_record(&payload) {
-            Ok(record) => batch.push(record),
-            Err(why) => break Some(format!("unparseable frame at byte {offset}: {why}")),
-        }
-        frames += 1;
-        offset += 8 + payload.len() as u64;
-        if batch.len() == MAX_BATCH {
-            let full = std::mem::replace(&mut batch, Vec::with_capacity(MAX_BATCH));
-            if to_apply.send(full).is_err() {
-                break None; // the apply stage failed; nothing more is wanted
-            }
-        }
-    };
-    if !batch.is_empty() {
-        let _ = to_apply.send(batch); // a hang-up here is the apply stage's error
-    }
-    Ok(Tail {
-        frames,
-        valid_bytes: offset,
-        torn_reason,
-    })
+    CommandRecord::from_text(text)
 }
 
 impl Journal {
@@ -435,14 +378,11 @@ impl Journal {
 
     /// Opens an existing journal, validates the genesis frame and feeds
     /// each record of the longest valid prefix of command frames, in
-    /// frame order, to `apply` on this thread while a decode stage reads
-    /// ahead on another. Once every record has applied it truncates any
-    /// torn tail and returns the journal, positioned to append, with a
-    /// report of what was kept and dropped.
-    ///
-    /// At most [`PIPELINE_DEPTH`] + 2 batches of [`MAX_BATCH`] decoded
-    /// records exist at a time: one being applied, the ones waiting, one
-    /// being decoded. The file itself is never held whole.
+    /// frame order, to `apply` as it decodes: a frame is read, decoded
+    /// and applied before the next one is read, so neither the file nor
+    /// its records are ever held whole. Once every record has applied it
+    /// truncates any torn tail and returns the journal, positioned to
+    /// append, with a report of what was kept and dropped.
     ///
     /// # Errors
     ///
@@ -473,27 +413,26 @@ impl Journal {
         };
         check_genesis(&genesis, expected_seed)?;
 
-        let start = 8 + genesis.len() as u64;
-        let (to_apply, decoded) = mpsc::sync_channel(PIPELINE_DEPTH);
-        let (applied, tail) = std::thread::scope(|scope| {
-            let decoder = scope.spawn(move || decode(reader, start, len, &to_apply));
-            // The apply stage: this thread, frame order.
-            let applied = decoded.iter().flatten().try_for_each(&mut apply);
-            // A decoder waiting on a full channel sees the hang-up and stops.
-            drop(decoded);
-            (applied, decoder.join())
-        });
-        applied?;
-        let tail = tail
-            .unwrap_or_else(|_| Err(io::Error::other("the journal decode stage panicked")))
-            .map_err(JournalError::Io)?;
-
-        let report = RecoveryReport {
-            frames: tail.frames,
-            valid_bytes: tail.valid_bytes,
-            torn_bytes: len.saturating_sub(tail.valid_bytes),
-            torn_reason: tail.torn_reason,
+        let mut report = RecoveryReport {
+            valid_bytes: 8 + genesis.len() as u64,
+            ..RecoveryReport::default()
         };
+        report.torn_reason = loop {
+            let at = report.valid_bytes;
+            let remaining = len.saturating_sub(at);
+            let payload = match next_frame(&mut reader, remaining).map_err(JournalError::Io)? {
+                Next::Frame(payload) => payload,
+                Next::End => break None,
+                Next::Torn(why) => break Some(format!("torn frame at byte {at}: {why}")),
+            };
+            match parse_record(&payload) {
+                Ok(record) => apply(record)?,
+                Err(why) => break Some(format!("unparseable frame at byte {at}: {why}")),
+            }
+            report.frames += 1;
+            report.valid_bytes += 8 + payload.len() as u64;
+        };
+        report.torn_bytes = len.saturating_sub(report.valid_bytes);
         // Truncate the torn tail so appends restart from a clean frame
         // boundary — now, with the whole prefix applied, and not before.
         if report.torn() {

@@ -10,8 +10,8 @@
 //! * [`journal`] — the single-writer write-ahead journal: checksummed
 //!   frames of [`tacc_core::CommandRecord`]s, encoded into a batch
 //!   buffer and committed with one write and one `fsync` per batch,
-//!   recovered to the longest valid prefix after a crash, decoded on one
-//!   thread while the caller applies on another;
+//!   recovered to the longest valid prefix after a crash, one record
+//!   decoded and applied at a time;
 //! * [`engine`] — two stages: one thread owning the
 //!   [`tacc_core::Platform`] takes client messages in arrival order and
 //!   applies them, a second makes each batch's frames durable and only

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use tacc_cluster::ResourceVec;
-use tacc_json::{obj, write_escaped, write_num, Json, TextSink};
+use tacc_json::{obj, write_escaped, write_num, Cursor, Json, TextSink};
 
 use crate::group::GroupId;
 
@@ -36,6 +36,12 @@ impl QosClass {
             QosClass::Guaranteed => "guaranteed",
             QosClass::BestEffort => "best-effort",
         }
+    }
+
+    fn from_tag(tag: &str) -> Option<QosClass> {
+        [QosClass::Guaranteed, QosClass::BestEffort]
+            .into_iter()
+            .find(|q| q.tag() == tag)
     }
 }
 
@@ -75,6 +81,17 @@ impl TaskKind {
             TaskKind::Inference => "inference",
             TaskKind::CpuBatch => "cpu-batch",
         }
+    }
+
+    fn from_tag(tag: &str) -> Option<TaskKind> {
+        [
+            TaskKind::Training,
+            TaskKind::Interactive,
+            TaskKind::Inference,
+            TaskKind::CpuBatch,
+        ]
+        .into_iter()
+        .find(|k| k.tag() == tag)
     }
 }
 
@@ -127,6 +144,10 @@ impl RuntimePreference {
             RuntimePreference::InNetworkAggregation => "in-network-aggregation",
             RuntimePreference::SingleProcess => "single-process",
         }
+    }
+
+    fn from_tag(tag: &str) -> Option<RuntimePreference> {
+        RuntimePreference::ALL.into_iter().find(|r| r.tag() == tag)
     }
 }
 
@@ -457,6 +478,98 @@ impl TaskSchema {
         });
     }
 
+    /// Reads back the text [`TaskSchema::write_json`] prints, with no
+    /// tree in between: the same schema [`TaskSchema::from_json`] reads
+    /// from it. `None` for any other spelling, which `from_json` may
+    /// still read.
+    pub fn read_json(r: &mut Cursor<'_>) -> Option<TaskSchema> {
+        fn pair(r: &mut Cursor<'_>) -> Option<(String, u32)> {
+            r.lit("[")?;
+            let name = r.str()?.to_owned();
+            r.lit(",")?;
+            let mb = r.u32()?;
+            r.lit("]")?;
+            Some((name, mb))
+        }
+        r.lit("{\"name\":")?;
+        let name = r.str()?.to_owned();
+        r.lit(",\"group\":")?;
+        let group = GroupId::from_index(usize::try_from(r.u64()?).ok()?);
+        r.lit(",\"workers\":")?;
+        let workers = r.u32()?;
+        r.lit(",\"resources\":{\"gpus\":")?;
+        let gpus = r.u32()?;
+        r.lit(",\"cpu_cores\":")?;
+        let cpu_cores = r.u32()?;
+        r.lit(",\"mem_gb\":")?;
+        let mem_gb = r.u32()?;
+        r.lit("},\"qos\":")?;
+        let qos = QosClass::from_tag(r.str()?)?;
+        r.lit(",\"task_kind\":")?;
+        let kind = TaskKind::from_tag(r.str()?)?;
+        r.lit(",\"runtime\":")?;
+        let runtime = RuntimePreference::from_tag(r.str()?)?;
+        r.lit(",\"env\":{\"image\":")?;
+        let image = r.str()?.to_owned();
+        r.lit(",\"dependencies\":[")?;
+        let mut dependencies = Vec::new();
+        if !r.eat("]") {
+            loop {
+                dependencies.push(pair(r)?);
+                if r.eat("]") {
+                    break;
+                }
+                r.lit(",")?;
+            }
+        }
+        r.lit(",\"dataset\":")?;
+        let dataset = if r.eat("null") { None } else { Some(pair(r)?) };
+        r.lit(",\"code_mb\":")?;
+        let code_mb = r.u32()?;
+        r.lit("},\"est_duration_secs\":")?;
+        let est_duration_secs = r.num()?;
+        r.lit(",\"model\":")?;
+        let model = if r.eat("null") {
+            None
+        } else {
+            r.lit("{\"param_mb\":")?;
+            let param_mb = r.num()?;
+            r.lit(",\"compute_secs_per_iter\":")?;
+            let compute_secs_per_iter = r.num()?;
+            r.lit("}")?;
+            Some(ModelProfile {
+                param_mb,
+                compute_secs_per_iter,
+            })
+        };
+        let elastic = r.eat(",\"elastic\":true}");
+        if !elastic {
+            r.lit(",\"elastic\":false}")?;
+        }
+        Some(TaskSchema {
+            name,
+            group,
+            workers,
+            resources: ResourceVec {
+                gpus,
+                cpu_cores,
+                mem_gb,
+            },
+            qos,
+            kind,
+            runtime,
+            env: RuntimeEnv {
+                image,
+                dependencies,
+                dataset,
+                code_mb,
+            },
+            est_duration_secs,
+            model,
+            elastic,
+        })
+    }
+
     /// Reads a schema back from [`TaskSchema::to_json`]'s shape. `model`,
     /// `dataset` and `elastic` may be absent; the result is not yet
     /// [validated](TaskSchema::validate).
@@ -465,26 +578,13 @@ impl TaskSchema {
     ///
     /// A human-readable description of the first malformed field.
     pub fn from_json(value: &Json) -> Result<TaskSchema, String> {
-        let qos = match value.req_str("qos")? {
-            "guaranteed" => QosClass::Guaranteed,
-            "best-effort" => QosClass::BestEffort,
-            other => return Err(format!("unknown qos '{other}'")),
-        };
-        let kind = match value.req_str("task_kind")? {
-            "training" => TaskKind::Training,
-            "interactive" => TaskKind::Interactive,
-            "inference" => TaskKind::Inference,
-            "cpu-batch" => TaskKind::CpuBatch,
-            other => return Err(format!("unknown task kind '{other}'")),
-        };
-        let runtime = match value.req_str("runtime")? {
-            "auto" => RuntimePreference::Auto,
-            "all-reduce" => RuntimePreference::AllReduce,
-            "parameter-server" => RuntimePreference::ParameterServer,
-            "in-network-aggregation" => RuntimePreference::InNetworkAggregation,
-            "single-process" => RuntimePreference::SingleProcess,
-            other => return Err(format!("unknown runtime '{other}'")),
-        };
+        let qos = value.req_str("qos")?;
+        let qos = QosClass::from_tag(qos).ok_or_else(|| format!("unknown qos '{qos}'"))?;
+        let kind = value.req_str("task_kind")?;
+        let kind = TaskKind::from_tag(kind).ok_or_else(|| format!("unknown task kind '{kind}'"))?;
+        let runtime = value.req_str("runtime")?;
+        let runtime = RuntimePreference::from_tag(runtime)
+            .ok_or_else(|| format!("unknown runtime '{runtime}'"))?;
         let res = value
             .get("resources")
             .ok_or("schema missing field 'resources'")?;

@@ -12,8 +12,8 @@
 //!
 //! * engine + journal — xorshift-driven command scripts are applied
 //!   through a live [`Engine`], then the finished journal is cut at
-//!   random byte offsets and at recovery's decode batch edges, or
-//!   mutated, and recovered both by `Journal::recover` and by
+//!   random byte offsets and around frame boundaries deep in a long
+//!   journal, or mutated, and recovered both by `Journal::recover` and by
 //!   `Engine::open` straight on the damaged file; every copy must yield
 //!   the longest valid prefix, flag any torn tail loudly, and replay to
 //!   the exact transition log the pristine run had at that prefix;
@@ -27,7 +27,6 @@ use std::sync::mpsc;
 
 use tacc_core::wire::{self, Json};
 use tacc_core::{Command, CommandRecord, PlatformConfig};
-use tacc_taccd::engine::MAX_BATCH;
 use tacc_taccd::{
     ClockMode, Daemon, DaemonConfig, Engine, EngineConfig, EngineInitError, Journal, JournalError,
     Msg, Query, RecoveryReport, Reply,
@@ -375,13 +374,14 @@ fn recover_both_ways(
 
 #[test]
 fn torn_journals_recover_the_longest_valid_prefix_and_byte_reproduce() {
-    // The last script runs long enough that recovery hands its records
-    // over in more than three decode batches.
+    // The last script runs long, and is also cut around frames 64, 128
+    // and 192: recovery streams a long journal to the same state.
     const LONG: u64 = 0x00BA_7C4E;
+    const STRIDE: usize = 64;
     for seed in [11u64, 29, 4242, 0x00C0_FFEE, LONG] {
         let mut rng = XorShift::new(seed);
         let script_len = match seed {
-            LONG => 8 * MAX_BATCH,
+            LONG => 8 * STRIDE,
             _ => 24 + rng.below(16) as usize,
         };
         let Pristine {
@@ -399,13 +399,11 @@ fn torn_journals_recover_the_longest_valid_prefix_and_byte_reproduce() {
             .map(|_| rng.below(bytes.len() as u64 + 1) as usize)
             .collect();
         if seed == LONG {
-            assert!(accepted > 3 * MAX_BATCH + 1, "seed {seed}: {accepted}");
-            // Exactly at, one short of and one past each of the first
-            // three batch edges, and inside the next frame's header and
+            assert!(accepted > 3 * STRIDE + 1, "seed {seed}: {accepted}");
+            // Exactly at, one short of and one past each of the three
+            // frame boundaries, and inside the next frame's header and
             // payload.
-            for frames in
-                (1..=3).flat_map(|k| [k * MAX_BATCH - 1, k * MAX_BATCH, k * MAX_BATCH + 1])
-            {
+            for frames in (1..=3).flat_map(|k| [k * STRIDE - 1, k * STRIDE, k * STRIDE + 1]) {
                 let (at, next) = (boundaries[frames], boundaries[frames + 1]);
                 cuts.extend([at, at + 5, (at + next) / 2]);
             }
@@ -438,7 +436,7 @@ fn torn_journals_recover_the_longest_valid_prefix_and_byte_reproduce() {
 }
 
 /// A journal whose records do not replay — here a `seq` that skips one,
-/// past the first decode batch, ahead of a torn tail — is refused with
+/// 69 records in, ahead of a torn tail — is refused with
 /// the record's `seq` and left byte for byte as it was found: the torn
 /// tail is truncated only once the whole prefix has applied.
 #[test]
@@ -446,7 +444,7 @@ fn a_journal_that_fails_to_replay_is_left_as_it_was_found() {
     let path = temp("replay-refused", "a");
     drop(Journal::create(&path, PlatformConfig::default().seed).expect("creates"));
     let mut bytes = std::fs::read(&path).expect("genesis bytes");
-    let gap = MAX_BATCH as u64 + 5;
+    let gap = 69;
     for seq in (0..gap).chain(gap + 1..gap + 8) {
         let record = CommandRecord {
             seq,
