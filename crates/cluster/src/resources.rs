@@ -3,31 +3,33 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
-/// A request for (or supply of) schedulable resources: GPUs, CPU cores and
-/// host memory.
-///
-/// This is the unit of the paper's "fine-grained resource allocation"
-/// requirement: tasks request heterogeneous amounts along each dimension
-/// and the scheduler must fit the whole vector, not just the GPU count.
-///
-/// # Example
-///
-/// ```
-/// use tacc_cluster::ResourceVec;
-/// let node = ResourceVec::new(8, 96, 512);
-/// let job = ResourceVec::new(4, 32, 128);
-/// assert!(job.fits_in(&node));
-/// let free = node - job;
-/// assert_eq!(free.gpus, 4);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-pub struct ResourceVec {
-    /// Number of GPUs.
-    pub gpus: u32,
-    /// Number of CPU cores.
-    pub cpu_cores: u32,
-    /// Host memory in GiB.
-    pub mem_gb: u32,
+tacc_json::record! {
+    /// A request for (or supply of) schedulable resources: GPUs, CPU cores and
+    /// host memory.
+    ///
+    /// This is the unit of the paper's "fine-grained resource allocation"
+    /// requirement: tasks request heterogeneous amounts along each dimension
+    /// and the scheduler must fit the whole vector, not just the GPU count.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use tacc_cluster::ResourceVec;
+    /// let node = ResourceVec::new(8, 96, 512);
+    /// let job = ResourceVec::new(4, 32, 128);
+    /// assert!(job.fits_in(&node));
+    /// let free = node - job;
+    /// assert_eq!(free.gpus, 4);
+    /// ```
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
+    pub struct ResourceVec {
+        /// Number of GPUs.
+        pub gpus: u32,
+        /// Number of CPU cores.
+        pub cpu_cores: u32,
+        /// Host memory in GiB.
+        pub mem_gb: u32,
+    }
 }
 
 impl ResourceVec {

@@ -24,88 +24,82 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::platform::Platform;
-use crate::wire::{self, obj, write_num, Cursor, Json, TextSink};
+use crate::wire::{obj, Json};
 
-/// An external request to mutate the platform, in serializable form.
-///
-/// Commands are what clients send and what the `taccd` journal stores;
-/// they are validated (`apply_command` rejects malformed ones with a
-/// typed [`CommandError`]) and deterministic to apply at a given
-/// simulation time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Command {
-    /// Submit a task at the current platform time.
-    Submit {
-        /// The task schema, shared with the job it becomes.
-        schema: Arc<TaskSchema>,
-        /// Oracle service requirement in seconds (ideal-execution time).
-        service_secs: f64,
-    },
-    /// Cancel a job (no-op if it already reached a terminal state).
-    Cancel {
-        /// The job to cancel.
-        job: JobId,
-    },
-    /// Reserve GPU capacity in advance: withhold `gpus` from the
-    /// scheduler's availability profile over `[from_secs, until_secs)`.
-    Reserve {
-        /// GPUs to withhold.
-        gpus: u32,
-        /// Window start, seconds (absolute platform time).
-        from_secs: f64,
-        /// Window end, seconds (`f64::INFINITY` for open-ended).
-        until_secs: f64,
-    },
-    /// Inject a fault on a node: every run currently placed there takes
-    /// a node-failure hit (failover or fail, per policy).
-    FaultNode {
-        /// Node index.
-        node: u32,
-    },
-    /// Drain a node for maintenance (running leases finish, nothing new
-    /// is placed).
-    Drain {
-        /// Node index.
-        node: u32,
-    },
-    /// Return a drained node to service.
-    Undrain {
-        /// Node index.
-        node: u32,
-    },
-    /// Advance the platform clock by `secs`, processing due events.
-    Advance {
-        /// Seconds to advance (non-negative, finite).
-        secs: f64,
-    },
-}
-
-impl Command {
-    /// Stable wire tag for this command kind.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Command::Submit { .. } => "submit",
-            Command::Cancel { .. } => "cancel",
-            Command::Reserve { .. } => "reserve",
-            Command::FaultNode { .. } => "fault-node",
-            Command::Drain { .. } => "drain",
-            Command::Undrain { .. } => "undrain",
-            Command::Advance { .. } => "advance",
-        }
+tacc_json::record! {
+    #[json(tag = "kind")]
+    /// An external request to mutate the platform, in serializable form:
+    /// `{"kind":"cancel","job":7}`.
+    ///
+    /// Commands are what clients send and what the `taccd` journal stores;
+    /// they are validated (`apply_command` rejects malformed ones with a
+    /// typed [`CommandError`]) and deterministic to apply at a given
+    /// simulation time.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Command {
+        /// Submit a task at the current platform time.
+        Submit {
+            /// Oracle service requirement in seconds (ideal-execution time).
+            service_secs: f64,
+            /// The task schema, shared with the job it becomes.
+            schema: Arc<TaskSchema>,
+        } = "submit",
+        /// Cancel a job (no-op if it already reached a terminal state).
+        Cancel {
+            /// The job to cancel.
+            job: JobId,
+        } = "cancel",
+        /// Reserve GPU capacity in advance: withhold `gpus` from the
+        /// scheduler's availability profile over `[from_secs, until_secs)`.
+        Reserve {
+            /// GPUs to withhold.
+            gpus: u32,
+            /// Window start, seconds (absolute platform time).
+            from_secs: f64,
+            /// Window end, seconds (`f64::INFINITY` for open-ended).
+            until_secs: f64,
+        } = "reserve",
+        /// Inject a fault on a node: every run currently placed there takes
+        /// a node-failure hit (failover or fail, per policy).
+        FaultNode {
+            /// Node index.
+            node: u32,
+        } = "fault-node",
+        /// Drain a node for maintenance (running leases finish, nothing new
+        /// is placed).
+        Drain {
+            /// Node index.
+            node: u32,
+        } = "drain",
+        /// Return a drained node to service.
+        Undrain {
+            /// Node index.
+            node: u32,
+        } = "undrain",
+        /// Advance the platform clock by `secs`, processing due events.
+        Advance {
+            /// Seconds to advance (non-negative, finite).
+            secs: f64,
+        } = "advance",
     }
 }
 
-/// One journalled command: the command plus the daemon-assigned sequence
-/// number and timestamp. Replaying records in sequence order through
-/// [`Platform::apply_record`] reconstructs the exact platform state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CommandRecord {
-    /// Monotone journal sequence number (0-based).
-    pub seq: u64,
-    /// Platform time the command was applied at, seconds.
-    pub at_secs: f64,
-    /// The command itself.
-    pub command: Command,
+tacc_json::record! {
+    /// One journalled command: the command plus the daemon-assigned sequence
+    /// number and timestamp. Replaying records in sequence order through
+    /// [`Platform::apply_record`] reconstructs the exact platform state.
+    ///
+    /// Its text (`write_json`) is the `taccd` journal's frame payload, and
+    /// `from_text` the journal's decoder.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CommandRecord {
+        /// Monotone journal sequence number (0-based).
+        pub seq: u64,
+        /// Platform time the command was applied at, seconds.
+        pub at_secs: f64,
+        /// The command itself.
+        pub command: Command,
+    }
 }
 
 /// What applying a command did.
@@ -415,265 +409,12 @@ impl Platform {
     }
 }
 
-// --------------------------------------------------------------------
-// JSON codec: the wire/journal shape of commands and records
-// --------------------------------------------------------------------
-
-impl Command {
-    /// Serializes the command to its wire/journal JSON value.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Command::Submit {
-                schema,
-                service_secs,
-            } => obj(vec![
-                ("kind", Json::Str("submit".to_owned())),
-                ("service_secs", Json::Num(*service_secs)),
-                ("schema", schema.to_json()),
-            ]),
-            Command::Cancel { job } => obj(vec![
-                ("kind", Json::Str("cancel".to_owned())),
-                ("job", Json::Num(job.value() as f64)),
-            ]),
-            Command::Reserve {
-                gpus,
-                from_secs,
-                until_secs,
-            } => obj(vec![
-                ("kind", Json::Str("reserve".to_owned())),
-                ("gpus", Json::Num(f64::from(*gpus))),
-                ("from_secs", Json::Num(*from_secs)),
-                ("until_secs", Json::Num(*until_secs)),
-            ]),
-            Command::FaultNode { node } => obj(vec![
-                ("kind", Json::Str("fault-node".to_owned())),
-                ("node", Json::Num(f64::from(*node))),
-            ]),
-            Command::Drain { node } => obj(vec![
-                ("kind", Json::Str("drain".to_owned())),
-                ("node", Json::Num(f64::from(*node))),
-            ]),
-            Command::Undrain { node } => obj(vec![
-                ("kind", Json::Str("undrain".to_owned())),
-                ("node", Json::Num(f64::from(*node))),
-            ]),
-            Command::Advance { secs } => obj(vec![
-                ("kind", Json::Str("advance".to_owned())),
-                ("secs", Json::Num(*secs)),
-            ]),
-        }
-    }
-
-    /// Streams the text [`Command::to_json`] prints, with no tree in
-    /// between (see [`CommandRecord::write_json`]).
-    pub fn write_json<W: TextSink + ?Sized>(&self, out: &mut W) {
-        out.push_str("{\"kind\":\"");
-        out.push_str(self.kind());
-        match self {
-            Command::Submit {
-                schema,
-                service_secs,
-            } => {
-                out.push_str("\",\"service_secs\":");
-                write_num(*service_secs, out);
-                out.push_str(",\"schema\":");
-                schema.write_json(out);
-            }
-            Command::Cancel { job } => {
-                out.push_str("\",\"job\":");
-                write_num(job.value() as f64, out);
-            }
-            Command::Reserve {
-                gpus,
-                from_secs,
-                until_secs,
-            } => {
-                out.push_str("\",\"gpus\":");
-                write_num(f64::from(*gpus), out);
-                out.push_str(",\"from_secs\":");
-                write_num(*from_secs, out);
-                out.push_str(",\"until_secs\":");
-                write_num(*until_secs, out);
-            }
-            Command::FaultNode { node } | Command::Drain { node } | Command::Undrain { node } => {
-                out.push_str("\",\"node\":");
-                write_num(f64::from(*node), out);
-            }
-            Command::Advance { secs } => {
-                out.push_str("\",\"secs\":");
-                write_num(*secs, out);
-            }
-        }
-        out.push_str("}");
-    }
-
-    /// Reads back the text [`Command::write_json`] prints (see
-    /// [`CommandRecord::from_text`]).
-    fn read_json(r: &mut Cursor<'_>) -> Option<Command> {
-        r.lit("{\"kind\":\"")?;
-        let command = if r.eat("submit\",\"service_secs\":") {
-            let service_secs = r.num()?;
-            r.lit(",\"schema\":")?;
-            Command::Submit {
-                schema: Arc::new(TaskSchema::read_json(r)?),
-                service_secs,
-            }
-        } else if r.eat("cancel\",\"job\":") {
-            Command::Cancel {
-                job: JobId::from_value(r.u64()?),
-            }
-        } else if r.eat("reserve\",\"gpus\":") {
-            let gpus = r.u32()?;
-            r.lit(",\"from_secs\":")?;
-            let from_secs = r.num()?;
-            r.lit(",\"until_secs\":")?;
-            Command::Reserve {
-                gpus,
-                from_secs,
-                until_secs: r.num()?,
-            }
-        } else if r.eat("fault-node\",\"node\":") {
-            Command::FaultNode { node: r.u32()? }
-        } else if r.eat("drain\",\"node\":") {
-            Command::Drain { node: r.u32()? }
-        } else if r.eat("undrain\",\"node\":") {
-            Command::Undrain { node: r.u32()? }
-        } else {
-            r.lit("advance\",\"secs\":")?;
-            Command::Advance { secs: r.num()? }
-        };
-        r.lit("}")?;
-        Some(command)
-    }
-
-    /// Parses a command from its wire/journal JSON value.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first malformed field.
-    pub fn from_json(value: &Json) -> Result<Command, String> {
-        let kind = value
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("command missing string field 'kind'")?;
-        match kind {
-            "submit" => {
-                let service_secs = value.req_f64("service_secs")?;
-                let schema = TaskSchema::from_json(
-                    value.get("schema").ok_or("submit missing field 'schema'")?,
-                )?;
-                Ok(Command::Submit {
-                    schema: Arc::new(schema),
-                    service_secs,
-                })
-            }
-            "cancel" => Ok(Command::Cancel {
-                job: JobId::from_value(value.req_u64("job")?),
-            }),
-            "reserve" => Ok(Command::Reserve {
-                gpus: value.req_u32("gpus")?,
-                from_secs: value.req_f64("from_secs")?,
-                until_secs: value.req_f64("until_secs")?,
-            }),
-            "fault-node" => Ok(Command::FaultNode {
-                node: value.req_u32("node")?,
-            }),
-            "drain" => Ok(Command::Drain {
-                node: value.req_u32("node")?,
-            }),
-            "undrain" => Ok(Command::Undrain {
-                node: value.req_u32("node")?,
-            }),
-            "advance" => Ok(Command::Advance {
-                secs: value.req_f64("secs")?,
-            }),
-            other => Err(format!("unknown command kind '{other}'")),
-        }
-    }
-}
-
-impl CommandRecord {
-    /// Serializes the record to its journal JSON value.
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("seq", Json::Num(self.seq as f64)),
-            ("at_secs", Json::Num(self.at_secs)),
-            ("command", self.command.to_json()),
-        ])
-    }
-
-    /// Streams the record's journal text — byte for byte what
-    /// `to_json().to_string()` prints — straight into `out`, with no
-    /// tree and no intermediate string: the `taccd` journal's encoder.
-    /// [`CommandRecord::to_json`] stays for the callers that need a
-    /// value (a schema inside a pretty-printed trace); one shape is
-    /// spelled twice, and `streamed_records_equal_the_tree_writers`
-    /// holds the two together.
-    pub fn write_json<W: TextSink + ?Sized>(&self, out: &mut W) {
-        out.push_str("{\"seq\":");
-        write_num(self.seq as f64, out);
-        out.push_str(",\"at_secs\":");
-        write_num(self.at_secs, out);
-        out.push_str(",\"command\":");
-        self.command.write_json(out);
-        out.push_str("}");
-    }
-
-    /// Parses a record from its journal JSON value.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first malformed field.
-    pub fn from_json(value: &Json) -> Result<CommandRecord, String> {
-        Ok(CommandRecord {
-            seq: value.req_u64("seq")?,
-            at_secs: value.req_f64("at_secs")?,
-            command: Command::from_json(
-                value
-                    .get("command")
-                    .ok_or("record missing field 'command'")?,
-            )?,
-        })
-    }
-
-    /// Parses a record from its journal text: the `taccd` journal's
-    /// decoder. The spelling [`CommandRecord::write_json`] prints is read
-    /// straight into the record, with no tree; any other spelling goes
-    /// through [`wire::parse`] and [`CommandRecord::from_json`]. Either
-    /// way the result is what those two make of `text`.
-    ///
-    /// # Errors
-    ///
-    /// The parse error, or the first malformed field.
-    pub fn from_text(text: &str) -> Result<CommandRecord, String> {
-        let mut cursor = Cursor::new(text);
-        match CommandRecord::read_json(&mut cursor) {
-            Some(record) if cursor.at_end() => Ok(record),
-            _ => CommandRecord::from_json(&wire::parse(text).map_err(|e| e.to_string())?),
-        }
-    }
-
-    fn read_json(r: &mut Cursor<'_>) -> Option<CommandRecord> {
-        r.lit("{\"seq\":")?;
-        let seq = r.u64()?;
-        r.lit(",\"at_secs\":")?;
-        let at_secs = r.num()?;
-        r.lit(",\"command\":")?;
-        let command = Command::read_json(r)?;
-        r.lit("}")?;
-        Some(CommandRecord {
-            seq,
-            at_secs,
-            command,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire;
     use crate::PlatformConfig;
+    use tacc_json::Cursor;
     use tacc_workload::{GroupId, ModelProfile, QosClass, RuntimeEnv};
 
     fn schema() -> TaskSchema {
@@ -689,47 +430,6 @@ mod tests {
             })
             .build()
             .expect("valid schema")
-    }
-
-    #[test]
-    fn command_json_round_trips() {
-        let commands = vec![
-            Command::Submit {
-                schema: schema().into(),
-                service_secs: 1234.5,
-            },
-            Command::Cancel {
-                job: JobId::from_value(7),
-            },
-            Command::Reserve {
-                gpus: 64,
-                from_secs: 3600.0,
-                until_secs: f64::INFINITY,
-            },
-            Command::FaultNode { node: 3 },
-            Command::Drain { node: 0 },
-            Command::Undrain { node: 0 },
-            Command::Advance { secs: 0.25 },
-        ];
-        for cmd in commands {
-            let text = cmd.to_json().to_string();
-            let back = Command::from_json(&wire::parse(&text).expect("parses")).expect("decodes");
-            assert_eq!(cmd, back, "round trip failed for {text}");
-        }
-    }
-
-    #[test]
-    fn record_json_round_trips_bytes() {
-        let record = CommandRecord {
-            seq: 42,
-            at_secs: 1.5,
-            command: Command::Advance { secs: 10.0 },
-        };
-        let text = record.to_json().to_string();
-        let back = CommandRecord::from_json(&wire::parse(&text).expect("parses")).expect("decodes");
-        assert_eq!(record, back);
-        // Byte-stable re-encode — the journal invariant.
-        assert_eq!(back.to_json().to_string(), text);
     }
 
     /// The journal encoding, pinned by a literal: this text was captured

@@ -33,7 +33,7 @@ pub struct JobStatus {
 
 impl JobStatus {
     /// The snapshot's wire value. `state` is the stable lower-case name
-    /// [`JobState::parse_name`] reads back.
+    /// [`JobState::from_tag`] reads back.
     pub fn to_json(&self) -> Json {
         obj(vec![
             ("job", self.id.value().into()),
@@ -58,65 +58,49 @@ fn rows<T>(
     Json::Arr(items.into_iter().map(|item| obj(fields(item))).collect())
 }
 
-/// A read-only question about the platform, in serializable form — the
-/// read-side sibling of [`crate::Command`]. What a `tcloud` verb sends,
-/// what the `taccd` socket carries, and what [`Platform::answer`] takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Query {
-    /// One job's status snapshot.
-    Status(JobId),
-    /// Status snapshots for every job, in id order.
-    List,
-    /// The event-bus records for one job.
-    Events(JobId),
-    /// Cluster overview.
-    Info,
-    /// Prometheus text exposition.
-    Metrics,
-    /// The full transition log as JSONL (the replay-equivalence probe).
-    Transitions,
-    /// Journal counters. Answered by what holds a journal — the `taccd`
-    /// engine; a bare platform has none.
-    JournalStats,
-    /// One job's log, aggregated across its nodes: its event-bus
-    /// records, rendered.
-    Logs(JobId),
-    /// One job's span timeline.
-    Timeline(JobId),
-    /// Why a job is where it is (for a waiting job, the scheduler's most
-    /// recent skip reason).
-    Why(JobId),
-    /// The output files a job left on its nodes.
-    Artifacts(JobId),
-    /// The cluster-wide goodput decomposition.
-    Goodput,
-    /// Per-group quota and current usage.
-    Quota,
-    /// Per-node occupancy.
-    Top,
+tacc_json::record! {
+    #[json(tag = "kind", content = "job")]
+    /// A read-only question about the platform, in serializable form — the
+    /// read-side sibling of [`crate::Command`]: `{"kind":"status","job":7}`.
+    /// What a `tcloud` verb sends, what the `taccd` socket carries, and what
+    /// [`Platform::answer`] takes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Query {
+        /// One job's status snapshot.
+        Status(JobId) = "status",
+        /// Status snapshots for every job, in id order.
+        List = "list",
+        /// The event-bus records for one job.
+        Events(JobId) = "events",
+        /// Cluster overview.
+        Info = "info",
+        /// Prometheus text exposition.
+        Metrics = "metrics",
+        /// The full transition log as JSONL (the replay-equivalence probe).
+        Transitions = "transitions",
+        /// Journal counters. Answered by what holds a journal — the `taccd`
+        /// engine; a bare platform has none.
+        JournalStats = "journal",
+        /// One job's log, aggregated across its nodes: its event-bus
+        /// records, rendered.
+        Logs(JobId) = "logs",
+        /// One job's span timeline.
+        Timeline(JobId) = "timeline",
+        /// Why a job is where it is (for a waiting job, the scheduler's most
+        /// recent skip reason).
+        Why(JobId) = "why",
+        /// The output files a job left on its nodes.
+        Artifacts(JobId) = "artifacts",
+        /// The cluster-wide goodput decomposition.
+        Goodput = "goodput",
+        /// Per-group quota and current usage.
+        Quota = "quota",
+        /// Per-node occupancy.
+        Top = "top",
+    }
 }
 
 impl Query {
-    /// Stable wire tag for this query kind.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Query::Status(_) => "status",
-            Query::List => "list",
-            Query::Events(_) => "events",
-            Query::Info => "info",
-            Query::Metrics => "metrics",
-            Query::Transitions => "transitions",
-            Query::JournalStats => "journal",
-            Query::Logs(_) => "logs",
-            Query::Timeline(_) => "timeline",
-            Query::Why(_) => "why",
-            Query::Artifacts(_) => "artifacts",
-            Query::Goodput => "goodput",
-            Query::Quota => "quota",
-            Query::Top => "top",
-        }
-    }
-
     /// The job a per-job query asks about.
     pub fn job(&self) -> Option<JobId> {
         match *self {
@@ -128,33 +112,6 @@ impl Query {
             | Query::Artifacts(job) => Some(job),
             _ => None,
         }
-    }
-
-    /// Parses a query from its wire value, `{"kind":…}` plus `"job":N`
-    /// for the per-job kinds.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first malformed field.
-    pub fn from_json(value: &Json) -> Result<Query, String> {
-        let job = || value.req_u64("job").map(JobId::from_value);
-        Ok(match value.req_str("kind")? {
-            "status" => Query::Status(job()?),
-            "list" => Query::List,
-            "events" => Query::Events(job()?),
-            "info" => Query::Info,
-            "metrics" => Query::Metrics,
-            "transitions" => Query::Transitions,
-            "journal" => Query::JournalStats,
-            "logs" => Query::Logs(job()?),
-            "timeline" => Query::Timeline(job()?),
-            "why" => Query::Why(job()?),
-            "artifacts" => Query::Artifacts(job()?),
-            "goodput" => Query::Goodput,
-            "quota" => Query::Quota,
-            "top" => Query::Top,
-            other => return Err(format!("unknown query kind '{other}'")),
-        })
     }
 }
 

@@ -6,7 +6,9 @@
 //! ([`write_escaped`]) and number printer ([`write_num`]) both are built
 //! on, open to writers that stream a record into a [`TextSink`] without
 //! building a tree. A [`Cursor`] reads such a record back the same way.
-//! Standard library only.
+//! Those writers and readers are not written by hand: [`record!`]
+//! generates them, with the tree writer and the tree reader, from one
+//! declaration of a record's shape. Standard library only.
 //!
 //! Two byte formats are contracts. The compact form is the `taccd`
 //! journal and socket encoding: a journal written today must re-parse
@@ -21,6 +23,10 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+
+mod record;
+
+pub use record::{from_text, tags, Field, Named, OrDefault, Plain};
 
 /// A parsed JSON value. Objects keep their key order, so a value built
 /// and re-serialized in tree order is byte-stable.
@@ -114,25 +120,6 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
-    }
-
-    /// The number in field `key`, or an error naming the field.
-    pub fn req_f64(&self, key: &str) -> Result<f64, String> {
-        self.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
-    }
-
-    /// The unsigned integer in field `key`, or an error naming the field.
-    pub fn req_u64(&self, key: &str) -> Result<u64, String> {
-        self.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-    }
-
-    /// [`Json::req_u64`], narrowed to `u32`.
-    pub fn req_u32(&self, key: &str) -> Result<u32, String> {
-        u32::try_from(self.req_u64(key)?).map_err(|_| format!("field '{key}' exceeds u32"))
     }
 
     /// The string in field `key`, or an error naming the field.
@@ -652,6 +639,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Consumes `lit` if the text goes on with it; says whether it did.
+    #[inline]
     pub fn eat(&mut self, lit: &str) -> bool {
         let found = self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes());
         if found {
@@ -661,6 +649,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Consumes `lit`, which the text must go on with.
+    #[inline]
     pub fn lit(&mut self, lit: &str) -> Option<()> {
         self.eat(lit).then_some(())
     }

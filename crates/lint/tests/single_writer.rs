@@ -430,6 +430,81 @@ fn editing_a_shared_schema_in_place_flips_red() {
     fs::remove_dir_all(&root).expect("cleanup");
 }
 
+/// The `declared-codecs` rule: a record's JSON is spelled once, in its
+/// `record!` declaration. A hand-written writer that escapes its own
+/// strings, or a reader that opens its own cursor, outside `tacc-json`
+/// flips red at its line; the same calls inside `tacc-json` do not.
+#[test]
+fn a_hand_written_codec_outside_tacc_json_flips_red() {
+    let root = scratch("sw-codecs");
+    write(
+        &root.join("lint-owners.toml"),
+        "[[owner]]\n\
+         name = \"declared-codecs\"\n\
+         methods = [\"write_escaped\"]\n\
+         path_calls = [\"Cursor::new\"]\n\
+         writers = [\"crates/json/src/lib.rs\", \"crates/json/src/record.rs\"]\n\
+         why = \"a record's JSON is spelled once, in its declaration\"\n",
+    );
+    write(
+        &root.join("crates/json/Cargo.toml"),
+        "[package]\nname = \"tacc-json\"\n",
+    );
+    write(
+        &root.join("crates/json/src/record.rs"),
+        "pub fn from_text(text: &str) -> bool {\n\
+         \x20   let mut r = Cursor::new(text);\n\
+         \x20   r.at_end()\n\
+         }\n\
+         pub fn write_str(s: &str, out: &mut String) {\n\
+         \x20   write_escaped(s, out);\n\
+         }\n",
+    );
+    write(
+        &root.join("crates/obs/Cargo.toml"),
+        "[package]\nname = \"tacc-obs\"\n\n[dependencies]\ntacc-json.workspace = true\n",
+    );
+    write(
+        &root.join("crates/obs/src/events.rs"),
+        "pub fn kind(event: &Event) -> &str {\n\
+         \x20   event.kind()\n\
+         }\n",
+    );
+    let json_path = root.join("report.json");
+    assert!(
+        run_lint(&root, &json_path).success(),
+        "codecs inside tacc-json must pass --check"
+    );
+
+    write(
+        &root.join("crates/obs/src/events.rs"),
+        "pub fn write_name(name: &str, out: &mut String) {\n\
+         \x20   out.push_str(\"{\\\"name\\\":\");\n\
+         \x20   write_escaped(name, out);\n\
+         }\n\
+         pub fn read_seq(text: &str) -> Option<u64> {\n\
+         \x20   let mut r = Cursor::new(text);\n\
+         \x20   r.u64()\n\
+         }\n",
+    );
+    assert!(
+        !run_lint(&root, &json_path).success(),
+        "a hand-written codec must fail --check"
+    );
+    let json = fs::read_to_string(&json_path).expect("JSON report written");
+    for line in [3, 6] {
+        assert!(
+            json.contains(&format!(
+                "{{\"lint\": \"single-writer\", \"file\": \"crates/obs/src/events.rs\", \"line\": {line},"
+            )),
+            "single-writer must locate the codec at events.rs:{line}\n{json}"
+        );
+    }
+    assert!(!json.contains("\"file\": \"crates/json/src/record.rs\""));
+
+    fs::remove_dir_all(&root).expect("cleanup");
+}
+
 /// A reasoned inline allow suppresses a single rogue site — visible in
 /// the report's suppression list, not fatal.
 #[test]

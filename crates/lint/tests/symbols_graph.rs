@@ -123,3 +123,58 @@ fn graph_resolves_impls_generics_tests_and_cross_crate_calls() {
     );
     fs::remove_dir_all(&root).expect("cleanup");
 }
+
+/// A type declared inside a `tacc_json::record! { … }` invocation is
+/// indexed as a plain `pub enum` is: the invocation is one more brace
+/// group to the lexer, so the hand-written impl after it attaches its
+/// methods to the type, and calls to them resolve. Only the codecs the
+/// macro generates are out of the graph's sight.
+#[test]
+fn a_type_declared_inside_record_is_still_indexed() {
+    let root = scratch("graph-record");
+    write(
+        &root.join("crates/core/Cargo.toml"),
+        "[package]\nname = \"tacc-core\"\n",
+    );
+    write(
+        &root.join("crates/core/src/lib.rs"),
+        "tacc_json::record! {\n\
+         \x20   #[json(tag = \"kind\")]\n\
+         \x20   /// A request.\n\
+         \x20   #[derive(Debug)]\n\
+         \x20   pub enum Command {\n\
+         \x20       /// Drain a node.\n\
+         \x20       Drain { node: u32 } = \"drain\",\n\
+         \x20       /// Advance the clock.\n\
+         \x20       Advance { secs: f64 } = \"advance\",\n\
+         \x20   }\n\
+         }\n\
+         impl Command {\n\
+         \x20   pub fn node(&self) -> Option<u32> {\n\
+         \x20       match self {\n\
+         \x20           Command::Drain { node } => Some(*node),\n\
+         \x20           Command::Advance { .. } => None,\n\
+         \x20       }\n\
+         \x20   }\n\
+         }\n\
+         pub fn apply(command: &Command) -> Option<u32> { Command::node(command) }\n",
+    );
+    let opts = Options {
+        dump_graph: true,
+        ..Options::default()
+    };
+    let dump = run(&root, &opts)
+        .expect("scan")
+        .graph_dump
+        .expect("dump requested");
+    assert!(
+        dump.lines()
+            .any(|l| l.starts_with("fn ") && l.contains(" core::Command::node ")),
+        "the impl's method is indexed under the declared type\n{dump}"
+    );
+    assert!(
+        dump.contains("edge core::apply -> core::Command::node"),
+        "a call to it resolves\n{dump}"
+    );
+    fs::remove_dir_all(&root).expect("cleanup");
+}

@@ -4,18 +4,20 @@
 //! never drift apart.
 
 use std::collections::VecDeque;
-use std::fmt::{self, Write as _};
-use tacc_json::{write_escaped, Json};
+use std::fmt;
+use tacc_json::Named;
 use tacc_workload::{GroupId, JobEventKind, JobId, JobState, RuntimePreference};
 
-/// Why the platform refused a job at admission time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectReason {
-    /// The gang shape can never fit the cluster, even when empty.
-    GangNeverFits,
-    /// The request exceeds the owning group's quota and can never be
-    /// admitted under the active quota mode.
-    ExceedsGroupQuota,
+tacc_json::record! {
+    /// Why the platform refused a job at admission time.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RejectReason {
+        /// The gang shape can never fit the cluster, even when empty.
+        GangNeverFits,
+        /// The request exceeds the owning group's quota and can never be
+        /// admitted under the active quota mode.
+        ExceedsGroupQuota,
+    }
 }
 
 impl fmt::Display for RejectReason {
@@ -27,151 +29,149 @@ impl fmt::Display for RejectReason {
     }
 }
 
-/// The form an execution instruction takes — the compiler layer's
-/// vocabulary (`tacc_compiler` re-exports it), defined here because the
-/// `Compiled` event carries it and this crate sits below the compiler.
-///
-/// The paper: "the output of this compiler layer could be as simple as a
-/// few lines of shell commands, or as complicated as a Docker image." Small
-/// CPU tasks compile to shell commands; anything with a GPU environment or
-/// large dependency closure becomes a container image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InstructionKind {
-    /// A short shell script executed directly on the node.
-    ShellCommands,
-    /// A container image materialized from cached layers.
-    ContainerImage,
-}
-
-impl InstructionKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [InstructionKind; 2] = [
-        InstructionKind::ShellCommands,
-        InstructionKind::ContainerImage,
-    ];
+tacc_json::record! {
+    /// The form an execution instruction takes — the compiler layer's
+    /// vocabulary (`tacc_compiler` re-exports it), defined here because the
+    /// `Compiled` event carries it and this crate sits below the compiler.
+    ///
+    /// The paper: "the output of this compiler layer could be as simple as a
+    /// few lines of shell commands, or as complicated as a Docker image." Small
+    /// CPU tasks compile to shell commands; anything with a GPU environment or
+    /// large dependency closure becomes a container image.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum InstructionKind {
+        /// A short shell script executed directly on the node.
+        ShellCommands = "shell",
+        /// A container image materialized from cached layers.
+        ContainerImage = "container",
+    }
 }
 
 impl fmt::Display for InstructionKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InstructionKind::ShellCommands => f.write_str("shell"),
-            InstructionKind::ContainerImage => f.write_str("container"),
-        }
+        f.write_str(self.tag())
     }
 }
 
-/// One lifecycle transition somewhere in the platform stack.
-///
-/// `Display` renders the exact human-readable line that appears in the
-/// per-job log (`tcloud logs`), so events are the one source of truth.
-///
-/// Plain data: a field drawn from a closed set carries the typed value,
-/// not its rendering, so the only heap memory an event owns is free text
-/// — a job's `name`, a faulted `node`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlatformEvent {
-    /// Job accepted by the front door; compilation begins.
-    Submitted {
-        /// The job.
-        job: JobId,
-        /// Owning research group.
-        group: GroupId,
-        /// Human-readable job name.
-        name: String,
-    },
-    /// The compiler produced a task instruction and staged its payload.
-    Compiled {
-        /// The job.
-        job: JobId,
-        /// Instruction form chosen by the compiler (rendered by `Display`).
-        instruction: InstructionKind,
-        /// Total payload size in MiB.
-        payload_mb: f64,
-        /// Bytes actually moved (cache misses) in MiB.
-        transferred_mb: f64,
-        /// Chunk-cache hits during provisioning.
-        chunk_hits: u64,
-        /// Chunk-cache misses during provisioning.
-        chunk_misses: u64,
-        /// Provisioning latency in simulated seconds.
-        provisioning_secs: f64,
-    },
-    /// Admission control refused the job.
-    Rejected {
-        /// The job.
-        job: JobId,
-        /// Why it was refused.
-        reason: RejectReason,
-    },
-    /// Job entered the scheduling queue.
-    Queued {
-        /// The job.
-        job: JobId,
-    },
-    /// The scheduler placed the job and it started running.
-    Placed {
-        /// The job.
-        job: JobId,
-        /// Number of nodes in the placement.
-        nodes: u64,
-        /// Runtime the executor chose (rendered by `Debug`).
-        runtime: RuntimePreference,
-        /// Executor slowdown factor versus ideal.
-        slowdown: f64,
-        /// Workers actually granted (elastic shrink may reduce this).
-        granted_workers: u64,
-        /// Workers originally requested.
-        requested_workers: u64,
-        /// True when the start came through a backfill window.
-        backfilled: bool,
-    },
-    /// The scheduler evicted the job to reclaim quota.
-    Preempted {
-        /// The job.
-        job: JobId,
-        /// Group whose guaranteed quota forced the reclaim.
-        reclaimed_for: GroupId,
-    },
-    /// Job finished all its work.
-    Completed {
-        /// The job.
-        job: JobId,
-        /// Job completion time (submit to finish) in simulated seconds.
-        jct_secs: f64,
-    },
-    /// A node fault hit the job but a fallback runtime exists: requeue.
-    FailedOver {
-        /// The job.
-        job: JobId,
-        /// Faulted node (display form).
-        node: String,
-        /// Fallback runtime chosen (rendered by `Debug`).
-        fallback: RuntimePreference,
-    },
-    /// A node fault killed the job for good.
-    Failed {
-        /// The job.
-        job: JobId,
-        /// Faulted node (display form).
-        node: String,
-    },
-    /// The user cancelled the job.
-    Cancelled {
-        /// The job.
-        job: JobId,
-    },
-    /// The lifecycle engine rejected an event with no edge in the
-    /// transition matrix (e.g. a stale-token fault arriving after
-    /// completion). The job's state was left untouched.
-    IllegalTransition {
-        /// The job.
-        job: JobId,
-        /// The state the job was in — and, the event being rejected,
-        /// stays in.
-        from: JobState,
-        /// The rejected lifecycle event kind.
-        event: JobEventKind,
-    },
+tacc_json::record! {
+    #[json(external)]
+    /// One lifecycle transition somewhere in the platform stack, written
+    /// `{"Variant":{…}}`.
+    ///
+    /// `Display` renders the exact human-readable line that appears in the
+    /// per-job log (`tcloud logs`), so events are the one source of truth.
+    ///
+    /// Plain data: a field drawn from a closed set carries the typed value,
+    /// not its rendering, so the only heap memory an event owns is free text
+    /// — a job's `name`, a faulted `node`. Reading one back is closed-world:
+    /// a name no member renders is refused.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum PlatformEvent {
+        /// Job accepted by the front door; compilation begins.
+        Submitted {
+            /// The job.
+            job: JobId,
+            /// Owning research group.
+            group: GroupId,
+            /// Human-readable job name.
+            name: String,
+        } = "submitted",
+        /// The compiler produced a task instruction and staged its payload.
+        Compiled {
+            /// The job.
+            job: JobId,
+            /// Instruction form chosen by the compiler (rendered by `Display`).
+            instruction: InstructionKind,
+            /// Total payload size in MiB.
+            payload_mb: f64,
+            /// Bytes actually moved (cache misses) in MiB.
+            transferred_mb: f64,
+            /// Chunk-cache hits during provisioning.
+            chunk_hits: u64,
+            /// Chunk-cache misses during provisioning.
+            chunk_misses: u64,
+            /// Provisioning latency in simulated seconds.
+            provisioning_secs: f64,
+        } = "compiled",
+        /// Admission control refused the job.
+        Rejected {
+            /// The job.
+            job: JobId,
+            /// Why it was refused.
+            reason: RejectReason,
+        } = "rejected",
+        /// Job entered the scheduling queue.
+        Queued {
+            /// The job.
+            job: JobId,
+        } = "queued",
+        /// The scheduler placed the job and it started running.
+        Placed {
+            /// The job.
+            job: JobId,
+            /// Number of nodes in the placement.
+            nodes: u64,
+            /// Runtime the executor chose (rendered by `Debug`).
+            #[json(with = Named)]
+            runtime: RuntimePreference,
+            /// Executor slowdown factor versus ideal.
+            slowdown: f64,
+            /// Workers actually granted (elastic shrink may reduce this).
+            granted_workers: u64,
+            /// Workers originally requested.
+            requested_workers: u64,
+            /// True when the start came through a backfill window.
+            backfilled: bool,
+        } = "placed",
+        /// The scheduler evicted the job to reclaim quota.
+        Preempted {
+            /// The job.
+            job: JobId,
+            /// Group whose guaranteed quota forced the reclaim.
+            reclaimed_for: GroupId,
+        } = "preempted",
+        /// Job finished all its work.
+        Completed {
+            /// The job.
+            job: JobId,
+            /// Job completion time (submit to finish) in simulated seconds.
+            jct_secs: f64,
+        } = "completed",
+        /// A node fault hit the job but a fallback runtime exists: requeue.
+        FailedOver {
+            /// The job.
+            job: JobId,
+            /// Faulted node (display form).
+            node: String,
+            /// Fallback runtime chosen (rendered by `Debug`).
+            #[json(with = Named)]
+            fallback: RuntimePreference,
+        } = "failed_over",
+        /// A node fault killed the job for good.
+        Failed {
+            /// The job.
+            job: JobId,
+            /// Faulted node (display form).
+            node: String,
+        } = "failed",
+        /// The user cancelled the job.
+        Cancelled {
+            /// The job.
+            job: JobId,
+        } = "cancelled",
+        /// The lifecycle engine rejected an event with no edge in the
+        /// transition matrix (e.g. a stale-token fault arriving after
+        /// completion). The job's state was left untouched.
+        IllegalTransition {
+            /// The job.
+            job: JobId,
+            /// The state the job was in — and, the event being rejected,
+            /// stays in.
+            from: JobState,
+            /// The rejected lifecycle event kind.
+            event: JobEventKind,
+        } = "illegal_transition",
+    }
 }
 
 impl PlatformEvent {
@@ -192,30 +192,6 @@ impl PlatformEvent {
         }
     }
 
-    /// Stable machine-readable kind tag (used for per-kind counts and
-    /// the conservation check).
-    pub fn kind(&self) -> &'static str {
-        KINDS[self.ordinal()]
-    }
-
-    /// The variant's position in declaration order: the index of its tag
-    /// in [`KINDS`] and of its tally on the bus.
-    fn ordinal(&self) -> usize {
-        match self {
-            PlatformEvent::Submitted { .. } => 0,
-            PlatformEvent::Compiled { .. } => 1,
-            PlatformEvent::Rejected { .. } => 2,
-            PlatformEvent::Queued { .. } => 3,
-            PlatformEvent::Placed { .. } => 4,
-            PlatformEvent::Preempted { .. } => 5,
-            PlatformEvent::Completed { .. } => 6,
-            PlatformEvent::FailedOver { .. } => 7,
-            PlatformEvent::Failed { .. } => 8,
-            PlatformEvent::Cancelled { .. } => 9,
-            PlatformEvent::IllegalTransition { .. } => 10,
-        }
-    }
-
     /// Bytes of free text the event carries (`name`, `node`); zero for
     /// every other variant, whose JSON line has a fixed upper bound.
     fn text_len(&self) -> usize {
@@ -228,21 +204,6 @@ impl PlatformEvent {
         }
     }
 }
-
-/// The kind tags, indexed by [`PlatformEvent::ordinal`].
-const KINDS: [&str; 11] = [
-    "submitted",
-    "compiled",
-    "rejected",
-    "queued",
-    "placed",
-    "preempted",
-    "completed",
-    "failed_over",
-    "failed",
-    "cancelled",
-    "illegal_transition",
-];
 
 impl fmt::Display for PlatformEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -303,266 +264,18 @@ impl fmt::Display for PlatformEvent {
     }
 }
 
-/// A [`PlatformEvent`] as recorded on the bus: stamped with a sequence
-/// number and the simulated time of the transition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventRecord {
-    /// Monotonically increasing sequence number (never reused, even
-    /// after old records are dropped from the ring).
-    pub seq: u64,
-    /// Simulated time of the transition, seconds.
-    pub at_secs: f64,
-    /// The transition itself.
-    pub event: PlatformEvent,
-}
-
-/// Appends a finite `f64` in shortest round-trip form.
-///
-/// # Panics
-///
-/// Panics on non-finite values — JSON has no representation for them and
-/// no platform event may carry one.
-pub(crate) fn push_json_f64(out: &mut String, v: f64) {
-    assert!(v.is_finite(), "non-finite float in platform event: {v}");
-    let _ = write!(out, "{v}");
-}
-
-impl EventRecord {
-    /// Appends this record as one compact JSON object:
-    /// `{"seq":N,"at_secs":T,"event":{"Variant":{...}}}`.
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{{\"seq\":{},\"at_secs\":", self.seq);
-        push_json_f64(out, self.at_secs);
-        out.push_str(",\"event\":");
-        self.event.write_json(out);
-        out.push('}');
-    }
-}
-
-impl PlatformEvent {
-    /// Appends the externally-tagged JSON encoding of this event.
-    fn write_json(&self, out: &mut String) {
-        match self {
-            PlatformEvent::Submitted { job, group, name } => {
-                let _ = write!(
-                    out,
-                    "{{\"Submitted\":{{\"job\":{},\"group\":{},\"name\":",
-                    job.value(),
-                    group.index()
-                );
-                write_escaped(name, out);
-                out.push_str("}}");
-            }
-            PlatformEvent::Compiled {
-                job,
-                instruction,
-                payload_mb,
-                transferred_mb,
-                chunk_hits,
-                chunk_misses,
-                provisioning_secs,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"Compiled\":{{\"job\":{},\"instruction\":\"{instruction}\",\"payload_mb\":",
-                    job.value()
-                );
-                push_json_f64(out, *payload_mb);
-                out.push_str(",\"transferred_mb\":");
-                push_json_f64(out, *transferred_mb);
-                let _ = write!(
-                    out,
-                    ",\"chunk_hits\":{chunk_hits},\"chunk_misses\":{chunk_misses},\"provisioning_secs\":"
-                );
-                push_json_f64(out, *provisioning_secs);
-                out.push_str("}}");
-            }
-            PlatformEvent::Rejected { job, reason } => {
-                let tag = match reason {
-                    RejectReason::GangNeverFits => "GangNeverFits",
-                    RejectReason::ExceedsGroupQuota => "ExceedsGroupQuota",
-                };
-                let _ = write!(
-                    out,
-                    "{{\"Rejected\":{{\"job\":{},\"reason\":\"{tag}\"}}}}",
-                    job.value()
-                );
-            }
-            PlatformEvent::Queued { job } => {
-                let _ = write!(out, "{{\"Queued\":{{\"job\":{}}}}}", job.value());
-            }
-            PlatformEvent::Placed {
-                job,
-                nodes,
-                runtime,
-                slowdown,
-                granted_workers,
-                requested_workers,
-                backfilled,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"Placed\":{{\"job\":{},\"nodes\":{nodes},\"runtime\":\"{runtime:?}\",\"slowdown\":",
-                    job.value()
-                );
-                push_json_f64(out, *slowdown);
-                let _ = write!(
-                    out,
-                    ",\"granted_workers\":{granted_workers},\"requested_workers\":{requested_workers},\"backfilled\":{backfilled}}}}}"
-                );
-            }
-            PlatformEvent::Preempted { job, reclaimed_for } => {
-                let _ = write!(
-                    out,
-                    "{{\"Preempted\":{{\"job\":{},\"reclaimed_for\":{}}}}}",
-                    job.value(),
-                    reclaimed_for.index()
-                );
-            }
-            PlatformEvent::Completed { job, jct_secs } => {
-                let _ = write!(
-                    out,
-                    "{{\"Completed\":{{\"job\":{},\"jct_secs\":",
-                    job.value()
-                );
-                push_json_f64(out, *jct_secs);
-                out.push_str("}}");
-            }
-            PlatformEvent::FailedOver {
-                job,
-                node,
-                fallback,
-            } => {
-                let _ = write!(out, "{{\"FailedOver\":{{\"job\":{},\"node\":", job.value());
-                write_escaped(node, out);
-                let _ = write!(out, ",\"fallback\":\"{fallback:?}\"}}}}");
-            }
-            PlatformEvent::Failed { job, node } => {
-                let _ = write!(out, "{{\"Failed\":{{\"job\":{},\"node\":", job.value());
-                write_escaped(node, out);
-                out.push_str("}}");
-            }
-            PlatformEvent::Cancelled { job } => {
-                let _ = write!(out, "{{\"Cancelled\":{{\"job\":{}}}}}", job.value());
-            }
-            PlatformEvent::IllegalTransition { job, from, event } => {
-                let _ = write!(
-                    out,
-                    "{{\"IllegalTransition\":{{\"job\":{},\"from\":\"{from}\",\"event\":\"{event}\"}}}}",
-                    job.value()
-                );
-            }
-        }
-    }
-}
-
-impl EventRecord {
-    /// Reads back what [`EventRecord::write_json`] wrote.
-    fn from_json(value: &Json) -> Result<EventRecord, String> {
-        Ok(EventRecord {
-            seq: value.req_u64("seq")?,
-            at_secs: value.req_f64("at_secs")?,
-            event: PlatformEvent::from_json(value.get("event").ok_or("missing field 'event'")?)?,
-        })
-    }
-}
-
-/// Reads a closed-set field of `body` back through `parse`, its set's
-/// name-to-member function. An unknown name is an error — the read-back
-/// never invents a value the writer could not have held.
-fn member<T>(body: &Json, key: &str, parse: impl Fn(&str) -> Option<T>) -> Result<T, String> {
-    let name = body.req_str(key)?;
-    parse(name).ok_or_else(|| format!("unknown {key} '{name}'"))
-}
-
-impl PlatformEvent {
-    /// Reads back the externally-tagged encoding `write_json` emits:
-    /// total over everything it can emit, closed over the typed fields.
-    fn from_json(value: &Json) -> Result<PlatformEvent, String> {
-        let (tag, body) = match value {
-            Json::Obj(fields) if fields.len() == 1 => (fields[0].0.as_str(), &fields[0].1),
-            _ => return Err("event is not a single-variant object".to_owned()),
-        };
-        let job = JobId::from_value(body.req_u64("job")?);
-        let group = |key| -> Result<GroupId, String> {
-            usize::try_from(body.req_u64(key)?)
-                .map(GroupId::from_index)
-                .map_err(|_| format!("field '{key}' exceeds usize"))
-        };
-        let string = |key| body.req_str(key).map(str::to_owned);
-        let runtime = |key| {
-            let named = |name: &str| {
-                RuntimePreference::ALL
-                    .into_iter()
-                    .find(|r| format!("{r:?}") == name)
-            };
-            member(body, key, named)
-        };
-        Ok(match tag {
-            "Submitted" => PlatformEvent::Submitted {
-                job,
-                group: group("group")?,
-                name: string("name")?,
-            },
-            "Compiled" => PlatformEvent::Compiled {
-                job,
-                instruction: member(body, "instruction", |name| {
-                    InstructionKind::ALL
-                        .into_iter()
-                        .find(|k| k.to_string() == name)
-                })?,
-                payload_mb: body.req_f64("payload_mb")?,
-                transferred_mb: body.req_f64("transferred_mb")?,
-                chunk_hits: body.req_u64("chunk_hits")?,
-                chunk_misses: body.req_u64("chunk_misses")?,
-                provisioning_secs: body.req_f64("provisioning_secs")?,
-            },
-            "Rejected" => PlatformEvent::Rejected {
-                job,
-                reason: match body.req_str("reason")? {
-                    "GangNeverFits" => RejectReason::GangNeverFits,
-                    "ExceedsGroupQuota" => RejectReason::ExceedsGroupQuota,
-                    other => return Err(format!("unknown reject reason '{other}'")),
-                },
-            },
-            "Queued" => PlatformEvent::Queued { job },
-            "Placed" => PlatformEvent::Placed {
-                job,
-                nodes: body.req_u64("nodes")?,
-                runtime: runtime("runtime")?,
-                slowdown: body.req_f64("slowdown")?,
-                granted_workers: body.req_u64("granted_workers")?,
-                requested_workers: body.req_u64("requested_workers")?,
-                backfilled: body
-                    .get("backfilled")
-                    .and_then(Json::as_bool)
-                    .ok_or("missing or non-boolean field 'backfilled'")?,
-            },
-            "Preempted" => PlatformEvent::Preempted {
-                job,
-                reclaimed_for: group("reclaimed_for")?,
-            },
-            "Completed" => PlatformEvent::Completed {
-                job,
-                jct_secs: body.req_f64("jct_secs")?,
-            },
-            "FailedOver" => PlatformEvent::FailedOver {
-                job,
-                node: string("node")?,
-                fallback: runtime("fallback")?,
-            },
-            "Failed" => PlatformEvent::Failed {
-                job,
-                node: string("node")?,
-            },
-            "Cancelled" => PlatformEvent::Cancelled { job },
-            "IllegalTransition" => PlatformEvent::IllegalTransition {
-                job,
-                from: member(body, "from", JobState::parse_name)?,
-                event: member(body, "event", JobEventKind::parse_name)?,
-            },
-            other => return Err(format!("unknown event variant '{other}'")),
-        })
+tacc_json::record! {
+    /// A [`PlatformEvent`] as recorded on the bus: stamped with a sequence
+    /// number and the simulated time of the transition.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EventRecord {
+        /// Monotonically increasing sequence number (never reused, even
+        /// after old records are dropped from the ring).
+        pub seq: u64,
+        /// Simulated time of the transition, seconds.
+        pub at_secs: f64,
+        /// The transition itself.
+        pub event: PlatformEvent,
     }
 }
 
@@ -594,7 +307,7 @@ pub struct EventBus {
     last_at: f64,
     dropped: u64,
     /// Lifetime tally per variant, indexed by `PlatformEvent::ordinal`.
-    kind_counts: [u64; KINDS.len()],
+    kind_counts: [u64; PlatformEvent::KINDS.len()],
 }
 
 impl EventBus {
@@ -606,7 +319,7 @@ impl EventBus {
             next_seq: 0,
             last_at: 0.0,
             dropped: 0,
-            kind_counts: [0; KINDS.len()],
+            kind_counts: [0; PlatformEvent::KINDS.len()],
         }
     }
 
@@ -667,7 +380,7 @@ impl EventBus {
 
     /// Lifetime count of events of `kind` (survives ring eviction).
     pub fn kind_count(&self, kind: &str) -> u64 {
-        let ordinal = KINDS.iter().position(|k| *k == kind);
+        let ordinal = PlatformEvent::KINDS.iter().position(|k| *k == kind);
         ordinal.map_or(0, |i| self.kind_counts[i])
     }
 
@@ -704,10 +417,7 @@ impl EventBus {
             .enumerate()
             .filter(|(_, l)| !l.trim().is_empty())
             .map(|(i, l)| {
-                tacc_json::parse(l)
-                    .map_err(|e| e.to_string())
-                    .and_then(|v| EventRecord::from_json(&v))
-                    .map_err(|e| format!("event line {}: {e}", i + 1))
+                EventRecord::from_text(l).map_err(|e| format!("event line {}: {e}", i + 1))
             })
             .collect()
     }

@@ -40,10 +40,9 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
-use tacc_json::Json;
+use tacc_json::write_num;
 use tacc_workload::{JobEventKind, JobId, JobState, TRANSITION_MATRIX};
 
-use crate::events::push_json_f64;
 use crate::goodput::Dyadic;
 
 /// The phase a job-span timeline attributes an interval of sim time to.
@@ -154,9 +153,9 @@ impl Span {
             job.value(),
             self.phase.name()
         );
-        push_json_f64(out, self.start_secs);
+        write_num(self.start_secs, out);
         out.push_str(",\"end_secs\":");
-        push_json_f64(out, self.end_secs);
+        write_num(self.end_secs, out);
         let _ = write!(
             out,
             ",\"cause\":\"{}\",\"attribution\":\"{}\"}}",
@@ -166,21 +165,24 @@ impl Span {
     }
 }
 
-/// One applied lifecycle transition: what the core engine's transition
-/// log stores, its JSONL export writes ([`TransitionEvent::write_json`])
-/// and the span fold consumes, live or parsed back from that export.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransitionEvent {
-    /// Simulated time of the transition, seconds.
-    pub at_secs: f64,
-    /// The job that transitioned.
-    pub job: JobId,
-    /// State before the event.
-    pub from: JobState,
-    /// State after the event.
-    pub to: JobState,
-    /// The event kind that drove the transition.
-    pub event: JobEventKind,
+tacc_json::record! {
+    /// One applied lifecycle transition: what the core engine's transition
+    /// log stores, one line of its JSONL export
+    /// (`{"at_secs":T,"job":N,"from":"state","to":"state","event":"kind"}`),
+    /// and what the span fold consumes, live or read back from that export.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct TransitionEvent {
+        /// Simulated time of the transition, seconds.
+        pub at_secs: f64,
+        /// The job that transitioned.
+        pub job: JobId,
+        /// State before the event.
+        pub from: JobState,
+        /// State after the event.
+        pub to: JobState,
+        /// The event kind that drove the transition.
+        pub event: JobEventKind,
+    }
 }
 
 impl TransitionEvent {
@@ -198,21 +200,6 @@ impl TransitionEvent {
     /// names and the time 24 bytes wide (see the event bus's line bound
     /// for why 24); `a_line_never_outgrows_its_bound`.
     pub const LINE_BOUND: usize = 128;
-
-    /// Appends the record as one compact JSON object — a line of the
-    /// transition log export, which `parse_transition_line` reads back:
-    /// `{"at_secs":T,"job":N,"from":"state","to":"state","event":"kind"}`.
-    pub fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"at_secs\":{},\"job\":{},\"from\":\"{}\",\"to\":\"{}\",\"event\":\"{}\"}}",
-            self.at_secs,
-            self.job.value(),
-            self.from,
-            self.to,
-            self.event
-        );
-    }
 }
 
 /// Static parameters of the span fold, fixed for a whole platform run.
@@ -551,37 +538,23 @@ impl SpanBook {
     }
 
     /// Reconstructs a book from a transition stream exported by the core
-    /// engine's `transition_log_jsonl` (one [`TransitionEvent::write_json`]
-    /// object per line). Blank lines are skipped; a malformed line is an
-    /// error naming its 1-based number.
+    /// engine's `transition_log_jsonl` (one [`TransitionEvent`] per line).
+    /// Blank lines are skipped; a malformed line, or one stamped at a
+    /// non-finite time, is an error naming its 1-based number.
     pub fn from_transitions_jsonl(text: &str, config: SpanConfig) -> Result<SpanBook, String> {
         let mut book = SpanBook::new(config);
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let rec = parse_transition_line(line)
+            let rec = TransitionEvent::from_text(line).ok();
+            let rec = rec
+                .filter(|r| r.at_secs.is_finite())
                 .ok_or_else(|| format!("transition line {}: malformed record: {line}", i + 1))?;
             book.observe(rec);
         }
         Ok(book)
     }
-}
-
-fn parse_transition_line(line: &str) -> Option<TransitionEvent> {
-    let value = tacc_json::parse(line).ok()?;
-    let name = |key| value.get(key).and_then(Json::as_str);
-    let at_secs = value.get("at_secs")?.as_f64()?;
-    if !at_secs.is_finite() {
-        return None;
-    }
-    Some(TransitionEvent {
-        at_secs,
-        job: JobId::from_value(value.get("job")?.as_u64()?),
-        from: JobState::parse_name(name("from")?)?,
-        to: JobState::parse_name(name("to")?)?,
-        event: JobEventKind::parse_name(name("event")?)?,
-    })
 }
 
 /// Machine-checks the span conservation law for every job in the book:

@@ -174,6 +174,45 @@ fn jsonl_round_trips_every_variant_with_every_awkward_name() {
     assert_eq!(parsed, original);
 }
 
+/// An event's floats may be non-finite: each is written as the string
+/// (`"inf"`, `"-inf"`, `"nan"`) the number reader takes back, never a
+/// panic or a bare `inf` no parser reads.
+#[test]
+fn jsonl_round_trips_non_finite_floats() {
+    let mut bus = EventBus::new(64);
+    for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        let job = JobId::from_value(1);
+        let events = [
+            PlatformEvent::Compiled {
+                job,
+                instruction: InstructionKind::ContainerImage,
+                payload_mb: v,
+                transferred_mb: -v,
+                chunk_hits: 1,
+                chunk_misses: 2,
+                provisioning_secs: v,
+            },
+            PlatformEvent::Placed {
+                job,
+                nodes: 1,
+                runtime: RuntimePreference::AllReduce,
+                slowdown: v,
+                granted_workers: 1,
+                requested_workers: 1,
+                backfilled: false,
+            },
+            PlatformEvent::Completed { job, jct_secs: v },
+        ];
+        for event in events {
+            bus.record(2.5, event);
+        }
+    }
+    let parsed = EventBus::parse_jsonl(&bus.to_jsonl()).expect("export parses back");
+    let original: Vec<EventRecord> = bus.records().cloned().collect();
+    // Debug text, so that a NaN reads back equal to itself.
+    assert_eq!(format!("{parsed:?}"), format!("{original:?}"));
+}
+
 /// Read-back is closed-world: a name no member of the field's set
 /// renders as is refused, never turned into a value the writer could not
 /// have held.

@@ -633,7 +633,7 @@ mod tests {
             panic!("status should see the job submitted before it");
         };
         assert_eq!(status.get("job").and_then(Json::as_u64), Some(job));
-        // The stable lower-case name `JobState::parse_name` reads back,
+        // The stable lower-case name `JobState::from_tag` reads back,
         // not the `Debug` spelling.
         assert_eq!(
             status.get("state").and_then(Json::as_str),
@@ -758,7 +758,10 @@ mod tests {
             .filter_map(|(step, reply)| match (step, reply) {
                 (Some(command), Reply::Ok(ack)) => Some(CommandRecord {
                     seq: ack.get("seq").and_then(Json::as_u64).expect("ack has seq"),
-                    at_secs: ack.req_f64("at_secs").expect("ack has at_secs"),
+                    at_secs: ack
+                        .get("at_secs")
+                        .and_then(Json::as_f64)
+                        .expect("ack has at_secs"),
                     command: command.clone(),
                 }),
                 _ => None,

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use tacc_json::{Cursor, Field, Json, TextSink};
+
 /// Identifier of a research group (tenant). Dense, assigned by the roster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(u32);
@@ -21,6 +23,22 @@ impl GroupId {
 impl fmt::Display for GroupId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "group{}", self.0)
+    }
+}
+
+/// Spelled as its index.
+impl Field for GroupId {
+    fn write<W: TextSink + ?Sized>(&self, out: &mut W) {
+        <u32 as Field>::write(&self.0, out);
+    }
+    fn to_tree(&self) -> Json {
+        <u32 as Field>::to_tree(&self.0)
+    }
+    fn read(r: &mut Cursor<'_>) -> Option<Self> {
+        <u32 as Field>::read(r).map(GroupId)
+    }
+    fn from_tree(value: Option<&Json>, key: &str) -> Result<Self, String> {
+        <u32 as Field>::from_tree(value, key).map(GroupId)
     }
 }
 

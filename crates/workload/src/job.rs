@@ -10,6 +10,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use tacc_json::{Cursor, Field, Json, TextSink};
+
 use crate::schema::TaskSchema;
 
 /// Identifier of a submitted job. Dense per platform instance.
@@ -34,57 +36,64 @@ impl fmt::Display for JobId {
     }
 }
 
-/// Lifecycle state of a job.
-///
-/// One edge per line; `tests/lifecycle_properties.rs` parses this block and
-/// asserts it matches [`TRANSITION_MATRIX`] exactly, so keep the edge-list
-/// format intact when editing.
-///
-/// ```text
-/// Submitted ──submit──→ Submitted
-/// Submitted ──enqueue──→ Queued
-/// Submitted ──reject───→ Failed
-/// Queued ──start──→ Running
-/// Running ──complete──→ Completed
-/// Running ──fail──→ Failed
-/// Running ──preempt──→ Preempted
-/// Running ──interrupt──→ Preempted
-/// Preempted ──enqueue──→ Queued
-/// Submitted|Queued|Running|Preempted ──cancel──→ Cancelled
-/// ```
-///
-/// `Completed`, `Failed`, and `Cancelled` are terminal and absorbing: no
-/// event leaves them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JobState {
-    /// Submitted; the compiler layer is preparing the task instruction.
-    Submitted,
-    /// Instruction ready; waiting in the scheduling queue.
-    Queued,
-    /// Placed and executing.
-    Running,
-    /// Evicted by the scheduler; awaiting requeue.
-    Preempted,
-    /// Finished all its work.
-    Completed,
-    /// Terminated with an unrecoverable error.
-    Failed,
-    /// Killed by the user.
-    Cancelled,
+/// Spelled as its value.
+impl Field for JobId {
+    fn write<W: TextSink + ?Sized>(&self, out: &mut W) {
+        <u64 as Field>::write(&self.0, out);
+    }
+    fn to_tree(&self) -> Json {
+        <u64 as Field>::to_tree(&self.0)
+    }
+    fn read(r: &mut Cursor<'_>) -> Option<Self> {
+        <u64 as Field>::read(r).map(JobId)
+    }
+    fn from_tree(value: Option<&Json>, key: &str) -> Result<Self, String> {
+        <u64 as Field>::from_tree(value, key).map(JobId)
+    }
+}
+
+tacc_json::record! {
+    /// Lifecycle state of a job.
+    ///
+    /// One edge per line; `tests/lifecycle_properties.rs` parses this block and
+    /// asserts it matches [`TRANSITION_MATRIX`] exactly, so keep the edge-list
+    /// format intact when editing.
+    ///
+    /// ```text
+    /// Submitted ──submit──→ Submitted
+    /// Submitted ──enqueue──→ Queued
+    /// Submitted ──reject───→ Failed
+    /// Queued ──start──→ Running
+    /// Running ──complete──→ Completed
+    /// Running ──fail──→ Failed
+    /// Running ──preempt──→ Preempted
+    /// Running ──interrupt──→ Preempted
+    /// Preempted ──enqueue──→ Queued
+    /// Submitted|Queued|Running|Preempted ──cancel──→ Cancelled
+    /// ```
+    ///
+    /// `Completed`, `Failed`, and `Cancelled` are terminal and absorbing: no
+    /// event leaves them.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum JobState {
+        /// Submitted; the compiler layer is preparing the task instruction.
+        Submitted = "submitted",
+        /// Instruction ready; waiting in the scheduling queue.
+        Queued = "queued",
+        /// Placed and executing.
+        Running = "running",
+        /// Evicted by the scheduler; awaiting requeue.
+        Preempted = "preempted",
+        /// Finished all its work.
+        Completed = "completed",
+        /// Terminated with an unrecoverable error.
+        Failed = "failed",
+        /// Killed by the user.
+        Cancelled = "cancelled",
+    }
 }
 
 impl JobState {
-    /// Every state, in declaration order (drives exhaustive matrix tests).
-    pub const ALL: [JobState; 7] = [
-        JobState::Submitted,
-        JobState::Queued,
-        JobState::Running,
-        JobState::Preempted,
-        JobState::Completed,
-        JobState::Failed,
-        JobState::Cancelled,
-    ];
-
     /// True for states a job can never leave.
     pub fn is_terminal(self) -> bool {
         matches!(
@@ -147,27 +156,9 @@ impl JobState {
     }
 }
 
-impl JobState {
-    /// Parses the lowercase `Display` name back into a state (used by the
-    /// observability layer when replaying a transition JSONL export).
-    /// Inverse of `Display` by construction, so the two can never drift.
-    pub fn parse_name(s: &str) -> Option<JobState> {
-        JobState::ALL.iter().copied().find(|v| v.to_string() == s)
-    }
-}
-
 impl fmt::Display for JobState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            JobState::Submitted => "submitted",
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Preempted => "preempted",
-            JobState::Completed => "completed",
-            JobState::Failed => "failed",
-            JobState::Cancelled => "cancelled",
-        };
-        f.write_str(s)
+        f.write_str(self.tag())
     }
 }
 
@@ -252,70 +243,34 @@ impl JobEvent {
     }
 }
 
-/// The kind of a [`JobEvent`], without payload. Keys the transition matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JobEventKind {
-    /// See [`JobEvent::Submit`].
-    Submit,
-    /// See [`JobEvent::Enqueue`].
-    Enqueue,
-    /// See [`JobEvent::Start`].
-    Start,
-    /// See [`JobEvent::Preempt`].
-    Preempt,
-    /// See [`JobEvent::Interrupt`].
-    Interrupt,
-    /// See [`JobEvent::Reject`].
-    Reject,
-    /// See [`JobEvent::Complete`].
-    Complete,
-    /// See [`JobEvent::Fail`].
-    Fail,
-    /// See [`JobEvent::Cancel`].
-    Cancel,
-}
-
-impl JobEventKind {
-    /// Every event kind, in declaration order (drives matrix tests).
-    pub const ALL: [JobEventKind; 9] = [
-        JobEventKind::Submit,
-        JobEventKind::Enqueue,
-        JobEventKind::Start,
-        JobEventKind::Preempt,
-        JobEventKind::Interrupt,
-        JobEventKind::Reject,
-        JobEventKind::Complete,
-        JobEventKind::Fail,
-        JobEventKind::Cancel,
-    ];
-}
-
-impl JobEventKind {
-    /// Parses the lowercase `Display` name back into a kind (used by the
-    /// observability layer when replaying a transition JSONL export).
-    /// Inverse of `Display` by construction, so the two can never drift.
-    pub fn parse_name(s: &str) -> Option<JobEventKind> {
-        JobEventKind::ALL
-            .iter()
-            .copied()
-            .find(|v| v.to_string() == s)
+tacc_json::record! {
+    /// The kind of a [`JobEvent`], without payload. Keys the transition matrix.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum JobEventKind {
+        /// See [`JobEvent::Submit`].
+        Submit = "submit",
+        /// See [`JobEvent::Enqueue`].
+        Enqueue = "enqueue",
+        /// See [`JobEvent::Start`].
+        Start = "start",
+        /// See [`JobEvent::Preempt`].
+        Preempt = "preempt",
+        /// See [`JobEvent::Interrupt`].
+        Interrupt = "interrupt",
+        /// See [`JobEvent::Reject`].
+        Reject = "reject",
+        /// See [`JobEvent::Complete`].
+        Complete = "complete",
+        /// See [`JobEvent::Fail`].
+        Fail = "fail",
+        /// See [`JobEvent::Cancel`].
+        Cancel = "cancel",
     }
 }
 
 impl fmt::Display for JobEventKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            JobEventKind::Submit => "submit",
-            JobEventKind::Enqueue => "enqueue",
-            JobEventKind::Start => "start",
-            JobEventKind::Preempt => "preempt",
-            JobEventKind::Interrupt => "interrupt",
-            JobEventKind::Reject => "reject",
-            JobEventKind::Complete => "complete",
-            JobEventKind::Fail => "fail",
-            JobEventKind::Cancel => "cancel",
-        };
-        f.write_str(s)
+        f.write_str(self.tag())
     }
 }
 
@@ -771,13 +726,13 @@ mod tests {
     #[test]
     fn display_names_parse_back() {
         for s in JobState::ALL {
-            assert_eq!(JobState::parse_name(&s.to_string()), Some(s));
+            assert_eq!(JobState::from_tag(&s.to_string()), Some(s));
         }
         for k in JobEventKind::ALL {
-            assert_eq!(JobEventKind::parse_name(&k.to_string()), Some(k));
+            assert_eq!(JobEventKind::from_tag(&k.to_string()), Some(k));
         }
-        assert_eq!(JobState::parse_name("bogus"), None);
-        assert_eq!(JobEventKind::parse_name("bogus"), None);
+        assert_eq!(JobState::from_tag("bogus"), None);
+        assert_eq!(JobEventKind::from_tag("bogus"), None);
     }
 
     #[test]

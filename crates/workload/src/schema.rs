@@ -3,23 +3,25 @@
 use std::fmt;
 
 use tacc_cluster::ResourceVec;
-use tacc_json::{obj, write_escaped, write_num, Cursor, Json, TextSink};
+use tacc_json::OrDefault;
 
 use crate::group::GroupId;
 
-/// Quality-of-service class of a task.
-///
-/// `Guaranteed` tasks run within their group's quota and are never
-/// preempted; `BestEffort` tasks may use idle capacity borrowed from other
-/// groups and can be preempted when the owner reclaims it. This is the
-/// mechanism behind the quota-borrowing experiments (F2/F5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub enum QosClass {
-    /// Runs within the group quota; not preemptible.
-    #[default]
-    Guaranteed,
-    /// Runs on borrowed/idle capacity; preemptible on reclaim.
-    BestEffort,
+tacc_json::record! {
+    /// Quality-of-service class of a task.
+    ///
+    /// `Guaranteed` tasks run within their group's quota and are never
+    /// preempted; `BestEffort` tasks may use idle capacity borrowed from other
+    /// groups and can be preempted when the owner reclaims it. This is the
+    /// mechanism behind the quota-borrowing experiments (F2/F5).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+    pub enum QosClass {
+        /// Runs within the group quota; not preemptible.
+        #[default]
+        Guaranteed = "guaranteed",
+        /// Runs on borrowed/idle capacity; preemptible on reclaim.
+        BestEffort = "best-effort",
+    }
 }
 
 impl QosClass {
@@ -29,40 +31,26 @@ impl QosClass {
     }
 }
 
-impl QosClass {
-    /// The class's name in a schema file.
-    fn tag(self) -> &'static str {
-        match self {
-            QosClass::Guaranteed => "guaranteed",
-            QosClass::BestEffort => "best-effort",
-        }
-    }
-
-    fn from_tag(tag: &str) -> Option<QosClass> {
-        [QosClass::Guaranteed, QosClass::BestEffort]
-            .into_iter()
-            .find(|q| q.tag() == tag)
-    }
-}
-
 impl fmt::Display for QosClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.tag())
     }
 }
 
-/// What kind of application a task is; drives duration/demand shape in the
-/// generator and runtime selection in the execution layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TaskKind {
-    /// Batch DNN training (the dominant class).
-    Training,
-    /// Interactive development session (notebooks, debugging).
-    Interactive,
-    /// Batch inference / evaluation sweeps.
-    Inference,
-    /// CPU-only preprocessing or analysis.
-    CpuBatch,
+tacc_json::record! {
+    /// What kind of application a task is; drives duration/demand shape in the
+    /// generator and runtime selection in the execution layer.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum TaskKind {
+        /// Batch DNN training (the dominant class).
+        Training = "training",
+        /// Interactive development session (notebooks, debugging).
+        Interactive = "interactive",
+        /// Batch inference / evaluation sweeps.
+        Inference = "inference",
+        /// CPU-only preprocessing or analysis.
+        CpuBatch = "cpu-batch",
+    }
 }
 
 impl TaskKind {
@@ -72,98 +60,52 @@ impl TaskKind {
     }
 }
 
-impl TaskKind {
-    /// The kind's name in a schema file.
-    fn tag(self) -> &'static str {
-        match self {
-            TaskKind::Training => "training",
-            TaskKind::Interactive => "interactive",
-            TaskKind::Inference => "inference",
-            TaskKind::CpuBatch => "cpu-batch",
-        }
-    }
-
-    fn from_tag(tag: &str) -> Option<TaskKind> {
-        [
-            TaskKind::Training,
-            TaskKind::Interactive,
-            TaskKind::Inference,
-            TaskKind::CpuBatch,
-        ]
-        .into_iter()
-        .find(|k| k.tag() == tag)
-    }
-}
-
 impl fmt::Display for TaskKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.tag())
     }
 }
 
-/// Which underlying runtime system the user asks the execution layer for.
-///
-/// Per the paper, the choice "could be either indicated in the user's task
-/// description or dynamically determined by the other layers" — `Auto`
-/// defers to the execution layer's selection logic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RuntimePreference {
-    /// Let the platform choose (the default and common case).
-    #[default]
-    Auto,
-    /// All-reduce based data-parallel training (DDP-style).
-    AllReduce,
-    /// Parameter-server based training.
-    ParameterServer,
-    /// In-network aggregation on programmable switches (ATP-style): the
-    /// rack switch sums gradients at line rate. Only available to gangs
-    /// that fit in one rack; the execution layer falls back to all-reduce
-    /// otherwise.
-    InNetworkAggregation,
-    /// Plain single-process execution.
-    SingleProcess,
-}
-
-impl RuntimePreference {
-    /// Every preference, in declaration order (the closed set the event
-    /// stream's read-back accepts).
-    pub const ALL: [RuntimePreference; 5] = [
-        RuntimePreference::Auto,
-        RuntimePreference::AllReduce,
-        RuntimePreference::ParameterServer,
-        RuntimePreference::InNetworkAggregation,
-        RuntimePreference::SingleProcess,
-    ];
-
-    /// The preference's name in a schema file.
-    fn tag(self) -> &'static str {
-        match self {
-            RuntimePreference::Auto => "auto",
-            RuntimePreference::AllReduce => "all-reduce",
-            RuntimePreference::ParameterServer => "parameter-server",
-            RuntimePreference::InNetworkAggregation => "in-network-aggregation",
-            RuntimePreference::SingleProcess => "single-process",
-        }
-    }
-
-    fn from_tag(tag: &str) -> Option<RuntimePreference> {
-        RuntimePreference::ALL.into_iter().find(|r| r.tag() == tag)
+tacc_json::record! {
+    /// Which underlying runtime system the user asks the execution layer for.
+    ///
+    /// Per the paper, the choice "could be either indicated in the user's task
+    /// description or dynamically determined by the other layers" — `Auto`
+    /// defers to the execution layer's selection logic.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum RuntimePreference {
+        /// Let the platform choose (the default and common case).
+        #[default]
+        Auto = "auto",
+        /// All-reduce based data-parallel training (DDP-style).
+        AllReduce = "all-reduce",
+        /// Parameter-server based training.
+        ParameterServer = "parameter-server",
+        /// In-network aggregation on programmable switches (ATP-style): the
+        /// rack switch sums gradients at line rate. Only available to gangs
+        /// that fit in one rack; the execution layer falls back to all-reduce
+        /// otherwise.
+        InNetworkAggregation = "in-network-aggregation",
+        /// Plain single-process execution.
+        SingleProcess = "single-process",
     }
 }
 
-/// The runtime environment a task needs: container image, dependencies and
-/// dataset. Sizes are carried so the compiler layer can model provisioning
-/// cost and delta caching (experiment T3).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuntimeEnv {
-    /// Base image name (e.g. `pytorch-2.1-cuda12`).
-    pub image: String,
-    /// Third-party dependency bundles, as (name, size in MiB).
-    pub dependencies: Vec<(String, u32)>,
-    /// Input dataset reference and size in MiB (0 for none).
-    pub dataset: Option<(String, u32)>,
-    /// User code size in MiB (almost always tiny; kept for cache math).
-    pub code_mb: u32,
+tacc_json::record! {
+    /// The runtime environment a task needs: container image, dependencies and
+    /// dataset. Sizes are carried so the compiler layer can model provisioning
+    /// cost and delta caching (experiment T3).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RuntimeEnv {
+        /// Base image name (e.g. `pytorch-2.1-cuda12`).
+        pub image: String,
+        /// Third-party dependency bundles, as (name, size in MiB).
+        pub dependencies: Vec<(String, u32)>,
+        /// Input dataset reference and size in MiB (0 for none).
+        pub dataset: Option<(String, u32)>,
+        /// User code size in MiB (almost always tiny; kept for cache math).
+        pub code_mb: u32,
+    }
 }
 
 impl RuntimeEnv {
@@ -189,17 +131,19 @@ impl RuntimeEnv {
     }
 }
 
-/// Communication-relevant profile of the model a training task runs.
-///
-/// The execution layer's iteration-time model (experiment F6) needs the
-/// parameter size (bytes moved per all-reduce round) and the per-GPU compute
-/// time per iteration on the reference GPU (V100).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelProfile {
-    /// Model parameters in MiB (gradient volume per synchronization round).
-    pub param_mb: f64,
-    /// Compute time of one iteration on one reference GPU, in seconds.
-    pub compute_secs_per_iter: f64,
+tacc_json::record! {
+    /// Communication-relevant profile of the model a training task runs.
+    ///
+    /// The execution layer's iteration-time model (experiment F6) needs the
+    /// parameter size (bytes moved per all-reduce round) and the per-GPU compute
+    /// time per iteration on the reference GPU (V100).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ModelProfile {
+        /// Model parameters in MiB (gradient volume per synchronization round).
+        pub param_mb: f64,
+        /// Compute time of one iteration on one reference GPU, in seconds.
+        pub compute_secs_per_iter: f64,
+    }
 }
 
 impl ModelProfile {
@@ -255,44 +199,49 @@ impl ModelProfile {
     }
 }
 
-/// The self-contained description of a task (paper §3.1).
-///
-/// "All tasks submitted to TACC should be described with this
-/// self-contained, unified task schema, which guarantees consistent and
-/// reproducible task execution." Every field group called out by the paper
-/// is present: compute/network resources and QoS; application code,
-/// dependencies and input dataset; runtime environment and provisioning
-/// configuration.
-///
-/// Construct with [`TaskSchema::builder`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskSchema {
-    /// Human-readable task name.
-    pub name: String,
-    /// Submitting research group (tenant).
-    pub group: GroupId,
-    /// Number of parallel workers (gang size). 1 for single-process tasks.
-    pub workers: u32,
-    /// Resources **per worker**.
-    pub resources: ResourceVec,
-    /// QoS class (quota vs. borrowed capacity).
-    pub qos: QosClass,
-    /// Application kind.
-    pub kind: TaskKind,
-    /// Requested runtime system.
-    pub runtime: RuntimePreference,
-    /// Runtime environment (image, deps, dataset).
-    pub env: RuntimeEnv,
-    /// The user's estimate of run duration in seconds (scheduling hint for
-    /// SJF/backfill; real traces show this is noisy, and the generator
-    /// models that noise).
-    pub est_duration_secs: f64,
-    /// Communication profile for distributed training tasks.
-    pub model: Option<ModelProfile>,
-    /// Whether the scheduler may start this task with fewer workers than
-    /// requested (Pollux-style elastic admission): a shrunken gang runs
-    /// proportionally longer. Only meaningful for data-parallel training.
-    pub elastic: bool,
+tacc_json::record! {
+    /// The self-contained description of a task (paper §3.1).
+    ///
+    /// "All tasks submitted to TACC should be described with this
+    /// self-contained, unified task schema, which guarantees consistent and
+    /// reproducible task execution." Every field group called out by the paper
+    /// is present: compute/network resources and QoS; application code,
+    /// dependencies and input dataset; runtime environment and provisioning
+    /// configuration.
+    ///
+    /// Construct with [`TaskSchema::builder`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TaskSchema {
+        /// Human-readable task name.
+        pub name: String,
+        /// Submitting research group (tenant).
+        pub group: GroupId,
+        /// Number of parallel workers (gang size). 1 for single-process tasks.
+        pub workers: u32,
+        /// Resources **per worker**.
+        pub resources: ResourceVec,
+        /// QoS class (quota vs. borrowed capacity).
+        pub qos: QosClass,
+        /// Application kind.
+        #[json(rename = "task_kind")]
+        pub kind: TaskKind,
+        /// Requested runtime system.
+        pub runtime: RuntimePreference,
+        /// Runtime environment (image, deps, dataset).
+        pub env: RuntimeEnv,
+        /// The user's estimate of run duration in seconds (scheduling hint for
+        /// SJF/backfill; real traces show this is noisy, and the generator
+        /// models that noise).
+        pub est_duration_secs: f64,
+        /// Communication profile for distributed training tasks.
+        pub model: Option<ModelProfile>,
+        /// Whether the scheduler may start this task with fewer workers than
+        /// requested (Pollux-style elastic admission): a shrunken gang runs
+        /// proportionally longer. Only meaningful for data-parallel training.
+        /// A hand-written schema may leave it out.
+        #[json(with = OrDefault)]
+        pub elastic: bool,
+    }
 }
 
 impl TaskSchema {
@@ -362,292 +311,6 @@ impl TaskSchema {
         }
         Ok(())
     }
-
-    /// The schema as its one JSON shape — what `tcloud submit` reads, the
-    /// `taccd` journal stores and a trace file carries.
-    pub fn to_json(&self) -> Json {
-        let pair = |(name, mb): &(String, u32)| {
-            Json::Arr(vec![Json::Str(name.clone()), Json::Num(f64::from(*mb))])
-        };
-        let model = match &self.model {
-            Some(m) => obj(vec![
-                ("param_mb", Json::Num(m.param_mb)),
-                ("compute_secs_per_iter", Json::Num(m.compute_secs_per_iter)),
-            ]),
-            None => Json::Null,
-        };
-        obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("group", Json::Num(self.group.index() as f64)),
-            ("workers", Json::Num(f64::from(self.workers))),
-            (
-                "resources",
-                obj(vec![
-                    ("gpus", Json::Num(f64::from(self.resources.gpus))),
-                    ("cpu_cores", Json::Num(f64::from(self.resources.cpu_cores))),
-                    ("mem_gb", Json::Num(f64::from(self.resources.mem_gb))),
-                ]),
-            ),
-            ("qos", Json::Str(self.qos.tag().to_owned())),
-            ("task_kind", Json::Str(self.kind.tag().to_owned())),
-            ("runtime", Json::Str(self.runtime.tag().to_owned())),
-            (
-                "env",
-                obj(vec![
-                    ("image", Json::Str(self.env.image.clone())),
-                    (
-                        "dependencies",
-                        Json::Arr(self.env.dependencies.iter().map(pair).collect()),
-                    ),
-                    (
-                        "dataset",
-                        self.env.dataset.as_ref().map_or(Json::Null, pair),
-                    ),
-                    ("code_mb", Json::Num(f64::from(self.env.code_mb))),
-                ]),
-            ),
-            ("est_duration_secs", Json::Num(self.est_duration_secs)),
-            ("model", model),
-            ("elastic", Json::Bool(self.elastic)),
-        ])
-    }
-
-    /// Streams the text [`TaskSchema::to_json`] prints, with no tree in
-    /// between: the `taccd` journal encodes every submission through
-    /// this. The two writers spell one shape; `core`'s
-    /// `streamed_records_equal_the_tree_writers` holds them together.
-    pub fn write_json<W: TextSink + ?Sized>(&self, out: &mut W) {
-        fn pair<W: TextSink + ?Sized>((name, mb): &(String, u32), out: &mut W) {
-            out.push_str("[");
-            write_escaped(name, out);
-            out.push_str(",");
-            write_num(f64::from(*mb), out);
-            out.push_str("]");
-        }
-        out.push_str("{\"name\":");
-        write_escaped(&self.name, out);
-        out.push_str(",\"group\":");
-        write_num(self.group.index() as f64, out);
-        out.push_str(",\"workers\":");
-        write_num(f64::from(self.workers), out);
-        out.push_str(",\"resources\":{\"gpus\":");
-        write_num(f64::from(self.resources.gpus), out);
-        out.push_str(",\"cpu_cores\":");
-        write_num(f64::from(self.resources.cpu_cores), out);
-        out.push_str(",\"mem_gb\":");
-        write_num(f64::from(self.resources.mem_gb), out);
-        out.push_str("},\"qos\":");
-        write_escaped(self.qos.tag(), out);
-        out.push_str(",\"task_kind\":");
-        write_escaped(self.kind.tag(), out);
-        out.push_str(",\"runtime\":");
-        write_escaped(self.runtime.tag(), out);
-        out.push_str(",\"env\":{\"image\":");
-        write_escaped(&self.env.image, out);
-        out.push_str(",\"dependencies\":[");
-        for (i, dep) in self.env.dependencies.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",");
-            }
-            pair(dep, out);
-        }
-        out.push_str("],\"dataset\":");
-        match &self.env.dataset {
-            Some(dataset) => pair(dataset, out),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"code_mb\":");
-        write_num(f64::from(self.env.code_mb), out);
-        out.push_str("},\"est_duration_secs\":");
-        write_num(self.est_duration_secs, out);
-        out.push_str(",\"model\":");
-        match &self.model {
-            Some(m) => {
-                out.push_str("{\"param_mb\":");
-                write_num(m.param_mb, out);
-                out.push_str(",\"compute_secs_per_iter\":");
-                write_num(m.compute_secs_per_iter, out);
-                out.push_str("}");
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(if self.elastic {
-            ",\"elastic\":true}"
-        } else {
-            ",\"elastic\":false}"
-        });
-    }
-
-    /// Reads back the text [`TaskSchema::write_json`] prints, with no
-    /// tree in between: the same schema [`TaskSchema::from_json`] reads
-    /// from it. `None` for any other spelling, which `from_json` may
-    /// still read.
-    pub fn read_json(r: &mut Cursor<'_>) -> Option<TaskSchema> {
-        fn pair(r: &mut Cursor<'_>) -> Option<(String, u32)> {
-            r.lit("[")?;
-            let name = r.str()?.to_owned();
-            r.lit(",")?;
-            let mb = r.u32()?;
-            r.lit("]")?;
-            Some((name, mb))
-        }
-        r.lit("{\"name\":")?;
-        let name = r.str()?.to_owned();
-        r.lit(",\"group\":")?;
-        let group = GroupId::from_index(usize::try_from(r.u64()?).ok()?);
-        r.lit(",\"workers\":")?;
-        let workers = r.u32()?;
-        r.lit(",\"resources\":{\"gpus\":")?;
-        let gpus = r.u32()?;
-        r.lit(",\"cpu_cores\":")?;
-        let cpu_cores = r.u32()?;
-        r.lit(",\"mem_gb\":")?;
-        let mem_gb = r.u32()?;
-        r.lit("},\"qos\":")?;
-        let qos = QosClass::from_tag(r.str()?)?;
-        r.lit(",\"task_kind\":")?;
-        let kind = TaskKind::from_tag(r.str()?)?;
-        r.lit(",\"runtime\":")?;
-        let runtime = RuntimePreference::from_tag(r.str()?)?;
-        r.lit(",\"env\":{\"image\":")?;
-        let image = r.str()?.to_owned();
-        r.lit(",\"dependencies\":[")?;
-        let mut dependencies = Vec::new();
-        if !r.eat("]") {
-            loop {
-                dependencies.push(pair(r)?);
-                if r.eat("]") {
-                    break;
-                }
-                r.lit(",")?;
-            }
-        }
-        r.lit(",\"dataset\":")?;
-        let dataset = if r.eat("null") { None } else { Some(pair(r)?) };
-        r.lit(",\"code_mb\":")?;
-        let code_mb = r.u32()?;
-        r.lit("},\"est_duration_secs\":")?;
-        let est_duration_secs = r.num()?;
-        r.lit(",\"model\":")?;
-        let model = if r.eat("null") {
-            None
-        } else {
-            r.lit("{\"param_mb\":")?;
-            let param_mb = r.num()?;
-            r.lit(",\"compute_secs_per_iter\":")?;
-            let compute_secs_per_iter = r.num()?;
-            r.lit("}")?;
-            Some(ModelProfile {
-                param_mb,
-                compute_secs_per_iter,
-            })
-        };
-        let elastic = r.eat(",\"elastic\":true}");
-        if !elastic {
-            r.lit(",\"elastic\":false}")?;
-        }
-        Some(TaskSchema {
-            name,
-            group,
-            workers,
-            resources: ResourceVec {
-                gpus,
-                cpu_cores,
-                mem_gb,
-            },
-            qos,
-            kind,
-            runtime,
-            env: RuntimeEnv {
-                image,
-                dependencies,
-                dataset,
-                code_mb,
-            },
-            est_duration_secs,
-            model,
-            elastic,
-        })
-    }
-
-    /// Reads a schema back from [`TaskSchema::to_json`]'s shape. `model`,
-    /// `dataset` and `elastic` may be absent; the result is not yet
-    /// [validated](TaskSchema::validate).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first malformed field.
-    pub fn from_json(value: &Json) -> Result<TaskSchema, String> {
-        let qos = value.req_str("qos")?;
-        let qos = QosClass::from_tag(qos).ok_or_else(|| format!("unknown qos '{qos}'"))?;
-        let kind = value.req_str("task_kind")?;
-        let kind = TaskKind::from_tag(kind).ok_or_else(|| format!("unknown task kind '{kind}'"))?;
-        let runtime = value.req_str("runtime")?;
-        let runtime = RuntimePreference::from_tag(runtime)
-            .ok_or_else(|| format!("unknown runtime '{runtime}'"))?;
-        let res = value
-            .get("resources")
-            .ok_or("schema missing field 'resources'")?;
-        let resources = ResourceVec {
-            gpus: res.req_u32("gpus")?,
-            cpu_cores: res.req_u32("cpu_cores")?,
-            mem_gb: res.req_u32("mem_gb")?,
-        };
-        let env_v = value.get("env").ok_or("schema missing field 'env'")?;
-        let mut dependencies = Vec::new();
-        for dep in env_v
-            .get("dependencies")
-            .and_then(Json::as_arr)
-            .ok_or("env missing array field 'dependencies'")?
-        {
-            dependencies.push(pair_from_json(dep).ok_or("malformed dependency entry")?);
-        }
-        let dataset = match env_v.get("dataset") {
-            Some(Json::Null) | None => None,
-            Some(v) => Some(pair_from_json(v).ok_or("malformed dataset entry")?),
-        };
-        let env = RuntimeEnv {
-            image: env_v.req_str("image")?.to_owned(),
-            dependencies,
-            dataset,
-            code_mb: env_v.req_u32("code_mb")?,
-        };
-        let model = match value.get("model") {
-            Some(Json::Null) | None => None,
-            Some(m) => Some(ModelProfile {
-                param_mb: m.req_f64("param_mb")?,
-                compute_secs_per_iter: m.req_f64("compute_secs_per_iter")?,
-            }),
-        };
-        Ok(TaskSchema {
-            name: value.req_str("name")?.to_owned(),
-            group: GroupId::from_index(
-                usize::try_from(value.req_u64("group")?).map_err(|_| "group index overflow")?,
-            ),
-            workers: value.req_u32("workers")?,
-            resources,
-            qos,
-            kind,
-            runtime,
-            env,
-            est_duration_secs: value.req_f64("est_duration_secs")?,
-            model,
-            elastic: value
-                .get("elastic")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-        })
-    }
-}
-
-fn pair_from_json(value: &Json) -> Option<(String, u32)> {
-    let arr = value.as_arr()?;
-    if arr.len() != 2 {
-        return None;
-    }
-    let name = arr[0].as_str()?.to_owned();
-    let mb = u32::try_from(arr[1].as_u64()?).ok()?;
-    Some((name, mb))
 }
 
 /// Builder for [`TaskSchema`] (see [C-BUILDER]).
@@ -735,6 +398,7 @@ impl TaskSchemaBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tacc_json::{obj, Json};
 
     fn base() -> TaskSchemaBuilder {
         TaskSchema::builder("unit", GroupId::from_index(0))
@@ -796,19 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn schema_json_round_trip() {
-        let s = base()
-            .workers(2)
-            .qos(QosClass::BestEffort)
-            .model(ModelProfile::gpt2_like())
-            .build()
-            .expect("valid");
-        let json = s.to_json().to_string();
-        let back = TaskSchema::from_json(&tacc_json::parse(&json).expect("parses"));
-        assert_eq!(back, Ok(s));
-    }
-
-    #[test]
     fn schema_json_covers_every_enum_value_and_optional_field() {
         let kinds = [
             TaskKind::Training,
@@ -845,5 +496,33 @@ mod tests {
         let sparse = TaskSchema::from_json(&Json::Obj(fields)).expect("reads");
         assert_eq!((sparse.model, sparse.elastic), (None, false));
         assert!(TaskSchema::from_json(&obj(vec![("name", "x".into())])).is_err());
+    }
+
+    /// `elastic` may be left out, but when present it is a boolean: a
+    /// quoted `"true"` is refused, not read as a non-elastic task.
+    #[test]
+    fn a_non_boolean_elastic_is_refused() {
+        let text = base().elastic(true).build().expect("valid").to_json();
+        let text = text.to_string();
+        let quoted = text.replace("\"elastic\":true", "\"elastic\":\"true\"");
+        assert_ne!(quoted, text);
+        let read = TaskSchema::from_json(&tacc_json::parse(&quoted).expect("parses"));
+        assert_eq!(
+            read,
+            Err("missing or non-boolean field 'elastic'".to_owned())
+        );
+    }
+
+    /// A group id no `GroupId` can hold is refused on both readers, not a
+    /// panic in `GroupId::from_index`.
+    #[test]
+    fn a_group_past_u32_is_refused() {
+        let text = base().build().expect("valid").to_json().to_string();
+        let wide = text.replace("\"group\":0", "\"group\":4294967296");
+        assert_ne!(wide, text);
+        let refused = Err("field 'group' exceeds u32".to_owned());
+        assert_eq!(TaskSchema::from_text(&wide), refused);
+        let tree = TaskSchema::from_json(&tacc_json::parse(&wide).expect("parses"));
+        assert_eq!(tree, refused);
     }
 }

@@ -7,36 +7,41 @@ use tacc_metrics::{Cdf, Summary};
 
 use crate::schema::TaskSchema;
 
-/// One submission in a trace: when, what, and how long it would truly run.
-///
-/// `service_secs` is the oracle service requirement used by the execution
-/// model; schedulers only ever see `schema.est_duration_secs`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRecord {
-    /// Submission time in seconds from trace start.
-    pub submit_secs: f64,
-    /// The full, self-contained task schema. Immutable once submitted,
-    /// therefore shared: the record, the `submit` command that carries it
-    /// and the job it becomes all hold this one allocation.
-    pub schema: Arc<TaskSchema>,
-    /// True service requirement in seconds.
-    pub service_secs: f64,
-    /// If set, the user kills this job this many seconds after submitting
-    /// it (campus traces show a sizeable cancelled fraction).
-    pub cancel_after_secs: Option<f64>,
+tacc_json::record! {
+    /// One submission in a trace: when, what, and how long it would truly run.
+    ///
+    /// `service_secs` is the oracle service requirement used by the execution
+    /// model; schedulers only ever see `schema.est_duration_secs`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TraceRecord {
+        /// Submission time in seconds from trace start.
+        pub submit_secs: f64,
+        /// The full, self-contained task schema. Immutable once submitted,
+        /// therefore shared: the record, the `submit` command that carries it
+        /// and the job it becomes all hold this one allocation.
+        pub schema: Arc<TaskSchema>,
+        /// True service requirement in seconds.
+        pub service_secs: f64,
+        /// If set, the user kills this job this many seconds after submitting
+        /// it (campus traces show a sizeable cancelled fraction).
+        pub cancel_after_secs: Option<f64>,
+    }
 }
 
 impl TraceRecord {
     /// Checks what the platform requires of a submission before it mints
-    /// a job for it: a valid schema, a positive finite service time and a
-    /// finite non-negative cancellation delay. The one definition both
-    /// ways in share — a trace file read by [`Trace::from_json`] and a
-    /// `submit` command.
+    /// a job for it: a finite submission time, a valid schema, a positive
+    /// finite service time and a finite non-negative cancellation delay.
+    /// The one definition both ways in share — a trace file read by
+    /// [`Trace::from_json`] and a `submit` command.
     ///
     /// # Errors
     ///
     /// A description of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
+        if !self.submit_secs.is_finite() {
+            return Err(format!("submit time {}s is not finite", self.submit_secs));
+        }
         self.schema.validate()?;
         if !(self.service_secs > 0.0 && self.service_secs.is_finite()) {
             return Err(format!(
@@ -112,21 +117,7 @@ impl Trace {
     /// The trace as a JSON value: `{"records": [...]}`, each record its
     /// times beside the task's [`TaskSchema::to_json`].
     pub fn to_json(&self) -> Json {
-        let records = self
-            .records
-            .iter()
-            .map(|r| {
-                obj(vec![
-                    ("submit_secs", Json::Num(r.submit_secs)),
-                    ("schema", r.schema.to_json()),
-                    ("service_secs", Json::Num(r.service_secs)),
-                    (
-                        "cancel_after_secs",
-                        r.cancel_after_secs.map_or(Json::Null, Json::Num),
-                    ),
-                ])
-            })
-            .collect();
+        let records = self.records.iter().map(TraceRecord::to_json).collect();
         obj(vec![("records", Json::Arr(records))])
     }
 
@@ -143,23 +134,9 @@ impl Trace {
             .get("records")
             .and_then(Json::as_arr)
             .ok_or("trace missing array field 'records'")?;
-        let read = |r: &Json| -> Result<TraceRecord, String> {
-            let submit_secs = r.req_f64("submit_secs")?;
-            if !submit_secs.is_finite() {
-                return Err("field 'submit_secs' is not finite".to_owned());
-            }
-            let record = TraceRecord {
-                submit_secs,
-                schema: TaskSchema::from_json(r.get("schema").ok_or("missing field 'schema'")?)?
-                    .into(),
-                service_secs: r.req_f64("service_secs")?,
-                cancel_after_secs: match r.get("cancel_after_secs") {
-                    Some(Json::Null) | None => None,
-                    Some(_) => Some(r.req_f64("cancel_after_secs")?),
-                },
-            };
-            record.validate()?;
-            Ok(record)
+        let read = |r| {
+            let record = TraceRecord::from_json(r)?;
+            record.validate().map(|()| record)
         };
         records
             .iter()

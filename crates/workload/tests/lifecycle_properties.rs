@@ -159,7 +159,7 @@ fn matrix_agrees_with_doc_diagram() {
     let mut doc_edges: Vec<(JobState, JobEventKind, JobState)> = Vec::new();
     let mut in_diagram = false;
     for line in source.lines() {
-        let line = line.trim_start_matches("///").trim();
+        let line = line.trim_start().trim_start_matches("///").trim();
         if line == "```text" {
             in_diagram = true;
             continue;

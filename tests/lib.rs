@@ -5,8 +5,11 @@
 
 #![forbid(unsafe_code)]
 
+use std::fmt::Debug;
+
 use tacc_cluster::ResourceVec;
 use tacc_core::{Command, PlatformConfig};
+use tacc_json::{Cursor, Field};
 use tacc_sim::DetRng;
 use tacc_workload::{GenParams, GroupId, JobId, TaskSchema, Trace, TraceGenerator};
 
@@ -15,6 +18,48 @@ use tacc_workload::{GenParams, GroupId, JobId, TaskSchema, Trace, TraceGenerator
 /// every assertion names — a failing case number is the reproducer.
 pub fn below(rng: &mut DetRng, n: u64) -> u64 {
     rng.next_u64() % n
+}
+
+/// Holds the four codecs a `record!` declaration generates to one another
+/// on `value`:
+/// - the stream writer writes what the tree writer prints, into a string
+///   and into a byte buffer alike;
+/// - that text reads back as `value`;
+/// - on that text, and on copies of it cut short, with a byte dropped or
+///   with a byte swapped for one that means something in JSON, the
+///   tree-free reader (falling back to the tree) reads what the tree
+///   reader reads.
+///
+/// `case` names the value in every failure. Returns whether the tree-free
+/// reader read the whole text by itself.
+pub fn assert_codecs_agree<T: Field + Debug>(case: &str, value: &T, rng: &mut DetRng) -> bool {
+    let mut text = String::new();
+    value.write(&mut text);
+    assert_eq!(text, value.to_tree().to_string(), "{case}: stream vs tree");
+    let mut bytes = Vec::new();
+    value.write(&mut bytes);
+    assert_eq!(bytes, text.as_bytes(), "{case}: byte sink");
+    // Debug text, so that a NaN reads back equal to itself.
+    let read = |text: &str| format!("{:?}", tacc_json::from_text::<T>(text));
+    let tree = |text: &str| {
+        let parsed = tacc_json::parse(text).map_err(|e| e.to_string());
+        format!("{:?}", parsed.and_then(|v| T::from_tree(Some(&v), "")))
+    };
+    let written: Result<&T, String> = Ok(value);
+    assert_eq!(read(&text), format!("{written:?}"), "{case}: {text}");
+    const SWAPS: &[u8] = b"0123456789.-+eE\"\\,:{}[] ntfalsu";
+    let at = below(rng, bytes.len() as u64) as usize;
+    let mut swapped = bytes.clone();
+    swapped[at] = SWAPS[below(rng, SWAPS.len() as u64) as usize];
+    let mut dropped = bytes.clone();
+    dropped.remove(at);
+    for damaged in [&bytes[..], &bytes[..at], &swapped, &dropped] {
+        if let Ok(text) = std::str::from_utf8(damaged) {
+            assert_eq!(read(text), tree(text), "{case}: {text}");
+        }
+    }
+    let mut cursor = Cursor::new(&text);
+    T::read(&mut cursor).is_some() && cursor.at_end()
 }
 
 /// A small, fast canonical trace for integration tests.
