@@ -24,10 +24,11 @@
 //!
 //! The temporal-planner counters (`slot_splits`, `slot_intersections`,
 //! `slot_rebuilds`) count slot boundary creations, per-slot interval
-//! operations, and full timeline rebuilds. `walk_resumes`,
-//! `walk_resumed_entries` and `reclaim_view_rebuilds` count the rounds
-//! that entered the walk behind a proven prefix, the entries those rounds
-//! did not re-examine, and the clone-and-release constructions of the
+//! operations, and full timeline rebuilds. `walk_examined` counts the
+//! queued entries whose gates a round's walk ran — the others kept their
+//! verdict because nothing they wait on had moved, and are among
+//! `skip_suppressions` (every entry a walk passed whose verdict stood) —
+//! and `reclaim_view_rebuilds` the clone-and-release constructions of the
 //! reclaim view: pinned exactly, so neither fast path can stop firing
 //! without the gate turning red.
 

@@ -296,12 +296,10 @@ impl Platform {
             JobState::Submitted => {
                 Some("provisioning: the compiler layer is preparing the task".to_owned())
             }
-            JobState::Queued | JobState::Preempted => {
-                match self.scheduler.decision_trace().latest_skip(id) {
-                    Some((at, reason)) => Some(format!("waiting since t={at:.0}s: {reason}")),
-                    None => Some("queued: no scheduling round has evaluated it yet".to_owned()),
-                }
-            }
+            JobState::Queued | JobState::Preempted => match self.scheduler.latest_skip(id) {
+                Some((at, reason)) => Some(format!("waiting since t={at:.0}s: {reason}")),
+                None => Some("queued: no scheduling round has evaluated it yet".to_owned()),
+            },
             JobState::Running | JobState::Completed | JobState::Failed | JobState::Cancelled => {
                 match self.transitions(id).last() {
                     Some(r) => Some(format!(

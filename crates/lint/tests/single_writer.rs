@@ -296,6 +296,72 @@ fn queue_edit_from_inside_the_walk_flips_red() {
     fs::remove_dir_all(&root).expect("cleanup");
 }
 
+/// The `queue-verdicts` rule: an entry's verdict and wake stamp are
+/// written where the walk judges it (`rounds.rs`) and nowhere else in the
+/// round; a placement path that refreshes a stamp itself flips red at its
+/// line.
+#[test]
+fn a_verdict_written_outside_the_walk_flips_red() {
+    let root = scratch("sw-verdicts");
+    write(
+        &root.join("lint-owners.toml"),
+        "[[owner]]\n\
+         name = \"queue-verdicts\"\n\
+         fields = [\"wake\", \"verdict\"]\n\
+         writers = [\"crates/sched/src/scheduler.rs\", \"crates/sched/src/scheduler/rounds.rs\"]\n\
+         why = \"verdicts and wake stamps are written where the walk judges an entry\"\n",
+    );
+    write(
+        &root.join("crates/sched/Cargo.toml"),
+        "[package]\nname = \"tacc-sched\"\n",
+    );
+    write(
+        &root.join("crates/sched/src/scheduler/rounds.rs"),
+        "impl Scheduler {\n\
+         \x20   fn judge(&mut self, entry: &mut Queued, reason: SkipReason) {\n\
+         \x20       entry.wake = Wake::Release(self.releases);\n\
+         \x20       entry.verdict = Some((self.now, reason));\n\
+         \x20   }\n\
+         }\n",
+    );
+    write(
+        &root.join("crates/sched/src/scheduler/elastic.rs"),
+        "impl Scheduler {\n\
+         \x20   fn commit_placement(&mut self, entry: &Queued) -> bool {\n\
+         \x20       entry.wake == Wake::Now\n\
+         \x20   }\n\
+         }\n",
+    );
+    let json_path = root.join("report.json");
+    assert!(
+        run_lint(&root, &json_path).success(),
+        "the walk's writes and a read elsewhere must pass --check"
+    );
+
+    write(
+        &root.join("crates/sched/src/scheduler/elastic.rs"),
+        "impl Scheduler {\n\
+         \x20   fn commit_placement(&mut self, entry: &mut Queued) {\n\
+         \x20       entry.wake = Wake::Capacity { capacity: self.epoch, charges: 0 };\n\
+         \x20   }\n\
+         }\n",
+    );
+    assert!(
+        !run_lint(&root, &json_path).success(),
+        "a stamp written outside the walk must fail --check"
+    );
+    let json = fs::read_to_string(&json_path).expect("JSON report written");
+    assert!(
+        json.contains(
+            "{\"lint\": \"single-writer\", \"file\": \"crates/sched/src/scheduler/elastic.rs\", \"line\": 3,"
+        ),
+        "single-writer must locate the stamp at elastic.rs:3\n{json}"
+    );
+    assert!(!json.contains("\"file\": \"crates/sched/src/scheduler/rounds.rs\""));
+
+    fs::remove_dir_all(&root).expect("cleanup");
+}
+
 /// The `front-door` rule: `Platform::admit` is called by the arrival
 /// cursor (`platform.rs`) and by `Command::Submit` (`command.rs`). A third
 /// way in — a fault handler resubmitting a job itself — flips red at its

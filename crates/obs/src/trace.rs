@@ -1,9 +1,9 @@
 //! Scheduler decision tracing: per-round records of what started, what
-//! was preempted, and *why every examined job was skipped*, plus the
-//! wall-clock latency of the round. This is the substrate behind
+//! was preempted, and *why a job's skip verdict changed*, plus the
+//! wall-clock latency of the round. The reasons are the vocabulary of
 //! `tcloud why <job>`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use tacc_workload::{GroupId, JobId};
 
@@ -114,24 +114,23 @@ pub struct RoundTrace {
     pub started: Vec<JobId>,
     /// Jobs preempted this round.
     pub preempted: Vec<JobId>,
-    /// Jobs examined and skipped this round, with reasons.
+    /// Jobs skipped this round whose verdict changed (a queued entry's
+    /// first skip, or a new reason category), with reasons.
     pub skips: Vec<JobSkip>,
 }
 
-/// Bounded log of [`RoundTrace`]s plus the latest skip reason per job
-/// (kept even after the round itself ages out of the ring), so
-/// "why is my job not running" always has an answer.
+/// Bounded log of [`RoundTrace`]s. A queued job's current skip reason
+/// lives with the job in the scheduler's queue, so it outlives the round
+/// that recorded it.
 #[derive(Debug)]
 pub struct DecisionTraceLog {
     capacity: usize,
     rounds: VecDeque<RoundTrace>,
     dropped: u64,
-    latest_skip: BTreeMap<JobId, (f64, SkipReason)>,
 }
 
 impl DecisionTraceLog {
-    /// How many round traces the scheduler's log retains. The latest
-    /// per-job skip reason survives ring eviction regardless.
+    /// How many round traces the scheduler's log retains.
     pub const CAPACITY: usize = 2048;
 
     /// New log retaining at most `capacity` round traces (minimum 1).
@@ -140,23 +139,14 @@ impl DecisionTraceLog {
             capacity: capacity.max(1),
             rounds: VecDeque::new(),
             dropped: 0,
-            latest_skip: BTreeMap::new(),
         }
     }
 
-    /// Records a round. Jobs that started stop being "skipped"; jobs in
-    /// `trace.skips` get their latest reason updated.
+    /// Records a round.
     ///
     /// Returns the round evicted to make room, if the ring was full — hot
-    /// callers recycle its vector allocations for the next round's buffers
-    /// (its latest-skip contributions are already folded in and survive).
+    /// callers recycle its vector allocations for the next round's buffers.
     pub fn push(&mut self, trace: RoundTrace) -> Option<RoundTrace> {
-        for id in &trace.started {
-            self.latest_skip.remove(id);
-        }
-        for s in &trace.skips {
-            self.latest_skip.insert(s.job, (trace.at_secs, s.reason));
-        }
         let evicted = if self.rounds.len() == self.capacity {
             self.dropped += 1;
             self.rounds.pop_front()
@@ -165,17 +155,6 @@ impl DecisionTraceLog {
         };
         self.rounds.push_back(trace);
         evicted
-    }
-
-    /// Forgets a job's latest skip reason (terminal state reached).
-    pub fn forget_job(&mut self, job: JobId) {
-        self.latest_skip.remove(&job);
-    }
-
-    /// Most recent skip reason for `job`, with the simulated time it
-    /// was recorded.
-    pub fn latest_skip(&self, job: JobId) -> Option<(f64, SkipReason)> {
-        self.latest_skip.get(&job).copied()
     }
 
     /// Retained round traces, oldest first.
@@ -226,52 +205,19 @@ mod tests {
     }
 
     #[test]
-    fn latest_skip_tracks_and_clears() {
-        let mut log = DecisionTraceLog::new(8);
-        let reason = SkipReason::QuotaExhausted {
-            group: GroupId::from_index(3),
-            used: 40,
-            quota: 32,
-            demand: 8,
-        };
-        log.push(round(
-            1,
-            10.0,
-            vec![],
-            vec![JobSkip {
-                job: job(1),
-                reason,
-            }],
-        ));
-        let (at, r) = log.latest_skip(job(1)).expect("skip recorded");
-        assert_eq!(at, 10.0);
-        assert!(r.to_string().contains("using 40/32 GPUs"));
-        // The job starts in a later round: no longer skipped.
-        log.push(round(2, 20.0, vec![job(1)], vec![]));
-        assert!(log.latest_skip(job(1)).is_none());
-    }
-
-    #[test]
-    fn ring_bounds_rounds_but_keeps_latest_skip() {
+    fn ring_bounds_rounds() {
         let mut log = DecisionTraceLog::new(2);
-        let reason = SkipReason::HeadOfLineBlocked { behind: job(9) };
-        log.push(round(
-            1,
-            1.0,
-            vec![],
-            vec![JobSkip {
-                job: job(5),
-                reason,
-            }],
-        ));
+        let skip = JobSkip {
+            job: job(5),
+            reason: SkipReason::HeadOfLineBlocked { behind: job(9) },
+        };
+        assert!(log.push(round(1, 1.0, vec![], vec![skip])).is_none());
         log.push(round(2, 2.0, vec![], vec![]));
-        log.push(round(3, 3.0, vec![], vec![]));
+        let evicted = log.push(round(3, 3.0, vec![], vec![]));
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 1);
-        // The skip from the evicted round is still queryable.
-        assert!(log.latest_skip(job(5)).is_some());
-        log.forget_job(job(5));
-        assert!(log.latest_skip(job(5)).is_none());
+        // The evicted round comes back whole, for its buffers to be reused.
+        assert_eq!(evicted.map(|r| r.skips), Some(vec![skip]));
     }
 
     #[test]

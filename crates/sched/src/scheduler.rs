@@ -5,8 +5,8 @@
 //! `impl Scheduler` block:
 //!
 //! * [`rounds`](self) — the scheduling round walk (quota, backfill,
-//!   placement), skip tracing with positional dedup, and the
-//!   reservation/release-profile caches;
+//!   placement) over wake-keyed entries, skip tracing per verdict change,
+//!   and the reservation/release-profile caches;
 //! * [`gang`](self) — gang time-slicing rotation;
 //! * [`elastic`](self) — placement commitment: elastic gang shrinking
 //!   and quota reclaim with borrower eviction.
@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use tacc_cluster::{Cluster, LeaseId, ResourceVec};
-use tacc_obs::{Counter, DecisionTraceLog, Gauge, Histogram, JobSkip, MetricsRegistry};
+use tacc_obs::{Counter, DecisionTraceLog, Gauge, Histogram, JobSkip, MetricsRegistry, SkipReason};
 use tacc_workload::{GroupRoster, JobId, QosClass};
 
 use crate::backfill::{BackfillMode, Reservation};
@@ -96,13 +96,14 @@ pub struct Scheduler {
     config: SchedulerConfig,
     planner: Planner,
     quota: QuotaTable,
-    /// The pending queue. Kept *sorted* under the policy comparator
-    /// whenever that order is provable (`queue_dirty == false`):
-    /// `queue_push` binary-inserts and `queue_remove_request` removes in
-    /// place, so steady-state rounds never re-sort at all. Those two and
+    /// The pending queue, each request with the verdict the walk last
+    /// reached on it. Kept *sorted* under the policy comparator whenever
+    /// that order is provable (`queue_dirty == false`): `queue_push`
+    /// binary-inserts and `queue_remove_request` removes in place, so
+    /// steady-state rounds never re-sort at all. Those two and
     /// `queue_remove` are its only editors; none runs during a walk (see
     /// [`QueueEdit`]).
-    queue: Vec<TaskRequest>,
+    queue: Vec<Queued>,
     /// Set when the queue's physical order stopped being the sorted
     /// permutation (an append under an invalid comparator context, or a
     /// swap-remove on the fallback path); policies with
@@ -117,15 +118,16 @@ pub struct Scheduler {
     /// a capacity change (node failures, drains) invalidates the sorted
     /// order the same way a usage change does.
     sorted_capacity: ResourceVec,
-    /// The previous round's walk ledger: one `(job, verdict)` entry per
-    /// examined queue position, in walk order. A job re-examined at the
-    /// same position with the same verdict was already traced — at steady
-    /// state a deeply blocked queue contributes nothing to the trace (and
-    /// pays one positional compare per job, no map) until something moves.
-    scratch_verdicts: Vec<(JobId, SkipVerdict)>,
-    /// The ledger being built by the current walk (swapped into
-    /// `scratch_verdicts` when the round ends).
-    scratch_verdicts_next: Vec<(JobId, SkipVerdict)>,
+    /// The tick each wait key last moved at, indexed by
+    /// [`Scheduler::key`]; key 0, never asleep, at `u64::MAX`.
+    moved: Vec<u64>,
+    /// Counts key moves: what a [`Wake`] is stamped with.
+    tick: u64,
+    /// The [`Cluster::version`] the last walk ended on: capacity may have
+    /// come back at any other (a drain, an undrain).
+    walked_version: Option<u64>,
+    /// Bounds the gate-denied entries (see [`GateFloor`]).
+    gate_floor: GateFloor,
     /// Incrementally maintained per-group running resource totals (the
     /// recomputed-from-scratch value is debug-asserted every round).
     group_usage_vec: Vec<ResourceVec>,
@@ -142,9 +144,6 @@ pub struct Scheduler {
     /// What the current round's walk decided about the queue, in decision
     /// order; empty between rounds.
     scratch_edits: Vec<QueueEdit>,
-    /// What the last walk proved, when it proved anything (see
-    /// [`WalkProof`]). `schedule` takes it; only a finished walk sets it.
-    walk_proof: Option<WalkProof>,
     /// The reclaim pre-check's hypothetical cluster (all borrowers
     /// evicted), kept in step with the real one the way `timeline` is:
     /// placements and finishes carry it forward, any other mutation
@@ -192,12 +191,15 @@ pub struct WorkCounters {
     /// Rounds that proved the previous order still valid and skipped the
     /// sort (clean queue, and — for usage-keyed policies — unchanged usage).
     pub queue_sorts_skipped: u64,
-    /// Skip verdicts recorded into the decision trace — a job's first
-    /// evaluation, or one whose blocking reason changed.
+    /// Skip verdicts recorded into the decision trace — a queued entry's
+    /// first skip, or one whose blocking reason changed.
     pub skip_records: u64,
-    /// Re-evaluations whose verdict matched the one already traced and
-    /// were suppressed (the steady-state cost of a deeply blocked queue).
+    /// Entries a walk passed whose verdict stood, judged again or not
+    /// (the steady-state cost of a deeply blocked queue).
     pub skip_suppressions: u64,
+    /// Entries whose gates a walk ran; the others kept their verdict
+    /// because nothing it waits on had moved.
+    pub walk_examined: u64,
     /// Planner effort: attempts, node scans, and O(1) fast-path rejects.
     pub plan: PlanStats,
     /// Temporal-planner effort: slot splits, interval intersections, and
@@ -217,12 +219,6 @@ pub struct WorkCounters {
     /// Events migrated from the wheel's overflow heap into buckets when
     /// the cursor advanced past its window. Platform-filled.
     pub wheel_cascade: u64,
-    /// Rounds that entered the walk behind what the previous walk proved
-    /// instead of at the head of the queue.
-    pub walk_resumes: u64,
-    /// Queue entries those rounds did not re-examine (each is also one of
-    /// `skip_suppressions`, exactly as if it had been).
-    pub walk_resumed_entries: u64,
     /// Clone-and-release constructions of the reclaim view (a use against
     /// a cluster version the incremental maintenance did not track).
     pub reclaim_view_rebuilds: u64,
@@ -265,6 +261,7 @@ impl WorkCounters {
         "queue_sorts_skipped", counter("tacc_sched_queue_sorts_skipped_total") => queue_sorts_skipped;
         "skip_records", counter("tacc_sched_skip_records_total") => skip_records;
         "skip_suppressions", counter("tacc_sched_skip_suppressions_total") => skip_suppressions;
+        "walk_examined", counter("tacc_sched_walk_examined_total") => walk_examined;
         "placement_attempts", counter("tacc_sched_placement_attempts_total") => plan.attempts;
         "node_scans", counter("tacc_sched_node_scans_total") => plan.nodes_scanned;
         "fastpath_rejects", counter("tacc_sched_placement_fastpath_rejects_total") => plan.fastpath_rejects;
@@ -277,8 +274,6 @@ impl WorkCounters {
         "free_index_probes", None => plan.free_index_probes;
         "wheel_insert", None => wheel_insert;
         "wheel_cascade", None => wheel_cascade;
-        "walk_resumes", counter("tacc_sched_walk_resumes_total") => walk_resumes;
-        "walk_resumed_entries", counter("tacc_sched_walk_resumed_entries_total") => walk_resumed_entries;
         "reclaim_view_rebuilds", counter("tacc_sched_reclaim_view_rebuilds_total") => reclaim_view_rebuilds;
     };
 }
@@ -295,51 +290,91 @@ enum QueueEdit {
     Push(TaskRequest),
 }
 
-/// What a walk that decided nothing proved about the queue it examined:
-/// every entry was judged against one unchanged state, so while that
-/// state stands — same cluster version, same usage epoch, same queue
-/// prefix — each verdict is a function of the clock alone, and only
-/// through the backfill gate's time clause. Recorded under
-/// [`BackfillMode::Easy`] only (one reservation gates everything; `None`
-/// stops at the first block and `Conservative` probes once per blocked
-/// entry, so neither has a prefix worth skipping).
+/// A pending request and the verdict the walk last reached on it. The
+/// verdict lives with the entry, so every queue edit and sort moves it
+/// along and it leaves the queue with the request.
 #[derive(Debug, Clone, Copy)]
-struct WalkProof {
-    /// [`Cluster::version`] the walk ran against.
-    version: u64,
-    /// `usage_epoch` the walk ran against.
-    usage_epoch: u64,
-    /// Entries examined — the length of the proven queue prefix.
-    examined: usize,
-    /// The capacity-blocked head whose reservation gated every later
-    /// entry, with that reservation's `extra_gpus`; `None` when nothing
-    /// got past the quota gate.
-    head: Option<(TaskRequest, u32)>,
-    /// The two estimates that bound the time clause's say (see
-    /// [`GateBounds`]).
-    gate: GateBounds,
+struct Queued {
+    request: TaskRequest,
+    /// What the verdict waits on; the walk judges the entry again only
+    /// once that has moved.
+    wake: Wake,
+    /// The skip the entry's verdict was recorded as, with the round time
+    /// it was first reached ("waiting since"); `None` until its first skip.
+    verdict: Option<(f64, SkipReason)>,
 }
 
-/// The extreme estimates among the entries whose backfill-gate outcome
-/// the time clause alone decided (`gpus > extra_gpus`). Float addition
-/// is monotone, so at any other `now` the gate still permits every such
-/// permitted entry iff it permits the longest, and still denies every
-/// denied entry iff it denies the shortest — two exact comparisons stand
-/// in for the whole prefix.
-#[derive(Debug, Clone, Copy)]
-struct GateBounds {
-    /// Largest `est_secs` the time clause let through.
-    max_permitted_est: f64,
-    /// Smallest `est_secs` the gate denied.
-    min_denied_est: f64,
+impl Queued {
+    fn new(request: TaskRequest) -> Queued {
+        Queued {
+            request,
+            wake: Wake::NOW,
+            verdict: None,
+        }
+    }
 }
 
-impl GateBounds {
-    /// No entry has met the gate yet.
-    const NONE: GateBounds = GateBounds {
-        max_permitted_est: f64::NEG_INFINITY,
-        min_denied_est: f64::INFINITY,
+/// The input a judged entry's verdict waits on: one of the scheduler's
+/// wait keys, and the tick it was judged at. Under EASY, behind an order
+/// that stood, a walk keeps the verdict of an entry whose key has not
+/// moved since — one table compare, not a gate (`skip_sleepers`); a
+/// debug oracle re-derives each verdict kept.
+#[derive(Debug, Clone, Copy)]
+struct Wake {
+    key: u32,
+    judged: u64,
+}
+
+impl Wake {
+    /// Key 0 is always moving: an entry queued since the last walk.
+    const NOW: Wake = Wake { key: 0, judged: 0 };
+}
+
+/// What a verdict waits on. Each is kept per group — moved by that
+/// group's quota-counted charges or releases, and read only by
+/// quota-counted entries (see [`Scheduler::quota_counts`]) — plus once
+/// for the entries quota cannot move.
+#[derive(Debug, Clone, Copy)]
+enum Wait {
+    /// Quota-denied: until the group releases.
+    Release,
+    /// Backfill-denied: until the group is charged, or a reservation lets
+    /// the [`GateFloor`] through.
+    Gate,
+    /// Placed nowhere: until the group is charged or capacity comes back;
+    /// behind the head it is also re-tested against the reservation.
+    Capacity,
+}
+
+/// The smallest `est_secs` and the smallest GPU demand among the entries
+/// the backfill gate denied since it last let the floor through (some may
+/// have left the queue since: a floor only errs low). IEEE addition is
+/// monotone, so a reservation that denies a request with both — `now +
+/// est > shadow` and `gpus > extra` — denies every one of them: one test
+/// per round stands in for all of them.
+#[derive(Debug, Clone, Copy)]
+struct GateFloor {
+    est_secs: f64,
+    gpus: u32,
+}
+
+impl GateFloor {
+    /// No entry denied.
+    const EMPTY: GateFloor = GateFloor {
+        est_secs: f64::INFINITY,
+        gpus: u32::MAX,
     };
+
+    fn fold(&mut self, request: &TaskRequest) {
+        self.est_secs = self.est_secs.min(request.est_secs);
+        self.gpus = self.gpus.min(request.total_gpus());
+    }
+
+    /// Whether `reservation`, at `now_secs`, denies every entry the floor
+    /// covers.
+    fn shut(&self, now_secs: f64, reservation: &Reservation) -> bool {
+        now_secs + self.est_secs > reservation.shadow_secs && self.gpus > reservation.extra_gpus
+    }
 }
 
 /// The reclaim pre-check's hypothetical: the real cluster with every
@@ -360,23 +395,25 @@ struct ReclaimView {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DebugRoundHook {
-    /// Every round walks from the head of the queue.
-    NoResume,
-    /// Fault: a resumed round does not re-check the entries the time
-    /// clause let through.
-    SkipPermittedRecheck,
+    /// Every walk judges every entry.
+    WakeAll,
+    /// Fault: a group's quota release wakes none of its quota-denied
+    /// entries.
+    ReleaseWakesNobody,
+    /// Fault: a reservation that lets the gate floor through wakes none of
+    /// the backfill-denied entries.
+    LoosenedGateWakesNobody,
+    /// Fault: released capacity wakes none of the entries placed nowhere.
+    CapacityWakesNobody,
     /// Fault: a guaranteed finish is not mirrored into the reclaim view.
     SkipViewRelease,
 }
 
-/// Compact fingerprint of one walk outcome for a queued job, compared
-/// positionally across rounds to decide whether a re-examined job needs
-/// re-tracing. Deliberately coarse: volatile payloads (current usage,
-/// free-GPU counts, shadow times — all of which wobble every round in a
-/// busy cluster) are excluded, so a steadily blocked job is traced once
-/// per *category of reason* and its surviving record reads as "waiting
-/// like this since t". Anything that invalidates the positional match —
-/// a start, a cancel, queue reordering — forces a fresh record.
+/// The category of a skip, which is what the trace dedups on. Volatile
+/// payloads (current usage, free-GPU counts, shadow times — all of which
+/// wobble every round in a busy cluster) are excluded, so a steadily
+/// blocked job is traced once per *category of reason* and its record
+/// reads as "waiting like this since t".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SkipVerdict {
     /// Blocked on group quota.
@@ -387,9 +424,21 @@ enum SkipVerdict {
     NoPlacement,
     /// Stalled behind a blocked head under no-backfill.
     HeadOfLine { behind: JobId },
-    /// Not skipped: the job started this round (never equal to a skip, so
-    /// a re-queued job is always re-traced).
-    Started,
+}
+
+impl SkipVerdict {
+    /// Whether `reason` is a skip of this category.
+    fn matches(self, reason: &SkipReason) -> bool {
+        match (self, reason) {
+            (SkipVerdict::Quota, SkipReason::QuotaExhausted { .. })
+            | (SkipVerdict::Backfill, SkipReason::BackfillBlocked { .. })
+            | (SkipVerdict::NoPlacement, SkipReason::NoFeasiblePlacement { .. }) => true,
+            (SkipVerdict::HeadOfLine { behind }, SkipReason::HeadOfLineBlocked { behind: b }) => {
+                behind == *b
+            }
+            _ => false,
+        }
+    }
 }
 
 /// Handles into an attached [`MetricsRegistry`] (`tacc_sched_*` series).
@@ -417,21 +466,24 @@ impl Scheduler {
             quota: QuotaTable::from_quotas(quotas),
             trace: DecisionTraceLog::new(DecisionTraceLog::CAPACITY),
             group_usage_vec: vec![ResourceVec::ZERO; config.group_count],
+            moved: std::iter::once(u64::MAX)
+                .chain(std::iter::repeat_n(0, 3 * (config.group_count + 1)))
+                .collect(),
             config,
             queue: Vec::new(),
             queue_dirty: true,
             usage_epoch: 0,
             sorted_usage_epoch: 0,
             sorted_capacity: ResourceVec::ZERO,
-            scratch_verdicts: Vec::new(),
-            scratch_verdicts_next: Vec::new(),
+            tick: 0,
+            walked_version: None,
+            gate_floor: GateFloor::EMPTY,
             scratch_usage: Vec::new(),
             scratch_skips: Vec::new(),
             scratch_started: Vec::new(),
             scratch_preempted: Vec::new(),
             scratch_reservations: Vec::new(),
             scratch_edits: Vec::new(),
-            walk_proof: None,
             reclaim_view: None,
             running_best_effort: 0,
             timeline: SlotSet::new(),
@@ -483,7 +535,6 @@ impl Scheduler {
     pub fn reserve_capacity(&mut self, window: CapacityWindow) {
         self.config.capacity_windows.push(window);
         self.timeline_version = None;
-        self.walk_proof = None;
     }
 
     /// The capacity windows currently shaping the availability profile
@@ -553,27 +604,24 @@ impl Scheduler {
         // `now`/`queue_len` feed only MultiFactor scores, whose order is
         // never valid.
         self.queue
-            .partition_point(|e| compare(policy, 0.0, 0, e, request, &ctx).is_lt())
+            .partition_point(|e| compare(policy, 0.0, 0, &e.request, request, &ctx).is_lt())
     }
 
-    /// Adds to the queue. When the current order is provably sorted the
-    /// request is binary-inserted at the position a full re-sort would
-    /// give it; otherwise it is appended and the next round sorts.
+    /// Adds to the queue, not yet judged. When the current order is
+    /// provably sorted the request is binary-inserted at the position a
+    /// full re-sort would give it; otherwise it is appended and the next
+    /// round sorts.
     fn queue_push(&mut self, request: TaskRequest) {
         debug_assert!(
-            !self.queue.iter().any(|r| r.id == request.id),
+            !self.queue.iter().any(|e| e.request.id == request.id),
             "duplicate submission of {}",
             request.id
         );
         if self.queue_order_valid() {
             let pos = self.sorted_position(&request);
-            // Only an append leaves the proven prefix as the walk left it.
-            if pos != self.queue.len() {
-                self.walk_proof = None;
-            }
-            self.queue.insert(pos, request);
+            self.queue.insert(pos, Queued::new(request));
         } else {
-            self.queue.push(request);
+            self.queue.push(Queued::new(request));
             self.queue_dirty = true;
         }
     }
@@ -582,10 +630,9 @@ impl Scheduler {
     /// against, so this scans). An in-place removal preserves whatever
     /// order the queue had. Returns `false` if the id is not queued.
     fn queue_remove(&mut self, id: JobId) -> bool {
-        let Some(pos) = self.queue.iter().position(|r| r.id == id) else {
+        let Some(pos) = self.queue.iter().position(|e| e.request.id == id) else {
             return false;
         };
-        self.walk_proof = None;
         self.queue.remove(pos);
         true
     }
@@ -595,10 +642,9 @@ impl Scheduler {
     /// search; otherwise from a scan. Both remove in place, so the
     /// relative order of the remaining entries survives.
     fn queue_remove_request(&mut self, request: &TaskRequest) {
-        self.walk_proof = None;
         if self.queue_order_valid() {
             let pos = self.sorted_position(request);
-            if self.queue.get(pos).map(|r| r.id) == Some(request.id) {
+            if self.queue.get(pos).map(|e| e.request.id) == Some(request.id) {
                 self.queue.remove(pos);
                 return;
             }
@@ -606,7 +652,7 @@ impl Scheduler {
             // invariant must have been broken. Recover below.
             debug_assert!(false, "binary removal missed {}", request.id);
         }
-        if let Some(pos) = self.queue.iter().position(|r| r.id == request.id) {
+        if let Some(pos) = self.queue.iter().position(|e| e.request.id == request.id) {
             self.queue.remove(pos);
             self.queue_dirty = true;
         }
@@ -625,10 +671,17 @@ impl Scheduler {
         self.scratch_edits = edits;
     }
 
-    /// The decision trace: recent [`RoundTrace`](tacc_obs::RoundTrace)s plus the latest skip
-    /// reason per still-waiting job ("why is my job not running").
+    /// The decision trace: recent [`RoundTrace`](tacc_obs::RoundTrace)s.
     pub fn decision_trace(&self) -> &DecisionTraceLog {
         &self.trace
+    }
+
+    /// Why a queued job is not running ("waiting since"): the skip its
+    /// current verdict was recorded as, with the round time the job first
+    /// reached that verdict. `None` when the job is not queued or no walk
+    /// has judged it yet.
+    pub fn latest_skip(&self, job: JobId) -> Option<(f64, SkipReason)> {
+        self.queue.iter().find(|e| e.request.id == job)?.verdict
     }
 
     /// The configuration in use.
@@ -644,7 +697,7 @@ impl Scheduler {
     /// Iterates over waiting tasks, in the queue's physical order (the
     /// policy order whenever that is provable, see `queue_dirty`).
     pub fn queued(&self) -> impl Iterator<Item = &TaskRequest> {
-        self.queue.iter()
+        self.queue.iter().map(|e| &e.request)
     }
 
     /// Tasks currently running.
@@ -723,16 +776,7 @@ impl Scheduler {
     /// are not cancelled here — stop them via the platform, then call
     /// [`Scheduler::task_finished`]).
     pub fn cancel(&mut self, id: JobId) -> bool {
-        let found = self.queue_remove(id);
-        if found {
-            // Scrub the walk ledger so a future resubmission of this id is
-            // always re-traced (its trace record was just forgotten).
-            if let Some(entry) = self.scratch_verdicts.iter_mut().find(|e| e.0 == id) {
-                entry.1 = SkipVerdict::Started;
-            }
-            self.trace.forget_job(id);
-        }
-        found
+        self.queue_remove(id)
     }
 
     /// Reports that a running task finished (completed, failed or was
@@ -771,10 +815,61 @@ impl Scheduler {
             }
         }
         self.quota.release(&task.request);
-        self.group_usage_vec[task.request.group.index()] -= task.request.total_resources();
+        let group = task.request.group.index();
+        self.group_usage_vec[group] -= task.request.total_resources();
         self.usage_epoch += 1;
-        self.trace.forget_job(id);
+        // Live inside a walk too: a reclaim's evictions wake the entries
+        // behind it.
+        if self.debug_hook != Some(DebugRoundHook::ReleaseWakesNobody)
+            && self.quota_counts(&task.request)
+        {
+            self.wake(Wait::Release, group..group + 1);
+        }
+        if self.debug_hook != Some(DebugRoundHook::CapacityWakesNobody) {
+            self.wake(Wait::Capacity, 0..self.config.group_count + 1);
+        }
         Some(task)
+    }
+
+    /// Index into `moved` of `wait`'s key for `slot`: a group, or
+    /// `group_count` for the entries quota cannot move.
+    fn key(&self, wait: Wait, slot: usize) -> usize {
+        1 + wait as usize * (self.config.group_count + 1) + slot
+    }
+
+    /// Moves `wait`'s keys for `slots`: every entry judged before now and
+    /// waiting on one of them wakes, later in this walk or in the next.
+    fn wake(&mut self, wait: Wait, slots: std::ops::Range<usize>) {
+        self.tick += 1;
+        for slot in slots {
+            let key = self.key(wait, slot);
+            self.moved[key] = self.tick;
+        }
+    }
+
+    /// Stamps a verdict just reached on `request` as waiting on `wait`.
+    fn stamp(&self, wait: Wait, request: &TaskRequest) -> Wake {
+        let slot = if self.quota_counts(request) {
+            request.group.index()
+        } else {
+            self.config.group_count
+        };
+        Wake {
+            key: self.key(wait, slot) as u32,
+            judged: self.tick,
+        }
+    }
+
+    /// Whether `request`'s GPUs are what the quota gate reads for its
+    /// group: every class under `Static`, guaranteed under `Borrowing`.
+    /// Only such charges and releases move a verdict, and only such a
+    /// request's verdict moves with them.
+    fn quota_counts(&self, request: &TaskRequest) -> bool {
+        match self.config.quota {
+            QuotaMode::Disabled => false,
+            QuotaMode::Static => true,
+            QuotaMode::Borrowing => request.qos == QosClass::Guaranteed,
+        }
     }
 
     /// Test-only fault injection for the differential red-flip suite:
@@ -788,20 +883,18 @@ impl Scheduler {
         self.boundary_skew_secs = skew_secs;
         // Force the next probe to rebuild under the new (skewed) geometry.
         self.timeline_version = None;
-        self.walk_proof = None;
     }
 
-    /// Test-only switch for the differential suite: turns walk resumption
-    /// off (the comparison subject for round-by-round skip lists), or
-    /// injects one of two faults the suite must catch — a resumed round
-    /// that trusts the time-permitted entries without re-checking them,
-    /// or a reclaim view that misses a guaranteed finish. The debug
-    /// oracles stand down while a hook is set, so an injected fault
-    /// surfaces as a diverging decision stream, not as an assertion.
+    /// Test-only switch for the differential suite: makes every walk
+    /// judge every entry (the comparison subject for traces and `why`),
+    /// or injects a fault the suite must catch — an input that moves
+    /// without waking the entries waiting on it, or a reclaim view that
+    /// misses a guaranteed finish. The debug oracles stand down while a
+    /// hook is set, so an injected fault surfaces as a diverging decision
+    /// stream, not as an assertion.
     #[doc(hidden)]
     pub fn debug_set_round_hook(&mut self, hook: DebugRoundHook) {
         self.debug_hook = Some(hook);
-        self.walk_proof = None;
     }
 
     /// Carries the reclaim view from the cluster state it mirrored

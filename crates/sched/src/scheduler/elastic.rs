@@ -10,7 +10,7 @@ use tacc_workload::{JobId, QosClass};
 use crate::placement::Planner;
 use crate::quota::QuotaMode;
 use crate::request::{Decision, RunningTask, SchedOutcome, StartedTask, TaskRequest};
-use crate::scheduler::{QueueEdit, ReclaimView, Scheduler};
+use crate::scheduler::{QueueEdit, ReclaimView, Scheduler, Wait};
 
 impl Scheduler {
     /// Attempts to place `request`, preempting borrowers if the request is
@@ -193,8 +193,13 @@ impl Scheduler {
             ..*request
         };
         self.quota.charge(&granted_request);
-        self.group_usage_vec[granted_request.group.index()] += granted_request.total_resources();
+        let group = granted_request.group.index();
+        self.group_usage_vec[group] += granted_request.total_resources();
         self.usage_epoch += 1;
+        if self.quota_counts(request) {
+            self.wake(Wait::Gate, group..group + 1);
+            self.wake(Wait::Capacity, group..group + 1);
+        }
         // A shrunken data-parallel gang runs proportionally longer.
         let scale = f64::from(request.workers) / f64::from(granted);
         let est_end_secs = now_secs + request.est_secs * scale;

@@ -47,7 +47,7 @@ impl Scheduler {
             hypothetical
                 .release(lease)
                 .expect("running task holds a valid lease");
-            let fits_someone = self.queue.iter().any(|r| {
+            let fits_someone = self.queue.iter().map(|e| &e.request).any(|r| {
                 self.quota.admits(self.config.quota, r)
                     && self
                         .planner

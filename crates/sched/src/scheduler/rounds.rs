@@ -1,6 +1,7 @@
 //! The scheduling round — order, walk, apply: queue ordering, the
-//! quota/backfill/placement walk over the round-start queue, skip tracing
-//! with positional dedup, and temporal-planner-backed reservations.
+//! quota/backfill/placement walk over the round-start queue with its
+//! wake-keyed verdicts, skip tracing per verdict change, and
+//! temporal-planner-backed reservations.
 
 use std::time::{Duration, Instant};
 
@@ -9,9 +10,9 @@ use tacc_obs::{JobSkip, RoundTrace, SkipReason};
 use tacc_workload::JobId;
 
 use crate::backfill::{may_backfill, BackfillMode};
-use crate::policy::{compare, order_queue, PolicyKind};
+use crate::policy::{compare, PolicyKind};
 use crate::request::{Decision, SchedOutcome, StartedTask, TaskRequest};
-use crate::scheduler::{DebugRoundHook, GateBounds, Scheduler, SkipVerdict, WalkProof};
+use crate::scheduler::{DebugRoundHook, GateFloor, Queued, Scheduler, SkipVerdict, Wait};
 
 /// The crate's one wall-clock read: a round or a rotation starts timing.
 pub(super) fn round_clock() -> Instant {
@@ -30,25 +31,16 @@ impl Scheduler {
         self.rounds += 1;
         let queue_len_at_start = self.queue.len();
         let mut outcome = SchedOutcome::default();
-        // Whatever the last walk proved is spent here; only this round's
-        // walk, if it decides nothing, leaves a new proof.
-        let proof = self.walk_proof.take();
         // An empty queue can start or preempt nothing: only the epilogue
-        // runs, and the skip ledger stays as the last walk left it.
+        // runs.
         if self.queue.is_empty() {
             self.counters.empty_rounds += 1;
         } else {
             let sorted = self.order(now_secs, cluster);
-            let resumed = proof
-                .as_ref()
-                .filter(|proof| !sorted && self.resume_walk(now_secs, cluster, proof));
-            let queue = std::mem::take(&mut self.queue);
-            self.walk(now_secs, cluster, &queue, resumed, &mut outcome);
+            let mut queue = std::mem::take(&mut self.queue);
+            self.walk(now_secs, cluster, &mut queue, sorted, &mut outcome);
             self.queue = queue;
             self.apply_queue_edits();
-            // The ledger the walk built becomes the baseline the next
-            // round's walk dedups against.
-            std::mem::swap(&mut self.scratch_verdicts, &mut self.scratch_verdicts_next);
         }
         self.finish_round(now_secs, round_start, queue_len_at_start, &outcome);
         outcome
@@ -57,8 +49,6 @@ impl Scheduler {
     /// The round's *order* step: sorts the queue under the configured
     /// policy — but only when the previous order can no longer be proven
     /// valid, which is what it returns — and resets the per-round buffers.
-    /// Behind an order that stood, the last walk's proof may still hold
-    /// (`resume_walk`).
     ///
     /// Every comparator ends in an id tiebreak (a total order), so a
     /// sorted queue is the *unique* sorted permutation: while the keys
@@ -81,11 +71,12 @@ impl Scheduler {
         if sort_needed || cfg!(debug_assertions) {
             self.quota.usage_by_group_into(&mut self.scratch_usage);
         }
+        let (policy, len) = (self.config.policy, self.queue.len());
         if sort_needed {
             self.sorted_capacity = cluster.total_capacity();
             let mut queue = std::mem::take(&mut self.queue);
-            let (policy, ctx) = (self.config.policy, self.policy_context());
-            order_queue(policy, now_secs, &mut queue, &ctx);
+            let ctx = self.policy_context();
+            queue.sort_by(|a, b| compare(policy, now_secs, len, &a.request, &b.request, &ctx));
             self.queue = queue;
             self.queue_dirty = false;
             self.sorted_usage_epoch = self.usage_epoch;
@@ -97,60 +88,74 @@ impl Scheduler {
             // claimed to preserve it exactly.
             debug_assert!(
                 self.queue.windows(2).all(|w| {
-                    let (policy, len) = (self.config.policy, self.queue.len());
-                    compare(policy, now_secs, len, &w[0], &w[1], &self.policy_context()).is_lt()
+                    let ctx = self.policy_context();
+                    compare(policy, now_secs, len, &w[0].request, &w[1].request, &ctx).is_lt()
                 }),
                 "sort-skip invariant violated: queue is not in sorted order"
             );
         }
         self.scratch_reservations.clear();
         self.scratch_skips.clear();
-        self.scratch_verdicts_next.clear();
         sort_needed
     }
 
     /// The round's *walk* step: examines `queue` — the pending queue as it
-    /// stood at round start, which nothing edits while this runs — entry
-    /// by entry against the live cluster: quota gate, backfill gate,
-    /// placement. A start or an eviction changes the cluster, the quota
-    /// table and the running set at once; what it means for the queue is
-    /// recorded in `scratch_edits`. An entry's index is its round-start
-    /// position, which is what the positional skip dedup keys on.
+    /// stood at round start, whose membership nothing edits while this
+    /// runs — entry by entry against the live cluster: quota gate,
+    /// backfill gate, placement. A start or an eviction changes the
+    /// cluster, the quota table and the running set at once; what it
+    /// means for the queue is recorded in `scratch_edits`. What the walk
+    /// writes into the entries is their verdicts and wake stamps.
     ///
-    /// The one loop starts at the head of the queue — or, given `resumed`,
-    /// behind the prefix the previous walk proved. A walk that decides
-    /// nothing leaves the proof the next round can stand on.
+    /// Under EASY, behind an order that stood (`sorted == false`), an
+    /// entry whose wait key has not moved keeps its verdict without its
+    /// gates running (`skip_sleepers`). Every other walk judges every
+    /// entry.
     fn walk(
         &mut self,
         now_secs: f64,
         cluster: &mut Cluster,
-        queue: &[TaskRequest],
-        resumed: Option<&WalkProof>,
+        queue: &mut [Queued],
+        sorted: bool,
         outcome: &mut SchedOutcome,
     ) {
-        let (start, mut head, mut gate) = match resumed {
-            Some(proof) => (proof.examined, proof.head, proof.gate),
-            None => (0, None, GateBounds::NONE),
-        };
-        for (pos, request) in queue.iter().enumerate().skip(start) {
-            // 1. Quota gate.
-            if !self.quota.admits(self.config.quota, request) {
-                if self.skip_should_record(pos, request.id, SkipVerdict::Quota) {
-                    self.scratch_skips.push(JobSkip {
-                        job: request.id,
-                        reason: SkipReason::QuotaExhausted {
-                            group: request.group,
-                            used: self.quota.total_used(request.group),
-                            quota: self.quota.quota(request.group),
-                            demand: request.total_gpus(),
-                        },
-                    });
+        let may_sleep = self.config.backfill == BackfillMode::Easy
+            && !sorted
+            && self.debug_hook != Some(DebugRoundHook::WakeAll);
+        if self.walked_version != Some(cluster.version())
+            && self.debug_hook != Some(DebugRoundHook::CapacityWakesNobody)
+        {
+            self.wake(Wait::Capacity, 0..self.config.group_count + 1);
+        }
+        let mut next = 0;
+        while next < queue.len() {
+            if may_sleep {
+                next += self.skip_sleepers(now_secs, cluster, &queue[next..]);
+                if next == queue.len() {
+                    break;
                 }
+            }
+            let pos = next;
+            next += 1;
+            let entry = &mut queue[pos];
+            self.counters.walk_examined += 1;
+            let request = entry.request;
+            // 1. Quota gate.
+            if !self.quota.admits(self.config.quota, &request) {
+                entry.wake = self.stamp(Wait::Release, &request);
+                self.file(now_secs, entry, SkipVerdict::Quota, |s| {
+                    SkipReason::QuotaExhausted {
+                        group: request.group,
+                        used: s.quota.total_used(request.group),
+                        quota: s.quota.quota(request.group),
+                        demand: request.total_gpus(),
+                    }
+                });
                 // Blocked on quota, not capacity: holds no capacity
                 // reservation. Under no-backfill the queue is strictly
                 // ordered, so later jobs stall behind it anyway.
                 if self.config.backfill == BackfillMode::None {
-                    self.skip_tail(queue, pos + 1, request.id);
+                    self.skip_tail(now_secs, &mut queue[pos + 1..], request.id);
                     break;
                 }
                 continue;
@@ -159,51 +164,39 @@ impl Scheduler {
             // 2. Backfill gate (someone ahead is capacity-blocked).
             let backfilled = !self.scratch_reservations.is_empty();
             if backfilled {
+                let (est_end, gpus) = (now_secs + request.est_secs, request.total_gpus());
                 let reservations = &self.scratch_reservations;
-                let est_end = now_secs + request.est_secs;
                 let permitted = match self.config.backfill {
                     BackfillMode::None => false,
-                    BackfillMode::Easy => {
-                        let permitted =
-                            may_backfill(est_end, request.total_gpus(), &reservations[0]);
-                        if !permitted {
-                            gate.min_denied_est = gate.min_denied_est.min(request.est_secs);
-                        } else if request.total_gpus() > reservations[0].extra_gpus {
-                            gate.max_permitted_est = gate.max_permitted_est.max(request.est_secs);
-                        }
-                        permitted
+                    BackfillMode::Easy => may_backfill(est_end, gpus, &reservations[0]),
+                    BackfillMode::Conservative => {
+                        reservations.iter().all(|r| may_backfill(est_end, gpus, r))
                     }
-                    BackfillMode::Conservative => reservations
-                        .iter()
-                        .all(|r| may_backfill(est_end, request.total_gpus(), r)),
                 };
                 if !permitted {
-                    if self.skip_should_record(pos, request.id, SkipVerdict::Backfill) {
-                        let reservations = &self.scratch_reservations;
+                    entry.wake = self.stamp(Wait::Gate, &request);
+                    self.gate_floor.fold(&request);
+                    self.file(now_secs, entry, SkipVerdict::Backfill, |s| {
+                        let reservations = &s.scratch_reservations;
                         let blocking = reservations
                             .iter()
-                            .find(|r| !may_backfill(est_end, request.total_gpus(), r))
+                            .find(|r| !may_backfill(est_end, gpus, r))
                             .unwrap_or(&reservations[0]);
-                        self.scratch_skips.push(JobSkip {
-                            job: request.id,
-                            reason: SkipReason::BackfillBlocked {
-                                est_end_secs: est_end,
-                                shadow_secs: blocking.shadow_secs,
-                            },
-                        });
-                    }
+                        SkipReason::BackfillBlocked {
+                            est_end_secs: est_end,
+                            shadow_secs: blocking.shadow_secs,
+                        }
+                    });
                     if self.config.backfill == BackfillMode::Conservative {
-                        self.push_reservation(now_secs, request, cluster);
+                        self.push_reservation(now_secs, &request, cluster);
                     }
                     continue;
                 }
             }
 
             // 3. Placement (with quota reclaim if allowed).
-            match self.try_place(now_secs, request, cluster, outcome) {
+            match self.try_place(now_secs, &request, cluster, outcome) {
                 Some(start) => {
-                    self.scratch_verdicts_next
-                        .push((request.id, SkipVerdict::Started));
                     if backfilled {
                         self.backfill_starts += 1;
                         if let Some(m) = &self.metrics {
@@ -217,51 +210,98 @@ impl Scheduler {
                 }
                 None => {
                     // Capacity-blocked.
-                    if self.skip_should_record(pos, request.id, SkipVerdict::NoPlacement) {
-                        self.scratch_skips.push(JobSkip {
-                            job: request.id,
-                            reason: SkipReason::NoFeasiblePlacement {
-                                workers: request.workers,
-                                gpus_per_worker: request.per_worker.gpus,
-                                free_gpus: cluster.free_gpus(),
-                                largest_free_block: cluster.largest_free_block(),
-                            },
-                        });
-                    }
+                    entry.wake = self.stamp(Wait::Capacity, &request);
+                    self.file(now_secs, entry, SkipVerdict::NoPlacement, |_| {
+                        SkipReason::NoFeasiblePlacement {
+                            workers: request.workers,
+                            gpus_per_worker: request.per_worker.gpus,
+                            free_gpus: cluster.free_gpus(),
+                            largest_free_block: cluster.largest_free_block(),
+                        }
+                    });
                     match self.config.backfill {
                         BackfillMode::None => {
-                            self.skip_tail(queue, pos + 1, request.id);
+                            self.skip_tail(now_secs, &mut queue[pos + 1..], request.id);
                             break;
                         }
                         BackfillMode::Easy => {
                             if !backfilled {
-                                self.push_reservation(now_secs, request, cluster);
-                                head = Some((*request, self.scratch_reservations[0].extra_gpus));
+                                self.reserve_for_head(now_secs, &request, cluster);
                             }
                         }
                         BackfillMode::Conservative => {
-                            self.push_reservation(now_secs, request, cluster);
+                            self.push_reservation(now_secs, &request, cluster);
                         }
                     }
                 }
             }
         }
-        // One ledger entry per position of the round-start queue.
-        debug_assert_eq!(
-            self.scratch_verdicts_next.len(),
-            queue.len(),
-            "walk ledger out of step with the round-start queue"
-        );
-        // A walk that decided nothing judged every entry against the state
-        // it ends in: that is a proof the next round can stand on.
-        if self.config.backfill == BackfillMode::Easy && outcome.is_empty() {
-            self.walk_proof = Some(WalkProof {
-                version: cluster.version(),
-                usage_epoch: self.usage_epoch,
-                examined: queue.len(),
-                head,
-                gate,
-            });
+        self.walked_version = Some(cluster.version());
+    }
+
+    /// How many entries from the front of `queue` keep their verdict
+    /// unjudged here: their key has not moved since they were judged, and
+    /// the verdict holds at this place of the walk. The bulk takes one
+    /// compare each — a quota verdict anywhere, a gate-denied one once the
+    /// head has reserved (`reserve_for_head` tested the floor then). One
+    /// placed nowhere is the head, whose reservation is pushed here, or
+    /// behind it and still let through (such entries are few, so each is
+    /// tested).
+    fn skip_sleepers(&mut self, now_secs: f64, cluster: &Cluster, queue: &[Queued]) -> usize {
+        let (gate_key, capacity_key) = (self.key(Wait::Gate, 0), self.key(Wait::Capacity, 0));
+        let mut asleep = 0;
+        loop {
+            let limit = if self.scratch_reservations.is_empty() {
+                gate_key
+            } else {
+                capacity_key
+            };
+            let moved = &self.moved;
+            let run = queue[asleep..]
+                .iter()
+                .take_while(|e| {
+                    let key = e.wake.key as usize;
+                    key < limit && moved[key] <= e.wake.judged
+                })
+                .count();
+            #[cfg(debug_assertions)]
+            for entry in &queue[asleep..asleep + run] {
+                self.debug_check_asleep(now_secs, cluster, entry);
+            }
+            asleep += run;
+            let Some(entry) = queue.get(asleep).filter(|e| {
+                let (key, request) = (e.wake.key as usize, &e.request);
+                key >= capacity_key
+                    && self.moved[key] <= e.wake.judged
+                    && self.scratch_reservations.first().is_none_or(|r| {
+                        may_backfill(now_secs + request.est_secs, request.total_gpus(), r)
+                    })
+            }) else {
+                break;
+            };
+            #[cfg(debug_assertions)]
+            self.debug_check_asleep(now_secs, cluster, entry);
+            if self.scratch_reservations.is_empty() {
+                self.reserve_for_head(now_secs, &entry.request, cluster);
+            }
+            asleep += 1;
+        }
+        self.counters.skip_suppressions += asleep as u64;
+        asleep
+    }
+
+    /// Pushes EASY's one reservation, the head's. If it lets the gate
+    /// floor through, every gate-denied entry behind the head wakes, and
+    /// the floor starts over from what this walk denies.
+    fn reserve_for_head(&mut self, now_secs: f64, head: &TaskRequest, cluster: &Cluster) {
+        self.push_reservation(now_secs, head, cluster);
+        if self.debug_hook != Some(DebugRoundHook::LoosenedGateWakesNobody)
+            && !self
+                .gate_floor
+                .shut(now_secs, &self.scratch_reservations[0])
+        {
+            self.wake(Wait::Gate, 0..self.config.group_count + 1);
+            self.gate_floor = GateFloor::EMPTY;
         }
     }
 
@@ -325,108 +365,48 @@ impl Scheduler {
         }
     }
 
-    /// Whether this round's walk may start behind the prefix `proof`
-    /// covers. The caller has established that the queue needs no sort;
-    /// the proof's own existence that the prefix is as the proving walk
-    /// left it. What remains is that nothing
-    /// a verdict reads has moved: the cluster version and usage epoch
-    /// (quota and placement verdicts), and — the clock being the one input
-    /// that always moves — that the head's reservation, re-probed at
-    /// `now_secs` with the single probe the full walk would make, still
-    /// sorts every time-clause entry onto the side of the backfill gate it
-    /// was on. On success the round's reservations hold that probe, the
-    /// ledger prefix is copied and counted as the suppressions it would
-    /// have been; on any failure nothing is left changed and the walk
-    /// starts at 0.
-    fn resume_walk(&mut self, now_secs: f64, cluster: &Cluster, proof: &WalkProof) -> bool {
-        if self.debug_hook == Some(DebugRoundHook::NoResume)
-            || proof.version != cluster.version()
-            || proof.usage_epoch != self.usage_epoch
-            || proof.examined != self.scratch_verdicts.len()
-        {
-            return false;
-        }
-        if let Some((head, extra_gpus)) = &proof.head {
-            // A stale timeline means a rebuild, which is the full walk's
-            // to pay for and count.
-            if self.timeline_version != Some(proof.version) {
-                return false;
-            }
-            let slots = self.counters.slots;
-            self.push_reservation(now_secs, head, cluster);
-            let probed = self.scratch_reservations[0];
-            let recheck = self.debug_hook != Some(DebugRoundHook::SkipPermittedRecheck);
-            let holds = probed.extra_gpus == *extra_gpus
-                && now_secs + proof.gate.min_denied_est > probed.shadow_secs
-                && (!recheck || now_secs + proof.gate.max_permitted_est <= probed.shadow_secs);
-            if !holds {
-                self.counters.slots = slots;
-                self.scratch_reservations.clear();
-                return false;
-            }
-        }
-        self.scratch_verdicts_next
-            .extend_from_slice(&self.scratch_verdicts);
-        let entries = proof.examined as u64;
-        self.counters.skip_suppressions += entries;
-        self.counters.walk_resumes += 1;
-        self.counters.walk_resumed_entries += entries;
-        #[cfg(debug_assertions)]
-        self.debug_check_resumed(now_secs, cluster, proof);
-        true
-    }
-
-    /// Debug oracle for a resumed round: re-derives, read-only, the
-    /// verdict of every entry the round did not examine — the quota gate,
-    /// the backfill gate against the re-probed reservation, and for an
-    /// entry past both a non-committing placement — and asserts that each
-    /// equals the ledger's and that none would have started.
+    /// Debug oracle for an entry the walk left asleep: re-derives its
+    /// verdict read-only against the state at its place in the walk — the
+    /// quota gate, the backfill gate against the round's reservation, and
+    /// for an entry past both a non-committing placement — and asserts it
+    /// is the verdict the entry holds. A wake the keys miss fails here.
     #[cfg(debug_assertions)]
-    fn debug_check_resumed(&self, now_secs: f64, cluster: &Cluster, proof: &WalkProof) {
+    fn debug_check_asleep(&self, now_secs: f64, cluster: &Cluster, entry: &Queued) {
         if self.debug_hook.is_some() {
             return;
         }
-        let probed = self.scratch_reservations.first();
-        let mut hypothetical = None;
-        let mut head = None;
-        for (request, ledger) in self.queue.iter().zip(&self.scratch_verdicts) {
-            let verdict = if !self.quota.admits(self.config.quota, request) {
+        let request = &entry.request;
+        let verdict =
+            if !self.quota.admits(self.config.quota, request) {
                 SkipVerdict::Quota
-            } else if head.is_some()
-                && !probed.is_some_and(|r| {
-                    may_backfill(now_secs + request.est_secs, request.total_gpus(), r)
-                })
-            {
+            } else if self.scratch_reservations.first().is_some_and(|r| {
+                !may_backfill(now_secs + request.est_secs, request.total_gpus(), r)
+            }) {
                 SkipVerdict::Backfill
             } else {
                 debug_assert!(
-                    !self.would_start(request, cluster, &mut hypothetical),
-                    "resumed walk skipped {}, which would have started",
+                    !self.would_start(request, cluster),
+                    "{} slept through a start",
                     request.id
                 );
-                head = head.or(Some(request.id));
                 SkipVerdict::NoPlacement
             };
-            debug_assert_eq!(
-                *ledger,
-                (request.id, verdict),
-                "resumed walk copied a verdict the full walk would not have reached"
-            );
-        }
-        debug_assert_eq!(head, proof.head.map(|(request, _)| request.id));
+        debug_assert!(
+            entry
+                .verdict
+                .is_some_and(|(_, held)| verdict.matches(&held)),
+            "{} slept on {:?}; a walk judging it reaches {verdict:?}",
+            request.id,
+            entry.verdict
+        );
     }
 
     /// Whether `try_place` would start `request` right now, decided
     /// without committing or counting anything: the elastic halvings
     /// against `cluster`, then the reclaim pre-check against a
-    /// borrowers-evicted copy built at most once per caller.
+    /// borrowers-evicted copy.
     #[cfg(debug_assertions)]
-    fn would_start(
-        &self,
-        request: &TaskRequest,
-        cluster: &Cluster,
-        hypothetical: &mut Option<Cluster>,
-    ) -> bool {
+    fn would_start(&self, request: &TaskRequest, cluster: &Cluster) -> bool {
         use crate::quota::QuotaMode;
         use tacc_workload::QosClass;
         let mut granted = request.workers;
@@ -449,7 +429,7 @@ impl Scheduler {
             && self
                 .planner
                 .plan(
-                    hypothetical.get_or_insert_with(|| self.borrowers_evicted(cluster)),
+                    &self.borrowers_evicted(cluster),
                     request.workers,
                     request.per_worker,
                 )
@@ -516,44 +496,43 @@ impl Scheduler {
         self.scratch_reservations.push(reservation);
     }
 
-    /// Decides whether this position's skip goes into the round's skip
-    /// list: only when the previous walk examined a *different* job at
-    /// this position, or the same job with a different verdict.
-    /// Re-deciding the same "why not" round after round is pure work —
-    /// the trace ring and `why` explanations only gain information when
-    /// something changes, and in a stable blocked queue nothing does. One
-    /// positional compare replaces a per-job map; suppressed repeats are
-    /// counted so the work ledger still proves the gate ran. Returning
-    /// the decision (instead of taking a pre-built [`JobSkip`]) lets the
-    /// caller defer the skip-reason lookups — quota totals, the blocking
-    /// reservation — to the recorded minority.
-    fn skip_should_record(&mut self, pos: usize, job: JobId, verdict: SkipVerdict) -> bool {
-        let unchanged = self
-            .scratch_verdicts
-            .get(pos)
-            .is_some_and(|&(id, v)| id == job && v == verdict);
-        self.scratch_verdicts_next.push((job, verdict));
-        if unchanged {
+    /// Files `verdict` on `entry`. A verdict the entry already holds
+    /// stands — it is counted as suppressed and its "since" does not
+    /// move, wherever the entry now sits in the queue. A changed one is
+    /// traced: `reason` is built only then (the quota totals, the blocking
+    /// reservation), becomes what `why` answers, and joins the round's
+    /// skips.
+    fn file(
+        &mut self,
+        now_secs: f64,
+        entry: &mut Queued,
+        verdict: SkipVerdict,
+        reason: impl FnOnce(&Self) -> SkipReason,
+    ) {
+        if entry
+            .verdict
+            .is_some_and(|(_, held)| verdict.matches(&held))
+        {
             self.counters.skip_suppressions += 1;
-            false
-        } else {
-            self.counters.skip_records += 1;
-            true
+            return;
         }
+        self.counters.skip_records += 1;
+        let reason = reason(self);
+        entry.verdict = Some((now_secs, reason));
+        self.scratch_skips.push(JobSkip {
+            job: entry.request.id,
+            reason,
+        });
     }
 
-    /// Records a head-of-line skip for every not-yet-examined entry of the
-    /// round-start queue (positions `from..`): under strict FIFO (no
-    /// backfill) a blocked job stalls everything behind it.
-    fn skip_tail(&mut self, queue: &[TaskRequest], from: usize, behind: JobId) {
-        for (pos, request) in queue.iter().enumerate().skip(from) {
-            let job = request.id;
-            if self.skip_should_record(pos, job, SkipVerdict::HeadOfLine { behind }) {
-                self.scratch_skips.push(JobSkip {
-                    job,
-                    reason: SkipReason::HeadOfLineBlocked { behind },
-                });
-            }
+    /// Files a head-of-line skip on every entry of `tail`, the rest of the
+    /// round-start queue: under strict FIFO (no backfill) a blocked job
+    /// stalls everything behind it.
+    fn skip_tail(&mut self, now_secs: f64, tail: &mut [Queued], behind: JobId) {
+        for entry in tail {
+            self.file(now_secs, entry, SkipVerdict::HeadOfLine { behind }, |_| {
+                SkipReason::HeadOfLineBlocked { behind }
+            });
         }
     }
 

@@ -16,12 +16,17 @@
 //! genuinely differ (backfill on vs off) must produce diverging streams
 //! on a script built to expose the difference.
 //!
+//! Every script also runs a third scheduler, the optimized one under
+//! `DebugRoundHook::WakeAll`, whose walks judge every entry every round:
+//! entries kept asleep by their wake keys must leave the decisions, the
+//! round-by-round trace and every `why` answer exactly as judging them
+//! would.
+//!
 //! The second half of the file holds the two incremental structures of
-//! the contended round to the same standard: a resumed walk must leave
-//! the decisions, the round-by-round trace and the skip ledger exactly as
-//! a walk from the head of the queue would, and the carried reclaim view
-//! must be the one a rebuild would produce — each with a red-flip built
-//! on a test-only fault hook, and one unit case per invalidation.
+//! the contended round to the same standard: the wake keys, and the
+//! carried reclaim view, which must be the one a rebuild would produce —
+//! each with red-flips built on test-only fault hooks, and unit cases for
+//! what wakes an entry and what does not.
 
 use tacc_cluster::{Cluster, ClusterSpec, GpuModel, ResourceVec};
 use tacc_sched::reference::ReferenceScheduler;
@@ -147,24 +152,64 @@ fn queue_contents<'a>(queued: impl Iterator<Item = &'a TaskRequest>) -> String {
     format!("{queued:?}")
 }
 
-/// Drives both schedulers through one identical randomized script and
+/// One census line: queue depth, running count, free GPUs and the
+/// queue's contents.
+fn census<'a>(
+    queued_len: usize,
+    running_len: usize,
+    cluster: &Cluster,
+    queued: impl Iterator<Item = &'a TaskRequest>,
+) -> String {
+    format!(
+        "census q={queued_len} r={running_len} free={} queued={}\n",
+        cluster.free_gpus(),
+        queue_contents(queued)
+    )
+}
+
+/// What the trace and `why` show of a scheduler: every retained
+/// `RoundTrace` minus its wall time, and the answer for every queued job,
+/// id-ordered.
+fn observed(sched: &Scheduler) -> String {
+    let mut out = String::new();
+    for r in sched.decision_trace().rounds() {
+        out.push_str(&format!(
+            "{} @{} q={} started={:?} preempted={:?} skips={:?}\n",
+            r.round, r.at_secs, r.queue_len, r.started, r.preempted, r.skips
+        ));
+    }
+    let mut queued: Vec<JobId> = sched.queued().map(|r| r.id).collect();
+    queued.sort();
+    for id in queued {
+        out.push_str(&format!("why {id}: {:?}\n", sched.latest_skip(id)));
+    }
+    out
+}
+
+/// Drives the schedulers through one identical randomized script and
 /// returns (optimized stream, reference stream). Streams include every
 /// round's `Debug`-formatted decisions plus a census line after every
-/// step, the queue's contents among it.
+/// step, the queue's contents among it. The optimized scheduler under
+/// `WakeAll` runs the same script and must match it in its stream, after
+/// every step in what [`observed`] shows, and in the skip counters.
 fn run_script(cfg: SchedulerConfig, seed: u64, steps: usize) -> (String, String) {
     let mut opt = Scheduler::new(cfg.clone());
+    let mut woke = Scheduler::new(cfg.clone());
+    woke.debug_set_round_hook(DebugRoundHook::WakeAll);
     let mut reference = ReferenceScheduler::new(cfg);
     let mut opt_cluster = cluster();
+    let mut woke_cluster = cluster();
     let mut ref_cluster = cluster();
 
     let mut rng = XorShift::new(seed);
     let mut opt_stream = String::new();
+    let mut woke_stream = String::new();
     let mut ref_stream = String::new();
     let mut next_id = 1u64;
     let mut live: Vec<JobId> = Vec::new(); // submitted, possibly queued or running
     let mut now = 0.0f64;
 
-    for _ in 0..steps {
+    for step in 0..steps {
         now += rng.below(900) as f64;
         match rng.below(10) {
             // Submit (weighted heaviest so queues build up).
@@ -173,13 +218,15 @@ fn run_script(cfg: SchedulerConfig, seed: u64, steps: usize) -> (String, String)
                 next_id += 1;
                 live.push(request.id);
                 opt.submit(request);
+                woke.submit(request);
                 reference.submit(request);
             }
-            // Finish a running task (same id fed to both).
+            // Finish a running task (same id fed to all).
             5..=6 => {
                 if !live.is_empty() {
                     let id = live[rng.below(live.len() as u64) as usize];
                     let a = opt.task_finished(id, &mut opt_cluster);
+                    woke.task_finished(id, &mut woke_cluster);
                     let b = reference.task_finished(id, &mut ref_cluster);
                     assert_eq!(
                         a.is_some(),
@@ -196,6 +243,7 @@ fn run_script(cfg: SchedulerConfig, seed: u64, steps: usize) -> (String, String)
                 if !live.is_empty() {
                     let id = live[rng.below(live.len() as u64) as usize];
                     let a = opt.cancel(id);
+                    woke.cancel(id);
                     let b = reference.cancel(id);
                     assert_eq!(a, b, "cancel({id}) diverged [seed {seed}]");
                     if a {
@@ -206,38 +254,57 @@ fn run_script(cfg: SchedulerConfig, seed: u64, steps: usize) -> (String, String)
             // Gang rotation (no-op unless the config time-slices).
             8 => {
                 let a = opt.rotate(now, &mut opt_cluster);
+                let w = woke.rotate(now, &mut woke_cluster);
                 let b = reference.rotate(now, &mut ref_cluster);
                 opt_stream.push_str(&format!("rotate@{now}: {:?}\n", a.decisions));
+                woke_stream.push_str(&format!("rotate@{now}: {:?}\n", w.decisions));
                 ref_stream.push_str(&format!("rotate@{now}: {:?}\n", b.decisions));
             }
             // Scheduling round.
             _ => {
                 let a = opt.schedule(now, &mut opt_cluster);
+                let w = woke.schedule(now, &mut woke_cluster);
                 let b = reference.schedule(now, &mut ref_cluster);
                 opt_stream.push_str(&format!("round@{now}: {:?}\n", a.decisions));
+                woke_stream.push_str(&format!("round@{now}: {:?}\n", w.decisions));
                 ref_stream.push_str(&format!("round@{now}: {:?}\n", b.decisions));
             }
         }
-        opt_stream.push_str(&format!(
-            "census q={} r={} free={} queued={}\n",
-            opt.queue_len(),
-            opt.running_len(),
-            opt_cluster.free_gpus(),
-            queue_contents(opt.queued())
-        ));
-        ref_stream.push_str(&format!(
-            "census q={} r={} free={} queued={}\n",
+        for (s, c, stream) in [
+            (&opt, &opt_cluster, &mut opt_stream),
+            (&woke, &woke_cluster, &mut woke_stream),
+        ] {
+            stream.push_str(&census(s.queue_len(), s.running_len(), c, s.queued()));
+        }
+        ref_stream.push_str(&census(
             reference.queue_len(),
             reference.running_len(),
-            ref_cluster.free_gpus(),
-            queue_contents(reference.queued())
+            &ref_cluster,
+            reference.queued(),
         ));
+        assert_eq!(
+            observed(&opt),
+            observed(&woke),
+            "trace or why diverged from WakeAll at step {step} [seed {seed}]"
+        );
     }
     // Drain: keep scheduling with everything finishing so end states meet.
     let a = opt.schedule(now + 1.0, &mut opt_cluster);
+    let w = woke.schedule(now + 1.0, &mut woke_cluster);
     let b = reference.schedule(now + 1.0, &mut ref_cluster);
     opt_stream.push_str(&format!("final: {:?}\n", a.decisions));
+    woke_stream.push_str(&format!("final: {:?}\n", w.decisions));
     ref_stream.push_str(&format!("final: {:?}\n", b.decisions));
+    assert_eq!(
+        opt_stream, woke_stream,
+        "diverged from WakeAll [seed {seed}]"
+    );
+    let (o, w) = (opt.work_counters(), woke.work_counters());
+    assert_eq!(
+        (o.skip_records, o.skip_suppressions),
+        (w.skip_records, w.skip_suppressions),
+        "skip counters diverged from WakeAll [seed {seed}]"
+    );
     (opt_stream, ref_stream)
 }
 
@@ -458,11 +525,11 @@ fn red_flip_slot_boundary_bug_diverges_from_reference() {
 }
 
 // ---------------------------------------------------------------------
-// The contended round: resumed walks and the carried reclaim view.
+// The contended round: wake-keyed verdicts and the carried reclaim view.
 // ---------------------------------------------------------------------
 
 /// FIFO + EASY + borrowing — the regime of `replay-contended`, and the
-/// configuration in which a round may resume. Placement and capacity
+/// configuration in which entries sleep. Placement and capacity
 /// windows still vary with the seed.
 fn contended_config(seed: u64) -> SchedulerConfig {
     let placement = [
@@ -496,8 +563,8 @@ fn contended_config(seed: u64) -> SchedulerConfig {
 struct Contended {
     opt_stream: String,
     ref_stream: String,
-    /// Every retained `RoundTrace` minus its wall time.
-    trace: Vec<String>,
+    /// The optimized scheduler's trace and `why` answers at the end.
+    observed: String,
     counters: WorkCounters,
 }
 
@@ -531,16 +598,28 @@ impl Rig {
         self.reference.submit(request);
     }
 
+    /// Finishes `id` on both sides; whether each was running goes into
+    /// its stream, so a subject that diverged says so there.
     fn finish(&mut self, id: JobId) {
         let a = self.opt.task_finished(id, &mut self.opt_cluster);
         let b = self.reference.task_finished(id, &mut self.ref_cluster);
-        assert!(a.is_some() && b.is_some(), "finish({id}) of a running task");
+        self.record("finish", id, a.is_some(), b.is_some());
     }
 
+    /// Cancels `id` on both sides, recorded like a finish; returns whether
+    /// the subject had it queued.
     fn cancel(&mut self, id: JobId) -> bool {
         let found = self.opt.cancel(id);
-        assert_eq!(found, self.reference.cancel(id), "cancel({id})");
+        let reference = self.reference.cancel(id);
+        self.record("cancel", id, found, reference);
         found
+    }
+
+    fn record(&mut self, what: &str, id: JobId, opt: bool, reference: bool) {
+        let out = &mut self.out;
+        out.opt_stream.push_str(&format!("{what} {id}: {opt}\n"));
+        out.ref_stream
+            .push_str(&format!("{what} {id}: {reference}\n"));
     }
 
     /// Rounds to a fixpoint, as the platform does after every event.
@@ -606,74 +685,61 @@ fn run_contended(seed: u64, steps: usize, hook: Option<DebugRoundHook>) -> Conte
             rig.ref_cluster.free_gpus()
         ));
     }
-    rig.out.trace = rig
-        .opt
-        .decision_trace()
-        .rounds()
-        .map(|r| {
-            format!(
-                "{} @{} q={} started={:?} preempted={:?} skips={:?}",
-                r.round, r.at_secs, r.queue_len, r.started, r.preempted, r.skips
-            )
-        })
-        .collect();
+    assert_eq!(
+        rig.opt.decision_trace().dropped(),
+        0,
+        "trace ring wrapped; shorten the script"
+    );
+    rig.out.observed = observed(&rig.opt);
     rig.out.counters = rig.opt.work_counters();
     rig.out
 }
 
 #[test]
-fn resumed_walks_change_no_decision_and_no_trace() {
-    let mut resumes = 0;
+fn sleeping_entries_change_no_decision_no_trace_and_no_why() {
+    let mut slept = 0;
     for seed in 1..=24 {
-        let resumed = run_contended(seed, 160, None);
+        let keyed = run_contended(seed, 160, None);
         assert_eq!(
-            resumed.opt_stream, resumed.ref_stream,
+            keyed.opt_stream, keyed.ref_stream,
             "decision streams diverged [seed {seed}]"
         );
-        // Against the same scheduler walking every round from the head:
-        // each round's started/preempted/skip lists, and the ledger's own
-        // counts, must not be able to tell the difference.
-        let full = run_contended(seed, 160, Some(DebugRoundHook::NoResume));
-        assert_eq!(full.counters.walk_resumes, 0);
-        assert_eq!(resumed.opt_stream, full.opt_stream, "[seed {seed}]");
-        assert!(
-            resumed.trace.len() < 2048,
-            "trace ring wrapped; shorten the script"
-        );
-        for (i, (a, b)) in resumed.trace.iter().zip(&full.trace).enumerate() {
-            assert_eq!(a, b, "round trace {i} diverged [seed {seed}]");
-        }
-        assert_eq!(resumed.trace.len(), full.trace.len(), "[seed {seed}]");
-        let (r, f) = (resumed.counters, full.counters);
-        assert_eq!(r.skip_records, f.skip_records, "[seed {seed}]");
-        assert_eq!(r.skip_suppressions, f.skip_suppressions, "[seed {seed}]");
-        assert_eq!(r.slots, f.slots, "[seed {seed}]");
-        assert!(r.plan.attempts <= f.plan.attempts, "[seed {seed}]");
-        resumes += r.walk_resumes;
+        // Against the same scheduler judging every entry every round:
+        // each round's started/preempted/skip lists, each `why` and the
+        // skip counters must not be able to tell the difference.
+        let woke = run_contended(seed, 160, Some(DebugRoundHook::WakeAll));
+        assert_eq!(keyed.opt_stream, woke.opt_stream, "[seed {seed}]");
+        assert_eq!(keyed.observed, woke.observed, "[seed {seed}]");
+        let (k, w) = (keyed.counters, woke.counters);
+        assert_eq!(k.skip_records, w.skip_records, "[seed {seed}]");
+        assert_eq!(k.skip_suppressions, w.skip_suppressions, "[seed {seed}]");
+        assert_eq!(k.slots, w.slots, "[seed {seed}]");
+        assert!(k.plan.attempts <= w.plan.attempts, "[seed {seed}]");
+        slept += w.walk_examined - k.walk_examined;
     }
     assert!(
-        resumes > 200,
-        "the script family must exercise resumption ({resumes} resumed rounds)"
+        slept > 2_000,
+        "the script family must exercise sleeping ({slept} entries slept)"
     );
 }
 
 #[test]
-fn red_flip_unchecked_time_permitted_entries_diverge_in_the_trace() {
-    // A resumed round can never change a decision — nothing the skipped
-    // entries could start on has moved — so what the recheck of the
-    // time-permitted entries protects is the trace and the ledger. Drop
-    // it, and a script whose estimates straddle the shadow must record a
-    // different round-by-round skip history than the full walk does.
-    let diverged = (1..=24).any(|seed| {
-        let faulty = run_contended(seed, 160, Some(DebugRoundHook::SkipPermittedRecheck));
-        let full = run_contended(seed, 160, Some(DebugRoundHook::NoResume));
-        assert_eq!(faulty.opt_stream, full.opt_stream, "[seed {seed}]");
-        faulty.trace != full.trace
-    });
-    assert!(
-        diverged,
-        "skipping the time-permitted recheck must flip the trace comparison red"
-    );
+fn red_flip_an_input_that_wakes_nobody_diverges_from_reference() {
+    // Each key's fault keeps entries asleep through the move that should
+    // wake them: a quota release, a reservation that lets the gate floor
+    // through, released capacity. Some entry then misses the start the
+    // reference makes.
+    for hook in [
+        DebugRoundHook::ReleaseWakesNobody,
+        DebugRoundHook::LoosenedGateWakesNobody,
+        DebugRoundHook::CapacityWakesNobody,
+    ] {
+        let diverged = (1..=24).any(|seed| {
+            let faulty = run_contended(seed, 160, Some(hook));
+            faulty.opt_stream != faulty.ref_stream
+        });
+        assert!(diverged, "{hook:?} must flip the comparison red");
+    }
 }
 
 /// One gang of `workers` x 8 GPUs (a whole node each on the 8 x 8 test
@@ -825,7 +891,7 @@ fn reclaim_view_equals_a_rebuild_after_every_step() {
 /// A queue the walk cannot move: seven of eight nodes held until t=3600,
 /// a whole-cluster gang blocked at the head, and behind it one entry the
 /// head's reservation lets through on time (it still does not fit) and
-/// one it denies. Returns the scheduler after the round that proves it.
+/// one it denies. Returns the scheduler after the round that judges them.
 fn blocked_queue(cfg: SchedulerConfig) -> (Scheduler, Cluster) {
     let mut sched = Scheduler::new(SchedulerConfig {
         quota: QuotaMode::Disabled,
@@ -850,11 +916,11 @@ fn blocked_queue(cfg: SchedulerConfig) -> (Scheduler, Cluster) {
     (sched, cluster)
 }
 
-/// Whether the next round (at `now`) resumes.
-fn resumes(sched: &mut Scheduler, cluster: &mut Cluster, now: f64) -> bool {
-    let before = sched.work_counters().walk_resumes;
+/// How many entries the next round (at `now`) judges.
+fn examined(sched: &mut Scheduler, cluster: &mut Cluster, now: f64) -> u64 {
+    let before = sched.work_counters().walk_examined;
     sched.schedule(now, cluster);
-    sched.work_counters().walk_resumes > before
+    sched.work_counters().walk_examined - before
 }
 
 fn fifo_easy() -> SchedulerConfig {
@@ -866,80 +932,82 @@ fn fifo_easy() -> SchedulerConfig {
 }
 
 #[test]
-fn a_tail_append_resumes_and_the_clock_alone_can_refuse() {
+fn a_settled_queue_sleeps_and_the_clock_alone_can_wake_it() {
     let (mut sched, mut cluster) = blocked_queue(fifo_easy());
-    // Nothing moved at all; then only the tail grew.
-    assert!(resumes(&mut sched, &mut cluster, 5.0));
+    // Nothing moved: the head sleeps and still reserves, job 3 is still
+    // let through, job 4 still denied.
+    assert_eq!(examined(&mut sched, &mut cluster, 5.0), 0);
+    // An arrival is judged, alone.
     sched.submit(gang(5, 1, QosClass::Guaranteed, 2, 6.0));
-    assert!(resumes(&mut sched, &mut cluster, 6.0));
-    let c = sched.work_counters();
-    assert_eq!((c.walk_resumes, c.walk_resumed_entries), (2, 3 + 3));
-    // Job 3 (est 100) was let through on time; at t=3501 it would end
-    // past the shadow at 3600, so its verdict flips and the proof is void.
-    assert!(!resumes(&mut sched, &mut cluster, 3_501.0));
-    // The full walk that round made proved the queue afresh.
-    assert!(resumes(&mut sched, &mut cluster, 3_502.0));
+    assert_eq!(examined(&mut sched, &mut cluster, 6.0), 1);
+    // Job 3 (est 100) would now end past the shadow at 3600: the gate
+    // denies it, and the round that judges it traces the change.
+    assert_eq!(examined(&mut sched, &mut cluster, 3_501.0), 1);
+    let round = sched.decision_trace().recent(1)[0];
+    assert!(
+        matches!(
+            round.skips[..],
+            [tacc_sched::JobSkip { job, reason: tacc_sched::SkipReason::BackfillBlocked { .. } }]
+                if job == JobId::from_value(3)
+        ),
+        "{:?}",
+        round.skips
+    );
+    assert_eq!(examined(&mut sched, &mut cluster, 3_502.0), 0);
 }
 
 #[test]
-fn every_invalidation_forces_a_full_walk() {
-    // A re-queued job keeps its original submission time: mid-queue.
+fn what_moves_wakes_what_waits_on_it_and_nothing_else() {
+    // Leaving or entering the queue moves other entries, not their
+    // verdicts: a cancel and a mid-queue insert wake nobody else.
     let (mut sched, mut cluster) = blocked_queue(fifo_easy());
-    sched.submit(gang(9, 1, QosClass::Guaranteed, 2, 0.5));
-    assert!(!resumes(&mut sched, &mut cluster, 5.0), "mid-queue insert");
+    assert!(sched.cancel(JobId::from_value(3)));
+    assert_eq!(examined(&mut sched, &mut cluster, 5.0), 0, "cancel");
+    sched.submit(gang(9, 1, QosClass::Guaranteed, 2, 1.5));
+    assert_eq!(examined(&mut sched, &mut cluster, 6.0), 1, "insert");
 
-    // An SJF arrival shorter than the queue goes to the front.
-    let (mut sched, mut cluster) = blocked_queue(SchedulerConfig {
-        policy: PolicyKind::Sjf,
-        ..fifo_easy()
-    });
-    assert!(resumes(&mut sched, &mut cluster, 5.0), "SJF resumes at all");
-    sched.submit(TaskRequest {
-        est_secs: 10.0,
-        ..gang(9, 1, QosClass::Guaranteed, 2, 6.0)
-    });
-    assert!(!resumes(&mut sched, &mut cluster, 6.0), "SJF front insert");
-
-    let (mut sched, mut cluster) = blocked_queue(fifo_easy());
-    assert!(sched.cancel(JobId::from_value(4)));
-    assert!(!resumes(&mut sched, &mut cluster, 5.0), "cancel");
-
+    // A reservation window that pushes the head's shadow past job 4's
+    // end lets the gate floor through: job 4 alone wakes.
     let (mut sched, mut cluster) = blocked_queue(fifo_easy());
     sched.reserve_capacity(CapacityWindow {
         gpus: 8,
         from_secs: 100.0,
-        until_secs: 200.0,
+        until_secs: 10_000.0,
     });
-    assert!(!resumes(&mut sched, &mut cluster, 5.0), "reserve_capacity");
+    assert_eq!(examined(&mut sched, &mut cluster, 5.0), 1, "gate");
 
-    // A productive walk proves nothing: the round after it walks in full.
-    let (mut sched, mut cluster) = blocked_queue(fifo_easy());
-    sched.submit(TaskRequest {
-        per_worker: ResourceVec::gpus_only(1),
-        est_secs: 10.0,
-        ..gang(9, 1, QosClass::Guaranteed, 1, 6.0)
-    });
-    let before = sched.work_counters().walk_resumes;
-    assert_eq!(sched.schedule(6.0, &mut cluster).starts().count(), 1);
-    assert_eq!(sched.work_counters().walk_resumes, before + 1);
-    assert!(!resumes(&mut sched, &mut cluster, 6.0), "productive walk");
-    assert!(resumes(&mut sched, &mut cluster, 6.0), "and the one after");
-
-    // A finish moves the cluster version and the usage epoch.
-    let (mut sched, mut cluster) = blocked_queue(fifo_easy());
-    assert!(sched
-        .task_finished(JobId::from_value(1), &mut cluster)
-        .is_some());
-    assert!(!resumes(&mut sched, &mut cluster, 5.0), "finish");
-
-    // So does a drain, with no scheduler call at all.
+    // Capacity that comes back — a drain moves the version, as a finish
+    // would — wakes the two entries placed nowhere.
     let (mut sched, mut cluster) = blocked_queue(fifo_easy());
     cluster.drain(tacc_cluster::NodeId::from_index(7));
-    assert!(!resumes(&mut sched, &mut cluster, 5.0), "drain");
+    assert_eq!(examined(&mut sched, &mut cluster, 5.0), 2, "capacity");
+
+    // A quota release wakes the group's quota-denied entries, and only
+    // a release of that group does.
+    let mut sched = Scheduler::new(SchedulerConfig {
+        quota: QuotaMode::Static,
+        quotas: vec![8, 8, 8, 40],
+        ..fifo_easy()
+    });
+    let mut cluster = crate::cluster();
+    let one = |id, group, submit_secs| TaskRequest {
+        per_worker: ResourceVec::gpus_only(8),
+        ..gang(id, group, QosClass::Guaranteed, 1, submit_secs)
+    };
+    sched.submit(one(1, 0, 0.0));
+    sched.submit(one(2, 1, 1.0));
+    sched.submit(one(3, 0, 2.0));
+    assert_eq!(sched.schedule(3.0, &mut cluster).starts().count(), 2);
+    assert_eq!(examined(&mut sched, &mut cluster, 4.0), 0, "settled");
+    sched.task_finished(JobId::from_value(2), &mut cluster);
+    assert_eq!(examined(&mut sched, &mut cluster, 5.0), 0, "other group");
+    sched.task_finished(JobId::from_value(1), &mut cluster);
+    assert_eq!(examined(&mut sched, &mut cluster, 6.0), 1, "own group");
+    assert_eq!(sched.running_len(), 1, "job 3 started");
 }
 
 #[test]
-fn only_easy_backfill_under_a_static_order_ever_resumes() {
+fn only_easy_backfill_under_a_static_order_ever_sleeps() {
     for (policy, backfill) in [
         // Always sorts.
         (PolicyKind::MultiFactor, BackfillMode::Easy),
@@ -952,10 +1020,12 @@ fn only_easy_backfill_under_a_static_order_ever_resumes() {
             backfill,
             ..SchedulerConfig::default()
         });
+        let judged = if backfill == BackfillMode::None { 1 } else { 3 };
         for round in 0..4 {
-            assert!(
-                !resumes(&mut sched, &mut cluster, 5.0 + f64::from(round)),
-                "{policy:?}/{backfill:?} resumed"
+            assert_eq!(
+                examined(&mut sched, &mut cluster, 5.0 + f64::from(round)),
+                judged,
+                "{policy:?}/{backfill:?}"
             );
         }
     }

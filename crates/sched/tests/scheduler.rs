@@ -288,7 +288,7 @@ fn borrower_started_and_evicted_in_one_round_ends_it_queued_once() {
     assert_eq!(s.queued().copied().collect::<Vec<_>>(), [b]);
     assert_eq!(s.running_len(), 1);
     assert!(c.check_invariants());
-    // B's ledger entry says it started, so the next round traces it afresh.
+    // B is queued afresh, with no verdict, so the next round traces it.
     s.schedule(3.0, &mut c);
     let next = s.decision_trace().recent(1)[0];
     assert_eq!(next.queue_len, 1);
@@ -523,14 +523,8 @@ fn trace_records_quota_skip_reason() {
     s.submit(simple_request(2, 0, 8, 100.0, 1.0));
     s.schedule(0.0, &mut c);
     // Job 1 started; job 2 is quota-blocked and must say so.
-    assert!(s
-        .decision_trace()
-        .latest_skip(JobId::from_value(1))
-        .is_none());
-    let (at, reason) = s
-        .decision_trace()
-        .latest_skip(JobId::from_value(2))
-        .expect("job 2 skipped");
+    assert!(s.latest_skip(JobId::from_value(1)).is_none());
+    let (at, reason) = s.latest_skip(JobId::from_value(2)).expect("job 2 skipped");
     assert_eq!(at, 0.0);
     let text = reason.to_string();
     assert!(
@@ -552,7 +546,6 @@ fn trace_records_placement_and_head_of_line_skips() {
     s.submit(simple_request(3, 0, 1, 10.0, 2.0));
     s.schedule(5.0, &mut c);
     let (_, head) = s
-        .decision_trace()
         .latest_skip(JobId::from_value(2))
         .expect("head is capacity-blocked");
     assert!(
@@ -560,7 +553,6 @@ fn trace_records_placement_and_head_of_line_skips() {
         "unexpected: {head:?}"
     );
     let (_, tail) = s
-        .decision_trace()
         .latest_skip(JobId::from_value(3))
         .expect("tail stalls behind head");
     assert!(
@@ -624,7 +616,6 @@ fn trace_records_backfill_blocked() {
     s.submit(simple_request(3, 0, 4, 9999.0, 2.0)); // too long to backfill
     s.schedule(5.0, &mut c);
     let (_, reason) = s
-        .decision_trace()
         .latest_skip(JobId::from_value(3))
         .expect("long job refused backfill");
     assert!(
@@ -634,10 +625,38 @@ fn trace_records_backfill_blocked() {
     // Once the job starts, the skip entry clears.
     s.task_finished(JobId::from_value(1), &mut c);
     s.schedule(100.0, &mut c);
-    assert!(s
-        .decision_trace()
-        .latest_skip(JobId::from_value(2))
-        .is_none());
+    assert!(s.latest_skip(JobId::from_value(2)).is_none());
+}
+
+#[test]
+fn waiting_since_survives_the_queue_moving_up() {
+    // Z is over its group's quota for good. Y, ahead of it, starts; Z
+    // moves to the head of the queue with the same verdict, so `why` must
+    // still say it has waited since the round that first refused it.
+    let mut c = cluster(); // 32 GPUs
+    let mut s = sched(SchedulerConfig {
+        quota: QuotaMode::Static,
+        quotas: vec![4, 32],
+        group_count: 2,
+        ..SchedulerConfig::default()
+    });
+    s.submit(gang_request(1, 1, 4, 8, 100.0, 0.0)); // X fills the cluster
+    s.schedule(0.0, &mut c);
+    s.submit(simple_request(2, 1, 8, 100.0, 1.0)); // Y heads the queue
+    s.schedule(1.0, &mut c);
+    s.submit(simple_request(3, 0, 8, 100.0, 2.0)); // Z
+    s.schedule(2.0, &mut c);
+    let z = JobId::from_value(3);
+    assert_eq!(s.latest_skip(z).map(|(since, _)| since), Some(2.0));
+    s.task_finished(JobId::from_value(1), &mut c);
+    assert_eq!(s.schedule(100.0, &mut c).starts().count(), 1, "Y starts");
+    s.schedule(101.0, &mut c);
+    let (since, reason) = s.latest_skip(z).expect("Z still waits");
+    assert!(
+        matches!(reason, SkipReason::QuotaExhausted { .. }),
+        "{reason:?}"
+    );
+    assert_eq!(since, 2.0, "waiting since the first refusal");
 }
 
 #[test]
