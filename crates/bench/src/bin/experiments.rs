@@ -283,24 +283,19 @@ fn run_determinism(days: f64, opts: &Options) -> ExitCode {
     }
     // Offline-replay gate: timelines refolded from the exported transition
     // text must match the live fold byte-for-byte.
-    match &a.reconstructed_timelines {
-        Some(rebuilt) if rebuilt != &a.timelines => {
-            eprintln!(
-                "determinism: FAILED — timeline reconstruction from the transition log \
-                 diverges from the live fold ({} vs {} bytes)",
-                rebuilt.len(),
-                a.timelines.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        Some(_) => println!(
-            "determinism: timeline reconstruction OK — {} bytes refolded identically",
+    if a.reconstructed_timelines != a.timelines {
+        eprintln!(
+            "determinism: FAILED — timeline reconstruction from the transition log \
+             diverges from the live fold ({} vs {} bytes)",
+            a.reconstructed_timelines.len(),
             a.timelines.len()
-        ),
-        None => println!(
-            "determinism: timeline reconstruction skipped (bounded transition ring dropped records)"
-        ),
+        );
+        return ExitCode::FAILURE;
     }
+    println!(
+        "determinism: timeline reconstruction OK — {} bytes refolded identically",
+        a.timelines.len()
+    );
     if a == b {
         println!(
             "determinism: OK — {} event-stream + {} transition-log bytes identical",

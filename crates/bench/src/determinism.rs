@@ -2,9 +2,9 @@
 //! subsystem, exported as a byte-comparable stream.
 //!
 //! The simulator's contract is "same config + same trace ⇒ same bytes".
-//! CI enforces it by running [`campus_determinism_export`] twice (in
-//! separate processes) and `cmp`-ing the outputs; `experiments
-//! --determinism` does the same in-process, and feeds its second replay
+//! CI enforces it by running `experiments --determinism` twice (in
+//! separate processes) and `cmp`-ing the exports; each run also does
+//! the same in-process, and feeds its second replay
 //! the trace's command stream ([`Feed::Commands`]) so the comparison also
 //! holds "a trace is its command stream". The export is the full
 //! event-bus JSONL stream followed by one line with the report
@@ -34,10 +34,8 @@ pub struct DeterminismRun {
     /// the same transition stream.
     pub timelines: String,
     /// Timelines rebuilt *from the exported `transitions` text alone*
-    /// (parse → refold → re-render). Must equal `timelines` byte-for-byte;
-    /// `None` when the bounded transition ring dropped records, which
-    /// makes reconstruction impossible by construction.
-    pub reconstructed_timelines: Option<String>,
+    /// (parse → refold → re-render). Must equal `timelines` byte-for-byte.
+    pub reconstructed_timelines: String,
     /// Byte-stable ML Productivity Goodput JSON for the run (what CI
     /// archives as an artifact).
     pub goodput: String,
@@ -70,8 +68,8 @@ pub fn campus_determinism_run(days: f64, feed: Feed) -> DeterminismRun {
         c.node_mtbf_secs = Some(10.0 * 86_400.0);
         c.storage = Some(StorageConfig::default());
         // Keep the whole event history: a bounded ring would still be
-        // deterministic, but a complete stream localizes divergences.
-        // The transition log shares this capacity.
+        // deterministic, but a complete stream localizes divergences,
+        // and the transition log is read off it.
         c.event_buffer_capacity = 1 << 22;
     });
     let mut platform = Platform::new(config);
@@ -90,6 +88,11 @@ pub fn campus_determinism_run(days: f64, feed: Feed) -> DeterminismRun {
             platform.report()
         }
     };
+    let dropped = platform.events().dropped();
+    assert!(
+        dropped == 0,
+        "the canonical run's bus dropped {dropped} records"
+    );
     let mut events = platform.events().to_jsonl();
     events.push_str(&refusals);
     events.push_str(&report_fingerprint(&report).to_string());
@@ -98,13 +101,9 @@ pub fn campus_determinism_run(days: f64, feed: Feed) -> DeterminismRun {
     let timelines = platform.timelines_jsonl();
     // Replay check input: refold the span book from the exported text,
     // exactly as an offline consumer would.
-    let reconstructed_timelines = if platform.transitions_dropped() == 0 {
-        let book = SpanBook::from_transitions_jsonl(&transitions, platform.span_book().config())
-            .expect("the engine only exports well-formed legal transitions");
-        Some(book.to_jsonl(platform.span_horizon()))
-    } else {
-        None
-    };
+    let book = SpanBook::from_transitions_jsonl(&transitions, platform.span_book().config())
+        .expect("the engine only exports well-formed legal transitions");
+    let reconstructed_timelines = book.to_jsonl(platform.span_horizon());
     DeterminismRun {
         events,
         transitions,
@@ -112,12 +111,6 @@ pub fn campus_determinism_run(days: f64, feed: Feed) -> DeterminismRun {
         reconstructed_timelines,
         goodput: report.goodput_decomposition.to_json().to_string(),
     }
-}
-
-/// The event-stream half of [`campus_determinism_run`] (kept as the
-/// stable surface the in-process reproducibility test pins).
-pub fn campus_determinism_export(days: f64) -> String {
-    campus_determinism_run(days, Feed::Trace).events
 }
 
 fn summary_json(s: &Summary) -> Json {
@@ -218,13 +211,10 @@ mod tests {
             .transitions
             .lines()
             .all(|l| l.starts_with("{\"at_secs\":") && l.ends_with('}')));
-        // Nothing dropped at this scale, so the timelines refolded from
-        // the exported transition text are byte-identical to the live ones.
+        // The timelines refolded from the exported transition text are
+        // byte-identical to the live ones.
         assert!(!a.timelines.is_empty());
-        assert_eq!(
-            a.reconstructed_timelines.as_deref(),
-            Some(a.timelines.as_str())
-        );
+        assert_eq!(a.reconstructed_timelines, a.timelines);
         // The goodput artifact is the byte-stable decomposition JSON.
         assert!(a.goodput.starts_with("{\"horizon_secs\":"), "{}", a.goodput);
         // The fingerprint line carries the decomposition's top factors.

@@ -27,7 +27,6 @@ pub(crate) struct CoreMetrics {
     pub(crate) fragmentation: Gauge,
     pub(crate) alloc_failures: Counter,
     pub(crate) dropped_events: Counter,
-    pub(crate) dropped_transitions: Counter,
     pub(crate) goodput_ratio: Gauge,
     pub(crate) goodput_availability: Gauge,
     pub(crate) goodput_efficiency: Gauge,
@@ -52,7 +51,6 @@ impl CoreMetrics {
             // Observability-layer series: names are declared next to the
             // obs code that owns their semantics (and linted there).
             dropped_events: registry.counter(tacc_obs::DROPPED_EVENTS_METRIC, &[]),
-            dropped_transitions: registry.counter(tacc_obs::DROPPED_TRANSITIONS_METRIC, &[]),
             goodput_ratio: registry.gauge(tacc_obs::GOODPUT_RATIO_METRIC, &[]),
             goodput_availability: registry.gauge(tacc_obs::GOODPUT_AVAILABILITY_METRIC, &[]),
             goodput_efficiency: registry.gauge(tacc_obs::GOODPUT_EFFICIENCY_METRIC, &[]),
@@ -91,22 +89,18 @@ impl Platform {
     }
 
     /// Releases metrics/active-run state for a job leaving execution.
-    /// Returns the run record. The run token is *not* invalidated here —
-    /// that happens at the lifecycle transition site when the
-    /// leaving-`Running` event is applied.
-    pub(crate) fn release_run(&mut self, id: tacc_workload::JobId, now: f64) -> ActiveRun {
-        let run = self
-            .jobs
-            .get_mut(id)
-            .and_then(|slot| slot.active.take())
-            .expect("job was running");
-        let Some(group) = self.job_ref(id).map(|job| job.schema().group.index()) else {
-            return run;
-        };
+    /// Returns the run record, or `None` if the job was not running. The
+    /// run token is *not* invalidated here — that happens at the
+    /// lifecycle transition site when the leaving-`Running` event is
+    /// applied.
+    pub(crate) fn release_run(&mut self, id: tacc_workload::JobId, now: f64) -> Option<ActiveRun> {
+        let slot = self.jobs.get_mut(id)?;
+        let run = slot.active.take()?;
+        let group = slot.job.schema().group.index();
         self.accrue_group_time(now);
         self.util.release(now, run.gpus);
         self.group_busy[group] -= run.gpus;
-        run
+        Some(run)
     }
 
     pub(crate) fn accrue_group_time(&mut self, now: f64) {
@@ -119,9 +113,25 @@ impl Platform {
         self.group_last_update = now;
     }
 
-    /// Records `event` on the bus — the one store of a job's history,
-    /// which `tcloud logs` and `tcloud events` both read.
+    /// Records `event` on the bus — the one store of a job's history, which
+    /// `tcloud logs`, `events` and the transition log read. Debug builds
+    /// check that `event` stands for exactly the transitions applied to its
+    /// job since its previous emit, so the table and the call sites agree.
     pub(crate) fn emit(&mut self, at: f64, event: PlatformEvent) {
+        #[cfg(debug_assertions)]
+        {
+            let job = event.job();
+            let (applied, rest): (Vec<_>, _) = self.applied.drain(..).partition(|t| t.job == job);
+            self.applied = rest;
+            // With nothing applied, the job is still where it was.
+            let state = self.job_ref(job).map(|j| j.state());
+            let prior = applied.first().map(|t| t.from).or(state);
+            let implied: Vec<_> = event.transitions(at, || prior).collect();
+            assert_eq!(
+                implied, applied,
+                "`{event:?}` does not stand for what was applied"
+            );
+        }
         self.bus.record(at, event);
     }
 

@@ -159,8 +159,8 @@ impl Platform {
             None
         };
         if let Some(reason) = verdict {
-            self.emit(now, PlatformEvent::Rejected { job: id, reason });
             let _ = self.apply_lifecycle_event(id, JobEvent::Reject { at_secs: now });
+            self.emit(now, PlatformEvent::Rejected { job: id, reason });
             return;
         }
         let _ = self.apply_lifecycle_event(id, JobEvent::Enqueue);

@@ -42,8 +42,9 @@ pub struct PlatformConfig {
     /// Safety valve: abort a run after this many processed events.
     pub max_events: u64,
     /// Capacity of the platform event bus ring — the one store of every
-    /// job's history, `tcloud logs` included. Oldest events are dropped
-    /// past this bound; lifetime per-kind counts stay exact.
+    /// job's history, `tcloud logs` and the transition log included.
+    /// Oldest events are dropped past this bound (the transition log then
+    /// covers the ring's window); lifetime per-kind counts stay exact.
     pub event_buffer_capacity: usize,
 }
 

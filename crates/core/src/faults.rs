@@ -37,8 +37,10 @@ impl Platform {
             return; // the run this fault targeted is already over
         }
         let now = self.clock.now().as_secs();
+        let Some(run) = self.release_run(id, now) else {
+            return;
+        };
         self.exec_telemetry.note_fault();
-        let run = self.release_run(id, now);
         self.scheduler.task_finished(id, &mut self.cluster);
         let (progress, lost) = self.interruption_amounts(&run, now);
         match self.failover.fallback_for(run.runtime) {

@@ -3,9 +3,10 @@
 //! Every state change in the platform flows through
 //! `Platform::apply_lifecycle_event` (crate-internal), which routes the typed
 //! [`JobEvent`] through `JobState::transition` (the checked transition
-//! matrix in `tacc-workload`), records the applied transition in the
-//! [`TransitionLog`], and bumps the run token at the transition site
-//! (entering or leaving `Running`). Illegal transitions — e.g. a
+//! matrix in `tacc-workload`), bumps the run token at the transition site
+//! (entering or leaving `Running`), and folds it into the live span book;
+//! the bus event its call site emits next stands for it, and the
+//! transition log is read off the bus. Illegal transitions — e.g. a
 //! stale-token fault delivered after completion — are rejected without
 //! touching state and surfaced on the event bus as
 //! `PlatformEvent::IllegalTransition`, plus the
@@ -19,7 +20,6 @@
 //! `apply_decisions`) and the start/preempt/finish/cancel handlers,
 //! since those are exactly the places transitions happen.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use tacc_cluster::{GpuModel, NodeId};
@@ -31,45 +31,6 @@ use tacc_workload::{
 
 use crate::platform::{ActiveRun, Event, Platform};
 use crate::report::CompletedJob;
-
-/// Bounded ring of applied transitions plus lifetime counters. Mirrors
-/// the event bus's eviction discipline: recording never fails, the
-/// oldest record is dropped once the ring fills, and counters survive
-/// eviction.
-#[derive(Debug)]
-pub(crate) struct TransitionLog {
-    capacity: usize,
-    buf: VecDeque<TransitionEvent>,
-    dropped: u64,
-    illegal: u64,
-}
-
-impl TransitionLog {
-    pub(crate) fn new(capacity: usize) -> Self {
-        TransitionLog {
-            capacity: capacity.max(1),
-            buf: VecDeque::new(),
-            dropped: 0,
-            illegal: 0,
-        }
-    }
-
-    fn record(&mut self, rec: TransitionEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(rec);
-    }
-
-    fn note_illegal(&mut self) {
-        self.illegal += 1;
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &TransitionEvent> {
-        self.buf.iter()
-    }
-}
 
 /// Why a lifecycle event was not applied.
 ///
@@ -125,13 +86,14 @@ impl Platform {
     /// Applies one lifecycle event to a job — the platform's single
     /// state-write site.
     ///
-    /// On success the transition is appended to the transition log and
-    /// the run token is bumped if the job entered or left `Running`
-    /// (invalidating any in-flight `Finish`/`Fault` events aimed at the
-    /// previous run). On an illegal transition the job is untouched; the
-    /// rejection is surfaced as a `PlatformEvent::IllegalTransition` on
-    /// the bus and counted in `tacc_core_illegal_transitions_total`, so
-    /// callers may safely discard the returned error.
+    /// On success the run token is bumped if the job entered or left
+    /// `Running` (invalidating any in-flight `Finish`/`Fault` events aimed
+    /// at the previous run), and the caller emits the bus event that
+    /// stands for the transition. On an illegal transition the job is
+    /// untouched; the rejection is surfaced as a
+    /// `PlatformEvent::IllegalTransition` on the bus and counted in
+    /// `tacc_core_illegal_transitions_total`, so callers may safely
+    /// discard the returned error.
     pub(crate) fn apply_lifecycle_event(
         &mut self,
         id: JobId,
@@ -154,16 +116,16 @@ impl Platform {
                     to,
                     event: event.kind(),
                 };
-                self.transitions.record(record);
-                // The span book folds the same stream the log records, so
+                // The span book folds the same stream the bus exports, so
                 // live timelines and timelines replayed from the exported
                 // JSONL are the same pure function of the same input.
                 self.spans.observe(record);
                 self.metrics.tally(record.event);
+                #[cfg(debug_assertions)]
+                self.applied.push(record);
                 Ok(to)
             }
             Err(err) => {
-                self.transitions.note_illegal();
                 self.metrics.illegal_transitions.inc();
                 self.emit(
                     now,
@@ -192,37 +154,27 @@ impl Platform {
         self.apply_lifecycle_event(id, event)
     }
 
-    /// Applied transitions concerning `job`, oldest first (bounded by
-    /// the transition-log ring).
+    /// Applied transitions concerning `job`, oldest first, as the bus's
+    /// retained records stand for them.
     pub fn transitions(&self, job: JobId) -> Vec<TransitionEvent> {
-        self.transitions
-            .iter()
-            .filter(|r| r.job == job)
-            .copied()
-            .collect()
-    }
-
-    /// Transition records evicted from the bounded ring.
-    pub fn transitions_dropped(&self) -> u64 {
-        self.transitions.dropped
+        self.bus.transitions().filter(|t| t.job == job).collect()
     }
 
     /// Lifecycle events rejected by the transition matrix so far.
     pub fn illegal_transitions(&self) -> u64 {
-        self.transitions.illegal
+        self.metrics.illegal_transitions.get()
     }
 
-    /// The retained transition log as JSON Lines, oldest first — the
-    /// byte-reproduction target for journal replay (see DESIGN.md,
-    /// "Service mode & write-ahead journal").
-    ///
-    /// Reserved once, at [`TransitionEvent::LINE_BOUND`] per record: the
-    /// export is one allocation however long the log.
+    /// The transition log as JSON Lines, oldest first: what the bus's
+    /// retained records stand for ([`tacc_obs::EventBus::transitions`]),
+    /// so once the bus has dropped records, the log of its window — the
+    /// byte-reproduction target for journal replay. Counted, then
+    /// reserved once at [`TransitionEvent::LINE_BOUND`] per line.
     pub fn transition_log_jsonl(&self) -> String {
-        let mut out =
-            String::with_capacity(self.transitions.buf.len() * TransitionEvent::LINE_BOUND);
-        for r in self.transitions.iter() {
-            r.write_json(&mut out);
+        let lines = self.bus.transitions().count();
+        let mut out = String::with_capacity(lines * TransitionEvent::LINE_BOUND);
+        for t in self.bus.transitions() {
+            t.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -239,8 +191,7 @@ impl Platform {
         if slot.job.state().is_terminal() {
             return false;
         }
-        if slot.active.is_some() {
-            self.release_run(id, now);
+        if self.release_run(id, now).is_some() {
             self.scheduler.task_finished(id, &mut self.cluster);
         } else {
             self.scheduler.cancel(id);
@@ -441,7 +392,9 @@ impl Platform {
     }
 
     pub(crate) fn on_preempted(&mut self, id: JobId, now: f64) {
-        let run = self.release_run(id, now);
+        let Some(run) = self.release_run(id, now) else {
+            return;
+        };
         let (progress, lost) = self.interruption_amounts(&run, now);
         let _ = self.apply_lifecycle_event(
             id,
@@ -460,7 +413,9 @@ impl Platform {
             return; // stale completion from a run that was interrupted
         }
         let now = self.clock.now().as_secs();
-        let _run = self.release_run(id, now);
+        if self.release_run(id, now).is_none() {
+            return;
+        }
         self.scheduler.task_finished(id, &mut self.cluster);
         let _ = self.apply_lifecycle_event(id, JobEvent::Complete { at_secs: now });
         let (record, jct_secs, queue_delay_secs) = {

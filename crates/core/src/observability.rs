@@ -5,10 +5,11 @@
 //! Everything here is a read model over sim-time data the engine
 //! already recorded, so timelines and goodput reports are deterministic
 //! and replayable: reconstructing the span book from an exported
-//! transition JSONL (`Platform::transition_log_jsonl`) yields byte-for-byte
-//! the same [`Platform::timelines_jsonl`] output — provided the bounded
-//! transition ring never dropped a record
-//! (`Platform::transitions_dropped`).
+//! transition JSONL (`Platform::transition_log_jsonl`, read off the event
+//! bus) yields byte-for-byte the same [`Platform::timelines_jsonl`]
+//! output — provided the bounded bus never dropped a record
+//! (`events().dropped()`); once it has, the export holds the transitions
+//! of the bus's window only.
 
 use tacc_obs::{GoodputReport, JobGoodputInput, Span, SpanBook};
 use tacc_workload::JobId;
@@ -75,19 +76,11 @@ impl Platform {
         report
     }
 
-    /// Watermark-syncs the `tacc_obs_dropped_*` counters from the
-    /// bounded rings' lifetime drop counts (monotone, so the difference
-    /// since the last sync is added). Called before every metrics
-    /// scrape.
+    /// Watermark-syncs `tacc_obs_dropped_events_total` from the bus's
+    /// lifetime drop count (monotone, so the difference since the last
+    /// sync is added). Called before every metrics scrape.
     pub(crate) fn sync_obs_drop_counters(&self) {
-        let events = self
-            .bus
-            .dropped()
-            .saturating_sub(self.metrics.dropped_events.get());
-        self.metrics.dropped_events.inc_by(events);
-        let transitions = self
-            .transitions_dropped()
-            .saturating_sub(self.metrics.dropped_transitions.get());
-        self.metrics.dropped_transitions.inc_by(transitions);
+        let synced = &self.metrics.dropped_events;
+        synced.inc_by(self.bus.dropped().saturating_sub(synced.get()));
     }
 }

@@ -8,7 +8,7 @@
 //!   quota/gang-feasibility rejection;
 //! * [`crate::lifecycle`] — the job lifecycle engine: the **only** code
 //!   that mutates [`Job`] state (via `JobState::transition`), plus the
-//!   scheduling-round glue and the transition log;
+//!   scheduling-round glue and the transition log's read of the bus;
 //! * [`crate::accounting`] — group GPU-time accrual, interruption
 //!   amounts, metrics handles, event emission, and cluster gauges;
 //! * [`crate::faults`] — fault delivery, failover, checkpoint-restart;
@@ -31,7 +31,6 @@ use crate::accounting::CoreMetrics;
 use crate::admission::due_secs;
 use crate::arena::JobArena;
 use crate::config::PlatformConfig;
-use crate::lifecycle::TransitionLog;
 use crate::report::{CompletedJob, ReportInputs, SimulationReport};
 
 /// Events the platform schedules for itself. A submission is not one of
@@ -108,7 +107,9 @@ pub struct Platform {
     pub(crate) next_job: u64,
 
     pub(crate) bus: EventBus,
-    pub(crate) transitions: TransitionLog,
+    /// Transitions applied since their job's last emit (debug check).
+    #[cfg(debug_assertions)]
+    pub(crate) applied: Vec<tacc_obs::TransitionEvent>,
     pub(crate) spans: SpanBook,
     pub(crate) registry: MetricsRegistry,
     pub(crate) exec_telemetry: ExecTelemetry,
@@ -140,7 +141,6 @@ impl Platform {
         let exec_telemetry = ExecTelemetry::new(&registry);
         let metrics = CoreMetrics::new(&registry);
         let bus = EventBus::new(config.event_buffer_capacity);
-        let transitions = TransitionLog::new(config.event_buffer_capacity);
         let spans = SpanBook::new(SpanConfig {
             restore_secs: config.checkpoint.restore_cost_secs(),
             checkpoint_overhead_fraction: config.checkpoint.overhead_fraction(),
@@ -167,7 +167,8 @@ impl Platform {
             jobs: JobArena::new(),
             next_job: 0,
             bus,
-            transitions,
+            #[cfg(debug_assertions)]
+            applied: Vec::new(),
             spans,
             registry,
             exec_telemetry,

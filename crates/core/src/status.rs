@@ -76,7 +76,8 @@ tacc_json::record! {
         Info = "info",
         /// Prometheus text exposition.
         Metrics = "metrics",
-        /// The full transition log as JSONL (the replay-equivalence probe).
+        /// The transition log as JSONL, read off the event bus (the
+        /// replay-equivalence probe).
         Transitions = "transitions",
         /// Journal counters. Answered by what holds a journal — the `taccd`
         /// engine; a bare platform has none.
@@ -288,8 +289,8 @@ impl Platform {
     /// prints. For a waiting job this is the scheduler's most recent skip
     /// reason (quota exhausted, no feasible placement, blocked backfill
     /// window, head-of-line blocking); otherwise the job's most recent
-    /// lifecycle transition from the transition log (falling back to the
-    /// event bus if the ring already evicted it).
+    /// lifecycle transition its retained bus records stand for (falling
+    /// back to its last record when none does).
     pub fn why(&self, id: JobId) -> Option<String> {
         let job = &self.jobs.get(id)?.job;
         match job.state() {

@@ -1,12 +1,13 @@
 //! Typed platform events: the single source of truth for job lifecycle
-//! telemetry. Human-readable job logs are *rendered* from these events
-//! (via `Display`), so the log strings and the structured record can
-//! never drift apart.
+//! telemetry. Job logs are *rendered* from these events (via `Display`)
+//! and the transition log is *read* off them ([`EventBus::transitions`]),
+//! so neither can drift from the structured record.
 
-use std::collections::VecDeque;
 use std::fmt;
 use tacc_json::Named;
 use tacc_workload::{GroupId, JobEventKind, JobId, JobState, RuntimePreference};
+
+use crate::{Ring, TransitionEvent};
 
 tacc_json::record! {
     /// Why the platform refused a job at admission time.
@@ -192,6 +193,43 @@ impl PlatformEvent {
         }
     }
 
+    /// The lifecycle transitions this event, recorded at `at_secs`, stands
+    /// for, in the order the engine applies them: at most two. Every kind
+    /// fixes its from-state but `cancelled`, which asks `prior` for the
+    /// state the job's previous record left it in and, given none, is
+    /// left out rather than guessed.
+    pub fn transitions(
+        &self,
+        at_secs: f64,
+        prior: impl FnOnce() -> Option<JobState>,
+    ) -> impl Iterator<Item = TransitionEvent> {
+        use JobEventKind as K;
+        use JobState as S;
+        use PlatformEvent as E;
+        let one = |edge| [Some(edge), None];
+        let requeue = Some((S::Preempted, K::Enqueue, S::Queued));
+        let edges = match self {
+            E::Submitted { .. } => one((S::Submitted, K::Submit, S::Submitted)),
+            E::Queued { .. } => one((S::Submitted, K::Enqueue, S::Queued)),
+            E::Rejected { .. } => one((S::Submitted, K::Reject, S::Failed)),
+            E::Placed { .. } => one((S::Queued, K::Start, S::Running)),
+            E::Completed { .. } => one((S::Running, K::Complete, S::Completed)),
+            E::Failed { .. } => one((S::Running, K::Fail, S::Failed)),
+            E::Cancelled { .. } => [prior().map(|s| (s, K::Cancel, S::Cancelled)), None],
+            E::Preempted { .. } => [Some((S::Running, K::Preempt, S::Preempted)), requeue],
+            E::FailedOver { .. } => [Some((S::Running, K::Interrupt, S::Preempted)), requeue],
+            E::Compiled { .. } | E::IllegalTransition { .. } => [None, None],
+        };
+        let (job, edges) = (self.job(), edges.into_iter().flatten());
+        edges.map(move |(from, event, to)| TransitionEvent {
+            at_secs,
+            job,
+            from,
+            to,
+            event,
+        })
+    }
+
     /// Bytes of free text the event carries (`name`, `node`); zero for
     /// every other variant, whose JSON line has a fixed upper bound.
     fn text_len(&self) -> usize {
@@ -293,7 +331,8 @@ const EVENT_LINE_BOUND: usize = 352;
 /// `\u00XX`.
 const ESCAPED_BYTE_BOUND: usize = 6;
 
-/// Bounded ring of [`EventRecord`]s with JSONL export.
+/// A [`Ring`] of [`EventRecord`]s with JSONL exports: the platform's one
+/// store of job history.
 ///
 /// When the ring is full the *oldest* record is dropped and a drop
 /// counter is bumped; recording never fails and never reorders.
@@ -301,11 +340,9 @@ const ESCAPED_BYTE_BOUND: usize = 6;
 /// time, matching the discrete-event loop's processing order.
 #[derive(Debug)]
 pub struct EventBus {
-    capacity: usize,
-    buf: VecDeque<EventRecord>,
+    ring: Ring<EventRecord>,
     next_seq: u64,
     last_at: f64,
-    dropped: u64,
     /// Lifetime tally per variant, indexed by `PlatformEvent::ordinal`.
     kind_counts: [u64; PlatformEvent::KINDS.len()],
 }
@@ -314,11 +351,9 @@ impl EventBus {
     /// New bus retaining at most `capacity` records (minimum 1).
     pub fn new(capacity: usize) -> Self {
         EventBus {
-            capacity: capacity.max(1),
-            buf: VecDeque::new(),
+            ring: Ring::new(capacity),
             next_seq: 0,
             last_at: 0.0,
-            dropped: 0,
             kind_counts: [0; PlatformEvent::KINDS.len()],
         }
     }
@@ -332,11 +367,7 @@ impl EventBus {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.kind_counts[event.ordinal()] += 1;
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(EventRecord {
+        self.ring.push(EventRecord {
             seq,
             at_secs: at,
             event,
@@ -346,12 +377,12 @@ impl EventBus {
 
     /// Number of records currently retained.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.ring.len()
     }
 
     /// True when nothing has been retained.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.ring.is_empty()
     }
 
     /// Total records ever recorded (retained + dropped).
@@ -361,21 +392,36 @@ impl EventBus {
 
     /// Records evicted from the ring to make room.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 
     /// Retained records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &EventRecord> {
-        self.buf.iter()
+        self.ring.iter()
     }
 
     /// Retained records concerning `job`, oldest first.
     pub fn for_job(&self, job: JobId) -> Vec<EventRecord> {
-        self.buf
-            .iter()
+        self.records()
             .filter(|r| r.event.job() == job)
             .cloned()
             .collect()
+    }
+
+    /// The applied lifecycle transitions the retained records stand for
+    /// ([`PlatformEvent::transitions`]), oldest first: once the ring has
+    /// dropped records, those of its window. A `cancelled` scans back for
+    /// the state its job's nearest earlier record left it in.
+    pub fn transitions(&self) -> impl Iterator<Item = TransitionEvent> + '_ {
+        let records = self.ring.iter();
+        records.clone().enumerate().flat_map(move |(i, r)| {
+            let (job, earlier) = (r.event.job(), records.clone().take(i));
+            r.event.transitions(r.at_secs, move || {
+                let mut mine = earlier.rev().filter(|p| p.event.job() == job);
+                mine.find_map(|p| p.event.transitions(p.at_secs, || None).last())
+                    .map(|t| t.to)
+            })
+        })
     }
 
     /// Lifetime count of events of `kind` (survives ring eviction).
@@ -396,10 +442,10 @@ impl EventBus {
     /// (capacity the lines do not reach is never touched, hence never
     /// resident).
     pub fn to_jsonl(&self) -> String {
-        let text: usize = self.buf.iter().map(|r| r.event.text_len()).sum();
+        let text: usize = self.records().map(|r| r.event.text_len()).sum();
         let mut out =
-            String::with_capacity(self.buf.len() * EVENT_LINE_BOUND + text * ESCAPED_BYTE_BOUND);
-        for r in &self.buf {
+            String::with_capacity(self.len() * EVENT_LINE_BOUND + text * ESCAPED_BYTE_BOUND);
+        for r in self.records() {
             r.write_json(&mut out);
             out.push('\n');
         }
@@ -488,6 +534,51 @@ mod tests {
         // Oldest retained record is seq 2; seq numbers never reused.
         assert_eq!(bus.records().next().map(|r| r.seq), Some(2));
         assert_eq!(bus.kind_count("queued"), 5);
+    }
+
+    #[test]
+    fn records_stand_for_their_transitions() {
+        use JobEventKind as K;
+        use JobState as S;
+        let mut bus = EventBus::new(8);
+        let submitted = |n| PlatformEvent::Submitted {
+            job: job(n),
+            group: GroupId::from_index(0),
+            name: String::new(),
+        };
+        bus.record(0.0, submitted(1));
+        bus.record(1.0, submitted(2));
+        bus.record(2.0, PlatformEvent::Queued { job: job(1) });
+        bus.record(
+            3.0,
+            PlatformEvent::Preempted {
+                job: job(1),
+                reclaimed_for: GroupId::from_index(1),
+            },
+        );
+        bus.record(4.0, PlatformEvent::Cancelled { job: job(2) });
+        bus.record(5.0, PlatformEvent::Cancelled { job: job(1) });
+        let edges: Vec<_> = bus
+            .transitions()
+            .map(|t| (t.at_secs, t.job.value(), t.from, t.event, t.to))
+            .collect();
+        assert_eq!(
+            edges,
+            [
+                (0.0, 1, S::Submitted, K::Submit, S::Submitted),
+                (1.0, 2, S::Submitted, K::Submit, S::Submitted),
+                (2.0, 1, S::Submitted, K::Enqueue, S::Queued),
+                (3.0, 1, S::Running, K::Preempt, S::Preempted),
+                (3.0, 1, S::Preempted, K::Enqueue, S::Queued),
+                (4.0, 2, S::Submitted, K::Cancel, S::Cancelled),
+                (5.0, 1, S::Queued, K::Cancel, S::Cancelled),
+            ]
+        );
+        // A cancel whose earlier records were evicted is left out.
+        let mut bus = EventBus::new(1);
+        bus.record(0.0, submitted(1));
+        bus.record(1.0, PlatformEvent::Cancelled { job: job(1) });
+        assert_eq!(bus.transitions().count(), 0);
     }
 
     #[test]

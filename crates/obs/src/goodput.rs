@@ -48,12 +48,10 @@ pub const GOODPUT_AVAILABILITY_METRIC: &str = "tacc_obs_goodput_availability";
 pub const GOODPUT_EFFICIENCY_METRIC: &str = "tacc_obs_goodput_throughput_efficiency";
 /// Gauge: total badput fraction of fleet capacity.
 pub const GOODPUT_BADPUT_METRIC: &str = "tacc_obs_goodput_badput_ratio";
-/// Counter: platform events evicted from the bounded event-bus ring.
+/// Counter: platform events evicted from the bounded event-bus ring (a
+/// nonzero value means the transition export, and span timelines
+/// reconstructed from it, cover only the ring's window).
 pub const DROPPED_EVENTS_METRIC: &str = "tacc_obs_dropped_events_total";
-/// Counter: lifecycle transitions evicted from the bounded transition
-/// ring (a nonzero value means span timelines reconstructed from the
-/// exported stream are incomplete).
-pub const DROPPED_TRANSITIONS_METRIC: &str = "tacc_obs_dropped_transitions_total";
 
 /// An itemized cause of badput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

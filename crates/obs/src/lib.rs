@@ -10,9 +10,9 @@
 //!   lifecycle transition (submitted, compiled, queued, placed,
 //!   preempted, completed, ...) is recorded as a typed event stamped
 //!   with simulated time and a monotonically increasing sequence
-//!   number. The bus is a bounded ring — old records are dropped, never
-//!   new ones lost silently (a drop counter is kept) — and exports to
-//!   JSONL for offline analysis.
+//!   number. The bus is a bounded [`Ring`] — old records are dropped,
+//!   never new ones lost silently — and the transition log is read off
+//!   it ([`EventBus::transitions`]).
 //! * **Operational metrics registry** ([`MetricsRegistry`]): counters,
 //!   gauges and log-scale histograms keyed by name + labels, with a
 //!   [`MetricsRegistry::snapshot`] API and Prometheus-style text
@@ -56,6 +56,7 @@
 mod events;
 mod goodput;
 mod metrics;
+mod ring;
 mod span;
 mod trace;
 
@@ -65,14 +66,14 @@ pub use events::{
 };
 pub use goodput::{
     badput_cause_of, goodput_conservation, BadputBreakdown, BadputCause, Dyadic, GoodputReport,
-    JobGoodputInput, DROPPED_EVENTS_METRIC, DROPPED_TRANSITIONS_METRIC,
-    GOODPUT_AVAILABILITY_METRIC, GOODPUT_BADPUT_METRIC, GOODPUT_EFFICIENCY_METRIC,
-    GOODPUT_RATIO_METRIC,
+    JobGoodputInput, DROPPED_EVENTS_METRIC, GOODPUT_AVAILABILITY_METRIC, GOODPUT_BADPUT_METRIC,
+    GOODPUT_EFFICIENCY_METRIC, GOODPUT_RATIO_METRIC,
 };
 pub use metrics::{
     BucketCount, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     ScrapedCounter, ScrapedGauge, ScrapedHistogram,
 };
+pub use ring::Ring;
 pub use span::{
     span_conservation, JobTimeline, Span, SpanBook, SpanConfig, SpanPhase, TransitionEvent,
 };

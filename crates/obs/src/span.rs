@@ -166,10 +166,9 @@ impl Span {
 }
 
 tacc_json::record! {
-    /// One applied lifecycle transition: what the core engine's transition
-    /// log stores, one line of its JSONL export
-    /// (`{"at_secs":T,"job":N,"from":"state","to":"state","event":"kind"}`),
-    /// and what the span fold consumes, live or read back from that export.
+    /// One applied lifecycle transition, as a bus record stands for it:
+    /// what the span fold consumes, live or read back from a line of the
+    /// export (`{"at_secs":T,"job":N,"from":"state","to":"state","event":"kind"}`).
     #[derive(Debug, Clone, Copy, PartialEq)]
     pub struct TransitionEvent {
         /// Simulated time of the transition, seconds.

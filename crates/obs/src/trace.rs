@@ -3,9 +3,10 @@
 //! wall-clock latency of the round. The reasons are the vocabulary of
 //! `tcloud why <job>`.
 
-use std::collections::VecDeque;
 use std::fmt;
 use tacc_workload::{GroupId, JobId};
+
+use crate::Ring;
 
 /// Why the scheduler passed over a queued job in one round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,70 +120,10 @@ pub struct RoundTrace {
     pub skips: Vec<JobSkip>,
 }
 
-/// Bounded log of [`RoundTrace`]s. A queued job's current skip reason
-/// lives with the job in the scheduler's queue, so it outlives the round
-/// that recorded it.
-#[derive(Debug)]
-pub struct DecisionTraceLog {
-    capacity: usize,
-    rounds: VecDeque<RoundTrace>,
-    dropped: u64,
-}
-
-impl DecisionTraceLog {
-    /// How many round traces the scheduler's log retains.
-    pub const CAPACITY: usize = 2048;
-
-    /// New log retaining at most `capacity` round traces (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        DecisionTraceLog {
-            capacity: capacity.max(1),
-            rounds: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Records a round.
-    ///
-    /// Returns the round evicted to make room, if the ring was full — hot
-    /// callers recycle its vector allocations for the next round's buffers.
-    pub fn push(&mut self, trace: RoundTrace) -> Option<RoundTrace> {
-        let evicted = if self.rounds.len() == self.capacity {
-            self.dropped += 1;
-            self.rounds.pop_front()
-        } else {
-            None
-        };
-        self.rounds.push_back(trace);
-        evicted
-    }
-
-    /// Retained round traces, oldest first.
-    pub fn rounds(&self) -> impl Iterator<Item = &RoundTrace> {
-        self.rounds.iter()
-    }
-
-    /// The `n` most recent round traces, oldest first.
-    pub fn recent(&self, n: usize) -> Vec<&RoundTrace> {
-        let skip = self.rounds.len().saturating_sub(n);
-        self.rounds.iter().skip(skip).collect()
-    }
-
-    /// Round traces evicted to make room.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained round traces.
-    pub fn len(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// True when no round has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.rounds.is_empty()
-    }
-}
+/// Bounded log of [`RoundTrace`]s (the scheduler recycles an evicted
+/// round's vectors). A queued job's current skip reason lives with the
+/// job in the scheduler's queue, so it outlives the round.
+pub type DecisionTraceLog = Ring<RoundTrace>;
 
 #[cfg(test)]
 mod tests {
@@ -216,6 +157,7 @@ mod tests {
         let evicted = log.push(round(3, 3.0, vec![], vec![]));
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 1);
+        assert_eq!(log.iter().map(|r| r.round).collect::<Vec<_>>(), [2, 3]);
         // The evicted round comes back whole, for its buffers to be reused.
         assert_eq!(evicted.map(|r| r.skips), Some(vec![skip]));
     }

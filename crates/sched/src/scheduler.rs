@@ -441,6 +441,9 @@ impl SkipVerdict {
     }
 }
 
+/// How many round traces the scheduler's decision trace retains.
+const DECISION_TRACE_ROUNDS: usize = 2048;
+
 /// Handles into an attached [`MetricsRegistry`] (`tacc_sched_*` series).
 #[derive(Debug)]
 struct SchedMetrics {
@@ -464,7 +467,7 @@ impl Scheduler {
         Scheduler {
             planner: Planner::new(config.placement),
             quota: QuotaTable::from_quotas(quotas),
-            trace: DecisionTraceLog::new(DecisionTraceLog::CAPACITY),
+            trace: DecisionTraceLog::new(DECISION_TRACE_ROUNDS),
             group_usage_vec: vec![ResourceVec::ZERO; config.group_count],
             moved: std::iter::once(u64::MAX)
                 .chain(std::iter::repeat_n(0, 3 * (config.group_count + 1)))

@@ -172,7 +172,7 @@ fn census<'a>(
 /// id-ordered.
 fn observed(sched: &Scheduler) -> String {
     let mut out = String::new();
-    for r in sched.decision_trace().rounds() {
+    for r in sched.decision_trace().iter() {
         out.push_str(&format!(
             "{} @{} q={} started={:?} preempted={:?} skips={:?}\n",
             r.round, r.at_secs, r.queue_len, r.started, r.preempted, r.skips

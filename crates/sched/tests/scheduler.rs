@@ -665,7 +665,7 @@ fn trace_round_has_latency_and_queue_depth() {
     let mut s = sched(SchedulerConfig::default());
     s.submit(simple_request(1, 0, 8, 100.0, 0.0));
     s.schedule(0.0, &mut c);
-    let rounds: Vec<_> = s.decision_trace().rounds().collect();
+    let rounds: Vec<_> = s.decision_trace().iter().collect();
     assert_eq!(rounds.len(), 1);
     assert_eq!(rounds[0].queue_len, 1);
     assert_eq!(rounds[0].started, vec![JobId::from_value(1)]);
@@ -712,7 +712,7 @@ fn rotation_is_traced() {
     s.rotate(700.0, &mut c);
     let preempted_in_trace = s
         .decision_trace()
-        .rounds()
+        .iter()
         .any(|r| r.preempted.contains(&JobId::from_value(1)));
     assert!(
         preempted_in_trace,

@@ -127,10 +127,9 @@ fn a_finished_replay_holds_each_job_once() {
     let export_cost = Tally::since(mark);
     assert!(!export.is_empty());
 
-    // The same replay with the two rings switched off (the event bus and
-    // the transition log share `event_buffer_capacity`) says what they
-    // hold, and what the rest of the platform does.
-    let (_, no_rings) = replay(config_with(|c| c.event_buffer_capacity = 1), &trace);
+    // The same replay with the bus switched off says what it holds, and
+    // what the rest of the platform does.
+    let (_, no_bus) = replay(config_with(|c| c.event_buffer_capacity = 1), &trace);
 
     println!("residency: {jobs} jobs, 9-day load-1 trace, seed 20240601");
     println!("| held after the replay      | bytes/job | blocks/job |");
@@ -144,14 +143,14 @@ fn a_finished_replay_holds_each_job_once() {
     };
     row("everything", full.live_bytes, full.live_blocks);
     row(
-        "event bus + transition log",
-        full.live_bytes - no_rings.live_bytes,
-        full.live_blocks - no_rings.live_blocks,
+        "event bus",
+        full.live_bytes - no_bus.live_bytes,
+        full.live_blocks - no_bus.live_blocks,
     );
     row(
         "slots, spans, reports, rest",
-        no_rings.live_bytes,
-        no_rings.live_blocks,
+        no_bus.live_bytes,
+        no_bus.live_blocks,
     );
     println!(
         "allocations: replay {:.2}/job, report() {} ({:.3}/job), transition_log_jsonl {}",
@@ -170,7 +169,7 @@ fn a_finished_replay_holds_each_job_once() {
     // Debug and release builds hold the same blocks — the debug oracles
     // allocate, but keep nothing — so the residency gates run in both.
     assert!(
-        per_job(full.live_bytes) <= 1_600.0,
+        per_job(full.live_bytes) <= 1_400.0,
         "{} live bytes per job",
         per_job(full.live_bytes)
     );
