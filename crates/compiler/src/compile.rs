@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use tacc_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use tacc_obs::{Histogram, MetricsRegistry};
 use tacc_workload::{RuntimePreference, TaskSchema};
 
 use crate::cache::{ChunkCache, ChunkId, ChunkName};
@@ -64,18 +64,11 @@ pub struct Compiler {
     config: CompilerConfig,
     cache: ChunkCache,
     compilations: u64,
-    metrics: Option<CompilerMetrics>,
-}
-
-/// Handles into an attached [`MetricsRegistry`] (`tacc_compiler_*` series).
-#[derive(Debug)]
-struct CompilerMetrics {
-    compilations: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    transferred_mb: Counter,
-    cache_hit_rate: Gauge,
-    provisioning_latency: Histogram,
+    /// MiB transferred, each compilation's amount rounded to a whole MiB.
+    transferred_mb: u64,
+    /// `tacc_compiler_provisioning_latency_seconds` in an attached
+    /// registry: the one series recorded as compilations run.
+    provisioning_latency: Option<Histogram>,
 }
 
 /// Base image sizes in MiB; looked up by name, defaulting for unknown images.
@@ -96,24 +89,32 @@ impl Compiler {
             cache: ChunkCache::new(config.cache_capacity_mb),
             config,
             compilations: 0,
-            metrics: None,
+            transferred_mb: 0,
+            provisioning_latency: None,
         }
     }
 
-    /// Attaches operational metrics: subsequent compilations update the
-    /// `tacc_compiler_*` series in `registry` (compilation and chunk
-    /// hit/miss counters, MiB transferred, byte hit-rate gauge, and a
-    /// provisioning-latency histogram in simulated seconds).
+    /// Attaches operational metrics: subsequent compilations observe
+    /// their provisioning latency (simulated seconds) into `registry`'s
+    /// `tacc_compiler_provisioning_latency_seconds` histogram.
     pub fn attach_registry(&mut self, registry: &MetricsRegistry) {
-        self.metrics = Some(CompilerMetrics {
-            compilations: registry.counter("tacc_compiler_compilations_total", &[]),
-            cache_hits: registry.counter("tacc_compiler_cache_hits_total", &[]),
-            cache_misses: registry.counter("tacc_compiler_cache_misses_total", &[]),
-            transferred_mb: registry.counter("tacc_compiler_transferred_mb_total", &[]),
-            cache_hit_rate: registry.gauge("tacc_compiler_cache_byte_hit_rate", &[]),
-            provisioning_latency: registry
-                .histogram("tacc_compiler_provisioning_latency_seconds", &[]),
-        });
+        self.provisioning_latency =
+            Some(registry.histogram("tacc_compiler_provisioning_latency_seconds", &[]));
+    }
+
+    /// Publishes the compiler's counts into `registry` as they stand:
+    /// compilations, chunk-cache hits and misses, MiB transferred and the
+    /// byte hit rate. Called at scrape time.
+    pub fn publish_metrics(&self, registry: &MetricsRegistry) {
+        let stats = self.cache.stats();
+        let counter = |series, total| registry.counter(series, &[]).catch_up(total);
+        counter("tacc_compiler_compilations_total", self.compilations);
+        counter("tacc_compiler_cache_hits_total", stats.hits);
+        counter("tacc_compiler_cache_misses_total", stats.misses);
+        counter("tacc_compiler_transferred_mb_total", self.transferred_mb);
+        registry
+            .gauge("tacc_compiler_cache_byte_hit_rate", &[])
+            .set(stats.byte_hit_rate());
     }
 
     /// The configuration in use.
@@ -191,13 +192,9 @@ impl Compiler {
         let latency_secs =
             self.config.base_latency_secs + transferred_mb / self.config.fetch_bandwidth_mbps;
 
-        if let Some(m) = &self.metrics {
-            m.compilations.inc();
-            m.cache_hits.inc_by(u64::from(hits));
-            m.cache_misses.inc_by(u64::from(misses));
-            m.transferred_mb.inc_by(transferred_mb.round() as u64);
-            m.cache_hit_rate.set(self.cache.stats().byte_hit_rate());
-            m.provisioning_latency.observe(latency_secs);
+        self.transferred_mb += transferred_mb.round() as u64;
+        if let Some(provisioning_latency) = &self.provisioning_latency {
+            provisioning_latency.observe(latency_secs);
         }
 
         Ok(CompiledTask {
@@ -402,6 +399,7 @@ mod tests {
         c.attach_registry(&registry);
         c.compile(&schema()).expect("compiles");
         c.compile(&schema()).expect("compiles");
+        c.publish_metrics(&registry);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("tacc_compiler_compilations_total"), Some(2));
         // Cold run misses everything, warm run hits everything.

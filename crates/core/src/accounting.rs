@@ -1,32 +1,24 @@
 //! Accounting: group GPU-time accrual, utilization, interruption
-//! amounts, core metric handles, event emission, and cluster gauges.
+//! amounts, core metric handles and the scrape-time publish step, and
+//! event emission.
 //!
 //! Everything here is arithmetic over state the lifecycle engine
 //! ([`crate::lifecycle`]) already validated — no `Job` state is written
 //! in this module.
 
 use tacc_obs::{Counter, Gauge, Histogram, MetricsRegistry, PlatformEvent};
-use tacc_workload::JobEventKind;
 
 use crate::platform::{ActiveRun, Platform};
 
-/// Handles for the `tacc_core_*` and `tacc_cluster_*` metric series the
-/// platform maintains itself (the other layers register their own).
+/// Handles for the series the platform records as their events happen:
+/// refused submissions (counted nowhere else), the queue-delay histogram
+/// and the goodput gauges `goodput()` sets. Every other `tacc_core_*`,
+/// `tacc_cluster_*` and `tacc_obs_*` series is published at scrape time
+/// ([`Platform::publish_metrics`]).
 #[derive(Debug)]
 pub(crate) struct CoreMetrics {
-    pub(crate) jobs_submitted: Counter,
-    pub(crate) jobs_completed: Counter,
-    pub(crate) jobs_failed: Counter,
-    pub(crate) jobs_rejected: Counter,
-    pub(crate) jobs_cancelled: Counter,
     pub(crate) submissions_refused: Counter,
-    pub(crate) illegal_transitions: Counter,
     pub(crate) queue_delay: Histogram,
-    pub(crate) free_gpus: Gauge,
-    pub(crate) largest_free_block: Gauge,
-    pub(crate) fragmentation: Gauge,
-    pub(crate) alloc_failures: Counter,
-    pub(crate) dropped_events: Counter,
     pub(crate) goodput_ratio: Gauge,
     pub(crate) goodput_availability: Gauge,
     pub(crate) goodput_efficiency: Gauge,
@@ -36,43 +28,14 @@ pub(crate) struct CoreMetrics {
 impl CoreMetrics {
     pub(crate) fn new(registry: &MetricsRegistry) -> Self {
         CoreMetrics {
-            jobs_submitted: registry.counter("tacc_core_jobs_submitted_total", &[]),
-            jobs_completed: registry.counter("tacc_core_jobs_completed_total", &[]),
-            jobs_failed: registry.counter("tacc_core_jobs_failed_total", &[]),
-            jobs_rejected: registry.counter("tacc_core_jobs_rejected_total", &[]),
-            jobs_cancelled: registry.counter("tacc_core_jobs_cancelled_total", &[]),
             submissions_refused: registry.counter("tacc_core_submissions_refused_total", &[]),
-            illegal_transitions: registry.counter("tacc_core_illegal_transitions_total", &[]),
             queue_delay: registry.histogram("tacc_core_queue_delay_seconds", &[]),
-            free_gpus: registry.gauge("tacc_cluster_free_gpus", &[]),
-            largest_free_block: registry.gauge("tacc_cluster_largest_free_block", &[]),
-            fragmentation: registry.gauge("tacc_cluster_fragmentation", &[]),
-            alloc_failures: registry.counter("tacc_cluster_alloc_failures_total", &[]),
             // Observability-layer series: names are declared next to the
             // obs code that owns their semantics (and linted there).
-            dropped_events: registry.counter(tacc_obs::DROPPED_EVENTS_METRIC, &[]),
             goodput_ratio: registry.gauge(tacc_obs::GOODPUT_RATIO_METRIC, &[]),
             goodput_availability: registry.gauge(tacc_obs::GOODPUT_AVAILABILITY_METRIC, &[]),
             goodput_efficiency: registry.gauge(tacc_obs::GOODPUT_EFFICIENCY_METRIC, &[]),
             goodput_badput: registry.gauge(tacc_obs::GOODPUT_BADPUT_METRIC, &[]),
-        }
-    }
-
-    /// Counts an applied lifecycle event in the job tally it moves. The
-    /// lifecycle engine calls this where it records the transition, so
-    /// each `tacc_core_jobs_*_total` is written in one place and the
-    /// report reads the tallies back from here.
-    pub(crate) fn tally(&self, event: JobEventKind) {
-        match event {
-            JobEventKind::Submit => self.jobs_submitted.inc(),
-            JobEventKind::Complete => self.jobs_completed.inc(),
-            JobEventKind::Fail => self.jobs_failed.inc(),
-            JobEventKind::Reject => self.jobs_rejected.inc(),
-            JobEventKind::Cancel => self.jobs_cancelled.inc(),
-            JobEventKind::Enqueue
-            | JobEventKind::Start
-            | JobEventKind::Preempt
-            | JobEventKind::Interrupt => {}
         }
     }
 }
@@ -135,24 +98,43 @@ impl Platform {
         self.bus.record(at, event);
     }
 
-    /// Refreshes the `tacc_cluster_*` gauges from current cluster state.
-    /// Fragmentation is the fraction of free GPUs outside the largest
-    /// single free block — 0 when all free capacity is contiguous.
-    pub(crate) fn refresh_cluster_gauges(&mut self) {
+    /// The platform's publish step, run by every scrape: each series
+    /// whose count a layer already keeps is read from it here — the job
+    /// tallies and illegal transitions from the bus's lifetime per-kind
+    /// counts, the cluster series from the cluster, the bus's drops, and
+    /// the scheduler's and the compiler's own series. Fragmentation is
+    /// the fraction of free GPUs outside the largest single free block —
+    /// 0 when all free capacity is contiguous.
+    pub(crate) fn publish_metrics(&self) {
+        let registry = &self.registry;
+        let counter = |series, total| registry.counter(series, &[]).catch_up(total);
+        let kind = |kind| self.bus.kind_count(kind);
+        counter("tacc_core_jobs_submitted_total", kind("submitted"));
+        counter("tacc_core_jobs_completed_total", kind("completed"));
+        counter("tacc_core_jobs_failed_total", kind("failed"));
+        counter("tacc_core_jobs_rejected_total", kind("rejected"));
+        counter("tacc_core_jobs_cancelled_total", kind("cancelled"));
+        counter(
+            "tacc_core_illegal_transitions_total",
+            self.illegal_transitions(),
+        );
+        counter(
+            "tacc_cluster_alloc_failures_total",
+            self.cluster.alloc_failures(),
+        );
+        counter(tacc_obs::DROPPED_EVENTS_METRIC, self.bus.dropped());
         let free = f64::from(self.cluster.free_gpus());
         let largest = f64::from(self.cluster.largest_free_block());
-        self.metrics.free_gpus.set(free);
-        self.metrics.largest_free_block.set(largest);
         let fragmentation = if free > 0.0 {
             1.0 - largest / free
         } else {
             0.0
         };
-        self.metrics.fragmentation.set(fragmentation);
-        let failures = self.cluster.alloc_failures();
-        self.metrics
-            .alloc_failures
-            .inc_by(failures.saturating_sub(self.last_alloc_failures));
-        self.last_alloc_failures = failures;
+        let gauge = |series, value| registry.gauge(series, &[]).set(value);
+        gauge("tacc_cluster_free_gpus", free);
+        gauge("tacc_cluster_largest_free_block", largest);
+        gauge("tacc_cluster_fragmentation", fragmentation);
+        self.scheduler.publish_metrics(registry);
+        self.compiler.publish_metrics(registry);
     }
 }

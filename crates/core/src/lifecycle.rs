@@ -9,8 +9,8 @@
 //! transition log is read off the bus. Illegal transitions — e.g. a
 //! stale-token fault delivered after completion — are rejected without
 //! touching state and surfaced on the event bus as
-//! `PlatformEvent::IllegalTransition`, plus the
-//! `tacc_core_illegal_transitions_total` counter.
+//! `PlatformEvent::IllegalTransition`, whose lifetime count is
+//! `tacc_core_illegal_transitions_total`.
 //!
 //! The `single-writer` lint family (`lint-owners.toml`, rule
 //! `job-state-transition`) enforces that no production code outside
@@ -91,9 +91,9 @@ impl Platform {
     /// at the previous run), and the caller emits the bus event that
     /// stands for the transition. On an illegal transition the job is
     /// untouched; the rejection is surfaced as a
-    /// `PlatformEvent::IllegalTransition` on the bus and counted in
-    /// `tacc_core_illegal_transitions_total`, so callers may safely
-    /// discard the returned error.
+    /// `PlatformEvent::IllegalTransition` on the bus (which
+    /// `tacc_core_illegal_transitions_total` counts), so callers may
+    /// safely discard the returned error.
     pub(crate) fn apply_lifecycle_event(
         &mut self,
         id: JobId,
@@ -120,13 +120,11 @@ impl Platform {
                 // live timelines and timelines replayed from the exported
                 // JSONL are the same pure function of the same input.
                 self.spans.observe(record);
-                self.metrics.tally(record.event);
                 #[cfg(debug_assertions)]
                 self.applied.push(record);
                 Ok(to)
             }
             Err(err) => {
-                self.metrics.illegal_transitions.inc();
                 self.emit(
                     now,
                     PlatformEvent::IllegalTransition {
@@ -160,9 +158,10 @@ impl Platform {
         self.bus.transitions().filter(|t| t.job == job).collect()
     }
 
-    /// Lifecycle events rejected by the transition matrix so far.
+    /// Lifecycle events rejected by the transition matrix so far: the
+    /// bus's lifetime count of `illegal_transition` records.
     pub fn illegal_transitions(&self) -> u64 {
-        self.metrics.illegal_transitions.get()
+        self.bus.kind_count("illegal_transition")
     }
 
     /// The transition log as JSON Lines, oldest first: what the bus's
@@ -218,7 +217,6 @@ impl Platform {
             }
             self.apply_decisions(&outcome, now);
         }
-        self.refresh_cluster_gauges();
     }
 
     pub(crate) fn apply_decisions(&mut self, outcome: &tacc_sched::SchedOutcome, now: f64) {

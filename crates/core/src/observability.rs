@@ -75,12 +75,4 @@ impl Platform {
         self.metrics.goodput_badput.set(report.badput_fraction);
         report
     }
-
-    /// Watermark-syncs `tacc_obs_dropped_events_total` from the bus's
-    /// lifetime drop count (monotone, so the difference since the last
-    /// sync is added). Called before every metrics scrape.
-    pub(crate) fn sync_obs_drop_counters(&self) {
-        let synced = &self.metrics.dropped_events;
-        synced.inc_by(self.bus.dropped().saturating_sub(synced.get()));
-    }
 }

@@ -10,7 +10,8 @@
 //!   that mutates [`Job`] state (via `JobState::transition`), plus the
 //!   scheduling-round glue and the transition log's read of the bus;
 //! * [`crate::accounting`] — group GPU-time accrual, interruption
-//!   amounts, metrics handles, event emission, and cluster gauges;
+//!   amounts, metrics handles and the scrape-time publish step, and
+//!   event emission;
 //! * [`crate::faults`] — fault delivery, failover, checkpoint-restart;
 //! * [`crate::observability`] — span timelines and the goodput
 //!   decomposition folded from the transition stream;
@@ -114,7 +115,6 @@ pub struct Platform {
     pub(crate) registry: MetricsRegistry,
     pub(crate) exec_telemetry: ExecTelemetry,
     pub(crate) metrics: CoreMetrics,
-    pub(crate) last_alloc_failures: u64,
 
     pub(crate) util: UtilizationTracker,
     pub(crate) group_busy: Vec<f64>,
@@ -173,7 +173,6 @@ impl Platform {
             registry,
             exec_telemetry,
             metrics,
-            last_alloc_failures: 0,
             util: UtilizationTracker::new(total_gpus),
             group_busy: vec![0.0; groups],
             group_gpu_secs: vec![0.0; groups],
@@ -251,17 +250,18 @@ impl Platform {
         self.bus.for_job(id)
     }
 
-    /// Snapshot of every operational metric registered by the four layers
+    /// Snapshot of every operational metric of the four layers
     /// (`tacc_core_*`, `tacc_sched_*`, `tacc_compiler_*`, `tacc_exec_*`,
-    /// `tacc_cluster_*`).
+    /// `tacc_cluster_*`, `tacc_obs_*`), published as of now.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.sync_obs_drop_counters();
+        self.publish_metrics();
         self.registry.snapshot()
     }
 
-    /// Prometheus text exposition of every operational metric.
+    /// Prometheus text exposition of every operational metric, published
+    /// as of now.
     pub fn metrics_text(&self) -> String {
-        self.sync_obs_drop_counters();
+        self.publish_metrics();
         self.registry.expose()
     }
 
@@ -389,10 +389,10 @@ impl Platform {
         SimulationReport::build(ReportInputs {
             completed: &self.completed,
             submitted: self.jobs.len(),
-            failed: self.metrics.jobs_failed.get(),
+            failed: self.bus.kind_count("failed"),
             failed_waste_gpu_hours: self.failed_waste_gpu_secs / 3600.0,
-            rejected: self.metrics.jobs_rejected.get(),
-            cancelled: self.metrics.jobs_cancelled.get(),
+            rejected: self.bus.kind_count("rejected"),
+            cancelled: self.bus.kind_count("cancelled"),
             staging_secs_total: self.staging_secs_total,
             stagings: self.stagings,
             faults: self.exec_telemetry.faults(),

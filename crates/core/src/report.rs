@@ -312,7 +312,7 @@ impl SimulationReport {
             jct: Summary::from_samples(&jct),
             queue_delay: Summary::from_samples(&delay),
             slowdown: Summary::from_samples(&slowdown),
-            mean_utilization: util.mean_utilization(0.0, horizon_secs),
+            mean_utilization: util.mean_utilization(horizon_secs),
             useful_gpu_hours,
             wasted_gpu_hours,
             goodput,

@@ -422,6 +422,34 @@ fn why_explains_a_stuck_job() {
     assert_eq!(p.why(JobId::from_value(999)), None);
 }
 
+/// The cluster series read the cluster when scraped: a fresh platform
+/// shows every GPU free before any round has run, and a drain, which runs
+/// no round, is read back at once.
+#[test]
+fn cluster_gauges_read_the_cluster_when_scraped() {
+    let mut p = Platform::new(PlatformConfig::default());
+    let snap = p.metrics();
+    assert_eq!(snap.gauge("tacc_cluster_free_gpus"), Some(256.0));
+    assert_eq!(snap.gauge("tacc_cluster_largest_free_block"), Some(8.0));
+    assert_eq!(snap.counter("tacc_sched_rounds_total"), Some(0));
+
+    p.apply_command(&Command::Drain { node: 3 })
+        .expect("node 3 exists");
+    assert_eq!(p.cluster().drained_count(), 1);
+    let snap = p.metrics();
+    let cluster = p.cluster();
+    // A drained node's idle GPUs are still free: it takes no new work.
+    assert_eq!(
+        snap.gauge("tacc_cluster_free_gpus"),
+        Some(f64::from(cluster.free_gpus()))
+    );
+    assert_eq!(
+        snap.gauge("tacc_cluster_largest_free_block"),
+        Some(f64::from(cluster.largest_free_block()))
+    );
+    assert_eq!(snap.counter("tacc_sched_rounds_total"), Some(0));
+}
+
 #[test]
 fn metrics_span_all_layers() {
     let mut p = Platform::new(tiny_config());

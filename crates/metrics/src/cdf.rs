@@ -72,10 +72,7 @@ pub struct HistogramBucket {
     pub count: u64,
 }
 
-/// A fixed-bucket histogram, either linear or logarithmic (powers of a base).
-///
-/// Logarithmic bucketing is what trace-characterization figures use for
-/// heavy-tailed job durations (seconds → days on one axis).
+/// A fixed-bucket histogram of equal-width buckets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     edges: Vec<f64>,
@@ -95,25 +92,6 @@ impl Histogram {
         assert!(lo < hi, "histogram range must be nonempty");
         let width = (hi - lo) / buckets as f64;
         let edges = (0..=buckets).map(|i| lo + width * i as f64).collect();
-        Histogram {
-            edges,
-            counts: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Creates a histogram whose bucket edges are `lo * base^i`, covering
-    /// `buckets` buckets starting at `lo > 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0`, `lo <= 0`, or `base <= 1`.
-    pub fn logarithmic(lo: f64, base: f64, buckets: usize) -> Self {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        assert!(lo > 0.0, "logarithmic histogram needs positive lower bound");
-        assert!(base > 1.0, "logarithmic base must exceed 1");
-        let edges = (0..=buckets).map(|i| lo * base.powi(i as i32)).collect();
         Histogram {
             edges,
             counts: vec![0; buckets],
@@ -199,17 +177,6 @@ mod tests {
         assert_eq!(h.overflow(), 2);
         let counts: Vec<u64> = h.buckets().map(|b| b.count).collect();
         assert_eq!(counts, vec![2, 1, 0, 0, 1]);
-    }
-
-    #[test]
-    fn log_histogram_spans_decades() {
-        let mut h = Histogram::logarithmic(1.0, 10.0, 4); // [1,10),[10,100),[100,1k),[1k,10k)
-        for x in [1.0, 5.0, 50.0, 500.0, 5000.0, 0.5] {
-            h.record(x);
-        }
-        let counts: Vec<u64> = h.buckets().map(|b| b.count).collect();
-        assert_eq!(counts, vec![2, 1, 1, 1]);
-        assert_eq!(h.underflow(), 1);
     }
 
     #[test]

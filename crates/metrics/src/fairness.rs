@@ -27,35 +27,6 @@ pub fn jain_index(allocations: &[f64]) -> f64 {
     (sum * sum) / (allocations.len() as f64 * sum_sq)
 }
 
-/// Ratio of the smallest to the largest allocation (max-min fairness view).
-///
-/// 1.0 means perfectly equal; 0.0 means at least one tenant was starved.
-/// Returns 1.0 for empty input and 0.0 if any allocation is negative-free
-/// but the max is zero while others are positive is impossible, so the
-/// only zero-max case is all-zero, which also reports 1.0.
-///
-/// # Panics
-///
-/// Panics if any allocation is negative.
-pub fn max_min_ratio(allocations: &[f64]) -> f64 {
-    assert!(
-        allocations.iter().all(|&x| x >= 0.0),
-        "allocations must be nonnegative"
-    );
-    if allocations.is_empty() {
-        return 1.0;
-    }
-    let max = allocations
-        .iter()
-        .cloned()
-        .fold(f64::NEG_INFINITY, f64::max);
-    if max == 0.0 {
-        return 1.0;
-    }
-    let min = allocations.iter().cloned().fold(f64::INFINITY, f64::min);
-    min / max
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,20 +53,5 @@ mod tests {
         let a = jain_index(&[1.0, 2.0, 3.0]);
         let b = jain_index(&[10.0, 20.0, 30.0]);
         assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_min_basic() {
-        assert_eq!(max_min_ratio(&[2.0, 4.0]), 0.5);
-        assert_eq!(max_min_ratio(&[3.0, 3.0]), 1.0);
-        assert_eq!(max_min_ratio(&[0.0, 5.0]), 0.0);
-        assert_eq!(max_min_ratio(&[]), 1.0);
-        assert_eq!(max_min_ratio(&[0.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonnegative")]
-    fn max_min_rejects_negative() {
-        max_min_ratio(&[-1.0, 2.0]);
     }
 }

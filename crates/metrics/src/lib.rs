@@ -33,7 +33,7 @@ mod table;
 mod timeseries;
 
 pub use cdf::{Cdf, Histogram, HistogramBucket};
-pub use fairness::{jain_index, max_min_ratio};
-pub use stats::{percentile, OnlineStats, Summary};
+pub use fairness::jain_index;
+pub use stats::{percentile, Summary};
 pub use table::{Cell, Table};
-pub use timeseries::{StepSeries, UtilizationTracker};
+pub use timeseries::UtilizationTracker;

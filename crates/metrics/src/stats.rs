@@ -145,112 +145,6 @@ impl Summary {
     }
 }
 
-/// Single-pass streaming mean/variance accumulator (Welford's algorithm).
-///
-/// Used on hot paths (per-event accounting inside the simulator) where
-/// buffering every sample for a [`Summary`] would be wasteful.
-///
-/// # Example
-///
-/// ```
-/// use tacc_metrics::OnlineStats;
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 6.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert!((s.mean() - 4.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Running mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 when fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,54 +194,5 @@ mod tests {
         assert_eq!(s.p50(), 7.0);
         assert_eq!(s.p99(), 7.0);
         assert_eq!(s.std_dev(), 0.0);
-    }
-
-    #[test]
-    fn online_matches_batch() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64) * 0.37 + 2.0).collect();
-        let mut o = OnlineStats::new();
-        for &x in &data {
-            o.push(x);
-        }
-        let s = Summary::from_samples(&data);
-        assert!((o.mean() - s.mean()).abs() < 1e-9);
-        assert!((o.std_dev() - s.std_dev()).abs() < 1e-9);
-        assert_eq!(o.min().expect("nonempty"), s.min());
-        assert_eq!(o.max().expect("nonempty"), s.max());
-    }
-
-    #[test]
-    fn online_merge_matches_sequential() {
-        let a: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let b: Vec<f64> = (50..130).map(|i| i as f64 * 1.5).collect();
-        let mut left = OnlineStats::new();
-        for &x in &a {
-            left.push(x);
-        }
-        let mut right = OnlineStats::new();
-        for &x in &b {
-            right.push(x);
-        }
-        let mut seq = OnlineStats::new();
-        for &x in a.iter().chain(b.iter()) {
-            seq.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), seq.count());
-        assert!((left.mean() - seq.mean()).abs() < 1e-9);
-        assert!((left.variance() - seq.variance()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn online_merge_with_empty() {
-        let mut a = OnlineStats::new();
-        a.push(3.0);
-        let empty = OnlineStats::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 1);
-        let mut e2 = OnlineStats::new();
-        e2.merge(&a);
-        assert_eq!(e2.count(), 1);
-        assert_eq!(e2.mean(), 3.0);
     }
 }

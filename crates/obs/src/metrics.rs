@@ -3,7 +3,9 @@
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap clones of a
 //! shared cell, so instrumented layers hold their handles directly and
-//! never touch the registry on the hot path. All metric names follow the
+//! never touch the registry on the hot path. A count a layer already
+//! keeps is not mirrored: the layer publishes it at scrape time
+//! ([`Counter::catch_up`], [`Gauge::set`]). All metric names follow the
 //! `tacc_<layer>_<name>` convention enforced (in debug builds) at
 //! registration time.
 
@@ -51,6 +53,12 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+
+    /// Publishes `total`, a count its layer keeps itself: the counter
+    /// catches up to it and never goes back.
+    pub fn catch_up(&self, total: u64) {
+        self.0.fetch_max(total, Ordering::Relaxed);
     }
 }
 
@@ -493,6 +501,10 @@ mod tests {
         other.inc();
         assert_eq!(other.get(), 1);
         assert_eq!(a.get(), 5);
+        // A published total only ever moves the counter forward.
+        a.catch_up(9);
+        a.catch_up(7);
+        assert_eq!(b.get(), 9);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use tacc_cluster::{Cluster, LeaseId, ResourceVec};
-use tacc_obs::{Counter, DecisionTraceLog, Gauge, Histogram, JobSkip, MetricsRegistry, SkipReason};
+use tacc_obs::{DecisionTraceLog, Histogram, JobSkip, MetricsRegistry, SkipReason};
 use tacc_workload::{GroupRoster, JobId, QosClass};
 
 use crate::backfill::{BackfillMode, Reservation};
@@ -170,9 +170,10 @@ pub struct Scheduler {
     preemptions: u64,
     rounds: u64,
     counters: WorkCounters,
-    flushed_counters: WorkCounters,
     trace: DecisionTraceLog,
-    metrics: Option<SchedMetrics>,
+    /// `tacc_sched_round_latency_seconds` in an attached registry: the
+    /// one series recorded as rounds run (the rest are published).
+    round_latency: Option<Histogram>,
 }
 
 /// Deterministic algorithmic work counters for the scheduler hot path.
@@ -230,9 +231,9 @@ pub struct WorkCounters {
 pub struct WorkCounterRow {
     /// The key `BENCH_hotpath.json` reports the counter under.
     pub key: &'static str,
-    /// The `tacc_sched_*` series an attached registry mirrors it into;
-    /// `None` for the counters that have no series (the platform fills
-    /// most of those in when merging).
+    /// The `tacc_sched_*` series [`Scheduler::publish_metrics`] publishes
+    /// it as; `None` for the counters that have no series (the platform
+    /// fills most of those in when merging).
     pub series: Option<&'static str>,
     /// Reads the counter.
     pub get: fn(&WorkCounters) -> u64,
@@ -252,9 +253,9 @@ macro_rules! work_counter_rows {
 }
 
 impl WorkCounters {
-    /// Every counter, in report order — the one table behind metric
-    /// registration, the per-round delta flush and the perf harness's
-    /// report, so a counter is spelled twice: its field and its row.
+    /// Every counter, in report order — the one table behind the
+    /// published series and the perf harness's report, so a counter is
+    /// spelled twice: its field and its row.
     pub const TABLE: &'static [WorkCounterRow] = work_counter_rows! {
         "empty_rounds", counter("tacc_sched_empty_rounds_total") => empty_rounds;
         "queue_sorts", counter("tacc_sched_queue_sorts_total") => queue_sorts;
@@ -444,19 +445,6 @@ impl SkipVerdict {
 /// How many round traces the scheduler's decision trace retains.
 const DECISION_TRACE_ROUNDS: usize = 2048;
 
-/// Handles into an attached [`MetricsRegistry`] (`tacc_sched_*` series).
-#[derive(Debug)]
-struct SchedMetrics {
-    rounds: Counter,
-    round_latency: Histogram,
-    queue_depth: Gauge,
-    running_tasks: Gauge,
-    preemptions: Counter,
-    backfill_starts: Counter,
-    /// One handle per [`WorkCounters::TABLE`] row that has a series.
-    work: Vec<(Counter, &'static WorkCounterRow)>,
-}
-
 impl Scheduler {
     /// Creates a scheduler from a configuration.
     pub fn new(config: SchedulerConfig) -> Self {
@@ -498,28 +486,34 @@ impl Scheduler {
             preemptions: 0,
             rounds: 0,
             counters: WorkCounters::default(),
-            flushed_counters: WorkCounters::default(),
-            metrics: None,
+            round_latency: None,
         }
     }
 
-    /// Attaches operational metrics: subsequent rounds update the
-    /// `tacc_sched_*` series in `registry` (round counter, wall-clock
-    /// round latency histogram, queue depth and running-task gauges,
-    /// preemption and backfill counters).
+    /// Attaches operational metrics: subsequent rounds observe their
+    /// wall-clock latency into `registry`'s
+    /// `tacc_sched_round_latency_seconds` histogram.
     pub fn attach_registry(&mut self, registry: &MetricsRegistry) {
-        self.metrics = Some(SchedMetrics {
-            rounds: registry.counter("tacc_sched_rounds_total", &[]),
-            round_latency: registry.histogram("tacc_sched_round_latency_seconds", &[]),
-            queue_depth: registry.gauge("tacc_sched_queue_depth", &[]),
-            running_tasks: registry.gauge("tacc_sched_running_tasks", &[]),
-            preemptions: registry.counter("tacc_sched_preemptions_total", &[]),
-            backfill_starts: registry.counter("tacc_sched_backfill_starts_total", &[]),
-            work: WorkCounters::TABLE
-                .iter()
-                .filter_map(|row| Some((registry.counter(row.series?, &[]), row)))
-                .collect(),
-        });
+        self.round_latency = Some(registry.histogram("tacc_sched_round_latency_seconds", &[]));
+    }
+
+    /// Publishes the scheduler's counts into `registry` as they stand:
+    /// the round, preemption and backfill counters, the queue-depth and
+    /// running-task gauges, and one counter per [`WorkCounters::TABLE`]
+    /// row that names a series. Called at scrape time.
+    pub fn publish_metrics(&self, registry: &MetricsRegistry) {
+        let counter = |series, total| registry.counter(series, &[]).catch_up(total);
+        counter("tacc_sched_rounds_total", self.rounds);
+        counter("tacc_sched_preemptions_total", self.preemptions);
+        counter("tacc_sched_backfill_starts_total", self.backfill_starts);
+        let gauge = |series, value: usize| registry.gauge(series, &[]).set(value as f64);
+        gauge("tacc_sched_queue_depth", self.queue.len());
+        gauge("tacc_sched_running_tasks", self.running.len());
+        for row in WorkCounters::TABLE {
+            if let Some(series) = row.series {
+                counter(series, (row.get)(&self.counters));
+            }
+        }
     }
 
     /// A snapshot of the deterministic work counters accumulated so far.
@@ -544,27 +538,6 @@ impl Scheduler {
     /// (config-supplied plus live reservations, in registration order).
     pub fn capacity_windows(&self) -> &[CapacityWindow] {
         &self.config.capacity_windows
-    }
-
-    /// Mirrors the work-counter deltas since the last flush into the
-    /// attached registry (no-op when no registry is attached).
-    fn flush_work_metrics(&mut self) {
-        let Some(m) = &self.metrics else {
-            return;
-        };
-        let cur = self.counters;
-        let prev = self.flushed_counters;
-        if cur == prev {
-            return;
-        }
-        for (series, row) in &m.work {
-            // Most rounds move two or three of these.
-            let delta = (row.get)(&cur) - (row.get)(&prev);
-            if delta > 0 {
-                series.inc_by(delta);
-            }
-        }
-        self.flushed_counters = cur;
     }
 
     /// Whether the queue's current physical order is provably the sorted

@@ -77,9 +77,6 @@ impl Scheduler {
                 .task_finished(victim_id, cluster)
                 .expect("victim is running");
             self.preemptions += 1;
-            if let Some(m) = &self.metrics {
-                m.preemptions.inc();
-            }
             outcome.decisions.push(Decision::Preempt {
                 id: victim_id,
                 reclaimed_for: request.group,

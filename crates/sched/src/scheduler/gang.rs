@@ -69,9 +69,6 @@ impl Scheduler {
                 .task_finished(victim, cluster)
                 .expect("victim is running");
             self.preemptions += 1;
-            if let Some(m) = &self.metrics {
-                m.preemptions.inc();
-            }
             outcome.decisions.push(Decision::Preempt {
                 id: victim,
                 reclaimed_for: task.request.group,

@@ -199,9 +199,6 @@ impl Scheduler {
                 Some(start) => {
                     if backfilled {
                         self.backfill_starts += 1;
-                        if let Some(m) = &self.metrics {
-                            m.backfill_starts.inc();
-                        }
                     }
                     outcome.decisions.push(Decision::Start(StartedTask {
                         backfilled,
@@ -306,8 +303,7 @@ impl Scheduler {
     }
 
     /// The epilogue every round shares, walked or not: the round-latency
-    /// observation, the gauges, the work-counter flush and — unless the
-    /// round was idle — its `RoundTrace`.
+    /// observation and — unless the round was idle — its `RoundTrace`.
     fn finish_round(
         &mut self,
         now_secs: f64,
@@ -316,13 +312,9 @@ impl Scheduler {
         outcome: &SchedOutcome,
     ) {
         let wall = round_start.elapsed();
-        if let Some(m) = &self.metrics {
-            m.rounds.inc();
-            m.round_latency.observe(wall.as_secs_f64());
-            m.queue_depth.set(self.queue.len() as f64);
-            m.running_tasks.set(self.running.len() as f64);
+        if let Some(round_latency) = &self.round_latency {
+            round_latency.observe(wall.as_secs_f64());
         }
-        self.flush_work_metrics();
         // Idle rounds (nothing queued, so nothing decided) are not traced:
         // the platform's fixpoint loop would otherwise flood the ring.
         if queue_len_at_start > 0 {

@@ -6,7 +6,7 @@
 use tacc_cluster::{Cluster, ClusterSpec, GpuModel, ResourceVec};
 use tacc_sched::{
     BackfillMode, Decision, PolicyKind, QuotaMode, Scheduler, SchedulerConfig, SkipReason,
-    TaskRequest,
+    TaskRequest, WorkCounters,
 };
 use tacc_workload::{GroupId, JobId, QosClass};
 
@@ -684,6 +684,7 @@ fn attached_registry_sees_round_metrics() {
     s.attach_registry(&registry);
     s.submit(simple_request(1, 0, 8, 100.0, 0.0));
     s.schedule(0.0, &mut c);
+    s.publish_metrics(&registry);
     let snap = registry.snapshot();
     assert_eq!(snap.counter("tacc_sched_rounds_total"), Some(1));
     assert_eq!(
@@ -693,6 +694,79 @@ fn attached_registry_sees_round_metrics() {
     );
     assert_eq!(snap.gauge("tacc_sched_running_tasks"), Some(1.0));
     assert_eq!(snap.gauge("tacc_sched_queue_depth"), Some(0.0));
+}
+
+/// A publish into a fresh registry reads the scheduler as it stands:
+/// every [`WorkCounters::TABLE`] row that names a series, row by row,
+/// the round, preemption and backfill counts, and the two gauges — and
+/// nothing else.
+#[test]
+fn a_publish_reads_the_work_counters_row_by_row() {
+    use tacc_obs::MetricsRegistry;
+    let mut c = cluster();
+    let mut s = sched(SchedulerConfig {
+        quota: QuotaMode::Borrowing,
+        quotas: vec![16, 16],
+        group_count: 2,
+        ..SchedulerConfig::default()
+    });
+    let mut running = Vec::new();
+    for i in 0..60u64 {
+        let qos = if i % 3 == 0 {
+            QosClass::BestEffort
+        } else {
+            QosClass::Guaranteed
+        };
+        s.submit(TaskRequest {
+            qos,
+            ..simple_request(
+                i,
+                (i % 2) as usize,
+                1 + (i % 8) as u32,
+                50.0 + (i * 37 % 400) as f64,
+                i as f64,
+            )
+        });
+        let out = s.schedule(i as f64 * 10.0, &mut c);
+        running.extend(out.starts().map(|t| t.request.id));
+        if i % 4 == 3 {
+            let oldest = running.remove(0);
+            s.task_finished(oldest, &mut c);
+        }
+    }
+    let work = s.work_counters();
+    assert!(s.preemption_count() > 0 && s.backfill_starts() > 0 && work.queue_sorts > 0);
+
+    let registry = MetricsRegistry::new();
+    s.publish_metrics(&registry);
+    let snap = registry.snapshot();
+    let rows: Vec<_> = WorkCounters::TABLE
+        .iter()
+        .filter_map(|row| Some((row.series?, (row.get)(&work))))
+        .collect();
+    for &(series, count) in &rows {
+        assert_eq!(snap.counter(series), Some(count), "{series}");
+    }
+    assert_eq!(snap.counter("tacc_sched_rounds_total"), Some(s.rounds()));
+    assert_eq!(
+        snap.counter("tacc_sched_preemptions_total"),
+        Some(s.preemption_count())
+    );
+    assert_eq!(
+        snap.counter("tacc_sched_backfill_starts_total"),
+        Some(s.backfill_starts())
+    );
+    assert_eq!(snap.counters.len(), rows.len() + 3);
+    assert_eq!(
+        snap.gauge("tacc_sched_queue_depth"),
+        Some(s.queue_len() as f64)
+    );
+    assert_eq!(
+        snap.gauge("tacc_sched_running_tasks"),
+        Some(s.running_len() as f64)
+    );
+    assert_eq!(snap.gauges.len(), 2);
+    assert!(snap.histograms.is_empty());
 }
 
 #[test]

@@ -199,12 +199,11 @@ struct ApplyStage {
     started: Instant,
 }
 
-/// What the commit stage owns: the journal file, and the two series
-/// that count what reached it.
+/// What the commit stage owns: the journal file. What reached it is
+/// counted in the journal's own progress, which the append half reads
+/// ([`Journal::stats`]).
 struct CommitStage {
     file: JournalFile,
-    frames: Counter,
-    fsyncs: Counter,
 }
 
 /// One batch on its way from the apply stage to the commit stage. The
@@ -273,14 +272,8 @@ impl Engine {
         };
         let next_seq = report.as_ref().map(|r| r.frames).unwrap_or(0);
         let last_stamp = platform.now().as_secs();
-        let fsyncs = registry.counter("tacc_taccd_journal_fsyncs_total", &[]);
-        fsyncs.inc_by(journal.stats().syncs); // a new journal's genesis sync
         let (journal, file) = journal.split();
-        let commit = CommitStage {
-            file,
-            frames: registry.counter("tacc_taccd_journal_frames_total", &[]),
-            fsyncs,
-        };
+        let commit = CommitStage { file };
         let apply = ApplyStage {
             platform,
             journal,
@@ -334,13 +327,8 @@ impl CommitStage {
         let mut failure: Option<String> = None;
         for mut batch in batches {
             if failure.is_none() {
-                match self.file.commit(&batch.frames) {
-                    Ok(()) if batch.frames.count() > 0 => {
-                        self.frames.inc_by(batch.frames.count());
-                        self.fsyncs.inc();
-                    }
-                    Ok(()) => {}
-                    Err(e) => failure = Some(e.to_string()),
+                if let Err(e) = self.file.commit(&batch.frames) {
+                    failure = Some(e.to_string());
                 }
             }
             for (tx, reply) in batch.replies.drain(..) {
@@ -451,7 +439,8 @@ impl ApplyStage {
 
     /// [`Platform::answer`], plus what only the engine knows: the journal
     /// counters, the journal position and protocol in `info`, and its
-    /// own `tacc_taccd_*` series after the platform's.
+    /// own `tacc_taccd_*` series after the platform's — the journal's
+    /// frames and fsyncs published from [`Journal::stats`] as of now.
     fn answer(&self, query: &Query) -> Reply {
         if self.journal.failed() {
             return journal_io(JOURNAL_CLOSED);
@@ -472,6 +461,13 @@ impl ApplyStage {
                 Reply::Ok(Json::Obj(fields))
             }
             (Query::Metrics, Ok(Json::Str(text))) => {
+                let stats = self.journal.stats();
+                let counter = |series, total| self.registry.counter(series, &[]).catch_up(total);
+                counter(
+                    "tacc_taccd_journal_frames_total",
+                    stats.appended - stats.dirty,
+                );
+                counter("tacc_taccd_journal_fsyncs_total", stats.syncs);
                 Reply::Ok(Json::Str(text + &self.registry.expose()))
             }
             (_, Ok(payload)) => Reply::Ok(payload),
@@ -660,6 +656,49 @@ mod tests {
         assert!(text.contains("tacc_taccd_journal_frames_total 1"));
         assert!(text.contains("tacc_taccd_journal_fsyncs_total"));
         assert!(text.contains("tacc_core_jobs_submitted_total"));
+
+        // The journal series, scraped, and what the `journal` query says
+        // they stand for: `appended - dirty` frames, `syncs` fsyncs.
+        let scrape = |tx: &mpsc::Sender<Msg>| {
+            let Reply::Ok(Json::Str(text)) = query(tx, Query::Metrics) else {
+                panic!("metrics query failed");
+            };
+            let series = |name| {
+                let value = text
+                    .lines()
+                    .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+                value.and_then(|v| v.parse::<u64>().ok())
+            };
+            let Reply::Ok(stats) = query(tx, Query::JournalStats) else {
+                panic!("journal query failed");
+            };
+            let field = |key| {
+                stats
+                    .get(key)
+                    .and_then(Json::as_u64)
+                    .expect("journal field")
+            };
+            let frames = series("tacc_taccd_journal_frames_total");
+            let fsyncs = series("tacc_taccd_journal_fsyncs_total");
+            let expected = (field("appended") - field("dirty"), field("syncs"));
+            assert_eq!((frames, fsyncs), (Some(expected.0), Some(expected.1)));
+            expected
+        };
+        let session = script(0x5C2A_9E00, 300);
+        let replies = enqueue(&session, &tx);
+        let replies: Vec<Reply> = replies.iter().take(session.len()).collect();
+        let acked = acked_records(&session, &replies).len() as u64;
+        // The genesis sync, then one per committed batch.
+        let (frames, fsyncs) = scrape(&tx);
+        assert!(frames == 1 + acked && fsyncs > 1 && fsyncs <= frames + 1);
+        tx.send(Msg::Stop).expect("send stop");
+        handle.join().expect("engine exits");
+
+        // A restarted engine counts from its own open.
+        let (tx, handle) = spawn(path.clone());
+        assert_eq!(scrape(&tx), (0, 0));
+        assert!(matches!(mutate(&tx, submit_command()), Reply::Ok(_)));
+        assert_eq!(scrape(&tx), (1, 1));
         tx.send(Msg::Stop).expect("send stop");
         handle.join().expect("engine exits");
         std::fs::remove_file(&path).ok();

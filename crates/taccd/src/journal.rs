@@ -136,11 +136,6 @@ pub struct Frames {
 }
 
 impl Frames {
-    /// How many frames the batch holds.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Empties the batch, keeping its buffer.
     pub fn clear(&mut self) {
         self.bytes.clear();

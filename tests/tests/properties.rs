@@ -2,7 +2,7 @@
 
 use tacc_cluster::{Cluster, ClusterSpec, GpuModel, NodeId, ResourceVec};
 use tacc_core::wire;
-use tacc_metrics::{jain_index, percentile, StepSeries, Summary};
+use tacc_metrics::{jain_index, percentile, Summary, UtilizationTracker};
 use tacc_sim::{dist, DetRng, EventQueue, SeedStream, SimTime};
 use tacc_tests::below;
 use tacc_workload::{GenParams, Trace, TraceGenerator};
@@ -96,21 +96,32 @@ fn percentile_monotone() {
     }
 }
 
-/// A step series' time-weighted mean lies within the value range seen
-/// (plus the implicit leading zero).
+/// A pool's mean utilization lies between zero and its busiest level,
+/// whatever the acquires and releases (same-instant ones included).
 #[test]
-fn step_series_mean_bounded() {
+fn utilization_mean_is_bounded_by_the_busiest_level() {
     for case in 0..256 {
         let rng = &mut DetRng::seed_from_u64(case);
-        let len = 1 + below(rng, 49);
-        let values = floats(rng, len, 0.0, 100.0);
-        let mut series = StepSeries::new();
-        for (i, &v) in values.iter().enumerate() {
-            series.set(i as f64, v);
+        let mut util = UtilizationTracker::new(100.0);
+        let (mut now, mut busy, mut busiest) = (0.0, 0.0f64, 0.0f64);
+        for _ in 0..1 + below(rng, 49) {
+            now += below(rng, 3) as f64;
+            let amount = dist::uniform(rng, 0.0, 1.0) * (100.0 - busy).max(0.0);
+            if below(rng, 2) == 0 {
+                util.acquire(now, amount);
+                busy += amount;
+            } else {
+                let amount = amount.min(busy);
+                util.release(now, amount);
+                busy -= amount;
+            }
+            busiest = busiest.max(busy);
         }
-        let mean = series.time_weighted_mean(0.0, values.len() as f64);
-        let max = values.iter().cloned().fold(0.0f64, f64::max);
-        assert!(mean >= 0.0 && mean <= max + 1e-9, "case {case}: {mean}");
+        let mean = util.mean_utilization(now + 1.0);
+        assert!(
+            (0.0..=busiest / 100.0 + 1e-9).contains(&mean),
+            "case {case}: {mean}"
+        );
     }
 }
 

@@ -169,7 +169,7 @@ fn a_finished_replay_holds_each_job_once() {
     // Debug and release builds hold the same blocks — the debug oracles
     // allocate, but keep nothing — so the residency gates run in both.
     assert!(
-        per_job(full.live_bytes) <= 1_400.0,
+        per_job(full.live_bytes) <= 1_350.0,
         "{} live bytes per job",
         per_job(full.live_bytes)
     );
