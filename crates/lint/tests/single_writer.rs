@@ -571,6 +571,64 @@ fn a_hand_written_codec_outside_tacc_json_flips_red() {
     fs::remove_dir_all(&root).expect("cleanup");
 }
 
+/// The `journal-frame-encoding` rule: a journal frame is encoded by the
+/// commit stage, in `journal.rs`. The engine's apply stage framing a
+/// record itself flips red at its line; the journal's own call does not.
+#[test]
+fn a_frame_encoded_on_the_apply_stage_flips_red() {
+    let root = scratch("sw-frames");
+    write(
+        &root.join("lint-owners.toml"),
+        "[[owner]]\n\
+         name = \"journal-frame-encoding\"\n\
+         methods = [\"frame_into\"]\n\
+         writers = [\"crates/core/src/wire.rs\", \"crates/taccd/src/journal.rs\"]\n\
+         why = \"a journal frame is encoded on the commit stage\"\n",
+    );
+    write(
+        &root.join("crates/taccd/Cargo.toml"),
+        "[package]\nname = \"tacc-taccd\"\n",
+    );
+    write(
+        &root.join("crates/taccd/src/journal.rs"),
+        "pub fn commit(out: &mut Vec<u8>, record: &CommandRecord) {\n\
+         \x20   wire::frame_into(out, |payload| record.write_json(payload));\n\
+         }\n",
+    );
+    write(
+        &root.join("crates/taccd/src/engine.rs"),
+        "pub fn apply(pending: &mut Vec<CommandRecord>, record: CommandRecord) {\n\
+         \x20   pending.push(record);\n\
+         }\n",
+    );
+    let json_path = root.join("report.json");
+    assert!(
+        run_lint(&root, &json_path).success(),
+        "framing in journal.rs must pass --check"
+    );
+
+    write(
+        &root.join("crates/taccd/src/engine.rs"),
+        "pub fn apply(pending: &mut Vec<u8>, record: &CommandRecord) {\n\
+         \x20   wire::frame_into(pending, |payload| record.write_json(payload));\n\
+         }\n",
+    );
+    assert!(
+        !run_lint(&root, &json_path).success(),
+        "a frame encoded in engine.rs must fail --check"
+    );
+    let json = fs::read_to_string(&json_path).expect("JSON report written");
+    assert!(
+        json.contains(
+            "{\"lint\": \"single-writer\", \"file\": \"crates/taccd/src/engine.rs\", \"line\": 2,"
+        ),
+        "single-writer must locate the call at engine.rs:2\n{json}"
+    );
+    assert!(!json.contains("\"file\": \"crates/taccd/src/journal.rs\""));
+
+    fs::remove_dir_all(&root).expect("cleanup");
+}
+
 /// A reasoned inline allow suppresses a single rogue site — visible in
 /// the report's suppression list, not fatal.
 #[test]

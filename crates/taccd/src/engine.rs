@@ -9,16 +9,17 @@
 //! The **apply stage** is the thread `run` is called on, and the only
 //! owner of the platform. It blocks on the inbox, drains up to
 //! [`MAX_BATCH`] queued messages and takes them in arrival order: a
-//! mutate is stamped, applied and (on success) encoded into the
-//! journal's pending batch buffer; a query is answered against the state
-//! as of its position in the stream. No reply is sent from here. The
-//! batch — its encoded frames and its replies — goes to the commit
-//! stage, and the apply stage turns to the next one.
+//! mutate is stamped, applied and (on success) queued, unencoded, in the
+//! journal's pending batch; a query is answered against the state as of
+//! its position in the stream. No reply is sent from here. The batch —
+//! its records and its replies — goes to the commit stage, and the apply
+//! stage turns to the next one.
 //!
 //! The **commit stage** is one scoped thread, spawned and joined inside
 //! `run`, and the only writer of the journal file while it lives. Per
-//! batch it makes one `write_all` and one `sync_data` — none when the
-//! batch carries no frame — and only then releases the batch's replies.
+//! batch it encodes the records' frames into one buffer, makes one
+//! `write_all` and one `sync_data` — none of the three when the batch
+//! carries no record — and only then releases the batch's replies.
 //! So batch N+1 is applied while batch N is on its way to disk, and the
 //! apply stage is never more than [`PIPELINE_DEPTH`] + 1 batches ahead of
 //! the one being committed.
@@ -197,6 +198,9 @@ struct ApplyStage {
     next_seq: u64,
     last_stamp: f64,
     started: Instant,
+    /// Commands applied, commands refused and queries answered, in that
+    /// order, since the last [`publish`](ApplyStage::publish).
+    tally: [u64; 3],
 }
 
 /// What the commit stage owns: the journal file. What reached it is
@@ -211,7 +215,7 @@ struct CommitStage {
 /// few buffers go round and a batch allocates nothing.
 #[derive(Default)]
 struct Batch {
-    /// The accepted commands' frames.
+    /// The accepted commands' records, to be framed by the commit stage.
     frames: Frames,
     /// One reply per message, in arrival order, each with its way back.
     replies: Vec<(Sender<Reply>, Reply)>,
@@ -284,6 +288,7 @@ impl Engine {
             last_stamp,
             // tacc-lint: allow(wall-clock, reason = "daemon start anchor for ClockMode::Wall stamps; replay uses the recorded stamps, so determinism is unaffected")
             started: Instant::now(),
+            tally: [0; 3],
         };
         Ok((Engine { apply, commit }, report))
     }
@@ -375,16 +380,19 @@ impl ApplyStage {
                 match msg {
                     Msg::Mutate { command, reply } => {
                         let outcome = self.apply_mutate(command);
+                        let refused = matches!(outcome, Reply::Err { .. });
+                        self.tally[usize::from(refused)] += 1;
                         batch.replies.push((reply, outcome));
                     }
                     Msg::Query { query, reply } => {
-                        self.metrics.queries.inc();
+                        self.tally[2] += 1;
                         let answer = self.answer(&query);
                         batch.replies.push((reply, answer));
                     }
                     Msg::Stop => keep_running = false,
                 }
             }
+            self.publish();
             batch.frames = self.journal.take_pending(batch.frames);
             if to_commit.send(batch).is_err() {
                 break; // the commit stage is gone: nothing can be answered
@@ -392,10 +400,17 @@ impl ApplyStage {
         }
     }
 
-    /// Stamps, applies and journals one command.
+    /// Adds the tallies to their counters, and zeroes them.
+    fn publish(&mut self) {
+        let [commands, rejects, queries] = std::mem::take(&mut self.tally);
+        self.metrics.commands.inc_by(commands);
+        self.metrics.rejects.inc_by(rejects);
+        self.metrics.queries.inc_by(queries);
+    }
+
+    /// Stamps, applies and journals one command: `Ok` iff it was applied.
     fn apply_mutate(&mut self, command: Command) -> Reply {
         if self.journal.failed() {
-            self.metrics.rejects.inc();
             return journal_io(JOURNAL_CLOSED);
         }
         let at_secs = self.stamp();
@@ -411,18 +426,13 @@ impl ApplyStage {
                     // here. The command is applied and unjournalled, but
                     // the engine has stopped: this batch and every later
                     // one is answered `journal-io` by the commit stage.
-                    self.metrics.rejects.inc();
                     return journal_io(&e.to_string());
                 }
                 self.next_seq += 1;
                 self.last_stamp = at_secs;
-                self.metrics.commands.inc();
                 Reply::Ok(outcome.to_json(record.seq, at_secs))
             }
-            Err(e) => {
-                self.metrics.rejects.inc();
-                Reply::refuse(e.kind(), e)
-            }
+            Err(e) => Reply::refuse(e.kind(), e),
         }
     }
 
@@ -439,9 +449,9 @@ impl ApplyStage {
 
     /// [`Platform::answer`], plus what only the engine knows: the journal
     /// counters, the journal position and protocol in `info`, and its
-    /// own `tacc_taccd_*` series after the platform's — the journal's
-    /// frames and fsyncs published from [`Journal::stats`] as of now.
-    fn answer(&self, query: &Query) -> Reply {
+    /// own `tacc_taccd_*` series after the platform's, tallies published
+    /// and the journal's frames and fsyncs read from [`Journal::stats`].
+    fn answer(&mut self, query: &Query) -> Reply {
         if self.journal.failed() {
             return journal_io(JOURNAL_CLOSED);
         }
@@ -461,6 +471,7 @@ impl ApplyStage {
                 Reply::Ok(Json::Obj(fields))
             }
             (Query::Metrics, Ok(Json::Str(text))) => {
+                self.publish();
                 let stats = self.journal.stats();
                 let counter = |series, total| self.registry.counter(series, &[]).catch_up(total);
                 counter(
@@ -1004,6 +1015,82 @@ mod tests {
         tx.send(Msg::Stop).expect("send stop");
         handle.join().expect("engine exits");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// What `tacc_taccd_journal_frames_total` (`appended - dirty`) rests
+    /// on: while batch 0 sits in its fsync, the records queued behind it
+    /// — batch 1 in the channel, batch 2 still pending, none encoded —
+    /// count as appended and as dirty; once the gate opens none is dirty,
+    /// and the file holds I3's bytes. A scrape in the same batch reads the
+    /// tallies up to itself, as when each message bumped its counter.
+    #[test]
+    fn queued_records_are_appended_and_dirty_until_durable() {
+        let path = temp_journal("queued");
+        std::fs::remove_file(&path).ok();
+        let mut engine = open(&path);
+        let (arrived, at_gate) = mpsc::channel();
+        let (open_gate, gate) = mpsc::channel();
+        engine.commit.file = engine.commit.file.wrap_sink(|disk| {
+            Box::new(GatedDisk {
+                disk,
+                gate: Some((arrived, gate)),
+            })
+        });
+        let queries = engine.registry().counter("tacc_taccd_queries_total", &[]);
+        let submits = vec![Some(submit_command()); 2 * MAX_BATCH + 10];
+        let queued = submits.len() as u64;
+        let (tx, rx) = mpsc::channel();
+        let acks = enqueue(&submits, &tx);
+        let (stats_tx, stats) = mpsc::channel();
+        for query in [Query::JournalStats, Query::Metrics] {
+            let reply = stats_tx.clone();
+            tx.send(Msg::Query { query, reply }).expect("queued");
+        }
+        let handle = std::thread::spawn(move || engine.run(&rx));
+
+        at_gate.recv().expect("batch 0 reaches its sync");
+        let deadline = Instant::now() + std::time::Duration::from_secs(60);
+        while queries.get() == 0 {
+            assert!(Instant::now() < deadline, "the apply stage stalled");
+            std::thread::yield_now();
+        }
+        open_gate.send(()).expect("the sync is waiting");
+        let field = |stats: &Json, key| stats.get(key).and_then(Json::as_u64);
+        let Reply::Ok(during) = stats.recv().expect("answered") else {
+            panic!("journal query refused");
+        };
+        assert_eq!(field(&during, "appended"), Some(queued));
+        assert_eq!(field(&during, "dirty"), Some(queued));
+        assert_eq!(field(&during, "syncs"), Some(1), "the genesis sync only");
+        let Ok(Reply::Ok(Json::Str(text))) = stats.recv() else {
+            panic!("metrics query refused");
+        };
+        for series in [
+            format!("tacc_taccd_commands_applied_total {queued}\n"),
+            "tacc_taccd_queries_total 2\n".to_owned(),
+        ] {
+            assert!(text.contains(&series), "{series:?} not in\n{text}");
+        }
+        let acks: Vec<Reply> = acks.iter().take(submits.len()).collect();
+        let Reply::Ok(after) = query(&tx, Query::JournalStats) else {
+            panic!("journal query refused");
+        };
+        assert_eq!(field(&after, "appended"), Some(queued));
+        assert_eq!(field(&after, "dirty"), Some(0));
+        tx.send(Msg::Stop).expect("send stop");
+        handle.join().expect("engine exits");
+
+        let seed = PlatformConfig::default().seed;
+        let genesis_path = temp_journal("queued-genesis");
+        drop(Journal::create(&genesis_path, seed).expect("creates"));
+        let mut expected = std::fs::read(&genesis_path).expect("reads");
+        for record in acked_records(&submits, &acks) {
+            let text = record.to_json().to_string();
+            expected.extend(tacc_core::wire::encode_frame(text.as_bytes()));
+        }
+        assert_eq!(std::fs::read(&path).expect("reads"), expected);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&genesis_path).ok();
     }
 
     /// I3: however a live engine batched them, the journal's bytes are

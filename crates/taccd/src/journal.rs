@@ -5,16 +5,16 @@
 //! then one frame per accepted [`CommandRecord`], each a single JSON
 //! line.
 //!
-//! A journal has two halves. The *append* half ([`Journal`]) encodes a
-//! record straight into the pending batch buffer — in memory, no
-//! syscall. The *commit* half ([`JournalFile`]) puts a batch on disk
-//! with one `write_all` and one `sync_data` ([`JournalFile::commit`],
-//! the one routine that touches the file after the genesis frame). Used
-//! whole, [`Journal::sync`] commits the pending batch on the caller's
-//! thread. The engine instead [splits](Journal::split) the journal: its
-//! apply stage keeps appending to a `Journal<Detached>` — which has no
-//! `sync`, so nothing can flush on that thread — while its commit stage
-//! owns the file.
+//! A journal has two halves. The *append* half ([`Journal`]) queues an
+//! accepted record in the pending batch: no text, no syscall. The
+//! *commit* half ([`JournalFile::commit`]) frames a batch into one
+//! buffer and puts it on disk with one `write_all` and one `sync_data` —
+//! the one routine that encodes a command frame or touches the file
+//! after the genesis frame. Used whole, [`Journal::sync`] commits the
+//! pending batch on the caller's thread. The engine instead
+//! [splits](Journal::split) the journal: its apply stage keeps appending
+//! to a `Journal<Detached>` — which has no `sync`, so nothing can encode
+//! or flush on that thread — while its commit stage owns the file.
 //!
 //! A journal whose write or sync failed is closed for good
 //! ([`Journal::failed`]): the file may end mid-frame, so nothing more is
@@ -127,21 +127,9 @@ impl JournalSink for File {
     }
 }
 
-/// A batch of encoded frames, back to back, and how many they are: what
-/// the append half fills and the commit half writes.
-#[derive(Debug, Default)]
-pub struct Frames {
-    bytes: Vec<u8>,
-    count: u64,
-}
-
-impl Frames {
-    /// Empties the batch, keeping its buffer.
-    pub fn clear(&mut self) {
-        self.bytes.clear();
-        self.count = 0;
-    }
-}
+/// A batch of accepted records, in `seq` order: what the append half
+/// queues and the commit half frames and writes, one frame each.
+pub type Frames = Vec<CommandRecord>;
 
 /// What the commit half has done, as the append half reads it: one side
 /// only ever stores, the other only ever loads.
@@ -160,35 +148,42 @@ struct Progress {
 #[derive(Debug)]
 pub struct JournalFile {
     sink: Box<dyn JournalSink>,
+    /// The batch being committed, framed; kept for its capacity.
+    encoded: Vec<u8>,
     progress: Arc<Progress>,
 }
 
 impl JournalFile {
-    /// Makes one batch of frames durable: one `write_all`, one
-    /// `sync_data`. A batch without frames touches nothing.
+    /// Makes one batch durable: frames each record into one buffer
+    /// ([`wire::frame_into`] over [`CommandRecord::write_json`]), then one
+    /// `write_all`, one `sync_data`. A batch without records touches nothing.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] when the write or the sync fails — and from
-    /// then on for every batch, without touching the file again: it may
-    /// end mid-frame, and frames written behind a tear would be lost to
-    /// recovery after they were acknowledged.
+    /// then on for every batch, without encoding or touching the file
+    /// again: it may end mid-frame, and frames written behind a tear
+    /// would be lost to recovery after they were acknowledged.
     pub fn commit(&mut self, batch: &Frames) -> Result<(), JournalError> {
-        if batch.count == 0 {
+        if batch.is_empty() {
             return Ok(());
         }
         if self.progress.failed.load(SeqCst) {
             return Err(closed());
         }
+        self.encoded.clear();
+        for record in batch {
+            wire::frame_into(&mut self.encoded, |payload| record.write_json(payload));
+        }
         let written = self
             .sink
-            .write_all(&batch.bytes)
+            .write_all(&self.encoded)
             .and_then(|()| self.sink.sync_data());
         if let Err(e) = written {
             self.progress.failed.store(true, SeqCst);
             return Err(JournalError::Io(e));
         }
-        self.progress.durable.fetch_add(batch.count, SeqCst);
+        self.progress.durable.fetch_add(batch.len() as u64, SeqCst);
         self.progress.syncs.fetch_add(1, SeqCst);
         Ok(())
     }
@@ -228,9 +223,9 @@ pub struct Detached;
 pub struct Journal<F = JournalFile> {
     file: F,
     path: PathBuf,
-    /// The pending batch: frames appended and not yet handed to a commit.
+    /// The pending batch: records appended and not yet handed to a commit.
     pending: Frames,
-    /// Frames appended since open.
+    /// Records appended since open.
     appended: u64,
     progress: Arc<Progress>,
 }
@@ -238,12 +233,12 @@ pub struct Journal<F = JournalFile> {
 /// Counters the engine exports as `tacc_taccd_journal_*` metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalStats {
-    /// Frames appended since open.
+    /// Records appended since open: each is one frame once committed.
     pub appended: u64,
     /// `fsync` calls issued since open.
     pub syncs: u64,
-    /// Frames appended but not yet covered by an `fsync`: pending, or on
-    /// their way through a commit stage.
+    /// Records appended but not yet covered by an `fsync`: pending, or
+    /// on their way through a commit stage, which encodes them.
     pub dirty: u64,
 }
 
@@ -342,10 +337,11 @@ impl Journal {
         Journal {
             file: JournalFile {
                 sink: Box::new(file),
+                encoded: Vec::new(),
                 progress: Arc::clone(&progress),
             },
             path: path.to_owned(),
-            pending: Frames::default(),
+            pending: Frames::new(),
             appended: 0,
             progress,
         }
@@ -473,10 +469,10 @@ impl Journal {
 }
 
 impl<F> Journal<F> {
-    /// Appends one command record as a checksummed frame, encoded
-    /// straight into the pending batch buffer: no syscall, and **not**
-    /// durable until a commit covers it — the engine commits once per
-    /// batch before acknowledging.
+    /// Appends one command record: queues a clone (sharing a submit's
+    /// schema) in the pending batch, for a commit to frame — no text, no
+    /// syscall, and **not** durable until that commit; the engine commits
+    /// once per batch before acknowledging.
     ///
     /// # Errors
     ///
@@ -485,10 +481,7 @@ impl<F> Journal<F> {
         if self.failed() {
             return Err(closed());
         }
-        wire::frame_into(&mut self.pending.bytes, |payload| {
-            record.write_json(payload)
-        });
-        self.pending.count += 1;
+        self.pending.push(record.clone());
         self.appended += 1;
         Ok(())
     }
@@ -496,7 +489,7 @@ impl<F> Journal<F> {
     /// Takes the pending batch for a commit stage, leaving the empty
     /// `spare` to fill next.
     pub fn take_pending(&mut self, spare: Frames) -> Frames {
-        debug_assert_eq!(spare.count, 0, "the spare batch still holds frames");
+        debug_assert!(spare.is_empty(), "the spare batch still holds records");
         std::mem::replace(&mut self.pending, spare)
     }
 
@@ -596,6 +589,123 @@ mod tests {
         assert_eq!(records[4].seq, 99);
         assert!(!report.torn());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// One call a [`RecordingDisk`] took, in the order it took them.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Call {
+        Write(Vec<u8>),
+        Sync,
+    }
+
+    /// A disk that records every call, shared with the test that reads
+    /// them, and fails its writes while `fail` is set.
+    #[derive(Debug, Clone, Default)]
+    struct RecordingDisk {
+        calls: Arc<std::sync::Mutex<Vec<Call>>>,
+        fail: Arc<AtomicBool>,
+    }
+
+    impl RecordingDisk {
+        fn calls(&self) -> Vec<Call> {
+            self.calls.lock().expect("not poisoned").clone()
+        }
+    }
+
+    impl JournalSink for RecordingDisk {
+        fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
+            let call = Call::Write(bytes.to_vec());
+            self.calls.lock().expect("not poisoned").push(call);
+            if self.fail.load(SeqCst) {
+                return Err(io::Error::other("injected write failure"));
+            }
+            Ok(())
+        }
+
+        fn sync_data(&mut self) -> io::Result<()> {
+            self.calls.lock().expect("not poisoned").push(Call::Sync);
+            Ok(())
+        }
+    }
+
+    /// A split journal whose file half writes to `disk` alone.
+    fn split_onto(disk: &RecordingDisk, tag: &str) -> (Journal<Detached>, JournalFile) {
+        let path = temp_path(tag);
+        let (appender, file) = Journal::create(&path, 42).expect("creates").split();
+        std::fs::remove_file(&path).ok();
+        let disk = disk.clone();
+        (appender, file.wrap_sink(|_| Box::new(disk)))
+    }
+
+    /// Records of every shape the escaper and the number writer meet.
+    fn mixed_records() -> Vec<CommandRecord> {
+        let schema = tacc_workload::TaskSchema::builder(
+            "quoted \"name\" \\ tab\t",
+            tacc_workload::GroupId::from_index(3),
+        );
+        let commands = [
+            Command::Submit {
+                schema: schema.build().expect("valid schema").into(),
+                service_secs: 90.25,
+            },
+            Command::Advance { secs: 3600.0 },
+            Command::Cancel {
+                job: tacc_workload::JobId::from_value(7),
+            },
+            Command::Drain { node: 5 },
+        ];
+        (0..)
+            .zip(commands)
+            .map(|(seq, command)| CommandRecord {
+                seq,
+                at_secs: seq as f64 / 3.0,
+                command,
+            })
+            .collect()
+    }
+
+    /// The appender only queues; one commit frames the whole batch, in
+    /// queue order, into one `write_all`, then syncs: I3's bytes.
+    #[test]
+    fn one_commit_writes_the_queued_records_framed_in_one_call() {
+        let disk = RecordingDisk::default();
+        let (mut appender, mut file) = split_onto(&disk, "recording");
+        let records = mixed_records();
+        for record in &records {
+            appender.append_frame(record).expect("appends");
+        }
+        assert!(disk.calls().is_empty(), "appending touched the disk");
+        assert_eq!(appender.stats().dirty, records.len() as u64);
+
+        file.commit(&appender.take_pending(Frames::new()))
+            .expect("commits");
+        let framed: Vec<u8> = records
+            .iter()
+            .flat_map(|r| wire::encode_frame(r.to_json().to_string().as_bytes()))
+            .collect();
+        assert_eq!(disk.calls(), [Call::Write(framed), Call::Sync]);
+        assert_eq!(appender.stats().dirty, 0);
+        assert_eq!(appender.stats().syncs, 2, "the genesis sync, then one");
+    }
+
+    /// I4 at the file half: after a failed write, a commit encodes and
+    /// writes nothing — not one sink call — and the appender is closed.
+    #[test]
+    fn nothing_is_encoded_or_written_behind_a_failed_write() {
+        let disk = RecordingDisk::default();
+        let (mut appender, mut file) = split_onto(&disk, "recording-torn");
+        disk.fail.store(true, SeqCst);
+        let records = mixed_records();
+        assert!(file.commit(&records[..1].to_vec()).is_err());
+        assert_eq!(disk.calls().len(), 1, "the one failed write");
+        let encoded = file.encoded.clone();
+
+        disk.fail.store(false, SeqCst);
+        assert!(file.commit(&records).is_err(), "closed for good");
+        assert_eq!(disk.calls().len(), 1, "a sink call behind the tear");
+        assert_eq!(file.encoded, encoded, "a batch encoded behind the tear");
+        assert!(appender.failed());
+        assert!(appender.append_frame(&records[1]).is_err());
     }
 
     #[test]
