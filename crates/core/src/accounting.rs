@@ -101,10 +101,12 @@ impl Platform {
     /// The platform's publish step, run by every scrape: each series
     /// whose count a layer already keeps is read from it here — the job
     /// tallies and illegal transitions from the bus's lifetime per-kind
-    /// counts, the cluster series from the cluster, the bus's drops, and
-    /// the scheduler's and the compiler's own series. Fragmentation is
-    /// the fraction of free GPUs outside the largest single free block —
-    /// 0 when all free capacity is contiguous.
+    /// counts, the cluster series from the cluster, the bus's drops, the
+    /// execution layer's plans, faults and failovers from the bus's
+    /// placed / failed-over / failed counts, and the scheduler's and the
+    /// compiler's own series. Fragmentation is the fraction of free GPUs
+    /// outside the largest single free block — 0 when all free capacity
+    /// is contiguous.
     pub(crate) fn publish_metrics(&self) {
         let registry = &self.registry;
         let counter = |series, total| registry.counter(series, &[]).catch_up(total);
@@ -123,6 +125,10 @@ impl Platform {
             self.cluster.alloc_failures(),
         );
         counter(tacc_obs::DROPPED_EVENTS_METRIC, self.bus.dropped());
+        let (faults, failovers) = self.fault_counts();
+        counter(tacc_exec::PLANS_METRIC, kind("placed"));
+        counter(tacc_exec::FAULTS_METRIC, faults);
+        counter(tacc_exec::FAILOVERS_METRIC, failovers);
         let free = f64::from(self.cluster.free_gpus());
         let largest = f64::from(self.cluster.largest_free_block());
         let fragmentation = if free > 0.0 {

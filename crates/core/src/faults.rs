@@ -14,6 +14,14 @@ use crate::admission::task_request;
 use crate::platform::Platform;
 
 impl Platform {
+    /// Node faults that hit a running job, and those survived by a
+    /// runtime switch, from the bus: each ends in exactly one
+    /// `failed_over` or `failed` event.
+    pub(crate) fn fault_counts(&self) -> (u64, u64) {
+        let failovers = self.bus.kind_count("failed_over");
+        (failovers + self.bus.kind_count("failed"), failovers)
+    }
+
     /// Delivers a node fault to every job whose active run is placed on
     /// `node`, in job-id order (deterministic), as if each had received
     /// a DES `Fault` event now. Returns the jobs that were hit. This is
@@ -40,12 +48,10 @@ impl Platform {
         let Some(run) = self.release_run(id, now) else {
             return;
         };
-        self.exec_telemetry.note_fault();
         self.scheduler.task_finished(id, &mut self.cluster);
         let (progress, lost) = self.interruption_amounts(&run, now);
         match self.failover.fallback_for(run.runtime) {
             Some(fallback) => {
-                self.exec_telemetry.note_failover();
                 if let Some(slot) = self.jobs.get_mut(id) {
                     slot.runtime = fallback;
                 }

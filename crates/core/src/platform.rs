@@ -210,17 +210,15 @@ impl Platform {
     /// Deterministic work counters across every layer: the scheduler's
     /// own counters plus the platform-layer structural counters the
     /// scheduler cannot see — job/lease arena churn, free-capacity-index
-    /// re-keyings, and calendar-wheel traffic. This is what the perf
-    /// harness records and CI gates on.
+    /// re-keyings, and events scheduled. This is what the perf harness
+    /// records and CI gates on.
     pub fn work_counters(&self) -> tacc_sched::WorkCounters {
         let mut c = self.scheduler.work_counters();
         let (lease_allocs, lease_reuses) = self.cluster.lease_arena_stats();
         c.arena_alloc = lease_allocs + self.jobs.len() as u64;
         c.arena_reuse = lease_reuses;
         c.free_index_updates = self.cluster.free_index_updates();
-        let wheel = self.events.wheel_stats();
-        c.wheel_insert = wheel.inserts;
-        c.wheel_cascade = wheel.cascades;
+        c.wheel_insert = self.events.scheduled_total();
         c
     }
 
@@ -381,6 +379,7 @@ impl Platform {
     /// Builds the simulation report for everything processed so far.
     pub fn report(&self) -> SimulationReport {
         let horizon = self.clock.now().as_secs().max(1e-9);
+        let (faults, failovers) = self.fault_counts();
         let snapshot = self.registry.snapshot();
         let round_latency = snapshot
             .histogram("tacc_sched_round_latency_seconds")
@@ -395,8 +394,8 @@ impl Platform {
             cancelled: self.bus.kind_count("cancelled"),
             staging_secs_total: self.staging_secs_total,
             stagings: self.stagings,
-            faults: self.exec_telemetry.faults(),
-            failovers: self.exec_telemetry.failovers(),
+            faults,
+            failovers,
             preemptions: self.scheduler.preemption_count(),
             backfill_starts: self.scheduler.backfill_starts(),
             util: &self.util,

@@ -55,4 +55,4 @@ mod telemetry;
 pub use checkpoint::CheckpointPolicy;
 pub use failures::{FailoverPolicy, FailureInjector, RuntimeFault};
 pub use model::{ExecConfig, ExecModel, ExecutionPlan};
-pub use telemetry::ExecTelemetry;
+pub use telemetry::{ExecTelemetry, FAILOVERS_METRIC, FAULTS_METRIC, PLANS_METRIC};

@@ -1,31 +1,35 @@
 //! Operational telemetry for the execution layer.
 //!
-//! [`ExecModel`](crate::ExecModel) is a `Copy` value type, so metric
-//! handles live in this separate observer: the platform holds one and
-//! notifies it as plans are produced and faults arrive.
+//! [`ExecModel`](crate::ExecModel) is a `Copy` value type, so its two
+//! distributions live in this separate observer: the platform holds one
+//! and notifies it as plans are produced. The three counters are not
+//! kept here: the platform's event bus already counts placements,
+//! failovers and failures, and the platform publishes them under the
+//! names declared below at scrape time.
 
-use tacc_obs::{Counter, Histogram, MetricsRegistry};
+use tacc_obs::{Histogram, MetricsRegistry};
 
 use crate::model::ExecutionPlan;
 
-/// Handles into a [`MetricsRegistry`] for the `tacc_exec_*` series.
+/// Counter: execution plans produced (one per placement).
+pub const PLANS_METRIC: &str = "tacc_exec_plans_total";
+/// Counter: node faults that hit a running job (failed over or failed).
+pub const FAULTS_METRIC: &str = "tacc_exec_faults_total";
+/// Counter: faults survived by a fail-safe runtime switch.
+pub const FAILOVERS_METRIC: &str = "tacc_exec_failovers_total";
+
+/// Handles into a [`MetricsRegistry`] for the `tacc_exec_*` histograms.
 #[derive(Debug)]
 pub struct ExecTelemetry {
-    plans: Counter,
-    faults: Counter,
-    failovers: Counter,
     plan_slowdown: Histogram,
     comm_secs: Histogram,
 }
 
 impl ExecTelemetry {
-    /// Registers the `tacc_exec_*` series in `registry` and returns the
-    /// observer holding their handles.
+    /// Registers the `tacc_exec_*` histograms in `registry` and returns
+    /// the observer holding their handles.
     pub fn new(registry: &MetricsRegistry) -> Self {
         ExecTelemetry {
-            plans: registry.counter("tacc_exec_plans_total", &[]),
-            faults: registry.counter("tacc_exec_faults_total", &[]),
-            failovers: registry.counter("tacc_exec_failovers_total", &[]),
             plan_slowdown: registry.histogram("tacc_exec_plan_slowdown", &[]),
             comm_secs: registry.histogram("tacc_exec_comm_seconds_per_iter", &[]),
         }
@@ -34,29 +38,8 @@ impl ExecTelemetry {
     /// Records a produced execution plan (slowdown and per-iteration
     /// communication time distributions).
     pub fn note_plan(&self, plan: &ExecutionPlan) {
-        self.plans.inc();
         self.plan_slowdown.observe(plan.slowdown);
         self.comm_secs.observe(plan.comm_secs);
-    }
-
-    /// Records a node fault that hit a running job.
-    pub fn note_fault(&self) {
-        self.faults.inc();
-    }
-
-    /// Records a successful fail-safe runtime switch (fault survived).
-    pub fn note_failover(&self) {
-        self.failovers.inc();
-    }
-
-    /// Node faults that hit a running job so far.
-    pub fn faults(&self) -> u64 {
-        self.faults.get()
-    }
-
-    /// Faults survived by a runtime switch so far.
-    pub fn failovers(&self) -> u64 {
-        self.failovers.get()
     }
 }
 
@@ -76,18 +59,13 @@ mod tests {
             slowdown: 1.3,
             efficiency: 0.8,
         });
-        t.note_fault();
-        t.note_fault();
-        t.note_failover();
-        assert_eq!((t.faults(), t.failovers()), (2, 1));
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("tacc_exec_plans_total"), Some(1));
-        assert_eq!(snap.counter("tacc_exec_faults_total"), Some(2));
-        assert_eq!(snap.counter("tacc_exec_failovers_total"), Some(1));
         let slow = snap
             .histogram("tacc_exec_plan_slowdown")
             .expect("histogram");
         assert_eq!(slow.count, 1);
         assert!((slow.sum - 1.3).abs() < 1e-12);
+        let comm = snap.histogram("tacc_exec_comm_seconds_per_iter");
+        assert_eq!(comm.map(|h| h.count), Some(1));
     }
 }

@@ -55,72 +55,18 @@ pub(crate) struct Reservation {
 }
 
 /// Computes the reservation for a blocked job needing `demand_gpus`, given
-/// `free_gpus` free now and `running` as `(est_end_secs, gpus)` pairs.
+/// `free_gpus` free now, `running` as `(est_end_secs, gpus)` pairs and the
+/// planned [`CapacityWindow`]s — the naive event-sweep the
+/// [`ReferenceScheduler`](crate::reference::ReferenceScheduler) uses.
 ///
-/// Walks running jobs in estimated completion order, accumulating released
-/// GPUs until the demand fits. If even all running jobs ending would not
-/// free enough (demand exceeds cluster size), the last release time is used
-/// and `extra_gpus` is 0.
-pub(crate) fn reserve(
-    now_secs: f64,
-    demand_gpus: u32,
-    free_gpus: u32,
-    running: &mut [(f64, u32)],
-) -> Reservation {
-    if demand_gpus <= free_gpus {
-        return Reservation {
-            shadow_secs: now_secs,
-            extra_gpus: free_gpus - demand_gpus,
-        };
-    }
-    running.sort_by(|a, b| a.0.total_cmp(&b.0));
-    reserve_sorted(now_secs, demand_gpus, free_gpus, running)
-}
-
-/// [`reserve`] over a release profile that is *already* sorted by
-/// ascending end time (same stable order `reserve` produces). Conservative
-/// backfill computes one reservation per blocked job per round against an
-/// unchanged running set, so the scheduler sorts the profile once per
-/// cluster state and answers each reservation with this linear walk.
-pub(crate) fn reserve_sorted(
-    now_secs: f64,
-    demand_gpus: u32,
-    free_gpus: u32,
-    sorted_running: &[(f64, u32)],
-) -> Reservation {
-    if demand_gpus <= free_gpus {
-        return Reservation {
-            shadow_secs: now_secs,
-            extra_gpus: free_gpus - demand_gpus,
-        };
-    }
-    let mut free = free_gpus;
-    for &(end, gpus) in sorted_running.iter() {
-        free += gpus;
-        if free >= demand_gpus {
-            return Reservation {
-                shadow_secs: end.max(now_secs),
-                extra_gpus: free - demand_gpus,
-            };
-        }
-    }
-    // Demand can never be satisfied by currently running work; reserve at
-    // the far end with nothing to spare.
-    Reservation {
-        shadow_secs: sorted_running.last().map(|&(e, _)| e).unwrap_or(now_secs),
-        extra_gpus: 0,
-    }
-}
-
-/// [`reserve`] extended with planned [`CapacityWindow`]s — the naive
-/// event-sweep facade the [`ReferenceScheduler`](crate::reference::ReferenceScheduler)
-/// uses. With no windows it delegates to the legacy [`reserve`] walk
-/// unchanged; with windows it sweeps the merged event horizon (release
-/// ends plus window edges) ascending. At each event time the releases
-/// apply *one at a time* in the profile's stable tie order under the
-/// pre-boundary window drop, then the drop change applies — exactly the
-/// algorithm [`SlotSet::probe`](crate::SlotSet) implements over slots, so
-/// the differential suite can hold the two implementations byte-equal.
+/// It sweeps the merged event horizon (release ends plus window edges)
+/// ascending. At each event time the releases apply *one at a time* in the
+/// profile's stable tie order under the pre-boundary window drop, then the
+/// drop change applies — exactly the algorithm
+/// [`SlotSet::probe`](crate::SlotSet) implements over slots, so the
+/// differential suite can hold the two implementations byte-equal. If even
+/// every release would not free enough (demand exceeds cluster size), the
+/// last event time is used and `extra_gpus` is 0.
 pub(crate) fn reserve_with_windows(
     now_secs: f64,
     demand_gpus: u32,
@@ -128,9 +74,6 @@ pub(crate) fn reserve_with_windows(
     running: &mut [(f64, u32)],
     windows: &[CapacityWindow],
 ) -> Reservation {
-    if windows.is_empty() {
-        return reserve(now_secs, demand_gpus, free_gpus, running);
-    }
     if demand_gpus <= free_gpus {
         return Reservation {
             shadow_secs: now_secs,
@@ -207,7 +150,7 @@ mod tests {
     #[test]
     fn immediate_fit_reserves_now() {
         let mut running = vec![(100.0, 4)];
-        let r = reserve(10.0, 2, 6, &mut running);
+        let r = reserve_with_windows(10.0, 2, 6, &mut running, &[]);
         assert_eq!(r.shadow_secs, 10.0);
         assert_eq!(r.extra_gpus, 4);
     }
@@ -216,7 +159,7 @@ mod tests {
     fn shadow_at_earliest_sufficient_release() {
         // Free 2; need 8. Running: 4 GPUs end t=50, 4 end t=80, 8 end t=200.
         let mut running = vec![(200.0, 8), (50.0, 4), (80.0, 4)];
-        let r = reserve(0.0, 8, 2, &mut running);
+        let r = reserve_with_windows(0.0, 8, 2, &mut running, &[]);
         // After t=80: 2+4+4 = 10 >= 8.
         assert_eq!(r.shadow_secs, 80.0);
         assert_eq!(r.extra_gpus, 2);
@@ -225,7 +168,7 @@ mod tests {
     #[test]
     fn impossible_demand_reserves_at_end_with_zero_extra() {
         let mut running = vec![(100.0, 4)];
-        let r = reserve(0.0, 64, 2, &mut running);
+        let r = reserve_with_windows(0.0, 64, 2, &mut running, &[]);
         assert_eq!(r.shadow_secs, 100.0);
         assert_eq!(r.extra_gpus, 0);
     }
@@ -233,18 +176,23 @@ mod tests {
     #[test]
     fn shadow_never_before_now() {
         let mut running = vec![(5.0, 8)];
-        let r = reserve(10.0, 9, 2, &mut running);
+        let r = reserve_with_windows(10.0, 9, 2, &mut running, &[]);
         assert_eq!(r.shadow_secs, 10.0);
     }
 
     #[test]
     fn windows_facade_without_windows_is_the_legacy_walk() {
-        let mut a = vec![(200.0, 8), (50.0, 4), (80.0, 4)];
-        let mut b = a.clone();
-        assert_eq!(
-            reserve(0.0, 8, 2, &mut a),
-            reserve_with_windows(0.0, 8, 2, &mut b, &[])
-        );
+        // With no windows the sweep is the release-profile walk: releases
+        // accumulate one at a time, tied end times included, and a demand
+        // nothing running can cover reserves at the last release (or now).
+        let walk = |running: &[(f64, u32)], demand| {
+            let r = reserve_with_windows(0.0, demand, 2, &mut running.to_vec(), &[]);
+            (r.shadow_secs, r.extra_gpus)
+        };
+        assert_eq!(walk(&[(200.0, 8), (50.0, 4), (80.0, 4)], 8), (80.0, 2));
+        assert_eq!(walk(&[(100.0, 4), (100.0, 4)], 5), (100.0, 1));
+        assert_eq!(walk(&[(100.0, 4), (100.0, 4)], 10), (100.0, 0));
+        assert_eq!(walk(&[], 3), (0.0, 0));
     }
 
     #[test]

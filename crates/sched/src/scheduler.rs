@@ -215,10 +215,11 @@ pub struct WorkCounters {
     /// Incremental re-keyings of the cluster's sorted free-capacity
     /// index (lease grant/release/drain/undrain). Platform-filled.
     pub free_index_updates: u64,
-    /// Events placed directly into a calendar-wheel bucket. Platform-filled.
+    /// Events scheduled on the platform's event queue. Platform-filled;
+    /// the name is the calendar wheel's, which the queue replaced.
     pub wheel_insert: u64,
-    /// Events migrated from the wheel's overflow heap into buckets when
-    /// the cursor advanced past its window. Platform-filled.
+    /// Always 0: the event queue is one heap and nothing cascades. Kept
+    /// while the benchmark still reads it by name.
     pub wheel_cascade: u64,
     /// Clone-and-release constructions of the reclaim view (a use against
     /// a cluster version the incremental maintenance did not track).

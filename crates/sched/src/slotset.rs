@@ -39,9 +39,10 @@
 //!
 //! Decision-invariance with the pre-planner release-profile walk is the
 //! load-bearing property: [`SlotSet::probe`] reproduces the old
-//! `reserve_sorted` answers bit for bit (including its one-release-at-a-
-//! time accumulation across tied end times), which the differential suite
-//! and the golden experiment snapshots both enforce.
+//! release-profile walk's answers bit for bit (including its
+//! one-release-at-a-time accumulation across tied end times) — the
+//! sweep `backfill::reserve_with_windows` keeps as the oracle — which the
+//! differential suite and the golden experiment snapshots both enforce.
 
 use std::collections::BTreeMap;
 

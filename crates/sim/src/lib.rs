@@ -11,9 +11,8 @@
 //!   seconds, so wall-clock time can never leak into a simulation.
 //! * [`EventQueue`] — a priority queue of timestamped events with a strict,
 //!   documented tie-break (same-time events pop in scheduling order), so a
-//!   given seed always produces the identical execution. Internally a
-//!   calendar-queue event wheel; [`HeapEventQueue`] keeps the original
-//!   `BinaryHeap` implementation as the differential oracle.
+//!   given seed always produces the identical execution. One
+//!   `BinaryHeap` ordered by `(time, scheduling sequence)`.
 //! * [`Clock`] — a monotonic virtual clock advanced by the simulation driver.
 //! * [`SeedStream`] and the [`dist`] module — reproducible random streams
 //!   (built on [`DetRng`], a fully safe xoshiro256++ generator) and the
@@ -55,7 +54,7 @@ mod prng;
 mod rng;
 mod time;
 
-pub use event::{EventQueue, HeapEventQueue, WheelStats};
+pub use event::EventQueue;
 pub use prng::DetRng;
 pub use rng::SeedStream;
 pub use time::{Clock, SimDuration, SimTime};
@@ -68,5 +67,4 @@ const _: () = {
     sendable::<SeedStream>();
     sendable::<Clock>();
     sendable::<EventQueue<u64>>();
-    sendable::<HeapEventQueue<u64>>();
 };

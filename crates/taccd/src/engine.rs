@@ -54,8 +54,9 @@
 //!   current simulation time; time moves only via `Command::Advance`.
 //!   Fully deterministic end to end (what the recovery tests and CI
 //!   use).
-//! * [`ClockMode::Wall`] — commands are stamped with wall-clock
-//!   seconds since daemon start, clamped monotone. Replay still
+//! * [`ClockMode::Wall`] — commands are stamped with the platform time
+//!   the engine opened at (0, or the recovered clock) plus wall-clock
+//!   seconds since, never behind the platform clock. Replay still
 //!   byte-reproduces, because replay uses the *recorded* stamps.
 
 use std::path::PathBuf;
@@ -88,7 +89,8 @@ pub enum ClockMode {
     /// Stamp at the platform's current simulation time (deterministic).
     #[default]
     Logical,
-    /// Stamp with monotone wall-clock seconds since daemon start.
+    /// Stamp with wall-clock seconds since daemon start, counted on from
+    /// the platform time it opened at, never behind the platform clock.
     Wall,
 }
 
@@ -196,7 +198,8 @@ struct ApplyStage {
     metrics: EngineMetrics,
     clock: ClockMode,
     next_seq: u64,
-    last_stamp: f64,
+    /// Platform time when this engine opened: 0, or where recovery left it.
+    opened_secs: f64,
     started: Instant,
     /// Commands applied, commands refused and queries answered, in that
     /// order, since the last [`publish`](ApplyStage::publish).
@@ -275,7 +278,7 @@ impl Engine {
             (Journal::create(&config.journal, seed)?, None)
         };
         let next_seq = report.as_ref().map(|r| r.frames).unwrap_or(0);
-        let last_stamp = platform.now().as_secs();
+        let opened_secs = platform.now().as_secs();
         let (journal, file) = journal.split();
         let commit = CommitStage { file };
         let apply = ApplyStage {
@@ -285,7 +288,7 @@ impl Engine {
             metrics,
             clock: config.clock,
             next_seq,
-            last_stamp,
+            opened_secs,
             // tacc-lint: allow(wall-clock, reason = "daemon start anchor for ClockMode::Wall stamps; replay uses the recorded stamps, so determinism is unaffected")
             started: Instant::now(),
             tally: [0; 3],
@@ -429,20 +432,23 @@ impl ApplyStage {
                     return journal_io(&e.to_string());
                 }
                 self.next_seq += 1;
-                self.last_stamp = at_secs;
                 Reply::Ok(outcome.to_json(record.seq, at_secs))
             }
             Err(e) => Reply::refuse(e.kind(), e),
         }
     }
 
-    /// The timestamp for a command arriving now.
+    /// The timestamp for a command arriving now. A Wall stamp counts on
+    /// from where the platform stood when the engine opened, so a
+    /// restarted daemon's clock keeps moving, and never falls behind the
+    /// platform's clock, which an `Advance` moves ahead of the wall.
     fn stamp(&self) -> f64 {
+        let now = self.platform.now().as_secs();
         match self.clock {
-            ClockMode::Logical => self.platform.now().as_secs(),
+            ClockMode::Logical => now,
             ClockMode::Wall => {
                 let elapsed = self.started.elapsed().as_secs_f64();
-                elapsed.max(self.last_stamp)
+                (self.opened_secs + elapsed).max(now)
             }
         }
     }
@@ -530,17 +536,28 @@ mod tests {
     }
 
     fn open(journal: &std::path::Path) -> Engine {
+        open_with(journal, ClockMode::Logical)
+    }
+
+    fn open_with(journal: &std::path::Path, clock: ClockMode) -> Engine {
         Engine::open(EngineConfig {
             journal: journal.to_owned(),
             platform: PlatformConfig::default(),
-            clock: ClockMode::Logical,
+            clock,
         })
         .expect("opens")
         .0
     }
 
     fn spawn(journal: PathBuf) -> (mpsc::Sender<Msg>, std::thread::JoinHandle<()>) {
-        let engine = open(&journal);
+        spawn_with(journal, ClockMode::Logical)
+    }
+
+    fn spawn_with(
+        journal: PathBuf,
+        clock: ClockMode,
+    ) -> (mpsc::Sender<Msg>, std::thread::JoinHandle<()>) {
+        let engine = open_with(&journal, clock);
         let (tx, rx) = mpsc::channel();
         let handle = std::thread::spawn(move || engine.run(&rx));
         (tx, handle)
@@ -587,6 +604,47 @@ mod tests {
             panic!("post-recovery submit failed");
         };
         assert_eq!(v.get("seq").and_then(Json::as_u64), Some(6));
+        tx.send(Msg::Stop).expect("send stop");
+        handle.join().expect("engine exits");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Wall stamps keep up with an `Advance` and keep moving after a
+    /// restart, and the restarted engine still reproduces its history.
+    #[test]
+    fn wall_stamps_follow_advance_and_restart() {
+        let path = temp_journal("wall");
+        std::fs::remove_file(&path).ok();
+        let stamp = |reply: Reply| match reply {
+            Reply::Ok(v) => v.get("at_secs").and_then(Json::as_f64).expect("stamp"),
+            Reply::Err { kind, message } => panic!("refused: {kind}: {message}"),
+        };
+        let transitions = |tx: &mpsc::Sender<Msg>| match query(tx, Query::Transitions) {
+            Reply::Ok(Json::Str(log)) => log,
+            other => panic!("transitions query failed: {other:?}"),
+        };
+        let (tx, handle) = spawn_with(path.clone(), ClockMode::Wall);
+        stamp(mutate(&tx, submit_command()));
+        stamp(mutate(&tx, Command::Advance { secs: 3600.0 }));
+        let after_advance = stamp(mutate(&tx, submit_command()));
+        assert!(after_advance >= 3600.0, "stamped {after_advance}");
+        let before = transitions(&tx);
+        tx.send(Msg::Stop).expect("send stop");
+        handle.join().expect("engine exits");
+
+        let (tx, handle) = spawn_with(path.clone(), ClockMode::Wall);
+        assert_eq!(transitions(&tx), before, "recovered transition log differs");
+        let Reply::Ok(info) = query(&tx, Query::Info) else {
+            panic!("info failed");
+        };
+        let recovered = info.get("now_secs").and_then(Json::as_f64).expect("now");
+        assert!(recovered >= after_advance);
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let restarted = stamp(mutate(&tx, submit_command()));
+        assert!(
+            restarted > recovered,
+            "{restarted} is not after {recovered}"
+        );
         tx.send(Msg::Stop).expect("send stop");
         handle.join().expect("engine exits");
         std::fs::remove_file(&path).ok();

@@ -26,7 +26,7 @@ fn observe(mut platform: Platform) -> Run {
         events: platform.events().to_jsonl(),
         report: platform.report(),
         // A killed job's `Cancel` is an event on one path and a command on
-        // the other, so the event wheel's own traffic is the one thing
+        // the other, so the count of events scheduled is the one thing
         // that differs.
         counters: WorkCounters {
             wheel_insert: 0,

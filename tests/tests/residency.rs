@@ -169,12 +169,12 @@ fn a_finished_replay_holds_each_job_once() {
     // Debug and release builds hold the same blocks — the debug oracles
     // allocate, but keep nothing — so the residency gates run in both.
     assert!(
-        per_job(full.live_bytes) <= 1_350.0,
+        per_job(full.live_bytes) <= 1_200.0,
         "{} live bytes per job",
         per_job(full.live_bytes)
     );
     assert!(
-        per_job(full.live_blocks) <= 4.5,
+        per_job(full.live_blocks) <= 3.75,
         "{} live blocks per job",
         per_job(full.live_blocks)
     );
@@ -186,7 +186,7 @@ fn a_finished_replay_holds_each_job_once() {
     assert_eq!(export_cost.allocations, 1, "the export reserves once");
     if !cfg!(debug_assertions) {
         assert!(
-            per_job(full.allocations as i64) <= 18.5,
+            per_job(full.allocations as i64) <= 17.5,
             "{} allocations per replayed job",
             per_job(full.allocations as i64)
         );
