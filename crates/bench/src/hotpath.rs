@@ -118,7 +118,7 @@ pub static SCENARIOS: &[Scenario] = &[
 /// gated against the committed report.
 pub static NIGHTLY_SCENARIOS: &[Scenario] = &[Scenario {
     id: "million-jobs",
-    title: "million-job replay: arena + free-index + event queue at 10^6 scale",
+    title: "million-job replay: arenas + placement scan + event queue at 10^6 scale",
     // Sized for throughput, not saturation: the default mix offers about
     // 0.46× the 256-GPU capacity per load unit, so load 2 runs the
     // cluster at ~92% utilization with a queue that still drains —

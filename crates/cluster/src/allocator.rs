@@ -1,6 +1,6 @@
 //! Cluster state: construction, leasing and fragmentation accounting.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::gpu::GpuModel;
@@ -326,7 +326,7 @@ pub struct Cluster {
     alloc_failures: u64,
     // Incrementally maintained aggregates, updated on every reserve/release
     // (the only paths that change a node's free vector). They answer the
-    // scheduler's per-round and per-skip queries in O(1)/O(log n) instead of
+    // placement gates, asked on every attempt, in O(1)/O(log n) instead of
     // an O(nodes) scan, and deliberately mirror the historical scan-based
     // semantics: drained nodes still count (draining toggles schedulability,
     // not free capacity).
@@ -335,15 +335,6 @@ pub struct Cluster {
     /// Histogram of nodes by free-GPU count (`free gpus -> node count`);
     /// the greatest key is the largest free block.
     free_block_counts: BTreeMap<u32, u32>,
-    /// Sorted free-capacity index over *schedulable* nodes, keyed by
-    /// `(free gpus, free cpu cores, node index)` — exactly the placement
-    /// planner's candidate order, maintained incrementally on every lease
-    /// grant/release and drain/undrain so planning never re-collects and
-    /// re-sorts the node list.
-    free_index: BTreeSet<(u32, u32, u32)>,
-    /// Re-index operations applied to `free_index` (deterministic work
-    /// counter, CI-gated).
-    free_index_updates: u64,
     /// Monotonic mutation counter; see [`Cluster::version`].
     version: u64,
 }
@@ -377,10 +368,6 @@ impl Cluster {
         for node in &nodes {
             *free_block_counts.entry(node.free().gpus).or_insert(0) += 1;
         }
-        let free_index = nodes
-            .iter()
-            .map(|n| (n.free().gpus, n.free().cpu_cores, n.id().0))
-            .collect();
         Cluster {
             nodes,
             topology: Topology::new(racks, nvlink, spec.speeds),
@@ -389,8 +376,6 @@ impl Cluster {
             total_capacity,
             free_gpus_total,
             free_block_counts,
-            free_index,
-            free_index_updates: 0,
             version: 0,
         }
     }
@@ -404,31 +389,22 @@ impl Cluster {
         self.version
     }
 
-    /// Re-indexes one node after a reserve/release moved its free vector
-    /// from `old` to `new`: the free-GPU histogram, the free-GPU total,
-    /// and the sorted free-capacity index (the single write site for all
-    /// three — the lint ownership rules pin them here).
-    fn note_free_change(&mut self, idx: usize, old: ResourceVec, new: ResourceVec) {
-        if old.gpus != new.gpus {
-            match self.free_block_counts.get_mut(&old.gpus) {
-                Some(count) if *count > 1 => *count -= 1,
-                _ => {
-                    self.free_block_counts.remove(&old.gpus);
-                }
+    /// Re-counts one node after a reserve/release moved its free vector
+    /// from `old` to `new`: the free-GPU histogram and the free-GPU total
+    /// (the single write site for both — the lint ownership rules pin
+    /// them here).
+    fn note_free_change(&mut self, old: ResourceVec, new: ResourceVec) {
+        if old.gpus == new.gpus {
+            return;
+        }
+        match self.free_block_counts.get_mut(&old.gpus) {
+            Some(count) if *count > 1 => *count -= 1,
+            _ => {
+                self.free_block_counts.remove(&old.gpus);
             }
-            *self.free_block_counts.entry(new.gpus).or_insert(0) += 1;
-            self.free_gpus_total = self.free_gpus_total + new.gpus - old.gpus;
         }
-        // The index tracks schedulable nodes only; drained nodes re-enter
-        // it (with their then-current free vector) on undrain.
-        if (old.gpus, old.cpu_cores) != (new.gpus, new.cpu_cores)
-            && self.nodes[idx].is_schedulable()
-        {
-            let idx = idx as u32;
-            self.free_index.remove(&(old.gpus, old.cpu_cores, idx));
-            self.free_index.insert((new.gpus, new.cpu_cores, idx));
-            self.free_index_updates += 1;
-        }
+        *self.free_block_counts.entry(new.gpus).or_insert(0) += 1;
+        self.free_gpus_total = self.free_gpus_total + new.gpus - old.gpus;
     }
 
     /// Number of failed [`Cluster::allocate`] calls over this cluster's
@@ -457,9 +433,9 @@ impl Cluster {
         self.nodes.len()
     }
 
-    /// Total GPUs in the cluster.
+    /// Total GPUs in the cluster (cached, like [`Cluster::total_capacity`]).
     pub fn total_gpus(&self) -> u32 {
-        self.nodes.iter().map(|n| n.capacity().gpus).sum()
+        self.total_capacity.gpus
     }
 
     /// Currently free GPUs across all nodes (O(1), incrementally indexed).
@@ -494,26 +470,6 @@ impl Cluster {
     /// harness.
     pub fn lease_arena_stats(&self) -> (u64, u64) {
         (self.leases.allocs, self.leases.reuses)
-    }
-
-    /// Re-index operations applied to the sorted free-capacity index over
-    /// this cluster's lifetime (deterministic work counter).
-    pub fn free_index_updates(&self) -> u64 {
-        self.free_index_updates
-    }
-
-    /// Ascending walk of the free-capacity index starting at the first
-    /// schedulable node with at least `min_gpus` free GPUs. Items are
-    /// `(free gpus, free cpu cores, node id)` in exactly the placement
-    /// planner's candidate order: free GPUs, then free CPU cores, then
-    /// node id. Reverse it for worst-fit (spread) traversal.
-    pub fn free_index_from(
-        &self,
-        min_gpus: u32,
-    ) -> impl DoubleEndedIterator<Item = (u32, u32, NodeId)> + '_ {
-        self.free_index
-            .range((min_gpus, 0, 0)..)
-            .map(|&(gpus, cpus, idx)| (gpus, cpus, NodeId(idx)))
     }
 
     /// Atomically allocates the given per-node shares for `owner`.
@@ -561,7 +517,7 @@ impl Cluster {
             let before = self.nodes[node.index()].free();
             self.nodes[node.index()].reserve(id, total);
             let after = self.nodes[node.index()].free();
-            self.note_free_change(node.index(), before, after);
+            self.note_free_change(before, after);
         }
         self.version += 1;
         // tacc-lint: allow(panic-surface, reason = "the id was inserted into the arena earlier in this function; a miss would mean the arena dropped a live slot")
@@ -582,7 +538,7 @@ impl Cluster {
             let before = self.nodes[node.index()].free();
             self.nodes[node.index()].release(id);
             let after = self.nodes[node.index()].free();
-            self.note_free_change(node.index(), before, after);
+            self.note_free_change(before, after);
         }
         self.version += 1;
         Ok(())
@@ -594,11 +550,6 @@ impl Cluster {
     pub fn drain(&mut self, node: NodeId) -> bool {
         match self.nodes.get_mut(node.index()) {
             Some(n) => {
-                if n.is_schedulable() {
-                    let free = n.free();
-                    self.free_index.remove(&(free.gpus, free.cpu_cores, node.0));
-                    self.free_index_updates += 1;
-                }
                 n.set_schedulable(false);
                 self.version += 1;
                 true
@@ -611,11 +562,6 @@ impl Cluster {
     pub fn undrain(&mut self, node: NodeId) -> bool {
         match self.nodes.get_mut(node.index()) {
             Some(n) => {
-                if !n.is_schedulable() {
-                    let free = n.free();
-                    self.free_index.insert((free.gpus, free.cpu_cores, node.0));
-                    self.free_index_updates += 1;
-                }
                 n.set_schedulable(true);
                 self.version += 1;
                 true
@@ -629,23 +575,18 @@ impl Cluster {
         self.nodes.iter().filter(|n| !n.is_schedulable()).count()
     }
 
-    /// GPU fragmentation: the fraction of *free* GPUs that sit on nodes with
-    /// fewer than `chunk` free GPUs, i.e. free capacity unusable by a job
-    /// that needs `chunk` co-located GPUs.
+    /// GPU fragmentation: the share of free GPUs outside the largest free
+    /// block, `1 − largest_free_block / free_gpus` — 0 when every free GPU
+    /// sits on one node, approaching 1 as free capacity scatters. This is
+    /// the `tacc_cluster_fragmentation` gauge.
     ///
     /// Returns 0.0 when no GPUs are free.
-    pub fn fragmentation(&self, chunk: u32) -> f64 {
-        let free_total = self.free_gpus();
-        if free_total == 0 {
+    pub fn fragmentation(&self) -> f64 {
+        let free = self.free_gpus();
+        if free == 0 {
             return 0.0;
         }
-        let stranded: u32 = self
-            .nodes
-            .iter()
-            .map(|n| n.free().gpus)
-            .filter(|&g| g < chunk)
-            .sum();
-        f64::from(stranded) / f64::from(free_total)
+        1.0 - f64::from(self.largest_free_block()) / f64::from(free)
     }
 
     /// The largest single-node free GPU block — the biggest co-located job
@@ -675,17 +616,10 @@ impl Cluster {
         for node in &self.nodes {
             *histogram.entry(node.free().gpus).or_insert(0) += 1;
         }
-        let index: BTreeSet<(u32, u32, u32)> = self
-            .nodes
-            .iter()
-            .filter(|n| n.is_schedulable())
-            .map(|n| (n.free().gpus, n.free().cpu_cores, n.id().0))
-            .collect();
         per_node
             && free_total == self.free_gpus_total
             && capacity == self.total_capacity
             && histogram == self.free_block_counts
-            && index == self.free_index
     }
 }
 
@@ -907,10 +841,8 @@ mod tests {
         assert!(c.check_invariants());
     }
 
-    /// Satellite of ISSUE 9: the incrementally maintained free-GPU
-    /// histogram (and the sorted free-capacity index that shares its
-    /// write site) must match a from-scratch recount after a seeded
-    /// grant/release storm.
+    /// The incrementally maintained free-GPU histogram and total must match
+    /// a from-scratch recount after a seeded grant/release storm.
     #[test]
     fn histogram_matches_recount_after_grant_release_storm() {
         // Deterministic xorshift64* — same storm every run.
@@ -942,8 +874,8 @@ mod tests {
                     live.push(lease.id());
                 }
             }
-            // Occasionally flip a node's schedulability: the free index
-            // must drop/readopt it exactly.
+            // Occasionally flip a node's schedulability: the aggregates
+            // count drained nodes, so they must not move.
             if step % 97 == 0 {
                 let node = NodeId::from_index((rng() % 16) as usize);
                 if rng() % 2 == 0 {
@@ -962,17 +894,6 @@ mod tests {
         assert_eq!(c.largest_free_block(), largest);
         let free_total: u32 = c.nodes().map(|n| n.free().gpus).sum();
         assert_eq!(c.free_gpus(), free_total);
-        let index: Vec<(u32, u32, NodeId)> = {
-            let mut v: Vec<(u32, u32, NodeId)> = c
-                .nodes()
-                .filter(|n| n.is_schedulable())
-                .map(|n| (n.free().gpus, n.free().cpu_cores, n.id()))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(c.free_index_from(0).collect::<Vec<_>>(), index);
-        assert!(c.free_index_updates() > 0);
         assert!(c.check_invariants(), "incremental aggregates diverged");
         // Drain the storm: everything must return to pristine.
         for id in live {
@@ -983,35 +904,12 @@ mod tests {
     }
 
     #[test]
-    fn free_index_orders_candidates_and_bounds_probes() {
-        let mut c = small(); // 4 nodes x 8 GPUs
-        c.allocate(1, &[(NodeId::from_index(1), ResourceVec::gpus_only(6))])
-            .expect("fits");
-        c.allocate(2, &[(NodeId::from_index(2), ResourceVec::gpus_only(3))])
-            .expect("fits");
-        let order: Vec<NodeId> = c.free_index_from(0).map(|(_, _, id)| id).collect();
-        // Ascending free GPUs: node1 (2 free), node2 (5 free), then the
-        // two untouched nodes in id order.
-        assert_eq!(
-            order,
-            vec![
-                NodeId::from_index(1),
-                NodeId::from_index(2),
-                NodeId::from_index(0),
-                NodeId::from_index(3)
-            ]
-        );
-        // A range query skips nodes that cannot host even one worker.
-        let bounded: Vec<NodeId> = c.free_index_from(5).map(|(_, _, id)| id).collect();
-        assert_eq!(bounded.len(), 3);
-        assert!(!bounded.contains(&NodeId::from_index(1)));
-    }
-
-    #[test]
     fn fragmentation_metric() {
-        let mut c = small(); // 4 nodes x 8 GPUs
-        assert_eq!(c.fragmentation(8), 0.0);
-        // Take 5 GPUs on each of two nodes: each has 3 free, stranded for chunk=8.
+        // 4 nodes x 8 GPUs: free = 32, largest block 8, so three quarters
+        // lie outside it.
+        let mut c = small();
+        assert!((c.fragmentation() - 0.75).abs() < 1e-12);
+        // Take 5 GPUs on each of two nodes and fill a third.
         for i in 0..2 {
             c.allocate(
                 i,
@@ -1019,11 +917,21 @@ mod tests {
             )
             .expect("fits");
         }
-        let frag = c.fragmentation(8);
-        // free = 3+3+8+8 = 22; stranded = 6.
-        assert!((frag - 6.0 / 22.0).abs() < 1e-12);
+        c.allocate(2, &[(NodeId::from_index(2), ResourceVec::gpus_only(8))])
+            .expect("fits");
+        // free = 3+3+0+8 = 14; largest block 8.
         assert_eq!(c.largest_free_block(), 8);
-        // chunk=1 never strands anything.
-        assert_eq!(c.fragmentation(1), 0.0);
+        assert!((c.fragmentation() - (1.0 - 8.0 / 14.0)).abs() < 1e-12);
+        // Every free GPU on one node: nothing is fragmented.
+        c.allocate(3, &[(NodeId::from_index(0), ResourceVec::gpus_only(3))])
+            .expect("fits");
+        c.allocate(4, &[(NodeId::from_index(1), ResourceVec::gpus_only(3))])
+            .expect("fits");
+        assert_eq!(c.fragmentation(), 0.0);
+        // No free GPUs at all: 0, not NaN.
+        c.allocate(5, &[(NodeId::from_index(3), ResourceVec::gpus_only(8))])
+            .expect("fits");
+        assert_eq!(c.free_gpus(), 0);
+        assert_eq!(c.fragmentation(), 0.0);
     }
 }

@@ -131,15 +131,10 @@ impl Platform {
         counter(tacc_exec::FAILOVERS_METRIC, failovers);
         let free = f64::from(self.cluster.free_gpus());
         let largest = f64::from(self.cluster.largest_free_block());
-        let fragmentation = if free > 0.0 {
-            1.0 - largest / free
-        } else {
-            0.0
-        };
         let gauge = |series, value| registry.gauge(series, &[]).set(value);
         gauge("tacc_cluster_free_gpus", free);
         gauge("tacc_cluster_largest_free_block", largest);
-        gauge("tacc_cluster_fragmentation", fragmentation);
+        gauge("tacc_cluster_fragmentation", self.cluster.fragmentation());
         self.scheduler.publish_metrics(registry);
         self.compiler.publish_metrics(registry);
     }

@@ -209,15 +209,13 @@ impl Platform {
 
     /// Deterministic work counters across every layer: the scheduler's
     /// own counters plus the platform-layer structural counters the
-    /// scheduler cannot see — job/lease arena churn, free-capacity-index
-    /// re-keyings, and events scheduled. This is what the perf harness
-    /// records and CI gates on.
+    /// scheduler cannot see — job/lease arena churn and events scheduled.
+    /// This is what the perf harness records and CI gates on.
     pub fn work_counters(&self) -> tacc_sched::WorkCounters {
         let mut c = self.scheduler.work_counters();
         let (lease_allocs, lease_reuses) = self.cluster.lease_arena_stats();
         c.arena_alloc = lease_allocs + self.jobs.len() as u64;
         c.arena_reuse = lease_reuses;
-        c.free_index_updates = self.cluster.free_index_updates();
         c.wheel_insert = self.events.scheduled_total();
         c
     }

@@ -7,7 +7,7 @@
 //! forecast start still funnels through a [`Planner`] call against the
 //! real cluster before any job launches.
 
-use tacc_cluster::{Cluster, NodeId, ResourceVec};
+use tacc_cluster::{Cluster, Node, NodeId, ResourceVec};
 
 /// How the scheduler maps a gang's workers onto nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -44,14 +44,13 @@ impl std::fmt::Display for PlacementStrategy {
 pub struct PlanStats {
     /// Placement attempts (one per `plan_counted` call with `workers > 0`).
     pub attempts: u64,
-    /// Nodes examined by full-scan candidate collection (the ungated
-    /// reference path and rack-subset scans) across all attempts.
+    /// Nodes the scan examined across all attempts: the whole cluster per
+    /// greedy pass and per topology tier 1, each rack's nodes in tier 2.
     pub nodes_scanned: u64,
     /// Attempts refused by the O(1) capacity gates before any node scan.
     pub fastpath_rejects: u64,
-    /// Entries examined in the cluster's sorted free-capacity index by the
-    /// gated planning paths (each probe replaces what used to be part of a
-    /// full node scan + sort).
+    /// Always 0: placement scans the nodes and probes no free-capacity
+    /// index. Kept while the benchmark still reads it by name.
     pub free_index_probes: u64,
 }
 
@@ -92,11 +91,13 @@ impl Planner {
     /// [`Planner::plan`] with work accounting: accumulates attempt, node-scan
     /// and fast-path-reject counts into `stats`.
     ///
-    /// Before scanning any node, two O(1) infeasibility gates consult the
-    /// cluster's incremental capacity index. Both are *conservative*: the
-    /// cached totals include drained nodes, a superset of schedulable
-    /// capacity, so a gate only fires when the full scan would certainly
-    /// have returned `None` — the gates never change a scheduling decision.
+    /// Before scanning any node, two O(1) infeasibility gates read totals
+    /// the cluster keeps current on every grant and return (free GPUs and
+    /// the largest free block). Both are *conservative*: the cached totals
+    /// include drained nodes, a superset of schedulable capacity, so a gate
+    /// only fires when the scan would certainly have returned `None` — the
+    /// gates never change a scheduling decision. Past them, this is the
+    /// scan [`Planner::plan_ungated`] runs.
     pub fn plan_counted(
         &self,
         cluster: &Cluster,
@@ -118,25 +119,13 @@ impl Planner {
             stats.fastpath_rejects += 1;
             return None;
         }
-        match self.strategy {
-            PlacementStrategy::Pack => {
-                self.plan_greedy_indexed(cluster, workers, per_worker, false, stats)
-            }
-            PlacementStrategy::Spread => {
-                self.plan_greedy_indexed(cluster, workers, per_worker, true, stats)
-            }
-            PlacementStrategy::TopologyAware => {
-                self.plan_topology(cluster, workers, per_worker, true, stats)
-            }
-        }
+        self.scan(cluster, workers, per_worker, stats)
     }
 
-    /// [`Planner::plan`] **without** the O(1) infeasibility gates or the
-    /// sorted free-capacity index: every attempt runs the full node scan
-    /// and sort, exactly as the planner behaved before the capacity index
-    /// existed. The naive reference scheduler plans through this so the
-    /// differential tests check the gated/indexed and ungated/scanning
-    /// paths against each other.
+    /// [`Planner::plan`] **without** the two O(1) gates: every attempt runs
+    /// the node scan. The naive reference scheduler plans through this, so
+    /// the differential suite checks that the gates never change a
+    /// decision.
     pub fn plan_ungated(
         &self,
         cluster: &Cluster,
@@ -146,274 +135,21 @@ impl Planner {
         if workers == 0 {
             return Some(Vec::new());
         }
-        let mut stats = PlanStats::default();
+        self.scan(cluster, workers, per_worker, &mut PlanStats::default())
+    }
+
+    fn scan(
+        &self,
+        cluster: &Cluster,
+        workers: u32,
+        per_worker: ResourceVec,
+        stats: &mut PlanStats,
+    ) -> Option<Vec<NodeId>> {
         match self.strategy {
-            PlacementStrategy::Pack => {
-                self.plan_greedy(cluster, workers, per_worker, false, &mut stats)
-            }
-            PlacementStrategy::Spread => {
-                self.plan_greedy(cluster, workers, per_worker, true, &mut stats)
-            }
-            PlacementStrategy::TopologyAware => {
-                self.plan_topology(cluster, workers, per_worker, false, &mut stats)
-            }
+            PlacementStrategy::Pack => plan_greedy(cluster, workers, per_worker, false, stats),
+            PlacementStrategy::Spread => plan_greedy(cluster, workers, per_worker, true, stats),
+            PlacementStrategy::TopologyAware => plan_topology(cluster, workers, per_worker, stats),
         }
-    }
-
-    /// Greedy fill over nodes ordered by free GPUs (ascending for packing,
-    /// descending for spreading; free CPU breaks ties, node id makes the
-    /// order total and deterministic).
-    fn plan_greedy(
-        &self,
-        cluster: &Cluster,
-        workers: u32,
-        per_worker: ResourceVec,
-        spread: bool,
-        stats: &mut PlanStats,
-    ) -> Option<Vec<NodeId>> {
-        stats.nodes_scanned += cluster.node_count() as u64;
-        let mut nodes: Vec<(NodeId, ResourceVec)> = cluster
-            .nodes()
-            .filter(|n| n.is_schedulable())
-            .map(|n| (n.id(), n.free()))
-            .filter(|(_, free)| per_worker.fits_in(free))
-            .collect();
-        nodes.sort_by_key(|&(id, free)| (free.gpus, free.cpu_cores, id));
-        if spread {
-            nodes.reverse();
-        }
-        let mut assignment = Vec::with_capacity(workers as usize);
-        if spread {
-            // Round-robin across the emptiest nodes: one worker per node
-            // first, wrapping only when every node has taken one.
-            let mut remaining: Vec<(NodeId, ResourceVec)> = nodes;
-            let mut placed = 0;
-            while placed < workers {
-                let mut progressed = false;
-                for (id, free) in remaining.iter_mut() {
-                    if placed == workers {
-                        break;
-                    }
-                    if per_worker.fits_in(free) {
-                        assignment.push(*id);
-                        *free -= per_worker;
-                        placed += 1;
-                        progressed = true;
-                    }
-                }
-                if !progressed {
-                    return None;
-                }
-            }
-        } else {
-            // Packing: exhaust each node before moving to the next.
-            for (id, mut free) in nodes {
-                while assignment.len() < workers as usize && per_worker.fits_in(&free) {
-                    assignment.push(id);
-                    free -= per_worker;
-                }
-                if assignment.len() == workers as usize {
-                    break;
-                }
-            }
-            if assignment.len() < workers as usize {
-                return None;
-            }
-        }
-        Some(assignment)
-    }
-
-    /// Index-backed greedy fill: walks the cluster's sorted free-capacity
-    /// index (maintained incrementally on every grant/release) in exactly
-    /// the order [`Planner::plan_greedy`] would have produced by scanning
-    /// and sorting, so decisions are identical while candidate selection
-    /// becomes a bounded probe. The range query skips every node whose
-    /// free GPUs cannot host one worker — such nodes fail `fits_in`
-    /// regardless — and packing stops as soon as the gang is complete.
-    fn plan_greedy_indexed(
-        &self,
-        cluster: &Cluster,
-        workers: u32,
-        per_worker: ResourceVec,
-        spread: bool,
-        stats: &mut PlanStats,
-    ) -> Option<Vec<NodeId>> {
-        let mut assignment = Vec::with_capacity(workers as usize);
-        if spread {
-            // Round-robin across the emptiest nodes: one worker per node
-            // first, wrapping only when every node has taken one.
-            let mut remaining: Vec<(NodeId, ResourceVec)> = Vec::new();
-            for (_, _, id) in cluster.free_index_from(per_worker.gpus).rev() {
-                stats.free_index_probes += 1;
-                // tacc-lint: allow(panic-surface, reason = "the free-capacity index holds only live node ids; a miss would mean the index desynced from the cluster it mirrors")
-                let free = cluster.node(id).expect("indexed node exists").free();
-                if per_worker.fits_in(&free) {
-                    remaining.push((id, free));
-                }
-            }
-            let mut placed = 0;
-            while placed < workers {
-                let mut progressed = false;
-                for (id, free) in remaining.iter_mut() {
-                    if placed == workers {
-                        break;
-                    }
-                    if per_worker.fits_in(free) {
-                        assignment.push(*id);
-                        *free -= per_worker;
-                        placed += 1;
-                        progressed = true;
-                    }
-                }
-                if !progressed {
-                    return None;
-                }
-            }
-        } else {
-            // Packing: exhaust each node before moving to the next.
-            for (_, _, id) in cluster.free_index_from(per_worker.gpus) {
-                stats.free_index_probes += 1;
-                // tacc-lint: allow(panic-surface, reason = "the free-capacity index holds only live node ids; a miss would mean the index desynced from the cluster it mirrors")
-                let mut free = cluster.node(id).expect("indexed node exists").free();
-                while assignment.len() < workers as usize && per_worker.fits_in(&free) {
-                    assignment.push(id);
-                    free -= per_worker;
-                }
-                if assignment.len() == workers as usize {
-                    break;
-                }
-            }
-            if assignment.len() < workers as usize {
-                return None;
-            }
-        }
-        Some(assignment)
-    }
-
-    /// Topology-aware: single node → single rack → fewest racks (greedy by
-    /// rack free capacity), packing within each tier. With `use_index` the
-    /// single-node tier and the cluster-wide fallback walk the sorted
-    /// free-capacity index instead of scanning every node (identical
-    /// decisions, bounded probes).
-    fn plan_topology(
-        &self,
-        cluster: &Cluster,
-        workers: u32,
-        per_worker: ResourceVec,
-        use_index: bool,
-        stats: &mut PlanStats,
-    ) -> Option<Vec<NodeId>> {
-        let gang_fits_whole = |free: ResourceVec| {
-            let mut free = free;
-            let mut fit = 0;
-            while per_worker.fits_in(&free) && fit < workers {
-                free -= per_worker;
-                fit += 1;
-            }
-            fit == workers
-        };
-        // Tier 1: whole gang on one node; among feasible nodes pick the
-        // fullest (min free GPUs), node id breaking ties.
-        if use_index {
-            let total_gpus = per_worker.gpus.saturating_mul(workers);
-            let mut best: Option<NodeId> = None;
-            let mut best_gpus: Option<u32> = None;
-            for (gpus, _, id) in cluster.free_index_from(total_gpus) {
-                stats.free_index_probes += 1;
-                if best_gpus.is_some_and(|g| gpus > g) {
-                    // A lower-free-GPU group already produced a feasible
-                    // node; later groups cannot beat it.
-                    break;
-                }
-                // tacc-lint: allow(panic-surface, reason = "the free-capacity index holds only live node ids; a miss would mean the index desynced from the cluster it mirrors")
-                let free = cluster.node(id).expect("indexed node exists").free();
-                if gang_fits_whole(free) {
-                    best_gpus = Some(gpus);
-                    best = Some(match best {
-                        Some(b) if b < id => b,
-                        _ => id,
-                    });
-                }
-            }
-            if let Some(node) = best {
-                return Some(vec![node; workers as usize]);
-            }
-        } else {
-            stats.nodes_scanned += cluster.node_count() as u64;
-            let mut single: Vec<NodeId> = cluster
-                .nodes()
-                .filter(|n| n.is_schedulable())
-                .filter(|n| gang_fits_whole(n.free()))
-                .map(|n| n.id())
-                .collect();
-            // Among feasible single nodes, pick the fullest (pack).
-            single.sort_by_key(|&id| {
-                let n = cluster.node(id).expect("listed node exists");
-                (n.free().gpus, id)
-            });
-            if let Some(&node) = single.first() {
-                return Some(vec![node; workers as usize]);
-            }
-        }
-
-        // Tier 2: whole gang within one rack. Racks tried in ascending
-        // spare capacity that still fits (pack racks too).
-        let rack_count = cluster.topology().rack_count();
-        let mut rack_plans: Vec<(u32, Vec<NodeId>)> = Vec::new();
-        for rack in 0..rack_count {
-            let in_rack: Vec<NodeId> = cluster
-                .nodes()
-                .filter(|n| n.rack().index() == rack)
-                .map(|n| n.id())
-                .collect();
-            if let Some(plan) = self.plan_within(cluster, &in_rack, workers, per_worker, stats) {
-                let rack_free: u32 = in_rack
-                    .iter()
-                    .map(|&id| cluster.node(id).expect("exists").free().gpus)
-                    .sum();
-                rack_plans.push((rack_free, plan));
-            }
-        }
-        rack_plans.sort_by_key(|&(free, _)| free);
-        if let Some((_, plan)) = rack_plans.into_iter().next() {
-            return Some(plan);
-        }
-
-        // Tier 3: fall back to cluster-wide packing (minimizes nodes, which
-        // correlates with fewer racks).
-        if use_index {
-            self.plan_greedy_indexed(cluster, workers, per_worker, false, stats)
-        } else {
-            self.plan_greedy(cluster, workers, per_worker, false, stats)
-        }
-    }
-
-    /// Packs a gang into an explicit node subset, or `None`.
-    fn plan_within(
-        &self,
-        cluster: &Cluster,
-        subset: &[NodeId],
-        workers: u32,
-        per_worker: ResourceVec,
-        stats: &mut PlanStats,
-    ) -> Option<Vec<NodeId>> {
-        stats.nodes_scanned += subset.len() as u64;
-        let mut nodes: Vec<(NodeId, ResourceVec)> = subset
-            .iter()
-            .map(|&id| cluster.node(id).expect("subset node exists"))
-            .filter(|n| n.is_schedulable())
-            .map(|n| (n.id(), n.free()))
-            .filter(|(_, free)| per_worker.fits_in(free))
-            .collect();
-        nodes.sort_by_key(|&(id, free)| (free.gpus, id));
-        let mut assignment = Vec::with_capacity(workers as usize);
-        for (id, mut free) in nodes {
-            while assignment.len() < workers as usize && per_worker.fits_in(&free) {
-                assignment.push(id);
-                free -= per_worker;
-            }
-        }
-        (assignment.len() == workers as usize).then_some(assignment)
     }
 
     /// Converts a worker→node assignment into per-node aggregate shares
@@ -424,6 +160,146 @@ impl Planner {
     ) -> Vec<(NodeId, ResourceVec)> {
         assignment.iter().map(|&n| (n, per_worker)).collect()
     }
+}
+
+/// Greedy fill over the schedulable nodes one worker fits, ordered by
+/// `(free gpus, free cpu cores, node id)`: ascending for packing,
+/// descending for spreading. A single worker takes the first node of that
+/// order, selected in one pass; a gang needs the whole order, so it sorts.
+fn plan_greedy(
+    cluster: &Cluster,
+    workers: u32,
+    per_worker: ResourceVec,
+    spread: bool,
+    stats: &mut PlanStats,
+) -> Option<Vec<NodeId>> {
+    stats.nodes_scanned += cluster.node_count() as u64;
+    let candidates = cluster
+        .nodes()
+        .filter(|n| n.is_schedulable() && per_worker.fits_in(&n.free()));
+    let key = |n: &&Node| (n.free().gpus, n.free().cpu_cores, n.id());
+    if workers == 1 {
+        let best = if spread {
+            candidates.max_by_key(key)
+        } else {
+            candidates.min_by_key(key)
+        };
+        return best.map(|n| vec![n.id()]);
+    }
+    let mut nodes: Vec<(NodeId, ResourceVec)> = candidates.map(|n| (n.id(), n.free())).collect();
+    nodes.sort_by_key(|&(id, free)| (free.gpus, free.cpu_cores, id));
+    if !spread {
+        return fill_packed(nodes, workers, per_worker);
+    }
+    // Round-robin across the emptiest nodes: one worker per node first,
+    // wrapping only when every node has taken one.
+    nodes.reverse();
+    let mut assignment = Vec::with_capacity(workers as usize);
+    while assignment.len() < workers as usize {
+        let placed = assignment.len();
+        for (id, free) in nodes.iter_mut() {
+            if assignment.len() == workers as usize {
+                break;
+            }
+            if per_worker.fits_in(free) {
+                assignment.push(*id);
+                *free -= per_worker;
+            }
+        }
+        if assignment.len() == placed {
+            return None;
+        }
+    }
+    Some(assignment)
+}
+
+/// Topology-aware: single node → single rack → fewest racks (greedy by
+/// rack free capacity), packing within each tier.
+fn plan_topology(
+    cluster: &Cluster,
+    workers: u32,
+    per_worker: ResourceVec,
+    stats: &mut PlanStats,
+) -> Option<Vec<NodeId>> {
+    let gang_fits_whole = |free: ResourceVec| {
+        let mut free = free;
+        let mut fit = 0;
+        while per_worker.fits_in(&free) && fit < workers {
+            free -= per_worker;
+            fit += 1;
+        }
+        fit == workers
+    };
+    // Tier 1: whole gang on one node; among feasible nodes pick the
+    // fullest (min free GPUs), node id breaking ties.
+    stats.nodes_scanned += cluster.node_count() as u64;
+    let single = cluster
+        .nodes()
+        .filter(|n| n.is_schedulable() && gang_fits_whole(n.free()))
+        .min_by_key(|n| (n.free().gpus, n.id()));
+    if let Some(node) = single {
+        return Some(vec![node.id(); workers as usize]);
+    }
+
+    // Tier 2: whole gang within one rack. Of the racks that hold it, the
+    // one with the least spare GPUs (pack racks too), lowest rack first.
+    let mut best_rack: Option<(u32, Vec<NodeId>)> = None;
+    for rack in 0..cluster.topology().rack_count() {
+        let in_rack: Vec<&Node> = cluster
+            .nodes()
+            .filter(|n| n.rack().index() == rack)
+            .collect();
+        if let Some(plan) = plan_within(&in_rack, workers, per_worker, stats) {
+            let rack_free: u32 = in_rack.iter().map(|n| n.free().gpus).sum();
+            if best_rack.as_ref().is_none_or(|(free, _)| rack_free < *free) {
+                best_rack = Some((rack_free, plan));
+            }
+        }
+    }
+    if let Some((_, plan)) = best_rack {
+        return Some(plan);
+    }
+
+    // Tier 3: fall back to cluster-wide packing (minimizes nodes, which
+    // correlates with fewer racks).
+    plan_greedy(cluster, workers, per_worker, false, stats)
+}
+
+/// Packs a gang into an explicit node subset (ordered by free GPUs, node
+/// id breaking ties), or `None`.
+fn plan_within(
+    subset: &[&Node],
+    workers: u32,
+    per_worker: ResourceVec,
+    stats: &mut PlanStats,
+) -> Option<Vec<NodeId>> {
+    stats.nodes_scanned += subset.len() as u64;
+    let mut nodes: Vec<(NodeId, ResourceVec)> = subset
+        .iter()
+        .filter(|n| n.is_schedulable() && per_worker.fits_in(&n.free()))
+        .map(|n| (n.id(), n.free()))
+        .collect();
+    nodes.sort_by_key(|&(id, free)| (free.gpus, id));
+    fill_packed(nodes, workers, per_worker)
+}
+
+/// Exhausts each node, in the given order, before moving to the next.
+fn fill_packed(
+    nodes: Vec<(NodeId, ResourceVec)>,
+    workers: u32,
+    per_worker: ResourceVec,
+) -> Option<Vec<NodeId>> {
+    let mut assignment = Vec::with_capacity(workers as usize);
+    for (id, mut free) in nodes {
+        while assignment.len() < workers as usize && per_worker.fits_in(&free) {
+            assignment.push(id);
+            free -= per_worker;
+        }
+        if assignment.len() == workers as usize {
+            return Some(assignment);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -576,12 +452,103 @@ mod tests {
         c2.allocate(1, &shares).expect("plan is allocatable");
     }
 
-    /// The index-backed gated paths must make byte-identical decisions to
-    /// the ungated full-scan reference across randomized occupancy,
-    /// drains, and resource shapes (including CPU/memory-skewed demands
-    /// that are not part of the index key).
+    /// The plan by definition: every schedulable node one worker fits,
+    /// sorted by `(free gpus, free cpu cores, id)` (descending for
+    /// Spread) and filled greedily — packed node by node, or round-robin
+    /// for Spread. Topology-aware takes the `(free gpus, id)`-least node
+    /// that holds the whole gang, else the rack with the fewest free GPUs
+    /// that holds it, else the packed plan.
+    fn plan_by_definition(
+        cluster: &Cluster,
+        strategy: PlacementStrategy,
+        workers: u32,
+        per_worker: ResourceVec,
+    ) -> Option<Vec<NodeId>> {
+        let pack = |mut order: Vec<(NodeId, ResourceVec)>| {
+            let mut plan = Vec::new();
+            for (id, free) in order.iter_mut() {
+                while plan.len() < workers as usize && per_worker.fits_in(free) {
+                    plan.push(*id);
+                    *free -= per_worker;
+                }
+            }
+            (plan.len() == workers as usize).then_some(plan)
+        };
+        let mut order: Vec<(NodeId, ResourceVec)> = cluster
+            .nodes()
+            .filter(|n| n.is_schedulable() && per_worker.fits_in(&n.free()))
+            .map(|n| (n.id(), n.free()))
+            .collect();
+        order.sort_by_key(|&(id, free)| (free.gpus, free.cpu_cores, id));
+        match strategy {
+            PlacementStrategy::Pack => pack(order),
+            PlacementStrategy::Spread => {
+                order.reverse();
+                let mut plan = Vec::new();
+                while plan.len() < workers as usize {
+                    let before = plan.len();
+                    for (id, free) in order.iter_mut() {
+                        if plan.len() < workers as usize && per_worker.fits_in(free) {
+                            plan.push(*id);
+                            *free -= per_worker;
+                        }
+                    }
+                    if plan.len() == before {
+                        return None;
+                    }
+                }
+                Some(plan)
+            }
+            PlacementStrategy::TopologyAware => {
+                let whole = ResourceVec::new(
+                    per_worker.gpus * workers,
+                    per_worker.cpu_cores * workers,
+                    per_worker.mem_gb * workers,
+                );
+                let mut single: Vec<(u32, NodeId)> = order
+                    .iter()
+                    .filter(|(_, free)| whole.fits_in(free))
+                    .map(|&(id, free)| (free.gpus, id))
+                    .collect();
+                single.sort();
+                if let Some(&(_, id)) = single.first() {
+                    return Some(vec![id; workers as usize]);
+                }
+                let mut racks: Vec<(u32, Vec<NodeId>)> = Vec::new();
+                for rack in 0..cluster.topology().rack_count() {
+                    let in_rack = |id: &NodeId| cluster.topology().rack_of(*id).index() == rack;
+                    let mut rack_order: Vec<(NodeId, ResourceVec)> = order
+                        .iter()
+                        .filter(|(id, _)| in_rack(id))
+                        .copied()
+                        .collect();
+                    rack_order.sort_by_key(|&(id, free)| (free.gpus, id));
+                    if let Some(plan) = pack(rack_order) {
+                        let rack_free = cluster
+                            .nodes()
+                            .filter(|n| in_rack(&n.id()))
+                            .map(|n| n.free().gpus)
+                            .sum();
+                        racks.push((rack_free, plan));
+                    }
+                }
+                racks.sort_by_key(|(free, _)| *free);
+                match racks.into_iter().next() {
+                    Some((_, plan)) => Some(plan),
+                    None => pack(order),
+                }
+            }
+        }
+    }
+
+    /// The gates never change a decision (`plan_counted` equals
+    /// `plan_ungated`), and the scan — which selects rather than sorts
+    /// where one candidate suffices — equals the plan by definition,
+    /// across randomized occupancy, drains, and resource shapes (including
+    /// CPU/memory-skewed demands, so equal free GPUs leave the free CPU
+    /// cores to break the tie).
     #[test]
-    fn indexed_and_scanning_paths_agree() {
+    fn gated_scan_matches_ungated_and_definition() {
         let mut state: u64 = 0xDEAD_BEEF_CAFE_1234;
         let mut rng = move || {
             state ^= state << 13;
@@ -611,20 +578,27 @@ mod tests {
                 PlacementStrategy::TopologyAware,
             ] {
                 let planner = Planner::new(strategy);
-                for (workers, per_worker) in [
-                    (1, ResourceVec::gpus_only(1)),
-                    (2, ResourceVec::gpus_only(4)),
-                    (4, ResourceVec::gpus_only(8)),
-                    (3, ResourceVec::new(1, 10, 60)),
-                    (2, ResourceVec::new(0, 12, 0)),
+                for per_worker in [
+                    ResourceVec::gpus_only(1),
+                    ResourceVec::gpus_only(4),
+                    ResourceVec::gpus_only(8),
+                    ResourceVec::new(1, 10, 60),
+                    ResourceVec::new(0, 12, 0),
                 ] {
-                    let mut stats = PlanStats::default();
-                    let gated = planner.plan_counted(&c, workers, per_worker, &mut stats);
-                    let ungated = planner.plan_ungated(&c, workers, per_worker);
-                    assert_eq!(
-                        gated, ungated,
-                        "case {case}: {strategy} diverged for {workers}x{per_worker:?}"
-                    );
+                    for workers in 1..=4 {
+                        let mut stats = PlanStats::default();
+                        let gated = planner.plan_counted(&c, workers, per_worker, &mut stats);
+                        let ungated = planner.plan_ungated(&c, workers, per_worker);
+                        let defined = plan_by_definition(&c, strategy, workers, per_worker);
+                        assert_eq!(
+                            gated, ungated,
+                            "case {case}: {strategy} gates changed {workers}x{per_worker:?}"
+                        );
+                        assert_eq!(
+                            gated, defined,
+                            "case {case}: {strategy} left the definition for {workers}x{per_worker:?}"
+                        );
+                    }
                 }
             }
         }

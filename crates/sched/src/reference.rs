@@ -5,8 +5,8 @@
 //! the incremental-state optimizations: it re-sorts the queue from
 //! scratch every round, clones the queue into a fresh snapshot, recounts
 //! per-group usage on demand, removes queue entries by linear scan, and
-//! plans placements through [`Planner::plan_ungated`] — no capacity-index
-//! fast paths anywhere.
+//! plans placements through [`Planner::plan_ungated`] — no O(1) capacity
+//! gates anywhere.
 //!
 //! None of that should matter: the optimizations are all claimed to be
 //! decision-invariant. The differential tests in

@@ -212,8 +212,8 @@ pub struct WorkCounters {
     pub arena_alloc: u64,
     /// Lease-arena slots recycled from the free list instead of grown.
     pub arena_reuse: u64,
-    /// Incremental re-keyings of the cluster's sorted free-capacity
-    /// index (lease grant/release/drain/undrain). Platform-filled.
+    /// Always 0: placement scans the cluster's nodes, and no free-capacity
+    /// index is re-keyed. Kept while the benchmark still reads it by name.
     pub free_index_updates: u64,
     /// Events scheduled on the platform's event queue. Platform-filled;
     /// the name is the calendar wheel's, which the queue replaced.

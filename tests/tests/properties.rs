@@ -55,7 +55,8 @@ fn allocator_invariants_hold() {
     }
 }
 
-/// Fragmentation is always a fraction and zero for chunk size 1.
+/// Fragmentation is a fraction below one, and zero exactly when the
+/// largest free block holds every free GPU (or none is free).
 #[test]
 fn fragmentation_bounds() {
     for case in 0..256 {
@@ -64,11 +65,10 @@ fn fragmentation_bounds() {
         for _ in 0..below(rng, 8) {
             let _ = cluster.allocate(0, &random_share(rng));
         }
-        for chunk in [1u32, 2, 4, 8] {
-            let f = cluster.fragmentation(chunk);
-            assert!((0.0..=1.0).contains(&f), "case {case}: {f}");
-        }
-        assert_eq!(cluster.fragmentation(1), 0.0, "case {case}");
+        let f = cluster.fragmentation();
+        assert!((0.0..1.0).contains(&f), "case {case}: {f}");
+        let one_block = cluster.largest_free_block() == cluster.free_gpus();
+        assert_eq!(f == 0.0, one_block, "case {case}: {f}");
     }
 }
 
