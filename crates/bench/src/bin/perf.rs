@@ -17,9 +17,9 @@
 //!   --quiet               suppress the per-scenario table
 //! ```
 //!
-//! Counters count *algorithmic work* (sorts, slot splits/intersections,
-//! placement attempts, node scans, fast-path rejects, walk resumptions,
-//! reclaim-view rebuilds), never time, so
+//! Counters count *algorithmic work* (sorts, releases the reservation
+//! sweep read, placement attempts, node scans, fast-path rejects, walk
+//! resumptions, reclaim-view rebuilds), never time, so
 //! `--check` and `--expect` are tolerance-free gates that hold on any
 //! machine, however noisy. Wall times ride along in the report for human
 //! context only. On a GitHub Actions runner the first mismatch is also

@@ -20,11 +20,11 @@
 //! * `multi-factor` — the always-re-sort policy, the worst case for the
 //!   sort-skip optimization;
 //! * `maintenance-window` — conservative backfill with planned capacity
-//!   windows, stressing the temporal planner's window-aware probes.
+//!   windows, stressing the reservation sweep's window steps.
 //!
-//! The temporal-planner counters (`slot_splits`, `slot_intersections`,
-//! `slot_rebuilds`) count slot boundary creations, per-slot interval
-//! operations, and full timeline rebuilds. `walk_examined` counts the
+//! `slot_intersections` counts the releases the reservation sweep read
+//! off the running set; `slot_splits` and `slot_rebuilds`, named for the
+//! slot timeline the sweep replaced, are always 0. `walk_examined` counts the
 //! queued entries whose gates a round's walk ran — the others kept their
 //! verdict because nothing they wait on had moved, and are among
 //! `skip_suppressions` (every entry a walk passed whose verdict stood) —

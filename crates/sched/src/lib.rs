@@ -61,15 +61,15 @@ mod quota;
 pub mod reference;
 mod request;
 mod scheduler;
-mod slotset;
 
-pub use backfill::BackfillMode;
+pub use backfill::{BackfillMode, CapacityWindow};
 pub use placement::{PlacementStrategy, PlanStats, Planner};
 pub use policy::PolicyKind;
 pub use quota::{QuotaMode, QuotaTable};
 pub use request::{Decision, RunningTask, SchedOutcome, StartedTask, TaskRequest};
-pub use scheduler::{DebugRoundHook, Scheduler, SchedulerConfig, WorkCounterRow, WorkCounters};
-pub use slotset::{CapacityWindow, SlotSet, SlotStats};
+pub use scheduler::{
+    DebugRoundHook, Scheduler, SchedulerConfig, SlotStats, WorkCounterRow, WorkCounters,
+};
 // Decision-tracing vocabulary, re-exported so scheduler callers need not
 // depend on `tacc-obs` directly.
 pub use tacc_obs::{DecisionTraceLog, JobSkip, RoundTrace, SkipReason};

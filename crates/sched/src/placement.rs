@@ -2,10 +2,10 @@
 //!
 //! Placement answers "which physical nodes, *right now*" — the spatial
 //! half of scheduling. The temporal half ("when, and with how much left
-//! over") lives in [`crate::slotset`]: the planner there works on
-//! abstract resource ids and only *forecasts* availability, so every
-//! forecast start still funnels through a [`Planner`] call against the
-//! real cluster before any job launches.
+//! over") is the reservation sweep in [`crate::backfill`]: it counts GPUs
+//! cluster-wide and only *forecasts* availability, so every forecast
+//! start still funnels through a [`Planner`] call against the real
+//! cluster before any job launches.
 
 use tacc_cluster::{Cluster, Node, NodeId, ResourceVec};
 

@@ -342,10 +342,10 @@ impl ReferenceScheduler {
         cluster: &Cluster,
         reservations: &mut Vec<Reservation>,
     ) {
-        let mut running: Vec<(f64, u32)> = self
+        let mut running: Vec<(f64, JobId, u32)> = self
             .running
             .values()
-            .map(|t| (t.est_end_secs, t.request.total_gpus()))
+            .map(|t| (t.est_end_secs, t.request.id, t.request.total_gpus()))
             .collect();
         reservations.push(reserve_with_windows(
             now_secs,

@@ -17,12 +17,11 @@ use tacc_cluster::{Cluster, LeaseId, ResourceVec};
 use tacc_obs::{DecisionTraceLog, Histogram, JobSkip, MetricsRegistry, SkipReason};
 use tacc_workload::{GroupRoster, JobId, QosClass};
 
-use crate::backfill::{BackfillMode, Reservation};
+use crate::backfill::{self, BackfillMode, CapacityWindow, Release, Reservation};
 use crate::placement::{PlacementStrategy, PlanStats, Planner};
 use crate::policy::{compare, PolicyContext, PolicyKind};
 use crate::quota::{QuotaMode, QuotaTable};
 use crate::request::{RunningTask, TaskRequest};
-use crate::slotset::{CapacityWindow, SlotSet, SlotStats};
 
 mod elastic;
 mod gang;
@@ -50,9 +49,9 @@ pub struct SchedulerConfig {
     /// [`Scheduler::rotate`]. `None` disables rotation.
     pub time_slice_secs: Option<f64>,
     /// Planned capacity changes (drain/maintenance windows, permanent
-    /// reductions) applied to the temporal planner's availability profile
-    /// — OAR's `available_upto` pseudo-job trick. Windows shape backfill
-    /// reservation shadows; they do not alter the physical cluster.
+    /// reductions) withheld from the availability profile the reservation
+    /// sweep walks. Windows shape backfill reservation shadows; they do
+    /// not alter the physical cluster.
     pub capacity_windows: Vec<CapacityWindow>,
 }
 
@@ -145,23 +144,21 @@ pub struct Scheduler {
     /// order; empty between rounds.
     scratch_edits: Vec<QueueEdit>,
     /// The reclaim pre-check's hypothetical cluster (all borrowers
-    /// evicted), kept in step with the real one the way `timeline` is:
-    /// placements and finishes carry it forward, any other mutation
-    /// leaves it behind and the next use rebuilds it.
+    /// evicted), kept in step with the real one: placements and finishes
+    /// carry it forward, any other mutation leaves it behind and the next
+    /// use rebuilds it.
     reclaim_view: Option<ReclaimView>,
     /// Running best-effort tasks (the reclaim path's "no borrower" test),
     /// maintained where `running` is mutated.
     running_best_effort: usize,
-    /// The slot-set temporal planner: the future availability profile as
-    /// time slots of free-GPU counts, maintained incrementally (split on
-    /// placement, merge on release) and keyed by the [`Cluster::version`]
-    /// it mirrors. A probe against any other version rebuilds it from the
-    /// running set first.
-    timeline: SlotSet,
-    /// The cluster mutation version `timeline` reflects (`None` forces a
-    /// rebuild on the next reservation probe).
-    timeline_version: Option<u64>,
-    /// Test-only claim-boundary skew (see [`Scheduler::debug_set_boundary_skew`]).
+    /// The running set in [`release_order`](backfill::release_order), as
+    /// `(est_end_secs + boundary_skew_secs, id, gpus)`: kept where
+    /// `running` is, so a reservation never sorts.
+    releases: Vec<Release>,
+    /// `capacity_windows` as [`window_steps`](backfill::window_steps),
+    /// recomputed where the windows are written.
+    window_steps: Vec<(f64, u32)>,
+    /// Test-only release skew (see [`Scheduler::debug_set_boundary_skew`]).
     boundary_skew_secs: f64,
     /// Test-only switch (see [`Scheduler::debug_set_round_hook`]).
     debug_hook: Option<DebugRoundHook>,
@@ -203,8 +200,7 @@ pub struct WorkCounters {
     pub walk_examined: u64,
     /// Planner effort: attempts, node scans, and O(1) fast-path rejects.
     pub plan: PlanStats,
-    /// Temporal-planner effort: slot splits, interval intersections, and
-    /// full timeline rebuilds.
+    /// Reservation-sweep effort: the releases its probes read.
     pub slots: SlotStats,
     /// Arena slots newly allocated (job slots plus lease slots). The
     /// scheduler itself reports zero; `Platform::work_counters()` fills
@@ -224,6 +220,19 @@ pub struct WorkCounters {
     /// Clone-and-release constructions of the reclaim view (a use against
     /// a cluster version the incremental maintenance did not track).
     pub reclaim_view_rebuilds: u64,
+}
+
+/// The reservation sweep's work counters, under the slot timeline's
+/// names, which the benchmark still reads them by.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SlotStats {
+    /// Always 0: the sweep keeps no timeline to split.
+    pub splits: u64,
+    /// Releases the reservation probes read off the running set, each
+    /// probe from the earliest only as far as its demand needed.
+    pub intersections: u64,
+    /// Always 0: the sweep keeps no timeline to rebuild.
+    pub rebuilds: u64,
 }
 
 /// One row of [`WorkCounters::TABLE`]: everything that is said about a
@@ -267,9 +276,9 @@ impl WorkCounters {
         "placement_attempts", counter("tacc_sched_placement_attempts_total") => plan.attempts;
         "node_scans", counter("tacc_sched_node_scans_total") => plan.nodes_scanned;
         "fastpath_rejects", counter("tacc_sched_placement_fastpath_rejects_total") => plan.fastpath_rejects;
-        "slot_splits", counter("tacc_sched_slot_splits_total") => slots.splits;
+        "slot_splits", None => slots.splits;
         "slot_intersections", counter("tacc_sched_slot_intersections_total") => slots.intersections;
-        "slot_rebuilds", counter("tacc_sched_slot_rebuilds_total") => slots.rebuilds;
+        "slot_rebuilds", None => slots.rebuilds;
         "arena_alloc", None => arena_alloc;
         "arena_reuse", None => arena_reuse;
         "free_index_updates", None => free_index_updates;
@@ -454,6 +463,7 @@ impl Scheduler {
             quotas.resize(config.group_count, 0);
         }
         Scheduler {
+            window_steps: backfill::window_steps(&config.capacity_windows),
             planner: Planner::new(config.placement),
             quota: QuotaTable::from_quotas(quotas),
             trace: DecisionTraceLog::new(DECISION_TRACE_ROUNDS),
@@ -478,8 +488,7 @@ impl Scheduler {
             scratch_edits: Vec::new(),
             reclaim_view: None,
             running_best_effort: 0,
-            timeline: SlotSet::new(),
-            timeline_version: None,
+            releases: Vec::new(),
             boundary_skew_secs: 0.0,
             debug_hook: None,
             running: BTreeMap::new(),
@@ -523,16 +532,13 @@ impl Scheduler {
     }
 
     /// Registers an advance reservation: `window.gpus` GPUs are withheld
-    /// from the temporal planner's availability profile over
-    /// `[from_secs, until_secs)` — the OAR `available_upto` pseudo-job
-    /// trick, now reachable from a live client request
-    /// (`tcloud reserve`). Backfill shadows immediately respect the
-    /// window; the physical cluster is untouched. The slot-set timeline
-    /// is invalidated so the next reservation probe rebuilds against the
-    /// updated profile.
+    /// from the availability profile over `[from_secs, until_secs)`,
+    /// reachable from a live client request (`tcloud reserve`). Backfill
+    /// shadows respect the window from the next reservation on; the
+    /// physical cluster is untouched.
     pub fn reserve_capacity(&mut self, window: CapacityWindow) {
         self.config.capacity_windows.push(window);
-        self.timeline_version = None;
+        self.window_steps = backfill::window_steps(&self.config.capacity_windows);
     }
 
     /// The capacity windows currently shaping the availability profile
@@ -762,21 +768,19 @@ impl Scheduler {
     /// Returns the task's record, or `None` if it was not running.
     pub fn task_finished(&mut self, id: JobId, cluster: &mut Cluster) -> Option<RunningTask> {
         let task = self.running.remove(&id)?;
+        let release = self.release_of(&task);
+        let found = self
+            .releases
+            .binary_search_by(|r| backfill::release_order(r, &release));
+        debug_assert!(found.is_ok(), "{id} missing from the release order");
+        if let Ok(pos) = found {
+            self.releases.remove(pos);
+        }
         let pre_version = cluster.version();
         cluster
             .release(task.lease_id)
             .expect("running task holds a valid lease");
-        // Keep the temporal planner synced incrementally: when it mirrored
-        // the pre-release cluster state, a slot-level release carries it to
-        // the post-release version without a rebuild.
-        if self.timeline_version == Some(pre_version) {
-            self.timeline_version = if self.timeline.release(id, &mut self.counters.slots) {
-                Some(cluster.version())
-            } else {
-                None
-            };
-        }
-        // Likewise the reclaim view: a borrower was never in it, a
+        // Keep the reclaim view in step: a borrower was never in it, a
         // guaranteed task's lease is released in it too.
         match task.request.qos {
             QosClass::BestEffort => {
@@ -850,16 +854,35 @@ impl Scheduler {
     }
 
     /// Test-only fault injection for the differential red-flip suite:
-    /// shifts every temporal-planner claim boundary by `skew_secs`,
-    /// simulating an off-by-one interval-boundary bug in the slot-split
-    /// logic. With any non-zero skew, reservation shadows move and the
-    /// backfill decisions diverge from [`ReferenceScheduler`](crate::reference::ReferenceScheduler)
+    /// shifts every release the reservation sweep reads by `skew_secs`,
+    /// simulating an off-by-one boundary bug in the release order. With
+    /// any non-zero skew, reservation shadows move and the backfill
+    /// decisions diverge from [`ReferenceScheduler`](crate::reference::ReferenceScheduler)
     /// — the differential suite proves it would catch such a bug.
     #[doc(hidden)]
     pub fn debug_set_boundary_skew(&mut self, skew_secs: f64) {
         self.boundary_skew_secs = skew_secs;
-        // Force the next probe to rebuild under the new (skewed) geometry.
-        self.timeline_version = None;
+        // Re-key what is running under the new skew, so inserts and
+        // removals keep agreeing on each entry's key.
+        self.releases = self.releases_recomputed();
+    }
+
+    /// A running task's entry in `releases`.
+    pub(super) fn release_of(&self, task: &RunningTask) -> Release {
+        (
+            task.est_end_secs + self.boundary_skew_secs,
+            task.request.id,
+            task.request.total_gpus(),
+        )
+    }
+
+    /// `releases` recomputed from the running set — what the
+    /// incrementally kept order must equal.
+    fn releases_recomputed(&self) -> Vec<Release> {
+        let mut releases: Vec<Release> =
+            self.running.values().map(|t| self.release_of(t)).collect();
+        releases.sort_by(backfill::release_order);
+        releases
     }
 
     /// Test-only switch for the differential suite: makes every walk

@@ -7,6 +7,7 @@ use std::collections::BTreeMap;
 use tacc_cluster::Cluster;
 use tacc_workload::{JobId, QosClass};
 
+use crate::backfill::release_order;
 use crate::placement::Planner;
 use crate::quota::QuotaMode;
 use crate::request::{Decision, RunningTask, SchedOutcome, StartedTask, TaskRequest};
@@ -122,7 +123,7 @@ impl Scheduler {
             });
             self.counters.reclaim_view_rebuilds += 1;
         }
-        // Sampled oracle, as for the timeline: the carried view must be
+        // Sampled oracle, as for the release order: the carried view must be
         // the one a rebuild would produce.
         debug_assert!(
             !self.rounds.is_multiple_of(61)
@@ -200,20 +201,8 @@ impl Scheduler {
         // A shrunken data-parallel gang runs proportionally longer.
         let scale = f64::from(request.workers) / f64::from(granted);
         let est_end_secs = now_secs + request.est_secs * scale;
-        // Keep the temporal planner synced incrementally: when it mirrored
-        // the pre-allocate cluster state, a slot-level place carries it to
-        // the post-allocate version without a rebuild.
-        if self.timeline_version == Some(pre_version) {
-            self.timeline.place(
-                request.id,
-                granted_request.total_gpus(),
-                est_end_secs + self.boundary_skew_secs,
-                &mut self.counters.slots,
-            );
-            self.timeline_version = Some(cluster.version());
-        }
-        // Likewise the reclaim view: a guaranteed task occupies the same
-        // shares there, a borrower none.
+        // Keep the reclaim view in step: a guaranteed task occupies the
+        // same shares there, a borrower none.
         match request.qos {
             QosClass::BestEffort => {
                 self.running_best_effort += 1;
@@ -228,17 +217,20 @@ impl Scheduler {
                 });
             }
         }
-        self.running.insert(
-            request.id,
-            RunningTask {
-                request: granted_request,
-                requested_workers: request.workers,
-                lease_id: lease.id(),
-                worker_nodes: assignment.clone(),
-                start_secs: now_secs,
-                est_end_secs,
-            },
-        );
+        let task = RunningTask {
+            request: granted_request,
+            requested_workers: request.workers,
+            lease_id: lease.id(),
+            worker_nodes: assignment.clone(),
+            start_secs: now_secs,
+            est_end_secs,
+        };
+        let release = self.release_of(&task);
+        let pos = self
+            .releases
+            .partition_point(|r| release_order(r, &release).is_lt());
+        self.releases.insert(pos, release);
+        self.running.insert(request.id, task);
         Some(StartedTask {
             request: *request,
             granted_workers: granted,

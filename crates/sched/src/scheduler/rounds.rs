@@ -1,7 +1,7 @@
 //! The scheduling round — order, walk, apply: queue ordering, the
 //! quota/backfill/placement walk over the round-start queue with its
 //! wake-keyed verdicts, skip tracing per verdict change, and
-//! temporal-planner-backed reservations.
+//! reservations swept off the running set in release order.
 
 use std::time::{Duration, Instant};
 
@@ -9,7 +9,7 @@ use tacc_cluster::{Cluster, ResourceVec};
 use tacc_obs::{JobSkip, RoundTrace, SkipReason};
 use tacc_workload::JobId;
 
-use crate::backfill::{may_backfill, BackfillMode};
+use crate::backfill::{may_backfill, reserve, BackfillMode};
 use crate::policy::{compare, PolicyKind};
 use crate::request::{Decision, SchedOutcome, StartedTask, TaskRequest};
 use crate::scheduler::{DebugRoundHook, GateFloor, Queued, Scheduler, SkipVerdict, Wait};
@@ -428,62 +428,29 @@ impl Scheduler {
                 .is_some()
     }
 
-    /// Computes the capacity reservation for a blocked request by probing
-    /// the temporal planner, and appends it to the round's reservations.
-    ///
-    /// The planner timeline depends only on the running set and the
-    /// configured capacity windows, and every change to the running set
-    /// (placement, finish, preemption) also bumps the cluster's mutation
-    /// version. Placements and releases maintain the timeline
-    /// incrementally; whenever the version check shows the mirror went
-    /// stale (first round, preemption fallout, fault injection) it is
-    /// rebuilt from the running set in one pass. Conservative backfill
-    /// asks for one reservation per blocked job per round, and all of
-    /// those probes share the same slots.
+    /// Computes the capacity reservation for a blocked request by sweeping
+    /// the running set in release order, and appends it to the round's
+    /// reservations. Conservative backfill asks for one reservation per
+    /// blocked job per round; each reads `releases` only as far as its
+    /// demand needs.
     fn push_reservation(&mut self, now_secs: f64, request: &TaskRequest, cluster: &Cluster) {
-        let version = cluster.version();
-        if self.timeline_version != Some(version) {
-            let skew = self.boundary_skew_secs;
-            // Id-ordered iteration over the BTreeMap: rebuilding is a
-            // deterministic function of the running set.
-            self.timeline.rebuild(
-                cluster.free_gpus(),
-                self.running
-                    .iter()
-                    .map(|(&id, t)| (id, t.est_end_secs + skew, t.request.total_gpus())),
-                &self.config.capacity_windows,
-                &mut self.counters.slots,
-            );
-            self.timeline_version = Some(version);
-        }
+        // Sampled oracle: the incrementally kept release order must equal
+        // a fresh sort of the running set.
         #[cfg(debug_assertions)]
         if self.rounds.is_multiple_of(61) {
-            // Sampled oracle: the incrementally maintained timeline must
-            // stay count-equivalent to a fresh rebuild. (Abstract id
-            // assignment may differ between the two; the count-level
-            // fingerprint is invariant to it.)
-            let mut oracle = crate::slotset::SlotSet::new();
-            let mut stats = crate::slotset::SlotStats::default();
-            let skew = self.boundary_skew_secs;
-            oracle.rebuild(
-                cluster.free_gpus(),
-                self.running
-                    .iter()
-                    .map(|(&id, t)| (id, t.est_end_secs + skew, t.request.total_gpus())),
-                &self.config.capacity_windows,
-                &mut stats,
-            );
             debug_assert_eq!(
-                self.timeline.fingerprint(),
-                oracle.fingerprint(),
-                "incremental timeline diverged from a fresh rebuild"
+                self.releases,
+                self.releases_recomputed(),
+                "release order diverged from the running set"
             );
         }
-        let reservation = self.timeline.probe(
+        let reservation = reserve(
             now_secs,
             request.total_gpus(),
             cluster.free_gpus(),
-            &mut self.counters.slots,
+            &self.releases,
+            &self.window_steps,
+            &mut self.counters.slots.intersections,
         );
         self.scratch_reservations.push(reservation);
     }

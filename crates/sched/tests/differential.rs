@@ -452,9 +452,9 @@ fn red_flip_harness_detects_decision_changes() {
 
 #[test]
 fn red_flip_slot_boundary_bug_diverges_from_reference() {
-    // Prove the differential suite would catch a one-line slot-split bug:
-    // inject an off-by-one interval boundary (every claim end shifted by
-    // +600s) into the optimized planner only. The skewed reservation
+    // Prove the differential suite would catch a one-line release-order
+    // bug: inject an off-by-one boundary (every release shifted by +600s)
+    // into the optimized scheduler only. The skewed reservation
     // shadow admits a backfill candidate the reference rejects, so the
     // decision streams must diverge.
     let cfg = SchedulerConfig {
@@ -516,7 +516,7 @@ fn red_flip_slot_boundary_bug_diverges_from_reference() {
     assert_ne!(
         format!("{:?}", a.decisions),
         format!("{:?}", b.decisions),
-        "an off-by-one slot boundary must flip the comparison red"
+        "an off-by-one release boundary must flip the comparison red"
     );
     // And in the expected direction: the skewed planner backfilled the
     // narrow job, the honest reference blocked it.
