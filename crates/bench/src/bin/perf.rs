@@ -19,7 +19,7 @@
 //!
 //! Counters count *algorithmic work* (sorts, releases the reservation
 //! sweep read, placement attempts, node scans, fast-path rejects, walk
-//! resumptions, reclaim-view rebuilds), never time, so
+//! resumptions), never time, so
 //! `--check` and `--expect` are tolerance-free gates that hold on any
 //! machine, however noisy. Wall times ride along in the report for human
 //! context only. On a GitHub Actions runner the first mismatch is also

@@ -27,10 +27,12 @@
 //! slot timeline the sweep replaced, are always 0. `walk_examined` counts the
 //! queued entries whose gates a round's walk ran — the others kept their
 //! verdict because nothing they wait on had moved, and are among
-//! `skip_suppressions` (every entry a walk passed whose verdict stood) —
-//! and `reclaim_view_rebuilds` the clone-and-release constructions of the
-//! reclaim view: pinned exactly, so neither fast path can stop firing
-//! without the gate turning red.
+//! `skip_suppressions` (every entry a walk passed whose verdict stood):
+//! pinned exactly, so the fast path cannot stop firing without the gate
+//! turning red. The reclaim pre-check counts no planner work: it sums
+//! per-node copy counts instead of planning, so `placement_attempts`,
+//! `node_scans` and `fastpath_rejects` count only plans tried on the real
+//! cluster.
 
 use std::time::Instant;
 

@@ -16,7 +16,7 @@
 //! | `hash-iter` | `HashMap`/`HashSet`/`RandomState` in sim-path crates |
 //! | `wall-clock` | `Instant::now` / `SystemTime` outside annotated sites |
 //! | `ambient-rng` | `thread_rng` / `rand::random` bypassing `DetRng` |
-//! | `layer-dag` | dependency edges violating the documented layer DAG, or leaving the workspace |
+//! | `layer-dag` | dependency edges violating the documented layer DAG, unused by the crate's sources, or leaving the workspace |
 //! | `panic-surface` | reachable `unwrap`/`expect`/`panic!`/`todo!` growth vs baseline |
 //! | `metric-name` | registry literals not shaped `tacc_<layer>_<name>` |
 //! | `single-writer` | owned mutations performed outside the owning module |
@@ -54,7 +54,7 @@ pub mod reach;
 pub mod render;
 pub mod symbols;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -98,6 +98,10 @@ pub fn run(root: &Path, opts: &Options) -> Result<Report, String> {
 
     let mut report = Report::default();
     let mut jobs: Vec<FileJob> = Vec::new();
+    // Each crate's manifest, and the workspace crates its lib, bin and
+    // example sources name.
+    let mut packages: Vec<(PathBuf, manifest::Manifest)> = Vec::new();
+    let mut named: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
 
     for crate_dir in sorted_dirs(&crates_dir)? {
         let Some(manifest) = scan_manifest(root, &crate_dir.join("Cargo.toml"), &mut report) else {
@@ -107,6 +111,13 @@ pub fn run(root: &Path, opts: &Options) -> Result<Report, String> {
         if src_dir.is_dir() {
             collect_rs_files(root, &manifest.package, &src_dir, &mut jobs)?;
         }
+        let names = named.entry(manifest.package.clone()).or_default();
+        for example in &manifest.examples {
+            if let Ok(src) = fs::read_to_string(crate_dir.join(example)) {
+                names.extend(lints::crates_named(&lexer::lex(&src).tokens));
+            }
+        }
+        packages.push((crate_dir.join("Cargo.toml"), manifest));
     }
     // The workspace table and the integration-test package name
     // dependencies too.
@@ -143,6 +154,8 @@ pub fn run(root: &Path, opts: &Options) -> Result<Report, String> {
     let mut entries = Vec::with_capacity(report.files_scanned);
     for scan in scans {
         let (job, mut scan) = scan?;
+        let names = named.entry(job.crate_name.clone()).or_default();
+        names.extend(std::mem::take(&mut scan.crates_named));
         entries.push(graph::FileEntry {
             crate_name: job.crate_name.clone(),
             rel_path: job.rel_path.clone(),
@@ -150,6 +163,14 @@ pub fn run(root: &Path, opts: &Options) -> Result<Report, String> {
             symbols: std::mem::take(&mut scan.symbols),
         });
         scanned.push((job, scan));
+    }
+    for (path, manifest) in &packages {
+        flag_unused_edges(
+            &rel(root, path),
+            manifest,
+            &named[&manifest.package],
+            &mut report,
+        );
     }
     let workspace = graph::build(&entries, &manifest::edge_allowed);
     report.symbols.fns = workspace.fns.len();
@@ -265,6 +286,31 @@ fn scan_manifest(root: &Path, path: &Path, report: &mut Report) -> Option<manife
         });
     }
     (!manifest.package.is_empty()).then_some(manifest)
+}
+
+/// L4's unused-edge half: a `tacc-*` `[dependencies]` edge the DAG allows
+/// but that none of the package's lib, bin or example sources name
+/// (`named`). Dev-dependencies are exempt, as they are from the DAG.
+fn flag_unused_edges(
+    file: &str,
+    manifest: &manifest::Manifest,
+    named: &BTreeSet<String>,
+    report: &mut Report,
+) {
+    for (dep, line) in &manifest.deps {
+        if manifest::edge_allowed(&manifest.package, dep) && !named.contains(dep) {
+            report.findings.push(Finding {
+                file: file.to_owned(),
+                line: *line,
+                lint: Lint::LayerDag.name(),
+                message: format!(
+                    "`{}` declares `tacc-{dep}` but no lib, bin or example source names \
+                     `tacc_{dep}`: drop the edge (test-only uses go under [dev-dependencies])",
+                    manifest.package
+                ),
+            });
+        }
+    }
 }
 
 /// Loads `lint-owners.toml` from the workspace root. A missing file is

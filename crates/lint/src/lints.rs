@@ -1,6 +1,8 @@
 //! The ten lint families, the `#[cfg(test)]` region tracker, and the
 //! `// tacc-lint: allow(...)` suppression grammar.
 
+use std::collections::BTreeSet;
+
 use crate::lexer::{lex, Comment, TokKind, Token};
 use crate::owners::OwnersConfig;
 use crate::render::{Finding, Suppressed};
@@ -158,6 +160,22 @@ pub struct FileScan {
     /// Extracted items and call references, merged workspace-wide into
     /// the symbol graph by the engine.
     pub symbols: FileSymbols,
+    /// The workspace crates the file names, test code included (see
+    /// [`crates_named`]).
+    pub crates_named: BTreeSet<String>,
+}
+
+/// The short names of the workspace crates `tokens` name as `tacc_<crate>`
+/// — what a `[dependencies]` edge must be used by.
+pub fn crates_named(tokens: &[Token]) -> BTreeSet<String> {
+    let named = |t: &Token| match &t.kind {
+        TokKind::Ident(word) => word.strip_prefix("tacc_").map(str::to_owned),
+        _ => None,
+    };
+    let crates = tokens.iter().filter_map(named);
+    crates
+        .filter(|c| crate::manifest::rank(c).is_some())
+        .collect()
 }
 
 /// A parsed `tacc-lint: allow(...)` directive.
@@ -185,6 +203,7 @@ pub fn scan_source(ctx: &ScanCtx<'_>, src: &str) -> FileScan {
         lint_match_wildcards(ctx, &toks, &mut raw);
     }
     scan.symbols = symbols::extract(&lexed.tokens, &test_ranges);
+    scan.crates_named = crates_named(&lexed.tokens);
     lint_lock_across_fork(ctx, &scan.symbols, &mut raw);
 
     // Suppression: an allow on the finding's line, or on the line above.

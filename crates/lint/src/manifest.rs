@@ -16,7 +16,9 @@
 //!
 //! Nothing outside the DAG may be named at all: the workspace builds
 //! from its own sources, so every dependency entry that is not a `tacc-*`
-//! path crate is reported in [`Manifest::foreign`].
+//! path crate is reported in [`Manifest::foreign`]. A `tacc-*` edge must
+//! also be used: the engine reports one that none of the crate's lib,
+//! bin or [`Manifest::examples`] sources names.
 
 /// One parsed manifest: the package's short name, its `tacc-*`
 /// `[dependencies]` edges, and every dependency entry that leaves the
@@ -35,6 +37,8 @@ pub struct Manifest {
     /// `[workspace.dependencies]` entry that is not a `tacc-*` crate
     /// taken by path or from the workspace table.
     pub foreign: Vec<(String, u32)>,
+    /// The `path` of each `[[example]]` target, relative to the manifest.
+    pub examples: Vec<String>,
 }
 
 /// The dependency tables a manifest may carry.
@@ -53,6 +57,7 @@ pub fn parse(text: &str) -> Manifest {
     let mut package = String::new();
     let mut deps = Vec::new();
     let mut foreign = Vec::new();
+    let mut examples = Vec::new();
     let mut section = String::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -68,11 +73,16 @@ pub fn parse(text: &str) -> Manifest {
             }
             continue;
         }
+        let value = |key: &str| {
+            let value = line.strip_prefix(key)?.trim_start().strip_prefix('=')?;
+            Some(value.trim().trim_matches('"').to_owned())
+        };
         if section == "package" && package.is_empty() {
-            if let Some(value) = line.strip_prefix("name") {
-                let value = value.trim_start().trim_start_matches('=').trim();
-                package = value.trim_matches('"').to_owned();
-            }
+            package = value("name").unwrap_or_default();
+        }
+        // `[[example]]`, its outer brackets stripped as above.
+        if section == "[example" {
+            examples.extend(value("path"));
         }
         if !DEP_SECTIONS.contains(&section.as_str()) || line.is_empty() || line.starts_with('#') {
             continue;
@@ -101,6 +111,7 @@ pub fn parse(text: &str) -> Manifest {
         package: package.strip_prefix("tacc-").unwrap_or(&package).to_owned(),
         deps,
         foreign,
+        examples,
     }
 }
 
@@ -158,6 +169,14 @@ mod tests {
             vec![("cluster".to_owned(), 6), ("workload".to_owned(), 7)]
         );
         assert_eq!(m.foreign, vec![]);
+        assert_eq!(m.examples, Vec::<String>::new());
+    }
+
+    #[test]
+    fn example_targets_are_read_with_their_paths() {
+        let toml = "[package]\nname = \"tacc-core\"\n\n[[example]]\nname = \"quickstart\"\n\
+                    path = \"../../examples/quickstart.rs\"\n\n[lints]\nworkspace = true\n";
+        assert_eq!(parse(toml).examples, ["../../examples/quickstart.rs"]);
     }
 
     #[test]

@@ -99,7 +99,8 @@ fn clean_tree_passes_and_reasoned_allows_are_reported_not_fatal() {
         "// tacc-lint: allow(wall-clock, reason = \"round-latency measurement only\")\n\
          fn measure() -> std::time::Instant { std::time::Instant::now() }\n\
          fn register(r: &Registry) { r.counter(\"tacc_sched_rounds_total\", &[]); }\n\
-         pub const DEPTH_METRIC: &str = \"tacc_sched_queue_depth\";\n",
+         pub const DEPTH_METRIC: &str = \"tacc_sched_queue_depth\";\n\
+         pub fn free(c: &tacc_cluster::Cluster) -> u32 { c.free_gpus() }\n",
     );
 
     let json_path = root.join("report.json");
@@ -257,7 +258,9 @@ fn thread_spawn_in_core_flips_red_but_taccd_is_exempt_by_design() {
         &green.join("crates/zeta/Cargo.toml"),
         "[package]\nname = \"tacc-taccd\"\n\n[dependencies]\ntacc-core.workspace = true\n",
     );
-    write(&green.join("crates/zeta/src/lib.rs"), src);
+    // The declared edge is used.
+    let src = format!("{src}pub use tacc_core::wire;\n");
+    write(&green.join("crates/zeta/src/lib.rs"), &src);
     let json_path = green.join("report.json");
     assert!(
         run_lint(&green, &json_path).success(),
@@ -298,5 +301,90 @@ fn panic_budget_growth_flips_red_but_within_budget_passes() {
     let json = fs::read_to_string(&json_path).expect("JSON report written");
     assert!(json.contains("exceed the committed baseline budget of 2"));
 
+    fs::remove_dir_all(&root).expect("cleanup");
+}
+
+/// A `[dependencies]` edge the DAG allows but no lib, bin or example
+/// source names flips red at its manifest line: here the four such edges
+/// the workspace once carried. A use in an `[[example]]` counts, and a
+/// dev-dependency is exempt; with the unused edges gone the tree is green.
+#[test]
+fn unused_dependency_edges_flip_red_at_their_manifest_lines() {
+    let root = scratch("unused-edge");
+    let write_manifests = |manifests: [(&str, &str); 3]| {
+        for (name, deps) in manifests {
+            let manifest = format!("[package]\nname = \"tacc-{name}\"\n\n{deps}");
+            write(&root.join(format!("crates/{name}/Cargo.toml")), &manifest);
+        }
+    };
+    let sched_tail =
+        "tacc-obs.workspace = true\n\n[dev-dependencies]\ntacc-sim.workspace = true\n\n\
+                      [[example]]\nname = \"demo\"\npath = \"../../examples/demo.rs\"\n";
+    write_manifests([
+        (
+            "sched",
+            &format!(
+                "[dependencies]\ntacc-cluster.workspace = true\ntacc-metrics.workspace = true\n\
+                 {sched_tail}"
+            ),
+        ),
+        ("cluster", "[dependencies]\ntacc-metrics.workspace = true\n"),
+        (
+            "taccd",
+            "[dependencies]\ntacc-core.workspace = true\ntacc-sim.workspace = true\n\
+             tacc-cluster.workspace = true\n",
+        ),
+    ]);
+    write(
+        &root.join("crates/sched/src/lib.rs"),
+        "pub fn free(c: &tacc_cluster::Cluster) -> u32 { c.free_gpus() }\n",
+    );
+    write(
+        &root.join("examples/demo.rs"),
+        "use tacc_obs::Bus;\nfn main() {}\n",
+    );
+    write(
+        &root.join("crates/cluster/src/lib.rs"),
+        "pub struct Cluster;\n",
+    );
+    write(
+        &root.join("crates/taccd/src/lib.rs"),
+        "pub use tacc_core::wire;\n",
+    );
+
+    let json_path = root.join("report.json");
+    assert!(
+        !run_lint(&root, &json_path).success(),
+        "unused edges must fail --check"
+    );
+    let json = fs::read_to_string(&json_path).expect("JSON report written");
+    for (file, line) in [
+        ("crates/cluster/Cargo.toml", 5),
+        ("crates/sched/Cargo.toml", 6),
+        ("crates/taccd/Cargo.toml", 6),
+        ("crates/taccd/Cargo.toml", 7),
+    ] {
+        let needle = format!("{{\"lint\": \"layer-dag\", \"file\": \"{file}\", \"line\": {line},");
+        assert!(
+            json.contains(&needle),
+            "unused edge at {file}:{line}\n{json}"
+        );
+    }
+    assert_eq!(json.matches("\"lint\": \"layer-dag\"").count(), 4, "{json}");
+
+    // Without the four edges: green.
+    write_manifests([
+        (
+            "sched",
+            &format!("[dependencies]\ntacc-cluster.workspace = true\n{sched_tail}"),
+        ),
+        ("cluster", ""),
+        ("taccd", "[dependencies]\ntacc-core.workspace = true\n"),
+    ]);
+    assert!(
+        run_lint(&root, &json_path).success(),
+        "{}",
+        fs::read_to_string(&json_path).unwrap_or_default()
+    );
     fs::remove_dir_all(&root).expect("cleanup");
 }

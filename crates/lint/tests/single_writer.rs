@@ -70,7 +70,7 @@ fn seed_workspace(root: &Path) {
     );
     write(
         &root.join("crates/core/Cargo.toml"),
-        "[package]\nname = \"tacc-core\"\n\n[dependencies]\ntacc-workload.workspace = true\n",
+        "[package]\nname = \"tacc-core\"\n",
     );
     // The legitimate caller: the lifecycle engine routes events through
     // the checked transition API.
@@ -171,7 +171,7 @@ fn rogue_arena_mutations_flip_red() {
     );
     write(
         &root.join("crates/core/Cargo.toml"),
-        "[package]\nname = \"tacc-core\"\n\n[dependencies]\ntacc-cluster.workspace = true\n",
+        "[package]\nname = \"tacc-core\"\n",
     );
     write(
         &root.join("crates/core/src/lifecycle.rs"),
@@ -528,7 +528,7 @@ fn a_hand_written_codec_outside_tacc_json_flips_red() {
     );
     write(
         &root.join("crates/obs/Cargo.toml"),
-        "[package]\nname = \"tacc-obs\"\n\n[dependencies]\ntacc-json.workspace = true\n",
+        "[package]\nname = \"tacc-obs\"\n",
     );
     write(
         &root.join("crates/obs/src/events.rs"),

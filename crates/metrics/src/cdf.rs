@@ -11,6 +11,8 @@
 /// let cdf = Cdf::from_samples(&[1.0, 2.0, 2.0, 4.0]);
 /// assert_eq!(cdf.fraction_at_or_below(2.0), 0.75);
 /// assert_eq!(cdf.quantile(1.0), 4.0);
+/// // Between ranks the quantile interpolates: 3.4 is not a sample.
+/// assert!((cdf.quantile(0.9) - 3.4).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
@@ -48,8 +50,9 @@ impl Cdf {
         idx as f64 / self.sorted.len() as f64
     }
 
-    /// Smallest sample value `v` such that at least `q` (in `[0,1]`) of the
-    /// mass is `<= v`.
+    /// The `q`-quantile (`q` in `[0, 1]`) by linear interpolation between
+    /// closest ranks: the value at fractional rank `q * (len - 1)` of the
+    /// sorted sample, which need not be a sample itself.
     ///
     /// # Panics
     ///

@@ -221,21 +221,12 @@ fn plan_topology(
     per_worker: ResourceVec,
     stats: &mut PlanStats,
 ) -> Option<Vec<NodeId>> {
-    let gang_fits_whole = |free: ResourceVec| {
-        let mut free = free;
-        let mut fit = 0;
-        while per_worker.fits_in(&free) && fit < workers {
-            free -= per_worker;
-            fit += 1;
-        }
-        fit == workers
-    };
     // Tier 1: whole gang on one node; among feasible nodes pick the
     // fullest (min free GPUs), node id breaking ties.
     stats.nodes_scanned += cluster.node_count() as u64;
     let single = cluster
         .nodes()
-        .filter(|n| n.is_schedulable() && gang_fits_whole(n.free()))
+        .filter(|n| n.is_schedulable() && copies(n.free(), workers, per_worker) == workers)
         .min_by_key(|n| (n.free().gpus, n.id()));
     if let Some(node) = single {
         return Some(vec![node.id(); workers as usize]);
@@ -290,16 +281,40 @@ fn fill_packed(
     per_worker: ResourceVec,
 ) -> Option<Vec<NodeId>> {
     let mut assignment = Vec::with_capacity(workers as usize);
-    for (id, mut free) in nodes {
-        while assignment.len() < workers as usize && per_worker.fits_in(&free) {
-            assignment.push(id);
-            free -= per_worker;
-        }
+    for (id, free) in nodes {
+        let fit = copies(free, workers - assignment.len() as u32, per_worker);
+        assignment.extend(std::iter::repeat_n(id, fit as usize));
         if assignment.len() == workers as usize {
             return Some(assignment);
         }
     }
     None
+}
+
+/// How many workers of `per_worker` fit in `free`, counted up to `cap`.
+fn copies(mut free: ResourceVec, cap: u32, per_worker: ResourceVec) -> u32 {
+    let mut fit = 0;
+    while fit < cap && per_worker.fits_in(&free) {
+        free -= per_worker;
+        fit += 1;
+    }
+    fit
+}
+
+/// Whether a gang of `workers` fits in the schedulable nodes' free
+/// vectors `frees`: [`Planner::plan`]'s yes-or-no under every strategy,
+/// since Pack and Spread fill each node to its copy count and
+/// TopologyAware falls back to a Pack fill.
+pub(crate) fn gang_fits(
+    frees: impl IntoIterator<Item = ResourceVec>,
+    workers: u32,
+    per_worker: ResourceVec,
+) -> bool {
+    let mut left = workers;
+    for free in frees {
+        left -= copies(free, left, per_worker);
+    }
+    left == 0
 }
 
 #[cfg(test)]
@@ -542,8 +557,9 @@ mod tests {
     }
 
     /// The gates never change a decision (`plan_counted` equals
-    /// `plan_ungated`), and the scan — which selects rather than sorts
-    /// where one candidate suffices — equals the plan by definition,
+    /// `plan_ungated`), the scan — which selects rather than sorts
+    /// where one candidate suffices — equals the plan by definition, and
+    /// `gang_fits` answers whether there is one,
     /// across randomized occupancy, drains, and resource shapes (including
     /// CPU/memory-skewed demands, so equal free GPUs leave the free CPU
     /// cores to break the tie).
@@ -597,6 +613,12 @@ mod tests {
                         assert_eq!(
                             gated, defined,
                             "case {case}: {strategy} left the definition for {workers}x{per_worker:?}"
+                        );
+                        let frees = c.nodes().filter(|n| n.is_schedulable()).map(|n| n.free());
+                        assert_eq!(
+                            gang_fits(frees, workers, per_worker),
+                            gated.is_some(),
+                            "case {case}: {strategy} copy count for {workers}x{per_worker:?}"
                         );
                     }
                 }

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use tacc_cluster::{Cluster, LeaseId, ResourceVec};
+use tacc_cluster::{Cluster, ResourceVec};
 use tacc_obs::{DecisionTraceLog, Histogram, JobSkip, MetricsRegistry, SkipReason};
 use tacc_workload::{GroupRoster, JobId, QosClass};
 
@@ -143,14 +143,10 @@ pub struct Scheduler {
     /// What the current round's walk decided about the queue, in decision
     /// order; empty between rounds.
     scratch_edits: Vec<QueueEdit>,
-    /// The reclaim pre-check's hypothetical cluster (all borrowers
-    /// evicted), kept in step with the real one: placements and finishes
-    /// carry it forward, any other mutation leaves it behind and the next
-    /// use rebuilds it.
-    reclaim_view: Option<ReclaimView>,
-    /// Running best-effort tasks (the reclaim path's "no borrower" test),
-    /// maintained where `running` is mutated.
-    running_best_effort: usize,
+    /// What the running borrowers hold on each node, by node index: what
+    /// evicting them all would hand back. Kept where `running` is, so no
+    /// drain, undrain or fault can leave it behind.
+    borrowed: Vec<ResourceVec>,
     /// The running set in [`release_order`](backfill::release_order), as
     /// `(est_end_secs + boundary_skew_secs, id, gpus)`: kept where
     /// `running` is, so a reservation never sorts.
@@ -217,9 +213,6 @@ pub struct WorkCounters {
     /// Always 0: the event queue is one heap and nothing cascades. Kept
     /// while the benchmark still reads it by name.
     pub wheel_cascade: u64,
-    /// Clone-and-release constructions of the reclaim view (a use against
-    /// a cluster version the incremental maintenance did not track).
-    pub reclaim_view_rebuilds: u64,
 }
 
 /// The reservation sweep's work counters, under the slot timeline's
@@ -285,7 +278,6 @@ impl WorkCounters {
         "free_index_probes", None => plan.free_index_probes;
         "wheel_insert", None => wheel_insert;
         "wheel_cascade", None => wheel_cascade;
-        "reclaim_view_rebuilds", counter("tacc_sched_reclaim_view_rebuilds_total") => reclaim_view_rebuilds;
     };
 }
 
@@ -388,19 +380,6 @@ impl GateFloor {
     }
 }
 
-/// The reclaim pre-check's hypothetical: the real cluster with every
-/// best-effort lease released, as of `version`.
-#[derive(Debug)]
-struct ReclaimView {
-    /// The real cluster's [`Cluster::version`] this mirrors.
-    version: u64,
-    cluster: Cluster,
-    /// The view's own lease for each guaranteed task placed since the
-    /// last rebuild (the view allocates from its own arena, so those ids
-    /// differ from the real cluster's; older tasks share theirs).
-    leases: BTreeMap<JobId, LeaseId>,
-}
-
 /// Test-only switches for the differential suite (see
 /// [`Scheduler::debug_set_round_hook`]).
 #[doc(hidden)]
@@ -416,8 +395,6 @@ pub enum DebugRoundHook {
     LoosenedGateWakesNobody,
     /// Fault: released capacity wakes none of the entries placed nowhere.
     CapacityWakesNobody,
-    /// Fault: a guaranteed finish is not mirrored into the reclaim view.
-    SkipViewRelease,
 }
 
 /// The category of a skip, which is what the trace dedups on. Volatile
@@ -486,8 +463,7 @@ impl Scheduler {
             scratch_preempted: Vec::new(),
             scratch_reservations: Vec::new(),
             scratch_edits: Vec::new(),
-            reclaim_view: None,
-            running_best_effort: 0,
+            borrowed: Vec::new(),
             releases: Vec::new(),
             boundary_skew_secs: 0.0,
             debug_hook: None,
@@ -776,23 +752,12 @@ impl Scheduler {
         if let Ok(pos) = found {
             self.releases.remove(pos);
         }
-        let pre_version = cluster.version();
         cluster
             .release(task.lease_id)
             .expect("running task holds a valid lease");
-        // Keep the reclaim view in step: a borrower was never in it, a
-        // guaranteed task's lease is released in it too.
-        match task.request.qos {
-            QosClass::BestEffort => {
-                self.running_best_effort -= 1;
-                self.carry_reclaim_view(pre_version, cluster, |_| true);
-            }
-            QosClass::Guaranteed => {
-                let skip = self.debug_hook == Some(DebugRoundHook::SkipViewRelease);
-                self.carry_reclaim_view(pre_version, cluster, |view| {
-                    let lease = view.leases.remove(&id).unwrap_or(task.lease_id);
-                    skip || view.cluster.release(lease).is_ok()
-                });
+        if task.request.qos == QosClass::BestEffort {
+            for node in &task.worker_nodes {
+                self.borrowed[node.index()] -= task.request.per_worker;
             }
         }
         self.quota.release(&task.request);
@@ -888,37 +853,12 @@ impl Scheduler {
     /// Test-only switch for the differential suite: makes every walk
     /// judge every entry (the comparison subject for traces and `why`),
     /// or injects a fault the suite must catch — an input that moves
-    /// without waking the entries waiting on it, or a reclaim view that
-    /// misses a guaranteed finish. The debug oracles stand down while a
-    /// hook is set, so an injected fault surfaces as a diverging decision
-    /// stream, not as an assertion.
+    /// without waking the entries waiting on it. The debug oracles stand
+    /// down while a hook is set, so an injected fault surfaces as a
+    /// diverging decision stream, not as an assertion.
     #[doc(hidden)]
     pub fn debug_set_round_hook(&mut self, hook: DebugRoundHook) {
         self.debug_hook = Some(hook);
-    }
-
-    /// Carries the reclaim view from the cluster state it mirrored
-    /// (`pre_version`) to the current one by applying `mirror`, the
-    /// view's half of the mutation just made. A view that mirrored some
-    /// other version is left stale for the next use to rebuild; one whose
-    /// half fails is dropped.
-    fn carry_reclaim_view(
-        &mut self,
-        pre_version: u64,
-        cluster: &Cluster,
-        mirror: impl FnOnce(&mut ReclaimView) -> bool,
-    ) {
-        let Some(view) = self.reclaim_view.as_mut() else {
-            return;
-        };
-        if view.version != pre_version {
-            return;
-        }
-        if mirror(view) {
-            view.version = cluster.version();
-        } else {
-            self.reclaim_view = None;
-        }
     }
 }
 

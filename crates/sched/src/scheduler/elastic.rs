@@ -2,16 +2,25 @@
 //! youngest-first borrower eviction, and the lease/quota bookkeeping of
 //! an accepted start.
 
-use std::collections::BTreeMap;
-
-use tacc_cluster::Cluster;
+use tacc_cluster::{Cluster, Node, ResourceVec};
 use tacc_workload::{JobId, QosClass};
 
 use crate::backfill::release_order;
-use crate::placement::Planner;
+use crate::placement::{gang_fits, Planner};
 use crate::quota::QuotaMode;
 use crate::request::{Decision, RunningTask, SchedOutcome, StartedTask, TaskRequest};
-use crate::scheduler::{QueueEdit, ReclaimView, Scheduler, Wait};
+use crate::scheduler::{QueueEdit, Scheduler, Wait};
+
+/// The free vector of each schedulable node of `cluster`, plus what
+/// `handed_back` (by node index) would return to it.
+pub(super) fn frees_after<'a>(
+    cluster: &'a Cluster,
+    handed_back: &'a [ResourceVec],
+) -> impl Iterator<Item = ResourceVec> + 'a {
+    let back = |n: &Node| handed_back.get(n.id().index()).copied();
+    let nodes = cluster.nodes().filter(|n| n.is_schedulable());
+    nodes.map(move |n| n.free() + back(n).unwrap_or(ResourceVec::ZERO))
+}
 
 impl Scheduler {
     /// Attempts to place `request`, preempting borrowers if the request is
@@ -34,34 +43,32 @@ impl Scheduler {
             return None;
         }
         // O(1) reclaim gate: evicting every borrower hands back exactly the
-        // borrowed GPU total, so the hypothetical cluster below would have
-        // `free + borrowed` free GPUs. When even that cannot cover the
-        // aggregate demand, the planner's capacity gate is certain to
-        // reject the pre-check — skip the victim scan and the clone, and
-        // count the reject exactly as `plan_counted` would have.
+        // borrowed GPU total. When even `free + borrowed` cannot cover the
+        // aggregate demand, no eviction can make room.
         let borrowed = self.quota.borrowed_total();
         if request.per_worker.gpus.saturating_mul(request.workers)
             > cluster.free_gpus().saturating_add(borrowed)
         {
-            self.counters.plan.attempts += 1;
-            self.counters.plan.fastpath_rejects += 1;
             return None;
         }
-        if self.running_best_effort == 0 {
+        // Sampled oracle, as for the release order: what the borrowers
+        // hold per node must equal a recount of the running set.
+        #[cfg(debug_assertions)]
+        if self.rounds.is_multiple_of(61) {
+            debug_assert_eq!(
+                self.borrowed,
+                self.borrowed_recomputed(),
+                "borrowed capacity diverged from the running set"
+            );
+        }
+        // Pre-check with every borrower gone: evicting is only justified
+        // if the reclaim can actually succeed. (Evicting and then failing
+        // to place would destroy borrower progress for nothing — and could
+        // deadlock an otherwise idle cluster.) With no borrower running it
+        // asks what the plan above just refused.
+        if !self.reclaim_fits(cluster, request.workers, request.per_worker) {
             return None;
         }
-        // Pre-check on a hypothetical cluster with every borrower gone:
-        // evicting is only justified if the reclaim can actually succeed.
-        // (Evicting and then failing to place would destroy borrower
-        // progress for nothing — and could deadlock an otherwise idle
-        // cluster.)
-        self.sync_reclaim_view(cluster);
-        self.planner.plan_counted(
-            &self.reclaim_view.as_ref()?.cluster,
-            request.workers,
-            request.per_worker,
-            &mut self.counters.plan,
-        )?;
 
         // Eviction is certain from here; only now is the victim list worth
         // building.
@@ -95,10 +102,20 @@ impl Scheduler {
         unreachable!("pre-checked reclaim must place once all borrowers are evicted")
     }
 
+    /// The reclaim pre-check: whether a gang of `workers` x `per_worker`
+    /// would fit on `cluster` once every running borrower handed back what
+    /// it holds. Public as the contract suite's probe.
+    #[doc(hidden)]
+    pub fn reclaim_fits(&self, cluster: &Cluster, workers: u32, per_worker: ResourceVec) -> bool {
+        gang_fits(frees_after(cluster, &self.borrowed), workers, per_worker)
+    }
+
     /// `cluster` with every running borrower's lease released — the one
-    /// definition of what the reclaim view is. The view is rebuilt through
-    /// it and, in debug builds, sampled against it.
-    pub(super) fn borrowers_evicted(&self, cluster: &Cluster) -> Cluster {
+    /// definition of what the reclaim pre-check answers for. Debug builds
+    /// hold `would_start` to a plan on it, and the contract suite holds
+    /// [`Scheduler::reclaim_fits`] to one.
+    #[doc(hidden)]
+    pub fn borrowers_evicted(&self, cluster: &Cluster) -> Cluster {
         let mut hypothetical = cluster.clone();
         for t in self.running.values() {
             if t.request.qos == QosClass::BestEffort {
@@ -110,47 +127,19 @@ impl Scheduler {
         hypothetical
     }
 
-    /// Makes `reclaim_view` mirror `cluster` as it stands: a no-op when
-    /// placements and finishes carried it here, a rebuild when a version
-    /// it did not see went by (drain, undrain, fault, first use).
-    fn sync_reclaim_view(&mut self, cluster: &Cluster) {
-        let version = cluster.version();
-        if !matches!(&self.reclaim_view, Some(view) if view.version == version) {
-            self.reclaim_view = Some(ReclaimView {
-                version,
-                cluster: self.borrowers_evicted(cluster),
-                leases: BTreeMap::new(),
-            });
-            self.counters.reclaim_view_rebuilds += 1;
+    /// `borrowed` recounted from the running set — what the incrementally
+    /// kept vector must equal.
+    #[cfg(debug_assertions)]
+    fn borrowed_recomputed(&self) -> Vec<ResourceVec> {
+        let mut borrowed = vec![ResourceVec::ZERO; self.borrowed.len()];
+        for t in self.running.values() {
+            if t.request.qos == QosClass::BestEffort {
+                for node in &t.worker_nodes {
+                    borrowed[node.index()] += t.request.per_worker;
+                }
+            }
         }
-        // Sampled oracle, as for the release order: the carried view must be
-        // the one a rebuild would produce.
-        debug_assert!(
-            !self.rounds.is_multiple_of(61)
-                || self.debug_hook.is_some()
-                || self.debug_reclaim_view_in_step(cluster) == Some(true),
-            "carried reclaim view diverged from a fresh rebuild"
-        );
-    }
-
-    /// Test-only probe: whether the reclaim view, when it claims to mirror
-    /// `cluster` as it stands, places exactly like a fresh rebuild — the
-    /// same free vector and drain flag on every node (lease ids may
-    /// differ; no plan reads them). `None` when there is no view or it
-    /// mirrors another version (the next use rebuilds it).
-    #[doc(hidden)]
-    pub fn debug_reclaim_view_in_step(&self, cluster: &Cluster) -> Option<bool> {
-        let view = self.reclaim_view.as_ref()?;
-        if view.version != cluster.version() {
-            return None;
-        }
-        let fresh = self.borrowers_evicted(cluster);
-        Some(
-            view.cluster
-                .nodes()
-                .map(|n| (n.free(), n.is_schedulable()))
-                .eq(fresh.nodes().map(|n| (n.free(), n.is_schedulable()))),
-        )
+        borrowed
     }
 
     /// Plans and commits a placement, charging quota and recording the
@@ -182,7 +171,6 @@ impl Scheduler {
         };
         self.scratch_edits.push(QueueEdit::Remove(*request));
         let shares = Planner::shares_for(&assignment, request.per_worker);
-        let pre_version = cluster.version();
         let lease = cluster
             .allocate(request.id.value(), &shares)
             .expect("planned placement must allocate");
@@ -201,20 +189,11 @@ impl Scheduler {
         // A shrunken data-parallel gang runs proportionally longer.
         let scale = f64::from(request.workers) / f64::from(granted);
         let est_end_secs = now_secs + request.est_secs * scale;
-        // Keep the reclaim view in step: a guaranteed task occupies the
-        // same shares there, a borrower none.
-        match request.qos {
-            QosClass::BestEffort => {
-                self.running_best_effort += 1;
-                self.carry_reclaim_view(pre_version, cluster, |_| true);
-            }
-            QosClass::Guaranteed => {
-                self.carry_reclaim_view(pre_version, cluster, |view| {
-                    match view.cluster.allocate(request.id.value(), &shares) {
-                        Ok(lease) => view.leases.insert(request.id, lease.id()).is_none(),
-                        Err(_) => false,
-                    }
-                });
+        if request.qos == QosClass::BestEffort {
+            self.borrowed
+                .resize(cluster.node_count(), ResourceVec::ZERO);
+            for node in &assignment {
+                self.borrowed[node.index()] += request.per_worker;
             }
         }
         let task = RunningTask {

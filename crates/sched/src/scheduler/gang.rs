@@ -1,10 +1,12 @@
 //! Gang time-slicing: rotating expired best-effort gangs out so queued
 //! work gets a turn (Slurm's "gang scheduling (time-slicing jobs)").
 
-use tacc_cluster::Cluster;
+use tacc_cluster::{Cluster, ResourceVec};
 use tacc_workload::{JobId, QosClass};
 
+use crate::placement::gang_fits;
 use crate::request::{Decision, SchedOutcome, TaskRequest};
+use crate::scheduler::elastic::frees_after;
 use crate::scheduler::rounds::round_clock;
 use crate::scheduler::Scheduler;
 
@@ -40,19 +42,17 @@ impl Scheduler {
         expired.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         // How many evictions (oldest first) until some queued task fits?
-        let mut hypothetical = cluster.clone();
+        // Each hands its shares back to the nodes it runs on.
+        let mut handed_back = vec![ResourceVec::ZERO; cluster.node_count()];
         let mut needed = None;
         for (i, &(_, id)) in expired.iter().enumerate() {
-            let lease = self.running[&id].lease_id;
-            hypothetical
-                .release(lease)
-                .expect("running task holds a valid lease");
+            let task = &self.running[&id];
+            for node in &task.worker_nodes {
+                handed_back[node.index()] += task.request.per_worker;
+            }
             let fits_someone = self.queue.iter().map(|e| &e.request).any(|r| {
                 self.quota.admits(self.config.quota, r)
-                    && self
-                        .planner
-                        .plan(&hypothetical, r.workers, r.per_worker)
-                        .is_some()
+                    && gang_fits(frees_after(cluster, &handed_back), r.workers, r.per_worker)
             });
             if fits_someone {
                 needed = Some(i + 1);

@@ -417,7 +417,6 @@ impl Scheduler {
         }
         self.config.quota == QuotaMode::Borrowing
             && request.qos == QosClass::Guaranteed
-            && self.running_best_effort > 0
             && self
                 .planner
                 .plan(

@@ -3,7 +3,7 @@
 //!
 //! Every hot-path optimization in the scheduler — sort skipping, the
 //! incremental usage vectors, the id-indexed queue, the capacity-index
-//! fast paths, the reclaim gate and its cached hypothetical cluster — is
+//! fast paths, the reclaim gate and its per-node borrowed counts — is
 //! claimed to be *decision-invariant*. This suite drives both schedulers
 //! through identical randomized operation scripts and requires the
 //! `Debug`-formatted decision streams to match byte for byte, round by
@@ -22,17 +22,17 @@
 //! round-by-round trace and every `why` answer exactly as judging them
 //! would.
 //!
-//! The second half of the file holds the two incremental structures of
-//! the contended round to the same standard: the wake keys, and the
-//! carried reclaim view, which must be the one a rebuild would produce —
-//! each with red-flips built on test-only fault hooks, and unit cases for
-//! what wakes an entry and what does not.
+//! The second half of the file holds the contended round to the same
+//! standard: the wake keys, with red-flips built on test-only fault hooks
+//! and unit cases for what wakes an entry and what does not; and the
+//! reclaim and rotation pre-checks, whose per-node arithmetic must answer
+//! as a plan on a cloned cluster with the borrowers released would.
 
 use tacc_cluster::{Cluster, ClusterSpec, GpuModel, ResourceVec};
 use tacc_sched::reference::ReferenceScheduler;
 use tacc_sched::{
-    BackfillMode, CapacityWindow, DebugRoundHook, PlacementStrategy, PolicyKind, QuotaMode,
-    Scheduler, SchedulerConfig, TaskRequest, WorkCounters,
+    BackfillMode, CapacityWindow, DebugRoundHook, PlacementStrategy, Planner, PolicyKind,
+    QuotaMode, Scheduler, SchedulerConfig, TaskRequest, WorkCounters,
 };
 use tacc_workload::{GroupId, JobId, QosClass};
 
@@ -525,7 +525,7 @@ fn red_flip_slot_boundary_bug_diverges_from_reference() {
 }
 
 // ---------------------------------------------------------------------
-// The contended round: wake-keyed verdicts and the carried reclaim view.
+// The contended round: wake-keyed verdicts and the reclaim pre-checks.
 // ---------------------------------------------------------------------
 
 /// FIFO + EASY + borrowing — the regime of `replay-contended`, and the
@@ -758,11 +758,12 @@ fn gang(id: u64, group: usize, qos: QosClass, workers: u32, submit_secs: f64) ->
 }
 
 #[test]
-fn red_flip_stale_reclaim_view_diverges_from_reference() {
+fn reclaim_after_a_guaranteed_finish_decides_like_reference() {
     // A reclaim after a guaranteed finish: the finish frees half the
-    // cluster in the view too. A view that misses it still counts those
-    // GPUs as held, fails the pre-check, and leaves a guaranteed job
-    // waiting that the reference starts by evicting a borrower.
+    // cluster, a borrower takes it, and the group's guaranteed demand
+    // returns for it. A pre-check that still counted the finished task's
+    // GPUs as held would leave the guaranteed job waiting where the
+    // reference starts it by evicting the borrower.
     let cfg = SchedulerConfig {
         policy: PolicyKind::Fifo,
         placement: PlacementStrategy::Pack,
@@ -773,58 +774,78 @@ fn red_flip_stale_reclaim_view_diverges_from_reference() {
         time_slice_secs: None,
         ..SchedulerConfig::default()
     };
-    let run = |hook: Option<DebugRoundHook>| -> (String, String) {
-        let mut rig = Rig::new(cfg.clone(), hook);
-        let script = [
-            // Half the cluster guaranteed, half borrowed: full.
-            Some(gang(1, 0, QosClass::Guaranteed, 4, 0.0)),
-            Some(gang(2, 1, QosClass::BestEffort, 4, 1.0)),
-            // Reclaims from the borrower — the view's first use.
-            Some(gang(3, 1, QosClass::Guaranteed, 1, 2.0)),
-            // Borrows what is left (after the evicted borrower is cancelled).
-            Some(gang(4, 0, QosClass::BestEffort, 3, 3.0)),
-            // Job 1 finishes here; a borrower takes its half…
-            None,
-            Some(gang(5, 1, QosClass::BestEffort, 4, 5.0)),
-            // …and group 0's guaranteed demand returns for it.
-            Some(gang(6, 0, QosClass::Guaranteed, 4, 6.0)),
-        ];
-        for (step, request) in script.into_iter().enumerate() {
-            match request {
-                Some(request) => rig.submit(request),
-                None => rig.finish(JobId::from_value(1)),
-            }
-            rig.settle(step as f64 * 10.0);
-            if step == 2 {
-                assert!(rig.cancel(JobId::from_value(2)), "evicted borrower queued");
-            }
+    let mut rig = Rig::new(cfg, None);
+    let script = [
+        // Half the cluster guaranteed, half borrowed: full.
+        Some(gang(1, 0, QosClass::Guaranteed, 4, 0.0)),
+        Some(gang(2, 1, QosClass::BestEffort, 4, 1.0)),
+        // Reclaims from the borrower.
+        Some(gang(3, 1, QosClass::Guaranteed, 1, 2.0)),
+        // Borrows what is left (after the evicted borrower is cancelled).
+        Some(gang(4, 0, QosClass::BestEffort, 3, 3.0)),
+        // Job 1 finishes here; a borrower takes its half…
+        None,
+        Some(gang(5, 1, QosClass::BestEffort, 4, 5.0)),
+        // …and group 0's guaranteed demand returns for it.
+        Some(gang(6, 0, QosClass::Guaranteed, 4, 6.0)),
+    ];
+    for (step, request) in script.into_iter().enumerate() {
+        match request {
+            Some(request) => rig.submit(request),
+            None => rig.finish(JobId::from_value(1)),
         }
-        assert!(rig.opt.work_counters().reclaim_view_rebuilds <= 1);
-        (rig.out.opt_stream, rig.out.ref_stream)
-    };
-    let (opt, reference) = run(None);
-    assert_eq!(
-        opt, reference,
-        "the carried view must decide like a rebuild"
-    );
+        rig.settle(step as f64 * 10.0);
+        if step == 2 {
+            assert!(rig.cancel(JobId::from_value(2)), "evicted borrower queued");
+        }
+    }
+    let out = rig.out;
+    assert_eq!(out.opt_stream, out.ref_stream);
     assert!(
-        opt.contains("Preempt { id: JobId(5)"),
-        "script reclaims: {opt}"
-    );
-    let (opt, reference) = run(Some(DebugRoundHook::SkipViewRelease));
-    assert_ne!(
-        opt, reference,
-        "a view that misses a guaranteed finish must flip the comparison red"
+        out.opt_stream.contains("Preempt { id: JobId(5)"),
+        "script reclaims: {}",
+        out.opt_stream
     );
 }
 
+/// The jobs `rotate` must evict, by its definition: the expired borrowers
+/// oldest first, released one at a time from a clone of `cluster`, up to
+/// the first release after which a quota-admitted queued request plans.
+fn rotation_by_clone_and_plan(sched: &Scheduler, cluster: &Cluster, now: f64) -> Vec<JobId> {
+    let Some(quantum) = sched.config().time_slice_secs else {
+        return Vec::new();
+    };
+    let mut expired: Vec<_> = sched
+        .running()
+        .filter(|t| t.request.qos == QosClass::BestEffort && t.start_secs + quantum <= now)
+        .map(|t| (t.start_secs, t.request.id, t.lease_id))
+        .collect();
+    expired.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let planner = Planner::new(sched.config().placement);
+    let mut hypothetical = cluster.clone();
+    for (i, &(_, _, lease)) in expired.iter().enumerate() {
+        hypothetical.release(lease).expect("running lease");
+        let fits_someone = sched.queued().any(|r| {
+            sched.quota_table().admits(sched.config().quota, r)
+                && planner
+                    .plan(&hypothetical, r.workers, r.per_worker)
+                    .is_some()
+        });
+        if fits_someone {
+            return expired[..=i].iter().map(|&(_, id, _)| id).collect();
+        }
+    }
+    Vec::new()
+}
+
 #[test]
-fn reclaim_view_equals_a_rebuild_after_every_step() {
+fn reclaim_and_rotation_pre_checks_equal_clone_and_plan_after_every_step() {
     // Starts, finishes, preemptions (reclaim and rotation), drains,
-    // undrains and reservations in random order: whenever the view claims
-    // to mirror the cluster it must be the view a rebuild would give.
-    let mut checked = 0u64;
-    let mut rebuilds = 0u64;
+    // undrains and reservations in random order. After every step the
+    // reclaim pre-check must answer a random request as a plan on the
+    // borrowers-evicted clone does, and every rotation must evict the
+    // jobs a clone-and-plan search picks.
+    let (mut checked, mut reclaim_only, mut rotations) = (0u64, 0u64, 0u64);
     for seed in 1..=240u64 {
         let cfg = SchedulerConfig {
             placement: [
@@ -835,6 +856,7 @@ fn reclaim_view_equals_a_rebuild_after_every_step() {
             time_slice_secs: seed.is_multiple_of(2).then_some(600.0),
             ..contended_config(1)
         };
+        let planner = Planner::new(cfg.placement);
         let mut sched = Scheduler::new(cfg);
         let mut cluster = cluster();
         let mut rng = XorShift::new(seed ^ 0x5EED);
@@ -857,7 +879,21 @@ fn reclaim_view_equals_a_rebuild_after_every_step() {
                     while !sched.schedule(now, &mut cluster).is_empty() {}
                 }
                 7 => {
-                    sched.rotate(now, &mut cluster);
+                    let expected = rotation_by_clone_and_plan(&sched, &cluster, now);
+                    let trace = sched.decision_trace();
+                    let traced = trace.len() as u64 + trace.dropped();
+                    let outcome = sched.rotate(now, &mut cluster);
+                    if expected.is_empty() {
+                        assert!(outcome.is_empty(), "[seed {seed}, step {step}]");
+                    } else {
+                        // The rotation traces its own round before the
+                        // follow-up schedules.
+                        let trace = sched.decision_trace();
+                        let at = (traced - trace.dropped()) as usize;
+                        let round = trace.iter().nth(at).expect("rotation traced");
+                        assert_eq!(round.preempted, expected, "[seed {seed}, step {step}]");
+                        rotations += 1;
+                    }
                 }
                 8 => {
                     let node = tacc_cluster::NodeId::from_index(rng.below(8) as usize);
@@ -874,18 +910,22 @@ fn reclaim_view_equals_a_rebuild_after_every_step() {
                 }),
                 _ => while !sched.schedule(now, &mut cluster).is_empty() {},
             }
-            if let Some(in_step) = sched.debug_reclaim_view_in_step(&cluster) {
-                assert!(in_step, "view out of step [seed {seed}, step {step}]");
-                checked += 1;
+            let r = random_request(&mut rng, 0, now);
+            let fits = sched.reclaim_fits(&cluster, r.workers, r.per_worker);
+            let evicted = sched.borrowers_evicted(&cluster);
+            let plans = planner.plan(&evicted, r.workers, r.per_worker).is_some();
+            assert_eq!(fits, plans, "{r:?} [seed {seed}, step {step}]");
+            checked += 1;
+            if fits && planner.plan(&cluster, r.workers, r.per_worker).is_none() {
+                reclaim_only += 1;
             }
         }
-        rebuilds += sched.work_counters().reclaim_view_rebuilds;
     }
     assert!(
-        checked > 2_000,
-        "sweep too vacuous: {checked} views checked"
+        reclaim_only > 3_000,
+        "sweep too vacuous: {reclaim_only} of {checked} requests fit only by eviction"
     );
-    assert!(rebuilds > 240, "drains must force rebuilds ({rebuilds})");
+    assert!(rotations > 300, "sweep must rotate ({rotations} rotations)");
 }
 
 /// A queue the walk cannot move: seven of eight nodes held until t=3600,

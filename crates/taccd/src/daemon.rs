@@ -15,6 +15,7 @@
 //! answered `malformed-frame` and closed.
 
 use std::io::Write;
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -101,24 +102,36 @@ impl Daemon {
         let accept_tx = tx.clone();
         let accept_stop = Arc::clone(&stopping);
         let accept_handle = std::thread::spawn(move || {
-            let mut workers: Vec<JoinHandle<()>> = Vec::new();
+            // Each live connection's thread, with a handle on its stream
+            // that can end the read it blocks in.
+            let mut workers: Vec<(JoinHandle<()>, UnixStream)> = Vec::new();
             for stream in listener.incoming() {
                 if accept_stop.load(Ordering::SeqCst) {
                     break;
                 }
-                let Ok(stream) = stream else {
-                    continue; // a failed accept poisons nothing
+                // A failed accept poisons nothing; a connection that
+                // cannot be ended at stop is not served.
+                let Ok((mut stream, peer)) = stream.and_then(|s| Ok((s.try_clone()?, s))) else {
+                    continue;
                 };
                 let conn_tx = accept_tx.clone();
                 let conn_gauge = connected.clone();
-                workers.push(std::thread::spawn(move || {
+                let worker = std::thread::spawn(move || {
                     conn_gauge.add(1.0);
-                    serve_connection(stream, &conn_tx);
+                    serve_connection(&mut stream, &conn_tx);
+                    // The clone kept above must not hold the client's
+                    // end open past the conversation.
+                    let _ = stream.shutdown(Shutdown::Both);
                     conn_gauge.add(-1.0);
-                }));
-                workers.retain(|w| !w.is_finished());
+                });
+                workers.push((worker, peer));
+                workers.retain(|(w, _)| !w.is_finished());
             }
-            for w in workers {
+            // An idle client would keep its thread in `read_frame` for
+            // good: ending the read half reads as EOF there, while a reply
+            // in flight is still written.
+            for (w, peer) in workers {
+                let _ = peer.shutdown(Shutdown::Read);
                 let _ = w.join();
             }
         });
@@ -189,14 +202,14 @@ fn ask(engine: &Sender<Msg>, msg: impl FnOnce(Sender<Reply>) -> Msg) -> Reply {
 }
 
 /// Serves one connection until EOF or an unrecoverable framing error.
-fn serve_connection(mut stream: UnixStream, engine: &Sender<Msg>) {
+fn serve_connection(stream: &mut UnixStream, engine: &Sender<Msg>) {
     loop {
-        let payload = match wire::read_frame(&mut stream) {
+        let payload = match wire::read_frame(stream) {
             Ok(Some(p)) => p,
             Ok(None) => return, // clean EOF
             Err(why) => {
                 // Framing broke: answer once, then drop the connection.
-                let _ = write_response(&mut stream, Reply::refuse(wire::MALFORMED_FRAME, why));
+                let _ = write_response(stream, Reply::refuse(wire::MALFORMED_FRAME, why));
                 return;
             }
         };
@@ -209,7 +222,7 @@ fn serve_connection(mut stream: UnixStream, engine: &Sender<Msg>) {
             Ok(Request::Mutate(command)) => ask(engine, |reply| Msg::Mutate { command, reply }),
             Ok(Request::Query(query)) => ask(engine, |reply| Msg::Query { query, reply }),
         };
-        if !write_response(&mut stream, response) {
+        if !write_response(stream, response) {
             return; // client went away mid-reply
         }
     }

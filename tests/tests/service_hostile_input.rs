@@ -13,6 +13,9 @@
 //! * A query names its job with a non-negative integer or not at all;
 //!   anything else is `malformed-query`, and whatever a request text is
 //!   mangled into, the one request reader answers with a typed refusal.
+//! * A client that connects and then says nothing used to keep
+//!   `Daemon::stop` (and `Drop`) waiting on its connection thread for
+//!   good.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -124,6 +127,27 @@ fn the_socket_path_accepts_a_job_named_nan() {
     }
     drop(conn);
     daemon.stop();
+    std::fs::remove_file(&journal).ok();
+}
+
+#[test]
+fn stop_returns_while_a_client_holds_an_idle_connection() {
+    let (daemon, socket, journal) = start_daemon("idle");
+    let mut conn = DaemonClient::connect(&socket, RetryPolicy::none()).expect("connects");
+    conn.query("info", None).expect("daemon serves");
+    // The client stays connected and silent; `stop` must not wait on it.
+    let (done, stopped) = mpsc::channel();
+    let watchdog = std::thread::spawn(move || {
+        daemon.stop();
+        let _ = done.send(());
+    });
+    let returned = stopped.recv_timeout(std::time::Duration::from_secs(10));
+    assert!(returned.is_ok(), "stop() hangs on an idle connection");
+    watchdog.join().expect("stop does not panic");
+    assert!(
+        conn.query("info", None).is_err(),
+        "the stopped daemon answers nothing"
+    );
     std::fs::remove_file(&journal).ok();
 }
 
