@@ -1,5 +1,6 @@
 //! Cluster state: construction, leasing and fragmentation accounting.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -235,7 +236,7 @@ impl ClusterSpecBuilder {
 /// list. Slot indices recycle; generations make recycled ids distinct.
 ///
 /// Single-writer contract: slots change only through
-/// [`LeaseArena::insert_with`] and [`LeaseArena::remove`], both called
+/// [`LeaseArena::insert_lease`] and [`LeaseArena::remove`], both called
 /// exclusively from [`Cluster::allocate`]/[`Cluster::release`] (enforced
 /// by `tacc-lint`'s ownership rules).
 #[derive(Debug, Clone, Default)]
@@ -256,29 +257,34 @@ struct LeaseSlot {
 }
 
 impl LeaseArena {
-    /// Claims a slot (recycling the most recently freed one first, so hot
-    /// slots stay cache-resident), builds the lease from its new id, and
-    /// stores it.
-    fn insert_with(&mut self, make: impl FnOnce(LeaseId) -> Lease) -> LeaseId {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.reuses += 1;
-                slot
-            }
-            None => {
-                self.allocs += 1;
-                self.slots.push(LeaseSlot {
-                    generation: 0,
-                    lease: None,
-                });
-                // tacc-lint: allow(panic-surface, reason = "2^32 concurrent leases would exhaust memory long before this narrows; guards the packed slot|generation id layout")
-                u32::try_from(self.slots.len() - 1).expect("lease slot fits u32")
-            }
-        };
-        let id = LeaseId::compose(slot, self.slots[slot as usize].generation);
-        self.slots[slot as usize].lease = Some(make(id));
+    /// The id the next [`LeaseArena::insert_lease`] stores under: the most
+    /// recently freed slot first (hot slots stay cache-resident), else a
+    /// fresh one.
+    fn next_id(&self) -> LeaseId {
+        if let Some(&slot) = self.free.last() {
+            return LeaseId::compose(slot, self.slots[slot as usize].generation);
+        }
+        // tacc-lint: allow(panic-surface, reason = "2^32 concurrent leases would exhaust memory long before this narrows; guards the packed slot|generation id layout")
+        let slot = u32::try_from(self.slots.len()).expect("lease slot fits u32");
+        LeaseId::compose(slot, 0)
+    }
+
+    /// Stores `lease`, whose id must be [`LeaseArena::next_id`]'s answer.
+    fn insert_lease(&mut self, lease: Lease) {
+        let slot = lease.id.slot();
+        if self.free.last().is_some_and(|&free| free as usize == slot) {
+            self.free.pop();
+            self.reuses += 1;
+        } else {
+            debug_assert_eq!(slot, self.slots.len(), "a lease id not minted by next_id");
+            self.allocs += 1;
+            self.slots.push(LeaseSlot {
+                generation: 0,
+                lease: None,
+            });
+        }
+        self.slots[slot].lease = Some(lease);
         self.live += 1;
-        id
     }
 
     fn get(&self, id: LeaseId) -> Option<&Lease> {
@@ -299,7 +305,7 @@ impl LeaseArena {
         let lease = slot.lease.take()?;
         slot.generation = slot.generation.wrapping_add(1);
         self.free
-            // tacc-lint: allow(panic-surface, reason = "slot indices were produced by insert_with's own u32 narrowing; re-narrowing a stored id cannot fail")
+            // tacc-lint: allow(panic-surface, reason = "slot indices were produced by next_id's own u32 narrowing; re-narrowing a stored id cannot fail")
             .push(u32::try_from(id.slot()).expect("slot fits u32"));
         self.live -= 1;
         Some(lease)
@@ -474,54 +480,65 @@ impl Cluster {
 
     /// Atomically allocates the given per-node shares for `owner`.
     ///
-    /// Either every share fits and a [`Lease`] is returned, or nothing is
-    /// allocated.
+    /// Shares may repeat a node; the lease holds one share per node, its
+    /// total, in ascending node order. Either every total fits and the
+    /// new lease's id is returned, or nothing is allocated.
     ///
     /// # Errors
     ///
     /// * [`ClusterError::EmptyRequest`] if `shares` is empty.
-    /// * [`ClusterError::UnknownNode`] if a node id is out of range.
-    /// * [`ClusterError::InsufficientResources`] if any share does not fit;
-    ///   the first offending node is reported.
-    pub fn allocate(
+    /// * [`ClusterError::UnknownNode`] if a node id is out of range: the
+    ///   first such share in list order, before any capacity is tested.
+    /// * [`ClusterError::InsufficientResources`] if a node's total does not
+    ///   fit; the lowest-id such node is reported.
+    pub fn allocate<S>(
         &mut self,
         owner: u64,
-        shares: &[(NodeId, ResourceVec)],
-    ) -> Result<Lease, ClusterError> {
-        if shares.is_empty() {
-            self.alloc_failures += 1;
-            return Err(ClusterError::EmptyRequest);
-        }
-        // Validate the whole placement first (shares may repeat a node).
-        let mut needed: BTreeMap<NodeId, ResourceVec> = BTreeMap::new();
-        for &(node, demand) in shares {
+        shares: impl IntoIterator<Item = S>,
+    ) -> Result<LeaseId, ClusterError>
+    where
+        S: Borrow<(NodeId, ResourceVec)>,
+    {
+        // Sum the shares per node straight into the lease's own list,
+        // kept ascending by node.
+        let mut needed: Vec<(NodeId, ResourceVec)> = Vec::new();
+        for share in shares {
+            let (node, demand) = *share.borrow();
             if node.index() >= self.nodes.len() {
                 self.alloc_failures += 1;
                 return Err(ClusterError::UnknownNode(node));
             }
-            *needed.entry(node).or_insert(ResourceVec::ZERO) += demand;
-        }
-        for (&node, total) in &needed {
-            if !self.nodes[node.index()].can_fit(total) {
-                self.alloc_failures += 1;
-                return Err(ClusterError::InsufficientResources { node });
+            match needed.binary_search_by_key(&node, |&(n, _)| n) {
+                Ok(pos) => needed[pos].1 += demand,
+                Err(pos) => needed.insert(pos, (node, demand)),
             }
         }
+        if needed.is_empty() {
+            self.alloc_failures += 1;
+            return Err(ClusterError::EmptyRequest);
+        }
+        if let Some(&(node, _)) = needed
+            .iter()
+            .find(|(node, total)| !self.nodes[node.index()].can_fit(total))
+        {
+            self.alloc_failures += 1;
+            return Err(ClusterError::InsufficientResources { node });
+        }
         // Commit.
-        let id = self.leases.insert_with(|id| Lease {
-            id,
-            owner,
-            shares: needed.iter().map(|(&n, &r)| (n, r)).collect(),
-        });
-        for (&node, &total) in &needed {
+        let id = self.leases.next_id();
+        for &(node, total) in &needed {
             let before = self.nodes[node.index()].free();
             self.nodes[node.index()].reserve(id, total);
             let after = self.nodes[node.index()].free();
             self.note_free_change(before, after);
         }
+        self.leases.insert_lease(Lease {
+            id,
+            owner,
+            shares: needed,
+        });
         self.version += 1;
-        // tacc-lint: allow(panic-surface, reason = "the id was inserted into the arena earlier in this function; a miss would mean the arena dropped a live slot")
-        Ok(self.leases.get(id).expect("just inserted").clone())
+        Ok(id)
     }
 
     /// Releases a lease, returning its resources to the nodes.
@@ -666,13 +683,13 @@ mod tests {
         let mut c = small();
         let n0 = NodeId::from_index(0);
         let lease = c
-            .allocate(1, &[(n0, ResourceVec::gpus_only(8))])
+            .allocate(1, [(n0, ResourceVec::gpus_only(8))])
             .expect("fits");
         assert_eq!(c.free_gpus(), 24);
-        assert_eq!(lease.total().gpus, 8);
+        assert_eq!(c.lease(lease).expect("live").total().gpus, 8);
         assert_eq!(c.lease_count(), 1);
         assert!(c.check_invariants());
-        c.release(lease.id()).expect("active lease");
+        c.release(lease).expect("active lease");
         assert_eq!(c.free_gpus(), 32);
         assert!(c.check_invariants());
     }
@@ -683,14 +700,14 @@ mod tests {
         let n0 = NodeId::from_index(0);
         let n1 = NodeId::from_index(1);
         // First fill node 1 completely.
-        c.allocate(1, &[(n1, ResourceVec::gpus_only(8))])
+        c.allocate(1, [(n1, ResourceVec::gpus_only(8))])
             .expect("fits");
         // Multi-node request where the second share cannot fit must not
         // touch node 0 either.
         let err = c
             .allocate(
                 2,
-                &[
+                [
                     (n0, ResourceVec::gpus_only(8)),
                     (n1, ResourceVec::gpus_only(1)),
                 ],
@@ -709,19 +726,19 @@ mod tests {
         let lease = c
             .allocate(
                 1,
-                &[
+                [
                     (n0, ResourceVec::gpus_only(4)),
                     (n0, ResourceVec::gpus_only(4)),
                 ],
             )
             .expect("sums to node capacity");
-        assert_eq!(lease.shares().len(), 1);
-        assert_eq!(lease.total().gpus, 8);
+        assert_eq!(c.lease(lease).expect("live").shares().len(), 1);
+        assert_eq!(c.lease(lease).expect("live").total().gpus, 8);
         // Three 4-GPU shares: 12 > 8 must fail.
         let err = c
             .allocate(
                 2,
-                &[
+                [
                     (n0, ResourceVec::gpus_only(2)),
                     (n0, ResourceVec::gpus_only(7)),
                 ],
@@ -734,12 +751,13 @@ mod tests {
     fn errors_for_bad_inputs() {
         let mut c = small();
         assert_eq!(
-            c.allocate(1, &[]).expect_err("empty"),
+            c.allocate(1, [] as [(NodeId, ResourceVec); 0])
+                .expect_err("empty"),
             ClusterError::EmptyRequest
         );
         let ghost = NodeId::from_index(99);
         assert_eq!(
-            c.allocate(1, &[(ghost, ResourceVec::gpus_only(1))])
+            c.allocate(1, [(ghost, ResourceVec::gpus_only(1))])
                 .expect_err("unknown node"),
             ClusterError::UnknownNode(ghost)
         );
@@ -757,10 +775,10 @@ mod tests {
         let mut c = small();
         let n0 = NodeId::from_index(0);
         assert_eq!(c.alloc_failures(), 0);
-        c.allocate(1, &[(n0, ResourceVec::gpus_only(8))])
+        c.allocate(1, [(n0, ResourceVec::gpus_only(8))])
             .expect("fits");
         assert_eq!(c.alloc_failures(), 0);
-        c.allocate(2, &[(n0, ResourceVec::gpus_only(1))])
+        c.allocate(2, [(n0, ResourceVec::gpus_only(1))])
             .expect_err("node full");
         assert_eq!(c.alloc_failures(), 1);
     }
@@ -770,10 +788,10 @@ mod tests {
         let mut c = small();
         let n0 = NodeId::from_index(0);
         let lease = c
-            .allocate(1, &[(n0, ResourceVec::gpus_only(1))])
+            .allocate(1, [(n0, ResourceVec::gpus_only(1))])
             .expect("fits");
-        c.release(lease.id()).expect("first release");
-        assert!(c.release(lease.id()).is_err());
+        c.release(lease).expect("first release");
+        assert!(c.release(lease).is_err());
     }
 
     #[test]
@@ -781,19 +799,19 @@ mod tests {
         let mut c = small();
         let n0 = NodeId::from_index(0);
         let lease = c
-            .allocate(1, &[(n0, ResourceVec::gpus_only(2))])
+            .allocate(1, [(n0, ResourceVec::gpus_only(2))])
             .expect("fits");
         assert!(c.drain(n0));
         assert_eq!(c.drained_count(), 1);
         // New work on the drained node fails even though capacity is free.
         assert!(matches!(
-            c.allocate(2, &[(n0, ResourceVec::gpus_only(1))]),
+            c.allocate(2, [(n0, ResourceVec::gpus_only(1))]),
             Err(ClusterError::InsufficientResources { .. })
         ));
         // The running lease drains out normally.
-        c.release(lease.id()).expect("still valid");
+        c.release(lease).expect("still valid");
         assert!(c.undrain(n0));
-        assert!(c.allocate(3, &[(n0, ResourceVec::gpus_only(1))]).is_ok());
+        assert!(c.allocate(3, [(n0, ResourceVec::gpus_only(1))]).is_ok());
         assert!(!c.drain(NodeId::from_index(99)));
     }
 
@@ -804,14 +822,15 @@ mod tests {
         let n0 = NodeId::from_index(0);
         // Reads and failed mutations leave the version unchanged.
         let _ = c.free_gpus();
-        c.allocate(1, &[]).expect_err("empty request");
+        c.allocate(1, [] as [(NodeId, ResourceVec); 0])
+            .expect_err("empty request");
         assert_eq!(c.version(), v0);
         let lease = c
-            .allocate(1, &[(n0, ResourceVec::gpus_only(1))])
+            .allocate(1, [(n0, ResourceVec::gpus_only(1))])
             .expect("fits");
         assert!(c.version() > v0);
         let v1 = c.version();
-        c.release(lease.id()).expect("active lease");
+        c.release(lease).expect("active lease");
         assert!(c.version() > v1);
         let v2 = c.version();
         assert!(c.drain(n0));
@@ -824,18 +843,18 @@ mod tests {
         let mut c = small();
         let n0 = NodeId::from_index(0);
         let a = c
-            .allocate(1, &[(n0, ResourceVec::gpus_only(2))])
+            .allocate(1, [(n0, ResourceVec::gpus_only(2))])
             .expect("fits");
-        c.release(a.id()).expect("active");
+        c.release(a).expect("active");
         let b = c
-            .allocate(2, &[(n0, ResourceVec::gpus_only(2))])
+            .allocate(2, [(n0, ResourceVec::gpus_only(2))])
             .expect("fits");
         // The slot recycles but the generation advances, so the recycled
         // id is distinct and the stale one resolves to nothing.
-        assert_eq!(b.id().slot(), a.id().slot());
-        assert_ne!(b.id(), a.id());
-        assert!(c.lease(a.id()).is_none(), "stale id must not resolve");
-        assert_eq!(c.lease(b.id()).map(Lease::owner), Some(2));
+        assert_eq!(b.slot(), a.slot());
+        assert_ne!(b, a);
+        assert!(c.lease(a).is_none(), "stale id must not resolve");
+        assert_eq!(c.lease(b).map(Lease::owner), Some(2));
         let (allocs, reuses) = c.lease_arena_stats();
         assert_eq!((allocs, reuses), (1, 1));
         assert!(c.check_invariants());
@@ -871,7 +890,7 @@ mod tests {
                     })
                     .collect();
                 if let Ok(lease) = c.allocate(rng(), &shares) {
-                    live.push(lease.id());
+                    live.push(lease);
                 }
             }
             // Occasionally flip a node's schedulability: the aggregates
@@ -913,23 +932,23 @@ mod tests {
         for i in 0..2 {
             c.allocate(
                 i,
-                &[(NodeId::from_index(i as usize), ResourceVec::gpus_only(5))],
+                [(NodeId::from_index(i as usize), ResourceVec::gpus_only(5))],
             )
             .expect("fits");
         }
-        c.allocate(2, &[(NodeId::from_index(2), ResourceVec::gpus_only(8))])
+        c.allocate(2, [(NodeId::from_index(2), ResourceVec::gpus_only(8))])
             .expect("fits");
         // free = 3+3+0+8 = 14; largest block 8.
         assert_eq!(c.largest_free_block(), 8);
         assert!((c.fragmentation() - (1.0 - 8.0 / 14.0)).abs() < 1e-12);
         // Every free GPU on one node: nothing is fragmented.
-        c.allocate(3, &[(NodeId::from_index(0), ResourceVec::gpus_only(3))])
+        c.allocate(3, [(NodeId::from_index(0), ResourceVec::gpus_only(3))])
             .expect("fits");
-        c.allocate(4, &[(NodeId::from_index(1), ResourceVec::gpus_only(3))])
+        c.allocate(4, [(NodeId::from_index(1), ResourceVec::gpus_only(3))])
             .expect("fits");
         assert_eq!(c.fragmentation(), 0.0);
         // No free GPUs at all: 0, not NaN.
-        c.allocate(5, &[(NodeId::from_index(3), ResourceVec::gpus_only(8))])
+        c.allocate(5, [(NodeId::from_index(3), ResourceVec::gpus_only(8))])
             .expect("fits");
         assert_eq!(c.free_gpus(), 0);
         assert_eq!(c.fragmentation(), 0.0);

@@ -30,9 +30,10 @@
 //!
 //! let demand = ResourceVec::gpus_only(4);
 //! let node = cluster.nodes().next().expect("nonempty").id();
-//! let lease = cluster.allocate(7, &[(node, demand)]).expect("fits");
+//! let lease = cluster.allocate(7, [(node, demand)]).expect("fits");
 //! assert_eq!(cluster.free_gpus(), 60);
-//! cluster.release(lease.id()).expect("valid lease");
+//! assert_eq!(cluster.lease(lease).map(|l| l.owner()), Some(7));
+//! cluster.release(lease).expect("valid lease");
 //! assert_eq!(cluster.free_gpus(), 64);
 //! ```
 

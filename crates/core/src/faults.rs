@@ -31,7 +31,10 @@ impl Platform {
         let targets: Vec<(JobId, u64)> = self
             .scheduler
             .running()
-            .filter(|task| task.worker_nodes.contains(&node))
+            .filter(|task| {
+                let lease = self.cluster.lease(task.lease_id);
+                lease.is_some_and(|l| l.shares().iter().any(|&(n, _)| n == node))
+            })
             .map(|task| (task.request.id, self.current_token(task.request.id)))
             .collect();
         for &(id, token) in &targets {

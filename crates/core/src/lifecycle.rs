@@ -21,6 +21,7 @@
 //! since those are exactly the places transitions happen.
 
 use std::fmt;
+use std::sync::Arc;
 
 use tacc_cluster::{GpuModel, NodeId};
 use tacc_obs::{PlatformEvent, TransitionEvent};
@@ -212,30 +213,33 @@ impl Platform {
         // round starts at least one job.
         loop {
             let outcome = self.scheduler.schedule(now, &mut self.cluster);
-            if outcome.is_empty() {
+            let settled = outcome.is_empty();
+            self.apply_decisions(outcome, now);
+            if settled {
                 break;
             }
-            self.apply_decisions(&outcome, now);
         }
     }
 
-    pub(crate) fn apply_decisions(&mut self, outcome: &tacc_sched::SchedOutcome, now: f64) {
-        for decision in &outcome.decisions {
+    /// Applies `outcome`'s decisions in order, then hands the emptied
+    /// outcome back to the scheduler for its next round.
+    pub(crate) fn apply_decisions(&mut self, mut outcome: tacc_sched::SchedOutcome, now: f64) {
+        for decision in outcome.decisions.drain(..) {
             match decision {
                 tacc_sched::Decision::Preempt { id, reclaimed_for } => {
-                    self.on_preempted(*id, now);
+                    self.on_preempted(id, now);
                     self.emit(
                         now,
                         PlatformEvent::Preempted {
-                            job: *id,
-                            reclaimed_for: *reclaimed_for,
+                            job: id,
+                            reclaimed_for,
                         },
                     );
                 }
                 tacc_sched::Decision::Start(started) => {
                     self.on_started(
                         started.request.id,
-                        &started.worker_nodes,
+                        started.worker_nodes,
                         started.backfilled,
                         now,
                     );
@@ -243,30 +247,25 @@ impl Platform {
                 _ => {}
             }
         }
+        self.scheduler.recycle(outcome);
     }
 
+    /// Starts a run on `worker_nodes`, the node of each granted worker:
+    /// the list becomes the run's distinct node set in place.
     pub(crate) fn on_started(
         &mut self,
         id: JobId,
-        worker_nodes: &[NodeId],
+        worker_nodes: Vec<NodeId>,
         backfilled: bool,
         now: f64,
     ) {
         let _ = self.apply_lifecycle_event(id, JobEvent::Start { at_secs: now });
-        // Copy out only the schema fields this path needs; cloning the whole
-        // schema would heap-allocate the name/image/dependency strings on
-        // every start.
         let Some(job) = self.job_ref(id) else {
             return;
         };
-        let schema = job.schema();
-        let per_worker_gpus = schema.resources.gpus;
-        let requested_workers = schema.workers;
-        let model = schema.model;
-        let kind = schema.kind;
-        let qos = schema.qos;
-        let group = schema.group;
-        let dataset = schema.env.dataset.clone();
+        // A handle, not a copy: the schema stays readable while the layers
+        // below are mutated.
+        let schema = Arc::clone(job.shared_schema());
         let remaining = job.remaining_secs();
         let resumed = job.preemptions() + job.restarts() > 0;
 
@@ -274,34 +273,40 @@ impl Platform {
         // (one entry in `worker_nodes` per granted worker); a shrunken
         // data-parallel gang runs proportionally longer.
         let granted_workers = (worker_nodes.len().min(u32::MAX as usize) as u32).max(1);
-        let granted_gpus = per_worker_gpus * granted_workers; // 0 for CPU tasks
-        let shrink = f64::from(requested_workers) / f64::from(granted_workers);
-
+        let granted_gpus = schema.resources.gpus * granted_workers; // 0 for CPU tasks
+        let shrink = f64::from(schema.workers) / f64::from(granted_workers);
         let gpu_model = self
             .cluster
             .node(worker_nodes[0])
             .map(|n| n.gpu_model())
             .unwrap_or(GpuModel::A100);
+        // The placement's distinct nodes, ascending: the one node set the
+        // exec model, the shared store and the fault injector read, and
+        // what the job's slot keeps.
+        let mut nodes = worker_nodes;
+        nodes.sort_unstable();
+        nodes.dedup();
+
         let runtime = self
             .jobs
             .get(id)
             .map(|slot| slot.runtime)
             .unwrap_or(RuntimePreference::Auto);
-        let plan = match (&model, kind) {
+        let plan = match (&schema.model, schema.kind) {
             (Some(profile), TaskKind::Training | TaskKind::Inference) => self.exec.plan_training(
                 &self.cluster,
                 runtime,
-                worker_nodes,
+                &nodes,
                 granted_gpus.max(1),
                 gpu_model,
                 profile,
             ),
-            _ if kind.is_cpu_only() => self.exec.plan_simple(None),
+            (_, kind) if kind.is_cpu_only() => self.exec.plan_simple(None),
             _ => self.exec.plan_simple(Some(gpu_model)),
         };
 
         // Co-location interference from neighbours present at start time.
-        let interference = self.exec.interference_factor(&self.cluster, worker_nodes);
+        let interference = self.exec.interference_factor(&self.cluster, &nodes);
         let stretch =
             plan.slowdown * interference * self.checkpoint.runtime_overhead_factor() * shrink;
         let resume_penalty = if resumed {
@@ -311,9 +316,9 @@ impl Platform {
         };
         // Dataset staging from the shared filesystem happens before any
         // useful work; nodes that still cache the dataset skip it.
-        let staging_secs = match (&mut self.store, &dataset) {
+        let staging_secs = match (&mut self.store, &schema.env.dataset) {
             (Some(store), Some((dataset, size_mb))) => {
-                let staging = store.begin_staging(worker_nodes, dataset, *size_mb);
+                let staging = store.begin_staging(&nodes, dataset, *size_mb);
                 if staging.readers > 0 {
                     self.staging_secs_total += staging.secs;
                     self.stagings += 1;
@@ -329,28 +334,12 @@ impl Platform {
         let wall = remaining * stretch + resume_penalty + staging_secs;
         // The `Start` transition above minted this run's token.
         let token = self.current_token(id);
-        let mut distinct = worker_nodes.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let distinct_nodes = distinct.len();
-        if let Some(slot) = self.jobs.get_mut(id) {
-            slot.last_nodes = distinct;
-            slot.active = Some(ActiveRun {
-                start_secs: now,
-                stretch,
-                gpus: f64::from(granted_gpus),
-                // Both restore and staging are dead wall time before useful
-                // progress; interruption accounting subtracts them.
-                resume_penalty: resume_penalty + staging_secs,
-                runtime: plan.runtime,
-            });
-        }
         self.events.schedule(
             SimTime::from_secs(now) + SimDuration::from_secs(wall),
             Event::Finish { job: id, token },
         );
         if let Some(quantum) = self.config.scheduler.time_slice_secs {
-            if qos == tacc_workload::QosClass::BestEffort {
+            if schema.qos == tacc_workload::QosClass::BestEffort {
                 self.events.schedule(
                     SimTime::from_secs(now) + SimDuration::from_secs(quantum),
                     Event::RotateCheck,
@@ -358,7 +347,7 @@ impl Platform {
             }
         }
         if let Some(injector) = &self.injector {
-            if let Some(fault) = injector.first_fault(worker_nodes, now, wall) {
+            if let Some(fault) = injector.first_fault(&nodes, now, wall) {
                 self.events.schedule(
                     SimTime::from_secs(now) + SimDuration::from_secs(fault.at_secs),
                     Event::Fault {
@@ -369,11 +358,24 @@ impl Platform {
                 );
             }
         }
+        let distinct_nodes = nodes.len();
+        if let Some(slot) = self.jobs.get_mut(id) {
+            slot.last_nodes = nodes;
+            slot.active = Some(ActiveRun {
+                start_secs: now,
+                stretch,
+                gpus: f64::from(granted_gpus),
+                // Both restore and staging are dead wall time before useful
+                // progress; interruption accounting subtracts them.
+                resume_penalty: resume_penalty + staging_secs,
+                runtime: plan.runtime,
+            });
+        }
 
         let gpus = f64::from(granted_gpus);
         self.accrue_group_time(now);
         self.util.acquire(now, gpus);
-        self.group_busy[group.index()] += gpus;
+        self.group_busy[schema.group.index()] += gpus;
         self.exec_telemetry.note_plan(&plan);
         self.emit(
             now,
@@ -383,7 +385,7 @@ impl Platform {
                 runtime: plan.runtime,
                 slowdown: plan.slowdown,
                 granted_workers: u64::from(granted_workers),
-                requested_workers: u64::from(requested_workers),
+                requested_workers: u64::from(schema.workers),
                 backfilled,
             },
         );

@@ -430,8 +430,9 @@ impl Platform {
             Event::RotateCheck => {
                 let now = self.clock.now().as_secs();
                 let outcome = self.scheduler.rotate(now, &mut self.cluster);
-                if !outcome.is_empty() {
-                    self.apply_decisions(&outcome, now);
+                let rotated = !outcome.is_empty();
+                self.apply_decisions(outcome, now);
+                if rotated {
                     // Freed + re-filled capacity may unblock more work.
                     self.run_round();
                 }

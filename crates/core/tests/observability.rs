@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use tacc_core::{Platform, PlatformConfig};
+use tacc_core::{Platform, PlatformConfig, Query, QueryError};
 use tacc_exec::FailoverPolicy;
 use tacc_obs::{
     goodput_conservation, span_conservation, JobGoodputInput, PlatformEvent, SpanBook,
@@ -246,4 +246,19 @@ fn repeated_reports_are_strictly_equal() {
     let _ = p.goodput();
     let b = p.report();
     assert_eq!(a, b);
+}
+
+/// A timeline asked for by an id past every minted one — the largest
+/// there is — reads empty, and the query is refused as an unknown job.
+#[test]
+fn a_huge_unknown_id_has_no_timeline() {
+    let p = replay(PlatformConfig::default(), GenParams::default(), 5, 0.1);
+    assert!(p.job_count() > 0);
+    let huge = JobId::from_value(u64::MAX);
+    assert!(p.timeline(huge).is_empty());
+    assert!(p.span_book().timeline(huge, p.span_horizon()).is_empty());
+    let refused = p.answer(&Query::Timeline(huge)).expect_err("never minted");
+    assert_eq!(refused, QueryError::UnknownJob(huge));
+    assert_eq!(refused.kind(), "unknown-job");
+    assert_eq!(p.span_book().jobs().count(), p.job_count());
 }

@@ -6,9 +6,13 @@
 use tacc_cluster::{ClusterSpec, GpuModel, ResourceVec};
 use tacc_core::{Command, CommandOutcome, Platform, PlatformConfig};
 use tacc_exec::FailoverPolicy;
+use tacc_obs::PlatformEvent;
 use tacc_sched::QuotaMode;
 use tacc_sim::SimTime;
-use tacc_workload::{GenParams, GroupId, JobId, JobState, QosClass, TaskSchema, TraceGenerator};
+use tacc_workload::{
+    GenParams, GroupId, JobEventKind, JobId, JobState, ModelProfile, QosClass, TaskSchema,
+    TraceGenerator,
+};
 
 fn tiny_config() -> PlatformConfig {
     PlatformConfig {
@@ -496,4 +500,57 @@ fn failure_injection_without_failover_fails_jobs() {
     assert_eq!(p.job(id).expect("exists").state(), JobState::Failed);
     assert!(p.report().failed >= 1);
     assert_eq!(p.cluster().free_gpus(), 16);
+}
+
+/// A gang whose two workers share one node is planned, stretched and
+/// slowed by its neighbour as a one-node placement. The literals are what
+/// the platform gave when each layer deduplicated the placement itself.
+#[test]
+fn a_gang_sharing_one_node_is_planned_as_one_node() {
+    let mut p = Platform::new(tiny_config()); // 2 nodes x 8
+    let neighbour = TaskSchema::builder("neighbour", GroupId::from_index(0))
+        .resources(ResourceVec::gpus_only(4))
+        .est_duration_secs(1e5)
+        .build()
+        .expect("valid");
+    submit(&mut p, neighbour, 1e5);
+    p.run_until(SimTime::from_secs(500.0));
+    // Packed beside the neighbour: both workers on node 0.
+    let gang = TaskSchema::builder("gang", GroupId::from_index(1))
+        .workers(2)
+        .resources(ResourceVec::gpus_only(2))
+        .model(ModelProfile::gpt2_like())
+        .est_duration_secs(3600.0)
+        .build()
+        .expect("valid");
+    let id = submit(&mut p, gang, 3600.0);
+    p.run_until_idle();
+    let placed = p.job_events(id).into_iter().find_map(|r| match r.event {
+        PlatformEvent::Placed {
+            nodes,
+            slowdown,
+            granted_workers,
+            ..
+        } => Some((nodes, slowdown, granted_workers)),
+        _ => None,
+    });
+    let (nodes, slowdown, granted) = placed.expect("placed");
+    assert_eq!((nodes, granted), (1, 2));
+    // The one-node all-reduce: over NVLink, not the rack fabric.
+    assert_eq!(slowdown, 1.032_747_395_833_333_3);
+    let at = |kind: JobEventKind| {
+        p.transitions(id)
+            .iter()
+            .find(|t| t.event == kind)
+            .map(|t| t.at_secs)
+            .expect("transitioned")
+    };
+    let (start, finish) = (at(JobEventKind::Start), at(JobEventKind::Complete));
+    assert_eq!((start, finish), (505.005, 4_430.168_027_343_75));
+    let stretch = (finish - start) / 3600.0;
+    let checkpoint = tiny_config().checkpoint.runtime_overhead_factor();
+    assert_eq!(checkpoint, 1.025);
+    // One neighbour on the gang's one node: 1 + 0.03 x 1.
+    let interference = stretch / (slowdown * checkpoint);
+    assert!((interference - 1.03).abs() < 1e-12, "{interference}");
 }

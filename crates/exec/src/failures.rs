@@ -5,6 +5,8 @@ use tacc_sim::dist;
 use tacc_sim::SeedStream;
 use tacc_workload::RuntimePreference;
 
+use crate::model::is_node_set;
+
 /// A fault in the underlying runtime system during execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeFault {
@@ -80,18 +82,22 @@ impl FailureInjector {
 
     /// Samples the first fault across a placement within `horizon_secs` of
     /// run time, or `None` if every node survives the window.
+    ///
+    /// `nodes` is the placement's distinct node set, ascending — each node
+    /// once however many workers it holds (debug builds assert it).
     pub fn first_fault(
         &self,
         nodes: &[NodeId],
         epoch_secs: f64,
         horizon_secs: f64,
     ) -> Option<RuntimeFault> {
-        let mut deduped: Vec<NodeId> = nodes.to_vec();
-        deduped.sort_unstable();
-        deduped.dedup();
-        deduped
-            .into_iter()
-            .map(|node| RuntimeFault {
+        debug_assert!(
+            is_node_set(nodes),
+            "not a distinct ascending node set: {nodes:?}"
+        );
+        nodes
+            .iter()
+            .map(|&node| RuntimeFault {
                 at_secs: self.next_failure_after(node, epoch_secs),
                 node,
             })
@@ -155,6 +161,14 @@ mod tests {
         assert!(nodes.contains(&fault.node));
         // Tiny horizon: almost surely no fault.
         assert!(inj.first_fault(&nodes, 0.0, 1e-6).is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not a distinct ascending node set")]
+    fn first_fault_refuses_repeated_nodes() {
+        let node = NodeId::from_index(3);
+        FailureInjector::new(1000.0, 7).first_fault(&[node, node], 0.0, 10_000.0);
     }
 
     #[test]

@@ -71,29 +71,32 @@ impl ExecModel {
     }
 
     /// Plans a training task: `total_gpus` GPUs of `gpu_model` spread over
-    /// `worker_nodes` (deduplicated internally), synchronizing `profile`'s
-    /// gradients via `runtime`.
+    /// `nodes`, synchronizing `profile`'s gradients via `runtime`.
+    ///
+    /// `nodes` is the placement's distinct node set, ascending — each node
+    /// once however many workers it holds (debug builds assert it).
     ///
     /// `RuntimePreference::Auto` resolves to all-reduce for multi-GPU tasks
     /// and single-process otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if `total_gpus == 0` or `worker_nodes` is empty.
+    /// Panics if `total_gpus == 0` or `nodes` is empty.
     pub fn plan_training(
         &self,
         cluster: &Cluster,
         runtime: RuntimePreference,
-        worker_nodes: &[NodeId],
+        nodes: &[NodeId],
         total_gpus: u32,
         gpu_model: GpuModel,
         profile: &ModelProfile,
     ) -> ExecutionPlan {
         assert!(total_gpus > 0, "training needs at least one GPU");
-        assert!(!worker_nodes.is_empty(), "placement has no nodes");
-        let mut nodes: Vec<NodeId> = worker_nodes.to_vec();
-        nodes.sort_unstable();
-        nodes.dedup();
+        assert!(!nodes.is_empty(), "placement has no nodes");
+        debug_assert!(
+            is_node_set(nodes),
+            "not a distinct ascending node set: {nodes:?}"
+        );
 
         let runtime = match runtime {
             RuntimePreference::Auto if total_gpus > 1 => RuntimePreference::AllReduce,
@@ -108,10 +111,10 @@ impl ExecModel {
         let comm_secs = match runtime {
             RuntimePreference::SingleProcess => 0.0,
             RuntimePreference::AllReduce => {
-                self.allreduce_secs(cluster, &nodes, total_gpus, gpu_model, profile.param_mb)
+                self.allreduce_secs(cluster, nodes, total_gpus, gpu_model, profile.param_mb)
             }
             RuntimePreference::ParameterServer => {
-                let bw = comm::bottleneck_bandwidth_gbps(cluster, &nodes);
+                let bw = comm::bottleneck_bandwidth_gbps(cluster, nodes);
                 comm::parameter_server_secs(profile.param_mb, total_gpus, self.config.ps_shards, bw)
             }
             RuntimePreference::InNetworkAggregation => {
@@ -121,11 +124,11 @@ impl ExecModel {
                 if nodes.len() == 1 {
                     let bw = comm::intra_node_bandwidth_gbps(cluster, gpu_model);
                     comm::ring_allreduce_secs(profile.param_mb, total_gpus, bw)
-                } else if cluster.topology().racks_spanned(&nodes) == 1 {
-                    let bw = comm::bottleneck_bandwidth_gbps(cluster, &nodes);
+                } else if cluster.topology().racks_spanned(nodes) == 1 {
+                    let bw = comm::bottleneck_bandwidth_gbps(cluster, nodes);
                     comm::in_network_allreduce_secs(profile.param_mb, total_gpus, bw)
                 } else {
-                    self.allreduce_secs(cluster, &nodes, total_gpus, gpu_model, profile.param_mb)
+                    self.allreduce_secs(cluster, nodes, total_gpus, gpu_model, profile.param_mb)
                 }
             }
             RuntimePreference::Auto => unreachable!("resolved above"),
@@ -165,17 +168,21 @@ impl ExecModel {
     /// number of *other* leases sharing the job's nodes, scaled by the
     /// configured per-cotenant slowdown.
     ///
+    /// `nodes` is the placement's distinct node set, ascending — each node
+    /// once however many workers it holds (debug builds assert it).
+    ///
     /// Evaluated once when the job starts (a documented simplification —
     /// neighbours that arrive later do not retroactively slow it), which is
     /// why spreading across emptier nodes pays off for interference even
     /// though it costs communication locality.
-    pub fn interference_factor(&self, cluster: &Cluster, worker_nodes: &[NodeId]) -> f64 {
-        if self.config.interference_per_cotenant <= 0.0 || worker_nodes.is_empty() {
+    pub fn interference_factor(&self, cluster: &Cluster, nodes: &[NodeId]) -> f64 {
+        debug_assert!(
+            is_node_set(nodes),
+            "not a distinct ascending node set: {nodes:?}"
+        );
+        if self.config.interference_per_cotenant <= 0.0 || nodes.is_empty() {
             return 1.0;
         }
-        let mut nodes: Vec<NodeId> = worker_nodes.to_vec();
-        nodes.sort_unstable();
-        nodes.dedup();
         let cotenants: f64 = nodes
             .iter()
             .filter_map(|&id| cluster.node(id))
@@ -213,6 +220,11 @@ impl ExecModel {
             comm::ring_allreduce_secs(param_mb, total_gpus, inter_bw)
         }
     }
+}
+
+/// Whether `nodes` is strictly ascending: a set, each node named once.
+pub(crate) fn is_node_set(nodes: &[NodeId]) -> bool {
+    nodes.windows(2).all(|pair| pair[0] < pair[1])
 }
 
 impl Default for ExecModel {
@@ -389,29 +401,27 @@ mod tests {
         assert!(ps.comm_secs > ar.comm_secs);
     }
 
+    /// The placement's node set is the caller's to build: a gang's
+    /// per-worker list, repeating node 0, is refused, not re-deduplicated.
     #[test]
-    fn duplicate_worker_nodes_are_deduped() {
-        let m = ExecModel::default();
-        let profile = ModelProfile::resnet50_like();
-        // Gang of 8 workers all on node 0 (repeated ids, as the scheduler
-        // reports them) must be treated as single-node NVLink placement.
-        let plan = m.plan_training(
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not a distinct ascending node set")]
+    fn repeated_worker_nodes_are_refused() {
+        ExecModel::default().plan_training(
             &cluster(),
             RuntimePreference::AllReduce,
-            &nodes(&[0, 0, 0, 0, 0, 0, 0, 0]),
+            &nodes(&[0, 0]),
             8,
             GpuModel::A100,
-            &profile,
+            &ModelProfile::resnet50_like(),
         );
-        let single = m.plan_training(
-            &cluster(),
-            RuntimePreference::AllReduce,
-            &nodes(&[0]),
-            8,
-            GpuModel::A100,
-            &profile,
-        );
-        assert_eq!(plan, single);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not a distinct ascending node set")]
+    fn interference_refuses_an_unsorted_node_set() {
+        ExecModel::default().interference_factor(&cluster(), &nodes(&[1, 0]));
     }
 
     #[test]
@@ -445,18 +455,18 @@ mod tests {
         let m = ExecModel::default();
         let n0 = NodeId::from_index(0);
         // Exclusive node: no interference (the job's own lease doesn't count).
-        c.allocate(1, &[(n0, ResourceVec::gpus_only(2))])
+        c.allocate(1, [(n0, ResourceVec::gpus_only(2))])
             .expect("fits");
         assert_eq!(m.interference_factor(&c, &[n0]), 1.0);
         // Two co-tenants: 2 × 3% slowdown.
-        c.allocate(2, &[(n0, ResourceVec::gpus_only(2))])
+        c.allocate(2, [(n0, ResourceVec::gpus_only(2))])
             .expect("fits");
-        c.allocate(3, &[(n0, ResourceVec::gpus_only(2))])
+        c.allocate(3, [(n0, ResourceVec::gpus_only(2))])
             .expect("fits");
         assert!((m.interference_factor(&c, &[n0]) - 1.06).abs() < 1e-12);
         // Mixed placement averages across nodes.
         let n1 = NodeId::from_index(1);
-        c.allocate(4, &[(n1, ResourceVec::gpus_only(8))])
+        c.allocate(4, [(n1, ResourceVec::gpus_only(8))])
             .expect("fits");
         let f = m.interference_factor(&c, &[n0, n1]);
         assert!((f - (1.0 + 0.03 * 1.0)).abs() < 1e-12); // (2 + 0)/2 co-tenants

@@ -133,7 +133,7 @@ fn rogue_state_write_and_apply_event_call_flip_red() {
 }
 
 /// The arena rules added with the million-job scale pass: lease-arena
-/// mutators (`insert_with`, `note_free_change`) belong to the cluster
+/// mutators (`insert_lease`, `note_free_change`) belong to the cluster
 /// allocator, and job-slot run-state fields (`last_nodes`, `token`)
 /// to the lifecycle engine. A rogue call and a rogue field write flip
 /// red at their exact lines; the owners' own sites stay green.
@@ -144,7 +144,7 @@ fn rogue_arena_mutations_flip_red() {
         &root.join("lint-owners.toml"),
         "[[owner]]\n\
          name = \"lease-arena-mutation\"\n\
-         methods = [\"insert_with\", \"note_free_change\"]\n\
+         methods = [\"insert_lease\", \"note_free_change\"]\n\
          writers = [\"crates/cluster/src/allocator.rs\"]\n\
          why = \"arena slots and the free-capacity index move together\"\n\
          \n\
@@ -163,7 +163,7 @@ fn rogue_arena_mutations_flip_red() {
         &root.join("crates/cluster/src/allocator.rs"),
         "impl Cluster {\n\
          \x20   fn grant(&mut self, lease: Lease) -> LeaseId {\n\
-         \x20       let id = self.arena.insert_with(|_| lease);\n\
+         \x20       let id = self.arena.insert_lease(lease);\n\
          \x20       self.note_free_change(0, old, new);\n\
          \x20       id\n\
          \x20   }\n\
@@ -192,7 +192,7 @@ fn rogue_arena_mutations_flip_red() {
     write(
         &root.join("crates/core/src/rogue.rs"),
         "pub fn forge(c: &mut Cluster, lease: Lease) {\n\
-         \x20   c.arena.insert_with(|_| lease);\n\
+         \x20   c.arena.insert_lease(lease);\n\
          }\n\
          pub fn stomp(slot: &mut JobSlot) {\n\
          \x20   slot.token += 1;\n\

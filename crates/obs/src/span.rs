@@ -37,7 +37,6 @@
 //! and the `Dyadic` arithmetic in the goodput module.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
 use tacc_json::write_num;
@@ -261,9 +260,15 @@ pub struct JobTimeline {
 }
 
 impl JobTimeline {
+    /// Room a job's spans start with: what an uninterrupted run that
+    /// checkpoints closes with (Compiling, Queued, Scheduled, Running,
+    /// Checkpointing), so the common timeline is allocated once and its
+    /// terminal fit finds nothing to trim.
+    const TYPICAL_SPANS: usize = 5;
+
     fn new() -> Self {
         JobTimeline {
-            spans: Vec::new(),
+            spans: Vec::with_capacity(Self::TYPICAL_SPANS),
             open: None,
             interruptions: 0,
         }
@@ -417,10 +422,16 @@ impl JobTimeline {
 }
 
 /// Per-job span timelines folded from a lifecycle transition stream.
+///
+/// Timelines are indexed by the dense job id, as the platform's job arena
+/// holds its slots: a transition finds its job's timeline in one load.
+/// The book holds a slot for every id up to the highest it observed, and
+/// the slots of ids it never observed stay empty.
 #[derive(Debug, Clone)]
 pub struct SpanBook {
     config: SpanConfig,
-    jobs: BTreeMap<JobId, JobTimeline>,
+    /// Slot `i` is job `i`'s timeline; `None` until the job is observed.
+    jobs: Vec<Option<JobTimeline>>,
     observed: u64,
     ignored: u64,
 }
@@ -443,7 +454,7 @@ impl SpanBook {
         );
         SpanBook {
             config,
-            jobs: BTreeMap::new(),
+            jobs: Vec::new(),
             observed: 0,
             ignored: 0,
         }
@@ -463,11 +474,29 @@ impl SpanBook {
             return;
         }
         self.observed += 1;
-        let config = self.config;
+        let index = slot_of(rec.job);
+        if index >= self.jobs.len() {
+            self.jobs.resize_with(index + 1, || None);
+        }
+        self.jobs[index]
+            .get_or_insert_with(JobTimeline::new)
+            .observe(&rec, &self.config);
+    }
+
+    /// The job's timeline, if it was ever observed.
+    fn get(&self, job: JobId) -> Option<&JobTimeline> {
+        self.jobs.get(slot_of(job))?.as_ref()
+    }
+
+    /// The observed timelines with their ids, ascending.
+    fn observed_timelines(&self) -> impl Iterator<Item = (JobId, &JobTimeline)> {
         self.jobs
-            .entry(rec.job)
-            .or_insert_with(JobTimeline::new)
-            .observe(&rec, &config);
+            .iter()
+            .enumerate()
+            .filter_map(|(index, timeline)| {
+                let timeline = timeline.as_ref()?;
+                Some((JobId::from_value(index as u64), timeline))
+            })
     }
 
     /// Legal transitions folded so far.
@@ -482,14 +511,13 @@ impl SpanBook {
 
     /// Jobs with at least one folded transition, ascending by id.
     pub fn jobs(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.jobs.keys().copied()
+        self.observed_timelines().map(|(id, _)| id)
     }
 
     /// One job's finalized spans as of `horizon_secs` (empty if the job
     /// was never observed).
     pub fn timeline(&self, job: JobId, horizon_secs: f64) -> Vec<Span> {
-        self.jobs
-            .get(&job)
+        self.get(job)
             .map(|t| t.spans_at(horizon_secs, &self.config))
             .unwrap_or_default()
     }
@@ -509,9 +537,8 @@ impl SpanBook {
         &self,
         horizon_secs: f64,
     ) -> impl Iterator<Item = (JobId, Cow<'_, [Span]>)> {
-        self.jobs
-            .iter()
-            .map(move |(&id, t)| (id, t.finalized(horizon_secs, &self.config)))
+        self.observed_timelines()
+            .map(move |(id, t)| (id, t.finalized(horizon_secs, &self.config)))
     }
 
     /// Byte-deterministic JSONL export of every finalized span, jobs
@@ -522,9 +549,8 @@ impl SpanBook {
     /// closes into at most three).
     pub fn to_jsonl(&self, horizon_secs: f64) -> String {
         let lines: usize = self
-            .jobs
-            .values()
-            .map(|t| t.spans.len() + if t.open.is_some() { 3 } else { 0 })
+            .observed_timelines()
+            .map(|(_, t)| t.spans.len() + if t.open.is_some() { 3 } else { 0 })
             .sum();
         let mut out = String::with_capacity(lines * Span::LINE_BOUND);
         for (id, spans) in self.iter_timelines(horizon_secs) {
@@ -539,7 +565,9 @@ impl SpanBook {
     /// Reconstructs a book from a transition stream exported by the core
     /// engine's `transition_log_jsonl` (one [`TransitionEvent`] per line).
     /// Blank lines are skipped; a malformed line, or one stamped at a
-    /// non-finite time, is an error naming its 1-based number.
+    /// non-finite time, is an error naming its 1-based number. The book
+    /// is dense in job ids, as the platform mints them: a stream that
+    /// names job `n` holds `n + 1` slots.
     pub fn from_transitions_jsonl(text: &str, config: SpanConfig) -> Result<SpanBook, String> {
         let mut book = SpanBook::new(config);
         for (i, line) in text.lines().enumerate() {
@@ -554,6 +582,12 @@ impl SpanBook {
         }
         Ok(book)
     }
+}
+
+/// The book slot of `job`: its id value. An id past what `usize` holds
+/// maps past every slot, so reading it finds nothing.
+fn slot_of(job: JobId) -> usize {
+    usize::try_from(job.value()).unwrap_or(usize::MAX)
 }
 
 /// Machine-checks the span conservation law for every job in the book:
@@ -865,6 +899,57 @@ mod tests {
         assert_eq!(widest, 201);
     }
 
+    /// Jobs 9, 0 and 5, observed interleaved and out of order, come back
+    /// ascending, each exactly as a book of its own folds it.
+    #[test]
+    fn ids_with_holes_come_back_ascending() {
+        let config = SpanConfig {
+            restore_secs: 30.0,
+            checkpoint_overhead_fraction: 0.125,
+        };
+        let mut book = SpanBook::new(config);
+        let mut alone = [0, 5, 9].map(|_| SpanBook::new(config));
+        let [nine, zero, five] = [9, 0, 5].map(happy_path);
+        for step in 0..4 {
+            for (slot, records) in [(2, &nine), (0, &zero), (1, &five)] {
+                // Job 5 stops running short of its completion.
+                if records[step].job.value() == 5 && step == 3 {
+                    continue;
+                }
+                book.observe(records[step]);
+                alone[slot].observe(records[step]);
+            }
+        }
+        let ids: Vec<u64> = book.jobs().map(JobId::value).collect();
+        assert_eq!(ids, [0, 5, 9]);
+        let walked: Vec<u64> = book
+            .iter_timelines(700.0)
+            .map(|(id, _)| id.value())
+            .collect();
+        assert_eq!(walked, [0, 5, 9]);
+        let one_by_one: String = alone.iter().map(|b| b.to_jsonl(700.0)).collect();
+        assert_eq!(book.to_jsonl(700.0), one_by_one);
+        // Compiling, Queued, Scheduled, Running, Checkpointing each; job
+        // 5's open run closes at the horizon.
+        assert_eq!(book.to_jsonl(700.0).lines().count(), 3 * 5);
+        for hole in [1, 4, 6, 8, 10] {
+            assert!(book.timeline(JobId::from_value(hole), 700.0).is_empty());
+        }
+    }
+
+    /// Reading an id past the end — the largest there is — answers empty
+    /// and leaves the book as it was.
+    #[test]
+    fn an_id_past_the_end_reads_empty_and_grows_nothing() {
+        let mut book = SpanBook::new(SpanConfig::plain());
+        feed(&mut book, &happy_path(2));
+        let slots = book.jobs.len();
+        assert!(book.timeline(JobId::from_value(u64::MAX), 600.0).is_empty());
+        assert!(book.timeline(JobId::from_value(3), 600.0).is_empty());
+        assert_eq!(book.jobs.len(), slots);
+        assert_eq!(book.jobs().count(), 1);
+    }
+
     #[test]
     fn a_settled_timeline_is_lent_and_held_exactly() {
         let mut book = SpanBook::new(SpanConfig::plain());
@@ -882,7 +967,7 @@ mod tests {
             .map(|(id, s)| (id, s.into_owned()))
             .collect();
         assert_eq!(book.timelines(600.0), owned);
-        let done = &book.jobs[&JobId::from_value(1)];
+        let done = book.get(JobId::from_value(1)).expect("observed");
         assert_eq!(done.spans.capacity(), done.spans.len());
     }
 }

@@ -151,15 +151,6 @@ impl Planner {
             PlacementStrategy::TopologyAware => plan_topology(cluster, workers, per_worker, stats),
         }
     }
-
-    /// Converts a worker→node assignment into per-node aggregate shares
-    /// suitable for [`Cluster::allocate`].
-    pub fn shares_for(
-        assignment: &[NodeId],
-        per_worker: ResourceVec,
-    ) -> Vec<(NodeId, ResourceVec)> {
-        assignment.iter().map(|&n| (n, per_worker)).collect()
-    }
 }
 
 /// Greedy fill over the schedulable nodes one worker fits, ordered by
@@ -330,7 +321,7 @@ mod tests {
     fn occupy(cluster: &mut Cluster, node: usize, gpus: u32) {
         let id = NodeId::from_index(node);
         cluster
-            .allocate(999, &[(id, ResourceVec::gpus_only(gpus))])
+            .allocate(999, [(id, ResourceVec::gpus_only(gpus))])
             .expect("test occupancy fits");
     }
 
@@ -461,10 +452,16 @@ mod tests {
         let plan = Planner::new(PlacementStrategy::Pack)
             .plan(&c, 2, ResourceVec::gpus_only(4))
             .expect("fits");
-        let shares = Planner::shares_for(&plan, ResourceVec::gpus_only(4));
-        assert_eq!(shares.len(), 2);
+        let per_worker = ResourceVec::gpus_only(4);
         let mut c2 = c.clone();
-        c2.allocate(1, &shares).expect("plan is allocatable");
+        let lease = c2
+            .allocate(1, plan.iter().map(|&n| (n, per_worker)))
+            .expect("plan is allocatable");
+        // One share per node of the plan, holding that node's workers.
+        for &(node, share) in c2.lease(lease).expect("granted").shares() {
+            let workers = plan.iter().filter(|&&n| n == node).count() as u32;
+            assert_eq!(share, ResourceVec::gpus_only(4 * workers));
+        }
     }
 
     /// The plan by definition: every schedulable node one worker fits,
@@ -583,7 +580,7 @@ mod tests {
                     (rng() % 40) as u32,
                     (rng() % 300) as u32,
                 );
-                let _ = c.allocate(rng(), &[(node, share)]);
+                let _ = c.allocate(rng(), [(node, share)]);
             }
             if case % 3 == 0 {
                 c.drain(NodeId::from_index((rng() % 8) as usize));

@@ -306,9 +306,9 @@ impl ReferenceScheduler {
             granted = (granted / 2).max(1);
         };
         self.queue.retain(|r| r.id != request.id);
-        let shares = Planner::shares_for(&assignment, request.per_worker);
+        let shares = assignment.iter().map(|&node| (node, request.per_worker));
         // A freshly planned placement always allocates; stay panic-free.
-        let lease = cluster.allocate(request.id.value(), &shares).ok()?;
+        let lease_id = cluster.allocate(request.id.value(), shares).ok()?;
         let granted_request = TaskRequest {
             workers: granted,
             ..*request
@@ -320,8 +320,7 @@ impl ReferenceScheduler {
             RunningTask {
                 request: granted_request,
                 requested_workers: request.workers,
-                lease_id: lease.id(),
-                worker_nodes: assignment.clone(),
+                lease_id,
                 start_secs: now_secs,
                 est_end_secs: now_secs + request.est_secs * scale,
             },
@@ -329,7 +328,6 @@ impl ReferenceScheduler {
         Some(StartedTask {
             request: *request,
             granted_workers: granted,
-            lease,
             worker_nodes: assignment,
             backfilled: false,
         })

@@ -1,6 +1,6 @@
 //! Scheduler-facing task descriptions and scheduling outcomes.
 
-use tacc_cluster::{Lease, LeaseId, NodeId, ResourceVec};
+use tacc_cluster::{LeaseId, NodeId, ResourceVec};
 use tacc_workload::{GroupId, JobId, QosClass};
 
 /// What the scheduling layer knows about a task awaiting placement.
@@ -53,10 +53,9 @@ pub struct RunningTask {
     /// The gang size originally requested (equals `request.workers` for
     /// inelastic tasks); restored on requeue after preemption.
     pub requested_workers: u32,
-    /// The lease holding its resources.
+    /// The lease holding its resources: one share per node the gang
+    /// landed on (see [`tacc_cluster::Lease::shares`]).
     pub lease_id: LeaseId,
-    /// Nodes the gang landed on (one entry per worker, in worker order).
-    pub worker_nodes: Vec<NodeId>,
     /// When it started (last resume), simulation seconds.
     pub start_secs: f64,
     /// Estimated completion (start + user estimate), used by backfill.
@@ -72,8 +71,6 @@ pub struct StartedTask {
     /// Workers actually granted (< `request.workers` for a shrunken
     /// elastic start).
     pub granted_workers: u32,
-    /// The committed lease.
-    pub lease: Lease,
     /// Node of each worker (workers on the same node repeat the id).
     pub worker_nodes: Vec<NodeId>,
     /// True if this start was a backfill (started ahead of blocked jobs).

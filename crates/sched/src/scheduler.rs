@@ -21,7 +21,7 @@ use crate::backfill::{self, BackfillMode, CapacityWindow, Release, Reservation};
 use crate::placement::{PlacementStrategy, PlanStats, Planner};
 use crate::policy::{compare, PolicyContext, PolicyKind};
 use crate::quota::{QuotaMode, QuotaTable};
-use crate::request::{RunningTask, TaskRequest};
+use crate::request::{Decision, RunningTask, TaskRequest};
 
 mod elastic;
 mod gang;
@@ -143,6 +143,10 @@ pub struct Scheduler {
     /// What the current round's walk decided about the queue, in decision
     /// order; empty between rounds.
     scratch_edits: Vec<QueueEdit>,
+    /// The decision list the next round's outcome is built in: a
+    /// [`SchedOutcome`](crate::SchedOutcome) handed back through
+    /// [`Scheduler::recycle`].
+    scratch_decisions: Vec<Decision>,
     /// What the running borrowers hold on each node, by node index: what
     /// evicting them all would hand back. Kept where `running` is, so no
     /// drain, undrain or fault can leave it behind.
@@ -463,6 +467,7 @@ impl Scheduler {
             scratch_preempted: Vec::new(),
             scratch_reservations: Vec::new(),
             scratch_edits: Vec::new(),
+            scratch_decisions: Vec::new(),
             borrowed: Vec::new(),
             releases: Vec::new(),
             boundary_skew_secs: 0.0,
@@ -752,14 +757,14 @@ impl Scheduler {
         if let Ok(pos) = found {
             self.releases.remove(pos);
         }
+        if task.request.qos == QosClass::BestEffort {
+            for &(node, held) in elastic::held_by(cluster, &task) {
+                self.borrowed[node.index()] -= held;
+            }
+        }
         cluster
             .release(task.lease_id)
             .expect("running task holds a valid lease");
-        if task.request.qos == QosClass::BestEffort {
-            for node in &task.worker_nodes {
-                self.borrowed[node.index()] -= task.request.per_worker;
-            }
-        }
         self.quota.release(&task.request);
         let group = task.request.group.index();
         self.group_usage_vec[group] -= task.request.total_resources();

@@ -2,11 +2,11 @@
 //! youngest-first borrower eviction, and the lease/quota bookkeeping of
 //! an accepted start.
 
-use tacc_cluster::{Cluster, Node, ResourceVec};
+use tacc_cluster::{Cluster, Lease, Node, NodeId, ResourceVec};
 use tacc_workload::{JobId, QosClass};
 
 use crate::backfill::release_order;
-use crate::placement::{gang_fits, Planner};
+use crate::placement::gang_fits;
 use crate::quota::QuotaMode;
 use crate::request::{Decision, RunningTask, SchedOutcome, StartedTask, TaskRequest};
 use crate::scheduler::{QueueEdit, Scheduler, Wait};
@@ -20,6 +20,13 @@ pub(super) fn frees_after<'a>(
     let back = |n: &Node| handed_back.get(n.id().index()).copied();
     let nodes = cluster.nodes().filter(|n| n.is_schedulable());
     nodes.map(move |n| n.free() + back(n).unwrap_or(ResourceVec::ZERO))
+}
+
+/// What running `task` holds on `cluster`, one share per node: its
+/// lease's shares (none once the lease is gone, which a running task's
+/// never is).
+pub(super) fn held_by<'a>(cluster: &'a Cluster, task: &RunningTask) -> &'a [(NodeId, ResourceVec)] {
+    cluster.lease(task.lease_id).map_or(&[], Lease::shares)
 }
 
 impl Scheduler {
@@ -57,7 +64,7 @@ impl Scheduler {
         if self.rounds.is_multiple_of(61) {
             debug_assert_eq!(
                 self.borrowed,
-                self.borrowed_recomputed(),
+                self.borrowed_recomputed(cluster),
                 "borrowed capacity diverged from the running set"
             );
         }
@@ -127,15 +134,15 @@ impl Scheduler {
         hypothetical
     }
 
-    /// `borrowed` recounted from the running set — what the incrementally
-    /// kept vector must equal.
+    /// `borrowed` recounted from the running set's leases on `cluster` —
+    /// what the incrementally kept vector must equal.
     #[cfg(debug_assertions)]
-    fn borrowed_recomputed(&self) -> Vec<ResourceVec> {
+    fn borrowed_recomputed(&self, cluster: &Cluster) -> Vec<ResourceVec> {
         let mut borrowed = vec![ResourceVec::ZERO; self.borrowed.len()];
         for t in self.running.values() {
             if t.request.qos == QosClass::BestEffort {
-                for node in &t.worker_nodes {
-                    borrowed[node.index()] += t.request.per_worker;
+                for &(node, held) in held_by(cluster, t) {
+                    borrowed[node.index()] += held;
                 }
             }
         }
@@ -170,9 +177,9 @@ impl Scheduler {
             granted = (granted / 2).max(1);
         };
         self.scratch_edits.push(QueueEdit::Remove(*request));
-        let shares = Planner::shares_for(&assignment, request.per_worker);
-        let lease = cluster
-            .allocate(request.id.value(), &shares)
+        let shares = assignment.iter().map(|&node| (node, request.per_worker));
+        let lease_id = cluster
+            .allocate(request.id.value(), shares)
             .expect("planned placement must allocate");
         let granted_request = TaskRequest {
             workers: granted,
@@ -199,8 +206,7 @@ impl Scheduler {
         let task = RunningTask {
             request: granted_request,
             requested_workers: request.workers,
-            lease_id: lease.id(),
-            worker_nodes: assignment.clone(),
+            lease_id,
             start_secs: now_secs,
             est_end_secs,
         };
@@ -213,7 +219,6 @@ impl Scheduler {
         Some(StartedTask {
             request: *request,
             granted_workers: granted,
-            lease,
             worker_nodes: assignment,
             backfilled: false,
         })

@@ -6,7 +6,7 @@ use tacc_workload::{JobId, QosClass};
 
 use crate::placement::gang_fits;
 use crate::request::{Decision, SchedOutcome, TaskRequest};
-use crate::scheduler::elastic::frees_after;
+use crate::scheduler::elastic::{frees_after, held_by};
 use crate::scheduler::rounds::round_clock;
 use crate::scheduler::Scheduler;
 
@@ -47,8 +47,8 @@ impl Scheduler {
         let mut needed = None;
         for (i, &(_, id)) in expired.iter().enumerate() {
             let task = &self.running[&id];
-            for node in &task.worker_nodes {
-                handed_back[node.index()] += task.request.per_worker;
+            for &(node, held) in held_by(cluster, task) {
+                handed_back[node.index()] += held;
             }
             let fits_someone = self.queue.iter().map(|e| &e.request).any(|r| {
                 self.quota.admits(self.config.quota, r)
@@ -85,8 +85,9 @@ impl Scheduler {
         // records its own round (placements and skip reasons).
         let (wall, queue_len) = (rotate_start.elapsed(), self.queue.len());
         self.trace_round(now_secs, wall, queue_len, &outcome, Vec::new());
-        let follow_up = self.schedule(now_secs, cluster);
-        outcome.decisions.extend(follow_up.decisions);
+        let mut follow_up = self.schedule(now_secs, cluster);
+        outcome.decisions.append(&mut follow_up.decisions);
+        self.recycle(follow_up);
         outcome
     }
 }

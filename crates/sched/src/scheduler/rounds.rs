@@ -30,7 +30,9 @@ impl Scheduler {
         let round_start = round_clock();
         self.rounds += 1;
         let queue_len_at_start = self.queue.len();
-        let mut outcome = SchedOutcome::default();
+        let mut outcome = SchedOutcome {
+            decisions: std::mem::take(&mut self.scratch_decisions),
+        };
         // An empty queue can start or preempt nothing: only the epilogue
         // runs.
         if self.queue.is_empty() {
@@ -44,6 +46,15 @@ impl Scheduler {
         }
         self.finish_round(now_secs, round_start, queue_len_at_start, &outcome);
         outcome
+    }
+
+    /// Hands back an outcome whose decisions the caller has applied: its
+    /// list, emptied, holds the next round's decisions, so a caller that
+    /// recycles every outcome allocates none per round.
+    pub fn recycle(&mut self, outcome: SchedOutcome) {
+        let mut decisions = outcome.decisions;
+        decisions.clear();
+        self.scratch_decisions = decisions;
     }
 
     /// The round's *order* step: sorts the queue under the configured

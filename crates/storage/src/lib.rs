@@ -200,8 +200,11 @@ impl SharedStore {
             .min(self.config.aggregate_mbps / readers)
     }
 
-    /// Starts staging `dataset` (of `size_mb`) onto every distinct node of
-    /// a placement. Nodes that already cache the dataset stage nothing.
+    /// Starts staging `dataset` (of `size_mb`) onto every node of a
+    /// placement. Nodes that already cache the dataset stage nothing.
+    ///
+    /// `nodes` is the placement's distinct node set, ascending — each node
+    /// once however many workers it holds (debug builds assert it).
     ///
     /// The returned [`Staging`] must be passed to
     /// [`SharedStore::end_staging`] when the transfer completes (the
@@ -212,11 +215,12 @@ impl SharedStore {
     ///
     /// Panics if any node id is out of range for this store.
     pub fn begin_staging(&mut self, nodes: &[NodeId], dataset: &str, size_mb: u32) -> Staging {
-        let mut distinct: Vec<NodeId> = nodes.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
+        debug_assert!(
+            nodes.windows(2).all(|pair| pair[0] < pair[1]),
+            "not a distinct ascending node set: {nodes:?}"
+        );
         let mut misses: u32 = 0;
-        for &node in &distinct {
+        for &node in nodes {
             let cache = self
                 .node_caches
                 .get_mut(node.index())
@@ -327,13 +331,22 @@ mod tests {
         s.end_staging(&b);
     }
 
+    /// A gang of three workers on node 2 stages as node 2 once; the
+    /// per-worker list it came from is the caller's to deduplicate.
     #[test]
-    fn duplicate_nodes_in_placement_are_deduped() {
+    fn a_placement_stages_each_of_its_nodes_once() {
         let mut s = store();
-        let staging = s.begin_staging(&nodes(&[2, 2, 2]), "wikitext", 600);
+        let staging = s.begin_staging(&nodes(&[2]), "wikitext", 600);
         assert_eq!(staging.readers, 1);
         assert_eq!(staging.transferred_mb, 600);
         s.end_staging(&staging);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not a distinct ascending node set")]
+    fn repeated_nodes_in_placement_are_refused() {
+        store().begin_staging(&nodes(&[2, 2, 2]), "wikitext", 600);
     }
 
     #[test]

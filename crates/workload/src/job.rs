@@ -417,6 +417,12 @@ impl Job {
         &self.schema
     }
 
+    /// The schema's shared handle: a clone lends the schema past a borrow
+    /// of the job at the cost of a reference count, not a copy.
+    pub fn shared_schema(&self) -> &Arc<TaskSchema> {
+        &self.schema
+    }
+
     /// Submission time (simulation seconds).
     pub fn submit_secs(&self) -> f64 {
         self.submit_secs

@@ -1,6 +1,8 @@
 //! Seeded property sweeps over the workspace's core invariants.
 
-use tacc_cluster::{Cluster, ClusterSpec, GpuModel, NodeId, ResourceVec};
+use std::collections::BTreeMap;
+
+use tacc_cluster::{Cluster, ClusterError, ClusterSpec, GpuModel, NodeId, ResourceVec};
 use tacc_core::wire;
 use tacc_metrics::{jain_index, percentile, Summary, UtilizationTracker};
 use tacc_sim::{dist, DetRng, EventQueue, SeedStream, SimTime};
@@ -36,8 +38,8 @@ fn allocator_invariants_hold() {
         let mut live: Vec<tacc_cluster::LeaseId> = Vec::new();
         for _ in 0..1 + below(rng, 199) {
             if below(rng, 2) == 0 {
-                if let Ok(lease) = cluster.allocate(0, &random_share(rng)) {
-                    live.push(lease.id());
+                if let Ok(lease) = cluster.allocate(0, random_share(rng)) {
+                    live.push(lease);
                 }
             } else if !live.is_empty() {
                 let id = live.swap_remove(below(rng, live.len() as u64) as usize);
@@ -55,6 +57,133 @@ fn allocator_invariants_hold() {
     }
 }
 
+/// What `Cluster::allocate` is defined to do with a share list: sum the
+/// shares per node in an ordered map — an unknown node is refused first,
+/// in list order — then test each node's total in ascending node order.
+fn allocate_by_definition(
+    cluster: &Cluster,
+    shares: &[(NodeId, ResourceVec)],
+) -> Result<Vec<(NodeId, ResourceVec)>, ClusterError> {
+    if shares.is_empty() {
+        return Err(ClusterError::EmptyRequest);
+    }
+    let mut needed: BTreeMap<NodeId, ResourceVec> = BTreeMap::new();
+    for &(node, demand) in shares {
+        if cluster.node(node).is_none() {
+            return Err(ClusterError::UnknownNode(node));
+        }
+        *needed.entry(node).or_insert(ResourceVec::ZERO) += demand;
+    }
+    for (&node, total) in &needed {
+        if !cluster.node(node).is_some_and(|n| n.can_fit(total)) {
+            return Err(ClusterError::InsufficientResources { node });
+        }
+    }
+    Ok(needed.into_iter().collect())
+}
+
+/// The known nodes of `shares` whose summed demand does not fit, in the
+/// order the list first names them.
+fn offending_in_list_order(cluster: &Cluster, shares: &[(NodeId, ResourceVec)]) -> Vec<NodeId> {
+    let mut seen: Vec<NodeId> = Vec::new();
+    for &(node, _) in shares {
+        if !seen.contains(&node) {
+            seen.push(node);
+        }
+    }
+    seen.retain(|&node| {
+        let total: ResourceVec = shares.iter().filter(|s| s.0 == node).map(|s| s.1).sum();
+        cluster.node(node).is_some_and(|n| !n.can_fit(&total))
+    });
+    seen
+}
+
+/// Seeded share lists — nodes repeated, now and then one past the end,
+/// on a cluster with held leases and a drained node — allocate exactly
+/// as the ordered-map definition says: equal per-node totals on success,
+/// the same error on refusal, and a refused call touches nothing.
+#[test]
+fn allocate_matches_its_ordered_map_definition() {
+    let (mut granted, mut unknown_over_capacity, mut lowest_not_first) = (0, 0, 0);
+    for case in 0..256 {
+        let rng = &mut DetRng::seed_from_u64(case);
+        let mut cluster = small_cluster();
+        let mut live = Vec::new();
+        if below(rng, 4) == 0 {
+            cluster.drain(NodeId::from_index(below(rng, 8) as usize));
+        }
+        for _ in 0..1 + below(rng, 39) {
+            if !live.is_empty() && below(rng, 4) == 0 {
+                let id = live.swap_remove(below(rng, live.len() as u64) as usize);
+                cluster.release(id).expect("live lease releases");
+                continue;
+            }
+            // Few distinct nodes, so lists repeat them.
+            let nodes = 1 + below(rng, 3) as usize;
+            let first = below(rng, 8) as usize;
+            let shares: Vec<(NodeId, ResourceVec)> = (0..below(rng, 7))
+                .map(|_| {
+                    let node = if below(rng, 16) == 0 {
+                        NodeId::from_index(8 + below(rng, 2) as usize)
+                    } else {
+                        NodeId::from_index((first + below(rng, nodes as u64) as usize) % 8)
+                    };
+                    (
+                        node,
+                        ResourceVec::new(below(rng, 5) as u32, below(rng, 20) as u32, 8),
+                    )
+                })
+                .collect();
+            let expected = allocate_by_definition(&cluster, &shares);
+            let offending = offending_in_list_order(&cluster, &shares);
+            match expected {
+                Err(ClusterError::UnknownNode(_)) if !offending.is_empty() => {
+                    unknown_over_capacity += 1;
+                }
+                Err(ClusterError::InsufficientResources { node }) if offending[0] != node => {
+                    lowest_not_first += 1;
+                }
+                _ => {}
+            }
+            let version = cluster.version();
+            let frees: Vec<ResourceVec> = cluster.nodes().map(|n| n.free()).collect();
+            let arena = (cluster.lease_count(), cluster.lease_arena_stats());
+            let failures = cluster.alloc_failures();
+            match (cluster.allocate(case, &shares), expected) {
+                (Ok(lease), Ok(totals)) => {
+                    granted += 1;
+                    let held = cluster.lease(lease).expect("granted").shares();
+                    assert_eq!(held, &totals[..], "case {case}");
+                    for (node, total) in &totals {
+                        let before = frees[node.index()];
+                        let after = cluster.node(*node).expect("known").free();
+                        assert_eq!(after + *total, before, "case {case}");
+                    }
+                    live.push(lease);
+                }
+                (Err(err), Err(expected)) => {
+                    assert_eq!(err, expected, "case {case}: {shares:?}");
+                    assert_eq!(cluster.version(), version, "case {case}");
+                    let after: Vec<ResourceVec> = cluster.nodes().map(|n| n.free()).collect();
+                    assert_eq!(after, frees, "case {case}");
+                    assert_eq!(
+                        (cluster.lease_count(), cluster.lease_arena_stats()),
+                        arena,
+                        "case {case}"
+                    );
+                    assert_eq!(cluster.alloc_failures(), failures + 1, "case {case}");
+                }
+                (got, expected) => panic!("case {case}: {shares:?}: {got:?} vs {expected:?}"),
+            }
+            assert!(cluster.check_invariants(), "case {case}");
+        }
+    }
+    // The sweep reaches each property the definition pins.
+    assert!(granted > 1_000, "{granted} granted");
+    assert!(unknown_over_capacity > 10, "{unknown_over_capacity}");
+    assert!(lowest_not_first > 10, "{lowest_not_first}");
+}
+
 /// Fragmentation is a fraction below one, and zero exactly when the
 /// largest free block holds every free GPU (or none is free).
 #[test]
@@ -63,7 +192,7 @@ fn fragmentation_bounds() {
         let rng = &mut DetRng::seed_from_u64(case);
         let mut cluster = small_cluster();
         for _ in 0..below(rng, 8) {
-            let _ = cluster.allocate(0, &random_share(rng));
+            let _ = cluster.allocate(0, random_share(rng));
         }
         let f = cluster.fragmentation();
         assert!((0.0..1.0).contains(&f), "case {case}: {f}");
