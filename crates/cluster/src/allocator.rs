@@ -73,11 +73,6 @@ impl Lease {
         &self.shares
     }
 
-    /// The nodes this lease spans (in share order).
-    pub fn nodes(&self) -> Vec<NodeId> {
-        self.shares.iter().map(|&(n, _)| n).collect()
-    }
-
     /// Total resources across all shares.
     pub fn total(&self) -> ResourceVec {
         self.shares.iter().map(|&(_, r)| r).sum()

@@ -20,6 +20,11 @@
 //! the byte offset, so journal recovery can keep the longest valid prefix
 //! and truncate the rest — loudly.
 //!
+//! Eight zero bytes are an intact frame with an empty payload
+//! (`crc32("") == 0`). No request, response or journal record is empty,
+//! so the journal writes none and reads an all-zero header as its
+//! end-of-log mark: the start of the zeros it pads its file with.
+//!
 //! ## Conversation
 //!
 //! One JSON object per frame, a response for every request:
@@ -234,37 +239,57 @@ pub fn decode_frame(buf: &[u8]) -> Result<(&[u8], usize), FrameError> {
     Ok((payload, 8 + len))
 }
 
-/// Reads one frame's payload from a stream: [`decode_frame`] for a
-/// socket, under the same header, length-cap and checksum checks, and
-/// the one frame reader of both socket sides. `Ok(None)` is the stream
-/// ending before a header.
+/// Reads one frame's payload from a stream into `payload`, replacing
+/// what it held and keeping its capacity: [`decode_frame`] for a stream,
+/// under the same header, length-cap and checksum checks, and the one
+/// stream frame reader — journal recovery reads every frame into one
+/// buffer with it, and [`read_frame`] wraps it for the socket. `Ok(false)`
+/// is the stream ending before a header.
 ///
 /// # Errors
 ///
 /// The stream's own error, `InvalidData` carrying the [`FrameError`], or
 /// `UnexpectedEof` carrying [`FrameError::Incomplete`] when the stream
 /// ends inside the payload. After any of them the stream cannot be
-/// resynchronized.
-pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Option<Vec<u8>>> {
+/// resynchronized, and what `payload` holds is not a frame.
+pub fn read_frame_into<R: Read>(stream: &mut R, payload: &mut Vec<u8>) -> io::Result<bool> {
+    payload.clear();
     let mut header = [0u8; 8];
     match stream.read_exact(&mut header) {
         Ok(()) => {}
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(false),
         Err(e) => return Err(e),
     }
     let invalid = |e: FrameError| io::Error::new(ErrorKind::InvalidData, e);
     let (len, expected) = split_header(header).map_err(invalid)?;
-    let mut payload = vec![0u8; len];
-    stream
-        .read_exact(&mut payload)
-        .map_err(|e| match e.kind() {
-            ErrorKind::UnexpectedEof => {
-                io::Error::new(e.kind(), FrameError::Incomplete { needed: 8 + len })
-            }
-            _ => e,
-        })?;
-    verify(&payload, expected).map_err(invalid)?;
-    Ok(Some(payload))
+    if payload.capacity() < len {
+        // Zeroed by the allocator, page by page as they are touched: a
+        // header that lies about its length costs no memory until its
+        // bytes arrive.
+        *payload = vec![0; len];
+    } else {
+        payload.resize(len, 0);
+    }
+    stream.read_exact(payload).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => {
+            io::Error::new(e.kind(), FrameError::Incomplete { needed: 8 + len })
+        }
+        _ => e,
+    })?;
+    verify(payload, expected).map_err(invalid)?;
+    Ok(true)
+}
+
+/// Reads one frame's payload from a stream into a buffer of its own:
+/// [`read_frame_into`] for a socket, whose frames come one at a time.
+/// `Ok(None)` is the stream ending before a header.
+///
+/// # Errors
+///
+/// As [`read_frame_into`].
+pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Option<Vec<u8>>> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(stream, &mut payload)?.then_some(payload))
 }
 
 // --------------------------------------------------------------------
@@ -471,6 +496,18 @@ mod tests {
             assert_eq!(read.as_deref(), Some(payload));
         }
         assert_eq!(read_frame(&mut reader).expect("clean end"), None);
+
+        // Into one reused buffer: each frame replaces the last, and the
+        // capacity the longest frame needed stays.
+        let mut reader = &stream[..];
+        let mut payload = b"stale".to_vec();
+        for expected in [&b"first"[..], b"", b"third payload"] {
+            assert!(read_frame_into(&mut reader, &mut payload).expect("intact"));
+            assert_eq!(payload, expected);
+        }
+        let capacity = payload.capacity();
+        assert!(!read_frame_into(&mut reader, &mut payload).expect("clean end"));
+        assert!(payload.is_empty() && payload.capacity() == capacity);
 
         // The same refusals `decode_frame` makes, and for the same bytes.
         let frame = encode_frame(b"payload bytes");

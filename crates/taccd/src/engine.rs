@@ -19,7 +19,10 @@
 //! `run`, and the only writer of the journal file while it lives. Per
 //! batch it encodes the records' frames into one buffer, makes one
 //! `write_all` and one `sync_data` — none of the three when the batch
-//! carries no record — and only then releases the batch's replies.
+//! carries no record — and only then releases the batch's replies. The
+//! write lands in space the journal zeroed ahead of time, so the sync
+//! carries data and not the file's size; a batch that passes the zeroed
+//! space pads more zeros past its frames before the same sync.
 //! So batch N+1 is applied while batch N is on its way to disk, and the
 //! apply stage is never more than [`PIPELINE_DEPTH`] + 1 batches ahead of
 //! the one being committed.
@@ -36,17 +39,19 @@
 //!   cannot be received until that state is on disk.
 //! * **I2 — arrival order.** Replies leave in the order their messages
 //!   arrived: one thread releases them, batch by batch.
-//! * **I3 — journal bytes.** The file is the genesis frame followed by
+//! * **I3 — journal bytes.** The file is the genesis frame, then
 //!   `encode_frame(record.to_json().to_string())` for each accepted
-//!   record, in `seq` order — whatever the batching.
+//!   record, in `seq` order — whatever the batching — then zeros: the
+//!   space the commit stage padded the file with ahead of the frames,
+//!   which recovery reads from the end-of-log mark on.
 //! * **I4 — fail-stop.** After the first failed write or sync the engine
 //!   never sends another [`Reply::Ok`]. The commit stage answers the
 //!   failed batch and everything after it `journal-io`; once the apply
 //!   stage sees the journal [closed](Journal::failed) it refuses
 //!   mutations without applying them, and queries too, because the state
 //!   they would describe is ahead of the journal. The journal then holds
-//!   exactly the acknowledged prefix (plus, at most, a torn tail that
-//!   recovery truncates); restarting the daemon recovers it.
+//!   exactly the acknowledged prefix (plus, at most, a torn tail and
+//!   zeros, which recovery truncates); restarting the daemon recovers it.
 //!
 //! ## Clock modes
 //!
@@ -238,8 +243,8 @@ impl Engine {
     /// Opens (or creates) the journal and builds the engine. An existing
     /// journal is recovered ([`Journal::replay`]): its longest valid
     /// prefix is replayed into a fresh platform as it decodes,
-    /// byte-reproducing the pre-crash state, and then any torn tail is
-    /// truncated. Returns the recovery report (`None` for a freshly
+    /// byte-reproducing the pre-crash state, and then whatever follows
+    /// it — a torn tail, or zeros — is truncated. Returns the recovery report (`None` for a freshly
     /// created journal).
     ///
     /// # Errors
@@ -1153,7 +1158,8 @@ mod tests {
 
     /// I3: however a live engine batched them, the journal's bytes are
     /// the genesis frame and then each accepted record's tree-printed
-    /// text, framed — the format every earlier build wrote.
+    /// text, framed — the format every earlier build wrote — then the
+    /// zeros the commits padded the file with.
     #[test]
     fn journal_bytes_are_the_framed_tree_text_of_each_record() {
         let path = temp_journal("bytes");
@@ -1169,14 +1175,22 @@ mod tests {
         let genesis_path = temp_journal("bytes-genesis");
         drop(Journal::create(&genesis_path, seed).expect("creates"));
         let mut expected = std::fs::read(&genesis_path).expect("reads");
-        let (_, records, _) = Journal::recover(&path, seed).expect("recovers");
+        let bytes = std::fs::read(&path).expect("reads");
+        let (_, records, report) = Journal::recover(&path, seed).expect("recovers");
         assert_eq!(records, acked_records(&script, &replies));
         assert!(records.len() > 1_000, "most of the script is accepted");
         for record in &records {
             let text = record.to_json().to_string();
             expected.extend(tacc_core::wire::encode_frame(text.as_bytes()));
         }
-        assert_eq!(std::fs::read(&path).expect("reads"), expected);
+        let (frames, zeros) = bytes.split_at(expected.len());
+        assert_eq!(frames, expected);
+        assert!(!zeros.is_empty(), "the commits padded the file");
+        assert!(
+            zeros.iter().all(|&b| b == 0),
+            "a non-zero byte past the frames"
+        );
+        assert!(!report.torn());
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&genesis_path).ok();
     }

@@ -3,7 +3,7 @@
 //! One file, a sequence of checksummed frames ([`tacc_core::wire`]):
 //! a genesis frame carrying the protocol version and platform seed,
 //! then one frame per accepted [`CommandRecord`], each a single JSON
-//! line.
+//! line, then zeros.
 //!
 //! A journal has two halves. The *append* half ([`Journal`]) queues an
 //! accepted record in the pending batch: no text, no syscall. The
@@ -16,23 +16,38 @@
 //! to a `Journal<Detached>` — which has no `sync`, so nothing can encode
 //! or flush on that thread — while its commit stage owns the file.
 //!
+//! The commit half writes into space it zeroed ahead of time. It keeps
+//! two positions: `end`, where the next frame goes, and `allocated`, the
+//! file's length, with every byte between them zero and synced. A batch
+//! that fits below `allocated` — the steady state — overwrites zeros, so
+//! its `sync_data` carries data alone: the file's size and block map do
+//! not change. A batch that passes it is written, then padded past with
+//! zeros ([`PAD_FIRST`] bytes, doubling up to [`PAD_MAX`]) before the
+//! same one `sync_data`. Padding is best effort: a failed pad leaves the
+//! file ending at the frames and the batch committed.
+//!
 //! A journal whose write or sync failed is closed for good
 //! ([`Journal::failed`]): the file may end mid-frame, so nothing more is
 //! written behind it and recovery truncates the tear.
 //!
 //! Recovery ([`Journal::replay`]) reads frames until the first torn or
-//! corrupt one and keeps the longest valid prefix. It streams: one
-//! buffered reader yields a frame at a time ([`wire::read_frame`]), the
-//! frame decodes straight into a record ([`CommandRecord::from_text`])
-//! and the caller applies it before the next frame is read. Only once
-//! the whole prefix has applied does recovery report what it dropped
-//! (loudly — torn tails are counted, logged and surfaced in
-//! `tacc_taccd_torn_frames_total`) and truncate the file, so the next
-//! append continues from a clean boundary; a prefix that fails to apply
-//! leaves the file as it was found.
+//! corrupt one, or the end-of-log mark — an all-zero frame header, which
+//! reads as an empty frame and which the journal never writes — and
+//! keeps the longest valid prefix. It streams: one buffered reader reads
+//! a frame at a time into one reused buffer ([`wire::read_frame_into`]),
+//! the frame decodes straight into a record
+//! ([`CommandRecord::from_text`]) and the caller applies it before the
+//! next frame is read. Only once the whole prefix has applied does
+//! recovery truncate the file after it, so the next append continues
+//! from a clean boundary, and report what it dropped. The dropped tail
+//! is torn only if it holds a non-zero byte — zeros are padding no
+//! commit reached — and a torn tail is reported loudly: counted, logged
+//! and surfaced in `tacc_taccd_torn_frames_total`. A prefix that fails to
+//! apply leaves the file as it was found.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, ErrorKind, Read, Seek, SeekFrom};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
@@ -84,20 +99,23 @@ pub struct RecoveryReport {
     pub frames: u64,
     /// Bytes of the longest valid prefix (frames kept).
     pub valid_bytes: u64,
-    /// Bytes dropped from the torn tail (0 for a clean journal).
+    /// Bytes dropped from the torn tail: 0 for a clean journal, whose
+    /// file ends at its frames or in zeros.
     pub torn_bytes: u64,
     /// Human-readable description of the tear, when there was one.
     pub torn_reason: Option<String>,
 }
 
 impl RecoveryReport {
-    /// True when the journal ended mid-frame or with a corrupt frame.
+    /// True when the journal's frames ended in a non-zero byte that is
+    /// not part of an intact frame: mid-frame, at a corrupt frame, or
+    /// inside the zeros past the end-of-log mark.
     pub fn torn(&self) -> bool {
         self.torn_bytes > 0
     }
 }
 
-/// The two calls that put a batch on disk. `File` is the implementation
+/// The calls that put a batch on disk. `File` is the implementation
 /// that ships; the trait exists so a test can put a failing or a gated
 /// disk in its place ([`JournalFile::wrap_sink`]).
 pub trait JournalSink: Send + std::fmt::Debug {
@@ -115,7 +133,35 @@ pub trait JournalSink: Send + std::fmt::Debug {
     /// The underlying I/O error; nothing written since the last
     /// successful call may be assumed durable.
     fn sync_data(&mut self) -> io::Result<()>;
+
+    /// Writes `len` zero bytes from byte `at`, the end of everything
+    /// written, without moving where the next `write_all` goes. Not
+    /// durable until the next `sync_data`. The default pads nothing,
+    /// for a test disk that has no file to pad.
+    ///
+    /// # Errors
+    ///
+    /// The underlying I/O error; the file then ends at `at` again, as
+    /// far as the disk allows.
+    fn pad(&mut self, _at: u64, _len: u64) -> io::Result<()> {
+        Ok(())
+    }
 }
+
+/// The first zero padding a journal lays past its frames, in bytes.
+/// Each later one doubles it, up to [`PAD_MAX`]. Constants, not
+/// settings: a sync over zeroed space costs data alone whatever the
+/// step, and the step only sets how often a commit pays for growing the
+/// file (DESIGN.md, "Journal format and durability protocol").
+pub const PAD_FIRST: u64 = 64 * 1024;
+
+/// The most zero padding one commit lays, in bytes: the most a clean
+/// restart scans past the last frame.
+pub const PAD_MAX: u64 = 1024 * 1024;
+
+/// What padding is written from, a block at a time: static, so padding
+/// allocates nothing.
+static ZEROS: [u8; PAD_FIRST as usize] = [0; PAD_FIRST as usize];
 
 impl JournalSink for File {
     fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
@@ -124,6 +170,20 @@ impl JournalSink for File {
 
     fn sync_data(&mut self) -> io::Result<()> {
         File::sync_data(self)
+    }
+
+    fn pad(&mut self, at: u64, len: u64) -> io::Result<()> {
+        let mut done = 0;
+        while done < len {
+            let block = &ZEROS[..(len - done).min(PAD_FIRST) as usize];
+            if let Err(e) = self.write_all_at(block, at + done) {
+                // Best effort: a file that cannot grow ends at its frames.
+                self.set_len(at).ok();
+                return Err(e);
+            }
+            done += block.len() as u64;
+        }
+        Ok(())
     }
 }
 
@@ -150,13 +210,23 @@ pub struct JournalFile {
     sink: Box<dyn JournalSink>,
     /// The batch being committed, framed; kept for its capacity.
     encoded: Vec<u8>,
+    /// Where the next frame goes: the end of the last one written.
+    end: u64,
+    /// The file's length. Every byte from `end` up to here is zero and
+    /// synced.
+    allocated: u64,
+    /// The next padding's length: [`PAD_FIRST`], doubling to [`PAD_MAX`].
+    next_pad: u64,
     progress: Arc<Progress>,
 }
 
 impl JournalFile {
     /// Makes one batch durable: frames each record into one buffer
     /// ([`wire::frame_into`] over [`CommandRecord::write_json`]), then one
-    /// `write_all`, one `sync_data`. A batch without records touches nothing.
+    /// `write_all` at `end`, one `sync_data`. A batch that passes
+    /// `allocated` is padded past with zeros in between, best effort: a
+    /// failed pad does not fail the commit. A batch without records
+    /// touches nothing.
     ///
     /// # Errors
     ///
@@ -175,17 +245,27 @@ impl JournalFile {
         for record in batch {
             wire::frame_into(&mut self.encoded, |payload| record.write_json(payload));
         }
-        let written = self
-            .sink
-            .write_all(&self.encoded)
-            .and_then(|()| self.sink.sync_data());
-        if let Err(e) = written {
+        if let Err(e) = self.write_and_sync() {
             self.progress.failed.store(true, SeqCst);
             return Err(JournalError::Io(e));
         }
         self.progress.durable.fetch_add(batch.len() as u64, SeqCst);
         self.progress.syncs.fetch_add(1, SeqCst);
         Ok(())
+    }
+
+    /// The encoded batch at `end`, the padding it passed into, one sync.
+    fn write_and_sync(&mut self) -> io::Result<()> {
+        self.sink.write_all(&self.encoded)?;
+        self.end += self.encoded.len() as u64;
+        if self.end > self.allocated {
+            self.allocated = self.end;
+            if self.sink.pad(self.end, self.next_pad).is_ok() {
+                self.allocated += self.next_pad;
+                self.next_pad = (2 * self.next_pad).min(PAD_MAX);
+            }
+        }
+        self.sink.sync_data()
     }
 
     /// Puts `wrap(the sink)` in the sink's place — how a test gets a
@@ -278,22 +358,25 @@ fn check_genesis(payload: &[u8], expected_seed: u64) -> Result<(), JournalError>
 
 /// What the bytes at a journal's read cursor hold.
 enum Next {
-    /// One intact frame's payload.
-    Frame(Vec<u8>),
-    /// Nothing: the cursor is at the end of the file.
+    /// One intact frame, its payload read into the buffer.
+    Frame,
+    /// The end of the log: the end of the file, or the end-of-log mark.
     End,
     /// Bytes that are not one intact frame, and why.
     Torn(String),
 }
 
 /// Reads the frame at the cursor, `remaining` bytes before the end of
-/// the file, with the one stream frame reader ([`wire::read_frame`]).
-fn next_frame(reader: &mut impl Read, remaining: u64) -> io::Result<Next> {
-    match wire::read_frame(reader) {
-        Ok(Some(payload)) => Ok(Next::Frame(payload)),
-        Ok(None) if remaining == 0 => Ok(Next::End),
+/// the file, into `payload` with the one stream frame reader
+/// ([`wire::read_frame_into`]). An empty frame — an all-zero header —
+/// is the end-of-log mark: no record or genesis frame is empty.
+fn next_frame(reader: &mut impl Read, remaining: u64, payload: &mut Vec<u8>) -> io::Result<Next> {
+    match wire::read_frame_into(reader, payload) {
+        Ok(true) if payload.is_empty() => Ok(Next::End),
+        Ok(true) => Ok(Next::Frame),
+        Ok(false) if remaining == 0 => Ok(Next::End),
         // Fewer than a header's 8 bytes are left.
-        Ok(None) => Ok(Next::Torn(FrameError::Incomplete { needed: 8 }.to_string())),
+        Ok(false) => Ok(Next::Torn(FrameError::Incomplete { needed: 8 }.to_string())),
         Err(e) if matches!(e.kind(), ErrorKind::InvalidData | ErrorKind::UnexpectedEof) => {
             Ok(Next::Torn(e.to_string()))
         }
@@ -306,6 +389,25 @@ fn next_frame(reader: &mut impl Read, remaining: u64) -> io::Result<Next> {
 fn parse_record(payload: &[u8]) -> Result<CommandRecord, String> {
     let text = std::str::from_utf8(payload).map_err(|_| "frame payload is not UTF-8".to_owned())?;
     CommandRecord::from_text(text)
+}
+
+/// Where the first non-zero byte from byte `from` to the end lies, if
+/// any.
+fn first_nonzero(reader: &mut (impl BufRead + Seek), from: u64) -> io::Result<Option<u64>> {
+    reader.seek(SeekFrom::Start(from))?;
+    let mut at = from;
+    loop {
+        let block = reader.fill_buf()?;
+        if block.is_empty() {
+            return Ok(None);
+        }
+        if let Some(i) = block.iter().position(|&b| b != 0) {
+            return Ok(Some(at + i as u64));
+        }
+        let read = block.len();
+        reader.consume(read);
+        at += read as u64;
+    }
 }
 
 impl Journal {
@@ -322,22 +424,26 @@ impl Journal {
             .create(true)
             .truncate(true)
             .open(path)?;
-        let mut journal = Journal::over(file, path);
-        let genesis = genesis_payload(seed);
+        let genesis = wire::encode_frame(genesis_payload(seed).as_bytes());
+        let mut journal = Journal::over(file, path, genesis.len() as u64);
         let sink = &mut journal.file.sink;
-        sink.write_all(&wire::encode_frame(genesis.as_bytes()))?;
+        sink.write_all(&genesis)?;
         sink.sync_data()?;
         journal.progress.syncs.store(1, SeqCst);
         Ok(journal)
     }
 
-    /// A journal appending at `file`'s cursor, nothing pending.
-    fn over(file: File, path: &Path) -> Journal {
+    /// A journal appending at `end`, `file`'s cursor and its length once
+    /// the caller has written or truncated it there; nothing pending.
+    fn over(file: File, path: &Path, end: u64) -> Journal {
         let progress = Arc::new(Progress::default());
         Journal {
             file: JournalFile {
                 sink: Box::new(file),
                 encoded: Vec::new(),
+                end,
+                allocated: end,
+                next_pad: PAD_FIRST,
                 progress: Arc::clone(&progress),
             },
             path: path.to_owned(),
@@ -369,11 +475,14 @@ impl Journal {
 
     /// Opens an existing journal, validates the genesis frame and feeds
     /// each record of the longest valid prefix of command frames, in
-    /// frame order, to `apply` as it decodes: a frame is read, decoded
-    /// and applied before the next one is read, so neither the file nor
-    /// its records are ever held whole. Once every record has applied it
-    /// truncates any torn tail and returns the journal, positioned to
-    /// append, with a report of what was kept and dropped.
+    /// frame order, to `apply` as it decodes: a frame is read into one
+    /// reused buffer, decoded and applied before the next one is read,
+    /// so neither the file nor its records are ever held whole. The
+    /// prefix ends at the end of the file, the end-of-log mark or the
+    /// first torn or unparseable frame. Once every record has applied it
+    /// truncates everything after the prefix and returns the journal,
+    /// positioned to append, with a report of what was kept and dropped:
+    /// torn only if what was dropped holds a non-zero byte.
     ///
     /// # Errors
     ///
@@ -394,28 +503,28 @@ impl Journal {
             .map_err(JournalError::Io)?;
         let len = file.metadata().map_err(JournalError::Io)?.len();
         let mut reader = BufReader::new(&file);
-        let genesis = match next_frame(&mut reader, len).map_err(JournalError::Io)? {
-            Next::Frame(payload) => payload,
+        let mut payload = Vec::new();
+        match next_frame(&mut reader, len, &mut payload).map_err(JournalError::Io)? {
+            Next::Frame => check_genesis(&payload, expected_seed)?,
             Next::End => {
-                let why = FrameError::Incomplete { needed: 8 }.to_string();
-                return Err(JournalError::BadGenesis(why).into());
+                let why = "the journal ends before its genesis frame";
+                return Err(JournalError::BadGenesis(why.to_owned()).into());
             }
             Next::Torn(why) => return Err(JournalError::BadGenesis(why).into()),
-        };
-        check_genesis(&genesis, expected_seed)?;
+        }
 
         let mut report = RecoveryReport {
-            valid_bytes: 8 + genesis.len() as u64,
+            valid_bytes: 8 + payload.len() as u64,
             ..RecoveryReport::default()
         };
-        report.torn_reason = loop {
+        let stopped = loop {
             let at = report.valid_bytes;
             let remaining = len.saturating_sub(at);
-            let payload = match next_frame(&mut reader, remaining).map_err(JournalError::Io)? {
-                Next::Frame(payload) => payload,
+            match next_frame(&mut reader, remaining, &mut payload).map_err(JournalError::Io)? {
+                Next::Frame => {}
                 Next::End => break None,
                 Next::Torn(why) => break Some(format!("torn frame at byte {at}: {why}")),
-            };
+            }
             match parse_record(&payload) {
                 Ok(record) => apply(record)?,
                 Err(why) => break Some(format!("unparseable frame at byte {at}: {why}")),
@@ -423,15 +532,26 @@ impl Journal {
             report.frames += 1;
             report.valid_bytes += 8 + payload.len() as u64;
         };
-        report.torn_bytes = len.saturating_sub(report.valid_bytes);
-        // Truncate the torn tail so appends restart from a clean frame
-        // boundary — now, with the whole prefix applied, and not before.
-        if report.torn() {
-            file.set_len(report.valid_bytes).map_err(JournalError::Io)?;
+        let valid = report.valid_bytes;
+        if len > valid {
+            // Zeros are padding no commit reached; anything else is torn.
+            let nonzero = first_nonzero(&mut reader, valid).map_err(JournalError::Io)?;
+            drop(reader);
+            if let Some(byte) = nonzero {
+                report.torn_bytes = len - valid;
+                report.torn_reason = Some(stopped.unwrap_or_else(|| {
+                    format!(
+                        "a non-zero byte at byte {byte}, past the end-of-log mark at byte {valid}"
+                    )
+                }));
+            }
+            // Appends restart from a clean frame boundary — cut now, with
+            // the whole prefix applied, and not before.
+            file.set_len(valid).map_err(JournalError::Io)?;
         }
-        file.seek(SeekFrom::Start(report.valid_bytes))
+        file.seek(SeekFrom::Start(valid))
             .map_err(JournalError::Io)?;
-        Ok((Journal::over(file, path), report))
+        Ok((Journal::over(file, path, valid), report))
     }
 
     /// Forces everything appended so far to stable storage (the group
@@ -555,39 +675,103 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn truncated_tail_recovers_longest_prefix() {
-        let path = temp_path("torn");
-        {
-            let mut j = Journal::create(&path, 42).expect("creates");
-            for seq in 0..5 {
-                j.append_frame(&record(seq)).expect("appends");
-            }
-            j.sync().expect("syncs");
+    /// A padded journal at `path` holding records 0 to 4, and where its
+    /// frames end.
+    fn five_records(path: &Path) -> u64 {
+        let mut j = Journal::create(path, 42).expect("creates");
+        for seq in 0..5 {
+            j.append_frame(&record(seq)).expect("appends");
         }
-        // Tear the last frame by dropping its final 3 bytes.
-        let len = std::fs::metadata(&path).expect("meta").len();
-        let f = OpenOptions::new().write(true).open(&path).expect("opens");
-        f.set_len(len - 3).expect("truncates");
-        drop(f);
+        j.sync().expect("syncs");
+        let len = std::fs::metadata(path).expect("meta").len();
+        assert_eq!(len, j.file.end + PAD_FIRST, "the first commit pads");
+        j.file.end
+    }
 
-        let (mut j, records, report) = Journal::recover(&path, 42).expect("recovers");
-        assert_eq!(records.len(), 4, "last frame was torn");
-        assert!(report.torn());
-        assert!(report
-            .torn_reason
-            .as_deref()
-            .unwrap_or("")
-            .contains("torn frame"));
-        // The file was truncated to the valid prefix; appends continue
-        // cleanly from there.
+    /// Recovers `path`, expecting the five records of [`five_records`]
+    /// (`kept` of them) and a report whose reason says `why`; then checks
+    /// that the file was cut to what was kept and that an append lands
+    /// right behind it.
+    fn recovers(path: &Path, kept: usize, why: Option<&str>) -> RecoveryReport {
+        let len = std::fs::metadata(path).expect("meta").len();
+        let (mut j, records, report) = Journal::recover(path, 42).expect("recovers");
+        assert_eq!(records, (0..kept as u64).map(record).collect::<Vec<_>>());
+        assert_eq!(report.frames, kept as u64);
+        let reason = report.torn_reason.as_deref();
+        match why {
+            Some(why) => assert!(reason.is_some_and(|r| r.contains(why)), "{reason:?}"),
+            None => assert_eq!(reason, None),
+        }
+        let torn = if why.is_some() {
+            len - report.valid_bytes
+        } else {
+            0
+        };
+        assert_eq!(report.torn_bytes, torn);
+        assert_eq!(report.torn(), why.is_some());
+        assert_eq!(
+            std::fs::metadata(path).expect("meta").len(),
+            report.valid_bytes,
+            "everything after the valid prefix is cut"
+        );
         j.append_frame(&record(99)).expect("appends after recovery");
         j.sync().expect("syncs");
         drop(j);
-        let (_j, records, report) = Journal::recover(&path, 42).expect("re-recovers");
-        assert_eq!(records.len(), 5);
-        assert_eq!(records[4].seq, 99);
-        assert!(!report.torn());
+        let (_j, records, again) = Journal::recover(path, 42).expect("re-recovers");
+        assert_eq!(records.len(), kept + 1);
+        assert_eq!(records[kept].seq, 99, "appends resume at the prefix's end");
+        assert!(!again.torn());
+        report
+    }
+
+    /// Overwrites the bytes of `path` from `at` on with `bytes`.
+    fn overwrite(path: &Path, at: u64, bytes: &[u8]) {
+        let f = OpenOptions::new().write(true).open(path).expect("opens");
+        f.write_all_at(bytes, at).expect("writes");
+    }
+
+    /// A restart on a padded journal is clean: the zero tail is cut,
+    /// nothing is counted torn, and appends resume at `end`.
+    #[test]
+    fn a_zero_tail_is_clean_and_cut() {
+        let path = temp_path("zero-tail");
+        let end = five_records(&path);
+        let report = recovers(&path, 5, None);
+        assert_eq!(report.valid_bytes, end);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A torn frame followed by the zeros it was written over is torn,
+    /// zeros and all.
+    #[test]
+    fn a_torn_frame_before_zeros_is_torn() {
+        let path = temp_path("torn-zeros");
+        let end = five_records(&path);
+        overwrite(&path, end - 3, &[0; 3]);
+        recovers(&path, 4, Some("torn frame"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A non-zero byte past the end-of-log mark is no padding: torn.
+    #[test]
+    fn a_non_zero_byte_among_the_zeros_is_torn() {
+        let path = temp_path("zeros-nonzero");
+        let end = five_records(&path);
+        overwrite(&path, end + 4096, &[1]);
+        let report = recovers(&path, 5, Some("past the end-of-log mark"));
+        assert_eq!(report.valid_bytes, end);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn truncated_tail_recovers_longest_prefix() {
+        let path = temp_path("torn");
+        // Tear the last frame by cutting the file 3 bytes short of it.
+        let end = five_records(&path);
+        let f = OpenOptions::new().write(true).open(&path).expect("opens");
+        f.set_len(end - 3).expect("truncates");
+        drop(f);
+        recovers(&path, 4, Some("torn frame"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -596,6 +780,8 @@ mod tests {
     enum Call {
         Write(Vec<u8>),
         Sync,
+        /// Zeros: from where, how many.
+        Pad(u64, u64),
     }
 
     /// A disk that records every call, shared with the test that reads
@@ -624,6 +810,14 @@ mod tests {
 
         fn sync_data(&mut self) -> io::Result<()> {
             self.calls.lock().expect("not poisoned").push(Call::Sync);
+            Ok(())
+        }
+
+        fn pad(&mut self, at: u64, len: u64) -> io::Result<()> {
+            self.calls
+                .lock()
+                .expect("not poisoned")
+                .push(Call::Pad(at, len));
             Ok(())
         }
     }
@@ -665,7 +859,9 @@ mod tests {
     }
 
     /// The appender only queues; one commit frames the whole batch, in
-    /// queue order, into one `write_all`, then syncs: I3's bytes.
+    /// queue order, into one `write_all` right behind the genesis frame,
+    /// pads past it — the batch passed the file's end — and syncs once:
+    /// I3's bytes.
     #[test]
     fn one_commit_writes_the_queued_records_framed_in_one_call() {
         let disk = RecordingDisk::default();
@@ -683,7 +879,9 @@ mod tests {
             .iter()
             .flat_map(|r| wire::encode_frame(r.to_json().to_string().as_bytes()))
             .collect();
-        assert_eq!(disk.calls(), [Call::Write(framed), Call::Sync]);
+        let end = (wire::encode_frame(genesis_payload(42).as_bytes()).len() + framed.len()) as u64;
+        let pad = Call::Pad(end, PAD_FIRST);
+        assert_eq!(disk.calls(), [Call::Write(framed), pad, Call::Sync]);
         assert_eq!(appender.stats().dirty, 0);
         assert_eq!(appender.stats().syncs, 2, "the genesis sync, then one");
     }
@@ -706,6 +904,95 @@ mod tests {
         assert_eq!(file.encoded, encoded, "a batch encoded behind the tear");
         assert!(appender.failed());
         assert!(appender.append_frame(&records[1]).is_err());
+    }
+
+    /// What the gain rests on: a commit that fits in the zeroed space
+    /// leaves the file's length alone, and only a commit that passes it
+    /// grows the file — by its frames and the next padding, 64 KiB
+    /// doubling to 1 MiB — with zeros behind its frames.
+    #[test]
+    fn only_a_commit_that_passes_the_zeroed_space_changes_the_length() {
+        let path = temp_path("lengths");
+        let mut j = Journal::create(&path, 42).expect("creates");
+        let len = |path: &Path| std::fs::metadata(path).expect("meta").len();
+        let mut end = len(&path);
+        let mut pads = Vec::new();
+        let name = "x".repeat(6_000);
+        for seq in 0..400 {
+            let schema = tacc_workload::TaskSchema::builder(
+                &format!("{name}{seq}"),
+                tacc_workload::GroupId::from_index(1),
+            );
+            let record = CommandRecord {
+                seq,
+                at_secs: 0.0,
+                command: Command::Submit {
+                    schema: schema.build().expect("valid schema").into(),
+                    service_secs: 60.0,
+                },
+            };
+            j.append_frame(&record).expect("appends");
+            let frame = wire::encode_frame(record.to_json().to_string().as_bytes());
+            let before = len(&path);
+            j.sync().expect("syncs");
+            end += frame.len() as u64;
+            let after = len(&path);
+            if end <= before {
+                assert_eq!(after, before, "commit {seq} fit and changed the length");
+            } else {
+                pads.push(after - end);
+            }
+        }
+        let expected: Vec<u64> = [1, 2, 4, 8, 16, 16].iter().map(|k| k * PAD_FIRST).collect();
+        assert_eq!(pads, expected, "the padding steps");
+        assert_eq!(PAD_MAX, 16 * PAD_FIRST);
+        let bytes = std::fs::read(&path).expect("reads");
+        assert!(
+            bytes[end as usize..].iter().all(|&b| b == 0),
+            "zeros past the frames"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A disk whose padding fails halfway: some zeros are down, then an
+    /// error, every time.
+    #[derive(Debug)]
+    struct PadFails(Box<dyn JournalSink>);
+
+    impl JournalSink for PadFails {
+        fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.0.write_all(bytes)
+        }
+
+        fn sync_data(&mut self) -> io::Result<()> {
+            self.0.sync_data()
+        }
+
+        fn pad(&mut self, at: u64, len: u64) -> io::Result<()> {
+            self.0.pad(at, len / 2)?;
+            Err(io::Error::other("injected pad failure"))
+        }
+    }
+
+    /// A failed pad fails no commit: each is acknowledged and durable,
+    /// the next commit tries again, and recovery finds every frame and a
+    /// clean end.
+    #[test]
+    fn a_failed_pad_fails_no_commit() {
+        let path = temp_path("pad-fails");
+        let (mut appender, file) = Journal::create(&path, 42).expect("creates").split();
+        let mut file = file.wrap_sink(|disk| Box::new(PadFails(disk)));
+        for seq in 0..5 {
+            appender.append_frame(&record(seq)).expect("appends");
+            file.commit(&appender.take_pending(Frames::new()))
+                .expect("a failed pad fails no commit");
+            assert_eq!(file.allocated, file.end, "nothing counts as padded");
+        }
+        assert_eq!(appender.stats().dirty, 0);
+        assert!(!appender.failed());
+        drop(file);
+        recovers(&path, 5, None);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -199,9 +199,12 @@ fn serve(engine: Engine, commands: &[Command]) -> (String, u64, Vec<u64>) {
 /// A journal a live engine wrote from a `len`-command script, with
 /// everything a recovery of any prefix of it is checked against.
 struct Pristine {
+    /// The whole file: its frames, then the zeros the engine padded it
+    /// with.
     bytes: Vec<u8>,
     /// `boundaries[r]` is the byte length of a journal holding exactly r
-    /// command frames; `boundaries[0]` ends the genesis frame.
+    /// command frames; `boundaries[0]` ends the genesis frame, and the
+    /// last one is where the zeros start.
     boundaries: Vec<usize>,
     /// `reference[r]` is the exact transition log a daemon must
     /// reproduce when its journal recovers r command frames.
@@ -228,15 +231,24 @@ impl Pristine {
 
         let (_, genesis_len) = wire::decode_frame(&bytes).expect("genesis frame decodes");
         let mut boundaries = vec![genesis_len];
-        while *boundaries.last().expect("nonempty") < bytes.len() {
+        loop {
             let offset = *boundaries.last().expect("nonempty");
-            let (_, used) = wire::decode_frame(&bytes[offset..]).expect("clean journal decodes");
+            let (payload, used) =
+                wire::decode_frame(&bytes[offset..]).expect("clean journal decodes");
+            if payload.is_empty() {
+                break; // the end-of-log mark
+            }
             boundaries.push(offset + used);
         }
         assert_eq!(
             boundaries.len(),
             reference.len(),
             "{tag}: exactly one frame per accepted command"
+        );
+        let end = *boundaries.last().expect("nonempty");
+        assert!(
+            bytes[end..].iter().all(|&b| b == 0),
+            "{tag}: only zeros past the frames"
         );
         Pristine {
             bytes,
@@ -248,8 +260,9 @@ impl Pristine {
 
 /// What recovering `bytes` must keep, found the plain way: whole-buffer
 /// `wire::decode_frame` and `CommandRecord::from_json` from the genesis
-/// frame on, stopping at the first failure. The records and the bytes
-/// they end at; `None` when the genesis frame is not this daemon's.
+/// frame on, stopping at the first failure or the end-of-log mark (an
+/// empty frame: eight zero bytes). The records and the bytes they end
+/// at; `None` when the genesis frame is not this daemon's.
 fn scan(bytes: &[u8]) -> Option<(Vec<CommandRecord>, usize)> {
     let parse = |payload: &[u8]| wire::parse(std::str::from_utf8(payload).ok()?).ok();
     let (genesis, mut offset) = wire::decode_frame(bytes).ok()?;
@@ -261,6 +274,9 @@ fn scan(bytes: &[u8]) -> Option<(Vec<CommandRecord>, usize)> {
     }
     let mut records = Vec::new();
     while let Ok((payload, used)) = wire::decode_frame(&bytes[offset..]) {
+        if payload.is_empty() {
+            break;
+        }
         let Some(record) = parse(payload).and_then(|v| CommandRecord::from_json(&v).ok()) else {
             break;
         };
@@ -272,8 +288,9 @@ fn scan(bytes: &[u8]) -> Option<(Vec<CommandRecord>, usize)> {
 
 /// Recovers `bytes` both ways — `Journal::recover` on one copy, and
 /// `Engine::open` straight on another, torn tail and all — and holds
-/// both to [`scan`]: the same records and report, the tail truncated only
-/// by a recovery that succeeds, and (where the records' `seq` is dense)
+/// both to [`scan`]: the same records and report (torn exactly when the
+/// bytes past the kept prefix hold a non-zero one), the tail truncated
+/// only by a recovery that succeeds, and (where the records' `seq` is dense)
 /// an engine whose log is `reference`'s at that prefix, numbering on
 /// from there. A non-dense `seq` is a typed `Replay` refusal that leaves
 /// the file as it was found. Returns the recovery report, `None` where
@@ -316,7 +333,9 @@ fn recover_both_ways(
     assert_eq!(recovered_records, records, "{case}: recovered records");
     assert_eq!(report.frames, records.len() as u64, "{case}");
     assert_eq!(report.valid_bytes, valid as u64, "{case}");
-    assert_eq!(report.torn_bytes, (bytes.len() - valid) as u64, "{case}");
+    let torn = bytes[valid..].iter().any(|&b| b != 0);
+    let torn_bytes = if torn { bytes.len() - valid } else { 0 };
+    assert_eq!(report.torn_bytes, torn_bytes as u64, "{case}");
     assert_eq!(
         report.torn_reason.is_some(),
         report.torn(),
@@ -324,7 +343,7 @@ fn recover_both_ways(
     );
     assert!(
         after_recover == bytes[..valid],
-        "{case}: the torn tail must be truncated away"
+        "{case}: the tail must be truncated away"
     );
 
     let gap = records
@@ -395,9 +414,14 @@ fn torn_journals_recover_the_longest_valid_prefix_and_byte_reproduce() {
             "seed {seed}: script too timid, only {accepted} commands accepted"
         );
 
+        // Cuts through the frames, and through the zeros behind them:
+        // inside the end-of-log mark and past it.
+        let end = *boundaries.last().expect("nonempty");
         let mut cuts: Vec<usize> = (0..10)
-            .map(|_| rng.below(bytes.len() as u64 + 1) as usize)
+            .map(|_| rng.below(end as u64 + 1) as usize)
             .collect();
+        cuts.push(end + 1 + rng.below(7) as usize);
+        cuts.push(end + 8 + rng.below((bytes.len() - end - 8) as u64 + 1) as usize);
         if seed == LONG {
             assert!(accepted > 3 * STRIDE + 1, "seed {seed}: {accepted}");
             // Exactly at, one short of and one past each of the three
@@ -420,17 +444,26 @@ fn torn_journals_recover_the_longest_valid_prefix_and_byte_reproduce() {
                 continue;
             }
 
-            // Longest valid prefix: every whole frame before the cut.
+            // Longest valid prefix: every whole frame before the cut. What
+            // the cut leaves of the next frame is torn — unless it is no
+            // more than zeros, as past the last frame.
             let full = boundaries.iter().filter(|b| **b <= cut).count() - 1;
             let report = report.expect("recovery succeeds past genesis");
             assert_eq!(report.frames, full as u64, "{case}: recovered frames");
             assert_eq!(report.valid_bytes, boundaries[full] as u64, "{case}");
-            assert_eq!(report.torn_bytes, (cut - boundaries[full]) as u64, "{case}");
+            let torn = bytes[boundaries[full]..cut].iter().any(|&b| b != 0);
+            let torn_bytes = if torn { cut - boundaries[full] } else { 0 };
+            assert_eq!(report.torn_bytes, torn_bytes as u64, "{case}");
             assert_eq!(
                 report.torn(),
-                cut != boundaries[full],
+                torn,
                 "{case}: a mid-frame cut must be reported torn"
             );
+            if cut <= end && cut != boundaries[full] {
+                // Of a frame's bytes only its length's low byte can be
+                // zero on its own.
+                assert!(torn || cut == boundaries[full] + 1, "{case}");
+            }
         }
     }
 }
@@ -473,10 +506,12 @@ fn a_journal_that_fails_to_replay_is_left_as_it_was_found() {
 /// The journal reader under hostile bytes: a seeded mutation of a real
 /// journal — a bit flipped in a header or a payload, a length field set
 /// to 0, just past the end of the file, `MAX_FRAME_LEN` or one more, a
-/// payload swapped for JSON that is not a record, a frame duplicated —
-/// goes through `Journal::recover` and `Engine::open`. Neither panics,
-/// both keep exactly what a plain scan keeps, and a duplicate that
-/// breaks the `seq` is a typed refusal ([`recover_both_ways`]).
+/// payload swapped for JSON that is not a record, a frame duplicated;
+/// the zeros past the frames are one more "frame", its header the
+/// end-of-log mark — goes through `Journal::recover` and `Engine::open`.
+/// Neither panics, both keep exactly what a plain scan keeps, and a
+/// duplicate that breaks the `seq` is a typed refusal
+/// ([`recover_both_ways`]).
 #[test]
 fn mutated_journals_recover_what_a_plain_scan_keeps() {
     const CASES: usize = 240;
@@ -495,10 +530,12 @@ fn mutated_journals_recover_what_a_plain_scan_keeps() {
         "{\"seq\":0,\"at_secs\":0,\"command\":{\"kind\":\"nope\"}}",
     ];
     let mut kinds = [0usize; 8];
+    let mut in_the_zeros = 0;
     for case in 0..CASES {
-        let frame = rng.below(boundaries.len() as u64) as usize;
+        let frame = rng.below(boundaries.len() as u64 + 1) as usize;
         let start = frame.checked_sub(1).map_or(0, |f| boundaries[f]);
-        let end = boundaries[frame];
+        let end = boundaries.get(frame).copied().unwrap_or(bytes.len());
+        in_the_zeros += usize::from(frame == boundaries.len());
         let mut mutated = bytes.clone();
         let set_len = |mutated: &mut Vec<u8>, len: usize| {
             mutated[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
@@ -531,6 +568,7 @@ fn mutated_journals_recover_what_a_plain_scan_keeps() {
         kinds.iter().all(|&n| n > 0),
         "every mutation drawn: {kinds:?}"
     );
+    assert!(in_the_zeros > 0, "no mutation landed in the zeros");
 }
 
 // ---------------------------------------------------------------------
