@@ -14,7 +14,7 @@
 //! * `contended-borrowing` — heavy load under quota borrowing, the
 //!   reclaim/preemption-dominated regime of experiment F5;
 //! * `fair-share` — usage-keyed queue ordering, where sort-skipping depends
-//!   on the usage epoch (experiment F3's fair regime);
+//!   on the quota ledger's epoch (experiment F3's fair regime);
 //! * `conservative-backfill` — per-blocked-job reservations, the
 //!   reservation-heavy regime of experiment F4;
 //! * `multi-factor` — the always-re-sort policy, the worst case for the

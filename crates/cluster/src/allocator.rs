@@ -49,11 +49,12 @@ impl fmt::Display for LeaseId {
     }
 }
 
-/// A granted multi-node allocation: which nodes hold how much, for whom.
+/// A granted multi-node allocation: which nodes hold how much. It is the
+/// one record of a lease's shares; a node counts only how many leases
+/// hold a share of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lease {
     id: LeaseId,
-    owner: u64,
     shares: Vec<(NodeId, ResourceVec)>,
 }
 
@@ -63,19 +64,9 @@ impl Lease {
         self.id
     }
 
-    /// The opaque owner tag supplied at allocation (the platform uses job ids).
-    pub fn owner(&self) -> u64 {
-        self.owner
-    }
-
     /// Per-node shares of the allocation.
     pub fn shares(&self) -> &[(NodeId, ResourceVec)] {
         &self.shares
-    }
-
-    /// Total resources across all shares.
-    pub fn total(&self) -> ResourceVec {
-        self.shares.iter().map(|&(_, r)| r).sum()
     }
 }
 
@@ -460,12 +451,6 @@ impl Cluster {
         self.leases.get(id)
     }
 
-    /// Iterates over active leases in arena slot order (deterministic, but
-    /// not grant order once slots recycle).
-    pub fn leases(&self) -> impl Iterator<Item = &Lease> {
-        self.leases.iter()
-    }
-
     /// Lease-arena churn counters: `(fresh slot allocations, free-list
     /// reuses)`. Deterministic work counters, CI-gated by the perf
     /// harness.
@@ -473,7 +458,7 @@ impl Cluster {
         (self.leases.allocs, self.leases.reuses)
     }
 
-    /// Atomically allocates the given per-node shares for `owner`.
+    /// Atomically allocates the given per-node shares.
     ///
     /// Shares may repeat a node; the lease holds one share per node, its
     /// total, in ascending node order. Either every total fits and the
@@ -488,7 +473,6 @@ impl Cluster {
     ///   fit; the lowest-id such node is reported.
     pub fn allocate<S>(
         &mut self,
-        owner: u64,
         shares: impl IntoIterator<Item = S>,
     ) -> Result<LeaseId, ClusterError>
     where
@@ -523,15 +507,11 @@ impl Cluster {
         let id = self.leases.next_id();
         for &(node, total) in &needed {
             let before = self.nodes[node.index()].free();
-            self.nodes[node.index()].reserve(id, total);
+            self.nodes[node.index()].reserve(total);
             let after = self.nodes[node.index()].free();
             self.note_free_change(before, after);
         }
-        self.leases.insert_lease(Lease {
-            id,
-            owner,
-            shares: needed,
-        });
+        self.leases.insert_lease(Lease { id, shares: needed });
         self.version += 1;
         Ok(id)
     }
@@ -546,9 +526,9 @@ impl Cluster {
             .leases
             .remove(id)
             .ok_or(ClusterError::UnknownLease(id))?;
-        for (node, _) in lease.shares {
+        for (node, held) in lease.shares {
             let before = self.nodes[node.index()].free();
-            self.nodes[node.index()].release(id);
+            self.nodes[node.index()].release(held);
             let after = self.nodes[node.index()].free();
             self.note_free_change(before, after);
         }
@@ -612,16 +592,23 @@ impl Cluster {
             .unwrap_or(0)
     }
 
-    /// Verifies per-node accounting (free + sum(leases) == capacity) and
-    /// that the incremental aggregates match a from-scratch recount.
+    /// Verifies per-node accounting against a recount from the lease
+    /// arena (free + the shares leased on the node == capacity, and the
+    /// node's lease count == the leases with a share there), and that the
+    /// incremental aggregates match a from-scratch recount.
     ///
     /// Cheap enough to run inside tests and property checks; the platform
     /// calls it at the end of every simulation in debug builds.
     pub fn check_invariants(&self) -> bool {
-        let per_node = self.nodes.iter().all(|n| {
-            let leased: ResourceVec = n.leases().map(|(_, r)| r).sum();
-            leased + n.free() == n.capacity()
-        });
+        let mut leased = vec![(ResourceVec::ZERO, 0usize); self.nodes.len()];
+        for &(node, share) in self.leases.iter().flat_map(Lease::shares) {
+            leased[node.index()].0 += share;
+            leased[node.index()].1 += 1;
+        }
+        let per_node =
+            self.nodes.iter().zip(&leased).all(|(n, &(held, count))| {
+                held + n.free() == n.capacity() && count == n.lease_count()
+            });
         let free_total: u32 = self.nodes.iter().map(|n| n.free().gpus).sum();
         let capacity: ResourceVec = self.nodes.iter().map(Node::capacity).sum();
         let mut histogram: BTreeMap<u32, u32> = BTreeMap::new();
@@ -677,15 +664,38 @@ mod tests {
     fn allocate_release_round_trip() {
         let mut c = small();
         let n0 = NodeId::from_index(0);
-        let lease = c
-            .allocate(1, [(n0, ResourceVec::gpus_only(8))])
-            .expect("fits");
+        let lease = c.allocate([(n0, ResourceVec::gpus_only(8))]).expect("fits");
         assert_eq!(c.free_gpus(), 24);
-        assert_eq!(c.lease(lease).expect("live").total().gpus, 8);
+        let shares = c.lease(lease).map(Lease::shares);
+        assert_eq!(shares, Some(&[(n0, ResourceVec::gpus_only(8))][..]));
         assert_eq!(c.lease_count(), 1);
         assert!(c.check_invariants());
         c.release(lease).expect("active lease");
         assert_eq!(c.free_gpus(), 32);
+        assert!(c.check_invariants());
+    }
+
+    /// A node counts the leases holding a share of it: a lease whose
+    /// shares repeat a node counts once there.
+    #[test]
+    fn a_lease_counts_once_per_node() {
+        let mut c = small();
+        let (n0, n1) = (NodeId::from_index(0), NodeId::from_index(1));
+        let count = |c: &Cluster, n: NodeId| c.node(n).map(Node::lease_count);
+        let a = c
+            .allocate([
+                (n0, ResourceVec::gpus_only(2)),
+                (n0, ResourceVec::gpus_only(3)),
+                (n1, ResourceVec::gpus_only(1)),
+            ])
+            .expect("fits");
+        assert_eq!((count(&c, n0), count(&c, n1)), (Some(1), Some(1)));
+        assert_eq!(c.node(n0).map(|n| n.free().gpus), Some(3));
+        c.allocate([(n0, ResourceVec::gpus_only(1))]).expect("fits");
+        assert_eq!(count(&c, n0), Some(2));
+        c.release(a).expect("active lease");
+        assert_eq!((count(&c, n0), count(&c, n1)), (Some(1), Some(0)));
+        assert_eq!(c.node(n0).map(|n| n.free().gpus), Some(7));
         assert!(c.check_invariants());
     }
 
@@ -695,18 +705,14 @@ mod tests {
         let n0 = NodeId::from_index(0);
         let n1 = NodeId::from_index(1);
         // First fill node 1 completely.
-        c.allocate(1, [(n1, ResourceVec::gpus_only(8))])
-            .expect("fits");
+        c.allocate([(n1, ResourceVec::gpus_only(8))]).expect("fits");
         // Multi-node request where the second share cannot fit must not
         // touch node 0 either.
         let err = c
-            .allocate(
-                2,
-                [
-                    (n0, ResourceVec::gpus_only(8)),
-                    (n1, ResourceVec::gpus_only(1)),
-                ],
-            )
+            .allocate([
+                (n0, ResourceVec::gpus_only(8)),
+                (n1, ResourceVec::gpus_only(1)),
+            ])
             .expect_err("node 1 is full");
         assert_eq!(err, ClusterError::InsufficientResources { node: n1 });
         assert_eq!(c.node(n0).expect("exists").free().gpus, 8);
@@ -719,25 +725,19 @@ mod tests {
         let n0 = NodeId::from_index(0);
         // Two 4-GPU shares on the same node: fine (8 total).
         let lease = c
-            .allocate(
-                1,
-                [
-                    (n0, ResourceVec::gpus_only(4)),
-                    (n0, ResourceVec::gpus_only(4)),
-                ],
-            )
+            .allocate([
+                (n0, ResourceVec::gpus_only(4)),
+                (n0, ResourceVec::gpus_only(4)),
+            ])
             .expect("sums to node capacity");
-        assert_eq!(c.lease(lease).expect("live").shares().len(), 1);
-        assert_eq!(c.lease(lease).expect("live").total().gpus, 8);
+        let shares = c.lease(lease).map(Lease::shares);
+        assert_eq!(shares, Some(&[(n0, ResourceVec::gpus_only(8))][..]));
         // Three 4-GPU shares: 12 > 8 must fail.
         let err = c
-            .allocate(
-                2,
-                [
-                    (n0, ResourceVec::gpus_only(2)),
-                    (n0, ResourceVec::gpus_only(7)),
-                ],
-            )
+            .allocate([
+                (n0, ResourceVec::gpus_only(2)),
+                (n0, ResourceVec::gpus_only(7)),
+            ])
             .expect_err("over capacity in aggregate");
         assert!(matches!(err, ClusterError::InsufficientResources { .. }));
     }
@@ -746,13 +746,13 @@ mod tests {
     fn errors_for_bad_inputs() {
         let mut c = small();
         assert_eq!(
-            c.allocate(1, [] as [(NodeId, ResourceVec); 0])
+            c.allocate([] as [(NodeId, ResourceVec); 0])
                 .expect_err("empty"),
             ClusterError::EmptyRequest
         );
         let ghost = NodeId::from_index(99);
         assert_eq!(
-            c.allocate(1, [(ghost, ResourceVec::gpus_only(1))])
+            c.allocate([(ghost, ResourceVec::gpus_only(1))])
                 .expect_err("unknown node"),
             ClusterError::UnknownNode(ghost)
         );
@@ -770,10 +770,9 @@ mod tests {
         let mut c = small();
         let n0 = NodeId::from_index(0);
         assert_eq!(c.alloc_failures(), 0);
-        c.allocate(1, [(n0, ResourceVec::gpus_only(8))])
-            .expect("fits");
+        c.allocate([(n0, ResourceVec::gpus_only(8))]).expect("fits");
         assert_eq!(c.alloc_failures(), 0);
-        c.allocate(2, [(n0, ResourceVec::gpus_only(1))])
+        c.allocate([(n0, ResourceVec::gpus_only(1))])
             .expect_err("node full");
         assert_eq!(c.alloc_failures(), 1);
     }
@@ -782,9 +781,7 @@ mod tests {
     fn double_release_fails() {
         let mut c = small();
         let n0 = NodeId::from_index(0);
-        let lease = c
-            .allocate(1, [(n0, ResourceVec::gpus_only(1))])
-            .expect("fits");
+        let lease = c.allocate([(n0, ResourceVec::gpus_only(1))]).expect("fits");
         c.release(lease).expect("first release");
         assert!(c.release(lease).is_err());
     }
@@ -793,20 +790,18 @@ mod tests {
     fn drained_nodes_reject_new_work_only() {
         let mut c = small();
         let n0 = NodeId::from_index(0);
-        let lease = c
-            .allocate(1, [(n0, ResourceVec::gpus_only(2))])
-            .expect("fits");
+        let lease = c.allocate([(n0, ResourceVec::gpus_only(2))]).expect("fits");
         assert!(c.drain(n0));
         assert_eq!(c.drained_count(), 1);
         // New work on the drained node fails even though capacity is free.
         assert!(matches!(
-            c.allocate(2, [(n0, ResourceVec::gpus_only(1))]),
+            c.allocate([(n0, ResourceVec::gpus_only(1))]),
             Err(ClusterError::InsufficientResources { .. })
         ));
         // The running lease drains out normally.
         c.release(lease).expect("still valid");
         assert!(c.undrain(n0));
-        assert!(c.allocate(3, [(n0, ResourceVec::gpus_only(1))]).is_ok());
+        assert!(c.allocate([(n0, ResourceVec::gpus_only(1))]).is_ok());
         assert!(!c.drain(NodeId::from_index(99)));
     }
 
@@ -817,12 +812,10 @@ mod tests {
         let n0 = NodeId::from_index(0);
         // Reads and failed mutations leave the version unchanged.
         let _ = c.free_gpus();
-        c.allocate(1, [] as [(NodeId, ResourceVec); 0])
+        c.allocate([] as [(NodeId, ResourceVec); 0])
             .expect_err("empty request");
         assert_eq!(c.version(), v0);
-        let lease = c
-            .allocate(1, [(n0, ResourceVec::gpus_only(1))])
-            .expect("fits");
+        let lease = c.allocate([(n0, ResourceVec::gpus_only(1))]).expect("fits");
         assert!(c.version() > v0);
         let v1 = c.version();
         c.release(lease).expect("active lease");
@@ -837,19 +830,15 @@ mod tests {
     fn lease_ids_are_generational() {
         let mut c = small();
         let n0 = NodeId::from_index(0);
-        let a = c
-            .allocate(1, [(n0, ResourceVec::gpus_only(2))])
-            .expect("fits");
+        let a = c.allocate([(n0, ResourceVec::gpus_only(2))]).expect("fits");
         c.release(a).expect("active");
-        let b = c
-            .allocate(2, [(n0, ResourceVec::gpus_only(2))])
-            .expect("fits");
+        let b = c.allocate([(n0, ResourceVec::gpus_only(2))]).expect("fits");
         // The slot recycles but the generation advances, so the recycled
         // id is distinct and the stale one resolves to nothing.
         assert_eq!(b.slot(), a.slot());
         assert_ne!(b, a);
         assert!(c.lease(a).is_none(), "stale id must not resolve");
-        assert_eq!(c.lease(b).map(Lease::owner), Some(2));
+        assert_eq!(c.lease(b).map(Lease::id), Some(b));
         let (allocs, reuses) = c.lease_arena_stats();
         assert_eq!((allocs, reuses), (1, 1));
         assert!(c.check_invariants());
@@ -884,7 +873,7 @@ mod tests {
                         )
                     })
                     .collect();
-                if let Ok(lease) = c.allocate(rng(), &shares) {
+                if let Ok(lease) = c.allocate(&shares) {
                     live.push(lease);
                 }
             }
@@ -925,25 +914,22 @@ mod tests {
         assert!((c.fragmentation() - 0.75).abs() < 1e-12);
         // Take 5 GPUs on each of two nodes and fill a third.
         for i in 0..2 {
-            c.allocate(
-                i,
-                [(NodeId::from_index(i as usize), ResourceVec::gpus_only(5))],
-            )
-            .expect("fits");
+            c.allocate([(NodeId::from_index(i as usize), ResourceVec::gpus_only(5))])
+                .expect("fits");
         }
-        c.allocate(2, [(NodeId::from_index(2), ResourceVec::gpus_only(8))])
+        c.allocate([(NodeId::from_index(2), ResourceVec::gpus_only(8))])
             .expect("fits");
         // free = 3+3+0+8 = 14; largest block 8.
         assert_eq!(c.largest_free_block(), 8);
         assert!((c.fragmentation() - (1.0 - 8.0 / 14.0)).abs() < 1e-12);
         // Every free GPU on one node: nothing is fragmented.
-        c.allocate(3, [(NodeId::from_index(0), ResourceVec::gpus_only(3))])
+        c.allocate([(NodeId::from_index(0), ResourceVec::gpus_only(3))])
             .expect("fits");
-        c.allocate(4, [(NodeId::from_index(1), ResourceVec::gpus_only(3))])
+        c.allocate([(NodeId::from_index(1), ResourceVec::gpus_only(3))])
             .expect("fits");
         assert_eq!(c.fragmentation(), 0.0);
         // No free GPUs at all: 0, not NaN.
-        c.allocate(5, [(NodeId::from_index(3), ResourceVec::gpus_only(8))])
+        c.allocate([(NodeId::from_index(3), ResourceVec::gpus_only(8))])
             .expect("fits");
         assert_eq!(c.free_gpus(), 0);
         assert_eq!(c.fragmentation(), 0.0);

@@ -11,8 +11,8 @@
 //! * [`GpuModel`] — heterogeneous accelerator types with memory/compute specs;
 //! * [`ResourceVec`] — the multi-dimensional resource vector (GPUs, CPU
 //!   cores, memory) jobs request and nodes offer;
-//! * [`Node`] / [`NodeId`] — a machine with a GPU pool and per-owner
-//!   allocations;
+//! * [`Node`] / [`NodeId`] — a machine with a GPU pool and a count of the
+//!   leases holding it;
 //! * [`Topology`] — racks and bandwidth tiers (NVLink within a node, RDMA
 //!   within a rack, oversubscribed inter-rack links);
 //! * [`Cluster`] — the allocatable state: find feasible placements, lease
@@ -30,9 +30,9 @@
 //!
 //! let demand = ResourceVec::gpus_only(4);
 //! let node = cluster.nodes().next().expect("nonempty").id();
-//! let lease = cluster.allocate(7, [(node, demand)]).expect("fits");
+//! let lease = cluster.allocate([(node, demand)]).expect("fits");
 //! assert_eq!(cluster.free_gpus(), 60);
-//! assert_eq!(cluster.lease(lease).map(|l| l.owner()), Some(7));
+//! assert_eq!(cluster.node(node).map(|n| n.lease_count()), Some(1));
 //! cluster.release(lease).expect("valid lease");
 //! assert_eq!(cluster.free_gpus(), 64);
 //! ```

@@ -1,8 +1,8 @@
-//! Compute nodes: a GPU pool plus CPU/memory, with per-lease accounting.
+//! Compute nodes: a GPU pool plus CPU/memory, with a count of the leases
+//! holding a share of it.
 
 use std::fmt;
 
-use crate::allocator::LeaseId;
 use crate::gpu::GpuModel;
 use crate::resources::ResourceVec;
 use crate::topology::RackId;
@@ -34,20 +34,19 @@ impl fmt::Display for NodeId {
 }
 
 /// One machine in the cluster: a homogeneous GPU pool plus host resources,
-/// located in a rack, with active leases tracked per [`LeaseId`].
+/// located in a rack, with the number of leases holding a share of it.
 ///
-/// The per-lease table is a small id-sorted vector rather than a tree:
-/// nodes hold at most a handful of leases, binary search beats pointer
-/// chasing at that size, and — crucially for the hot path — cloning a
-/// node is a flat memcpy-style `Vec` clone instead of a tree rebuild.
-#[derive(Debug, Clone, PartialEq)]
+/// Which lease holds how much is the lease's own record
+/// ([`crate::Lease::shares`], one share per node); the node keeps only
+/// the count, which is what co-tenancy reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Node {
     id: NodeId,
     rack: RackId,
     gpu_model: GpuModel,
     capacity: ResourceVec,
     free: ResourceVec,
-    leases: Vec<(LeaseId, ResourceVec)>,
+    leases: usize,
     schedulable: bool,
 }
 
@@ -62,7 +61,7 @@ impl Node {
             gpu_model,
             capacity,
             free: capacity,
-            leases: Vec::new(),
+            leases: 0,
             schedulable: true,
         }
     }
@@ -113,40 +112,23 @@ impl Node {
         self.schedulable = schedulable;
     }
 
-    /// Number of active leases.
+    /// Number of active leases holding a share of this node.
     pub fn lease_count(&self) -> usize {
-        self.leases.len()
+        self.leases
     }
 
-    /// The share of each active lease on this node, in ascending lease-id
-    /// order.
-    pub fn leases(&self) -> impl Iterator<Item = (LeaseId, ResourceVec)> + '_ {
-        self.leases.iter().map(|&(id, r)| (id, r))
-    }
-
-    /// Reserves `demand` under `lease`. Multiple calls with the same lease
-    /// accumulate (a lease may span allocations on this node).
-    pub(crate) fn reserve(&mut self, lease: LeaseId, demand: ResourceVec) {
+    /// Reserves one lease's whole share, `demand`.
+    pub(crate) fn reserve(&mut self, demand: ResourceVec) {
         debug_assert!(demand.fits_in(&self.free), "reserve() without can_fit()");
         self.free -= demand;
-        match self.leases.binary_search_by_key(&lease, |&(id, _)| id) {
-            Ok(pos) => self.leases[pos].1 += demand,
-            Err(pos) => self.leases.insert(pos, (lease, demand)),
-        }
+        self.leases += 1;
     }
 
-    /// Releases everything held by `lease`; returns what was freed (zero
-    /// vector if the lease held nothing here).
-    pub(crate) fn release(&mut self, lease: LeaseId) -> ResourceVec {
-        match self.leases.binary_search_by_key(&lease, |&(id, _)| id) {
-            Ok(pos) => {
-                let (_, held) = self.leases.remove(pos);
-                self.free += held;
-                debug_assert!(self.free.fits_in(&self.capacity));
-                held
-            }
-            Err(_) => ResourceVec::ZERO,
-        }
+    /// Hands back one lease's whole share, `held`.
+    pub(crate) fn release(&mut self, held: ResourceVec) {
+        self.free += held;
+        self.leases -= 1;
+        debug_assert!(self.free.fits_in(&self.capacity));
     }
 }
 
@@ -169,32 +151,16 @@ mod tests {
     #[test]
     fn reserve_and_release_round_trip() {
         let mut n = node();
-        let lease = LeaseId::for_tests(1);
-        n.reserve(lease, ResourceVec::gpus_only(4));
-        assert_eq!(n.free().gpus, 4);
-        assert_eq!(n.used().gpus, 4);
+        n.reserve(ResourceVec::gpus_only(4));
+        n.reserve(ResourceVec::gpus_only(3));
+        assert_eq!(n.free().gpus, 1);
+        assert_eq!(n.used().gpus, 7);
+        assert_eq!(n.lease_count(), 2);
+        n.release(ResourceVec::gpus_only(4));
         assert_eq!(n.lease_count(), 1);
-        let freed = n.release(lease);
-        assert_eq!(freed.gpus, 4);
+        n.release(ResourceVec::gpus_only(3));
         assert_eq!(n.free(), n.capacity());
         assert_eq!(n.lease_count(), 0);
-    }
-
-    #[test]
-    fn same_lease_accumulates() {
-        let mut n = node();
-        let lease = LeaseId::for_tests(2);
-        n.reserve(lease, ResourceVec::gpus_only(2));
-        n.reserve(lease, ResourceVec::gpus_only(3));
-        assert_eq!(n.lease_count(), 1);
-        assert_eq!(n.release(lease).gpus, 5);
-    }
-
-    #[test]
-    fn release_unknown_lease_is_noop() {
-        let mut n = node();
-        assert_eq!(n.release(LeaseId::for_tests(99)), ResourceVec::ZERO);
-        assert_eq!(n.free(), n.capacity());
     }
 
     #[test]
@@ -206,16 +172,17 @@ mod tests {
         assert!(!n.can_fit(&ResourceVec::gpus_only(1)));
         // Existing reservations still release normally.
         n.set_schedulable(true);
-        n.reserve(LeaseId::for_tests(1), ResourceVec::gpus_only(2));
+        n.reserve(ResourceVec::gpus_only(2));
         n.set_schedulable(false);
-        assert_eq!(n.release(LeaseId::for_tests(1)).gpus, 2);
+        n.release(ResourceVec::gpus_only(2));
+        assert_eq!(n.free(), n.capacity());
     }
 
     #[test]
     fn can_fit_respects_all_dims() {
         let mut n = node();
         assert!(n.can_fit(&ResourceVec::gpus_only(8)));
-        n.reserve(LeaseId::for_tests(1), ResourceVec::new(0, 90, 0));
+        n.reserve(ResourceVec::new(0, 90, 0));
         // GPUs free but CPUs nearly exhausted.
         assert!(!n.can_fit(&ResourceVec::gpus_only(1)));
         assert!(n.can_fit(&ResourceVec::new(1, 6, 32)));

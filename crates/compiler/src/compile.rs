@@ -26,6 +26,10 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
+/// Dataset shard size in MiB: datasets are chunked at this granularity so
+/// partial overlap still deduplicates.
+const DATASET_SHARD_MB: u32 = 512;
+
 /// Configuration of the compiler layer's cost model and cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompilerConfig {
@@ -37,9 +41,6 @@ pub struct CompilerConfig {
     /// Fixed setup latency per compilation, seconds (container start,
     /// directory setup, interconnect wiring).
     pub base_latency_secs: f64,
-    /// Dataset shard size in MiB (datasets are chunked at this granularity
-    /// so partial overlap still deduplicates).
-    pub dataset_shard_mb: u32,
 }
 
 impl Default for CompilerConfig {
@@ -48,7 +49,6 @@ impl Default for CompilerConfig {
             cache_capacity_mb: 200_000, // 200 GB cache tier
             fetch_bandwidth_mbps: 1_000.0,
             base_latency_secs: 5.0,
-            dataset_shard_mb: 512,
         }
     }
 }
@@ -175,7 +175,7 @@ impl Compiler {
         }
         if let Some((dataset, size)) = &schema.env.dataset {
             // Shard the dataset so partial overlap across jobs still hits.
-            let shard = self.config.dataset_shard_mb;
+            let shard = DATASET_SHARD_MB;
             let shards = ChunkName::new().str("dataset:").str(dataset).str(":");
             for i in 0..size / shard {
                 pull(&mut self.cache, shards.index(i).id(shard), shard);

@@ -5,14 +5,16 @@ use tacc_workload::{ModelProfile, RuntimePreference};
 
 use crate::comm;
 
+/// Fixed per-iteration overhead (kernel launch, data loading overlap
+/// slack, collective latency terms), seconds.
+const ITER_OVERHEAD_SECS: f64 = 0.01;
+
+/// Parameter-server shard count used when a task selects the PS runtime.
+const PS_SHARDS: u32 = 4;
+
 /// Configuration of the execution layer's cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
-    /// Fixed per-iteration overhead (kernel launch, data loading overlap
-    /// slack, collective latency terms), seconds.
-    pub iter_overhead_secs: f64,
-    /// Parameter-server shard count used when a task selects the PS runtime.
-    pub ps_shards: u32,
     /// Whether multi-node all-reduce uses the hierarchical (NVLink-aware)
     /// variant; plain flat ring otherwise. Ablation knob for F6.
     pub hierarchical_allreduce: bool,
@@ -24,8 +26,6 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            iter_overhead_secs: 0.01,
-            ps_shards: 4,
             hierarchical_allreduce: true,
             interference_per_cotenant: 0.03,
         }
@@ -115,7 +115,7 @@ impl ExecModel {
             }
             RuntimePreference::ParameterServer => {
                 let bw = comm::bottleneck_bandwidth_gbps(cluster, nodes);
-                comm::parameter_server_secs(profile.param_mb, total_gpus, self.config.ps_shards, bw)
+                comm::parameter_server_secs(profile.param_mb, total_gpus, PS_SHARDS, bw)
             }
             RuntimePreference::InNetworkAggregation => {
                 // Switch aggregation works at the rack's ToR: single-rack
@@ -134,7 +134,7 @@ impl ExecModel {
             RuntimePreference::Auto => unreachable!("resolved above"),
         };
 
-        let actual_iter = compute_secs + comm_secs + self.config.iter_overhead_secs;
+        let actual_iter = compute_secs + comm_secs + ITER_OVERHEAD_SECS;
         // Ideal: reference-hardware compute only.
         let ideal_iter = profile.compute_secs_per_iter;
         let slowdown = (actual_iter / ideal_iter).max(1.0);
@@ -455,19 +455,15 @@ mod tests {
         let m = ExecModel::default();
         let n0 = NodeId::from_index(0);
         // Exclusive node: no interference (the job's own lease doesn't count).
-        c.allocate(1, [(n0, ResourceVec::gpus_only(2))])
-            .expect("fits");
+        c.allocate([(n0, ResourceVec::gpus_only(2))]).expect("fits");
         assert_eq!(m.interference_factor(&c, &[n0]), 1.0);
         // Two co-tenants: 2 × 3% slowdown.
-        c.allocate(2, [(n0, ResourceVec::gpus_only(2))])
-            .expect("fits");
-        c.allocate(3, [(n0, ResourceVec::gpus_only(2))])
-            .expect("fits");
+        c.allocate([(n0, ResourceVec::gpus_only(2))]).expect("fits");
+        c.allocate([(n0, ResourceVec::gpus_only(2))]).expect("fits");
         assert!((m.interference_factor(&c, &[n0]) - 1.06).abs() < 1e-12);
         // Mixed placement averages across nodes.
         let n1 = NodeId::from_index(1);
-        c.allocate(4, [(n1, ResourceVec::gpus_only(8))])
-            .expect("fits");
+        c.allocate([(n1, ResourceVec::gpus_only(8))]).expect("fits");
         let f = m.interference_factor(&c, &[n0, n1]);
         assert!((f - (1.0 + 0.03 * 1.0)).abs() < 1e-12); // (2 + 0)/2 co-tenants
                                                          // Disabled via config.

@@ -321,7 +321,7 @@ mod tests {
     fn occupy(cluster: &mut Cluster, node: usize, gpus: u32) {
         let id = NodeId::from_index(node);
         cluster
-            .allocate(999, [(id, ResourceVec::gpus_only(gpus))])
+            .allocate([(id, ResourceVec::gpus_only(gpus))])
             .expect("test occupancy fits");
     }
 
@@ -455,7 +455,7 @@ mod tests {
         let per_worker = ResourceVec::gpus_only(4);
         let mut c2 = c.clone();
         let lease = c2
-            .allocate(1, plan.iter().map(|&n| (n, per_worker)))
+            .allocate(plan.iter().map(|&n| (n, per_worker)))
             .expect("plan is allocatable");
         // One share per node of the plan, holding that node's workers.
         for &(node, share) in c2.lease(lease).expect("granted").shares() {
@@ -580,7 +580,7 @@ mod tests {
                     (rng() % 40) as u32,
                     (rng() % 300) as u32,
                 );
-                let _ = c.allocate(rng(), [(node, share)]);
+                let _ = c.allocate([(node, share)]);
             }
             if case % 3 == 0 {
                 c.drain(NodeId::from_index((rng() % 8) as usize));

@@ -44,10 +44,9 @@ impl std::fmt::Display for PolicyKind {
 /// Inputs the ordering policies need beyond the queue itself.
 #[derive(Debug, Clone)]
 pub struct PolicyContext<'a> {
-    /// Per-group instantaneous GPU usage (running jobs).
-    pub group_gpu_usage: &'a [u32],
-    /// Per-group running resource totals (for DRF).
-    pub group_usage_vec: &'a [ResourceVec],
+    /// Per-group running resource totals: FairShare reads their GPUs, DRF
+    /// their dominant share.
+    pub group_usage: &'a [ResourceVec],
     /// Per-group quota/weight.
     pub group_quota: &'a [u32],
     /// Total cluster capacity (for DRF shares).
@@ -56,13 +55,13 @@ pub struct PolicyContext<'a> {
 
 impl PolicyContext<'_> {
     fn usage_ratio(&self, group: GroupId) -> f64 {
-        let used = f64::from(self.group_gpu_usage[group.index()]);
+        let used = f64::from(self.group_usage[group.index()].gpus);
         let quota = f64::from(self.group_quota[group.index()].max(1));
         used / quota
     }
 
     fn dominant_share(&self, group: GroupId) -> f64 {
-        self.group_usage_vec[group.index()].dominant_share(&self.capacity)
+        self.group_usage[group.index()].dominant_share(&self.capacity)
     }
 }
 
@@ -168,14 +167,9 @@ mod tests {
         queue.iter().map(|r| r.id.value()).collect()
     }
 
-    fn ctx<'a>(
-        usage: &'a [u32],
-        usage_vec: &'a [ResourceVec],
-        quota: &'a [u32],
-    ) -> PolicyContext<'a> {
+    fn ctx<'a>(usage: &'a [ResourceVec], quota: &'a [u32]) -> PolicyContext<'a> {
         PolicyContext {
-            group_gpu_usage: usage,
-            group_usage_vec: usage_vec,
+            group_usage: usage,
             group_quota: quota,
             capacity: ResourceVec::new(100, 1000, 4000),
         }
@@ -188,10 +182,9 @@ mod tests {
             req(2, 0, 10.0, 9.0),
             req(3, 0, 20.0, 5.0),
         ];
-        let usage = [0u32; 1];
-        let uv = [ResourceVec::ZERO; 1];
+        let usage = [ResourceVec::ZERO; 1];
         let quota = [10u32; 1];
-        order_queue(PolicyKind::Fifo, 0.0, &mut q, &ctx(&usage, &uv, &quota));
+        order_queue(PolicyKind::Fifo, 0.0, &mut q, &ctx(&usage, &quota));
         assert_eq!(ids(&q), vec![2, 3, 1]);
     }
 
@@ -202,60 +195,45 @@ mod tests {
             req(2, 0, 1.0, 100.0),
             req(3, 0, 2.0, 300.0),
         ];
-        let usage = [0u32; 1];
-        let uv = [ResourceVec::ZERO; 1];
+        let usage = [ResourceVec::ZERO; 1];
         let quota = [10u32; 1];
-        order_queue(PolicyKind::Sjf, 0.0, &mut q, &ctx(&usage, &uv, &quota));
+        order_queue(PolicyKind::Sjf, 0.0, &mut q, &ctx(&usage, &quota));
         assert_eq!(ids(&q), vec![2, 3, 1]);
     }
 
     #[test]
     fn fair_share_prefers_underserved_group() {
         // Group 0 uses 8/10; group 1 uses 1/10.
-        let usage = [8u32, 1];
-        let uv = [ResourceVec::gpus_only(8), ResourceVec::gpus_only(1)];
+        let usage = [ResourceVec::gpus_only(8), ResourceVec::gpus_only(1)];
         let quota = [10u32, 10];
         let mut q = vec![req(1, 0, 0.0, 10.0), req(2, 1, 5.0, 10.0)];
-        order_queue(
-            PolicyKind::FairShare,
-            10.0,
-            &mut q,
-            &ctx(&usage, &uv, &quota),
-        );
+        order_queue(PolicyKind::FairShare, 10.0, &mut q, &ctx(&usage, &quota));
         assert_eq!(ids(&q), vec![2, 1]);
     }
 
     #[test]
     fn fair_share_respects_quota_weighting() {
         // Same usage, different quotas: the bigger-quota group is less served.
-        let usage = [4u32, 4];
-        let uv = [ResourceVec::gpus_only(4), ResourceVec::gpus_only(4)];
+        let usage = [ResourceVec::gpus_only(4), ResourceVec::gpus_only(4)];
         let quota = [40u32, 8];
         let mut q = vec![req(1, 1, 0.0, 10.0), req(2, 0, 5.0, 10.0)];
-        order_queue(
-            PolicyKind::FairShare,
-            10.0,
-            &mut q,
-            &ctx(&usage, &uv, &quota),
-        );
+        order_queue(PolicyKind::FairShare, 10.0, &mut q, &ctx(&usage, &quota));
         assert_eq!(ids(&q), vec![2, 1]);
     }
 
     #[test]
     fn drf_orders_by_dominant_share() {
         // Group 0: gpu-dominant 10/100 = 0.1; group 1: cpu 300/1000 = 0.3.
-        let usage = [10u32, 0];
-        let uv = [ResourceVec::new(10, 50, 100), ResourceVec::new(0, 300, 100)];
+        let usage = [ResourceVec::new(10, 50, 100), ResourceVec::new(0, 300, 100)];
         let quota = [10u32, 10];
         let mut q = vec![req(1, 1, 0.0, 10.0), req(2, 0, 5.0, 10.0)];
-        order_queue(PolicyKind::Drf, 10.0, &mut q, &ctx(&usage, &uv, &quota));
+        order_queue(PolicyKind::Drf, 10.0, &mut q, &ctx(&usage, &quota));
         assert_eq!(ids(&q), vec![2, 1]);
     }
 
     #[test]
     fn multi_factor_ages_and_prefers_short_under_pressure() {
-        let usage = [0u32; 1];
-        let uv = [ResourceVec::ZERO; 1];
+        let usage = [ResourceVec::ZERO; 1];
         let quota = [10u32; 1];
         // Job 1: old, long. Job 2: fresh, short. With a long queue the
         // short job wins while young, but a day of aging dominates.
@@ -271,7 +249,7 @@ mod tests {
             PolicyKind::MultiFactor,
             3600.0 * 24.0,
             &mut q,
-            &ctx(&usage, &uv, &quota),
+            &ctx(&usage, &quota),
         );
         assert_eq!(ids(&q), vec![1, 2]);
 
@@ -281,7 +259,7 @@ mod tests {
             PolicyKind::MultiFactor,
             100.0,
             &mut q2,
-            &ctx(&usage, &uv, &quota),
+            &ctx(&usage, &quota),
         );
         assert_eq!(ids(&q2), vec![4, 3]);
     }
@@ -302,11 +280,10 @@ mod tests {
 
     #[test]
     fn ties_fall_back_to_fifo_then_id() {
-        let usage = [0u32; 2];
-        let uv = [ResourceVec::ZERO; 2];
+        let usage = [ResourceVec::ZERO; 2];
         let quota = [10u32; 2];
         let mut q = vec![req(5, 0, 1.0, 100.0), req(4, 1, 1.0, 100.0)];
-        order_queue(PolicyKind::Sjf, 0.0, &mut q, &ctx(&usage, &uv, &quota));
+        order_queue(PolicyKind::Sjf, 0.0, &mut q, &ctx(&usage, &quota));
         assert_eq!(ids(&q), vec![4, 5]);
     }
 }

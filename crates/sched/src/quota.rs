@@ -1,8 +1,10 @@
 //! Per-group quota management with borrowing and reclaim (experiments F2/F5).
 
-use tacc_workload::{GroupId, GroupRoster, QosClass};
+use tacc_cluster::ResourceVec;
+use tacc_workload::{GroupId, QosClass};
 
 use crate::request::TaskRequest;
+use crate::scheduler::SchedulerConfig;
 
 /// How group quotas are enforced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -30,37 +32,36 @@ impl std::fmt::Display for QuotaMode {
     }
 }
 
-/// Tracks per-group GPU usage against quotas.
+/// The scheduler's one usage ledger: what each group's running tasks
+/// hold, checked against its quota.
 ///
-/// Usage is split by QoS class: guaranteed usage is charged against the
-/// group's quota; best-effort usage is tracked separately as borrowed
-/// capacity.
+/// Every start is charged here and every finish or eviction released, so
+/// the quota gate, reclaim, the usage-keyed policies (FairShare reads a
+/// group's GPUs, DRF its dominant share) and the `quota` query all read
+/// one account. Of a group's GPUs, the guaranteed ones count against its
+/// quota; the rest are best-effort, borrowed capacity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuotaTable {
     quotas: Vec<u32>,
+    usage: Vec<ResourceVec>,
     guaranteed_used: Vec<u32>,
-    best_effort_used: Vec<u32>,
+    epoch: u64,
 }
 
 impl QuotaTable {
-    /// Builds the table from a roster's quotas.
-    pub fn from_roster(roster: &GroupRoster) -> Self {
-        let quotas: Vec<u32> = roster.ids().map(|g| roster.quota(g)).collect();
-        let n = quotas.len();
-        QuotaTable {
-            quotas,
-            guaranteed_used: vec![0; n],
-            best_effort_used: vec![0; n],
+    /// An empty ledger for `config`'s quotas, padded with quota 0 to its
+    /// `group_count`.
+    pub fn new(config: &SchedulerConfig) -> Self {
+        let mut quotas = config.quotas.clone();
+        if quotas.len() < config.group_count {
+            quotas.resize(config.group_count, 0);
         }
-    }
-
-    /// Builds a table with explicit quotas (tests, ad-hoc setups).
-    pub fn from_quotas(quotas: Vec<u32>) -> Self {
         let n = quotas.len();
         QuotaTable {
             quotas,
+            usage: vec![ResourceVec::ZERO; n],
             guaranteed_used: vec![0; n],
-            best_effort_used: vec![0; n],
+            epoch: 0,
         }
     }
 
@@ -79,6 +80,17 @@ impl QuotaTable {
         &self.quotas
     }
 
+    /// What each group's running tasks hold, indexed by group.
+    pub fn usage(&self) -> &[ResourceVec] {
+        &self.usage
+    }
+
+    /// Bumped by every [`QuotaTable::charge`] and [`QuotaTable::release`]:
+    /// an unchanged epoch means unchanged usage.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// GPUs a group currently runs under guarantee.
     pub fn guaranteed_used(&self, group: GroupId) -> u32 {
         self.guaranteed_used[group.index()]
@@ -86,12 +98,12 @@ impl QuotaTable {
 
     /// GPUs a group currently borrows (best-effort).
     pub fn borrowed(&self, group: GroupId) -> u32 {
-        self.best_effort_used[group.index()]
+        self.total_used(group) - self.guaranteed_used(group)
     }
 
     /// Total GPUs a group currently uses across both classes.
     pub fn total_used(&self, group: GroupId) -> u32 {
-        self.guaranteed_used(group) + self.borrowed(group)
+        self.usage[group.index()].gpus
     }
 
     /// Whether `request` may be admitted under `mode` right now.
@@ -99,34 +111,34 @@ impl QuotaTable {
     /// This is the *quota* check only; the caller still needs a feasible
     /// placement.
     pub fn admits(&self, mode: QuotaMode, request: &TaskRequest) -> bool {
-        let g = request.group.index();
+        let g = request.group;
         let demand = request.total_gpus();
         match mode {
             QuotaMode::Disabled => true,
             QuotaMode::Static => {
                 // Everything counts against the partition, regardless of QoS.
-                self.guaranteed_used[g] + self.best_effort_used[g] + demand <= self.quotas[g]
+                self.total_used(g) + demand <= self.quota(g)
             }
             QuotaMode::Borrowing => match request.qos {
                 // Guaranteed demand must fit in the quota.
-                QosClass::Guaranteed => self.guaranteed_used[g] + demand <= self.quotas[g],
+                QosClass::Guaranteed => self.guaranteed_used(g) + demand <= self.quota(g),
                 // Best-effort demand is only bounded by physical capacity.
                 QosClass::BestEffort => true,
             },
         }
     }
 
-    /// Charges a started task's GPUs to its group.
+    /// Charges a started task's resources to its group.
     pub fn charge(&mut self, request: &TaskRequest) {
         let g = request.group.index();
-        let demand = request.total_gpus();
-        match request.qos {
-            QosClass::Guaranteed => self.guaranteed_used[g] += demand,
-            QosClass::BestEffort => self.best_effort_used[g] += demand,
+        self.usage[g] += request.total_resources();
+        if request.qos == QosClass::Guaranteed {
+            self.guaranteed_used[g] += request.total_gpus();
         }
+        self.epoch += 1;
     }
 
-    /// Releases a finished/preempted task's GPUs.
+    /// Releases a finished/preempted task's resources.
     ///
     /// # Panics
     ///
@@ -134,51 +146,41 @@ impl QuotaTable {
     /// always an accounting bug upstream.
     pub fn release(&mut self, request: &TaskRequest) {
         let g = request.group.index();
-        let demand = request.total_gpus();
-        match request.qos {
-            QosClass::Guaranteed => {
-                debug_assert!(self.guaranteed_used[g] >= demand, "quota release underflow");
-                self.guaranteed_used[g] = self.guaranteed_used[g].saturating_sub(demand);
-            }
-            QosClass::BestEffort => {
-                debug_assert!(
-                    self.best_effort_used[g] >= demand,
-                    "quota release underflow"
-                );
-                self.best_effort_used[g] = self.best_effort_used[g].saturating_sub(demand);
-            }
+        let demand = request.total_resources();
+        debug_assert!(demand.fits_in(&self.usage[g]), "quota release underflow");
+        self.usage[g] = self.usage[g].saturating_sub(&demand);
+        if request.qos == QosClass::Guaranteed {
+            debug_assert!(
+                self.guaranteed_used[g] >= demand.gpus,
+                "quota release underflow"
+            );
+            self.guaranteed_used[g] = self.guaranteed_used[g].saturating_sub(demand.gpus);
         }
+        self.epoch += 1;
     }
 
     /// Total GPUs currently borrowed across all groups — exactly the GPU
     /// count held by best-effort leases, which is what a full reclaim
     /// (preempting every borrower) would hand back to the free pool.
     pub fn borrowed_total(&self) -> u32 {
-        self.best_effort_used.iter().sum()
-    }
-
-    /// Per-group total GPU usage, indexed by group (for policy contexts).
-    pub fn usage_by_group(&self) -> Vec<u32> {
         (0..self.quotas.len())
-            .map(|i| self.guaranteed_used[i] + self.best_effort_used[i])
-            .collect()
-    }
-
-    /// Fills `out` with [`QuotaTable::usage_by_group`] without allocating
-    /// (the scheduler reuses one scratch vector across rounds).
-    pub fn usage_by_group_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(
-            (0..self.quotas.len()).map(|i| self.guaranteed_used[i] + self.best_effort_used[i]),
-        );
+            .map(|g| self.usage[g].gpus - self.guaranteed_used[g])
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tacc_cluster::ResourceVec;
-    use tacc_workload::JobId;
+    use tacc_workload::{GroupRoster, JobId};
+
+    fn table(quotas: Vec<u32>) -> QuotaTable {
+        QuotaTable::new(&SchedulerConfig {
+            group_count: quotas.len(),
+            quotas,
+            ..SchedulerConfig::default()
+        })
+    }
 
     fn req(group: usize, gpus: u32, qos: QosClass) -> TaskRequest {
         TaskRequest {
@@ -195,7 +197,7 @@ mod tests {
 
     #[test]
     fn static_mode_caps_everything() {
-        let mut t = QuotaTable::from_quotas(vec![8]);
+        let mut t = table(vec![8]);
         let guaranteed = req(0, 6, QosClass::Guaranteed);
         assert!(t.admits(QuotaMode::Static, &guaranteed));
         t.charge(&guaranteed);
@@ -206,7 +208,7 @@ mod tests {
 
     #[test]
     fn borrowing_mode_lets_best_effort_exceed_quota() {
-        let mut t = QuotaTable::from_quotas(vec![8, 8]);
+        let mut t = table(vec![8, 8]);
         let be = req(0, 16, QosClass::BestEffort);
         assert!(t.admits(QuotaMode::Borrowing, &be));
         t.charge(&be);
@@ -219,26 +221,36 @@ mod tests {
 
     #[test]
     fn disabled_mode_admits_all() {
-        let t = QuotaTable::from_quotas(vec![0]);
+        let t = table(vec![0]);
         assert!(t.admits(QuotaMode::Disabled, &req(0, 64, QosClass::Guaranteed)));
     }
 
     #[test]
     fn charge_release_round_trip() {
-        let mut t = QuotaTable::from_quotas(vec![8]);
+        let mut t = table(vec![8]);
         let r = req(0, 4, QosClass::Guaranteed);
         t.charge(&r);
         assert_eq!(t.total_used(GroupId::from_index(0)), 4);
+        assert_eq!(t.usage(), [ResourceVec::gpus_only(4)]);
+        assert_eq!(t.epoch(), 1);
         t.release(&r);
         assert_eq!(t.total_used(GroupId::from_index(0)), 0);
-        assert_eq!(t.usage_by_group(), vec![0]);
+        assert_eq!(t.usage(), [ResourceVec::ZERO]);
+        assert_eq!(t.epoch(), 2);
     }
 
     #[test]
     fn roster_quotas_imported() {
         let roster = GroupRoster::campus_default(64);
-        let t = QuotaTable::from_roster(&roster);
+        let t = QuotaTable::new(&SchedulerConfig::default().with_roster(&roster));
         assert_eq!(t.group_count(), 8);
         assert_eq!(t.quotas().iter().sum::<u32>(), 64);
+        // Groups the configured quotas leave out get quota 0.
+        let padded = QuotaTable::new(&SchedulerConfig {
+            quotas: vec![8],
+            group_count: 3,
+            ..SchedulerConfig::default()
+        });
+        assert_eq!(padded.quotas(), [8, 0, 0]);
     }
 }

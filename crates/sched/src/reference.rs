@@ -46,13 +46,9 @@ impl ReferenceScheduler {
     /// Creates a reference scheduler from the same configuration type the
     /// optimized scheduler takes.
     pub fn new(config: SchedulerConfig) -> Self {
-        let mut quotas = config.quotas.clone();
-        if quotas.len() < config.group_count {
-            quotas.resize(config.group_count, 0);
-        }
         ReferenceScheduler {
             planner: Planner::new(config.placement),
-            quota: QuotaTable::from_quotas(quotas),
+            quota: QuotaTable::new(&config),
             config,
             queue: Vec::new(),
             running: BTreeMap::new(),
@@ -167,11 +163,11 @@ impl ReferenceScheduler {
     pub fn schedule(&mut self, now_secs: f64, cluster: &mut Cluster) -> SchedOutcome {
         let mut outcome = SchedOutcome::default();
 
-        let gpu_usage = self.quota.usage_by_group();
-        let usage_vec = self.group_usage_vectors();
+        // Usage recounted from the running set, not read off the ledger:
+        // the differential suite holds the scheduler's ledger to it.
+        let usage = self.group_usage_vectors();
         let ctx = PolicyContext {
-            group_gpu_usage: &gpu_usage,
-            group_usage_vec: &usage_vec,
+            group_usage: &usage,
             group_quota: self.quota.quotas(),
             capacity: cluster.total_capacity(),
         };
@@ -308,7 +304,7 @@ impl ReferenceScheduler {
         self.queue.retain(|r| r.id != request.id);
         let shares = assignment.iter().map(|&node| (node, request.per_worker));
         // A freshly planned placement always allocates; stay panic-free.
-        let lease_id = cluster.allocate(request.id.value(), shares).ok()?;
+        let lease_id = cluster.allocate(shares).ok()?;
         let granted_request = TaskRequest {
             workers: granted,
             ..*request

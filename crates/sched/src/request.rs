@@ -10,7 +10,7 @@ use tacc_workload::{GroupId, JobId, QosClass};
 /// information asymmetry real schedulers operate under.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskRequest {
-    /// Job identifier (also used as the cluster lease owner tag).
+    /// Job identifier.
     pub id: JobId,
     /// Owning group, for fair-share and quota accounting.
     pub group: GroupId,

@@ -94,6 +94,7 @@ impl SchedulerConfig {
 pub struct Scheduler {
     config: SchedulerConfig,
     planner: Planner,
+    /// The one usage ledger: what each group's running tasks hold.
     quota: QuotaTable,
     /// The pending queue, each request with the verdict the walk last
     /// reached on it. Kept *sorted* under the policy comparator whenever
@@ -108,10 +109,9 @@ pub struct Scheduler {
     /// swap-remove on the fallback path); policies with
     /// static per-request keys (FIFO/SJF) skip re-sorting while clean.
     queue_dirty: bool,
-    /// Bumped on every quota charge/release. FairShare/DRF keys depend on
-    /// group usage, so those policies also re-sort when this moved.
-    usage_epoch: u64,
-    /// `usage_epoch` at the last sort.
+    /// The ledger's [`QuotaTable::epoch`] at the last sort. FairShare/DRF
+    /// keys depend on group usage, so those policies also re-sort when the
+    /// epoch moved.
     sorted_usage_epoch: u64,
     /// Cluster capacity at the last sort. DRF keys divide by capacity, so
     /// a capacity change (node failures, drains) invalidates the sorted
@@ -127,13 +127,9 @@ pub struct Scheduler {
     walked_version: Option<u64>,
     /// Bounds the gate-denied entries (see [`GateFloor`]).
     gate_floor: GateFloor,
-    /// Incrementally maintained per-group running resource totals (the
-    /// recomputed-from-scratch value is debug-asserted every round).
-    group_usage_vec: Vec<ResourceVec>,
-    /// Reusable round buffers (capacity survives across rounds, so the
-    /// steady-state hot path allocates nothing per round).
-    scratch_usage: Vec<u32>,
     /// The current round's skip records (moved into its `RoundTrace`).
+    /// Like every `scratch_` buffer it is reused: capacity survives across
+    /// rounds, so the steady-state hot path allocates nothing per round.
     scratch_skips: Vec<JobSkip>,
     scratch_started: Vec<JobId>,
     scratch_preempted: Vec<JobId>,
@@ -439,29 +435,22 @@ const DECISION_TRACE_ROUNDS: usize = 2048;
 impl Scheduler {
     /// Creates a scheduler from a configuration.
     pub fn new(config: SchedulerConfig) -> Self {
-        let mut quotas = config.quotas.clone();
-        if quotas.len() < config.group_count {
-            quotas.resize(config.group_count, 0);
-        }
         Scheduler {
             window_steps: backfill::window_steps(&config.capacity_windows),
             planner: Planner::new(config.placement),
-            quota: QuotaTable::from_quotas(quotas),
+            quota: QuotaTable::new(&config),
             trace: DecisionTraceLog::new(DECISION_TRACE_ROUNDS),
-            group_usage_vec: vec![ResourceVec::ZERO; config.group_count],
             moved: std::iter::once(u64::MAX)
                 .chain(std::iter::repeat_n(0, 3 * (config.group_count + 1)))
                 .collect(),
             config,
             queue: Vec::new(),
             queue_dirty: true,
-            usage_epoch: 0,
             sorted_usage_epoch: 0,
             sorted_capacity: ResourceVec::ZERO,
             tick: 0,
             walked_version: None,
             gate_floor: GateFloor::EMPTY,
-            scratch_usage: Vec::new(),
             scratch_skips: Vec::new(),
             scratch_started: Vec::new(),
             scratch_preempted: Vec::new(),
@@ -540,20 +529,18 @@ impl Scheduler {
                 // moved since the last sort (and, for DRF, capacity —
                 // which the round's order step checks against the cluster).
                 PolicyKind::FairShare | PolicyKind::Drf => {
-                    self.usage_epoch == self.sorted_usage_epoch
+                    self.quota.epoch() == self.sorted_usage_epoch
                 }
                 // MultiFactor keys move with `now`: every round re-sorts.
                 PolicyKind::MultiFactor => false,
             }
     }
 
-    /// The comparator's view of the scheduler: group usage as of the last
-    /// `usage_by_group_into(&mut self.scratch_usage)`, capacity as of the
-    /// last sort.
+    /// The comparator's view of the scheduler: group usage from the
+    /// ledger, capacity as of the last sort.
     fn policy_context(&self) -> PolicyContext<'_> {
         PolicyContext {
-            group_gpu_usage: &self.scratch_usage,
-            group_usage_vec: &self.group_usage_vec,
+            group_usage: self.quota.usage(),
             group_quota: self.quota.quotas(),
             capacity: self.sorted_capacity,
         }
@@ -562,8 +549,7 @@ impl Scheduler {
     /// Where `request` sits — or would be inserted — in the sorted queue.
     /// Meaningful only while [`Scheduler::queue_order_valid`]; the
     /// comparator is a total order, so the sorted permutation is unique.
-    fn sorted_position(&mut self, request: &TaskRequest) -> usize {
-        self.quota.usage_by_group_into(&mut self.scratch_usage);
+    fn sorted_position(&self, request: &TaskRequest) -> usize {
         let (policy, ctx) = (self.config.policy, self.policy_context());
         // `now`/`queue_len` feed only MultiFactor scores, whose order is
         // never valid.
@@ -767,8 +753,6 @@ impl Scheduler {
             .expect("running task holds a valid lease");
         self.quota.release(&task.request);
         let group = task.request.group.index();
-        self.group_usage_vec[group] -= task.request.total_resources();
-        self.usage_epoch += 1;
         // Live inside a walk too: a reclaim's evictions wake the entries
         // behind it.
         if self.debug_hook != Some(DebugRoundHook::ReleaseWakesNobody)

@@ -179,7 +179,7 @@ impl Scheduler {
         self.scratch_edits.push(QueueEdit::Remove(*request));
         let shares = assignment.iter().map(|&node| (node, request.per_worker));
         let lease_id = cluster
-            .allocate(request.id.value(), shares)
+            .allocate(shares)
             .expect("planned placement must allocate");
         let granted_request = TaskRequest {
             workers: granted,
@@ -187,8 +187,6 @@ impl Scheduler {
         };
         self.quota.charge(&granted_request);
         let group = granted_request.group.index();
-        self.group_usage_vec[group] += granted_request.total_resources();
-        self.usage_epoch += 1;
         if self.quota_counts(request) {
             self.wake(Wait::Gate, group..group + 1);
             self.wake(Wait::Capacity, group..group + 1);

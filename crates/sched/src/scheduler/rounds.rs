@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use tacc_cluster::{Cluster, ResourceVec};
 use tacc_obs::{JobSkip, RoundTrace, SkipReason};
-use tacc_workload::JobId;
+use tacc_workload::{GroupId, JobId, QosClass};
 
 use crate::backfill::{may_backfill, reserve, BackfillMode};
 use crate::policy::{compare, PolicyKind};
@@ -66,22 +66,18 @@ impl Scheduler {
     /// stand (`queue_order_valid`, per policy), the existing order is
     /// byte-identical to what a re-sort would produce.
     fn order(&mut self, now_secs: f64, cluster: &Cluster) -> bool {
-        // The incremental usage vectors must always equal a recount over
-        // the running set; any drift is an accounting bug.
+        // The ledger must always equal a recount over the running set; any
+        // drift is an accounting bug.
         debug_assert_eq!(
-            self.group_usage_vec,
-            self.group_usage_vectors_recomputed(),
-            "incremental group usage diverged from recomputation"
+            self.ledger(),
+            self.ledger_recomputed(),
+            "the quota ledger diverged from the running set"
         );
         // DRF keys also divide by capacity, which `queue_order_valid` —
         // asked between rounds, with no cluster at hand — cannot see.
         let sort_needed = !self.queue_order_valid()
             || (matches!(self.config.policy, PolicyKind::FairShare | PolicyKind::Drf)
                 && self.sorted_capacity != cluster.total_capacity());
-        // Read by the sort, or by the debug check that stands in for it.
-        if sort_needed || cfg!(debug_assertions) {
-            self.quota.usage_by_group_into(&mut self.scratch_usage);
-        }
         let (policy, len) = (self.config.policy, self.queue.len());
         if sort_needed {
             self.sorted_capacity = cluster.total_capacity();
@@ -90,7 +86,7 @@ impl Scheduler {
             queue.sort_by(|a, b| compare(policy, now_secs, len, &a.request, &b.request, &ctx));
             self.queue = queue;
             self.queue_dirty = false;
-            self.sorted_usage_epoch = self.usage_epoch;
+            self.sorted_usage_epoch = self.quota.epoch();
             self.counters.queue_sorts += 1;
         } else {
             self.counters.queue_sorts_skipped += 1;
@@ -505,14 +501,25 @@ impl Scheduler {
         }
     }
 
-    /// Per-group running resource vectors recomputed from scratch — the
-    /// oracle the incrementally maintained `group_usage_vec` is
-    /// debug-asserted against every round.
-    fn group_usage_vectors_recomputed(&self) -> Vec<ResourceVec> {
-        let mut usage = vec![ResourceVec::ZERO; self.config.group_count];
+    /// What the ledger holds per group: usage and guaranteed GPUs.
+    fn ledger(&self) -> (Vec<ResourceVec>, Vec<u32>) {
+        let groups = (0..self.quota.group_count()).map(GroupId::from_index);
+        let guaranteed = groups.map(|g| self.quota.guaranteed_used(g)).collect();
+        (self.quota.usage().to_vec(), guaranteed)
+    }
+
+    /// [`Scheduler::ledger`] recounted from the running set — the oracle
+    /// the incrementally kept ledger is debug-asserted against every round.
+    fn ledger_recomputed(&self) -> (Vec<ResourceVec>, Vec<u32>) {
+        let groups = self.quota.group_count();
+        let (mut usage, mut guaranteed) = (vec![ResourceVec::ZERO; groups], vec![0; groups]);
         for task in self.running.values() {
-            usage[task.request.group.index()] += task.request.total_resources();
+            let g = task.request.group.index();
+            usage[g] += task.request.total_resources();
+            if task.request.qos == QosClass::Guaranteed {
+                guaranteed[g] += task.request.total_gpus();
+            }
         }
-        usage
+        (usage, guaranteed)
     }
 }

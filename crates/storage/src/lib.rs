@@ -45,11 +45,13 @@ use std::collections::BTreeMap;
 
 use tacc_cluster::NodeId;
 
+/// Per-client read bandwidth in MiB/s (NIC / NFS client cap): a 25 GbE
+/// client ≈ 3 GiB/s.
+const PER_CLIENT_MBPS: f64 = 3_000.0;
+
 /// Configuration of the shared filesystem and the node-local caches.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageConfig {
-    /// Per-client read bandwidth in MiB/s (NIC / NFS client cap).
-    pub per_client_mbps: f64,
     /// Aggregate backend bandwidth in MiB/s shared by all readers.
     pub aggregate_mbps: f64,
     /// Node-local staging cache capacity in MiB (0 disables caching).
@@ -59,8 +61,7 @@ pub struct StorageConfig {
 impl Default for StorageConfig {
     fn default() -> Self {
         StorageConfig {
-            // 25 GbE client ≈ 3 GiB/s; backend array ≈ 20 GiB/s aggregate.
-            per_client_mbps: 3_000.0,
+            // Backend array ≈ 20 GiB/s aggregate.
             aggregate_mbps: 20_000.0,
             node_cache_mb: 500_000, // 500 GB NVMe per node
         }
@@ -195,9 +196,7 @@ impl SharedStore {
     /// Per-reader effective bandwidth if `extra` new readers join now.
     fn effective_mbps(&self, extra: u32) -> f64 {
         let readers = f64::from(self.active_readers + extra).max(1.0);
-        self.config
-            .per_client_mbps
-            .min(self.config.aggregate_mbps / readers)
+        PER_CLIENT_MBPS.min(self.config.aggregate_mbps / readers)
     }
 
     /// Starts staging `dataset` (of `size_mb`) onto every node of a
@@ -388,7 +387,6 @@ mod tests {
     fn contention_recovers_after_end_staging() {
         let config = StorageConfig {
             aggregate_mbps: 6_000.0,
-            per_client_mbps: 3_000.0,
             node_cache_mb: 0, // force every read to the backend
         };
         let mut s = SharedStore::new(config, 4);

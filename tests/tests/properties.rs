@@ -38,7 +38,7 @@ fn allocator_invariants_hold() {
         let mut live: Vec<tacc_cluster::LeaseId> = Vec::new();
         for _ in 0..1 + below(rng, 199) {
             if below(rng, 2) == 0 {
-                if let Ok(lease) = cluster.allocate(0, random_share(rng)) {
+                if let Ok(lease) = cluster.allocate(random_share(rng)) {
                     live.push(lease);
                 }
             } else if !live.is_empty() {
@@ -149,7 +149,7 @@ fn allocate_matches_its_ordered_map_definition() {
             let frees: Vec<ResourceVec> = cluster.nodes().map(|n| n.free()).collect();
             let arena = (cluster.lease_count(), cluster.lease_arena_stats());
             let failures = cluster.alloc_failures();
-            match (cluster.allocate(case, &shares), expected) {
+            match (cluster.allocate(&shares), expected) {
                 (Ok(lease), Ok(totals)) => {
                     granted += 1;
                     let held = cluster.lease(lease).expect("granted").shares();
@@ -192,7 +192,7 @@ fn fragmentation_bounds() {
         let rng = &mut DetRng::seed_from_u64(case);
         let mut cluster = small_cluster();
         for _ in 0..below(rng, 8) {
-            let _ = cluster.allocate(0, random_share(rng));
+            let _ = cluster.allocate(random_share(rng));
         }
         let f = cluster.fragmentation();
         assert!((0.0..1.0).contains(&f), "case {case}: {f}");

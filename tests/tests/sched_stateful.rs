@@ -1,9 +1,31 @@
 //! Stateful seeded property sweep: the scheduler + cluster pair under
 //! arbitrary interleavings of submissions, completions, rotations and
-//! reclaims must never corrupt accounting.
+//! reclaims must never corrupt accounting. The policy rotates by case
+//! over MultiFactor and the usage-keyed FairShare and DRF, whose sorted
+//! queue order rests on the quota ledger.
 
 use tacc_cluster::{Cluster, ClusterSpec, GpuModel, ResourceVec};
 use tacc_sched::{BackfillMode, PolicyKind, QuotaMode, Scheduler, SchedulerConfig, TaskRequest};
+
+/// Asserts that each group's ledger usage and guaranteed GPUs equal a
+/// recount over the running set.
+fn assert_ledger_is_the_running_set(sched: &Scheduler, case: u64) {
+    let ledger = sched.quota_table();
+    let mut usage = vec![ResourceVec::ZERO; ledger.group_count()];
+    let mut guaranteed = vec![0u32; ledger.group_count()];
+    for task in sched.running() {
+        let g = task.request.group.index();
+        usage[g] += task.request.total_resources();
+        if task.request.qos == QosClass::Guaranteed {
+            guaranteed[g] += task.request.total_gpus();
+        }
+    }
+    assert_eq!(ledger.usage(), usage, "case {case}");
+    for (g, &gpus) in guaranteed.iter().enumerate() {
+        let group = GroupId::from_index(g);
+        assert_eq!(ledger.guaranteed_used(group), gpus, "case {case} group {g}");
+    }
+}
 use tacc_sim::{dist, DetRng};
 use tacc_tests::below;
 use tacc_workload::{GroupId, JobId, QosClass};
@@ -17,8 +39,13 @@ fn scheduler_never_corrupts_accounting() {
         let steps = 1 + below(rng, 119);
         let mut cluster = Cluster::new(ClusterSpec::uniform(2, 4, GpuModel::A100, 8));
         let total = cluster.total_gpus();
+        let policy = [
+            PolicyKind::MultiFactor,
+            PolicyKind::FairShare,
+            PolicyKind::Drf,
+        ][(case % 3) as usize];
         let mut sched = Scheduler::new(SchedulerConfig {
-            policy: PolicyKind::MultiFactor,
+            policy,
             backfill: BackfillMode::Easy,
             quota: quota_mode,
             quotas: vec![16, 16, 16, 16],
@@ -82,6 +109,7 @@ fn scheduler_never_corrupts_accounting() {
                 .map(|g| sched.quota_table().total_used(GroupId::from_index(g)))
                 .sum();
             assert_eq!(quota_used, total - cluster.free_gpus(), "case {case}");
+            assert_ledger_is_the_running_set(&sched, case);
         }
 
         // Drain: finish everything that runs, then rounds start the rest
@@ -97,6 +125,7 @@ fn scheduler_never_corrupts_accounting() {
             let _ = sched.schedule(now, &mut cluster);
         }
         assert!(cluster.check_invariants(), "case {case}");
+        assert_ledger_is_the_running_set(&sched, case);
         assert!(finished <= submitted, "case {case}");
         assert_eq!(cluster.lease_count(), sched.running_len(), "case {case}");
         // Everything still in the system is queued or running, not lost.
