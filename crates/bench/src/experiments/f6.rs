@@ -69,7 +69,6 @@ pub fn run(r: &mut Reporter) -> ExperimentResult {
     let model = ExecModel::new(ExecConfig::default());
     let flat = ExecModel::new(ExecConfig {
         hierarchical_allreduce: false,
-        ..ExecConfig::default()
     });
     let rdma = cluster(LinkSpeeds::campus_default());
     let tcp = cluster(LinkSpeeds::tcp_legacy());

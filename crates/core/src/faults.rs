@@ -28,7 +28,7 @@ impl Platform {
     /// the `Command::FaultNode` entry point — operator-injected faults
     /// and the failure injector share the same per-run handler below.
     pub(crate) fn fault_node(&mut self, node: NodeId) -> Vec<JobId> {
-        let targets: Vec<(JobId, u64)> = self
+        let mut targets: Vec<(JobId, u64)> = self
             .scheduler
             .running()
             .filter(|task| {
@@ -37,6 +37,7 @@ impl Platform {
             })
             .map(|task| (task.request.id, self.current_token(task.request.id)))
             .collect();
+        targets.sort_unstable();
         for &(id, token) in &targets {
             self.on_fault(id, token, node);
         }

@@ -18,16 +18,12 @@ pub struct ExecConfig {
     /// Whether multi-node all-reduce uses the hierarchical (NVLink-aware)
     /// variant; plain flat ring otherwise. Ablation knob for F6.
     pub hierarchical_allreduce: bool,
-    /// Fractional slowdown per co-located tenant job on a shared node
-    /// (PCIe/host-memory/NIC contention). 0 disables interference.
-    pub interference_per_cotenant: f64,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             hierarchical_allreduce: true,
-            interference_per_cotenant: 0.03,
         }
     }
 }
@@ -164,9 +160,13 @@ impl ExecModel {
         }
     }
 
+    /// Fractional slowdown per co-located tenant job on a shared node
+    /// (PCIe/host-memory/NIC contention).
+    const INTERFERENCE_PER_COTENANT: f64 = 0.03;
+
     /// Co-location interference factor (≥ 1) for a placement: the mean
-    /// number of *other* leases sharing the job's nodes, scaled by the
-    /// configured per-cotenant slowdown.
+    /// number of *other* leases sharing the job's nodes, each adding
+    /// `INTERFERENCE_PER_COTENANT`.
     ///
     /// `nodes` is the placement's distinct node set, ascending — each node
     /// once however many workers it holds (debug builds assert it).
@@ -180,7 +180,7 @@ impl ExecModel {
             is_node_set(nodes),
             "not a distinct ascending node set: {nodes:?}"
         );
-        if self.config.interference_per_cotenant <= 0.0 || nodes.is_empty() {
+        if nodes.is_empty() {
             return 1.0;
         }
         let cotenants: f64 = nodes
@@ -189,7 +189,7 @@ impl ExecModel {
             .map(|n| n.lease_count().saturating_sub(1) as f64)
             .sum::<f64>()
             / nodes.len() as f64;
-        1.0 + self.config.interference_per_cotenant * cotenants
+        1.0 + Self::INTERFERENCE_PER_COTENANT * cotenants
     }
 
     fn allreduce_secs(
@@ -302,11 +302,9 @@ mod tests {
         let profile = ModelProfile::gpt2_like();
         let hier = ExecModel::new(ExecConfig {
             hierarchical_allreduce: true,
-            ..ExecConfig::default()
         });
         let flat = ExecModel::new(ExecConfig {
             hierarchical_allreduce: false,
-            ..ExecConfig::default()
         });
         let placement = nodes(&[0, 1, 2, 3]);
         let h = hier.plan_training(
@@ -466,12 +464,6 @@ mod tests {
         c.allocate([(n1, ResourceVec::gpus_only(8))]).expect("fits");
         let f = m.interference_factor(&c, &[n0, n1]);
         assert!((f - (1.0 + 0.03 * 1.0)).abs() < 1e-12); // (2 + 0)/2 co-tenants
-                                                         // Disabled via config.
-        let off = ExecModel::new(ExecConfig {
-            interference_per_cotenant: 0.0,
-            ..ExecConfig::default()
-        });
-        assert_eq!(off.interference_factor(&c, &[n0]), 1.0);
     }
 
     #[test]

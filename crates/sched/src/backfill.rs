@@ -117,7 +117,7 @@ pub(crate) fn reserve(
     now_secs: f64,
     demand_gpus: u32,
     free_gpus: u32,
-    releases: &[Release],
+    releases: impl IntoIterator<Item = Release>,
     steps: &[(f64, u32)],
     read: &mut u64,
 ) -> Reservation {
@@ -128,10 +128,11 @@ pub(crate) fn reserve(
     if demand_gpus <= free_gpus {
         return at(now_secs, free_gpus);
     }
-    // `releases[..next]` have applied; `supply` is what is free now plus
+    let mut releases = releases.into_iter().peekable();
+    // `applied` releases have applied; `supply` is what is free now plus
     // what they freed; `avail` is the availability after the last event
     // time, under `dropped` (saturated at 0).
-    let (mut next, mut supply, mut avail, mut dropped) = (0, free_gpus, free_gpus, 0);
+    let (mut applied, mut supply, mut avail, mut dropped) = (0, free_gpus, free_gpus, 0);
     let mut last = now_secs;
     let covered = 'sweep: {
         // The window steps are the outer loop: between two edges only
@@ -140,23 +141,21 @@ pub(crate) fn reserve(
         for k in 0..=steps.len() {
             let edge = steps.get(k);
             let until = edge.map_or(f64::INFINITY, |&(t, _)| t);
-            while let Some(&(t, _, _)) = releases.get(next) {
+            while let Some(&(t, _, _)) = releases.peek() {
                 if t >= until && edge.is_some() {
                     break;
                 }
                 last = t;
                 let mut partial = avail;
-                loop {
-                    let (_, _, gpus) = releases[next];
-                    next += 1;
+                let mut tied = releases.next();
+                while let Some((_, _, gpus)) = tied {
+                    applied += 1;
                     supply += gpus;
                     partial += gpus;
                     if partial >= demand_gpus {
                         break 'sweep Some(at(t, partial));
                     }
-                    if releases.get(next).is_none_or(|r| r.0 != t) {
-                        break;
-                    }
+                    tied = releases.next_if(|r| r.0 == t);
                 }
                 avail = supply.saturating_sub(dropped);
                 if avail >= demand_gpus {
@@ -169,8 +168,8 @@ pub(crate) fn reserve(
             };
             last = t;
             let mut partial = avail;
-            while let Some(&(_, _, gpus)) = releases.get(next).filter(|r| r.0 == t) {
-                next += 1;
+            while let Some((_, _, gpus)) = releases.next_if(|r| r.0 == t) {
+                applied += 1;
                 supply += gpus;
                 partial += gpus;
                 if partial >= demand_gpus {
@@ -185,7 +184,7 @@ pub(crate) fn reserve(
         }
         None
     };
-    *read += next as u64;
+    *read += applied;
     covered.unwrap_or(Reservation {
         shadow_secs: last,
         extra_gpus: 0,
@@ -199,7 +198,7 @@ pub(crate) fn reserve_with_windows(
     now_secs: f64,
     demand_gpus: u32,
     free_gpus: u32,
-    running: &mut [Release],
+    mut running: Vec<Release>,
     windows: &[CapacityWindow],
 ) -> Reservation {
     running.sort_by(release_order);
@@ -237,7 +236,7 @@ mod tests {
         running: &[(f64, u32)],
         windows: &[CapacityWindow],
     ) -> Reservation {
-        reserve_with_windows(now, demand, free, &mut releases(running), windows)
+        reserve_with_windows(now, demand, free, releases(running), windows)
     }
 
     #[test]
@@ -423,7 +422,7 @@ mod tests {
                 now,
                 demand,
                 free,
-                &running,
+                running.iter().copied(),
                 &window_steps(&windows),
                 &mut read,
             );

@@ -336,16 +336,12 @@ impl ReferenceScheduler {
         cluster: &Cluster,
         reservations: &mut Vec<Reservation>,
     ) {
-        let mut running: Vec<(f64, JobId, u32)> = self
-            .running
-            .values()
-            .map(|t| (t.est_end_secs, t.request.id, t.request.total_gpus()))
-            .collect();
+        let running = self.running.values().map(RunningTask::release).collect();
         reservations.push(reserve_with_windows(
             now_secs,
             request.total_gpus(),
             cluster.free_gpus(),
-            &mut running,
+            running,
             &self.config.capacity_windows,
         ));
     }

@@ -62,6 +62,17 @@ pub struct RunningTask {
     pub est_end_secs: f64,
 }
 
+impl RunningTask {
+    /// What the reservation sweep reads of the task.
+    pub(crate) fn release(&self) -> crate::backfill::Release {
+        (
+            self.est_end_secs,
+            self.request.id,
+            self.request.total_gpus(),
+        )
+    }
+}
+
 /// A task the scheduler just started, with everything the execution layer
 /// needs to model it.
 #[derive(Debug, Clone, PartialEq)]

@@ -6,18 +6,16 @@
 //!
 //! * [`rounds`](self) — the scheduling round walk (quota, backfill,
 //!   placement) over wake-keyed entries, skip tracing per verdict change,
-//!   and the reservation/release-profile caches;
+//!   and the reservations swept off the running set;
 //! * [`gang`](self) — gang time-slicing rotation;
 //! * [`elastic`](self) — placement commitment: elastic gang shrinking
 //!   and quota reclaim with borrower eviction.
-
-use std::collections::BTreeMap;
 
 use tacc_cluster::{Cluster, ResourceVec};
 use tacc_obs::{DecisionTraceLog, Histogram, JobSkip, MetricsRegistry, SkipReason};
 use tacc_workload::{GroupRoster, JobId, QosClass};
 
-use crate::backfill::{self, BackfillMode, CapacityWindow, Release, Reservation};
+use crate::backfill::{self, BackfillMode, CapacityWindow, Reservation};
 use crate::placement::{PlacementStrategy, PlanStats, Planner};
 use crate::policy::{compare, PolicyContext, PolicyKind};
 use crate::quota::{QuotaMode, QuotaTable};
@@ -147,10 +145,6 @@ pub struct Scheduler {
     /// evicting them all would hand back. Kept where `running` is, so no
     /// drain, undrain or fault can leave it behind.
     borrowed: Vec<ResourceVec>,
-    /// The running set in [`release_order`](backfill::release_order), as
-    /// `(est_end_secs + boundary_skew_secs, id, gpus)`: kept where
-    /// `running` is, so a reservation never sorts.
-    releases: Vec<Release>,
     /// `capacity_windows` as [`window_steps`](backfill::window_steps),
     /// recomputed where the windows are written.
     window_steps: Vec<(f64, u32)>,
@@ -158,7 +152,9 @@ pub struct Scheduler {
     boundary_skew_secs: f64,
     /// Test-only switch (see [`Scheduler::debug_set_round_hook`]).
     debug_hook: Option<DebugRoundHook>,
-    running: BTreeMap<JobId, RunningTask>,
+    /// The running set, in [`release_order`](backfill::release_order):
+    /// what the reservation sweep reads as it stands.
+    running: Vec<RunningTask>,
     backfill_starts: u64,
     preemptions: u64,
     rounds: u64,
@@ -458,10 +454,9 @@ impl Scheduler {
             scratch_edits: Vec::new(),
             scratch_decisions: Vec::new(),
             borrowed: Vec::new(),
-            releases: Vec::new(),
             boundary_skew_secs: 0.0,
             debug_hook: None,
-            running: BTreeMap::new(),
+            running: Vec::new(),
             backfill_starts: 0,
             preemptions: 0,
             rounds: 0,
@@ -655,14 +650,15 @@ impl Scheduler {
         self.running.len()
     }
 
-    /// Iterates over running tasks.
+    /// Iterates over running tasks in release order: estimated end, then
+    /// id.
     pub fn running(&self) -> impl Iterator<Item = &RunningTask> {
-        self.running.values()
+        self.running.iter()
     }
 
     /// Looks up a running task.
     pub fn running_task(&self, id: JobId) -> Option<&RunningTask> {
-        self.running.get(&id)
+        self.running.iter().find(|t| t.request.id == id)
     }
 
     /// Total backfilled starts so far.
@@ -715,7 +711,7 @@ impl Scheduler {
             self.config.group_count
         );
         assert!(
-            !self.running.contains_key(&request.id),
+            self.running_task(request.id).is_none(),
             "duplicate submission of {}",
             request.id
         );
@@ -734,17 +730,10 @@ impl Scheduler {
     ///
     /// Returns the task's record, or `None` if it was not running.
     pub fn task_finished(&mut self, id: JobId, cluster: &mut Cluster) -> Option<RunningTask> {
-        let task = self.running.remove(&id)?;
-        let release = self.release_of(&task);
-        let found = self
-            .releases
-            .binary_search_by(|r| backfill::release_order(r, &release));
-        debug_assert!(found.is_ok(), "{id} missing from the release order");
-        if let Ok(pos) = found {
-            self.releases.remove(pos);
-        }
+        let pos = self.running.iter().position(|t| t.request.id == id)?;
+        let task = self.running.remove(pos);
         if task.request.qos == QosClass::BestEffort {
-            for &(node, held) in elastic::held_by(cluster, &task) {
+            for &(node, held) in elastic::held_by(cluster, task.lease_id) {
                 self.borrowed[node.index()] -= held;
             }
         }
@@ -808,35 +797,16 @@ impl Scheduler {
     }
 
     /// Test-only fault injection for the differential red-flip suite:
-    /// shifts every release the reservation sweep reads by `skew_secs`,
-    /// simulating an off-by-one boundary bug in the release order. With
-    /// any non-zero skew, reservation shadows move and the backfill
-    /// decisions diverge from [`ReferenceScheduler`](crate::reference::ReferenceScheduler)
-    /// — the differential suite proves it would catch such a bug.
+    /// every task started from now on has its estimated end shifted by
+    /// `skew_secs`, simulating an off-by-one boundary bug in the release
+    /// order. With any non-zero skew, reservation shadows move and the
+    /// backfill decisions diverge from [`ReferenceScheduler`](crate::reference::ReferenceScheduler)
+    /// — the differential suite proves it would catch such a bug. Set it
+    /// before the first start.
     #[doc(hidden)]
     pub fn debug_set_boundary_skew(&mut self, skew_secs: f64) {
+        debug_assert!(self.running.is_empty(), "skew set with tasks running");
         self.boundary_skew_secs = skew_secs;
-        // Re-key what is running under the new skew, so inserts and
-        // removals keep agreeing on each entry's key.
-        self.releases = self.releases_recomputed();
-    }
-
-    /// A running task's entry in `releases`.
-    pub(super) fn release_of(&self, task: &RunningTask) -> Release {
-        (
-            task.est_end_secs + self.boundary_skew_secs,
-            task.request.id,
-            task.request.total_gpus(),
-        )
-    }
-
-    /// `releases` recomputed from the running set — what the
-    /// incrementally kept order must equal.
-    fn releases_recomputed(&self) -> Vec<Release> {
-        let mut releases: Vec<Release> =
-            self.running.values().map(|t| self.release_of(t)).collect();
-        releases.sort_by(backfill::release_order);
-        releases
     }
 
     /// Test-only switch for the differential suite: makes every walk
@@ -851,7 +821,7 @@ impl Scheduler {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
     use tacc_workload::GroupId;
@@ -863,7 +833,6 @@ mod tests {
     /// still queued — two entries for one job, which the queue's
     /// duplicate guard refuses.
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "duplicate submission of job1")]
     fn edits_applied_push_before_remove_trip_the_duplicate_guard() {
         let request = |id: u64, submit_secs: f64| TaskRequest {

@@ -2,7 +2,7 @@
 //! youngest-first borrower eviction, and the lease/quota bookkeeping of
 //! an accepted start.
 
-use tacc_cluster::{Cluster, Lease, Node, NodeId, ResourceVec};
+use tacc_cluster::{Cluster, Lease, LeaseId, Node, NodeId, ResourceVec};
 use tacc_workload::{JobId, QosClass};
 
 use crate::backfill::release_order;
@@ -22,11 +22,10 @@ pub(super) fn frees_after<'a>(
     nodes.map(move |n| n.free() + back(n).unwrap_or(ResourceVec::ZERO))
 }
 
-/// What running `task` holds on `cluster`, one share per node: its
-/// lease's shares (none once the lease is gone, which a running task's
-/// never is).
-pub(super) fn held_by<'a>(cluster: &'a Cluster, task: &RunningTask) -> &'a [(NodeId, ResourceVec)] {
-    cluster.lease(task.lease_id).map_or(&[], Lease::shares)
+/// What a running task's `lease` holds on `cluster`, one share per node
+/// (none once the lease is gone, which a running task's never is).
+pub(super) fn held_by(cluster: &Cluster, lease: LeaseId) -> &[(NodeId, ResourceVec)] {
+    cluster.lease(lease).map_or(&[], Lease::shares)
 }
 
 impl Scheduler {
@@ -58,8 +57,8 @@ impl Scheduler {
         {
             return None;
         }
-        // Sampled oracle, as for the release order: what the borrowers
-        // hold per node must equal a recount of the running set.
+        // Sampled oracle: what the borrowers hold per node must equal a
+        // recount of the running set.
         #[cfg(debug_assertions)]
         if self.rounds.is_multiple_of(61) {
             debug_assert_eq!(
@@ -81,7 +80,7 @@ impl Scheduler {
         // building.
         let mut victims: Vec<(f64, JobId)> = self
             .running
-            .values()
+            .iter()
             .filter(|t| t.request.qos == QosClass::BestEffort)
             .map(|t| (t.start_secs, t.request.id))
             .collect();
@@ -124,7 +123,7 @@ impl Scheduler {
     #[doc(hidden)]
     pub fn borrowers_evicted(&self, cluster: &Cluster) -> Cluster {
         let mut hypothetical = cluster.clone();
-        for t in self.running.values() {
+        for t in &self.running {
             if t.request.qos == QosClass::BestEffort {
                 hypothetical
                     .release(t.lease_id)
@@ -139,9 +138,9 @@ impl Scheduler {
     #[cfg(debug_assertions)]
     fn borrowed_recomputed(&self, cluster: &Cluster) -> Vec<ResourceVec> {
         let mut borrowed = vec![ResourceVec::ZERO; self.borrowed.len()];
-        for t in self.running.values() {
+        for t in &self.running {
             if t.request.qos == QosClass::BestEffort {
-                for &(node, held) in held_by(cluster, t) {
+                for &(node, held) in held_by(cluster, t.lease_id) {
                     borrowed[node.index()] += held;
                 }
             }
@@ -193,7 +192,7 @@ impl Scheduler {
         }
         // A shrunken data-parallel gang runs proportionally longer.
         let scale = f64::from(request.workers) / f64::from(granted);
-        let est_end_secs = now_secs + request.est_secs * scale;
+        let est_end_secs = now_secs + request.est_secs * scale + self.boundary_skew_secs;
         if request.qos == QosClass::BestEffort {
             self.borrowed
                 .resize(cluster.node_count(), ResourceVec::ZERO);
@@ -208,12 +207,11 @@ impl Scheduler {
             start_secs: now_secs,
             est_end_secs,
         };
-        let release = self.release_of(&task);
+        let release = task.release();
         let pos = self
-            .releases
-            .partition_point(|r| release_order(r, &release).is_lt());
-        self.releases.insert(pos, release);
-        self.running.insert(request.id, task);
+            .running
+            .partition_point(|t| release_order(&t.release(), &release).is_lt());
+        self.running.insert(pos, task);
         Some(StartedTask {
             request: *request,
             granted_workers: granted,

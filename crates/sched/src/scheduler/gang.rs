@@ -30,11 +30,11 @@ impl Scheduler {
         // Expiry is the very sum the run's `RotateCheck` was scheduled at,
         // so that check always finds its run: `now − start ≥ quantum`
         // rounds differently once `start + quantum` crosses a power of two.
-        let mut expired: Vec<(f64, JobId)> = self
+        let mut expired: Vec<(f64, JobId, _)> = self
             .running
-            .values()
+            .iter()
             .filter(|t| t.request.qos == QosClass::BestEffort && t.start_secs + quantum <= now_secs)
-            .map(|t| (t.start_secs, t.request.id))
+            .map(|t| (t.start_secs, t.request.id, t.lease_id))
             .collect();
         if expired.is_empty() {
             return SchedOutcome::default();
@@ -45,9 +45,8 @@ impl Scheduler {
         // Each hands its shares back to the nodes it runs on.
         let mut handed_back = vec![ResourceVec::ZERO; cluster.node_count()];
         let mut needed = None;
-        for (i, &(_, id)) in expired.iter().enumerate() {
-            let task = &self.running[&id];
-            for &(node, held) in held_by(cluster, task) {
+        for (i, &(_, _, lease)) in expired.iter().enumerate() {
+            for &(node, held) in held_by(cluster, lease) {
                 handed_back[node.index()] += held;
             }
             let fits_someone = self.queue.iter().map(|e| &e.request).any(|r| {
@@ -64,7 +63,7 @@ impl Scheduler {
         };
 
         let mut outcome = SchedOutcome::default();
-        for &(_, victim) in &expired[..count] {
+        for &(_, victim, _) in &expired[..count] {
             let task = self
                 .task_finished(victim, cluster)
                 .expect("victim is running");

@@ -11,7 +11,7 @@ use tacc_workload::{GroupId, JobId, QosClass};
 
 use crate::backfill::{may_backfill, reserve, BackfillMode};
 use crate::policy::{compare, PolicyKind};
-use crate::request::{Decision, SchedOutcome, StartedTask, TaskRequest};
+use crate::request::{Decision, RunningTask, SchedOutcome, StartedTask, TaskRequest};
 use crate::scheduler::{DebugRoundHook, GateFloor, Queued, Scheduler, SkipVerdict, Wait};
 
 /// The crate's one wall-clock read: a round or a rotation starts timing.
@@ -437,24 +437,24 @@ impl Scheduler {
     /// Computes the capacity reservation for a blocked request by sweeping
     /// the running set in release order, and appends it to the round's
     /// reservations. Conservative backfill asks for one reservation per
-    /// blocked job per round; each reads `releases` only as far as its
-    /// demand needs.
+    /// blocked job per round; each reads the running set only as far as
+    /// its demand needs.
     fn push_reservation(&mut self, now_secs: f64, request: &TaskRequest, cluster: &Cluster) {
-        // Sampled oracle: the incrementally kept release order must equal
-        // a fresh sort of the running set.
+        // Sampled oracle: the running set is still in release order.
         #[cfg(debug_assertions)]
         if self.rounds.is_multiple_of(61) {
-            debug_assert_eq!(
-                self.releases,
-                self.releases_recomputed(),
-                "release order diverged from the running set"
+            debug_assert!(
+                self.running.is_sorted_by(|a, b| {
+                    crate::backfill::release_order(&a.release(), &b.release()).is_lt()
+                }),
+                "the running set left release order"
             );
         }
         let reservation = reserve(
             now_secs,
             request.total_gpus(),
             cluster.free_gpus(),
-            &self.releases,
+            self.running.iter().map(RunningTask::release),
             &self.window_steps,
             &mut self.counters.slots.intersections,
         );
@@ -513,7 +513,7 @@ impl Scheduler {
     fn ledger_recomputed(&self) -> (Vec<ResourceVec>, Vec<u32>) {
         let groups = self.quota.group_count();
         let (mut usage, mut guaranteed) = (vec![ResourceVec::ZERO; groups], vec![0; groups]);
-        for task in self.running.values() {
+        for task in &self.running {
             let g = task.request.group.index();
             usage[g] += task.request.total_resources();
             if task.request.qos == QosClass::Guaranteed {

@@ -662,7 +662,9 @@ fn run_contended(seed: u64, steps: usize, hook: Option<DebugRoundHook>) -> Conte
                 }
             }
             7..=8 => {
-                let running: Vec<JobId> = rig.opt.running().map(|t| t.request.id).collect();
+                // Drawn from the running ids in id order.
+                let mut running: Vec<JobId> = rig.opt.running().map(|t| t.request.id).collect();
+                running.sort();
                 if !running.is_empty() {
                     rig.finish(running[rng.below(running.len() as u64) as usize]);
                 }
@@ -871,7 +873,9 @@ fn reclaim_and_rotation_pre_checks_equal_clone_and_plan_after_every_step() {
                     while !sched.schedule(now, &mut cluster).is_empty() {}
                 }
                 5..=6 => {
-                    let running: Vec<JobId> = sched.running().map(|t| t.request.id).collect();
+                    // Drawn from the running ids in id order.
+                    let mut running: Vec<JobId> = sched.running().map(|t| t.request.id).collect();
+                    running.sort();
                     if !running.is_empty() {
                         let id = running[rng.below(running.len() as u64) as usize];
                         sched.task_finished(id, &mut cluster);

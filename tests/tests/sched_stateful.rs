@@ -30,6 +30,17 @@ use tacc_sim::{dist, DetRng};
 use tacc_tests::below;
 use tacc_workload::{GroupId, JobId, QosClass};
 
+/// Asserts that `running()` yields the running set in release order:
+/// estimated end under `total_cmp`, then id — the order the reservation
+/// sweep reads it in.
+fn assert_running_in_release_order(sched: &Scheduler, case: u64) {
+    let in_order = sched.running().is_sorted_by(|a, b| {
+        let by_end = a.est_end_secs.total_cmp(&b.est_end_secs);
+        by_end.then(a.request.id.cmp(&b.request.id)).is_lt()
+    });
+    assert!(in_order, "case {case}: running set out of release order");
+}
+
 #[test]
 fn scheduler_never_corrupts_accounting() {
     for case in 0..64 {
@@ -84,8 +95,10 @@ fn scheduler_never_corrupts_accounting() {
                     sched.submit(request);
                 }
                 3..=5 => {
-                    // Finish a random running job.
-                    let running: Vec<JobId> = sched.running().map(|t| t.request.id).collect();
+                    // Finish a random running job, drawn from the ids in
+                    // id order.
+                    let mut running: Vec<JobId> = sched.running().map(|t| t.request.id).collect();
+                    running.sort();
                     if !running.is_empty() {
                         let victim = running[below(rng, running.len() as u64) as usize];
                         let done = sched.task_finished(victim, &mut cluster);
@@ -110,16 +123,16 @@ fn scheduler_never_corrupts_accounting() {
                 .sum();
             assert_eq!(quota_used, total - cluster.free_gpus(), "case {case}");
             assert_ledger_is_the_running_set(&sched, case);
+            assert_running_in_release_order(&sched, case);
         }
 
         // Drain: finish everything that runs, then rounds start the rest
         // or leave them legitimately queued; accounting stays balanced.
         for _ in 0..2 * submitted {
-            let running: Vec<JobId> = sched.running().map(|t| t.request.id).collect();
-            if running.is_empty() {
+            let Some(first) = sched.running().map(|t| t.request.id).min() else {
                 break;
-            }
-            sched.task_finished(running[0], &mut cluster);
+            };
+            sched.task_finished(first, &mut cluster);
             finished += 1;
             now += 1.0;
             let _ = sched.schedule(now, &mut cluster);
