@@ -24,7 +24,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::platform::Platform;
-use crate::wire::{obj, Json};
+use crate::wire::Json;
 
 tacc_json::record! {
     #[json(tag = "kind")]
@@ -146,33 +146,46 @@ pub enum CommandOutcome {
 
 impl CommandOutcome {
     /// The acknowledgement a client receives: the record's sequence
-    /// number and stamp, then what applying it did.
+    /// number and stamp, then what applying it did. Its fields go into
+    /// one `Vec` sized for the largest outcome, so the ack allocates that
+    /// and each key and string it holds, and nothing it throws away.
     pub fn to_json(&self, seq: u64, at_secs: f64) -> Json {
-        let node = |node: &NodeId| ("node", Json::from(node.index()));
-        let (outcome, rest) = match self {
-            CommandOutcome::Submitted { job } => ("submitted", vec![("job", job.value().into())]),
-            CommandOutcome::Cancelled { job, applied } => (
-                "cancelled",
-                vec![("job", job.value().into()), ("applied", (*applied).into())],
-            ),
-            CommandOutcome::Reserved => ("reserved", vec![]),
+        let mut fields = Vec::with_capacity(5);
+        let mut push = |key: &str, value: Json| fields.push((key.to_owned(), value));
+        push("seq", seq.into());
+        push("at_secs", Json::Num(at_secs));
+        let job = |job: &JobId| Json::from(job.value());
+        let node = |node: &NodeId| Json::from(node.index());
+        match self {
+            CommandOutcome::Submitted { job: id } => {
+                push("outcome", "submitted".into());
+                push("job", job(id));
+            }
+            CommandOutcome::Cancelled { job: id, applied } => {
+                push("outcome", "cancelled".into());
+                push("job", job(id));
+                push("applied", (*applied).into());
+            }
+            CommandOutcome::Reserved => push("outcome", "reserved".into()),
             CommandOutcome::NodeFaulted { node: at, jobs } => {
-                let jobs = jobs.iter().map(|j| j.value().into()).collect();
-                ("node-faulted", vec![node(at), ("jobs", Json::Arr(jobs))])
+                push("outcome", "node-faulted".into());
+                push("node", node(at));
+                push("jobs", Json::Arr(jobs.iter().map(job).collect()));
             }
-            CommandOutcome::Drained { node: at } => ("drained", vec![node(at)]),
-            CommandOutcome::Undrained { node: at } => ("undrained", vec![node(at)]),
+            CommandOutcome::Drained { node: at } => {
+                push("outcome", "drained".into());
+                push("node", node(at));
+            }
+            CommandOutcome::Undrained { node: at } => {
+                push("outcome", "undrained".into());
+                push("node", node(at));
+            }
             CommandOutcome::Advanced { now_secs } => {
-                ("advanced", vec![("now_secs", Json::Num(*now_secs))])
+                push("outcome", "advanced".into());
+                push("now_secs", Json::Num(*now_secs));
             }
-        };
-        let mut fields = vec![
-            ("seq", seq.into()),
-            ("at_secs", Json::Num(at_secs)),
-            ("outcome", outcome.into()),
-        ];
-        fields.extend(rest);
-        obj(fields)
+        }
+        Json::Obj(fields)
     }
 }
 

@@ -38,10 +38,17 @@
 //! ← {"ok":{"job":0,"state":"running",...}}  |  {"err":{"kind":"...","message":"..."}}
 //! ```
 //!
-//! A `mutate` carries [`Command::to_json`], a `query` the `kind` of a
+//! A `mutate` carries a [`Command`]'s text, a `query` the `kind` of a
 //! [`Query`] plus `job` for the per-job kinds; an `ok` payload is
 //! [`crate::CommandOutcome::to_json`] or [`crate::Platform::answer`]'s
-//! value. An `err` kind is one of the five protocol-level kinds below,
+//! value. Each envelope has one writer, which streams it into the
+//! caller's frame buffer with no tree between: [`Request::frame_mutate`]
+//! puts [`Command::write_json`] inside its head, [`Reply::frame`] puts
+//! the payload's [`Json::write`]. [`Request::read`] reads the writers'
+//! spelling with a tree-free [`tacc_json::Cursor`] and hands any other
+//! spelling to the parser and the tree reader, so every refusal's kind
+//! and text are the tree reader's. An `err` kind is one of the five
+//! protocol-level kinds below,
 //! a [`crate::CommandError::kind`], a [`crate::QueryError::kind`], or the
 //! engine's own `journal-io`.
 
@@ -49,6 +56,7 @@ use std::fmt;
 use std::io::{self, ErrorKind, Read};
 
 pub use tacc_json::{obj, parse, Json, JsonError};
+use tacc_json::{write_escaped, write_num, Cursor, TextSink};
 
 use crate::{Command, Query};
 
@@ -242,9 +250,10 @@ pub fn decode_frame(buf: &[u8]) -> Result<(&[u8], usize), FrameError> {
 /// Reads one frame's payload from a stream into `payload`, replacing
 /// what it held and keeping its capacity: [`decode_frame`] for a stream,
 /// under the same header, length-cap and checksum checks, and the one
-/// stream frame reader — journal recovery reads every frame into one
-/// buffer with it, and [`read_frame`] wraps it for the socket. `Ok(false)`
-/// is the stream ending before a header.
+/// stream frame reader — journal recovery, and each end of a socket
+/// connection, reads every frame into one buffer with it, and
+/// [`read_frame`] wraps it for a single read. `Ok(false)` is the stream
+/// ending before a header.
 ///
 /// # Errors
 ///
@@ -281,8 +290,8 @@ pub fn read_frame_into<R: Read>(stream: &mut R, payload: &mut Vec<u8>) -> io::Re
 }
 
 /// Reads one frame's payload from a stream into a buffer of its own:
-/// [`read_frame_into`] for a socket, whose frames come one at a time.
-/// `Ok(None)` is the stream ending before a header.
+/// [`read_frame_into`] for one frame. `Ok(None)` is the stream ending
+/// before a header.
 ///
 /// # Errors
 ///
@@ -319,12 +328,14 @@ pub enum Request {
     Query(Query),
 }
 
-fn envelope(member: &str, value: Json) -> Json {
-    obj(vec![
-        ("v", Json::Num(PROTOCOL_VERSION as f64)),
-        (member, value),
-    ])
-}
+// What the writers put ahead of a request's member, `v` spelled as
+// [`PROTOCOL_VERSION`]. The reader spells each piece on its own, so a
+// wrong byte here reads back as the tree reader reads it, not as a
+// request.
+const HELLO: &str = r#"{"v":1,"hello":true}"#;
+const MUTATE_HEAD: &str = r#"{"v":1,"mutate":"#;
+const QUERY_HEAD: &str = r#"{"v":1,"query":{"kind":"#;
+const _: () = assert!(PROTOCOL_VERSION == 1, "the request heads spell v1");
 
 fn parse_payload(payload: &[u8]) -> Result<Json, String> {
     let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_owned())?;
@@ -332,32 +343,98 @@ fn parse_payload(payload: &[u8]) -> Result<Json, String> {
 }
 
 impl Request {
-    /// Writes the handshake request.
+    /// Appends the framed handshake request to `buf`.
+    pub fn frame_hello(buf: &mut Vec<u8>) {
+        frame_into(buf, |out| out.push_str(HELLO));
+    }
+
+    /// Appends the framed request that applies `command` to `buf`: the
+    /// envelope's head, [`Command::write_json`] and its closing brace,
+    /// streamed into place.
+    pub fn frame_mutate(buf: &mut Vec<u8>, command: &Command) {
+        frame_into(buf, |out| {
+            out.push_str(MUTATE_HEAD);
+            command.write_json(out);
+            out.push_str("}");
+        });
+    }
+
+    /// Appends the framed query request to `buf`, from a [`Query::kind`]
+    /// and, for the per-job kinds, the job id. Either is written as
+    /// given, so a client can ask what the daemon refuses.
+    pub fn frame_query(buf: &mut Vec<u8>, kind: &str, job: Option<u64>) {
+        frame_into(buf, |out| {
+            out.push_str(QUERY_HEAD);
+            write_escaped(kind, out);
+            if let Some(job) = job {
+                out.push_str(r#","job":"#);
+                write_num(job as f64, out);
+            }
+            out.push_str("}}");
+        });
+    }
+
+    /// The handshake request as a tree, for a caller that takes requests
+    /// apart: [`Request::frame_hello`]'s text, parsed.
     pub fn hello() -> Json {
-        envelope("hello", Json::Bool(true))
+        as_tree(Request::frame_hello)
     }
 
-    /// Writes the request that applies `command`.
+    /// [`Request::frame_mutate`]'s text, parsed.
     pub fn mutate(command: &Command) -> Json {
-        envelope("mutate", command.to_json())
+        as_tree(|buf| Request::frame_mutate(buf, command))
     }
 
-    /// Writes a query request from a [`Query::kind`] and, for the
-    /// per-job kinds, the job id.
+    /// [`Request::frame_query`]'s text, parsed.
     pub fn query(kind: &str, job: Option<u64>) -> Json {
-        let mut query = vec![("kind", Json::from(kind))];
-        query.extend(job.map(|job| ("job", job.into())));
-        envelope("query", obj(query))
+        as_tree(|buf| Request::frame_query(buf, kind, job))
     }
 
-    /// Reads a request back from a frame payload.
+    /// Reads a request back from a frame payload: the tree-free reader
+    /// first, and on any other spelling the parser and the tree reader,
+    /// so the request, or the refusal, is the tree reader's either way.
     ///
     /// # Errors
     ///
     /// The refusal to answer with, its kind one of [`MALFORMED_FRAME`],
     /// [`VERSION_MISMATCH`], [`MALFORMED_COMMAND`], [`MALFORMED_QUERY`].
     pub fn read(payload: &[u8]) -> Result<Request, Reply> {
+        if let Ok(text) = std::str::from_utf8(payload) {
+            let mut r = Cursor::new(text);
+            match Request::read_json(&mut r) {
+                Some(request) if r.at_end() => return Ok(request),
+                _ => {}
+            }
+        }
         let value = parse_payload(payload).map_err(|e| Reply::refuse(MALFORMED_FRAME, e))?;
+        Request::from_json(&value)
+    }
+
+    /// Reads back the text the writers above stream, with no tree;
+    /// `None` for any other spelling.
+    pub fn read_json(r: &mut Cursor<'_>) -> Option<Request> {
+        r.lit(r#"{"v":"#)?;
+        if r.u64()? != PROTOCOL_VERSION {
+            return None;
+        }
+        let request = if r.eat(r#","hello":true"#) {
+            Request::Hello
+        } else if r.eat(r#","mutate":"#) {
+            Request::Mutate(Command::read_json(r)?)
+        } else {
+            r.lit(r#","query":"#)?;
+            Request::Query(Query::read_json(r)?)
+        };
+        r.lit("}")?;
+        Some(request)
+    }
+
+    /// Reads a request from its JSON tree.
+    ///
+    /// # Errors
+    ///
+    /// As [`Request::read`], less the payload's own.
+    pub fn from_json(value: &Json) -> Result<Request, Reply> {
         let Some(v) = value.get("v").and_then(Json::as_u64) else {
             return Err(Reply::refuse(MALFORMED_FRAME, "missing 'v' field"));
         };
@@ -378,6 +455,14 @@ impl Request {
             Err(Reply::refuse(MALFORMED_FRAME, message))
         }
     }
+}
+
+/// The payload a frame writer appends, parsed back: a request's tree is
+/// read off its one writer, not written beside it.
+fn as_tree(frame: impl FnOnce(&mut Vec<u8>)) -> Json {
+    let mut buf = Vec::new();
+    frame(&mut buf);
+    parse_payload(&buf[8..]).unwrap_or(Json::Null)
 }
 
 /// One response: the `ok` payload, or a typed refusal. What the `taccd`
@@ -405,15 +490,24 @@ impl Reply {
         }
     }
 
-    /// Writes the response.
-    pub fn into_json(self) -> Json {
-        match self {
-            Reply::Ok(payload) => obj(vec![("ok", payload)]),
-            Reply::Err { kind, message } => obj(vec![(
-                "err",
-                obj(vec![("kind", kind.into()), ("message", message.into())]),
-            )]),
-        }
+    /// Appends the framed response to `buf`: `{"ok":` and the payload's
+    /// compact text ([`Json::write`]), or the `err` member, streamed into
+    /// place.
+    pub fn frame(&self, buf: &mut Vec<u8>) {
+        frame_into(buf, |out| match self {
+            Reply::Ok(payload) => {
+                out.push_str(r#"{"ok":"#);
+                payload.write(out);
+                out.push_str("}");
+            }
+            Reply::Err { kind, message } => {
+                out.push_str(r#"{"err":{"kind":"#);
+                write_escaped(kind, out);
+                out.push_str(r#","message":"#);
+                write_escaped(message, out);
+                out.push_str("}}");
+            }
+        });
     }
 
     /// Reads a response back from a frame payload.
@@ -568,18 +662,31 @@ mod tests {
             (Query::Quota, r#"{"v":1,"query":{"kind":"quota"}}"#),
             (Query::Top, r#"{"v":1,"query":{"kind":"top"}}"#),
         ];
+        // The streamed frame is the parent's tree text, framed; its tree
+        // view reads back as that text.
+        let framed = |frame: &dyn Fn(&mut Vec<u8>), text: &str| {
+            let mut buf = b"ahead".to_vec();
+            frame(&mut buf);
+            assert_eq!(buf[5..], encode_frame(text.as_bytes()), "{text}");
+        };
         for (query, text) in queries {
-            let written = Request::query(query.kind(), query.job().map(JobId::value));
-            assert_eq!(written.to_string(), text);
+            let (kind, job) = (query.kind(), query.job().map(JobId::value));
+            framed(&|buf| Request::frame_query(buf, kind, job), text);
+            assert_eq!(Request::query(kind, job).to_string(), text);
             assert_eq!(Request::read(text.as_bytes()), Ok(Request::Query(query)));
         }
         let cancel = Command::Cancel { job };
         let text = r#"{"v":1,"mutate":{"kind":"cancel","job":7}}"#;
+        framed(&|buf| Request::frame_mutate(buf, &cancel), text);
         assert_eq!(Request::mutate(&cancel).to_string(), text);
         assert_eq!(Request::read(text.as_bytes()), Ok(Request::Mutate(cancel)));
         let text = r#"{"v":1,"hello":true}"#;
+        framed(&|buf| Request::frame_hello(buf), text);
         assert_eq!(Request::hello().to_string(), text);
         assert_eq!(Request::read(text.as_bytes()), Ok(Request::Hello));
+        // A kind the daemon refuses is still written as given.
+        let text = r#"{"v":1,"query":{"kind":"x\"y","job":0}}"#;
+        framed(&|buf| Request::frame_query(buf, "x\"y", Some(0)), text);
 
         let refused = |text: &str| match Request::read(text.as_bytes()) {
             Err(Reply::Err { kind, .. }) => kind,
@@ -597,17 +704,18 @@ mod tests {
 
     #[test]
     fn replies_read_back() {
-        let ok = Reply::Ok(obj(vec![("job", 7u64.into())]));
+        let ok = Reply::Ok(obj(vec![("job", 7u64.into()), ("name", "a\"b".into())]));
         let refusal = Reply::refuse("unknown-job", "unknown job 7");
-        for reply in [ok, refusal] {
-            let text = reply.clone().into_json().to_string();
+        let texts = [
+            r#"{"ok":{"job":7,"name":"a\"b"}}"#,
+            r#"{"err":{"kind":"unknown-job","message":"unknown job 7"}}"#,
+        ];
+        for (reply, text) in [ok, refusal].into_iter().zip(texts) {
+            let mut buf = Vec::new();
+            reply.frame(&mut buf);
+            assert_eq!(buf, encode_frame(text.as_bytes()));
             assert_eq!(Reply::read(text.as_bytes()), Ok(reply));
         }
-        let text = Reply::refuse("unknown-job", "unknown job 7").into_json();
-        assert_eq!(
-            text.to_string(),
-            r#"{"err":{"kind":"unknown-job","message":"unknown job 7"}}"#
-        );
         assert!(Reply::read(b"{}").is_err());
         assert!(Reply::read(b"[1]").is_err());
         assert!(Reply::read(&[0xFF]).is_err());

@@ -1,14 +1,15 @@
 //! # tacc-json
 //!
 //! The workspace's one JSON implementation: one value type ([`Json`]),
-//! one parser ([`parse`]), one compact printer (`Display`), one pretty
-//! printer ([`Json::to_pretty`]), and the string escaper
-//! ([`write_escaped`]) and number printer ([`write_num`]) both are built
-//! on, open to writers that stream a record into a [`TextSink`] without
-//! building a tree. A [`Cursor`] reads such a record back the same way.
-//! Those writers and readers are not written by hand: [`record!`]
-//! generates them, with the tree writer and the tree reader, from one
-//! declaration of a record's shape. Standard library only.
+//! one parser ([`parse`]), one compact printer ([`Json::write`], and
+//! `Display` over it), one pretty printer ([`Json::to_pretty`]), and the
+//! string escaper ([`write_escaped`]) and number printer ([`write_num`])
+//! both are built on, open to writers that stream a record into a
+//! [`TextSink`] without building a tree. A [`Cursor`] reads such a
+//! record back the same way. Those writers and readers are not written
+//! by hand: [`record!`] generates them, with the tree writer and the
+//! tree reader, from one declaration of a record's shape. Standard
+//! library only.
 //!
 //! Two byte formats are contracts. The compact form is the `taccd`
 //! journal and socket encoding: a journal written today must re-parse
@@ -129,7 +130,9 @@ impl Json {
             .ok_or_else(|| format!("missing or non-string field '{key}'"))
     }
 
-    fn write<W: TextSink + ?Sized>(&self, out: &mut W) {
+    /// Streams the compact text — what `to_string()` prints — into
+    /// `out`, for a writer that puts a tree inside text of its own.
+    pub fn write<W: TextSink + ?Sized>(&self, out: &mut W) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),

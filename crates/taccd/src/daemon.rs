@@ -13,15 +13,22 @@
 //! `version-mismatch` and the connection stays usable; a frame that
 //! fails its checksum cannot be resynchronized, so the connection is
 //! answered `malformed-frame` and closed.
+//!
+//! A connection keeps one frame buffer and one reply channel for its
+//! whole life: each request is read into the buffer, and its reply is
+//! streamed into the same buffer and written from it, so in the steady
+//! state a request costs the connection no allocation but the command
+//! it hands the engine.
 
 use std::io::Write;
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use tacc_core::wire::{self, obj, Request};
 
@@ -96,7 +103,14 @@ impl Daemon {
         let listener = UnixListener::bind(&config.socket).map_err(DaemonError::Bind)?;
 
         let (tx, rx) = mpsc::channel();
-        let engine_handle = std::thread::spawn(move || engine.run(&rx));
+        // Held by the engine thread until its stages are joined: what a
+        // connection waiting for a reply looks at.
+        let running = Arc::new(());
+        let alive = Arc::downgrade(&running);
+        let engine_handle = std::thread::spawn(move || {
+            engine.run(&rx);
+            drop(running);
+        });
 
         let stopping = Arc::new(AtomicBool::new(false));
         let accept_tx = tx.clone();
@@ -115,10 +129,11 @@ impl Daemon {
                     continue;
                 };
                 let conn_tx = accept_tx.clone();
+                let conn_alive = alive.clone();
                 let conn_gauge = connected.clone();
                 let worker = std::thread::spawn(move || {
                     conn_gauge.add(1.0);
-                    serve_connection(&mut stream, &conn_tx);
+                    serve_connection(&mut stream, &conn_tx, conn_alive);
                     // The clone kept above must not hold the client's
                     // end open past the conversation.
                     let _ = stream.shutdown(Shutdown::Both);
@@ -183,46 +198,95 @@ impl Drop for Daemon {
     }
 }
 
-fn write_response(stream: &mut UnixStream, response: Reply) -> bool {
-    let payload = response.into_json().to_string();
-    stream
-        .write_all(&wire::encode_frame(payload.as_bytes()))
-        .is_ok()
-}
+/// The capacity a connection's frame buffer keeps between requests. A
+/// larger frame, a request or a reply, is carried and then let go, so a
+/// client cannot hold up to [`wire::MAX_FRAME_LEN`] of the daemon's
+/// memory for as long as it stays connected.
+const KEPT_FRAME_CAPACITY: usize = 64 * 1024;
 
-/// Hands the engine one message — built around the way back for its
-/// reply — and waits for that reply.
-fn ask(engine: &Sender<Msg>, msg: impl FnOnce(Sender<Reply>) -> Msg) -> Reply {
-    let (reply, answer) = mpsc::channel();
-    if engine.send(msg(reply)).is_err() {
-        return Reply::refuse(wire::DAEMON_STOPPING, "engine is shutting down");
+/// How often a connection waiting for its reply looks whether the engine
+/// is still there to send it.
+const ENGINE_CHECK: Duration = Duration::from_millis(100);
+
+/// Frames `reply` into the connection's buffer and writes it; `false`
+/// when the client went away.
+fn write_reply(stream: &mut UnixStream, frame: &mut Vec<u8>, reply: &Reply) -> bool {
+    frame.clear();
+    reply.frame(frame);
+    let sent = stream.write_all(frame).is_ok();
+    if frame.capacity() > KEPT_FRAME_CAPACITY {
+        *frame = Vec::new();
     }
-    let dropped = |_| Reply::refuse(wire::DAEMON_STOPPING, "engine dropped the request");
-    answer.recv().unwrap_or_else(dropped)
+    sent
 }
 
-/// Serves one connection until EOF or an unrecoverable framing error.
-fn serve_connection(stream: &mut UnixStream, engine: &Sender<Msg>) {
+/// One connection's way back from the engine, kept for its whole life:
+/// every message carries a clone of `tx`, and the reply comes back on
+/// `rx`. Holding `tx` keeps the channel open, so `engine` — alive while
+/// the engine thread is — says when no reply can come.
+struct Replies {
+    tx: Sender<Reply>,
+    rx: Receiver<Reply>,
+    engine: Weak<()>,
+}
+
+impl Replies {
+    /// Hands the engine one message — built around the way back for its
+    /// reply — and waits for that reply.
+    fn ask(&self, engine: &Sender<Msg>, msg: impl FnOnce(Sender<Reply>) -> Msg) -> Reply {
+        if engine.send(msg(self.tx.clone())).is_err() {
+            return Reply::refuse(wire::DAEMON_STOPPING, "engine is shutting down");
+        }
+        loop {
+            match self.rx.recv_timeout(ENGINE_CHECK) {
+                Ok(reply) => return reply,
+                Err(_) if self.engine.strong_count() > 0 => {}
+                // The engine thread has ended, its stages joined: a reply
+                // sent is in the channel, and no other is coming.
+                Err(_) => {
+                    let dropped =
+                        |_| Reply::refuse(wire::DAEMON_STOPPING, "engine dropped the request");
+                    return self.rx.try_recv().unwrap_or_else(dropped);
+                }
+            }
+        }
+    }
+}
+
+/// Serves one connection until EOF or an unrecoverable framing error,
+/// each request read into, and each reply written from, one buffer.
+fn serve_connection(stream: &mut UnixStream, engine: &Sender<Msg>, alive: Weak<()>) {
+    let (tx, rx) = mpsc::channel();
+    let replies = Replies {
+        tx,
+        rx,
+        engine: alive,
+    };
+    let mut frame = Vec::new();
     loop {
-        let payload = match wire::read_frame(stream) {
-            Ok(Some(p)) => p,
-            Ok(None) => return, // clean EOF
+        let reply = match wire::read_frame_into(stream, &mut frame) {
+            Ok(true) => match Request::read(&frame) {
+                Err(refusal) => refusal,
+                Ok(Request::Hello) => Reply::Ok(obj(vec![
+                    ("protocol", wire::PROTOCOL_VERSION.into()),
+                    ("server", "taccd".into()),
+                ])),
+                Ok(Request::Mutate(command)) => {
+                    replies.ask(engine, |reply| Msg::Mutate { command, reply })
+                }
+                Ok(Request::Query(query)) => {
+                    replies.ask(engine, |reply| Msg::Query { query, reply })
+                }
+            },
+            Ok(false) => return, // clean EOF
             Err(why) => {
                 // Framing broke: answer once, then drop the connection.
-                let _ = write_response(stream, Reply::refuse(wire::MALFORMED_FRAME, why));
+                let refusal = Reply::refuse(wire::MALFORMED_FRAME, why);
+                let _ = write_reply(stream, &mut frame, &refusal);
                 return;
             }
         };
-        let response = match Request::read(&payload) {
-            Err(refusal) => refusal,
-            Ok(Request::Hello) => Reply::Ok(obj(vec![
-                ("protocol", wire::PROTOCOL_VERSION.into()),
-                ("server", "taccd".into()),
-            ])),
-            Ok(Request::Mutate(command)) => ask(engine, |reply| Msg::Mutate { command, reply }),
-            Ok(Request::Query(query)) => ask(engine, |reply| Msg::Query { query, reply }),
-        };
-        if !write_response(stream, response) {
+        if !write_reply(stream, &mut frame, &reply) {
             return; // client went away mid-reply
         }
     }

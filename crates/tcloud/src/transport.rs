@@ -3,7 +3,7 @@
 //! The local [`crate::TcloudClient`] owns an in-process platform; this
 //! module is the remote counterpart — a [`DaemonClient`] speaking the
 //! daemon's framed JSON protocol over a Unix socket. Frames, request
-//! and response shapes and their readers all come from
+//! and response shapes and their writers and readers all come from
 //! [`tacc_core::wire`], so the client has no dependency on the daemon
 //! crate itself (the layer DAG keeps `tcloud` and `taccd` siblings; the
 //! shared protocol lives one layer down, in core).
@@ -121,6 +121,9 @@ impl RetryPolicy {
 pub struct DaemonClient {
     stream: UnixStream,
     socket: PathBuf,
+    /// Each request is streamed into this buffer and each reply read
+    /// into it, one after the other.
+    frame: Vec<u8>,
 }
 
 impl DaemonClient {
@@ -144,6 +147,7 @@ impl DaemonClient {
                     let mut client = DaemonClient {
                         stream,
                         socket: socket.to_path_buf(),
+                        frame: Vec::new(),
                     };
                     client.hello()?;
                     return Ok(client);
@@ -172,7 +176,7 @@ impl DaemonClient {
 
     /// The hello handshake: verifies the daemon speaks our protocol.
     fn hello(&mut self) -> Result<(), TransportError> {
-        let ok = self.round_trip(&Request::hello())?;
+        let ok = self.round_trip(Request::frame_hello)?;
         let server = ok.get("protocol").and_then(Json::as_u64).unwrap_or(0);
         if server != wire::PROTOCOL_VERSION {
             return Err(TransportError::VersionMismatch {
@@ -192,7 +196,7 @@ impl DaemonClient {
     /// [`TransportError::Daemon`] when the daemon rejects the command;
     /// transport variants when the conversation itself breaks.
     pub fn mutate(&mut self, command: &Command) -> Result<Json, TransportError> {
-        self.round_trip(&Request::mutate(command))
+        self.round_trip(|frame| Request::frame_mutate(frame, command))
     }
 
     /// Submits the task described by `json` — the same schema text
@@ -220,18 +224,20 @@ impl DaemonClient {
     /// [`TransportError::Daemon`] for unknown jobs or query kinds;
     /// transport variants when the conversation itself breaks.
     pub fn query(&mut self, kind: &str, job: Option<u64>) -> Result<Json, TransportError> {
-        self.round_trip(&Request::query(kind, job))
+        self.round_trip(|frame| Request::frame_query(frame, kind, job))
     }
 
-    /// One framed request/response exchange.
-    fn round_trip(&mut self, request: &Json) -> Result<Json, TransportError> {
-        let payload = request.to_string();
+    /// One framed request/response exchange: `request` appends the
+    /// request's frame to the emptied buffer, and the reply replaces it.
+    fn round_trip(&mut self, request: impl FnOnce(&mut Vec<u8>)) -> Result<Json, TransportError> {
+        self.frame.clear();
+        request(&mut self.frame);
         self.stream
-            .write_all(&wire::encode_frame(payload.as_bytes()))
+            .write_all(&self.frame)
             .map_err(|e| TransportError::Io(e.to_string()))?;
-        let response = match wire::read_frame(&mut self.stream) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => {
+        match wire::read_frame_into(&mut self.stream, &mut self.frame) {
+            Ok(true) => {}
+            Ok(false) => {
                 return Err(TransportError::Io(
                     "daemon closed the connection".to_owned(),
                 ))
@@ -240,8 +246,8 @@ impl DaemonClient {
                 return Err(TransportError::MalformedFrame(e.to_string()))
             }
             Err(e) => return Err(TransportError::Io(e.to_string())),
-        };
-        match Reply::read(&response).map_err(TransportError::MalformedFrame)? {
+        }
+        match Reply::read(&self.frame).map_err(TransportError::MalformedFrame)? {
             Reply::Ok(payload) => Ok(payload),
             // The daemon's own version check surfaces as a typed variant,
             // not a generic daemon error.

@@ -5,13 +5,20 @@
 //! text reads back as the value, and the tree-free reader reads what the
 //! tree reader reads on that text and on damaged copies of it.
 //!
+//! The client–daemon conversation wraps those records in envelopes of
+//! its own, streamed by `tacc_core::wire`'s frame writers and read by a
+//! cursor first; its case holds them to the tree text and the tree
+//! reader the same way.
+//!
 //! Every case draws from one `DetRng` per shape; a failure names its case
 //! number.
 
 use std::sync::Arc;
 
-use tacc_cluster::ResourceVec;
-use tacc_core::{Command, CommandRecord, Query};
+use tacc_cluster::{NodeId, ResourceVec};
+use tacc_core::wire::{self, obj, Json, Reply, Request};
+use tacc_core::{Command, CommandOutcome, CommandRecord, Query};
+use tacc_json::Cursor;
 use tacc_obs::{EventRecord, InstructionKind, PlatformEvent, RejectReason, TransitionEvent};
 use tacc_sim::DetRng;
 use tacc_tests::{assert_codecs_agree, below};
@@ -217,28 +224,197 @@ fn schemas_and_trace_records_keep_their_codecs_in_agreement() {
     });
 }
 
+fn query(rng: &mut DetRng, case: u64) -> Query {
+    let job = JobId::from_value(id(rng));
+    [
+        Query::Status(job),
+        Query::List,
+        Query::Events(job),
+        Query::Info,
+        Query::Metrics,
+        Query::Transitions,
+        Query::JournalStats,
+        Query::Logs(job),
+        Query::Timeline(job),
+        Query::Why(job),
+        Query::Artifacts(job),
+        Query::Goodput,
+        Query::Quota,
+        Query::Top,
+    ][(case % 14) as usize]
+}
+
 /// Every query kind, per-job ones about any job.
 #[test]
 fn queries_keep_their_codecs_in_agreement() {
-    sweep("query", 0x9E41, 280, 280, |rng, case| {
-        let job = JobId::from_value(id(rng));
-        [
-            Query::Status(job),
-            Query::List,
-            Query::Events(job),
-            Query::Info,
-            Query::Metrics,
-            Query::Transitions,
-            Query::JournalStats,
-            Query::Logs(job),
-            Query::Timeline(job),
-            Query::Why(job),
-            Query::Artifacts(job),
-            Query::Goodput,
-            Query::Quota,
-            Query::Top,
-        ][(case % 14) as usize]
-    });
+    sweep("query", 0x9E41, 280, 280, query);
+}
+
+/// The daemon's reader with no cursor: the parser, then the tree reader.
+fn tree_read(payload: &[u8]) -> Result<Request, Reply> {
+    let malformed = |e: String| Reply::refuse(wire::MALFORMED_FRAME, e);
+    let text =
+        std::str::from_utf8(payload).map_err(|_| malformed("payload is not UTF-8".into()))?;
+    let value = wire::parse(text).map_err(|e| malformed(e.to_string()))?;
+    Request::from_json(&value)
+}
+
+/// Asserts that `write` appends one frame, after what the buffer held,
+/// whose payload is `text`: `encode_frame(text)`, byte for byte.
+fn assert_frames_text(case: &str, write: impl FnOnce(&mut Vec<u8>), text: &str) {
+    let mut buf = b"ahead".to_vec();
+    write(&mut buf);
+    assert_eq!(buf[..5], *b"ahead", "{case}: the buffer's head");
+    let (payload, used) = wire::decode_frame(&buf[5..]).expect("one intact frame");
+    assert_eq!(
+        String::from_utf8_lossy(payload),
+        text,
+        "{case}: stream vs tree"
+    );
+    assert_eq!(used, buf.len() - 5, "{case}: one frame");
+}
+
+/// Asserts that the frame a request writer appended is the tree text,
+/// framed; that the daemon reads it back as `request`, as the tree reader
+/// does; and that on damaged copies the two readers agree, refusals and
+/// their texts included. Says whether the cursor read it by itself.
+fn assert_request_agrees(
+    case: &str,
+    write: impl FnOnce(&mut Vec<u8>),
+    tree: &Json,
+    request: &Request,
+    rng: &mut DetRng,
+) -> bool {
+    let text = tree.to_string();
+    assert_frames_text(case, write, &text);
+    // Debug text, so that a NaN reads back equal to itself.
+    let read = |bytes: &[u8]| format!("{:?}", Request::read(bytes));
+    let written: Result<&Request, Reply> = Ok(request);
+    assert_eq!(
+        read(text.as_bytes()),
+        format!("{written:?}"),
+        "{case}: {text}"
+    );
+    const SWAPS: &[u8] = b"0123456789.-+eE\"\\,:{}[] ntfalsuvmq";
+    let bytes = text.as_bytes();
+    let at = below(rng, bytes.len() as u64) as usize;
+    let mut swapped = bytes.to_vec();
+    swapped[at] = SWAPS[below(rng, SWAPS.len() as u64) as usize];
+    let mut dropped = bytes.to_vec();
+    dropped.remove(at);
+    for damaged in [bytes, &bytes[..at], &swapped, &dropped] {
+        let tree = format!("{:?}", tree_read(damaged));
+        assert_eq!(
+            read(damaged),
+            tree,
+            "{case}: {:?}",
+            String::from_utf8_lossy(damaged)
+        );
+    }
+    let mut cursor = Cursor::new(&text);
+    Request::read_json(&mut cursor).is_some() && cursor.at_end()
+}
+
+/// The ack of every outcome, with awkward numbers.
+fn ack(rng: &mut DetRng, case: u64) -> Json {
+    let job = JobId::from_value(id(rng));
+    let node = NodeId::from_index(rng.next_u64() as u32 as usize);
+    let outcome = match case % 7 {
+        0 => CommandOutcome::Submitted { job },
+        1 => CommandOutcome::Cancelled {
+            job,
+            applied: below(rng, 2) == 0,
+        },
+        2 => CommandOutcome::Reserved,
+        3 => CommandOutcome::NodeFaulted {
+            node,
+            jobs: vec![job; below(rng, 3) as usize],
+        },
+        4 => CommandOutcome::Drained { node },
+        5 => CommandOutcome::Undrained { node },
+        _ => CommandOutcome::Advanced {
+            now_secs: pick(rng, FLOATS),
+        },
+    };
+    outcome.to_json(id(rng), pick(rng, FLOATS))
+}
+
+/// The conversation's envelopes around every command kind and every
+/// query kind, and the replies around acks, answers and refusals: each
+/// writer streams the parent's tree text, framed, and each reader reads
+/// it back as the tree reader does.
+#[test]
+fn the_conversation_keeps_its_codecs_in_agreement() {
+    let rng = &mut DetRng::seed_from_u64(0xC0_4E45);
+    let envelope = |member: &str, value: Json| obj(vec![("v", Json::Num(1.0)), (member, value)]);
+    let hello = envelope("hello", Json::Bool(true));
+    assert!(assert_request_agrees(
+        "hello",
+        Request::frame_hello,
+        &hello,
+        &Request::Hello,
+        rng
+    ));
+    let mut straight = 0;
+    for case in 0..1_400u64 {
+        let agreed = if case % 2 == 0 {
+            let command = command(rng, case / 2);
+            let tree = envelope("mutate", command.to_json());
+            let write = |buf: &mut Vec<u8>| Request::frame_mutate(buf, &command);
+            let request = Request::Mutate(command.clone());
+            assert_request_agrees(&format!("mutate case {case}"), write, &tree, &request, rng)
+        } else {
+            let query = query(rng, case / 2);
+            let tree = envelope("query", query.to_json());
+            let (kind, job) = (query.kind(), query.job().map(JobId::value));
+            let write = |buf: &mut Vec<u8>| Request::frame_query(buf, kind, job);
+            let request = Request::Query(query);
+            assert_request_agrees(&format!("query case {case}"), write, &tree, &request, rng)
+        };
+        straight += u64::from(agreed);
+    }
+    // Every query, and every command without an escaped name.
+    assert!(straight >= 1_000, "{straight} of 1,400 read without a tree");
+
+    for case in 0..600u64 {
+        let (reply, tree) = match case % 3 {
+            0 => {
+                let ack = ack(rng, case / 3);
+                (Reply::Ok(ack.clone()), obj(vec![("ok", ack)]))
+            }
+            1 => {
+                let answer = Json::Arr(vec![Json::Str(name(rng)), Json::Num(pick(rng, FLOATS))]);
+                (Reply::Ok(answer.clone()), obj(vec![("ok", answer)]))
+            }
+            _ => {
+                let (kind, message) = (name(rng), name(rng));
+                let err = obj(vec![
+                    ("kind", kind.clone().into()),
+                    ("message", message.clone().into()),
+                ]);
+                (Reply::Err { kind, message }, obj(vec![("err", err)]))
+            }
+        };
+        let text = tree.to_string();
+        assert_frames_text(&format!("reply case {case}"), |buf| reply.frame(buf), &text);
+        // What the client reads is the text's tree: a non-finite number
+        // is printed as a string, and read back as one.
+        let read_back = match &reply {
+            Reply::Ok(_) => Reply::Ok(
+                wire::parse(&text)
+                    .expect("JSON")
+                    .get("ok")
+                    .cloned()
+                    .expect("ok"),
+            ),
+            Reply::Err { .. } => reply.clone(),
+        };
+        assert_eq!(
+            Reply::read(text.as_bytes()),
+            Ok(read_back),
+            "reply case {case}: {text}"
+        );
+    }
 }
 
 /// Bus records of every event variant, with hostile free text and

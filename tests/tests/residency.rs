@@ -7,15 +7,21 @@
 //! finished replay still holds per job, how many allocations it made to
 //! get there, and how many the report and the transition export make on
 //! top. `cargo test --release -p tacc-tests --test residency -- --nocapture`
-//! prints the table DESIGN.md ("What a job costs") records.
+//! prints the table DESIGN.md ("What a job costs") records, and what one
+//! submit costs the client–daemon conversation, step by step.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;
 
-use tacc_core::{command_stream, Command, Platform, PlatformConfig};
+use std::sync::Arc;
+
+use tacc_core::wire::{self, Json, Reply, Request};
+use tacc_core::{command_stream, Command, CommandRecord, Platform, PlatformConfig};
 use tacc_obs::{EventRecord, Span, TransitionEvent};
 use tacc_sched::QuotaMode;
+use tacc_taccd::{ClockMode, Daemon, DaemonConfig, EngineConfig};
+use tacc_tcloud::{DaemonClient, RetryPolicy};
 use tacc_tests::{config_with, small_trace};
 use tacc_workload::{JobId, Trace};
 
@@ -268,4 +274,150 @@ fn a_job_shares_its_schema_with_the_door_it_came_through() {
             "job {position}"
         );
     }
+}
+
+/// The submits the conversation gates are counted over: the first 200
+/// records of a one-day load-1 trace, as `svc-closed` turns records into
+/// commands.
+fn submits() -> Vec<Command> {
+    let trace = small_trace(20_240_601, 1.0, 1.0);
+    let records = trace.records().iter().take(200);
+    let submits: Vec<Command> = records
+        .map(|record| Command::Submit {
+            schema: Arc::clone(&record.schema),
+            service_secs: record.service_secs,
+        })
+        .collect();
+    assert_eq!(submits.len(), 200, "the gates below are totals over 200");
+    submits
+}
+
+/// One submit round trip, each of its five steps counted on the thread
+/// it runs on, with the buffers each end keeps: the client's frame
+/// buffer, and the connection's. Every step crosses a thread with what it
+/// made (a command to the engine, an ack to the connection), so each
+/// allocation here is also, on a live daemon, one freed on another
+/// thread. The counts are totals over [`submits`], gated exactly, and
+/// only ever lowered, and so is what a live `DaemonClient` allocates on
+/// its own thread to make the same trips to a live `taccd`.
+#[test]
+fn a_submit_round_trip_allocates_what_its_messages_carry() {
+    let submits = submits();
+    let trips = submits.len();
+    let mut platform = Platform::new(PlatformConfig::default());
+    let (mut client, mut connection) = (Vec::new(), Vec::new());
+    let mut steps = [0u64; 5];
+    let mut count = |step: usize, mark: Tally| steps[step] += Tally::since(mark).allocations;
+    for (seq, submit) in submits.iter().enumerate() {
+        let seq = seq as u64;
+        let mark = Tally::now();
+        client.clear();
+        Request::frame_mutate(&mut client, submit);
+        count(0, mark);
+
+        let mark = Tally::now();
+        let read = wire::read_frame_into(&mut &client[..], &mut connection);
+        let request = Request::read(&connection);
+        count(1, mark);
+        assert_eq!(read.ok(), Some(true));
+        let Ok(Request::Mutate(command)) = request else {
+            panic!("trip {seq}: {request:?}");
+        };
+
+        let at_secs = platform.now().as_secs();
+        let record = CommandRecord {
+            seq,
+            at_secs,
+            command,
+        };
+        let outcome = platform.apply_record(&record).expect("applies");
+        let mark = Tally::now();
+        let ack = Reply::Ok(outcome.to_json(seq, at_secs));
+        count(2, mark);
+
+        let mark = Tally::now();
+        connection.clear();
+        ack.frame(&mut connection);
+        count(3, mark);
+
+        let mark = Tally::now();
+        let read = wire::read_frame_into(&mut &connection[..], &mut client);
+        let reply = Reply::read(&client);
+        count(4, mark);
+        assert_eq!(read.ok(), Some(true));
+        assert_eq!(reply, Ok(ack), "trip {seq}");
+    }
+
+    let live = live_client_allocations(&submits);
+
+    println!("conversation: {trips} submits of a 1-day load-1 trace, seed 20240601");
+    println!("| step                      | allocations | per trip |");
+    println!("|---------------------------|------------:|---------:|");
+    let row = |step: &str, total: u64| {
+        println!(
+            "| {step:<25} | {total:>11} | {:>8.2} |",
+            total as f64 / trips as f64
+        );
+    };
+    let names = [
+        "client writes the request",
+        "daemon reads it",
+        "engine builds the ack",
+        "daemon writes the reply",
+        "client reads the reply",
+    ];
+    for (name, total) in names.into_iter().zip(steps) {
+        row(name, total);
+    }
+    row("round trip", steps.iter().sum());
+    row("live client (write, read)", live);
+
+    // Exact, and the same in debug and release builds: nothing on these
+    // paths allocates for a debug oracle. What is left is what the
+    // messages carry: the buffers growing to the largest frame yet, the
+    // command's own strings, the ack tree's fields, and the client's tree
+    // of the reply.
+    assert_eq!(
+        steps,
+        [7, 1_274, 1_200, 0, 1_600],
+        "allocations per step over {trips} submit round trips"
+    );
+    // The same two steps through the client itself, after the handshake
+    // grew its buffer a little.
+    assert_eq!(
+        live, 1_604,
+        "a live client's allocations over {trips} submits"
+    );
+}
+
+/// What a `DaemonClient` allocates on its own thread to submit each of
+/// `submits` to a live daemon and read the acks back.
+fn live_client_allocations(submits: &[Command]) -> u64 {
+    let temp = |kind: &str| {
+        let name = format!("tacc-residency-{kind}-{}", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        std::fs::remove_file(&path).ok();
+        path
+    };
+    let (socket, journal) = (temp("sock"), temp("journal"));
+    let (daemon, _) = Daemon::start(DaemonConfig {
+        socket: socket.clone(),
+        engine: EngineConfig {
+            journal: journal.clone(),
+            platform: PlatformConfig::default(),
+            clock: ClockMode::Logical,
+        },
+    })
+    .expect("daemon starts");
+    let mut client = DaemonClient::connect(&socket, RetryPolicy::default()).expect("connects");
+    let mark = Tally::now();
+    for (job, submit) in submits.iter().enumerate() {
+        let ack = client.mutate(submit).expect("submitted");
+        assert_eq!(ack.get("job").and_then(Json::as_u64), Some(job as u64));
+    }
+    let live = Tally::since(mark).allocations;
+    drop(client);
+    daemon.stop();
+    std::fs::remove_file(&journal).ok();
+    live
 }
