@@ -90,7 +90,8 @@ mod tests {
     fn default_is_consistent() {
         let c = PlatformConfig::default();
         assert_eq!(c.cluster.total_gpus(), 256);
-        assert_eq!(c.roster.total_quota(), 256);
+        let roster = &c.roster;
+        assert_eq!(roster.ids().map(|g| roster.quota(g)).sum::<u32>(), 256);
         assert!(c.node_mtbf_secs.is_none());
     }
 

@@ -374,22 +374,6 @@ impl Request {
         });
     }
 
-    /// The handshake request as a tree, for a caller that takes requests
-    /// apart: [`Request::frame_hello`]'s text, parsed.
-    pub fn hello() -> Json {
-        as_tree(Request::frame_hello)
-    }
-
-    /// [`Request::frame_mutate`]'s text, parsed.
-    pub fn mutate(command: &Command) -> Json {
-        as_tree(|buf| Request::frame_mutate(buf, command))
-    }
-
-    /// [`Request::frame_query`]'s text, parsed.
-    pub fn query(kind: &str, job: Option<u64>) -> Json {
-        as_tree(|buf| Request::frame_query(buf, kind, job))
-    }
-
     /// Reads a request back from a frame payload: the tree-free reader
     /// first, and on any other spelling the parser and the tree reader,
     /// so the request, or the refusal, is the tree reader's either way.
@@ -455,14 +439,6 @@ impl Request {
             Err(Reply::refuse(MALFORMED_FRAME, message))
         }
     }
-}
-
-/// The payload a frame writer appends, parsed back: a request's tree is
-/// read off its one writer, not written beside it.
-fn as_tree(frame: impl FnOnce(&mut Vec<u8>)) -> Json {
-    let mut buf = Vec::new();
-    frame(&mut buf);
-    parse_payload(&buf[8..]).unwrap_or(Json::Null)
 }
 
 /// One response: the `ok` payload, or a typed refusal. What the `taccd`
@@ -662,8 +638,7 @@ mod tests {
             (Query::Quota, r#"{"v":1,"query":{"kind":"quota"}}"#),
             (Query::Top, r#"{"v":1,"query":{"kind":"top"}}"#),
         ];
-        // The streamed frame is the parent's tree text, framed; its tree
-        // view reads back as that text.
+        // Each streamed frame is its pinned text, framed.
         let framed = |frame: &dyn Fn(&mut Vec<u8>), text: &str| {
             let mut buf = b"ahead".to_vec();
             frame(&mut buf);
@@ -672,17 +647,14 @@ mod tests {
         for (query, text) in queries {
             let (kind, job) = (query.kind(), query.job().map(JobId::value));
             framed(&|buf| Request::frame_query(buf, kind, job), text);
-            assert_eq!(Request::query(kind, job).to_string(), text);
             assert_eq!(Request::read(text.as_bytes()), Ok(Request::Query(query)));
         }
         let cancel = Command::Cancel { job };
         let text = r#"{"v":1,"mutate":{"kind":"cancel","job":7}}"#;
         framed(&|buf| Request::frame_mutate(buf, &cancel), text);
-        assert_eq!(Request::mutate(&cancel).to_string(), text);
         assert_eq!(Request::read(text.as_bytes()), Ok(Request::Mutate(cancel)));
         let text = r#"{"v":1,"hello":true}"#;
         framed(&|buf| Request::frame_hello(buf), text);
-        assert_eq!(Request::hello().to_string(), text);
         assert_eq!(Request::read(text.as_bytes()), Ok(Request::Hello));
         // A kind the daemon refuses is still written as given.
         let text = r#"{"v":1,"query":{"kind":"x\"y","job":0}}"#;

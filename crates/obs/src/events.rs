@@ -3,11 +3,12 @@
 //! and the transition log is *read* off them ([`EventBus::transitions`]),
 //! so neither can drift from the structured record.
 
+use std::collections::VecDeque;
 use std::fmt;
 use tacc_json::Named;
 use tacc_workload::{GroupId, JobEventKind, JobId, JobState, RuntimePreference};
 
-use crate::{Ring, TransitionEvent};
+use crate::TransitionEvent;
 
 tacc_json::record! {
     /// Why the platform refused a job at admission time.
@@ -331,16 +332,17 @@ const EVENT_LINE_BOUND: usize = 352;
 /// `\u00XX`.
 const ESCAPED_BYTE_BOUND: usize = 6;
 
-/// A [`Ring`] of [`EventRecord`]s with JSONL exports: the platform's one
-/// store of job history.
+/// A bounded ring of [`EventRecord`]s with JSONL exports: the platform's
+/// one store of job history.
 ///
-/// When the ring is full the *oldest* record is dropped and a drop
-/// counter is bumped; recording never fails and never reorders.
+/// When the ring is full the *oldest* record is dropped (and counted in
+/// [`EventBus::dropped`]); recording never fails and never reorders.
 /// Timestamps are clamped to be monotone non-decreasing in simulated
 /// time, matching the discrete-event loop's processing order.
 #[derive(Debug)]
 pub struct EventBus {
-    ring: Ring<EventRecord>,
+    capacity: usize,
+    ring: VecDeque<EventRecord>,
     next_seq: u64,
     last_at: f64,
     /// Lifetime tally per variant, indexed by `PlatformEvent::ordinal`.
@@ -351,7 +353,8 @@ impl EventBus {
     /// New bus retaining at most `capacity` records (minimum 1).
     pub fn new(capacity: usize) -> Self {
         EventBus {
-            ring: Ring::new(capacity),
+            capacity: capacity.max(1),
+            ring: VecDeque::new(),
             next_seq: 0,
             last_at: 0.0,
             kind_counts: [0; PlatformEvent::KINDS.len()],
@@ -367,7 +370,10 @@ impl EventBus {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.kind_counts[event.ordinal()] += 1;
-        self.ring.push(EventRecord {
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(EventRecord {
             seq,
             at_secs: at,
             event,
@@ -392,7 +398,7 @@ impl EventBus {
 
     /// Records evicted from the ring to make room.
     pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
+        self.next_seq - self.ring.len() as u64
     }
 
     /// Retained records, oldest first.

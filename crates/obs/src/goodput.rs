@@ -439,11 +439,6 @@ impl Dyadic {
         }
         self
     }
-
-    /// Nearest `f64` (for diagnostics only — may round).
-    pub fn to_f64_lossy(self) -> f64 {
-        self.num as f64 * (self.exp as f64).exp2()
-    }
 }
 
 /// Exact sum.
@@ -638,7 +633,6 @@ mod tests {
         );
         assert_eq!(Dyadic::from_f64(0.0), Dyadic::ZERO);
         assert_eq!(Dyadic::from_f64(-1.5) + Dyadic::from_f64(1.5), Dyadic::ZERO);
-        assert!((Dyadic::from_f64(0.1).to_f64_lossy() - 0.1).abs() < 1e-18);
     }
 
     #[test]

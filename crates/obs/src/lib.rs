@@ -10,7 +10,7 @@
 //!   lifecycle transition (submitted, compiled, queued, placed,
 //!   preempted, completed, ...) is recorded as a typed event stamped
 //!   with simulated time and a monotonically increasing sequence
-//!   number. The bus is a bounded [`Ring`] — old records are dropped,
+//!   number. The bus is a bounded ring — old records are dropped,
 //!   never new ones lost silently — and the transition log is read off
 //!   it ([`EventBus::transitions`]).
 //! * **Operational metrics registry** ([`MetricsRegistry`]): counters,
@@ -18,10 +18,6 @@
 //!   [`MetricsRegistry::snapshot`] API and Prometheus-style text
 //!   exposition. Metric names follow the `tacc_<layer>_<name>`
 //!   convention.
-//! * **Scheduler decision tracing** ([`RoundTrace`], [`SkipReason`],
-//!   [`DecisionTraceLog`]): every scheduling round records what
-//!   started, what was preempted and — crucially — *why each queued
-//!   job was skipped*, plus the wall-clock latency of the round.
 //! * **Span timelines and goodput** ([`SpanBook`], [`GoodputReport`]):
 //!   the lifecycle transition stream folds into per-job span timelines
 //!   whose durations partition each job's makespan exactly, and
@@ -56,7 +52,6 @@
 mod events;
 mod goodput;
 mod metrics;
-mod ring;
 mod span;
 mod trace;
 
@@ -73,8 +68,7 @@ pub use metrics::{
     BucketCount, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     ScrapedCounter, ScrapedGauge, ScrapedHistogram,
 };
-pub use ring::Ring;
 pub use span::{
     span_conservation, JobTimeline, Span, SpanBook, SpanConfig, SpanPhase, TransitionEvent,
 };
-pub use trace::{DecisionTraceLog, JobSkip, RoundTrace, SkipReason};
+pub use trace::SkipReason;

@@ -70,9 +70,9 @@ pub use request::{Decision, RunningTask, SchedOutcome, StartedTask, TaskRequest}
 pub use scheduler::{
     DebugRoundHook, Scheduler, SchedulerConfig, SlotStats, WorkCounterRow, WorkCounters,
 };
-// Decision-tracing vocabulary, re-exported so scheduler callers need not
-// depend on `tacc-obs` directly.
-pub use tacc_obs::{DecisionTraceLog, JobSkip, RoundTrace, SkipReason};
+// The `why` vocabulary, re-exported so scheduler callers need not depend
+// on `tacc-obs` directly.
+pub use tacc_obs::SkipReason;
 
 // Schedulers run inside per-thread platforms in the parallel experiment
 // runner; this guard keeps the scheduler state thread-portable.

@@ -5,14 +5,14 @@
 //! `impl Scheduler` block:
 //!
 //! * [`rounds`](self) — the scheduling round walk (quota, backfill,
-//!   placement) over wake-keyed entries, skip tracing per verdict change,
-//!   and the reservations swept off the running set;
+//!   placement) over wake-keyed entries, each changed verdict filed on
+//!   its entry, and the reservations swept off the running set;
 //! * [`gang`](self) — gang time-slicing rotation;
 //! * [`elastic`](self) — placement commitment: elastic gang shrinking
 //!   and quota reclaim with borrower eviction.
 
 use tacc_cluster::{Cluster, ResourceVec};
-use tacc_obs::{DecisionTraceLog, Histogram, JobSkip, MetricsRegistry, SkipReason};
+use tacc_obs::{Histogram, MetricsRegistry, SkipReason};
 use tacc_workload::{GroupRoster, JobId, QosClass};
 
 use crate::backfill::{self, BackfillMode, CapacityWindow, Reservation};
@@ -125,14 +125,10 @@ pub struct Scheduler {
     walked_version: Option<u64>,
     /// Bounds the gate-denied entries (see [`GateFloor`]).
     gate_floor: GateFloor,
-    /// The current round's skip records (moved into its `RoundTrace`).
-    /// Like every `scratch_` buffer it is reused: capacity survives across
-    /// rounds, so the steady-state hot path allocates nothing per round.
-    scratch_skips: Vec<JobSkip>,
-    scratch_started: Vec<JobId>,
-    scratch_preempted: Vec<JobId>,
     /// The current round's capacity reservations, in the order their
-    /// blocked requests were met.
+    /// blocked requests were met. Like every `scratch_` buffer it is
+    /// reused: capacity survives across rounds, so the steady-state hot
+    /// path allocates nothing per round.
     scratch_reservations: Vec<Reservation>,
     /// What the current round's walk decided about the queue, in decision
     /// order; empty between rounds.
@@ -159,7 +155,6 @@ pub struct Scheduler {
     preemptions: u64,
     rounds: u64,
     counters: WorkCounters,
-    trace: DecisionTraceLog,
     /// `tacc_sched_round_latency_seconds` in an attached registry: the
     /// one series recorded as rounds run (the rest are published).
     round_latency: Option<Histogram>,
@@ -181,8 +176,8 @@ pub struct WorkCounters {
     /// Rounds that proved the previous order still valid and skipped the
     /// sort (clean queue, and — for usage-keyed policies — unchanged usage).
     pub queue_sorts_skipped: u64,
-    /// Skip verdicts recorded into the decision trace — a queued entry's
-    /// first skip, or one whose blocking reason changed.
+    /// Verdict changes filed on queue entries — a queued entry's first
+    /// skip, or one whose blocking reason changed.
     pub skip_records: u64,
     /// Entries a walk passed whose verdict stood, judged again or not
     /// (the steady-state cost of a deeply blocked queue).
@@ -393,11 +388,11 @@ pub enum DebugRoundHook {
     CapacityWakesNobody,
 }
 
-/// The category of a skip, which is what the trace dedups on. Volatile
-/// payloads (current usage, free-GPU counts, shadow times — all of which
-/// wobble every round in a busy cluster) are excluded, so a steadily
-/// blocked job is traced once per *category of reason* and its record
-/// reads as "waiting like this since t".
+/// The category of a skip, which is what a verdict change is judged on.
+/// Volatile payloads (current usage, free-GPU counts, shadow times — all
+/// of which wobble every round in a busy cluster) are excluded, so a
+/// steadily blocked job is recorded once per *category of reason* and
+/// its verdict reads as "waiting like this since t".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SkipVerdict {
     /// Blocked on group quota.
@@ -425,9 +420,6 @@ impl SkipVerdict {
     }
 }
 
-/// How many round traces the scheduler's decision trace retains.
-const DECISION_TRACE_ROUNDS: usize = 2048;
-
 impl Scheduler {
     /// Creates a scheduler from a configuration.
     pub fn new(config: SchedulerConfig) -> Self {
@@ -435,7 +427,6 @@ impl Scheduler {
             window_steps: backfill::window_steps(&config.capacity_windows),
             planner: Planner::new(config.placement),
             quota: QuotaTable::new(&config),
-            trace: DecisionTraceLog::new(DECISION_TRACE_ROUNDS),
             moved: std::iter::once(u64::MAX)
                 .chain(std::iter::repeat_n(0, 3 * (config.group_count + 1)))
                 .collect(),
@@ -447,9 +438,6 @@ impl Scheduler {
             tick: 0,
             walked_version: None,
             gate_floor: GateFloor::EMPTY,
-            scratch_skips: Vec::new(),
-            scratch_started: Vec::new(),
-            scratch_preempted: Vec::new(),
             scratch_reservations: Vec::new(),
             scratch_edits: Vec::new(),
             scratch_decisions: Vec::new(),
@@ -614,11 +602,6 @@ impl Scheduler {
             }
         }
         self.scratch_edits = edits;
-    }
-
-    /// The decision trace: recent [`RoundTrace`](tacc_obs::RoundTrace)s.
-    pub fn decision_trace(&self) -> &DecisionTraceLog {
-        &self.trace
     }
 
     /// Why a queued job is not running ("waiting since"): the skip its
@@ -810,7 +793,7 @@ impl Scheduler {
     }
 
     /// Test-only switch for the differential suite: makes every walk
-    /// judge every entry (the comparison subject for traces and `why`),
+    /// judge every entry (the comparison subject for `why`),
     /// or injects a fault the suite must catch — an input that moves
     /// without waking the entries waiting on it. The debug oracles stand
     /// down while a hook is set, so an injected fault surfaces as a

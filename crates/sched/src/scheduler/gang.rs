@@ -7,7 +7,6 @@ use tacc_workload::{JobId, QosClass};
 use crate::placement::gang_fits;
 use crate::request::{Decision, SchedOutcome, TaskRequest};
 use crate::scheduler::elastic::{frees_after, held_by};
-use crate::scheduler::rounds::round_clock;
 use crate::scheduler::Scheduler;
 
 impl Scheduler {
@@ -20,7 +19,6 @@ impl Scheduler {
     /// Returns an empty outcome when time-slicing is disabled, nothing has
     /// expired, or no eviction would help.
     pub fn rotate(&mut self, now_secs: f64, cluster: &mut Cluster) -> SchedOutcome {
-        let rotate_start = round_clock();
         let Some(quantum) = self.config.time_slice_secs else {
             return SchedOutcome::default();
         };
@@ -80,10 +78,8 @@ impl Scheduler {
                 ..task.request
             });
         }
-        // Trace the rotation decision itself; the follow-up schedule call
-        // records its own round (placements and skip reasons).
-        let (wall, queue_len) = (rotate_start.elapsed(), self.queue.len());
-        self.trace_round(now_secs, wall, queue_len, &outcome, Vec::new());
+        // The victims lead the outcome; the follow-up round's decisions
+        // come after them.
         let mut follow_up = self.schedule(now_secs, cluster);
         outcome.decisions.append(&mut follow_up.decisions);
         self.recycle(follow_up);

@@ -1,12 +1,12 @@
 //! The scheduling round — order, walk, apply: queue ordering, the
 //! quota/backfill/placement walk over the round-start queue with its
-//! wake-keyed verdicts, skip tracing per verdict change, and
+//! wake-keyed verdicts, each changed verdict filed on its entry, and
 //! reservations swept off the running set in release order.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use tacc_cluster::{Cluster, ResourceVec};
-use tacc_obs::{JobSkip, RoundTrace, SkipReason};
+use tacc_obs::SkipReason;
 use tacc_workload::{GroupId, JobId, QosClass};
 
 use crate::backfill::{may_backfill, reserve, BackfillMode};
@@ -14,9 +14,9 @@ use crate::policy::{compare, PolicyKind};
 use crate::request::{Decision, RunningTask, SchedOutcome, StartedTask, TaskRequest};
 use crate::scheduler::{DebugRoundHook, GateFloor, Queued, Scheduler, SkipVerdict, Wait};
 
-/// The crate's one wall-clock read: a round or a rotation starts timing.
-pub(super) fn round_clock() -> Instant {
-    // tacc-lint: allow(wall-clock, reason = "measures host-side scheduling-round and rotation latency for the T4 round-latency histogram and the trace's wall_micros; reported, never fed back into decisions")
+/// The crate's one wall-clock read: a round starts timing.
+fn round_clock() -> Instant {
+    // tacc-lint: allow(wall-clock, reason = "measures host-side scheduling-round latency for the T4 round-latency histogram; reported, never fed back into decisions")
     Instant::now()
 }
 
@@ -29,12 +29,10 @@ impl Scheduler {
     pub fn schedule(&mut self, now_secs: f64, cluster: &mut Cluster) -> SchedOutcome {
         let round_start = round_clock();
         self.rounds += 1;
-        let queue_len_at_start = self.queue.len();
         let mut outcome = SchedOutcome {
             decisions: std::mem::take(&mut self.scratch_decisions),
         };
-        // An empty queue can start or preempt nothing: only the epilogue
-        // runs.
+        // An empty queue can start or preempt nothing.
         if self.queue.is_empty() {
             self.counters.empty_rounds += 1;
         } else {
@@ -44,7 +42,9 @@ impl Scheduler {
             self.queue = queue;
             self.apply_queue_edits();
         }
-        self.finish_round(now_secs, round_start, queue_len_at_start, &outcome);
+        if let Some(round_latency) = &self.round_latency {
+            round_latency.observe(round_start.elapsed().as_secs_f64());
+        }
         outcome
     }
 
@@ -102,7 +102,6 @@ impl Scheduler {
             );
         }
         self.scratch_reservations.clear();
-        self.scratch_skips.clear();
         sort_needed
     }
 
@@ -309,61 +308,6 @@ impl Scheduler {
         }
     }
 
-    /// The epilogue every round shares, walked or not: the round-latency
-    /// observation and — unless the round was idle — its `RoundTrace`.
-    fn finish_round(
-        &mut self,
-        now_secs: f64,
-        round_start: Instant,
-        queue_len_at_start: usize,
-        outcome: &SchedOutcome,
-    ) {
-        let wall = round_start.elapsed();
-        if let Some(round_latency) = &self.round_latency {
-            round_latency.observe(wall.as_secs_f64());
-        }
-        // Idle rounds (nothing queued, so nothing decided) are not traced:
-        // the platform's fixpoint loop would otherwise flood the ring.
-        if queue_len_at_start > 0 {
-            let skips = std::mem::take(&mut self.scratch_skips);
-            self.trace_round(now_secs, wall, queue_len_at_start, outcome, skips);
-        }
-    }
-
-    /// Pushes the `RoundTrace` of a round — or of a rotation, which decides
-    /// outside one and skips nobody.
-    pub(super) fn trace_round(
-        &mut self,
-        now_secs: f64,
-        wall: Duration,
-        queue_len: usize,
-        outcome: &SchedOutcome,
-        skips: Vec<JobSkip>,
-    ) {
-        let mut started = std::mem::take(&mut self.scratch_started);
-        started.clear();
-        started.extend(outcome.starts().map(|t| t.request.id));
-        let mut preempted = std::mem::take(&mut self.scratch_preempted);
-        preempted.clear();
-        preempted.extend(outcome.preemptions().map(|(id, _)| id));
-        let evicted = self.trace.push(RoundTrace {
-            round: self.rounds,
-            at_secs: now_secs,
-            wall_micros: wall.as_micros() as u64,
-            queue_len: queue_len as u64,
-            started,
-            preempted,
-            skips,
-        });
-        // Once the ring is warm every push evicts a round; its vectors
-        // become the next round's buffers, closing the allocation loop.
-        if let Some(old) = evicted {
-            self.scratch_started = old.started;
-            self.scratch_preempted = old.preempted;
-            self.scratch_skips = old.skips;
-        }
-    }
-
     /// Debug oracle for an entry the walk left asleep: re-derives its
     /// verdict read-only against the state at its place in the walk — the
     /// quota gate, the backfill gate against the round's reservation, and
@@ -464,9 +408,8 @@ impl Scheduler {
     /// Files `verdict` on `entry`. A verdict the entry already holds
     /// stands — it is counted as suppressed and its "since" does not
     /// move, wherever the entry now sits in the queue. A changed one is
-    /// traced: `reason` is built only then (the quota totals, the blocking
-    /// reservation), becomes what `why` answers, and joins the round's
-    /// skips.
+    /// recorded: `reason` is built only then (the quota totals, the
+    /// blocking reservation) and becomes what `why` answers.
     fn file(
         &mut self,
         now_secs: f64,
@@ -482,12 +425,7 @@ impl Scheduler {
             return;
         }
         self.counters.skip_records += 1;
-        let reason = reason(self);
-        entry.verdict = Some((now_secs, reason));
-        self.scratch_skips.push(JobSkip {
-            job: entry.request.id,
-            reason,
-        });
+        entry.verdict = Some((now_secs, reason(self)));
     }
 
     /// Files a head-of-line skip on every entry of `tail`, the rest of the

@@ -19,8 +19,8 @@
 //! Every script also runs a third scheduler, the optimized one under
 //! `DebugRoundHook::WakeAll`, whose walks judge every entry every round:
 //! entries kept asleep by their wake keys must leave the decisions, the
-//! round-by-round trace and every `why` answer exactly as judging them
-//! would.
+//! skip counters and every `why` answer, after every step, exactly as
+//! judging them would.
 //!
 //! The second half of the file holds the contended round to the same
 //! standard: the wake keys, with red-flips built on test-only fault hooks
@@ -31,7 +31,7 @@
 use tacc_cluster::{Cluster, ClusterSpec, GpuModel, ResourceVec};
 use tacc_sched::reference::ReferenceScheduler;
 use tacc_sched::{
-    BackfillMode, CapacityWindow, DebugRoundHook, PlacementStrategy, Planner, PolicyKind,
+    BackfillMode, CapacityWindow, DebugRoundHook, Decision, PlacementStrategy, Planner, PolicyKind,
     QuotaMode, Scheduler, SchedulerConfig, TaskRequest, WorkCounters,
 };
 use tacc_workload::{GroupId, JobId, QosClass};
@@ -167,17 +167,10 @@ fn census<'a>(
     )
 }
 
-/// What the trace and `why` show of a scheduler: every retained
-/// `RoundTrace` minus its wall time, and the answer for every queued job,
+/// What `why` shows of a scheduler: the answer for every queued job,
 /// id-ordered.
 fn observed(sched: &Scheduler) -> String {
     let mut out = String::new();
-    for r in sched.decision_trace().iter() {
-        out.push_str(&format!(
-            "{} @{} q={} started={:?} preempted={:?} skips={:?}\n",
-            r.round, r.at_secs, r.queue_len, r.started, r.preempted, r.skips
-        ));
-    }
     let mut queued: Vec<JobId> = sched.queued().map(|r| r.id).collect();
     queued.sort();
     for id in queued {
@@ -285,7 +278,7 @@ fn run_script(cfg: SchedulerConfig, seed: u64, steps: usize) -> (String, String)
         assert_eq!(
             observed(&opt),
             observed(&woke),
-            "trace or why diverged from WakeAll at step {step} [seed {seed}]"
+            "why diverged from WakeAll at step {step} [seed {seed}]"
         );
     }
     // Drain: keep scheduling with everything finishing so end states meet.
@@ -563,7 +556,7 @@ fn contended_config(seed: u64) -> SchedulerConfig {
 struct Contended {
     opt_stream: String,
     ref_stream: String,
-    /// The optimized scheduler's trace and `why` answers at the end.
+    /// The optimized scheduler's `why` answers at the end.
     observed: String,
     counters: WorkCounters,
 }
@@ -687,11 +680,6 @@ fn run_contended(seed: u64, steps: usize, hook: Option<DebugRoundHook>) -> Conte
             rig.ref_cluster.free_gpus()
         ));
     }
-    assert_eq!(
-        rig.opt.decision_trace().dropped(),
-        0,
-        "trace ring wrapped; shorten the script"
-    );
     rig.out.observed = observed(&rig.opt);
     rig.out.counters = rig.opt.work_counters();
     rig.out
@@ -707,8 +695,8 @@ fn sleeping_entries_change_no_decision_no_trace_and_no_why() {
             "decision streams diverged [seed {seed}]"
         );
         // Against the same scheduler judging every entry every round:
-        // each round's started/preempted/skip lists, each `why` and the
-        // skip counters must not be able to tell the difference.
+        // the decisions, each `why` and the skip counters must not be able
+        // to tell the difference.
         let woke = run_contended(seed, 160, Some(DebugRoundHook::WakeAll));
         assert_eq!(keyed.opt_stream, woke.opt_stream, "[seed {seed}]");
         assert_eq!(keyed.observed, woke.observed, "[seed {seed}]");
@@ -884,18 +872,20 @@ fn reclaim_and_rotation_pre_checks_equal_clone_and_plan_after_every_step() {
                 }
                 7 => {
                     let expected = rotation_by_clone_and_plan(&sched, &cluster, now);
-                    let trace = sched.decision_trace();
-                    let traced = trace.len() as u64 + trace.dropped();
                     let outcome = sched.rotate(now, &mut cluster);
                     if expected.is_empty() {
                         assert!(outcome.is_empty(), "[seed {seed}, step {step}]");
                     } else {
-                        // The rotation traces its own round before the
-                        // follow-up schedules.
-                        let trace = sched.decision_trace();
-                        let at = (traced - trace.dropped()) as usize;
-                        let round = trace.iter().nth(at).expect("rotation traced");
-                        assert_eq!(round.preempted, expected, "[seed {seed}, step {step}]");
+                        // The victims lead the outcome, before the
+                        // follow-up round's decisions.
+                        let victims: Vec<JobId> = (outcome.decisions.iter())
+                            .take(expected.len())
+                            .filter_map(|d| match d {
+                                Decision::Preempt { id, .. } => Some(*id),
+                                _ => None,
+                            })
+                            .collect();
+                        assert_eq!(victims, expected, "[seed {seed}, step {step}]");
                         rotations += 1;
                     }
                 }
@@ -985,17 +975,12 @@ fn a_settled_queue_sleeps_and_the_clock_alone_can_wake_it() {
     sched.submit(gang(5, 1, QosClass::Guaranteed, 2, 6.0));
     assert_eq!(examined(&mut sched, &mut cluster, 6.0), 1);
     // Job 3 (est 100) would now end past the shadow at 3600: the gate
-    // denies it, and the round that judges it traces the change.
+    // denies it, and the round that judges it files the change.
     assert_eq!(examined(&mut sched, &mut cluster, 3_501.0), 1);
-    let round = sched.decision_trace().recent(1)[0];
+    let why = sched.latest_skip(JobId::from_value(3));
     assert!(
-        matches!(
-            round.skips[..],
-            [tacc_sched::JobSkip { job, reason: tacc_sched::SkipReason::BackfillBlocked { .. } }]
-                if job == JobId::from_value(3)
-        ),
-        "{:?}",
-        round.skips
+        matches!(why, Some((since, tacc_sched::SkipReason::BackfillBlocked { .. })) if since == 3_501.0),
+        "{why:?}"
     );
     assert_eq!(examined(&mut sched, &mut cluster, 3_502.0), 0);
 }

@@ -1,8 +1,8 @@
 //! Distribution samplers used by the workload generator.
 //!
 //! Shared GPU-cluster traces have well-documented shapes: Poisson-ish
-//! arrivals modulated by a diurnal cycle, heavy-tailed (log-normal /
-//! Pareto-like) job durations, and power-of-two GPU demands. This module
+//! arrivals modulated by a diurnal cycle, heavy-tailed (log-normal)
+//! job durations, and power-of-two GPU demands. This module
 //! implements exactly the samplers those shapes need, from first principles.
 //!
 //! All samplers draw from a [`DetRng`], which is what the labelled streams
@@ -51,23 +51,6 @@ pub fn normal(rng: &mut DetRng, mean: f64, std_dev: f64) -> f64 {
 /// Panics if `sigma` is negative.
 pub fn log_normal(rng: &mut DetRng, mu: f64, sigma: f64) -> f64 {
     normal(rng, mu, sigma).exp()
-}
-
-/// Samples a bounded Pareto on `[lo, hi]` with shape `alpha`, by inverse
-/// transform of the truncated CDF.
-///
-/// # Panics
-///
-/// Panics unless `0 < lo < hi` and `alpha > 0`.
-pub fn bounded_pareto(rng: &mut DetRng, alpha: f64, lo: f64, hi: f64) -> f64 {
-    assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
-    assert!(alpha > 0.0, "alpha must be positive");
-    let u = unit_uniform(rng);
-    let la = lo.powf(alpha);
-    let ha = hi.powf(alpha);
-    // Inverse CDF of the truncated Pareto.
-    let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha);
-    x.clamp(lo, hi)
 }
 
 /// Samples a uniform f64 in `[lo, hi)`.
@@ -157,28 +140,6 @@ mod tests {
         let median = samples[n / 2];
         // Median of LogNormal(mu, sigma) is exp(mu).
         assert!((median - 2.0f64.exp()).abs() / 2.0f64.exp() < 0.07);
-    }
-
-    #[test]
-    fn bounded_pareto_stays_in_range() {
-        let mut r = rng();
-        for _ in 0..5000 {
-            let x = bounded_pareto(&mut r, 1.1, 10.0, 10_000.0);
-            assert!((10.0..=10_000.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_is_heavy_tailed() {
-        let mut r = rng();
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n)
-            .map(|_| bounded_pareto(&mut r, 1.0, 1.0, 1000.0))
-            .collect();
-        let below_10 = samples.iter().filter(|&&x| x < 10.0).count() as f64 / n as f64;
-        // For alpha=1 truncated at 1000, ~90% of mass is below 10 (CDF ≈ (1-1/x)/(1-1/1000)).
-        assert!(below_10 > 0.8, "lower mass {below_10}");
-        assert!(samples.iter().any(|&x| x > 500.0), "tail never sampled");
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! * [`SeedStream`] and the [`dist`] module — reproducible random streams
 //!   (built on [`DetRng`], a fully safe xoshiro256++ generator) and the
 //!   distribution samplers used by the workload generator (exponential,
-//!   log-normal, bounded Pareto, …), implemented here from first
-//!   principles.
+//!   log-normal, …), implemented here from first principles.
 //!
 //! ## Example: a tiny queueing simulation
 //!

@@ -134,19 +134,9 @@ impl SimDuration {
         SimDuration(secs)
     }
 
-    /// Creates a duration of `mins` minutes.
-    pub fn from_mins(mins: f64) -> Self {
-        SimDuration::from_secs(mins * 60.0)
-    }
-
     /// Creates a duration of `hours` hours.
     pub fn from_hours(hours: f64) -> Self {
         SimDuration::from_secs(hours * 3600.0)
-    }
-
-    /// Creates a duration of `days` days.
-    pub fn from_days(days: f64) -> Self {
-        SimDuration::from_secs(days * 86_400.0)
     }
 
     /// Length in seconds.
@@ -279,7 +269,7 @@ mod tests {
         assert_eq!(t, SimTime::from_secs(15.0));
         assert_eq!(t - SimTime::from_secs(10.0), SimDuration::from_secs(5.0));
         assert_eq!(SimTime::from_hours(1.0).as_secs(), 3600.0);
-        assert_eq!(SimDuration::from_days(2.0).as_hours(), 48.0);
+        assert_eq!(SimDuration::from_secs(172_800.0).as_hours(), 48.0);
     }
 
     #[test]
@@ -296,7 +286,7 @@ mod tests {
 
     #[test]
     fn duration_ops() {
-        let d = SimDuration::from_mins(2.0);
+        let d = SimDuration::from_secs(120.0);
         assert_eq!(d.as_secs(), 120.0);
         assert_eq!((d * 2.0).as_secs(), 240.0);
         assert_eq!((d / 4.0).as_secs(), 30.0);

@@ -136,14 +136,6 @@ impl TcloudClient {
         Ok(())
     }
 
-    /// Names of all configured profiles, sorted.
-    pub fn profile_names(&self) -> Vec<&str> {
-        let parked = self.parked.keys().map(String::as_str);
-        let mut names: Vec<&str> = parked.chain([self.name.as_str()]).collect();
-        names.sort_unstable();
-        names
-    }
-
     /// The active platform, read-only: where a caller that wants typed
     /// data rather than a verb's lines reads it.
     pub fn platform(&self) -> &Platform {
@@ -393,7 +385,6 @@ mod tests {
             c.use_profile("nope"),
             Err(TcloudError::UnknownProfile(_))
         ));
-        assert_eq!(c.profile_names(), vec!["campus", "lab"]);
     }
 
     #[test]

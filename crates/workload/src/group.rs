@@ -151,11 +151,6 @@ impl GroupRoster {
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
-
-    /// Sum of all quotas.
-    pub fn total_quota(&self) -> u32 {
-        self.quotas.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +161,7 @@ mod tests {
     fn campus_default_partitions_quota() {
         let r = GroupRoster::campus_default(256);
         assert_eq!(r.len(), 8);
-        assert_eq!(r.total_quota(), 256);
+        assert_eq!(r.ids().map(|g| r.quota(g)).sum::<u32>(), 256);
         // Heaviest group first.
         assert!(r.quota(GroupId::from_index(0)) > r.quota(GroupId::from_index(7)));
         assert!(r.weight(GroupId::from_index(0)) > r.weight(GroupId::from_index(7)));

@@ -146,27 +146,6 @@ impl Trace {
             .map(Trace::new)
     }
 
-    /// Scales all submission times by `factor` (>1 spreads load out, <1
-    /// compresses it) — the load-factor knob of experiment F3.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not positive and finite.
-    pub fn with_time_scale(&self, factor: f64) -> Trace {
-        assert!(factor > 0.0 && factor.is_finite(), "bad time scale");
-        let records = self
-            .records
-            .iter()
-            .map(|r| TraceRecord {
-                submit_secs: r.submit_secs * factor,
-                schema: Arc::clone(&r.schema),
-                service_secs: r.service_secs,
-                cancel_after_secs: r.cancel_after_secs,
-            })
-            .collect();
-        Trace::new(records)
-    }
-
     /// Characterization statistics for experiment F1.
     pub fn stats(&self) -> TraceStats {
         let durations: Vec<f64> = self.records.iter().map(|r| r.service_secs).collect();
@@ -282,15 +261,6 @@ mod tests {
             let err = parse(&text.replacen(field, bad, 1)).expect_err(bad);
             assert!(err.starts_with("record 0: "), "{bad}: {err}");
         }
-    }
-
-    #[test]
-    fn time_scale_stretches_arrivals() {
-        let t = Trace::new(vec![record(10.0, 60.0), record(20.0, 60.0)]);
-        let slow = t.with_time_scale(2.0);
-        assert_eq!(slow.records()[1].submit_secs, 40.0);
-        // Service times unchanged.
-        assert_eq!(slow.records()[1].service_secs, 60.0);
     }
 
     #[test]

@@ -78,24 +78,7 @@ fn main() {
         client.wait(id).expect("job exists");
     }
 
-    println!("== decision trace: the last scheduling rounds ==\n");
-    let platform = client.platform();
-    for round in platform.scheduler().decision_trace().recent(5) {
-        println!(
-            "round {:>4} t={:>7.0}s wall={:>4}us queue={} started={:?} skips={}",
-            round.round,
-            round.at_secs,
-            round.wall_micros,
-            round.queue_len,
-            round.started,
-            round.skips.len()
-        );
-        for skip in &round.skips {
-            println!("    {}: {}", skip.job, skip.reason);
-        }
-    }
-
-    println!("\n== tcloud metrics: Prometheus exposition (excerpt) ==\n");
+    println!("== tcloud metrics: Prometheus exposition (excerpt) ==\n");
     let metrics = client.run_command(&["metrics"]).expect("metrics work");
     for line in metrics.lines.iter().filter(|l| {
         l.starts_with("# TYPE")

@@ -292,6 +292,14 @@ fn node_at<'a>(value: &'a mut Json, path: &[usize]) -> &'a mut Json {
     }
 }
 
+/// The tree of the one payload a frame writer appends.
+fn tree(frame: impl FnOnce(&mut Vec<u8>)) -> Json {
+    let mut buf = Vec::new();
+    frame(&mut buf);
+    let (payload, _) = wire::decode_frame(&buf).expect("one whole frame");
+    wire::parse(std::str::from_utf8(payload).expect("UTF-8")).expect("a writer's text parses")
+}
+
 /// The request-parsing slice of an in-tree fuzz: valid `hello`, `mutate`
 /// and `query` texts with a field dropped, a type swapped, a value
 /// nested 10,000 deep or the text cut short go through the one request
@@ -302,11 +310,11 @@ fn mangled_requests_get_a_request_or_a_typed_refusal() {
         job: JobId::from_value(3),
     };
     let valid = [
-        Request::hello(),
-        Request::mutate(&submit("mangled")),
-        Request::mutate(&cancel),
-        Request::query("status", Some(3)),
-        Request::query("list", None),
+        tree(Request::frame_hello),
+        tree(|buf| Request::frame_mutate(buf, &submit("mangled"))),
+        tree(|buf| Request::frame_mutate(buf, &cancel)),
+        tree(|buf| Request::frame_query(buf, "status", Some(3))),
+        tree(|buf| Request::frame_query(buf, "list", None)),
     ];
     let swaps = [
         Json::Null,
