@@ -169,7 +169,7 @@ impl Compiler {
             let chunk = ChunkName::new().str("image:").str(image).id(img_mb);
             pull(&mut self.cache, chunk, img_mb);
         }
-        for (dep, size) in &schema.env.dependencies {
+        for (dep, size) in schema.env.dependencies.iter() {
             let chunk = ChunkName::new().str("dep:").str(dep).id(*size);
             pull(&mut self.cache, chunk, *size);
         }
@@ -245,15 +245,16 @@ impl Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use tacc_cluster::ResourceVec;
     use tacc_workload::{GroupId, RuntimeEnv, TaskKind};
 
     fn schema() -> TaskSchema {
         TaskSchema::builder("t", GroupId::from_index(0))
             .env(RuntimeEnv {
-                image: "pytorch-2.1-cuda12".to_owned(),
-                dependencies: vec![("common-ml-stack".to_owned(), 1800)],
-                dataset: Some(("wikitext".to_owned(), 600)),
+                image: "pytorch-2.1-cuda12".into(),
+                dependencies: Arc::new([("common-ml-stack".into(), 1800)]),
+                dataset: Some(("wikitext".into(), 600)),
                 code_mb: 5,
             })
             .build()
@@ -282,7 +283,7 @@ mod tests {
         c.compile(&schema()).expect("compiles");
         // Same dataset, different deps: dataset shards still hit.
         let mut other = schema();
-        other.env.dependencies = vec![("transformers".to_owned(), 450)];
+        other.env.dependencies = Arc::new([("transformers".into(), 450)]);
         let out = c.compile(&other).expect("compiles");
         // Misses are exactly the new dep bundle.
         assert_eq!(out.provisioning.chunk_misses, 1);
@@ -350,7 +351,7 @@ mod tests {
         let mut c = Compiler::new(CompilerConfig::default());
         c.compile(&schema()).expect("compiles");
         let mut other = schema();
-        other.env.image = "tensorflow-2.14".to_owned();
+        other.env.image = "tensorflow-2.14".into();
         let out = c.compile(&other).expect("compiles");
         // Dataset and deps hit; the new image misses.
         assert_eq!(out.provisioning.chunk_misses, 1);
@@ -362,7 +363,7 @@ mod tests {
         let trace_schemas: Vec<TaskSchema> = (0..40)
             .map(|i| {
                 let mut s = schema();
-                s.env.dataset = Some((format!("dataset-{}", i % 8), 10_000));
+                s.env.dataset = Some((format!("dataset-{}", i % 8).into(), 10_000));
                 s
             })
             .collect();

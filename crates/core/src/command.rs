@@ -436,9 +436,9 @@ mod tests {
             .qos(QosClass::BestEffort)
             .model(ModelProfile::gpt2_like())
             .env(RuntimeEnv {
-                image: "pytorch-2.1-cuda12".to_owned(),
-                dependencies: vec![("torch".to_owned(), 800)],
-                dataset: Some(("imagenet".to_owned(), 5000)),
+                image: "pytorch-2.1-cuda12".into(),
+                dependencies: Arc::new([("torch".into(), 800)]),
+                dataset: Some(("imagenet".into(), 5000)),
                 code_mb: 7,
             })
             .build()
@@ -463,9 +463,9 @@ mod tests {
             .runtime(tacc_workload::RuntimePreference::AllReduce)
             .model(ModelProfile::gpt2_like())
             .env(RuntimeEnv {
-                image: "pytorch-2.1-cuda12".to_owned(),
-                dependencies: vec![("torch".to_owned(), 800)],
-                dataset: Some(("imagenet".to_owned(), 5000)),
+                image: "pytorch-2.1-cuda12".into(),
+                dependencies: Arc::new([("torch".into(), 800)]),
+                dataset: Some(("imagenet".into(), 5000)),
                 code_mb: 7,
             })
             .est_duration_secs(5400.5)
@@ -535,11 +535,11 @@ mod tests {
                 NAMES[draw(rng, NAMES.len())],
                 NAMES[draw(rng, NAMES.len())]
             );
-            let pair = (name.clone(), draw(rng, 1 << 20) as u32);
+            let pair = (Arc::<str>::from(name.as_str()), draw(rng, 1 << 20) as u32);
             let command = match case % 7 {
                 0 => Command::Submit {
                     schema: TaskSchema {
-                        name,
+                        name: name.into(),
                         group: GroupId::from_index(draw(rng, 4096)),
                         workers: draw(rng, 512) as u32,
                         resources: tacc_cluster::ResourceVec {
@@ -562,8 +562,8 @@ mod tests {
                             tacc_workload::RuntimePreference::SingleProcess,
                         ][draw(rng, 5)],
                         env: RuntimeEnv {
-                            image: NAMES[draw(rng, NAMES.len())].to_owned(),
-                            dependencies: vec![pair.clone(); draw(rng, 3)],
+                            image: NAMES[draw(rng, NAMES.len())].into(),
+                            dependencies: vec![pair.clone(); draw(rng, 3)].into(),
                             dataset: (draw(rng, 2) == 0).then_some(pair),
                             code_mb: draw(rng, 64) as u32,
                         },

@@ -5,6 +5,7 @@
 //! platform state.
 
 use std::fmt;
+use std::sync::Arc;
 
 use tacc_cluster::NodeId;
 use tacc_workload::{GroupId, JobId, JobState};
@@ -19,8 +20,8 @@ pub struct JobStatus {
     pub id: JobId,
     /// Lifecycle state.
     pub state: JobState,
-    /// Task name from the schema.
-    pub name: String,
+    /// Task name: the schema's own, shared.
+    pub name: Arc<str>,
     /// Nodes the job currently runs on (empty unless running).
     pub nodes: Vec<NodeId>,
     /// Submission time, seconds.
@@ -38,7 +39,7 @@ impl JobStatus {
         obj(vec![
             ("job", self.id.value().into()),
             ("state", self.state.to_string().into()),
-            ("name", self.name.as_str().into()),
+            ("name", (*self.name).into()),
             (
                 "nodes",
                 Json::Arr(self.nodes.iter().map(|n| n.index().into()).collect()),

@@ -24,7 +24,7 @@ fn refused(p: &Platform) -> Option<u64> {
 
 /// Names of the jobs minted so far, in id order.
 fn names(p: &Platform) -> Vec<String> {
-    let name = |id| p.job(id).expect("listed").schema().name.clone();
+    let name = |id| p.job(id).expect("listed").schema().name.to_string();
     p.job_ids().into_iter().map(name).collect()
 }
 

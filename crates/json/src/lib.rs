@@ -695,6 +695,43 @@ impl<'a> Cursor<'a> {
         Some(&self.text[start..end])
     }
 
+    /// How many items the array at the cursor holds, counted without
+    /// reading them or moving the cursor: what a reader that fills a
+    /// slice of the right length at once needs first. `None` for
+    /// anything but an array, closed, whose strings have no escapes —
+    /// the spelling [`Cursor::str`] reads.
+    pub(crate) fn items(&self) -> Option<usize> {
+        let bytes = self.text.as_bytes().get(self.pos..)?;
+        if bytes.first() != Some(&b'[') {
+            return None;
+        }
+        let (mut depth, mut commas, mut at) = (0usize, 0usize, 0);
+        while let Some(&b) = bytes.get(at) {
+            match b {
+                b'"' => {
+                    let len = bytes[at + 1..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')?;
+                    at += len + 1;
+                    if bytes[at] != b'"' {
+                        return None;
+                    }
+                }
+                b'[' | b'{' => depth += 1,
+                b']' | b'}' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some(if at == 1 { 0 } else { commas + 1 });
+                    }
+                }
+                b',' if depth == 1 => commas += 1,
+                _ => {}
+            }
+            at += 1;
+        }
+        None
+    }
+
     /// True once the whole text is consumed.
     pub fn at_end(&self) -> bool {
         self.pos == self.text.len()

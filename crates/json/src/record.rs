@@ -148,6 +148,23 @@ impl Field for String {
     }
 }
 
+/// A string many holders share, read into one allocation.
+impl Field for Arc<str> {
+    fn write<W: TextSink + ?Sized>(&self, out: &mut W) {
+        write_escaped(self, out);
+    }
+    fn to_tree(&self) -> Json {
+        Json::from(&**self)
+    }
+    fn read(r: &mut Cursor<'_>) -> Option<Self> {
+        r.str().map(Arc::from)
+    }
+    fn from_tree(value: Option<&Json>, key: &str) -> Result<Self, String> {
+        let s = value.and_then(Json::as_str).map(Arc::from);
+        s.ok_or_else(|| format!("missing or non-string field '{key}'"))
+    }
+}
+
 /// `null` when absent, so an absent field reads as `None` too.
 impl<T: Field> Field for Option<T> {
     fn write<W: TextSink + ?Sized>(&self, out: &mut W) {
@@ -173,7 +190,13 @@ impl<T: Field> Field for Option<T> {
     }
 }
 
-impl<T: Field> Field for Vec<T> {
+/// A slice many holders share, spelled as the array it holds. Each
+/// reader allocates it once, at its length: the cursor counts the items
+/// before it reads them (`Cursor::items`), the tree has them counted,
+/// and a `Range` or slice iterator is `TrustedLen`, so the collect sizes
+/// the slice before filling it. An item that fails to read leaves a
+/// default in its place, and the read fails.
+impl<T: Field + Default> Field for Arc<[T]> {
     fn write<W: TextSink + ?Sized>(&self, out: &mut W) {
         out.push_str("[");
         for (i, item) in self.iter().enumerate() {
@@ -188,26 +211,33 @@ impl<T: Field> Field for Vec<T> {
         Json::Arr(self.iter().map(T::to_tree).collect())
     }
     fn read(r: &mut Cursor<'_>) -> Option<Self> {
+        let len = r.items()?;
         r.lit("[")?;
-        let mut items = Vec::new();
-        if r.eat("]") {
-            return Some(items);
-        }
-        loop {
-            items.push(T::read(r)?);
-            if r.eat("]") {
-                return Some(items);
-            }
-            r.lit(",")?;
-        }
+        let mut whole = true;
+        let items: Arc<[T]> = (0..len)
+            .map(|i| {
+                whole = whole && (i == 0 || r.eat(","));
+                let item = if whole { T::read(r) } else { None };
+                whole = item.is_some();
+                item.unwrap_or_default()
+            })
+            .collect();
+        (whole && r.eat("]")).then_some(items)
     }
     fn from_tree(value: Option<&Json>, key: &str) -> Result<Self, String> {
         let items = value.and_then(Json::as_arr);
         let items = items.ok_or_else(|| format!("missing or non-array field '{key}'"))?;
-        items
+        let mut error = None;
+        let items: Arc<[T]> = items
             .iter()
-            .map(|item| T::from_tree(Some(item), key))
-            .collect()
+            .map(|item| {
+                T::from_tree(Some(item), key).unwrap_or_else(|e| {
+                    error.get_or_insert(e);
+                    T::default()
+                })
+            })
+            .collect();
+        error.map_or(Ok(items), Err)
     }
 }
 

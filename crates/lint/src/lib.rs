@@ -47,6 +47,7 @@
 pub mod baseline;
 pub mod graph;
 pub mod lexer;
+pub mod lines;
 pub mod lints;
 pub mod manifest;
 pub mod owners;

@@ -5,6 +5,7 @@
 //! cargo run -p tacc-lint --release -- --json report.json   # artifact
 //! cargo run -p tacc-lint --release -- --sarif lint.sarif   # code scanning
 //! cargo run -p tacc-lint --release -- --bless-baseline     # ratchet L5
+//! cargo run -p tacc-lint --release -- --lines [paths]      # non-test lines
 //! ```
 
 // The lint binary is a CLI: its report goes to stdout by design.
@@ -13,7 +14,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tacc_lint::{run, Options};
+use tacc_lint::{lines, run, Options};
 
 struct Cli {
     root: PathBuf,
@@ -21,6 +22,8 @@ struct Cli {
     quiet: bool,
     json_path: Option<PathBuf>,
     sarif_path: Option<PathBuf>,
+    /// `--lines`, with the paths after it.
+    lines: Option<Vec<PathBuf>>,
     options: Options,
 }
 
@@ -31,6 +34,7 @@ fn parse_args() -> Result<Cli, String> {
         quiet: false,
         json_path: None,
         sarif_path: None,
+        lines: None,
         options: Options::default(),
     };
     let mut args = std::env::args().skip(1);
@@ -56,20 +60,30 @@ fn parse_args() -> Result<Cli, String> {
             "--check" => cli.check = true,
             "--quiet" => cli.quiet = true,
             "--bless-baseline" => cli.options.bless_baseline = true,
+            "--lines" => cli.lines = Some(Vec::new()),
             "--help" | "-h" => {
                 println!(
                     "lint: tacc-rs workspace determinism & architecture checks\n\n\
                      usage: lint [--root PATH] [--check] [--json PATH] [--sarif PATH]\n\
-                     \x20      [--jobs N] [--bless-baseline] [--quiet]\n\n\
+                     \x20      [--jobs N] [--bless-baseline] [--quiet]\n\
+                     \x20      lint [--root PATH] --lines [PATH...]\n\n\
                      --root PATH        workspace root (default: .)\n\
                      --check            exit nonzero when findings exist (CI gate)\n\
                      --json PATH        also write the byte-stable JSON report\n\
                      --sarif PATH       also write a SARIF 2.1.0 report (code scanning)\n\
                      --jobs N           bound the scan parallelism\n\
                      --bless-baseline   rewrite lint-baseline.json from the current tree\n\
-                     --quiet            suppress the text report"
+                     --quiet            suppress the text report\n\
+                     --lines [PATH...]  count each crate's non-test lines (those before a\n\
+                     \x20                  file's first column-0 #[cfg(test)]) under the\n\
+                     \x20                  paths, default every crates/*/src, and the total"
                 );
                 std::process::exit(0);
+            }
+            path if !path.starts_with('-') && cli.lines.is_some() => {
+                cli.lines
+                    .get_or_insert_with(Vec::new)
+                    .push(PathBuf::from(path));
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
@@ -85,6 +99,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Some(paths) = &cli.lines {
+        return match lines::count(&cli.root, paths) {
+            Ok(tallies) => {
+                print!("{}", lines::render(&tallies));
+                ExitCode::SUCCESS
+            }
+            Err(err) => {
+                eprintln!("lint: {err}");
+                ExitCode::from(2)
+            }
+        };
+    }
     let report = match run(&cli.root, &cli.options) {
         Ok(report) => report,
         Err(err) => {

@@ -5,6 +5,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 use tacc_json::Named;
 use tacc_workload::{GroupId, JobEventKind, JobId, JobState, RuntimePreference};
 
@@ -75,8 +76,8 @@ tacc_json::record! {
             job: JobId,
             /// Owning research group.
             group: GroupId,
-            /// Human-readable job name.
-            name: String,
+            /// Human-readable job name: the schema's own, shared.
+            name: Arc<str>,
         } = "submitted",
         /// The compiler produced a task instruction and staged its payload.
         Compiled {
@@ -550,7 +551,7 @@ mod tests {
         let submitted = |n| PlatformEvent::Submitted {
             job: job(n),
             group: GroupId::from_index(0),
-            name: String::new(),
+            name: Arc::default(),
         };
         bus.record(0.0, submitted(1));
         bus.record(1.0, submitted(2));
@@ -790,7 +791,7 @@ mod tests {
             PlatformEvent::Submitted {
                 job,
                 group,
-                name: hostile.clone(),
+                name: hostile.as_str().into(),
             },
             PlatformEvent::Compiled {
                 job,

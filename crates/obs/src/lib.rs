@@ -36,7 +36,7 @@
 //! bus.record(0.0, PlatformEvent::Submitted {
 //!     job: JobId::from_value(1),
 //!     group: GroupId::from_index(0),
-//!     name: "train-llm".to_string(),
+//!     name: "train-llm".into(),
 //! });
 //! assert_eq!(bus.len(), 1);
 //!

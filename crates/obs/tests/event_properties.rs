@@ -37,7 +37,7 @@ fn every_variant(j: u64, text: &str) -> Vec<PlatformEvent> {
     let mut next = Some(PlatformEvent::Submitted {
         job,
         group,
-        name: text(),
+        name: text().into(),
     });
     while let Some(event) = next {
         next = match &event {

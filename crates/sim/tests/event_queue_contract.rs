@@ -130,21 +130,21 @@ fn run_script(seed: u64, steps: usize) {
 }
 
 #[test]
-fn wheel_matches_heap_oracle_across_seeds() {
+fn queue_matches_the_sorted_model_across_seeds() {
     for seed in 1..=40 {
         run_script(seed, 400);
     }
 }
 
 #[test]
-fn wheel_matches_heap_oracle_long_scripts() {
+fn queue_matches_the_sorted_model_on_long_scripts() {
     for seed in [7, 99, 20_240_601] {
         run_script(seed, 5_000);
     }
 }
 
 #[test]
-fn wheel_handles_all_same_instant_burst() {
+fn a_same_instant_burst_pops_first_in_first_out() {
     let mut queue = EventQueue::new();
     let at = SimTime::from_secs(12_345.0);
     for i in 0..1_000u32 {

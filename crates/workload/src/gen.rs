@@ -18,6 +18,9 @@
 //!   times a log-normal error factor (users misestimate badly, which is
 //!   what makes SJF/backfill interesting).
 
+use std::fmt::Write;
+use std::sync::Arc;
+
 use tacc_sim::DetRng;
 
 use tacc_cluster::ResourceVec;
@@ -25,7 +28,7 @@ use tacc_sim::dist;
 use tacc_sim::SeedStream;
 
 use crate::group::{GroupId, GroupRoster};
-use crate::schema::{ModelProfile, QosClass, RuntimeEnv, TaskKind, TaskSchema};
+use crate::schema::{Dependencies, ModelProfile, QosClass, RuntimeEnv, TaskKind, TaskSchema};
 use crate::trace::{Trace, TraceRecord};
 
 /// Tunable parameters of the trace generator.
@@ -127,6 +130,53 @@ pub struct TraceGenerator {
     params: GenParams,
     arrivals_rng: DetRng,
     shape_rng: DetRng,
+    catalog: Catalog,
+    /// The next job's name, written here and copied once into its schema.
+    name: String,
+}
+
+/// The images, dependency bundles and datasets generated jobs pick from,
+/// built once: every schema that names one shares it, as campus tasks
+/// share a few of each — the overlap the compiler's delta cache counts
+/// on (experiment T3).
+#[derive(Debug)]
+struct Catalog {
+    images: [Arc<str>; 4],
+    /// The common ML stack, with `transformers` when bit 0 of the index
+    /// is set and `datasets-tooling` when bit 1 is.
+    bundles: [Dependencies; 4],
+    datasets: [(Arc<str>, u32); 5],
+}
+
+impl Catalog {
+    fn new() -> Self {
+        let images = [
+            "pytorch-2.1-cuda12",
+            "pytorch-1.13-cuda11",
+            "tensorflow-2.14",
+            "jax-0.4-cuda12",
+        ];
+        let common: (Arc<str>, u32) = ("common-ml-stack".into(), 1800);
+        let transformers: (Arc<str>, u32) = ("transformers".into(), 450);
+        let tooling: (Arc<str>, u32) = ("datasets-tooling".into(), 300);
+        let datasets = [
+            ("imagenet-subset", 12_000),
+            ("coco", 20_000),
+            ("wikitext", 600),
+            ("librispeech", 28_000),
+            ("private-lab-data", 4_000),
+        ];
+        Catalog {
+            images: images.map(Arc::from),
+            bundles: [
+                Arc::new([common.clone()]),
+                Arc::new([common.clone(), transformers.clone()]),
+                Arc::new([common.clone(), tooling.clone()]),
+                Arc::new([common, transformers, tooling]),
+            ],
+            datasets: datasets.map(|(name, size)| (Arc::from(name), size)),
+        }
+    }
 }
 
 const GPU_COUNTS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
@@ -140,6 +190,8 @@ impl TraceGenerator {
             params,
             arrivals_rng: seeds.stream("trace-arrivals"),
             shape_rng: seeds.stream("trace-shape"),
+            catalog: Catalog::new(),
+            name: String::new(),
         }
     }
 
@@ -247,41 +299,23 @@ impl TraceGenerator {
     }
 
     fn sample_env(&mut self, kind: TaskKind, counter: u64) -> RuntimeEnv {
-        // A small set of shared images and dependency bundles so that the
-        // compiler cache has realistic cross-job overlap (experiment T3).
-        let images = [
-            "pytorch-2.1-cuda12",
-            "pytorch-1.13-cuda11",
-            "tensorflow-2.14",
-            "jax-0.4-cuda12",
-        ];
-        let img = images[dist::weighted_index(&mut self.shape_rng, &[0.55, 0.2, 0.15, 0.1])];
-        let mut deps = vec![("common-ml-stack".to_owned(), 1800)];
-        if dist::coin(&mut self.shape_rng, 0.4) {
-            deps.push(("transformers".to_owned(), 450));
-        }
-        if dist::coin(&mut self.shape_rng, 0.25) {
-            deps.push(("datasets-tooling".to_owned(), 300));
-        }
+        let img = dist::weighted_index(&mut self.shape_rng, &[0.55, 0.2, 0.15, 0.1]);
+        let transformers = dist::coin(&mut self.shape_rng, 0.4);
+        let tooling = dist::coin(&mut self.shape_rng, 0.25);
         let dataset = match kind {
-            TaskKind::Training | TaskKind::Inference => {
-                let datasets = [
-                    ("imagenet-subset", 12_000u32),
-                    ("coco", 20_000),
-                    ("wikitext", 600),
-                    ("librispeech", 28_000),
-                    ("private-lab-data", 4_000),
-                ];
-                let (name, size) = datasets
-                    [dist::weighted_index(&mut self.shape_rng, &[0.3, 0.2, 0.25, 0.1, 0.15])];
-                Some((name.to_owned(), size))
-            }
+            TaskKind::Training | TaskKind::Inference => Some(dist::weighted_index(
+                &mut self.shape_rng,
+                &[0.3, 0.2, 0.25, 0.1, 0.15],
+            )),
             _ => None,
         };
+        let catalog = &self.catalog;
         RuntimeEnv {
-            image: img.to_owned(),
-            dependencies: deps,
-            dataset,
+            image: Arc::clone(&catalog.images[img]),
+            dependencies: Arc::clone(
+                &catalog.bundles[usize::from(transformers) | usize::from(tooling) << 1],
+            ),
+            dataset: dataset.map(|i| catalog.datasets[i].clone()),
             // Code varies per job (unique suffix in size keeps cache honest).
             code_mb: 3 + (counter % 5) as u32,
         }
@@ -349,7 +383,9 @@ impl TraceGenerator {
         let elastic = workers > 1
             && qos == QosClass::BestEffort
             && dist::coin(&mut self.shape_rng, self.params.elastic_fraction);
-        let mut builder = TaskSchema::builder(&format!("job-{counter}"), group)
+        self.name.clear();
+        let _ = write!(self.name, "job-{counter}");
+        let mut builder = TaskSchema::builder(&self.name, group)
             .workers(workers)
             .resources(resources)
             .qos(qos)

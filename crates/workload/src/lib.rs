@@ -46,7 +46,8 @@ pub use gen::{GenParams, TraceGenerator};
 pub use group::{GroupId, GroupRoster};
 pub use job::{IllegalTransition, Job, JobEvent, JobEventKind, JobId, JobState, TRANSITION_MATRIX};
 pub use schema::{
-    ModelProfile, QosClass, RuntimeEnv, RuntimePreference, TaskKind, TaskSchema, TaskSchemaBuilder,
+    Dependencies, ModelProfile, QosClass, RuntimeEnv, RuntimePreference, TaskKind, TaskSchema,
+    TaskSchemaBuilder,
 };
 pub use trace::{Trace, TraceRecord, TraceStats};
 

@@ -1,6 +1,7 @@
 //! The self-contained task schema (paper §3.1, Task Schema Layer).
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use tacc_cluster::ResourceVec;
 use tacc_json::OrDefault;
@@ -91,18 +92,26 @@ tacc_json::record! {
     }
 }
 
+/// Third-party dependency bundles, as (name, size in MiB): one slice
+/// every environment that needs the same set shares.
+pub type Dependencies = Arc<[(Arc<str>, u32)]>;
+
 tacc_json::record! {
     /// The runtime environment a task needs: container image, dependencies and
     /// dataset. Sizes are carried so the compiler layer can model provisioning
     /// cost and delta caching (experiment T3).
+    ///
+    /// Campus tasks share a few images, bundles and datasets, so each is
+    /// a shared handle: the trace generator builds them once and every
+    /// schema it makes clones a pointer.
     #[derive(Debug, Clone, PartialEq)]
     pub struct RuntimeEnv {
         /// Base image name (e.g. `pytorch-2.1-cuda12`).
-        pub image: String,
-        /// Third-party dependency bundles, as (name, size in MiB).
-        pub dependencies: Vec<(String, u32)>,
+        pub image: Arc<str>,
+        /// Third-party dependency bundles.
+        pub dependencies: Dependencies,
         /// Input dataset reference and size in MiB (0 for none).
-        pub dataset: Option<(String, u32)>,
+        pub dataset: Option<(Arc<str>, u32)>,
         /// User code size in MiB (almost always tiny; kept for cache math).
         pub code_mb: u32,
     }
@@ -110,10 +119,10 @@ tacc_json::record! {
 
 impl RuntimeEnv {
     /// A minimal environment with just an image and small user code.
-    pub fn image_only(image: &str) -> Self {
+    pub fn image_only(image: impl Into<Arc<str>>) -> Self {
         RuntimeEnv {
-            image: image.to_owned(),
-            dependencies: Vec::new(),
+            image: image.into(),
+            dependencies: Arc::default(),
             dataset: None,
             code_mb: 5,
         }
@@ -212,8 +221,9 @@ tacc_json::record! {
     /// Construct with [`TaskSchema::builder`].
     #[derive(Debug, Clone, PartialEq)]
     pub struct TaskSchema {
-        /// Human-readable task name.
-        pub name: String,
+        /// Human-readable task name, shared with the events and status
+        /// answers that name the job.
+        pub name: Arc<str>,
         /// Submitting research group (tenant).
         pub group: GroupId,
         /// Number of parallel workers (gang size). 1 for single-process tasks.
@@ -249,14 +259,14 @@ impl TaskSchema {
     pub fn builder(name: &str, group: GroupId) -> TaskSchemaBuilder {
         TaskSchemaBuilder {
             schema: TaskSchema {
-                name: name.to_owned(),
+                name: name.into(),
                 group,
                 workers: 1,
                 resources: ResourceVec::gpus_only(1),
                 qos: QosClass::Guaranteed,
                 kind: TaskKind::Training,
                 runtime: RuntimePreference::Auto,
-                env: RuntimeEnv::image_only("pytorch-2.1-cuda12"),
+                env: RuntimeEnv::image_only(default_image()),
                 est_duration_secs: 3600.0,
                 model: Some(ModelProfile::resnet50_like()),
                 elastic: false,
@@ -311,6 +321,14 @@ impl TaskSchema {
         }
         Ok(())
     }
+}
+
+/// The image a builder's schema runs until [`TaskSchemaBuilder::env`]
+/// says otherwise: one string every such schema shares, so a builder
+/// allocates none for it.
+fn default_image() -> Arc<str> {
+    static IMAGE: OnceLock<Arc<str>> = OnceLock::new();
+    Arc::clone(IMAGE.get_or_init(|| Arc::from("pytorch-2.1-cuda12")))
 }
 
 /// Builder for [`TaskSchema`] (see [C-BUILDER]).
@@ -450,9 +468,9 @@ mod tests {
     #[test]
     fn env_total_size() {
         let env = RuntimeEnv {
-            image: "img".to_owned(),
-            dependencies: vec![("torch".to_owned(), 800), ("cuda".to_owned(), 2000)],
-            dataset: Some(("imagenet-subset".to_owned(), 5000)),
+            image: "img".into(),
+            dependencies: Arc::new([("torch".into(), 800), ("cuda".into(), 2000)]),
+            dataset: Some(("imagenet-subset".into(), 5000)),
             code_mb: 5,
         };
         assert_eq!(env.total_mb(), 7805);
@@ -482,8 +500,8 @@ mod tests {
                 .build()
                 .expect("valid");
             if i % 2 == 1 {
-                s.env.dataset = Some(("inf".to_owned(), 5000));
-                s.env.dependencies = vec![("nan".to_owned(), 1), ("torch".to_owned(), 800)];
+                s.env.dataset = Some(("inf".into(), 5000));
+                s.env.dependencies = Arc::new([("nan".into(), 1), ("torch".into(), 800)]);
             }
             let back = TaskSchema::from_json(&tacc_json::parse(&s.to_json().to_string()).unwrap());
             assert_eq!(back, Ok(s));

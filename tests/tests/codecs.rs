@@ -23,8 +23,8 @@ use tacc_obs::{EventRecord, InstructionKind, PlatformEvent, RejectReason, Transi
 use tacc_sim::DetRng;
 use tacc_tests::{assert_codecs_agree, below};
 use tacc_workload::{
-    GroupId, JobEventKind, JobId, JobState, ModelProfile, QosClass, RuntimeEnv, RuntimePreference,
-    TaskKind, TaskSchema, TraceRecord,
+    Dependencies, GroupId, JobEventKind, JobId, JobState, ModelProfile, QosClass, RuntimeEnv,
+    RuntimePreference, TaskKind, TaskSchema, TraceRecord,
 };
 
 const NAMES: &[&str] = &[
@@ -71,9 +71,9 @@ fn id(rng: &mut DetRng) -> u64 {
 }
 
 fn schema(rng: &mut DetRng) -> TaskSchema {
-    let pair = (name(rng), below(rng, 1 << 20) as u32);
+    let pair = (Arc::from(name(rng)), below(rng, 1 << 20) as u32);
     TaskSchema {
-        name: name(rng),
+        name: name(rng).into(),
         group: GroupId::from_index(below(rng, 1 << 32) as usize),
         workers: below(rng, 512) as u32,
         resources: ResourceVec {
@@ -85,8 +85,8 @@ fn schema(rng: &mut DetRng) -> TaskSchema {
         kind: pick(rng, &TaskKind::ALL),
         runtime: pick(rng, &RuntimePreference::ALL),
         env: RuntimeEnv {
-            image: pick(rng, NAMES).to_owned(),
-            dependencies: vec![pair.clone(); below(rng, 3) as usize],
+            image: pick(rng, NAMES).into(),
+            dependencies: vec![pair.clone(); below(rng, 3) as usize].into(),
             dataset: (below(rng, 2) == 0).then_some(pair),
             code_mb: below(rng, 64) as u32,
         },
@@ -165,9 +165,9 @@ fn commands_and_journal_records_keep_their_codecs_in_agreement() {
         .qos(QosClass::BestEffort)
         .model(ModelProfile::gpt2_like())
         .env(RuntimeEnv {
-            image: "pytorch-2.1-cuda12".to_owned(),
-            dependencies: vec![("torch".to_owned(), 800)],
-            dataset: Some(("imagenet".to_owned(), 5000)),
+            image: "pytorch-2.1-cuda12".into(),
+            dependencies: Arc::new([("torch".into(), 800)]),
+            dataset: Some(("imagenet".into(), 5000)),
             code_mb: 7,
         })
         .build()
@@ -222,6 +222,57 @@ fn schemas_and_trace_records_keep_their_codecs_in_agreement() {
         service_secs: pick(rng, FLOATS),
         cancel_after_secs: (below(rng, 2) == 0).then(|| pick(rng, FLOATS)),
     });
+}
+
+/// The shared strings and bundles a schema's environment holds, alone
+/// and inside the environment: every name [`NAMES`] makes, so the cursor
+/// gives an escaped one up to the tree reader; bundles from empty to
+/// twelve items, four times the generator's longest.
+#[test]
+fn shared_strings_and_bundles_keep_their_codecs_in_agreement() {
+    let bundle = |rng: &mut DetRng, len: u64| -> Dependencies {
+        (0..len)
+            .map(|_| (Arc::from(name(rng)), rng.next_u64() as u32))
+            .collect()
+    };
+    sweep("shared string", 0x5_7A1E, 300, 30, |rng, _| {
+        Arc::<str>::from(name(rng))
+    });
+    sweep("bundle", 0xB_0D1E, 300, 30, |rng, case| {
+        bundle(rng, case % 13)
+    });
+    sweep("environment", 0xE_0E4F, 300, 5, |rng, case| RuntimeEnv {
+        image: name(rng).into(),
+        dependencies: bundle(rng, case % 13),
+        dataset: (below(rng, 2) == 0).then(|| (Arc::from(name(rng)), below(rng, 1 << 20) as u32)),
+        code_mb: below(rng, 64) as u32,
+    });
+
+    // Each of the three names escaped: the cursor gives up, the tree
+    // reads the environment.
+    let plain = RuntimeEnv {
+        image: "img".into(),
+        dependencies: Arc::new([("dep".into(), 1)]),
+        dataset: Some(("data".into(), 2)),
+        code_mb: 3,
+    };
+    let rng = &mut DetRng::seed_from_u64(46);
+    let mut escaped = [plain.clone(), plain.clone(), plain.clone()];
+    escaped[0].image = "qu\"ote".into();
+    escaped[1].dependencies = Arc::new([("dep".into(), 1), ("back\\slash".into(), 4)]);
+    escaped[2].dataset = Some(("ctl\n".into(), 2));
+    for (i, env) in escaped.iter().enumerate() {
+        assert!(!assert_codecs_agree(&format!("escaped {i}"), env, rng));
+    }
+    assert!(assert_codecs_agree("plain", &plain, rng));
+    // The ends of a bundle's length, read without a tree.
+    for len in [0, 12] {
+        let env = RuntimeEnv {
+            dependencies: (0..len).map(|size| (Arc::from("dep"), size)).collect(),
+            ..plain.clone()
+        };
+        assert!(assert_codecs_agree(&format!("{len} deps"), &env, rng));
+    }
 }
 
 fn query(rng: &mut DetRng, case: u64) -> Query {
@@ -428,7 +479,7 @@ fn event_records_keep_their_codecs_in_agreement() {
             0 => PlatformEvent::Submitted {
                 job,
                 group,
-                name: name(rng),
+                name: name(rng).into(),
             },
             1 => PlatformEvent::Compiled {
                 job,

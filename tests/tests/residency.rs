@@ -6,7 +6,8 @@
 //! below are exact counts, not timings: how many bytes and blocks a
 //! finished replay still holds per job, how many allocations it made to
 //! get there, and how many the report and the transition export make on
-//! top. `cargo test --release -p tacc-tests --test residency -- --nocapture`
+//! top; and what the generated trace a replay reads holds per record.
+//! `cargo test --release -p tacc-tests --test residency -- --nocapture`
 //! prints the table DESIGN.md ("What a job costs") records, and what one
 //! submit costs the client–daemon conversation, step by step.
 
@@ -23,12 +24,13 @@ use tacc_sched::QuotaMode;
 use tacc_taccd::{ClockMode, Daemon, DaemonConfig, EngineConfig};
 use tacc_tcloud::{DaemonClient, RetryPolicy};
 use tacc_tests::{config_with, small_trace};
-use tacc_workload::{JobId, Trace};
+use tacc_workload::{JobId, TaskSchema, Trace};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static LIVE_BLOCKS: Cell<i64> = const { Cell::new(0) };
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static LIVE_CHUNK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting requested bytes and blocks into the
@@ -36,10 +38,17 @@ thread_local! {
 /// of its own, so concurrent tests do not see each other.
 struct Counting;
 
-fn note(allocations: u64, blocks: i64, bytes: i64) {
+/// The bytes a request of `size` takes from glibc's `malloc`: the size
+/// word added, rounded up to 16, at least 32.
+fn chunk(size: usize) -> i64 {
+    ((size + 8 + 15) & !15).max(32) as i64
+}
+
+fn note(allocations: u64, blocks: i64, bytes: i64, chunk_bytes: i64) {
     ALLOCATIONS.with(|c| c.set(c.get() + allocations));
     LIVE_BLOCKS.with(|c| c.set(c.get() + blocks));
     LIVE_BYTES.with(|c| c.set(c.get() + bytes));
+    LIVE_CHUNK_BYTES.with(|c| c.set(c.get() + chunk_bytes));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -48,19 +57,24 @@ fn note(allocations: u64, blocks: i64, bytes: i64) {
 // allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(1, 1, layout.size() as i64);
+        note(1, 1, layout.size() as i64, chunk(layout.size()));
         // SAFETY: the caller's `layout` is passed through as given.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(0, -1, -(layout.size() as i64));
+        note(0, -1, -(layout.size() as i64), -chunk(layout.size()));
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(1, 0, new_size as i64 - layout.size() as i64);
+        note(
+            1,
+            0,
+            new_size as i64 - layout.size() as i64,
+            chunk(new_size) - chunk(layout.size()),
+        );
         // SAFETY: `ptr` came from `System.alloc` with this `layout`, and
         // the caller guarantees `new_size` is valid for its alignment.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -76,6 +90,7 @@ struct Tally {
     allocations: u64,
     live_blocks: i64,
     live_bytes: i64,
+    live_chunk_bytes: i64,
 }
 
 impl Tally {
@@ -84,6 +99,7 @@ impl Tally {
             allocations: ALLOCATIONS.with(Cell::get),
             live_blocks: LIVE_BLOCKS.with(Cell::get),
             live_bytes: LIVE_BYTES.with(Cell::get),
+            live_chunk_bytes: LIVE_CHUNK_BYTES.with(Cell::get),
         }
     }
 
@@ -93,6 +109,7 @@ impl Tally {
             allocations: now.allocations - mark.allocations,
             live_blocks: now.live_blocks - mark.live_blocks,
             live_bytes: now.live_bytes - mark.live_bytes,
+            live_chunk_bytes: now.live_chunk_bytes - mark.live_chunk_bytes,
         }
     }
 }
@@ -100,6 +117,43 @@ impl Tally {
 /// The gated replay: nine days at load 1, 5,159 jobs.
 fn nine_days() -> Trace {
     small_trace(20_240_601, 9.0, 1.0)
+}
+
+/// What a generated trace holds per record, and what generating it
+/// allocated: the record in the trace's `Vec`, its schema and the
+/// schema's name. The images, dependency bundles and datasets are the
+/// generator's, built once and shared by every record that names them.
+/// Bytes are counted as glibc's `malloc` rounds them, since the trace is
+/// many small blocks.
+#[test]
+fn a_generated_trace_holds_each_record_once() {
+    let mark = Tally::now();
+    let trace = nine_days();
+    let cost = Tally::since(mark);
+    let records = trace.len();
+    let per_record = |count: i64| count as f64 / records as f64;
+    println!(
+        "trace: {records} records, {:.0} B ({:.0} requested), {:.2} blocks, {:.2} allocations per record",
+        per_record(cost.live_chunk_bytes),
+        per_record(cost.live_bytes),
+        per_record(cost.live_blocks),
+        per_record(cost.allocations as i64),
+    );
+    assert!(
+        per_record(cost.live_chunk_bytes) <= 256.0,
+        "{} bytes per record",
+        per_record(cost.live_chunk_bytes)
+    );
+    assert!(
+        per_record(cost.live_blocks) <= 2.01,
+        "{} blocks per record",
+        per_record(cost.live_blocks)
+    );
+    assert!(
+        per_record(cost.allocations as i64) <= 2.01,
+        "{} allocations per record",
+        per_record(cost.allocations as i64)
+    );
 }
 
 /// Replays `trace` to idle; the platform and what the replay itself —
@@ -167,23 +221,29 @@ fn a_finished_replay_holds_each_job_once() {
         export_cost.allocations,
     );
     println!(
-        "size_of: EventRecord {}, TransitionEvent {}, Span {}",
+        "size_of: EventRecord {}, TransitionEvent {}, Span {}, TaskSchema {}",
         size_of::<EventRecord>(),
         size_of::<TransitionEvent>(),
         size_of::<Span>(),
+        size_of::<TaskSchema>(),
     );
 
     // Debug and release builds hold the same blocks — the debug oracles
     // allocate, but keep nothing — so the residency gates run in both.
     assert!(
-        per_job(full.live_bytes) <= 1_115.0,
+        per_job(full.live_bytes) <= 1_090.0,
         "{} live bytes per job",
         per_job(full.live_bytes)
     );
     assert!(
-        per_job(full.live_blocks) <= 3.1,
+        per_job(full.live_blocks) <= 2.05,
         "{} live blocks per job",
         per_job(full.live_blocks)
+    );
+    // An event owns no block: the name it carries is the schema's.
+    assert_eq!(
+        full.live_blocks, no_bus.live_blocks,
+        "blocks the bus holds beyond its ring"
     );
     assert!(
         per_job(report_cost.allocations as i64) <= 0.2,
@@ -193,7 +253,7 @@ fn a_finished_replay_holds_each_job_once() {
     assert_eq!(export_cost.allocations, 1, "the export reserves once");
     if !cfg!(debug_assertions) {
         assert!(
-            per_job(full.allocations as i64) <= 4.6,
+            per_job(full.allocations as i64) <= 3.25,
             "{} allocations per replayed job",
             per_job(full.allocations as i64)
         );
@@ -226,13 +286,13 @@ fn a_contended_replay_starts_jobs_without_throwaway_allocations() {
     );
     // Held bytes are the same in debug and release, as above.
     assert!(
-        per_job(full.live_bytes) <= 1_225.0,
+        per_job(full.live_bytes) <= 1_200.0,
         "{} live bytes per job",
         per_job(full.live_bytes)
     );
     if !cfg!(debug_assertions) {
         assert!(
-            per_job(full.allocations as i64) <= 6.1,
+            per_job(full.allocations as i64) <= 4.6,
             "{} allocations per replayed job",
             per_job(full.allocations as i64)
         );

@@ -20,7 +20,7 @@
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use tacc_core::wire::{self, Json, Request};
 use tacc_core::{Command, PlatformConfig};
@@ -50,9 +50,9 @@ fn submit(name: &str) -> Command {
         .build()
         .expect("valid schema");
     // Every free-text field of the schema, not only the job name.
-    schema.env.image = name.to_owned();
-    schema.env.dependencies = vec![(name.to_owned(), 1)];
-    schema.env.dataset = Some((name.to_owned(), 1));
+    schema.env.image = name.into();
+    schema.env.dependencies = Arc::new([(name.into(), 1)]);
+    schema.env.dataset = Some((name.into(), 1));
     Command::Submit {
         schema: schema.into(),
         service_secs: 90.0,
