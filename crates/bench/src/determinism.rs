@@ -95,7 +95,13 @@ pub fn campus_determinism_run(days: f64, feed: Feed) -> DeterminismRun {
     );
     let mut events = platform.events().to_jsonl();
     events.push_str(&refusals);
-    events.push_str(&report_fingerprint(&report).to_string());
+    // Round latency is host time: only its observation count is
+    // deterministic, and it lives in the metrics registry.
+    let round_latency_count = platform
+        .metrics()
+        .histogram("tacc_sched_round_latency_seconds")
+        .map_or(0, |h| h.count);
+    events.push_str(&report_fingerprint(&report, round_latency_count).to_string());
     events.push('\n');
     let transitions = platform.transition_log_jsonl();
     let timelines = platform.timelines_jsonl();
@@ -126,10 +132,9 @@ fn summary_json(s: &Summary) -> Json {
     ])
 }
 
-/// Serializes every deterministic field of a report (the wall-clock
-/// round-latency histogram contributes only its observation count, mirroring
-/// `SimulationReport`'s `PartialEq`).
-pub fn report_fingerprint(report: &SimulationReport) -> Json {
+/// Serializes every field of a report, plus the observation count of
+/// the wall-clock round-latency histogram (its one deterministic part).
+pub fn report_fingerprint(report: &SimulationReport, round_latency_count: u64) -> Json {
     let groups = report
         .groups
         .iter()
@@ -185,7 +190,7 @@ pub fn report_fingerprint(report: &SimulationReport) -> Json {
             report.mean_provisioning_secs.into(),
         ),
         ("rounds", report.rounds.into()),
-        ("round_latency_count", report.round_latency.count.into()),
+        ("round_latency_count", round_latency_count.into()),
         ("events_recorded", report.events_recorded.into()),
         ("events_dropped", report.events_dropped.into()),
         ("jobs", report.jobs.len().into()),

@@ -16,7 +16,8 @@
 //! * [`crate::observability`] — span timelines and the goodput
 //!   decomposition folded from the transition stream;
 //! * [`crate::status`] — client-facing read model (`tcloud` status,
-//!   logs, why, artifacts).
+//!   logs, why, artifacts);
+//! * [`crate::report`] — the [`SimulationReport`] every experiment reads.
 
 use tacc_cluster::{Cluster, NodeId};
 use tacc_compiler::Compiler;
@@ -32,7 +33,7 @@ use crate::accounting::CoreMetrics;
 use crate::admission::due_secs;
 use crate::arena::JobArena;
 use crate::config::PlatformConfig;
-use crate::report::{CompletedJob, ReportInputs, SimulationReport};
+use crate::report::{CompletedJob, SimulationReport};
 
 /// Events the platform schedules for itself. A submission is not one of
 /// them: arrivals are pulled from the loaded traces (see
@@ -372,43 +373,6 @@ impl Platform {
         self.load_trace(trace);
         self.run_until_idle();
         self.report()
-    }
-
-    /// Builds the simulation report for everything processed so far.
-    pub fn report(&self) -> SimulationReport {
-        let horizon = self.clock.now().as_secs().max(1e-9);
-        let (faults, failovers) = self.fault_counts();
-        let snapshot = self.registry.snapshot();
-        let round_latency = snapshot
-            .histogram("tacc_sched_round_latency_seconds")
-            .cloned()
-            .unwrap_or_default();
-        SimulationReport::build(ReportInputs {
-            completed: &self.completed,
-            submitted: self.jobs.len(),
-            failed: self.bus.kind_count("failed"),
-            failed_waste_gpu_hours: self.failed_waste_gpu_secs / 3600.0,
-            rejected: self.bus.kind_count("rejected"),
-            cancelled: self.bus.kind_count("cancelled"),
-            staging_secs_total: self.staging_secs_total,
-            stagings: self.stagings,
-            faults,
-            failovers,
-            preemptions: self.scheduler.preemption_count(),
-            backfill_starts: self.scheduler.backfill_starts(),
-            util: &self.util,
-            horizon_secs: horizon,
-            group_gpu_secs: &self.group_gpu_secs,
-            group_count: self.config.roster.len(),
-            cache: self.compiler.cache().stats(),
-            provisioning_latency_total: self.provisioning_latency_total,
-            compilations: self.compiler.compilations(),
-            rounds: self.scheduler.rounds(),
-            round_latency,
-            events_recorded: self.bus.recorded(),
-            events_dropped: self.bus.dropped(),
-            goodput_decomposition: self.goodput(),
-        })
     }
 
     /// Dispatches one simulation event to the owning module's handler.

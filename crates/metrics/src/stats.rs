@@ -47,8 +47,8 @@ pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 /// and the percentiles experiments report (p50, p90, p95, p99).
 ///
 /// Built once from a sample with [`Summary::from_samples`]; all accessors are
-/// O(1) afterwards.
-#[derive(Debug, Clone, PartialEq)]
+/// O(1) afterwards. The default is the summary of no samples.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     count: usize,
     mean: f64,
@@ -69,17 +69,7 @@ impl Summary {
     /// preemptions) don't need a special case.
     pub fn from_samples(samples: &[f64]) -> Self {
         if samples.is_empty() {
-            return Summary {
-                count: 0,
-                mean: 0.0,
-                std_dev: 0.0,
-                min: 0.0,
-                max: 0.0,
-                p50: 0.0,
-                p90: 0.0,
-                p95: 0.0,
-                p99: 0.0,
-            };
+            return Summary::default();
         }
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in summary input"));

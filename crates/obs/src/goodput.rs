@@ -71,7 +71,8 @@ pub enum BadputCause {
 }
 
 impl BadputCause {
-    /// Every cause, in report order.
+    /// Every cause, in report order: declaration order, which is also
+    /// each cause's index in a [`BadputBreakdown`].
     pub const ALL: [BadputCause; 6] = [
         BadputCause::QueueWait,
         BadputCause::Compile,
@@ -127,68 +128,36 @@ pub struct JobGoodputInput {
     pub useful_secs: f64,
 }
 
-/// GPU-seconds of badput by cause.
+/// GPU-seconds of badput by cause, one amount per cause in
+/// [`BadputCause::ALL`] order.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BadputBreakdown {
-    /// GPU-seconds queued waiting for resources.
-    pub queue_wait_gpu_secs: f64,
-    /// GPU-seconds in compilation/provisioning.
-    pub compile_gpu_secs: f64,
-    /// GPU-seconds of amortized checkpoint-write stalls.
-    pub checkpoint_overhead_gpu_secs: f64,
-    /// GPU-seconds of restart rework (restore + recovery).
-    pub restart_rework_gpu_secs: f64,
-    /// GPU-seconds of off-node preemption gaps.
-    pub preemption_gpu_secs: f64,
-    /// GPU-seconds of unoccupied fleet capacity.
-    pub idle_reserved_gpu_secs: f64,
-}
+pub struct BadputBreakdown([f64; 6]);
 
 impl BadputBreakdown {
     /// The value for one cause.
     pub fn get(&self, cause: BadputCause) -> f64 {
-        match cause {
-            BadputCause::QueueWait => self.queue_wait_gpu_secs,
-            BadputCause::Compile => self.compile_gpu_secs,
-            BadputCause::CheckpointOverhead => self.checkpoint_overhead_gpu_secs,
-            BadputCause::RestartRework => self.restart_rework_gpu_secs,
-            BadputCause::Preemption => self.preemption_gpu_secs,
-            BadputCause::IdleReserved => self.idle_reserved_gpu_secs,
-        }
+        self.0[cause as usize]
     }
 
     fn add(&mut self, cause: BadputCause, gpu_secs: f64) {
-        match cause {
-            BadputCause::QueueWait => self.queue_wait_gpu_secs += gpu_secs,
-            BadputCause::Compile => self.compile_gpu_secs += gpu_secs,
-            BadputCause::CheckpointOverhead => self.checkpoint_overhead_gpu_secs += gpu_secs,
-            BadputCause::RestartRework => self.restart_rework_gpu_secs += gpu_secs,
-            BadputCause::Preemption => self.preemption_gpu_secs += gpu_secs,
-            BadputCause::IdleReserved => self.idle_reserved_gpu_secs += gpu_secs,
-        }
+        self.0[cause as usize] += gpu_secs;
     }
 
     /// `(cause, gpu_secs)` pairs in report order.
     pub fn items(&self) -> [(BadputCause, f64); 6] {
-        let mut out = [(BadputCause::QueueWait, 0.0); 6];
-        for (slot, &cause) in out.iter_mut().zip(BadputCause::ALL.iter()) {
-            *slot = (cause, self.get(cause));
-        }
-        out
+        BadputCause::ALL.map(|cause| (cause, self.get(cause)))
     }
 
     /// Total badput GPU-seconds: by definition the sum of the itemized
     /// causes in report order, so itemization always sums to the total.
     pub fn total_gpu_secs(&self) -> f64 {
-        BadputCause::ALL
-            .iter()
-            .fold(0.0, |acc, &cause| acc + self.get(cause))
+        self.0.iter().fold(0.0, |acc, &gpu_secs| acc + gpu_secs)
     }
 }
 
 /// The ML Productivity Goodput decomposition of one platform run.
 /// Derived entirely from sim-time quantities; equality is strict.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GoodputReport {
     /// Horizon the open spans were closed at, sim seconds.
     pub horizon_secs: f64,
@@ -287,7 +256,10 @@ impl GoodputReport {
             }
         }
         let allocated_gpu_secs = running_gpu_secs + on_node_overhead_gpu_secs;
-        badput.idle_reserved_gpu_secs = (capacity_gpu_secs - allocated_gpu_secs).max(0.0);
+        badput.add(
+            BadputCause::IdleReserved,
+            (capacity_gpu_secs - allocated_gpu_secs).max(0.0),
+        );
         let availability = if capacity_gpu_secs > 0.0 {
             (allocated_gpu_secs / capacity_gpu_secs).min(1.0)
         } else {
@@ -559,11 +531,11 @@ mod tests {
         assert_eq!(r.productive_gpu_secs, 1920.0);
         assert!((r.availability - 0.4).abs() < 1e-9);
         assert!((r.throughput_efficiency - 0.8).abs() < 1e-9);
-        assert!((r.badput.queue_wait_gpu_secs - 320.0).abs() < 1e-6);
-        assert!((r.badput.compile_gpu_secs - 80.0).abs() < 1e-6);
-        assert!((r.badput.checkpoint_overhead_gpu_secs - 800.0).abs() < 1e-6);
-        assert_eq!(r.badput.preemption_gpu_secs, 0.0);
-        assert!((r.badput.idle_reserved_gpu_secs - 4800.0).abs() < 1e-6);
+        assert!((r.badput.get(BadputCause::QueueWait) - 320.0).abs() < 1e-6);
+        assert!((r.badput.get(BadputCause::Compile) - 80.0).abs() < 1e-6);
+        assert!((r.badput.get(BadputCause::CheckpointOverhead) - 800.0).abs() < 1e-6);
+        assert_eq!(r.badput.get(BadputCause::Preemption), 0.0);
+        assert!((r.badput.get(BadputCause::IdleReserved) - 4800.0).abs() < 1e-6);
         // Itemization sums to the total by definition.
         let total = r.badput.total_gpu_secs();
         assert_eq!(total, r.badput.items().iter().map(|(_, v)| v).sum::<f64>());
@@ -582,7 +554,7 @@ mod tests {
         let r = GoodputReport::compute(&book, 100.0, 4.0, &BTreeMap::new());
         assert_eq!(r.availability, 0.0);
         assert_eq!(r.throughput_efficiency, 1.0);
-        assert_eq!(r.badput.idle_reserved_gpu_secs, 400.0);
+        assert_eq!(r.badput.get(BadputCause::IdleReserved), 400.0);
         assert_eq!(r.badput_fraction, 1.0);
         assert_eq!(r.goodput, 0.0);
         goodput_conservation(&book, 100.0, &BTreeMap::new()).unwrap();
@@ -645,6 +617,10 @@ mod tests {
                 SpanPhase::Running | SpanPhase::Scheduled => assert!(cause.is_none()),
                 _ => assert!(cause.is_some(), "{phase} unbucketed"),
             }
+        }
+        // Each cause indexes its own amount of a breakdown.
+        for (i, cause) in BadputCause::ALL.into_iter().enumerate() {
+            assert_eq!(cause as usize, i, "{cause}");
         }
     }
 }

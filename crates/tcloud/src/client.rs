@@ -177,31 +177,6 @@ impl TcloudClient {
         }
     }
 
-    /// Submits a task described as JSON (the on-disk task schema format).
-    ///
-    /// # Errors
-    ///
-    /// [`TcloudError::Refused`] (`invalid-task`) for malformed JSON or
-    /// invalid schemas.
-    pub fn submit_json(&mut self, json: &str, service_secs: f64) -> Result<JobId, TcloudError> {
-        let schema = schema_from_text(json).map_err(CommandError::InvalidTask)?;
-        self.submit(schema, service_secs)
-    }
-
-    /// Kills a job on every node it occupies. `Ok(false)` when the job
-    /// had already finished and there was nothing to kill.
-    ///
-    /// # Errors
-    ///
-    /// [`TcloudError::Refused`] (`unknown-job`) if the job does not exist.
-    pub fn kill(&mut self, job: JobId) -> Result<bool, TcloudError> {
-        let outcome = self.apply(Command::Cancel { job })?;
-        Ok(matches!(
-            outcome,
-            CommandOutcome::Cancelled { applied: true, .. }
-        ))
-    }
-
     /// Lets the active cluster advance `secs` of simulated time (the
     /// client-side analogue of "come back later and check").
     ///
@@ -297,8 +272,9 @@ mod tests {
     fn submit_json_validates() {
         let mut c = TcloudClient::with_profile("campus", config());
         let json = schema().to_json().to_string();
-        assert!(c.submit_json(&json, 300.0).is_ok());
-        assert!(refused(c.submit_json("{bad", 300.0), "invalid-task"));
+        assert_eq!(lines(&mut c, &["submit", &json]), ["submitted job 0"]);
+        let bad = c.run_command(&["submit", "{bad", "--service", "300"]);
+        assert!(refused(bad, "invalid-task"));
     }
 
     #[test]
@@ -308,11 +284,16 @@ mod tests {
         c.advance(3600.0).expect("advances");
         let state = |c: &TcloudClient| c.platform().job(job).expect("exists").state();
         assert_eq!(state(&c), JobState::Running);
-        assert_eq!(c.kill(job), Ok(true), "running job killable");
+        let cancel = ["cancel", "0"];
+        assert_eq!(
+            lines(&mut c, &cancel),
+            ["cancelled job 0"],
+            "running job killable"
+        );
         assert_eq!(state(&c), JobState::Cancelled);
         // Killing again finds nothing left to kill.
-        assert_eq!(c.kill(job), Ok(false));
-        assert!(refused(c.kill(JobId::from_value(7)), "unknown-job"));
+        assert_eq!(lines(&mut c, &cancel), ["job 0 had already finished"]);
+        assert!(refused(c.run_command(&["cancel", "7"]), "unknown-job"));
     }
 
     /// Inputs the platform refuses come back as typed errors — through the

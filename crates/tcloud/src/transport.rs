@@ -199,23 +199,6 @@ impl DaemonClient {
         self.round_trip(|frame| Request::frame_mutate(frame, command))
     }
 
-    /// Submits the task described by `json` — the same schema text
-    /// [`crate::TcloudClient::submit_json`] takes — with the given oracle
-    /// service time. A malformed schema fails here, not at the daemon.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::MalformedFrame`] for schema text that does not
-    /// parse, plus anything [`DaemonClient::mutate`] returns.
-    pub fn submit_json(&mut self, json: &str, service_secs: f64) -> Result<Json, TransportError> {
-        let schema = crate::client::schema_from_text(json)
-            .map_err(|e| TransportError::MalformedFrame(format!("schema json: {e}")))?;
-        self.mutate(&Command::Submit {
-            schema: schema.into(),
-            service_secs,
-        })
-    }
-
     /// Runs a read-only query against the daemon's live platform state.
     /// `kind` is a [`Query::kind`]; `job` accompanies the per-job kinds.
     ///

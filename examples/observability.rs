@@ -91,13 +91,17 @@ fn main() {
     }
 
     let report = client.platform().report();
+    let snapshot = client.platform().metrics();
+    let round_latency = snapshot
+        .histogram("tacc_sched_round_latency_seconds")
+        .expect("the scheduler observes every round");
     println!(
         "\nrun: {} rounds, {} events recorded ({} dropped), \
          round latency p50 ~{:.0}us over {} rounds",
         report.rounds,
         report.events_recorded,
         report.events_dropped,
-        report.round_latency.quantile(0.5) * 1e6,
-        report.round_latency.count
+        round_latency.quantile(0.5) * 1e6,
+        round_latency.count
     );
 }

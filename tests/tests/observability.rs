@@ -171,7 +171,12 @@ fn metrics_agree_with_report() {
                 "{case}"
             );
             // Round latency is real measured wall time.
-            assert_eq!(report.round_latency.count, report.rounds, "{case}");
+            assert_eq!(
+                snap.histogram("tacc_sched_round_latency_seconds")
+                    .map(|h| h.count),
+                Some(report.rounds),
+                "{case}"
+            );
         }
         // All GPUs free after the run drains.
         let snap = platform.metrics();

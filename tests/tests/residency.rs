@@ -246,7 +246,7 @@ fn a_finished_replay_holds_each_job_once() {
         "blocks the bus holds beyond its ring"
     );
     assert!(
-        per_job(report_cost.allocations as i64) <= 0.2,
+        per_job(report_cost.allocations as i64) <= 0.02,
         "report() made {} allocations",
         report_cost.allocations
     );

@@ -26,7 +26,7 @@ use tacc_core::wire::{self, Json, Request};
 use tacc_core::{Command, PlatformConfig};
 use tacc_sim::DetRng;
 use tacc_taccd::{ClockMode, Daemon, DaemonConfig, Engine, EngineConfig, Msg, Query, Reply};
-use tacc_tcloud::{DaemonClient, RetryPolicy, TcloudClient, TransportError};
+use tacc_tcloud::{cli, CommandOutput, DaemonClient, RetryPolicy, TcloudClient, TcloudError};
 use tacc_tests::below;
 use tacc_workload::{GroupId, JobId, TaskSchema};
 
@@ -201,17 +201,19 @@ fn one_schema_text_submits_in_process_and_against_a_live_daemon() {
 
     let (daemon, socket, journal) = start_daemon("schema");
     let mut conn = DaemonClient::connect(&socket, RetryPolicy::default()).expect("connects");
-    let ack = conn.submit_json(text, 900.0).expect("remote submit");
-    assert_eq!(ack.get("job").and_then(Json::as_u64), Some(0));
+    let remote = cli::run(&mut conn, &["submit", text, "--service", "900"]);
+    assert_eq!(remote.expect("remote submit").text(), "submitted job 0");
     let status = conn.query("status", Some(0)).expect("status answered");
     assert_eq!(status.get("name").and_then(Json::as_str), Some("portable"));
 
     // And one malformed text is refused by both, before anything is sent.
-    assert!(local.run_command(&["submit", "{\"name\": \"x\"}"]).is_err());
-    assert!(matches!(
-        conn.submit_json("{\"name\": \"x\"}", 900.0),
-        Err(TransportError::MalformedFrame(_))
-    ));
+    let malformed = ["submit", "{\"name\": \"x\"}"];
+    let refusal = |result: Result<CommandOutput, TcloudError>| match result {
+        Err(TcloudError::Refused { kind, .. }) => kind,
+        other => panic!("not refused: {other:?}"),
+    };
+    assert_eq!(refusal(local.run_command(&malformed)), "invalid-task");
+    assert_eq!(refusal(cli::run(&mut conn, &malformed)), "invalid-task");
     drop(conn);
     daemon.stop();
     std::fs::remove_file(&journal).ok();
