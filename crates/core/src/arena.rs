@@ -48,6 +48,12 @@ impl JobArena {
         self.slots.len()
     }
 
+    /// Makes room for `additional` more slots (a loaded trace's records),
+    /// so the table is allocated once instead of doubling.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.slots.reserve(additional);
+    }
+
     /// Appends the slot for a freshly minted job. The id must be the
     /// next dense value — the platform mints ids from the same counter,
     /// so a mismatch is a platform bug.

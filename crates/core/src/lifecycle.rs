@@ -31,7 +31,6 @@ use tacc_workload::{
 };
 
 use crate::platform::{ActiveRun, Event, Platform};
-use crate::report::CompletedJob;
 
 /// Why a lifecycle event was not applied.
 ///
@@ -418,33 +417,17 @@ impl Platform {
         }
         self.scheduler.task_finished(id, &mut self.cluster);
         let _ = self.apply_lifecycle_event(id, JobEvent::Complete { at_secs: now });
-        let (record, jct_secs, queue_delay_secs) = {
+        let (jct_secs, queue_delay_secs) = {
             let Some(job) = self.job_ref(id) else {
                 return;
             };
-            let schema = job.schema();
             // `Complete` set finish = now, so JCT is exactly now - submit.
-            let jct_secs = now - job.submit_secs();
-            let queue_delay_secs = job.queueing_delay_secs().unwrap_or(0.0);
             (
-                CompletedJob {
-                    id,
-                    group: schema.group,
-                    gpus: schema.total_gpus(),
-                    kind: schema.kind,
-                    submit_secs: job.submit_secs(),
-                    queue_delay_secs,
-                    jct_secs,
-                    service_secs: job.service_secs(),
-                    preemptions: job.preemptions(),
-                    restarts: job.restarts(),
-                    wasted_secs: job.wasted_secs(),
-                },
-                jct_secs,
-                queue_delay_secs,
+                now - job.submit_secs(),
+                job.queueing_delay_secs().unwrap_or(0.0),
             )
         };
-        self.completed.push(record);
+        self.completed.push(id);
         self.metrics.queue_delay.observe(queue_delay_secs);
         self.emit(now, PlatformEvent::Completed { job: id, jct_secs });
         self.run_round();

@@ -33,7 +33,7 @@ use crate::accounting::CoreMetrics;
 use crate::admission::due_secs;
 use crate::arena::JobArena;
 use crate::config::PlatformConfig;
-use crate::report::{CompletedJob, SimulationReport};
+use crate::report::SimulationReport;
 
 /// Events the platform schedules for itself. A submission is not one of
 /// them: arrivals are pulled from the loaded traces (see
@@ -121,7 +121,9 @@ pub struct Platform {
     pub(crate) group_busy: Vec<f64>,
     pub(crate) group_gpu_secs: Vec<f64>,
     pub(crate) group_last_update: f64,
-    pub(crate) completed: Vec<CompletedJob>,
+    /// Completed jobs' ids in completion order; their report rows are
+    /// read from the slots (see [`Platform::report`]).
+    pub(crate) completed: Vec<JobId>,
     pub(crate) failed_waste_gpu_secs: f64,
     pub(crate) staging_secs_total: f64,
     pub(crate) stagings: u64,
@@ -271,8 +273,16 @@ impl Platform {
     /// Loading mid-run merges by time. Of an arrival and a scheduled
     /// event due at the same instant the arrival goes first; of two
     /// arrivals, the earlier-loaded trace's.
+    ///
+    /// The per-job tables — job slots, span timelines and the completion
+    /// list — are sized here for every record the trace will deliver, so
+    /// a replay allocates each of them once instead of doubling it.
     pub fn load_trace(&mut self, trace: &Trace) {
         if !trace.is_empty() {
+            let records = trace.len();
+            self.jobs.reserve(records);
+            self.spans.reserve(records);
+            self.completed.reserve(records);
             self.arrivals.push((trace.clone(), 0));
         }
     }

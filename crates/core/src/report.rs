@@ -2,7 +2,7 @@
 
 use tacc_metrics::{jain_index, Summary};
 use tacc_obs::GoodputReport;
-use tacc_workload::{GroupId, JobId, TaskKind};
+use tacc_workload::{GroupId, Job, JobId, TaskKind};
 
 use crate::platform::Platform;
 
@@ -31,6 +31,30 @@ pub struct CompletedJob {
     pub restarts: u32,
     /// Service-seconds of work lost to interruptions.
     pub wasted_secs: f64,
+}
+
+impl CompletedJob {
+    /// The row of a job in its terminal state, read from the job alone:
+    /// a finished job is held once, in its slot, and its row is built
+    /// when a report asks for it.
+    fn of(job: &Job) -> Self {
+        let schema = job.schema();
+        CompletedJob {
+            id: job.id(),
+            group: schema.group,
+            gpus: schema.total_gpus(),
+            kind: schema.kind,
+            submit_secs: job.submit_secs(),
+            queue_delay_secs: job.queueing_delay_secs().unwrap_or(0.0),
+            // `Complete` set finish = the completion instant, so this is
+            // bit-equal to the `jct_secs` the `completed` event carries.
+            jct_secs: job.jct_secs().unwrap_or(0.0),
+            service_secs: job.service_secs(),
+            preemptions: job.preemptions(),
+            restarts: job.restarts(),
+            wasted_secs: job.wasted_secs(),
+        }
+    }
 }
 
 /// Per-group aggregates.
@@ -139,7 +163,7 @@ impl Platform {
             jobs,
             ..
         } = SimulationReport::from_jobs(
-            &self.completed,
+            self.completed_rows(),
             self.failed_waste_gpu_secs / 3600.0,
             &self.group_gpu_secs,
         );
@@ -187,6 +211,19 @@ impl Platform {
             jobs,
         }
     }
+
+    /// One row per completed job, in completion order, built from the
+    /// jobs' slots into a table sized once.
+    fn completed_rows(&self) -> Vec<CompletedJob> {
+        let mut rows = Vec::with_capacity(self.completed.len());
+        rows.extend(
+            self.completed
+                .iter()
+                .filter_map(|&id| self.job(id))
+                .map(CompletedJob::of),
+        );
+        rows
+    }
 }
 
 impl SimulationReport {
@@ -194,7 +231,7 @@ impl SimulationReport {
     /// GPU-hours, goodput, one row per group of `group_gpu_secs` and
     /// fairness. Every other field is zero.
     fn from_jobs(
-        completed: &[CompletedJob],
+        completed: Vec<CompletedJob>,
         failed_waste_gpu_hours: f64,
         group_gpu_secs: &[f64],
     ) -> Self {
@@ -248,7 +285,7 @@ impl SimulationReport {
             goodput,
             fairness: jain_index(&group_hours),
             groups,
-            jobs: completed.to_vec(),
+            jobs: completed,
             ..SimulationReport::default()
         }
     }
@@ -281,7 +318,7 @@ mod tests {
             job(1, 2, 3600.0, 1800.0, 1800.0),
         ];
         let group_secs = vec![3600.0 * 2.0, 3600.0 * 2.0];
-        let r = SimulationReport::from_jobs(&completed, 0.0, &group_secs);
+        let r = SimulationReport::from_jobs(completed.clone(), 0.0, &group_secs);
         assert_eq!(r.completed, 2);
         assert_eq!(r.jct.count(), 2);
         // useful = 2*(2*1800/3600) = 2 gpu-hours; wasted = 2*1800/3600 = 1.
@@ -294,13 +331,13 @@ mod tests {
         assert_eq!(r.groups[1].mean_queue_delay_secs, 1800.0);
         assert_eq!(r.jobs, completed);
         // A failed job's consumption is waste too.
-        let r = SimulationReport::from_jobs(&completed, 1.0, &group_secs);
+        let r = SimulationReport::from_jobs(completed, 1.0, &group_secs);
         assert!((r.goodput - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn empty_report_is_sane() {
-        let r = SimulationReport::from_jobs(&[], 0.0, &[]);
+        let r = SimulationReport::from_jobs(Vec::new(), 0.0, &[]);
         assert_eq!(r.completed, 0);
         assert_eq!(r.goodput, 1.0);
         assert_eq!(r.fairness, 1.0);

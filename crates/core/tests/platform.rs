@@ -390,6 +390,63 @@ fn event_bus_satisfies_conservation() {
     assert_eq!(parsed, records);
 }
 
+/// The report's per-job rows are built from the jobs' slots, not kept
+/// as the run goes: the bus's `completed` events are the oracle for
+/// which jobs they list, in which order, and each row's JCT. A replay
+/// with borrowing quota and node faults preempts and restarts, so jobs
+/// finish out of id order and a row built at the wrong time or in the
+/// wrong order shows.
+#[test]
+fn report_rows_follow_the_completed_events() {
+    let mut cfg = tiny_config();
+    cfg.scheduler.quota = QuotaMode::Borrowing;
+    cfg.node_mtbf_secs = Some(20_000.0);
+    cfg.failover = FailoverPolicy::SwitchRuntime;
+    let mut p = Platform::new(cfg);
+    let trace = TraceGenerator::new(
+        GenParams {
+            roster: tacc_workload::GroupRoster::campus_default(16),
+            peak_jobs_per_hour: 24.0,
+            ..GenParams::default()
+        },
+        11,
+    )
+    .generate_days(1.0);
+    let report = p.run_trace(&trace);
+    assert_eq!(report.events_dropped, 0, "the bus must hold every event");
+    assert!(report.preemptions > 0, "the replay must preempt");
+    assert!(report.faults > 0, "the replay must fault");
+
+    let completed: Vec<(JobId, f64)> = p
+        .events()
+        .records()
+        .filter_map(|r| match r.event {
+            PlatformEvent::Completed { job, jct_secs } => Some((job, jct_secs)),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        completed.windows(2).any(|w| w[0].0 > w[1].0),
+        "jobs must finish out of id order"
+    );
+    let rows: Vec<(JobId, f64)> = report.jobs.iter().map(|j| (j.id, j.jct_secs)).collect();
+    assert_eq!(rows.len(), completed.len());
+    for (row, event) in rows.iter().zip(&completed) {
+        assert_eq!(row.0, event.0, "rows in bus order");
+        assert_eq!(
+            row.1.to_bits(),
+            event.1.to_bits(),
+            "{}: row JCT {} vs event {}",
+            row.0,
+            row.1,
+            event.1
+        );
+    }
+    assert!(report.jobs.iter().any(|j| j.preemptions > 0));
+    assert!(report.jobs.iter().any(|j| j.restarts > 0));
+    assert_eq!(p.report(), report);
+}
+
 /// Two best-effort gangs that each want the whole cluster rotate each
 /// other out every quantum, hundreds of times. Each rotation check is
 /// scheduled at `start + quantum`; past t = 2²⁰ s that sum rounds, and

@@ -465,6 +465,13 @@ impl SpanBook {
         self.config
     }
 
+    /// Makes room for `additional` more job slots beyond those the book
+    /// holds, so a caller that knows how many jobs will arrive (a loaded
+    /// trace) sizes the dense table once instead of doubling it.
+    pub fn reserve(&mut self, additional: usize) {
+        self.jobs.reserve(additional);
+    }
+
     /// Folds one applied transition into the owning job's timeline.
     /// Records that are not an edge of the workload transition matrix
     /// are counted in [`ignored`](Self::ignored) and change nothing.
