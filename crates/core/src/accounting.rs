@@ -6,23 +6,19 @@
 //! ([`crate::lifecycle`]) already validated — no `Job` state is written
 //! in this module.
 
-use tacc_obs::{Counter, Gauge, Histogram, MetricsRegistry, PlatformEvent};
+use tacc_obs::{Counter, Histogram, MetricsRegistry, PlatformEvent};
 
 use crate::platform::{ActiveRun, Platform};
 
 /// Handles for the series the platform records as their events happen:
-/// refused submissions (counted nowhere else), the queue-delay histogram
-/// and the goodput gauges `goodput()` sets. Every other `tacc_core_*`,
+/// refused submissions (counted nowhere else) and the queue-delay
+/// histogram. Every other `tacc_core_*`,
 /// `tacc_cluster_*` and `tacc_obs_*` series is published at scrape time
 /// ([`Platform::publish_metrics`]).
 #[derive(Debug)]
 pub(crate) struct CoreMetrics {
     pub(crate) submissions_refused: Counter,
     pub(crate) queue_delay: Histogram,
-    pub(crate) goodput_ratio: Gauge,
-    pub(crate) goodput_availability: Gauge,
-    pub(crate) goodput_efficiency: Gauge,
-    pub(crate) goodput_badput: Gauge,
 }
 
 impl CoreMetrics {
@@ -30,12 +26,6 @@ impl CoreMetrics {
         CoreMetrics {
             submissions_refused: registry.counter("tacc_core_submissions_refused_total", &[]),
             queue_delay: registry.histogram("tacc_core_queue_delay_seconds", &[]),
-            // Observability-layer series: names are declared next to the
-            // obs code that owns their semantics (and linted there).
-            goodput_ratio: registry.gauge(tacc_obs::GOODPUT_RATIO_METRIC, &[]),
-            goodput_availability: registry.gauge(tacc_obs::GOODPUT_AVAILABILITY_METRIC, &[]),
-            goodput_efficiency: registry.gauge(tacc_obs::GOODPUT_EFFICIENCY_METRIC, &[]),
-            goodput_badput: registry.gauge(tacc_obs::GOODPUT_BADPUT_METRIC, &[]),
         }
     }
 }
@@ -101,7 +91,8 @@ impl Platform {
     /// The platform's publish step, run by every scrape: each series
     /// whose count a layer already keeps is read from it here — the job
     /// tallies and illegal transitions from the bus's lifetime per-kind
-    /// counts, the cluster series from the cluster, the bus's drops, the
+    /// counts, the cluster series from the cluster, the four goodput
+    /// gauges from [`Platform::goodput`], the bus's drops, the
     /// execution layer's plans, faults and failovers from the bus's
     /// placed / failed-over / failed counts, and the scheduler's and the
     /// compiler's own series. Fragmentation is the fraction of free GPUs
@@ -135,6 +126,16 @@ impl Platform {
         gauge("tacc_cluster_free_gpus", free);
         gauge("tacc_cluster_largest_free_block", largest);
         gauge("tacc_cluster_fragmentation", self.cluster.fragmentation());
+        // Observability-layer series: names are declared next to the obs
+        // code that owns their semantics (and linted there).
+        let goodput = self.goodput();
+        gauge(tacc_obs::GOODPUT_RATIO_METRIC, goodput.goodput);
+        gauge(tacc_obs::GOODPUT_AVAILABILITY_METRIC, goodput.availability);
+        gauge(
+            tacc_obs::GOODPUT_EFFICIENCY_METRIC,
+            goodput.throughput_efficiency,
+        );
+        gauge(tacc_obs::GOODPUT_BADPUT_METRIC, goodput.badput_fraction);
         self.scheduler.publish_metrics(registry);
         self.compiler.publish_metrics(registry);
     }

@@ -8,9 +8,9 @@
 
 use tacc_compiler::CompiledTask;
 use tacc_obs::{PlatformEvent, RejectReason};
-use tacc_sched::TaskRequest;
+use tacc_sched::{gang_ever_fits, TaskRequest};
 use tacc_sim::{SimDuration, SimTime};
-use tacc_workload::{Job, JobEvent, JobId, TaskSchema, TraceRecord};
+use tacc_workload::{Job, JobEvent, JobId, TraceRecord};
 
 use crate::command::CommandError;
 use crate::platform::{Event, Platform};
@@ -63,8 +63,7 @@ impl Platform {
                 return Err(refusal);
             }
         };
-        let id = JobId::from_value(self.next_job);
-        self.next_job += 1;
+        let id = JobId::from_value(self.jobs.len() as u64);
         let group = record.schema.group;
         let name = record.schema.name.clone();
         self.jobs
@@ -145,13 +144,12 @@ impl Platform {
         if job.state().is_terminal() {
             return; // cancelled during provisioning
         }
-        let schema = job.schema();
         let request = task_request(job);
         // Admission control: reject outright anything that could never run
         // here — a gang the hardware cannot hold, or a guaranteed request
         // larger than its group's entire quota — instead of queueing it
         // forever.
-        let verdict = if !self.gang_feasible(schema) {
+        let verdict = if !gang_ever_fits(&self.cluster, request.workers, request.per_worker) {
             Some(RejectReason::GangNeverFits)
         } else if !self.scheduler.admissible_ever(&request) {
             Some(RejectReason::ExceedsGroupQuota)
@@ -167,32 +165,5 @@ impl Platform {
         self.scheduler.submit(request);
         self.emit(now, PlatformEvent::Queued { job: id });
         self.run_round();
-    }
-
-    /// Whether `schema`'s gang could ever be placed on an empty cluster.
-    pub(crate) fn gang_feasible(&self, schema: &TaskSchema) -> bool {
-        let per = schema.resources;
-        let mut capacity_workers: u32 = 0;
-        for node in self.cluster.nodes() {
-            let cap = node.capacity();
-            let mut k = u32::MAX;
-            if let Some(q) = cap.gpus.checked_div(per.gpus) {
-                k = k.min(q);
-            }
-            if let Some(q) = cap.cpu_cores.checked_div(per.cpu_cores) {
-                k = k.min(q);
-            }
-            if let Some(q) = cap.mem_gb.checked_div(per.mem_gb) {
-                k = k.min(q);
-            }
-            if k == u32::MAX {
-                k = 0; // zero-resource schemas are rejected by validation
-            }
-            capacity_workers = capacity_workers.saturating_add(k);
-            if capacity_workers >= schema.workers {
-                return true;
-            }
-        }
-        false
     }
 }

@@ -58,21 +58,13 @@ impl Platform {
 
     /// The ML Productivity Goodput decomposition as of the current sim
     /// time: `availability × throughput_efficiency × (1 − badput)` with
-    /// badput itemized by cause. Also refreshes the `tacc_obs_goodput_*`
-    /// gauges.
+    /// badput itemized by cause.
     pub fn goodput(&self) -> GoodputReport {
-        let report = GoodputReport::compute_with(
+        GoodputReport::compute(
             &self.spans,
             self.span_horizon(),
             f64::from(self.cluster.total_gpus()),
             |job| self.goodput_input(job),
-        );
-        self.metrics.goodput_ratio.set(report.goodput);
-        self.metrics.goodput_availability.set(report.availability);
-        self.metrics
-            .goodput_efficiency
-            .set(report.throughput_efficiency);
-        self.metrics.goodput_badput.set(report.badput_fraction);
-        report
+        )
     }
 }

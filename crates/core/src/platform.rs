@@ -106,7 +106,6 @@ pub struct Platform {
     /// Dense per-job state: job, runtime, active run, last nodes, run
     /// token — one slot per minted id (see [`crate::arena`]).
     pub(crate) jobs: JobArena,
-    pub(crate) next_job: u64,
 
     pub(crate) bus: EventBus,
     /// Transitions applied since their job's last emit (debug check).
@@ -168,7 +167,6 @@ impl Platform {
             events: EventQueue::new(),
             arrivals: Vec::new(),
             jobs: JobArena::new(),
-            next_job: 0,
             bus,
             #[cfg(debug_assertions)]
             applied: Vec::new(),

@@ -24,15 +24,9 @@
 //! so the report is a pure function of sim-time data — byte-stable
 //! across replays.
 //!
-//! The badput itemization obeys a machine-checked conservation law
-//! ([`goodput_conservation`]): every span lands in exactly one bucket
-//! and the bucket sums partition the total span GPU-time **exactly**
-//! under [`Dyadic`] rational arithmetic. Every finite `f64` is a dyadic
-//! rational (`m × 2^e`), so sums and products of span durations can be
-//! compared with zero tolerance — any float-drift shortcut in the
-//! decomposition fails the law outright.
+//! Every span lands in exactly one bucket: [`badput_cause_of`], an
+//! exhaustive match over span phases, is the one partition.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use tacc_json::{obj, Json};
@@ -103,8 +97,8 @@ impl fmt::Display for BadputCause {
 
 /// Which badput bucket a span phase is charged to (`None` for phases
 /// that are not badput: `Running` progress and the zero-width
-/// `Scheduled` marker). This single function defines the partition the
-/// conservation law checks.
+/// `Scheduled` marker). This single function partitions span GPU-time
+/// into running time and the span-derived causes.
 pub fn badput_cause_of(phase: SpanPhase) -> Option<BadputCause> {
     match phase {
         SpanPhase::Queued => Some(BadputCause::QueueWait),
@@ -123,8 +117,8 @@ pub struct JobGoodputInput {
     /// GPUs the job occupies when running (weight for GPU-seconds).
     pub gpus: f64,
     /// Useful service seconds accumulated (service demand minus
-    /// remaining). Jobs missing from the input map weigh 1 GPU with
-    /// zero useful seconds.
+    /// remaining). A job without an input weighs 1 GPU with zero
+    /// useful seconds.
     pub useful_secs: f64,
 }
 
@@ -190,34 +184,15 @@ pub struct GoodputReport {
 }
 
 impl GoodputReport {
-    /// Computes the decomposition from folded span timelines.
-    ///
-    /// `inputs` supplies each job's GPU weight and useful seconds; jobs
-    /// absent from the map weigh 1 GPU with zero useful seconds.
+    /// Computes the decomposition from folded span timelines, reading
+    /// each job's GPU weight and useful seconds through `input_of`; a job
+    /// it answers `None` for weighs 1 GPU with zero useful seconds.
     ///
     /// # Panics
     ///
     /// Panics if `horizon_secs` or `total_gpus` is negative or
     /// non-finite.
     pub fn compute(
-        book: &SpanBook,
-        horizon_secs: f64,
-        total_gpus: f64,
-        inputs: &BTreeMap<JobId, JobGoodputInput>,
-    ) -> GoodputReport {
-        Self::compute_with(book, horizon_secs, total_gpus, |job| {
-            inputs.get(&job).copied()
-        })
-    }
-
-    /// [`GoodputReport::compute`] reading each job's input through
-    /// `input_of` — for a caller that already holds the inputs by job
-    /// and need not build a map of them per report.
-    ///
-    /// # Panics
-    ///
-    /// As [`GoodputReport::compute`].
-    pub fn compute_with(
         book: &SpanBook,
         horizon_secs: f64,
         total_gpus: f64,
@@ -321,166 +296,10 @@ impl GoodputReport {
     }
 }
 
-/// Machine-checks the badput conservation law: recomputed in exact
-/// [`Dyadic`] arithmetic over the same spans, the itemized span-derived
-/// badput buckets plus running time sum to the total span GPU-time —
-/// i.e. [`badput_cause_of`] is a true partition and no GPU-second is
-/// double-counted or lost. (`IdleReserved` is defined as
-/// `capacity − allocated`, not span-derived, so it is outside this law.)
-pub fn goodput_conservation(
-    book: &SpanBook,
-    horizon_secs: f64,
-    inputs: &BTreeMap<JobId, JobGoodputInput>,
-) -> Result<(), String> {
-    let mut buckets: BTreeMap<&'static str, Dyadic> = BTreeMap::new();
-    let mut running = Dyadic::ZERO;
-    let mut total = Dyadic::ZERO;
-    for (job, spans) in book.iter_timelines(horizon_secs) {
-        let gpus = inputs.get(&job).map(|i| i.gpus).unwrap_or(1.0);
-        let weight = Dyadic::from_f64(gpus);
-        for span in spans.iter() {
-            let d = Dyadic::from_f64(span.end_secs) - Dyadic::from_f64(span.start_secs);
-            let gpu_secs = weight * d;
-            total = total + gpu_secs;
-            match badput_cause_of(span.phase) {
-                None => running = running + gpu_secs,
-                Some(cause) => {
-                    let entry = buckets.entry(cause.name()).or_insert(Dyadic::ZERO);
-                    *entry = *entry + gpu_secs;
-                }
-            }
-        }
-    }
-    let mut recombined = running;
-    for v in buckets.values() {
-        recombined = recombined + *v;
-    }
-    if recombined != total {
-        return Err(
-            "badput itemization does not partition total span GPU-time exactly".to_string(),
-        );
-    }
-    Ok(())
-}
-
-/// An exact dyadic rational `num × 2^exp`. Every finite `f64` is one,
-/// and sums/differences/products of dyadics are again dyadics, so span
-/// accounting identities can be checked with **zero** tolerance — no
-/// epsilon to hide a leak in. Arithmetic panics on (astronomically
-/// unlikely) `i128` mantissa overflow rather than silently rounding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Dyadic {
-    num: i128,
-    exp: i32,
-}
-
-impl Dyadic {
-    /// Exact zero.
-    pub const ZERO: Dyadic = Dyadic { num: 0, exp: 0 };
-
-    /// Exact conversion of a finite `f64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on NaN or infinity.
-    pub fn from_f64(v: f64) -> Dyadic {
-        assert!(v.is_finite(), "dyadic conversion of non-finite {v}");
-        let bits = v.to_bits();
-        let sign = if bits >> 63 == 1 { -1i128 } else { 1i128 };
-        let biased = ((bits >> 52) & 0x7ff) as i32;
-        let frac = (bits & ((1u64 << 52) - 1)) as i128;
-        let (mant, exp) = if biased == 0 {
-            (frac, -1074) // subnormal (or zero)
-        } else {
-            (frac | (1i128 << 52), biased - 1075)
-        };
-        Dyadic {
-            num: sign * mant,
-            exp,
-        }
-        .normalized()
-    }
-
-    fn normalized(mut self) -> Dyadic {
-        if self.num == 0 {
-            return Dyadic::ZERO;
-        }
-        while self.num % 2 == 0 {
-            self.num /= 2;
-            self.exp += 1;
-        }
-        self
-    }
-}
-
-/// Exact sum.
-///
-/// # Panics
-///
-/// Panics if the aligned mantissa overflows `i128`.
-impl std::ops::Add for Dyadic {
-    type Output = Dyadic;
-
-    fn add(self, other: Dyadic) -> Dyadic {
-        let (lo, hi) = if self.exp <= other.exp {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let shift = u32::try_from(hi.exp - lo.exp).expect("dyadic exponent gap");
-        let hi_num = hi
-            .num
-            .checked_shl(shift)
-            .filter(|n| n >> shift == hi.num)
-            .expect("dyadic mantissa overflow in add");
-        Dyadic {
-            num: lo.num.checked_add(hi_num).expect("dyadic overflow in add"),
-            exp: lo.exp,
-        }
-        .normalized()
-    }
-}
-
-/// Exact difference.
-///
-/// # Panics
-///
-/// Panics if the aligned mantissa overflows `i128`.
-impl std::ops::Sub for Dyadic {
-    type Output = Dyadic;
-
-    fn sub(self, other: Dyadic) -> Dyadic {
-        self + Dyadic {
-            num: -other.num,
-            exp: other.exp,
-        }
-    }
-}
-
-/// Exact product.
-///
-/// # Panics
-///
-/// Panics if the mantissa product overflows `i128`.
-impl std::ops::Mul for Dyadic {
-    type Output = Dyadic;
-
-    // Exponents of a product add: (a·2^x)(b·2^y) = ab·2^(x+y).
-    #[allow(clippy::suspicious_arithmetic_impl)]
-    fn mul(self, other: Dyadic) -> Dyadic {
-        Dyadic {
-            num: self
-                .num
-                .checked_mul(other.num)
-                .expect("dyadic overflow in mul"),
-            exp: self.exp + other.exp,
-        }
-        .normalized()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::span::{SpanConfig, TransitionEvent};
     use tacc_workload::{JobEventKind as K, JobState as S};
@@ -524,7 +343,7 @@ mod tests {
         );
         // Fleet: 16 GPUs over 500 s. Job: 8 GPUs, wall run 400 s of
         // which 100 s is checkpoint writes, 300 s running, 240 s useful.
-        let r = GoodputReport::compute(&book, 500.0, 16.0, &inputs);
+        let r = GoodputReport::compute(&book, 500.0, 16.0, |j| inputs.get(&j).copied());
         assert_eq!(r.capacity_gpu_secs, 8000.0);
         assert!((r.running_gpu_secs - 2400.0).abs() < 1e-6);
         assert!((r.allocated_gpu_secs - 3200.0).abs() < 1e-6);
@@ -545,19 +364,17 @@ mod tests {
                 .abs()
                 < 1e-12
         );
-        goodput_conservation(&book, 500.0, &inputs).unwrap();
     }
 
     #[test]
     fn empty_book_is_all_idle() {
         let book = SpanBook::new(SpanConfig::plain());
-        let r = GoodputReport::compute(&book, 100.0, 4.0, &BTreeMap::new());
+        let r = GoodputReport::compute(&book, 100.0, 4.0, |_| None);
         assert_eq!(r.availability, 0.0);
         assert_eq!(r.throughput_efficiency, 1.0);
         assert_eq!(r.badput.get(BadputCause::IdleReserved), 400.0);
         assert_eq!(r.badput_fraction, 1.0);
         assert_eq!(r.goodput, 0.0);
-        goodput_conservation(&book, 100.0, &BTreeMap::new()).unwrap();
     }
 
     #[test]
@@ -571,7 +388,8 @@ mod tests {
                 useful_secs: 240.0,
             },
         );
-        let json = || GoodputReport::compute(&book, 500.0, 16.0, &inputs).to_json();
+        let json =
+            || GoodputReport::compute(&book, 500.0, 16.0, |j| inputs.get(&j).copied()).to_json();
         let (a, b) = (json().to_string(), json().to_string());
         assert_eq!(a, b);
         assert!(a.starts_with("{\"horizon_secs\":500,"), "{a}");
@@ -592,25 +410,9 @@ mod tests {
     }
 
     #[test]
-    fn dyadic_arithmetic_is_exact() {
-        // 0.1 + 0.2 != 0.3 in f64, but each value is an exact dyadic and
-        // the identity (a + b) - b == a holds exactly.
-        let a = Dyadic::from_f64(0.1);
-        let b = Dyadic::from_f64(0.2);
-        assert_eq!(a + b - b, a);
-        assert_ne!(a + b, Dyadic::from_f64(0.3));
-        assert_eq!(
-            Dyadic::from_f64(0.5) * Dyadic::from_f64(8.0),
-            Dyadic::from_f64(4.0)
-        );
-        assert_eq!(Dyadic::from_f64(0.0), Dyadic::ZERO);
-        assert_eq!(Dyadic::from_f64(-1.5) + Dyadic::from_f64(1.5), Dyadic::ZERO);
-    }
-
-    #[test]
     fn every_phase_has_exactly_one_bucket() {
-        // The partition property behind the conservation law: each phase
-        // maps to exactly one bucket (badput cause or running/none).
+        // The partition: each phase maps to exactly one bucket (a badput
+        // cause, or none for running time).
         for phase in SpanPhase::ALL {
             let cause = badput_cause_of(phase);
             match phase {

@@ -60,15 +60,13 @@ pub use events::{
     RejectReason,
 };
 pub use goodput::{
-    badput_cause_of, goodput_conservation, BadputBreakdown, BadputCause, Dyadic, GoodputReport,
-    JobGoodputInput, DROPPED_EVENTS_METRIC, GOODPUT_AVAILABILITY_METRIC, GOODPUT_BADPUT_METRIC,
+    badput_cause_of, BadputBreakdown, BadputCause, GoodputReport, JobGoodputInput,
+    DROPPED_EVENTS_METRIC, GOODPUT_AVAILABILITY_METRIC, GOODPUT_BADPUT_METRIC,
     GOODPUT_EFFICIENCY_METRIC, GOODPUT_RATIO_METRIC,
 };
 pub use metrics::{
     BucketCount, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     ScrapedCounter, ScrapedGauge, ScrapedHistogram,
 };
-pub use span::{
-    span_conservation, JobTimeline, Span, SpanBook, SpanConfig, SpanPhase, TransitionEvent,
-};
+pub use span::{span_conservation, Span, SpanBook, SpanConfig, SpanPhase, TransitionEvent};
 pub use trace::SkipReason;

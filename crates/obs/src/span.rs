@@ -33,16 +33,13 @@
 //! of `checkpoint_overhead_fraction` of the remainder (the amortized
 //! checkpoint-write stretch), and `Running` in between. Adjacent spans
 //! share their boundary values bitwise, so per-job span durations
-//! partition the job's makespan *exactly* — see [`span_conservation`]
-//! and the `Dyadic` arithmetic in the goodput module.
+//! partition the job's makespan *exactly* — see [`span_conservation`].
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 use tacc_json::write_num;
 use tacc_workload::{JobEventKind, JobId, JobState, TRANSITION_MATRIX};
-
-use crate::goodput::Dyadic;
 
 /// The phase a job-span timeline attributes an interval of sim time to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -253,7 +250,7 @@ impl OpenSpan {
 
 /// One job's folded timeline: closed spans plus the currently open one.
 #[derive(Debug, Clone)]
-pub struct JobTimeline {
+struct JobTimeline {
     spans: Vec<Span>,
     open: Option<OpenSpan>,
     interruptions: u64,
@@ -397,8 +394,10 @@ impl JobTimeline {
         }
     }
 
-    /// [`JobTimeline::spans_at`], lending a timeline with nothing open
-    /// instead of copying it.
+    /// The finalized spans as of `horizon_secs`: closed spans plus the
+    /// open one virtually closed at `max(horizon, its start)`, lent
+    /// unless a span is open. Pure — calling twice with the same horizon
+    /// yields identical spans.
     fn finalized(&self, horizon_secs: f64, config: &SpanConfig) -> Cow<'_, [Span]> {
         let Some(open) = self.open else {
             return Cow::Borrowed(&self.spans);
@@ -406,18 +405,6 @@ impl JobTimeline {
         let mut snap = self.clone();
         snap.close_open(horizon_secs.max(open.start_secs()), config);
         Cow::Owned(snap.spans)
-    }
-
-    /// The finalized spans as of `horizon_secs`: closed spans plus the
-    /// open one virtually closed at `max(horizon, its start)`. Pure —
-    /// calling twice with the same horizon yields identical spans.
-    pub fn spans_at(&self, horizon_secs: f64, config: &SpanConfig) -> Vec<Span> {
-        self.finalized(horizon_secs, config).into_owned()
-    }
-
-    /// Interruptions (preemptions + faults) observed so far.
-    pub fn interruptions(&self) -> u64 {
-        self.interruptions
     }
 }
 
@@ -525,7 +512,7 @@ impl SpanBook {
     /// was never observed).
     pub fn timeline(&self, job: JobId, horizon_secs: f64) -> Vec<Span> {
         self.get(job)
-            .map(|t| t.spans_at(horizon_secs, &self.config))
+            .map(|t| t.finalized(horizon_secs, &self.config).into_owned())
             .unwrap_or_default()
     }
 
@@ -599,41 +586,38 @@ fn slot_of(job: JobId) -> usize {
 
 /// Machine-checks the span conservation law for every job in the book:
 /// spans are contiguous (each span starts bitwise where the previous one
-/// ended — hence non-overlapping and gap-free), durations are
-/// nonnegative, and their sum partitions the job's makespan **exactly**
-/// under dyadic-rational arithmetic (no float drift tolerated).
+/// ended — hence non-overlapping and gap-free), their bounds are finite
+/// and their durations nonnegative. In exact arithmetic the durations of
+/// abutting spans telescope to `last.end − first.start`, so these checks
+/// alone make a job's spans partition its makespan.
+///
+/// # Errors
+///
+/// The first broken span, named by its job and its index.
 pub fn span_conservation(book: &SpanBook, horizon_secs: f64) -> Result<(), String> {
     for (id, spans) in book.iter_timelines(horizon_secs) {
         let Some(first) = spans.first() else {
             continue;
         };
-        let last = spans.last().expect("non-empty");
-        let mut sum = Dyadic::ZERO;
         let mut prev_end = first.start_secs;
         for (i, span) in spans.iter().enumerate() {
-            if span.start_secs.to_bits() != prev_end.to_bits() {
-                return Err(format!(
-                    "job {}: span {i} ({}) starts at {} but the previous span ended at {prev_end}",
-                    id.value(),
-                    span.phase,
+            let broken = if span.start_secs.to_bits() != prev_end.to_bits() {
+                format!(
+                    "starts at {} but the previous span ended at {prev_end}",
                     span.start_secs
-                ));
-            }
-            if span.end_secs < span.start_secs {
-                return Err(format!(
-                    "job {}: span {i} ({}) has negative duration",
-                    id.value(),
-                    span.phase
-                ));
-            }
-            sum = sum + (Dyadic::from_f64(span.end_secs) - Dyadic::from_f64(span.start_secs));
-            prev_end = span.end_secs;
-        }
-        let makespan = Dyadic::from_f64(last.end_secs) - Dyadic::from_f64(first.start_secs);
-        if sum != makespan {
+                )
+            } else if !(span.start_secs.is_finite() && span.end_secs.is_finite()) {
+                format!("is not finite: [{}, {}]", span.start_secs, span.end_secs)
+            } else if span.end_secs < span.start_secs {
+                "has negative duration".to_string()
+            } else {
+                prev_end = span.end_secs;
+                continue;
+            };
             return Err(format!(
-                "job {}: span durations do not partition the makespan exactly",
-                id.value()
+                "job {}: span {i} ({}) {broken}",
+                id.value(),
+                span.phase
             ));
         }
     }
@@ -976,5 +960,41 @@ mod tests {
         assert_eq!(book.timelines(600.0), owned);
         let done = book.get(JobId::from_value(1)).expect("observed");
         assert_eq!(done.spans.capacity(), done.spans.len());
+    }
+
+    /// Each check of the conservation law fails on a span broken by hand:
+    /// the fold itself never makes one.
+    #[test]
+    fn span_conservation_names_each_broken_span() {
+        let mut settled = SpanBook::new(SpanConfig::plain());
+        feed(&mut settled, &happy_path(1));
+        span_conservation(&settled, 500.0).unwrap();
+        // Compiling [0, 30] | Queued [30, 100] | Scheduled | Running
+        // [100, 500]; each case moves one span's end.
+        let cases = [
+            (
+                0,
+                29.0,
+                "span 1 (Queued) starts at 30 but the previous span ended at 29",
+            ),
+            (
+                0,
+                31.0,
+                "span 1 (Queued) starts at 30 but the previous span ended at 31",
+            ),
+            (3, 50.0, "span 3 (Running) has negative duration"),
+            (
+                3,
+                f64::INFINITY,
+                "span 3 (Running) is not finite: [100, inf]",
+            ),
+            (3, f64::NAN, "span 3 (Running) is not finite: [100, NaN]"),
+        ];
+        for (index, end_secs, want) in cases {
+            let mut book = settled.clone();
+            book.jobs[1].as_mut().expect("observed").spans[index].end_secs = end_secs;
+            let err = span_conservation(&book, 500.0).expect_err(want);
+            assert_eq!(err, format!("job 1: {want}"));
+        }
     }
 }

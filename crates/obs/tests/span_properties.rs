@@ -1,9 +1,10 @@
 //! Property tests for the span fold: randomized lifecycle sequences
 //! drawn from the transition matrix must always produce non-overlapping,
 //! gap-free span timelines that partition each job's makespan exactly
-//! (bitwise boundary equality, dyadic-exact duration sums), records that
-//! name no matrix edge must never open or close a span, and the badput
-//! itemization must conserve GPU-time under exact arithmetic.
+//! (bitwise boundary equality, so the durations telescope), records that
+//! name no matrix edge must never open or close a span, and the goodput
+//! factors must stay in `[0, 1]` with the badput items summing to their
+//! total.
 //!
 //! The generator is a deterministic xorshift64* walk (no external
 //! proptest dependency), mirroring the lifecycle property suite in
@@ -12,8 +13,7 @@
 use std::collections::BTreeMap;
 
 use tacc_obs::{
-    goodput_conservation, span_conservation, GoodputReport, JobGoodputInput, SpanBook, SpanConfig,
-    TransitionEvent,
+    span_conservation, GoodputReport, JobGoodputInput, SpanBook, SpanConfig, TransitionEvent,
 };
 use tacc_workload::{JobEventKind, JobId, JobState, TRANSITION_MATRIX};
 
@@ -111,8 +111,8 @@ fn random_book(rng: &mut XorShift, jobs: u64, steps: usize) -> (SpanBook, f64) {
 }
 
 /// Random legal sequences always fold into timelines whose spans abut
-/// bitwise (no gap, no overlap) and whose durations sum — in exact
-/// dyadic-rational arithmetic — to the job's makespan.
+/// bitwise (no gap, no overlap), so their durations telescope to the
+/// job's makespan.
 #[test]
 fn random_sequences_partition_the_makespan_exactly() {
     for seed in 0..32u64 {
@@ -195,12 +195,10 @@ fn rejected_events_never_open_or_close_spans() {
     assert!(book.timeline(JobId::from_value(9_999), horizon).is_empty());
 }
 
-/// The badput itemization conserves GPU-time exactly for random runs and
-/// random GPU weights: causes plus running time sum to the total span
-/// GPU-time in dyadic arithmetic, and every headline factor stays in
-/// [0, 1].
+/// For random runs and random GPU weights every headline factor stays in
+/// [0, 1] and the itemized causes sum to the badput total.
 #[test]
-fn goodput_conservation_is_exact_for_random_runs() {
+fn goodput_factors_stay_in_range_for_random_runs() {
     for seed in 0..32u64 {
         let mut rng = XorShift(0x900D_0000_0000_0011 + seed);
         let (book, horizon) = random_book(&mut rng, 10, 48);
@@ -216,10 +214,7 @@ fn goodput_conservation_is_exact_for_random_runs() {
                 },
             );
         }
-        goodput_conservation(&book, horizon, &inputs)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-
-        let r = GoodputReport::compute(&book, horizon, 256.0, &inputs);
+        let r = GoodputReport::compute(&book, horizon, 256.0, |j| inputs.get(&j).copied());
         for (label, v) in [
             ("availability", r.availability),
             ("throughput_efficiency", r.throughput_efficiency),
@@ -232,4 +227,38 @@ fn goodput_conservation_is_exact_for_random_runs() {
         let itemized: f64 = r.badput.items().iter().map(|(_, v)| v).sum();
         assert_eq!(itemized, r.badput.total_gpu_secs(), "seed {seed}");
     }
+}
+
+/// A job still queued, checked at an infinite horizon, closes its open
+/// span at infinity: the law answers with an error naming the job and
+/// the span, not a panic.
+#[test]
+fn an_infinite_horizon_is_an_error() {
+    let mut book = SpanBook::new(SpanConfig::plain());
+    let job = JobId::from_value(3);
+    for (at_secs, from, to, event) in [
+        (
+            0.0,
+            JobState::Submitted,
+            JobState::Submitted,
+            JobEventKind::Submit,
+        ),
+        (
+            5.0,
+            JobState::Submitted,
+            JobState::Queued,
+            JobEventKind::Enqueue,
+        ),
+    ] {
+        book.observe(TransitionEvent {
+            at_secs,
+            job,
+            from,
+            to,
+            event,
+        });
+    }
+    span_conservation(&book, 1e6).expect("finite horizon");
+    let err = span_conservation(&book, f64::INFINITY).expect_err("infinite horizon");
+    assert_eq!(err, "job 3: span 1 (Queued) is not finite: [5, inf]");
 }

@@ -63,7 +63,7 @@ mod request;
 mod scheduler;
 
 pub use backfill::{BackfillMode, CapacityWindow};
-pub use placement::{PlacementStrategy, PlanStats, Planner};
+pub use placement::{gang_ever_fits, PlacementStrategy, PlanStats, Planner};
 pub use policy::PolicyKind;
 pub use quota::{QuotaMode, QuotaTable};
 pub use request::{Decision, RunningTask, SchedOutcome, StartedTask, TaskRequest};

@@ -303,9 +303,18 @@ pub(crate) fn gang_fits(
 ) -> bool {
     let mut left = workers;
     for free in frees {
+        if left == 0 {
+            break;
+        }
         left -= copies(free, left, per_worker);
     }
     left == 0
+}
+
+/// Whether a gang of `workers` could ever be placed on `cluster`: whether
+/// it fits every node's whole capacity, drained or not.
+pub fn gang_ever_fits(cluster: &Cluster, workers: u32, per_worker: ResourceVec) -> bool {
+    gang_fits(cluster.nodes().map(Node::capacity), workers, per_worker)
 }
 
 #[cfg(test)]

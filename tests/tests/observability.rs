@@ -60,6 +60,7 @@ type Series<T> = Vec<(&'static str, T)>;
 /// own count, or the bus read another way.
 fn published(p: &Platform) -> (Series<u64>, Series<f64>) {
     let report = p.report();
+    let goodput = report.goodput_decomposition;
     let (sched, cluster) = (p.scheduler(), p.cluster());
     let cache = p.compiler().cache().stats();
     let transferred_mb = p.events().records().filter_map(|r| match r.event {
@@ -112,6 +113,13 @@ fn published(p: &Platform) -> (Series<u64>, Series<f64>) {
         ("tacc_sched_queue_depth", sched.queue_len() as f64),
         ("tacc_sched_running_tasks", sched.running_len() as f64),
         ("tacc_compiler_cache_byte_hit_rate", cache.byte_hit_rate()),
+        ("tacc_obs_goodput_ratio", goodput.goodput),
+        ("tacc_obs_goodput_availability", goodput.availability),
+        (
+            "tacc_obs_goodput_throughput_efficiency",
+            goodput.throughput_efficiency,
+        ),
+        ("tacc_obs_goodput_badput_ratio", goodput.badput_fraction),
     ];
     (counters, gauges)
 }
@@ -126,7 +134,7 @@ fn metrics_agree_with_report() {
         c.scheduler.quota = QuotaMode::Borrowing;
         c.node_mtbf_secs = Some(30_000.0);
     });
-    let event_time = ["tacc_core_submissions_refused_total", "tacc_obs_goodput_"];
+    let event_time = ["tacc_core_submissions_refused_total"];
     for (name, config) in [("default", config_with(|_| {})), ("borrowing", borrowing)] {
         let mut platform = Platform::new(config);
         platform.load_trace(&small_trace(42, 1.0, 3.0));
